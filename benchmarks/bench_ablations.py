@@ -15,8 +15,6 @@ from __future__ import annotations
 
 import pytest
 
-from conftest import quiet
-
 from repro.core.config import DHLConfig
 from repro.core.index import DHLIndex
 from repro.hierarchy.contraction import contract_in_order, min_degree_order
@@ -78,21 +76,3 @@ def test_leaf_size(benchmark, leaf_size, dataset, graphs, query_pairs):
     benchmark.extra_info["label_entries"] = index.stats().label_entries
     benchmark.extra_info["height"] = index.stats().height
     benchmark(run)
-
-
-@pytest.mark.benchmark(group="ablation-parallel-workers")
-@pytest.mark.parametrize("workers", [1, 2, 4])
-def test_worker_scaling(benchmark, workers, dataset, dhl_indexes, update_batches):
-    """Algorithms 6/7 under different worker counts (GIL-bound here)."""
-    from repro.experiments.workloads import double_weights, restore_weights
-
-    index = dhl_indexes[dataset]
-    batch = update_batches[dataset]
-    inc, dec = double_weights(batch), restore_weights(batch)
-    benchmark.pedantic(
-        lambda: index.increase(inc, workers=workers),
-        setup=quiet(lambda: index.decrease(dec)),
-        rounds=3,
-        iterations=1,
-    )
-    index.decrease(dec)

@@ -1,4 +1,4 @@
-"""Table 2: batch & single update times, +/-, sequential & parallel.
+"""Table 2: batch & single update times, +/-.
 
 Paper shape to reproduce: DHL+/DHL- are ~3-4x faster than IncH2H+/- on
 every network; decreases are cheaper than increases for both methods;
@@ -53,30 +53,6 @@ def test_batch_decrease(
         rounds=5,
         iterations=1,
     )
-    index.decrease(dec)
-
-
-@pytest.mark.benchmark(group="table2-batch-parallel")
-@pytest.mark.parametrize("direction", ["increase", "decrease"])
-def test_dhl_parallel(
-    benchmark, direction, dataset, dhl_indexes, update_batches
-):
-    """DHL+p / DHL-p: the column-partitioned Algorithms 6/7.
-
-    (Our IncH2H has no safe parallel increase — see its module docstring —
-    so the parallel group benches DHL only; the sequential groups carry
-    the cross-method comparison.)
-    """
-    index = dhl_indexes[dataset]
-    batch = update_batches[dataset]
-    inc, dec = double_weights(batch), restore_weights(batch)
-    if direction == "increase":
-        target = lambda: index.increase(inc, workers=4)
-        setup = quiet(lambda: index.decrease(dec))
-    else:
-        target = lambda: index.decrease(dec, workers=4)
-        setup = quiet(lambda: index.increase(inc))
-    benchmark.pedantic(target, setup=setup, rounds=5, iterations=1)
     index.decrease(dec)
 
 

@@ -20,10 +20,7 @@ from repro.hierarchy.contraction import (
     contract_in_order,
     min_degree_order,
 )
-from repro.labelling.maintenance import (
-    maintain_shortcuts_decrease,
-    maintain_shortcuts_increase,
-)
+from repro.labelling.driver import maintain_shortcuts, split_batch
 
 __all__ = ["DCHIndex"]
 
@@ -105,21 +102,14 @@ class DCHIndex:
     # ------------------------------------------------------------------
     def decrease(self, changes: list[WeightChange]) -> int:
         """Edge-weight decreases; returns the number of affected shortcuts."""
-        return len(maintain_shortcuts_decrease(self.sc, changes))
+        return len(maintain_shortcuts("decrease", self.sc, changes))
 
     def increase(self, changes: list[WeightChange]) -> int:
         """Edge-weight increases; returns the number of affected shortcuts."""
-        return len(maintain_shortcuts_increase(self.sc, changes))
+        return len(maintain_shortcuts("increase", self.sc, changes))
 
     def update(self, changes: list[WeightChange]) -> int:
-        increases = []
-        decreases = []
-        for u, v, w in changes:
-            current = self.graph.weight(u, v)
-            if w > current:
-                increases.append((u, v, w))
-            elif w < current:
-                decreases.append((u, v, w))
+        increases, decreases = split_batch(self.graph, changes)
         affected = 0
         if increases:
             affected += self.increase(increases)

@@ -33,11 +33,8 @@ import math
 import numpy as np
 
 from repro.baselines.h2h import H2HIndex
-from repro.labelling.maintenance import (
-    MaintenanceStats,
-    maintain_shortcuts_decrease,
-    maintain_shortcuts_increase,
-)
+from repro.labelling.driver import maintain_shortcuts, split_batch
+from repro.labelling.maintenance import MaintenanceStats
 from repro.utils.priority_queue import LazyHeap
 
 __all__ = ["IncH2HIndex"]
@@ -72,11 +69,9 @@ class IncH2HIndex(H2HIndex):
     # ------------------------------------------------------------------
     # decrease
     # ------------------------------------------------------------------
-    def decrease(
-        self, changes: list[WeightChange], workers: int | None = None
-    ) -> MaintenanceStats:
+    def decrease(self, changes: list[WeightChange]) -> MaintenanceStats:
         """Edge-weight decreases: shortcut phase + label relaxation."""
-        affected = maintain_shortcuts_decrease(self.sc, changes)
+        affected = maintain_shortcuts("decrease", self.sc, changes)
         stats = MaintenanceStats(
             shortcuts_changed=len(affected), affected_shortcuts=affected
         )
@@ -125,11 +120,9 @@ class IncH2HIndex(H2HIndex):
     # ------------------------------------------------------------------
     # increase
     # ------------------------------------------------------------------
-    def increase(
-        self, changes: list[WeightChange], workers: int | None = None
-    ) -> MaintenanceStats:
+    def increase(self, changes: list[WeightChange]) -> MaintenanceStats:
         """Edge-weight increases: shortcut phase + label recomputation."""
-        affected = maintain_shortcuts_increase(self.sc, changes)
+        affected = maintain_shortcuts("increase", self.sc, changes)
         stats = MaintenanceStats(
             shortcuts_changed=len(affected), affected_shortcuts=affected
         )
@@ -184,14 +177,7 @@ class IncH2HIndex(H2HIndex):
 
     def update(self, changes: list[WeightChange]) -> MaintenanceStats:
         """Mixed batch: increases first, then decreases."""
-        increases: list[WeightChange] = []
-        decreases: list[WeightChange] = []
-        for u, v, w in changes:
-            current = self.graph.weight(u, v)
-            if w > current:
-                increases.append((u, v, w))
-            elif w < current:
-                decreases.append((u, v, w))
+        increases, decreases = split_batch(self.graph, changes)
         stats = MaintenanceStats()
         if increases:
             stats = stats.merge(self.increase(increases))

@@ -26,14 +26,10 @@ class DHLConfig:
         reproducible indexes.
     coarsest_size:
         Multilevel coarsening stops at roughly this many vertices.
-    workers:
-        Default worker count for the parallel maintenance variants.
-        ``workers`` > 1 explicitly selects the column-partitioned
-        Algorithms 6/7 (thread-pooled, scalar relaxation) regardless of
-        ``engine``; ``None``/1 leaves engine selection to ``engine``.
     engine:
-        Sequential maintenance engine for Algorithms 2-5. ``"array"``
-        (default) runs the frontier-batched CSR kernels of
+        The four maintenance sweeps (Algorithms 2-5) the driver in
+        :mod:`repro.labelling.driver` runs, and the batch query kernel.
+        ``"array"`` (default) runs the frontier-batched CSR kernels of
         :mod:`repro.labelling.maintenance_kernels`; ``"compiled"`` runs
         the numba-JIT scalar sweeps of
         :mod:`repro.labelling.compiled` (downgrading to ``"array"``
@@ -67,7 +63,6 @@ class DHLConfig:
     leaf_size: int = 8
     seed: int = 0
     coarsest_size: int = 120
-    workers: int | None = None
     engine: str = "array"
     validate: bool = False
     insert_closure_limit: int = 4096
@@ -82,8 +77,6 @@ class DHLConfig:
             raise IndexBuildError(
                 f"coarsest_size must be >= 8, got {self.coarsest_size}"
             )
-        if self.workers is not None and self.workers < 1:
-            raise IndexBuildError(f"workers must be >= 1, got {self.workers}")
         if self.engine not in ("array", "reference", "compiled"):
             raise IndexBuildError(
                 "engine must be one of 'array', 'reference' or 'compiled', "

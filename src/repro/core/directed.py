@@ -23,8 +23,8 @@ same algorithms. Concretely:
   exact within its descendant subgraph);
 * shortcut maintenance couples the two directions (a triangle through a
   deeper vertex composes one descending and one ascending weight), so it
-  is implemented here; label maintenance reuses Algorithms 4-7 verbatim
-  through direction views.
+  is implemented here; label maintenance is two calls of the shared
+  driver's Algorithms 4/5 half, one per direction view.
 """
 
 from __future__ import annotations
@@ -37,30 +37,15 @@ import numpy as np
 
 from repro.core.config import DHLConfig
 from repro.core.stats import IndexStats
-from repro.exceptions import (
-    IndexBuildError,
-    MaintenanceError,
-    StructuralFallbackRequired,
-)
+from repro.exceptions import IndexBuildError, StructuralFallbackRequired
 from repro.graph.digraph import DiGraph
 from repro.graph.graph import Graph
 from repro.hierarchy.csr import CSRShortcutMixin, ShortcutCSR, build_shortcut_csr
 from repro.hierarchy.query_hierarchy import QueryHierarchy
 from repro.labelling.build import build_labelling
+from repro.labelling.driver import maintain_labels, split_batch, validate_batch
 from repro.labelling.labels import HierarchicalLabelling
-from repro.labelling.maintenance import (
-    MaintenanceStats,
-    maintain_labels_decrease,
-    maintain_labels_increase,
-)
-from repro.labelling.maintenance_kernels import (
-    labels_decrease_array,
-    labels_increase_array,
-)
-from repro.labelling.parallel import (
-    maintain_labels_decrease_parallel,
-    maintain_labels_increase_parallel,
-)
+from repro.labelling.maintenance import MaintenanceStats
 from repro.partition.recursive import recursive_bisection
 from repro.utils.priority_queue import LazyHeap
 from repro.utils.timing import Stopwatch
@@ -78,9 +63,9 @@ class _DirectionView(CSRShortcutMixin):
 
     Exposes exactly the store surface the label algorithms touch —
     ``tau``/``tau_key``, the structural ``csr`` and the direction's flat
-    ``up_weights`` (array kernels), plus the ``up``/``down``/``wup``
-    compatibility views (scalar/parallel reference paths and
-    Algorithm 1).
+    ``up_weights`` (array and compiled sweeps), plus the
+    ``up``/``down``/``wup`` compatibility views (scalar reference sweeps
+    and Algorithm 1).
     """
 
     __slots__ = (
@@ -327,103 +312,52 @@ class DirectedDHLIndex:
     def _weights(self, direction: int) -> np.ndarray:
         return self.out_weights if direction == _OUT else self.in_weights
 
-    def _w(self, lo: int, hi: int, direction: int) -> float:
-        return float(self._weights(direction)[self.csr.slot_of(lo, hi)])
-
-    def _set_w(self, lo: int, hi: int, direction: int, value: float) -> float:
-        weights = self._weights(direction)
-        slot = self.csr.slot_of(lo, hi)
-        old = float(weights[slot])
-        weights[slot] = value
-        return old
-
     # ------------------------------------------------------------------
     # dynamic updates
     # ------------------------------------------------------------------
     def _maintain_labels(
-        self,
-        affected: dict[int, dict],
-        kind: str,
-        workers: int | None,
+        self, kind: str, affected: tuple[dict[int, float], dict[int, float]]
     ) -> MaintenanceStats:
-        """Run label maintenance for both directions.
+        """Algorithms 4/5 for both directions.
 
-        ``workers`` > 1 explicitly requests the column-parallel
-        Algorithms 6/7; otherwise ``config.engine`` picks the sequential
-        path (array kernels by default, scalar reference on demand).
+        ``affected[direction]`` maps each changed slot to the weight it
+        held before the batch.
         """
         self._epoch += 1
-        if not (workers and workers > 1):
-            engine = self.config.resolve_engine()
-            if engine == "compiled":
-                from repro.labelling.compiled import (
-                    labels_decrease_compiled,
-                    labels_increase_compiled,
-                )
+        stats = MaintenanceStats()
+        for view, labels, marks in (
+            (self._out_view, self.labels_out, affected[_OUT]),
+            (self._in_view, self.labels_in, affected[_IN]),
+        ):
+            slots = np.fromiter(marks, np.int64, len(marks))
+            old = np.fromiter(marks.values(), np.float64, len(marks))
+            stats = stats.merge(
+                maintain_labels(kind, view, labels, slots, old, self.config)
+            )
+        return stats
 
-                compiled_fn = (
-                    labels_decrease_compiled
-                    if kind == "decrease"
-                    else labels_increase_compiled
-                )
-                stats = compiled_fn(
-                    self._out_view, self.labels_out, affected[_OUT]
-                )
-                return stats.merge(
-                    compiled_fn(self._in_view, self.labels_in, affected[_IN])
-                )
-            if engine == "array":
-                array_fn = (
-                    labels_decrease_array
-                    if kind == "decrease"
-                    else labels_increase_array
-                )
-                stats = array_fn(self._out_view, self.labels_out, affected[_OUT])
-                return stats.merge(
-                    array_fn(self._in_view, self.labels_in, affected[_IN])
-                )
-        if workers and workers > 1:
-            parallel_fn = (
-                maintain_labels_decrease_parallel
-                if kind == "decrease"
-                else maintain_labels_increase_parallel
-            )
-            stats = parallel_fn(
-                self._out_view, self.labels_out, affected[_OUT], workers
-            )
-            return stats.merge(
-                parallel_fn(self._in_view, self.labels_in, affected[_IN], workers)
-            )
-        scalar_fn = (
-            maintain_labels_decrease if kind == "decrease" else maintain_labels_increase
-        )
-        stats = scalar_fn(self._out_view, self.labels_out, affected[_OUT])
-        return stats.merge(
-            scalar_fn(self._in_view, self.labels_in, affected[_IN])
-        )
-
-    def decrease(
-        self, changes: Iterable[WeightChange], workers: int | None = None
-    ) -> MaintenanceStats:
-        """Arc-weight decreases: directed Algorithm 2 + Algorithm 4/6 x2."""
-        affected = {_OUT: {}, _IN: {}}
+    def decrease(self, changes: Iterable[WeightChange]) -> MaintenanceStats:
+        """Arc-weight decreases: directed Algorithm 2 + Algorithm 4 x2."""
+        batch = validate_batch("decrease", self.digraph, changes, self._key)
+        if not batch:
+            return MaintenanceStats()
+        affected: tuple[dict[int, float], dict[int, float]] = ({}, {})
         rank_key = self.rank_key
+        csr = self.csr
         heap: LazyHeap[tuple[int, int, int]] = LazyHeap()
-        for a, b, w_new in changes:
-            old_arc = self.digraph.set_weight(a, b, w_new)
-            if w_new > old_arc:
-                raise MaintenanceError(
-                    f"decrease batch contains an increase on arc ({a}, {b})"
-                )
+        for a, b, w_new in batch:
+            self.digraph.set_weight(a, b, w_new)
             lo, hi, direction = self._key(a, b)
-            if self._w(lo, hi, direction) > w_new:
-                affected[direction].setdefault((lo, hi), self._w(lo, hi, direction))
-                self._set_w(lo, hi, direction, w_new)
+            slot = csr.slot_of(lo, hi)
+            weights = self._weights(direction)
+            if weights[slot] > w_new:
+                affected[direction].setdefault(slot, float(weights[slot]))
+                weights[slot] = w_new
                 heap.push((lo, hi, direction), rank_key[lo])
 
         while heap:
             (lo, hi, direction), _ = heap.pop()
-            w_cur = self._w(lo, hi, direction)
+            w_cur = float(self._weights(direction)[csr.slot_of(lo, hi)])
             for other in self.up[lo]:
                 if other == hi:
                     continue
@@ -436,7 +370,7 @@ class DirectedDHLIndex:
                     cand = w_cur + self.wout[lo][other]
                     src, dst = hi, other
                 tlo, thi, tdir = self._key(src, dst)
-                tslot = self.csr.find_slot(tlo, thi)
+                tslot = csr.find_slot(tlo, thi)
                 if tslot < 0:
                     # Pair dropped by compaction (both directions were
                     # inf). Pure weight decreases can only produce inf
@@ -449,29 +383,27 @@ class DirectedDHLIndex:
                     continue
                 tweights = self._weights(tdir)
                 if tweights[tslot] > cand:
-                    affected[tdir].setdefault((tlo, thi), float(tweights[tslot]))
+                    affected[tdir].setdefault(tslot, float(tweights[tslot]))
                     tweights[tslot] = cand
                     heap.push((tlo, thi, tdir), rank_key[tlo])
 
-        return self._maintain_labels(affected, "decrease", workers)
+        return self._maintain_labels("decrease", affected)
 
-    def increase(
-        self, changes: Iterable[WeightChange], workers: int | None = None
-    ) -> MaintenanceStats:
-        """Arc-weight increases: directed Algorithm 3 + Algorithm 5/7 x2."""
+    def increase(self, changes: Iterable[WeightChange]) -> MaintenanceStats:
+        """Arc-weight increases: directed Algorithm 3 + Algorithm 5 x2."""
+        batch = validate_batch("increase", self.digraph, changes, self._key)
+        if not batch:
+            return MaintenanceStats()
         rank_key = self.rank_key
+        csr = self.csr
         heap: LazyHeap[tuple[int, int, int]] = LazyHeap()
-        for a, b, w_new in changes:
+        for a, b, w_new in batch:
             old_arc = self.digraph.set_weight(a, b, w_new)
-            if w_new < old_arc:
-                raise MaintenanceError(
-                    f"increase batch contains a decrease on arc ({a}, {b})"
-                )
             lo, hi, direction = self._key(a, b)
-            if self._w(lo, hi, direction) == old_arc:
+            if self._weights(direction)[csr.slot_of(lo, hi)] == old_arc:
                 heap.push((lo, hi, direction), rank_key[lo])
 
-        affected = {_OUT: {}, _IN: {}}
+        affected: tuple[dict[int, float], dict[int, float]] = ({}, {})
         digraph = self.digraph
         out_weights, in_weights = self.out_weights, self.in_weights
         while heap:
@@ -482,7 +414,7 @@ class DirectedDHLIndex:
             # intersection of the two down-CSR rows; each shared x
             # contributes the chain src -> x -> dst (one descending and
             # one ascending weight through the deeper vertex).
-            slots_lo, slots_hi = self.csr.common_down(lo, hi)
+            slots_lo, slots_hi = csr.common_down(lo, hi)
             if len(slots_lo):
                 if direction == _OUT:  # src=lo, dst=hi
                     triangles = in_weights[slots_lo] + out_weights[slots_hi]
@@ -491,7 +423,9 @@ class DirectedDHLIndex:
                 best = float(triangles.min())
                 if best < w_new:
                     w_new = best
-            old = self._w(lo, hi, direction)
+            slot = csr.slot_of(lo, hi)
+            weights = self._weights(direction)
+            old = float(weights[slot])
             if old != w_new:
                 for other in self.up[lo]:
                     if other == hi:
@@ -503,38 +437,34 @@ class DirectedDHLIndex:
                         t_src, t_dst = hi, other
                         cand_old = old + self.wout[lo][other]
                     tlo, thi, tdir = self._key(t_src, t_dst)
-                    tslot = self.csr.find_slot(tlo, thi)
+                    tslot = csr.find_slot(tlo, thi)
                     # Pairs removed by compaction were inf — no suspect.
                     if tslot < 0:
                         continue
                     if self._weights(tdir)[tslot] == cand_old:
                         heap.push((tlo, thi, tdir), rank_key[tlo])
-                affected[direction].setdefault((lo, hi), old)
-                self._set_w(lo, hi, direction, w_new)
+                affected[direction].setdefault(slot, old)
+                weights[slot] = w_new
 
-        return self._maintain_labels(affected, "increase", workers)
+        return self._maintain_labels("increase", affected)
 
     def update(
         self, changes: Iterable[WeightChange], workers: int | None = None
     ) -> MaintenanceStats:
-        """Mixed batch: increases first, then decreases."""
-        increases: list[WeightChange] = []
-        decreases: list[WeightChange] = []
-        for a, b, w in changes:
-            current = self.digraph.weight(a, b)
-            if w > current:
-                increases.append((a, b, w))
-            elif w < current:
-                decreases.append((a, b, w))
+        """Mixed batch: increases first, then decreases.
+
+        ``workers`` is ignored (see :meth:`DistanceBackend.update`).
+        """
+        increases, decreases = split_batch(self.digraph, changes)
         stats = MaintenanceStats()
         if increases:
-            stats = stats.merge(self.increase(increases, workers))
+            stats = stats.merge(self.increase(increases))
         if decreases:
-            stats = stats.merge(self.decrease(decreases, workers))
+            stats = stats.merge(self.decrease(decreases))
         return stats
 
     def update_coalesced(
-        self, changes: Iterable[WeightChange], workers: int | None = None
+        self, changes: Iterable[WeightChange]
     ) -> MaintenanceStats:
         """Apply a raw change stream as one merged batch (last write wins).
 
@@ -545,7 +475,7 @@ class DirectedDHLIndex:
         final: dict[tuple[int, int], float] = {}
         for a, b, w in changes:
             final[(a, b)] = w
-        return self.update([(a, b, w) for (a, b), w in final.items()], workers)
+        return self.update([(a, b, w) for (a, b), w in final.items()])
 
     # ------------------------------------------------------------------
     # structural updates — implemented in core.structural
@@ -555,15 +485,12 @@ class DirectedDHLIndex:
         insertions: Iterable[WeightChange] = (),
         deletions: Iterable[tuple[int, int]] = (),
         weight_changes: Iterable[WeightChange] = (),
-        workers: int | None = None,
     ):
         """Apply one mixed structural arc batch; see
         :func:`repro.core.structural.apply_batch_directed`."""
         from repro.core.structural import apply_batch_directed
 
-        return apply_batch_directed(
-            self, insertions, deletions, weight_changes, workers
-        )
+        return apply_batch_directed(self, insertions, deletions, weight_changes)
 
     def compact(self):
         """Reclaim dead shortcut slots (both directions inf) and label

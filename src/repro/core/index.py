@@ -10,14 +10,14 @@ components ``(<H_Q, H_U>, L)``:
    decreasing rank order;
 4. :func:`~repro.labelling.build_labelling` runs Algorithm 1.
 
-Updates go through DHL+/DHL- (Algorithms 2-5) or their parallel variants
-(Algorithms 6/7) depending on configuration.
+Updates go through DHL+/DHL- (Algorithms 2-5) via the single
+maintenance driver (:mod:`repro.labelling.driver`); ``config.engine``
+names the sweep implementation it runs.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -25,31 +25,15 @@ import numpy as np
 
 from repro.core.config import DHLConfig
 from repro.core.stats import IndexStats
-from repro.exceptions import IndexBuildError, MaintenanceError
+from repro.exceptions import IndexBuildError
 from repro.graph.graph import Graph
 from repro.hierarchy.query_hierarchy import QueryHierarchy
 from repro.hierarchy.update_hierarchy import UpdateHierarchy
 from repro.labelling.build import build_labelling
+from repro.labelling.driver import maintain, split_batch
 from repro.labelling.labels import HierarchicalLabelling
-from repro.labelling.maintenance import (
-    MaintenanceStats,
-    apply_decrease,
-    apply_increase,
-)
-from repro.labelling.compiled import (
-    apply_decrease_compiled,
-    apply_increase_compiled,
-)
-from repro.labelling.maintenance_kernels import (
-    apply_decrease_array,
-    apply_increase_array,
-)
-from repro.labelling.parallel import (
-    apply_decrease_parallel,
-    apply_increase_parallel,
-)
+from repro.labelling.maintenance import MaintenanceStats
 from repro.labelling.query import QueryEngine
-from repro.observability.phases import collect_phases, phases_active
 from repro.partition.recursive import recursive_bisection
 from repro.utils.timing import Stopwatch
 
@@ -211,86 +195,30 @@ class DHLIndex:
         """Number of maintenance batches applied since construction."""
         return self._epoch
 
-    def _note_maintenance(self, stats: MaintenanceStats) -> MaintenanceStats:
-        self._epoch += 1
-        return stats
-
     # ------------------------------------------------------------------
     # dynamic updates
     # ------------------------------------------------------------------
-    def decrease(
-        self, changes: Iterable[WeightChange], workers: int | None = None
-    ) -> MaintenanceStats:
-        """Apply edge-weight decreases (DHL- / DHL-p).
+    def decrease(self, changes: Iterable[WeightChange]) -> MaintenanceStats:
+        """Apply edge-weight decreases (DHL-).
 
         ``changes`` holds ``(u, v, new_weight)`` triples whose new weight
-        is at most the current one. ``workers`` > 1 explicitly requests
-        the column-parallel Algorithms 6/7 (DHL-p); otherwise
-        ``config.engine`` picks the sequential path — the
-        frontier-batched array kernels by default, or the scalar
-        reference with ``engine="reference"``.
+        is at most the current one. The whole batch is validated before
+        anything is written; ``config.engine`` names the sweeps that run
+        — the frontier-batched array kernels by default.
         """
-        batch = self._validated(changes, expect="decrease")
-        if not batch:
-            return MaintenanceStats()
-        workers = self.config.workers if workers is None else workers
+        return self._maintain("decrease", changes)
 
-        def run() -> MaintenanceStats:
-            if workers and workers > 1:
-                return apply_decrease_parallel(
-                    self.hu, self.labels, batch, workers
-                )
-            engine = self.config.resolve_engine()
-            if engine == "compiled":
-                return apply_decrease_compiled(self.hu, self.labels, batch)
-            if engine == "array":
-                return apply_decrease_array(self.hu, self.labels, batch)
-            return apply_decrease(self.hu, self.labels, batch)
+    def increase(self, changes: Iterable[WeightChange]) -> MaintenanceStats:
+        """Apply edge-weight increases (DHL+); see :meth:`decrease`."""
+        return self._maintain("increase", changes)
 
-        return self._note_maintenance(self._run_with_phases(run))
-
-    def increase(
-        self, changes: Iterable[WeightChange], workers: int | None = None
+    def _maintain(
+        self, kind: str, changes: Iterable[WeightChange]
     ) -> MaintenanceStats:
-        """Apply edge-weight increases (DHL+ / DHL+p).
-
-        ``workers`` > 1 explicitly requests Algorithms 6/7; see
-        :meth:`decrease` for the engine selection rules.
-        """
-        batch = self._validated(changes, expect="increase")
-        if not batch:
+        stats = maintain(kind, self.hu, self.labels, changes, self.config)
+        if stats is None:
             return MaintenanceStats()
-        workers = self.config.workers if workers is None else workers
-
-        def run() -> MaintenanceStats:
-            if workers and workers > 1:
-                return apply_increase_parallel(
-                    self.hu, self.labels, batch, workers
-                )
-            engine = self.config.resolve_engine()
-            if engine == "compiled":
-                return apply_increase_compiled(self.hu, self.labels, batch)
-            if engine == "array":
-                return apply_increase_array(self.hu, self.labels, batch)
-            return apply_increase(self.hu, self.labels, batch)
-
-        return self._note_maintenance(self._run_with_phases(run))
-
-    @staticmethod
-    def _run_with_phases(run) -> MaintenanceStats:
-        """Run one maintenance pass, capturing its kernel-phase breakdown.
-
-        Only when a phase collector is already installed (an enabled
-        observability flush, or a bench under ``collect_phases()``) does
-        the pass get its own nested collector to fill ``stats.phases``;
-        otherwise the kernels' ``phase()`` marks stay no-ops and nothing
-        is measured.
-        """
-        if not phases_active():
-            return run()
-        with collect_phases() as collector:
-            stats = run()
-        stats.phases = collector.as_dict()
+        self._epoch += 1
         return stats
 
     def update(
@@ -300,24 +228,18 @@ class DHLIndex:
 
         Increases are applied first, then decreases, mirroring the
         paper's experimental protocol. Unchanged weights are skipped.
+        ``workers`` is ignored (see :meth:`DistanceBackend.update`).
         """
-        increases: list[WeightChange] = []
-        decreases: list[WeightChange] = []
-        for u, v, w in changes:
-            current = self.graph.weight(u, v)
-            if w > current:
-                increases.append((u, v, w))
-            elif w < current:
-                decreases.append((u, v, w))
+        increases, decreases = split_batch(self.graph, changes)
         stats = MaintenanceStats()
         if increases:
-            stats = stats.merge(self.increase(increases, workers))
+            stats = stats.merge(self.increase(increases))
         if decreases:
-            stats = stats.merge(self.decrease(decreases, workers))
+            stats = stats.merge(self.decrease(decreases))
         return stats
 
     def update_coalesced(
-        self, changes: Iterable[WeightChange], workers: int | None = None
+        self, changes: Iterable[WeightChange]
     ) -> MaintenanceStats:
         """Apply a raw change stream as one merged batch.
 
@@ -331,30 +253,7 @@ class DHLIndex:
         final: dict[tuple[int, int], float] = {}
         for u, v, w in changes:
             final[(u, v) if u <= v else (v, u)] = w
-        return self.update(
-            [(u, v, w) for (u, v), w in final.items()], workers
-        )
-
-    def _validated(
-        self, changes: Iterable[WeightChange], expect: str
-    ) -> list[WeightChange]:
-        batch: list[WeightChange] = []
-        for u, v, w in changes:
-            current = self.graph.weight(u, v)
-            if w < 0 or math.isnan(w):
-                raise MaintenanceError(f"invalid weight {w!r} for edge ({u}, {v})")
-            if w == current:
-                continue
-            if expect == "decrease" and w > current:
-                raise MaintenanceError(
-                    f"edge ({u}, {v}): {w} is an increase; use increase()/update()"
-                )
-            if expect == "increase" and w < current:
-                raise MaintenanceError(
-                    f"edge ({u}, {v}): {w} is a decrease; use decrease()/update()"
-                )
-            batch.append((u, v, w))
-        return batch
+        return self.update([(u, v, w) for (u, v), w in final.items()])
 
     # ------------------------------------------------------------------
     # structural updates (Section 8) — implemented in core.structural
@@ -364,7 +263,6 @@ class DHLIndex:
         insertions: Iterable[WeightChange] = (),
         deletions: Iterable[tuple[int, int]] = (),
         weight_changes: Iterable[WeightChange] = (),
-        workers: int | None = None,
     ):
         """Apply one mixed structural batch (insert / delete / reweigh).
 
@@ -378,9 +276,7 @@ class DHLIndex:
         """
         from repro.core.structural import apply_batch
 
-        return apply_batch(
-            self, insertions, deletions, weight_changes, workers
-        )
+        return apply_batch(self, insertions, deletions, weight_changes)
 
     def compact(self):
         """Reclaim logically dead shortcut slots and label-store slack.
@@ -408,23 +304,6 @@ class DHLIndex:
 
         return structural_counters(self)
 
-    def delete_edge(self, u: int, v: int) -> MaintenanceStats:
-        """Logically delete a road: raise its weight to infinity.
-
-        .. deprecated:: thin wrapper over :meth:`apply_batch` — batch
-           structural changes there instead of issuing them one edge at
-           a time.
-        """
-        warnings.warn(
-            "DHLIndex.delete_edge is deprecated; use "
-            "apply_batch(deletions=[(u, v)])",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        from repro.core.structural import delete_edge
-
-        return delete_edge(self, u, v)
-
     def restore_edge(self, u: int, v: int, weight: float) -> MaintenanceStats:
         """Restore a logically deleted road with *weight*."""
         from repro.core.structural import restore_edge
@@ -436,23 +315,6 @@ class DHLIndex:
         from repro.core.structural import delete_vertex
 
         return delete_vertex(self, v)
-
-    def insert_edge(self, u: int, v: int, weight: float) -> "DHLIndex":
-        """Insert a brand-new road; returns the (mutated) index.
-
-        .. deprecated:: thin wrapper over :meth:`apply_batch` — the
-           index is now updated in place; the return value exists for
-           the old rebuild-and-return call shape.
-        """
-        warnings.warn(
-            "DHLIndex.insert_edge is deprecated; use "
-            "apply_batch(insertions=[(u, v, w)])",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        from repro.core.structural import insert_edge
-
-        return insert_edge(self, u, v, weight)
 
     # ------------------------------------------------------------------
     # persistence and introspection

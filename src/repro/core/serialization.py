@@ -32,6 +32,7 @@ check standalone, e.g. before promoting a replicated snapshot.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 import shutil
@@ -277,10 +278,21 @@ def _config_payload(config) -> dict:
         "leaf_size": config.leaf_size,
         "seed": config.seed,
         "coarsest_size": config.coarsest_size,
-        "workers": config.workers,
         "engine": config.engine,
         "validate": config.validate,
     }
+
+
+def _config_from_payload(payload: dict):
+    """Rebuild a ``DHLConfig``, keeping only the fields it still has.
+
+    Older snapshots carry retired keys (``workers``); dropping unknown
+    keys keeps every snapshot on disk loadable.
+    """
+    from repro.core.config import DHLConfig
+
+    known = {f.name for f in dataclasses.fields(DHLConfig)}
+    return DHLConfig(**{k: v for k, v in payload.items() if k in known})
 
 
 def _read_manifest(path: Path, expected_kind: str) -> dict:
@@ -349,10 +361,11 @@ def _warmup_for(config) -> None:
     """JIT-compile the numba kernels when a loaded index will use them.
 
     Loading is the serving cold-start path: warming here keeps kernel
-    compilation off the first query/maintenance request. No-op (beyond
-    the one-time downgrade warning) when numba is unavailable.
+    compilation off the first query/maintenance request. Without numba
+    it only runs the toy warmup sweep once; the downgrade warning comes
+    from the first engine resolution.
     """
-    if config.resolve_engine() == "compiled":
+    if config.engine == "compiled":
         from repro.labelling.compiled import warmup_kernels
 
         warmup_kernels()
@@ -372,7 +385,6 @@ def load_index(path: Path, mmap_labels: bool = False, verify: bool = True):
     warms the page cache the mmap path will fault in anyway. Pass
     ``verify=False`` only when the snapshot was just verified elsewhere.
     """
-    from repro.core.config import DHLConfig
     from repro.core.index import DHLIndex
     from repro.core.stats import IndexStats
 
@@ -381,7 +393,7 @@ def load_index(path: Path, mmap_labels: bool = False, verify: bool = True):
     manifest = _read_manifest(path, "undirected")
     data = np.load(path / "arrays.npz")
     graph = graph_from_json(json.dumps(manifest["graph"]))
-    config = DHLConfig(**manifest["config"])
+    config = _config_from_payload(manifest["config"])
     _warmup_for(config)
 
     n = manifest["n"]
@@ -473,7 +485,6 @@ def load_directed_index(path: Path, mmap_labels: bool = False, verify: bool = Tr
     The same ``mmap_labels`` fast path and ``verify`` integrity check as
     :func:`load_index` apply, covering both direction stores.
     """
-    from repro.core.config import DHLConfig
     from repro.core.directed import DirectedDHLIndex
     from repro.core.stats import IndexStats
 
@@ -481,7 +492,7 @@ def load_directed_index(path: Path, mmap_labels: bool = False, verify: bool = Tr
         verify_snapshot(path)
     manifest = _read_manifest(path, "directed")
     data = np.load(path / "arrays.npz")
-    config = DHLConfig(**manifest["config"])
+    config = _config_from_payload(manifest["config"])
     _warmup_for(config)
     n = manifest["n"]
 
@@ -578,7 +589,6 @@ def load_sharded_index(path: Path, mmap_labels: bool = False, verify: bool = Tru
     partition arrays) in one recursive pass before any component loads,
     so per-component loads skip their own re-verification.
     """
-    from repro.core.config import DHLConfig
     from repro.core.sharded import ShardedDHLIndex, ShardedIndexStats
     from repro.partition.regions import regions_from_assignment
 
@@ -601,7 +611,7 @@ def load_sharded_index(path: Path, mmap_labels: bool = False, verify: bool = Tru
             f"{path} holds a {manifest.get('kind')!r} index; expected sharded"
         )
     graph = graph_from_json(json.dumps(manifest["graph"]))
-    config = DHLConfig(**manifest["config"])
+    config = _config_from_payload(manifest["config"])
     _warmup_for(config)
     region_of = np.load(path / "region_of.npy")
     partition = regions_from_assignment(graph, region_of)

@@ -22,7 +22,6 @@ boundary distances could have moved — tracked via the maintenance pass's
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -265,11 +264,11 @@ class ShardedDHLIndex:
     ) -> ShardedMaintenanceStats:
         """Apply a mixed weight-change batch, routed per shard.
 
-        Intra-region changes go to the owning shard's DHL+/DHL- pass
-        (shards run concurrently when the config asks for workers); cut
-        edge changes go straight to the overlay. After shard passes,
+        Intra-region changes go to the owning shard's DHL+/DHL- pass;
+        cut edge changes go straight to the overlay. After shard passes,
         only the overlay clique edges incident to an *affected* boundary
         label are recomputed and folded into one overlay pass.
+        ``workers`` is ignored (see :meth:`DistanceBackend.update`).
         """
         per_shard: dict[int, list[WeightChange]] = {}
         overlay_changes: list[WeightChange] = []
@@ -296,9 +295,11 @@ class ShardedDHLIndex:
         if not applied:
             return stats
 
-        workers = self.config.workers if workers is None else workers
         with phase("sharded.shard_update"):
-            shard_results = self._apply_shard_batches(per_shard, workers)
+            shard_results = {
+                rid: self.shards[rid].update(batch)
+                for rid, batch in per_shard.items()
+            }
         with phase("sharded.clique_refresh"):
             for rid, shard_stats in shard_results.items():
                 stats.per_shard[rid] = shard_stats
@@ -316,7 +317,7 @@ class ShardedDHLIndex:
 
         if overlay_changes and self.overlay is not None:
             with phase("sharded.overlay_update"):
-                overlay_stats = self.overlay.update(overlay_changes, workers)
+                overlay_stats = self.overlay.update(overlay_changes)
             stats.overlay_stats = overlay_stats
             stats.absorb(overlay_stats, self.boundary_global)
             self._engine.invalidate_blocks()
@@ -328,34 +329,14 @@ class ShardedDHLIndex:
         self._epoch += 1
         return stats
 
-    def _apply_shard_batches(
-        self, per_shard: dict[int, list[WeightChange]], workers: int | None
-    ) -> dict[int, MaintenanceStats]:
-        """Run each shard's batch; shard-parallel when workers allow."""
-        if not per_shard:
-            return {}
-        if workers and workers > 1 and len(per_shard) > 1:
-            with ThreadPoolExecutor(
-                max_workers=min(workers, len(per_shard))
-            ) as pool:
-                futures = {
-                    rid: pool.submit(self.shards[rid].update, batch, 1)
-                    for rid, batch in per_shard.items()
-                }
-                return {rid: fut.result() for rid, fut in futures.items()}
-        return {
-            rid: self.shards[rid].update(batch, 1)
-            for rid, batch in per_shard.items()
-        }
-
     def update_coalesced(
-        self, changes: Iterable[WeightChange], workers: int | None = None
+        self, changes: Iterable[WeightChange]
     ) -> ShardedMaintenanceStats:
         """Apply a raw change stream as one merged batch (last write wins)."""
         final: dict[tuple[int, int], float] = {}
         for u, v, w in changes:
             final[(u, v) if u <= v else (v, u)] = w
-        return self.update([(u, v, w) for (u, v), w in final.items()], workers)
+        return self.update([(u, v, w) for (u, v), w in final.items()])
 
     # ------------------------------------------------------------------
     # structural updates
@@ -365,7 +346,6 @@ class ShardedDHLIndex:
         insertions: Iterable[WeightChange] = (),
         deletions: Iterable[tuple[int, int]] = (),
         weight_changes: Iterable[WeightChange] = (),
-        workers: int | None = None,
     ) -> ShardedMaintenanceStats:
         """Apply one mixed structural batch, routed per shard.
 
@@ -377,11 +357,10 @@ class ShardedDHLIndex:
         boundary navigation arrays and the overlay are rebuilt from the
         updated graph (the region assignment never changes).
         """
-        from repro.core.structural import _bump, structural_counters  # noqa: F401
+        from repro.core.structural import _bump
 
         graph = self.graph
         stats = ShardedMaintenanceStats()
-        workers = self.config.workers if workers is None else workers
 
         folded_changes = list(weight_changes)
         per_shard_del: dict[int, list[tuple[int, int]]] = {}
@@ -418,7 +397,7 @@ class ShardedDHLIndex:
             for u, v, w in folded_changes:
                 net[(u, v) if u <= v else (v, u)] = (u, v, w)
             folded_changes = list(net.values())
-            weight_stats = self.update(folded_changes, workers)
+            weight_stats = self.update(folded_changes)
             stats.per_shard.update(weight_stats.per_shard)
             stats.overlay_stats = weight_stats.overlay_stats
             stats.absorb(weight_stats, np.arange(graph.num_vertices))
@@ -435,7 +414,6 @@ class ShardedDHLIndex:
             shard_structural = self.shards[rid].apply_batch(
                 insertions=per_shard_ins.get(rid, []),
                 deletions=per_shard_del.get(rid, []),
-                workers=1,
             )
             shard_stats = shard_structural.maintenance
             merged = stats.per_shard.get(rid)
@@ -462,7 +440,7 @@ class ShardedDHLIndex:
 
         if overlay_changes and self.overlay is not None:
             with phase("sharded.overlay_update"):
-                overlay_stats = self.overlay.update(overlay_changes, workers)
+                overlay_stats = self.overlay.update(overlay_changes)
             stats.overlay_stats = stats.overlay_stats.merge(overlay_stats)
             stats.absorb(overlay_stats, self.boundary_global)
             self._engine.invalidate_blocks()

@@ -10,8 +10,8 @@ with rebuilds reserved for the cases that genuinely invalidate the
 hierarchy.
 
 **Deletion fast path.** A deletion is an infinite-weight increase
-through ``shortcuts_increase_array`` / ``labels_increase_array``; the
-slot stays allocated but is *logically dead*. The compaction pass
+through the ordinary maintenance driver; the slot stays allocated but
+is *logically dead*. The compaction pass
 (below) reclaims dead slots once their fraction crosses the configured
 threshold.
 
@@ -40,10 +40,10 @@ Qualifying batches allocate their closure slots in one
 allocated, not yet relaxed), add the new edges as logically-deleted, and
 seed one decrease sweep from the new arcs: the monotone min-relaxation
 from ``inf`` reaches exactly the Property-3.1 fixpoint of the extended
-store. Insertion-seeded sweeps always run through the *guarded* array
-kernel (every engine): on a previously compacted store the sweep can
-produce a finite candidate for a removed pair, which the guard converts
-into :class:`~repro.exceptions.StructuralFallbackRequired` → rebuild.
+store. On a previously compacted store the sweep can produce a finite
+candidate for a removed pair; every engine's decrease sweep reports it
+and the driver raises
+:class:`~repro.exceptions.StructuralFallbackRequired` → rebuild.
 
 **Compaction.** Dead slots (weight ``inf``; both directions for the
 directed index) are squeezed out of the CSR store, their graph edges
@@ -80,10 +80,8 @@ __all__ = [
     "compact_index",
     "compact_directed_index",
     "dead_fraction",
-    "delete_edge",
     "restore_edge",
     "delete_vertex",
-    "insert_edge",
 ]
 
 #: Accounting bytes per shortcut slot (weights + indices + derived),
@@ -100,8 +98,7 @@ class StructuralStats:
     the counters say *how* the batch was absorbed — how many arcs took
     the insertion fast path versus a fallback rebuild, how many slots
     the closure allocated, and how many deletions were dropped because
-    the edge was already dead (the ``already_deleted`` counter the bare
-    ``delete_edge`` used to swallow).
+    the edge was already dead.
     """
 
     maintenance: MaintenanceStats = field(default_factory=MaintenanceStats)
@@ -292,7 +289,6 @@ def apply_batch(
     insertions=(),
     deletions=(),
     weight_changes=(),
-    workers: int | None = None,
 ) -> StructuralStats:
     """Apply one mixed structural batch to a :class:`DHLIndex` in place.
 
@@ -351,20 +347,16 @@ def apply_batch(
             real_inserts.append((u, v, w))
 
     if increases:
-        stats.maintenance = stats.maintenance.merge(
-            index.increase(increases, workers)
-        )
+        stats.maintenance = stats.maintenance.merge(index.increase(increases))
     if decreases:
-        stats.maintenance = stats.maintenance.merge(
-            index.decrease(decreases, workers)
-        )
+        stats.maintenance = stats.maintenance.merge(index.decrease(decreases))
     if real_inserts:
         stats.inserted = len(real_inserts)
-        _apply_insertions(index, real_inserts, workers, stats)
+        _apply_insertions(index, real_inserts, stats)
     return stats
 
 
-def _apply_insertions(index, inserts, workers, stats: StructuralStats) -> None:
+def _apply_insertions(index, inserts, stats: StructuralStats) -> None:
     """Route genuinely new edges through the fast path or a fallback."""
     graph: Graph = index.graph
     hq: QueryHierarchy = index.hq
@@ -430,15 +422,11 @@ def _apply_insertions(index, inserts, workers, stats: StructuralStats) -> None:
 
     with phase("structural.fastpath_sweep"):
         try:
-            sweep = _seeded_decrease(
-                index, [(u, v, w) for u, v, w in inserts]
-            )
+            sweep = index.decrease(inserts)
         except StructuralFallbackRequired:
             # The sweep needed a pair that compaction removed. The graph
-            # already carries the final weights (the kernel seed phase
-            # applies them before sweeping); rebuild H_U + L from it.
-            for u, v, w in inserts:
-                graph.set_weight(u, v, w)
+            # already carries the final weights (the driver applies them
+            # before sweeping); rebuild H_U + L from it.
             with phase("structural.fallback_rebuild"):
                 stats.maintenance = stats.maintenance.merge(
                     _rebuild_on_same_hq(index)
@@ -449,24 +437,6 @@ def _apply_insertions(index, inserts, workers, stats: StructuralStats) -> None:
     stats.maintenance = stats.maintenance.merge(sweep)
     stats.fastpath_inserts = len(inserts)
     _bump(index, "fastpath_inserts", len(inserts))
-
-
-def _seeded_decrease(index, changes) -> MaintenanceStats:
-    """Insertion-seeded decrease sweep — always the guarded array kernel.
-
-    The compiled scalar sweep *skips* finite candidates for missing
-    pairs (exact only for weight maintenance) and the reference path is
-    slower; routing every insertion sweep through the array kernel keeps
-    the fallback signal reliable under all engines.
-    """
-    from repro.core.index import DHLIndex
-    from repro.labelling.maintenance_kernels import apply_decrease_array
-
-    return index._note_maintenance(
-        DHLIndex._run_with_phases(
-            lambda: apply_decrease_array(index.hu, index.labels, changes)
-        )
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -536,7 +506,6 @@ def apply_batch_directed(
     insertions=(),
     deletions=(),
     weight_changes=(),
-    workers: int | None = None,
 ) -> StructuralStats:
     """Directed counterpart of :func:`apply_batch` (arcs, not edges).
 
@@ -588,16 +557,12 @@ def apply_batch_directed(
             real_inserts.append((u, v, w))
 
     if increases:
-        stats.maintenance = stats.maintenance.merge(
-            index.increase(increases, workers)
-        )
+        stats.maintenance = stats.maintenance.merge(index.increase(increases))
     if decreases:
-        stats.maintenance = stats.maintenance.merge(
-            index.decrease(decreases, workers)
-        )
+        stats.maintenance = stats.maintenance.merge(index.decrease(decreases))
     if real_inserts:
         stats.inserted = len(real_inserts)
-        _apply_directed_insertions(index, real_inserts, workers, stats)
+        _apply_directed_insertions(index, real_inserts, stats)
     return stats
 
 
@@ -622,9 +587,7 @@ def _rebuild_directed(index) -> MaintenanceStats:
     return _full_affected_stats(index.digraph.num_vertices)
 
 
-def _apply_directed_insertions(
-    index, inserts, workers, stats: StructuralStats
-) -> None:
+def _apply_directed_insertions(index, inserts, stats: StructuralStats) -> None:
     digraph = index.digraph
     hq = index.hq
     csr: ShortcutCSR = index.csr
@@ -685,12 +648,8 @@ def _apply_directed_insertions(
 
     with phase("structural.fastpath_sweep"):
         try:
-            sweep = index.decrease(
-                [(u, v, w) for u, v, w in inserts], workers
-            )
+            sweep = index.decrease(inserts)
         except StructuralFallbackRequired:
-            for u, v, w in inserts:
-                digraph.set_weight(u, v, w)
             with phase("structural.fallback_rebuild"):
                 stats.maintenance = stats.maintenance.merge(
                     _rebuild_directed(index)
@@ -764,16 +723,6 @@ def compact_directed_index(index) -> CompactionStats:
 # single-edge conveniences (the historical Section 8 surface)
 # ---------------------------------------------------------------------------
 
-def delete_edge(index, u: int, v: int) -> MaintenanceStats:
-    """Logically delete edge ``(u, v)`` through the batch path.
-
-    Deleting an already-dead (or compacted-away) edge returns empty
-    stats and records it in the index's ``already_deleted_edges``
-    counter instead of failing silently.
-    """
-    return apply_batch(index, deletions=[(u, v)]).maintenance
-
-
 def restore_edge(index, u: int, v: int, weight: float) -> MaintenanceStats:
     """Restore a logically deleted edge with *weight* (a decrease).
 
@@ -807,18 +756,3 @@ def delete_vertex(index, v: int) -> MaintenanceStats:
     if not deletions:
         return MaintenanceStats()
     return apply_batch(index, deletions=deletions).maintenance
-
-
-def insert_edge(index, u: int, v: int, weight: float):
-    """Insert a new road ``(u, v)``; returns the (mutated) index.
-
-    Historical surface: the index is now updated *in place* through
-    :func:`apply_batch` (fast path or fallback rebuild) and returned for
-    drop-in compatibility with the old rebuild-and-return contract.
-    """
-    if index.graph.has_edge(u, v):
-        raise MaintenanceError(
-            f"edge ({u}, {v}) already exists; use decrease()/increase()"
-        )
-    apply_batch(index, insertions=[(u, v, weight)])
-    return index

@@ -44,6 +44,8 @@ class ExperimentContext:
     seed: int = 0
     num_batches: int = 10
     query_count: int = 20_000
+    #: Process count for the sharded experiments' shard build
+    #: (``ShardedDHLIndex.build(build_workers=...)``).
     workers: int = 4
     # Serving experiments dump their metrics registry (JSON lines, one
     # instrument per line) here when set; ``None`` keeps them silent.

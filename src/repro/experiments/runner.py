@@ -91,7 +91,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--batches", type=int, default=10, help="update batches per dataset"
     )
     parser.add_argument(
-        "--workers", type=int, default=4, help="threads for parallel variants"
+        "--workers",
+        type=int,
+        default=4,
+        help="processes for the sharded experiments' shard build",
     )
     parser.add_argument(
         "--out", default="results", help="directory for JSON payloads"

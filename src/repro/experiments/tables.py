@@ -53,22 +53,14 @@ def table1_datasets(ctx: ExperimentContext) -> dict:
     return {"experiment": "table1", "rows": rows, "text": text}
 
 
-def _measure_batch_updates(index, batches, workers=None) -> tuple[float, float]:
+def _measure_batch_updates(index, batches) -> tuple[float, float]:
     """Mean (increase, decrease) seconds per batch: x2 weights, restore."""
     inc_times, dec_times = [], []
     for batch in batches:
         inc = double_weights(batch)
         dec = restore_weights(batch)
-        if workers is None:
-            inc_times.append(time_callable(lambda: index.increase(inc)))
-            dec_times.append(time_callable(lambda: index.decrease(dec)))
-        else:
-            inc_times.append(
-                time_callable(lambda: index.increase(inc, workers=workers))
-            )
-            dec_times.append(
-                time_callable(lambda: index.decrease(dec, workers=workers))
-            )
+        inc_times.append(time_callable(lambda: index.increase(inc)))
+        dec_times.append(time_callable(lambda: index.decrease(dec)))
     return mean(inc_times), mean(dec_times)
 
 
@@ -90,14 +82,12 @@ def _measure_single_updates(index, batch, cap: int = 200) -> tuple[float, float]
 
 
 def table2_updates(ctx: ExperimentContext) -> dict:
-    """Table 2: update times — batch & single, +/-, sequential & parallel.
+    """Table 2: update times — batch & single, +/-.
 
-    Note on the parallel columns: DHL+p/DHL-p run the column-partitioned
-    Algorithms 6/7 on a thread pool; our IncH2H re-implementation has no
-    safe parallel increase (see module docstring of
-    :mod:`repro.baselines.inch2h`), so its parallel columns run the same
-    sequential algorithm — under CPython's GIL all four parallel columns
-    are effectively algorithmic (not hardware) comparisons.
+    The paper's parallel columns (DHL+p/DHL-p, Algorithms 6/7) have no
+    counterpart here: their enabling idea, independent ancestor columns,
+    is what the default engine's level sweeps already batch over, and a
+    thread-per-column realisation only loses under CPython's GIL.
     """
     rows = []
     raw = {}
@@ -110,8 +100,6 @@ def table2_updates(ctx: ExperimentContext) -> dict:
         dhl = ctx.dhl(name)
         h2h = ctx.inch2h(name)
 
-        dhl_inc_p, dhl_dec_p = _measure_batch_updates(dhl, batches, ctx.workers)
-        h2h_inc_p, h2h_dec_p = _measure_batch_updates(h2h, batches, ctx.workers)
         dhl_inc, dhl_dec = _measure_batch_updates(dhl, batches)
         h2h_inc, h2h_dec = _measure_batch_updates(h2h, batches)
         dhl_inc_1, dhl_dec_1 = _measure_single_updates(dhl, batches[0])
@@ -120,9 +108,7 @@ def table2_updates(ctx: ExperimentContext) -> dict:
         raw[name] = {
             "batch_size": batch_size,
             "batch": {
-                "DHL+p": dhl_inc_p, "IncH2H+p": h2h_inc_p,
                 "DHL+": dhl_inc, "IncH2H+": h2h_inc,
-                "DHL-p": dhl_dec_p, "IncH2H-p": h2h_dec_p,
                 "DHL-": dhl_dec, "IncH2H-": h2h_dec,
             },
             "single": {
@@ -133,9 +119,7 @@ def table2_updates(ctx: ExperimentContext) -> dict:
         rows.append(
             [
                 name,
-                fmt_ms(dhl_inc_p), fmt_ms(h2h_inc_p),
                 fmt_ms(dhl_inc), fmt_ms(h2h_inc),
-                fmt_ms(dhl_dec_p), fmt_ms(h2h_dec_p),
                 fmt_ms(dhl_dec), fmt_ms(h2h_dec),
                 fmt_ms(dhl_inc_1), fmt_ms(h2h_inc_1),
                 fmt_ms(dhl_dec_1), fmt_ms(h2h_dec_1),
@@ -144,13 +128,12 @@ def table2_updates(ctx: ExperimentContext) -> dict:
     text = ascii_table(
         [
             "Network",
-            "DHL+p", "IncH2H+p", "DHL+", "IncH2H+",
-            "DHL-p", "IncH2H-p", "DHL-", "IncH2H-",
+            "DHL+", "IncH2H+", "DHL-", "IncH2H-",
             "1:DHL+", "1:IncH2H+", "1:DHL-", "1:IncH2H-",
         ],
         rows,
         title=(
-            "Table 2: update times [ms] — batch setting (8 cols) and "
+            "Table 2: update times [ms] — batch setting (4 cols) and "
             "single-update setting (last 4 cols)"
         ),
     )

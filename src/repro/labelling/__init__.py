@@ -5,63 +5,39 @@
   (Definitions 4.9-4.12).
 * :mod:`repro.labelling.build` — bottom-up construction (Algorithm 1).
 * :mod:`repro.labelling.query` — 2-hop distance queries through H_Q.
-* :mod:`repro.labelling.maintenance` — scalar reference maintenance:
-  DH-U decrease/increase (Algorithms 2/3) and DHL-/DHL+ (Algorithms 4/5).
+* :mod:`repro.labelling.driver` — the one maintenance driver: batch
+  validation, seeding, stats and the engine table, over the four-sweep
+  :class:`~repro.labelling.maintenance.Engine` contract (DH-U
+  decrease/increase — Algorithms 2/3 — and DHL-/DHL+ — Algorithms 4/5).
 * :mod:`repro.labelling.maintenance_kernels` — the frontier-batched
-  array engine (default): the same algorithms as level/round sweeps over
-  the CSR shortcut store and the flat label buffer.
-* :mod:`repro.labelling.parallel` — column-partitioned parallel variants
-  (Algorithms 6/7).
+  array engine (default): level/round sweeps over the CSR shortcut store
+  and the flat label buffer.
+* :mod:`repro.labelling.compiled` — the same sweeps as numba kernels.
+* :mod:`repro.labelling.maintenance` — the contract, the stats record
+  and the scalar reference engine (the differential-test oracle).
 """
 
 from repro.labelling.labels import HierarchicalLabelling
 from repro.labelling.build import build_labelling
 from repro.labelling.query import QueryEngine
 from repro.labelling.paths import PathReconstructor
-from repro.labelling.maintenance import (
-    MaintenanceStats,
-    maintain_shortcuts_decrease,
-    maintain_shortcuts_increase,
-    maintain_labels_decrease,
-    maintain_labels_increase,
-    apply_decrease,
-    apply_increase,
-)
-from repro.labelling.maintenance_kernels import (
-    shortcuts_decrease_array,
-    shortcuts_increase_array,
-    labels_decrease_array,
-    labels_increase_array,
-    apply_decrease_array,
-    apply_increase_array,
-)
-from repro.labelling.parallel import (
-    maintain_labels_decrease_parallel,
-    maintain_labels_increase_parallel,
-    apply_decrease_parallel,
-    apply_increase_parallel,
+from repro.labelling.maintenance import Engine, MaintenanceStats
+from repro.labelling.driver import (
+    ENGINES,
+    maintain,
+    maintain_labels,
+    maintain_shortcuts,
 )
 
 __all__ = [
-    "shortcuts_decrease_array",
-    "shortcuts_increase_array",
-    "labels_decrease_array",
-    "labels_increase_array",
-    "apply_decrease_array",
-    "apply_increase_array",
     "HierarchicalLabelling",
     "build_labelling",
     "QueryEngine",
     "PathReconstructor",
+    "Engine",
     "MaintenanceStats",
-    "maintain_shortcuts_decrease",
-    "maintain_shortcuts_increase",
-    "maintain_labels_decrease",
-    "maintain_labels_increase",
-    "apply_decrease",
-    "apply_increase",
-    "maintain_labels_decrease_parallel",
-    "maintain_labels_increase_parallel",
-    "apply_decrease_parallel",
-    "apply_increase_parallel",
+    "ENGINES",
+    "maintain",
+    "maintain_labels",
+    "maintain_shortcuts",
 ]

@@ -18,7 +18,7 @@ compiled kernels:
   the warmup wiring is exercised on every environment.
 
 The kernels themselves live in :mod:`repro.labelling.compiled.kernels`
-and the drivers (seed phases, stats reconstruction, phase marks) in
+and the four contract sweeps wrapping them (``ENGINE``) in
 :mod:`repro.labelling.compiled.engine`.
 """
 
@@ -29,27 +29,14 @@ import warnings
 import numpy as np
 
 from repro.labelling.compiled import kernels
-from repro.labelling.compiled.engine import (
-    apply_decrease_compiled,
-    apply_increase_compiled,
-    batch_query_compiled,
-    labels_decrease_compiled,
-    labels_increase_compiled,
-    shortcuts_decrease_compiled,
-    shortcuts_increase_compiled,
-)
+from repro.labelling.compiled.engine import ENGINE, batch_query_compiled
 
 __all__ = [
+    "ENGINE",
     "available",
     "resolved_engine",
     "warmup_kernels",
-    "apply_decrease_compiled",
-    "apply_increase_compiled",
     "batch_query_compiled",
-    "labels_decrease_compiled",
-    "labels_increase_compiled",
-    "shortcuts_decrease_compiled",
-    "shortcuts_increase_compiled",
 ]
 
 _warmed = False

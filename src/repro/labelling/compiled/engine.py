@@ -1,304 +1,108 @@
-"""Compiled-engine drivers: seed in numpy, sweep in one njit kernel.
+"""Compiled engine: the four contract sweeps over the njit kernels.
 
-Each driver mirrors its array-engine counterpart in
-:mod:`repro.labelling.maintenance_kernels` — same seed semantics, same
-``MaintenanceStats`` contract, same ``phase()`` observability marks —
-but hands the fixpoint sweep to a single compiled loop from
-:mod:`repro.labelling.compiled.kernels` instead of per-level numpy
-rounds. Changed-shortcut dicts and affected-label sets are rebuilt from
-uint8 mark arrays after the sweep, so the hot loop never touches Python
+Each sweep unpacks the store's flat buffers and hands the fixpoint to a
+single compiled loop from :mod:`repro.labelling.compiled.kernels`;
+seeding, mark bookkeeping and stats are the shared driver's
+(:mod:`repro.labelling.driver`), so the hot loop never touches Python
 containers.
-
-The increase sweep needs per-slot direct edge weights (the reference
-engine calls ``graph.weight`` per pop); the driver materialises them
-once into a ``direct`` float64 array (inf where no edge survives) and
-caches it on the hierarchy, invalidated through the graph's mutation
-counter so interleaving with the reference or array engines stays
-correct.
 """
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
-from repro.exceptions import MaintenanceError
 from repro.labelling.compiled import kernels
-from repro.labelling.labels import HierarchicalLabelling
-from repro.labelling.maintenance import (
-    MaintenanceStats,
-    ShortcutKey,
-    WeightChange,
-)
-from repro.labelling.maintenance_kernels import (
-    _seed_decrease_batch,
-    _seed_increase_batch,
-)
-from repro.observability.phases import phase
+from repro.labelling.maintenance import Engine
 
-__all__ = [
-    "shortcuts_decrease_compiled",
-    "shortcuts_increase_compiled",
-    "labels_decrease_compiled",
-    "labels_increase_compiled",
-    "apply_decrease_compiled",
-    "apply_increase_compiled",
-    "batch_query_compiled",
-]
+__all__ = ["ENGINE", "batch_query_compiled"]
 
 
-class _DirectCache:
-    """Per-slot direct edge weights, pinned to a graph mutation version."""
-
-    __slots__ = ("direct", "version")
-
-    def __init__(self, direct: np.ndarray, version: int):
-        self.direct = direct
-        self.version = version
-
-
-def _fresh_direct_cache(sc) -> _DirectCache | None:
-    """The hierarchy's direct-edge cache, or None if it went stale."""
-    cache = getattr(sc, "_direct_cache", None)
-    if cache is not None and cache.version != sc.graph.version:
-        sc._direct_cache = cache = None
-    return cache
-
-
-def _direct_slot_weights(sc) -> _DirectCache:
-    """Build (or reuse) the per-slot direct edge weight array."""
-    cache = _fresh_direct_cache(sc)
-    if cache is None:
-        graph = sc.graph
-        csr = sc.csr
-        rank = sc.rank
-        direct = np.full(csr.num_slots, math.inf, dtype=np.float64)
-        edges = list(graph.edges())
-        if edges:
-            arr = np.asarray([(u, v) for u, v, _ in edges], dtype=np.int64)
-            ws = np.asarray([w for _, _, w in edges], dtype=np.float64)
-            u, v = arr[:, 0], arr[:, 1]
-            flip = rank[u] > rank[v]
-            lo = np.where(flip, v, u)
-            hi = np.where(flip, u, v)
-            direct[csr.slots_of(lo, hi)] = ws
-        cache = _DirectCache(direct, graph.version)
-        sc._direct_cache = cache
-    return cache
-
-
-def _changed_shortcut_dict(csr, changed, first_old) -> dict[ShortcutKey, float]:
-    slots = np.nonzero(changed)[0]
-    if not len(slots):
-        return {}
-    lo = csr.owners[slots].tolist()
-    hi = csr.indices[slots].tolist()
-    old = first_old[slots].tolist()
-    return dict(zip(zip(lo, hi), old))
-
-
-def shortcuts_decrease_compiled(
-    sc, changes: list[WeightChange]
-) -> dict[ShortcutKey, float]:
-    """Algorithm 2 — numpy seed phase, compiled min-relaxation sweep."""
-    graph = sc.graph
+def shortcut_decrease_sweep(sc, seeds, changed, first_old) -> bool:
+    """Algorithm 2 — compiled min-relaxation sweep."""
     csr = sc.csr
-    weights = sc.up_weights
-    changed = np.zeros(csr.num_slots, dtype=np.uint8)
-    first_old = np.zeros(csr.num_slots, dtype=np.float64)
-    cache = _fresh_direct_cache(sc)
-
-    seeds: list[int] = []
-    with phase("decrease.seed"):
-        for a, b, w_new in changes:
-            old_edge = graph.set_weight(a, b, w_new)
-            if w_new > old_edge:
-                raise MaintenanceError(
-                    f"decrease batch contains an increase on edge ({a}, {b})"
-                )
-            lo, hi = sc.shortcut_key(a, b)
-            slot = csr.slot_of(lo, hi)
-            if cache is not None:
-                cache.direct[slot] = w_new
-            if weights[slot] > w_new:
-                if not changed[slot]:
-                    changed[slot] = 1
-                    first_old[slot] = float(weights[slot])
-                weights[slot] = w_new
-                seeds.append(slot)
-    if cache is not None:
-        cache.version = graph.version
-
-    if seeds:
-        with phase("decrease.relax_round"):
-            kernels.shortcut_decrease_sweep(
-                np.asarray(seeds, dtype=np.int64),
-                weights,
-                csr.indptr,
-                csr.indices,
-                csr.ranks,
-                csr.owners,
-                csr.slot_keys,
-                sc.rank,
-                csr.n,
-                changed,
-                first_old,
-            )
-    return _changed_shortcut_dict(csr, changed, first_old)
+    return bool(
+        kernels.shortcut_decrease_sweep(
+            seeds,
+            sc.up_weights,
+            csr.indptr,
+            csr.indices,
+            csr.ranks,
+            csr.owners,
+            csr.slot_keys,
+            csr.rank,
+            csr.n,
+            changed,
+            first_old,
+        )
+    )
 
 
-def shortcuts_increase_compiled(
-    sc, changes: list[WeightChange]
-) -> dict[ShortcutKey, float]:
-    """Algorithm 3 — numpy seed phase, compiled recompute sweep."""
-    graph = sc.graph
+def shortcut_increase_sweep(sc, seeds, direct, changed, first_old) -> None:
+    """Algorithm 3 — compiled recompute sweep."""
     csr = sc.csr
-    weights = sc.up_weights
-    cache = _direct_slot_weights(sc)
-    changed = np.zeros(csr.num_slots, dtype=np.uint8)
-    first_old = np.zeros(csr.num_slots, dtype=np.float64)
-
-    seeds: list[int] = []
-    with phase("increase.seed"):
-        for a, b, w_new in changes:
-            old_edge = graph.set_weight(a, b, w_new)
-            if w_new < old_edge:
-                raise MaintenanceError(
-                    f"increase batch contains a decrease on edge ({a}, {b})"
-                )
-            lo, hi = sc.shortcut_key(a, b)
-            slot = csr.slot_of(lo, hi)
-            cache.direct[slot] = w_new
-            # Only shortcuts whose weight was realised by this edge can
-            # change.
-            if weights[slot] == old_edge:
-                seeds.append(slot)
-    cache.version = graph.version
-
-    if seeds:
-        with phase("increase.dependency_layer"):
-            kernels.shortcut_increase_sweep(
-                np.asarray(seeds, dtype=np.int64),
-                weights,
-                csr.indptr,
-                csr.indices,
-                csr.ranks,
-                csr.owners,
-                csr.slot_keys,
-                csr.down_indptr,
-                csr.down_indices,
-                csr.down_slots,
-                cache.direct,
-                sc.rank,
-                csr.n,
-                changed,
-                first_old,
-            )
-    return _changed_shortcut_dict(csr, changed, first_old)
-
-
-def _affected_label_set(
-    labels: HierarchicalLabelling, changed: np.ndarray
-) -> tuple[np.ndarray, set[int]]:
-    positions = np.nonzero(changed)[0]
-    if not len(positions):
-        return positions, set()
-    verts, _ = labels.entries_of_positions(positions)
-    return positions, set(np.unique(verts).tolist())
-
-
-def labels_decrease_compiled(
-    store,
-    labels: HierarchicalLabelling,
-    affected: dict[ShortcutKey, float],
-) -> MaintenanceStats:
-    """Algorithm 4 — batched ancestor seed, compiled descendant sweep."""
-    labels.ensure_writable()
-    stats = MaintenanceStats(
-        shortcuts_changed=len(affected), affected_shortcuts=affected
+    kernels.shortcut_increase_sweep(
+        seeds,
+        sc.up_weights,
+        csr.indptr,
+        csr.indices,
+        csr.ranks,
+        csr.owners,
+        csr.slot_keys,
+        csr.down_indptr,
+        csr.down_indices,
+        csr.down_slots,
+        direct,
+        csr.rank,
+        csr.n,
+        changed,
+        first_old,
     )
-    changed = np.zeros(len(labels.values), dtype=np.uint8)
-    if affected:
-        with phase("decrease.label_seed"):
-            seeded = _seed_decrease_batch(store, labels, affected)
-        if len(seeded):
-            changed[seeded] = 1
-            csr = store.csr
-            with phase("decrease.label_sweep"):
-                stats.entries_processed = int(
-                    kernels.label_decrease_sweep(
-                        seeded,
-                        labels.values,
-                        labels.offsets,
-                        store.tau,
-                        store.up_weights,
-                        csr.down_indptr,
-                        csr.down_indices,
-                        csr.down_slots,
-                        changed,
-                    )
-                )
-    positions, stats.affected_labels = _affected_label_set(labels, changed)
-    stats.labels_changed = int(len(positions))
-    return stats
 
 
-def labels_increase_compiled(
-    store,
-    labels: HierarchicalLabelling,
-    affected: dict[ShortcutKey, float],
-) -> MaintenanceStats:
-    """Algorithm 5 — batched suspect seed, compiled recompute sweep."""
-    labels.ensure_writable()
-    stats = MaintenanceStats(
-        shortcuts_changed=len(affected), affected_shortcuts=affected
+def label_decrease_sweep(store, labels, verts, cols, changed) -> int:
+    """Algorithm 4 — compiled descendant sweep."""
+    csr = store.csr
+    return int(
+        kernels.label_decrease_sweep(
+            labels.offsets[verts] + cols,
+            labels.values,
+            labels.offsets,
+            store.tau,
+            store.up_weights,
+            csr.down_indptr,
+            csr.down_indices,
+            csr.down_slots,
+            changed,
+        )
     )
-    if affected:
-        with phase("increase.label_seed"):
-            verts, cols = _seed_increase_batch(store, labels, affected)
-        if len(verts):
-            changed = np.zeros(len(labels.values), dtype=np.uint8)
-            csr = store.csr
-            with phase("increase.label_sweep"):
-                pops, increased = kernels.label_increase_sweep(
-                    verts,
-                    cols,
-                    labels.values,
-                    labels.offsets,
-                    store.tau,
-                    store.up_weights,
-                    csr.indptr,
-                    csr.indices,
-                    csr.down_indptr,
-                    csr.down_indices,
-                    csr.down_slots,
-                    changed,
-                )
-            stats.entries_processed = int(pops)
-            stats.labels_changed = int(increased)
-            _, stats.affected_labels = _affected_label_set(labels, changed)
-    return stats
 
 
-def apply_decrease_compiled(
-    hu,
-    labels: HierarchicalLabelling,
-    changes: list[WeightChange],
-) -> MaintenanceStats:
-    """Full compiled-engine DHL- update: Algorithm 2 then Algorithm 4."""
-    affected = shortcuts_decrease_compiled(hu, changes)
-    return labels_decrease_compiled(hu, labels, affected)
+def label_increase_sweep(store, labels, verts, cols, changed) -> tuple[int, int]:
+    """Algorithm 5 — compiled recompute sweep."""
+    csr = store.csr
+    pops, increased = kernels.label_increase_sweep(
+        verts,
+        cols,
+        labels.values,
+        labels.offsets,
+        store.tau,
+        store.up_weights,
+        csr.indptr,
+        csr.indices,
+        csr.down_indptr,
+        csr.down_indices,
+        csr.down_slots,
+        changed,
+    )
+    return int(pops), int(increased)
 
 
-def apply_increase_compiled(
-    hu,
-    labels: HierarchicalLabelling,
-    changes: list[WeightChange],
-) -> MaintenanceStats:
-    """Full compiled-engine DHL+ update: Algorithm 3 then Algorithm 5."""
-    affected = shortcuts_increase_compiled(hu, changes)
-    return labels_increase_compiled(hu, labels, affected)
+ENGINE = Engine(
+    shortcut_decrease_sweep,
+    shortcut_increase_sweep,
+    label_decrease_sweep,
+    label_increase_sweep,
+)
 
 
 def batch_query_compiled(

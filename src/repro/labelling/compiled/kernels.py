@@ -20,8 +20,8 @@ whether ``engine="compiled"`` is honoured or downgraded.
 Changed-entry tracking stays out of the hot loop: callers pass ``changed``
 (uint8) and ``first_old`` (float64) mark arrays sized like the weight or
 value buffer; kernels set the mark and record the pre-batch value on the
-first write, and the Python drivers rebuild the ``affected_shortcuts``
-dict / ``affected_labels`` set from the marks afterwards.
+first write, and the driver rebuilds the ``affected_shortcuts`` dict /
+``affected_labels`` set from the marks afterwards.
 """
 
 from __future__ import annotations
@@ -145,7 +145,8 @@ def shortcut_decrease_sweep(
     pop relaxes every triangle through the owner's up-row; strictly
     improved targets are marked, lowered, and queued. Because pushes go
     strictly shallower than the popping owner, every slot pops at most
-    once. Returns the number of pops.
+    once. Returns True (stopping early) when a finite candidate targets
+    a pair that compaction removed — the contract's fallback signal.
     """
     num_slots = weights.shape[0]
     heap_keys = np.empty(num_slots, np.int64)
@@ -159,11 +160,9 @@ def shortcut_decrease_sweep(
             size = _heap_push(
                 heap_keys, heap_items, size, rank[owners[slot]], slot
             )
-    pops = 0
     while size > 0:
         slot, size = _heap_pop(heap_keys, heap_items, size)
         in_queue[slot] = 0
-        pops += 1
         v = owners[slot]
         w_vw = weights[slot]
         ra = ranks[slot]
@@ -179,11 +178,13 @@ def shortcut_decrease_sweep(
                 key = indices[leg] * n + ra
             tslot = _find_slot(slot_keys, key)
             # A compacted store may have dropped the target pair (it was
-            # inf). Such a candidate is necessarily inf itself on the
-            # weight-maintenance paths this kernel serves (insertion
-            # sweeps run on the guarded array kernel), so skipping it is
-            # exact — the check also keeps the probe in bounds.
+            # inf). An inf candidate could never win a minimum and is
+            # skipped; a finite one (only an insertion-seeded sweep can
+            # produce it) has no slot to land in. The check also keeps
+            # the probe in bounds.
             if tslot >= num_slots or slot_keys[tslot] != key:
+                if cand < math.inf:
+                    return True
                 continue
             if weights[tslot] > cand:
                 if changed[tslot] == 0:
@@ -199,7 +200,7 @@ def shortcut_decrease_sweep(
                         rank[owners[tslot]],
                         tslot,
                     )
-    return pops
+    return False
 
 
 @njit(cache=True)

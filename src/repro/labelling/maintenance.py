@@ -9,7 +9,7 @@ Two layers are maintained, in order:
    endpoint == increasing contraction rank), so triangle legs are always
    final before they are used. These run on any
    :class:`~repro.hierarchy.contraction.ContractionResult`, which lets the
-   DCH baseline reuse them verbatim.
+   DCH/IncH2H baselines reuse them.
 2. **Labels** (hierarchical labelling L): Algorithm 4 (decrease) relaxes
    label entries along shortcut chains; Algorithm 5 (increase) recomputes
    potentially affected entries from up-neighbours, support-free (the
@@ -17,11 +17,14 @@ Two layers are maintained, in order:
    processed top-down (increasing ``tau``), so ancestor columns are final
    before descendants read them.
 
-This module is the one-pop-per-entry *reference engine* (selected with
-``DHLConfig(engine="reference")``); production updates run the
-frontier-batched kernels in :mod:`repro.labelling.maintenance_kernels`,
-which must produce identical labels, change counts and affected sets —
-the differential property tests rely on it.
+This module defines the engine contract (:class:`Engine`: the four
+sweeps :mod:`repro.labelling.driver` calls) and its one-pop-per-entry
+*reference* implementation, selected with
+``DHLConfig(engine="reference")``. Production updates run the
+frontier-batched kernels in :mod:`repro.labelling.maintenance_kernels`
+or the compiled ones in :mod:`repro.labelling.compiled`, which must
+produce identical labels, change counts and affected sets — the
+differential property tests rely on it.
 
 Increase-side pruning tests exact equality of path sums; with integer
 weights (the library default) these comparisons are exact in float64.
@@ -31,27 +34,48 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Callable, NamedTuple
 
-import numpy as np
-
-from repro.exceptions import MaintenanceError, StructuralFallbackRequired
-from repro.hierarchy.contraction import ContractionResult
-from repro.hierarchy.update_hierarchy import UpdateHierarchy
-from repro.labelling.labels import HierarchicalLabelling
 from repro.utils.priority_queue import LazyHeap
 
-__all__ = [
-    "MaintenanceStats",
-    "maintain_shortcuts_decrease",
-    "maintain_shortcuts_increase",
-    "maintain_labels_decrease",
-    "maintain_labels_increase",
-    "apply_decrease",
-    "apply_increase",
-]
+__all__ = ["Engine", "MaintenanceStats", "ENGINE"]
 
 WeightChange = tuple[int, int, float]
 ShortcutKey = tuple[int, int]
+
+
+class Engine(NamedTuple):
+    """The whole maintenance-engine contract: four fixpoint sweeps.
+
+    *store* is a CSR shortcut store (``csr``, flat ``up_weights``; the
+    label sweeps also read ``tau``) and *labels* a flat
+    :class:`~repro.labelling.labels.HierarchicalLabelling`. Seeds arrive
+    already applied and marked by the driver; sweeps record every
+    further write in the caller's mark arrays (``changed`` uint8 per
+    slot / flat label position, ``first_old`` the pre-batch weight of a
+    slot on its first write) and never touch the graph.
+
+    * ``shortcut_decrease_sweep(store, seeds, changed, first_old)`` —
+      Algorithm 2 from the lowered seed slots. Returns True as soon as
+      a *finite* candidate targets a pair that compaction removed: the
+      store has no slot to absorb it and the driver hands over to the
+      rebuild fallback.
+    * ``shortcut_increase_sweep(store, seeds, direct, changed,
+      first_old)`` — Algorithm 3 over the suspect seed slots;
+      ``direct`` holds each slot's direct edge weight (inf without an
+      edge).
+    * ``label_decrease_sweep(store, labels, verts, cols, changed)`` —
+      Algorithm 4 from the lowered entries ``L_verts[cols]``; returns
+      the entries popped.
+    * ``label_increase_sweep(store, labels, verts, cols, changed)`` —
+      Algorithm 5 over the suspect entries; returns ``(entries popped,
+      entries whose value strictly rose)``.
+    """
+
+    shortcut_decrease_sweep: Callable
+    shortcut_increase_sweep: Callable
+    label_decrease_sweep: Callable
+    label_increase_sweep: Callable
 
 
 @dataclass
@@ -61,19 +85,19 @@ class MaintenanceStats:
     ``shortcuts_changed`` is the paper's |S-delta|; ``labels_changed`` is
     |L-delta| (distinct label entries whose value changed);
     ``entries_processed`` counts queue pops (search effort — the only
-    field that may differ between the reference and array engines).
+    field that may differ between engines).
     ``affected_labels`` holds the vertices whose label array was modified;
     a distance ``d(s, t)`` is a pure function of ``L_s`` and ``L_t``, so a
     cached result is stale only when one of its endpoints is in this set —
     the serving layer's fine-grained cache eviction relies on it.
 
-    ``phases`` maps kernel phase names (``decrease.relax_round``,
+    ``phases`` maps maintenance phase names (``decrease.relax_round``,
     ``increase.dependency_layer``, ``decrease.label_sweep``, ...) to
     wall seconds. It is populated only when a phase collector was
     active during the update (the observability layer's
     :func:`~repro.observability.collect_phases` — e.g. a service flush
     with an enabled registry); otherwise it stays empty, keeping the
-    kernels measurement-free.
+    update path measurement-free.
     """
 
     shortcuts_changed: int = 0
@@ -108,95 +132,66 @@ class MaintenanceStats:
 # Shortcut maintenance (Algorithms 2 and 3)
 # ---------------------------------------------------------------------------
 
-def maintain_shortcuts_decrease(
-    sc: ContractionResult,
-    changes: list[WeightChange],
-) -> dict[ShortcutKey, float]:
-    """Algorithm 2 — DH-U under edge weight decrease.
+def _slot_heap(sc, seeds) -> LazyHeap[int]:
+    """Seed slots queued by their owner's contraction rank (deepest first)."""
+    heap: LazyHeap[int] = LazyHeap()
+    for slot, owner in zip(seeds.tolist(), sc.csr.owners[seeds].tolist()):
+        heap.push(slot, sc.rank_key[owner])
+    return heap
 
-    Applies *changes* (``(u, v, new_weight)``) to the underlying graph,
-    propagates decreases through shortcut triangles bottom-up, and returns
-    the affected shortcuts as ``{(deeper, shallower): old_weight}``; the
-    new weights are already stored in *sc*.
-    """
-    graph = sc.graph
+
+def shortcut_decrease_sweep(sc, seeds, changed, first_old) -> bool:
+    """Algorithm 2 — DH-U under edge weight decrease."""
+    csr = sc.csr
+    weights = sc.up_weights
     rank_key = sc.rank_key
     wup = sc.wup
-    heap: LazyHeap[ShortcutKey] = LazyHeap()
-    old_weights: dict[ShortcutKey, float] = {}
-
-    for a, b, w_new in changes:
-        old_edge = graph.set_weight(a, b, w_new)
-        if w_new > old_edge:
-            raise MaintenanceError(
-                f"decrease batch contains an increase on edge ({a}, {b})"
-            )
-        v, w = sc.shortcut_key(a, b)
-        if wup[v][w] > w_new:
-            old_weights.setdefault((v, w), wup[v][w])
-            wup[v][w] = w_new
-            heap.push((v, w), rank_key[v])
-
+    heap = _slot_heap(sc, seeds)
     while heap:
-        (v, w), _ = heap.pop()
-        weight_vw = wup[v][w]
+        slot, _ = heap.pop()
+        v, w = int(csr.owners[slot]), int(csr.indices[slot])
+        weight_vw = weights[slot]
         row = wup[v]
         for other in sc.up[v]:
             if other == w:
                 continue
             candidate = weight_vw + row[other]
             lo, hi = sc.shortcut_key(w, other)
-            current = wup[lo].get(hi)
-            if current is None:
+            target = csr.find_slot(lo, hi)
+            if target < 0:
                 # The pair was inf when the store was compacted. A pure
                 # weight decrease can never produce a finite candidate
                 # for it (both legs finite implies the target was finite
-                # pre-compaction); an insertion-seeded sweep can, and
-                # then only a rebuild can absorb the result.
+                # pre-compaction); an insertion-seeded sweep can.
                 if math.isfinite(candidate):
-                    raise StructuralFallbackRequired(
-                        "decrease sweep reached a compacted shortcut slot"
-                    )
+                    return True
                 continue
-            if current > candidate:
-                old_weights.setdefault((lo, hi), current)
-                wup[lo][hi] = candidate
-                heap.push((lo, hi), rank_key[lo])
-    return old_weights
+            if weights[target] > candidate:
+                if not changed[target]:
+                    changed[target] = 1
+                    first_old[target] = weights[target]
+                weights[target] = candidate
+                heap.push(target, rank_key[lo])
+    return False
 
 
-def maintain_shortcuts_increase(
-    sc: ContractionResult,
-    changes: list[WeightChange],
-) -> dict[ShortcutKey, float]:
+def shortcut_increase_sweep(sc, seeds, direct, changed, first_old) -> None:
     """Algorithm 3 — DH-U under edge weight increase.
 
-    Applies *changes* to the graph, then recomputes every potentially
-    affected shortcut from Property 3.1 bottom-up. Returns affected
-    shortcuts as ``{(deeper, shallower): old_weight}``.
+    Recomputes every potentially affected shortcut from Property 3.1
+    bottom-up.
     """
-    graph = sc.graph
+    csr = sc.csr
+    weights = sc.up_weights
     rank_key = sc.rank_key
     wup = sc.wup
-    heap: LazyHeap[ShortcutKey] = LazyHeap()
-    old_weights: dict[ShortcutKey, float] = {}
-
-    for a, b, w_new in changes:
-        old_edge = graph.set_weight(a, b, w_new)
-        if w_new < old_edge:
-            raise MaintenanceError(
-                f"increase batch contains a decrease on edge ({a}, {b})"
-            )
-        v, w = sc.shortcut_key(a, b)
-        # Only shortcuts whose weight was realised by this edge can change.
-        if wup[v][w] == old_edge:
-            heap.push((v, w), rank_key[v])
-
     down_sets = sc.down_sets
+    heap = _slot_heap(sc, seeds)
     while heap:
-        (v, w), _ = heap.pop()
+        slot, _ = heap.pop()
+        v, w = int(csr.owners[slot]), int(csr.indices[slot])
         # Recompute the shortcut weight from Equation (1).
-        w_new = graph.weight(v, w) if graph.has_edge(v, w) else math.inf
+        w_new = direct[slot]
         small, big = down_sets[v], down_sets[w]
         if len(small) > len(big):
             small, big = big, small
@@ -205,7 +200,7 @@ def maintain_shortcuts_increase(
                 candidate = sc.weight(x, v) + sc.weight(x, w)
                 if candidate < w_new:
                     w_new = candidate
-        old = wup[v][w]
+        old = weights[slot]
         if old != w_new:
             row = wup[v]
             for other in sc.up[v]:
@@ -214,73 +209,39 @@ def maintain_shortcuts_increase(
                 lo, hi = sc.shortcut_key(w, other)
                 # Triangles realising the old weight are potentially hit
                 # (pairs removed by compaction were inf — no suspect).
-                target = wup[lo].get(hi)
-                if target is not None and target == old + row[other]:
-                    heap.push((lo, hi), rank_key[lo])
-            old_weights.setdefault((v, w), old)
-            wup[v][w] = w_new
-    return old_weights
+                target = csr.find_slot(lo, hi)
+                if target >= 0 and weights[target] == old + row[other]:
+                    heap.push(target, rank_key[lo])
+            if not changed[slot]:
+                changed[slot] = 1
+                first_old[slot] = old
+            weights[slot] = w_new
 
 
 # ---------------------------------------------------------------------------
 # Label maintenance (Algorithms 4 and 5)
 # ---------------------------------------------------------------------------
 
-def seed_decrease(
-    hu: UpdateHierarchy,
-    labels: HierarchicalLabelling,
-    affected: dict[ShortcutKey, float],
-) -> tuple[list[tuple[int, int]], set[tuple[int, int]]]:
-    """Phase 1 of Algorithm 4: apply ancestor-side label improvements.
-
-    For each affected shortcut ``(v, w)`` with new weight ``w_new``,
-    relaxes ``L_v[i] <- w_new + L_w[i]`` over ``i <= tau(w)``. Returns the
-    improved ``(v, i)`` pairs (seeds for the descendant phase, in
-    application order, possibly repeated) and the same pairs as a set
-    (the distinct changed entries so far).
-    """
-    tau = hu.tau
-    labels.ensure_writable()
-    arrays = labels.views()
-    seeds: list[tuple[int, int]] = []
-    for (v, w), _old in affected.items():
-        w_new = hu.wup[v][w]
-        tw = int(tau[w])
-        row = arrays[v]
-        if w_new < row[tw]:
-            candidate = w_new + arrays[w]
-            segment = row[: tw + 1]
-            improved = candidate < segment
-            if improved.any():
-                np.minimum(segment, candidate, out=segment)
-                for i in np.nonzero(improved)[0].tolist():
-                    seeds.append((v, int(i)))
-    return seeds, set(seeds)
+def _entry_heap(hu, verts, cols) -> LazyHeap[tuple[int, int]]:
+    """Seed entries ``(v, i)`` queued by ``tau(v)`` (shallowest first)."""
+    heap: LazyHeap[tuple[int, int]] = LazyHeap()
+    for v, i in zip(verts.tolist(), cols.tolist()):
+        heap.push((v, i), hu.tau_key[v])
+    return heap
 
 
-def maintain_labels_decrease(
-    hu: UpdateHierarchy,
-    labels: HierarchicalLabelling,
-    affected: dict[ShortcutKey, float],
-) -> MaintenanceStats:
+def label_decrease_sweep(hu, labels, verts, cols, changed) -> int:
     """Algorithm 4 — DHL- label maintenance under weight decrease."""
     tau = hu.tau
     tau_key = hu.tau_key
-    labels.ensure_writable()
     arrays = labels.views()
-    seeds, changed_entries = seed_decrease(hu, labels, affected)
-    stats = MaintenanceStats(
-        shortcuts_changed=len(affected),
-        affected_shortcuts=affected,
-    )
-    heap: LazyHeap[tuple[int, int]] = LazyHeap()
-    for v, i in seeds:
-        heap.push((v, i), tau_key[v])
-
+    offsets = labels.offsets
     down = hu.down
+    heap = _entry_heap(hu, verts, cols)
+    pops = 0
     while heap:
         (v, i), _ = heap.pop()
-        stats.entries_processed += 1
+        pops += 1
         value = arrays[v][i]
         tv = int(tau[v])
         for u in down[v]:
@@ -288,46 +249,12 @@ def maintain_labels_decrease(
             candidate = row[tv] + value
             if candidate < row[i]:
                 row[i] = candidate
-                changed_entries.add((int(u), i))
-                heap.push((u, i), tau_key[u])
-    stats.labels_changed = len(changed_entries)
-    stats.affected_labels = {v for v, _ in changed_entries}
-    return stats
+                changed[offsets[u] + i] = 1
+                heap.push((int(u), i), tau_key[u])
+    return pops
 
 
-def seed_increase(
-    hu: UpdateHierarchy,
-    labels: HierarchicalLabelling,
-    affected: dict[ShortcutKey, float],
-) -> list[tuple[int, int]]:
-    """Phase 1 of Algorithm 5: find label entries realised by old weights.
-
-    An entry ``L_v[i]`` is suspect when the chain through affected
-    shortcut ``(v, w)`` with its *old* weight realised the stored value.
-    Labels are not modified here.
-    """
-    tau = hu.tau
-    arrays = labels.views()
-    seeds: list[tuple[int, int]] = []
-    for (v, w), old in affected.items():
-        tw = int(tau[w])
-        row = arrays[v]
-        if old == row[tw] or (math.isinf(old) and math.isinf(row[tw])):
-            candidate = old + arrays[w]
-            segment = row[: tw + 1]
-            matches = candidate == segment
-            # inf == inf + x: unreachable entries stay suspect as well.
-            matches |= np.isinf(candidate) & np.isinf(segment)
-            for i in np.nonzero(matches)[0].tolist():
-                seeds.append((v, int(i)))
-    return seeds
-
-
-def maintain_labels_increase(
-    hu: UpdateHierarchy,
-    labels: HierarchicalLabelling,
-    affected: dict[ShortcutKey, float],
-) -> MaintenanceStats:
+def label_increase_sweep(hu, labels, verts, cols, changed) -> tuple[int, int]:
     """Algorithm 5 — DHL+ label maintenance under weight increase.
 
     Support-free: every suspect entry is recomputed from up-neighbour
@@ -336,21 +263,16 @@ def maintain_labels_increase(
     """
     tau = hu.tau
     tau_key = hu.tau_key
-    labels.ensure_writable()
     arrays = labels.views()
-    stats = MaintenanceStats(
-        shortcuts_changed=len(affected), affected_shortcuts=affected
-    )
-    heap: LazyHeap[tuple[int, int]] = LazyHeap()
-    for v, i in seed_increase(hu, labels, affected):
-        heap.push((v, i), tau_key[v])
-
+    offsets = labels.offsets
     up = hu.up
     down = hu.down
     wup = hu.wup
+    heap = _entry_heap(hu, verts, cols)
+    pops = increased = 0
     while heap:
         (v, i), _ = heap.pop()
-        stats.entries_processed += 1
+        pops += 1
         row = arrays[v]
         w_new = math.inf
         weights_v = wup[v]
@@ -368,33 +290,17 @@ def maintain_labels_increase(
                 if chained == urow[i] or (
                     math.isinf(chained) and math.isinf(urow[i])
                 ):
-                    heap.push((u, i), tau_key[u])
-            stats.labels_changed += 1
+                    heap.push((int(u), i), tau_key[u])
+            increased += 1
         if w_new != old:
-            stats.affected_labels.add(v)
+            changed[offsets[v] + i] = 1
         row[i] = w_new
-    return stats
+    return pops, increased
 
 
-# ---------------------------------------------------------------------------
-# End-to-end drivers
-# ---------------------------------------------------------------------------
-
-def apply_decrease(
-    hu: UpdateHierarchy,
-    labels: HierarchicalLabelling,
-    changes: list[WeightChange],
-) -> MaintenanceStats:
-    """Full DHL- update: maintain H_U (Alg. 2) then L (Alg. 4)."""
-    affected = maintain_shortcuts_decrease(hu, changes)
-    return maintain_labels_decrease(hu, labels, affected)
-
-
-def apply_increase(
-    hu: UpdateHierarchy,
-    labels: HierarchicalLabelling,
-    changes: list[WeightChange],
-) -> MaintenanceStats:
-    """Full DHL+ update: maintain H_U (Alg. 3) then L (Alg. 5)."""
-    affected = maintain_shortcuts_increase(hu, changes)
-    return maintain_labels_increase(hu, labels, affected)
+ENGINE = Engine(
+    shortcut_decrease_sweep,
+    shortcut_increase_sweep,
+    label_decrease_sweep,
+    label_increase_sweep,
+)

@@ -33,41 +33,28 @@ algorithms as **frontier-batched sweeps** over the flat CSR stores:
   the level sweep is observationally equivalent to the heap order.
 
 The label kernels use the shortcut-weight relaxation
-``w(u, v) + L_v[i]`` (Lemma 6.3) like the column-parallel Algorithms
-6/7, instead of the reference scalar path's label-entry relaxation;
-both reach the same fixpoint, so final labels, change counts and
-affected sets match the reference exactly — only the intermediate
-``entries_processed`` search-effort counter may differ.
+``w(u, v) + L_v[i]`` (Lemma 6.3) — the substitution that makes the
+ancestor columns of the paper's Algorithms 6/7 independent, realised
+here as whole-level batches rather than threads — instead of the
+reference scalar path's label-entry relaxation; both reach the same
+fixpoint, so final labels, change counts and affected sets match the
+reference exactly — only the intermediate ``entries_processed``
+search-effort counter may differ.
 
-Stats semantics match the reference: ``affected_shortcuts`` maps each
-changed shortcut to the *earliest* weight it held in the batch;
-``labels_changed`` counts distinct entries whose value changed.
+The four sweeps implement the :class:`~repro.labelling.maintenance.Engine`
+contract; seeding, validation, stats and phase marks live in
+:mod:`repro.labelling.driver`.
 """
 
 from __future__ import annotations
 
 import heapq
-import math
 
 import numpy as np
 
-from repro.exceptions import MaintenanceError, StructuralFallbackRequired
-from repro.labelling.labels import HierarchicalLabelling
-from repro.labelling.maintenance import (
-    MaintenanceStats,
-    ShortcutKey,
-    WeightChange,
-)
-from repro.observability.phases import phase
+from repro.labelling.maintenance import Engine
 
-__all__ = [
-    "shortcuts_decrease_array",
-    "shortcuts_increase_array",
-    "labels_decrease_array",
-    "labels_increase_array",
-    "apply_decrease_array",
-    "apply_increase_array",
-]
+__all__ = ["ENGINE"]
 
 
 def _expand(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -90,109 +77,77 @@ def _segment_starts(sorted_keys: np.ndarray) -> np.ndarray:
     return np.nonzero(first)[0]
 
 
-def _affected_arrays(
-    csr, affected: dict[ShortcutKey, float]
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """``(lo, hi, old, slot)`` arrays for an affected-shortcut dict."""
-    count = len(affected)
-    lo = np.fromiter((k[0] for k in affected), np.int64, count)
-    hi = np.fromiter((k[1] for k in affected), np.int64, count)
-    old = np.fromiter(affected.values(), np.float64, count)
-    return lo, hi, old, csr.slots_of(lo, hi)
-
-
 # ---------------------------------------------------------------------------
 # Shortcut maintenance (Algorithms 2 and 3)
 # ---------------------------------------------------------------------------
 
-def shortcuts_decrease_array(
-    sc, changes: list[WeightChange]
-) -> dict[ShortcutKey, float]:
+def _mark_first_old(slots, weights, changed, first_old) -> None:
+    """Record the pre-write weight of slots touched for the first time."""
+    new = slots[changed[slots] == 0]
+    first_old[new] = weights[new]
+    changed[new] = 1
+
+
+def shortcut_decrease_sweep(sc, seeds, changed, first_old) -> bool:
     """Algorithm 2 as chaotic min-relaxation rounds over the CSR store."""
-    graph = sc.graph
     csr = sc.csr
     weights = sc.up_weights
     n = csr.n
     indptr, indices = csr.indptr, csr.indices
     ranks, owners, slot_keys = csr.ranks, csr.owners, csr.slot_keys
-    old_weights: dict[ShortcutKey, float] = {}
 
-    seeds: list[int] = []
-    with phase("decrease.seed"):
-        for a, b, w_new in changes:
-            old_edge = graph.set_weight(a, b, w_new)
-            if w_new > old_edge:
-                raise MaintenanceError(
-                    f"decrease batch contains an increase on edge ({a}, {b})"
-                )
-            lo, hi = sc.shortcut_key(a, b)
-            slot = csr.slot_of(lo, hi)
-            if weights[slot] > w_new:
-                old_weights.setdefault((lo, hi), float(weights[slot]))
-                weights[slot] = w_new
-                seeds.append(slot)
-
-    frontier = np.unique(np.asarray(seeds, dtype=np.int64))
+    frontier = seeds
     while len(frontier):
-        with phase("decrease.relax_round"):
-            slot_owner = owners[frontier]
-            deg = indptr[slot_owner + 1] - indptr[slot_owner]
-            rep, ramp = _expand(deg)
-            if not len(rep):
+        slot_owner = owners[frontier]
+        deg = indptr[slot_owner + 1] - indptr[slot_owner]
+        rep, ramp = _expand(deg)
+        if not len(rep):
+            break
+        active = frontier[rep]
+        legs = indptr[slot_owner][rep] + ramp
+        keep = legs != active
+        active, legs = active[keep], legs[keep]
+        if not len(active):
+            break
+        cand = weights[active] + weights[legs]
+        # Target = the (shortcut endpoint, leg endpoint) pair, keyed by
+        # the deeper endpoint's id and the shallower one's rank.
+        ra, rb = ranks[active], ranks[legs]
+        lo_v = np.where(ra < rb, indices[active], indices[legs])
+        keys = lo_v * n + np.maximum(ra, rb)
+        tslots = np.searchsorted(slot_keys, keys)
+        found = slot_keys[np.minimum(tslots, len(slot_keys) - 1)] == keys
+        if not found.all():
+            # Compaction drops inf slots, so a candidate may target a
+            # missing pair. An inf candidate is harmless (it could
+            # never win a minimum) and is simply dropped. A *finite*
+            # candidate cannot arise from pure weight decreases (both
+            # legs finite now means both were finite — hence the
+            # target too — when the store was compacted); only an
+            # insertion-seeded sweep can produce one, and the store
+            # has no slot to absorb it.
+            if np.isfinite(cand[~found]).any():
+                return True
+            tslots, cand = tslots[found], cand[found]
+            if not len(tslots):
                 break
-            active = frontier[rep]
-            legs = indptr[slot_owner][rep] + ramp
-            keep = legs != active
-            active, legs = active[keep], legs[keep]
-            if not len(active):
-                break
-            cand = weights[active] + weights[legs]
-            # Target = the (shortcut endpoint, leg endpoint) pair, keyed by
-            # the deeper endpoint's id and the shallower one's rank.
-            ra, rb = ranks[active], ranks[legs]
-            lo_v = np.where(ra < rb, indices[active], indices[legs])
-            keys = lo_v * n + np.maximum(ra, rb)
-            tslots = np.searchsorted(slot_keys, keys)
-            found = slot_keys[np.minimum(tslots, len(slot_keys) - 1)] == keys
-            if not found.all():
-                # Compaction drops inf slots, so a candidate may target a
-                # missing pair. An inf candidate is harmless (it could
-                # never win a minimum) and is simply dropped. A *finite*
-                # candidate cannot arise from pure weight decreases (both
-                # legs finite now means both were finite — hence the
-                # target too — when the store was compacted); only an
-                # insertion-seeded sweep can produce one, and the store
-                # has no slot to absorb it: hand over to the rebuild
-                # fallback.
-                if np.isfinite(cand[~found]).any():
-                    raise StructuralFallbackRequired(
-                        "decrease sweep reached a compacted shortcut slot"
-                    )
-                tslots, cand = tslots[found], cand[found]
-                if not len(tslots):
-                    break
 
-            sort = np.argsort(tslots, kind="stable")
-            ts, cs = tslots[sort], cand[sort]
-            seg = _segment_starts(ts)
-            uts = ts[seg]
-            mins = np.minimum.reduceat(cs, seg)
-            improved = mins < weights[uts]
-            uts = uts[improved]
-            if not len(uts):
-                break
-            for lo_i, hi_i, old in zip(
-                owners[uts].tolist(), indices[uts].tolist(), weights[uts].tolist()
-            ):
-                old_weights.setdefault((lo_i, hi_i), old)
-            weights[uts] = mins[improved]
-            frontier = uts
-    return old_weights
+        sort = np.argsort(tslots, kind="stable")
+        ts, cs = tslots[sort], cand[sort]
+        seg = _segment_starts(ts)
+        uts = ts[seg]
+        mins = np.minimum.reduceat(cs, seg)
+        improved = mins < weights[uts]
+        uts = uts[improved]
+        if not len(uts):
+            break
+        _mark_first_old(uts, weights, changed, first_old)
+        weights[uts] = mins[improved]
+        frontier = uts
+    return False
 
 
-def shortcuts_increase_array(
-    sc, changes: list[WeightChange]
-) -> dict[ShortcutKey, float]:
+def shortcut_increase_sweep(sc, seeds, direct, changed, first_old) -> None:
     """Algorithm 3 as bottom-up dependency-layer sweeps.
 
     A suspect's Property-3.1 recompute reads only slots owned by its
@@ -208,136 +163,107 @@ def shortcuts_increase_array(
     equality guard re-delivers every realisation, so the fixpoint
     matches the reference's strict rank order.
     """
-    graph = sc.graph
     csr = sc.csr
     weights = sc.up_weights
     n = csr.n
-    rank = sc.rank
+    rank = csr.rank
     indptr, indices = csr.indptr, csr.indices
     ranks, owners, slot_keys = csr.ranks, csr.owners, csr.slot_keys
     down_indptr, down_indices = csr.down_indptr, csr.down_indices
     down_slots = csr.down_slots
-    old_weights: dict[ShortcutKey, float] = {}
 
-    seeds: list[int] = []
-    with phase("increase.seed"):
-        for a, b, w_new in changes:
-            old_edge = graph.set_weight(a, b, w_new)
-            if w_new < old_edge:
-                raise MaintenanceError(
-                    f"increase batch contains a decrease on edge ({a}, {b})"
-                )
-            lo, hi = sc.shortcut_key(a, b)
-            slot = csr.slot_of(lo, hi)
-            # Only shortcuts whose weight was realised by this edge can
-            # change.
-            if weights[slot] == old_edge:
-                seeds.append(slot)
-
-    pending = np.unique(np.asarray(seeds, dtype=np.int64))
+    pending = seeds
     while len(pending):
-        with phase("increase.dependency_layer"):
-            # Topological layer: owners none of whose down-neighbours are
-            # themselves pending (the deepest pending owner always is, so
-            # every round makes progress).
-            p_owner = owners[pending]
-            layer_owners = np.unique(p_owner)
-            odeg = down_indptr[layer_owners + 1] - down_indptr[layer_owners]
-            rep, ramp = _expand(odeg)
-            blocked = np.zeros(len(layer_owners), dtype=bool)
-            if len(rep):
-                xs = down_indices[down_indptr[layer_owners][rep] + ramp]
-                pos = np.searchsorted(layer_owners, xs)
-                member = (
-                    layer_owners[np.minimum(pos, len(layer_owners) - 1)] == xs
+        # Topological layer: owners none of whose down-neighbours are
+        # themselves pending (the deepest pending owner always is, so
+        # every round makes progress).
+        p_owner = owners[pending]
+        layer_owners = np.unique(p_owner)
+        odeg = down_indptr[layer_owners + 1] - down_indptr[layer_owners]
+        rep, ramp = _expand(odeg)
+        blocked = np.zeros(len(layer_owners), dtype=bool)
+        if len(rep):
+            xs = down_indices[down_indptr[layer_owners][rep] + ramp]
+            pos = np.searchsorted(layer_owners, xs)
+            member = (
+                layer_owners[np.minimum(pos, len(layer_owners) - 1)] == xs
+            )
+            if member.any():
+                blocked[np.unique(rep[member])] = True
+        ready = layer_owners[~blocked]
+        take = np.isin(p_owner, ready)
+        slots = pending[take]
+        rest = pending[~take]
+
+        vs = owners[slots]
+        ws = indices[slots]
+        # Property 3.1 recompute for the whole layer: direct edge
+        # weight min-combined with triangles over the common down
+        # neighbourhood.
+        w_new = direct[slots]
+        ddeg = down_indptr[ws + 1] - down_indptr[ws]
+        rep, ramp = _expand(ddeg)
+        if len(rep):
+            didx = down_indptr[ws][rep] + ramp
+            xs = down_indices[didx]
+            # x qualifies iff shortcut (x, v) exists: one global key
+            # probe.
+            keys = xs * n + rank[vs][rep]
+            pos = np.searchsorted(slot_keys, keys)
+            found = slot_keys[np.minimum(pos, len(slot_keys) - 1)] == keys
+            if found.any():
+                rep_f = rep[found]
+                triangles = (
+                    weights[pos[found]] + weights[down_slots[didx[found]]]
                 )
-                if member.any():
-                    blocked[np.unique(rep[member])] = True
-            ready = layer_owners[~blocked]
-            take = np.isin(p_owner, ready)
-            slots = pending[take]
-            rest = pending[~take]
+                seg = _segment_starts(rep_f)
+                mins = np.minimum.reduceat(triangles, seg)
+                urep = rep_f[seg]
+                w_new[urep] = np.minimum(w_new[urep], mins)
 
-            vs = owners[slots]
-            ws = indices[slots]
-            # Property 3.1 recompute for the whole layer: direct edge
-            # weight min-combined with triangles over the common down
-            # neighbourhood.
-            w_new = np.fromiter(
-                (
-                    graph.weight(v, w) if graph.has_edge(v, w) else math.inf
-                    for v, w in zip(vs.tolist(), ws.tolist())
-                ),
-                np.float64,
-                len(slots),
-            )
-            ddeg = down_indptr[ws + 1] - down_indptr[ws]
-            rep, ramp = _expand(ddeg)
-            if len(rep):
-                didx = down_indptr[ws][rep] + ramp
-                xs = down_indices[didx]
-                # x qualifies iff shortcut (x, v) exists: one global key
-                # probe.
-                keys = xs * n + rank[vs][rep]
-                pos = np.searchsorted(slot_keys, keys)
-                found = slot_keys[np.minimum(pos, len(slot_keys) - 1)] == keys
-                if found.any():
-                    rep_f = rep[found]
-                    triangles = (
-                        weights[pos[found]] + weights[down_slots[didx[found]]]
-                    )
-                    seg = _segment_starts(rep_f)
-                    mins = np.minimum.reduceat(triangles, seg)
-                    urep = rep_f[seg]
-                    w_new[urep] = np.minimum(w_new[urep], mins)
-
-            old = weights[slots]
-            changed = w_new != old
-            next_chunks = [rest]
-            if changed.any():
-                ch = slots[changed]
-                ch_old = old[changed]
-                ch_owner = vs[changed]
-                # Equality-guarded propagation: triangles through the owner
-                # that realised a changed suspect's old weight mark deeper
-                # suspects. All legs read pre-write weights, which covers
-                # every realisation the reference's sequential order covers
-                # (the first side processed always sees the other leg old).
-                deg = indptr[ch_owner + 1] - indptr[ch_owner]
-                rep2, ramp2 = _expand(deg)
-                if len(rep2):
-                    legs = indptr[ch_owner][rep2] + ramp2
-                    keep = legs != ch[rep2]
-                    legs = legs[keep]
-                    rep2 = rep2[keep]
-                    cand_old = ch_old[rep2] + weights[legs]
-                    ra = ranks[ch[rep2]]
-                    rb = ranks[legs]
-                    lo_v = np.where(ra < rb, indices[ch[rep2]], indices[legs])
-                    tkeys = lo_v * n + np.maximum(ra, rb)
-                    tslots = np.searchsorted(slot_keys, tkeys)
-                    # Pairs removed by compaction were inf — there is no
-                    # suspect behind them to re-deliver; drop the probes.
-                    tfound = (
-                        slot_keys[np.minimum(tslots, len(slot_keys) - 1)]
-                        == tkeys
-                    )
-                    tslots = tslots[tfound]
-                    cand_old = cand_old[tfound]
-                    hits = tslots[weights[tslots] == cand_old]
-                    if len(hits):
-                        next_chunks.append(hits)
-                for lo_i, hi_i, old_w in zip(
-                    ch_owner.tolist(), indices[ch].tolist(), ch_old.tolist()
-                ):
-                    old_weights.setdefault((lo_i, hi_i), old_w)
-                weights[ch] = w_new[changed]
-            pending = (
-                np.unique(np.concatenate(next_chunks))
-                if len(next_chunks) > 1
-                else rest
-            )
-    return old_weights
+        old = weights[slots]
+        moved = w_new != old
+        next_chunks = [rest]
+        if moved.any():
+            ch = slots[moved]
+            ch_old = old[moved]
+            ch_owner = vs[moved]
+            # Equality-guarded propagation: triangles through the owner
+            # that realised a changed suspect's old weight mark deeper
+            # suspects. All legs read pre-write weights, which covers
+            # every realisation the reference's sequential order covers
+            # (the first side processed always sees the other leg old).
+            deg = indptr[ch_owner + 1] - indptr[ch_owner]
+            rep2, ramp2 = _expand(deg)
+            if len(rep2):
+                legs = indptr[ch_owner][rep2] + ramp2
+                keep = legs != ch[rep2]
+                legs = legs[keep]
+                rep2 = rep2[keep]
+                cand_old = ch_old[rep2] + weights[legs]
+                ra = ranks[ch[rep2]]
+                rb = ranks[legs]
+                lo_v = np.where(ra < rb, indices[ch[rep2]], indices[legs])
+                tkeys = lo_v * n + np.maximum(ra, rb)
+                tslots = np.searchsorted(slot_keys, tkeys)
+                # Pairs removed by compaction were inf — there is no
+                # suspect behind them to re-deliver; drop the probes.
+                tfound = (
+                    slot_keys[np.minimum(tslots, len(slot_keys) - 1)]
+                    == tkeys
+                )
+                tslots = tslots[tfound]
+                cand_old = cand_old[tfound]
+                hits = tslots[weights[tslots] == cand_old]
+                if len(hits):
+                    next_chunks.append(hits)
+            _mark_first_old(ch, weights, changed, first_old)
+            weights[ch] = w_new[moved]
+        pending = (
+            np.unique(np.concatenate(next_chunks))
+            if len(next_chunks) > 1
+            else rest
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -389,122 +315,37 @@ class _EntryFrontier:
         return verts[uidx], cols[uidx], upos
 
 
-def _seed_decrease_batch(
-    store, labels: HierarchicalLabelling, affected: dict[ShortcutKey, float]
-) -> np.ndarray:
-    """Batched phase 1 of Algorithm 4: ancestor-side improvements.
-
-    Applies ``L_lo[i] <- min(L_lo[i], w_new + L_hi[i])`` for every
-    affected shortcut in one ragged scatter-min. Candidates read the
-    phase's pre-state; any cross-pair chaining the sequential reference
-    would exploit is re-delivered by the descendant sweep (the sweep
-    relaxation is the same shortcut-weight chain), so the fixpoint is
-    unchanged. Returns the improved flat positions.
-    """
-    values, offsets = labels.values, labels.offsets
-    tau = store.tau
-    weights = store.up_weights
-    lo, hi, _, slots = _affected_arrays(store.csr, affected)
-    w_new = weights[slots]
-    tw = tau[hi]
-    mask = w_new < values[offsets[lo] + tw]
-    if not mask.any():
-        return np.empty(0, dtype=np.int64)
-    lo, hi, w_new, tw = lo[mask], hi[mask], w_new[mask], tw[mask]
-    rep, ramp = _expand(tw + 1)
-    cand = w_new[rep] + values[offsets[hi][rep] + ramp]
-    return labels.relax_entries(offsets[lo][rep] + ramp, cand)
-
-
-def _seed_increase_batch(
-    store, labels: HierarchicalLabelling, affected: dict[ShortcutKey, float]
-) -> tuple[np.ndarray, np.ndarray]:
-    """Batched phase 1 of Algorithm 5: entries realised by old weights.
-
-    Read-only; returns suspect ``(verts, cols)`` (exactly the reference
-    seed set — equality tests run against the same untouched labels).
-    """
-    values, offsets = labels.values, labels.offsets
-    tau = store.tau
-    lo, hi, old, _ = _affected_arrays(store.csr, affected)
-    tw = tau[hi]
-    direct = values[offsets[lo] + tw]
-    mask = (old == direct) | (np.isinf(old) & np.isinf(direct))
-    if not mask.any():
-        empty = np.empty(0, dtype=np.int64)
-        return empty, empty
-    lo, hi, old, tw = lo[mask], hi[mask], old[mask], tw[mask]
-    rep, ramp = _expand(tw + 1)
-    cand = old[rep] + values[offsets[hi][rep] + ramp]
-    segment = values[offsets[lo][rep] + ramp]
-    # inf == inf covers the unreachable-stays-suspect case.
-    match = cand == segment
-    return lo[rep][match], ramp[match]
-
-
-def labels_decrease_array(
-    store,
-    labels: HierarchicalLabelling,
-    affected: dict[ShortcutKey, float],
-) -> MaintenanceStats:
-    """Algorithm 4 — DHL- label maintenance as a top-down level sweep.
-
-    *store* is any CSR shortcut store exposing ``tau``, ``csr`` and
-    ``up_weights`` (the update hierarchy, or a directed direction view).
-    """
-    labels.ensure_writable()
+def label_decrease_sweep(store, labels, verts, cols, changed) -> int:
+    """Algorithm 4 — DHL- label maintenance as a top-down level sweep."""
     offsets = labels.offsets
     values = labels.values
-    tau = store.tau
     csr = store.csr
     weights = store.up_weights
     down_indptr, down_indices = csr.down_indptr, csr.down_indices
     down_slots = csr.down_slots
 
-    stats = MaintenanceStats(
-        shortcuts_changed=len(affected), affected_shortcuts=affected
-    )
-    changed_positions: set[int] = set()
-    frontier = _EntryFrontier(tau)
-    if affected:
-        with phase("decrease.label_seed"):
-            seeded = _seed_decrease_batch(store, labels, affected)
-        if len(seeded):
-            changed_positions.update(seeded.tolist())
-            frontier.activate(*labels.entries_of_positions(seeded))
-
+    frontier = _EntryFrontier(store.tau)
+    frontier.activate(verts, cols)
+    pops = 0
     while frontier:
-        with phase("decrease.label_sweep"):
-            verts, cols, upos = frontier.pop(offsets)
-            stats.entries_processed += len(verts)
-            vals = values[upos]
-            deg = down_indptr[verts + 1] - down_indptr[verts]
-            rep, ramp = _expand(deg)
-            if not len(rep):
-                continue
-            didx = down_indptr[verts][rep] + ramp
-            targets = down_indices[didx]
-            cand = weights[down_slots[didx]] + vals[rep]
-            improved = labels.relax_entries(offsets[targets] + cols[rep], cand)
-            if len(improved):
-                changed_positions.update(improved.tolist())
-                frontier.activate(*labels.entries_of_positions(improved))
-
-    stats.labels_changed = len(changed_positions)
-    if changed_positions:
-        changed = np.fromiter(
-            changed_positions, np.int64, len(changed_positions)
-        )
-        verts, _ = labels.entries_of_positions(changed)
-        stats.affected_labels = set(np.unique(verts).tolist())
-    return stats
+        verts, cols, upos = frontier.pop(offsets)
+        pops += len(verts)
+        vals = values[upos]
+        deg = down_indptr[verts + 1] - down_indptr[verts]
+        rep, ramp = _expand(deg)
+        if not len(rep):
+            continue
+        didx = down_indptr[verts][rep] + ramp
+        targets = down_indices[didx]
+        cand = weights[down_slots[didx]] + vals[rep]
+        improved = labels.relax_entries(offsets[targets] + cols[rep], cand)
+        if len(improved):
+            changed[improved] = 1
+            frontier.activate(*labels.entries_of_positions(improved))
+    return pops
 
 
-def labels_increase_array(
-    store,
-    labels: HierarchicalLabelling,
-    affected: dict[ShortcutKey, float],
-) -> MaintenanceStats:
+def label_increase_sweep(store, labels, verts, cols, changed) -> tuple[int, int]:
     """Algorithm 5 — DHL+ label maintenance as a top-down level sweep.
 
     Every suspect entry of a level is recomputed from its up-neighbour
@@ -512,7 +353,6 @@ def labels_increase_array(
     increased seed deeper suspects through the equality-guarded down
     expansion before the level's values are written back.
     """
-    labels.ensure_writable()
     offsets = labels.offsets
     values = labels.values
     tau = store.tau
@@ -522,84 +362,60 @@ def labels_increase_array(
     down_indptr, down_indices = csr.down_indptr, csr.down_indices
     down_slots = csr.down_slots
 
-    stats = MaintenanceStats(
-        shortcuts_changed=len(affected), affected_shortcuts=affected
-    )
     frontier = _EntryFrontier(tau)
-    if affected:
-        with phase("increase.label_seed"):
-            frontier.activate(*_seed_increase_batch(store, labels, affected))
-
+    frontier.activate(verts, cols)
+    pops = risen = 0
     while frontier:
-        with phase("increase.label_sweep"):
-            verts, cols, upos = frontier.pop(offsets)
-            stats.entries_processed += len(verts)
-            old_vals = values[upos]
+        verts, cols, upos = frontier.pop(offsets)
+        pops += len(verts)
+        old_vals = values[upos]
 
-            # Support-free recompute over the up rows (tau-guarded).
-            deg = indptr[verts + 1] - indptr[verts]
-            rep, ramp = _expand(deg)
-            w_new = np.full(len(verts), np.inf)
-            if len(rep):
-                slots = indptr[verts][rep] + ramp
-                ups = indices[slots]
-                t_cols = cols[rep]
-                valid = tau[ups] >= t_cols
-                gather = offsets[ups] + np.where(valid, t_cols, 0)
-                cand = np.where(valid, weights[slots] + values[gather], np.inf)
-                nonzero = deg > 0
-                seg_starts = (np.cumsum(deg) - deg)[nonzero]
-                w_new[nonzero] = np.minimum.reduceat(cand, seg_starts)
+        # Support-free recompute over the up rows (tau-guarded).
+        deg = indptr[verts + 1] - indptr[verts]
+        rep, ramp = _expand(deg)
+        w_new = np.full(len(verts), np.inf)
+        if len(rep):
+            slots = indptr[verts][rep] + ramp
+            ups = indices[slots]
+            t_cols = cols[rep]
+            valid = tau[ups] >= t_cols
+            gather = offsets[ups] + np.where(valid, t_cols, 0)
+            cand = np.where(valid, weights[slots] + values[gather], np.inf)
+            nonzero = deg > 0
+            seg_starts = (np.cumsum(deg) - deg)[nonzero]
+            w_new[nonzero] = np.minimum.reduceat(cand, seg_starts)
 
-            increased = w_new > old_vals
-            changed = w_new != old_vals
+        increased = w_new > old_vals
 
-            # Seed deeper suspects whose entry was realised through the
-            # old value — checked against pre-write deeper labels, as in
-            # the reference heap order.
-            if increased.any():
-                pv, pc, po = (
-                    verts[increased],
-                    cols[increased],
-                    old_vals[increased],
-                )
-                ddeg = down_indptr[pv + 1] - down_indptr[pv]
-                rep2, ramp2 = _expand(ddeg)
-                if len(rep2):
-                    didx = down_indptr[pv][rep2] + ramp2
-                    targets = down_indices[didx]
-                    chained = weights[down_slots[didx]] + po[rep2]
-                    d_cols = pc[rep2]
-                    hit = chained == values[offsets[targets] + d_cols]
-                    if hit.any():
-                        frontier.activate(targets[hit], d_cols[hit])
+        # Seed deeper suspects whose entry was realised through the
+        # old value — checked against pre-write deeper labels, as in
+        # the reference heap order.
+        if increased.any():
+            pv, pc, po = (
+                verts[increased],
+                cols[increased],
+                old_vals[increased],
+            )
+            ddeg = down_indptr[pv + 1] - down_indptr[pv]
+            rep2, ramp2 = _expand(ddeg)
+            if len(rep2):
+                didx = down_indptr[pv][rep2] + ramp2
+                targets = down_indices[didx]
+                chained = weights[down_slots[didx]] + po[rep2]
+                d_cols = pc[rep2]
+                hit = chained == values[offsets[targets] + d_cols]
+                if hit.any():
+                    frontier.activate(targets[hit], d_cols[hit])
 
-            labels.recompute_entries(upos, w_new)
-            stats.labels_changed += int(increased.sum())
-            if changed.any():
-                stats.affected_labels.update(verts[changed].tolist())
-    return stats
+        labels.recompute_entries(upos, w_new)
+        risen += int(increased.sum())
+        changed[upos[w_new != old_vals]] = 1
+    return pops, risen
 
 
-# ---------------------------------------------------------------------------
-# End-to-end drivers
-# ---------------------------------------------------------------------------
-
-def apply_decrease_array(
-    hu,
-    labels: HierarchicalLabelling,
-    changes: list[WeightChange],
-) -> MaintenanceStats:
-    """Full array-engine DHL- update: Algorithm 2 then Algorithm 4."""
-    affected = shortcuts_decrease_array(hu, changes)
-    return labels_decrease_array(hu, labels, affected)
-
-
-def apply_increase_array(
-    hu,
-    labels: HierarchicalLabelling,
-    changes: list[WeightChange],
-) -> MaintenanceStats:
-    """Full array-engine DHL+ update: Algorithm 3 then Algorithm 5."""
-    affected = shortcuts_increase_array(hu, changes)
-    return labels_increase_array(hu, labels, affected)
+ENGINE = Engine(
+    shortcut_decrease_sweep,
+    shortcut_increase_sweep,
+    label_decrease_sweep,
+    label_increase_sweep,
+)

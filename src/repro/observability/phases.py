@@ -1,17 +1,17 @@
 """Kernel-phase profiling.
 
-The maintenance kernels mark their inner phases with ``phase(name)`` —
-one decrease relaxation round, one tau-level label sweep, one increase
-dependency layer, the CSR flush steps. When nobody is collecting, the
-mark is a dict-free truthiness check returning a shared no-op context
-manager, so kernels stay uninstrumented-fast by default.
+The maintenance driver marks its phases with ``phase(name)`` — batch
+seeding, the shortcut sweep, label seeding, the label sweep — as do the
+structural and flush steps. When nobody is collecting, the mark is a
+dict-free truthiness check returning a shared no-op context manager, so
+the update path stays uninstrumented-fast by default.
 
 A caller that wants the breakdown installs a :class:`PhaseCollector`
 with ``collect_phases()``; every ``phase()`` that fires while it is
 installed adds its wall seconds to the collector. Collectors nest (an
 outer bench collector and an inner per-batch ``MaintenanceStats``
 collector both see the same phases) and are thread-safe, because the
-sharded index runs shard updates on a thread pool.
+async frontend flushes on its executor thread.
 """
 
 from __future__ import annotations

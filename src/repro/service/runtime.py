@@ -122,15 +122,10 @@ class ExecutionRuntime(abc.ABC):
 
         Implementations must leave every execution path (worker label
         buffers, epochs) consistent with :attr:`index` before returning.
+        ``workers`` is ignored (see :meth:`DistanceBackend.update`).
         """
 
-    def apply_structural(
-        self,
-        insertions=(),
-        deletions=(),
-        weight_changes=(),
-        workers: int | None = None,
-    ):
+    def apply_structural(self, insertions=(), deletions=(), weight_changes=()):
         """Apply one mixed structural batch (insert / delete / reweigh).
 
         Default: the backend's own ``apply_batch``, in the calling
@@ -141,7 +136,6 @@ class ExecutionRuntime(abc.ABC):
             insertions=insertions,
             deletions=deletions,
             weight_changes=weight_changes,
-            workers=workers,
         )
 
     def compact(self):
@@ -218,7 +212,7 @@ class InProcessRuntime(ExecutionRuntime):
     def apply_update(
         self, changes: Iterable[WeightChange], workers: int | None = None
     ) -> MaintenanceStats:
-        return self.index.update(changes, workers)
+        return self.index.update(changes)
 
     def __repr__(self) -> str:  # pragma: no cover - repr sugar
         return f"InProcessRuntime({self.backend})"
@@ -653,7 +647,7 @@ class RegionPairScheduler(ExecutionRuntime):
         if self._closed:
             raise ServiceRuntimeError("runtime is closed")
         self._reconcile_index_epoch()
-        stats = self.index.update(changes, workers)
+        stats = self.index.update(changes)
         self._index_epoch = self.index.epoch
         with phase("flush.delta_sync"):
             for sid in stats.touched_shards:
@@ -662,13 +656,7 @@ class RegionPairScheduler(ExecutionRuntime):
                 self.stats.epoch_broadcasts += 1
         return stats
 
-    def apply_structural(
-        self,
-        insertions=(),
-        deletions=(),
-        weight_changes=(),
-        workers: int | None = None,
-    ):
+    def apply_structural(self, insertions=(), deletions=(), weight_changes=()):
         """Structural batch in the parent, then whole-buffer republish.
 
         Label layouts may move arbitrarily under structural maintenance,
@@ -692,7 +680,6 @@ class RegionPairScheduler(ExecutionRuntime):
             insertions=insertions,
             deletions=deletions,
             weight_changes=weight_changes,
-            workers=workers,
         )
         with phase("flush.structural_sync"):
             self._reconcile_index_epoch()

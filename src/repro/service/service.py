@@ -33,7 +33,6 @@ consistency — it only batches work between queries.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -157,10 +156,8 @@ class DistanceService:
         :class:`~repro.service.runtime.InProcessRuntime`. The service
         owns the update path (submit weight changes through the
         service, not the index, or flush manually) and, when handed a
-        runtime, its lifecycle (:meth:`close` closes it). The
-        ``index=`` keyword is a deprecated alias for this parameter;
-        passing neither, both, or an object that is neither a backend
-        nor a runtime raises ``ValueError``.
+        runtime, its lifecycle (:meth:`close` closes it). An object
+        that is neither a backend nor a runtime raises ``ValueError``.
     cache_capacity:
         Maximum cached pair results (LRU beyond that).
     fine_grained_eviction:
@@ -177,8 +174,6 @@ class DistanceService:
         Flush pending updates before answering queries so results always
         reflect submitted traffic. Disable only for workloads that
         tolerate bounded staleness between flushes.
-    workers:
-        Thread count forwarded to the parallel maintenance variants.
     observability:
         An :class:`~repro.observability.Observability` bundle (metrics
         registry + request tracer + slow log). Defaults to the null
@@ -189,34 +184,14 @@ class DistanceService:
 
     def __init__(
         self,
-        backend: DistanceBackend | ExecutionRuntime | None = None,
+        backend: DistanceBackend | ExecutionRuntime,
         *,
-        index: DistanceBackend | ExecutionRuntime | None = None,
         cache_capacity: int = 65_536,
         fine_grained_eviction: bool = False,
         flush_threshold: int = 256,
         auto_flush_on_query: bool = True,
-        workers: int | None = None,
         observability: Observability | None = None,
     ):
-        if backend is not None and index is not None:
-            raise ValueError(
-                "DistanceService received both backend= and index=; "
-                "index= is a deprecated alias for backend=, pass one only"
-            )
-        if index is not None:
-            warnings.warn(
-                "DistanceService(index=...) is deprecated; "
-                "pass backend= (positionally or by keyword) instead",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            backend = index
-        if backend is None:
-            raise ValueError(
-                "DistanceService needs a backend: a built index satisfying "
-                "DistanceBackend, or an ExecutionRuntime wrapping one"
-            )
         if isinstance(backend, ExecutionRuntime):
             self.runtime = backend
         elif isinstance(backend, DistanceBackend):
@@ -272,7 +247,6 @@ class DistanceService:
         )
         self.flush_threshold = max(1, flush_threshold)
         self.auto_flush_on_query = auto_flush_on_query
-        self.workers = workers
         self.query_latency = LatencyRecorder()
         self.update_latency = LatencyRecorder()
         self._queries = 0
@@ -512,7 +486,6 @@ class DistanceService:
                         insertions=batch.insertions,
                         deletions=batch.deletions,
                         weight_changes=batch.changes(),
-                        workers=self.workers,
                     )
                 # StructuralStats carries its MaintenanceStats in
                 # .maintenance; ShardedMaintenanceStats *is* one.
@@ -520,9 +493,7 @@ class DistanceService:
                 self._structural_batches += 1
             else:
                 with phase("flush.apply"):
-                    stats = self.runtime.apply_update(
-                        batch.changes(), self.workers
-                    )
+                    stats = self.runtime.apply_update(batch.changes())
         self.update_latency.record(timer.seconds, batch.size)
         self._shortcuts_changed += stats.shortcuts_changed
         self._labels_changed += stats.labels_changed

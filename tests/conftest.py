@@ -57,6 +57,19 @@ def small_index(small_road) -> DHLIndex:
     return DHLIndex.build(small_road.copy(), DHLConfig(leaf_size=6, seed=0))
 
 
+@pytest.fixture
+def forced_compiled(monkeypatch):
+    """Resolve ``engine="compiled"`` to the compiled sweeps even without numba.
+
+    The kernels degrade to pure Python when numba is missing, so forcing
+    the capability probe exercises the whole compiled path on every
+    environment instead of letting it downgrade to ``array``.
+    """
+    import repro.labelling.compiled as compiled
+
+    monkeypatch.setattr(compiled, "available", lambda: True)
+
+
 def all_pairs_reference(graph: Graph) -> np.ndarray:
     """Dense all-pairs distances via repeated Dijkstra (test oracle)."""
     from repro.baselines.dijkstra import dijkstra

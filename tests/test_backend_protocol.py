@@ -3,9 +3,7 @@
 Satellite of the runtime-protocol redesign: every index family must
 satisfy the one structural Protocol the service/runtime layer is typed
 against, and :class:`DistanceService` must accept exactly one
-unambiguous ``backend=`` argument — the old ``index=`` spelling keeps
-working behind a :class:`DeprecationWarning`, ambiguous or bogus forms
-fail loud.
+unambiguous ``backend=`` argument — missing or bogus forms fail loud.
 """
 
 from __future__ import annotations
@@ -112,20 +110,8 @@ def test_backend_accepts_index_or_runtime(mono):
         assert service.runtime is runtime
 
 
-def test_index_kwarg_is_a_deprecated_alias(mono):
-    with pytest.warns(DeprecationWarning, match="backend="):
-        service = DistanceService(index=mono)
-    with service:
-        assert service.index is mono
-
-
-def test_both_forms_is_an_error(mono):
-    with pytest.raises(ValueError, match="deprecated alias"):
-        DistanceService(mono, index=mono)
-
-
 def test_no_backend_is_an_error():
-    with pytest.raises(ValueError, match="backend"):
+    with pytest.raises(TypeError, match="backend"):
         DistanceService()
 
 

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import numpy as np
-import pytest
 from hypothesis import HealthCheck, given, settings
 
 from repro.baselines.dijkstra import dijkstra
@@ -110,16 +109,6 @@ class TestKernelAfterMaintenance:
         small_index.update([(u, v, w)])  # no-op: nothing applied
         assert small_index.epoch == 2
 
-    def test_parallel_updates_visible_to_kernel(self, small_index):
-        n = small_index.graph.num_vertices
-        pairs = sample_pairs(n, 1_000, make_rng(4), distinct=False)
-        small_index.distances(pairs)
-        edges = list(small_index.graph.edges())[:20]
-        small_index.increase([(u, v, 3 * w) for u, v, w in edges], workers=2)
-        assert np.array_equal(
-            small_index.distances(pairs), scalar_distances(small_index, pairs)
-        )
-
     @settings(
         max_examples=15, deadline=None, suppress_health_check=[HealthCheck.too_slow]
     )
@@ -148,10 +137,9 @@ def test_update_coalesced_merges_and_matches_sequential(small_index):
     assert stats.shortcuts_changed >= 0  # merged batch applied in one pass
 
 
-@pytest.mark.parametrize("workers", [None, 2])
-def test_distances_from_and_k_nearest_still_consistent(small_index, workers):
+def test_distances_from_and_k_nearest_still_consistent(small_index):
     edges = list(small_index.graph.edges())[:10]
-    small_index.increase([(u, v, 2 * w) for u, v, w in edges], workers=workers)
+    small_index.increase([(u, v, 2 * w) for u, v, w in edges])
     targets = list(range(0, 200, 7))
     out = small_index.distances_from(5, targets)
     assert np.array_equal(

@@ -34,17 +34,6 @@ def reset_compiled_state(monkeypatch):
     monkeypatch.setattr(compiled, "_warned_fallback", False)
 
 
-@pytest.fixture
-def forced_compiled(monkeypatch):
-    """Resolve ``"compiled"`` to the compiled drivers even without numba.
-
-    The kernels degrade to pure Python when numba is missing, so forcing
-    the probe exercises the whole compiled dispatch path on every
-    environment.
-    """
-    monkeypatch.setattr(compiled, "available", lambda: True)
-
-
 def two_component_graph() -> Graph:
     g = Graph(6)
     g.add_edge(0, 1, 2.0)

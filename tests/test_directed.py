@@ -126,26 +126,6 @@ class TestDirectedDynamic:
         with pytest.raises(MaintenanceError):
             idx.decrease([(u, v, w * 2)])
 
-    def test_parallel_workers_match_sequential(self, asym_digraph):
-        # build over independent copies: an index owns its graph
-        seq = DirectedDHLIndex.build(
-            asym_digraph.copy(), DHLConfig(leaf_size=4, seed=0)
-        )
-        par = DirectedDHLIndex.build(
-            asym_digraph.copy(), DHLConfig(leaf_size=4, seed=0)
-        )
-        arcs = list(asym_digraph.arcs())[:15]
-        inc = [(u, v, 2 * w) for u, v, w in arcs]
-        dec = [(u, v, w) for u, v, w in arcs]
-        seq.increase(inc)
-        par.increase(inc, workers=3)
-        assert seq.labels_out.equals(par.labels_out)
-        assert seq.labels_in.equals(par.labels_in)
-        seq.decrease(dec)
-        par.decrease(dec, workers=3)
-        assert seq.labels_out.equals(par.labels_out)
-        assert seq.labels_in.equals(par.labels_in)
-
     def test_maintained_equals_rebuilt(self, asym_digraph):
         idx = DirectedDHLIndex.build(asym_digraph, DHLConfig(leaf_size=4, seed=0))
         arcs = list(asym_digraph.arcs())[:20]

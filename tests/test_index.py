@@ -28,7 +28,6 @@ class TestConfig:
             {"beta": 0.7},
             {"leaf_size": 0},
             {"coarsest_size": 2},
-            {"workers": 0},
         ],
     )
     def test_invalid_configs_rejected(self, kwargs):

@@ -16,10 +16,7 @@ from repro.baselines.dijkstra import dijkstra
 from repro.core.config import DHLConfig
 from repro.core.index import DHLIndex
 from repro.exceptions import MaintenanceError
-from repro.labelling.maintenance import (
-    maintain_shortcuts_decrease,
-    maintain_shortcuts_increase,
-)
+from repro.labelling.driver import maintain_shortcuts
 from tests.strategies import connected_graphs, update_sequences
 
 
@@ -37,14 +34,14 @@ class TestShortcutMaintenance:
     def test_decrease_updates_shortcut_weights(self, small_road):
         idx = fresh_index(small_road)
         u, v, w = next(iter(idx.graph.edges()))
-        affected = maintain_shortcuts_decrease(idx.hu, [(u, v, w / 2)])
+        affected = maintain_shortcuts("decrease", idx.hu, [(u, v, w / 2)])
         assert affected  # at least the edge's own shortcut
         idx.hu.verify_minimum_weight_property()
 
     def test_increase_updates_shortcut_weights(self, small_road):
         idx = fresh_index(small_road)
         u, v, w = next(iter(idx.graph.edges()))
-        affected = maintain_shortcuts_increase(idx.hu, [(u, v, 5 * w)])
+        affected = maintain_shortcuts("increase", idx.hu, [(u, v, 5 * w)])
         idx.hu.verify_minimum_weight_property()
         for key, old in affected.items():
             assert idx.hu.wup[key[0]][key[1]] != old
@@ -52,19 +49,19 @@ class TestShortcutMaintenance:
     def test_noop_decrease(self, small_road):
         idx = fresh_index(small_road)
         u, v, w = next(iter(idx.graph.edges()))
-        assert maintain_shortcuts_decrease(idx.hu, [(u, v, w)]) == {}
+        assert maintain_shortcuts("decrease", idx.hu, [(u, v, w)]) == {}
 
     def test_decrease_rejects_increase(self, small_road):
         idx = fresh_index(small_road)
         u, v, w = next(iter(idx.graph.edges()))
         with pytest.raises(MaintenanceError):
-            maintain_shortcuts_decrease(idx.hu, [(u, v, w + 1)])
+            maintain_shortcuts("decrease", idx.hu, [(u, v, w + 1)])
 
     def test_increase_rejects_decrease(self, small_road):
         idx = fresh_index(small_road)
         u, v, w = next(iter(idx.graph.edges()))
         with pytest.raises(MaintenanceError):
-            maintain_shortcuts_increase(idx.hu, [(u, v, w - 0.5)])
+            maintain_shortcuts("increase", idx.hu, [(u, v, w - 0.5)])
 
     def test_increase_not_realised_by_edge_is_cheap(self, diamond_graph):
         """Increasing an edge that no shortcut realises affects nothing."""
@@ -178,6 +175,78 @@ class TestMixedUpdates:
         before = idx.labels.copy()
         idx.update([])
         assert idx.labels.equals(before)
+
+
+def _monolithic(graph):
+    idx = fresh_index(graph)
+    return idx, idx.graph, [idx.labels]
+
+
+def _directed(graph):
+    from repro.core.directed import DirectedDHLIndex
+    from repro.graph.digraph import DiGraph
+
+    idx = DirectedDHLIndex.build(
+        DiGraph.from_undirected(graph), DHLConfig(leaf_size=4, seed=0)
+    )
+    return idx, idx.digraph, [idx.labels_out, idx.labels_in]
+
+
+def _sharded(graph):
+    from repro.core.sharded import ShardedDHLIndex
+
+    idx = ShardedDHLIndex.build(
+        graph.copy(), k=2, config=DHLConfig(seed=0), build_workers=1
+    )
+    return idx, idx.graph, [shard.labels for shard in idx.shards]
+
+
+class TestRejectedBatchIsNotHalfApplied:
+    """A batch that fails validation must leave graph, labels and epoch
+    exactly as they were — whatever position the bad change is in."""
+
+    CASES = [
+        ("decrease", lambda w: 1.0, lambda w: w + 10),  # wrong direction
+        ("increase", lambda w: w + 5, lambda w: -1.0),  # negative
+        ("update", lambda w: w + 5, lambda w: -1.0),  # after valid increases
+        ("update", lambda w: 1.0, lambda w: math.nan),
+    ]
+
+    @pytest.mark.parametrize(
+        "family, method, first, bad",
+        [(_monolithic, *case) for case in CASES]
+        + [(_directed, *case) for case in CASES]
+        # the sharded index only exposes update()
+        + [(_sharded, *case) for case in CASES if case[0] == "update"],
+    )
+    def test_graph_labels_epoch_untouched(
+        self, small_road, family, method, first, bad
+    ):
+        idx, graph, label_stores = family(small_road)
+        edges = list(graph.arcs() if hasattr(graph, "arcs") else graph.edges())
+        (a, b, w_ab), (c, d, w_cd) = edges[0], edges[-1]
+        before = [labels.copy() for labels in label_stores]
+        with pytest.raises(MaintenanceError):
+            getattr(idx, method)([(a, b, first(w_ab)), (c, d, bad(w_cd))])
+        assert graph.weight(a, b) == w_ab
+        assert graph.weight(c, d) == w_cd
+        assert idx.epoch == 0
+        for labels, old in zip(label_stores, before):
+            assert labels.equals(old)
+
+    def test_repeated_edge_checked_in_sequence(self, small_road):
+        idx = fresh_index(small_road)
+        u, v, w = next(iter(idx.graph.edges()))
+        before = idx.labels.copy()
+        # Each mention is a decrease from the original weight, but the
+        # second raises the weight the first one leaves.
+        with pytest.raises(MaintenanceError):
+            idx.decrease([(u, v, w / 4), (u, v, w / 2)])
+        assert idx.graph.weight(u, v) == w
+        assert idx.labels.equals(before)
+        idx.decrease([(u, v, w / 2), (u, v, w / 4)])
+        assert idx.graph.weight(u, v) == w / 4
+        assert_matches_rebuild(idx)
 
 
 class TestPropertyBased:

@@ -35,6 +35,7 @@ from repro.core.index import DHLIndex
 from repro.core.sharded import ShardedDHLIndex
 from repro.graph.digraph import DiGraph
 from repro.hierarchy.contraction import contract_in_order
+from repro.labelling.driver import ENGINES, split_batch
 from repro.labelling.maintenance import MaintenanceStats
 from tests.strategies import connected_graphs, update_sequences
 
@@ -62,16 +63,19 @@ def assert_stats_match(array_stats, reference_stats) -> None:
     assert array_stats.affected_labels == reference_stats.affected_labels
 
 
-def split_batch(graph, batch):
-    """Classify a mixed batch against *graph* into (increases, decreases)."""
-    increases, decreases = [], []
-    for u, v, w in batch:
-        current = graph.weight(u, v)
-        if w > current:
-            increases.append((u, v, w))
-        elif w < current:
-            decreases.append((u, v, w))
-    return increases, decreases
+def test_engine_table_is_three_engines_of_exactly_four_sweeps():
+    """The whole engine contract: nothing else is dispatched per engine."""
+    assert set(ENGINES) == {"array", "compiled", "reference"}
+    for engine in ENGINES.values():
+        assert engine._fields == (
+            "shortcut_decrease_sweep",
+            "shortcut_increase_sweep",
+            "label_decrease_sweep",
+            "label_increase_sweep",
+        )
+        assert all(callable(sweep) for sweep in engine)
+    sweeps = [sweep for engine in ENGINES.values() for sweep in engine]
+    assert len(set(sweeps)) == 12  # no engine borrows another's sweep
 
 
 class TestUndirectedDifferential:

@@ -21,12 +21,13 @@ import numpy as np
 from hypothesis import HealthCheck, given, settings
 
 from repro.baselines.dijkstra import dijkstra_subgraph
+from repro.core.config import DHLConfig
 from repro.graph.generators import delaunay_network
 from repro.hierarchy.contraction import contract_in_order
 from repro.hierarchy.query_hierarchy import QueryHierarchy
 from repro.hierarchy.update_hierarchy import UpdateHierarchy
 from repro.labelling.build import build_labelling
-from repro.labelling.maintenance import apply_increase
+from repro.labelling.driver import maintain
 from repro.partition.recursive import recursive_bisection
 from tests.strategies import connected_graphs
 
@@ -148,6 +149,8 @@ class TestComplexityCounters:
         deepest = int(np.argmax(tau))
         u = deepest
         v, w = next(iter(g.neighbors(u).items()))
-        stats = apply_increase(hu, labels, [(u, v, 2 * w)])
+        stats = maintain(
+            "increase", hu, labels, [(u, v, 2 * w)], DHLConfig(engine="reference")
+        )
         assert stats.entries_processed <= labels.num_entries * 0.2
         assert stats.labels_changed <= stats.entries_processed

@@ -66,7 +66,7 @@ class TestShortestPath:
         s, t = 0, 250
         path = small_index.shortest_path(s, t)
         # delete the first edge of the path and re-route
-        small_index.delete_edge(path[0], path[1])
+        small_index.apply_batch(deletions=[(path[0], path[1])])
         new_path = small_index.shortest_path(s, t)
         assert (path[0], path[1]) not in zip(new_path, new_path[1:])
         reconstructor(small_index).validate_path(

@@ -29,7 +29,7 @@ class TestSaveLoad:
 
     def test_round_trip_config(self, small_road, tmp_path):
         idx = DHLIndex.build(
-            small_road.copy(), DHLConfig(leaf_size=5, seed=9, workers=2)
+            small_road.copy(), DHLConfig(leaf_size=5, seed=9)
         )
         idx.save(tmp_path / "idx")
         loaded = DHLIndex.load(tmp_path / "idx")
@@ -185,3 +185,60 @@ class TestCrashSafeSnapshots:
         victim.write_bytes(blob)
         with pytest.raises(SnapshotCorruptionError, match="shard_01"):
             ShardedDHLIndex.load(tmp_path / "sharded")
+
+
+class TestPreWorkersRemovalSnapshots:
+    """Snapshots written while ``DHLConfig`` still had ``workers`` must load."""
+
+    @staticmethod
+    def _age(path):
+        """Rewrite every manifest under *path* the way the old writer did:
+        a ``workers`` key inside ``config``, checksums resealed to match."""
+        from repro.core.serialization import _write_checksums
+
+        for manifest_path in path.rglob("manifest.json"):
+            manifest = json.loads(manifest_path.read_text())
+            assert "workers" not in manifest["config"]  # no longer written
+            manifest["config"]["workers"] = 2
+            manifest_path.write_text(json.dumps(manifest))
+            (manifest_path.parent / "checksums.json").unlink()
+        _write_checksums(path)
+
+    def test_monolithic(self, small_index, tmp_path):
+        small_index.save(tmp_path / "idx")
+        self._age(tmp_path / "idx")
+        loaded = DHLIndex.load(tmp_path / "idx", verify=True)
+        assert loaded.config == small_index.config
+        assert loaded.distance(3, 250) == small_index.distance(3, 250)
+
+    def test_directed(self, tmp_path):
+        from repro.core.directed import DirectedDHLIndex
+        from repro.graph.digraph import DiGraph
+        from repro.graph.generators import random_connected_graph
+
+        digraph = DiGraph.from_undirected(
+            random_connected_graph(40, extra_edges=30, seed=2)
+        )
+        index = DirectedDHLIndex.build(digraph, DHLConfig(leaf_size=4, seed=0))
+        index.save(tmp_path / "didx")
+        self._age(tmp_path / "didx")
+        loaded = DirectedDHLIndex.load(tmp_path / "didx", verify=True)
+        assert loaded.distance(1, 30) == index.distance(1, 30)
+
+    def test_sharded(self, tmp_path):
+        from repro.core.sharded import ShardedDHLIndex
+        from repro.graph.generators import delaunay_network
+
+        index = ShardedDHLIndex.build(
+            delaunay_network(60, seed=11),
+            k=2,
+            config=DHLConfig(seed=0),
+            build_workers=1,
+        )
+        index.save(tmp_path / "sharded")
+        self._age(tmp_path / "sharded")
+        loaded = ShardedDHLIndex.load(tmp_path / "sharded", verify=True)
+        pairs = [(0, 59), (5, 40), (12, 13)]
+        np.testing.assert_array_equal(
+            loaded.distances(pairs), index.distances(pairs)
+        )

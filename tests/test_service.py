@@ -254,7 +254,7 @@ class TestDistanceService:
         service.distance(u, v)  # cached
         service.index.increase([(u, v, 10 * w)])  # bypasses the service
         assert service.distance(u, v) == dijkstra(service.index.graph, u)[v]
-        service.index.delete_edge(u, v)  # structural op, also direct
+        service.index.apply_batch(deletions=[(u, v)])  # structural, also direct
         assert service.distance(u, v) == dijkstra(service.index.graph, u)[v]
 
     def test_fine_grained_flush_does_not_absorb_foreign_updates(

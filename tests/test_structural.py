@@ -20,21 +20,22 @@ def index(small_road):
 class TestEdgeDeletion:
     def test_delete_edge_reroutes(self, index):
         u, v, w = min(index.graph.edges(), key=lambda e: e[2])
-        index.delete_edge(u, v)
+        index.apply_batch(deletions=[(u, v)])
         assert math.isinf(index.graph.weight(u, v))
         expected = dijkstra_distance(index.graph, u, v)
         assert index.distance(u, v) == expected
 
     def test_delete_is_idempotent(self, index):
         u, v, _ = next(iter(index.graph.edges()))
-        index.delete_edge(u, v)
-        stats = index.delete_edge(u, v)
-        assert stats.labels_changed == 0
+        index.apply_batch(deletions=[(u, v)])
+        stats = index.apply_batch(deletions=[(u, v)])
+        assert stats.already_deleted == 1
+        assert stats.maintenance.labels_changed == 0
 
     def test_restore_edge(self, index):
         u, v, w = next(iter(index.graph.edges()))
         original = index.labels.copy()
-        index.delete_edge(u, v)
+        index.apply_batch(deletions=[(u, v)])
         index.restore_edge(u, v, w)
         assert index.labels.equals(original)
 
@@ -42,7 +43,7 @@ class TestEdgeDeletion:
         u, v, w = next(iter(index.graph.edges()))
         with pytest.raises(MaintenanceError):
             index.restore_edge(u, v, math.inf)
-        index.delete_edge(u, v)
+        index.apply_batch(deletions=[(u, v)])
         with pytest.raises(MaintenanceError):
             index.restore_edge(u, v, math.inf)
 
@@ -72,14 +73,9 @@ class TestVertexDeletion:
 
 
 class TestEdgeInsertion:
-    def test_insert_existing_edge_rejected(self, index):
-        u, v, _ = next(iter(index.graph.edges()))
-        with pytest.raises(MaintenanceError):
-            index.insert_edge(u, v, 1.0)
-
     def test_insert_bad_weight_rejected(self, index):
         with pytest.raises(MaintenanceError):
-            index.insert_edge(0, 299, math.inf)
+            index.apply_batch(insertions=[(0, 299, math.inf)])
 
     def test_insert_edge_correct_distances(self, index):
         # a shortcut edge between two far-apart vertices: the repartition
@@ -87,13 +83,13 @@ class TestEdgeInsertion:
         s, t = 0, 299
         if index.graph.has_edge(s, t):
             pytest.skip("random fixture happens to contain the edge")
-        new_index = index.insert_edge(s, t, 1.0)
-        assert new_index.distance(s, t) == 1.0
+        index.apply_batch(insertions=[(s, t, 1.0)])
+        assert index.distance(s, t) == 1.0
         for a, b in [(5, 250), (10, 290), (0, 150), (299, 40)]:
-            assert new_index.distance(a, b) == dijkstra_distance(
-                new_index.graph, a, b
+            assert index.distance(a, b) == dijkstra_distance(
+                index.graph, a, b
             )
-        new_index.verify()
+        index.verify()
 
     def test_insert_preserves_other_subtrees(self, index):
         """Inserting inside one region must keep queries exact everywhere."""
@@ -110,10 +106,10 @@ class TestEdgeInsertion:
         a, b = hq.node_members[nid][:2]
         if index.graph.has_edge(a, b):
             pytest.skip("edge already present")
-        new_index = index.insert_edge(a, b, 2.0)
-        assert new_index.distance(a, b) <= 2.0
+        index.apply_batch(insertions=[(a, b, 2.0)])
+        assert index.distance(a, b) <= 2.0
         for s, t in [(a, b), (0, 200), (3, 299)]:
-            assert new_index.distance(s, t) == dijkstra_distance(
-                new_index.graph, s, t
+            assert index.distance(s, t) == dijkstra_distance(
+                index.graph, s, t
             )
-        new_index.verify()
+        index.verify()

@@ -26,10 +26,11 @@ from repro.core.directed import DirectedDHLIndex
 from repro.core.index import DHLIndex
 from repro.core.sharded import ShardedDHLIndex
 from repro.core.structural import StructuralStats
-from repro.exceptions import MaintenanceError
+from repro.exceptions import MaintenanceError, StructuralFallbackRequired
 from repro.graph.digraph import DiGraph
 from repro.graph.generators import delaunay_network, random_connected_graph
 from repro.graph.graph import Graph
+from repro.hierarchy.csr import compact_slots
 from repro.service.coalescer import UpdateCoalescer
 from repro.service.service import DistanceService
 from repro.service.workers import ShardWorkerRuntime
@@ -273,24 +274,6 @@ def test_delete_vertex_snapshot_semantics(small_index):
     assert math.isinf(index.distance(other, v))
 
 
-def test_bare_insert_delete_warn_deprecated(small_index):
-    index = small_index
-    u, v, _ = next(iter(index.graph.edges()))
-    with pytest.warns(DeprecationWarning):
-        index.delete_edge(u, v)
-    n = index.graph.num_vertices
-    pair = next(
-        (
-            (a, b)
-            for a in range(n)
-            for b in range(a + 1, n)
-            if not index.graph.has_edge(a, b)
-        ),
-    )
-    with pytest.warns(DeprecationWarning):
-        index.insert_edge(pair[0], pair[1], 3.0)
-
-
 # ---------------------------------------------------------------------------
 # compaction
 # ---------------------------------------------------------------------------
@@ -326,9 +309,13 @@ def test_compaction_reclaims_dead_slots(small_road):
     assert index.structural_counters["dead_slots_reclaimed"] > 0
 
 
-def test_restore_after_compaction_reinserts(small_road):
+ENGINES = ["reference", "array", "compiled"]
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+def test_restore_after_compaction_reinserts(engine, small_road, forced_compiled):
     """A weight report on a compacted-away edge re-enters via insertion."""
-    cfg = DHLConfig(leaf_size=6, seed=0)
+    cfg = DHLConfig(leaf_size=6, seed=0, engine=engine)
     index = DHLIndex.build(small_road.copy(), cfg)
     u, v, w = next(iter(index.graph.edges()))
     index.apply_batch(deletions=[(u, v)])
@@ -338,6 +325,67 @@ def test_restore_after_compaction_reinserts(small_road):
     assert index.graph.weight(u, v) == w
     assert index.distance(u, v) == pytest.approx(
         dijkstra_distance(index.graph, u, v)
+    )
+
+
+def _drop_pair(hu, a, b) -> None:
+    """Remove one shortcut pair from the store, the way a compaction pass
+    that found it infinite would have."""
+    keep = np.ones(hu.csr.num_slots, dtype=bool)
+    keep[hu.csr.slot_of(*hu.shortcut_key(a, b))] = False
+    hu.csr, (hu.up_weights,) = compact_slots(hu.csr, keep, hu.up_weights)
+    hu._reset_csr_caches()
+
+
+def _triangle_over(index, need_edge: bool):
+    """``(x, p, q, o)``: x's up-row holds p and q with ``w(x, q) < w(p, q)``,
+    and p's holds a third vertex o — so lowering ``(x, p)`` far enough
+    lowers ``(p, q)``, whose relaxation then targets the pair ``(q, o)``.
+    *need_edge* picks whether ``(x, p)`` must or must not be a graph edge.
+    """
+    hu = index.hu
+    for x in range(hu.csr.n):
+        row = hu.csr.row(x).tolist()
+        for i, p in enumerate(row):
+            if index.graph.has_edge(x, p) != need_edge:
+                continue
+            for q in row[i + 1 :]:
+                others = [o for o in hu.csr.row(p).tolist() if o != q]
+                if others and hu.weight(x, q) < hu.weight(p, q):
+                    return x, p, q, others[0]
+    raise AssertionError("fixture has no such triangle")
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+def test_decrease_onto_compacted_slot_raises_under_every_engine(
+    engine, small_road, forced_compiled
+):
+    """The compacted-slot guard is part of the sweep contract: a finite
+    candidate for a removed pair must surface, not be skipped."""
+    index = DHLIndex.build(
+        small_road.copy(), DHLConfig(leaf_size=6, seed=0, engine=engine)
+    )
+    x, p, q, o = _triangle_over(index, need_edge=True)
+    _drop_pair(index.hu, q, o)
+    with pytest.raises(StructuralFallbackRequired):
+        index.decrease([(x, p, 0.0)])
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+def test_insertion_onto_compacted_slot_falls_back_to_rebuild(
+    engine, small_road, forced_compiled
+):
+    index = DHLIndex.build(
+        small_road.copy(), DHLConfig(leaf_size=6, seed=0, engine=engine)
+    )
+    x, p, q, o = _triangle_over(index, need_edge=False)
+    _drop_pair(index.hu, q, o)
+    stats = index.apply_batch(insertions=[(x, p, 0.0)])
+    assert stats.fallback_rebuilds == 1 and stats.fastpath_inserts == 0
+    index.verify()
+    rng = random.Random(5)
+    assert_matches_dijkstra(
+        index, index.graph, sample_pairs(index.graph.num_vertices, rng)
     )
 
 

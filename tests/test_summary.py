@@ -26,8 +26,6 @@ def results(tmp_path) -> Path:
                     "batch": {
                         "DHL+": 0.002, "IncH2H+": 0.008,
                         "DHL-": 0.001, "IncH2H-": 0.004,
-                        "DHL+p": 0.002, "IncH2H+p": 0.008,
-                        "DHL-p": 0.001, "IncH2H-p": 0.004,
                     },
                     "single": {
                         "DHL+": 1e-4, "IncH2H+": 4e-4,

@@ -10,10 +10,7 @@ from repro.baselines.dijkstra import dijkstra_subgraph
 from repro.graph.generators import random_connected_graph
 from repro.hierarchy.query_hierarchy import QueryHierarchy
 from repro.hierarchy.update_hierarchy import UpdateHierarchy
-from repro.labelling.maintenance import (
-    maintain_shortcuts_decrease,
-    maintain_shortcuts_increase,
-)
+from repro.labelling.driver import maintain_shortcuts
 from repro.partition.recursive import recursive_bisection
 
 
@@ -73,20 +70,22 @@ class TestStructuralStability:
         graph, _, hu = built
         structure_before = [sorted(w) for w in hu.wup]
         edges = list(graph.edges())[:30]
-        maintain_shortcuts_increase(hu, [(u, v, 3 * w) for u, v, w in edges])
-        maintain_shortcuts_decrease(hu, [(u, v, w) for u, v, w in edges])
+        maintain_shortcuts("increase", hu, [(u, v, 3 * w) for u, v, w in edges])
+        maintain_shortcuts("decrease", hu, [(u, v, w) for u, v, w in edges])
         structure_after = [sorted(w) for w in hu.wup]
         assert structure_before == structure_after
 
     def test_property_3_1_preserved_after_updates(self, built):
         graph, _, hu = built
         edges = list(graph.edges())
-        maintain_shortcuts_increase(
-            hu, [(u, v, 2 * w) for u, v, w in edges[10:40]]
+        maintain_shortcuts(
+            "increase", hu, [(u, v, 2 * w) for u, v, w in edges[10:40]]
         )
         hu.verify_minimum_weight_property()
-        maintain_shortcuts_decrease(
-            hu, [(u, v, max(1.0, w // 2)) for u, v, w in edges[5:25]]
+        maintain_shortcuts(
+            "decrease",
+            hu,
+            [(u, v, max(1.0, w // 2)) for u, v, w in edges[5:25]],
         )
         hu.verify_minimum_weight_property()
 
@@ -94,11 +93,11 @@ class TestStructuralStability:
         """Logical deletion keeps the slot and the invariants."""
         graph, _, hu = built
         u, v, w = next(iter(graph.edges()))
-        maintain_shortcuts_increase(hu, [(u, v, math.inf)])
+        maintain_shortcuts("increase", hu, [(u, v, math.inf)])
         assert graph.has_edge(u, v)  # slot retained
         assert math.isinf(graph.weight(u, v))
         hu.verify_minimum_weight_property()
-        maintain_shortcuts_decrease(hu, [(u, v, w)])
+        maintain_shortcuts("decrease", hu, [(u, v, w)])
         hu.verify_minimum_weight_property()
 
 
@@ -110,11 +109,11 @@ class TestBoundedSearching:
         graph, hq, hu = built
         edges = list(graph.edges())
         for u0, v0, w0 in edges[:15]:
-            affected = maintain_shortcuts_increase(hu, [(u0, v0, 2 * w0)])
+            affected = maintain_shortcuts("increase", hu, [(u0, v0, 2 * w0)])
             for (a, b) in affected:
                 assert hq.precedes(a, u0) or hq.precedes(a, v0)
                 assert hq.precedes(b, u0) or hq.precedes(b, v0)
-            maintain_shortcuts_decrease(hu, [(u0, v0, w0)])
+            maintain_shortcuts("decrease", hu, [(u0, v0, w0)])
 
 
 class TestOnAdversarialGraphs:
