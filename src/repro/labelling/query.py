@@ -14,6 +14,15 @@ pairs is answered with two fancy-indexed gathers, one add and one masked
 row-min — no padded label-matrix copy, no Python-level loop over pairs,
 and nothing to re-sync after maintenance (the kernel reads the live
 buffer that the maintenance algorithms write into).
+
+Set-to-set queries (:meth:`QueryEngine.distance_matrix`) do not go
+through pairs at all. ``anc(u) ∩ anc(t)`` *is* the common-ancestor
+prefix and an ancestor ``a`` has the same rank ``tau(a)`` on every
+descendant's chain, so the query is ``min over a in anc(u)`` of
+``L_u[tau(a)] + M[a, t]`` with ``M[a, t] = L_t[tau(a)]`` for
+``a in anc(t)`` and ``inf`` elsewhere: one dense block per target set
+(the "labels to a fixed cut" block of Hierarchical Cut Labelling),
+one ancestor-chain gather per source, no LCA.
 """
 
 from __future__ import annotations
@@ -25,6 +34,7 @@ import numpy as np
 
 from repro.hierarchy.query_hierarchy import QueryHierarchy
 from repro.labelling.labels import HierarchicalLabelling
+from repro.labelling.maintenance_kernels import _expand
 
 __all__ = ["QueryEngine"]
 
@@ -56,6 +66,48 @@ class _BatchTables:
         self.chain = chain
 
 
+class _TargetTables:
+    """H_Q-only scatter tables of one target set for the set kernel.
+
+    With ``A`` the union of the targets' ancestor chains: ``rowmap``
+    sends a vertex to its row of the dense block ``M[a, t]``
+    (``num_rows``, one past the last row, outside ``A``), and
+    label entry ``e`` — ``L_vertex[e][rank[e]]``, entries sorted by
+    target column with ``col_starts`` bounding each column — is the
+    block's cell ``(row[e], col[e])``. No label *value* is held: the
+    block is filled from the live store on every call, so maintenance
+    needs no hook. Memory: ``8 n`` bytes for ``rowmap`` plus 32 bytes
+    per label entry of the target set.
+    """
+
+    __slots__ = (
+        "targets",
+        "rowmap",
+        "num_rows",
+        "vertex",
+        "rank",
+        "row",
+        "col",
+        "col_starts",
+    )
+
+    def __init__(
+        self, targets: np.ndarray, hubs: np.ndarray, hub_offsets: np.ndarray
+    ):
+        self.targets = targets.copy()
+        counts = hub_offsets[targets + 1] - hub_offsets[targets]
+        self.col, self.rank = _expand(counts)
+        self.vertex = targets[self.col]
+        ancestors = hubs[hub_offsets[self.vertex] + self.rank]
+        members = np.unique(ancestors)
+        self.num_rows = len(members)
+        self.rowmap = np.full(len(hub_offsets) - 1, self.num_rows, dtype=np.int64)
+        self.rowmap[members] = np.arange(self.num_rows)
+        self.row = self.rowmap[ancestors]
+        self.col_starts = np.zeros(len(targets) + 1, dtype=np.int64)
+        np.cumsum(counts, out=self.col_starts[1:])
+
+
 class QueryEngine:
     """Binds a query hierarchy and a labelling into a distance oracle.
 
@@ -65,6 +117,15 @@ class QueryEngine:
     any other value — or an unusable compiled package — runs the
     numpy K-bucketed kernel. Constructing a compiled engine triggers
     the JIT warmup so the first query batch never pays compilation.
+
+    Three entry points, one live label store: :meth:`distance` (scalar),
+    :meth:`distances_arrays` (independent pairs, the K-bucketed gather)
+    and :meth:`distance_matrix` (a source set against a fixed target
+    set — plain numpy under every ``engine`` value). The engine keeps
+    H_Q-only static state next to the labelling — the ancestor-chain
+    :meth:`hub_store` and the last target set's scatter tables — and
+    never a label value, so weight maintenance, slot growth and
+    compaction need no invalidation hook.
     """
 
     __slots__ = (
@@ -74,6 +135,7 @@ class QueryEngine:
         "_tables",
         "_hub_values",
         "_hub_offsets",
+        "_targets",
     )
 
     def __init__(
@@ -88,6 +150,7 @@ class QueryEngine:
         self._tables: _BatchTables | None = None
         self._hub_values: np.ndarray | None = None
         self._hub_offsets: np.ndarray | None = None
+        self._targets: _TargetTables | None = None
         if engine == "compiled":
             from repro.labelling.compiled import warmup_kernels
 
@@ -152,15 +215,102 @@ class QueryEngine:
         if self._hub_values is None:
             hq = self.hq
             tau = np.asarray(hq.tau, dtype=np.int64)
+            # A vertex's chain is a prefix of its node's root-to-node
+            # member chain; nodes are in preorder, so a parent's chain
+            # exists before its children extend it.
+            chains: list[np.ndarray] = []
+            for parent, members in zip(hq.node_parent, hq.node_members):
+                own = np.asarray(members, dtype=np.int64)
+                chains.append(
+                    np.concatenate((chains[parent], own)) if parent >= 0 else own
+                )
+            node_starts = np.zeros(len(chains) + 1, dtype=np.int64)
+            np.cumsum([len(chain) for chain in chains], out=node_starts[1:])
             offsets = np.zeros(len(tau) + 1, dtype=np.int64)
             np.cumsum(tau + 1, out=offsets[1:])
-            hubs = np.full(int(offsets[-1]), -1, dtype=np.int64)
-            for v in range(len(tau)):
-                chain = hq.ancestors(v)
-                hubs[offsets[v] : offsets[v] + len(chain)] = chain
-            self._hub_values = hubs
+            # Output position ``offsets[v] + i`` reads its node's chain
+            # at ``i``: one repeat of the per-vertex shift, one gather.
+            node_of = np.asarray(hq.node_of, dtype=np.int64)
+            pick = np.repeat(node_starts[node_of] - offsets[:-1], tau + 1)
+            pick += np.arange(len(pick), dtype=np.int64)
             self._hub_offsets = offsets
+            self._hub_values = np.concatenate(chains)[pick]
         return self._hub_values, self._hub_offsets
+
+    def _target_tables(self, targets: np.ndarray) -> _TargetTables:
+        """The set kernel's static tables, re-keyed when *targets* change.
+
+        One slot: every caller of an engine asks about one fixed set (a
+        shard's boundary, the overlay's vertex set). The slot is swapped
+        whole, so concurrent callers each keep a consistent table.
+        """
+        tables = self._targets
+        if tables is None or not np.array_equal(tables.targets, targets):
+            tables = _TargetTables(targets, *self.hub_store())
+            self._targets = tables
+        return tables
+
+    def distance_matrix(self, sources, targets) -> np.ndarray:
+        """All ``len(sources) x len(targets)`` distances in one kernel.
+
+        Equal, bit for bit, to :meth:`distances_arrays` on the expanded
+        pairs (the same float sums are minimised), but costs
+        ``sum_u |anc(u) ∩ A| * |T|`` contiguous cells instead of
+        ``|U| * |T|`` pair gathers, and uses no bitstring LCA — so it has
+        no depth limit. The target side runs through static H_Q-only
+        tables kept for the last target set (:class:`_TargetTables`);
+        label values are read from the live store on every call.
+        Duplicate sources are answered once each; callers dedupe.
+        """
+        sources = np.asarray(sources, dtype=np.int64)
+        targets = np.asarray(targets, dtype=np.int64)
+        out = np.full((len(sources), len(targets)), np.inf, dtype=np.float64)
+        if not out.size:
+            return out
+        tables = self._target_tables(targets)
+        values = self.labels.values
+        starts = self.labels.offsets
+        hubs, hub_offsets = self.hub_store()
+
+        # The sources' chains, cut to their members of A: A is closed
+        # under ancestors, so what survives is each chain's prefix.
+        owner, rank = _expand(hub_offsets[sources + 1] - hub_offsets[sources])
+        chain = sources[owner]
+        rows = tables.rowmap[hubs[hub_offsets[chain] + rank]]
+        keep = rows < tables.num_rows
+        rows = rows[keep]
+        entries = starts[chain[keep]] + rank[keep]
+        counts = np.bincount(owner[keep], minlength=len(sources))
+        reached = np.flatnonzero(counts)
+        seg_ends = np.cumsum(counts[reached])
+        seg_starts = seg_ends - counts[reached]
+
+        # The block is held targets-major so the segmented minimum runs
+        # along contiguous memory (several times faster than reducing
+        # down the columns of a sources-major gather).
+        height = tables.num_rows
+        col_step = max(1, _CHUNK_CELLS // height)
+        for c0 in range(0, len(targets), col_step):
+            c1 = min(c0 + col_step, len(targets))
+            fill = slice(tables.col_starts[c0], tables.col_starts[c1])
+            block = np.full((c1 - c0, height), np.inf, dtype=np.float64)
+            block[tables.col[fill] - c0, tables.row[fill]] = values[
+                starts[tables.vertex[fill]] + tables.rank[fill]
+            ]
+            cap = max(1, _CHUNK_CELLS // (c1 - c0))
+            lo = 0
+            while lo < len(reached):
+                base = seg_starts[lo]
+                hi = max(lo + 1, int(np.searchsorted(seg_ends, base + cap, "right")))
+                span = slice(base, seg_ends[hi - 1])
+                sums = np.take(block, rows[span], axis=1)
+                sums += values[entries[span]]
+                out[reached[lo:hi], c0:c1] = np.minimum.reduceat(
+                    sums, seg_starts[lo:hi] - base, axis=1
+                ).T
+                lo = hi
+        out[sources[:, None] == targets] = 0.0
+        return out
 
     def common_ancestor_counts(self, s: np.ndarray, t: np.ndarray) -> np.ndarray:
         """Vectorised ``|anc(s) ∩ anc(t)|`` over pair arrays.

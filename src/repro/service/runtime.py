@@ -44,6 +44,7 @@ from repro.exceptions import PartialResultError, ServiceRuntimeError
 from repro.labelling.maintenance import MaintenanceStats
 from repro.observability import NULL_OBSERVABILITY, Span, maybe_child, phase
 from repro.service.protocol import FanQuery, SubQuery, SubResult
+from repro.sharding.engine import min_plus_compact, region_pair_groups
 
 __all__ = [
     "ExecutionRuntime",
@@ -483,12 +484,6 @@ class RegionPairScheduler(ExecutionRuntime):
         has_overlay = owner.overlay is not None
         overlay_epoch = owner.overlay.epoch if has_overlay else 0
 
-        from repro.sharding.engine import (
-            boundary_fan,
-            min_plus_compact,
-            region_pair_groups,
-        )
-
         groups: list[tuple[np.ndarray, int, int]] = []
         requests: dict[int, list[tuple[tuple[int, int], SubQuery]]] = {}
         # Slots each group is owed, with the shard that owes them — the
@@ -594,21 +589,7 @@ class RegionPairScheduler(ExecutionRuntime):
             # (every route crosses the boundary), an upper bound for
             # intra-region pairs (the direct intra path is missed).
             g, idx, i, j = item
-            ds = boundary_fan(
-                owner.shards[i].engine,
-                local_s[idx],
-                owner.boundary_local[i],
-                compact=True,
-            )
-            dt = boundary_fan(
-                owner.shards[j].engine,
-                local_t[idx],
-                owner.boundary_local[j],
-                compact=True,
-            )
-            out[idx] = min_plus_compact(
-                ds[0], ds[1], engine.overlay_block(i, j), dt[0], dt[1]
-            )
+            out[idx] = engine.boundary_route(i, j, local_s[idx], local_t[idx])
             self.stats.degraded_pairs += len(idx)
 
         with maybe_child(request_span, "min_plus_combine") as combine_span:

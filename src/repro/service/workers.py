@@ -79,6 +79,7 @@ from repro.service.protocol import (
     encode_frame,
 )
 from repro.service.runtime import RegionPairScheduler, WorkerPoolStats
+from repro.sharding.engine import boundary_fan, boundary_fans, min_plus_compact
 
 __all__ = ["ShardExecutor", "ShardWorkerRuntime", "WorkerPoolStats"]
 
@@ -204,6 +205,9 @@ class ShardExecutor:
         self.index._engine = QueryEngine(
             self.index.hq, labels, engine=self.index.config.resolve_engine()
         )
+        # Every fan reads the ancestor-chain store; build it while
+        # attaching, not inside the first epoch-stamped batch.
+        self.index._engine.hub_store()
 
     # -- maintenance ----------------------------------------------------
     def apply_delta(self, delta: EpochDelta) -> AckReply:
@@ -239,8 +243,6 @@ class ShardExecutor:
         if batch.epoch != self.epoch:
             return StaleReply(held=self.epoch, stamped=batch.epoch)
         self.served += 1
-        from repro.sharding.engine import boundary_fan, min_plus_compact
-
         worker_span = Span("shard_compute") if batch.want_trace else None
         engine = self.index.engine
         results: list[SubResult] = []
@@ -255,17 +257,23 @@ class ShardExecutor:
             if sub.s is not None:
                 with maybe_child(sub_span, "intra_kernel"):
                     intra = engine.distances_arrays(sub.s, sub.t)
-            if sub.fan_src is not None:
+            if sub.fan_src is not None and sub.fan_dst is not None:
+                with maybe_child(sub_span, "fans"):
+                    ds, dt = boundary_fans(
+                        engine,
+                        sub.fan_src.vertices,
+                        sub.fan_dst.vertices,
+                        self.boundary_local,
+                    )
+            elif sub.fan_src is not None:
                 with maybe_child(sub_span, "fan_src"):
                     ds = boundary_fan(
-                        engine, sub.fan_src.vertices, self.boundary_local,
-                        compact=True,
+                        engine, sub.fan_src.vertices, self.boundary_local
                     )
-            if sub.fan_dst is not None:
+            elif sub.fan_dst is not None:
                 with maybe_child(sub_span, "fan_dst"):
                     dt = boundary_fan(
-                        engine, sub.fan_dst.vertices, self.boundary_local,
-                        compact=True,
+                        engine, sub.fan_dst.vertices, self.boundary_local
                     )
             if block is not None:
                 # Intra-shard sub: fold the boundary route here, return

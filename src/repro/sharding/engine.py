@@ -7,10 +7,15 @@ Batch pairs are grouped by ``(source region, target region)``:
 * **every** group additionally considers the boundary route — the
   min-plus combine ``min over (b1, b2)`` of
   ``d_shard(s, b1) + d_overlay(b1, b2) + d_shard(b2, t)`` — because a
-  shortest path may leave and re-enter a region. Source/target fans are
-  answered by the shards' batch kernel (duplicated endpoints computed
-  once), and the overlay boundary-to-boundary block is a per-region-pair
-  matrix cached until the overlay's maintenance epoch moves.
+  shortest path may leave and re-enter a region.
+
+Every matrix the boundary route needs is one call of the shards' (or
+the overlay's) set-to-set kernel
+:meth:`~repro.labelling.query.QueryEngine.distance_matrix` against a
+fixed boundary set: the source/target fans (duplicated endpoints
+answered once; one call for both sides of an intra-shard group) and the
+all-boundary overlay matrix, computed once per overlay maintenance
+epoch and sliced into per-region-pair blocks.
 
 For cross-region pairs the intra-shard term is skipped (no such path
 exists); for regions without boundary vertices (k = 1, or an isolated
@@ -26,7 +31,7 @@ import numpy as np
 __all__ = [
     "ShardedQueryEngine",
     "boundary_fan",
-    "min_plus",
+    "boundary_fans",
     "min_plus_compact",
     "region_pair_groups",
 ]
@@ -53,49 +58,38 @@ def region_pair_groups(rs: np.ndarray, rt: np.ndarray, k: int):
         yield idx, int(rs[idx[0]]), int(rt[idx[0]])
 
 
-def boundary_fan(
-    engine,
-    sources_local: np.ndarray,
-    boundary_local: np.ndarray,
-    compact: bool = False,
-):
-    """Shard distances to the boundary set, one row per source.
+def boundary_fan(engine, sources_local: np.ndarray, boundary_local: np.ndarray):
+    """Shard distances to the boundary set: ``(unique_matrix, inverse)``.
 
-    ``engine`` is any query engine exposing ``distances_arrays`` over
-    shard-local ids. Duplicate sources (hot endpoints, k-nearest fans)
-    collapse to one kernel row each; with ``compact=True`` the
-    deduplicated form ``(unique_matrix, inverse)`` is returned instead
-    of the expanded ``(len(sources), |B|)`` matrix — what shard worker
-    processes ship over the pipe (bytes scale with unique endpoints,
-    not raw pair count) and what :func:`min_plus_compact` consumes.
-    Module-level so workers can compute fans next to the label buffers.
+    ``engine`` is a shard's :class:`~repro.labelling.query.QueryEngine`
+    (shard-local ids). Duplicate sources (hot endpoints, k-nearest fans)
+    collapse to one matrix row each; row ``inverse[p]`` answers source
+    ``p``. The deduplicated form is what shard worker processes ship
+    over the pipe (bytes scale with unique endpoints, not raw pair
+    count) and what :func:`min_plus_compact` consumes. Module-level so
+    workers can compute fans next to the label buffers.
     """
     uniq, inverse = np.unique(sources_local, return_inverse=True)
-    s = np.repeat(uniq, len(boundary_local))
-    t = np.tile(boundary_local, len(uniq))
-    matrix = engine.distances_arrays(s, t).reshape(len(uniq), len(boundary_local))
-    if compact:
-        return matrix, inverse
-    return matrix[inverse]
+    return engine.distance_matrix(uniq, boundary_local), inverse
 
 
-def min_plus(ds: np.ndarray, block: np.ndarray, dt: np.ndarray) -> np.ndarray:
-    """Row-wise ``min_{a,b} ds[p,a] + block[a,b] + dt[p,b]``.
+def boundary_fans(
+    engine, s_local: np.ndarray, t_local: np.ndarray, boundary_local: np.ndarray
+):
+    """Both fans of an intra-shard group from one kernel call.
 
-    The boundary-route combine: ``ds``/``dt`` are source/target fans,
-    ``block`` the overlay boundary-to-boundary matrix. Chunked so the
-    3-D intermediate stays bounded regardless of batch size.
+    Sources and targets face the same boundary, so one matrix over
+    ``unique(s ∪ t)`` holds every row; each side keeps only its own
+    rows (the combine's first hop runs per source row). Returns
+    ``(ds, ds_inverse), (dt, dt_inverse)`` as two :func:`boundary_fan`
+    calls would.
     """
-    count, width_a = ds.shape
-    width_b = dt.shape[1]
-    out = np.empty(count, dtype=np.float64)
-    chunk = max(1, _MIN_PLUS_CELLS // max(1, width_a * width_b))
-    for lo in range(0, count, chunk):
-        hi = min(lo + chunk, count)
-        # Collapse the first hop: tmp[p, b] = min_a ds[p, a] + block[a, b].
-        tmp = (ds[lo:hi, :, None] + block[None, :, :]).min(axis=1)
-        out[lo:hi] = (tmp + dt[lo:hi]).min(axis=1)
-    return out
+    matrix, inverse = boundary_fan(
+        engine, np.concatenate((s_local, t_local)), boundary_local
+    )
+    src_rows, ds_inverse = np.unique(inverse[: len(s_local)], return_inverse=True)
+    dst_rows, dt_inverse = np.unique(inverse[len(s_local) :], return_inverse=True)
+    return (matrix[src_rows], ds_inverse), (matrix[dst_rows], dt_inverse)
 
 
 def min_plus_compact(
@@ -105,13 +99,16 @@ def min_plus_compact(
     dt: np.ndarray,
     dt_inverse: np.ndarray,
 ) -> np.ndarray:
-    """:func:`min_plus` over deduplicated fans (``compact=True`` form).
+    """Pair-wise ``min_{a,b} ds[p,a] + block[a,b] + dt[p,b]`` over
+    deduplicated fans.
 
-    The expensive first hop — ``min_a ds[u, a] + block[a, b]`` — runs
-    once per *unique* source instead of once per pair, then the cheap
-    second hop gathers through the inverse maps. Bit-identical to
-    expanding the fans and calling :func:`min_plus` (same float ops in
-    the same order per row).
+    The boundary-route combine: ``ds``/``dt`` are :func:`boundary_fan`
+    matrices with their inverse maps, ``block`` the overlay
+    boundary-to-boundary matrix. The expensive first hop —
+    ``min_a ds[u, a] + block[a, b]`` — runs once per *unique* source
+    instead of once per pair, then the cheap second hop gathers through
+    the inverse maps. Chunked so the 3-D intermediate stays bounded
+    regardless of batch size.
     """
     unique_count, width_a = ds.shape
     width_b = dt.shape[1]
@@ -135,42 +132,61 @@ class ShardedQueryEngine:
     def __init__(self, owner):
         # ``owner`` is the ShardedDHLIndex; the engine reads its shard
         # list, overlay index and id-mapping arrays but owns no state
-        # beyond the overlay block cache.
+        # beyond the cached overlay matrix: ``(epoch, matrix, bounds)``,
+        # swapped whole.
         self.owner = owner
-        self._blocks: dict[tuple[int, int], np.ndarray] = {}
-        self._blocks_epoch = -1
+        self._overlay_matrix: tuple[int, np.ndarray, np.ndarray] | None = None
 
     # ------------------------------------------------------------------
     # overlay boundary-to-boundary blocks
     # ------------------------------------------------------------------
     def overlay_block(self, i: int, j: int) -> np.ndarray:
-        """``(|B_i|, |B_j|)`` overlay distances, cached per overlay epoch.
+        """``(|B_i|, |B_j|)`` overlay distances, a view of one matrix.
 
-        The overlay is undirected, so only the ``i <= j`` orientation is
-        computed and stored; the reverse is served as its transpose.
-        Public because the worker-pool runtime runs the same min-plus
-        combine in the parent over worker-computed fans.
+        The all-boundary overlay matrix is computed by one set-kernel
+        call per overlay epoch, its rows and columns ordered region by
+        region so every block is a plain slice. Public because the
+        worker-pool runtime runs the same min-plus combine in the parent
+        over worker-computed fans.
         """
         owner = self.owner
         overlay = owner.overlay
-        epoch = overlay.epoch if overlay is not None else 0
-        if epoch != self._blocks_epoch:
-            self._blocks.clear()
-            self._blocks_epoch = epoch
-        a, b = (i, j) if i <= j else (j, i)
-        block = self._blocks.get((a, b))
-        if block is None:
-            ba = owner.boundary_overlay[a]
-            bb = owner.boundary_overlay[b]
-            s = np.repeat(ba, len(bb))
-            t = np.tile(bb, len(ba))
-            block = overlay.engine.distances_arrays(s, t).reshape(len(ba), len(bb))
-            self._blocks[(a, b)] = block
-        return block if (a, b) == (i, j) else block.T
+        cached = self._overlay_matrix
+        if cached is None or cached[0] != overlay.epoch:
+            order = np.concatenate(owner.boundary_overlay)
+            bounds = np.zeros(owner.k + 1, dtype=np.int64)
+            np.cumsum([len(b) for b in owner.boundary_overlay], out=bounds[1:])
+            cached = (
+                overlay.epoch,
+                overlay.engine.distance_matrix(order, order),
+                bounds,
+            )
+            self._overlay_matrix = cached
+        _, matrix, bounds = cached
+        return matrix[bounds[i] : bounds[i + 1], bounds[j] : bounds[j + 1]]
 
     # ------------------------------------------------------------------
     # queries
     # ------------------------------------------------------------------
+    def boundary_route(
+        self, i: int, j: int, s_local: np.ndarray, t_local: np.ndarray
+    ) -> np.ndarray:
+        """Best route through the boundary for a ``(region i, region j)``
+        group, on the owner's own shard engines."""
+        owner = self.owner
+        if i == j:
+            (ds, ds_inv), (dt, dt_inv) = boundary_fans(
+                owner.shards[i].engine, s_local, t_local, owner.boundary_local[i]
+            )
+        else:
+            ds, ds_inv = boundary_fan(
+                owner.shards[i].engine, s_local, owner.boundary_local[i]
+            )
+            dt, dt_inv = boundary_fan(
+                owner.shards[j].engine, t_local, owner.boundary_local[j]
+            )
+        return min_plus_compact(ds, ds_inv, self.overlay_block(i, j), dt, dt_inv)
+
     def distances_arrays(self, s: np.ndarray, t: np.ndarray) -> np.ndarray:
         """Batch distances over parallel global-id arrays."""
         owner = self.owner
@@ -192,18 +208,13 @@ class ShardedQueryEngine:
                 best = owner.shards[i].engine.distances_arrays(s_local, t_local)
             else:
                 best = np.full(len(idx), np.inf, dtype=np.float64)
-            bi = owner.boundary_local[i]
-            bj = owner.boundary_local[j]
-            if owner.overlay is not None and len(bi) and len(bj):
-                ds, ds_inv = boundary_fan(
-                    owner.shards[i].engine, s_local, bi, compact=True
-                )
-                dt, dt_inv = boundary_fan(
-                    owner.shards[j].engine, t_local, bj, compact=True
-                )
-                block = self.overlay_block(i, j)
+            if (
+                owner.overlay is not None
+                and len(owner.boundary_local[i])
+                and len(owner.boundary_local[j])
+            ):
                 best = np.minimum(
-                    best, min_plus_compact(ds, ds_inv, block, dt, dt_inv)
+                    best, self.boundary_route(i, j, s_local, t_local)
                 )
             out[idx] = best
         out[s == t] = 0.0
@@ -255,10 +266,10 @@ class ShardedQueryEngine:
         return size
 
     def invalidate_blocks(self) -> None:
-        """Drop cached overlay blocks (called after overlay maintenance)."""
-        self._blocks.clear()
-        self._blocks_epoch = -1
+        """Drop the cached overlay matrix (called after overlay maintenance)."""
+        self._overlay_matrix = None
 
     def __repr__(self) -> str:  # pragma: no cover - repr sugar
-        cached = sum(b.size for b in self._blocks.values())
-        return f"ShardedQueryEngine(k={self.owner.k}, cached_block_cells={cached})"
+        cached = self._overlay_matrix
+        cells = cached[1].size if cached is not None else 0
+        return f"ShardedQueryEngine(k={self.owner.k}, cached_overlay_cells={cells})"

@@ -48,15 +48,12 @@ def clique_weights(
     """Intra-shard distances over one region's boundary pairs.
 
     Returns ``(iu, iv, d)``: index pairs into *boundary_local* (upper
-    triangle) and their shard distances, computed in one zero-copy
-    batch against the shard's flat label store.
+    triangle) and their shard distances, read off one set-kernel matrix
+    over the shard's flat label store.
     """
-    count = len(boundary_local)
-    iu, iv = np.triu_indices(count, k=1)
-    if not len(iu):
-        return iu, iv, np.empty(0, dtype=np.float64)
-    d = shard.engine.distances_arrays(boundary_local[iu], boundary_local[iv])
-    return iu, iv, d
+    iu, iv = np.triu_indices(len(boundary_local), k=1)
+    matrix = shard.engine.distance_matrix(boundary_local, boundary_local)
+    return iu, iv, matrix[iu, iv]
 
 
 def build_overlay_graph(
@@ -98,10 +95,10 @@ def clique_refresh_changes(
     A boundary-to-boundary distance ``d(a, b)`` is a pure function of
     the two labels ``L_a`` and ``L_b``, so only pairs with at least one
     endpoint in the pass's ``affected_labels`` can have changed — rows
-    whose labels are untouched are skipped without recomputation. Pair
-    generation is fully array-native: an ``isin`` membership test marks
-    the touched rows, and the touched-cross-all pair set canonicalises
-    and deduplicates through one key ``unique``.
+    whose labels are untouched are skipped without recomputation: an
+    ``isin`` membership test marks the touched rows, one set-kernel call
+    answers touched-against-all, and the pair set canonicalises and
+    deduplicates through one key ``unique``.
     """
     count = len(boundary_local)
     if count < 2 or not affected_local:
@@ -110,13 +107,14 @@ def clique_refresh_changes(
     touched = np.nonzero(np.isin(boundary_local, affected))[0]
     if not len(touched):
         return []
-    left = np.repeat(touched, count)
-    right = np.tile(np.arange(count, dtype=np.int64), len(touched))
-    lo = np.minimum(left, right)
-    hi = np.maximum(left, right)
-    keys = np.unique(lo[lo != hi] * count + hi[lo != hi])
+    matrix = shard.engine.distance_matrix(boundary_local[touched], boundary_local)
+    others = np.arange(count, dtype=np.int64)
+    lo = np.minimum(touched[:, None], others)
+    hi = np.maximum(touched[:, None], others)
+    off_diagonal = lo != hi
+    keys, first = np.unique((lo * count + hi)[off_diagonal], return_index=True)
     ia, ib = keys // count, keys % count
-    d = shard.engine.distances_arrays(boundary_local[ia], boundary_local[ib])
+    d = matrix[off_diagonal][first]
     changes: list[OverlayChange] = []
     for ov_a, ov_b, w in zip(
         boundary_overlay[ia].tolist(), boundary_overlay[ib].tolist(), d.tolist()

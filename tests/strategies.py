@@ -1,9 +1,11 @@
-"""Hypothesis strategies for property-based tests."""
+"""Hypothesis strategies and shared event streams for the test suite."""
 
 from __future__ import annotations
 
+import numpy as np
 from hypothesis import strategies as st
 
+from repro.baselines.dijkstra import dijkstra
 from repro.graph.graph import Graph
 
 
@@ -63,3 +65,61 @@ def update_sequences(draw, graph: Graph, max_steps: int = 6, max_batch: int = 4)
             batch.append((u, v, float(draw(st.integers(1, 60)))))
         sequence.append(batch)
     return sequence
+
+
+def pair_matrix(engine, sources, targets) -> np.ndarray:
+    """The pair kernel on the expanded ``sources x targets`` pairs —
+    the reference every set-to-set matrix is compared with."""
+    sources = np.asarray(sources, dtype=np.int64)
+    targets = np.asarray(targets, dtype=np.int64)
+    s = np.repeat(sources, len(targets))
+    t = np.concatenate([targets] * len(sources)) if len(sources) else targets[:0]
+    return engine.distances_arrays(s, t).reshape(len(sources), len(targets))
+
+
+def rolling_stream(graph: Graph, region_of, rounds: int = 5, seed: int = 0):
+    """Rolling update bursts interleaved with mixed intra/cross batches.
+
+    Yields ``(changes, pairs)`` per round. Burst ``j`` doubles the
+    weights of edge group ``j`` and restores group ``j - 1`` in the same
+    call (the benchmark's rolling shape: every burst mixes increase and
+    decrease work and weights are never at base mid-stream); the pairs
+    are half intra-region, half cross-region, shuffled, with repeated
+    endpoints and one self pair.
+    """
+    rng = np.random.default_rng(seed)
+    edges = list(graph.edges())
+    picks = rng.permutation(len(edges))[: 6 * rounds].reshape(rounds, 6)
+    region_of = np.asarray(region_of)
+    by_region = [np.flatnonzero(region_of == r) for r in range(region_of.max() + 1)]
+    previous: list = []
+    for group in picks:
+        current = [edges[i] for i in group]
+        changes = [(u, v, 2 * w) for u, v, w in current] + previous
+        previous = current
+        pairs = [(int(by_region[0][0]), int(by_region[0][0]))]
+        for _ in range(24):
+            a, b = rng.choice(len(by_region), 2, replace=False)
+            pairs.append((int(rng.choice(by_region[a])), int(rng.choice(by_region[a]))))
+            pairs.append((int(rng.choice(by_region[a])), int(rng.choice(by_region[b]))))
+        pairs += pairs[3:9]
+        yield changes, [pairs[i] for i in rng.permutation(len(pairs))]
+
+
+def assert_stream_parity(runtimes, graph: Graph, region_of, seed: int = 0) -> None:
+    """Replay :func:`rolling_stream` through every runtime in lockstep.
+
+    Each runtime owns its own copy of the index. Every batch must come
+    back bit-identical from all of them and equal Dijkstra on the
+    first runtime's (updated) graph.
+    """
+    for changes, pairs in rolling_stream(graph, region_of, seed=seed):
+        for runtime in runtimes:
+            runtime.apply_update(changes)
+        answers = [runtime.distances(pairs) for runtime in runtimes]
+        for other in answers[1:]:
+            np.testing.assert_array_equal(other, answers[0])
+        current = runtimes[0].index.graph
+        rows = {s: dijkstra(current, s) for s in {s for s, _ in pairs}}
+        want = np.array([rows[s][t] for s, t in pairs])
+        np.testing.assert_array_equal(answers[0], want)

@@ -341,7 +341,7 @@ class TestOverlayIncrementalRefresh:
     def test_untouched_boundary_rows_are_skipped(self, small_road):
         """The clique refresh recomputes only pairs with a touched
         endpoint: one affected boundary vertex of a region with B
-        boundary vertices costs B-1 pair distances, not B*(B-1)/2."""
+        boundary vertices costs one kernel row of B cells, not B rows."""
         sharded = ShardedDHLIndex.build(
             small_road.copy(), k=4, config=DHLConfig(seed=0), build_workers=1
         )
@@ -352,12 +352,12 @@ class TestOverlayIncrementalRefresh:
         if len(boundary) < 3:
             pytest.skip("partition produced too small a boundary")
         shard = sharded.shards[rid]
-        recorded: list[int] = []
+        recorded: list[tuple[int, int]] = []
 
         class CountingEngine:
-            def distances_arrays(self, s, t):
-                recorded.append(len(s))
-                return shard.engine.distances_arrays(s, t)
+            def distance_matrix(self, sources, targets):
+                recorded.append((len(sources), len(targets)))
+                return shard.engine.distance_matrix(sources, targets)
 
         class ShardProxy:
             engine = CountingEngine()
@@ -372,7 +372,7 @@ class TestOverlayIncrementalRefresh:
             sharded.overlay.graph,
             affected,
         )
-        assert recorded == [len(boundary) - 1]
+        assert recorded == [(1, len(boundary))]
 
     def test_no_affected_labels_no_recompute(self, small_road):
         sharded = ShardedDHLIndex.build(

@@ -24,7 +24,12 @@ from repro.graph.generators import delaunay_network, grid_network
 from repro.service.runtime import InProcessRuntime
 from repro.service.service import DistanceService
 from repro.service.socket_runtime import SocketShardRuntime
-from tests.strategies import connected_graphs, update_sequences
+from repro.service.workers import ShardWorkerRuntime
+from tests.strategies import (
+    assert_stream_parity,
+    connected_graphs,
+    update_sequences,
+)
 
 
 def build_sharded(graph, k=4):
@@ -69,6 +74,21 @@ def test_socket_runtime_matches_in_process_runtime(socket_stack):
     np.testing.assert_array_equal(
         runtime.distances(pairs), in_process.distances(pairs)
     )
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_wide_boundary_grid_stream_parity_across_runtimes(k):
+    """In-process, pipe workers and socket replicas replay one stream
+    over a 12-wide cut and must return bit-identical arrays."""
+    graph = grid_network(12, 12, seed=4)
+    local, pooled, remote = (build_sharded(graph, k=k) for _ in range(3))
+    with (
+        ShardWorkerRuntime(pooled) as pool,
+        SocketShardRuntime(remote, replicas=2) as sockets,
+    ):
+        assert_stream_parity(
+            [InProcessRuntime(local), pool, sockets], graph, local.region_of, seed=k
+        )
 
 
 def test_reads_round_robin_across_replicas(socket_stack):

@@ -23,11 +23,24 @@ from repro.core.sharded import ShardedDHLIndex
 from repro.exceptions import ServiceRuntimeError, WorkerEpochError
 from repro.graph.generators import delaunay_network, grid_network
 from repro.observability import NULL_OBSERVABILITY, Observability
+from repro.labelling.query import QueryEngine
+from repro.service.protocol import (
+    ComputeBatch,
+    FanQuery,
+    SpecRequest,
+    StaleReply,
+    SubQuery,
+)
 from repro.service.runtime import InProcessRuntime
 from repro.service.service import DistanceService
-from repro.service.workers import ShardWorkerRuntime
+from repro.service.workers import ShardExecutor, ShardWorkerRuntime
 from repro.service.workload import commute_traffic, replay
-from tests.strategies import connected_graphs, update_sequences
+from tests.strategies import (
+    assert_stream_parity,
+    connected_graphs,
+    pair_matrix,
+    update_sequences,
+)
 
 
 def build_sharded(graph, k=4):
@@ -85,6 +98,53 @@ def test_single_shard_runtime_has_no_fans():
             runtime.distances(pairs), mono.distances(pairs)
         )
         assert runtime.stats.cross_pairs == 0
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_wide_boundary_grid_stream_parity(k):
+    """A 12-wide cut: fans and the overlay matrix are many columns wide,
+    and every burst moves boundary labels under the workers."""
+    graph = grid_network(12, 12, seed=4)
+    pooled, local = build_sharded(graph, k=k), build_sharded(graph, k=k)
+    assert len(pooled.boundary_global) >= 12 * (k - 1)
+    with ShardWorkerRuntime(pooled) as pool:
+        assert_stream_parity(
+            [InProcessRuntime(local), pool], graph, local.region_of, seed=k
+        )
+        assert pool.stats.republishes == 0 and pool.stats.full_syncs == 0
+
+
+def test_executor_builds_the_chain_store_at_attach(monkeypatch):
+    """The ancestor-chain store every fan reads is built while the
+    executor binds its buffers, not inside the first stamped batch —
+    and a batch stamped with another epoch is still refused untouched."""
+    sharded = build_sharded(grid_network(8, 8, seed=1), k=2)
+    builds = []
+    original = QueryEngine.hub_store
+
+    def counting(self):
+        if self._hub_values is None:
+            builds.append(self)
+        return original(self)
+
+    monkeypatch.setattr(QueryEngine, "hub_store", counting)
+    executor = ShardExecutor()
+    values, offsets = sharded.shard_buffers(0)
+    executor.setup(
+        SpecRequest(payload=sharded.shard_worker_payload(0), epoch=3),
+        values,
+        offsets,
+    )
+    assert builds == [executor.index.engine]
+    sources = np.array([5, 0, 5, 9], dtype=np.int64)
+    batch = ComputeBatch(epoch=3, subs=[SubQuery(fan_src=FanQuery(sources))])
+    (result,) = executor.compute(batch).results
+    assert len(builds) == 1
+    boundary = sharded.boundary_local[0]
+    want = pair_matrix(sharded.shards[0].engine, sources, boundary)
+    np.testing.assert_array_equal(result.ds[result.ds_inverse], want)
+    stale = executor.compute(ComputeBatch(epoch=4, subs=batch.subs))
+    assert isinstance(stale, StaleReply) and executor.served == 1
 
 
 def test_runtime_rejects_monolithic_index():
