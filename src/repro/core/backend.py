@@ -38,7 +38,7 @@ the type checker, behaviour by the differential test suites).
 
 from __future__ import annotations
 
-from typing import Iterable, Protocol, Sequence, runtime_checkable
+from typing import Iterable, Protocol, runtime_checkable
 
 import numpy as np
 
@@ -79,8 +79,16 @@ class DistanceBackend(Protocol):
         """Exact shortest-path distance (``inf`` when disconnected)."""
         ...
 
-    def distances(self, pairs: Sequence[tuple[int, int]]) -> np.ndarray:
-        """Batch distances for ``(s, t)`` pairs."""
+    def distances(self, pairs) -> np.ndarray:
+        """Batch distances for ``(s, t)`` pairs.
+
+        *pairs* is an ``(m, 2)`` integer array — what the serving stack
+        hands down, taken without a copy when it is ``int64`` — or any
+        iterable of ``(s, t)`` pairs, flattened once by
+        :func:`repro.utils.pairs.as_pair_array`. Ids are trusted here:
+        :class:`~repro.service.service.DistanceService` checks them at
+        the door.
+        """
         ...
 
     # -- update ---------------------------------------------------------

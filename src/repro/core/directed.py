@@ -47,6 +47,7 @@ from repro.labelling.driver import maintain_labels, split_batch, validate_batch
 from repro.labelling.labels import HierarchicalLabelling
 from repro.labelling.maintenance import MaintenanceStats
 from repro.partition.recursive import recursive_bisection
+from repro.utils.pairs import as_pair_array
 from repro.utils.priority_queue import LazyHeap
 from repro.utils.timing import Stopwatch
 
@@ -290,8 +291,10 @@ class DirectedDHLIndex:
         total = self.labels_out.view(s)[:k] + self.labels_in.view(t)[:k]
         return float(total.min())
 
-    def distances(self, pairs: Iterable[tuple[int, int]]) -> np.ndarray:
-        pairs = list(pairs)
+    def distances(self, pairs) -> np.ndarray:
+        """Batch ``s -> t`` distances: an ``(m, 2)`` integer array or any
+        iterable of pairs."""
+        pairs = as_pair_array(pairs).tolist()
         out = np.empty(len(pairs), dtype=np.float64)
         for idx, (s, t) in enumerate(pairs):
             out[idx] = self.distance(s, t)

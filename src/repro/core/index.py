@@ -144,9 +144,10 @@ class DHLIndex:
         """Exact shortest-path distance (``inf`` when disconnected)."""
         return self._engine.distance(s, t)
 
-    def distances(self, pairs: Sequence[tuple[int, int]]) -> np.ndarray:
-        """Batch distances for ``(s, t)`` pairs."""
-        return self._engine.distances(list(pairs))
+    def distances(self, pairs) -> np.ndarray:
+        """Batch distances for ``(s, t)`` pairs: an ``(m, 2)`` integer
+        array or any iterable of pairs."""
+        return self._engine.distances(pairs)
 
     def distance_with_hub(self, s: int, t: int) -> tuple[float, int]:
         """Distance plus the common-ancestor hub realising it."""

@@ -226,9 +226,10 @@ class ShardedDHLIndex:
         """Exact shortest-path distance (``inf`` when disconnected)."""
         return self._engine.distance(s, t)
 
-    def distances(self, pairs: Sequence[tuple[int, int]]) -> np.ndarray:
-        """Batch distances for ``(s, t)`` pairs."""
-        return self._engine.distances(list(pairs))
+    def distances(self, pairs) -> np.ndarray:
+        """Batch distances for ``(s, t)`` pairs: an ``(m, 2)`` integer
+        array or any iterable of pairs."""
+        return self._engine.distances(pairs)
 
     def distances_from(self, s: int, targets: Sequence[int]) -> np.ndarray:
         """One-to-many distances from *s*."""

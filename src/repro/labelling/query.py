@@ -28,13 +28,13 @@ one ancestor-chain gather per source, no LCA.
 from __future__ import annotations
 
 import math
-from typing import Sequence
 
 import numpy as np
 
 from repro.hierarchy.query_hierarchy import QueryHierarchy
 from repro.labelling.labels import HierarchicalLabelling
 from repro.labelling.maintenance_kernels import _expand
+from repro.utils.pairs import as_pair_array
 
 __all__ = ["QueryEngine"]
 
@@ -136,6 +136,7 @@ class QueryEngine:
         "_hub_values",
         "_hub_offsets",
         "_targets",
+        "_vector_ok",
     )
 
     def __init__(
@@ -151,6 +152,11 @@ class QueryEngine:
         self._hub_values: np.ndarray | None = None
         self._hub_offsets: np.ndarray | None = None
         self._targets: _TargetTables | None = None
+        # H_Q is fixed for an engine's lifetime; an O(nodes) scan per
+        # batch call would be a fixed cost on every small batch.
+        self._vector_ok = (
+            not hq.node_depth or max(hq.node_depth) <= _MAX_VECTOR_DEPTH
+        )
         if engine == "compiled":
             from repro.labelling.compiled import warmup_kernels
 
@@ -196,7 +202,7 @@ class QueryEngine:
     # ------------------------------------------------------------------
     def supports_batch_kernel(self) -> bool:
         """Whether the int64/frexp bit tricks are exact for this H_Q."""
-        return (not self.hq.node_depth) or max(self.hq.node_depth) <= _MAX_VECTOR_DEPTH
+        return self._vector_ok
 
     def _batch_tables(self) -> _BatchTables:
         if self._tables is None:
@@ -417,12 +423,12 @@ class QueryEngine:
             hubs[hit] = hub_values[hub_offsets[s[hit]] + best[hit]]
         return out, hubs
 
-    def distances(self, pairs: Sequence[tuple[int, int]]) -> np.ndarray:
-        """Batch distances, gathered straight from the flat label store."""
-        pairs = list(pairs)
-        if not pairs:
-            return np.empty(0, dtype=np.float64)
-        arr = np.asarray(pairs, dtype=np.int64)
+    def distances(self, pairs) -> np.ndarray:
+        """Batch distances, gathered straight from the flat label store.
+
+        *pairs*: an ``(m, 2)`` integer array or any iterable of pairs.
+        """
+        arr = as_pair_array(pairs)
         return self.distances_arrays(arr[:, 0], arr[:, 1])
 
     def distances_arrays(self, s: np.ndarray, t: np.ndarray) -> np.ndarray:
@@ -448,20 +454,17 @@ class QueryEngine:
         out, _ = self._batch_kernel(s, t, want_hubs=False)
         return out
 
-    def distances_with_hubs(
-        self, pairs: Sequence[tuple[int, int]]
-    ) -> tuple[np.ndarray, np.ndarray]:
+    def distances_with_hubs(self, pairs) -> tuple[np.ndarray, np.ndarray]:
         """Batch ``(distances, hubs)``; hub is -1 for self/disconnected pairs."""
-        pairs = list(pairs)
-        if not pairs:
+        arr = as_pair_array(pairs)
+        if not len(arr):
             return np.empty(0, dtype=np.float64), np.empty(0, dtype=np.int64)
         if not self.supports_batch_kernel():
-            out = np.empty(len(pairs), dtype=np.float64)
-            hubs = np.empty(len(pairs), dtype=np.int64)
-            for idx, (s, t) in enumerate(pairs):
+            out = np.empty(len(arr), dtype=np.float64)
+            hubs = np.empty(len(arr), dtype=np.int64)
+            for idx, (s, t) in enumerate(arr.tolist()):
                 out[idx], hubs[idx] = self.distance_with_hub(s, t)
             return out, hubs
-        arr = np.asarray(pairs, dtype=np.int64)
         out, hubs = self._batch_kernel(arr[:, 0], arr[:, 1], want_hubs=True)
         return out, hubs
 

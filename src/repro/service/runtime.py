@@ -35,7 +35,7 @@ import abc
 import zlib
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -45,6 +45,7 @@ from repro.labelling.maintenance import MaintenanceStats
 from repro.observability import NULL_OBSERVABILITY, Span, maybe_child, phase
 from repro.service.protocol import FanQuery, SubQuery, SubResult
 from repro.sharding.engine import min_plus_compact, region_pair_groups
+from repro.utils.pairs import as_pair_array
 
 __all__ = [
     "ExecutionRuntime",
@@ -95,12 +96,11 @@ class ExecutionRuntime(abc.ABC):
 
     # -- queries --------------------------------------------------------
     @abc.abstractmethod
-    def distances(self, pairs: Sequence[tuple[int, int]]) -> np.ndarray:
-        """Batch distances for ``(s, t)`` global-id pairs."""
+    def distances(self, pairs) -> np.ndarray:
+        """Batch distances for global-id pairs: an ``(m, 2)`` integer
+        array (what the service sends) or any iterable of ``(s, t)``."""
 
-    def distances_with_hubs(
-        self, pairs: Sequence[tuple[int, int]]
-    ) -> tuple[np.ndarray, np.ndarray]:
+    def distances_with_hubs(self, pairs) -> tuple[np.ndarray, np.ndarray]:
         """Batch ``(distances, hubs)``; hub -1 where no hub certifies."""
         out = self.distances(pairs)
         return out, np.full(len(out), -1, dtype=np.int64)
@@ -192,12 +192,10 @@ class InProcessRuntime(ExecutionRuntime):
     def backend(self) -> str:
         return f"in-process/{getattr(self.index, 'kind', 'monolithic')}"
 
-    def distances(self, pairs: Sequence[tuple[int, int]]) -> np.ndarray:
+    def distances(self, pairs) -> np.ndarray:
         return self.index.distances(pairs)
 
-    def distances_with_hubs(
-        self, pairs: Sequence[tuple[int, int]]
-    ) -> tuple[np.ndarray, np.ndarray]:
+    def distances_with_hubs(self, pairs) -> tuple[np.ndarray, np.ndarray]:
         if self._engine is not None:
             return self._engine.distances_with_hubs(pairs)
         return super().distances_with_hubs(pairs)
@@ -449,11 +447,8 @@ class RegionPairScheduler(ExecutionRuntime):
     # ------------------------------------------------------------------
     # queries
     # ------------------------------------------------------------------
-    def distances(self, pairs: Sequence[tuple[int, int]]) -> np.ndarray:
-        pairs = list(pairs)
-        if not pairs:
-            return np.empty(0, dtype=np.float64)
-        arr = np.asarray(pairs, dtype=np.int64)
+    def distances(self, pairs) -> np.ndarray:
+        arr = as_pair_array(pairs)
         return self.distances_arrays(arr[:, 0], arr[:, 1])
 
     def distance(self, s: int, t: int) -> float:

@@ -7,10 +7,12 @@ query-heavy dynamic service needs:
    zero-copy kernel, which gathers straight from the flat CSR label
    store with numpy reductions (duplicate pairs inside a batch are
    computed once);
-2. **an epoch-guarded result cache** — repeated pairs are served from an
-   LRU keyed on the index maintenance epoch; invalidation is either a
-   lazy O(1) watermark bump or fine-grained eviction of only the pairs
-   whose endpoints/hub were touched by the update;
+2. **an epoch-guarded result cache** — repeated pairs are served from
+   one flat set-associative table stamped with the index maintenance
+   epoch, probed and filled a batch at a time with array operations;
+   invalidation is either a lazy O(1) watermark bump or fine-grained
+   eviction of only the pairs whose endpoints/hub were touched by the
+   update;
 3. **update coalescing** — incoming weight changes buffer in an
    :class:`~repro.service.coalescer.UpdateCoalescer` and apply as one
    merged increase+decrease pass (Algorithms 2-5) when a query needs
@@ -40,7 +42,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from repro.core.backend import DistanceBackend
-from repro.exceptions import PartialResultError
+from repro.exceptions import PartialResultError, VertexNotFound
 from repro.labelling.maintenance import MaintenanceStats
 from repro.observability import (
     NULL_OBSERVABILITY,
@@ -49,10 +51,16 @@ from repro.observability import (
     collect_phases,
     phase,
 )
-from repro.service.cache import CacheStats, EpochLRUCache
+from repro.service.cache import (
+    CacheStats,
+    EpochLRUCache,
+    pair_key,
+    unpack_keys,
+)
 from repro.service.coalescer import CoalescerStats, UpdateCoalescer
 from repro.service.metrics import LatencyRecorder, LatencySummary, Timer
 from repro.service.runtime import ExecutionRuntime, InProcessRuntime
+from repro.utils.pairs import as_pair_array
 
 __all__ = ["ServiceStats", "DistanceService"]
 
@@ -159,7 +167,10 @@ class DistanceService:
         runtime, its lifecycle (:meth:`close` closes it). An object
         that is neither a backend nor a runtime raises ``ValueError``.
     cache_capacity:
-        Maximum cached pair results (LRU beyond that).
+        Bound on cached pair results: the slots of the set-associative
+        pair table (:mod:`repro.service.cache`, 32 bytes each). A full
+        set displaces its least recently used entry, so the table may
+        forget a pair before ``cache_capacity`` are held.
     fine_grained_eviction:
         When True, a flush evicts only cached pairs whose endpoint or
         hub was touched by the update (``MaintenanceStats``'s affected
@@ -241,6 +252,8 @@ class DistanceService:
             "Query batches degraded to a PartialResultError",
         )
         self.cache = EpochLRUCache(cache_capacity)
+        # Cache keys are unordered pairs unless d(s, t) != d(t, s).
+        self._directed = getattr(self.index, "kind", None) == "directed"
         self.coalescer = UpdateCoalescer()
         self.fine_grained_eviction = (
             fine_grained_eviction and self.runtime.supports_fine_grained_eviction
@@ -274,6 +287,9 @@ class DistanceService:
 
     def distance(self, s: int, t: int) -> float:
         """Single-pair distance through the cache."""
+        n = self.index.graph.num_vertices
+        if not (0 <= s < n and 0 <= t < n):
+            raise VertexNotFound(t if 0 <= s < n else s)
         self._pre_query()
         with self.observability.tracer.trace("distance", s=s, t=t):
             with Timer() as timer:
@@ -284,13 +300,30 @@ class DistanceService:
         self._note_query(timer.seconds, 1)
         return value
 
-    def distances(self, pairs: Sequence[tuple[int, int]]) -> np.ndarray:
-        """Batch distances: cache lookups, then one vectorised miss pass."""
-        pairs = list(pairs)
+    def distances(self, pairs) -> np.ndarray:
+        """Batch distances: one table lookup, then one vectorised miss pass.
+
+        *pairs* is an ``(m, 2)`` integer array or any iterable of
+        ``(s, t)`` pairs (:func:`~repro.utils.pairs.as_pair_array`). An
+        id outside ``[0, n)`` raises :class:`VertexNotFound` before the
+        cache or the runtime is touched.
+        """
+        pairs = as_pair_array(pairs)
+        n = self.index.graph.num_vertices
+        # One reduction: a negative id reads as a huge unsigned one.
+        if len(pairs) and pairs.view(np.uint64).max() >= n:
+            raise VertexNotFound(int(pairs[(pairs < 0) | (pairs >= n)][0]))
         self._pre_query()
         with self.observability.tracer.trace("distances", pairs=len(pairs)):
             with Timer() as timer:
-                out = self._batch(pairs)
+                try:
+                    out = self._batch(pairs)
+                except PartialResultError as exc:
+                    self._partial_batches += 1
+                    self._shed_pairs += len(exc.shed)
+                    self._m_partial_batches.inc()
+                    self._m_shed_pairs.inc(len(exc.shed))
+                    raise
         self._queries += len(pairs)
         self._batches += 1
         self.query_latency.record(timer.seconds, max(1, len(pairs)))
@@ -309,10 +342,13 @@ class DistanceService:
     def _cached_distance(self, s: int, t: int) -> float:
         if s == t:
             return 0.0
-        key = (s, t) if s <= t else (t, s)
-        entry = self.cache.get(key)
-        if entry is not None:
-            return entry[0]
+        # d(s, t) = d(t, s) on every backend but the directed one.
+        if s > t and not self._directed:
+            s, t = t, s
+        key = pair_key(int(s), int(t))
+        value = self.cache.get(key)
+        if value is not None:
+            return value
         # Hubs only earn their cost when fine-grained eviction reads them.
         if self.fine_grained_eviction:
             value, hub = self.runtime.distance_with_hub(s, t)
@@ -321,66 +357,52 @@ class DistanceService:
         self.cache.put(key, value, hub, self.index.epoch)
         return value
 
-    def _batch(self, pairs: list[tuple[int, int]]) -> np.ndarray:
+    def _batch(self, pairs: np.ndarray) -> np.ndarray:
+        if len(pairs) == 1:
+            # A one-pair batch (an unfolded async request) is a single
+            # query: the scalar probe skips the array path's fixed cost.
+            return np.array([self._cached_distance(*pairs[0].tolist())])
         tracer = self.observability.tracer
-        out = np.empty(len(pairs), dtype=np.float64)
-        cache = self.cache
-        # Positions needing computation, grouped by normalised key so a
-        # hotspot pair repeated inside one batch is computed only once.
-        miss_positions: dict[tuple[int, int], list[int]] = {}
+        out = np.zeros(len(pairs), dtype=np.float64)
         with tracer.trace("cache_scan"):
-            for idx, (s, t) in enumerate(pairs):
-                if s == t:
-                    out[idx] = 0.0
-                    continue
-                key = (s, t) if s <= t else (t, s)
-                entry = cache.get(key)
-                if entry is not None:
-                    out[idx] = entry[0]
-                else:
-                    miss_positions.setdefault(key, []).append(idx)
-        if miss_positions:
-            keys = list(miss_positions)
-            shed_keys: set[tuple[int, int]] = set()
-            open_shards: tuple[int, ...] = ()
-            with tracer.trace("runtime", misses=len(keys)):
-                if self.fine_grained_eviction:
-                    values, hubs = self.runtime.distances_with_hubs(keys)
-                    hubs = hubs.tolist()
-                else:
-                    try:
-                        values = self.runtime.distances(keys)
-                    except PartialResultError as exc:
-                        # Degraded batch: the runtime answered what it
-                        # could and nan'd pairs owned by breaker-open
-                        # shards. Keep the served values (and cache
-                        # them), then re-raise re-aligned over the
-                        # caller's positions.
-                        values = exc.distances
-                        shed_keys = {keys[int(i)] for i in exc.shed}
-                        open_shards = exc.open_shards
-                    hubs = [-1] * len(keys)
-            epoch = self.index.epoch
-            with tracer.trace("cache_fill"):
-                for key, value, hub in zip(keys, values, hubs):
-                    if key not in shed_keys:
-                        cache.put(key, float(value), int(hub), epoch)
-                    for idx in miss_positions[key]:
-                        out[idx] = value
-            if shed_keys:
-                shed_positions = np.array(
-                    sorted(
-                        idx
-                        for key in shed_keys
-                        for idx in miss_positions[key]
-                    ),
-                    dtype=np.int64,
+            s, t = pairs[:, 0], pairs[:, 1]
+            probed = (s != t).nonzero()[0]  # self-pairs stay 0.0
+            if not self._directed:
+                s, t = np.minimum(s, t), np.maximum(s, t)
+            keys = pair_key(s, t)[probed]
+            values, hit = self.cache.lookup(keys)
+            out[probed[hit]] = values[hit]
+        if hit.all():
+            return out
+        # A hotspot pair repeated inside one batch is computed only once.
+        positions = probed[~hit]
+        keys, inverse = np.unique(keys[~hit], return_inverse=True)
+        misses = unpack_keys(keys)
+        hubs = shed = None
+        with tracer.trace("runtime", misses=len(keys)):
+            if self.fine_grained_eviction:
+                values, hubs = self.runtime.distances_with_hubs(misses)
+            else:
+                try:
+                    values = self.runtime.distances(misses)
+                except PartialResultError as exc:
+                    # Degraded batch: the runtime answered what it could
+                    # and nan'd pairs owned by breaker-open shards. Keep
+                    # the served values (and cache them), then re-raise
+                    # re-aligned over the caller's positions.
+                    values, open_shards = exc.distances, exc.open_shards
+                    shed = np.zeros(len(keys), dtype=bool)
+                    shed[exc.shed] = True
+        with tracer.trace("cache_fill"):
+            out[positions] = values[inverse]
+            if shed is None:
+                self.cache.insert(keys, values, hubs, self.index.epoch)
+            else:
+                self.cache.insert(
+                    keys[~shed], values[~shed], None, self.index.epoch
                 )
-                self._partial_batches += 1
-                self._shed_pairs += len(shed_positions)
-                self._m_partial_batches.inc()
-                self._m_shed_pairs.inc(len(shed_positions))
-                raise PartialResultError(out, shed_positions, open_shards)
+        if shed is not None:
+            raise PartialResultError(out, positions[shed[inverse]], open_shards)
         return out
 
     def k_nearest(

@@ -21,9 +21,12 @@ import time
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
-from repro.core.config import DHLConfig
 from repro.graph.graph import Graph
+
+if TYPE_CHECKING:  # annotation only: repro.core imports this module
+    from repro.core.config import DHLConfig
 
 __all__ = ["ShardBuildReport", "build_shards"]
 

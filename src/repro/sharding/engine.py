@@ -24,9 +24,9 @@ region) the boundary route is skipped.
 
 from __future__ import annotations
 
-from typing import Sequence
-
 import numpy as np
+
+from repro.utils.pairs import as_pair_array
 
 __all__ = [
     "ShardedQueryEngine",
@@ -220,12 +220,10 @@ class ShardedQueryEngine:
         out[s == t] = 0.0
         return out
 
-    def distances(self, pairs: Sequence[tuple[int, int]]) -> np.ndarray:
-        """Batch distances for ``(s, t)`` pairs (global ids)."""
-        pairs = list(pairs)
-        if not pairs:
-            return np.empty(0, dtype=np.float64)
-        arr = np.asarray(pairs, dtype=np.int64)
+    def distances(self, pairs) -> np.ndarray:
+        """Batch distances for global-id pairs: an ``(m, 2)`` integer
+        array or any iterable of ``(s, t)``."""
+        arr = as_pair_array(pairs)
         return self.distances_arrays(arr[:, 0], arr[:, 1])
 
     def distance(self, s: int, t: int) -> float:
@@ -245,9 +243,7 @@ class ShardedQueryEngine:
         """
         return self.distance(s, t), -1
 
-    def distances_with_hubs(
-        self, pairs: Sequence[tuple[int, int]]
-    ) -> tuple[np.ndarray, np.ndarray]:
+    def distances_with_hubs(self, pairs) -> tuple[np.ndarray, np.ndarray]:
         """Batch counterpart of :meth:`distance_with_hub` (hubs all -1)."""
         out = self.distances(pairs)
         return out, np.full(len(out), -1, dtype=np.int64)

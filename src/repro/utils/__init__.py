@@ -13,6 +13,7 @@ from repro.utils.disjoint_set import DisjointSet
 from repro.utils.lca import EulerTourLCA
 from repro.utils.timing import Stopwatch, format_duration
 from repro.utils.rng import make_rng, sample_pairs
+from repro.utils.pairs import as_pair_array
 
 __all__ = [
     "AddressableHeap",
@@ -25,4 +26,5 @@ __all__ = [
     "format_duration",
     "make_rng",
     "sample_pairs",
+    "as_pair_array",
 ]

@@ -34,7 +34,13 @@ from repro.observability import NULL_OBSERVABILITY
 from repro.service.async_frontend import AsyncDistanceService, _QueryItem
 from repro.service.faults import FaultEvent, FaultPlan
 from repro.service.protocol import ComputeBatch, HealthCheck
-from repro.service.runtime import CircuitBreaker, RetryPolicy, WorkerPoolStats
+from repro.service.cache import pair_key
+from repro.service.runtime import (
+    CircuitBreaker,
+    InProcessRuntime,
+    RetryPolicy,
+    WorkerPoolStats,
+)
 from repro.service.service import DistanceService
 from repro.service.socket_runtime import SocketShardRuntime
 
@@ -428,6 +434,76 @@ def test_service_realigns_partial_results_and_keeps_cache_clean(small_sharded):
         assert runtime.supervisor.poll(force=True)["respawned"] == 1
         # A nan cached during degradation would surface here.
         np.testing.assert_array_equal(service.distances(dead), expected_dead)
+
+
+class SheddingRuntime(InProcessRuntime):
+    """In-process answers, except that pairs touching a dead vertex are
+    shed the way a pooled runtime sheds a breaker-open shard's pairs."""
+
+    def __init__(self, index, dead):
+        super().__init__(index)
+        self.dead = set(dead)
+        self.batches: list[np.ndarray] = []
+
+    def _answer(self, pairs: np.ndarray) -> np.ndarray:
+        out = self.index.distances(pairs)
+        shed = np.flatnonzero(np.isin(pairs, list(self.dead)).any(axis=1))
+        if len(shed):
+            out[shed] = np.nan
+            raise PartialResultError(out, shed, (7,))
+        return out
+
+    def distances(self, pairs):
+        self.batches.append(pairs)
+        return self._answer(pairs)
+
+    def distance(self, s, t):
+        return float(self._answer(np.array([[s, t]]))[0])
+
+
+def test_array_path_realigns_shed_pairs_and_never_caches_them(small_sharded):
+    _, sharded = small_sharded
+    runtime = SheddingRuntime(sharded, dead={17})
+    with DistanceService(runtime) as service:
+        batch = np.array(
+            [(3, 40), (17, 8), (40, 3), (5, 5), (8, 17), (3, 40), (21, 2)],
+            dtype=np.int32,
+        )
+        with pytest.raises(PartialResultError) as info:
+            service.distances(batch)
+        err = info.value
+        # Both orientations of the shed pair, at the caller's positions.
+        assert err.shed.tolist() == [1, 4] and err.open_shards == (7,)
+        assert np.isnan(err.distances[[1, 4]]).all() and err.distances[3] == 0.0
+        served = [0, 2, 5, 6]
+        np.testing.assert_array_equal(
+            err.distances[served], sharded.distances(batch[served])
+        )
+        # One runtime call on the distinct, normalised misses — an array.
+        (sent,) = runtime.batches
+        assert isinstance(sent, np.ndarray) and sent.dtype == np.int64
+        assert sent.tolist() == [[2, 21], [3, 40], [8, 17]]
+        assert pair_key(3, 40) in service.cache and pair_key(2, 21) in service.cache
+        assert pair_key(8, 17) not in service.cache
+        stats = service.stats()
+        assert (stats.partial_batches, stats.shed_pairs) == (1, 2)
+        assert stats.cache.size == 2 and stats.cache.misses == 6
+
+        # A one-pair batch takes the scalar probe: same error, same books.
+        with pytest.raises(PartialResultError) as info:
+            service.distances([(17, 30)])
+        assert info.value.shed.tolist() == [0]
+        assert pair_key(17, 30) not in service.cache
+        stats = service.stats()
+        assert (stats.partial_batches, stats.shed_pairs) == (2, 3)
+
+        # Back up: only what was shed goes to the runtime again.
+        runtime.dead.clear()
+        np.testing.assert_array_equal(
+            service.distances(batch), sharded.distances(batch)
+        )
+        assert runtime.batches[-1].tolist() == [[8, 17]]
+        assert service.stats().cache.size == 3
 
 
 def test_async_frontend_unfolds_partial_batches():

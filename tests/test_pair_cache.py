@@ -1,0 +1,523 @@
+"""The flat pair table and the array-native service door in front of it.
+
+The table's contract is *a cache may forget, never lie*: the model
+tests replay interleaved ``insert`` / ``lookup`` / ``get`` /
+``invalidate_all`` / ``evict_vertices`` against a dict oracle and a
+one-set table against an exact LRU. The door tests pin what the batch
+path promises its callers: vertex ids are checked before anything is
+touched, every input shape gives the same bits on every backend behind
+every runtime, and the counters stay truthful.
+"""
+
+from __future__ import annotations
+
+import math
+import os
+from collections import OrderedDict
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.core.config import DHLConfig
+from repro.core.directed import DirectedDHLIndex
+from repro.core.index import DHLIndex
+from repro.core.sharded import ShardedDHLIndex
+from repro.exceptions import VertexNotFound
+from repro.graph.digraph import DiGraph
+from repro.graph.generators import delaunay_network, grid_network
+from repro.graph.graph import Graph
+from repro.service.cache import EpochLRUCache, pair_key
+from repro.service.runtime import InProcessRuntime
+from repro.service.service import DistanceService
+from repro.service.socket_runtime import SocketShardRuntime
+from repro.service.workers import ShardWorkerRuntime
+from tests.strategies import assert_stream_parity, rolling_stream
+from tests.test_structural_batch import directed_dijkstra
+
+VERTICES = 12  # small universe: keys collide, repeat and get evicted
+
+
+def unpack(key: int) -> tuple[int, int]:
+    return key >> 32, key & 0xFFFFFFFF
+
+
+# ---------------------------------------------------------------------------
+# the table against its models
+# ---------------------------------------------------------------------------
+
+keys_st = st.tuples(
+    st.integers(0, VERTICES - 2), st.integers(0, VERTICES - 2)
+).map(lambda ab: pair_key(min(ab), max(ab) + 1))
+
+ops_st = st.lists(
+    st.one_of(
+        st.tuples(
+            st.just("insert"),
+            st.lists(keys_st, min_size=0, max_size=10, unique=True),
+            st.integers(0, 3),  # epoch offset below the newest epoch
+            st.booleans(),  # with hubs
+        ),
+        st.tuples(st.just("lookup"), st.lists(keys_st, max_size=10)),
+        st.tuples(st.just("get"), keys_st),
+        st.tuples(st.just("invalidate"), st.integers(0, 2)),
+        st.tuples(
+            st.just("evict"), st.sets(st.integers(0, VERTICES), max_size=3)
+        ),
+    ),
+    max_size=40,
+)
+
+
+class Oracle:
+    """What the table may serve: the last insert per key, while valid."""
+
+    def __init__(self) -> None:
+        self.entries: dict[int, tuple[float, int, int]] = {}
+        self.watermark = 0
+
+    def insert(self, key, value, hub, epoch) -> None:
+        if epoch >= self.watermark:  # a stale insert is ignored
+            self.entries[key] = (value, hub, epoch)
+
+    def valid(self, key) -> float | None:
+        entry = self.entries.get(key)
+        if entry is None or entry[2] < self.watermark:
+            return None
+        return entry[0]
+
+    def evict(self, affected) -> None:
+        for key in list(self.entries):
+            if {*unpack(key), self.entries[key][1]} & affected:
+                del self.entries[key]
+
+
+@given(capacity=st.sampled_from([1, 3, 8, 23, 24, 40, 200]), ops=ops_st)
+@settings(max_examples=150, deadline=None)
+def test_model_a_hit_is_the_last_valid_insert(capacity, ops):
+    cache, oracle = EpochLRUCache(capacity), Oracle()
+    epoch, serial, probes = 3, 0.0, 0
+    for op in ops:
+        if op[0] == "insert":
+            _, keys, back, with_hubs = op
+            values = np.arange(len(keys), dtype=np.float64) + serial
+            serial += len(keys)
+            hubs = np.array([k % VERTICES for k in keys], dtype=np.int64)
+            cache.insert(
+                np.array(keys, dtype=np.int64),
+                values,
+                hubs if with_hubs else None,
+                epoch - back,
+            )
+            for key, value, hub in zip(keys, values, hubs):
+                oracle.insert(key, value, int(hub) if with_hubs else -1, epoch - back)
+        elif op[0] == "lookup":
+            keys = np.array(op[1], dtype=np.int64)
+            values, hit = cache.lookup(keys)
+            probes += len(keys)
+            for key, value, was_hit in zip(op[1], values, hit):
+                if was_hit:  # forgetting is allowed, lying is not
+                    assert value == oracle.valid(key)
+        elif op[0] == "get":
+            value = cache.get(op[1])
+            probes += 1
+            if value is not None:
+                assert value == oracle.valid(op[1])
+        elif op[0] == "invalidate":
+            epoch += op[1]
+            cache.invalidate_all(epoch)
+            oracle.watermark = max(oracle.watermark, epoch)
+        else:
+            cache.evict_vertices(op[1])
+            oracle.evict(op[1])
+        assert len(cache) <= capacity
+    stats = cache.stats()
+    assert stats.hits + stats.misses == probes
+    assert stats.size == len(cache) <= capacity
+    assert stats.invalidated >= 0 and stats.lru_evictions >= 0
+    # Whatever is still served is still right, key by key.
+    for key in oracle.entries:
+        value = cache.get(key)
+        if value is not None:
+            assert value == oracle.valid(key)
+
+
+@given(capacity=st.integers(1, 23), ops=ops_st)
+@settings(max_examples=150, deadline=None)
+def test_one_set_table_is_an_exact_lru(capacity, ops):
+    """Below 24 entries the table is one set: hits, misses and LRU
+    evictions equal an ``OrderedDict`` LRU that forgets stale entries
+    when the watermark passes them."""
+    cache = EpochLRUCache(capacity)
+    lru: OrderedDict[int, tuple[float, int, int]] = OrderedDict()
+    watermark, epoch, serial, evictions = 0, 3, 0.0, 0
+
+    def probe(key):
+        entry = lru.get(key)
+        if entry is None:
+            return None
+        lru.move_to_end(key)
+        return entry[0]
+
+    for op in ops:
+        if op[0] == "insert":
+            _, keys, back, with_hubs = op
+            keys = keys[:capacity]  # which of a surplus stay is not promised
+            values = np.arange(len(keys), dtype=np.float64) + serial
+            serial += len(keys)
+            hubs = np.array([k % VERTICES for k in keys], dtype=np.int64)
+            cache.insert(
+                np.array(keys, dtype=np.int64),
+                values,
+                hubs if with_hubs else None,
+                epoch - back,
+            )
+            if epoch - back < watermark:
+                continue  # stale on arrival: ignored
+            entries = {
+                key: (value, int(hub) if with_hubs else -1, epoch - back)
+                for key, value, hub in zip(keys, values, hubs)
+            }
+            for key in [k for k in keys if k in lru]:  # overwritten in place
+                lru[key] = entries.pop(key)
+                lru.move_to_end(key)
+            for key, entry in entries.items():  # then the new ones, in order
+                if len(lru) == capacity:
+                    lru.popitem(last=False)
+                    evictions += 1
+                lru[key] = entry
+        elif op[0] == "lookup":
+            values, hit = cache.lookup(np.array(op[1], dtype=np.int64))
+            for key, value, was_hit in zip(op[1], values, hit):
+                want = probe(key)
+                assert was_hit == (want is not None)
+                assert not was_hit or value == want
+        elif op[0] == "get":
+            assert cache.get(op[1]) == probe(op[1])
+        elif op[0] == "invalidate":
+            epoch += op[1]
+            cache.invalidate_all(epoch)
+            watermark = max(watermark, epoch)
+            for key in [k for k, e in lru.items() if e[2] < watermark]:
+                del lru[key]
+        else:
+            cache.evict_vertices(op[1])
+            for key in [k for k, e in lru.items() if {*unpack(k), e[1]} & op[1]]:
+                del lru[key]
+        assert len(cache) == len(lru)
+    assert cache.stats().lru_evictions == evictions
+
+
+def test_an_insert_below_the_watermark_is_ignored():
+    cache = EpochLRUCache(2)
+    cache.put(pair_key(0, 1), 1.0, -1, 5)
+    cache.invalidate_all(5)
+    cache.put(pair_key(0, 1), 9.0, -1, 4)  # older than what is held
+    cache.put(pair_key(0, 2), 2.0, -1, 4)
+    assert cache.get(pair_key(0, 1)) == 1.0
+    assert cache.get(pair_key(0, 2)) is None
+    assert len(cache) == 1 and cache.stats().invalidated == 0
+
+
+def test_insert_replaces_rather_than_shadows():
+    cache = EpochLRUCache(64)
+    key = np.array([pair_key(2, 9)], dtype=np.int64)
+    cache.insert(key, np.array([5.0]), None, 0)
+    cache.insert(key, np.array([7.0]), None, 0)
+    assert cache.get(pair_key(2, 9)) == 7.0
+    assert len(cache) == 1
+    stats = cache.stats()
+    assert stats.invalidated == 0 and stats.lru_evictions == 0
+
+
+def test_a_crowded_set_forgets_but_stays_bounded():
+    cache = EpochLRUCache(64)  # 7 sets of 9 ways
+    keys = pair_key(np.arange(1, 401), np.arange(1, 401) + 1)
+    for chunk in np.split(keys, 8):
+        cache.insert(chunk, chunk.astype(np.float64), None, 0)
+    assert len(cache) <= 64
+    values, hit = cache.lookup(keys)
+    assert 0 < hit.sum() <= 64
+    np.testing.assert_array_equal(values[hit], keys[hit].astype(np.float64))
+    stats = cache.stats()
+    # Every stored entry is resident or was displaced while live.
+    assert stats.invalidated == 0
+    assert stats.lru_evictions > 0
+
+
+@given(
+    entries=st.dictionaries(
+        keys_st, st.integers(-1, VERTICES), min_size=1, max_size=30
+    ),
+    affected=st.sets(st.integers(0, VERTICES), max_size=4),
+)
+@settings(max_examples=100, deadline=None)
+def test_evict_vertices_equals_a_brute_force_scan(entries, affected):
+    cache = EpochLRUCache(256)
+    keys = np.array(list(entries), dtype=np.int64)
+    hubs = np.array(list(entries.values()), dtype=np.int64)
+    cache.insert(keys, np.ones(len(keys)), hubs, 0)
+    stored = {k: h for k, h in entries.items() if k in cache}
+    doomed = {k for k, h in stored.items() if {*unpack(k), h} & affected}
+    assert cache.evict_vertices(affected) == len(doomed)
+    for key in stored:
+        assert (key in cache) == (key not in doomed)
+    assert cache.stats().invalidated == len(doomed)
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_a_forked_child_never_writes_into_its_parents_table():
+    # The columns sit on anonymous mappings; they must be private ones.
+    cache = EpochLRUCache()
+    cache.put(pair_key(1, 2), 5.0, -1, 0)
+    pid = os.fork()
+    if pid == 0:
+        cache.put(pair_key(1, 2), 9.0, -1, 0)
+        cache.put(pair_key(3, 4), 1.0, -1, 0)
+        os._exit(0)
+    assert os.waitpid(pid, 0)[1] == 0
+    assert cache.get(pair_key(1, 2)) == 5.0
+    assert cache.get(pair_key(3, 4)) is None
+
+
+def test_idle_table_costs_no_counted_entries():
+    cache = EpochLRUCache()
+    assert len(cache) == 0
+    stats = cache.stats()
+    assert (stats.size, stats.capacity) == (0, 65_536)
+    assert stats.invalidated == stats.lru_evictions == 0
+    cache.clear()
+    assert cache.stats().invalidated == 0
+
+
+# ---------------------------------------------------------------------------
+# the service door: batch shapes, counters, bounds
+# ---------------------------------------------------------------------------
+
+def two_islands() -> Graph:
+    """Two 4-paths with no road between them."""
+    g = Graph(8)
+    for base in (0, 4):
+        for i in range(3):
+            g.add_edge(base + i, base + i + 1, 2.0)
+    return g
+
+
+def test_a_disconnected_distance_is_cached_and_served_as_a_hit():
+    index = DHLIndex.build(two_islands(), DHLConfig(leaf_size=2, seed=0))
+    with DistanceService(index) as service:
+        first = service.distances([(0, 7), (1, 3)])
+        again = service.distances(np.array([[7, 0], [1, 3]]))
+        assert math.isinf(first[0]) and first[1] == 4.0
+        np.testing.assert_array_equal(first, again)
+        cache = service.stats().cache
+        assert (cache.hits, cache.misses, cache.size) == (2, 2, 2)
+        assert service.distance(7, 0) == math.inf
+        assert service.stats().cache.hits == 3
+
+
+def test_duplicates_self_pairs_empty_and_single_batches(small_index):
+    with DistanceService(small_index) as service:
+        assert service.distances([]).shape == (0,)
+        assert service.distances(np.empty((0, 2), dtype=np.int64)).shape == (0,)
+        assert service.stats().cache.misses == 0
+
+        np.testing.assert_array_equal(service.distances([(4, 4)]), [0.0])
+        assert service.stats().cache.misses == 0  # a self pair probes nothing
+
+        single = service.distances([(3, 40)])
+        assert single.shape == (1,) and single[0] == small_index.distance(3, 40)
+        assert service.stats().cache.misses == 1
+
+        batch = [(5, 9), (9, 5), (7, 7), (5, 9), (3, 40), (0, 0), (11, 2)]
+        out = service.distances(batch)
+        np.testing.assert_array_equal(out, small_index.distances(batch))
+        cache = service.stats().cache
+        # Five non-self pairs probed: (3, 40) hits, the three copies of
+        # (5, 9) and (11, 2) miss; two distinct keys are computed.
+        assert cache.hits == 1 and cache.misses == 1 + 4
+        assert cache.size == 3
+        stats = service.stats()
+        assert stats.queries == 1 + 1 + 7 and stats.batches == 5
+
+
+def test_stats_and_gauges_stay_truthful(small_index):
+    from repro.observability import Observability
+
+    obs = Observability.enabled()
+    with DistanceService(
+        small_index, cache_capacity=16, observability=obs
+    ) as service:
+        rng = np.random.default_rng(5)
+        n = small_index.graph.num_vertices
+        probed = 0
+        for _ in range(6):
+            pairs = rng.integers(0, n, size=(40, 2))
+            service.distances(pairs)
+            probed += int((pairs[:, 0] != pairs[:, 1]).sum())
+        u, v, w = next(iter(small_index.graph.edges()))
+        service.submit(u, v, w * 3)
+        service.flush()
+        pairs = rng.integers(0, n, size=(40, 2))
+        service.distances(pairs)
+        probed += int((pairs[:, 0] != pairs[:, 1]).sum())
+        cache = service.stats().cache
+        assert cache.hits + cache.misses == probed
+        assert cache.size <= cache.capacity == 16
+        assert cache.lru_evictions > 0
+        # The 16 entries of before the flush went stale and were
+        # overwritten (or dropped by a probe) by the batch after it.
+        assert cache.invalidated > 0
+        assert "LRU evictions" in service.stats().summary()
+        metrics = service.metrics()
+        for field in ("hits", "misses", "size", "lru_evictions", "invalidated"):
+            assert metrics[f"dhl_cache_{field}"]["value"] == getattr(cache, field)
+
+
+def door_runtimes(sharded_for):
+    """One factory per runtime over fresh copies of a sharded index."""
+    return {
+        "in-process": lambda: InProcessRuntime(sharded_for()),
+        "worker-pool": lambda: ShardWorkerRuntime(sharded_for()),
+        "socket-pool": lambda: SocketShardRuntime(sharded_for(), replicas=1),
+    }
+
+
+@pytest.fixture(scope="module")
+def door_graph() -> Graph:
+    return delaunay_network(160, seed=21)
+
+
+def build_sharded(graph: Graph, k: int = 2) -> ShardedDHLIndex:
+    return ShardedDHLIndex.build(
+        graph.copy(), k=k, config=DHLConfig(seed=0), build_workers=1
+    )
+
+
+@pytest.mark.parametrize("kind", ["in-process", "worker-pool", "socket-pool"])
+def test_unknown_vertices_are_refused_at_the_door(door_graph, kind):
+    n = door_graph.num_vertices
+    runtime = door_runtimes(lambda: build_sharded(door_graph))[kind]()
+    with DistanceService(runtime) as service:
+        service.distances([(0, 5), (3, 9)])
+        before = service.stats()
+        pool_before = runtime.pool_stats() and runtime.pool_stats().pairs
+        for bad in ([(0, -1)], [(0, 5), (n, 2)], np.array([[1, 2], [3, n + 7]])):
+            with pytest.raises(VertexNotFound):
+                service.distances(bad)
+        with pytest.raises(VertexNotFound) as info:
+            service.distance(0, -1)
+        assert info.value.vertex == -1
+        with pytest.raises(VertexNotFound):
+            service.distance(n, 0)
+        after = service.stats()
+        assert after.cache == before.cache  # not probed, not filled
+        assert after.queries == before.queries
+        assert (runtime.pool_stats() and runtime.pool_stats().pairs) == pool_before
+        # The service still answers.
+        np.testing.assert_array_equal(
+            service.distances([(0, 5)]), runtime.index.distances([(0, 5)])
+        )
+
+
+def test_a_negative_id_no_longer_wraps_around(small_index):
+    n = small_index.graph.num_vertices
+    with DistanceService(small_index) as service:
+        with pytest.raises(VertexNotFound):
+            service.distances([(0, -1)])  # used to answer d(0, n - 1)
+        assert pair_key(0, n - 1) not in service.cache
+        assert isinstance(VertexNotFound(3), KeyError)  # old except clauses hold
+
+
+class ServiceDoor:
+    """A service dressed as a runtime for ``assert_stream_parity``.
+
+    Every batch is asked in four input shapes — list of tuples,
+    generator, ``int64`` and ``int32`` ``(m, 2)`` arrays — which must
+    agree bit for bit (the first computes, the others are served from
+    the table).
+    """
+
+    def __init__(self, service: DistanceService):
+        self.service = service
+        self.index = service.index
+
+    def apply_update(self, changes):
+        self.service.submit_many(changes)
+        return self.service.flush()
+
+    def distances(self, pairs):
+        forms = [
+            list(pairs),
+            (pair for pair in pairs),
+            np.array(pairs, dtype=np.int64),
+            np.array(pairs, dtype=np.int32),
+        ]
+        answers = [self.service.distances(form) for form in forms]
+        for other in answers[1:]:
+            np.testing.assert_array_equal(other, answers[0])
+        return answers[0]
+
+
+def test_input_shapes_agree_on_a_monolithic_stream(door_graph):
+    n = door_graph.num_vertices
+    index = DHLIndex.build(door_graph.copy(), DHLConfig(seed=0))
+    with DistanceService(index, cache_capacity=24) as service:
+        halves = (np.arange(n) >= n // 2).astype(np.int64)
+        assert_stream_parity([ServiceDoor(service)], door_graph, halves, seed=1)
+        cache = service.stats().cache
+        assert cache.hits > 0 and cache.lru_evictions > 0
+
+
+def test_input_shapes_agree_behind_all_three_runtimes(door_graph):
+    """One stream through the door of each runtime, in lockstep: every
+    shape, every runtime, Dijkstra."""
+    factories = door_runtimes(lambda: build_sharded(door_graph))
+    services = [DistanceService(make()) for make in factories.values()]
+    try:
+        region_of = services[0].index.region_of
+        assert_stream_parity(
+            [ServiceDoor(service) for service in services],
+            door_graph,
+            region_of,
+            seed=2,
+        )
+        for service in services:
+            assert service.stats().cache.hits > 0
+    finally:
+        for service in services:
+            service.close()
+
+
+def test_wide_boundary_stream_through_the_door():
+    graph = grid_network(10, 10, seed=4)
+    with DistanceService(build_sharded(graph, k=3)) as service:
+        assert_stream_parity(
+            [ServiceDoor(service)], graph, service.index.region_of, seed=3
+        )
+
+
+def test_input_shapes_agree_on_a_directed_stream(door_graph):
+    """Behind a directed index the table is keyed on ordered pairs: the
+    service's updates move one arc, so d(s, t) and d(t, s) part ways
+    and neither may be served for the other."""
+    n = door_graph.num_vertices
+    index = DirectedDHLIndex.build(
+        DiGraph.from_undirected(door_graph), DHLConfig(seed=0)
+    )
+    halves = (np.arange(n) >= n // 2).astype(np.int64)
+    with DistanceService(index) as service:
+        door = ServiceDoor(service)
+        asymmetric = 0
+        for changes, pairs in rolling_stream(door_graph, halves, seed=4):
+            door.apply_update(changes)
+            pairs = pairs + [(t, s) for s, t in pairs[:12]]
+            got = door.distances(pairs)
+            rows = {s: directed_dijkstra(index.graph, s) for s, _ in pairs}
+            want = np.array([rows[s][t] for s, t in pairs])
+            np.testing.assert_array_equal(got, want)
+            back = door.distances([(t, s) for s, t in pairs])
+            asymmetric += int((back != got).sum())
+        assert asymmetric > 0  # the stream did make d(s, t) != d(t, s)
+        assert service.stats().cache.hits > 0

@@ -30,6 +30,7 @@ from repro.service import (
     uniform_traffic,
     zipf_hotspot_traffic,
 )
+from repro.service.cache import pair_key
 from repro.utils.rng import make_rng, sample_pairs
 from tests.strategies import connected_graphs, update_sequences
 
@@ -44,43 +45,45 @@ def build_index(graph, leaf_size=4):
 class TestEpochLRUCache:
     def test_hit_and_miss_accounting(self):
         cache = EpochLRUCache(capacity=4)
-        assert cache.get((1, 2)) is None
-        cache.put((1, 2), 10.0, 7, epoch=0)
-        assert cache.get((1, 2)) == (10.0, 7, 0)
+        assert cache.get(pair_key(1, 2)) is None
+        cache.put(pair_key(1, 2), 10.0, 7, epoch=0)
+        assert cache.get(pair_key(1, 2)) == 10.0
         stats = cache.stats()
         assert stats.hits == 1 and stats.misses == 1
+        assert stats.size == 1
         assert 0.0 < stats.hit_rate < 1.0
 
     def test_lru_eviction_order(self):
         cache = EpochLRUCache(capacity=2)
-        cache.put((0, 1), 1.0, -1, 0)
-        cache.put((0, 2), 2.0, -1, 0)
-        cache.get((0, 1))  # (0, 2) becomes least-recent
-        cache.put((0, 3), 3.0, -1, 0)
-        assert (0, 2) not in cache
-        assert (0, 1) in cache and (0, 3) in cache
+        cache.put(pair_key(0, 1), 1.0, -1, 0)
+        cache.put(pair_key(0, 2), 2.0, -1, 0)
+        cache.get(pair_key(0, 1))  # (0, 2) becomes least-recent
+        cache.put(pair_key(0, 3), 3.0, -1, 0)
+        assert pair_key(0, 2) not in cache
+        assert pair_key(0, 1) in cache and pair_key(0, 3) in cache
         assert cache.stats().lru_evictions == 1
 
     def test_watermark_invalidates_lazily(self):
         cache = EpochLRUCache(capacity=8)
-        cache.put((1, 2), 5.0, 3, epoch=0)
+        cache.put(pair_key(1, 2), 5.0, 3, epoch=0)
         cache.invalidate_all(epoch=1)
-        assert (1, 2) not in cache
-        assert cache.get((1, 2)) is None  # lazily dropped
+        assert pair_key(1, 2) not in cache
+        assert len(cache) == 0  # stale entries are not live
+        assert cache.get(pair_key(1, 2)) is None  # lazily dropped
         assert cache.stats().invalidated == 1
-        cache.put((1, 2), 6.0, 3, epoch=1)
-        assert cache.get((1, 2)) == (6.0, 3, 1)
+        cache.put(pair_key(1, 2), 6.0, 3, epoch=1)
+        assert cache.get(pair_key(1, 2)) == 6.0
 
     def test_fine_grained_eviction_by_endpoint_and_hub(self):
         cache = EpochLRUCache(capacity=8)
-        cache.put((1, 2), 5.0, 9, 0)
-        cache.put((3, 4), 6.0, 10, 0)
-        cache.put((5, 6), 7.0, 11, 0)
+        cache.put(pair_key(1, 2), 5.0, 9, 0)
+        cache.put(pair_key(3, 4), 6.0, 10, 0)
+        cache.put(pair_key(5, 6), 7.0, 11, 0)
         removed = cache.evict_vertices({3, 11})
         assert removed == 2
-        assert (1, 2) in cache
-        assert (3, 4) not in cache  # endpoint match
-        assert (5, 6) not in cache  # hub match
+        assert pair_key(1, 2) in cache
+        assert pair_key(3, 4) not in cache  # endpoint match
+        assert pair_key(5, 6) not in cache  # hub match
         assert cache.evict_vertices(set()) == 0
 
     def test_capacity_validation(self):
@@ -293,7 +296,7 @@ class TestDistanceService:
         service.submit(6, 7, 9.0)
         service.flush()
         stats = service.stats()
-        assert (0, 1) in service.cache or stats.cache.invalidated == 0
+        assert pair_key(0, 1) in service.cache or stats.cache.invalidated == 0
         assert service.distance(0, 1) == near
         assert service.distance(0, 7) == dijkstra(service.index.graph, 0)[7]
 
