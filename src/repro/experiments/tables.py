@@ -86,7 +86,7 @@ def table2_updates(ctx: ExperimentContext) -> dict:
 
     The paper's parallel columns (DHL+p/DHL-p, Algorithms 6/7) have no
     counterpart here: their enabling idea, independent ancestor columns,
-    is what the default engine's level sweeps already batch over, and a
+    is what the default engine's frontier rounds already batch over, and a
     thread-per-column realisation only loses under CPython's GIL.
     """
     rows = []

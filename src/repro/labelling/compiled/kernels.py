@@ -1,7 +1,7 @@
 """Numba-compiled scalar kernels over the flat CSR buffers.
 
 Each kernel is the scalar fixpoint sweep the frontier-batched numpy
-engine solves with per-level reductions — but running as one compiled
+engine solves with order-free rounds — but running as one compiled
 loop over the raw ``up_weights`` / down-CSR / flat-label buffers, with
 an array-backed binary min-heap replacing :class:`LazyHeap`. The heap
 keeps the lazy-push semantics of the reference engine (an ``in_queue``

@@ -28,8 +28,8 @@ from repro.exceptions import MaintenanceError, StructuralFallbackRequired
 from repro.labelling import compiled, maintenance, maintenance_kernels
 from repro.labelling.labels import HierarchicalLabelling
 from repro.labelling.maintenance import Engine, MaintenanceStats, WeightChange
-from repro.labelling.maintenance_kernels import _expand
 from repro.observability.phases import collect_phases, phase, phases_active
+from repro.utils.ragged import expand
 
 __all__ = [
     "ENGINES",
@@ -274,7 +274,7 @@ def _seed_decrease(store, labels, lo, hi, slots) -> np.ndarray:
     if not mask.any():
         return np.empty(0, dtype=np.int64)
     lo, hi, w_new, tw = lo[mask], hi[mask], w_new[mask], tw[mask]
-    rep, ramp = _expand(tw + 1)
+    rep, ramp = expand(tw + 1)
     cand = w_new[rep] + values[offsets[hi][rep] + ramp]
     return labels.relax_entries(offsets[lo][rep] + ramp, cand)
 
@@ -289,12 +289,12 @@ def _seed_increase(store, labels, lo, hi, old) -> tuple[np.ndarray, np.ndarray]:
     values, offsets = labels.values, labels.offsets
     tw = store.tau[hi]
     direct = values[offsets[lo] + tw]
-    mask = (old == direct) | (np.isinf(old) & np.isinf(direct))
+    mask = old == direct
     if not mask.any():
         empty = np.empty(0, dtype=np.int64)
         return empty, empty
     lo, hi, old, tw = lo[mask], hi[mask], old[mask], tw[mask]
-    rep, ramp = _expand(tw + 1)
+    rep, ramp = expand(tw + 1)
     cand = old[rep] + values[offsets[hi][rep] + ramp]
     segment = values[offsets[lo][rep] + ramp]
     # inf == inf covers the unreachable-stays-suspect case.

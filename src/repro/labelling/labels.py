@@ -28,6 +28,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.utils.ragged import segment_starts
+
 __all__ = ["HierarchicalLabelling"]
 
 
@@ -158,38 +160,22 @@ class HierarchicalLabelling:
     ) -> np.ndarray:
         """Scatter-min *candidates* into ``values`` at *positions*.
 
-        Duplicate positions are allowed (they are min-reduced first via
-        a sort + ``np.minimum.reduceat`` pass — no unbuffered ``ufunc.at``
-        scatter). Returns the sorted unique positions whose stored value
-        strictly improved. This is the frontier-batched replacement for
-        the reference path's one-heap-pop-per-entry relaxation.
+        Duplicate positions are allowed: candidates that do not beat the
+        stored value are dropped first, the rest min-reduce per position
+        via a sort + ``np.minimum.reduceat`` pass (no unbuffered
+        ``ufunc.at`` scatter). Returns the sorted unique positions whose
+        stored value strictly improved.
         """
-        if not len(positions):
-            return positions
-        order = np.argsort(positions, kind="stable")
-        pos_sorted = positions[order]
-        cand_sorted = candidates[order]
-        starts = np.empty(len(pos_sorted), dtype=bool)
-        starts[0] = True
-        np.not_equal(pos_sorted[1:], pos_sorted[:-1], out=starts[1:])
-        start_idx = np.nonzero(starts)[0]
-        unique_pos = pos_sorted[start_idx]
-        mins = np.minimum.reduceat(cand_sorted, start_idx)
-        current = self.values[unique_pos]
-        improved = mins < current
-        if not improved.any():
-            return unique_pos[:0]
-        unique_pos = unique_pos[improved]
-        self.values[unique_pos] = mins[improved]
-        return unique_pos
-
-    def recompute_entries(
-        self, positions: np.ndarray, new_values: np.ndarray
-    ) -> np.ndarray:
-        """Overwrite entries at unique *positions*; returns the old values."""
-        old = self.values[positions].copy()
-        self.values[positions] = new_values
-        return old
+        better = candidates < self.values[positions]
+        if not better.any():
+            return positions[:0]
+        positions, candidates = positions[better], candidates[better]
+        order = np.argsort(positions)
+        positions = positions[order]
+        starts = segment_starts(positions)
+        improved = positions[starts]
+        self.values[improved] = np.minimum.reduceat(candidates[order], starts)
+        return improved
 
     # -- mutation support -------------------------------------------------
     def ensure_writable(self) -> None:

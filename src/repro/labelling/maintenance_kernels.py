@@ -1,80 +1,80 @@
-"""Array-native dynamic maintenance — frontier-batched Algorithms 2-5.
+"""Array-native dynamic maintenance — Algorithms 2-5 as order-free rounds.
 
 The scalar reference in :mod:`repro.labelling.maintenance` processes one
-shortcut or label entry per heap pop. These kernels reformulate the same
-algorithms as **frontier-batched sweeps** over the flat CSR stores:
+shortcut or label entry per heap pop, in the paper's order (shortcuts
+bottom-up by contraction rank, labels top-down by ``tau``), so that
+everything an entry reads is final when it is read. These kernels drop
+the order. Each sweep is a loop of **frontier rounds** over the flat CSR
+stores — one ragged broadcast, one segmented reduction, one write per
+round — and what the order used to guarantee is **re-delivered** by the
+equality guard instead:
 
-* **Shortcut decrease** (Algorithm 2) is a monotone min-relaxation, so
-  it runs as chaotic label-correcting *rounds*: every active shortcut
-  relaxes against its owner's whole up-row in one ragged broadcast,
-  target slots resolve with one ``searchsorted`` over the global
-  slot-key table, conflicting candidates min-reduce with
-  ``np.minimum.reduceat``, and the strictly-improved slots form the next
-  round's frontier. Convergence and the final weights are order
-  independent (any improvement re-activates its slot), so the fixpoint
-  matches the reference's rank-ordered heap exactly.
-* **Shortcut increase** (Algorithm 3) must recompute each suspect from
-  *final* deeper weights, so it keeps the bottom-up rank order (one
-  vertex per level — ranks are a permutation) but processes all of a
-  vertex's suspects at once: the Property-3.1 recompute resolves the
-  common down-neighbourhoods with a sorted-intersection membership test
-  over the down-CSR (no Python set probing), and the equality-guarded
-  suspect propagation scans every (suspect, row partner) triangle in one
-  vectorised pass.
-* **Labels** (Algorithms 4/5) bucket the active entry frontier by the
-  hierarchy rank ``tau`` (top-down). All entries of a level relax into
-  their descendants with vectorised gathers straight from the flat label
-  ``values`` buffer via
-  :meth:`~repro.labelling.labels.HierarchicalLabelling.relax_entries` /
-  :meth:`~repro.labelling.labels.HierarchicalLabelling.recompute_entries`.
-  Same-``tau`` vertices are incomparable (no shortcut joins them), so a
-  level's entries are independent; reads only touch strictly shallower
-  levels (already final) and writes only propagate strictly deeper —
-  the level sweep is observationally equivalent to the heap order.
+* **Decrease** (Algorithms 2 and 4) is a monotone min-relaxation:
+  every active shortcut relaxes the triangles through its owner's up
+  row, every active label entry relaxes its down row with
+  ``w(u, v) + L_v[i]``; candidates that beat the stored value
+  min-reduce per target (sort + ``np.minimum.reduceat``) and the
+  strictly-improved targets form the next round's frontier. An
+  improvement computed from a value that later improves again is
+  simply improved again — chaotic label-correcting rounds.
+* **Increase** (Algorithms 3 and 5) keeps a set of *pending suspects*
+  and the invariant that **everything outside it satisfies its
+  equation on the current values** (Property 3.1 for a shortcut, the
+  up-row minimum ``min_w w(v, w) + L_w[i]`` for a label entry). A
+  round recomputes *all* pending suspects from the current values and
+  writes the ones that moved. A write can break an equation only where
+  the moved value realised the minimum, so each moved value suspects
+  exactly the dependants whose **post-write** value still equals its
+  own **pre-write** value plus the other leg (pre-write too, for a
+  shortcut triangle). That restores the invariant, whatever was stale:
+  a suspect recomputed from a neighbour that had not moved yet is
+  suspected again when the neighbour moves.
 
-The label kernels use the shortcut-weight relaxation
-``w(u, v) + L_v[i]`` (Lemma 6.3) — the substitution that makes the
-ancestor columns of the paper's Algorithms 6/7 independent, realised
-here as whole-level batches rather than threads — instead of the
-reference scalar path's label-entry relaxation; both reach the same
-fixpoint, so final labels, change counts and affected sets match the
-reference exactly — only the intermediate ``entries_processed``
-search-effort counter may differ.
+Both equation systems are acyclic (a shortcut depends on deeper
+shortcuts only, an entry on shallower vertices' entries only), so each
+has one fixpoint; values only move toward it (down on a decrease, up on
+an increase, never past it), and a sweep ends when nothing is pending.
+The final weights and labels therefore equal the reference's — and a
+fresh build's — bit for bit, as do the change counts and affected sets:
+``changed`` marks every position that moved and ``first_old`` keeps the
+weight a slot held before its first write. Only ``entries_processed``
+differs: it counts every entry of every round, re-delivered ones
+included (1.2-1.4x the ordered sweep's count on the bench graphs).
 
-The four sweeps implement the :class:`~repro.labelling.maintenance.Engine`
-contract; seeding, validation, stats and phase marks live in
-:mod:`repro.labelling.driver`.
+What the rounds buy is their number. A burst's work chains through
+shortcut *hops*, not through ``tau`` levels: measured on the benchmark's
+graphs (rolling 16-change bursts, 2 cores, no numba; ms per burst,
+best of three runs of the per-burst median, ordered level/layer sweeps
+-> rounds):
+
+=========================  ==============  ==============
+phase                      ``grid`` 48x48  ``road`` 4,000
+=========================  ==============  ==============
+increase.dependency_layer  30.1 -> 11.1    1.11 -> 0.48
+increase.label_sweep       25.0 -> 15.7    2.02 -> 1.38
+decrease.relax_round        6.1 ->  3.4    0.24 -> 0.27
+decrease.label_sweep       19.9 ->  5.6    1.75 -> 0.69
+rounds, shortcut increase  93 -> 14.5      9.3 -> 6.8
+rounds, label increase     177 -> 16.2     16.3 -> 9.0
+rounds, label decrease     164 -> 13.5     13.2 -> 9.0
+=========================  ==============  ==============
+
+The label kernels relax along shortcut weights (Lemma 6.3) — the
+substitution that makes the ancestor columns of the paper's Algorithms
+6/7 independent, realised here as all columns in one batch rather than
+threads. The four sweeps implement the
+:class:`~repro.labelling.maintenance.Engine` contract; seeding,
+validation, stats and phase marks live in :mod:`repro.labelling.driver`.
 """
 
 from __future__ import annotations
 
-import heapq
-
 import numpy as np
 
 from repro.labelling.maintenance import Engine
+from repro.utils.ragged import expand_rows, segment_starts
 
 __all__ = ["ENGINE"]
-
-
-def _expand(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Ragged-expansion helpers: (source index, within-row offset) arrays."""
-    total = int(counts.sum())
-    if total == 0:
-        empty = np.empty(0, dtype=np.int64)
-        return empty, empty
-    ends = np.cumsum(counts)
-    rep = np.repeat(np.arange(len(counts), dtype=np.int64), counts)
-    ramp = np.arange(total, dtype=np.int64) - np.repeat(ends - counts, counts)
-    return rep, ramp
-
-
-def _segment_starts(sorted_keys: np.ndarray) -> np.ndarray:
-    """First index of each run in a sorted key array."""
-    first = np.empty(len(sorted_keys), dtype=bool)
-    first[0] = True
-    np.not_equal(sorted_keys[1:], sorted_keys[:-1], out=first[1:])
-    return np.nonzero(first)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -88,35 +88,41 @@ def _mark_first_old(slots, weights, changed, first_old) -> None:
     changed[new] = 1
 
 
+def _find_slots(slot_keys, keys):
+    """``(slot, found)`` per key: one probe of the global slot-key table.
+
+    ``found`` is False where compaction removed the pair (it was inf).
+    """
+    slots = np.searchsorted(slot_keys, keys)
+    return slots, slot_keys[np.minimum(slots, len(slot_keys) - 1)] == keys
+
+
+def _triangle_legs(csr, slots):
+    """Every triangle through the owners' up rows.
+
+    For each slot ``(v, w)`` and each other slot ``(v, o)`` of its
+    owner: ``(index into slots, leg slot, target slot, found)``. The
+    target is the pair ``(w, o)``, keyed by the deeper endpoint's id and
+    the shallower one's rank.
+    """
+    rep, legs = expand_rows(csr.indptr, csr.owners[slots])
+    active = slots[rep]
+    keep = legs != active
+    rep, legs, active = rep[keep], legs[keep], active[keep]
+    ra, rb = csr.ranks[active], csr.ranks[legs]
+    lo_v = np.where(ra < rb, csr.indices[active], csr.indices[legs])
+    keys = lo_v * csr.n + np.maximum(ra, rb)
+    return rep, legs, *_find_slots(csr.slot_keys, keys)
+
+
 def shortcut_decrease_sweep(sc, seeds, changed, first_old) -> bool:
     """Algorithm 2 as chaotic min-relaxation rounds over the CSR store."""
     csr = sc.csr
     weights = sc.up_weights
-    n = csr.n
-    indptr, indices = csr.indptr, csr.indices
-    ranks, owners, slot_keys = csr.ranks, csr.owners, csr.slot_keys
-
     frontier = seeds
     while len(frontier):
-        slot_owner = owners[frontier]
-        deg = indptr[slot_owner + 1] - indptr[slot_owner]
-        rep, ramp = _expand(deg)
-        if not len(rep):
-            break
-        active = frontier[rep]
-        legs = indptr[slot_owner][rep] + ramp
-        keep = legs != active
-        active, legs = active[keep], legs[keep]
-        if not len(active):
-            break
-        cand = weights[active] + weights[legs]
-        # Target = the (shortcut endpoint, leg endpoint) pair, keyed by
-        # the deeper endpoint's id and the shallower one's rank.
-        ra, rb = ranks[active], ranks[legs]
-        lo_v = np.where(ra < rb, indices[active], indices[legs])
-        keys = lo_v * n + np.maximum(ra, rb)
-        tslots = np.searchsorted(slot_keys, keys)
-        found = slot_keys[np.minimum(tslots, len(slot_keys) - 1)] == keys
+        rep, legs, tslots, found = _triangle_legs(csr, frontier)
+        cand = weights[frontier][rep] + weights[legs]
         if not found.all():
             # Compaction drops inf slots, so a candidate may target a
             # missing pair. An inf candidate is harmless (it could
@@ -129,287 +135,126 @@ def shortcut_decrease_sweep(sc, seeds, changed, first_old) -> bool:
             if np.isfinite(cand[~found]).any():
                 return True
             tslots, cand = tslots[found], cand[found]
-            if not len(tslots):
-                break
-
-        sort = np.argsort(tslots, kind="stable")
-        ts, cs = tslots[sort], cand[sort]
-        seg = _segment_starts(ts)
-        uts = ts[seg]
-        mins = np.minimum.reduceat(cs, seg)
-        improved = mins < weights[uts]
-        uts = uts[improved]
-        if not len(uts):
+        better = cand < weights[tslots]
+        if not better.any():
             break
-        _mark_first_old(uts, weights, changed, first_old)
-        weights[uts] = mins[improved]
-        frontier = uts
+        tslots, cand = tslots[better], cand[better]
+        sort = np.argsort(tslots)
+        tslots = tslots[sort]
+        seg = segment_starts(tslots)
+        frontier = tslots[seg]
+        _mark_first_old(frontier, weights, changed, first_old)
+        weights[frontier] = np.minimum.reduceat(cand[sort], seg)
     return False
 
 
 def shortcut_increase_sweep(sc, seeds, direct, changed, first_old) -> None:
-    """Algorithm 3 as bottom-up dependency-layer sweeps.
+    """Algorithm 3 as re-delivering recompute rounds.
 
-    A suspect's Property-3.1 recompute reads only slots owned by its
-    deeper endpoint's down-neighbours, so each round processes every
-    pending suspect whose owner has **no pending down-neighbour** — a
-    topological layer, resolved with one membership test. The layer's
-    recomputes then run as a single batch: triangle legs resolve through
-    the slot-key table (``x`` is a common down-neighbour of ``v`` and
-    ``w`` iff the key ``(x, v)`` exists and ``x`` sits in ``w``'s down
-    row — a sorted intersection over the down-CSR), and per-suspect
-    minima reduce with ``np.minimum.reduceat``. Suspects activated into
-    an already-processed owner simply re-enter a later round; the
-    equality guard re-delivers every realisation, so the fixpoint
-    matches the reference's strict rank order.
+    Each round recomputes every pending suspect from Property 3.1 over
+    the *current* weights — the direct edge min-combined with the
+    triangles ``(x, v) + (x, w)`` over the deeper endpoint's down row,
+    the ``(x, w)`` leg resolved by one probe of the slot-key table —
+    and writes the ones that moved. A moved slot then suspects every
+    triangle target whose post-write weight still equals the slot's
+    pre-write weight plus the partner leg's pre-write weight: exactly
+    the slots whose equation the write may have broken, so every slot
+    outside ``pending`` satisfies Property 3.1 after every round.
     """
     csr = sc.csr
     weights = sc.up_weights
-    n = csr.n
-    rank = csr.rank
-    indptr, indices = csr.indptr, csr.indices
-    ranks, owners, slot_keys = csr.ranks, csr.owners, csr.slot_keys
-    down_indptr, down_indices = csr.down_indptr, csr.down_indices
     down_slots = csr.down_slots
-
     pending = seeds
     while len(pending):
-        # Topological layer: owners none of whose down-neighbours are
-        # themselves pending (the deepest pending owner always is, so
-        # every round makes progress).
-        p_owner = owners[pending]
-        layer_owners = np.unique(p_owner)
-        odeg = down_indptr[layer_owners + 1] - down_indptr[layer_owners]
-        rep, ramp = _expand(odeg)
-        blocked = np.zeros(len(layer_owners), dtype=bool)
-        if len(rep):
-            xs = down_indices[down_indptr[layer_owners][rep] + ramp]
-            pos = np.searchsorted(layer_owners, xs)
-            member = (
-                layer_owners[np.minimum(pos, len(layer_owners) - 1)] == xs
-            )
-            if member.any():
-                blocked[np.unique(rep[member])] = True
-        ready = layer_owners[~blocked]
-        take = np.isin(p_owner, ready)
-        slots = pending[take]
-        rest = pending[~take]
-
-        vs = owners[slots]
-        ws = indices[slots]
-        # Property 3.1 recompute for the whole layer: direct edge
-        # weight min-combined with triangles over the common down
-        # neighbourhood.
-        w_new = direct[slots]
-        ddeg = down_indptr[ws + 1] - down_indptr[ws]
-        rep, ramp = _expand(ddeg)
-        if len(rep):
-            didx = down_indptr[ws][rep] + ramp
-            xs = down_indices[didx]
-            # x qualifies iff shortcut (x, v) exists: one global key
-            # probe.
-            keys = xs * n + rank[vs][rep]
-            pos = np.searchsorted(slot_keys, keys)
-            found = slot_keys[np.minimum(pos, len(slot_keys) - 1)] == keys
-            if found.any():
-                rep_f = rep[found]
-                triangles = (
-                    weights[pos[found]] + weights[down_slots[didx[found]]]
-                )
-                seg = _segment_starts(rep_f)
-                mins = np.minimum.reduceat(triangles, seg)
-                urep = rep_f[seg]
-                w_new[urep] = np.minimum(w_new[urep], mins)
-
-        old = weights[slots]
+        w_new = direct[pending]
+        rep, didx = expand_rows(csr.down_indptr, csr.owners[pending])
+        keys = csr.down_indices[didx] * csr.n + csr.ranks[pending][rep]
+        pos, found = _find_slots(csr.slot_keys, keys)
+        if found.any():
+            rep = rep[found]
+            triangles = weights[pos[found]] + weights[down_slots[didx[found]]]
+            seg = segment_starts(rep)
+            mins = np.minimum.reduceat(triangles, seg)
+            w_new[rep[seg]] = np.minimum(w_new[rep[seg]], mins)
+        old = weights[pending]
         moved = w_new != old
-        next_chunks = [rest]
-        if moved.any():
-            ch = slots[moved]
-            ch_old = old[moved]
-            ch_owner = vs[moved]
-            # Equality-guarded propagation: triangles through the owner
-            # that realised a changed suspect's old weight mark deeper
-            # suspects. All legs read pre-write weights, which covers
-            # every realisation the reference's sequential order covers
-            # (the first side processed always sees the other leg old).
-            deg = indptr[ch_owner + 1] - indptr[ch_owner]
-            rep2, ramp2 = _expand(deg)
-            if len(rep2):
-                legs = indptr[ch_owner][rep2] + ramp2
-                keep = legs != ch[rep2]
-                legs = legs[keep]
-                rep2 = rep2[keep]
-                cand_old = ch_old[rep2] + weights[legs]
-                ra = ranks[ch[rep2]]
-                rb = ranks[legs]
-                lo_v = np.where(ra < rb, indices[ch[rep2]], indices[legs])
-                tkeys = lo_v * n + np.maximum(ra, rb)
-                tslots = np.searchsorted(slot_keys, tkeys)
-                # Pairs removed by compaction were inf — there is no
-                # suspect behind them to re-deliver; drop the probes.
-                tfound = (
-                    slot_keys[np.minimum(tslots, len(slot_keys) - 1)]
-                    == tkeys
-                )
-                tslots = tslots[tfound]
-                cand_old = cand_old[tfound]
-                hits = tslots[weights[tslots] == cand_old]
-                if len(hits):
-                    next_chunks.append(hits)
-            _mark_first_old(ch, weights, changed, first_old)
-            weights[ch] = w_new[moved]
-        pending = (
-            np.unique(np.concatenate(next_chunks))
-            if len(next_chunks) > 1
-            else rest
-        )
+        if not moved.any():
+            break
+        ch = pending[moved]
+        rep, legs, tslots, found = _triangle_legs(csr, ch)
+        realised = old[moved][rep] + weights[legs]
+        _mark_first_old(ch, weights, changed, first_old)
+        weights[ch] = w_new[moved]
+        tslots, realised = tslots[found], realised[found]
+        pending = np.unique(tslots[weights[tslots] == realised])
 
 
 # ---------------------------------------------------------------------------
-# Label maintenance (Algorithms 4 and 5, tau-level sweeps)
+# Label maintenance (Algorithms 4 and 5)
 # ---------------------------------------------------------------------------
-
-class _EntryFrontier:
-    """Tau-keyed label-entry frontier: ``(vertex, column)`` batches."""
-
-    __slots__ = ("_tau", "_pending", "_heap")
-
-    def __init__(self, tau: np.ndarray):
-        self._tau = tau
-        self._pending: dict[int, list[tuple[np.ndarray, np.ndarray]]] = {}
-        self._heap: list[int] = []
-
-    def __bool__(self) -> bool:
-        return bool(self._heap)
-
-    def activate(self, verts: np.ndarray, cols: np.ndarray) -> None:
-        if not len(verts):
-            return
-        levels = self._tau[verts]
-        sort = np.argsort(levels, kind="stable")
-        verts, cols, levels = verts[sort], cols[sort], levels[sort]
-        bounds = _segment_starts(levels).tolist()
-        bounds.append(len(levels))
-        for bi in range(len(bounds) - 1):
-            lo, hi = bounds[bi], bounds[bi + 1]
-            level = int(levels[lo])
-            bucket = self._pending.get(level)
-            if bucket is None:
-                self._pending[level] = [(verts[lo:hi], cols[lo:hi])]
-                heapq.heappush(self._heap, level)
-            else:
-                bucket.append((verts[lo:hi], cols[lo:hi]))
-
-    def pop(self, offsets: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Next level's entries, deduplicated by flat position."""
-        level = heapq.heappop(self._heap)
-        chunks = self._pending.pop(level)
-        if len(chunks) == 1:
-            verts, cols = chunks[0]
-        else:
-            verts = np.concatenate([c[0] for c in chunks])
-            cols = np.concatenate([c[1] for c in chunks])
-        pos = offsets[verts] + cols
-        upos, uidx = np.unique(pos, return_index=True)
-        return verts[uidx], cols[uidx], upos
-
 
 def label_decrease_sweep(store, labels, verts, cols, changed) -> int:
-    """Algorithm 4 — DHL- label maintenance as a top-down level sweep."""
+    """Algorithm 4 — DHL- label maintenance as chaotic relax rounds."""
     offsets = labels.offsets
     values = labels.values
     csr = store.csr
     weights = store.up_weights
-    down_indptr, down_indices = csr.down_indptr, csr.down_indices
-    down_slots = csr.down_slots
-
-    frontier = _EntryFrontier(store.tau)
-    frontier.activate(verts, cols)
     pops = 0
-    while frontier:
-        verts, cols, upos = frontier.pop(offsets)
+    while len(verts):
         pops += len(verts)
-        vals = values[upos]
-        deg = down_indptr[verts + 1] - down_indptr[verts]
-        rep, ramp = _expand(deg)
-        if not len(rep):
-            continue
-        didx = down_indptr[verts][rep] + ramp
-        targets = down_indices[didx]
-        cand = weights[down_slots[didx]] + vals[rep]
-        improved = labels.relax_entries(offsets[targets] + cols[rep], cand)
-        if len(improved):
-            changed[improved] = 1
-            frontier.activate(*labels.entries_of_positions(improved))
+        rep, didx = expand_rows(csr.down_indptr, verts)
+        cand = weights[csr.down_slots[didx]] + values[offsets[verts] + cols][rep]
+        improved = labels.relax_entries(
+            offsets[csr.down_indices[didx]] + cols[rep], cand
+        )
+        changed[improved] = 1
+        verts, cols = labels.entries_of_positions(improved)
     return pops
 
 
 def label_increase_sweep(store, labels, verts, cols, changed) -> tuple[int, int]:
-    """Algorithm 5 — DHL+ label maintenance as a top-down level sweep.
+    """Algorithm 5 — DHL+ label maintenance as re-delivering rounds.
 
-    Every suspect entry of a level is recomputed from its up-neighbour
-    labels in one ragged gather + segmented min; entries that strictly
-    increased seed deeper suspects through the equality-guarded down
-    expansion before the level's values are written back.
+    Each round recomputes every pending suspect, support-free, from the
+    *current* up-row labels (one ragged gather + segmented min) and
+    writes the ones that moved. A moved entry then suspects every
+    down-row entry whose post-write value still equals the shortcut
+    weight plus the entry's pre-write value — exactly the entries whose
+    equation the write may have broken — so every entry outside
+    ``pending`` equals its recompute after every round.
     """
     offsets = labels.offsets
     values = labels.values
     tau = store.tau
     csr = store.csr
     weights = store.up_weights
-    indptr, indices = csr.indptr, csr.indices
-    down_indptr, down_indices = csr.down_indptr, csr.down_indices
-    down_slots = csr.down_slots
-
-    frontier = _EntryFrontier(tau)
-    frontier.activate(verts, cols)
+    pending = np.unique(offsets[verts] + cols)
     pops = risen = 0
-    while frontier:
-        verts, cols, upos = frontier.pop(offsets)
-        pops += len(verts)
-        old_vals = values[upos]
-
-        # Support-free recompute over the up rows (tau-guarded).
-        deg = indptr[verts + 1] - indptr[verts]
-        rep, ramp = _expand(deg)
-        w_new = np.full(len(verts), np.inf)
+    while len(pending):
+        pops += len(pending)
+        verts, cols = labels.entries_of_positions(pending)
+        w_new = np.full(len(pending), np.inf)
+        rep, slots = expand_rows(csr.indptr, verts)
         if len(rep):
-            slots = indptr[verts][rep] + ramp
-            ups = indices[slots]
+            ups = csr.indices[slots]
             t_cols = cols[rep]
             valid = tau[ups] >= t_cols
             gather = offsets[ups] + np.where(valid, t_cols, 0)
             cand = np.where(valid, weights[slots] + values[gather], np.inf)
-            nonzero = deg > 0
-            seg_starts = (np.cumsum(deg) - deg)[nonzero]
-            w_new[nonzero] = np.minimum.reduceat(cand, seg_starts)
-
-        increased = w_new > old_vals
-
-        # Seed deeper suspects whose entry was realised through the
-        # old value — checked against pre-write deeper labels, as in
-        # the reference heap order.
-        if increased.any():
-            pv, pc, po = (
-                verts[increased],
-                cols[increased],
-                old_vals[increased],
-            )
-            ddeg = down_indptr[pv + 1] - down_indptr[pv]
-            rep2, ramp2 = _expand(ddeg)
-            if len(rep2):
-                didx = down_indptr[pv][rep2] + ramp2
-                targets = down_indices[didx]
-                chained = weights[down_slots[didx]] + po[rep2]
-                d_cols = pc[rep2]
-                hit = chained == values[offsets[targets] + d_cols]
-                if hit.any():
-                    frontier.activate(targets[hit], d_cols[hit])
-
-        labels.recompute_entries(upos, w_new)
-        risen += int(increased.sum())
-        changed[upos[w_new != old_vals]] = 1
+            seg = segment_starts(rep)
+            w_new[rep[seg]] = np.minimum.reduceat(cand, seg)
+        old = values[pending]
+        moved = w_new != old
+        if not moved.any():
+            break
+        ch = pending[moved]
+        values[ch] = w_new[moved]
+        risen += len(ch) - int(changed[ch].sum())
+        changed[ch] = 1
+        rep, didx = expand_rows(csr.down_indptr, verts[moved])
+        targets = offsets[csr.down_indices[didx]] + cols[moved][rep]
+        realised = weights[csr.down_slots[didx]] + old[moved][rep]
+        pending = np.unique(targets[values[targets] == realised])
     return pops, risen
 
 

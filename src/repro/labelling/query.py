@@ -33,8 +33,8 @@ import numpy as np
 
 from repro.hierarchy.query_hierarchy import QueryHierarchy
 from repro.labelling.labels import HierarchicalLabelling
-from repro.labelling.maintenance_kernels import _expand
 from repro.utils.pairs import as_pair_array
+from repro.utils.ragged import expand
 
 __all__ = ["QueryEngine"]
 
@@ -96,7 +96,7 @@ class _TargetTables:
     ):
         self.targets = targets.copy()
         counts = hub_offsets[targets + 1] - hub_offsets[targets]
-        self.col, self.rank = _expand(counts)
+        self.col, self.rank = expand(counts)
         self.vertex = targets[self.col]
         ancestors = hubs[hub_offsets[self.vertex] + self.rank]
         members = np.unique(ancestors)
@@ -280,7 +280,7 @@ class QueryEngine:
 
         # The sources' chains, cut to their members of A: A is closed
         # under ancestors, so what survives is each chain's prefix.
-        owner, rank = _expand(hub_offsets[sources + 1] - hub_offsets[sources])
+        owner, rank = expand(hub_offsets[sources + 1] - hub_offsets[sources])
         chain = sources[owner]
         rows = tables.rowmap[hubs[hub_offsets[chain] + rank]]
         keep = rows < tables.num_rows

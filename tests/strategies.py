@@ -6,7 +6,14 @@ import numpy as np
 from hypothesis import strategies as st
 
 from repro.baselines.dijkstra import dijkstra
+from repro.core.config import DHLConfig
+from repro.core.index import DHLIndex
+from repro.core.stats import IndexStats
 from repro.graph.graph import Graph
+from repro.hierarchy.query_hierarchy import QueryHierarchy
+from repro.hierarchy.update_hierarchy import UpdateHierarchy
+from repro.labelling.build import build_labelling
+from repro.partition.recursive import PartitionTreeNode
 
 
 @st.composite
@@ -67,6 +74,41 @@ def update_sequences(draw, graph: Graph, max_steps: int = 6, max_batch: int = 4)
     return sequence
 
 
+def assert_stats_match(array_stats, reference_stats) -> None:
+    """The engine-independent fields of two maintenance passes agree."""
+    assert array_stats.shortcuts_changed == reference_stats.shortcuts_changed
+    assert array_stats.labels_changed == reference_stats.labels_changed
+    assert array_stats.affected_shortcuts == reference_stats.affected_shortcuts
+    assert array_stats.affected_labels == reference_stats.affected_labels
+
+
+def caterpillar_index(spine: int, config: DHLConfig | None = None) -> DHLIndex:
+    """A path with one leg per vertex under a depth-``spine`` hierarchy.
+
+    Node ``i`` of the partition tree owns spine vertex ``i`` alone; its
+    children are leg ``i`` and the rest of the spine, so the tree is as
+    deep as the spine is long — past ``_MAX_VECTOR_DEPTH``, where the
+    pair kernel falls back to the scalar path.
+    """
+    graph = Graph(2 * spine)
+    for i in range(spine):
+        graph.add_edge(i, spine + i, float(1 + i % 5))
+        if i + 1 < spine:
+            graph.add_edge(i, i + 1, float(2 + i % 3))
+    node = PartitionTreeNode(
+        vertices=[spine - 1], children=[PartitionTreeNode(vertices=[2 * spine - 1])]
+    )
+    for i in range(spine - 2, -1, -1):
+        node = PartitionTreeNode(
+            vertices=[i], children=[PartitionTreeNode(vertices=[spine + i]), node]
+        )
+    hq = QueryHierarchy.from_partition_tree(node, graph.num_vertices)
+    hu = UpdateHierarchy.build(graph, hq)
+    labels = build_labelling(hu)
+    stats = IndexStats(num_vertices=graph.num_vertices, num_edges=graph.num_edges)
+    return DHLIndex(graph, hq, hu, labels, config or DHLConfig(seed=0), stats)
+
+
 def pair_matrix(engine, sources, targets) -> np.ndarray:
     """The pair kernel on the expanded ``sources x targets`` pairs —
     the reference every set-to-set matrix is compared with."""
@@ -77,24 +119,26 @@ def pair_matrix(engine, sources, targets) -> np.ndarray:
     return engine.distances_arrays(s, t).reshape(len(sources), len(targets))
 
 
-def rolling_stream(graph: Graph, region_of, rounds: int = 5, seed: int = 0):
+def rolling_stream(
+    graph: Graph, region_of, rounds: int = 5, seed: int = 0, group: int = 6
+):
     """Rolling update bursts interleaved with mixed intra/cross batches.
 
     Yields ``(changes, pairs)`` per round. Burst ``j`` doubles the
-    weights of edge group ``j`` and restores group ``j - 1`` in the same
-    call (the benchmark's rolling shape: every burst mixes increase and
-    decrease work and weights are never at base mid-stream); the pairs
-    are half intra-region, half cross-region, shuffled, with repeated
-    endpoints and one self pair.
+    weights of the *group* edges of group ``j`` and restores group
+    ``j - 1`` in the same call (the benchmark's rolling shape: every
+    burst mixes increase and decrease work and weights are never at
+    base mid-stream); the pairs are half intra-region, half
+    cross-region, shuffled, with repeated endpoints and one self pair.
     """
     rng = np.random.default_rng(seed)
     edges = list(graph.edges())
-    picks = rng.permutation(len(edges))[: 6 * rounds].reshape(rounds, 6)
+    picks = rng.permutation(len(edges))[: group * rounds].reshape(rounds, group)
     region_of = np.asarray(region_of)
     by_region = [np.flatnonzero(region_of == r) for r in range(region_of.max() + 1)]
     previous: list = []
-    for group in picks:
-        current = [edges[i] for i in group]
+    for pick in picks:
+        current = [edges[i] for i in pick]
         changes = [(u, v, 2 * w) for u, v, w in current] + previous
         previous = current
         pairs = [(int(by_region[0][0]), int(by_region[0][0]))]
@@ -106,16 +150,21 @@ def rolling_stream(graph: Graph, region_of, rounds: int = 5, seed: int = 0):
         yield changes, [pairs[i] for i in rng.permutation(len(pairs))]
 
 
-def assert_stream_parity(runtimes, graph: Graph, region_of, seed: int = 0) -> None:
+def assert_stream_parity(
+    runtimes, graph: Graph, region_of, seed: int = 0, group: int = 6, after_update=None
+) -> None:
     """Replay :func:`rolling_stream` through every runtime in lockstep.
 
     Each runtime owns its own copy of the index. Every batch must come
     back bit-identical from all of them and equal Dijkstra on the
-    first runtime's (updated) graph.
+    first runtime's (updated) graph. *after_update*, when given, is
+    called after every burst with the runtimes' ``apply_update``
+    results.
     """
-    for changes, pairs in rolling_stream(graph, region_of, seed=seed):
-        for runtime in runtimes:
-            runtime.apply_update(changes)
+    for changes, pairs in rolling_stream(graph, region_of, seed=seed, group=group):
+        results = [runtime.apply_update(changes) for runtime in runtimes]
+        if after_update is not None:
+            after_update(results)
         answers = [runtime.distances(pairs) for runtime in runtimes]
         for other in answers[1:]:
             np.testing.assert_array_equal(other, answers[0])

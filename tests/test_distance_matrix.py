@@ -18,17 +18,12 @@ from repro.baselines.dijkstra import dijkstra
 from repro.core.config import DHLConfig
 from repro.core.index import DHLIndex
 from repro.core.sharded import ShardedDHLIndex
-from repro.core.stats import IndexStats
 from repro.graph.generators import delaunay_network, grid_network
 from repro.graph.graph import Graph
-from repro.hierarchy.query_hierarchy import QueryHierarchy
-from repro.hierarchy.update_hierarchy import UpdateHierarchy
 from repro.labelling import query as query_module
-from repro.labelling.build import build_labelling
-from repro.partition.recursive import PartitionTreeNode
 from repro.sharding.engine import boundary_fan, boundary_fans, min_plus_compact
 from repro.utils.rng import make_rng
-from tests.strategies import connected_graphs, pair_matrix
+from tests.strategies import caterpillar_index, connected_graphs, pair_matrix
 
 
 def assert_kernel_matches(engine, sources, targets) -> np.ndarray:
@@ -38,33 +33,6 @@ def assert_kernel_matches(engine, sources, targets) -> np.ndarray:
     assert not np.isnan(got).any()
     assert np.array_equal(got, pair_matrix(engine, sources, targets))
     return got
-
-
-def caterpillar_index(spine: int) -> DHLIndex:
-    """A path with one leg per vertex under a depth-``spine`` hierarchy.
-
-    Node ``i`` of the partition tree owns spine vertex ``i`` alone; its
-    children are leg ``i`` and the rest of the spine, so the tree is as
-    deep as the spine is long — past ``_MAX_VECTOR_DEPTH``, where the
-    pair kernel falls back to the scalar path.
-    """
-    graph = Graph(2 * spine)
-    for i in range(spine):
-        graph.add_edge(i, spine + i, float(1 + i % 5))
-        if i + 1 < spine:
-            graph.add_edge(i, i + 1, float(2 + i % 3))
-    node = PartitionTreeNode(
-        vertices=[spine - 1], children=[PartitionTreeNode(vertices=[2 * spine - 1])]
-    )
-    for i in range(spine - 2, -1, -1):
-        node = PartitionTreeNode(
-            vertices=[i], children=[PartitionTreeNode(vertices=[spine + i]), node]
-        )
-    hq = QueryHierarchy.from_partition_tree(node, graph.num_vertices)
-    hu = UpdateHierarchy.build(graph, hq)
-    labels = build_labelling(hu)
-    stats = IndexStats(num_vertices=graph.num_vertices, num_edges=graph.num_edges)
-    return DHLIndex(graph, hq, hu, labels, DHLConfig(seed=0), stats)
 
 
 @pytest.fixture(params=["array", "compiled"])

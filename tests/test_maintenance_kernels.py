@@ -37,7 +37,7 @@ from repro.graph.digraph import DiGraph
 from repro.hierarchy.contraction import contract_in_order
 from repro.labelling.driver import ENGINES, split_batch
 from repro.labelling.maintenance import MaintenanceStats
-from tests.strategies import connected_graphs, update_sequences
+from tests.strategies import assert_stats_match, connected_graphs, update_sequences
 
 
 @contextlib.contextmanager
@@ -53,14 +53,6 @@ def force_compiled():
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(compiled, "available", lambda: True)
         yield
-
-
-def assert_stats_match(array_stats, reference_stats) -> None:
-    """The engine-independent fields of two maintenance passes agree."""
-    assert array_stats.shortcuts_changed == reference_stats.shortcuts_changed
-    assert array_stats.labels_changed == reference_stats.labels_changed
-    assert array_stats.affected_shortcuts == reference_stats.affected_shortcuts
-    assert array_stats.affected_labels == reference_stats.affected_labels
 
 
 def test_engine_table_is_three_engines_of_exactly_four_sweeps():

@@ -1,0 +1,267 @@
+"""The array engine's order-free sweeps must reach the ordered fixpoint.
+
+The ``array`` sweeps run as frontier rounds in no particular order and
+rely on the equality guard to re-deliver work: an entry recomputed from
+a stale neighbour is suspected again when that neighbour moves. The
+``reference`` (rank-ordered heaps) and forced-``compiled`` engines keep
+the paper's order, so three-way parity of everything but
+``entries_processed`` — on the inputs where stale reads and ties are
+most likely — is the check that re-delivery loses nothing. The last
+test bounds the rounds a sweep may take, so a regression to per-level
+stepping fails here rather than in a benchmark.
+"""
+
+from __future__ import annotations
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings
+
+from repro.core.config import DHLConfig
+from repro.core.directed import DirectedDHLIndex
+from repro.core.index import DHLIndex
+from repro.core.sharded import ShardedDHLIndex
+from repro.graph.digraph import DiGraph
+from repro.graph.generators import grid_network
+from repro.graph.graph import Graph
+from repro.hierarchy.update_hierarchy import UpdateHierarchy
+from repro.labelling import driver
+from repro.labelling.build import build_labelling
+from repro.labelling.maintenance import Engine
+from repro.service.runtime import InProcessRuntime
+from tests.strategies import (
+    assert_stats_match,
+    assert_stream_parity,
+    caterpillar_index,
+    connected_graphs,
+    rolling_stream,
+    update_sequences,
+)
+
+pytestmark = pytest.mark.usefixtures("forced_compiled")
+
+ENGINE_NAMES = ("array", "reference", "compiled")
+
+
+def per_engine(build) -> list:
+    """One index per engine from ``build(config)``; array first."""
+    return [build(DHLConfig(leaf_size=4, seed=0, engine=name)) for name in ENGINE_NAMES]
+
+
+def maintained_state(index) -> list[np.ndarray]:
+    """Every buffer maintenance writes, whatever the index family."""
+    if isinstance(index, ShardedDHLIndex):
+        parts = [*index.shards, index.overlay]
+        return [buf for part in parts for buf in maintained_state(part)]
+    if isinstance(index, DirectedDHLIndex):
+        return [
+            index.labels_out.packed()[0],
+            index.labels_in.packed()[0],
+            index.out_weights,
+            index.in_weights,
+        ]
+    return [index.labels.packed()[0], index.hu.up_weights]
+
+
+def assert_in_lockstep(indexes, results) -> None:
+    """Same stats (bar search effort) and bit-identical maintained state."""
+    for stats in results[1:]:
+        assert_stats_match(stats, results[0])
+    want = maintained_state(indexes[0])
+    for other in indexes[1:]:
+        for got, ref in zip(maintained_state(other), want, strict=True):
+            np.testing.assert_array_equal(got, ref)
+
+
+def replay(indexes, bursts) -> None:
+    for burst in bursts:
+        assert_in_lockstep(indexes, [index.update(burst) for index in indexes])
+
+
+def assert_equals_rebuild(index: DHLIndex) -> None:
+    """Maintained shortcuts and labels equal a fresh build over the
+    same (weight-independent) hierarchy on the current weights."""
+    hu = UpdateHierarchy.build(index.graph.copy(), index.hq)
+    np.testing.assert_array_equal(index.hu.up_weights, hu.up_weights)
+    assert index.labels.equals(build_labelling(hu))
+
+
+def uniform_grid(side: int, weight: float) -> Graph:
+    graph = grid_network(side, side, diagonal_fraction=0.0, weight_jitter=0.0)
+    for u, v, _ in list(graph.edges()):
+        graph.set_weight(u, v, weight)
+    return graph
+
+
+def rolling_bursts(graph: Graph, rounds: int = 5, seed: int = 0) -> list:
+    """The 16-change bursts of :func:`rolling_stream`, pairs dropped."""
+    halves = np.arange(graph.num_vertices) % 2
+    stream = rolling_stream(graph, halves, rounds=rounds, seed=seed, group=8)
+    return [changes for changes, _ in stream]
+
+
+@pytest.mark.parametrize("weight", [1.0, 7.0])
+def test_every_path_ties(weight):
+    """On an all-equal-weight grid every equality guard fires at once:
+    each moved entry suspects all its ties, stale or not."""
+    graph = uniform_grid(9, weight)
+    indexes = per_engine(lambda config: DHLIndex.build(graph.copy(), config))
+    replay(indexes, rolling_bursts(graph))
+    assert_equals_rebuild(indexes[0])
+
+
+def test_increase_to_inf_then_restore(small_grid):
+    """Closed edges push entries to inf (inf == inf keeps suspecting);
+    reopening them must bring every value back."""
+    edges = list(small_grid.edges())[::23]
+    indexes = per_engine(lambda config: DHLIndex.build(small_grid.copy(), config))
+    before = indexes[0].labels.copy()
+    replay(indexes, [[(u, v, math.inf) for u, v, _ in edges]])
+    assert_equals_rebuild(indexes[0])
+    assert not indexes[0].labels.equals(before)
+    replay(indexes, [edges[: len(edges) // 2], edges])
+    assert indexes[0].labels.equals(before)
+
+
+def test_disconnected_graph():
+    """Two components: cross-component entries are inf throughout, and
+    cutting a bridge inside one splits it further."""
+    graph = Graph(40)
+    for base in (0, 20):
+        for i in range(19):
+            graph.add_edge(base + i, base + i + 1, float(1 + i % 4))
+        for i in range(0, 16, 3):
+            graph.add_edge(base + i, base + i + 4, float(3 + i % 5))
+    indexes = per_engine(lambda config: DHLIndex.build(graph.copy(), config))
+    assert math.isinf(indexes[0].distance(3, 25))
+    bridge = (18, 19, graph.weight(18, 19))
+    replay(
+        indexes,
+        [*rolling_bursts(graph, rounds=3), [(18, 19, math.inf)], [bridge]],
+    )
+    assert_equals_rebuild(indexes[0])
+
+
+def test_deep_caterpillar():
+    """A depth-56 hierarchy: chains as long as the tree is deep, where
+    one changed spine edge re-delivers down the whole spine."""
+    indexes = per_engine(lambda config: caterpillar_index(56, config))
+    graph = indexes[0].graph.copy()
+    spine = [(i, i + 1, graph.weight(i, i + 1)) for i in range(0, 55, 6)]
+    replay(
+        indexes,
+        [
+            [(u, v, 3 * w) for u, v, w in spine],
+            spine[::2],
+            *rolling_bursts(graph, rounds=3, seed=2),
+        ],
+    )
+    assert_equals_rebuild(indexes[0])
+
+
+def test_rolling_bursts_through_dhl_index(small_grid):
+    indexes = per_engine(lambda config: DHLIndex.build(small_grid.copy(), config))
+    halves = np.arange(small_grid.num_vertices) % 2
+    assert_stream_parity(
+        [InProcessRuntime(index) for index in indexes],
+        small_grid,
+        halves,
+        group=8,
+        after_update=lambda results: assert_in_lockstep(indexes, results),
+    )
+    assert_equals_rebuild(indexes[0])
+
+
+def test_rolling_bursts_through_sharded_index():
+    graph = grid_network(12, 12, seed=4)
+    indexes = per_engine(
+        lambda config: ShardedDHLIndex.build(
+            graph.copy(), k=2, config=config, build_workers=1
+        )
+    )
+    assert_stream_parity(
+        [InProcessRuntime(index) for index in indexes],
+        graph,
+        indexes[0].region_of,
+        seed=2,
+        group=8,
+        after_update=lambda results: assert_in_lockstep(indexes, results),
+    )
+
+
+def test_rolling_bursts_through_directed_index(small_grid):
+    """Each change moves one arc only, so the two label stores diverge."""
+    indexes = per_engine(
+        lambda config: DirectedDHLIndex.build(
+            DiGraph.from_undirected(small_grid), config
+        )
+    )
+    replay(indexes, rolling_bursts(small_grid, seed=5))
+    rebuilt = DirectedDHLIndex.build(indexes[0].digraph.copy(), indexes[0].config)
+    assert indexes[0].labels_out.equals(rebuilt.labels_out)
+    assert indexes[0].labels_in.equals(rebuilt.labels_in)
+
+
+@settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    data=connected_graphs(min_n=4, max_n=20, max_weight=4).flatmap(
+        lambda g: update_sequences(g, max_steps=5, max_batch=8).map(
+            lambda seq: (g, seq)
+        )
+    )
+)
+def test_random_bursts_equal_fresh_rebuild(data):
+    """Small weights on small graphs: ties everywhere, arbitrary order."""
+    graph, sequence = data
+    index = DHLIndex.build(graph.copy(), DHLConfig(leaf_size=3, seed=0))
+    for burst in sequence:
+        index.update(burst)
+        assert_equals_rebuild(index)
+
+
+class _CountedMarks(np.ndarray):
+    """A ``changed`` mark array that counts the writes into it."""
+
+    writes = 0
+
+    def __setitem__(self, key, value):
+        self.writes += 1
+        super().__setitem__(key, value)
+
+
+def test_sweeps_finish_in_hop_rounds_not_tau_levels(monkeypatch):
+    """Every sweep marks ``changed`` once per round. A burst on a grid
+    touches most ``tau`` levels, so a sweep that stepped level by level
+    would mark about once per level; a quarter of the levels is far
+    above the hop-round count and far below that."""
+    rounds: dict[str, list[int]] = {name: [] for name in Engine._fields}
+
+    def counted(name, sweep):
+        # ``changed`` is the last argument, before ``first_old`` on the
+        # shortcut sweeps.
+        at = -1 if name.startswith("label") else -2
+
+        def run(*args):
+            args = list(args)
+            marks = args[at] = args[at].view(_CountedMarks)
+            result = sweep(*args)
+            rounds[name].append(marks.writes)
+            return result
+
+        return run
+
+    array = driver.ENGINES["array"]
+    monkeypatch.setitem(
+        driver.ENGINES, "array", Engine(*map(counted, Engine._fields, array))
+    )
+    graph = grid_network(24, 24, seed=0)
+    index = DHLIndex.build(graph.copy(), DHLConfig(seed=0))
+    levels = int(index.hu.tau.max()) + 1
+    for burst in rolling_bursts(graph, rounds=6, seed=1):
+        index.update(burst)
+    assert_equals_rebuild(index)
+    for name, counts in rounds.items():
+        assert len(counts) >= 5 and max(counts) > 2, (name, counts)
+        assert max(counts) <= levels // 4, (name, counts, levels)
