@@ -46,6 +46,7 @@ from repro.labelling.build import build_labelling
 from repro.labelling.driver import maintain_labels, split_batch, validate_batch
 from repro.labelling.labels import HierarchicalLabelling
 from repro.labelling.maintenance import MaintenanceStats
+from repro.labelling.query import AncestorTables, gather_pairs
 from repro.partition.recursive import recursive_bisection
 from repro.utils.pairs import as_pair_array
 from repro.utils.priority_queue import LazyHeap
@@ -124,6 +125,7 @@ class DirectedDHLIndex:
         self._stats = stats
         self._out_view = _DirectionView(hq.tau, self.csr, self.out_weights)
         self._in_view = _DirectionView(hq.tau, self.csr, self.in_weights)
+        self._lca: AncestorTables | None = None
         # Monotone maintenance epoch, mirroring DHLIndex: bumped once per
         # applied update batch so the serving layer's result cache (and a
         # worker epoch broadcast) can key on it.
@@ -294,11 +296,13 @@ class DirectedDHLIndex:
     def distances(self, pairs) -> np.ndarray:
         """Batch ``s -> t`` distances: an ``(m, 2)`` integer array or any
         iterable of pairs."""
-        pairs = as_pair_array(pairs).tolist()
-        out = np.empty(len(pairs), dtype=np.float64)
-        for idx, (s, t) in enumerate(pairs):
-            out[idx] = self.distance(s, t)
-        return out
+        arr = as_pair_array(pairs)
+        s, t = arr[:, 0], arr[:, 1]
+        # A full rebuild adopts a fresh H_Q in place; re-key on identity.
+        if self._lca is None or self._lca.hq is not self.hq:
+            self._lca = AncestorTables(self.hq)
+        k = self._lca.counts(s, t)
+        return gather_pairs(self.labels_out, s, self.labels_in, t, k)[0]
 
     # ------------------------------------------------------------------
     # directional weight helpers

@@ -164,11 +164,9 @@ class DHLIndex:
 
         return PathReconstructor(self._engine, self.hu).shortest_path(s, t)
 
-    def distances_from(
-        self, s: int, targets: Sequence[int]
-    ) -> np.ndarray:
+    def distances_from(self, s: int, targets: Sequence[int]) -> np.ndarray:
         """One-to-many distances from *s* (e.g. k-nearest-POI workloads)."""
-        return self._engine.distances([(s, t) for t in targets])
+        return self._engine.distances_arrays(np.full(len(targets), s), targets)
 
     def k_nearest(
         self, s: int, candidates: Sequence[int], k: int

@@ -233,7 +233,7 @@ class ShardedDHLIndex:
 
     def distances_from(self, s: int, targets: Sequence[int]) -> np.ndarray:
         """One-to-many distances from *s*."""
-        return self._engine.distances([(s, t) for t in targets])
+        return self._engine.distances_arrays(np.full(len(targets), s), targets)
 
     def k_nearest(
         self, s: int, candidates: Sequence[int], k: int

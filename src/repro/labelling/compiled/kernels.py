@@ -429,7 +429,7 @@ def query_gather(s, t, k, values, offsets, out, best):
     """Batch distance gather: per-pair min over the common ancestor run.
 
     For each pair the first ``k`` label entries of both endpoints are
-    summed and minimised in one fused loop — no K-bucketed temporaries.
+    summed and minimised in one fused loop — no gather temporaries.
     ``best`` receives the argmin column (−1 for same-vertex pairs and
     unreachable results), matching the numpy kernel's hub contract.
     """

@@ -10,10 +10,13 @@ contains that path.
 
 Batch queries gather *directly* from the labelling's flat CSR store: the
 entry ``L_v[i]`` lives at ``values[offsets[v] + i]``, so a batch of
-pairs is answered with two fancy-indexed gathers, one add and one masked
-row-min — no padded label-matrix copy, no Python-level loop over pairs,
-and nothing to re-sync after maintenance (the kernel reads the live
-buffer that the maintenance algorithms write into).
+pairs is one ragged run of exactly ``sum(K)`` cells per side
+(:func:`gather_pairs`): two gathers, one add and one segmented minimum,
+cut at pair boundaries into runs that stay in cache — the paper's cost
+model of K cells per endpoint, with no padding to a common width, no
+Python-level loop over pairs, and nothing to re-sync after maintenance
+(the kernel reads the live buffer that the maintenance algorithms write
+into).
 
 Set-to-set queries (:meth:`QueryEngine.distance_matrix`) do not go
 through pairs at all. ``anc(u) ∩ anc(t)`` *is* the common-ancestor
@@ -36,34 +39,125 @@ from repro.labelling.labels import HierarchicalLabelling
 from repro.utils.pairs import as_pair_array
 from repro.utils.ragged import expand
 
-__all__ = ["QueryEngine"]
+__all__ = ["AncestorTables", "QueryEngine", "gather_pairs"]
 
 # The vectorised LCA kernel packs partition bitstrings into int64 and
 # recovers bit lengths through float64 mantissas (np.frexp), both exact
 # only while ``depth + 1 <= 52``. Deeper hierarchies (which would need a
-# ludicrously unbalanced partition tree) fall back to the scalar path.
+# ludicrously unbalanced partition tree) count K pair by pair.
 _MAX_VECTOR_DEPTH = 50
 
-# Rows per chunk are sized so one ``(chunk, h)`` sum matrix stays around
-# 32 MB regardless of the hierarchy height.
+# Cells per temporary of the set kernel: one ``(chunk, h)`` sum matrix
+# stays around 32 MB regardless of the hierarchy height.
 _CHUNK_CELLS = 4_000_000
 
+# Cells per run of the pair kernel: its two temporaries (positions and
+# sums, 128 kB each) are gathered, added and reduced while still in L2.
+_PAIR_CHUNK_CELLS = 16_384
 
-class _BatchTables:
-    """Numpy renditions of H_Q's per-node tables for the batch kernel."""
 
-    __slots__ = ("node_of", "depth", "bits", "chain", "tau")
+class AncestorTables:
+    """Batch ``|anc(s) ∩ anc(t)|`` over numpy renditions of H_Q's tables."""
+
+    __slots__ = ("hq", "vectorised", "node_of", "depth", "bits", "chain", "tau")
 
     def __init__(self, hq: QueryHierarchy):
+        self.hq = hq
+        max_depth = max(hq.node_depth, default=0)
+        self.vectorised = max_depth <= _MAX_VECTOR_DEPTH
+        if not self.vectorised:
+            return
         self.node_of = np.asarray(hq.node_of, dtype=np.int64)
         self.depth = np.asarray(hq.node_depth, dtype=np.int64)
         self.bits = np.asarray(hq.node_bits, dtype=np.int64)
         self.tau = np.asarray(hq.tau, dtype=np.int64)
-        max_depth = int(self.depth.max()) if len(hq.node_depth) else 0
         chain = np.zeros((hq.num_nodes, max_depth + 1), dtype=np.int64)
         for nid, prefix in enumerate(hq.node_vend_chain):
             chain[nid, : len(prefix)] = prefix
         self.chain = chain
+
+    def counts(self, s: np.ndarray, t: np.ndarray) -> np.ndarray:
+        """Vectorised ``|anc(s) ∩ anc(t)|`` over pair arrays.
+
+        Mirrors :meth:`QueryHierarchy.common_ancestor_count`: the LCA
+        depth comes from xor-ing depth-aligned bitstrings, with
+        ``bit_length`` recovered from the float64 exponent (exact below
+        2**53, guaranteed by the ``vectorised`` gate).
+        """
+        if not self.vectorised:
+            count = map(self.hq.common_ancestor_count, s.tolist(), t.tolist())
+            return np.fromiter(count, np.int64, len(s))
+        ns = self.node_of[s]
+        nt = self.node_of[t]
+        ds = self.depth[ns]
+        dt = self.depth[nt]
+        d = np.minimum(ds, dt)
+        diff = (self.bits[ns] >> (ds - d)) ^ (self.bits[nt] >> (dt - d))
+        shift = np.zeros_like(diff)
+        nz = diff != 0
+        if nz.any():
+            shift[nz] = np.frexp(diff[nz].astype(np.float64))[1]
+        lca_depth = d - shift
+        vend = self.chain[ns, lca_depth]
+        return np.minimum(np.minimum(self.tau[s], self.tau[t]), vend - 1) + 1
+
+
+def gather_pairs(
+    labels_s: HierarchicalLabelling,
+    s: np.ndarray,
+    labels_t: HierarchicalLabelling,
+    t: np.ndarray,
+    k: np.ndarray,
+    want_ranks: bool = False,
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """``min over i < k[p]`` of ``L_s[s[p]][i] + L_t[t[p]][i]`` per pair.
+
+    The exact-K ragged gather over two flat label stores (the same one
+    twice for an undirected index, out/in labels for a directed one):
+    pair ``p`` owns ``k[p]`` consecutive cells of one flat run, so both
+    sides cost ``sum(k)`` cells and the minimum is one ``reduceat``.
+    Returns ``(distances, ranks)`` with ``ranks`` the first minimising
+    ``i`` (``argmin``'s tie rule) when *want_ranks*; ``s == t`` answers
+    ``0.0`` and, like a pair without a finite sum, rank ``-1``.
+    """
+    out = np.full(len(k), np.inf, dtype=np.float64)
+    ranks = np.full(len(k), -1, dtype=np.int64) if want_ranks else None
+    same = s == t
+    # Pairs with k == 0 (other component, empty root separator) have no
+    # cell to reduce over and keep ``inf``.
+    live = np.flatnonzero(k)
+    if len(live) < len(k):
+        s, t, k = s[live], t[live], k[live]
+    ends = np.cumsum(k)
+    starts = ends - k
+    values_s, values_t = labels_s.values, labels_t.values
+    base = labels_s.offsets[s]
+    shift = labels_t.offsets[t] - base
+    base -= starts
+    lo = 0
+    while lo < len(live):
+        first = starts[lo]
+        hi = int(np.searchsorted(ends, first + _PAIR_CHUNK_CELLS, "right"))
+        hi = max(lo + 1, hi)
+        width = k[lo:hi]
+        # Cell ``c`` of pair ``p`` reads ``values[offsets[v] + c - starts[p]]``
+        # and ``c - starts[p] < K <= tau(v) + 1`` keeps it inside v's label.
+        pos = np.repeat(base[lo:hi], width)
+        pos += np.arange(first, ends[hi - 1], dtype=np.int64)
+        sums = values_s.take(pos)
+        pos += np.repeat(shift[lo:hi], width)
+        sums += values_t.take(pos)
+        seg = starts[lo:hi] - first
+        best = np.minimum.reduceat(sums, seg)
+        out[live[lo:hi]] = best
+        if want_ranks:
+            hit = np.flatnonzero(sums == np.repeat(best, width))
+            ranks[live[lo:hi]] = hit[np.searchsorted(hit, seg)] - seg
+        lo = hi
+    out[same] = 0.0
+    if want_ranks:
+        ranks[same | np.isinf(out)] = -1
+    return out, ranks
 
 
 class _TargetTables:
@@ -113,13 +207,14 @@ class QueryEngine:
 
     ``engine="compiled"`` routes the batch gather through the numba
     kernel of :mod:`repro.labelling.compiled` (one fused per-pair loop,
-    no K-bucketed temporaries) when the compiled package is usable;
-    any other value — or an unusable compiled package — runs the
-    numpy K-bucketed kernel. Constructing a compiled engine triggers
-    the JIT warmup so the first query batch never pays compilation.
+    no temporaries at all) when the compiled package is usable; any
+    other value — or an unusable compiled package — runs the numpy
+    exact-K ragged gather, :func:`gather_pairs`. Constructing a compiled
+    engine triggers the JIT warmup so the first query batch never pays
+    compilation.
 
     Three entry points, one live label store: :meth:`distance` (scalar),
-    :meth:`distances_arrays` (independent pairs, the K-bucketed gather)
+    :meth:`distances_arrays` (independent pairs, ``sum(K)`` cells a side)
     and :meth:`distance_matrix` (a source set against a fixed target
     set — plain numpy under every ``engine`` value). The engine keeps
     H_Q-only static state next to the labelling — the ancestor-chain
@@ -136,7 +231,6 @@ class QueryEngine:
         "_hub_values",
         "_hub_offsets",
         "_targets",
-        "_vector_ok",
     )
 
     def __init__(
@@ -148,15 +242,10 @@ class QueryEngine:
         self.hq = hq
         self.labels = labels
         self.engine = engine
-        self._tables: _BatchTables | None = None
+        self._tables: AncestorTables | None = None
         self._hub_values: np.ndarray | None = None
         self._hub_offsets: np.ndarray | None = None
         self._targets: _TargetTables | None = None
-        # H_Q is fixed for an engine's lifetime; an O(nodes) scan per
-        # batch call would be a fixed cost on every small batch.
-        self._vector_ok = (
-            not hq.node_depth or max(hq.node_depth) <= _MAX_VECTOR_DEPTH
-        )
         if engine == "compiled":
             from repro.labelling.compiled import warmup_kernels
 
@@ -202,11 +291,11 @@ class QueryEngine:
     # ------------------------------------------------------------------
     def supports_batch_kernel(self) -> bool:
         """Whether the int64/frexp bit tricks are exact for this H_Q."""
-        return self._vector_ok
+        return self._batch_tables().vectorised
 
-    def _batch_tables(self) -> _BatchTables:
+    def _batch_tables(self) -> AncestorTables:
         if self._tables is None:
-            self._tables = _BatchTables(self.hq)
+            self._tables = AncestorTables(self.hq)
         return self._tables
 
     def hub_store(self) -> tuple[np.ndarray, np.ndarray]:
@@ -319,108 +408,33 @@ class QueryEngine:
         return out
 
     def common_ancestor_counts(self, s: np.ndarray, t: np.ndarray) -> np.ndarray:
-        """Vectorised ``|anc(s) ∩ anc(t)|`` over pair arrays.
+        """``|anc(s) ∩ anc(t)|`` over pair arrays (:class:`AncestorTables`)."""
+        return self._batch_tables().counts(s, t)
 
-        Mirrors :meth:`QueryHierarchy.common_ancestor_count`: the LCA
-        depth comes from xor-ing depth-aligned bitstrings, with
-        ``bit_length`` recovered from the float64 exponent (exact below
-        2**53, guaranteed by the ``supports_batch_kernel`` gate).
-        """
-        tables = self._batch_tables()
-        ns = tables.node_of[s]
-        nt = tables.node_of[t]
-        ds = tables.depth[ns]
-        dt = tables.depth[nt]
-        d = np.minimum(ds, dt)
-        diff = (tables.bits[ns] >> (ds - d)) ^ (tables.bits[nt] >> (dt - d))
-        shift = np.zeros_like(diff)
-        nz = diff != 0
-        if nz.any():
-            shift[nz] = np.frexp(diff[nz].astype(np.float64))[1]
-        lca_depth = d - shift
-        vend = tables.chain[ns, lca_depth]
-        return np.minimum(np.minimum(tables.tau[s], tables.tau[t]), vend - 1) + 1
-
-    def _batch_kernel(
-        self, s: np.ndarray, t: np.ndarray, want_hubs: bool
+    def _gather(
+        self, s: np.ndarray, t: np.ndarray, k: np.ndarray, want_ranks: bool
     ) -> tuple[np.ndarray, np.ndarray | None]:
+        """``(distances, argmin ranks)``: the one step that forks by engine."""
         labels = self.labels
-        values = labels.values
-        starts = labels.offsets
-        last = len(values) - 1
-        k = self.common_ancestor_counts(s, t)
         if self.engine == "compiled":
             import repro.labelling.compiled as compiled
 
             if compiled.available():
-                return self._compiled_kernel(s, t, k, want_hubs)
-        count = len(s)
-        out = np.empty(count, dtype=np.float64)
-        hubs = np.full(count, -1, dtype=np.int64) if want_hubs else None
-        if want_hubs:
-            hub_values, hub_offsets = self.hub_store()
-        # Pairs are bucketed by K into power-of-two gather widths: on
-        # road hierarchies the mean K is far below the maximum, so most
-        # pairs are answered through a narrow gather instead of paying
-        # for the global worst case — a rectangular label matrix cannot
-        # make this move, the CSR store gets it for free.
-        order = np.argsort(k, kind="stable")
-        ks = k[order]
-        lo = 0
-        width = 1
-        while lo < count:
-            while width < ks[lo]:
-                width *= 2
-            hi = int(np.searchsorted(ks, width, side="right"))
-            columns = np.arange(width, dtype=np.int64)
-            chunk = max(1, _CHUNK_CELLS // width)
-            for seg_lo in range(lo, hi, chunk):
-                seg = order[seg_lo : min(seg_lo + chunk, hi)]
-                kc = ks[seg_lo : min(seg_lo + chunk, hi)]
-                # L_v[i] sits at values[offsets[v] + i]; columns < K are
-                # always within v's label because K <= min(tau) + 1.
-                # Columns past K may land in a neighbouring slot (or past
-                # the buffer, hence the clip) — they are masked to inf
-                # before the row-min.
-                pos_s = np.minimum(starts[s[seg], None] + columns, last)
-                pos_t = np.minimum(starts[t[seg], None] + columns, last)
-                sums = values[pos_s] + values[pos_t]
-                np.copyto(sums, np.inf, where=columns >= kc[:, None])
-                if want_hubs:
-                    best = np.argmin(sums, axis=1)
-                    out[seg] = sums[np.arange(len(best)), best]
-                    hubs[seg] = hub_values[hub_offsets[s[seg]] + best]
-                else:
-                    out[seg] = sums.min(axis=1)
-            lo = hi
-            width *= 2
-        same = s == t
-        if same.any():
-            out[same] = 0.0
-        if want_hubs:
-            hubs[same | np.isinf(out)] = -1
-        return out, hubs
+                return compiled.batch_query_compiled(
+                    labels.values, labels.offsets, s, t, k
+                )
+        return gather_pairs(labels, s, labels, t, k, want_ranks)
 
-    def _compiled_kernel(
-        self, s: np.ndarray, t: np.ndarray, k: np.ndarray, want_hubs: bool
+    def _batch_kernel(
+        self, s: np.ndarray, t: np.ndarray, want_hubs: bool
     ) -> tuple[np.ndarray, np.ndarray | None]:
-        """Fused per-pair gather through the numba kernel.
-
-        The common-ancestor counts stay in the numpy bitstring kernel
-        (already one vectorised pass); only the gather+min loop — where
-        the K-bucketed numpy path pays its temporaries — is compiled.
-        """
-        from repro.labelling.compiled import batch_query_compiled
-
-        labels = self.labels
-        out, best = batch_query_compiled(labels.values, labels.offsets, s, t, k)
+        k = self.common_ancestor_counts(s, t)
+        out, ranks = self._gather(s, t, k, want_hubs)
         if not want_hubs:
             return out, None
         hub_values, hub_offsets = self.hub_store()
-        hubs = np.full(len(s), -1, dtype=np.int64)
-        hit = best >= 0
-        if hit.any():
-            hubs[hit] = hub_values[hub_offsets[s[hit]] + best[hit]]
+        hubs = hub_values[hub_offsets[s] + np.maximum(ranks, 0)]
+        hubs[ranks < 0] = -1
         return out, hubs
 
     def distances(self, pairs) -> np.ndarray:
@@ -435,38 +449,20 @@ class QueryEngine:
         """Batch distances over parallel source/target id arrays.
 
         The array-native entry point to the zero-copy kernel: callers
-        that already hold vertex ids as numpy arrays (the sharded
-        engine's source-to-boundary fans, bulk matrix fills) skip the
-        pair-list round trip entirely.
+        that already hold vertex ids as numpy arrays (one-to-many
+        facades, bulk matrix fills) skip the pair-list round trip
+        entirely.
         """
         s = np.asarray(s, dtype=np.int64)
         t = np.asarray(t, dtype=np.int64)
         if len(s) != len(t):
             raise ValueError(f"length mismatch: {len(s)} sources, {len(t)} targets")
-        if not len(s):
-            return np.empty(0, dtype=np.float64)
-        if not self.supports_batch_kernel():
-            out = np.empty(len(s), dtype=np.float64)
-            distance = self.distance
-            for idx in range(len(s)):
-                out[idx] = distance(int(s[idx]), int(t[idx]))
-            return out
-        out, _ = self._batch_kernel(s, t, want_hubs=False)
-        return out
+        return self._batch_kernel(s, t, want_hubs=False)[0]
 
     def distances_with_hubs(self, pairs) -> tuple[np.ndarray, np.ndarray]:
         """Batch ``(distances, hubs)``; hub is -1 for self/disconnected pairs."""
         arr = as_pair_array(pairs)
-        if not len(arr):
-            return np.empty(0, dtype=np.float64), np.empty(0, dtype=np.int64)
-        if not self.supports_batch_kernel():
-            out = np.empty(len(arr), dtype=np.float64)
-            hubs = np.empty(len(arr), dtype=np.int64)
-            for idx, (s, t) in enumerate(arr.tolist()):
-                out[idx], hubs[idx] = self.distance_with_hub(s, t)
-            return out, hubs
-        out, hubs = self._batch_kernel(arr[:, 0], arr[:, 1], want_hubs=True)
-        return out, hubs
+        return self._batch_kernel(arr[:, 0], arr[:, 1], want_hubs=True)
 
     def search_space_size(self, s: int, t: int) -> int:
         """Number of label entries inspected for the pair (paper's 'hops')."""

@@ -2,15 +2,24 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, given, settings
 
 from repro.baselines.dijkstra import dijkstra
 from repro.core.config import DHLConfig
+from repro.core.directed import DirectedDHLIndex
 from repro.core.index import DHLIndex
+from repro.graph.digraph import DiGraph
+from repro.graph.generators import delaunay_network, grid_network
 from repro.graph.graph import Graph
+from repro.labelling import query as query_module
+from repro.labelling.query import QueryEngine
 from repro.utils.rng import make_rng, sample_pairs
-from tests.strategies import connected_graphs
+from tests.strategies import caterpillar_index, connected_graphs
+from tests.test_directed import directed_dijkstra
 
 
 def scalar_distances(index, pairs):
@@ -74,16 +83,212 @@ class TestBatchKernel:
         assert d.shape == (0,) and h.shape == (0,)
 
     def test_scalar_fallback_matches(self, small_index, monkeypatch):
-        engine = small_index.engine
         n = small_index.graph.num_vertices
         pairs = sample_pairs(n, 400, make_rng(11), distinct=False)
-        expected = engine.distances(pairs)
-        monkeypatch.setattr(
-            type(engine), "supports_batch_kernel", lambda self: False
-        )
+        expected, expected_hubs = small_index.engine.distances_with_hubs(pairs)
+        # Past the depth gate only K goes scalar; the gather is the same.
+        monkeypatch.setattr(query_module, "_MAX_VECTOR_DEPTH", 0)
+        engine = QueryEngine(small_index.hq, small_index.labels)
+        assert not engine.supports_batch_kernel()
         assert np.array_equal(engine.distances(pairs), expected)
         d, h = engine.distances_with_hubs(pairs)
         assert np.array_equal(d, expected)
+        assert np.array_equal(h, expected_hubs)
+
+
+def two_component_index() -> DHLIndex:
+    """Two 3 x 4 grids with no edge between them (K = 0 across)."""
+    half = grid_network(3, 4, seed=1)
+    n = half.num_vertices
+    g = Graph(2 * n)
+    for u, v, w in half.edges():
+        g.add_edge(u, v, w)
+        g.add_edge(n + u, n + v, w + 1.0)
+    return DHLIndex.build(g, DHLConfig(leaf_size=3, seed=0))
+
+
+class TestRaggedGather:
+    """The exact-K kernel: chunk edges, ties, empty segments, live store."""
+
+    @pytest.fixture(params=["grid", "delaunay", "caterpillar"])
+    def index(self, request) -> DHLIndex:
+        if request.param == "grid":
+            return DHLIndex.build(grid_network(9, 11, seed=3), DHLConfig(seed=0))
+        if request.param == "delaunay":
+            return DHLIndex.build(
+                delaunay_network(250, seed=5), DHLConfig(leaf_size=6, seed=0)
+            )
+        index = caterpillar_index(query_module._MAX_VECTOR_DEPTH + 6)
+        assert not index.engine.supports_batch_kernel()  # scalar K, same gather
+        return index
+
+    @pytest.mark.parametrize("cells", [1, 7, 64])
+    def test_chunk_size_never_changes_an_answer(self, index, monkeypatch, cells):
+        engine = index.engine
+        n = index.graph.num_vertices
+        pairs = sample_pairs(n, 600, make_rng(cells), distinct=False)
+        pairs += [(v, v) for v in range(0, n, 13)]
+        whole, whole_hubs = engine.distances_with_hubs(pairs)
+        assert np.array_equal(whole, scalar_distances(index, pairs))
+        monkeypatch.setattr(query_module, "_PAIR_CHUNK_CELLS", cells)
+        assert np.array_equal(engine.distances(pairs), whole)
+        chunked, chunked_hubs = engine.distances_with_hubs(pairs)
+        assert np.array_equal(chunked, whole)
+        assert np.array_equal(chunked_hubs, whole_hubs)
+
+    @pytest.mark.parametrize("cells", [5, 16_384])
+    def test_hubs_take_the_first_minimum_when_every_path_ties(
+        self, monkeypatch, cells
+    ):
+        g = grid_network(7, 8, seed=0)
+        for u, v, _ in list(g.edges()):
+            g.set_weight(u, v, 1.0)
+        half = g.num_vertices
+        both = Graph(half + 2)  # plus a far component: 56 - 57
+        for u, v, w in g.edges():
+            both.add_edge(u, v, w)
+        both.add_edge(half, half + 1, 1.0)
+        index = DHLIndex.build(both, DHLConfig(leaf_size=3, seed=0))
+        engine = index.engine
+        pairs = [(s, t) for s in range(0, half, 3) for t in range(half)]
+        pairs += [(0, half), (half + 1, 5), (half, half + 1), (half, half)]
+        monkeypatch.setattr(query_module, "_PAIR_CHUNK_CELLS", cells)
+        dists, hubs = engine.distances_with_hubs(pairs)
+        for (s, t), d, hub in zip(pairs, dists.tolist(), hubs.tolist()):
+            assert (d, hub) == engine.distance_with_hub(s, t), (s, t)
+            if s == t or np.isinf(d):
+                assert hub == -1
+
+    def test_pairs_without_a_common_ancestor_stay_inf(self, monkeypatch):
+        index = two_component_index()
+        engine = index.engine
+        n = index.graph.num_vertices
+        half = n // 2
+        cross = [(a, half + b) for a in range(half) for b in range(0, half, 5)]
+        counts = engine.common_ancestor_counts(*np.asarray(cross).T)
+        assert not counts.any()
+        out, hubs = engine.distances_with_hubs(cross)
+        assert np.isinf(out).all() and (hubs == -1).all()
+
+        inner = [(a, b) for a in range(half) for b in range(half)]
+        inner += [(half + a, half + b) for a, b in inner[::3]]
+        want = scalar_distances(index, inner)
+        k = engine.common_ancestor_counts(*np.asarray(inner).T)
+        # Cross pairs first, last, and exactly where a 40-cell run ends.
+        edge = int(np.searchsorted(np.cumsum(k), 40, "right"))
+        for cells in (40, 16_384):
+            monkeypatch.setattr(query_module, "_PAIR_CHUNK_CELLS", cells)
+            for at in (0, len(inner), edge, edge + 1):
+                mixed = inner[:at] + [(3, half + 2), (half, 0)] + inner[at:]
+                got = engine.distances(mixed)
+                assert np.isinf(got[at : at + 2]).all()
+                assert np.array_equal(np.delete(got, [at, at + 1]), want)
+
+    def test_degenerate_batches(self, small_index):
+        engine = small_index.engine
+        empty = np.empty(0, dtype=np.int64)
+        assert engine.distances_arrays(empty, empty).shape == (0,)
+        assert engine.distances([(4, 9)]) == [engine.distance(4, 9)]
+        out, hubs = engine.distances_with_hubs([(6, 6)])
+        assert out.tolist() == [0.0] and hubs.tolist() == [-1]
+        with pytest.raises(ValueError, match="length mismatch"):
+            engine.distances_arrays(np.arange(3), np.arange(2))
+
+    def test_kernel_reads_the_live_store(self, small_index):
+        """Nothing is rebuilt between steps: one engine object, while the
+        label values and then their layout move under it."""
+        index, engine = small_index, small_index.engine
+        n = index.graph.num_vertices
+        pairs = sample_pairs(n, 800, make_rng(8), distinct=False)
+
+        def check() -> np.ndarray:
+            got = engine.distances(pairs)
+            assert np.array_equal(got, scalar_distances(index, pairs))
+            return got
+
+        base = check()
+        edges = list(index.graph.edges())[:24]
+        index.increase([(u, v, 3 * w) for u, v, w in edges])
+        assert not np.array_equal(check(), base)
+        index.decrease([(u, v, w) for u, v, w in edges])
+        assert np.array_equal(check(), base)
+
+        # Closure fast path: slots are appended, H_Q and the engine stay.
+        u, v = next(
+            (a, b)
+            for a in range(n)
+            for b in index.hq.ancestors(a)[:-1]
+            if not index.graph.has_edge(a, b)
+        )
+        index.apply_batch(insertions=[(u, v, 1.0)])
+        assert index.engine is engine
+        inserted = check()
+        row = engine.distances_arrays(np.full(n, u), np.arange(n))
+        assert np.array_equal(row, dijkstra(index.graph, u))
+
+        # Growing a slot past capacity moves every later offset;
+        # compaction squeezes the store back.
+        widest = int(np.argmax(index.labels.lengths))
+        index.labels.extend_label(widest, int(index.labels.lengths[widest]) + 1)
+        assert not index.labels.is_packed
+        assert np.array_equal(check(), inserted)
+        index.compact()
+        assert index.labels.is_packed and index.engine is engine
+        assert np.array_equal(check(), inserted)
+
+    def test_read_only_mapped_store(self, small_index, tmp_path):
+        pairs = sample_pairs(small_index.graph.num_vertices, 500, make_rng(4))
+        small_index.save(tmp_path / "idx")
+        loaded = DHLIndex.load(tmp_path / "idx", mmap_labels=True)
+        assert not loaded.labels.values.flags.writeable
+        want, want_hubs = small_index.engine.distances_with_hubs(pairs)
+        got, got_hubs = loaded.engine.distances_with_hubs(pairs)
+        assert type(got) is np.ndarray
+        assert np.array_equal(got, want) and np.array_equal(got_hubs, want_hubs)
+
+    def test_directed_batch_equals_scalar_and_dijkstra_after_updates(self):
+        g = grid_network(6, 7, seed=2)
+        dg = DiGraph.from_undirected(g)
+        rng = np.random.default_rng(4)
+        arcs = list(dg.arcs())
+        for u, v, w in arcs[: len(arcs) // 2]:
+            dg.set_weight(u, v, float(w + rng.integers(1, 25)))
+        index = DirectedDHLIndex.build(dg, DHLConfig(leaf_size=4, seed=0))
+        n = dg.num_vertices
+        pairs = np.array([(s, t) for s in range(n) for t in range(n)])
+        for _ in range(3):
+            picks = rng.choice(len(arcs), 6, replace=False)
+            index.update(
+                [
+                    (arcs[i][0], arcs[i][1], float(rng.integers(1, 40)))
+                    for i in picks
+                ]
+            )
+            got = index.distances(pairs).reshape(n, n)
+            assert not np.array_equal(got, got.T)  # one arc moved, not its twin
+            for s in range(n):
+                assert np.array_equal(got[s], directed_dijkstra(index.digraph, s))
+            sample = pairs[rng.choice(len(pairs), 200, replace=False)]
+            want = [index.distance(s, t) for s, t in sample.tolist()]
+            assert np.array_equal(index.distances(sample), want)
+        assert index.distances([]).shape == (0,)
+
+    def test_temporaries_stay_cache_sized(self):
+        """A regression to whole-batch temporaries (the bucketed kernel
+        peaked at 19 MB here, this one at 0.9 MB) fails a test, not a
+        benchmark."""
+        index = DHLIndex.build(grid_network(48, 48, seed=7), DHLConfig(seed=0))
+        engine = index.engine
+        rng = np.random.default_rng(1)
+        s, t = rng.integers(0, index.graph.num_vertices, (2, 8_192))
+        engine.distances_arrays(s[:8], t[:8])  # build the LCA tables first
+        tracemalloc.start()
+        try:
+            engine.distances_arrays(s, t)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2_000_000, peak
 
 
 class TestKernelAfterMaintenance:
