@@ -47,6 +47,7 @@ from repro.labelling.driver import maintain_labels, split_batch, validate_batch
 from repro.labelling.labels import HierarchicalLabelling
 from repro.labelling.maintenance import MaintenanceStats
 from repro.labelling.query import AncestorTables, gather_pairs
+from repro.observability.phases import phase
 from repro.partition.recursive import recursive_bisection
 from repro.utils.pairs import as_pair_array
 from repro.utils.priority_queue import LazyHeap
@@ -178,7 +179,7 @@ class DirectedDHLIndex:
         stats = IndexStats(num_vertices=n, num_edges=digraph.num_arcs)
 
         watch = Stopwatch()
-        with watch:
+        with watch, phase("build.partition"):
             skeleton = cls._skeleton(digraph)
             tree = recursive_bisection(
                 skeleton,
@@ -190,7 +191,7 @@ class DirectedDHLIndex:
             hq = QueryHierarchy.from_partition_tree(tree, n)
         stats.partition_seconds = watch.laps[-1]
 
-        with watch:
+        with watch, phase("build.contraction"):
             rank_, up, wout, win = cls._contract(digraph, hq)
         stats.contraction_seconds = watch.laps[-1]
 
@@ -200,7 +201,7 @@ class DirectedDHLIndex:
             # direction views exist to build against.
             None, None, config, stats,  # type: ignore[arg-type]
         )
-        with watch:
+        with watch, phase("build.labelling"):
             index.labels_out = build_labelling(index._out_view)
             index.labels_in = build_labelling(index._in_view)
         stats.labelling_seconds = watch.laps[-1]

@@ -34,6 +34,7 @@ from repro.labelling.driver import maintain, split_batch
 from repro.labelling.labels import HierarchicalLabelling
 from repro.labelling.maintenance import MaintenanceStats
 from repro.labelling.query import QueryEngine
+from repro.observability.phases import phase
 from repro.partition.recursive import recursive_bisection
 from repro.utils.timing import Stopwatch
 
@@ -99,7 +100,7 @@ class DHLIndex:
         )
 
         watch = Stopwatch()
-        with watch:
+        with watch, phase("build.partition"):
             tree = recursive_bisection(
                 graph,
                 beta=config.beta,
@@ -110,11 +111,11 @@ class DHLIndex:
             hq = QueryHierarchy.from_partition_tree(tree, graph.num_vertices)
         stats.partition_seconds = watch.laps[-1]
 
-        with watch:
+        with watch, phase("build.contraction"):
             hu = UpdateHierarchy.build(graph, hq)
         stats.contraction_seconds = watch.laps[-1]
 
-        with watch:
+        with watch, phase("build.labelling"):
             labels = build_labelling(hu)
         stats.labelling_seconds = watch.laps[-1]
 

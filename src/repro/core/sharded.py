@@ -161,7 +161,7 @@ class ShardedDHLIndex:
         if graph.num_vertices == 0:
             raise IndexBuildError("cannot index an empty graph")
         watch = Stopwatch()
-        with watch:
+        with watch, phase("build.regions"):
             partition = partition_regions(
                 graph,
                 k,

@@ -8,6 +8,9 @@ be projected back down.
 
 from __future__ import annotations
 
+import math
+from typing import NamedTuple
+
 import numpy as np
 
 from repro.partition.types import PartitionGraph
@@ -16,14 +19,11 @@ from repro.utils.rng import make_rng
 __all__ = ["coarsen_once", "coarsen_to_size", "CoarseningLevel"]
 
 
-class CoarseningLevel:
+class CoarseningLevel(NamedTuple):
     """One coarsening step: the coarse graph plus the fine->coarse map."""
 
-    __slots__ = ("graph", "fine_to_coarse")
-
-    def __init__(self, graph: PartitionGraph, fine_to_coarse: np.ndarray):
-        self.graph = graph
-        self.fine_to_coarse = fine_to_coarse
+    graph: PartitionGraph
+    fine_to_coarse: np.ndarray
 
 
 def coarsen_once(
@@ -39,56 +39,52 @@ def coarsen_once(
     ``max_vertex_weight``, which keeps coarse vertices balanced enough for
     the later bisection to be balanceable at all.
     """
-    n = pgraph.num_vertices
-    match = np.full(n, -1, dtype=np.int64)
-    order = rng.permutation(n)
-    for v in order:
-        v = int(v)
+    rows = pgraph.rows
+    vweight = pgraph.vweight
+    n = len(rows)
+    match = [-1] * n
+    for v in rng.permutation(n).tolist():
         if match[v] != -1:
             continue
-        best = -1
-        best_key: tuple[float, float] = (-1.0, 0.0)
-        wv = pgraph.vweight[v]
-        for u, w in pgraph.adj[v].items():
-            if match[u] != -1 or u == v:
+        best = v  # stays single unless a neighbour qualifies
+        best_w = -1.0
+        best_light = 0  # minus the partner's weight: lighter wins a tie
+        room = max_vertex_weight - vweight[v]
+        for u, w in rows[v]:
+            if match[u] != -1 or u == v or vweight[u] > room:
                 continue
-            if wv + pgraph.vweight[u] > max_vertex_weight:
-                continue
-            key = (w, -float(pgraph.vweight[u]))
-            if key > best_key:
-                best_key = key
+            if w > best_w or (w == best_w and -vweight[u] > best_light):
+                best_w = w
+                best_light = -vweight[u]
                 best = u
-        if best >= 0:
-            match[v] = best
-            match[best] = v
-        else:
-            match[v] = v  # stays single
+        match[v] = best
+        match[best] = v
 
-    fine_to_coarse = np.full(n, -1, dtype=np.int64)
-    next_id = 0
+    # Coarse ids in order of each cluster's smaller member; a coarse row
+    # lists its neighbours in the order the members' rows meet them.
+    fine_to_coarse = [-1] * n
+    clusters: list[tuple[int, ...]] = []
     for v in range(n):
-        if fine_to_coarse[v] != -1:
-            continue
-        partner = int(match[v])
-        fine_to_coarse[v] = next_id
-        if partner != v and partner >= 0:
-            fine_to_coarse[partner] = next_id
-        next_id += 1
+        if fine_to_coarse[v] == -1:
+            partner = match[v]
+            fine_to_coarse[v] = fine_to_coarse[partner] = len(clusters)
+            clusters.append((v,) if partner == v else (v, partner))
 
-    coarse_adj: list[dict[int, float]] = [{} for _ in range(next_id)]
-    coarse_vweight = [0] * next_id
-    for v in range(n):
-        cv = int(fine_to_coarse[v])
-        coarse_vweight[cv] += pgraph.vweight[v]
-        row = coarse_adj[cv]
-        for u, w in pgraph.adj[v].items():
-            cu = int(fine_to_coarse[u])
-            if cu != cv:
-                row[cu] = row.get(cu, 0.0) + w
+    coarse_rows = []
+    coarse_vweight = []
+    for cv, members in enumerate(clusters):
+        merged: dict[int, float] = {}
+        for v in members:
+            for u, w in rows[v]:
+                cu = fine_to_coarse[u]
+                if cu != cv:
+                    merged[cu] = merged.get(cu, 0.0) + w
+        coarse_rows.append(tuple(merged.items()))
+        coarse_vweight.append(sum([vweight[v] for v in members]))
     # Each undirected multiplicity got added from both endpoints' rows once
     # per direction, which is exactly the symmetric representation we want.
-    coarse = PartitionGraph(coarse_adj, coarse_vweight)
-    return CoarseningLevel(coarse, fine_to_coarse)
+    coarse = PartitionGraph(coarse_rows, coarse_vweight)
+    return CoarseningLevel(coarse, np.array(fine_to_coarse, dtype=np.int64))
 
 
 def coarsen_to_size(
@@ -107,7 +103,7 @@ def coarsen_to_size(
     current = pgraph
     total = current.total_vweight()
     # Cap cluster weight so the coarsest graph can still be balanced.
-    max_vertex_weight = max(1, int(np.ceil(total / max(8, target / 2))))
+    max_vertex_weight = max(1, math.ceil(total / max(8, target / 2)))
     while current.num_vertices > target:
         level = coarsen_once(current, rng, max_vertex_weight)
         if level.graph.num_vertices >= current.num_vertices * min_shrink:

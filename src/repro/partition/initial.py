@@ -2,12 +2,11 @@
 
 from __future__ import annotations
 
-from collections import deque
+from heapq import heappop, heappush
 
 import numpy as np
 
 from repro.partition.types import PartitionGraph
-from repro.utils.priority_queue import LazyHeap
 from repro.utils.rng import make_rng
 
 __all__ = ["greedy_growing", "component_packing", "bfs_halves"]
@@ -15,48 +14,54 @@ __all__ = ["greedy_growing", "component_packing", "bfs_halves"]
 
 def components(pgraph: PartitionGraph) -> list[tuple[int, list[int]]]:
     """Connected components as ``(total_vertex_weight, members)`` pairs."""
-    n = pgraph.num_vertices
-    seen = bytearray(n)
+    rows = pgraph.rows
+    vweight = pgraph.vweight
+    seen = bytearray(len(rows))
     comps: list[tuple[int, list[int]]] = []
-    for start in range(n):
+    for start in range(len(rows)):
         if seen[start]:
             continue
         seen[start] = 1
         members = [start]
-        weight = pgraph.vweight[start]
-        queue = deque([start])
-        while queue:
-            v = queue.popleft()
-            for u in pgraph.adj[v]:
+        weight = vweight[start]
+        for v in members:  # grows while iterated: BFS order
+            for u, _ in rows[v]:
                 if not seen[u]:
                     seen[u] = 1
                     members.append(u)
-                    weight += pgraph.vweight[u]
-                    queue.append(u)
+                    weight += vweight[u]
         comps.append((weight, members))
     return comps
 
 
-def component_packing(pgraph: PartitionGraph) -> np.ndarray | None:
-    """Zero-cut partition of a *disconnected* graph, or None if connected.
-
-    Packs whole components into two sides, largest first, always into the
-    lighter side. The result may be unbalanced when one component
-    dominates; :func:`repro.partition.multilevel.multilevel_bisection`
-    detects that case and bisects the giant component instead.
-    """
-    comps = components(pgraph)
-    if len(comps) <= 1:
-        return None
-    side = np.zeros(pgraph.num_vertices, dtype=np.int8)
-    side_weight = [0, 0]
+def pack_components(comps, side: bytearray, side_weight: list[int]) -> None:
+    """Place whole components, largest first, each on the lighter side."""
     for weight, members in sorted(comps, reverse=True):
         target = 0 if side_weight[0] <= side_weight[1] else 1
         side_weight[target] += weight
-        if target == 1:
+        if target:
             for v in members:
                 side[v] = 1
-    return side
+
+
+def component_packing(
+    pgraph: PartitionGraph,
+    comps: list[tuple[int, list[int]]] | None = None,
+) -> np.ndarray | None:
+    """Zero-cut partition of a *disconnected* graph, or None if connected.
+
+    *comps* is ``components(pgraph)`` when the caller already has it. The
+    result may be unbalanced when one component dominates;
+    :func:`repro.partition.multilevel.multilevel_bisection` detects that
+    case and bisects the giant component instead.
+    """
+    if comps is None:
+        comps = components(pgraph)
+    if len(comps) <= 1:
+        return None
+    side = bytearray(pgraph.num_vertices)
+    pack_components(comps, side, [0, 0])
+    return np.frombuffer(side, dtype=np.int8)
 
 
 def greedy_growing(
@@ -67,42 +72,46 @@ def greedy_growing(
     """Greedy graph growing: grow side 0 from a seed to half the weight.
 
     The frontier is prioritised by cut gain (vertices mostly surrounded by
-    side 0 join first), the standard GGGP heuristic from METIS.
+    side 0 join first), the standard GGGP heuristic from METIS. *rng* is
+    drawn from (once) only when no *seed_vertex* is given.
     """
-    rng = make_rng(rng)
-    n = pgraph.num_vertices
+    rows = pgraph.rows
+    n = len(rows)
     if n == 0:
         return np.zeros(0, dtype=np.int8)
-    total = pgraph.total_vweight()
-    half = total / 2.0
+    vweight = pgraph.vweight
+    half = sum(vweight) / 2.0
     if seed_vertex is None:
-        seed_vertex = int(rng.integers(0, n))
+        seed_vertex = int(make_rng(rng).integers(0, n))
 
-    side = np.ones(n, dtype=np.int8)  # everyone starts on side 1
+    side = bytearray(b"\x01") * n  # everyone starts on side 1
     grown = 0
-    heap: LazyHeap[int] = LazyHeap()
-    gains = {seed_vertex: 0.0}
-    heap.push(seed_vertex, 0.0)
+    # (cost, push counter, vertex): ties fall to push order. Each absorbed
+    # neighbour lowers a frontier vertex's cost by twice a positive
+    # multiplicity, so its newest entry is its smallest — that one pops
+    # first, and the older ones find the vertex already absorbed.
+    heap = [(0.0, 0, seed_vertex)]
+    counter = 1
     while heap and grown < half:
-        v, key = heap.pop()
-        if side[v] == 0 or key != gains.get(v):
-            if side[v] != 0 and v in gains:
-                heap.push(v, gains[v])
+        v = heappop(heap)[2]
+        if not side[v]:
             continue
         side[v] = 0
-        grown += pgraph.vweight[v]
-        for u, w in pgraph.adj[v].items():
-            if side[u] == 0:
-                continue
-            # Priority = external-minus-internal cost of absorbing u.
-            cost = sum(
-                wt if side[x] == 1 else -wt for x, wt in pgraph.adj[u].items()
-            )
-            gains[u] = cost
-            heap.push(u, cost)
-    if grown == 0 and n > 0:  # isolated seed with empty frontier
+        grown += vweight[v]
+        for u, _ in rows[v]:
+            if side[u]:
+                # Priority = external-minus-internal cost of absorbing u.
+                cost = 0
+                for x, w in rows[u]:
+                    if side[x]:
+                        cost += w
+                    else:
+                        cost -= w
+                heappush(heap, (cost, counter, u))
+                counter += 1
+    if grown == 0:  # isolated seed with empty frontier
         side[seed_vertex] = 0
-    return side
+    return np.frombuffer(side, dtype=np.int8)
 
 
 def bfs_halves(
@@ -111,53 +120,42 @@ def bfs_halves(
 ) -> np.ndarray:
     """Plain BFS layering from a pseudo-peripheral seed, split at half weight."""
     rng = make_rng(rng)
-    n = pgraph.num_vertices
+    rows = pgraph.rows
+    n = len(rows)
     if n == 0:
         return np.zeros(0, dtype=np.int8)
     seed = int(rng.integers(0, n))
     for _ in range(2):  # double sweep towards the periphery
-        dist = _bfs(pgraph, seed)
-        seed = max(range(n), key=lambda v: (dist[v] if dist[v] >= 0 else -1, v))
-    order = _bfs_order(pgraph, seed)
-    side = np.ones(n, dtype=np.int8)
-    total = pgraph.total_vweight()
+        dist = _bfs(rows, seed)[1]
+        seed = max(range(n), key=lambda v: (dist[v], v))
+    order, dist = _bfs(rows, seed)
+    # Disconnected remainders join in id order so every vertex is placed.
+    order += [v for v in range(n) if dist[v] < 0]
+    return prefix_half(order, pgraph.vweight)
+
+
+def prefix_half(order: list[int], vweight: list[int]) -> np.ndarray:
+    """Side 0 = the shortest prefix of *order* holding half the weight."""
+    side = bytearray(b"\x01") * len(vweight)
+    half = sum(vweight) / 2.0
     grown = 0
     for v in order:
-        if grown >= total / 2.0:
+        if grown >= half:
             break
         side[v] = 0
-        grown += pgraph.vweight[v]
-    return side
+        grown += vweight[v]
+    return np.frombuffer(side, dtype=np.int8)
 
 
-def _bfs(pgraph: PartitionGraph, start: int) -> list[int]:
-    dist = [-1] * pgraph.num_vertices
+def _bfs(rows, start: int) -> tuple[list[int], list[int]]:
+    """Visit order and hop distances (-1 where unreached) from *start*."""
+    dist = [-1] * len(rows)
     dist[start] = 0
-    queue = deque([start])
-    while queue:
-        v = queue.popleft()
-        for u in pgraph.adj[v]:
-            if dist[u] < 0:
-                dist[u] = dist[v] + 1
-                queue.append(u)
-    return dist
-
-
-def _bfs_order(pgraph: PartitionGraph, start: int) -> list[int]:
-    seen = bytearray(pgraph.num_vertices)
-    seen[start] = 1
     order = [start]
-    queue = deque([start])
-    while queue:
-        v = queue.popleft()
-        for u in pgraph.adj[v]:
-            if not seen[u]:
-                seen[u] = 1
+    for v in order:  # grows while iterated
+        hop = dist[v] + 1
+        for u, _ in rows[v]:
+            if dist[u] < 0:
+                dist[u] = hop
                 order.append(u)
-                queue.append(u)
-    # Disconnected remainders join in id order so every vertex is placed.
-    for v in range(pgraph.num_vertices):
-        if not seen[v]:
-            order.append(v)
-            seen[v] = 1
-    return order
+    return order, dist

@@ -1,9 +1,10 @@
 """Multilevel balanced bisection (METIS-style, from scratch).
 
-Pipeline: heavy-edge coarsening down to ~100 vertices, a portfolio of
-initial partitions on the coarsest graph (greedy graph growing from
-several seeds, BFS layering, spectral), Fiduccia-Mattheyses refinement,
-then projection back up the levels with refinement at each step.
+Pipeline: heavy-edge coarsening down to ``coarsest_size`` (120) vertices,
+a portfolio of initial partitions on the coarsest graph (greedy graph
+growing from several seeds, BFS layering, spectral), Fiduccia-Mattheyses
+refinement, then projection back up the levels with refinement at each
+step.
 
 The objective is the number of crossing *original* edges (multiplicities),
 since the query hierarchy's label sizes are driven by separator sizes,
@@ -17,6 +18,7 @@ import math
 import numpy as np
 
 from repro.exceptions import PartitionError
+from repro.observability.phases import phase
 from repro.partition.coarsen import coarsen_to_size
 from repro.partition.fm import fm_refine, rebalance
 from repro.partition.initial import (
@@ -24,6 +26,7 @@ from repro.partition.initial import (
     component_packing,
     components,
     greedy_growing,
+    pack_components,
 )
 from repro.partition.spectral import spectral_bisection
 from repro.partition.types import Bipartition, PartitionGraph
@@ -32,38 +35,15 @@ from repro.utils.rng import make_rng
 __all__ = ["multilevel_bisection"]
 
 
-def _bisect_component(
-    pgraph: PartitionGraph,
-    members: list[int],
-    beta: float,
-    rng: np.random.Generator,
-    coarsest_size: int,
-    growing_trials: int,
-    use_spectral: bool,
-) -> tuple[PartitionGraph, np.ndarray]:
-    """Bisect the induced subgraph on *members* (a connected component)."""
-    index = {v: i for i, v in enumerate(members)}
-    adj: list[dict[int, float]] = [{} for _ in members]
-    for v in members:
-        lv = index[v]
-        for u, w in pgraph.adj[v].items():
-            lu = index.get(u)
-            if lu is not None:
-                adj[lv][lu] = w
-    sub = PartitionGraph(adj, [pgraph.vweight[v] for v in members])
-    bip = multilevel_bisection(
-        sub,
-        beta=beta,
-        seed=rng,
-        coarsest_size=coarsest_size,
-        growing_trials=growing_trials,
-        use_spectral=use_spectral,
-    )
-    return sub, bip.side
-
-
-def _cut_weight(pgraph: PartitionGraph, side: np.ndarray) -> float:
-    return sum(w for v, u, w in pgraph.edges() if side[v] != side[u])
+def _cut_weight(pgraph: PartitionGraph, side) -> float:
+    """Total multiplicity of the edges crossing *side* (any 0/1 sequence)."""
+    total = 0
+    for v, row in enumerate(pgraph.rows):
+        sv = side[v]
+        for u, w in row:
+            if v < u and side[u] != sv:
+                total += w
+    return total
 
 
 def _max_side_weight(total: int, beta: float) -> int:
@@ -98,74 +78,89 @@ def multilevel_bisection(
     # zero cut. When one giant component alone exceeds the balance bound,
     # bisect *it* with the full pipeline and pack the crumbs around it —
     # naive packing + rebalancing would destroy hundreds of edges.
-    comps = components(pgraph)
+    with phase("partition.subgraph"):
+        comps = components(pgraph)
     if len(comps) > 1:
         giant_weight, giant = max(comps, key=lambda c: c[0])
         if giant_weight <= max_side:
-            packed = component_packing(pgraph)
-            assert packed is not None
-            packed = rebalance(pgraph, packed, max_side)
-            packed = fm_refine(pgraph, packed, max_side)
-            return Bipartition.compute_cut(pgraph, packed)
-        sub, local_sides = _bisect_component(
-            pgraph, giant, beta, rng, coarsest_size, growing_trials, use_spectral
+            with phase("partition.refine"):
+                packed = component_packing(pgraph, comps)
+                assert packed is not None
+                packed = rebalance(pgraph, packed, max_side)
+                packed = fm_refine(pgraph, packed, max_side)
+                return Bipartition.compute_cut(pgraph, packed)
+        index = {v: i for i, v in enumerate(giant)}
+        sub = PartitionGraph(
+            [tuple([(index[u], w) for u, w in pgraph.rows[v]]) for v in giant],
+            [pgraph.vweight[v] for v in giant],
         )
-        side = np.zeros(n, dtype=np.int8)
-        side_weight = [0, 0]
-        for local, v in enumerate(giant):
-            side[v] = local_sides[local]
-            side_weight[local_sides[local]] += pgraph.vweight[v]
-        rest = sorted(
-            (c for c in comps if c[1] is not giant), reverse=True
-        )
-        for weight, members in rest:
-            target = 0 if side_weight[0] <= side_weight[1] else 1
-            side_weight[target] += weight
-            for v in members:
-                side[v] = target
-        side = rebalance(pgraph, side, max_side)
-        return Bipartition.compute_cut(pgraph, side)
+        local_sides = multilevel_bisection(
+            sub, beta, rng, coarsest_size, growing_trials, use_spectral
+        ).side.tolist()
+        with phase("partition.refine"):
+            side = bytearray(n)
+            side_weight = [0, 0]
+            for v, s in zip(giant, local_sides):
+                side[v] = s
+                side_weight[s] += pgraph.vweight[v]
+            rest = [c for c in comps if c[1] is not giant]
+            pack_components(rest, side, side_weight)
+            side = rebalance(pgraph, side, max_side)
+            return Bipartition.compute_cut(pgraph, side)
 
-    levels = coarsen_to_size(pgraph, coarsest_size, rng)
+    with phase("partition.coarsen"):
+        levels = coarsen_to_size(pgraph, coarsest_size, rng)
     coarsest = levels[-1].graph if levels else pgraph
-    coarse_total = coarsest.total_vweight()
-    coarse_max_side = _max_side_weight(coarse_total, beta)
+    coarse_max_side = _max_side_weight(coarsest.total_vweight(), beta)
 
-    candidates: list[np.ndarray] = []
-    for _ in range(max(1, growing_trials)):
-        candidates.append(greedy_growing(coarsest, rng))
-    candidates.append(bfs_halves(coarsest, rng))
-
-    best_side: np.ndarray | None = None
+    best_side = None
     best_cut = math.inf
+    # Rebalanced candidates already refined in this call: FM is
+    # deterministic, so a repeat ends at an equal cut and cannot pass the
+    # strict ``<`` below. Growing seeds collide often on small coarsest
+    # graphs; a repeated seed is still drawn (the random stream is
+    # untouched) but would only grow the same candidate again.
+    refined: set[bytes] = set()
+    seeds: set[int] = set()
 
-    def consider(cand: np.ndarray) -> None:
+    def consider(cand) -> None:
         nonlocal best_side, best_cut
         cand = rebalance(coarsest, cand, coarse_max_side)
+        key = bytes(cand)
+        if key in refined:
+            return
+        refined.add(key)
         cand = fm_refine(coarsest, cand, coarse_max_side)
         cut = _cut_weight(coarsest, cand)
         if cut < best_cut:
             best_cut = cut
             best_side = cand
 
-    for cand in candidates:
-        consider(cand)
+    with phase("partition.initial"):
+        for _ in range(max(1, growing_trials)):
+            seed_vertex = int(rng.integers(0, coarsest.num_vertices))
+            if seed_vertex not in seeds:
+                seeds.add(seed_vertex)
+                consider(greedy_growing(coarsest, seed_vertex=seed_vertex))
+        consider(bfs_halves(coarsest, rng))
     # Spectral is the most expensive candidate; only bother when the
     # combinatorial ones left room for improvement.
     if use_spectral and best_cut > 4.0:
-        spectral = spectral_bisection(coarsest)
-        if spectral is not None:
-            consider(spectral)
+        with phase("partition.spectral"):
+            spectral = spectral_bisection(coarsest)
+            if spectral is not None:
+                consider(spectral)
     assert best_side is not None
 
     # Project back to the finest level, refining at each step.
-    side = best_side
-    for k in range(len(levels) - 1, -1, -1):
-        fine_graph = levels[k - 1].graph if k > 0 else pgraph
-        side = side[levels[k].fine_to_coarse]
-        fine_max_side = _max_side_weight(fine_graph.total_vweight(), beta)
-        side = rebalance(fine_graph, side, fine_max_side)
-        side = fm_refine(fine_graph, side, fine_max_side)
+    with phase("partition.refine"):
+        side = best_side
+        for k in range(len(levels) - 1, -1, -1):
+            fine_graph = levels[k - 1].graph if k > 0 else pgraph
+            side = np.frombuffer(side, dtype=np.int8)[levels[k].fine_to_coarse]
+            fine_max_side = _max_side_weight(fine_graph.total_vweight(), beta)
+            side = rebalance(fine_graph, side, fine_max_side)
+            side = fm_refine(fine_graph, side, fine_max_side)
 
-    side = rebalance(pgraph, side, max_side)
-    return Bipartition.compute_cut(pgraph, side)
+        side = rebalance(pgraph, side, max_side)
+        return Bipartition.compute_cut(pgraph, side)

@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.graph.graph import Graph
+from repro.observability.phases import phase
 from repro.partition.multilevel import multilevel_bisection
 from repro.partition.separator import minimum_vertex_separator
 from repro.partition.types import PartitionGraph
@@ -87,29 +88,29 @@ def recursive_bisection(
         if len(subset) <= leaf_size:
             node.vertices = _order_vertices(graph, subset)
             continue
-        pgraph = PartitionGraph.from_graph(graph, subset)
+        with phase("partition.subgraph"):
+            pgraph = PartitionGraph.from_graph(graph, subset)
         bipartition = multilevel_bisection(
             pgraph, beta=beta, seed=rng, coarsest_size=coarsest_size
         )
-        separator_local = minimum_vertex_separator(bipartition.cut_edges)
-        side = bipartition.side
-        left_local = [
-            v for v in range(len(subset)) if side[v] == 0 and v not in separator_local
-        ]
-        right_local = [
-            v for v in range(len(subset)) if side[v] == 1 and v not in separator_local
-        ]
-        if not left_local and not right_local:
-            # Separator swallowed everything: stop splitting here.
-            node.vertices = _order_vertices(graph, subset)
-            continue
-        node.vertices = _order_vertices(
-            graph, [subset[v] for v in sorted(separator_local)]
-        )
-        for side_local in (left_local, right_local):
-            if not side_local:
+        with phase("partition.separator"):
+            separator_local = minimum_vertex_separator(bipartition.cut_edges)
+            left_local: list[int] = []
+            right_local: list[int] = []
+            for v, s in enumerate(bipartition.side.tolist()):
+                if v not in separator_local:
+                    (right_local if s else left_local).append(v)
+            if not left_local and not right_local:
+                # Separator swallowed everything: stop splitting here.
+                node.vertices = _order_vertices(graph, subset)
                 continue
-            child = PartitionTreeNode(vertices=[])
-            node.children.append(child)
-            stack.append((child, [subset[v] for v in side_local]))
+            node.vertices = _order_vertices(
+                graph, [subset[v] for v in sorted(separator_local)]
+            )
+            for side_local in (left_local, right_local):
+                if not side_local:
+                    continue
+                child = PartitionTreeNode(vertices=[])
+                node.children.append(child)
+                stack.append((child, [subset[v] for v in side_local]))
     return root

@@ -107,9 +107,9 @@ def _bisect_subset(
         )
     except PartitionError:
         return _split_in_order(subset)
-    side = bipartition.side
-    left = [subset[v] for v in range(len(subset)) if side[v] == 0]
-    right = [subset[v] for v in range(len(subset)) if side[v] == 1]
+    side = bipartition.side.tolist()
+    left = [v for v, s in zip(subset, side) if s == 0]
+    right = [v for v, s in zip(subset, side) if s == 1]
     if not left or not right:
         return _split_in_order(subset)
     return left, right
@@ -189,9 +189,10 @@ def _with_boundaries(
     """Derive cut edges and per-region boundaries for an assignment."""
     cut_edges: list[tuple[int, int, float]] = []
     boundary_sets: list[set[int]] = [set() for _ in regions]
+    region = region_of.tolist()
     for u, v, w in graph.edges():
-        ru = int(region_of[u])
-        rv = int(region_of[v])
+        ru = region[u]
+        rv = region[v]
         if ru != rv:
             cut_edges.append((u, v, w))
             boundary_sets[ru].add(u)

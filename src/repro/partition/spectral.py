@@ -8,9 +8,8 @@ of the multilevel pipeline. Dense eigendecomposition below a size cutoff
 from __future__ import annotations
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
+from repro.partition.initial import prefix_half
 from repro.partition.types import PartitionGraph
 
 __all__ = ["spectral_bisection"]
@@ -18,16 +17,19 @@ __all__ = ["spectral_bisection"]
 _DENSE_CUTOFF = 600
 
 
-def _laplacian(pgraph: PartitionGraph) -> sp.csr_matrix:
-    n = pgraph.num_vertices
-    rows, cols, vals = [], [], []
-    for v, u, w in pgraph.edges():
-        rows += [v, u]
-        cols += [u, v]
-        vals += [-w, -w]
-    adj = sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
-    degrees = -np.asarray(adj.sum(axis=1)).ravel()
-    return sp.diags(degrees).tocsr() + adj
+def _laplacian(pgraph: PartitionGraph) -> tuple[list[int], list[int], list[float]]:
+    """Graph Laplacian as ``(row, column, value)`` triplets, diagonal last."""
+    vs, us, ws, degrees = [], [], [], []
+    for v, row in enumerate(pgraph.rows):
+        degree = 0.0
+        for u, w in row:
+            vs.append(v)
+            us.append(u)
+            ws.append(-w)
+            degree += w
+        degrees.append(degree)
+    diagonal = list(range(pgraph.num_vertices))
+    return vs + diagonal, us + diagonal, ws + degrees
 
 
 def spectral_bisection(pgraph: PartitionGraph) -> np.ndarray | None:
@@ -39,38 +41,34 @@ def spectral_bisection(pgraph: PartitionGraph) -> np.ndarray | None:
     n = pgraph.num_vertices
     if n < 4:
         return None
-    lap = _laplacian(pgraph)
+    vs, us, ws = _laplacian(pgraph)
     try:
         if n <= _DENSE_CUTOFF:
-            eigvals, eigvecs = np.linalg.eigh(lap.toarray())
-            fiedler = eigvecs[:, 1]
+            lap = np.zeros((n, n))
+            lap[vs, us] = ws
+            fiedler = np.linalg.eigh(lap)[1][:, 1]
         else:
-            eigvals, eigvecs = spla.eigsh(
-                lap.tocsc().astype(np.float64),
+            # Shift-invert Lanczos. Its start vector is random, so unlike
+            # the dense branch it does not repeat bit for bit even within
+            # one process. ArpackError is a RuntimeError.
+            from scipy.sparse import csc_matrix
+            from scipy.sparse.linalg import eigsh
+
+            eigvals, eigvecs = eigsh(
+                csc_matrix((ws, (vs, us)), shape=(n, n)),
                 k=2,
                 sigma=-1e-4,
                 which="LM",
                 maxiter=500,
             )
-            order = np.argsort(eigvals)
-            fiedler = eigvecs[:, order[1]]
-    except (np.linalg.LinAlgError, spla.ArpackError, RuntimeError, ValueError):
+            fiedler = eigvecs[:, np.argsort(eigvals)[1]]
+    except (np.linalg.LinAlgError, RuntimeError, ValueError):
         return None
 
     if np.allclose(fiedler, fiedler[0]):
         return None  # constant vector carries no split information
 
     # Split at the vertex-weight median of the Fiedler values.
-    order = np.argsort(fiedler, kind="stable")
-    weights = np.asarray(pgraph.vweight, dtype=np.float64)
-    half = weights.sum() / 2.0
-    side = np.ones(n, dtype=np.int8)
-    grown = 0.0
-    for v in order:
-        if grown >= half:
-            break
-        side[v] = 0
-        grown += weights[v]
-    if side.min() == side.max():
-        return None
-    return side
+    order = np.argsort(fiedler, kind="stable").tolist()
+    side = prefix_half(order, pgraph.vweight)
+    return None if side.min() == side.max() else side

@@ -3,31 +3,48 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator
+from itertools import compress
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
 from repro.graph.graph import Graph
 
-__all__ = ["PartitionGraph", "Bipartition"]
+__all__ = ["PartitionGraph", "Bipartition", "side_bytes", "side_weights"]
 
 
 class PartitionGraph:
-    """Working graph for the partitioner.
+    """Working graph for the partitioner: one frozen flat adjacency.
 
     Differences from :class:`~repro.graph.graph.Graph`:
 
     * edge weights are *cut multiplicities* (how many original edges a
       coarse edge represents), not travel times — minimising the cut of
-      this graph minimises the number of original cut edges;
+      this graph minimises the number of original cut edges. They are
+      integers held in floats, so sums of them are exact;
     * vertices carry integer weights (how many original vertices a coarse
       vertex represents) for balance accounting.
+
+    ``rows[v]`` is a tuple of ``(u, w)`` pairs, one per neighbour, and
+    ``rows`` a tuple of those: the combinatorial loops read plain Python
+    ints and floats. Pair order is part of the contract — gain-queue ties
+    break in it — so every builder keeps the insertion order of what it
+    reads. ``dict`` rows (``{u: w}``) are accepted and frozen the same way.
     """
 
-    __slots__ = ("adj", "vweight")
+    __slots__ = ("rows", "vweight")
 
-    def __init__(self, adj: list[dict[int, float]], vweight: list[int]):
-        self.adj = adj
+    def __init__(
+        self,
+        adj: Iterable[dict[int, float] | Sequence[tuple[int, float]]],
+        vweight: list[int],
+    ):
+        self.rows: tuple[tuple[tuple[int, float], ...], ...] = tuple(
+            [
+                tuple(row.items()) if isinstance(row, dict) else tuple(row)
+                for row in adj
+            ]
+        )
         self.vweight = vweight
 
     @classmethod
@@ -38,38 +55,52 @@ class PartitionGraph:
         (infinite weight) still count — the shortcut structure is
         weight-independent, so the hierarchy must respect them.
         """
+        neighbors = graph.neighbors
         if vertices is None:
             n = graph.num_vertices
-            adj: list[dict[int, float]] = [
-                {u: 1.0 for u in graph.neighbors(v)} for v in range(n)
-            ]
-            return cls(adj, [1] * n)
+            return cls(
+                [tuple([(u, 1.0) for u in neighbors(v)]) for v in range(n)], [1] * n
+            )
         local = list(vertices)
         index = {g: l for l, g in enumerate(local)}
-        adj = [{} for _ in local]
-        for g_v, l_v in index.items():
-            for g_u in graph.neighbors(g_v):
-                l_u = index.get(g_u)
-                if l_u is not None:
-                    adj[l_v][l_u] = 1.0
-        return cls(adj, [1] * len(local))
+        return cls(
+            [
+                tuple([(index[u], 1.0) for u in neighbors(g) if u in index])
+                for g in local
+            ],
+            [1] * len(local),
+        )
 
     @property
     def num_vertices(self) -> int:
-        return len(self.adj)
+        return len(self.rows)
 
     def total_vweight(self) -> int:
         return sum(self.vweight)
 
     def edges(self) -> Iterator[tuple[int, int, float]]:
-        for v, nbrs in enumerate(self.adj):
-            for u, w in nbrs.items():
+        for v, row in enumerate(self.rows):
+            for u, w in row:
                 if v < u:
                     yield v, u, w
 
-    def degree_weight(self, v: int) -> float:
-        """Total multiplicity of edges incident to *v*."""
-        return sum(self.adj[v].values())
+
+def side_bytes(side) -> bytearray:
+    """A private ``bytearray`` copy of a 0/1 side sequence.
+
+    Sides pass through rebalance, FM and cut evaluation as bytearrays
+    (Python-int indexing, ``bytes()`` as a memo key); they are numpy arrays
+    only on :class:`Bipartition` and at the fine-to-coarse projection.
+    """
+    if isinstance(side, np.ndarray) and side.dtype.itemsize != 1:
+        side = side.astype(np.int8)
+    return bytearray(side)
+
+
+def side_weights(vweight: list[int], side) -> list[int]:
+    """``[weight of side 0, weight of side 1]`` for a 0/1 side sequence."""
+    heavy = sum(compress(vweight, side))
+    return [sum(vweight) - heavy, heavy]
 
 
 @dataclass
@@ -85,19 +116,19 @@ class Bipartition:
     cut_edges: list[tuple[int, int]] = field(default_factory=list)
 
     def side_weights(self, pgraph: PartitionGraph) -> tuple[int, int]:
-        w0 = sum(
-            wt for v, wt in enumerate(pgraph.vweight) if self.side[v] == 0
-        )
-        return w0, pgraph.total_vweight() - w0
+        w0, w1 = side_weights(pgraph.vweight, self.side.tolist())
+        return w0, w1
 
     @staticmethod
-    def compute_cut(pgraph: PartitionGraph, side: np.ndarray) -> "Bipartition":
-        """Assemble a Bipartition from a side array, recomputing the cut."""
+    def compute_cut(pgraph: PartitionGraph, side) -> "Bipartition":
+        """Assemble a Bipartition from a side sequence, recomputing the cut."""
+        side = side_bytes(side)
         cut_edges = []
         cut_weight = 0.0
-        for v, u, w in pgraph.edges():
-            if side[v] != side[u]:
-                cut_weight += w
-                a, b = (v, u) if side[v] == 0 else (u, v)
-                cut_edges.append((a, b))
-        return Bipartition(side=side, cut_weight=cut_weight, cut_edges=cut_edges)
+        for v, row in enumerate(pgraph.rows):
+            sv = side[v]
+            for u, w in row:
+                if v < u and side[u] != sv:
+                    cut_weight += w
+                    cut_edges.append((u, v) if sv else (v, u))
+        return Bipartition(np.frombuffer(side, dtype=np.int8), cut_weight, cut_edges)

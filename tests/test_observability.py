@@ -286,6 +286,26 @@ def test_phase_collector_is_addressable_directly():
     assert collector.counts == {"x": 2}
 
 
+def test_build_marks_its_phases_and_the_partition_stages_add_up():
+    """``build.*`` wrap the three ``IndexStats`` laps; the ``partition.*``
+    stage marks are disjoint and account for the partition lap."""
+    graph = grid_network(24, 24)
+    with collect_phases() as collector:
+        stats = DHLIndex.build(graph, DHLConfig(seed=0)).stats()
+    seconds = collector.as_dict()
+    for lap in ("partition", "contraction", "labelling"):
+        assert collector.counts[f"build.{lap}"] == 1
+        assert seconds[f"build.{lap}"] == pytest.approx(
+            getattr(stats, f"{lap}_seconds"), rel=0.05, abs=1e-3
+        )
+    stages = {k: v for k, v in seconds.items() if k.startswith("partition.")}
+    assert {"coarsen", "initial", "refine", "separator"} <= {
+        k.split(".")[1] for k in stages
+    }
+    assert 0.9 * stats.partition_seconds <= sum(stages.values())
+    assert sum(stages.values()) <= stats.partition_seconds
+
+
 # ---------------------------------------------------------------------------
 # slow log + timing primitives
 # ---------------------------------------------------------------------------

@@ -1,0 +1,426 @@
+"""The fast partitioner makes the oracle's decisions, bit for bit.
+
+``tests/partition_oracle.py`` holds the dict-row / ``LazyHeap`` bodies
+``repro.partition`` was rewritten from. Identity is checked (a) function
+by function on random inputs, (b) through whole builds with the oracle
+bodies patched into the pipeline, both sides in one process, plus (c)
+seed determinism, (d) a guard that the FM pass really stops on its bound
+and (e) that repeated candidates are refined once.
+"""
+
+from __future__ import annotations
+
+import heapq
+import itertools
+
+import numpy as np
+import pytest
+import scipy.sparse.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.graph.generators import (
+    delaunay_network,
+    grid_network,
+    random_connected_graph,
+)
+from repro.graph.graph import Graph
+from repro.partition import (
+    coarsen,
+    fm,
+    initial,
+    multilevel,
+    partition_regions,
+    recursive_bisection,
+    spectral,
+)
+from repro.partition.types import PartitionGraph
+from tests import partition_oracle as oracle
+from tests.test_recursive_partition import (
+    check_balance,
+    check_separators,
+    collect_vertices,
+)
+
+# ---------------------------------------------------------------------------
+# (a) function-by-function differential
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def partition_cases(draw, max_n: int = 26):
+    """A coarse-style PartitionGraph, a side array and a balance bound.
+
+    Multiplicities are small integers in floats and rows are filled in a
+    random order (both decide gain-queue ties); vertex weights vary;
+    sides are random, skewed to one side, or zero-cut; the bound ranges
+    from hopelessly infeasible to slack.
+    """
+    n = draw(st.integers(2, max_n))
+    vertex = st.integers(0, n - 1)
+    adj: list[dict[int, float]] = [{} for _ in range(n)]
+    for u, v, w in draw(
+        st.lists(st.tuples(vertex, vertex, st.integers(1, 5)), max_size=3 * n)
+    ):
+        if u != v and v not in adj[u]:
+            adj[u][v] = adj[v][u] = float(w)
+    vweight = draw(st.lists(st.integers(1, 4), min_size=n, max_size=n))
+    pg = PartitionGraph(adj, vweight)
+
+    kind = draw(st.sampled_from(["random", "skewed", "one-sided", "zero-cut"]))
+    if kind == "random":
+        side = draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
+    elif kind == "skewed":
+        picks = draw(st.lists(st.integers(0, 5), min_size=n, max_size=n))
+        side = [int(p == 0) for p in picks]
+    elif kind == "one-sided":
+        side = [draw(st.integers(0, 1))] * n
+    else:
+        side = [0] * n
+        for _, members in initial.components(pg):
+            s = draw(st.integers(0, 1))
+            for v in members:
+                side[v] = s
+    bound = draw(st.integers(1, sum(vweight)))
+    return pg, np.array(side, dtype=np.int8), bound
+
+
+def same_sides(new, old) -> bool:
+    return np.array_equal(np.frombuffer(bytes(new), dtype=np.int8), old)
+
+
+@settings(max_examples=300, deadline=None)
+@given(partition_cases(), st.sampled_from([1, 8]))
+def test_fm_refine_matches_oracle(case, max_passes):
+    pg, side, bound = case
+    before = side.copy()
+    new = fm.fm_refine(pg, side, bound, max_passes)
+    assert same_sides(new, oracle.fm_refine(pg, side, bound, max_passes))
+    assert np.array_equal(side, before)  # input untouched
+    # any 0/1 sequence is accepted, whatever its dtype
+    assert fm.fm_refine(pg, side.astype(np.int64), bound, max_passes) == new
+    assert fm.fm_refine(pg, side.tolist(), bound, max_passes) == new
+
+
+@settings(max_examples=200, deadline=None)
+@given(partition_cases())
+def test_rebalance_matches_oracle(case):
+    pg, side, bound = case
+    assert same_sides(
+        fm.rebalance(pg, side, bound), oracle.rebalance(pg, side, bound)
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(partition_cases())
+def test_cut_weight_matches_oracle(case):
+    pg, side, _ = case
+    expected = oracle._cut_weight(pg, side)
+    assert multilevel._cut_weight(pg, side) == expected
+    assert multilevel._cut_weight(pg, bytearray(side)) == expected
+
+
+@settings(max_examples=200, deadline=None)
+@given(partition_cases(), st.integers(0, 2**32 - 1), st.data())
+def test_greedy_growing_matches_oracle(case, seed, data):
+    pg = case[0]
+    rng_new, rng_old = np.random.default_rng(seed), np.random.default_rng(seed)
+    assert np.array_equal(
+        initial.greedy_growing(pg, rng_new), oracle.greedy_growing(pg, rng_old)
+    )
+    assert rng_new.bit_generator.state == rng_old.bit_generator.state
+    seed_vertex = data.draw(st.integers(0, pg.num_vertices - 1))
+    assert np.array_equal(
+        initial.greedy_growing(pg, rng_new, seed_vertex=seed_vertex),
+        oracle.greedy_growing(pg, rng_old, seed_vertex=seed_vertex),
+    )
+    assert rng_new.bit_generator.state == rng_old.bit_generator.state
+
+
+@settings(max_examples=200, deadline=None)
+@given(partition_cases(), st.integers(0, 2**32 - 1))
+def test_bfs_halves_and_components_match_oracle(case, seed):
+    pg = case[0]  # often disconnected: the id-order remainder is covered
+    rng_new, rng_old = np.random.default_rng(seed), np.random.default_rng(seed)
+    assert np.array_equal(
+        initial.bfs_halves(pg, rng_new), oracle.bfs_halves(pg, rng_old)
+    )
+    assert rng_new.bit_generator.state == rng_old.bit_generator.state
+    assert initial.components(pg) == oracle.components(pg)
+
+
+@settings(max_examples=200, deadline=None)
+@given(partition_cases(), st.integers(0, 2**32 - 1), st.integers(1, 12))
+def test_coarsen_once_matches_oracle(case, seed, max_vertex_weight):
+    pg = case[0]
+    rng_new, rng_old = np.random.default_rng(seed), np.random.default_rng(seed)
+    new = coarsen.coarsen_once(pg, rng_new, max_vertex_weight)
+    old = oracle.coarsen_once(pg, rng_old, max_vertex_weight)
+    assert np.array_equal(new.fine_to_coarse, old.fine_to_coarse)
+    assert new.graph.rows == old.graph.rows  # pair order included
+    assert new.graph.vweight == old.graph.vweight
+    assert rng_new.bit_generator.state == rng_old.bit_generator.state
+
+
+# ---------------------------------------------------------------------------
+# (b) whole pipeline, oracle bodies patched in, same process
+# ---------------------------------------------------------------------------
+
+
+class _NeverSeen(bytearray):
+    """A side whose memo key is new every time: under the oracle, every
+    rebalanced candidate is refined, repeated or not, as it used to be."""
+
+    _keys = itertools.count()
+
+    def __bytes__(self) -> bytes:
+        return next(self._keys).to_bytes(8, "big")
+
+
+def _oracle_rebalance(pgraph, side, max_side_weight):
+    return _NeverSeen(oracle.rebalance(pgraph, bytearray(side), max_side_weight))
+
+
+def patch_oracle(mp: pytest.MonkeyPatch) -> None:
+    mp.setattr(multilevel, "fm_refine", oracle.fm_refine)
+    mp.setattr(multilevel, "rebalance", _oracle_rebalance)
+    mp.setattr(multilevel, "greedy_growing", oracle.greedy_growing)
+    mp.setattr(multilevel, "bfs_halves", oracle.bfs_halves)
+    mp.setattr(multilevel, "components", oracle.components)
+    mp.setattr(multilevel, "_cut_weight", oracle._cut_weight)
+    mp.setattr(coarsen, "coarsen_once", oracle.coarsen_once)
+
+
+def preorder(tree) -> list[tuple[list[int], int]]:
+    return [(list(node.vertices), len(node.children)) for node in tree.iter_nodes()]
+
+
+def both(build):
+    """``build()`` under the oracle bodies, then under the real ones."""
+    with pytest.MonkeyPatch.context() as mp:
+        patch_oracle(mp)
+        expected = build()
+    return build(), expected
+
+
+def star(leaves: int) -> Graph:
+    g = Graph(leaves + 1)
+    for leaf in range(1, leaves + 1):
+        g.add_edge(0, leaf, 1.0)
+    return g
+
+
+def path(n: int) -> Graph:
+    g = Graph(n)
+    for v in range(n - 1):
+        g.add_edge(v, v + 1, 1.0)
+    return g
+
+
+def giant_and_crumbs() -> Graph:
+    """A 500-vertex component over the balance bound, plus two small ones."""
+    giant = delaunay_network(500, seed=11)
+    g = Graph(540)
+    for u, v, w in giant.edges():
+        g.add_edge(u, v, w)
+    for v in range(500, 529):
+        g.add_edge(v, v + 1, 1.0)
+    for v in range(530, 539):
+        g.add_edge(v, v + 1, 1.0)
+    return g
+
+
+PIPELINE_CASES = {
+    "grid-20x31": (lambda: grid_network(20, 31), {}),
+    "delaunay-1500": (lambda: delaunay_network(1_500, seed=5), {}),
+    "giant-and-crumbs": (giant_and_crumbs, {}),
+    "path-300": (lambda: path(300), {}),
+    **{
+        f"sparse-{seed}-beta{beta}-leaf{leaf}": (
+            lambda seed=seed: random_connected_graph(
+                150 + 40 * seed, extra_edges=60 + 25 * seed, seed=seed
+            ),
+            {"beta": beta, "leaf_size": leaf},
+        )
+        for seed, (beta, leaf) in enumerate(
+            [(0.2, 8), (0.35, 4), (0.2, 4), (0.35, 8), (0.2, 8), (0.35, 4)]
+        )
+    },
+}
+
+
+@pytest.mark.parametrize("name", PIPELINE_CASES)
+def test_recursive_bisection_tree_matches_oracle(name):
+    make, kwargs = PIPELINE_CASES[name]
+    graph = make()
+    new, expected = both(lambda: preorder(recursive_bisection(graph, seed=0, **kwargs)))
+    assert new == expected
+    assert sorted(v for vertices, _ in new for v in vertices) == list(graph.vertices())
+
+
+def test_giant_component_case_recurses_on_the_giant(monkeypatch):
+    """The case above really bisects the 500-vertex component on its own."""
+    sizes = []
+    real = multilevel.multilevel_bisection
+    monkeypatch.setattr(
+        multilevel,
+        "multilevel_bisection",
+        lambda pg, *args: sizes.append(pg.num_vertices) or real(pg, *args),
+    )
+    recursive_bisection(giant_and_crumbs(), seed=0)
+    assert sizes and sizes[0] == 500
+
+
+def test_star_through_the_lanczos_branch_matches_oracle(monkeypatch):
+    """900 leaves: matching stalls, the coarsest graph stays above
+    ``_DENSE_CUTOFF`` and the spectral candidate comes from ``eigsh``.
+
+    ``eigsh`` does *not* repeat bit for bit within a process (random
+    start vector, and a star's Fiedler eigenspace is 899-fold degenerate),
+    so the two sides see different vectors. The trees are still equal:
+    every balanced cut of a star is the same 181 leaves, the earlier
+    candidates already reach it, and a tie never passes the strict ``<``.
+    """
+    sizes = []
+    real = scipy.sparse.linalg.eigsh
+    monkeypatch.setattr(
+        scipy.sparse.linalg,
+        "eigsh",
+        lambda lap, **kwargs: sizes.append(lap.shape[0]) or real(lap, **kwargs),
+    )
+    graph = star(900)
+    new, expected = both(lambda: preorder(recursive_bisection(graph, seed=0)))
+    assert new == expected
+    assert len(sizes) == 2 and min(sizes) > spectral._DENSE_CUTOFF
+
+
+@pytest.mark.parametrize("k", [2, 4])
+@pytest.mark.parametrize(
+    "make",
+    [lambda: grid_network(20, 31), lambda: delaunay_network(1_500, seed=5)],
+    ids=["grid-20x31", "delaunay-1500"],
+)
+def test_partition_regions_matches_oracle(make, k):
+    graph = make()
+    new, expected = both(lambda: partition_regions(graph, k, seed=0).region_of)
+    assert np.array_equal(new, expected)
+
+
+# ---------------------------------------------------------------------------
+# (c) determinism
+# ---------------------------------------------------------------------------
+
+
+def test_same_seed_same_tree_other_seed_valid_tree():
+    graph = delaunay_network(600, seed=21)
+    first = recursive_bisection(graph, seed=3)
+    assert preorder(recursive_bisection(graph, seed=3)) == preorder(first)
+    other = recursive_bisection(graph, seed=4)
+    assert sorted(collect_vertices(other)) == list(graph.vertices())
+    check_balance(other, 0.2)
+    check_separators(other, graph)
+
+
+# ---------------------------------------------------------------------------
+# (d) the FM pass stops on its bound
+# ---------------------------------------------------------------------------
+
+
+class _FMCounter:
+    """Counts gain-queue pops (an upper bound on moves) and pass-vertices
+    (n per pass that had a boundary to queue) inside ``fm_refine``."""
+
+    def __init__(self, mp: pytest.MonkeyPatch):
+        self.pops = self.pass_vertices = self._n = 0
+        self._real = fm.fm_refine
+        mp.setattr(fm, "heappop", self._pop)
+        mp.setattr(fm, "heapify", self._heapify)
+        mp.setattr(multilevel, "fm_refine", self.fm_refine)
+
+    def _pop(self, heap):
+        self.pops += 1
+        return heapq.heappop(heap)
+
+    def _heapify(self, heap):
+        self.pass_vertices += self._n
+        heapq.heapify(heap)
+
+    def fm_refine(self, pgraph, side, *args):
+        self._n = pgraph.num_vertices
+        return self._real(pgraph, side, *args)
+
+
+def test_fm_pass_stops_when_the_bound_closes(monkeypatch):
+    """Two disjoint 40-cliques with one vertex on the wrong side: moving
+    it back reaches a zero cut, ``room`` closes, and the pass ends after
+    that one move instead of dragging all 80 vertices across and back."""
+    n = 80
+    adj = [
+        {u: 1.0 for u in range(n) if u != v and (u < 40) == (v < 40)}
+        for v in range(n)
+    ]
+    pg = PartitionGraph(adj, [1] * n)
+    side = np.array([0] * 40 + [1] * 40, dtype=np.int8)
+    side[7] = 1
+    counter = _FMCounter(monkeypatch)
+    refined = counter.fm_refine(pg, side, 60)
+    assert same_sides(refined, oracle.fm_refine(pg, side, 60))
+    assert multilevel._cut_weight(pg, refined) == 0
+    assert counter.pops <= 3  # the drained pass pops every vertex at least once
+
+
+def test_fm_pops_stay_well_under_the_pass_vertices_on_road(monkeypatch):
+    """Over a whole build of the bench ``road`` graph, queue pops stay
+    under 0.7 x the pass-vertices (0.55 with the bound-based exit, 1.10
+    when every pass drains its queue; moves are at most pops — 0.38 vs
+    0.83), so losing the exit fails here, not in a benchmark."""
+    graph = delaunay_network(4_000, style="uniform", edge_factor=1.35, seed=7)
+    counter = _FMCounter(monkeypatch)
+    recursive_bisection(graph, seed=0)
+    assert counter.pass_vertices > 100_000
+    assert counter.pops <= 0.7 * counter.pass_vertices
+
+
+# ---------------------------------------------------------------------------
+# (e) the candidate memo
+# ---------------------------------------------------------------------------
+
+
+def test_colliding_candidates_are_grown_and_refined_once(monkeypatch):
+    """A 3-vertex path, four growing seeds: at least two collide, and
+    seeds 0 and 1 grow the same side. Growing runs once per distinct
+    seed and FM once per distinct rebalanced candidate; the result is the
+    oracle's, which grew and refined all five."""
+    seeds, rebalanced, refined = [], [], []
+    real_growing = multilevel.greedy_growing
+    real_rebalance, real_fm = multilevel.rebalance, multilevel.fm_refine
+
+    def spy_growing(pgraph, seed_vertex):
+        seeds.append(seed_vertex)
+        return real_growing(pgraph, seed_vertex=seed_vertex)
+
+    def spy_rebalance(*args):
+        rebalanced.append(bytes(real_rebalance(*args)))
+        return bytearray(rebalanced[-1])
+
+    def spy_fm(*args):
+        refined.append(bytes(args[1]))
+        return real_fm(*args)
+
+    monkeypatch.setattr(multilevel, "greedy_growing", spy_growing)
+    monkeypatch.setattr(multilevel, "rebalance", spy_rebalance)
+    monkeypatch.setattr(multilevel, "fm_refine", spy_fm)
+    pg = PartitionGraph([{1: 1.0}, {0: 1.0, 2: 1.0}, {1: 1.0}], [1, 1, 1])
+    bip = multilevel.multilevel_bisection(pg, seed=0)
+    assert len(seeds) == len(set(seeds)) < 4
+    candidates = rebalanced[:-1]  # the last call is the final safety rebalance
+    assert len(candidates) == len(seeds) + 1  # + BFS (n < 4: no spectral)
+    assert sorted(refined) == sorted(set(candidates))
+    assert len(refined) < len(candidates)
+
+    monkeypatch.undo()
+    with pytest.MonkeyPatch.context() as mp:
+        patch_oracle(mp)
+        expected = multilevel.multilevel_bisection(pg, seed=0)
+    assert np.array_equal(bip.side, expected.side)
+    assert bip.cut_edges == expected.cut_edges

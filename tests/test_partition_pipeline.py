@@ -195,11 +195,9 @@ class TestMultilevel:
         bisecting the giant, not by rebalancing a zero-cut packing (which
         used to destroy hundreds of edges on large road networks)."""
         g = delaunay_network(800, seed=3)
-        pg = PartitionGraph.from_graph(g)
-        # add 5 isolated crumbs
-        for _ in range(5):
-            pg.adj.append({})
-            pg.vweight.append(1)
+        giant = PartitionGraph.from_graph(g)
+        # the giant plus 5 isolated crumbs (rows are frozen: build up front)
+        pg = PartitionGraph([*giant.rows, *[()] * 5], giant.vweight + [1] * 5)
         bip = multilevel_bisection(pg, beta=0.2, seed=0)
         w0, w1 = bip.side_weights(pg)
         assert max(w0, w1) <= 0.8 * pg.total_vweight() + 1e-9
