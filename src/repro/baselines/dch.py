@@ -72,9 +72,8 @@ class DCHIndex:
             other = other_dist.get(v)
             if other is not None and d + other < best:
                 best = d + other
-            row = sc.wup[v]
-            for u in sc.up[v]:
-                candidate = d + row[u]
+            for u, weight in zip(*sc.up_row(v)):
+                candidate = d + weight
                 if candidate < dist.get(u, math.inf):
                     dist[u] = candidate
                     heapq.heappush(heap, (candidate, u))

@@ -42,11 +42,11 @@ class H2HIndex:
         n = graph.num_vertices
 
         # Tree decomposition: parent = lowest-ranked up-neighbour.
-        rank = sc.rank
         parent = np.full(n, -1, dtype=np.int64)
         for v in range(n):
-            if len(sc.up[v]):
-                parent[v] = min(sc.up[v], key=lambda u: rank[u])
+            row = sc.csr.row(v)
+            if len(row):
+                parent[v] = row[0]  # rows are rank-sorted
         self.parent = parent
 
         depth = np.zeros(n, dtype=np.int64)
@@ -72,7 +72,7 @@ class H2HIndex:
         # Bag positions: depths of {v} ∪ N+(v) in the ancestor array.
         self.pos: list[np.ndarray] = [
             np.sort(
-                np.asarray([int(depth[w]) for w in sc.up[v]] + [int(depth[v])])
+                np.append(depth[sc.csr.row(v)], depth[v])
             )
             for v in range(n)
         ]
@@ -84,8 +84,7 @@ class H2HIndex:
         row = self.dist[v]
         row[dv] = 0.0
         ancestors = self.anc[v]
-        for w in self.sc.up[v]:
-            weight = self.sc.wup[v][w]
+        for w, weight in zip(*self.sc.up_row(v)):
             k = int(self.depth[w])
             # Ancestors above (or at) w: use w's own distance array.
             np.minimum(row[: k + 1], weight + self.dist[w, : k + 1], out=row[: k + 1])

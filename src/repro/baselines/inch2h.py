@@ -81,7 +81,7 @@ class IncH2HIndex(H2HIndex):
 
         # Phase 1: seed from affected shortcuts (v deeper, w its ancestor).
         for (v, w), _old in affected.items():
-            w_new = self.sc.wup[v][w]
+            w_new = self.sc.weight(v, w)
             dv = int(depth[v])
             row = dist[v]
             candidate = self._mixed_row(v, w, dv) + w_new
@@ -100,17 +100,17 @@ class IncH2HIndex(H2HIndex):
             dv = int(depth[v])
             anc_j = int(self.anc[v, j])
             # (a) descend: u below v reaches anc_j through v.
-            for u in self.sc.down[v]:
-                candidate = self.sc.wup[u][v] + value
+            for u, weight in zip(*self.sc.down_row(v)):
+                candidate = weight + value
                 if candidate < dist[u, j]:
                     dist[u, j] = candidate
                     stats.labels_changed += 1
                     heap.push((u, j), float(depth[u]))
             # (b) peak-crossing: x below anc_j (with v on its chain)
             # reaches v through anc_j.
-            for x in self.sc.down[anc_j]:
+            for x, weight in zip(*self.sc.down_row(anc_j)):
                 if depth[x] > dv and self.anc[x, dv] == v:
-                    candidate = self.sc.wup[x][anc_j] + value
+                    candidate = weight + value
                     if candidate < dist[x, dv]:
                         dist[x, dv] = candidate
                         stats.labels_changed += 1
@@ -148,8 +148,8 @@ class IncH2HIndex(H2HIndex):
             stats.entries_processed += 1
             ancestors = self.anc[v]
             w_new = math.inf
-            for w in self.sc.up[v]:
-                candidate = self.sc.wup[v][w] + self._mixed(w, j, ancestors)
+            for w, weight in zip(*self.sc.up_row(v)):
+                candidate = weight + self._mixed(w, j, ancestors)
                 if candidate < w_new:
                     w_new = candidate
             old = dist[v, j]
@@ -157,16 +157,16 @@ class IncH2HIndex(H2HIndex):
                 dv = int(depth[v])
                 anc_j = int(ancestors[j])
                 # (a) descend dependents.
-                for u in self.sc.down[v]:
-                    chained = self.sc.wup[u][v] + old
+                for u, weight in zip(*self.sc.down_row(v)):
+                    chained = weight + old
                     if chained == dist[u, j] or (
                         math.isinf(chained) and math.isinf(dist[u, j])
                     ):
                         heap.push((u, j), float(depth[u]))
                 # (b) peak-crossing dependents.
-                for x in self.sc.down[anc_j]:
+                for x, weight in zip(*self.sc.down_row(anc_j)):
                     if depth[x] > dv and self.anc[x, dv] == v:
-                        chained = self.sc.wup[x][anc_j] + old
+                        chained = weight + old
                         if chained == dist[x, dv] or (
                             math.isinf(chained) and math.isinf(dist[x, dv])
                         ):

@@ -294,7 +294,7 @@ class DHLIndex:
         """Fraction of shortcut slots that are logically deleted."""
         from repro.core.structural import dead_fraction
 
-        return dead_fraction(self.hu.up_weights)
+        return dead_fraction(self.hu)
 
     @property
     def structural_counters(self) -> dict[str, int]:

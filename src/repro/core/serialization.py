@@ -339,8 +339,8 @@ def _write_index_contents(index, path: Path) -> None:
     np.savez_compressed(
         path / "arrays.npz",
         order=hu.order,
-        up_flat=hu.up_indices,
-        up_offsets=hu.up_indptr,
+        up_flat=hu.csr.indices,
+        up_offsets=hu.csr.indptr,
         wup_flat=hu.up_weights,
         **_hq_payload(hq),
     )
@@ -369,6 +369,14 @@ def _warmup_for(config) -> None:
         from repro.labelling.compiled import warmup_kernels
 
         warmup_kernels()
+
+
+def _weight_rows(up, flat, offsets) -> list[dict[int, float]]:
+    """One weight plane of the on-disk ragged layout as per-vertex rows."""
+    return [
+        dict(zip(row, flat[offsets[v] : offsets[v + 1]].tolist()))
+        for v, row in enumerate(up)
+    ]
 
 
 def load_index(path: Path, mmap_labels: bool = False, verify: bool = True):
@@ -404,12 +412,7 @@ def load_index(path: Path, mmap_labels: bool = False, verify: bool = True):
     rank[order] = np.arange(n)
     up_rows = _unflatten(data["up_flat"], data["up_offsets"])
     up = [row.tolist() for row in up_rows]
-    wup_flat = data["wup_flat"]
-    offsets = data["up_offsets"]
-    wup = [
-        dict(zip(up[v], wup_flat[offsets[v] : offsets[v + 1]].tolist()))
-        for v in range(n)
-    ]
+    wup = _weight_rows(up, data["wup_flat"], data["up_offsets"])
     base = ContractionResult(graph, order, rank, up, wup)
     hu = UpdateHierarchy(base, hq)
 
@@ -442,8 +445,8 @@ def _write_directed_contents(index, path: Path) -> None:
 
     # The shared shortcut structure and both direction weight arrays are
     # already flat CSR — dump them slot-for-slot.
-    up_flat = index.csr.indices
-    up_offsets = index.csr.indptr
+    up_flat = index.hu.csr.indices
+    up_offsets = index.hu.csr.indptr
     wout_flat = index.out_weights
     win_flat = index.in_weights
 
@@ -485,7 +488,7 @@ def load_directed_index(path: Path, mmap_labels: bool = False, verify: bool = Tr
     The same ``mmap_labels`` fast path and ``verify`` integrity check as
     :func:`load_index` apply, covering both direction stores.
     """
-    from repro.core.directed import DirectedDHLIndex
+    from repro.core.directed import DirectedDHLIndex, DirectedUpdateHierarchy
     from repro.core.stats import IndexStats
 
     if verify:
@@ -516,25 +519,18 @@ def load_directed_index(path: Path, mmap_labels: bool = False, verify: bool = Tr
 
     up_rows = _unflatten(data["up_flat"], data["up_offsets"])
     up = [row.tolist() for row in up_rows]
-    offsets = data["up_offsets"]
-    wout_flat = data["wout_flat"]
-    win_flat = data["win_flat"]
-    wout = [
-        dict(zip(up[v], wout_flat[offsets[v] : offsets[v + 1]].tolist()))
-        for v in range(n)
-    ]
-    win = [
-        dict(zip(up[v], win_flat[offsets[v] : offsets[v + 1]].tolist()))
-        for v in range(n)
-    ]
+    wout = _weight_rows(up, data["wout_flat"], data["up_offsets"])
+    win = _weight_rows(up, data["win_flat"], data["up_offsets"])
 
     labels_out = _load_labels(path, "label_out", hq.tau, mmap_labels)
     labels_in = _load_labels(path, "label_in", hq.tau, mmap_labels)
 
     stats = IndexStats(num_vertices=n, num_edges=digraph.num_arcs)
+    hu = DirectedUpdateHierarchy(
+        ContractionResult(digraph, order, rank, up, wout, win), hq
+    )
     index = DirectedDHLIndex(
-        digraph, hq, rank, up, wout, win,
-        labels_out, labels_in, config, stats,
+        digraph, hq, hu, labels_out, labels_in, config, stats
     )
     index._refresh_size_stats()
     return index

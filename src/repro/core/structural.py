@@ -84,10 +84,6 @@ __all__ = [
     "delete_vertex",
 ]
 
-#: Accounting bytes per shortcut slot (weights + indices + derived),
-#: matching the ``shortcut_bytes`` convention of ``IndexStats``.
-_SLOT_BYTES = 24
-
 
 @dataclass
 class StructuralStats:
@@ -407,12 +403,7 @@ def _apply_insertions(index, inserts, stats: StructuralStats) -> None:
         if closure:
             new_lo = np.fromiter((p[0] for p in closure), np.int64, len(closure))
             new_hi = np.fromiter((p[1] for p in closure), np.int64, len(closure))
-            new_csr, (new_weights,), _ = extend_slots(
-                hu.csr, new_lo, new_hi, hu.up_weights
-            )
-            hu.csr = new_csr
-            hu.up_weights = new_weights
-            hu._reset_csr_caches()
+            extend_slots(hu, new_lo, new_hi)
         # New edges enter logically deleted; the seeded decrease sweep
         # relaxes them (and their closure) to the Property-3.1 fixpoint.
         for u, v, _ in inserts:
@@ -440,17 +431,53 @@ def _apply_insertions(index, inserts, stats: StructuralStats) -> None:
 
 
 # ---------------------------------------------------------------------------
-# compaction (undirected)
+# compaction
 # ---------------------------------------------------------------------------
 
-def dead_fraction(weights, *more_weights) -> float:
-    """Fraction of slots that are logically dead (all directions inf)."""
-    if len(weights) == 0:
-        return 0.0
-    dead = np.isinf(weights)
-    for other in more_weights:
-        dead &= np.isinf(other)
-    return float(dead.mean())
+def _dead_slots(store) -> np.ndarray:
+    """Mask of the slots that are logically dead: inf in every plane."""
+    planes = store.up_weights.reshape(store.planes, store.csr.num_slots)
+    return np.isinf(planes).all(axis=0)
+
+
+def dead_fraction(store) -> float:
+    """Fraction of *store*'s slots that are logically dead."""
+    dead = _dead_slots(store)
+    return float(dead.mean()) if len(dead) else 0.0
+
+
+def _compact(index, labellings, graph_edges, remove_edge) -> CompactionStats:
+    """The compaction pass both families share.
+
+    Dead slots leave ``index.hu``, the dead edges (arcs) listed by
+    *graph_edges* are removed physically with *remove_edge* and the
+    slack of every labelling is repacked; the bytes reclaimed are the
+    measured drop of the store's ``memory_bytes()`` plus the label slack.
+    """
+    hu = index.hu
+    stats = CompactionStats()
+    with phase("structural.compaction"):
+        label_bytes = sum(labels.compact() for labels in labellings)
+        store_bytes = hu.memory_bytes()
+        dead = _dead_slots(hu)
+        stats.dead_slots_reclaimed = int(dead.sum())
+        if stats.dead_slots_reclaimed:
+            compact_slots(hu, ~dead)
+        stats.bytes_reclaimed = store_bytes - hu.memory_bytes() + label_bytes
+        # A deleted edge whose slot kept a finite witness shortcut is
+        # still physically dead in the graph — remove it even when no
+        # slot was reclaimed, so restores always route through the
+        # insertion path.
+        dead_edges = [(u, v) for u, v, w in graph_edges() if math.isinf(w)]
+        for u, v in dead_edges:
+            remove_edge(u, v)
+        if stats.bytes_reclaimed or dead_edges:
+            index._epoch += 1
+            index._refresh_size_stats()
+    _bump(index, "compactions")
+    _bump(index, "dead_slots_reclaimed", stats.dead_slots_reclaimed)
+    _bump(index, "bytes_reclaimed", stats.bytes_reclaimed)
+    return stats
 
 
 def compact_index(index) -> CompactionStats:
@@ -463,38 +490,8 @@ def compact_index(index) -> CompactionStats:
     reclaimed, which routes worker/replica runtimes through their
     existing whole-buffer republish path.
     """
-    hu = index.hu
-    stats = CompactionStats()
-    with phase("structural.compaction"):
-        label_bytes = index.labels.compact()
-        dead = np.isinf(hu.up_weights)
-        dead_count = int(dead.sum())
-        if dead_count:
-            new_csr, (new_weights,) = compact_slots(
-                hu.csr, ~dead, hu.up_weights
-            )
-            hu.csr = new_csr
-            hu.up_weights = new_weights
-            hu._reset_csr_caches()
-        # A deleted edge whose slot kept a finite witness shortcut is
-        # still physically dead in the graph — remove it even when no
-        # slot was reclaimed, so restores always route through the
-        # insertion path.
-        graph = index.graph
-        removed_edges = 0
-        for u, v, w in list(graph.edges()):
-            if math.isinf(w):
-                graph.remove_edge(u, v)
-                removed_edges += 1
-        if dead_count or label_bytes or removed_edges:
-            index._epoch += 1
-            index._refresh_size_stats()
-    stats.dead_slots_reclaimed = dead_count
-    stats.bytes_reclaimed = dead_count * _SLOT_BYTES + label_bytes
-    _bump(index, "compactions")
-    _bump(index, "dead_slots_reclaimed", stats.dead_slots_reclaimed)
-    _bump(index, "bytes_reclaimed", stats.bytes_reclaimed)
-    return stats
+    graph = index.graph
+    return _compact(index, [index.labels], graph.edges, graph.remove_edge)
 
 
 # ---------------------------------------------------------------------------
@@ -568,20 +565,12 @@ def apply_batch_directed(
 
 def _rebuild_directed(index) -> MaintenanceStats:
     """Re-contract the directed hierarchy on the same H_Q, in place."""
-    from repro.core.directed import DirectedDHLIndex, _DirectionView
-    from repro.hierarchy.csr import build_shortcut_csr
-    from repro.labelling.build import build_labelling as _build
+    from repro.core.directed import DirectedUpdateHierarchy
 
-    rank, up, wout, win = DirectedDHLIndex._contract(index.digraph, index.hq)
-    index.rank = np.asarray(rank, dtype=np.int64)
-    index.rank_key = index.rank.astype(np.float64)
-    index.csr, index.out_weights, index.in_weights = build_shortcut_csr(
-        up, index.rank, wout, win
+    index.hu = DirectedUpdateHierarchy.build(index.digraph, index.hq)
+    index.labels_out, index.labels_in = map(
+        build_labelling, index.hu.plane_views()
     )
-    index._out_view = _DirectionView(index.hq.tau, index.csr, index.out_weights)
-    index._in_view = _DirectionView(index.hq.tau, index.csr, index.in_weights)
-    index.labels_out = _build(index._out_view)
-    index.labels_in = _build(index._in_view)
     index._epoch += 1
     index._refresh_size_stats()
     return _full_affected_stats(index.digraph.num_vertices)
@@ -590,14 +579,14 @@ def _rebuild_directed(index) -> MaintenanceStats:
 def _apply_directed_insertions(index, inserts, stats: StructuralStats) -> None:
     digraph = index.digraph
     hq = index.hq
-    csr: ShortcutCSR = index.csr
+    hu = index.hu
 
     comparable = all(hq.comparable(u, v) for u, v, _ in inserts)
     closure = None
     if comparable:
-        pairs = [_ordered_pair(index.rank, u, v) for u, v, _ in inserts]
+        pairs = [_ordered_pair(hu.rank, u, v) for u, v, _ in inserts]
         closure = _insertion_closure(
-            csr, index.rank, pairs, index.config.insert_closure_limit
+            hu.csr, hu.rank, pairs, index.config.insert_closure_limit
         )
     if closure is None:
         # Over-budget closures re-contract on the same H_Q; incomparable
@@ -628,19 +617,7 @@ def _apply_directed_insertions(index, inserts, stats: StructuralStats) -> None:
         if closure:
             new_lo = np.fromiter((p[0] for p in closure), np.int64, len(closure))
             new_hi = np.fromiter((p[1] for p in closure), np.int64, len(closure))
-            new_csr, (out_w, in_w), _ = extend_slots(
-                csr, new_lo, new_hi, index.out_weights, index.in_weights
-            )
-            index.csr = new_csr
-            index.out_weights = out_w
-            index.in_weights = in_w
-            for view, weights in (
-                (index._out_view, out_w),
-                (index._in_view, in_w),
-            ):
-                view.csr = new_csr
-                view.up_weights = weights
-                view._reset_csr_caches()
+            extend_slots(hu, new_lo, new_hi)
         for u, v, _ in inserts:
             digraph.add_arc(u, v, 0.0)
             digraph.set_weight(u, v, math.inf)
@@ -668,13 +645,7 @@ def _rebuild_directed_full(index) -> None:
 
     fresh = DirectedDHLIndex.build(index.digraph, index.config)
     index.hq = fresh.hq
-    index.rank = fresh.rank
-    index.rank_key = fresh.rank_key
-    index.csr = fresh.csr
-    index.out_weights = fresh.out_weights
-    index.in_weights = fresh.in_weights
-    index._out_view = fresh._out_view
-    index._in_view = fresh._in_view
+    index.hu = fresh.hu
     index.labels_out = fresh.labels_out
     index.labels_in = fresh.labels_in
     index._epoch += 1
@@ -683,40 +654,13 @@ def _rebuild_directed_full(index) -> None:
 
 def compact_directed_index(index) -> CompactionStats:
     """Directed compaction: a slot dies when *both* directions are inf."""
-    stats = CompactionStats()
-    with phase("structural.compaction"):
-        label_bytes = index.labels_out.compact() + index.labels_in.compact()
-        dead = np.isinf(index.out_weights) & np.isinf(index.in_weights)
-        dead_count = int(dead.sum())
-        if dead_count:
-            new_csr, (out_w, in_w) = compact_slots(
-                index.csr, ~dead, index.out_weights, index.in_weights
-            )
-            index.csr = new_csr
-            index.out_weights = out_w
-            index.in_weights = in_w
-            for view, weights in (
-                (index._out_view, out_w),
-                (index._in_view, in_w),
-            ):
-                view.csr = new_csr
-                view.up_weights = weights
-                view._reset_csr_caches()
-        digraph = index.digraph
-        removed_arcs = 0
-        for u, v, w in list(digraph.arcs()):
-            if math.isinf(w):
-                digraph.remove_arc(u, v)
-                removed_arcs += 1
-        if dead_count or label_bytes or removed_arcs:
-            index._epoch += 1
-            index._refresh_size_stats()
-    stats.dead_slots_reclaimed = dead_count
-    stats.bytes_reclaimed = dead_count * 2 * _SLOT_BYTES + label_bytes
-    _bump(index, "compactions")
-    _bump(index, "dead_slots_reclaimed", stats.dead_slots_reclaimed)
-    _bump(index, "bytes_reclaimed", stats.bytes_reclaimed)
-    return stats
+    digraph = index.digraph
+    return _compact(
+        index,
+        [index.labels_out, index.labels_in],
+        digraph.arcs,
+        digraph.remove_arc,
+    )
 
 
 # ---------------------------------------------------------------------------

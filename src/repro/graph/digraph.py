@@ -23,7 +23,7 @@ class DiGraph:
     forward ones.
     """
 
-    __slots__ = ("_out", "_in", "_m", "coords")
+    __slots__ = ("_out", "_in", "_m", "_version", "coords")
 
     def __init__(self, n: int, coords: np.ndarray | None = None):
         if n < 0:
@@ -31,6 +31,7 @@ class DiGraph:
         self._out: list[dict[int, float]] = [{} for _ in range(n)]
         self._in: list[dict[int, float]] = [{} for _ in range(n)]
         self._m = 0
+        self._version = 0
         if coords is not None:
             coords = np.asarray(coords, dtype=np.float64)
             if coords.shape != (n, 2):
@@ -73,6 +74,12 @@ class DiGraph:
     @property
     def num_arcs(self) -> int:
         return self._m
+
+    @property
+    def version(self) -> int:
+        """Mutation counter, as :attr:`Graph.version`: bumped by every
+        arc weight or topology change."""
+        return self._version
 
     def __len__(self) -> int:
         return len(self._out)
@@ -118,6 +125,7 @@ class DiGraph:
         self._out[u][v] = w
         self._in[v][u] = w
         self._m += 1
+        self._version += 1
 
     def set_weight(self, u: int, v: int, w: float) -> float:
         """Update an existing arc's weight; returns the old weight."""
@@ -126,6 +134,7 @@ class DiGraph:
             raise GraphError(f"arc weight must be non-negative, got {w!r}")
         self._out[u][v] = w
         self._in[v][u] = w
+        self._version += 1
         return old
 
     def remove_arc(self, u: int, v: int) -> float:
@@ -139,6 +148,7 @@ class DiGraph:
         del self._out[u][v]
         del self._in[v][u]
         self._m -= 1
+        self._version += 1
         return old
 
     def reversed(self) -> "DiGraph":

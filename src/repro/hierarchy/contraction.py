@@ -13,11 +13,11 @@ Shortcut weights satisfy the minimum-weight property (Property 3.1):
 
 over all common "down" neighbours ``x`` (contracted before both).
 
-Storage is a flat CSR shortcut store (:mod:`repro.hierarchy.csr`): the
-rank-sorted ``up_indptr``/``up_indices``/``up_weights`` triple plus the
-reverse/down CSR, built once at construction. ``up``/``down``/
-``down_sets``/``wup`` remain available as thin views over the same
-arrays for the scalar reference algorithms and the baselines.
+Storage is a flat CSR shortcut store (:mod:`repro.hierarchy.csr`): one
+rank-sorted structure plus a single ``up_weights`` buffer of weight
+planes. :class:`ContractionResult` is the store contract every index
+family maintains through — the undirected hierarchy has one plane, the
+directed one two.
 """
 
 from __future__ import annotations
@@ -28,134 +28,135 @@ from typing import Sequence
 import numpy as np
 
 from repro.graph.graph import Graph
-from repro.hierarchy.csr import CSRShortcutMixin, build_shortcut_csr
+from repro.hierarchy.csr import ShortcutCSR, build_shortcut_csr
 from repro.utils.priority_queue import LazyHeap
 
 __all__ = ["ContractionResult", "contract_in_order", "min_degree_order"]
 
 
-class ContractionResult(CSRShortcutMixin):
-    """Shortcut graph produced by contraction.
+class ContractionResult:
+    """Shortcut graph produced by contraction — the shortcut-store contract.
+
+    One :class:`~repro.hierarchy.csr.ShortcutCSR` of ``m`` slots plus
+    ``planes`` weight planes laid end to end in ``up_weights``: the
+    weight *cell* of slot ``s`` in plane ``p`` is ``s + m * p``. Slot
+    ``(v, w)`` has ``v`` deeper (contracted earlier). With two planes
+    (the directed index) plane 0 weighs the arc deeper -> shallower and
+    plane 1 the arc shallower -> deeper; with one, cells are slots.
 
     Attributes
     ----------
     graph:
         The underlying road network (weights are kept current by the
-        maintenance algorithms; the shortcut structure never changes).
+        maintenance algorithms; the shortcut structure never changes
+        under weight updates).
     order:
         Vertices in contraction order (earliest first).
     rank:
         ``rank[v]`` = position of ``v`` in ``order``. Up-neighbours have
         larger rank (contracted later).
-    rank_key:
-        ``rank`` as float64 — pre-boxed priority keys for the reference
-        path's heap pushes.
-    csr:
-        The structural :class:`~repro.hierarchy.csr.ShortcutCSR`
-        (``up_indptr``/``up_indices`` + down CSR + slot lookup tables).
-    up_weights:
-        Flat float64 array of current shortcut weights, one per CSR
-        slot — the single source of truth; the ``wup`` mapping view and
-        the array kernels both read and write it.
+    csr / up_weights:
+        Structure and current weights — the single source of truth,
+        replaced together and only through :meth:`rebind`.
     """
 
-    __slots__ = (
-        "graph",
-        "order",
-        "rank",
-        "rank_key",
-        "csr",
-        "up_weights",
-        "_wup",
-        "_up_rows",
-        "_down_rows",
-        "_down_sets",
-        "_direct_cache",
-    )
+    planes = 1
+
+    __slots__ = ("graph", "order", "rank", "csr", "up_weights", "_direct_cache")
 
     def __init__(
         self,
-        graph: Graph,
+        graph,
         order: np.ndarray,
         rank: np.ndarray,
         up: list[list[int]],
-        wup: list[dict[int, float]],
+        *weight_rows: list[dict[int, float]],
     ):
         self.graph = graph
         self.order = np.asarray(order, dtype=np.int64)
         self.rank = np.asarray(rank, dtype=np.int64)
-        self.rank_key = self.rank.astype(np.float64)
-        self.csr, self.up_weights = build_shortcut_csr(up, self.rank, wup)
-        self._reset_csr_caches()
+        self.rebind(*build_shortcut_csr(up, self.rank, *weight_rows))
 
-    # -- pickling ---------------------------------------------------------
-    def __getstate__(self):
-        """Pickle the flat store only; lazy views are rebuilt on demand.
+    def rebind(self, csr: ShortcutCSR, up_weights: np.ndarray) -> None:
+        """Swap in a new structure and its weight buffer.
 
-        The cached row views are numpy *views* into the CSR arrays —
-        pickling them would materialise detached copies and route
-        maintenance writes into dead buffers after unpickling (the
-        parallel shard build ships hierarchies across processes).
+        The one place either is replaced (construction, slot growth,
+        compaction), so nothing derived from the old pair survives it:
+        the driver's per-cell direct-weight cache is dropped here.
         """
-        return {
-            "graph": self.graph,
-            "order": self.order,
-            "rank": self.rank,
-            "csr": self.csr,
-            "up_weights": self.up_weights,
-        }
+        self.csr = csr
+        self.up_weights = up_weights
+        self._direct_cache = None
 
-    def __setstate__(self, state) -> None:
-        self.graph = state["graph"]
-        self.order = state["order"]
-        self.rank = state["rank"]
-        self.rank_key = self.rank.astype(np.float64)
-        self.csr = state["csr"]
-        self.up_weights = state["up_weights"]
-        self._reset_csr_caches()
-
-    # -- weight access --------------------------------------------------
+    # -- addressing -----------------------------------------------------
     def shortcut_key(self, a: int, b: int) -> tuple[int, int]:
         """Normalise an endpoint pair to (earlier, later) contraction order."""
         return (a, b) if self.rank[a] < self.rank[b] else (b, a)
 
+    #: What a weight batch dedupes on: the unordered pair here, the
+    #: ordered arc in a two-plane store.
+    edge_key = shortcut_key
+
+    def find_edge_slot(self, a: int, b: int) -> int:
+        """Weight cell of edge ``(a, b)`` — of arc ``a -> b`` in a
+        two-plane store; -1 when the pair has no slot."""
+        descending = self.rank[a] > self.rank[b]
+        slot = self.csr.find_slot(b, a) if descending else self.csr.find_slot(a, b)
+        if slot >= 0 and descending and self.planes == 2:
+            slot += self.csr.num_slots
+        return slot
+
+    def edge_slot(self, a: int, b: int) -> int:
+        """Like :meth:`find_edge_slot` but raises when the pair is absent."""
+        cell = self.find_edge_slot(a, b)
+        if cell < 0:
+            raise KeyError(f"no shortcut ({a}, {b})")
+        return cell
+
+    def label_planes(self, labels) -> list[tuple]:
+        """``(one-plane store, labelling)`` per weight plane — what the
+        label phase of the maintenance driver runs over."""
+        return [(self, labels)]
+
+    # -- weight access --------------------------------------------------
     def has_shortcut(self, a: int, b: int) -> bool:
-        lo, hi = self.shortcut_key(a, b)
-        return self.csr.find_slot(lo, hi) >= 0
+        return self.find_edge_slot(a, b) >= 0
 
     def weight(self, a: int, b: int) -> float:
         """Current weight of shortcut ``(a, b)``."""
-        lo, hi = self.shortcut_key(a, b)
-        return float(self.up_weights[self.csr.slot_of(lo, hi)])
+        return float(self.up_weights[self.edge_slot(a, b)])
 
     def set_weight(self, a: int, b: int, w: float) -> float:
         """Set shortcut weight; returns the previous value."""
-        lo, hi = self.shortcut_key(a, b)
-        slot = self.csr.slot_of(lo, hi)
-        old = float(self.up_weights[slot])
-        self.up_weights[slot] = w
+        cell = self.edge_slot(a, b)
+        old = float(self.up_weights[cell])
+        self.up_weights[cell] = w
         return old
+
+    def up_row(self, v: int) -> tuple[list[int], list[float]]:
+        """``v``'s up-neighbours in rank order and their shortcut weights."""
+        start, end = self.csr.row_bounds(v)
+        return (
+            self.csr.indices[start:end].tolist(),
+            self.up_weights[start:end].tolist(),
+        )
+
+    def down_row(self, v: int) -> tuple[list[int], list[float]]:
+        """``v``'s down-neighbours by vertex id and their shortcut weights."""
+        csr = self.csr
+        start, end = int(csr.down_indptr[v]), int(csr.down_indptr[v + 1])
+        return (
+            csr.down_indices[start:end].tolist(),
+            self.up_weights[csr.down_slots[start:end]].tolist(),
+        )
 
     @property
     def num_shortcuts(self) -> int:
         return self.csr.num_slots
 
     def memory_bytes(self) -> int:
-        """Rough footprint of the CSR shortcut store."""
-        csr = self.csr
-        return (
-            self.up_weights.nbytes
-            + csr.indices.nbytes
-            + csr.indptr.nbytes
-            + csr.ranks.nbytes
-            + csr.owners.nbytes
-            + csr.slot_keys.nbytes
-            + csr.down_indices.nbytes
-            + csr.down_indptr.nbytes
-            + csr.down_slots.nbytes
-            + self.order.nbytes
-            + self.rank.nbytes
-        )
+        """Footprint of the store: every CSR array and every weight plane."""
+        return self.csr.memory_bytes() + self.up_weights.nbytes + self.order.nbytes
 
     # -- invariant checks (used heavily in tests) ------------------------
     def verify_minimum_weight_property(self, tolerance: float = 0.0) -> None:

@@ -7,9 +7,11 @@ compressed-sparse-row triple:
 * ``indptr``/``indices`` — vertex ``v``'s up-neighbours (shortcut
   partners contracted later) live at
   ``indices[indptr[v] : indptr[v + 1]]``, sorted by contraction rank;
-* a parallel **weights** array (owned by the caller — one for the
-  undirected hierarchy, two for the directed index) holds the current
-  shortcut weights, one float64 per slot.
+* the weights live beside it in the owning store's single
+  ``up_weights`` buffer: one float64 **plane** of ``m`` slots for the
+  undirected hierarchy, two for the directed one, the weight *cell* of
+  slot ``s`` in plane ``p`` being ``s + m * p`` (the store contract is
+  :class:`~repro.hierarchy.contraction.ContractionResult`).
 
 Two derived tables make the maintenance kernels array-native:
 
@@ -21,21 +23,19 @@ Two derived tables make the maintenance kernels array-native:
   the up-slot of its shortcut, so Property-3.1 recomputation runs as a
   sorted intersection over two down rows and weight gathers.
 
-:class:`WeightRows` wraps a structure + weights pair in the historical
-``wup[v][u]`` mapping interface so the scalar reference algorithms and
-the baselines keep working against the same single source of truth.
+:func:`extend_slots` and :func:`compact_slots` are the two ways the
+structure changes after construction; both permute every weight plane
+alongside and hand the result to the store's ``rebind``.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
 __all__ = [
     "ShortcutCSR",
-    "WeightRows",
-    "WeightRow",
     "build_shortcut_csr",
     "extend_slots",
     "compact_slots",
@@ -117,6 +117,10 @@ class ShortcutCSR:
     def num_slots(self) -> int:
         return len(self.indices)
 
+    def memory_bytes(self) -> int:
+        """Bytes held by every array of the structure (``rank`` included)."""
+        return sum(getattr(self, name).nbytes for name in self.__slots__[1:])
+
     def row_bounds(self, v: int) -> tuple[int, int]:
         return int(self.indptr[v]), int(self.indptr[v + 1])
 
@@ -173,15 +177,15 @@ def build_shortcut_csr(
     rows: Sequence[Sequence[int]],
     rank: np.ndarray,
     *weight_rows,
-) -> tuple:
-    """Build a :class:`ShortcutCSR` (plus flat weight arrays) from rows.
+) -> tuple[ShortcutCSR, np.ndarray]:
+    """Build a :class:`ShortcutCSR` and its weight buffer from rows.
 
     ``rows[v]`` lists vertex ``v``'s up-neighbours in any order; each
-    optional ``weight_rows`` entry is an aligned mapping-or-sequence per
-    vertex (``weight_rows[k][v][u]``). Rows are re-sorted by contraction
-    rank, and every returned weight array follows the same permutation.
+    ``weight_rows`` entry is one plane's aligned mapping-or-sequence
+    per vertex (``weight_rows[p][v][u]``). Rows are re-sorted by
+    contraction rank and every plane follows the same permutation.
 
-    Returns ``(csr, w0, w1, ...)``.
+    Returns ``(csr, up_weights)`` with the planes laid end to end.
     """
     n = len(rows)
     rank = np.asarray(rank, dtype=np.int64)
@@ -194,27 +198,25 @@ def build_shortcut_csr(
     )
     owners = np.repeat(np.arange(n, dtype=np.int64), counts)
     order = np.lexsort((rank[indices], owners))
-    indices = indices[order]
-
-    flats = []
-    for wrows in weight_rows:
+    up_weights = np.empty(len(weight_rows) * m, dtype=np.float64)
+    for plane, wrows in enumerate(weight_rows):
         flat = np.fromiter(
             (wrow[u] for row, wrow in zip(rows, wrows) for u in row),
             dtype=np.float64,
             count=m,
         )
-        flats.append(flat[order])
-    return (ShortcutCSR(n, rank, indptr, indices), *flats)
+        up_weights[plane * m : (plane + 1) * m] = flat[order]
+    return ShortcutCSR(n, rank, indptr, indices[order]), up_weights
 
 
-def extend_slots(
-    csr: ShortcutCSR,
-    new_lo: np.ndarray,
-    new_hi: np.ndarray,
-    *weight_arrays: np.ndarray,
-    fill: float = np.inf,
-) -> tuple:
-    """Grow the store with new ``(lo, hi)`` slots (structural insertion).
+def _counts_to_indptr(owners: np.ndarray, n: int) -> np.ndarray:
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(owners, minlength=n), out=indptr[1:])
+    return indptr
+
+
+def extend_slots(store, new_lo: np.ndarray, new_hi: np.ndarray) -> None:
+    """Grow *store* with new ``(lo, hi)`` slots (structural insertion).
 
     ``slot_keys`` must stay globally sorted for the searchsorted slot
     resolution, so growth is a sorted merge of the existing slots with
@@ -224,20 +226,17 @@ def extend_slots(
     before calling this once, mirroring how the label store batches its
     capacity doubling in :meth:`HierarchicalLabelling.extend_label`.
 
-    Every supplied weight array is permuted alongside, with *fill*
-    (default ``inf`` — "allocated but not yet relaxed") at the new
-    slots. Returns ``(new_csr, [new_weights...], new_positions)`` where
-    ``new_positions[i]`` is the slot of pair ``(new_lo[i], new_hi[i])``
-    in the rebuilt store.
+    Every weight plane is permuted alongside, with ``inf`` ("allocated
+    but not yet relaxed") at the new slots.
     """
     new_lo = np.asarray(new_lo, dtype=np.int64)
     new_hi = np.asarray(new_hi, dtype=np.int64)
     k = len(new_lo)
     if k == 0:
-        return (csr, list(weight_arrays), np.empty(0, dtype=np.int64))
+        return
+    csr = store.csr
     n = csr.n
-    rank = csr.rank
-    new_keys = new_lo * np.int64(n) + rank[new_hi]
+    new_keys = new_lo * np.int64(n) + csr.rank[new_hi]
     if len(np.unique(new_keys)) != k:
         raise ValueError("extend_slots: duplicate pairs in batch")
     hit = np.searchsorted(csr.slot_keys, new_keys)
@@ -249,204 +248,33 @@ def extend_slots(
     )
     indices = np.concatenate([csr.indices, new_hi])[order]
     owners = np.concatenate([csr.owners, new_lo])[order]
-    counts = np.bincount(owners, minlength=n)
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(counts, out=indptr[1:])
-    new_csr = ShortcutCSR(n, rank, indptr, indices)
-    dest = np.empty(len(order), dtype=np.int64)
-    dest[order] = np.arange(len(order), dtype=np.int64)
-    new_positions = dest[csr.num_slots :]
-    grown = [
-        np.concatenate([w, np.full(k, fill, dtype=np.float64)])[order]
-        for w in weight_arrays
-    ]
-    return (new_csr, grown, new_positions)
+    planes = store.up_weights.reshape(store.planes, csr.num_slots)
+    grown = np.concatenate(
+        [planes, np.full((store.planes, k), np.inf)], axis=1
+    )[:, order]
+    store.rebind(
+        ShortcutCSR(n, csr.rank, _counts_to_indptr(owners, n), indices),
+        grown.ravel(),
+    )
 
 
-def compact_slots(
-    csr: ShortcutCSR, keep: np.ndarray, *weight_arrays: np.ndarray
-) -> tuple:
-    """Drop the slots where *keep* is False (logically dead shortcuts).
+def compact_slots(store, keep: np.ndarray) -> None:
+    """Drop the slots of *store* where *keep* is False (dead shortcuts).
 
     Surviving slots keep their relative order, so rows stay rank-sorted
     and ``slot_keys`` stays globally ascending; all derived tables are
-    rebuilt by the :class:`ShortcutCSR` constructor. Returns
-    ``(new_csr, [new_weights...])``.
+    rebuilt by the :class:`ShortcutCSR` constructor, and every weight
+    plane loses the same slots.
     """
     keep = np.asarray(keep, dtype=bool)
-    indices = csr.indices[keep]
-    owners = csr.owners[keep]
-    counts = np.bincount(owners, minlength=csr.n)
-    indptr = np.zeros(csr.n + 1, dtype=np.int64)
-    np.cumsum(counts, out=indptr[1:])
-    new_csr = ShortcutCSR(csr.n, csr.rank, indptr, indices)
-    return (new_csr, [w[keep] for w in weight_arrays])
-
-
-class WeightRow:
-    """Mapping view of one vertex's shortcut weights (``wup[v]``-style).
-
-    Reads and writes go straight to the flat weight array, so the view
-    and the array kernels always agree. Keys are the up-neighbour vertex
-    ids in rank order, as in the historical dict-of-dicts store.
-    """
-
-    __slots__ = ("_csr", "_weights", "_v", "_pos")
-
-    def __init__(self, csr: ShortcutCSR, weights: np.ndarray, v: int):
-        self._csr = csr
-        self._weights = weights
-        self._v = v
-        self._pos: dict[int, int] | None = None
-
-    def _positions(self) -> dict[int, int]:
-        if self._pos is None:
-            start, end = self._csr.row_bounds(self._v)
-            self._pos = {
-                int(u): slot
-                for slot, u in zip(
-                    range(start, end), self._csr.indices[start:end]
-                )
-            }
-        return self._pos
-
-    def __getitem__(self, u: int) -> float:
-        return float(self._weights[self._positions()[int(u)]])
-
-    def __setitem__(self, u: int, value: float) -> None:
-        self._weights[self._positions()[int(u)]] = value
-
-    def get(self, u: int, default=None):
-        slot = self._positions().get(int(u))
-        return default if slot is None else float(self._weights[slot])
-
-    def __contains__(self, u: int) -> bool:
-        return int(u) in self._positions()
-
-    def __len__(self) -> int:
-        start, end = self._csr.row_bounds(self._v)
-        return end - start
-
-    def __iter__(self) -> Iterator[int]:
-        return (int(u) for u in self._csr.row(self._v))
-
-    def keys(self):
-        return list(self)
-
-    def values(self):
-        start, end = self._csr.row_bounds(self._v)
-        return [float(w) for w in self._weights[start:end]]
-
-    def items(self):
-        start, end = self._csr.row_bounds(self._v)
-        return [
-            (int(u), float(w))
-            for u, w in zip(
-                self._csr.indices[start:end], self._weights[start:end]
-            )
-        ]
-
-    def __repr__(self) -> str:  # pragma: no cover - repr sugar
-        return f"WeightRow({dict(self.items())})"
-
-
-class WeightRows:
-    """List-of-mappings view over (structure, weights) — ``wup``-shaped."""
-
-    __slots__ = ("_csr", "_weights", "_rows")
-
-    def __init__(self, csr: ShortcutCSR, weights: np.ndarray):
-        self._csr = csr
-        self._weights = weights
-        self._rows: dict[int, WeightRow] = {}
-
-    def __getitem__(self, v: int) -> WeightRow:
-        row = self._rows.get(v)
-        if row is None:
-            row = self._rows[v] = WeightRow(self._csr, self._weights, v)
-        return row
-
-    def __len__(self) -> int:
-        return self._csr.n
-
-    def __iter__(self) -> Iterator[WeightRow]:
-        return (self[v] for v in range(self._csr.n))
-
-
-class CSRShortcutMixin:
-    """Compatibility surface shared by CSR-backed shortcut stores.
-
-    Concrete classes provide ``csr`` (a :class:`ShortcutCSR`),
-    ``up_weights`` (the flat weight array) and the four cache slots
-    ``_wup`` / ``_up_rows`` / ``_down_rows`` / ``_down_sets``. The mixin
-    exposes the historical ``up`` / ``down`` / ``down_sets`` / ``wup``
-    attributes as lazy views over the flat store, so scalar reference
-    code and the array kernels share one source of truth.
-    """
-
-    __slots__ = ()
-
-    # -- raw CSR attribute aliases (the tentpole's public layout) --------
-    @property
-    def up_indptr(self) -> np.ndarray:
-        return self.csr.indptr
-
-    @property
-    def up_indices(self) -> np.ndarray:
-        return self.csr.indices
-
-    @property
-    def down_indptr(self) -> np.ndarray:
-        return self.csr.down_indptr
-
-    @property
-    def down_indices(self) -> np.ndarray:
-        return self.csr.down_indices
-
-    @property
-    def down_slots(self) -> np.ndarray:
-        return self.csr.down_slots
-
-    # -- historical views -------------------------------------------------
-    @property
-    def up(self) -> list[np.ndarray]:
-        """Per-vertex up-neighbour arrays (rank-sorted views)."""
-        if self._up_rows is None:
-            csr = self.csr
-            indptr, indices = csr.indptr, csr.indices
-            self._up_rows = [
-                indices[indptr[v] : indptr[v + 1]] for v in range(csr.n)
-            ]
-        return self._up_rows
-
-    @property
-    def down(self) -> list[np.ndarray]:
-        """Per-vertex down-neighbour arrays (vertex-id-sorted views)."""
-        if self._down_rows is None:
-            csr = self.csr
-            indptr, indices = csr.down_indptr, csr.down_indices
-            self._down_rows = [
-                indices[indptr[v] : indptr[v + 1]] for v in range(csr.n)
-            ]
-        return self._down_rows
-
-    @property
-    def down_sets(self) -> list[set[int]]:
-        if self._down_sets is None:
-            self._down_sets = [set(row.tolist()) for row in self.down]
-        return self._down_sets
-
-    @property
-    def wup(self) -> WeightRows:
-        if self._wup is None:
-            self._wup = WeightRows(self.csr, self.up_weights)
-        return self._wup
-
-    def _reset_csr_caches(self) -> None:
-        self._wup = None
-        self._up_rows = None
-        self._down_rows = None
-        self._down_sets = None
-        # Compiled-engine per-slot direct edge weights (lazily built and
-        # version-pinned by repro.labelling.compiled.engine).
-        self._direct_cache = None
+    csr = store.csr
+    planes = store.up_weights.reshape(store.planes, csr.num_slots)
+    store.rebind(
+        ShortcutCSR(
+            csr.n,
+            csr.rank,
+            _counts_to_indptr(csr.owners[keep], csr.n),
+            csr.indices[keep],
+        ),
+        planes[:, keep].ravel(),
+    )

@@ -15,8 +15,7 @@ algorithms keep consistent with the minimum-weight property (3.1).
 The shortcut store itself is the flat CSR layout inherited from
 :class:`~repro.hierarchy.contraction.ContractionResult` — the update
 hierarchy *shares* the base result's arrays (no rebuild) and adds the
-``tau``/``tau_key`` rank arrays the label algorithms key their
-frontiers on.
+``tau`` rank array the label algorithms key their frontiers on.
 """
 
 from __future__ import annotations
@@ -35,14 +34,13 @@ class UpdateHierarchy(ContractionResult):
     """Shortcut graph of G w.r.t. the partial order induced by H_Q.
 
     Inherits the CSR shortcut store from :class:`ContractionResult`;
-    adds the rank array ``tau`` (int64, shared with H_Q), its float64
-    twin ``tau_key`` (pre-boxed heap priorities for the reference path)
-    and the link back to the query hierarchy. Note the reversed rank
-    convention: ancestors have *small* ``tau`` but *large* contraction
-    rank (they are contracted last).
+    adds the rank array ``tau`` (int64, shared with H_Q) and the link
+    back to the query hierarchy. Note the reversed rank convention:
+    ancestors have *small* ``tau`` but *large* contraction rank (they
+    are contracted last).
     """
 
-    __slots__ = ("tau", "tau_key", "hq")
+    __slots__ = ("tau", "hq")
 
     def __init__(self, base: ContractionResult, hq: QueryHierarchy):
         # Adopt the base result's storage wholesale — the CSR arrays are
@@ -50,12 +48,8 @@ class UpdateHierarchy(ContractionResult):
         self.graph = base.graph
         self.order = base.order
         self.rank = base.rank
-        self.rank_key = base.rank_key
-        self.csr = base.csr
-        self.up_weights = base.up_weights
-        self._reset_csr_caches()
+        self.rebind(base.csr, base.up_weights)
         self.tau = np.asarray(hq.tau, dtype=np.int64)
-        self.tau_key = self.tau.astype(np.float64)
         self.hq = hq
 
     @classmethod
@@ -65,31 +59,19 @@ class UpdateHierarchy(ContractionResult):
         base = contract_in_order(graph, order)
         return cls(base, hq)
 
-    # -- pickling ---------------------------------------------------------
-    def __getstate__(self):
-        state = super().__getstate__()
-        state["hq"] = self.hq
-        return state
-
-    def __setstate__(self, state) -> None:
-        super().__setstate__(state)
-        self.hq = state["hq"]
-        self.tau = np.asarray(self.hq.tau, dtype=np.int64)
-        self.tau_key = self.tau.astype(np.float64)
-
     def validate_comparability(self) -> None:
         """Check Lemma 4.8: every shortcut joins comparable vertices.
 
         With a valid separator tree this holds automatically; the check
         exists for tests and for diagnosing bad partition trees.
         """
-        for v in range(len(self.up)):
-            for u in self.up[v]:
-                if not self.hq.precedes(u, v):
-                    raise HierarchyError(
-                        f"shortcut ({v}, {u}) joins incomparable vertices "
-                        f"(tau {self.tau[v]}, {self.tau[u]})"
-                    )
+        csr = self.csr
+        for v, u in zip(csr.owners.tolist(), csr.indices.tolist()):
+            if not self.hq.precedes(u, v):
+                raise HierarchyError(
+                    f"shortcut ({v}, {u}) joins incomparable vertices "
+                    f"(tau {self.tau[v]}, {self.tau[u]})"
+                )
 
     def max_up_degree(self) -> int:
         """Paper's ``d_max`` (maximum shortcut degree towards ancestors)."""

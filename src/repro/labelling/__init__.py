@@ -10,8 +10,8 @@
   :class:`~repro.labelling.maintenance.Engine` contract (DH-U
   decrease/increase — Algorithms 2/3 — and DHL-/DHL+ — Algorithms 4/5).
 * :mod:`repro.labelling.maintenance_kernels` — the frontier-batched
-  array engine (default): level/round sweeps over the CSR shortcut store
-  and the flat label buffer.
+  array engine (default): order-free rounds over the CSR shortcut
+  store's weight cells and the flat label buffer.
 * :mod:`repro.labelling.compiled` — the same sweeps as numba kernels.
 * :mod:`repro.labelling.maintenance` — the contract, the stats record
   and the scalar reference engine (the differential-test oracle).
@@ -25,7 +25,6 @@ from repro.labelling.maintenance import Engine, MaintenanceStats
 from repro.labelling.driver import (
     ENGINES,
     maintain,
-    maintain_labels,
     maintain_shortcuts,
 )
 
@@ -38,6 +37,5 @@ __all__ = [
     "MaintenanceStats",
     "ENGINES",
     "maintain",
-    "maintain_labels",
     "maintain_shortcuts",
 ]

@@ -6,8 +6,8 @@ is the element-wise minimum over its up-neighbours ``w`` of
 step is one vectorised ``numpy.minimum`` over a prefix, which is what
 keeps pure-Python construction practical (the ``repro_why`` concern).
 
-The builder reads the CSR shortcut store directly (``up_indptr`` /
-``up_indices`` / ``up_weights``): the shortcut-weight seeding is one
+The builder reads the CSR shortcut store directly (``csr.indptr`` /
+``csr.indices`` / ``up_weights``): the shortcut-weight seeding is one
 scatter into the flat label buffer, and the top-down pass walks row
 slices with no per-edge dict probing.
 """
@@ -24,9 +24,9 @@ __all__ = ["build_labelling"]
 def build_labelling(hu) -> HierarchicalLabelling:
     """Run Algorithm 1 over the update hierarchy *hu*.
 
-    *hu* is any CSR shortcut store carrying ``tau``, ``csr`` and
-    ``up_weights`` — the undirected update hierarchy or one direction
-    view of the directed index. Returns the hierarchical labelling whose
+    *hu* is any one-plane CSR shortcut store carrying ``tau``, ``csr``
+    and ``up_weights`` — the undirected update hierarchy or one weight
+    plane of the directed one. Returns the hierarchical labelling whose
     entry ``L_v[i]`` is the length of the shortest shortcut chain from
     ``v`` to its rank-``i`` ancestor — equivalently the interval-subgraph
     distance of Definition 4.11 (by Lemma 6.3 / Corollary 6.5).

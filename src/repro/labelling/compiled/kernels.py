@@ -141,64 +141,78 @@ def shortcut_decrease_sweep(
 ):
     """Algorithm 2 fixpoint: chaotic min-relaxation, deepest owner first.
 
-    Seeds are slots already lowered (and pre-marked) by the driver. Each
-    pop relaxes every triangle through the owner's up-row; strictly
-    improved targets are marked, lowered, and queued. Because pushes go
-    strictly shallower than the popping owner, every slot pops at most
-    once. Returns True (stopping early) when a finite candidate targets
-    a pair that compaction removed — the contract's fallback signal.
+    Seeds are weight cells already lowered (and pre-marked) by the
+    driver; ``weights`` holds one plane per ``owners.shape[0]`` cells
+    (cell = slot + m * plane, see the ``Engine`` contract). Each pop
+    relaxes every triangle through the owner's up-row — second leg from
+    the opposite plane — and strictly improved targets are marked,
+    lowered, and queued. Because pushes go strictly shallower than the
+    popping owner, every cell pops at most once. Returns True (stopping
+    early) when a finite candidate targets a pair that compaction
+    removed — the contract's fallback signal.
     """
-    num_slots = weights.shape[0]
-    heap_keys = np.empty(num_slots, np.int64)
-    heap_items = np.empty(num_slots, np.int64)
-    in_queue = np.zeros(num_slots, np.uint8)
+    num_cells = weights.shape[0]
+    m = owners.shape[0]
+    last = num_cells - m  # offset of the last plane: 0 with one plane
+    heap_keys = np.empty(num_cells, np.int64)
+    heap_items = np.empty(num_cells, np.int64)
+    in_queue = np.zeros(num_cells, np.uint8)
     size = 0
     for i in range(seeds.shape[0]):
-        slot = seeds[i]
-        if in_queue[slot] == 0:
-            in_queue[slot] = 1
+        cell = seeds[i]
+        if in_queue[cell] == 0:
+            in_queue[cell] = 1
             size = _heap_push(
-                heap_keys, heap_items, size, rank[owners[slot]], slot
+                heap_keys, heap_items, size, rank[owners[cell % m]], cell
             )
     while size > 0:
-        slot, size = _heap_pop(heap_keys, heap_items, size)
-        in_queue[slot] = 0
+        cell, size = _heap_pop(heap_keys, heap_items, size)
+        in_queue[cell] = 0
+        slot = cell
+        own = 0
+        if last > 0:
+            slot = cell % m
+            own = cell - slot
+        opposite = last - own
         v = owners[slot]
-        w_vw = weights[slot]
+        w_vw = weights[cell]
         ra = ranks[slot]
         a = indices[slot]
         for leg in range(indptr[v], indptr[v + 1]):
             if leg == slot:
                 continue
-            cand = w_vw + weights[leg]
+            cand = w_vw + weights[leg + opposite]
             rb = ranks[leg]
             if ra < rb:
                 key = a * n + rb
+                plane = opposite
             else:
                 key = indices[leg] * n + ra
+                plane = own
             tslot = _find_slot(slot_keys, key)
             # A compacted store may have dropped the target pair (it was
             # inf). An inf candidate could never win a minimum and is
             # skipped; a finite one (only an insertion-seeded sweep can
             # produce it) has no slot to land in. The check also keeps
             # the probe in bounds.
-            if tslot >= num_slots or slot_keys[tslot] != key:
+            if tslot >= m or slot_keys[tslot] != key:
                 if cand < math.inf:
                     return True
                 continue
-            if weights[tslot] > cand:
-                if changed[tslot] == 0:
-                    changed[tslot] = 1
-                    first_old[tslot] = weights[tslot]
-                weights[tslot] = cand
-                if in_queue[tslot] == 0:
-                    in_queue[tslot] = 1
+            target = tslot + plane
+            if weights[target] > cand:
+                if changed[target] == 0:
+                    changed[target] = 1
+                    first_old[target] = weights[target]
+                weights[target] = cand
+                if in_queue[target] == 0:
+                    in_queue[target] = 1
                     size = _heap_push(
                         heap_keys,
                         heap_items,
                         size,
                         rank[owners[tslot]],
-                        tslot,
+                        target,
                     )
     return False
 
@@ -223,33 +237,43 @@ def shortcut_increase_sweep(
 ):
     """Algorithm 3 fixpoint: recompute suspects, deepest owner first.
 
-    A popped slot ``(v, w)`` is recomputed as the min of its direct edge
-    weight (the ``direct`` per-slot cache, inf where no edge) and every
-    common down-triangle — the down rows are vertex-sorted, so a
-    two-pointer intersection walks them. When the weight moves, every
-    shallower pair whose old chained value matched is re-queued (the
-    exact-equality guard of the reference engine). Returns pop count.
+    A popped cell ``(v, w, plane)`` is recomputed as the min of its
+    direct edge weight (the ``direct`` per-cell cache, inf where no
+    edge) and every common down-triangle — ``(x, v)`` from the opposite
+    plane plus ``(x, w)`` from its own; the down rows are vertex-sorted,
+    so a two-pointer intersection walks them. When the weight moves,
+    every shallower pair whose old chained value matched is re-queued
+    (the exact-equality guard of the reference engine). Returns pop
+    count.
     """
-    num_slots = weights.shape[0]
-    heap_keys = np.empty(num_slots, np.int64)
-    heap_items = np.empty(num_slots, np.int64)
-    in_queue = np.zeros(num_slots, np.uint8)
+    num_cells = weights.shape[0]
+    m = owners.shape[0]
+    last = num_cells - m  # offset of the last plane: 0 with one plane
+    heap_keys = np.empty(num_cells, np.int64)
+    heap_items = np.empty(num_cells, np.int64)
+    in_queue = np.zeros(num_cells, np.uint8)
     size = 0
     for i in range(seeds.shape[0]):
-        slot = seeds[i]
-        if in_queue[slot] == 0:
-            in_queue[slot] = 1
+        cell = seeds[i]
+        if in_queue[cell] == 0:
+            in_queue[cell] = 1
             size = _heap_push(
-                heap_keys, heap_items, size, rank[owners[slot]], slot
+                heap_keys, heap_items, size, rank[owners[cell % m]], cell
             )
     pops = 0
     while size > 0:
-        slot, size = _heap_pop(heap_keys, heap_items, size)
-        in_queue[slot] = 0
+        cell, size = _heap_pop(heap_keys, heap_items, size)
+        in_queue[cell] = 0
         pops += 1
+        slot = cell
+        own = 0
+        if last > 0:
+            slot = cell % m
+            own = cell - slot
+        opposite = last - own
         v = owners[slot]
         w = indices[slot]
-        w_new = direct[slot]
+        w_new = direct[cell]
         pa = down_indptr[v]
         ea = down_indptr[v + 1]
         pb = down_indptr[w]
@@ -258,7 +282,10 @@ def shortcut_increase_sweep(
             xa = down_indices[pa]
             xb = down_indices[pb]
             if xa == xb:
-                cand = weights[down_slots[pa]] + weights[down_slots[pb]]
+                cand = (
+                    weights[down_slots[pa] + opposite]
+                    + weights[down_slots[pb] + own]
+                )
                 if cand < w_new:
                     w_new = cand
                 pa += 1
@@ -267,7 +294,7 @@ def shortcut_increase_sweep(
                 pa += 1
             else:
                 pb += 1
-        old = weights[slot]
+        old = weights[cell]
         if old != w_new:
             ra = ranks[slot]
             for leg in range(indptr[v], indptr[v + 1]):
@@ -276,26 +303,29 @@ def shortcut_increase_sweep(
                 rb = ranks[leg]
                 if ra < rb:
                     key = w * n + rb
+                    plane = opposite
                 else:
                     key = indices[leg] * n + ra
+                    plane = own
                 tslot = _find_slot(slot_keys, key)
                 # Pairs dropped by compaction were inf — no suspect.
-                if tslot >= num_slots or slot_keys[tslot] != key:
+                if tslot >= m or slot_keys[tslot] != key:
                     continue
-                if weights[tslot] == old + weights[leg]:
-                    if in_queue[tslot] == 0:
-                        in_queue[tslot] = 1
+                target = tslot + plane
+                if weights[target] == old + weights[leg + opposite]:
+                    if in_queue[target] == 0:
+                        in_queue[target] = 1
                         size = _heap_push(
                             heap_keys,
                             heap_items,
                             size,
                             rank[owners[tslot]],
-                            tslot,
+                            target,
                         )
-            if changed[slot] == 0:
-                changed[slot] = 1
-                first_old[slot] = old
-            weights[slot] = w_new
+            if changed[cell] == 0:
+                changed[cell] = 1
+                first_old[cell] = old
+            weights[cell] = w_new
     return pops
 
 

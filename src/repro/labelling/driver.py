@@ -2,24 +2,25 @@
 
 Every index family reaches Algorithms 2-5 through :func:`maintain`: it
 validates the whole batch before the first write, applies the graph
-weights, resolves seed slots, runs the engine's shortcut sweep, turns
-its ``changed``/``first_old`` marks into ``affected_shortcuts``, runs
-the batched label seed phase, runs the engine's label sweep and fills
-:class:`~repro.labelling.maintenance.MaintenanceStats` and the
-``phase()`` marks. An engine is nothing more than the four sweeps of
-:class:`~repro.labelling.maintenance.Engine`; :data:`ENGINES` is the
-only place one is chosen.
+weights, resolves seed cells, runs the engine's shortcut sweep over the
+whole store (one weight plane or two — see
+:class:`~repro.hierarchy.contraction.ContractionResult`), turns its
+``changed``/``first_old`` marks into ``affected_shortcuts``, then once
+per plane runs the batched label seed phase and the engine's label
+sweep, and fills :class:`~repro.labelling.maintenance.MaintenanceStats`
+and the ``phase()`` marks. An engine is nothing more than the four
+sweeps of :class:`~repro.labelling.maintenance.Engine`; :data:`ENGINES`
+is the only place one is chosen.
 
-The two halves are also exposed on their own: :func:`maintain_shortcuts`
+The shortcut half is also exposed on its own: :func:`maintain_shortcuts`
 for stores without labels (the DCH/IncH2H baselines share Algorithms
-2/3) and :func:`maintain_labels` for the directed index, whose coupled
-shortcut phase is its own but whose two label stores are maintained
-here through direction views.
+2/3).
 """
 
 from __future__ import annotations
 
 import math
+from functools import reduce
 from typing import Callable, Hashable, Iterable
 
 import numpy as np
@@ -35,7 +36,6 @@ __all__ = [
     "ENGINES",
     "maintain",
     "maintain_shortcuts",
-    "maintain_labels",
     "validate_batch",
     "split_batch",
 ]
@@ -125,11 +125,11 @@ def split_batch(
 
 
 # ---------------------------------------------------------------------------
-# per-slot direct edge weights (Algorithm 3's Property-3.1 base term)
+# per-cell direct edge weights (Algorithm 3's Property-3.1 base term)
 # ---------------------------------------------------------------------------
 
 class _DirectCache:
-    """Per-slot direct edge weights, pinned to a graph mutation version."""
+    """Per-cell direct edge weights, pinned to a graph mutation version."""
 
     __slots__ = ("direct", "version")
 
@@ -139,35 +139,37 @@ class _DirectCache:
 
 
 def _fresh_direct_cache(sc) -> _DirectCache | None:
-    """The hierarchy's direct-edge cache, or None if it went stale."""
+    """The store's direct-edge cache, or None if it went stale."""
     cache = sc._direct_cache
     if cache is not None and cache.version != sc.graph.version:
         sc._direct_cache = cache = None
     return cache
 
 
-def _direct_slot_weights(sc) -> _DirectCache:
-    """Build (or reuse) the per-slot direct edge weight array.
+def _direct_cell_weights(sc) -> _DirectCache:
+    """Build (or reuse) the per-cell direct edge weight array.
 
-    inf where no edge survives. Cached on the hierarchy and invalidated
+    inf where no edge survives. Cached on the store and invalidated
     through the graph's mutation counter, so out-of-band graph writes
     (structural insertions, compaction) are never missed.
     """
     cache = _fresh_direct_cache(sc)
     if cache is None:
         graph = sc.graph
-        csr = sc.csr
         rank = sc.rank
-        direct = np.full(csr.num_slots, math.inf, dtype=np.float64)
-        edges = list(graph.edges())
-        if edges:
-            arr = np.asarray([(u, v) for u, v, _ in edges], dtype=np.int64)
-            ws = np.asarray([w for _, _, w in edges], dtype=np.float64)
+        direct = np.full(len(sc.up_weights), math.inf, dtype=np.float64)
+        # A two-plane store weighs arcs: a -> b falls in plane 1 when it
+        # descends (``a`` the shallower endpoint).
+        triples = list(graph.arcs() if sc.planes == 2 else graph.edges())
+        if triples:
+            arr = np.asarray([(u, v) for u, v, _ in triples], dtype=np.int64)
+            ws = np.asarray([w for _, _, w in triples], dtype=np.float64)
             u, v = arr[:, 0], arr[:, 1]
             flip = rank[u] > rank[v]
-            lo = np.where(flip, v, u)
-            hi = np.where(flip, u, v)
-            direct[csr.slots_of(lo, hi)] = ws
+            cells = sc.csr.slots_of(np.where(flip, v, u), np.where(flip, u, v))
+            if sc.planes == 2:
+                cells += flip * sc.csr.num_slots
+            direct[cells] = ws
         cache = sc._direct_cache = _DirectCache(direct, graph.version)
     return cache
 
@@ -181,54 +183,53 @@ def _shortcut_phase(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Write a validated batch into the graph and sweep H_U.
 
-    Returns the changed slots and the weight each held before the batch.
+    Returns the changed cells and the weight each held before the batch.
     """
     graph = sc.graph
-    csr = sc.csr
     weights = sc.up_weights
     decrease = kind == "decrease"
-    changed = np.zeros(csr.num_slots, dtype=np.uint8)
-    first_old = np.zeros(csr.num_slots, dtype=np.float64)
+    changed = np.zeros(len(weights), dtype=np.uint8)
+    first_old = np.zeros(len(weights), dtype=np.float64)
     # Only the increase sweep reads the direct weights; a decrease just
     # keeps an existing cache current.
-    cache = _fresh_direct_cache(sc) if decrease else _direct_slot_weights(sc)
+    cache = _fresh_direct_cache(sc) if decrease else _direct_cell_weights(sc)
 
     seeds: list[int] = []
     with phase(f"{kind}.seed"):
         for a, b, w_new in batch:
             old_edge = graph.set_weight(a, b, w_new)
-            slot = csr.slot_of(*sc.shortcut_key(a, b))
+            cell = sc.edge_slot(a, b)
             if cache is not None:
-                cache.direct[slot] = w_new
+                cache.direct[cell] = w_new
             if decrease:
-                if weights[slot] > w_new:
-                    if not changed[slot]:
-                        changed[slot] = 1
-                        first_old[slot] = weights[slot]
-                    weights[slot] = w_new
-                    seeds.append(slot)
-            elif weights[slot] == old_edge:
+                if weights[cell] > w_new:
+                    if not changed[cell]:
+                        changed[cell] = 1
+                        first_old[cell] = weights[cell]
+                    weights[cell] = w_new
+                    seeds.append(cell)
+            elif weights[cell] == old_edge:
                 # Only shortcuts whose weight was realised by this edge
                 # can change.
-                seeds.append(slot)
+                seeds.append(cell)
         if cache is not None:
             cache.version = graph.version
 
     if seeds:
-        seed_slots = np.unique(np.asarray(seeds, dtype=np.int64))
+        seed_cells = np.unique(np.asarray(seeds, dtype=np.int64))
         with phase(_SHORTCUT_SWEEP_PHASE[kind]):
             if not decrease:
                 engine.shortcut_increase_sweep(
-                    sc, seed_slots, cache.direct, changed, first_old
+                    sc, seed_cells, cache.direct, changed, first_old
                 )
             elif engine.shortcut_decrease_sweep(
-                sc, seed_slots, changed, first_old
+                sc, seed_cells, changed, first_old
             ):
                 raise StructuralFallbackRequired(
                     "decrease sweep reached a compacted shortcut slot"
                 )
-    slots = np.flatnonzero(changed)
-    return slots, first_old[slots]
+    cells = np.flatnonzero(changed)
+    return cells, first_old[cells]
 
 
 def maintain_shortcuts(
@@ -241,7 +242,7 @@ def maintain_shortcuts(
     ``{(deeper, shallower): old_weight}``; the new weights are already
     stored in *sc*.
     """
-    batch = validate_batch(kind, sc.graph, changes, sc.shortcut_key)
+    batch = validate_batch(kind, sc.graph, changes, sc.edge_key)
     if not batch:
         return {}
     slots, old = _shortcut_phase(kind, sc, batch, ENGINES["reference"])
@@ -347,34 +348,22 @@ def _label_phase(
     return stats
 
 
-def maintain_labels(
-    kind: str,
-    store,
-    labels: HierarchicalLabelling,
-    slots: np.ndarray,
-    old: np.ndarray,
-    config,
-) -> MaintenanceStats:
-    """Algorithms 4/5 alone: *slots* of *store* changed from weights *old*.
-
-    *store* is any CSR shortcut store exposing ``tau``, ``csr`` and
-    ``up_weights`` (the update hierarchy, or a directed direction view).
-    """
-    return _label_phase(kind, store, labels, slots, old, _engine(config))
-
-
 # ---------------------------------------------------------------------------
 # the driver
 # ---------------------------------------------------------------------------
 
 def maintain(
     kind: str,
-    hu,
-    labels: HierarchicalLabelling,
+    store,
+    labels,
     changes: Iterable[WeightChange],
     config,
 ) -> MaintenanceStats | None:
     """Apply one ``"decrease"`` / ``"increase"`` batch to ``(H_U, L)``.
+
+    *store* is the index's shortcut store and *labels* whatever its
+    ``label_planes`` pairs with its weight planes: the labelling of the
+    undirected hierarchy, the ``(out, in)`` pair of the directed one.
 
     Nothing is written unless the whole batch validates
     (:func:`validate_batch`). Returns ``None`` when no change moves a
@@ -389,14 +378,22 @@ def maintain(
     ``collect_phases()``); otherwise the ``phase()`` marks stay no-ops
     and nothing is measured.
     """
-    batch = validate_batch(kind, hu.graph, changes, hu.shortcut_key)
+    batch = validate_batch(kind, store.graph, changes, store.edge_key)
     if not batch:
         return None
     engine = _engine(config)
 
     def run() -> MaintenanceStats:
-        slots, old = _shortcut_phase(kind, hu, batch, engine)
-        return _label_phase(kind, hu, labels, slots, old, engine)
+        cells, old = _shortcut_phase(kind, store, batch, engine)
+        m = store.csr.num_slots
+        parts = []
+        for plane, (view, labelling) in enumerate(store.label_planes(labels)):
+            lo, hi = np.searchsorted(cells, (plane * m, (plane + 1) * m))
+            slots = cells[lo:hi] - plane * m
+            parts.append(
+                _label_phase(kind, view, labelling, slots, old[lo:hi], engine)
+            )
+        return reduce(MaintenanceStats.merge, parts)
 
     if not phases_active():
         return run()

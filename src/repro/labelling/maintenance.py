@@ -47,23 +47,35 @@ ShortcutKey = tuple[int, int]
 class Engine(NamedTuple):
     """The whole maintenance-engine contract: four fixpoint sweeps.
 
-    *store* is a CSR shortcut store (``csr``, flat ``up_weights``; the
-    label sweeps also read ``tau``) and *labels* a flat
-    :class:`~repro.labelling.labels.HierarchicalLabelling`. Seeds arrive
-    already applied and marked by the driver; sweeps record every
-    further write in the caller's mark arrays (``changed`` uint8 per
-    slot / flat label position, ``first_old`` the pre-batch weight of a
-    slot on its first write) and never touch the graph.
+    The shortcut sweeps take a whole *store*
+    (:class:`~repro.hierarchy.contraction.ContractionResult`: ``csr`` of
+    ``m`` slots, ``planes`` weight planes in one flat ``up_weights``)
+    and work on weight **cells** ``slot + m * plane``. Two rules make
+    one sweep serve one plane or two. A triangle through owner ``v``
+    from cell ``(v, w, plane)`` reads its second leg ``(v, o)`` from
+    the opposite plane, ``leg + m * (planes - 1 - plane)``, and lands on
+    pair ``(w, o)`` in plane ``(rank[o] > rank[w]) xor plane``. Property
+    3.1 for that cell is ``direct[cell]`` min-combined, over the common
+    down-neighbours ``x``, with ``W[(x, v) + m * (planes - 1 - plane)] +
+    W[(x, w) + m * plane]``. With one plane every offset is zero.
+
+    The label sweeps take one plane at a time, shaped like a one-plane
+    store (``csr``, that plane's ``up_weights``, ``tau``), and *labels*,
+    a flat :class:`~repro.labelling.labels.HierarchicalLabelling`.
+    Seeds arrive already applied and marked by the driver; sweeps record
+    every further write in the caller's mark arrays (``changed`` uint8
+    per cell / flat label position, ``first_old`` the pre-batch weight
+    of a cell on its first write) and never touch the graph.
 
     * ``shortcut_decrease_sweep(store, seeds, changed, first_old)`` —
-      Algorithm 2 from the lowered seed slots. Returns True as soon as
+      Algorithm 2 from the lowered seed cells. Returns True as soon as
       a *finite* candidate targets a pair that compaction removed: the
       store has no slot to absorb it and the driver hands over to the
       rebuild fallback.
     * ``shortcut_increase_sweep(store, seeds, direct, changed,
-      first_old)`` — Algorithm 3 over the suspect seed slots;
-      ``direct`` holds each slot's direct edge weight (inf without an
-      edge).
+      first_old)`` — Algorithm 3 over the suspect seed cells;
+      ``direct`` holds each cell's direct edge (arc) weight, inf
+      without one.
     * ``label_decrease_sweep(store, labels, verts, cols, changed)`` —
       Algorithm 4 from the lowered entries ``L_verts[cols]``; returns
       the entries popped (an entry popped twice counts twice).
@@ -135,32 +147,55 @@ class MaintenanceStats:
 # Shortcut maintenance (Algorithms 2 and 3)
 # ---------------------------------------------------------------------------
 
-def _slot_heap(sc, seeds) -> LazyHeap[int]:
-    """Seed slots queued by their owner's contraction rank (deepest first)."""
+def _push_cell(heap: LazyHeap[int], sc, cell: int) -> None:
+    """Queue *cell* by its owner's contraction rank (deepest first)."""
+    owner = sc.csr.owners[cell % sc.csr.num_slots]
+    heap.push(cell, int(sc.rank[owner]))
+
+
+def _cell_heap(sc, seeds) -> LazyHeap[int]:
     heap: LazyHeap[int] = LazyHeap()
-    for slot, owner in zip(seeds.tolist(), sc.csr.owners[seeds].tolist()):
-        heap.push(slot, sc.rank_key[owner])
+    for cell in seeds.tolist():
+        _push_cell(heap, sc, cell)
     return heap
+
+
+def triangles(sc, cell: int):
+    """Every triangle through the owner of *cell*: ``(leg cell, target)``.
+
+    Cell ``(v, w)`` of plane 0 is the arc ``v -> w``, of the second of
+    two planes the arc ``w -> v``. A partner ``o`` in ``v``'s up row
+    closes the path ``o -> v -> w`` (resp. ``w -> v -> o``): its leg is
+    slot ``(v, o)`` in the opposite plane and the result lands on the
+    arc ``o -> w`` (resp. ``w -> o``) — -1 where compaction removed
+    that pair. With one plane arcs are edges and both readings agree.
+    """
+    csr = sc.csr
+    plane, slot = divmod(cell, csr.num_slots)
+    w = int(csr.indices[slot])
+    opposite = csr.num_slots * (sc.planes - 1 - plane)
+    start, end = csr.row_bounds(int(csr.owners[slot]))
+    for leg in range(start, end):
+        if leg != slot:
+            o = int(csr.indices[leg])
+            target = sc.find_edge_slot(w, o) if plane else sc.find_edge_slot(o, w)
+            yield leg + opposite, target
+
+
+def _mark(cell: int, weights, changed, first_old) -> None:
+    if not changed[cell]:
+        changed[cell] = 1
+        first_old[cell] = weights[cell]
 
 
 def shortcut_decrease_sweep(sc, seeds, changed, first_old) -> bool:
     """Algorithm 2 — DH-U under edge weight decrease."""
-    csr = sc.csr
     weights = sc.up_weights
-    rank_key = sc.rank_key
-    wup = sc.wup
-    heap = _slot_heap(sc, seeds)
+    heap = _cell_heap(sc, seeds)
     while heap:
-        slot, _ = heap.pop()
-        v, w = int(csr.owners[slot]), int(csr.indices[slot])
-        weight_vw = weights[slot]
-        row = wup[v]
-        for other in sc.up[v]:
-            if other == w:
-                continue
-            candidate = weight_vw + row[other]
-            lo, hi = sc.shortcut_key(w, other)
-            target = csr.find_slot(lo, hi)
+        cell, _ = heap.pop()
+        for leg, target in triangles(sc, cell):
+            candidate = weights[cell] + weights[leg]
             if target < 0:
                 # The pair was inf when the store was compacted. A pure
                 # weight decrease can never produce a finite candidate
@@ -170,11 +205,9 @@ def shortcut_decrease_sweep(sc, seeds, changed, first_old) -> bool:
                     return True
                 continue
             if weights[target] > candidate:
-                if not changed[target]:
-                    changed[target] = 1
-                    first_old[target] = weights[target]
+                _mark(target, weights, changed, first_old)
                 weights[target] = candidate
-                heap.push(target, rank_key[lo])
+                _push_cell(heap, sc, target)
     return False
 
 
@@ -185,40 +218,30 @@ def shortcut_increase_sweep(sc, seeds, direct, changed, first_old) -> None:
     bottom-up.
     """
     csr = sc.csr
+    m = csr.num_slots
     weights = sc.up_weights
-    rank_key = sc.rank_key
-    wup = sc.wup
-    down_sets = sc.down_sets
-    heap = _slot_heap(sc, seeds)
+    heap = _cell_heap(sc, seeds)
     while heap:
-        slot, _ = heap.pop()
-        v, w = int(csr.owners[slot]), int(csr.indices[slot])
+        cell, _ = heap.pop()
+        plane, slot = divmod(cell, m)
         # Recompute the shortcut weight from Equation (1).
-        w_new = direct[slot]
-        small, big = down_sets[v], down_sets[w]
-        if len(small) > len(big):
-            small, big = big, small
-        for x in small:
-            if x in big:
-                candidate = sc.weight(x, v) + sc.weight(x, w)
-                if candidate < w_new:
-                    w_new = candidate
-        old = weights[slot]
+        w_new = direct[cell]
+        via_v, via_w = csr.common_down(int(csr.owners[slot]), int(csr.indices[slot]))
+        via_v += m * (sc.planes - 1 - plane)
+        via_w += m * plane
+        for leg_v, leg_w in zip(via_v.tolist(), via_w.tolist()):
+            candidate = weights[leg_v] + weights[leg_w]
+            if candidate < w_new:
+                w_new = candidate
+        old = weights[cell]
         if old != w_new:
-            row = wup[v]
-            for other in sc.up[v]:
-                if other == w:
-                    continue
-                lo, hi = sc.shortcut_key(w, other)
+            for leg, target in triangles(sc, cell):
                 # Triangles realising the old weight are potentially hit
                 # (pairs removed by compaction were inf — no suspect).
-                target = csr.find_slot(lo, hi)
-                if target >= 0 and weights[target] == old + row[other]:
-                    heap.push(target, rank_key[lo])
-            if not changed[slot]:
-                changed[slot] = 1
-                first_old[slot] = old
-            weights[slot] = w_new
+                if target >= 0 and weights[target] == old + weights[leg]:
+                    _push_cell(heap, sc, target)
+            _mark(cell, weights, changed, first_old)
+            weights[cell] = w_new
 
 
 # ---------------------------------------------------------------------------
@@ -229,17 +252,15 @@ def _entry_heap(hu, verts, cols) -> LazyHeap[tuple[int, int]]:
     """Seed entries ``(v, i)`` queued by ``tau(v)`` (shallowest first)."""
     heap: LazyHeap[tuple[int, int]] = LazyHeap()
     for v, i in zip(verts.tolist(), cols.tolist()):
-        heap.push((v, i), hu.tau_key[v])
+        heap.push((v, i), int(hu.tau[v]))
     return heap
 
 
 def label_decrease_sweep(hu, labels, verts, cols, changed) -> int:
     """Algorithm 4 — DHL- label maintenance under weight decrease."""
     tau = hu.tau
-    tau_key = hu.tau_key
     arrays = labels.views()
     offsets = labels.offsets
-    down = hu.down
     heap = _entry_heap(hu, verts, cols)
     pops = 0
     while heap:
@@ -247,13 +268,13 @@ def label_decrease_sweep(hu, labels, verts, cols, changed) -> int:
         pops += 1
         value = arrays[v][i]
         tv = int(tau[v])
-        for u in down[v]:
+        for u in hu.csr.down_row(v).tolist():
             row = arrays[u]
             candidate = row[tv] + value
             if candidate < row[i]:
                 row[i] = candidate
                 changed[offsets[u] + i] = 1
-                heap.push((int(u), i), tau_key[u])
+                heap.push((u, i), int(tau[u]))
     return pops
 
 
@@ -265,12 +286,10 @@ def label_increase_sweep(hu, labels, verts, cols, changed) -> tuple[int, int]:
     by path-sum equality.
     """
     tau = hu.tau
-    tau_key = hu.tau_key
+    csr = hu.csr
+    weights = hu.up_weights
     arrays = labels.views()
     offsets = labels.offsets
-    up = hu.up
-    down = hu.down
-    wup = hu.wup
     heap = _entry_heap(hu, verts, cols)
     pops = increased = 0
     while heap:
@@ -278,22 +297,22 @@ def label_increase_sweep(hu, labels, verts, cols, changed) -> tuple[int, int]:
         pops += 1
         row = arrays[v]
         w_new = math.inf
-        weights_v = wup[v]
-        for w in up[v]:
+        for slot in range(*csr.row_bounds(v)):
+            w = csr.indices[slot]
             if tau[w] >= i:
-                candidate = weights_v[w] + arrays[w][i]
+                candidate = weights[slot] + arrays[w][i]
                 if candidate < w_new:
                     w_new = candidate
         old = row[i]
         if w_new > old:
             tv = int(tau[v])
-            for u in down[v]:
+            for u in csr.down_row(v).tolist():
                 urow = arrays[u]
                 chained = urow[tv] + old
                 if chained == urow[i] or (
                     math.isinf(chained) and math.isinf(urow[i])
                 ):
-                    heap.push((int(u), i), tau_key[u])
+                    heap.push((u, i), int(tau[u]))
             increased += 1
         if w_new != old:
             changed[offsets[v] + i] = 1

@@ -97,14 +97,30 @@ def _find_slots(slot_keys, keys):
     return slots, slot_keys[np.minimum(slots, len(slot_keys) - 1)] == keys
 
 
-def _triangle_legs(csr, slots):
+def _split_cells(sc, cells):
+    """``(slots, own, opposite)`` of weight *cells*: each cell's slot and
+    the buffer offsets of its own and of the opposite plane. A one-plane
+    store's cells are its slots and both offsets are None — the
+    undirected sweeps pay for neither the ``divmod`` nor the adds."""
+    if sc.planes == 1:
+        return cells, None, None
+    m = sc.csr.num_slots
+    plane, slots = np.divmod(cells, m)
+    own = plane * m
+    return slots, own, m - own
+
+
+def _triangle_legs(sc, cells):
     """Every triangle through the owners' up rows.
 
-    For each slot ``(v, w)`` and each other slot ``(v, o)`` of its
-    owner: ``(index into slots, leg slot, target slot, found)``. The
-    target is the pair ``(w, o)``, keyed by the deeper endpoint's id and
-    the shallower one's rank.
+    For each cell ``(v, w, plane)`` and each other slot ``(v, o)`` of
+    its owner: ``(index into cells, leg cell, target cell, found)``. The
+    leg is read from the opposite plane; the target is the pair
+    ``(w, o)``, keyed by the deeper endpoint's id and the shallower
+    one's rank, in plane ``(rank[o] > rank[w]) xor plane``.
     """
+    csr = sc.csr
+    slots, own, opposite = _split_cells(sc, cells)
     rep, legs = expand_rows(csr.indptr, csr.owners[slots])
     active = slots[rep]
     keep = legs != active
@@ -112,16 +128,19 @@ def _triangle_legs(csr, slots):
     ra, rb = csr.ranks[active], csr.ranks[legs]
     lo_v = np.where(ra < rb, csr.indices[active], csr.indices[legs])
     keys = lo_v * csr.n + np.maximum(ra, rb)
-    return rep, legs, *_find_slots(csr.slot_keys, keys)
+    targets, found = _find_slots(csr.slot_keys, keys)
+    if own is not None:
+        legs = legs + opposite[rep]
+        targets = targets + np.where(ra < rb, opposite[rep], own[rep])
+    return rep, legs, targets, found
 
 
 def shortcut_decrease_sweep(sc, seeds, changed, first_old) -> bool:
     """Algorithm 2 as chaotic min-relaxation rounds over the CSR store."""
-    csr = sc.csr
     weights = sc.up_weights
     frontier = seeds
     while len(frontier):
-        rep, legs, tslots, found = _triangle_legs(csr, frontier)
+        rep, legs, tslots, found = _triangle_legs(sc, frontier)
         cand = weights[frontier][rep] + weights[legs]
         if not found.all():
             # Compaction drops inf slots, so a candidate may target a
@@ -154,12 +173,14 @@ def shortcut_increase_sweep(sc, seeds, direct, changed, first_old) -> None:
     Each round recomputes every pending suspect from Property 3.1 over
     the *current* weights — the direct edge min-combined with the
     triangles ``(x, v) + (x, w)`` over the deeper endpoint's down row,
-    the ``(x, w)`` leg resolved by one probe of the slot-key table —
-    and writes the ones that moved. A moved slot then suspects every
-    triangle target whose post-write weight still equals the slot's
-    pre-write weight plus the partner leg's pre-write weight: exactly
-    the slots whose equation the write may have broken, so every slot
-    outside ``pending`` satisfies Property 3.1 after every round.
+    the ``(x, w)`` leg resolved by one probe of the slot-key table and
+    read from the suspect's own plane, the ``(x, v)`` leg from the
+    opposite one — and writes the ones that moved. A moved cell then
+    suspects every triangle target whose post-write weight still equals
+    the cell's pre-write weight plus the partner leg's pre-write weight:
+    exactly the cells whose equation the write may have broken, so
+    every cell outside ``pending`` satisfies Property 3.1 after every
+    round.
     """
     csr = sc.csr
     weights = sc.up_weights
@@ -167,12 +188,16 @@ def shortcut_increase_sweep(sc, seeds, direct, changed, first_old) -> None:
     pending = seeds
     while len(pending):
         w_new = direct[pending]
-        rep, didx = expand_rows(csr.down_indptr, csr.owners[pending])
-        keys = csr.down_indices[didx] * csr.n + csr.ranks[pending][rep]
+        slots, own, opposite = _split_cells(sc, pending)
+        rep, didx = expand_rows(csr.down_indptr, csr.owners[slots])
+        keys = csr.down_indices[didx] * csr.n + csr.ranks[slots][rep]
         pos, found = _find_slots(csr.slot_keys, keys)
         if found.any():
             rep = rep[found]
-            triangles = weights[pos[found]] + weights[down_slots[didx[found]]]
+            legs_w, legs_v = pos[found], down_slots[didx[found]]
+            if own is not None:
+                legs_w, legs_v = legs_w + own[rep], legs_v + opposite[rep]
+            triangles = weights[legs_w] + weights[legs_v]
             seg = segment_starts(rep)
             mins = np.minimum.reduceat(triangles, seg)
             w_new[rep[seg]] = np.minimum(w_new[rep[seg]], mins)
@@ -181,7 +206,7 @@ def shortcut_increase_sweep(sc, seeds, direct, changed, first_old) -> None:
         if not moved.any():
             break
         ch = pending[moved]
-        rep, legs, tslots, found = _triangle_legs(csr, ch)
+        rep, legs, tslots, found = _triangle_legs(sc, ch)
         realised = old[moved][rep] + weights[legs]
         _mark_first_old(ch, weights, changed, first_old)
         weights[ch] = w_new[moved]

@@ -70,17 +70,16 @@ class PathReconstructor:
         """Original-graph path from *v* up to its rank-``rank`` ancestor."""
         arrays = self.labels.views()
         tau = self.hu.tau
-        wup = self.hu.wup
         path = [v]
         while int(tau[v]) > rank:
             target = arrays[v][rank]
             if math.isinf(target):
                 raise ReproError(f"no chain from {v} to ancestor rank {rank}")
             chosen = -1
-            for w in self.hu.up[v]:
+            for w, weight in zip(*self.hu.up_row(v)):
                 if tau[w] < rank:
                     continue
-                candidate = wup[v][w] + arrays[w][rank]
+                candidate = weight + arrays[w][rank]
                 if abs(candidate - target) <= self.tolerance:
                     chosen = w
                     break
@@ -116,14 +115,10 @@ class PathReconstructor:
         return result
 
     def _witness(self, u: int, v: int, weight: float) -> int:
-        small, big = self.hu.down_sets[u], self.hu.down_sets[v]
-        if len(small) > len(big):
-            small, big = big, small
-        for x in small:
-            if x in big:
-                candidate = self.hu.weight(x, u) + self.hu.weight(x, v)
-                if abs(candidate - weight) <= self.tolerance:
-                    return x
+        via_u = dict(zip(*self.hu.down_row(u)))
+        for x, leg in zip(*self.hu.down_row(v)):
+            if x in via_u and abs(via_u[x] + leg - weight) <= self.tolerance:
+                return x
         raise ReproError(
             f"shortcut ({u}, {v}) has no witness; minimum-weight property "
             "violated (stale hierarchy?)"

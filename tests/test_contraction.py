@@ -31,10 +31,10 @@ class TestContractInOrder:
     def test_up_down_consistency(self, medium_random):
         sc = contract_in_order(medium_random, list(range(medium_random.num_vertices)))
         for v in range(medium_random.num_vertices):
-            for u in sc.up[v]:
+            for u in sc.csr.row(v):
                 assert sc.rank[u] > sc.rank[v]
-                assert v in sc.down_sets[u]
-            for u in sc.down[v]:
+                assert v in sc.csr.down_row(u)
+            for u in sc.csr.down_row(v):
                 assert sc.rank[u] < sc.rank[v]
 
     def test_every_edge_is_a_shortcut(self, medium_random):
@@ -54,7 +54,7 @@ class TestContractInOrder:
         rank = sc.rank
         checked = 0
         for v in range(0, small_road.num_vertices, 29):
-            for u in sc.up[v]:
+            for u in sc.csr.row(v).tolist():
                 cap = min(rank[v], rank[u])
                 expected = dijkstra_subgraph(
                     small_road, v, u, lambda x, u=u, cap=cap: rank[x] < cap or x == u

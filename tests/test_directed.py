@@ -13,7 +13,7 @@ from repro.core.directed import DirectedDHLIndex
 from repro.core.index import DHLIndex
 from repro.exceptions import MaintenanceError
 from repro.graph.digraph import DiGraph
-from repro.graph.generators import random_connected_graph
+from repro.graph.generators import grid_network, random_connected_graph
 
 
 def directed_dijkstra(dg: DiGraph, source: int) -> list[float]:
@@ -82,6 +82,21 @@ class TestDirectedStatic:
             idx.labels_out.num_entries + idx.labels_in.num_entries
         )
         assert stats.num_shortcuts > 0
+        assert stats.shortcut_bytes == idx.hu.memory_bytes()
+
+    def test_shortcut_bytes_count_the_second_weight_plane(self):
+        """Same structure as the undirected index on a symmetric
+        digraph (a grid partitions alike either way), plus one float64
+        plane."""
+        g = grid_network(12, 14, seed=3)
+        config = DHLConfig(seed=0)
+        directed = DirectedDHLIndex.build(DiGraph.from_undirected(g), config).stats()
+        undirected = DHLIndex.build(g.copy(), config).stats()
+        assert directed.num_shortcuts == undirected.num_shortcuts
+        assert (
+            directed.shortcut_bytes
+            == undirected.shortcut_bytes + 8 * undirected.num_shortcuts
+        )
 
 
 class TestDirectedDynamic:
@@ -134,3 +149,23 @@ class TestDirectedDynamic:
         rebuilt = DirectedDHLIndex.build(asym_digraph, DHLConfig(leaf_size=4, seed=0))
         assert idx.labels_out.equals(rebuilt.labels_out)
         assert idx.labels_in.equals(rebuilt.labels_in)
+
+    def test_compiled_request_maintains_the_array_engine_state(self, asym_digraph):
+        """``engine="compiled"`` runs the njit sweeps where numba is
+        installed — the CI numba leg is the only place the two-plane
+        kernels really compile — and downgrades to ``array`` elsewhere;
+        either way the maintained state must equal the array engine's."""
+        indexes = [
+            DirectedDHLIndex.build(
+                asym_digraph.copy(), DHLConfig(leaf_size=4, seed=0, engine=engine)
+            )
+            for engine in ("array", "compiled")
+        ]
+        arcs = list(asym_digraph.arcs())[::7]
+        for index in indexes:
+            index.update([(u, v, 3 * w) for u, v, w in arcs])
+            index.update([(u, v, w) for u, v, w in arcs[::2]])
+        np.testing.assert_array_equal(indexes[0].out_weights, indexes[1].out_weights)
+        np.testing.assert_array_equal(indexes[0].in_weights, indexes[1].in_weights)
+        assert indexes[0].labels_out.equals(indexes[1].labels_out)
+        assert indexes[0].labels_in.equals(indexes[1].labels_in)

@@ -17,8 +17,8 @@ class TestH2HStructure:
     def test_tree_parent_is_lowest_ranked_up_neighbor(self, medium_random):
         h2h = H2HIndex.build(medium_random.copy())
         for v in range(medium_random.num_vertices):
-            if len(h2h.sc.up[v]):
-                expected = min(h2h.sc.up[v], key=lambda u: h2h.sc.rank[u])
+            if len(h2h.sc.csr.row(v)):
+                expected = min(h2h.sc.csr.row(v), key=lambda u: h2h.sc.rank[u])
                 assert h2h.parent[v] == expected
             else:
                 assert h2h.parent[v] == -1
@@ -28,7 +28,7 @@ class TestH2HStructure:
         h2h = H2HIndex.build(medium_random.copy())
         for v in range(medium_random.num_vertices):
             ancestors = set(h2h.anc[v, : h2h.depth[v] + 1].tolist())
-            for w in h2h.sc.up[v]:
+            for w in h2h.sc.csr.row(v):
                 assert w in ancestors, (v, w)
 
     def test_ancestor_arrays_consistent(self, medium_random):
@@ -51,7 +51,7 @@ class TestH2HStructure:
     def test_positions_cover_bag(self, medium_random):
         h2h = H2HIndex.build(medium_random.copy())
         for v in range(medium_random.num_vertices):
-            depths = {int(h2h.depth[w]) for w in h2h.sc.up[v]}
+            depths = {int(h2h.depth[w]) for w in h2h.sc.csr.row(v)}
             depths.add(int(h2h.depth[v]))
             assert set(h2h.pos[v].tolist()) == depths
 

@@ -47,8 +47,8 @@ class TestAlgorithm1:
         """L_v[tau(w)] <= w(v, w) for every shortcut (single-hop chain)."""
         hq, hu, labels = build_all(small_road)
         for v in range(hq.n):
-            for w, weight in hu.wup[v].items():
-                assert labels.view(v)[hq.tau[w]] <= weight
+            for w in hu.csr.row(v):
+                assert labels.view(v)[hq.tau[w]] <= hu.weight(v, w)
 
     def test_entries_upper_bound_graph_distance(self, small_road):
         """Subgraph distances can only exceed global distances."""

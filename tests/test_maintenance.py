@@ -44,7 +44,7 @@ class TestShortcutMaintenance:
         affected = maintain_shortcuts("increase", idx.hu, [(u, v, 5 * w)])
         idx.hu.verify_minimum_weight_property()
         for key, old in affected.items():
-            assert idx.hu.wup[key[0]][key[1]] != old
+            assert idx.hu.weight(*key) != old
 
     def test_noop_decrease(self, small_road):
         idx = fresh_index(small_road)

@@ -279,24 +279,14 @@ class TestCSRStore:
                 assert int(csr.owners[slot]) == x
                 assert int(csr.indices[slot]) == v
 
-    def test_wup_view_shares_flat_weights(self, path_graph):
-        sc = contract_in_order(path_graph, [2, 1, 3, 0, 4])
-        # View write lands in the flat array, and vice versa.
-        sc.wup[1][3] = 42.0
-        assert sc.up_weights[sc.csr.slot_of(1, 3)] == 42.0
-        sc.up_weights[sc.csr.slot_of(1, 3)] = 7.0
-        assert sc.wup[1][3] == 7.0
-        assert sc.weight(3, 1) == 7.0
-
     def test_pickle_roundtrip_keeps_store_live(self, small_road):
         """Maintenance after unpickling must write into the live buffers."""
         idx = DHLIndex.build(small_road.copy(), DHLConfig(leaf_size=4, seed=0))
         clone = pickle.loads(pickle.dumps(idx.hu))
         u, v, w = next(iter(clone.graph.edges()))
         lo, hi = clone.shortcut_key(u, v)
-        clone.wup[lo][hi] = 123.0
+        clone.set_weight(u, v, 123.0)
         assert clone.up_weights[clone.csr.slot_of(lo, hi)] == 123.0
-        # Compat views rebuilt lazily reflect the same storage.
         assert clone.weight(lo, hi) == 123.0
 
 

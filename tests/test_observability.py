@@ -17,7 +17,9 @@ import time
 import pytest
 
 from repro.core.config import DHLConfig
+from repro.core.directed import DirectedDHLIndex
 from repro.core.index import DHLIndex
+from repro.graph.digraph import DiGraph
 from repro.graph.generators import grid_network
 from repro.observability import (
     NULL_OBSERVABILITY,
@@ -284,6 +286,35 @@ def test_phase_collector_is_addressable_directly():
     collector.add("x", 0.25)
     assert collector.as_dict() == {"x": 0.75}
     assert collector.counts == {"x": 2}
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda graph: DHLIndex.build(graph, DHLConfig(seed=0)),
+        lambda graph: DirectedDHLIndex.build(
+            DiGraph.from_undirected(graph), DHLConfig(seed=0)
+        ),
+    ],
+    ids=["undirected", "directed"],
+)
+def test_an_increase_reports_its_four_phases_in_every_family(build):
+    """Both families maintain through the driver, so a collected update
+    names the seed, the shortcut sweep and both label phases — the
+    shortcut sweep is most of a directed burst and must not be blind."""
+    graph = grid_network(10, 10, seed=1)
+    index = build(graph.copy())
+    edges = list(graph.edges())[::9]
+    with collect_phases() as collector:
+        stats = index.update([(u, v, 3 * w) for u, v, w in edges])
+    names = {
+        "increase.seed",
+        "increase.dependency_layer",
+        "increase.label_seed",
+        "increase.label_sweep",
+    }
+    assert names <= set(stats.phases)
+    assert names <= set(collector.as_dict())
 
 
 def test_build_marks_its_phases_and_the_partition_stages_add_up():

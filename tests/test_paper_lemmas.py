@@ -39,9 +39,9 @@ def build_hq(graph, leaf_size=3, seed=0):
 
 def shortcut_map(sc) -> dict[tuple[int, int], float]:
     out = {}
-    for v in range(len(sc.up)):
-        for u, w in sc.wup[v].items():
-            out[(min(v, u), max(v, u))] = w
+    for v in range(sc.csr.n):
+        for u in sc.csr.row(v).tolist():
+            out[(min(v, u), max(v, u))] = sc.weight(v, u)
     return out
 
 
@@ -83,7 +83,7 @@ class TestDefinition46:
         hu = UpdateHierarchy.build(small_road, hq)
         tau = hu.tau
         for v in range(0, small_road.num_vertices, 17):
-            for w in hu.up[v]:
+            for w in hu.csr.row(v).tolist():
                 # valley path = path whose intermediates are strict
                 # descendants of v (checked via restricted Dijkstra)
                 d = dijkstra_subgraph(

@@ -26,7 +26,7 @@ from repro.core.directed import DirectedDHLIndex
 from repro.core.index import DHLIndex
 from repro.core.sharded import ShardedDHLIndex
 from repro.core.structural import StructuralStats
-from repro.exceptions import MaintenanceError, StructuralFallbackRequired
+from repro.exceptions import StructuralFallbackRequired
 from repro.graph.digraph import DiGraph
 from repro.graph.generators import delaunay_network, random_connected_graph
 from repro.graph.graph import Graph
@@ -278,6 +278,14 @@ def test_delete_vertex_snapshot_semantics(small_index):
 # compaction
 # ---------------------------------------------------------------------------
 
+def _held_bytes(index, *labellings) -> int:
+    """What a compaction pass can shrink: the shortcut store and the
+    label buffers, slack included."""
+    return index.hu.memory_bytes() + sum(
+        labels.capacity_bytes() for labels in labellings
+    )
+
+
 def _kill_edges(index, count, rng):
     edges = [(u, v) for u, v, w in index.graph.edges() if math.isfinite(w)]
     victims = rng.sample(edges, min(count, len(edges) - 1))
@@ -296,9 +304,10 @@ def test_compaction_reclaims_dead_slots(small_road):
         (s, t): index.distance(s, t)
         for s, t in sample_pairs(index.graph.num_vertices, rng, 60)
     }
+    held = _held_bytes(index, index.labels)
     stats = index.compact()
     assert stats.dead_slots_reclaimed > 0
-    assert stats.bytes_reclaimed > 0
+    assert stats.bytes_reclaimed == held - _held_bytes(index, index.labels) > 0
     assert index.dead_fraction < frac_before
     for (s, t), ref in reference.items():
         got = index.distance(s, t)
@@ -333,27 +342,37 @@ def _drop_pair(hu, a, b) -> None:
     that found it infinite would have."""
     keep = np.ones(hu.csr.num_slots, dtype=bool)
     keep[hu.csr.slot_of(*hu.shortcut_key(a, b))] = False
-    hu.csr, (hu.up_weights,) = compact_slots(hu.csr, keep, hu.up_weights)
-    hu._reset_csr_caches()
+    compact_slots(hu, keep)
 
 
 def _triangle_over(index, need_edge: bool):
-    """``(x, p, q, o)``: x's up-row holds p and q with ``w(x, q) < w(p, q)``,
-    and p's holds a third vertex o — so lowering ``(x, p)`` far enough
-    lowers ``(p, q)``, whose relaxation then targets the pair ``(q, o)``.
-    *need_edge* picks whether ``(x, p)`` must or must not be a graph edge.
+    """``(x, p, q, o)``: x's up-row holds p and q with ``w(q, x) < w(q, p)``,
+    and p's holds a third vertex o — so lowering ``x -> p`` far enough
+    lowers ``q -> p``, whose relaxation then targets the pair ``(q, o)``.
+    *need_edge* picks whether ``x -> p`` must or must not be in the graph.
     """
     hu = index.hu
+    has_edge = getattr(index.graph, "has_arc", None) or index.graph.has_edge
     for x in range(hu.csr.n):
         row = hu.csr.row(x).tolist()
         for i, p in enumerate(row):
-            if index.graph.has_edge(x, p) != need_edge:
+            if has_edge(x, p) != need_edge:
                 continue
             for q in row[i + 1 :]:
                 others = [o for o in hu.csr.row(p).tolist() if o != q]
-                if others and hu.weight(x, q) < hu.weight(p, q):
+                if others and hu.weight(q, x) < hu.weight(q, p):
                     return x, p, q, others[0]
     raise AssertionError("fixture has no such triangle")
+
+
+#: Both families run the driver's sweeps, so the compacted-slot guard
+#: must hold for each of them under each engine.
+FAMILIES = {
+    "undirected": lambda graph, config: DHLIndex.build(graph.copy(), config),
+    "directed": lambda graph, config: DirectedDHLIndex.build(
+        DiGraph.from_undirected(graph), config
+    ),
+}
 
 
 @pytest.mark.parametrize("engine", ENGINES)
@@ -362,31 +381,32 @@ def test_decrease_onto_compacted_slot_raises_under_every_engine(
 ):
     """The compacted-slot guard is part of the sweep contract: a finite
     candidate for a removed pair must surface, not be skipped."""
-    index = DHLIndex.build(
-        small_road.copy(), DHLConfig(leaf_size=6, seed=0, engine=engine)
-    )
-    x, p, q, o = _triangle_over(index, need_edge=True)
-    _drop_pair(index.hu, q, o)
-    with pytest.raises(StructuralFallbackRequired):
-        index.decrease([(x, p, 0.0)])
+    for build in FAMILIES.values():
+        index = build(small_road, DHLConfig(leaf_size=6, seed=0, engine=engine))
+        x, p, q, o = _triangle_over(index, need_edge=True)
+        _drop_pair(index.hu, q, o)
+        with pytest.raises(StructuralFallbackRequired):
+            index.decrease([(x, p, 0.0)])
 
 
 @pytest.mark.parametrize("engine", ENGINES)
 def test_insertion_onto_compacted_slot_falls_back_to_rebuild(
     engine, small_road, forced_compiled
 ):
-    index = DHLIndex.build(
-        small_road.copy(), DHLConfig(leaf_size=6, seed=0, engine=engine)
-    )
-    x, p, q, o = _triangle_over(index, need_edge=False)
-    _drop_pair(index.hu, q, o)
-    stats = index.apply_batch(insertions=[(x, p, 0.0)])
-    assert stats.fallback_rebuilds == 1 and stats.fastpath_inserts == 0
-    index.verify()
-    rng = random.Random(5)
-    assert_matches_dijkstra(
-        index, index.graph, sample_pairs(index.graph.num_vertices, rng)
-    )
+    for family, build in FAMILIES.items():
+        index = build(small_road, DHLConfig(leaf_size=6, seed=0, engine=engine))
+        x, p, q, o = _triangle_over(index, need_edge=False)
+        _drop_pair(index.hu, q, o)
+        stats = index.apply_batch(insertions=[(x, p, 0.0)])
+        assert stats.fallback_rebuilds == 1 and stats.fastpath_inserts == 0
+        pairs = sample_pairs(index.graph.num_vertices, random.Random(5))
+        if family == "directed":
+            for s, t in pairs:
+                ref = directed_dijkstra(index.digraph, s)[t]
+                assert index.distance(s, t) == ref, (s, t)
+        else:
+            index.verify()
+            assert_matches_dijkstra(index, index.graph, pairs)
 
 
 def test_compaction_roundtrips_v2_snapshot(tmp_path, small_road):
@@ -416,8 +436,11 @@ def test_directed_compaction_roundtrips_v2_snapshot(tmp_path):
     both = rng.sample(arcs, 6)
     dels = [(u, v) for u, v in both] + [(v, u) for u, v in both]
     index.apply_batch(deletions=dels)
+    labellings = (index.labels_out, index.labels_in)
+    held = _held_bytes(index, *labellings)
     stats = index.compact()
     assert stats.dead_slots_reclaimed > 0
+    assert stats.bytes_reclaimed == held - _held_bytes(index, *labellings) > 0
     path = tmp_path / "dcompacted"
     index.save(path)
     loaded = DirectedDHLIndex.load(path)

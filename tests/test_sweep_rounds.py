@@ -14,22 +14,28 @@ stepping fails here rather than in a benchmark.
 from __future__ import annotations
 
 import math
+import pickle
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.core.config import DHLConfig
-from repro.core.directed import DirectedDHLIndex
+from repro.core.directed import DirectedDHLIndex, DirectedUpdateHierarchy
 from repro.core.index import DHLIndex
 from repro.core.sharded import ShardedDHLIndex
 from repro.graph.digraph import DiGraph
 from repro.graph.generators import grid_network
 from repro.graph.graph import Graph
+from repro.hierarchy.csr import compact_slots
+from repro.hierarchy.query_hierarchy import QueryHierarchy
 from repro.hierarchy.update_hierarchy import UpdateHierarchy
 from repro.labelling import driver
 from repro.labelling.build import build_labelling
-from repro.labelling.maintenance import Engine
+from repro.labelling.maintenance import Engine, triangles
+from repro.labelling.maintenance_kernels import _triangle_legs
+from repro.partition.recursive import recursive_bisection
 from repro.service.runtime import InProcessRuntime
 from tests.strategies import (
     assert_stats_match,
@@ -80,9 +86,17 @@ def replay(indexes, bursts) -> None:
         assert_in_lockstep(indexes, [index.update(burst) for index in indexes])
 
 
-def assert_equals_rebuild(index: DHLIndex) -> None:
-    """Maintained shortcuts and labels equal a fresh build over the
-    same (weight-independent) hierarchy on the current weights."""
+def assert_equals_rebuild(index) -> None:
+    """Maintained shortcuts and labels equal a fresh build on the
+    current weights: the whole index for the directed family, H_U and L
+    over the same (weight-independent) H_Q for the undirected one."""
+    if isinstance(index, DirectedDHLIndex):
+        fresh = DirectedDHLIndex.build(index.digraph.copy(), index.config)
+        for got, want in zip(
+            maintained_state(index), maintained_state(fresh), strict=True
+        ):
+            np.testing.assert_array_equal(got, want)
+        return
     hu = UpdateHierarchy.build(index.graph.copy(), index.hq)
     np.testing.assert_array_equal(index.hu.up_weights, hu.up_weights)
     assert index.labels.equals(build_labelling(hu))
@@ -191,17 +205,86 @@ def test_rolling_bursts_through_sharded_index():
     )
 
 
+def digraph_of(graph: Graph, kind: str) -> DiGraph:
+    """*graph* as a digraph: both arcs alike (``symmetric``), half of
+    them dearer (``asymmetric``), or every reverse arc closed
+    (``one-way`` — one weight plane is all ``inf``)."""
+    digraph = DiGraph.from_undirected(graph)
+    if kind == "asymmetric":
+        rng = np.random.default_rng(4)
+        for u, v, w in list(digraph.arcs())[::2]:
+            digraph.set_weight(u, v, float(w + rng.integers(1, 25)))
+    elif kind == "one-way":
+        for u, v, _ in graph.edges():
+            digraph.set_weight(v, u, math.inf)
+    return digraph
+
+
+def arc_bursts(graph: Graph, both_ways: bool) -> list:
+    """:func:`rolling_bursts` as arc changes: each moves one arc only,
+    so the two label stores diverge; with *both_ways* every other change
+    addresses the reverse arc."""
+    return [
+        [
+            (v, u, w) if both_ways and i % 2 else (u, v, w)
+            for i, (u, v, w) in enumerate(burst)
+        ]
+        for burst in rolling_bursts(graph, seed=5)
+    ]
+
+
 def test_rolling_bursts_through_directed_index(small_grid):
-    """Each change moves one arc only, so the two label stores diverge."""
-    indexes = per_engine(
-        lambda config: DirectedDHLIndex.build(
-            DiGraph.from_undirected(small_grid), config
+    for kind in ("symmetric", "asymmetric", "one-way"):
+        indexes = per_engine(
+            lambda config: DirectedDHLIndex.build(digraph_of(small_grid, kind), config)
         )
+        replay(indexes, arc_bursts(small_grid, both_ways=kind != "one-way"))
+        assert_equals_rebuild(indexes[0])
+
+
+def test_pickled_directed_index_stays_live(small_grid):
+    """The weight planes are halves of one buffer; a clone that came
+    back from a pickle must still maintain that buffer, not detached
+    copies of its halves."""
+    indexes = [
+        pickle.loads(pickle.dumps(index))
+        for index in per_engine(
+            lambda config: DirectedDHLIndex.build(
+                digraph_of(small_grid, "asymmetric"), config
+            )
+        )
+    ]
+    replay(indexes, arc_bursts(small_grid, both_ways=True))
+    assert_equals_rebuild(indexes[0])
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    graph=connected_graphs(min_n=4, max_n=16),
+    seed=st.integers(0, 2**16),
+    dropped=st.floats(0.0, 0.5),
+)
+def test_triangle_enumeration_matches_the_scalar_oracle(graph, seed, dropped):
+    """The array engine's plane-aware triangle broadcast and the
+    reference's scalar walk name the same ``(cell, leg cell, target
+    cell)`` triples on a two-plane store — compacted-away pairs
+    (target -1) included."""
+    tree = recursive_bisection(graph, leaf_size=3, seed=0)
+    hq = QueryHierarchy.from_partition_tree(tree, graph.num_vertices)
+    hu = DirectedUpdateHierarchy.build(DiGraph.from_undirected(graph), hq)
+    rng = np.random.default_rng(seed)
+    compact_slots(hu, rng.random(hu.csr.num_slots) >= dropped)
+    cells = np.flatnonzero(rng.random(len(hu.up_weights)) < 0.7)
+    rep, legs, targets, found = _triangle_legs(hu, cells)
+    batched = zip(
+        cells[rep].tolist(), legs.tolist(), np.where(found, targets, -1).tolist()
     )
-    replay(indexes, rolling_bursts(small_grid, seed=5))
-    rebuilt = DirectedDHLIndex.build(indexes[0].digraph.copy(), indexes[0].config)
-    assert indexes[0].labels_out.equals(rebuilt.labels_out)
-    assert indexes[0].labels_in.equals(rebuilt.labels_in)
+    scalar = [
+        (cell, leg, target)
+        for cell in cells.tolist()
+        for leg, target in triangles(hu, cell)
+    ]
+    assert sorted(batched) == sorted(scalar)
 
 
 @settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])

@@ -34,7 +34,7 @@ class TestConstruction:
     def test_up_neighbors_are_ancestors(self, built):
         _, hq, hu = built
         for v in range(hq.n):
-            for u in hu.up[v]:
+            for u in hu.csr.row(v):
                 assert hq.precedes(u, v) and u != v
                 assert hu.tau[u] < hu.tau[v]
 
@@ -44,7 +44,7 @@ class TestConstruction:
         tau = hu.tau
         checked = 0
         for v in range(0, hq.n, 37):
-            for u in hu.up[v]:
+            for u in hu.csr.row(v).tolist():
                 expected = dijkstra_subgraph(
                     graph,
                     v,
@@ -68,12 +68,11 @@ class TestStructuralStability:
 
     def test_u1_under_decrease_and_increase(self, built):
         graph, _, hu = built
-        structure_before = [sorted(w) for w in hu.wup]
+        structure_before = hu.csr.slot_keys.tolist()
         edges = list(graph.edges())[:30]
         maintain_shortcuts("increase", hu, [(u, v, 3 * w) for u, v, w in edges])
         maintain_shortcuts("decrease", hu, [(u, v, w) for u, v, w in edges])
-        structure_after = [sorted(w) for w in hu.wup]
-        assert structure_before == structure_after
+        assert hu.csr.slot_keys.tolist() == structure_before
 
     def test_property_3_1_preserved_after_updates(self, built):
         graph, _, hu = built
