@@ -414,7 +414,7 @@ def run_worker_pool_quick(
     worker sync used the delta path: one shared-memory delta broadcast,
     zero whole-buffer republishes.
     """
-    from repro.service.workers import ShardWorkerRuntime
+    from repro.service import ShardWorkerRuntime
 
     num_pairs = len(uniform)
     runtime = ShardWorkerRuntime(sharded)
@@ -485,7 +485,7 @@ def run_socket_quick(
     with the failover counted.
     """
     from repro.experiments.sharded import intra_region_update_batch
-    from repro.service.socket_runtime import SocketShardRuntime
+    from repro.service import SocketShardRuntime
 
     num_pairs = len(commute)
     fan_out_pairs = commute[:256]
@@ -541,7 +541,9 @@ def run_socket_quick(
         # Respawn drill: one forced supervision poll marks the dead
         # slot down and arms its backoff; advancing the clock offset
         # past the ceiling lets the next poll respawn it — downtime is
-        # the supervisor's own spawn+handshake measurement.
+        # the supervisor's: first seen dead until the replacement
+        # handshook, on the offset clock (so it includes the skipped
+        # backoff window).
         runtime.supervisor.poll(force=True)
         offset[0] += runtime.supervisor.policy.max_delay
         summary = runtime.supervisor.poll(force=True)

@@ -41,7 +41,8 @@ Machine-independent ratio invariants are also enforced:
   recovery numbers stay under absolute ceilings —
   ``failover_recovery_ms`` (first post-kill batch,
   ``REPRO_FAILOVER_RECOVERY_CEILING_MS`` overrides) and
-  ``respawn_downtime_ms`` (spawn + handshake,
+  ``respawn_downtime_ms`` (first seen dead until the replacement
+  handshook — the skipped 2 s backoff window plus spawn + handshake,
   ``REPRO_RESPAWN_CEILING_MS`` overrides);
 * the async frontend's concurrent burst must answer at least
   ``MIN_ASYNC_MICROBATCH_SPEEDUP`` times faster than the same burst
@@ -163,11 +164,12 @@ MIN_ASYNC_MICROBATCH_SPEEDUP = float(os.environ.get("REPRO_ASYNC_FLOOR", 2.0))
 MIN_INSERT_FASTPATH_RATIO = float(os.environ.get("REPRO_FASTPATH_FLOOR", 5.0))
 # Recovery ceilings for the socket-replica drills, milliseconds. Both
 # are absolute wall-clock numbers (the failover is one batch paying the
-# dead-connection discovery + retry; the respawn is one process spawn +
-# spec handshake), so the ceilings are loose enough for a loaded CI
-# runner but still catch a recovery path degenerating into a timeout
-# wait (the 30s request deadline is two orders of magnitude above
-# either ceiling). Override while recalibrating on a slow runner.
+# dead-connection discovery + retry; the respawn is the drill's 2 s
+# backoff window plus one process spawn + spec handshake), so the
+# ceilings are loose enough for a loaded CI runner but still catch a
+# recovery path degenerating into a timeout wait (the 30s request
+# deadline is well above either ceiling). Override while recalibrating
+# on a slow runner.
 MAX_FAILOVER_RECOVERY_MS = float(
     os.environ.get("REPRO_FAILOVER_RECOVERY_CEILING_MS", 10_000.0)
 )

@@ -38,8 +38,8 @@ from repro.core.sharded import ShardedDHLIndex
 from repro.exceptions import PartialResultError, SnapshotCorruptionError
 from repro.experiments.context import ExperimentContext
 from repro.experiments.report import ascii_table
+from repro.service import SocketShardRuntime
 from repro.service.faults import FaultPlan
-from repro.service.socket_runtime import SocketShardRuntime
 
 __all__ = ["service_chaos_scenarios"]
 

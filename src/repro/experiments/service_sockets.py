@@ -2,9 +2,8 @@
 
 Companion to the ``service-workers`` experiment for the remote
 transport: the same sharded backend served through
-:class:`~repro.service.socket_runtime.SocketShardRuntime` (N TCP
-replica processes per shard, round-robin reads, framed runtime
-protocol) must produce the identical traffic checksum the in-process
+:class:`~repro.service.workers.SocketShardRuntime` (N TCP replica
+processes per shard, round-robin reads, framed runtime protocol) must produce the identical traffic checksum the in-process
 runtime produces, across query/update interleaving — and must keep
 producing it through a **failover drill**: halfway through the replay
 one replica of every shard is hard-killed, the rest of the traffic
@@ -20,8 +19,8 @@ from repro.core.config import DHLConfig
 from repro.core.sharded import ShardedDHLIndex
 from repro.experiments.context import ExperimentContext
 from repro.experiments.report import ascii_table
+from repro.service import SocketShardRuntime
 from repro.service.service import DistanceService
-from repro.service.socket_runtime import SocketShardRuntime
 from repro.service.workload import commute_traffic, replay, uniform_traffic
 
 __all__ = ["service_sockets_scenarios"]

@@ -26,8 +26,8 @@ from repro.core.sharded import ShardedDHLIndex
 from repro.experiments.context import ExperimentContext
 from repro.experiments.report import ascii_table
 from repro.observability import Observability
+from repro.service import ShardWorkerRuntime
 from repro.service.service import DistanceService
-from repro.service.workers import ShardWorkerRuntime
 from repro.service.workload import commute_traffic, replay, uniform_traffic
 
 __all__ = ["service_workers_scenarios"]

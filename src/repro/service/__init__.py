@@ -15,13 +15,14 @@ service:
 * :class:`UpdateCoalescer` — folds redundant change streams into one
   maintenance batch (:mod:`repro.service.coalescer`);
 * :class:`ExecutionRuntime` — the pluggable execution layer: queries
-  and maintenance run in-process (:class:`InProcessRuntime`), across
-  shared-memory shard worker processes (:class:`ShardWorkerRuntime`,
-  :mod:`repro.service.workers`), or across TCP shard replicas with
-  round-robin reads and failover (:class:`SocketShardRuntime`,
-  :mod:`repro.service.socket_runtime`). The distributed transports
-  speak the typed, versioned runtime protocol of
-  :mod:`repro.service.protocol`;
+  and maintenance run in-process (:class:`InProcessRuntime`) or on the
+  one shard runtime of :mod:`repro.service.workers` — N supervised
+  replica processes per shard with round-robin reads, request
+  deadlines, failover and respawn, speaking the typed, versioned
+  protocol of :mod:`repro.service.protocol`. The class picks the
+  transport: :class:`ShardWorkerRuntime` (pipe frames, labels attached
+  from shared memory) or :class:`SocketShardRuntime` (loopback TCP,
+  labels shipped inline);
 * :mod:`repro.service.workload` — uniform / Zipf-hotspot / rush-hour
   traffic generators and the :func:`replay` driver;
 * :mod:`repro.service.metrics` — latency percentile recorders.
@@ -57,8 +58,13 @@ from repro.service.runtime import (
     WorkerPoolStats,
 )
 from repro.service.service import DistanceService, ServiceStats
-from repro.service.socket_runtime import ReplicaSupervisor, SocketShardRuntime
-from repro.service.workers import ShardExecutor, ShardWorkerRuntime
+from repro.service.workers import (
+    ReplicaSupervisor,
+    ShardExecutor,
+    ShardRuntime,
+    ShardWorkerRuntime,
+    SocketShardRuntime,
+)
 from repro.service.workload import (
     Event,
     QueryBatch,
@@ -105,6 +111,7 @@ __all__ = [
     "ReplicaSupervisor",
     "SocketShardRuntime",
     "ShardExecutor",
+    "ShardRuntime",
     "ShardWorkerRuntime",
     "Event",
     "QueryBatch",

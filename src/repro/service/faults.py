@@ -1,4 +1,4 @@
-"""Deterministic fault injection for the socket serving plane.
+"""Deterministic fault injection for the shard runtime.
 
 Chaos testing that is reproducible in CI: a :class:`FaultPlan` is a
 scriptable schedule of faults keyed by **which replica incarnation**
@@ -13,18 +13,18 @@ Actions
 -------
 ``kill``
     SIGTERM the replica process (and reap it) before sending. The send
-    may still land in the kernel buffer; the receive then hits EOF —
-    the honest shape of "the replica died mid-request", classified as
-    :class:`~repro.exceptions.ProtocolTruncationError` by the codec.
+    hits a closed pipe, or still lands in the kernel buffer and the
+    receive then hits EOF — the honest shape of "the replica died
+    mid-request".
 ``timeout``
-    Raise ``socket.timeout`` as if the per-request deadline expired.
+    Raise ``TimeoutError`` as if the per-request deadline expired.
     The replica process itself stays up (a *slow* replica, not a dead
-    one), but the parent abandons the connection — the supervisor
+    one), but the parent abandons the channel — the supervisor
     replaces it with a fresh incarnation.
 ``drop``
     The request frame vanishes: raise
     :class:`~repro.exceptions.ProtocolTruncationError` without
-    touching the socket.
+    touching the channel.
 ``truncate``
     The reply arrives torn: same truncation error, same handling — a
     distinct action only so plans document *what* they simulate.
@@ -41,7 +41,6 @@ happened.
 
 from __future__ import annotations
 
-import socket
 from dataclasses import dataclass
 
 from repro.exceptions import ProtocolTruncationError
@@ -80,7 +79,7 @@ class FaultEvent:
 class FaultPlan:
     """An ordered, deterministic schedule of :class:`FaultEvent`.
 
-    Pass to ``SocketShardRuntime(fault_plan=...)``; the runtime hands
+    Pass to the shard runtime (``fault_plan=...``); the runtime hands
     it to every replica handle (respawned incarnations included). Not
     thread-safe beyond the handle locks already serialising requests —
     each event targets exactly one handle, whose own lock is held when
@@ -161,11 +160,11 @@ class FaultPlan:
         if due.action == "kill":
             handle.process.terminate()
             handle.process.join(10)
-            # The send below may still buffer; the receive hits EOF —
-            # deterministic ProtocolTruncationError on this request.
+            # The send fails, or buffers and the receive hits EOF —
+            # either way this request deterministically fails.
             return
         if due.action in ("timeout", "stall_health"):
-            raise socket.timeout(
+            raise TimeoutError(
                 f"injected {due.action} (shard {due.sid} replica "
                 f"{due.replica} incarnation {due.incarnation} request "
                 f"{due.at_request})"

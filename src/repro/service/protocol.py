@@ -58,7 +58,7 @@ from __future__ import annotations
 import json
 import struct
 import zlib
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, replace
 from typing import ClassVar
 
 import numpy as np
@@ -741,8 +741,3 @@ def recv_frame(sock) -> bytes:
 def recv_message(sock) -> Message:
     """Read one length-prefixed frame from a socket and decode it."""
     return decode_frame(recv_frame(sock))
-
-
-def message_fields(message: Message) -> dict:
-    """Dataclass fields as a dict (debug/repr helper; not wire format)."""
-    return {f.name: getattr(message, f.name) for f in fields(message)}

@@ -3,26 +3,27 @@
 The serving frontend (cache, coalescer, latency accounting) is backend
 agnostic: all query execution and index maintenance is delegated to an
 :class:`ExecutionRuntime`, typed against the
-:class:`~repro.core.backend.DistanceBackend` Protocol. Three
+:class:`~repro.core.backend.DistanceBackend` Protocol. Two
 implementations exist:
 
 * :class:`InProcessRuntime` — the backend's own query engine and update
   path, running in the service's process. Works with every backend
   (monolithic, directed, sharded) and is the default.
-* :class:`~repro.service.workers.ShardWorkerRuntime` — each region
-  shard of a :class:`~repro.core.sharded.ShardedDHLIndex` is hosted in
-  a long-lived worker process that attaches the shard's flat label
-  buffers over ``multiprocessing.shared_memory``.
-* :class:`~repro.service.socket_runtime.SocketShardRuntime` — each
-  shard is served by N replica processes behind TCP endpoints speaking
-  the framed protocol of :mod:`repro.service.protocol`, with
-  round-robin reads and timeout failover.
+* :class:`~repro.service.workers.ShardRuntime` — each region shard of
+  a :class:`~repro.core.sharded.ShardedDHLIndex` is served by N
+  long-lived replica processes speaking the framed protocol of
+  :mod:`repro.service.protocol`, with round-robin reads, per-request
+  deadlines, failover and supervised respawn. Its two public names
+  pick the transport: :class:`~repro.service.workers.ShardWorkerRuntime`
+  (pipe frames, labels attached from ``multiprocessing.shared_memory``)
+  and :class:`~repro.service.workers.SocketShardRuntime` (loopback TCP,
+  labels shipped inline).
 
-The two distributed runtimes share :class:`RegionPairScheduler`: the
-transport-agnostic batch scheduler that splits a pair batch by
-``(source region, target region)``, builds typed
+:class:`RegionPairScheduler` is the transport-agnostic batch scheduler
+under the shard runtime: it splits a pair batch by ``(source region,
+target region)``, builds typed
 :class:`~repro.service.protocol.SubQuery` messages, and combines the
-replies — transports only implement message delivery and label sync.
+replies — the runtime only implements message delivery and label sync.
 
 Runtimes own operating-system resources (processes, shared-memory
 segments, sockets); callers must :meth:`~ExecutionRuntime.close` them —
@@ -80,7 +81,7 @@ class ExecutionRuntime(abc.ABC):
         """Human-readable backend tag for stats/bench artifacts.
 
         Examples: ``in-process/monolithic``, ``in-process/sharded``,
-        ``worker-pool/sharded[4 workers]``,
+        ``worker-pool/sharded[4x1 replicas]``,
         ``socket-pool/sharded[4x2 replicas]``.
         """
 
@@ -230,10 +231,11 @@ class WorkerPoolStats:
     broadcast counters certify the delta path: after N flushes,
     ``delta_syncs + republishes == shards touched across those flushes``
     and ``delta_bytes`` stays far below N full buffer copies.
-    ``failovers``/``resyncs`` only move on replicated transports: a
-    failover is a request retried on a sibling replica after a timeout
-    or connection loss, a resync a stale replica brought back with a
-    full republish.
+    ``delta_bytes``/``republish_bytes`` count what was published per
+    shard (every replica of an inline-synced shard receives that much).
+    A failover is a request retried on a sibling replica after a
+    timeout or connection loss, a resync a behind replica brought back
+    to the shard's current buffers and epoch.
     """
 
     batches: int = 0
@@ -249,11 +251,11 @@ class WorkerPoolStats:
     #: Whole-buffer re-syncs forced by maintenance that bypassed
     #: ``apply_update`` (direct index updates; epoch drift).
     full_syncs: int = 0
-    #: Requests retried on a sibling replica (socket transport).
+    #: Requests retried on a sibling replica.
     failovers: int = 0
-    #: Stale replicas recovered with a full republish (socket transport).
+    #: Behind replicas healed by a resync.
     resyncs: int = 0
-    #: Dead replicas brought back by the supervisor (socket transport).
+    #: Dead replicas brought back by the supervisor.
     respawns: int = 0
     #: Respawn attempts that themselves failed (still backed off).
     respawn_failures: int = 0
@@ -352,9 +354,8 @@ class CircuitBreaker:
     def record_success(self) -> None:
         """A request succeeded: the shard is healthy again."""
         if self.state != self.CLOSED:
-            was_counted = self.state in (self.OPEN, self.HALF_OPEN)
             self.state = self.CLOSED
-            if self.stats is not None and was_counted:
+            if self.stats is not None:
                 self.stats.breaker_closes += 1
                 self.stats.breakers_open = max(
                     0, self.stats.breakers_open - 1
@@ -367,6 +368,9 @@ class CircuitBreaker:
 # ---------------------------------------------------------------------------
 # the shared region-pair batch scheduler
 # ---------------------------------------------------------------------------
+
+_DEGRADED_MODES = ("shed", "overlay", "error")
+
 
 class RegionPairScheduler(ExecutionRuntime):
     """Transport-agnostic batch scheduler over a sharded backend.
@@ -396,16 +400,8 @@ class RegionPairScheduler(ExecutionRuntime):
     # Sharded distances have no per-pair hub certificate (see
     # ShardedDHLIndex); the cache must use epoch invalidation.
     supports_fine_grained_eviction = False
-    #: What happens when a shard's every replica is down: ``"error"``
-    #: hard-fails the batch (the only behavior non-replicated transports
-    #: can have), ``"shed"`` answers the rest of the batch and raises a
-    #: typed :class:`~repro.exceptions.PartialResultError` carrying the
-    #: holes, ``"overlay"`` additionally fills the holes with
-    #: parent-side boundary-route answers (exact for cross-region
-    #: pairs, upper bounds for intra-region pairs).
-    degraded_mode = "error"
 
-    def __init__(self, index):
+    def __init__(self, index, degraded_mode: str = "shed"):
         from repro.core.sharded import ShardedDHLIndex
 
         if not isinstance(index, ShardedDHLIndex):
@@ -413,7 +409,15 @@ class RegionPairScheduler(ExecutionRuntime):
                 f"{type(self).__name__} requires a ShardedDHLIndex; got "
                 f"{type(index).__name__} (use InProcessRuntime instead)"
             )
+        if degraded_mode not in _DEGRADED_MODES:
+            raise ValueError(
+                f"degraded_mode must be one of {_DEGRADED_MODES}, "
+                f"got {degraded_mode!r}"
+            )
         self.index = index
+        #: What a batch does while a shard's every replica is down (see
+        #: :class:`~repro.service.workers.ShardRuntime`).
+        self.degraded_mode = degraded_mode
         self.stats = WorkerPoolStats()
         self._epochs = [0] * index.k
         self._index_epoch = index.epoch

@@ -81,11 +81,11 @@ class ServiceStats:
     shortcuts_changed: int
     labels_changed: int
     #: Execution backend tag — ``in-process/monolithic``,
-    #: ``in-process/sharded``, ``worker-pool/sharded[4 workers]`` — so
+    #: ``in-process/sharded``, ``worker-pool/sharded[4x1 replicas]`` — so
     #: bench artifacts and logs can tell runtimes apart.
     backend: str = "in-process/monolithic"
     #: Worker-pool scheduler / delta-sync counters
-    #: (:meth:`~repro.service.workers.WorkerPoolStats.as_dict`) when the
+    #: (:meth:`~repro.service.runtime.WorkerPoolStats.as_dict`) when the
     #: runtime pools workers, ``None`` for in-process backends.
     worker_pool: dict | None = None
     #: Structural flushes (batches carrying insertions or deletions).
@@ -159,7 +159,7 @@ class DistanceService:
         already-constructed
         :class:`~repro.service.runtime.ExecutionRuntime` wrapping one
         (e.g. a :class:`~repro.service.workers.ShardWorkerRuntime` or
-        :class:`~repro.service.socket_runtime.SocketShardRuntime`).
+        :class:`~repro.service.workers.SocketShardRuntime`).
         A bare backend is wrapped in an
         :class:`~repro.service.runtime.InProcessRuntime`. The service
         owns the update path (submit weight changes through the

@@ -2,17 +2,84 @@
 
 from __future__ import annotations
 
+import multiprocessing
+import os
+
 import numpy as np
 import pytest
 
 from repro.core.config import DHLConfig
 from repro.core.index import DHLIndex
+from repro.core.sharded import ShardedDHLIndex
 from repro.graph.generators import (
     delaunay_network,
     grid_network,
     random_connected_graph,
 )
 from repro.graph.graph import Graph
+from repro.service import ShardWorkerRuntime, SocketShardRuntime
+
+#: The shard runtime's two public names; the class is the transport choice.
+TRANSPORTS = {"pipe": ShardWorkerRuntime, "tcp": SocketShardRuntime}
+
+
+@pytest.fixture(params=list(TRANSPORTS))
+def transport(request):
+    """Run the test once per shard-runtime transport."""
+    return TRANSPORTS[request.param]
+
+
+class FakeClock:
+    """Hand-advanced supervision clock: recovery drills without sleeps."""
+
+    def __init__(self):
+        self.now = 0.0
+
+    def __call__(self) -> float:
+        return self.now
+
+    def advance(self, dt: float) -> None:
+        self.now += dt
+
+
+def build_sharded(graph: Graph, k: int = 2) -> ShardedDHLIndex:
+    return ShardedDHLIndex.build(
+        graph.copy(), k=k, config=DHLConfig(seed=0), build_workers=1
+    )
+
+
+def shard_pairs(sharded, sid, count=6):
+    """Pairs with both endpoints inside one shard (only it is queried)."""
+    vertices = [int(v) for v in sharded.shard_vertices[sid]]
+    return [(vertices[i], vertices[-1 - i]) for i in range(count)]
+
+
+def kill(handle) -> None:
+    """Hard-kill a replica process without telling its parent-side handle."""
+    handle.process.terminate()
+    handle.process.join(10)
+
+
+def _shm_segments() -> set[str]:
+    try:
+        return {name for name in os.listdir("/dev/shm") if name.startswith("psm_")}
+    except FileNotFoundError:  # no POSIX shm directory on this platform
+        return set()
+
+
+@pytest.fixture(scope="session", autouse=True)
+def leak_guard():
+    """Fail the session if it leaves a shared-memory segment or a child
+    process behind — respawned replicas over shared segments are exactly
+    where such a leak would hide."""
+    segments = _shm_segments()
+    children = set(multiprocessing.active_children())
+    yield
+    leaked = sorted(_shm_segments() - segments)
+    orphans = set(multiprocessing.active_children()) - children
+    assert not leaked and not orphans, (
+        f"leaked /dev/shm segments {leaked}, child processes {orphans}"
+    )
 
 
 @pytest.fixture

@@ -13,8 +13,11 @@ test is the only one that can answer:
   one request;
 * losing the last replica mid-batch under ``degraded_mode="error"``
   hard-fails with the typed :class:`ShardUnavailableError`;
-* the pipe transport (no replicas, no resync loop) surfaces an epoch
-  skew as :class:`WorkerEpochError` directly.
+* an epoch skew no resync can heal — a replica *ahead* of the parent,
+  or one still refusing after the resync — is a typed
+  :class:`WorkerEpochError`, never a silently stale answer.
+
+The races that cross the transport seam run on both transports.
 """
 
 from __future__ import annotations
@@ -22,26 +25,10 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.config import DHLConfig
-from repro.core.sharded import ShardedDHLIndex
 from repro.exceptions import ShardUnavailableError, WorkerEpochError
 from repro.graph.generators import delaunay_network
-from repro.service.socket_runtime import SocketShardRuntime
-from repro.service.workers import ShardWorkerRuntime
-
-
-class FakeClock:
-    def __init__(self):
-        self.now = 0.0
-
-    def __call__(self) -> float:
-        return self.now
-
-
-def build_sharded(graph, k=2):
-    return ShardedDHLIndex.build(
-        graph.copy(), k=k, config=DHLConfig(seed=0), build_workers=1
-    )
+from repro.service import SocketShardRuntime
+from tests.conftest import FakeClock, build_sharded, kill, shard_pairs
 
 
 @pytest.fixture(scope="module")
@@ -50,38 +37,32 @@ def edge_stack():
     return graph, build_sharded(graph)
 
 
-def shard_pairs(sharded, sid, count=5):
-    vertices = [int(v) for v in sharded.shard_vertices[sid]]
-    return [(vertices[i], vertices[-1 - i]) for i in range(count)]
-
-
 def silent_kill(handle):
-    """Kill the process without telling the parent-side handle."""
-    handle.process.terminate()
-    handle.process.join(10)
+    kill(handle)
     assert handle.alive  # the parent must discover it on its own
 
 
-def make_runtime(sharded, **kwargs):
+def make_runtime(sharded, transport=SocketShardRuntime, **kwargs):
     kwargs.setdefault("clock", FakeClock())
     kwargs.setdefault("supervise_interval", 1000.0)
-    return SocketShardRuntime(sharded, **kwargs)
+    return transport(sharded, **kwargs)
 
 
-def test_failover_races_inflight_epoch_delta(edge_stack):
+def test_failover_races_inflight_epoch_delta(transport, edge_stack):
     """The delta broadcast is the first to touch a silently-dead
     replica: the send fails, the handle is marked dead, and the
     surviving sibling still receives the sync — later queries agree
     with the authoritative parent."""
     graph, sharded = edge_stack
-    pairs = shard_pairs(sharded, 0)
-    with make_runtime(sharded, replicas=2) as runtime:
+    pairs = shard_pairs(sharded, 0, 5)
+    with make_runtime(sharded, transport, replicas=2) as runtime:
         runtime.distances(pairs)  # burns the construction-time poll
         victim = runtime._groups[0][0]
         silent_kill(victim)
+        # Current weights: the stack is shared, each run must move one.
         u, v, w = next(
             (u, v, w)
-            for u, v, w in graph.edges()
+            for u, v, w in sharded.graph.edges()
             if sharded.region_of[u] == 0 and sharded.region_of[v] == 0
         )
         before_syncs = runtime.stats.delta_syncs + runtime.stats.republishes
@@ -94,14 +75,14 @@ def test_failover_races_inflight_epoch_delta(edge_stack):
             )
 
 
-def test_failover_retry_lands_on_stale_replica_and_resyncs(edge_stack):
+def test_failover_retry_lands_on_stale_replica_and_resyncs(transport, edge_stack):
     """One request that needs *both* recovery paths: the round-robin
     pick is a dead replica (failover), and the retry sibling holds a
     stale epoch (StaleReply -> republish -> retry)."""
     graph, sharded = edge_stack
-    pairs = shard_pairs(sharded, 0)
+    pairs = shard_pairs(sharded, 0, 5)
     expected = sharded.distances(pairs)
-    with make_runtime(sharded, replicas=2) as runtime:
+    with make_runtime(sharded, transport, replicas=2) as runtime:
         # Burn the round-robin counter to an even position so the next
         # pick for shard 0 is replica slot 0 — the one we kill.
         runtime.distances(pairs)
@@ -118,7 +99,7 @@ def test_failover_retry_lands_on_stale_replica_and_resyncs(edge_stack):
 
 def test_mid_batch_last_replica_loss_hard_errors_in_error_mode(edge_stack):
     _, sharded = edge_stack
-    pairs = shard_pairs(sharded, 0)
+    pairs = shard_pairs(sharded, 0, 5)
     with make_runtime(sharded, replicas=1, degraded_mode="error") as runtime:
         runtime.distances(pairs)  # burns the construction-time poll
         for sid in range(sharded.k):
@@ -132,15 +113,25 @@ def test_mid_batch_last_replica_loss_hard_errors_in_error_mode(edge_stack):
         assert runtime.stats.breaker_opens >= 1
 
 
-def test_pipe_transport_epoch_skew_is_worker_epoch_error(edge_stack):
-    """The shared-memory pipe transport has no replica to fail over to
-    and no resync loop: a stale worker is a hard, typed error."""
+def test_unhealable_epoch_skew_is_worker_epoch_error(
+    transport, edge_stack, monkeypatch
+):
+    """A replica *ahead* of the parent cannot be healed by shipping it
+    the parent's state, and a behind replica whose resync did not take
+    refuses the retry too: both are hard, typed errors."""
     _, sharded = edge_stack
-    pairs = shard_pairs(sharded, 0)
-    with ShardWorkerRuntime(sharded) as runtime:
+    pairs = shard_pairs(sharded, 0, 5)
+    with make_runtime(sharded, transport, replicas=1) as runtime:
         np.testing.assert_array_equal(
             runtime.distances(pairs), sharded.distances(pairs)
         )
-        runtime._epochs[0] += 1  # fabricate a broadcast the worker missed
-        with pytest.raises(WorkerEpochError, match="missed epoch broadcast"):
+        runtime._epochs[0] -= 1  # the replica holds a newer epoch
+        with pytest.raises(WorkerEpochError, match="holds epoch 0 .* stamped -1$"):
             runtime.distances(pairs)
+        assert runtime.stats.resyncs == 0
+
+        runtime._epochs[0] += 2  # now it is behind...
+        monkeypatch.setattr(runtime, "_resync_replica", lambda handle: None)
+        with pytest.raises(WorkerEpochError, match="missed epoch broadcast"):
+            runtime.distances(pairs)  # ...and the resync changes nothing
+        assert runtime.stats.failovers == 0  # an epoch bug is not an outage

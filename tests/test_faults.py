@@ -12,18 +12,22 @@ as a typed :class:`PartialResultError` (or serves overlay bounds, or
 hard-fails, per ``degraded_mode``) and the breaker reopens/closes
 around the respawn; the service frontend re-aligns partial results
 without poisoning its cache; the async frontend unfolds a degraded
-merged batch so only the affected clients see the error.
+merged batch so only the affected clients see the error. The drills
+that cross the transport seam (kill, heartbeat death, request
+deadline, breaker shed and recovery) take the ``transport`` fixture
+and run on both transports; the scheduler- and frontend-level ones run
+once.
 """
 
 from __future__ import annotations
 
 import asyncio
+import os
+import signal
 
 import numpy as np
 import pytest
 
-from repro.core.config import DHLConfig
-from repro.core.sharded import ShardedDHLIndex
 from repro.exceptions import (
     PartialResultError,
     ProtocolTruncationError,
@@ -31,47 +35,27 @@ from repro.exceptions import (
 )
 from repro.graph.generators import delaunay_network
 from repro.observability import NULL_OBSERVABILITY
-from repro.service.async_frontend import AsyncDistanceService, _QueryItem
-from repro.service.faults import FaultEvent, FaultPlan
-from repro.service.protocol import ComputeBatch, HealthCheck
-from repro.service.cache import pair_key
-from repro.service.runtime import (
+from repro.service import (
+    AsyncDistanceService,
     CircuitBreaker,
+    DistanceService,
+    FaultEvent,
+    FaultPlan,
     InProcessRuntime,
     RetryPolicy,
+    SocketShardRuntime,
     WorkerPoolStats,
 )
-from repro.service.service import DistanceService
-from repro.service.socket_runtime import SocketShardRuntime
-
-
-class FakeClock:
-    def __init__(self):
-        self.now = 0.0
-
-    def __call__(self) -> float:
-        return self.now
-
-    def advance(self, dt: float) -> None:
-        self.now += dt
-
-
-def build_sharded(graph, k=2):
-    return ShardedDHLIndex.build(
-        graph.copy(), k=k, config=DHLConfig(seed=0), build_workers=1
-    )
+from repro.service.async_frontend import _QueryItem
+from repro.service.cache import pair_key
+from repro.service.protocol import ComputeBatch, HealthCheck
+from tests.conftest import FakeClock, build_sharded, kill, shard_pairs
 
 
 @pytest.fixture(scope="module")
 def small_sharded():
     graph = delaunay_network(120, seed=33, style="city", edge_factor=1.35)
     return graph, build_sharded(graph)
-
-
-def shard_pairs(sharded, sid, count=6):
-    """Pairs with both endpoints inside one shard (only it is queried)."""
-    vertices = [int(v) for v in sharded.shard_vertices[sid]]
-    return [(vertices[i], vertices[-1 - i]) for i in range(count)]
 
 
 def cross_pairs(sharded, i, j, count=6):
@@ -182,8 +166,6 @@ def test_fault_plan_targets_one_incarnation_only():
 
 
 def test_stall_health_counts_probes_only():
-    import socket as socket_module
-
     plan = FaultPlan().stall_health(0, 0, at_request=1)
     handle = DummyHandle()
     batch = ComputeBatch(epoch=0, subs=[])
@@ -191,7 +173,7 @@ def test_stall_health_counts_probes_only():
     plan.apply(handle, batch)  # compute traffic never matches
     plan.apply(handle, probe)  # health request 0
     plan.apply(handle, batch)
-    with pytest.raises(socket_module.timeout, match="injected stall_health"):
+    with pytest.raises(TimeoutError, match="injected stall_health"):
         plan.apply(handle, probe)  # health request 1 fires
     assert handle.requests == 4
     assert handle.health_requests == 2
@@ -201,7 +183,9 @@ def test_stall_health_counts_probes_only():
 # scripted kill -> failover -> supervised respawn (fake clock, no sleeps)
 # ---------------------------------------------------------------------------
 
-def test_scripted_kill_fails_over_and_supervisor_respawns(small_sharded):
+def test_scripted_kill_fails_over_and_supervisor_respawns(
+    transport, small_sharded
+):
     graph, sharded = small_sharded
     pairs = shard_pairs(sharded, 0)
     expected = sharded.distances(pairs)
@@ -209,7 +193,7 @@ def test_scripted_kill_fails_over_and_supervisor_respawns(small_sharded):
     # Request 0 of (shard 0, replica 0) is its first health probe (the
     # construction-time poll); request 1 is the first compute batch.
     plan = FaultPlan().kill(0, 0, at_request=1)
-    with SocketShardRuntime(
+    with transport(
         sharded,
         replicas=2,
         fault_plan=plan,
@@ -252,17 +236,18 @@ def test_supervisor_poll_is_rate_limited(small_sharded):
         assert "skipped" not in runtime.supervisor.poll(force=True)
 
 
-def test_heartbeat_detects_silently_dead_replica(small_sharded):
+def test_heartbeat_detects_silently_dead_replica(transport, small_sharded):
     """A replica whose process died without a request in flight is
-    caught by the health probe, not by a client request."""
+    caught by the health probe, not by a client request — and its
+    recorded downtime runs from that probe to the replacement's
+    handshake on the supervision clock, not just the spawn."""
     _, sharded = small_sharded
     clock = FakeClock()
-    with SocketShardRuntime(
+    with transport(
         sharded, replicas=2, clock=clock, supervise_interval=1000.0
     ) as runtime:
         victim = runtime._groups[0][1]
-        victim.process.terminate()
-        victim.process.join(10)
+        kill(victim)
         assert victim.alive  # the parent has not noticed yet
         before = runtime.stats.heartbeat_timeouts
         summary = runtime.supervisor.poll(force=True)
@@ -270,8 +255,35 @@ def test_heartbeat_detects_silently_dead_replica(small_sharded):
         assert runtime.stats.heartbeat_timeouts == before + 1
         assert not victim.alive
         # And the slot comes back once the backoff elapses.
-        clock.advance(1.0)
+        clock.advance(3.0)
         assert runtime.supervisor.poll(force=True)["respawned"] == 1
+        assert runtime.supervisor.recovery_ms == [3000.0]
+
+
+def test_request_deadline_fails_over_then_sheds(transport, small_sharded):
+    """A request that outlives ``request_timeout`` never blocks the
+    caller: the scripted timeout fails over to the sibling, and when
+    the sibling then really stalls (SIGSTOP — alive, silent) the
+    deadline expires and the shard's pairs are shed."""
+    _, sharded = small_sharded
+    pairs = shard_pairs(sharded, 0)
+    plan = FaultPlan().timeout(0, 0, at_request=1)
+    with transport(
+        sharded, replicas=2, request_timeout=0.5, fault_plan=plan,
+        clock=FakeClock(), supervise_interval=1000.0,
+    ) as runtime:
+        np.testing.assert_array_equal(
+            runtime.distances(pairs), sharded.distances(pairs)
+        )
+        assert plan.exhausted and runtime.stats.failovers == 1
+        (survivor,) = runtime.alive_replicas(0)
+        os.kill(survivor.process.pid, signal.SIGSTOP)
+        try:
+            with pytest.raises(PartialResultError) as info:
+                runtime.distances(pairs)
+        finally:
+            os.kill(survivor.process.pid, signal.SIGCONT)
+        assert info.value.open_shards == (0,) and not survivor.alive
 
 
 def test_respawn_gives_up_after_policy_attempts(small_sharded):
@@ -298,17 +310,16 @@ def test_respawn_gives_up_after_policy_attempts(small_sharded):
 
 def _kill_shard(runtime, sid):
     for handle in runtime._groups[sid]:
-        handle.process.terminate()
-        handle.process.join(10)
+        kill(handle)
 
 
-def test_breaker_open_sheds_with_partial_result(small_sharded):
+def test_breaker_open_sheds_with_partial_result(transport, small_sharded):
     graph, sharded = small_sharded
     dead = shard_pairs(sharded, 0, 4)
     live = shard_pairs(sharded, 1, 4)
     pairs = dead + live + [(dead[0][0], dead[0][0])]  # self-pair rides along
     expected_live = sharded.distances(live)
-    with SocketShardRuntime(
+    with transport(
         sharded, replicas=1, clock=FakeClock(), supervise_interval=1000.0
     ) as runtime:
         _kill_shard(runtime, 0)
@@ -335,12 +346,14 @@ def test_breaker_open_sheds_with_partial_result(small_sharded):
         np.testing.assert_array_equal(runtime.distances(live), expected_live)
 
 
-def test_breaker_closes_after_respawn_and_first_success(small_sharded):
+def test_breaker_closes_after_respawn_and_first_success(
+    transport, small_sharded
+):
     graph, sharded = small_sharded
     pairs = shard_pairs(sharded, 0, 4)
     expected = sharded.distances(pairs)
     clock = FakeClock()
-    with SocketShardRuntime(
+    with transport(
         sharded, replicas=1, clock=clock, supervise_interval=1000.0
     ) as runtime:
         _kill_shard(runtime, 0)

@@ -23,16 +23,18 @@ from hypothesis import strategies as st
 from repro.core.config import DHLConfig
 from repro.core.directed import DirectedDHLIndex
 from repro.core.index import DHLIndex
-from repro.core.sharded import ShardedDHLIndex
 from repro.exceptions import VertexNotFound
 from repro.graph.digraph import DiGraph
 from repro.graph.generators import delaunay_network, grid_network
 from repro.graph.graph import Graph
+from repro.service import (
+    DistanceService,
+    InProcessRuntime,
+    ShardWorkerRuntime,
+    SocketShardRuntime,
+)
 from repro.service.cache import EpochLRUCache, pair_key
-from repro.service.runtime import InProcessRuntime
-from repro.service.service import DistanceService
-from repro.service.socket_runtime import SocketShardRuntime
-from repro.service.workers import ShardWorkerRuntime
+from tests.conftest import build_sharded
 from tests.strategies import assert_stream_parity, rolling_stream
 from tests.test_structural_batch import directed_dijkstra
 
@@ -387,12 +389,6 @@ def door_runtimes(sharded_for):
 @pytest.fixture(scope="module")
 def door_graph() -> Graph:
     return delaunay_network(160, seed=21)
-
-
-def build_sharded(graph: Graph, k: int = 2) -> ShardedDHLIndex:
-    return ShardedDHLIndex.build(
-        graph.copy(), k=k, config=DHLConfig(seed=0), build_workers=1
-    )
 
 
 @pytest.mark.parametrize("kind", ["in-process", "worker-pool", "socket-pool"])

@@ -1,0 +1,622 @@
+"""The shard runtime on both transports: parity, sync, failover, hygiene.
+
+Every behavioural test runs twice — ``pipe`` (:class:`ShardWorkerRuntime`:
+pipe frames, labels attached from shared memory) and ``tcp``
+(:class:`SocketShardRuntime`: loopback TCP, labels shipped inline) —
+because there is one runtime underneath and the transport seam is the
+only thing allowed to differ. The load-bearing checks: answers equal
+the in-process runtime's (and Dijkstra's) across interleaved update
+batches synced as label *deltas* to the same long-lived processes; a
+replica killed mid-replay loses zero requests; a replica behind the
+parent heals and one ahead of it is a typed error; ``close()`` leaves
+no process and no ``/dev/shm`` segment behind, even when construction
+fails halfway or a replica was respawned in between.
+"""
+
+from __future__ import annotations
+
+from multiprocessing import shared_memory
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings
+
+import repro.service.workers as workers_mod
+from repro.baselines.dijkstra import dijkstra
+from repro.core.config import DHLConfig
+from repro.core.index import DHLIndex
+from repro.core.sharded import ShardedDHLIndex
+from repro.exceptions import (
+    PartialResultError,
+    ServiceRuntimeError,
+    ShardUnavailableError,
+    WorkerEpochError,
+)
+from repro.graph.generators import delaunay_network, grid_network
+from repro.labelling.query import QueryEngine
+from repro.observability import NULL_OBSERVABILITY, Observability
+from repro.service import (
+    DistanceService,
+    InProcessRuntime,
+    ShardExecutor,
+    ShardWorkerRuntime,
+    commute_traffic,
+    replay,
+)
+from repro.service.protocol import (
+    ComputeBatch,
+    FanQuery,
+    SpecRequest,
+    StaleReply,
+    SubQuery,
+)
+from tests.conftest import TRANSPORTS, build_sharded, kill
+from tests.strategies import (
+    assert_stream_parity,
+    connected_graphs,
+    pair_matrix,
+    update_sequences,
+)
+
+@pytest.fixture(scope="module", params=list(TRANSPORTS))
+def stack(request):
+    """One road network served three ways: mono, sharded, 2 replicas per
+    shard behind the transport under test."""
+    graph = delaunay_network(240, seed=17, style="city", edge_factor=1.35)
+    mono = DHLIndex.build(graph.copy(), DHLConfig(seed=0))
+    sharded = build_sharded(graph, k=4)
+    runtime = TRANSPORTS[request.param](sharded, replicas=2)
+    yield graph, mono, sharded, runtime
+    runtime.close()
+
+
+def sample_pairs_grid(n, step_s=7, step_t=5):
+    return [(s, t) for s in range(0, n, step_s) for t in range(0, n, step_t)]
+
+
+def intra_edges(graph, sharded):
+    return [
+        (u, v, w)
+        for u, v, w in graph.edges()
+        if sharded.region_of[u] == sharded.region_of[v]
+    ]
+
+
+# ---------------------------------------------------------------------------
+# query parity
+# ---------------------------------------------------------------------------
+
+def test_matches_monolithic(stack):
+    graph, mono, _, runtime = stack
+    pairs = sample_pairs_grid(graph.num_vertices)
+    np.testing.assert_array_equal(runtime.distances(pairs), mono.distances(pairs))
+    # Single-pair path and self pairs agree too.
+    assert runtime.distance(3, 3) == 0.0
+    assert runtime.distance(0, graph.num_vertices - 1) == mono.distance(
+        0, graph.num_vertices - 1
+    )
+
+
+def test_matches_in_process_runtime(stack):
+    graph, _, sharded, runtime = stack
+    pairs = sample_pairs_grid(graph.num_vertices, 11, 3)
+    np.testing.assert_array_equal(
+        runtime.distances(pairs), InProcessRuntime(sharded).distances(pairs)
+    )
+
+
+def test_reads_round_robin_across_replicas(stack):
+    graph, mono, _, runtime = stack
+    pairs = sample_pairs_grid(graph.num_vertices, 13, 11)
+    for _ in range(4):  # cycles past every replica of every shard
+        np.testing.assert_array_equal(
+            runtime.distances(pairs), mono.distances(pairs)
+        )
+    assert runtime.stats.failovers == 0
+
+
+def test_single_shard_runtime_has_no_fans():
+    graph = grid_network(6, 6)
+    mono = DHLIndex.build(graph.copy(), DHLConfig(seed=0))
+    with ShardWorkerRuntime(build_sharded(graph, k=1)) as runtime:
+        pairs = sample_pairs_grid(graph.num_vertices, 3, 2)
+        np.testing.assert_array_equal(
+            runtime.distances(pairs), mono.distances(pairs)
+        )
+        assert runtime.stats.cross_pairs == 0
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_wide_boundary_grid_stream_parity(transport, k):
+    """A 12-wide cut: fans and the overlay matrix are many columns wide,
+    and every burst moves boundary labels under the replicas."""
+    graph = grid_network(12, 12, seed=4)
+    pooled, local = build_sharded(graph, k=k), build_sharded(graph, k=k)
+    assert len(pooled.boundary_global) >= 12 * (k - 1)
+    with transport(pooled) as pool:
+        assert_stream_parity(
+            [InProcessRuntime(local), pool], graph, local.region_of, seed=k
+        )
+        assert pool.stats.republishes == 0 and pool.stats.full_syncs == 0
+
+
+def test_executor_builds_the_chain_store_at_attach(monkeypatch):
+    """The ancestor-chain store every fan reads is built while the
+    executor binds its buffers, not inside the first stamped batch —
+    and a batch stamped with another epoch is still refused untouched."""
+    sharded = build_sharded(grid_network(8, 8, seed=1), k=2)
+    builds = []
+    original = QueryEngine.hub_store
+
+    def counting(self):
+        if self._hub_values is None:
+            builds.append(self)
+        return original(self)
+
+    monkeypatch.setattr(QueryEngine, "hub_store", counting)
+    executor = ShardExecutor()
+    values, offsets = sharded.shard_buffers(0)
+    executor.setup(
+        SpecRequest(payload=sharded.shard_worker_payload(0), epoch=3),
+        values,
+        offsets,
+    )
+    assert builds == [executor.index.engine]
+    sources = np.array([5, 0, 5, 9], dtype=np.int64)
+    batch = ComputeBatch(epoch=3, subs=[SubQuery(fan_src=FanQuery(sources))])
+    (result,) = executor.compute(batch).results
+    assert len(builds) == 1
+    boundary = sharded.boundary_local[0]
+    want = pair_matrix(sharded.shards[0].engine, sources, boundary)
+    np.testing.assert_array_equal(result.ds[result.ds_inverse], want)
+    stale = executor.compute(ComputeBatch(epoch=4, subs=batch.subs))
+    assert isinstance(stale, StaleReply) and executor.served == 1
+
+
+def test_runtime_rejects_monolithic_index(transport):
+    index = DHLIndex.build(grid_network(3, 3), DHLConfig(seed=0))
+    with pytest.raises(TypeError):
+        transport(index)
+
+
+def test_rejects_zero_replicas(stack):
+    _, _, sharded, runtime = stack
+    with pytest.raises(ValueError, match="replicas"):
+        type(runtime)(sharded, replicas=0)
+
+
+# ---------------------------------------------------------------------------
+# update broadcast + epoch consistency
+# ---------------------------------------------------------------------------
+
+def test_update_cycles_ride_the_delta_path(transport):
+    """>= 3 flush cycles on the *same* replica processes: every replica
+    of every shard stays exact (reads round-robin over them, so a missed
+    delta would show within a few batches) and nothing but changed label
+    slots is ever published."""
+    graph = delaunay_network(200, seed=3, style="city", edge_factor=1.35)
+    mono = DHLIndex.build(graph.copy(), DHLConfig(seed=0))
+    sharded = build_sharded(graph, k=4)
+    pairs = sample_pairs_grid(graph.num_vertices)
+    edges = intra_edges(graph, sharded)
+    values_bytes = sum(
+        sharded.shard_buffers(sid)[0].nbytes for sid in range(sharded.k)
+    )
+    with DistanceService(
+        transport(sharded, replicas=2), cache_capacity=1
+    ) as service:
+        runtime = service.runtime
+        processes = [h.process for group in runtime._groups for h in group]
+        np.testing.assert_array_equal(service.distances(pairs), mono.distances(pairs))
+        for cycle in range(3):
+            u, v, w = edges[cycle * 5]
+            new = float(max(1, round(w * (cycle + 2))))
+            service.submit(u, v, new)
+            mono.update([(u, v, new)])
+            for _ in range(2):  # hit both replicas of each shard
+                np.testing.assert_array_equal(
+                    service.distances(pairs), mono.distances(pairs)
+                )
+        stats = runtime.stats
+        assert stats.delta_syncs >= 3 and stats.failovers == 0
+        assert stats.republishes == 0 and stats.full_syncs == 0
+        # Deltas stayed deltas: far less traffic than one full publish
+        # per flush would have cost.
+        assert 0 < stats.delta_bytes < values_bytes
+        assert processes == [h.process for group in runtime._groups for h in group]
+        assert all(process.is_alive() for process in processes)
+
+
+def test_direct_index_update_forces_full_sync(stack):
+    graph, mono, sharded, runtime = stack
+    u, v, w = intra_edges(graph, sharded)[0]
+    before = runtime.stats.full_syncs
+    sharded.update([(u, v, 3.0 * w)])  # bypasses the runtime entirely
+    mono.update([(u, v, 3.0 * w)])
+    try:
+        pairs = sample_pairs_grid(graph.num_vertices, 13, 7)
+        for _ in range(2):  # both replicas of every shard were re-synced
+            np.testing.assert_array_equal(
+                runtime.distances(pairs), mono.distances(pairs)
+            )
+        assert runtime.stats.full_syncs > before
+    finally:
+        runtime.apply_update([(u, v, w)])
+        mono.update([(u, v, w)])
+
+
+def test_behind_replica_resyncs_and_recovers(stack):
+    """A replica that missed an epoch broadcast refuses the batch; the
+    runtime brings it to the shard's current buffers and retries — the
+    query succeeds and ``resyncs`` counts the heal."""
+    graph, mono, _, runtime = stack
+    before = runtime.stats.resyncs
+    runtime._epochs[0] += 1  # fabricate a missed broadcast for shard 0
+    vertices = runtime.index.shard_vertices[0]
+    pairs = [(int(vertices[0]), int(vertices[-1]))]
+    for _ in range(2):  # each replica of shard 0 heals on its first read
+        np.testing.assert_array_equal(
+            runtime.distances(pairs), mono.distances(pairs)
+        )
+    assert runtime.stats.resyncs == before + 2
+    # The replicas now genuinely hold the bumped epoch; keep it.
+
+
+def test_replica_ahead_of_parent_is_a_typed_error(stack):
+    """Only a *behind* replica can be healed by shipping it the parent's
+    state; one holding a newer epoch than the parent stamps is a
+    bookkeeping bug and must surface, not be papered over."""
+    _, _, _, runtime = stack
+    before = runtime.stats.resyncs
+    runtime._epochs[0] -= 1
+    try:
+        vertices = runtime.index.shard_vertices[0]
+        with pytest.raises(WorkerEpochError, match="holds epoch") as info:
+            runtime.distances([(int(vertices[0]), int(vertices[-1]))])
+        assert "missed epoch broadcast" not in str(info.value)
+        assert runtime.stats.resyncs == before
+    finally:
+        runtime._epochs[0] += 1
+
+
+# ---------------------------------------------------------------------------
+# failover (a replica kill loses zero requests) + degraded serving
+# ---------------------------------------------------------------------------
+
+def test_replica_kill_mid_replay_loses_nothing(transport):
+    """Kill one replica of every shard between batches of a replay; all
+    subsequent requests fail over to the sibling and every answer still
+    matches Dijkstra — zero lost or wrong requests."""
+    graph = delaunay_network(150, seed=27, style="city", edge_factor=1.35)
+    sharded = build_sharded(graph, k=2)
+    ref = np.stack([dijkstra(graph, s) for s in range(graph.num_vertices)])
+    pairs = sample_pairs_grid(graph.num_vertices, 5, 9)
+    expected = np.array([ref[s][t] for s, t in pairs])
+    with transport(sharded, replicas=2) as runtime:
+        np.testing.assert_array_equal(runtime.distances(pairs), expected)
+        for sid in range(sharded.k):  # simulates host loss
+            kill(runtime._groups[sid][0])
+        for _ in range(3):
+            np.testing.assert_array_equal(runtime.distances(pairs), expected)
+        assert runtime.stats.failovers >= 1
+        # The dead replicas were marked and excluded, not retried forever.
+        assert all(len(runtime.alive_replicas(sid)) == 1 for sid in range(sharded.k))
+
+
+def test_last_replica_loss_sheds_or_hard_fails(transport):
+    graph = delaunay_network(120, seed=29)
+    sharded = build_sharded(graph, k=2)
+    with transport(sharded, replicas=1) as runtime:
+        pairs = sample_pairs_grid(graph.num_vertices, 9, 7)
+        runtime.distances(pairs)
+        for sid in range(sharded.k):
+            kill(runtime._groups[sid][0])
+        with pytest.raises(PartialResultError, match="replica") as info:
+            runtime.distances(pairs)
+        assert info.value.open_shards == (0, 1)
+        runtime.degraded_mode = "error"
+        with pytest.raises(ShardUnavailableError, match="breaker open"):
+            runtime.distances(pairs)
+
+
+# ---------------------------------------------------------------------------
+# teardown hygiene
+# ---------------------------------------------------------------------------
+
+def segment_names(runtime):
+    """Names of the shared-memory segments a runtime owns (none on tcp)."""
+    return [
+        segment.shm.name
+        for buffers in runtime._buffers
+        for segment in getattr(buffers, "segments", ())
+    ]
+
+
+def assert_unlinked(names):
+    for name in names:
+        with pytest.raises(FileNotFoundError):
+            shared_memory.SharedMemory(name=name)
+
+
+def test_close_reaps_replicas_and_releases_buffers(transport):
+    graph = delaunay_network(120, seed=5)
+    runtime = transport(build_sharded(graph, k=2), replicas=2)
+    names = segment_names(runtime)
+    # One values + offsets pair per *shard*, however many replicas attach.
+    assert len(names) == (4 if transport is ShardWorkerRuntime else 0)
+    processes = [h.process for group in runtime._groups for h in group]
+    assert len(processes) == 4
+    runtime.close()
+    runtime.close()  # idempotent
+    assert all(not p.is_alive() for p in processes)
+    assert_unlinked(names)
+    with pytest.raises(ServiceRuntimeError):
+        runtime.distances([(0, 1)])
+
+
+def test_close_survives_dead_worker():
+    graph = delaunay_network(120, seed=6)
+    runtime = ShardWorkerRuntime(build_sharded(graph, k=2))
+    names = segment_names(runtime)
+    kill(runtime._groups[0][0])
+    runtime.close()
+    assert_unlinked(names)
+
+
+def test_partial_startup_unlinks_created_segments(monkeypatch):
+    """A failure while bringing up replica N must not leak the segments
+    (or processes) of the shards and replicas that already came up."""
+    created: list[str] = []
+
+    class TrackedSegment(workers_mod._Segment):
+        def __init__(self, array, dtype):
+            super().__init__(array, dtype)
+            created.append(self.shm.name)
+
+    original_payload = ShardedDHLIndex.shard_worker_payload
+
+    def failing_payload(self, sid):
+        if sid == 1:
+            raise RuntimeError("injected startup failure")
+        return original_payload(self, sid)
+
+    monkeypatch.setattr(workers_mod, "_Segment", TrackedSegment)
+    monkeypatch.setattr(ShardedDHLIndex, "shard_worker_payload", failing_payload)
+    graph = delaunay_network(120, seed=7)
+    with pytest.raises(RuntimeError, match="injected startup failure"):
+        ShardWorkerRuntime(build_sharded(graph, k=2))
+    assert len(created) == 4  # both shards had published before the failure
+    assert_unlinked(created)
+
+
+def test_service_context_manager_closes_on_exception():
+    graph = delaunay_network(120, seed=8)
+    runtime = ShardWorkerRuntime(build_sharded(graph, k=2))
+    names = segment_names(runtime)
+    with pytest.raises(ValueError, match="boom"):
+        with DistanceService(runtime) as service:
+            service.distance(0, 1)
+            raise ValueError("boom")
+    assert_unlinked(names)
+
+
+def test_respawned_shm_replica_attaches_current_segments():
+    """The respawn handshake names the shard's *current* segment pair at
+    the *current* epoch: the fresh replica answers an update it never
+    saw as a delta, and a later layout-changing republish (fresh
+    segments for old and new incarnation alike) strands nothing."""
+    graph = delaunay_network(140, seed=9, style="city", edge_factor=1.35)
+    sharded = build_sharded(graph, k=2)
+    pairs = sample_pairs_grid(graph.num_vertices, 3, 4)
+    clock = [0.0]
+    with ShardWorkerRuntime(
+        sharded, replicas=2, clock=lambda: clock[0], supervise_interval=1e9
+    ) as runtime:
+        first = segment_names(runtime)
+        u, v, w = next(
+            edge
+            for edge in intra_edges(graph, sharded)
+            if sharded.region_of[edge[0]] == 0
+        )
+        kill(runtime._groups[0][0])
+        runtime.apply_update([(u, v, 4.0 * w)])  # only the sibling hears it
+        runtime.supervisor.poll(force=True)  # arms the dead slot's backoff
+        clock[0] += runtime.supervisor.policy.max_delay
+        assert runtime.supervisor.poll(force=True)["respawned"] == 1
+        fresh = runtime._groups[0][0]
+        assert fresh.incarnation == 1 and segment_names(runtime) == first
+        for _ in range(2):  # round-robin reaches the fresh incarnation
+            np.testing.assert_array_equal(
+                runtime.distances(pairs), sharded.distances(pairs)
+            )
+        assert runtime.stats.resyncs == 0 and runtime.stats.failovers == 0
+
+        # Move shard 0's label layout (a trailing inf entry no query
+        # reads): the next flush cannot splice and must republish.
+        labels = sharded.shards[0].labels
+        labels.extend_label(0, int(labels.lengths[0]) + 1)
+        runtime.apply_update([(u, v, w)])
+        assert runtime.stats.republishes == 1
+        second = segment_names(runtime)
+        assert set(second[:2]).isdisjoint(first) and second[2:] == first[2:]
+        assert_unlinked(first[:2])
+        for _ in range(2):
+            np.testing.assert_array_equal(
+                runtime.distances(pairs), sharded.distances(pairs)
+            )
+    assert_unlinked(first + second)
+
+
+# ---------------------------------------------------------------------------
+# trace stitching across the replica channel
+# ---------------------------------------------------------------------------
+
+def traced_service(runtime):
+    """Full-rate tracing, cache off so every query reaches the replicas."""
+    return DistanceService(
+        runtime,
+        cache_capacity=1,
+        observability=Observability.enabled(trace_sample_rate=1.0),
+    )
+
+
+def cross_shard_pair(runtime, offset=0):
+    vertices = runtime.index.shard_vertices
+    return int(vertices[0][offset]), int(vertices[1][offset])
+
+
+def test_worker_spans_stitched_into_parent_trace(stack):
+    _, _, _, runtime = stack
+    service = traced_service(runtime)
+    try:
+        s, t = cross_shard_pair(runtime)
+        service.distances([(s, t), (t, s)])
+        trace = service.last_trace()
+        assert trace.name == "distances"
+        runtime_span = next(
+            child for child in trace.children if child.name == "runtime"
+        )
+        workers = [
+            child
+            for child in runtime_span.children
+            if child.name.startswith("worker[")
+        ]
+        assert workers  # cross-shard pairs fan out to shard replicas
+        for worker_span in workers:
+            assert worker_span.seconds > 0.0
+            # The subtree under worker[sid] was measured in the replica
+            # *process* and shipped back over the channel.
+            compute = next(
+                child
+                for child in worker_span.children
+                if child.name == "shard_compute"
+            )
+            assert compute.children  # per-sub-batch kernel spans
+        text = trace.format()
+        assert "shard_compute" in text and "min_plus_combine" in text
+    finally:
+        runtime.observability = NULL_OBSERVABILITY
+
+
+def test_trace_survives_worker_epoch_refusal(stack):
+    _, _, _, runtime = stack
+    service = traced_service(runtime)
+    try:
+        s, t = cross_shard_pair(runtime)
+        runtime._epochs[0] -= 1  # shard 0's replicas are ahead: no heal
+        try:
+            with pytest.raises(WorkerEpochError, match="holds epoch"):
+                service.distances([(s, t)])
+        finally:
+            runtime._epochs[0] += 1
+        # The refused request still produced a finished trace with the
+        # round-trip span of the replica that refused.
+        refused = service.last_trace()
+        assert refused is not None and refused.name == "distances"
+        assert "worker[0]" in refused.format()
+        # The pool recovers and keeps stitching afterwards.
+        service.distances([(s, t)])
+        assert "shard_compute" in service.last_trace().format()
+    finally:
+        runtime.observability = NULL_OBSERVABILITY
+
+
+def test_trace_stitching_survives_republish(transport):
+    """A republished label buffer (re-attached segments or fresh inline
+    copies, engine rebound) must not break span shipping on the same
+    channel."""
+    graph = delaunay_network(140, seed=11)
+    runtime = transport(build_sharded(graph, k=2), replicas=1)
+    with traced_service(runtime) as service:
+        service.distances([cross_shard_pair(runtime)])
+        runtime._epochs[0] += 1
+        runtime._resync_replica(runtime._groups[0][0])
+        # A fresh pair (the cache canonicalises symmetric pairs) so the
+        # query crosses the rebound buffers.
+        pair = cross_shard_pair(runtime, offset=1)
+        after = service.distances([pair])
+        np.testing.assert_array_equal(after, runtime.index.distances([pair]))
+        text = service.last_trace().format()
+        assert "worker[0]" in text and "shard_compute" in text
+
+
+def test_untraced_requests_ship_no_spans(stack):
+    """With the default null stack the compute message asks for no
+    trace and the reply carries none (the pre-observability protocol)."""
+    _, _, _, runtime = stack
+    service = DistanceService(runtime, cache_capacity=1)
+    service.distances([cross_shard_pair(runtime)])
+    assert service.last_trace() is None
+
+
+# ---------------------------------------------------------------------------
+# service integration + backend reporting
+# ---------------------------------------------------------------------------
+
+def test_service_replay_matches_in_process(transport):
+    graph = delaunay_network(240, seed=17, style="city", edge_factor=1.35)
+    sharded = build_sharded(graph, k=4)
+    events = commute_traffic(
+        graph,
+        sharded.region_of,
+        boundary=sharded.partition.boundary,
+        query_batches=5,
+        batch_size=50,
+        seed=9,
+    )
+    in_process_report = replay(DistanceService(sharded), list(events))
+    with DistanceService(transport(sharded, replicas=1)) as service:
+        pooled_report = replay(service, list(events))
+    assert round(pooled_report.distance_checksum, 6) == round(
+        in_process_report.distance_checksum, 6
+    )
+
+
+def test_stats_report_backend_kind(stack):
+    graph, mono, sharded, runtime = stack
+    assert DistanceService(mono).stats().backend == "in-process/monolithic"
+    assert DistanceService(sharded).stats().backend == "in-process/sharded"
+    service = DistanceService(runtime, cache_capacity=16)
+    pairs = sample_pairs_grid(graph.num_vertices, 17, 13)
+    np.testing.assert_array_equal(service.distances(pairs), mono.distances(pairs))
+    stats = service.stats()
+    assert stats.backend == f"{runtime.kind}/sharded[4x2 replicas]"
+    assert stats.backend in stats.summary()
+    # Sharded runtimes cannot certify per-pair staleness.
+    downgraded = DistanceService(runtime, fine_grained_eviction=True)
+    assert downgraded.fine_grained_eviction is False
+
+
+# ---------------------------------------------------------------------------
+# property soak: replicas == Dijkstra under interleaved updates
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("k", [2, 4])
+@settings(
+    max_examples=3,
+    deadline=None,
+    suppress_health_check=[
+        HealthCheck.too_slow,
+        HealthCheck.data_too_large,
+        HealthCheck.function_scoped_fixture,
+    ],
+)
+@given(data=connected_graphs(min_n=6, max_n=14).flatmap(
+    lambda g: update_sequences(g, max_steps=3, max_batch=3).map(lambda s: (g, s))
+))
+def test_soak_vs_dijkstra(transport, data, k):
+    graph, sequence = data
+    sharded = build_sharded(graph, k=k)
+    n = graph.num_vertices
+    pairs = [(s, t) for s in range(n) for t in range(n)]
+    with DistanceService(
+        transport(sharded, replicas=2), cache_capacity=256
+    ) as service:
+        for batch in sequence:
+            service.submit_many(batch)
+            out = service.distances(pairs)
+            ref = np.stack(
+                [dijkstra(service.index.graph, s) for s in range(n)]
+            )
+            np.testing.assert_array_equal(out, ref.reshape(-1))
+        assert service.runtime.stats.republishes == 0

@@ -31,9 +31,8 @@ from repro.graph.digraph import DiGraph
 from repro.graph.generators import delaunay_network, random_connected_graph
 from repro.graph.graph import Graph
 from repro.hierarchy.csr import compact_slots
+from repro.service import DistanceService, ShardWorkerRuntime
 from repro.service.coalescer import UpdateCoalescer
-from repro.service.service import DistanceService
-from repro.service.workers import ShardWorkerRuntime
 from tests.strategies import connected_graphs
 
 
