@@ -3,14 +3,16 @@
 The serving stack (``repro.service``) was historically duck-typed: the
 runtime layer probed indexes with ``getattr`` and the service accepted
 "anything index-shaped". :class:`DistanceBackend` makes that contract
-explicit — one :class:`typing.Protocol` that
-:class:`~repro.core.index.DHLIndex`,
-:class:`~repro.core.directed.DirectedDHLIndex` and
-:class:`~repro.core.sharded.ShardedDHLIndex` all satisfy, and that the
-execution runtimes and :class:`~repro.service.service.DistanceService`
-are typed against. A future backend (e.g. Stable Tree Labelling behind
-the same facade) plugs into every runtime — in-process, shared-memory
-workers, socket replicas — by satisfying this Protocol alone.
+explicit — one :class:`typing.Protocol` that the two monolithic
+families (:class:`~repro.core.index.DHLIndex` and
+:class:`~repro.core.directed.DirectedDHLIndex`, one
+:class:`~repro.core.index.IndexCore` over a one- or two-plane shortcut
+store) and :class:`~repro.core.sharded.ShardedDHLIndex` satisfy, and
+that the execution runtimes and
+:class:`~repro.service.service.DistanceService` are typed against. A
+future backend (e.g. Stable Tree Labelling behind the same facade) plugs
+into every runtime — in-process, shared-memory workers, socket replicas
+— by satisfying this Protocol alone.
 
 The surface, by concern:
 

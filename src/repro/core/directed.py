@@ -2,22 +2,28 @@
 
 The paper sketches the directed case: keep one pair of hierarchies and
 store *forward and reverse labels* per vertex, maintaining each with the
-same algorithms. Concretely:
+same algorithms. Here that is literal: :class:`DirectedDHLIndex` is the
+one index core (:class:`~repro.core.index.IndexCore` — build, queries,
+maintenance, structural batches, compaction, snapshots, ``verify()``)
+over a shortcut store with two weight planes. What this module adds is
+only what genuinely differs:
 
 * the **structural skeleton** (which pairs are shortcuts) comes from the
   symmetrised graph — structure is weight-independent, so one skeleton
-  serves both directions;
+  serves both directions and is what gets partitioned;
 * every shortcut pair ``(v, u)`` with ``v`` deeper carries two weights,
   one per **weight plane** of :class:`DirectedUpdateHierarchy`'s single
   buffer: plane 0 (``out_weights``) for the ascending arc ``v -> u``,
-  plane 1 (``in_weights``) for the descending arc ``u -> v``;
-* two labellings are built with Algorithm 1, one per plane:
+  plane 1 (``in_weights``) for the descending arc ``u -> v``, filled by
+  a directed contraction loop;
+* the core's two labellings are Algorithm 1 once per plane:
   ``L_out[v][i]`` = distance ``v -> ancestor_i`` and ``L_in[v][i]`` =
   distance ``ancestor_i -> v`` within the interval subgraph;
 * a query is ``d(s, t) = min_i L_out[s][i] + L_in[t][i]`` over the common
   ancestors — the directed 2-hop cover (the minimum-rank vertex of a
   directed shortest path is a common ancestor, and both label entries are
-  exact within its descendant subgraph);
+  exact within its descendant subgraph), which is the core's two-sided
+  :class:`~repro.labelling.query.QueryEngine` with ``(L_out, L_in)``;
 * maintenance is the shared driver's: a triangle through a deeper vertex
   composes one descending and one ascending weight, which the engines'
   shortcut sweeps express as "second leg from the opposite plane"; the
@@ -27,33 +33,22 @@ same algorithms. Concretely:
 from __future__ import annotations
 
 import math
-from pathlib import Path
-from typing import Iterable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
 from repro.core.config import DHLConfig
+from repro.core.index import IndexCore
 from repro.core.stats import IndexStats
-from repro.exceptions import IndexBuildError
 from repro.graph.digraph import DiGraph
 from repro.graph.graph import Graph
 from repro.hierarchy.contraction import ContractionResult
-from repro.hierarchy.csr import ShortcutCSR
+from repro.hierarchy.csr import ShortcutCSR, build_shortcut_csr
 from repro.hierarchy.query_hierarchy import QueryHierarchy
 from repro.hierarchy.update_hierarchy import UpdateHierarchy
-from repro.labelling.build import build_labelling
-from repro.labelling.driver import maintain, split_batch
 from repro.labelling.labels import HierarchicalLabelling
-from repro.labelling.maintenance import MaintenanceStats
-from repro.labelling.query import AncestorTables, gather_pairs
-from repro.observability.phases import phase
-from repro.partition.recursive import recursive_bisection
-from repro.utils.pairs import as_pair_array
-from repro.utils.timing import Stopwatch
 
 __all__ = ["DirectedDHLIndex", "DirectedUpdateHierarchy"]
-
-WeightChange = tuple[int, int, float]
 
 
 class _Plane(NamedTuple):
@@ -118,7 +113,8 @@ class DirectedUpdateHierarchy(UpdateHierarchy):
                     row_a[b] = ab if ab < cur_ab else cur_ab
                     row_b[a] = ba if ba < cur_ba else cur_ba
             work[v].clear()
-        return cls(ContractionResult(digraph, order, rank, up, wout, win), hq)
+        store = build_shortcut_csr(up, rank, wout, win)
+        return cls(ContractionResult(digraph, order, rank, *store), hq)
 
     def edge_key(self, a: int, b: int) -> tuple[int, int]:
         """The ordered arc: a digraph's two directions are distinct roads."""
@@ -131,18 +127,12 @@ class DirectedUpdateHierarchy(UpdateHierarchy):
             _Plane(self.tau, self.csr, self.up_weights[m:]),
         )
 
-    def label_planes(self, labels) -> list[tuple]:
-        return list(zip(self.plane_views(), labels))
 
-
-class DirectedDHLIndex:
+class DirectedDHLIndex(IndexCore):
     """DHL index over a directed graph with forward and reverse labels."""
 
     kind = "directed"
-    # A directed distance is a min over the (out, in) label pair alone,
-    # so the certifying hub argument from the undirected index carries
-    # over; the serving layer may evict per-pair.
-    supports_fine_grained_eviction = True
+    _hierarchy = DirectedUpdateHierarchy
 
     def __init__(
         self,
@@ -154,32 +144,23 @@ class DirectedDHLIndex:
         config: DHLConfig,
         stats: IndexStats,
     ):
-        self.digraph = digraph
-        self.hq = hq
-        self.hu = hu
-        self.labels_out = labels_out
-        self.labels_in = labels_in
-        self.config = config
-        self._stats = stats
-        self._lca: AncestorTables | None = None
-        # Monotone maintenance epoch, mirroring DHLIndex: bumped once per
-        # applied update batch so the serving layer's result cache (and a
-        # worker epoch broadcast) can key on it.
-        self._epoch = 0
+        super().__init__(digraph, hq, hu, (labels_out, labels_in), config, stats)
 
     @property
-    def epoch(self) -> int:
-        """Number of maintenance batches applied since construction."""
-        return self._epoch
+    def digraph(self) -> DiGraph:
+        """The authoritative weighted digraph (``graph`` under the name
+        this family's callers know)."""
+        return self.graph
 
     @property
-    def graph(self) -> DiGraph:
-        """The authoritative weighted graph (DistanceBackend surface).
+    def labels_out(self) -> HierarchicalLabelling:
+        """``L_out[v][i]``: distance ``v -> ancestor_i`` (plane 0)."""
+        return self.labellings[0]
 
-        The serving layer's coalescer drains against ``graph.weight``;
-        for the directed index that is the digraph itself.
-        """
-        return self.digraph
+    @property
+    def labels_in(self) -> HierarchicalLabelling:
+        """``L_in[v][i]``: distance ``ancestor_i -> v`` (plane 1)."""
+        return self.labellings[1]
 
     @property
     def out_weights(self) -> np.ndarray:
@@ -190,41 +171,6 @@ class DirectedDHLIndex:
     def in_weights(self) -> np.ndarray:
         """Plane 1 of the shortcut store: arcs shallower -> deeper."""
         return self.hu.plane_views()[1].up_weights
-
-    # ------------------------------------------------------------------
-    # construction
-    # ------------------------------------------------------------------
-    @classmethod
-    def build(cls, digraph: DiGraph, config: DHLConfig | None = None) -> "DirectedDHLIndex":
-        config = config or DHLConfig()
-        if digraph.num_vertices == 0:
-            raise IndexBuildError("cannot index an empty graph")
-        n = digraph.num_vertices
-        stats = IndexStats(num_vertices=n, num_edges=digraph.num_arcs)
-
-        watch = Stopwatch()
-        with watch, phase("build.partition"):
-            skeleton = cls._skeleton(digraph)
-            tree = recursive_bisection(
-                skeleton,
-                beta=config.beta,
-                leaf_size=config.leaf_size,
-                seed=config.seed,
-                coarsest_size=config.coarsest_size,
-            )
-            hq = QueryHierarchy.from_partition_tree(tree, n)
-        stats.partition_seconds = watch.laps[-1]
-
-        with watch, phase("build.contraction"):
-            hu = DirectedUpdateHierarchy.build(digraph, hq)
-        stats.contraction_seconds = watch.laps[-1]
-
-        with watch, phase("build.labelling"):
-            labels_out, labels_in = map(build_labelling, hu.plane_views())
-        stats.labelling_seconds = watch.laps[-1]
-        index = cls(digraph, hq, hu, labels_out, labels_in, config, stats)
-        index._refresh_size_stats()
-        return index
 
     @staticmethod
     def _skeleton(digraph: DiGraph) -> Graph:
@@ -242,156 +188,3 @@ class DirectedDHLIndex:
                 else:
                     g.add_edge(u, v, wmin)
         return g
-
-    def _refresh_size_stats(self) -> None:
-        self._stats.label_entries = (
-            self.labels_out.num_entries + self.labels_in.num_entries
-        )
-        self._stats.label_bytes = (
-            self.labels_out.memory_bytes() + self.labels_in.memory_bytes()
-        )
-        self._stats.num_shortcuts = self.hu.num_shortcuts
-        self._stats.shortcut_bytes = self.hu.memory_bytes()
-        self._stats.hierarchy_bytes = self.hq.memory_bytes()
-        self._stats.height = self.hq.height
-        self._stats.max_up_degree = self.hu.max_up_degree()
-
-    # ------------------------------------------------------------------
-    # queries
-    # ------------------------------------------------------------------
-    def distance(self, s: int, t: int) -> float:
-        """Directed shortest-path distance from *s* to *t*."""
-        if s == t:
-            return 0.0
-        k = self.hq.common_ancestor_count(s, t)
-        if k <= 0:
-            return math.inf
-        total = self.labels_out.view(s)[:k] + self.labels_in.view(t)[:k]
-        return float(total.min())
-
-    def distances(self, pairs) -> np.ndarray:
-        """Batch ``s -> t`` distances: an ``(m, 2)`` integer array or any
-        iterable of pairs."""
-        arr = as_pair_array(pairs)
-        s, t = arr[:, 0], arr[:, 1]
-        # A full rebuild adopts a fresh H_Q in place; re-key on identity.
-        if self._lca is None or self._lca.hq is not self.hq:
-            self._lca = AncestorTables(self.hq)
-        k = self._lca.counts(s, t)
-        return gather_pairs(self.labels_out, s, self.labels_in, t, k)[0]
-
-    # ------------------------------------------------------------------
-    # dynamic updates
-    # ------------------------------------------------------------------
-    def decrease(self, changes: Iterable[WeightChange]) -> MaintenanceStats:
-        """Arc-weight decreases (Algorithm 2, then Algorithm 4 per plane);
-        see :meth:`DHLIndex.decrease`."""
-        return self._maintain("decrease", changes)
-
-    def increase(self, changes: Iterable[WeightChange]) -> MaintenanceStats:
-        """Arc-weight increases (Algorithm 3, then Algorithm 5 per plane)."""
-        return self._maintain("increase", changes)
-
-    def _maintain(
-        self, kind: str, changes: Iterable[WeightChange]
-    ) -> MaintenanceStats:
-        labels = (self.labels_out, self.labels_in)
-        stats = maintain(kind, self.hu, labels, changes, self.config)
-        if stats is None:
-            return MaintenanceStats()
-        self._epoch += 1
-        return stats
-
-    def update(
-        self, changes: Iterable[WeightChange], workers: int | None = None
-    ) -> MaintenanceStats:
-        """Mixed batch: increases first, then decreases.
-
-        ``workers`` is ignored (see :meth:`DistanceBackend.update`).
-        """
-        increases, decreases = split_batch(self.digraph, changes)
-        stats = MaintenanceStats()
-        if increases:
-            stats = stats.merge(self.increase(increases))
-        if decreases:
-            stats = stats.merge(self.decrease(decreases))
-        return stats
-
-    def update_coalesced(
-        self, changes: Iterable[WeightChange]
-    ) -> MaintenanceStats:
-        """Apply a raw change stream as one merged batch (last write wins).
-
-        Directed counterpart of :meth:`DHLIndex.update_coalesced`: the
-        coalescing key is the *ordered* arc ``(a, b)`` — a digraph's two
-        directions are distinct roads and must not merge.
-        """
-        final: dict[tuple[int, int], float] = {}
-        for a, b, w in changes:
-            final[(a, b)] = w
-        return self.update([(a, b, w) for (a, b), w in final.items()])
-
-    # ------------------------------------------------------------------
-    # structural updates — implemented in core.structural
-    # ------------------------------------------------------------------
-    def apply_batch(
-        self,
-        insertions: Iterable[WeightChange] = (),
-        deletions: Iterable[tuple[int, int]] = (),
-        weight_changes: Iterable[WeightChange] = (),
-    ):
-        """Apply one mixed structural arc batch; see
-        :func:`repro.core.structural.apply_batch_directed`."""
-        from repro.core.structural import apply_batch_directed
-
-        return apply_batch_directed(self, insertions, deletions, weight_changes)
-
-    def compact(self):
-        """Reclaim dead shortcut slots (both directions inf) and label
-        slack; see :func:`repro.core.structural.compact_directed_index`."""
-        from repro.core.structural import compact_directed_index
-
-        return compact_directed_index(self)
-
-    @property
-    def dead_fraction(self) -> float:
-        """Fraction of shortcut slots dead in both directions."""
-        from repro.core.structural import dead_fraction
-
-        return dead_fraction(self.hu)
-
-    @property
-    def structural_counters(self) -> dict[str, int]:
-        """Lifetime structural counters (see :class:`DHLIndex`)."""
-        from repro.core.structural import structural_counters
-
-        return structural_counters(self)
-
-    # ------------------------------------------------------------------
-    # persistence and introspection
-    # ------------------------------------------------------------------
-    def save(self, path: "str | Path") -> None:
-        """Persist the directed index (manifest + npz + flat label npy)."""
-        from repro.core.serialization import save_directed_index
-
-        save_directed_index(self, Path(path))
-
-    @classmethod
-    def load(
-        cls, path: "str | Path", mmap_labels: bool = False, verify: bool = True
-    ) -> "DirectedDHLIndex":
-        """Load an index written by :meth:`save`; ``mmap_labels`` maps the
-        two label stores read-only for near-instant start-up."""
-        from repro.core.serialization import load_directed_index
-
-        return load_directed_index(Path(path), mmap_labels=mmap_labels, verify=verify)
-
-    def stats(self) -> IndexStats:
-        self._refresh_size_stats()
-        return self._stats
-
-    def __repr__(self) -> str:  # pragma: no cover - repr sugar
-        return (
-            f"DirectedDHLIndex(n={self.digraph.num_vertices}, "
-            f"m={self.digraph.num_arcs})"
-        )

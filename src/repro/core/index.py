@@ -8,7 +8,16 @@ components ``(<H_Q, H_U>, L)``:
    the partial order;
 3. :class:`~repro.hierarchy.UpdateHierarchy` contracts the graph in
    decreasing rank order;
-4. :func:`~repro.labelling.build_labelling` runs Algorithm 1.
+4. :func:`~repro.labelling.build_labelling` runs Algorithm 1, once per
+   weight plane of the shortcut store.
+
+Everything that does not depend on whether roads are edges or arcs lives
+once, in :class:`IndexCore`, written against the store contract
+(:class:`~repro.hierarchy.contraction.ContractionResult`: ``planes``,
+``edge_key``, ``label_planes``). :class:`DHLIndex` is the core over a
+one-plane store; the directed index
+(:class:`~repro.core.directed.DirectedDHLIndex`) is the same core over a
+two-plane one.
 
 Updates go through DHL+/DHL- (Algorithms 2-5) via the single
 maintenance driver (:mod:`repro.labelling.driver`); ``config.engine``
@@ -23,6 +32,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from repro.core import serialization, structural
 from repro.core.config import DHLConfig
 from repro.core.stats import IndexStats
 from repro.exceptions import IndexBuildError
@@ -35,114 +45,140 @@ from repro.labelling.labels import HierarchicalLabelling
 from repro.labelling.maintenance import MaintenanceStats
 from repro.labelling.query import QueryEngine
 from repro.observability.phases import phase
-from repro.partition.recursive import recursive_bisection
+from repro.partition.recursive import PartitionTreeNode, recursive_bisection
 from repro.utils.timing import Stopwatch
 
-__all__ = ["DHLIndex"]
+__all__ = ["IndexCore", "DHLIndex"]
 
 WeightChange = tuple[int, int, float]
 
 
-class DHLIndex:
-    """Dual-Hierarchy Labelling distance index over an undirected graph.
+class IndexCore:
+    """One monolithic DHL index: ``hq``, the store ``hu`` and one
+    labelling per weight plane of it.
 
     Use :meth:`build` to construct; then :meth:`distance` for queries and
-    :meth:`increase` / :meth:`decrease` / :meth:`update` for edge-weight
+    :meth:`increase` / :meth:`decrease` / :meth:`update` for road-weight
     maintenance. The graph passed to :meth:`build` is owned by the index
     afterwards: weight updates must go through the index so that the
     hierarchies and labels stay consistent.
+
+    A family supplies ``kind``, the store class ``_hierarchy`` and, when
+    its graph is not what gets partitioned, :meth:`_skeleton`.
     """
 
-    kind = "monolithic"
-    # A monolithic distance is a min over the two endpoints' label
-    # arrays, so the minimising hub certifies a cached result; the
-    # serving layer may evict per-pair after an update.
+    kind: str
+    # A distance is a min over two label arrays alone (the source's and
+    # the target's), so the minimising hub certifies a cached result;
+    # the serving layer may evict per-pair after an update.
     supports_fine_grained_eviction = True
+    #: The shortcut-store class: ``build(graph, hq)`` contracts, and its
+    #: ``planes`` is how many labellings the index carries.
+    _hierarchy: type[UpdateHierarchy]
 
     def __init__(
         self,
-        graph: Graph,
+        graph,
         hq: QueryHierarchy,
         hu: UpdateHierarchy,
-        labels: HierarchicalLabelling,
+        labellings: Iterable[HierarchicalLabelling],
         config: DHLConfig,
         stats: IndexStats,
     ):
         self.graph = graph
-        self.hq = hq
-        self.hu = hu
-        self.labels = labels
         self.config = config
         self._stats = stats
-        self._engine = QueryEngine(hq, labels, engine=config.resolve_engine())
         # Monotone maintenance epoch: bumped once per applied update batch.
         # The serving layer keys its result cache on it; the batch kernel
         # itself needs no refresh — it gathers from the flat label store
-        # that maintenance writes into.
-        self._epoch = 0
+        # that maintenance writes into. Adoption counts construction as
+        # epoch 0.
+        self._epoch = -1
+        self._adopt(hq, hu, labellings)
+
+    def _adopt(self, hq, hu, labellings) -> None:
+        """Swap in ``(H_Q, H_U, L)`` — the only place a build, a load, a
+        rebuild or a worker's re-bound label buffer lands."""
+        self.hq = hq
+        self.hu = hu
+        #: One labelling per weight plane of ``hu``, in plane order.
+        self.labellings = tuple(labellings)
+        self._engine = QueryEngine(
+            hq,
+            self.labellings[0],
+            self.labellings[-1],
+            engine=self.config.resolve_engine(),
+        )
+        self._epoch += 1
+        self._refresh_size_stats()
 
     # ------------------------------------------------------------------
     # construction
     # ------------------------------------------------------------------
     @classmethod
-    def build(cls, graph: Graph, config: DHLConfig | None = None) -> "DHLIndex":
+    def build(cls, graph, config: DHLConfig | None = None):
         """Construct the index: partition, contract, label.
 
         Works on disconnected graphs too (cross-component queries return
-        ``inf``); integer edge weights are recommended — the increase-side
+        ``inf``); integer road weights are recommended — the increase-side
         maintenance prunes via exact path-sum equality.
         """
         config = config or DHLConfig()
-        if graph.num_vertices == 0:
+        n = graph.num_vertices
+        if n == 0:
             raise IndexBuildError("cannot index an empty graph")
-        stats = IndexStats(
-            num_vertices=graph.num_vertices, num_edges=graph.num_edges
-        )
+        stats = IndexStats(num_vertices=n, num_edges=graph.num_edges)
 
         watch = Stopwatch()
         with watch, phase("build.partition"):
-            tree = recursive_bisection(
-                graph,
-                beta=config.beta,
-                leaf_size=config.leaf_size,
-                seed=config.seed,
-                coarsest_size=config.coarsest_size,
-            )
-            hq = QueryHierarchy.from_partition_tree(tree, graph.num_vertices)
+            tree = cls._bisect(cls._skeleton(graph), config)
+            hq = QueryHierarchy.from_partition_tree(tree, n)
         stats.partition_seconds = watch.laps[-1]
 
         with watch, phase("build.contraction"):
-            hu = UpdateHierarchy.build(graph, hq)
+            hu = cls._hierarchy.build(graph, hq)
         stats.contraction_seconds = watch.laps[-1]
 
         with watch, phase("build.labelling"):
-            labels = build_labelling(hu)
+            labellings = [build_labelling(plane) for plane in hu.plane_views()]
         stats.labelling_seconds = watch.laps[-1]
 
+        index = cls(graph, hq, hu, *labellings, config, stats)
         if config.validate:
-            hq.validate_graph(graph)
-            hu.validate_comparability()
-            hu.verify_minimum_weight_property()
-            labels.validate_basic()
-
-        index = cls(graph, hq, hu, labels, config, stats)
-        index._refresh_size_stats()
+            index.verify()
         return index
 
+    @staticmethod
+    def _skeleton(graph) -> Graph:
+        """The undirected graph whose separators order the hierarchy."""
+        return graph
+
+    @staticmethod
+    def _bisect(graph: Graph, config: DHLConfig) -> PartitionTreeNode:
+        return recursive_bisection(
+            graph,
+            beta=config.beta,
+            leaf_size=config.leaf_size,
+            seed=config.seed,
+            coarsest_size=config.coarsest_size,
+        )
+
     def _refresh_size_stats(self) -> None:
-        self._stats.label_entries = self.labels.num_entries
-        self._stats.label_bytes = self.labels.memory_bytes()
-        self._stats.num_shortcuts = self.hu.num_shortcuts
-        self._stats.shortcut_bytes = self.hu.memory_bytes()
-        self._stats.hierarchy_bytes = self.hq.memory_bytes()
-        self._stats.height = self.hq.height
-        self._stats.max_up_degree = self.hu.max_up_degree()
+        stats, hu = self._stats, self.hu
+        stats.label_entries = sum(labels.num_entries for labels in self.labellings)
+        stats.label_bytes = sum(labels.memory_bytes() for labels in self.labellings)
+        stats.num_shortcuts = hu.num_shortcuts
+        stats.shortcut_bytes = hu.memory_bytes()
+        stats.hierarchy_bytes = self.hq.memory_bytes()
+        stats.height = self.hq.height
+        stats.max_up_degree = hu.max_up_degree()
 
     # ------------------------------------------------------------------
     # queries
     # ------------------------------------------------------------------
     def distance(self, s: int, t: int) -> float:
-        """Exact shortest-path distance (``inf`` when disconnected)."""
+        """Exact shortest-path distance from *s* to *t* (``inf`` when
+        disconnected)."""
         return self._engine.distance(s, t)
 
     def distances(self, pairs) -> np.ndarray:
@@ -153,17 +189,6 @@ class DHLIndex:
     def distance_with_hub(self, s: int, t: int) -> tuple[float, int]:
         """Distance plus the common-ancestor hub realising it."""
         return self._engine.distance_with_hub(s, t)
-
-    def shortest_path(self, s: int, t: int) -> list[int]:
-        """Exact shortest path as a vertex sequence (route reconstruction).
-
-        Extracts the shortcut chains behind the winning label entries and
-        unpacks each shortcut through its Property-3.1 witness triangle —
-        no extra storage beyond the index itself.
-        """
-        from repro.labelling.paths import PathReconstructor
-
-        return PathReconstructor(self._engine, self.hu).shortest_path(s, t)
 
     def distances_from(self, s: int, targets: Sequence[int]) -> np.ndarray:
         """One-to-many distances from *s* (e.g. k-nearest-POI workloads)."""
@@ -199,7 +224,7 @@ class DHLIndex:
     # dynamic updates
     # ------------------------------------------------------------------
     def decrease(self, changes: Iterable[WeightChange]) -> MaintenanceStats:
-        """Apply edge-weight decreases (DHL-).
+        """Apply road-weight decreases (DHL-).
 
         ``changes`` holds ``(u, v, new_weight)`` triples whose new weight
         is at most the current one. The whole batch is validated before
@@ -209,13 +234,13 @@ class DHLIndex:
         return self._maintain("decrease", changes)
 
     def increase(self, changes: Iterable[WeightChange]) -> MaintenanceStats:
-        """Apply edge-weight increases (DHL+); see :meth:`decrease`."""
+        """Apply road-weight increases (DHL+); see :meth:`decrease`."""
         return self._maintain("increase", changes)
 
     def _maintain(
         self, kind: str, changes: Iterable[WeightChange]
     ) -> MaintenanceStats:
-        stats = maintain(kind, self.hu, self.labels, changes, self.config)
+        stats = maintain(kind, self.hu, self.labellings, changes, self.config)
         if stats is None:
             return MaintenanceStats()
         self._epoch += 1
@@ -243,17 +268,18 @@ class DHLIndex:
     ) -> MaintenanceStats:
         """Apply a raw change stream as one merged batch.
 
-        Duplicate mentions of the same road collapse to their *final*
-        weight (last write wins), so a burst that raises then restores an
-        edge costs nothing; the merged batch then follows :meth:`update`'s
-        increase-then-decrease protocol. Index-level counterpart of the
-        serving layer's streaming :class:`~repro.service.UpdateCoalescer`
-        for callers that batch changes themselves.
+        Duplicate mentions of the same road (the store's ``edge_key``:
+        an unordered pair, or the ordered arc of a digraph, whose two
+        directions must not merge) collapse to their *final* weight, so
+        a burst that raises then restores a road costs nothing; the
+        merged batch then follows :meth:`update`'s increase-then-decrease
+        protocol. Index-level counterpart of the serving layer's
+        streaming :class:`~repro.service.UpdateCoalescer` for callers
+        that batch changes themselves.
         """
-        final: dict[tuple[int, int], float] = {}
-        for u, v, w in changes:
-            final[(u, v) if u <= v else (v, u)] = w
-        return self.update([(u, v, w) for (u, v), w in final.items()])
+        edge_key = self.hu.edge_key
+        final = {edge_key(u, v): (u, v, w) for u, v, w in changes}
+        return self.update(final.values())
 
     # ------------------------------------------------------------------
     # structural updates (Section 8) — implemented in core.structural
@@ -263,58 +289,37 @@ class DHLIndex:
         insertions: Iterable[WeightChange] = (),
         deletions: Iterable[tuple[int, int]] = (),
         weight_changes: Iterable[WeightChange] = (),
-    ):
+    ) -> structural.StructuralStats:
         """Apply one mixed structural batch (insert / delete / reweigh).
 
-        Deletions of live edges take the infinite-weight-increase fast
-        path, genuinely new edges take the closure fast path when their
+        Deletions of live roads take the infinite-weight-increase fast
+        path, genuinely new ones take the closure fast path when their
         endpoints are ⪯_H-comparable and the closure fits
         ``config.insert_closure_limit``, and everything else falls back
         to a rebuild — see :mod:`repro.core.structural`. Mutates the
-        index in place and returns a
-        :class:`~repro.core.structural.StructuralStats`.
+        index in place.
         """
-        from repro.core.structural import apply_batch
+        return structural.apply_batch(self, insertions, deletions, weight_changes)
 
-        return apply_batch(self, insertions, deletions, weight_changes)
-
-    def compact(self):
-        """Reclaim logically dead shortcut slots and label-store slack.
+    def compact(self) -> structural.CompactionStats:
+        """Reclaim logically dead shortcut slots (``inf`` in every weight
+        plane) and label-store slack.
 
         Queried distances are unchanged; deletions become permanent
-        (restoring a compacted edge re-inserts it). Returns a
-        :class:`~repro.core.structural.CompactionStats`.
+        (restoring a compacted road re-inserts it).
         """
-        from repro.core.structural import compact_index
-
-        return compact_index(self)
+        return structural.compact_index(self)
 
     @property
     def dead_fraction(self) -> float:
         """Fraction of shortcut slots that are logically deleted."""
-        from repro.core.structural import dead_fraction
-
-        return dead_fraction(self.hu)
+        return structural.dead_fraction(self.hu)
 
     @property
     def structural_counters(self) -> dict[str, int]:
         """Lifetime structural counters (already-deleted drops, fast-path
         inserts, fallback rebuilds, compaction reclaim totals)."""
-        from repro.core.structural import structural_counters
-
-        return structural_counters(self)
-
-    def restore_edge(self, u: int, v: int, weight: float) -> MaintenanceStats:
-        """Restore a logically deleted road with *weight*."""
-        from repro.core.structural import restore_edge
-
-        return restore_edge(self, u, v, weight)
-
-    def delete_vertex(self, v: int) -> MaintenanceStats:
-        """Logically delete an intersection (all incident roads)."""
-        from repro.core.structural import delete_vertex
-
-        return delete_vertex(self, v)
+        return structural.structural_counters(self)
 
     # ------------------------------------------------------------------
     # persistence and introspection
@@ -324,38 +329,78 @@ class DHLIndex:
         return self._stats
 
     def save(self, path: str | Path) -> None:
-        """Persist the index to a directory (JSON manifest + npz arrays)."""
-        from repro.core.serialization import save_index
-
-        save_index(self, Path(path))
+        """Persist the index to a directory (JSON manifest + npz arrays
+        + flat label ``.npy`` files)."""
+        serialization.save_index(self, Path(path))
 
     @classmethod
-    def load(
-        cls, path: str | Path, mmap_labels: bool = False, verify: bool = True
-    ) -> "DHLIndex":
+    def load(cls, path: str | Path, mmap_labels: bool = False, verify: bool = True):
         """Load an index previously written by :meth:`save`.
 
         ``mmap_labels=True`` memory-maps the label store read-only, so
         queries run straight off the snapshot without loading it into
         RAM; the first update materialises a writable copy.
         """
-        from repro.core.serialization import load_index
+        return serialization.load_index(
+            Path(path), mmap_labels=mmap_labels, verify=verify, cls=cls
+        )
 
-        return load_index(Path(path), mmap_labels=mmap_labels, verify=verify)
-
-    def rebuild(self) -> "DHLIndex":
+    def rebuild(self):
         """Construct a fresh index over the current graph (same config)."""
-        return DHLIndex.build(self.graph.copy(), self.config)
+        return type(self).build(self.graph.copy(), self.config)
 
     def verify(self) -> None:
         """Run the full invariant suite (slow; for tests/debugging)."""
         self.hq.validate_graph(self.graph)
         self.hu.validate_comparability()
         self.hu.verify_minimum_weight_property()
-        self.labels.validate_basic()
+        for labels in self.labellings:
+            labels.validate_basic()
 
     def __repr__(self) -> str:  # pragma: no cover - repr sugar
+        entries = sum(labels.num_entries for labels in self.labellings)
         return (
-            f"DHLIndex(n={self.graph.num_vertices}, m={self.graph.num_edges}, "
-            f"entries={self.labels.num_entries})"
+            f"{type(self).__name__}(n={self.graph.num_vertices}, "
+            f"m={self.graph.num_edges}, entries={entries})"
         )
+
+
+class DHLIndex(IndexCore):
+    """Dual-Hierarchy Labelling distance index over an undirected graph."""
+
+    kind = "monolithic"
+    _hierarchy = UpdateHierarchy
+
+    def __init__(
+        self,
+        graph: Graph,
+        hq: QueryHierarchy,
+        hu: UpdateHierarchy,
+        labels: HierarchicalLabelling,
+        config: DHLConfig,
+        stats: IndexStats,
+    ):
+        super().__init__(graph, hq, hu, (labels,), config, stats)
+
+    @property
+    def labels(self) -> HierarchicalLabelling:
+        return self.labellings[0]
+
+    def shortest_path(self, s: int, t: int) -> list[int]:
+        """Exact shortest path as a vertex sequence (route reconstruction).
+
+        Extracts the shortcut chains behind the winning label entries and
+        unpacks each shortcut through its Property-3.1 witness triangle —
+        no extra storage beyond the index itself.
+        """
+        from repro.labelling.paths import PathReconstructor
+
+        return PathReconstructor(self._engine, self.hu).shortest_path(s, t)
+
+    def restore_edge(self, u: int, v: int, weight: float) -> MaintenanceStats:
+        """Restore a logically deleted road with *weight*."""
+        return structural.restore_edge(self, u, v, weight)
+
+    def delete_vertex(self, v: int) -> MaintenanceStats:
+        """Logically delete an intersection (all incident roads)."""
+        return structural.delete_vertex(self, v)

@@ -15,8 +15,12 @@ maintenance transparently materialises a writable copy on first update
 (:meth:`HierarchicalLabelling.ensure_writable`).
 
 Both the undirected :class:`~repro.core.index.DHLIndex` and the
-directed :class:`~repro.core.directed.DirectedDHLIndex` persist here;
-the manifest's ``kind`` field tells the loaders apart.
+directed :class:`~repro.core.directed.DirectedDHLIndex` persist through
+one writer and one loader: a :class:`_Layout` per store shape names the
+manifest ``kind``, one ``npz`` key per weight plane and one label-file
+prefix per labelling, and only the graph codec differs (JSON in the
+manifest for a :class:`Graph`, arc arrays in the ``npz`` for a
+:class:`DiGraph`).
 
 **Crash safety.** Every save is atomic: the snapshot is written into a
 hidden sibling temp directory, a per-directory ``checksums.json``
@@ -38,6 +42,7 @@ import os
 import shutil
 import zlib
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -45,15 +50,13 @@ from repro.exceptions import SerializationError, SnapshotCorruptionError
 from repro.graph.digraph import DiGraph
 from repro.graph.io import graph_from_json, graph_to_json
 from repro.hierarchy.contraction import ContractionResult
+from repro.hierarchy.csr import ShortcutCSR
 from repro.hierarchy.query_hierarchy import QueryHierarchy
-from repro.hierarchy.update_hierarchy import UpdateHierarchy
 from repro.labelling.labels import HierarchicalLabelling
 
 __all__ = [
     "save_index",
     "load_index",
-    "save_directed_index",
-    "load_directed_index",
     "save_sharded_index",
     "load_sharded_index",
     "verify_snapshot",
@@ -317,11 +320,26 @@ def _read_manifest(path: Path, expected_kind: str) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# undirected DHLIndex
+# monolithic indexes (format v2): DHLIndex and DirectedDHLIndex
 # ---------------------------------------------------------------------------
 
+class _Layout(NamedTuple):
+    """On-disk names of one store shape."""
+
+    kind: str  # the manifest's ``kind``
+    weight_keys: tuple[str, ...]  # one ``arrays.npz`` key per weight plane
+    label_prefixes: tuple[str, ...]  # one ``.npy`` pair per labelling
+
+
+#: Keyed by the shortcut store's ``planes``.
+_LAYOUTS = {
+    1: _Layout("undirected", ("wup_flat",), ("label",)),
+    2: _Layout("directed", ("wout_flat", "win_flat"), ("label_out", "label_in")),
+}
+
+
 def save_index(index, path: Path) -> None:
-    """Write *index* (a :class:`~repro.core.index.DHLIndex`) to *path*.
+    """Write *index* (either monolithic family) to *path*.
 
     Atomic: the snapshot lands complete (checksummed + fsynced +
     renamed into place) or not at all.
@@ -331,30 +349,97 @@ def save_index(index, path: Path) -> None:
 
 def _write_index_contents(index, path: Path) -> None:
     path.mkdir(parents=True, exist_ok=True)
-    hq = index.hq
-    hu = index.hu
+    hq, hu, graph = index.hq, index.hu, index.graph
+    layout = _LAYOUTS[hu.planes]
 
     # The CSR shortcut store is already the on-disk ragged layout:
-    # rank-sorted rows, weights aligned slot-for-slot.
-    np.savez_compressed(
-        path / "arrays.npz",
-        order=hu.order,
-        up_flat=hu.csr.indices,
-        up_offsets=hu.csr.indptr,
-        wup_flat=hu.up_weights,
+    # rank-sorted rows, every weight plane aligned slot-for-slot.
+    planes = hu.up_weights.reshape(hu.planes, hu.csr.num_slots)
+    arrays = {
+        "up_flat": hu.csr.indices,
+        "up_offsets": hu.csr.indptr,
+        **dict(zip(layout.weight_keys, planes)),
         **_hq_payload(hq),
-    )
-    _save_labels(path, index.labels, "label")
+    }
     manifest = {
         "format_version": _FORMAT_VERSION,
-        "kind": "undirected",
-        "n": index.graph.num_vertices,
+        "kind": layout.kind,
+        "n": graph.num_vertices,
         "config": _config_payload(index.config),
         # Bitstrings can exceed 64 bits for deep trees: store as strings.
         "node_bits": [str(b) for b in hq.node_bits],
-        "graph": json.loads(graph_to_json(index.graph)),
     }
+    # The graph codec is the one thing the kinds do not share: a
+    # digraph's arcs travel as arrays, a graph as manifest JSON.
+    if layout.kind == "directed":
+        arrays.update(_arc_payload(graph))
+    else:
+        arrays["order"] = hu.order
+        manifest["graph"] = json.loads(graph_to_json(graph))
+    np.savez_compressed(path / "arrays.npz", **arrays)
+    for prefix, labels in zip(layout.label_prefixes, index.labellings):
+        _save_labels(path, labels, prefix)
     (path / "manifest.json").write_text(json.dumps(manifest))
+
+
+def _arc_payload(digraph: DiGraph) -> dict[str, np.ndarray]:
+    arcs = list(digraph.arcs())
+    payload = {
+        "arc_src": np.asarray([a for a, _, _ in arcs], dtype=np.int64),
+        "arc_dst": np.asarray([b for _, b, _ in arcs], dtype=np.int64),
+        "arc_weight": np.asarray([w for _, _, w in arcs], dtype=np.float64),
+    }
+    if digraph.coords is not None:
+        payload["coords"] = digraph.coords
+    return payload
+
+
+def _digraph_from_payload(data, n: int) -> DiGraph:
+    digraph = DiGraph(n, data["coords"] if "coords" in data else None)
+    for a, b, w in zip(
+        data["arc_src"].tolist(),
+        data["arc_dst"].tolist(),
+        data["arc_weight"].tolist(),
+    ):
+        if np.isfinite(w):
+            digraph.add_arc(a, b, w)
+        else:  # logically deleted arc: allocate the slot, then mark
+            digraph.add_arc(a, b, 0.0)
+            digraph.set_weight(a, b, w)
+    return digraph
+
+
+def _store_from_payload(
+    graph, hq: QueryHierarchy, data, weight_keys
+) -> ContractionResult:
+    """The shortcut store straight from the snapshot's flat arrays.
+
+    The on-disk layout *is* the store's (rank-sorted CSR rows, the
+    weight planes laid end to end), so nothing is re-sorted; a snapshot
+    whose arrays do not fit together, or whose rows are not rank-sorted,
+    is rejected — it is outside input and every slot lookup binary
+    searches ``slot_keys``.
+    """
+    n = hq.n
+    order = hq.contraction_order()
+    rank = np.empty(n, dtype=np.int64)
+    rank[order] = np.arange(n)
+    indptr, indices = data["up_offsets"], data["up_flat"]
+    up_weights = np.concatenate([data[key] for key in weight_keys])
+    m = len(indices)
+    if (
+        len(indptr) != n + 1
+        or indptr[0] != 0
+        or indptr[-1] != m
+        or np.any(np.diff(indptr) < 0)
+        or (m and not (0 <= indices.min() and indices.max() < n))
+        or len(up_weights) != len(weight_keys) * m
+    ):
+        raise SerializationError("shortcut arrays are inconsistent")
+    csr = ShortcutCSR(n, rank, indptr, indices)
+    if np.any(np.diff(csr.slot_keys) <= 0):
+        raise SerializationError("shortcut rows are not rank-sorted")
+    return ContractionResult(graph, order, rank, csr, up_weights)
 
 
 def _warmup_for(config) -> None:
@@ -371,18 +456,17 @@ def _warmup_for(config) -> None:
         warmup_kernels()
 
 
-def _weight_rows(up, flat, offsets) -> list[dict[int, float]]:
-    """One weight plane of the on-disk ragged layout as per-vertex rows."""
-    return [
-        dict(zip(row, flat[offsets[v] : offsets[v + 1]].tolist()))
-        for v, row in enumerate(up)
-    ]
+def load_index(
+    path: Path, mmap_labels: bool = False, verify: bool = True, cls=None
+):
+    """Load a monolithic index saved by :func:`save_index`.
 
+    *cls* is the family expected at *path* —
+    :class:`~repro.core.index.DHLIndex` (the default) or
+    :class:`~repro.core.directed.DirectedDHLIndex`; a snapshot of the
+    other kind raises :class:`SerializationError`.
 
-def load_index(path: Path, mmap_labels: bool = False, verify: bool = True):
-    """Load a :class:`~repro.core.index.DHLIndex` saved by :func:`save_index`.
-
-    With ``mmap_labels=True`` the label value buffer is opened with
+    With ``mmap_labels=True`` every label value buffer is opened with
     ``np.load(mmap_mode="r")``: load returns near-instantly and queries
     stream label pages off disk; the first maintenance batch materialises
     a writable in-memory copy.
@@ -393,147 +477,33 @@ def load_index(path: Path, mmap_labels: bool = False, verify: bool = True):
     warms the page cache the mmap path will fault in anyway. Pass
     ``verify=False`` only when the snapshot was just verified elsewhere.
     """
-    from repro.core.index import DHLIndex
     from repro.core.stats import IndexStats
 
+    if cls is None:
+        from repro.core.index import DHLIndex as cls
+    layout = _LAYOUTS[cls._hierarchy.planes]
     if verify:
         verify_snapshot(path)
-    manifest = _read_manifest(path, "undirected")
+    manifest = _read_manifest(path, layout.kind)
     data = np.load(path / "arrays.npz")
-    graph = graph_from_json(json.dumps(manifest["graph"]))
     config = _config_from_payload(manifest["config"])
     _warmup_for(config)
 
     n = manifest["n"]
+    if layout.kind == "directed":
+        graph = _digraph_from_payload(data, n)
+    else:
+        graph = graph_from_json(json.dumps(manifest["graph"]))
     hq = _hq_from_payload(data, [int(b) for b in manifest["node_bits"]], n)
-
-    order = data["order"]
-    rank = np.empty(n, dtype=np.int64)
-    rank[order] = np.arange(n)
-    up_rows = _unflatten(data["up_flat"], data["up_offsets"])
-    up = [row.tolist() for row in up_rows]
-    wup = _weight_rows(up, data["wup_flat"], data["up_offsets"])
-    base = ContractionResult(graph, order, rank, up, wup)
-    hu = UpdateHierarchy(base, hq)
-
-    labels = _load_labels(path, "label", hq.tau, mmap_labels)
-
+    hu = cls._hierarchy(
+        _store_from_payload(graph, hq, data, layout.weight_keys), hq
+    )
+    labellings = [
+        _load_labels(path, prefix, hq.tau, mmap_labels)
+        for prefix in layout.label_prefixes
+    ]
     stats = IndexStats(num_vertices=n, num_edges=graph.num_edges)
-    index = DHLIndex(graph, hq, hu, labels, config, stats)
-    index._refresh_size_stats()
-    return index
-
-
-# ---------------------------------------------------------------------------
-# directed DirectedDHLIndex
-# ---------------------------------------------------------------------------
-
-def save_directed_index(index, path: Path) -> None:
-    """Write a :class:`~repro.core.directed.DirectedDHLIndex` to *path*.
-
-    Atomic, like :func:`save_index`.
-    """
-    _atomic_snapshot(
-        Path(path), lambda tmp: _write_directed_contents(index, tmp)
-    )
-
-
-def _write_directed_contents(index, path: Path) -> None:
-    path.mkdir(parents=True, exist_ok=True)
-    hq = index.hq
-    n = index.digraph.num_vertices
-
-    # The shared shortcut structure and both direction weight arrays are
-    # already flat CSR — dump them slot-for-slot.
-    up_flat = index.hu.csr.indices
-    up_offsets = index.hu.csr.indptr
-    wout_flat = index.out_weights
-    win_flat = index.in_weights
-
-    arcs = list(index.digraph.arcs())
-    arc_src = np.asarray([a for a, _, _ in arcs], dtype=np.int64)
-    arc_dst = np.asarray([b for _, b, _ in arcs], dtype=np.int64)
-    arc_weight = np.asarray([w for _, _, w in arcs], dtype=np.float64)
-
-    extra = {}
-    if index.digraph.coords is not None:
-        extra["coords"] = index.digraph.coords
-    np.savez_compressed(
-        path / "arrays.npz",
-        up_flat=up_flat,
-        up_offsets=up_offsets,
-        wout_flat=wout_flat,
-        win_flat=win_flat,
-        arc_src=arc_src,
-        arc_dst=arc_dst,
-        arc_weight=arc_weight,
-        **_hq_payload(hq),
-        **extra,
-    )
-    _save_labels(path, index.labels_out, "label_out")
-    _save_labels(path, index.labels_in, "label_in")
-    manifest = {
-        "format_version": _FORMAT_VERSION,
-        "kind": "directed",
-        "n": n,
-        "config": _config_payload(index.config),
-        "node_bits": [str(b) for b in hq.node_bits],
-    }
-    (path / "manifest.json").write_text(json.dumps(manifest))
-
-
-def load_directed_index(path: Path, mmap_labels: bool = False, verify: bool = True):
-    """Load an index saved by :func:`save_directed_index`.
-
-    The same ``mmap_labels`` fast path and ``verify`` integrity check as
-    :func:`load_index` apply, covering both direction stores.
-    """
-    from repro.core.directed import DirectedDHLIndex, DirectedUpdateHierarchy
-    from repro.core.stats import IndexStats
-
-    if verify:
-        verify_snapshot(path)
-    manifest = _read_manifest(path, "directed")
-    data = np.load(path / "arrays.npz")
-    config = _config_from_payload(manifest["config"])
-    _warmup_for(config)
-    n = manifest["n"]
-
-    coords = data["coords"] if "coords" in data else None
-    digraph = DiGraph(n, coords)
-    for a, b, w in zip(
-        data["arc_src"].tolist(),
-        data["arc_dst"].tolist(),
-        data["arc_weight"].tolist(),
-    ):
-        if np.isfinite(w):
-            digraph.add_arc(a, b, w)
-        else:  # logically deleted arc: allocate the slot, then mark
-            digraph.add_arc(a, b, 0.0)
-            digraph.set_weight(a, b, w)
-
-    hq = _hq_from_payload(data, [int(b) for b in manifest["node_bits"]], n)
-    order = hq.contraction_order()
-    rank = np.empty(n, dtype=np.int64)
-    rank[order] = np.arange(n)
-
-    up_rows = _unflatten(data["up_flat"], data["up_offsets"])
-    up = [row.tolist() for row in up_rows]
-    wout = _weight_rows(up, data["wout_flat"], data["up_offsets"])
-    win = _weight_rows(up, data["win_flat"], data["up_offsets"])
-
-    labels_out = _load_labels(path, "label_out", hq.tau, mmap_labels)
-    labels_in = _load_labels(path, "label_in", hq.tau, mmap_labels)
-
-    stats = IndexStats(num_vertices=n, num_edges=digraph.num_arcs)
-    hu = DirectedUpdateHierarchy(
-        ContractionResult(digraph, order, rank, up, wout, win), hq
-    )
-    index = DirectedDHLIndex(
-        digraph, hq, hu, labels_out, labels_in, config, stats
-    )
-    index._refresh_size_stats()
-    return index
+    return cls(graph, hq, hu, *labellings, config, stats)
 
 
 # ---------------------------------------------------------------------------

@@ -568,13 +568,12 @@ class ShardedDHLIndex:
         maintenance afterwards travels as in-place shared-memory deltas,
         never as a re-pickle.
         """
+        import copy
         import pickle
 
         from repro.labelling.labels import HierarchicalLabelling
 
-        shard = self.shards[sid]
-        labels = shard.labels
-        engine = shard._engine
+        labels = self.shards[sid].labels
         n = labels.num_vertices
         stub = HierarchicalLabelling(
             np.empty(0, dtype=np.float64),
@@ -582,23 +581,20 @@ class ShardedDHLIndex:
             np.zeros(n, dtype=np.int64),
             labels.tau,
         )
-        # Temporarily detach the store (and the engine bound to it) so the
-        # pickle carries structure only; restored before returning.
-        shard.labels = stub
+        # A shallow copy with the store (and the engine bound to it)
+        # detached, so the pickle carries structure only.
+        shard = copy.copy(self.shards[sid])
+        shard.labellings = (stub,)
         shard._engine = None
-        try:
-            return pickle.dumps(
-                {
-                    "index": shard,
-                    "boundary_local": np.asarray(
-                        self.boundary_local[sid], dtype=np.int64
-                    ),
-                },
-                protocol=pickle.HIGHEST_PROTOCOL,
-            )
-        finally:
-            shard.labels = labels
-            shard._engine = engine
+        return pickle.dumps(
+            {
+                "index": shard,
+                "boundary_local": np.asarray(
+                    self.boundary_local[sid], dtype=np.int64
+                ),
+            },
+            protocol=pickle.HIGHEST_PROTOCOL,
+        )
 
     # ------------------------------------------------------------------
     # persistence and introspection

@@ -32,8 +32,13 @@ so on upward. Two gates guard the fast path:
 * the closure size against ``config.insert_closure_limit`` — a closure
   that outgrows the budget (the new arc's LCA subtree is large) falls
   back to rebuilding H_U + L on the *same* H_Q, which is still far
-  cheaper than repartitioning and works on snapshot-loaded indexes
-  (whose partition tree is not persisted).
+  cheaper than repartitioning.
+
+The fallback is one ladder for every index family: closure fast path →
+rebuild on the same H_Q → repartition. The last rung splices a fresh
+subtree into the partition tree when the index still has it
+(``hq.tree_nodes``) and builds from scratch when it does not (a
+snapshot-loaded index — the tree is not persisted).
 
 Qualifying batches allocate their closure slots in one
 :func:`~repro.hierarchy.csr.extend_slots` merge (weights ``inf`` —
@@ -45,14 +50,21 @@ candidate for a removed pair; every engine's decrease sweep reports it
 and the driver raises
 :class:`~repro.exceptions.StructuralFallbackRequired` → rebuild.
 
-**Compaction.** Dead slots (weight ``inf``; both directions for the
-directed index) are squeezed out of the CSR store, their graph edges
-removed physically, and label-store slack repacked. Removing only inf
-slots preserves the minimum-weight property of every surviving slot
-(triangles through a removed slot contributed ``inf``) and pure weight
-maintenance can never miss them (see the kernel guards); deletions
-become *permanent* — restoring a compacted edge routes through the
-insertion path.
+**Compaction.** Dead slots (weight ``inf`` in every plane of the store
+— both directions for the directed index) are squeezed out of the CSR
+store, their graph edges removed physically, and label-store slack
+repacked. Removing only inf slots preserves the minimum-weight property
+of every surviving slot (triangles through a removed slot contributed
+``inf``) and pure weight maintenance can never miss them (see the
+kernel guards); deletions become *permanent* — restoring a compacted
+edge routes through the insertion path.
+
+Everything here is written against the store contract (``planes``,
+``edge_key``, ``plane_views``) and one road vocabulary on the graph
+(``has_edge`` / ``weight`` / ``set_weight`` / ``add_edge`` /
+``remove_edge`` / ``edges()`` — on a :class:`~repro.graph.DiGraph` the
+arc methods under a second name), so an edge below is an arc when the
+index is directed.
 """
 
 from __future__ import annotations
@@ -66,19 +78,16 @@ from repro.exceptions import MaintenanceError, StructuralFallbackRequired
 from repro.graph.graph import Graph
 from repro.hierarchy.csr import ShortcutCSR, compact_slots, extend_slots
 from repro.hierarchy.query_hierarchy import QueryHierarchy
-from repro.hierarchy.update_hierarchy import UpdateHierarchy
 from repro.labelling.build import build_labelling
 from repro.labelling.maintenance import MaintenanceStats
 from repro.observability.phases import phase
-from repro.partition.recursive import PartitionTreeNode, recursive_bisection
+from repro.partition.recursive import PartitionTreeNode
 
 __all__ = [
     "StructuralStats",
     "CompactionStats",
     "apply_batch",
-    "apply_batch_directed",
     "compact_index",
-    "compact_directed_index",
     "dead_fraction",
     "restore_edge",
     "delete_vertex",
@@ -185,29 +194,14 @@ def _insertion_closure(
 # rebuild fallbacks
 # ---------------------------------------------------------------------------
 
-def _full_affected_stats(n: int) -> MaintenanceStats:
-    """Conservative stats after a rebuild: every label may have moved."""
-    return MaintenanceStats(affected_labels=set(range(n)))
-
-
-def _rebuild_on_same_hq(index) -> MaintenanceStats:
-    """Rebuild H_U and L over the current graph, keeping H_Q.
+def _rebuild(index, hq: QueryHierarchy) -> None:
+    """Re-contract and relabel the current graph over *hq*, in place.
 
     Works on snapshot-loaded indexes too — the contraction order is a
     pure function of ``hq.tau``, which is always available.
     """
-    from repro.labelling.query import QueryEngine
-
-    hu = UpdateHierarchy.build(index.graph, index.hq)
-    labels = build_labelling(hu)
-    index.hu = hu
-    index.labels = labels
-    index._engine = QueryEngine(
-        index.hq, labels, engine=index.config.resolve_engine()
-    )
-    index._epoch += 1
-    index._refresh_size_stats()
-    return _full_affected_stats(index.graph.num_vertices)
+    hu = index._hierarchy.build(index.graph, hq)
+    index._adopt(hq, hu, map(build_labelling, hu.plane_views()))
 
 
 def _subtree_vertices(hq: QueryHierarchy, node_id: int) -> list[int]:
@@ -225,29 +219,23 @@ def _subtree_vertices(hq: QueryHierarchy, node_id: int) -> list[int]:
     return vertices
 
 
-def _splice_repartition(index, u: int, v: int) -> None:
-    """Repartition the LCA subtree of ``(u, v)`` and refresh H_Q in place.
+def _splice_repartition(
+    index, hq: QueryHierarchy, skeleton: Graph, u: int, v: int
+) -> QueryHierarchy:
+    """*hq* with the LCA subtree of ``(u, v)`` repartitioned over *skeleton*.
 
-    The edge must already be in the graph. Untouched subtrees are reused
-    verbatim; H_U/L are *not* rebuilt here — the caller does that once
-    per batch.
+    The edge must already be in the skeleton. Untouched subtrees are
+    reused verbatim; H_U/L are *not* rebuilt here — the caller does that
+    once per batch.
     """
-    graph: Graph = index.graph
-    hq: QueryHierarchy = index.hq
     depth = hq.lca_depth(u, v)
     nid = int(hq.node_of[u])
     while hq.node_depth[nid] > depth:
         nid = hq.node_parent[nid]
 
     affected = sorted(_subtree_vertices(hq, nid))
-    subgraph, local_to_global = graph.induced_subgraph(affected)
-    sub_tree = recursive_bisection(
-        subgraph,
-        beta=index.config.beta,
-        leaf_size=index.config.leaf_size,
-        seed=index.config.seed,
-        coarsest_size=index.config.coarsest_size,
-    )
+    subgraph, local_to_global = skeleton.induced_subgraph(affected)
+    sub_tree = index._bisect(subgraph, index.config)
 
     def relabel(node: PartitionTreeNode) -> PartitionTreeNode:
         return PartitionTreeNode(
@@ -264,14 +252,33 @@ def _splice_repartition(index, u: int, v: int) -> None:
         parent_node = hq.tree_nodes[parent_id]
         parent_node.children[parent_node.children.index(old_node)] = new_subtree
         root = hq.tree_nodes[0]
-    index.hq = QueryHierarchy.from_partition_tree(root, graph.num_vertices)
+    return QueryHierarchy.from_partition_tree(root, skeleton.num_vertices)
+
+
+def _repartition(index, incomparable: list[tuple[int, int]]) -> None:
+    """Restore the separator property the *incomparable* new edges broke,
+    then rebuild H_U + L. The edges must already be in the graph."""
+    hq = index.hq
+    if hq.tree_nodes is None:
+        # Loaded from a snapshot: the partition tree was not persisted,
+        # so there is nothing to splice into — partition afresh.
+        fresh = type(index).build(index.graph, index.config)
+        index._adopt(fresh.hq, fresh.hu, fresh.labellings)
+        return
+    skeleton = index._skeleton(index.graph)
+    for u, v in incomparable:
+        # An earlier splice may already have separated this pair (always
+        # so for the second arc of a two-way road).
+        if not hq.comparable(u, v):
+            hq = _splice_repartition(index, hq, skeleton, u, v)
+    _rebuild(index, hq)
 
 
 # ---------------------------------------------------------------------------
-# the batch driver (undirected)
+# the batch driver
 # ---------------------------------------------------------------------------
 
-def _validate_insertion(graph, u: int, v: int, w: float) -> None:
+def _validate_insertion(u: int, v: int, w: float) -> None:
     if u == v:
         raise MaintenanceError(f"cannot insert a self-loop at vertex {u}")
     if not math.isfinite(w) or w < 0:
@@ -286,23 +293,27 @@ def apply_batch(
     deletions=(),
     weight_changes=(),
 ) -> StructuralStats:
-    """Apply one mixed structural batch to a :class:`DHLIndex` in place.
+    """Apply one mixed structural batch to an index in place.
 
     * *deletions* — ``(u, v)`` pairs; live edges become infinite-weight
       increases (the deletion fast path), already-dead or missing edges
       only bump the ``already_deleted`` counter.
     * *weight_changes* — ``(u, v, w)`` triples on existing edges,
       classified into the increase/decrease kernels as in
-      :meth:`DHLIndex.update` (a finite ``w`` on a dead edge is a
+      :meth:`IndexCore.update` (a finite ``w`` on a dead edge is a
       restore: a plain decrease).
     * *insertions* — ``(u, v, w)`` triples; an existing edge folds into
       a weight change, new edges take the closure fast path or a
-      fallback rebuild (see the module docstring).
+      fallback rebuild (see the module docstring). In a two-plane store
+      the directions share one structural CSR, so a new arc whose
+      reverse already exists (or whose pair survived as a shortcut) has
+      an empty closure: a pure weight decrease from ``inf``.
 
     Mutates the index (hierarchies, labels, engine are swapped on
     fallback) and returns a :class:`StructuralStats`.
     """
-    graph: Graph = index.graph
+    graph = index.graph
+    edge_key = index.hu.edge_key
     stats = StructuralStats()
 
     increases: list[tuple[int, int, float]] = []
@@ -317,9 +328,7 @@ def apply_batch(
 
     # Duplicate reports on one edge coalesce last-wins (sequential
     # semantics) — the kernels reject mixed-direction batches.
-    net_changes: dict[tuple[int, int], tuple[int, int, float]] = {}
-    for u, v, w in weight_changes:
-        net_changes[(u, v) if u <= v else (v, u)] = (u, v, w)
+    net_changes = {edge_key(u, v): (u, v, w) for u, v, w in weight_changes}
     for u, v, w in net_changes.values():
         current = graph.weight(u, v)
         if w > current:
@@ -331,7 +340,7 @@ def apply_batch(
 
     real_inserts: list[tuple[int, int, float]] = []
     for u, v, w in insertions:
-        _validate_insertion(graph, u, v, w)
+        _validate_insertion(u, v, w)
         if graph.has_edge(u, v):
             current = graph.weight(u, v)
             if w < current:
@@ -352,51 +361,44 @@ def apply_batch(
     return stats
 
 
-def _apply_insertions(index, inserts, stats: StructuralStats) -> None:
-    """Route genuinely new edges through the fast path or a fallback."""
-    graph: Graph = index.graph
-    hq: QueryHierarchy = index.hq
+def _fell_back(index, stats: StructuralStats) -> None:
+    """Record one fallback rebuild: every label may have moved."""
+    everyone = MaintenanceStats(
+        affected_labels=set(range(index.graph.num_vertices))
+    )
+    stats.maintenance = stats.maintenance.merge(everyone)
+    stats.fallback_rebuilds += 1
+    _bump(index, "fallback_rebuilds")
 
+
+def _apply_insertions(index, inserts, stats: StructuralStats) -> None:
+    """Route genuinely new edges down the ladder: closure fast path,
+    rebuild on the same H_Q, repartition."""
+    graph = index.graph
+    hq: QueryHierarchy = index.hq
+    hu = index.hu
+
+    # An incomparable pair genuinely invalidates the separator property
+    # of H_Q; only a repartition restores it.
     incomparable = [
         (u, v) for u, v, _ in inserts if not hq.comparable(u, v)
     ]
-    if incomparable:
-        # The separator property of H_Q is genuinely invalidated; only a
-        # repartition restores it, and that needs the partition tree.
-        if hq.tree_nodes is None:
-            raise MaintenanceError(
-                "index was loaded without its partition tree; the new "
-                f"edge{'s' if len(incomparable) > 1 else ''} "
-                f"{incomparable} join incomparable vertices and need a "
-                "repartition — rebuild the index to insert them"
-            )
-        with phase("structural.fallback_rebuild"):
-            for u, v, w in inserts:
-                graph.add_edge(u, v, w)
-            for u, v in incomparable:
-                _splice_repartition(index, u, v)
-            stats.maintenance = stats.maintenance.merge(
-                _rebuild_on_same_hq(index)
-            )
-        stats.repartitions = len(incomparable)
-        stats.fallback_rebuilds += 1
-        _bump(index, "fallback_rebuilds")
-        return
-
-    hu: UpdateHierarchy = index.hu
-    pairs = [_ordered_pair(hu.rank, u, v) for u, v, _ in inserts]
-    closure = _insertion_closure(
-        hu.csr, hu.rank, pairs, index.config.insert_closure_limit
-    )
+    closure = None
+    if not incomparable:
+        pairs = [_ordered_pair(hu.rank, u, v) for u, v, _ in inserts]
+        closure = _insertion_closure(
+            hu.csr, hu.rank, pairs, index.config.insert_closure_limit
+        )
     if closure is None:
         with phase("structural.fallback_rebuild"):
             for u, v, w in inserts:
                 graph.add_edge(u, v, w)
-            stats.maintenance = stats.maintenance.merge(
-                _rebuild_on_same_hq(index)
-            )
-        stats.fallback_rebuilds += 1
-        _bump(index, "fallback_rebuilds")
+            if incomparable:
+                _repartition(index, incomparable)
+            else:
+                _rebuild(index, hq)
+        stats.repartitions = len(incomparable)
+        _fell_back(index, stats)
         return
 
     with phase("structural.slot_alloc"):
@@ -419,11 +421,8 @@ def _apply_insertions(index, inserts, stats: StructuralStats) -> None:
             # already carries the final weights (the driver applies them
             # before sweeping); rebuild H_U + L from it.
             with phase("structural.fallback_rebuild"):
-                stats.maintenance = stats.maintenance.merge(
-                    _rebuild_on_same_hq(index)
-                )
-            stats.fallback_rebuilds += 1
-            _bump(index, "fallback_rebuilds")
+                _rebuild(index, hq)
+            _fell_back(index, stats)
             return
     stats.maintenance = stats.maintenance.merge(sweep)
     stats.fastpath_inserts = len(inserts)
@@ -446,18 +445,22 @@ def dead_fraction(store) -> float:
     return float(dead.mean()) if len(dead) else 0.0
 
 
-def _compact(index, labellings, graph_edges, remove_edge) -> CompactionStats:
-    """The compaction pass both families share.
+def compact_index(index) -> CompactionStats:
+    """Squeeze dead slots out of an index's stores, in place.
 
-    Dead slots leave ``index.hu``, the dead edges (arcs) listed by
-    *graph_edges* are removed physically with *remove_edge* and the
-    slack of every labelling is repacked; the bytes reclaimed are the
-    measured drop of the store's ``memory_bytes()`` plus the label slack.
+    Dead shortcut slots leave the CSR store, their (dead) graph edges
+    are removed physically — deletion becomes permanent — and the slack
+    of every labelling is repacked; the bytes reclaimed are the measured
+    drop of the store's ``memory_bytes()`` plus the label slack. Queried
+    distances are unchanged: every removed triangle contributed
+    ``inf``. Bumps the epoch when anything was reclaimed, which routes
+    worker/replica runtimes through their existing whole-buffer
+    republish path.
     """
-    hu = index.hu
+    hu, graph = index.hu, index.graph
     stats = CompactionStats()
     with phase("structural.compaction"):
-        label_bytes = sum(labels.compact() for labels in labellings)
+        label_bytes = sum(labels.compact() for labels in index.labellings)
         store_bytes = hu.memory_bytes()
         dead = _dead_slots(hu)
         stats.dead_slots_reclaimed = int(dead.sum())
@@ -468,9 +471,9 @@ def _compact(index, labellings, graph_edges, remove_edge) -> CompactionStats:
         # still physically dead in the graph — remove it even when no
         # slot was reclaimed, so restores always route through the
         # insertion path.
-        dead_edges = [(u, v) for u, v, w in graph_edges() if math.isinf(w)]
+        dead_edges = [(u, v) for u, v, w in graph.edges() if math.isinf(w)]
         for u, v in dead_edges:
-            remove_edge(u, v)
+            graph.remove_edge(u, v)
         if stats.bytes_reclaimed or dead_edges:
             index._epoch += 1
             index._refresh_size_stats()
@@ -478,189 +481,6 @@ def _compact(index, labellings, graph_edges, remove_edge) -> CompactionStats:
     _bump(index, "dead_slots_reclaimed", stats.dead_slots_reclaimed)
     _bump(index, "bytes_reclaimed", stats.bytes_reclaimed)
     return stats
-
-
-def compact_index(index) -> CompactionStats:
-    """Squeeze dead slots out of a :class:`DHLIndex`'s stores, in place.
-
-    Dead shortcut slots leave the CSR store, their (dead) graph edges
-    are removed physically — deletion becomes permanent — and label
-    slack is repacked. Queried distances are unchanged: every removed
-    triangle contributed ``inf``. Bumps the epoch when anything was
-    reclaimed, which routes worker/replica runtimes through their
-    existing whole-buffer republish path.
-    """
-    graph = index.graph
-    return _compact(index, [index.labels], graph.edges, graph.remove_edge)
-
-
-# ---------------------------------------------------------------------------
-# the batch driver (directed)
-# ---------------------------------------------------------------------------
-
-def apply_batch_directed(
-    index,
-    insertions=(),
-    deletions=(),
-    weight_changes=(),
-) -> StructuralStats:
-    """Directed counterpart of :func:`apply_batch` (arcs, not edges).
-
-    The two directions share one structural CSR, so a new arc whose
-    reverse already exists (or whose pair survived as a shortcut) is a
-    pure weight decrease from ``inf``. A structurally new pair takes the
-    same closure fast path over the shared skeleton, extending *both*
-    direction weight arrays; incomparable or over-budget insertions
-    rebuild the directed hierarchy (re-contract on the same H_Q).
-    """
-    digraph = index.digraph
-    stats = StructuralStats()
-
-    increases: list[tuple[int, int, float]] = []
-    decreases: list[tuple[int, int, float]] = []
-    for u, v in deletions:
-        if not digraph.has_arc(u, v) or math.isinf(digraph.weight(u, v)):
-            stats.already_deleted += 1
-            _bump(index, "already_deleted_edges")
-        else:
-            increases.append((u, v, math.inf))
-            stats.deleted += 1
-
-    # Duplicate reports on one arc coalesce last-wins (sequential
-    # semantics) — the kernels reject mixed-direction batches.
-    net_changes: dict[tuple[int, int], float] = {}
-    for u, v, w in weight_changes:
-        net_changes[(u, v)] = w
-    for (u, v), w in net_changes.items():
-        current = digraph.weight(u, v)
-        if w > current:
-            increases.append((u, v, w))
-            stats.weight_changed += 1
-        elif w < current:
-            decreases.append((u, v, w))
-            stats.weight_changed += 1
-
-    real_inserts: list[tuple[int, int, float]] = []
-    for u, v, w in insertions:
-        _validate_insertion(digraph, u, v, w)
-        if digraph.has_arc(u, v):
-            current = digraph.weight(u, v)
-            if w < current:
-                decreases.append((u, v, w))
-            elif w > current:
-                increases.append((u, v, w))
-            stats.weight_changed += 1
-        else:
-            real_inserts.append((u, v, w))
-
-    if increases:
-        stats.maintenance = stats.maintenance.merge(index.increase(increases))
-    if decreases:
-        stats.maintenance = stats.maintenance.merge(index.decrease(decreases))
-    if real_inserts:
-        stats.inserted = len(real_inserts)
-        _apply_directed_insertions(index, real_inserts, stats)
-    return stats
-
-
-def _rebuild_directed(index) -> MaintenanceStats:
-    """Re-contract the directed hierarchy on the same H_Q, in place."""
-    from repro.core.directed import DirectedUpdateHierarchy
-
-    index.hu = DirectedUpdateHierarchy.build(index.digraph, index.hq)
-    index.labels_out, index.labels_in = map(
-        build_labelling, index.hu.plane_views()
-    )
-    index._epoch += 1
-    index._refresh_size_stats()
-    return _full_affected_stats(index.digraph.num_vertices)
-
-
-def _apply_directed_insertions(index, inserts, stats: StructuralStats) -> None:
-    digraph = index.digraph
-    hq = index.hq
-    hu = index.hu
-
-    comparable = all(hq.comparable(u, v) for u, v, _ in inserts)
-    closure = None
-    if comparable:
-        pairs = [_ordered_pair(hu.rank, u, v) for u, v, _ in inserts]
-        closure = _insertion_closure(
-            hu.csr, hu.rank, pairs, index.config.insert_closure_limit
-        )
-    if closure is None:
-        # Over-budget closures re-contract on the same H_Q; incomparable
-        # pairs invalidate the shared skeleton's separators, so the rare
-        # incomparable case rebuilds the partition tree too (directed
-        # construction derives it from the digraph, no tree splice
-        # needed).
-        with phase("structural.fallback_rebuild"):
-            for u, v, w in inserts:
-                digraph.add_arc(u, v, w)
-            if comparable:
-                stats.maintenance = stats.maintenance.merge(
-                    _rebuild_directed(index)
-                )
-            else:
-                _rebuild_directed_full(index)
-                stats.maintenance = stats.maintenance.merge(
-                    _full_affected_stats(digraph.num_vertices)
-                )
-                stats.repartitions = sum(
-                    0 if hq.comparable(u, v) else 1 for u, v, _ in inserts
-                )
-        stats.fallback_rebuilds += 1
-        _bump(index, "fallback_rebuilds")
-        return
-
-    with phase("structural.slot_alloc"):
-        if closure:
-            new_lo = np.fromiter((p[0] for p in closure), np.int64, len(closure))
-            new_hi = np.fromiter((p[1] for p in closure), np.int64, len(closure))
-            extend_slots(hu, new_lo, new_hi)
-        for u, v, _ in inserts:
-            digraph.add_arc(u, v, 0.0)
-            digraph.set_weight(u, v, math.inf)
-    stats.new_slots = len(closure)
-
-    with phase("structural.fastpath_sweep"):
-        try:
-            sweep = index.decrease(inserts)
-        except StructuralFallbackRequired:
-            with phase("structural.fallback_rebuild"):
-                stats.maintenance = stats.maintenance.merge(
-                    _rebuild_directed(index)
-                )
-            stats.fallback_rebuilds += 1
-            _bump(index, "fallback_rebuilds")
-            return
-    stats.maintenance = stats.maintenance.merge(sweep)
-    stats.fastpath_inserts = len(inserts)
-    _bump(index, "fastpath_inserts", len(inserts))
-
-
-def _rebuild_directed_full(index) -> None:
-    """Full directed rebuild (new partition tree) adopted in place."""
-    from repro.core.directed import DirectedDHLIndex
-
-    fresh = DirectedDHLIndex.build(index.digraph, index.config)
-    index.hq = fresh.hq
-    index.hu = fresh.hu
-    index.labels_out = fresh.labels_out
-    index.labels_in = fresh.labels_in
-    index._epoch += 1
-    index._refresh_size_stats()
-
-
-def compact_directed_index(index) -> CompactionStats:
-    """Directed compaction: a slot dies when *both* directions are inf."""
-    digraph = index.digraph
-    return _compact(
-        index,
-        [index.labels_out, index.labels_in],
-        digraph.arcs,
-        digraph.remove_arc,
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -151,6 +151,15 @@ class DiGraph:
         self._version += 1
         return old
 
+    # The road vocabulary the index core, the structural driver and the
+    # snapshot writer speak (``Graph``'s names): on a digraph a road is
+    # an arc.
+    has_edge = has_arc
+    add_edge = add_arc
+    remove_edge = remove_arc
+    edges = arcs
+    num_edges = num_arcs
+
     def reversed(self) -> "DiGraph":
         """Return a new digraph with every arc reversed."""
         g = DiGraph(self.num_vertices, self.coords)

@@ -69,13 +69,13 @@ class ContractionResult:
         graph,
         order: np.ndarray,
         rank: np.ndarray,
-        up: list[list[int]],
-        *weight_rows: list[dict[int, float]],
+        csr: ShortcutCSR,
+        up_weights: np.ndarray,
     ):
         self.graph = graph
         self.order = np.asarray(order, dtype=np.int64)
         self.rank = np.asarray(rank, dtype=np.int64)
-        self.rebind(*build_shortcut_csr(up, self.rank, *weight_rows))
+        self.rebind(csr, up_weights)
 
     def rebind(self, csr: ShortcutCSR, up_weights: np.ndarray) -> None:
         """Swap in a new structure and its weight buffer.
@@ -113,10 +113,17 @@ class ContractionResult:
             raise KeyError(f"no shortcut ({a}, {b})")
         return cell
 
+    def plane_views(self) -> tuple:
+        """Every weight plane shaped like a one-plane store (``tau``,
+        ``csr``, that plane's ``up_weights``) — what Algorithm 1 and the
+        label sweeps read. With one plane that is the store itself."""
+        return (self,)
+
     def label_planes(self, labels) -> list[tuple]:
         """``(one-plane store, labelling)`` per weight plane — what the
-        label phase of the maintenance driver runs over."""
-        return [(self, labels)]
+        label phase of the maintenance driver runs over. *labels* holds
+        one labelling per plane."""
+        return list(zip(self.plane_views(), labels))
 
     # -- weight access --------------------------------------------------
     def has_shortcut(self, a: int, b: int) -> bool:
@@ -160,31 +167,35 @@ class ContractionResult:
 
     # -- invariant checks (used heavily in tests) ------------------------
     def verify_minimum_weight_property(self, tolerance: float = 0.0) -> None:
-        """Assert Property 3.1 for every shortcut; raises AssertionError."""
-        csr = self.csr
-        for v in range(csr.n):
-            start, end = csr.row_bounds(v)
-            for slot in range(start, end):
-                u = int(csr.indices[slot])
-                expected = self._recomputed_weight(v, u)
-                actual = float(self.up_weights[slot])
-                ok = (
-                    actual == expected
-                    or (math.isinf(actual) and math.isinf(expected))
-                    or abs(actual - expected) <= tolerance
-                )
-                assert ok, (
-                    f"shortcut ({v}, {u}): stored {actual}, recomputed {expected}"
-                )
+        """Assert Property 3.1 for every cell of every weight plane.
 
-    def _recomputed_weight(self, v: int, u: int) -> float:
-        graph = self.graph
-        best = graph.weight(v, u) if graph.has_edge(v, u) else math.inf
-        slots_v, slots_u = self.csr.common_down(v, u)
-        if len(slots_v):
-            triangles = self.up_weights[slots_v] + self.up_weights[slots_u]
-            best = min(best, float(triangles.min()))
-        return best
+        Cell ``(v, u)`` of plane 0 is the road ``v -> u``, of the second
+        of two planes ``u -> v``; each is the direct road min-combined
+        with every path through a common down-neighbour, whose first
+        leg descends (the opposite plane) and second leg ascends.
+        Raises AssertionError.
+        """
+        csr, graph, weights = self.csr, self.graph, self.up_weights
+        m = csr.num_slots
+        for cell in range(len(weights)):
+            plane, slot = divmod(cell, m)
+            v, u = int(csr.owners[slot]), int(csr.indices[slot])
+            a, b = (u, v) if plane else (v, u)
+            expected = graph.weight(a, b) if graph.has_edge(a, b) else math.inf
+            slots_v, slots_u = csr.common_down(v, u)
+            if len(slots_v):
+                triangles = (
+                    weights[slots_v + m * (self.planes - 1 - plane)]
+                    + weights[slots_u + m * plane]
+                )
+                expected = min(expected, float(triangles.min()))
+            actual = float(weights[cell])
+            ok = (
+                actual == expected
+                or (math.isinf(actual) and math.isinf(expected))
+                or abs(actual - expected) <= tolerance
+            )
+            assert ok, f"road {a} -> {b}: stored {actual}, recomputed {expected}"
 
 
 def contract_in_order(graph: Graph, order: Sequence[int]) -> ContractionResult:
@@ -226,7 +237,9 @@ def contract_in_order(graph: Graph, order: Sequence[int]) -> ContractionResult:
                     work_u[x] = candidate
                     work[x][u] = candidate
         nbrs.clear()
-    return ContractionResult(graph, order, rank, up, wup)
+    return ContractionResult(
+        graph, order, rank, *build_shortcut_csr(up, rank, wup)
+    )
 
 
 def min_degree_order(graph: Graph) -> list[int]:

@@ -158,9 +158,10 @@ def _direct_cell_weights(sc) -> _DirectCache:
         graph = sc.graph
         rank = sc.rank
         direct = np.full(len(sc.up_weights), math.inf, dtype=np.float64)
-        # A two-plane store weighs arcs: a -> b falls in plane 1 when it
-        # descends (``a`` the shallower endpoint).
-        triples = list(graph.arcs() if sc.planes == 2 else graph.edges())
+        # A two-plane store weighs arcs (a digraph's ``edges()``):
+        # a -> b falls in plane 1 when it descends (``a`` the shallower
+        # endpoint).
+        triples = list(graph.edges())
         if triples:
             arr = np.asarray([(u, v) for u, v, _ in triples], dtype=np.int64)
             ws = np.asarray([w for _, _, w in triples], dtype=np.float64)
@@ -361,9 +362,9 @@ def maintain(
 ) -> MaintenanceStats | None:
     """Apply one ``"decrease"`` / ``"increase"`` batch to ``(H_U, L)``.
 
-    *store* is the index's shortcut store and *labels* whatever its
-    ``label_planes`` pairs with its weight planes: the labelling of the
-    undirected hierarchy, the ``(out, in)`` pair of the directed one.
+    *store* is the index's shortcut store and *labels* one labelling
+    per weight plane of it (``label_planes`` pairs them up): a 1-tuple
+    for the undirected hierarchy, ``(out, in)`` for the directed one.
 
     Nothing is written unless the whole batch validates
     (:func:`validate_batch`). Returns ``None`` when no change moves a

@@ -203,15 +203,20 @@ class _TargetTables:
 
 
 class QueryEngine:
-    """Binds a query hierarchy and a labelling into a distance oracle.
+    """Binds a query hierarchy and its labels into a distance oracle.
+
+    The oracle is two-sided: ``d(s, t) = min_i labels[s][i] +
+    target_labels[t][i]``. An undirected index passes one labelling
+    (both sides are the same object); a directed one passes its
+    ``(out, in)`` pair.
 
     ``engine="compiled"`` routes the batch gather through the numba
     kernel of :mod:`repro.labelling.compiled` (one fused per-pair loop,
-    no temporaries at all) when the compiled package is usable; any
-    other value — or an unusable compiled package — runs the numpy
-    exact-K ragged gather, :func:`gather_pairs`. Constructing a compiled
-    engine triggers the JIT warmup so the first query batch never pays
-    compilation.
+    no temporaries at all) when the compiled package is usable and both
+    sides are one labelling; any other value — or an unusable compiled
+    package, or two labellings — runs the numpy exact-K ragged gather,
+    :func:`gather_pairs`. Constructing a compiled engine triggers the
+    JIT warmup so the first query batch never pays compilation.
 
     Three entry points, one live label store: :meth:`distance` (scalar),
     :meth:`distances_arrays` (independent pairs, ``sum(K)`` cells a side)
@@ -226,6 +231,7 @@ class QueryEngine:
     __slots__ = (
         "hq",
         "labels",
+        "target_labels",
         "engine",
         "_tables",
         "_hub_values",
@@ -237,10 +243,12 @@ class QueryEngine:
         self,
         hq: QueryHierarchy,
         labels: HierarchicalLabelling,
+        target_labels: HierarchicalLabelling | None = None,
         engine: str = "array",
     ):
         self.hq = hq
         self.labels = labels
+        self.target_labels = labels if target_labels is None else target_labels
         self.engine = engine
         self._tables: AncestorTables | None = None
         self._hub_values: np.ndarray | None = None
@@ -262,8 +270,7 @@ class QueryEngine:
         k = self.hq.common_ancestor_count(s, t)
         if k <= 0:
             return math.inf
-        labels = self.labels
-        total = labels.view(s)[:k] + labels.view(t)[:k]
+        total = self.labels.view(s)[:k] + self.target_labels.view(t)[:k]
         return float(total.min())
 
     def distance_with_hub(self, s: int, t: int) -> tuple[float, int]:
@@ -278,8 +285,7 @@ class QueryEngine:
         k = self.hq.common_ancestor_count(s, t)
         if k <= 0:
             return math.inf, -1
-        labels = self.labels
-        total = labels.view(s)[:k] + labels.view(t)[:k]
+        total = self.labels.view(s)[:k] + self.target_labels.view(t)[:k]
         i = int(np.argmin(total))
         best = float(total[i])
         if math.isinf(best):
@@ -365,6 +371,7 @@ class QueryEngine:
         tables = self._target_tables(targets)
         values = self.labels.values
         starts = self.labels.offsets
+        target = self.target_labels
         hubs, hub_offsets = self.hub_store()
 
         # The sources' chains, cut to their members of A: A is closed
@@ -389,8 +396,8 @@ class QueryEngine:
             c1 = min(c0 + col_step, len(targets))
             fill = slice(tables.col_starts[c0], tables.col_starts[c1])
             block = np.full((c1 - c0, height), np.inf, dtype=np.float64)
-            block[tables.col[fill] - c0, tables.row[fill]] = values[
-                starts[tables.vertex[fill]] + tables.rank[fill]
+            block[tables.col[fill] - c0, tables.row[fill]] = target.values[
+                target.offsets[tables.vertex[fill]] + tables.rank[fill]
             ]
             cap = max(1, _CHUNK_CELLS // (c1 - c0))
             lo = 0
@@ -415,15 +422,17 @@ class QueryEngine:
         self, s: np.ndarray, t: np.ndarray, k: np.ndarray, want_ranks: bool
     ) -> tuple[np.ndarray, np.ndarray | None]:
         """``(distances, argmin ranks)``: the one step that forks by engine."""
-        labels = self.labels
-        if self.engine == "compiled":
+        labels, target = self.labels, self.target_labels
+        # The compiled gather reads one store; two labellings run the
+        # numpy kernel, which is written over two.
+        if self.engine == "compiled" and labels is target:
             import repro.labelling.compiled as compiled
 
             if compiled.available():
                 return compiled.batch_query_compiled(
                     labels.values, labels.offsets, s, t, k
                 )
-        return gather_pairs(labels, s, labels, t, k, want_ranks)
+        return gather_pairs(labels, s, target, t, k, want_ranks)
 
     def _batch_kernel(
         self, s: np.ndarray, t: np.ndarray, want_hubs: bool

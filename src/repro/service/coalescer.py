@@ -183,12 +183,11 @@ class UpdateCoalescer:
     def drain(self, graph: Graph) -> CoalescedBatch:
         """Empty the buffer into its net batch against *graph*'s weights."""
         batch = CoalescedBatch()
-        has_edge = getattr(graph, "has_edge", None) or graph.has_arc
         for (u, v), (op, w) in self._pending.items():
             if op == _DELETE:
                 batch.deletions.append((u, v))
                 continue
-            if not has_edge(u, v):
+            if not graph.has_edge(u, v):
                 # A weight report on a compacted-away edge is a restore:
                 # it re-enters through the insertion path.
                 batch.insertions.append((u, v, w))

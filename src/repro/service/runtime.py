@@ -185,9 +185,14 @@ class InProcessRuntime(ExecutionRuntime):
 
     def __init__(self, index: DistanceBackend):
         self.index = index
-        # Hub-aware engines certify cached entries; backends without one
-        # (the directed index) still serve through the Protocol surface.
-        self._engine = getattr(index, "engine", None)
+
+    @property
+    def _engine(self):
+        """The backend's hub-aware engine, if it has one — its hubs
+        certify cached entries; a backend without one still serves
+        through the Protocol surface. Read per call: a structural
+        fallback rebuild makes the index adopt a new engine."""
+        return getattr(self.index, "engine", None)
 
     @property
     def backend(self) -> str:
@@ -197,16 +202,18 @@ class InProcessRuntime(ExecutionRuntime):
         return self.index.distances(pairs)
 
     def distances_with_hubs(self, pairs) -> tuple[np.ndarray, np.ndarray]:
-        if self._engine is not None:
-            return self._engine.distances_with_hubs(pairs)
+        engine = self._engine
+        if engine is not None:
+            return engine.distances_with_hubs(pairs)
         return super().distances_with_hubs(pairs)
 
     def distance(self, s: int, t: int) -> float:
         return self.index.distance(s, t)
 
     def distance_with_hub(self, s: int, t: int) -> tuple[float, int]:
-        if self._engine is not None:
-            return self._engine.distance_with_hub(s, t)
+        engine = self._engine
+        if engine is not None:
+            return engine.distance_with_hub(s, t)
         return super().distance_with_hub(s, t)
 
     def apply_update(

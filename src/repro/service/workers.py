@@ -139,23 +139,20 @@ class ShardExecutor:
     def bind(self, values: np.ndarray, offsets: np.ndarray) -> None:
         """Rebind the labelling + query engine onto fresh buffers."""
         from repro.labelling.labels import HierarchicalLabelling
-        from repro.labelling.query import QueryEngine
 
         self.values = values
         self.offsets = offsets
+        index = self.index
         labels = HierarchicalLabelling.from_shared_buffers(
-            values, offsets, self.index.hq.tau
+            values, offsets, index.hq.tau
         )
-        self.index.labels = labels
-        # Resolve the engine in the worker process: the compiled package
-        # probes (and warms) locally, so a numba-less worker downgrades
-        # cleanly even if the parent compiled.
-        self.index._engine = QueryEngine(
-            self.index.hq, labels, engine=self.index.config.resolve_engine()
-        )
+        # Adoption resolves the engine in the worker process: the
+        # compiled package probes (and warms) locally, so a numba-less
+        # worker downgrades cleanly even if the parent compiled.
+        index._adopt(index.hq, index.hu, (labels,))
         # Every fan reads the ancestor-chain store; build it while
         # attaching, not inside the first epoch-stamped batch.
-        self.index._engine.hub_store()
+        index.engine.hub_store()
 
     # -- maintenance ----------------------------------------------------
     def apply_delta(self, delta: EpochDelta) -> AckReply:

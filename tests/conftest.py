@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import heapq
+import math
 import multiprocessing
 import os
 
@@ -135,6 +137,24 @@ def forced_compiled(monkeypatch):
     import repro.labelling.compiled as compiled
 
     monkeypatch.setattr(compiled, "available", lambda: True)
+
+
+def directed_dijkstra(dg, source: int) -> list[float]:
+    """Single-source distances over a :class:`DiGraph`'s arcs (test oracle)."""
+    dist = [math.inf] * dg.num_vertices
+    dist[source] = 0.0
+    heap = [(0.0, source)]
+    seen: set[int] = set()
+    while heap:
+        d, v = heapq.heappop(heap)
+        if v in seen:
+            continue
+        seen.add(v)
+        for u, w in dg.out_neighbors(v).items():
+            if d + w < dist[u]:
+                dist[u] = d + w
+                heapq.heappush(heap, (d + w, u))
+    return dist
 
 
 def all_pairs_reference(graph: Graph) -> np.ndarray:

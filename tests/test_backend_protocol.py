@@ -53,6 +53,29 @@ def test_all_index_families_satisfy_the_protocol(mono, directed, sharded):
         assert isinstance(index, DistanceBackend), type(index).__name__
 
 
+def test_monolithic_families_share_one_public_surface():
+    """Both are the one index core; only the three one-plane
+    conveniences (path unpacking, single-edge restore, vertex deletion)
+    stay on the undirected index."""
+
+    def methods(cls):
+        return {
+            name
+            for name in dir(cls)
+            if not name.startswith("_") and callable(getattr(cls, name))
+        }
+
+    assert methods(DHLIndex) - methods(DirectedDHLIndex) == {
+        "shortest_path",
+        "restore_edge",
+        "delete_vertex",
+    }
+    assert methods(DirectedDHLIndex) <= methods(DHLIndex)
+    # ... and neither re-implements what the core owns.
+    for name in ("build", "update", "apply_batch", "compact", "save", "load", "verify"):
+        assert name not in vars(DHLIndex) and name not in vars(DirectedDHLIndex)
+
+
 def test_protocol_rejects_non_backends():
     assert not isinstance(object(), DistanceBackend)
     assert not isinstance(grid_network(2, 2), DistanceBackend)

@@ -19,7 +19,7 @@ from repro.labelling import query as query_module
 from repro.labelling.query import QueryEngine
 from repro.utils.rng import make_rng, sample_pairs
 from tests.strategies import caterpillar_index, connected_graphs
-from tests.test_directed import directed_dijkstra
+from tests.conftest import directed_dijkstra
 
 
 def scalar_distances(index, pairs):

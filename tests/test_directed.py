@@ -2,9 +2,6 @@
 
 from __future__ import annotations
 
-import heapq
-import math
-
 import numpy as np
 import pytest
 
@@ -14,23 +11,8 @@ from repro.core.index import DHLIndex
 from repro.exceptions import MaintenanceError
 from repro.graph.digraph import DiGraph
 from repro.graph.generators import grid_network, random_connected_graph
-
-
-def directed_dijkstra(dg: DiGraph, source: int) -> list[float]:
-    dist = [math.inf] * dg.num_vertices
-    dist[source] = 0.0
-    heap = [(0.0, source)]
-    seen: set[int] = set()
-    while heap:
-        d, v = heapq.heappop(heap)
-        if v in seen:
-            continue
-        seen.add(v)
-        for u, w in dg.out_neighbors(v).items():
-            if d + w < dist[u]:
-                dist[u] = d + w
-                heapq.heappush(heap, (d + w, u))
-    return dist
+from repro.service import DistanceService, InProcessRuntime
+from tests.conftest import directed_dijkstra
 
 
 @pytest.fixture
@@ -169,3 +151,94 @@ class TestDirectedDynamic:
         np.testing.assert_array_equal(indexes[0].in_weights, indexes[1].in_weights)
         assert indexes[0].labels_out.equals(indexes[1].labels_out)
         assert indexes[0].labels_in.equals(indexes[1].labels_in)
+
+
+class TestSharedCore:
+    """What the directed index gets by being the one index core over a
+    two-plane store: the invariant suite, real hubs, the set queries."""
+
+    def test_validate_true_runs_the_invariant_suite(self, asym_digraph, monkeypatch):
+        ran = []
+        monkeypatch.setattr(
+            DirectedDHLIndex, "verify", lambda self: ran.append(self.kind)
+        )
+        DirectedDHLIndex.build(asym_digraph.copy(), DHLConfig(leaf_size=4))
+        assert ran == []
+        DirectedDHLIndex.build(asym_digraph, DHLConfig(leaf_size=4, validate=True))
+        assert ran == ["directed"]
+
+    def test_verify_holds_after_burst_batch_and_compaction(self, asym_digraph):
+        idx = DirectedDHLIndex.build(asym_digraph, DHLConfig(leaf_size=4, seed=0))
+        arcs = list(asym_digraph.arcs())
+        idx.update([(u, v, 3 * w) for u, v, w in arcs[::5]])
+        idx.update([(u, v, w) for u, v, w in arcs[::10]])
+        dead = [(u, v) for u, v, _ in arcs[1:40:4]]
+        both = [(v, u) for u, v in dead if asym_digraph.has_arc(v, u)]
+        inserts = [
+            (a, b, 4.0)
+            for a, b in ((0, 31), (31, 0), (7, 52))
+            if not asym_digraph.has_arc(a, b)
+        ]
+        idx.apply_batch(insertions=inserts, deletions=dead + both)
+        assert idx.compact().dead_slots_reclaimed > 0
+        idx.verify()
+        for s in range(0, 60, 7):
+            ref = directed_dijkstra(asym_digraph, s)
+            assert idx.distances_from(s, range(60)).tolist() == ref
+
+    def test_verify_reads_the_second_plane(self, asym_digraph):
+        idx = DirectedDHLIndex.build(asym_digraph, DHLConfig(leaf_size=4, seed=0))
+        idx.verify()
+        finite = np.flatnonzero(np.isfinite(idx.in_weights))
+        idx.in_weights[finite[0]] += 1.0
+        with pytest.raises(AssertionError):
+            idx.verify()
+
+    def test_hubs_certify_the_distance(self, asym_digraph):
+        idx = DirectedDHLIndex.build(asym_digraph, DHLConfig(leaf_size=4, seed=0))
+        tau = idx.hq.tau
+        pairs = [(s, t) for s in range(0, 60, 4) for t in range(0, 60, 3)]
+        values, hubs = idx.engine.distances_with_hubs(pairs)
+        assert (hubs >= 0).sum() >= len(pairs) - 20  # only s == t has none
+        for (s, t), value, hub in zip(pairs, values.tolist(), hubs.tolist()):
+            assert idx.distance_with_hub(s, t) == (value, hub)
+            if hub >= 0:
+                certificate = (
+                    idx.labels_out.view(s)[tau[hub]] + idx.labels_in.view(t)[tau[hub]]
+                )
+                assert certificate == value == idx.distance(s, t)
+
+    def test_service_door_gets_real_hubs(self):
+        """The serving layer's per-pair eviction keys on the hub the
+        runtime reports; -1 everywhere would mean the hub test never
+        fires for this backend."""
+        g = random_connected_graph(60, extra_edges=50, seed=8)
+        idx = DirectedDHLIndex.build(
+            DiGraph.from_undirected(g), DHLConfig(leaf_size=4, seed=0)
+        )
+        runtime = InProcessRuntime(idx)
+        value, hub = runtime.distance_with_hub(0, 5)
+        assert (value, hub) == idx.distance_with_hub(0, 5) and hub >= 0
+        with DistanceService(idx, fine_grained_eviction=True) as service:
+            pairs = [(0, 5), (5, 0), (12, 40)]
+            np.testing.assert_array_equal(
+                service.distances(pairs), idx.distances(pairs)
+            )
+            assert (runtime.distances_with_hubs(pairs)[1] >= 0).all()
+
+    def test_set_queries_match_dijkstra_and_the_pair_kernel(self, asym_digraph):
+        idx = DirectedDHLIndex.build(asym_digraph, DHLConfig(leaf_size=4, seed=0))
+        sources, targets = np.arange(0, 60, 7), np.arange(3, 60, 4)
+        ref = np.array(
+            [[directed_dijkstra(asym_digraph, s)[t] for t in targets] for s in sources]
+        )
+        matrix = idx.engine.distance_matrix(sources, targets)
+        np.testing.assert_array_equal(matrix, ref)
+        expanded = [(s, t) for s in sources for t in targets]
+        np.testing.assert_array_equal(matrix.ravel(), idx.distances(expanded))
+        row = idx.distances_from(int(sources[1]), targets)
+        np.testing.assert_array_equal(row, ref[1])
+        order = np.argsort(ref[1], kind="stable")[:3]
+        assert idx.k_nearest(int(sources[1]), targets.tolist(), 3) == [
+            (int(targets[i]), ref[1][i]) for i in order
+        ]

@@ -150,7 +150,7 @@ class TestComplexityCounters:
         u = deepest
         v, w = next(iter(g.neighbors(u).items()))
         stats = maintain(
-            "increase", hu, labels, [(u, v, 2 * w)], DHLConfig(engine="reference")
+            "increase", hu, (labels,), [(u, v, 2 * w)], DHLConfig(engine="reference")
         )
         assert stats.entries_processed <= labels.num_entries * 0.2
         assert stats.labels_changed <= stats.entries_processed

@@ -69,6 +69,43 @@ class TestSaveLoad:
         assert (tmp_path / "idx" / "arrays.npz").exists()
 
 
+class TestStoreLoadsStraightFromTheArrays:
+    """The loader adopts the snapshot's flat CSR as the store; arrays
+    that are not a store are outside input and must be refused."""
+
+    def _rewrite(self, path, **replaced):
+        arrays = dict(np.load(path / "arrays.npz"))
+        arrays.update(replaced)
+        np.savez_compressed(path / "arrays.npz", **arrays)
+
+    def test_loaded_store_equals_the_saved_one(self, small_index, tmp_path):
+        small_index.save(tmp_path / "idx")
+        loaded = DHLIndex.load(tmp_path / "idx")
+        for name in ("indptr", "indices", "slot_keys", "down_indices", "down_slots"):
+            assert np.array_equal(
+                getattr(loaded.hu.csr, name), getattr(small_index.hu.csr, name)
+            ), name
+        assert np.array_equal(loaded.hu.up_weights, small_index.hu.up_weights)
+        assert loaded.hu.up_weights.flags.writeable
+        loaded.verify()
+
+    def test_unsorted_rows_are_rejected(self, small_index, tmp_path):
+        small_index.save(tmp_path / "idx")
+        csr = small_index.hu.csr
+        start = int(csr.indptr[np.argmax(np.diff(csr.indptr) > 1)])
+        swapped = csr.indices.copy()
+        swapped[[start, start + 1]] = swapped[[start + 1, start]]
+        self._rewrite(tmp_path / "idx", up_flat=swapped)
+        with pytest.raises(SerializationError, match="rank-sorted"):
+            DHLIndex.load(tmp_path / "idx", verify=False)
+
+    def test_misfitting_arrays_are_rejected(self, small_index, tmp_path):
+        small_index.save(tmp_path / "idx")
+        self._rewrite(tmp_path / "idx", wup_flat=small_index.hu.up_weights[:-1])
+        with pytest.raises(SerializationError, match="inconsistent"):
+            DHLIndex.load(tmp_path / "idx", verify=False)
+
+
 class TestDirectedLogicalDeletionRoundTrip:
     def test_saved_inf_arcs_reload(self, tmp_path):
         """Logically deleted arcs (weight inf) must survive save/load.

@@ -33,6 +33,7 @@ from repro.graph.graph import Graph
 from repro.hierarchy.csr import compact_slots
 from repro.service import DistanceService, ShardWorkerRuntime
 from repro.service.coalescer import UpdateCoalescer
+from tests.conftest import directed_dijkstra
 from tests.strategies import connected_graphs
 
 
@@ -351,7 +352,7 @@ def _triangle_over(index, need_edge: bool):
     *need_edge* picks whether ``x -> p`` must or must not be in the graph.
     """
     hu = index.hu
-    has_edge = getattr(index.graph, "has_arc", None) or index.graph.has_edge
+    has_edge = index.graph.has_edge
     for x in range(hu.csr.n):
         row = hu.csr.row(x).tolist()
         for i, p in enumerate(row):
@@ -372,6 +373,9 @@ FAMILIES = {
         DiGraph.from_undirected(graph), config
     ),
 }
+
+#: Each family's exact oracle over ``index.graph``.
+ROAD_DIJKSTRA = {"undirected": dijkstra, "directed": directed_dijkstra}
 
 
 @pytest.mark.parametrize("engine", ENGINES)
@@ -398,14 +402,112 @@ def test_insertion_onto_compacted_slot_falls_back_to_rebuild(
         _drop_pair(index.hu, q, o)
         stats = index.apply_batch(insertions=[(x, p, 0.0)])
         assert stats.fallback_rebuilds == 1 and stats.fastpath_inserts == 0
-        pairs = sample_pairs(index.graph.num_vertices, random.Random(5))
-        if family == "directed":
-            for s, t in pairs:
-                ref = directed_dijkstra(index.digraph, s)[t]
-                assert index.distance(s, t) == ref, (s, t)
-        else:
-            index.verify()
-            assert_matches_dijkstra(index, index.graph, pairs)
+        index.verify()
+        for s, t in sample_pairs(index.graph.num_vertices, random.Random(5)):
+            assert index.distance(s, t) == ROAD_DIJKSTRA[family](index.graph, s)[t]
+
+
+def _incomparable_pairs(index, count):
+    hq, n = index.hq, index.graph.num_vertices
+    pairs = [
+        (a, b)
+        for a in range(n)
+        for b in range(a + 1, n)
+        if not hq.comparable(a, b)
+    ]
+    return random.Random(3).sample(pairs, count)
+
+
+def _canonical(graph):
+    """*graph* with its adjacency in ``edges()`` order — the order a
+    digraph's skeleton has, so both families partition it alike."""
+    return Graph.from_edges(graph.num_vertices, graph.edges())
+
+
+@pytest.mark.parametrize("loaded", [False, True], ids=["built", "loaded"])
+def test_one_insertion_ladder_for_both_families(loaded, tmp_path, small_road):
+    """An incomparable insertion repartitions: a splice while the index
+    has its partition tree, a build from scratch once a snapshot dropped
+    it — in both families, with the same counters."""
+    graph = _canonical(small_road)
+    outcomes = {}
+    for family, build in FAMILIES.items():
+        index = build(graph, DHLConfig(leaf_size=6, seed=0))
+        if loaded:
+            index.save(tmp_path / family)
+            index = type(index).load(tmp_path / family)
+        assert (index.hq.tree_nodes is None) == loaded
+        (a, b), (c, d) = _incomparable_pairs(index, 2)
+        old_hq = index.hq
+        stats = index.apply_batch(insertions=[(a, b, 2.0), (d, c, 3.0)])
+        assert stats.repartitions == 2 and stats.fallback_rebuilds == 1
+        assert stats.fastpath_inserts == 0 and index.hq is not old_hq
+        # either rung leaves a tree to splice into next time
+        assert index.hq.tree_nodes is not None
+        index.verify()
+        for s, t in sample_pairs(index.graph.num_vertices, random.Random(5)):
+            assert index.distance(s, t) == ROAD_DIJKSTRA[family](index.graph, s)[t]
+        outcomes[family] = (stats.repartitions, stats.fallback_rebuilds, index.epoch)
+    assert outcomes["undirected"] == outcomes["directed"]
+
+
+def test_families_agree_on_a_symmetric_digraph(small_road):
+    """Same core, same skeleton: equal distances, equal hubs and equal
+    structural counters for the same (symmetric) batch."""
+    graph = _canonical(small_road)
+    config = DHLConfig(leaf_size=6, seed=0, insert_closure_limit=64)
+    mono, directed = (build(graph, config) for build in FAMILIES.values())
+    rng = random.Random(9)
+    edges = [(u, v, w) for u, v, w in graph.edges()]
+    victims = rng.sample(edges, 12)
+    reweighed = [(u, v, w + 5.0) for u, v, w in rng.sample(edges, 8)]
+    comparable = [
+        (a, b, 4.0)
+        for a in range(graph.num_vertices)
+        for b in range(a + 1, graph.num_vertices)
+        if not graph.has_edge(a, b) and mono.hq.comparable(a, b)
+    ]
+    new = rng.sample(comparable, 6)
+
+    def both(roads):
+        return roads + [(v, u, *w) for u, v, *w in roads]
+
+    batches = (
+        dict(deletions=[(u, v) for u, v, _ in victims], weight_changes=reweighed),
+        dict(insertions=new),
+        dict(insertions=[(*_incomparable_pairs(mono, 1)[0], 6.0)]),
+    )
+    pairs = sample_pairs(graph.num_vertices, rng, 200)
+    for batch in batches:
+        a = mono.apply_batch(**batch)
+        b = directed.apply_batch(**{k: both(v) for k, v in batch.items()})
+        # events and slots are counted once, roads once per arc
+        assert (a.fallback_rebuilds, a.new_slots) == (b.fallback_rebuilds, b.new_slots)
+        for per_road in ("inserted", "deleted", "fastpath_inserts", "repartitions"):
+            assert 2 * getattr(a, per_road) == getattr(b, per_road), per_road
+        values, hubs = mono.engine.distances_with_hubs(pairs)
+        dvalues, dhubs = directed.engine.distances_with_hubs(pairs)
+        np.testing.assert_array_equal(values, dvalues)
+        np.testing.assert_array_equal(hubs, dhubs)
+    assert mono.compact().dead_slots_reclaimed == (
+        directed.compact().dead_slots_reclaimed
+    )
+    directed.verify()
+
+
+def test_service_follows_a_fallback_rebuild(small_road):
+    """A rebuild adopts a new query engine; the in-process runtime must
+    not keep answering from the one it first saw."""
+    for family, build in FAMILIES.items():
+        index = build(small_road, DHLConfig(leaf_size=6, seed=0))
+        with DistanceService(
+            index, fine_grained_eviction=True, cache_capacity=1
+        ) as service:
+            a, b = _incomparable_pairs(index, 1)[0]
+            assert index.apply_batch(insertions=[(a, b, 1.0)]).repartitions == 1
+            pairs = sample_pairs(index.graph.num_vertices, random.Random(2), 60)
+            for (s, t), got in zip(pairs, service.distances(pairs)):
+                assert got == ROAD_DIJKSTRA[family](index.graph, s)[t], (s, t)
 
 
 def test_compaction_roundtrips_v2_snapshot(tmp_path, small_road):
@@ -451,25 +553,6 @@ def test_directed_compaction_roundtrips_v2_snapshot(tmp_path):
 # ---------------------------------------------------------------------------
 # directed differential
 # ---------------------------------------------------------------------------
-
-def directed_dijkstra(dg, source):
-    import heapq
-
-    dist = [math.inf] * dg.num_vertices
-    dist[source] = 0.0
-    heap = [(0.0, source)]
-    seen = set()
-    while heap:
-        d, x = heapq.heappop(heap)
-        if x in seen:
-            continue
-        seen.add(x)
-        for y, w in dg.out_neighbors(x).items():
-            if math.isfinite(w) and d + w < dist[y]:
-                dist[y] = d + w
-                heapq.heappush(heap, (d + w, y))
-    return dist
-
 
 def test_directed_batch_matches_dijkstra():
     g = random_connected_graph(60, extra_edges=50, seed=8)

@@ -18,6 +18,9 @@ state; only public API is used, so the script runs against either::
     python tools/directed_burst.py grid road
     PYTHONPATH=/path/to/parent/src python tools/directed_burst.py grid road
 
+The totals and digests are pinned (:data:`PINNED`) and a mismatch exits
+non-zero, which is what makes "same maintained state" a CI gate: every
+engine maintains the same bits, so the pins hold under ``--engine`` too.
 Times are only comparable between runs on one machine in one session.
 """
 
@@ -48,6 +51,13 @@ GRAPHS = {
 BURSTS = 20
 GROUP = 16
 
+#: ``(shortcuts_changed, labels_changed, digest)`` per graph, measured at
+#: ``8e68120``. A deliberate change of the maintained state re-pins them.
+PINNED = {
+    "grid": (50_382, 755_532, "eb69aebca4d8"),
+    "road": (1_995, 109_998, "7f590549c996"),
+}
+
 
 def skewed_digraph(graph) -> DiGraph:
     """Both directions of every edge, half the arcs made up to 24 dearer."""
@@ -72,7 +82,8 @@ def rolling_bursts(digraph: DiGraph) -> list[list[tuple[int, int, float]]]:
     return bursts
 
 
-def measure(name: str, engine: str) -> None:
+def measure(name: str, engine: str) -> bool:
+    """Replay the bursts on graph *name*; True when the pins hold."""
     digraph = skewed_digraph(GRAPHS[name]())
     index = DirectedDHLIndex.build(digraph, DHLConfig(seed=0, engine=engine))
     millis = []
@@ -91,13 +102,17 @@ def measure(name: str, engine: str) -> None:
         index.labels_in.values,
     ):
         digest.update(np.ascontiguousarray(buffer).tobytes())
+    got = (shortcuts, labels, digest.hexdigest()[:12])
     print(
         f"{name}: n={digraph.num_vertices} arcs={digraph.num_arcs}  "
         f"burst ms median {statistics.median(millis):.1f} "
         f"(min {min(millis):.1f}, max {max(millis):.1f})  "
         f"shortcuts_changed {shortcuts}  labels_changed {labels}  "
-        f"digest {digest.hexdigest()[:12]}"
+        f"digest {got[2]}"
     )
+    if got != PINNED[name]:
+        print(f"{name}: MISMATCH, pinned {PINNED[name]}", file=sys.stderr)
+    return got == PINNED[name]
 
 
 def main() -> None:
@@ -105,8 +120,10 @@ def main() -> None:
     parser.add_argument("graphs", nargs="+", choices=sorted(GRAPHS))
     parser.add_argument("--engine", default="array")
     args = parser.parse_args()
-    for name in args.graphs:
-        measure(name, args.engine)
+    # A list, not a generator: every graph is measured and printed even
+    # after one has missed its pins.
+    if not all([measure(name, args.engine) for name in args.graphs]):
+        sys.exit(1)
 
 
 if __name__ == "__main__":
