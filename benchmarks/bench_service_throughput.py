@@ -176,14 +176,7 @@ def run_update_quick(
     engine and the scalar reference engine, plus the serving-layer
     ``DistanceService.flush`` latency on the array engine — the number
     that bounds ``ShardWorkerRuntime`` epoch-broadcast staleness.
-
-    When numba is importable the numba-compiled engine joins the
-    matrix and the compiled/array throughput ratio is reported
-    (``update_compiled_over_array``, gated on the CI numba leg);
-    without numba the compiled leg is skipped with a notice and the
-    ratio key is simply absent.
     """
-    import repro.labelling.compiled as compiled_pkg
     from repro.service import DistanceService
 
     edges = list(graph.edges())
@@ -195,13 +188,6 @@ def run_update_quick(
     changes_per_roundtrip = 2 * len(batch)
 
     engines = ["array", "reference"]
-    if compiled_pkg.warmup_kernels():
-        engines.append("compiled")
-    else:
-        print(
-            "NOTE numba not available — skipping the compiled maintenance "
-            "leg (update_compiled_over_array will be absent)"
-        )
 
     throughput = {}
     indexes = {}
@@ -258,13 +244,6 @@ def run_update_quick(
         ),
         "flush_latency_ms": round(flush_seconds * 1000, 3),
     }
-    if "compiled" in throughput:
-        metrics["update_compiled_pairs_per_s"] = round(
-            throughput["compiled"], 1
-        )
-        metrics["update_compiled_over_array"] = round(
-            throughput["compiled"] / max(throughput["array"], 1e-9), 3
-        )
     return metrics, phases
 
 
@@ -840,37 +819,6 @@ def run_quick(
         lambda: engine._batch_kernel(s, t, want_hubs=False), repeats
     )
 
-    # Compiled query gather: same pairs, same flat store, fused numba
-    # loop. Ratio keys are absent (with a notice) when numba is missing,
-    # so the no-numba baseline and the CI numba leg stay comparable.
-    compiled_metrics = {}
-    import repro.labelling.compiled as compiled_pkg
-
-    if compiled_pkg.warmup_kernels():
-        from repro.labelling.query import QueryEngine
-
-        compiled_engine = QueryEngine(index.hq, index.labels, engine="compiled")
-        compiled_out = compiled_engine._batch_kernel(s, t, want_hubs=False)[0]
-        if not np.array_equal(reference, compiled_out):
-            raise AssertionError(
-                "compiled query gather disagrees with padded reference"
-            )
-        compiled_qps = num_pairs / best_of(
-            lambda: compiled_engine._batch_kernel(s, t, want_hubs=False),
-            repeats,
-        )
-        compiled_metrics = {
-            "query_compiled_pairs_per_s": round(compiled_qps, 1),
-            "query_compiled_over_array": round(
-                compiled_qps / zero_copy_qps, 3
-            ),
-        }
-    else:
-        print(
-            "NOTE numba not available — skipping the compiled query leg "
-            "(query_compiled_over_array will be absent)"
-        )
-
     service = DistanceService(index, cache_capacity=65_536)
     events = zipf_hotspot_traffic(
         index.graph, query_batches=20, batch_size=200, seed=1
@@ -902,7 +850,6 @@ def run_quick(
             # The worker-pool gate is interpreted against this: a
             # single-core runner cannot show a parallel win.
             "cpu_count": os.cpu_count() or 1,
-            "numba": bool(compiled_pkg.kernels.NUMBA_AVAILABLE),
             "mode": "quick",
         },
         "metrics": {
@@ -913,7 +860,6 @@ def run_quick(
             "zero_copy_over_per_pair": round(zero_copy_qps / per_pair_qps, 3),
             "replay_qps": round(replay_qps, 1),
             "cache_hit_rate": round(report.service.cache.hit_rate, 4),
-            **compiled_metrics,
             **update_metrics,
             **structural_metrics,
             **obs_metrics,

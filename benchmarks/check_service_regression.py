@@ -54,20 +54,6 @@ Machine-independent ratio invariants are also enforced:
   batch-update throughput on the same machine (a same-run ratio, so it
   is machine independent), and the serving-layer flush latency may not
   regress past the committed baseline times the tolerance;
-* when the current run was made with numba installed (the CI numba
-  leg), the compiled engine must hold at least parity
-  (``REPRO_COMPILED_FLOOR``, default 1x) with the array engine on the
-  batch-query gather ratio (``query_compiled_over_array``) and on the
-  batch-update ratio (``update_compiled_over_array``) — same-run
-  ratios, machine independent. Both floors are parity, not the 2x they
-  started at: each ratio's denominator is the default engine, so a
-  floor above 1 trips when the *array* engine gets faster — the round
-  sweeps did, then the exact-K ragged pair gather (2-3x the bucketed
-  kernel the gather's 2x was measured against) — which gates the wrong
-  thing; what it must catch is the compiled engine falling behind the
-  engine it is an opt-in replacement for. Runs without numba simply
-  omit the keys and the gate prints a skip notice instead of failing,
-  so the committed no-numba baseline stays valid on both CI legs;
 * the observability layer's enabled-metrics replay may cost at most
   ``MAX_OBSERVABILITY_OVERHEAD`` times the default null-stack replay of
   the same query batches (a same-run ratio) — the null-object design's
@@ -118,14 +104,6 @@ MAX_CROSS_SHARD_SLOWDOWN = 10.0
 # reference. 3x leaves runner-noise slack while still catching a lost
 # vectorised path (falling back to scalar work is worth far more).
 MIN_UPDATE_ENGINE_SPEEDUP = 3.0
-# The numba engine replaces the numpy round sweeps with fused
-# scalar-heap loops over the flat CSR buffers — no per-round array
-# temporaries, no searchsorted passes. Only gated when the current run
-# actually had numba (the CI compiled leg); a no-numba run omits the
-# ratio keys entirely and the gate prints a skip notice instead. The
-# floor is parity with the array engine on updates and on the query
-# gather alike (see the module docstring).
-MIN_COMPILED_SPEEDUP = float(os.environ.get("REPRO_COMPILED_FLOOR", 1.0))
 # Enabled-registry replay over null-stack replay on identical batches.
 # Per 512-pair batch the live stack adds a few counter increments and
 # one histogram bisect against ~ms of kernel work, so the true ratio
@@ -285,23 +263,6 @@ def check(current: dict, baseline: dict, tolerance: float) -> list[str]:
             "(array maintenance engine lost its batch-update advantage "
             "over the scalar reference)"
         )
-    for key, what in (
-        ("update_compiled_over_array", "batch-update"),
-        ("query_compiled_over_array", "batch-query gather"),
-    ):
-        ratio = cur.get(key)
-        if ratio is None:
-            print(
-                f"NOTE {key} absent from current run (numba not installed) "
-                "— compiled-engine gate skipped"
-            )
-        elif ratio < MIN_COMPILED_SPEEDUP:
-            failures.append(
-                f"{key}: {ratio} < {MIN_COMPILED_SPEEDUP} "
-                f"(the numba engine fell behind the numpy array engine on "
-                f"the {what}; REPRO_COMPILED_FLOOR overrides while "
-                "recalibrating)"
-            )
     update_tp = _require(cur, "update_throughput_pairs_per_s", failures)
     base_update_tp = base.get("update_throughput_pairs_per_s")
     if update_tp is not None and base_update_tp is not None:

@@ -29,15 +29,17 @@ class DHLConfig:
     engine:
         The four maintenance sweeps (Algorithms 2-5) the driver in
         :mod:`repro.labelling.driver` runs, and the batch query kernel.
-        ``"array"`` (default) runs the frontier-batched CSR kernels of
-        :mod:`repro.labelling.maintenance_kernels`; ``"compiled"`` runs
-        the numba-JIT scalar sweeps of
-        :mod:`repro.labelling.compiled` (downgrading to ``"array"``
-        with a one-time warning when numba is unavailable — see
-        :meth:`resolve_engine`); ``"reference"`` runs the scalar
-        one-pop-per-entry path. All engines produce identical labels,
-        change counts and affected sets — the reference exists for
-        differential testing.
+        ``"compiled"`` (default) runs the C kernels of
+        :mod:`repro.labelling.native`, built with the host's ``cc`` at
+        first use and cached per user; where they cannot be had (no
+        compiler, a failed build) it downgrades to ``"array"`` with a
+        one-time warning — see :meth:`resolve_engine`. ``"array"`` runs
+        the frontier-batched numpy kernels of
+        :mod:`repro.labelling.maintenance_kernels`; ``"reference"`` runs
+        the scalar one-pop-per-entry path. All engines produce identical
+        labels, change counts and affected sets — the reference exists
+        for differential testing. The engine belongs to the machine,
+        not the index: snapshots do not record it.
     validate:
         When True, run the (expensive) structural invariant checks after
         construction: comparability of shortcut endpoints and the
@@ -63,7 +65,7 @@ class DHLConfig:
     leaf_size: int = 8
     seed: int = 0
     coarsest_size: int = 120
-    engine: str = "array"
+    engine: str = "compiled"
     validate: bool = False
     insert_closure_limit: int = 4096
     compaction_threshold: float = 0.25
@@ -97,13 +99,13 @@ class DHLConfig:
         """The engine that will actually run.
 
         ``"array"`` and ``"reference"`` resolve to themselves.
-        ``"compiled"`` resolves to itself when the numba kernels are
-        usable and downgrades to ``"array"`` otherwise, emitting a
-        single ``RuntimeWarning`` per process — requesting the compiled
-        engine on a numba-less machine is never an error.
+        ``"compiled"`` resolves to itself when the native library loads
+        (compiling it on the first call a user ever makes) and
+        downgrades to ``"array"`` otherwise, emitting a single
+        ``RuntimeWarning`` per process that names the reason — a host
+        without a C compiler is never an error.
+        :func:`repro.labelling.native.status` has the details.
         """
-        if self.engine != "compiled":
-            return self.engine
-        from repro.labelling.compiled import resolved_engine
+        from repro.labelling.native import resolved_engine
 
         return resolved_engine(self.engine)

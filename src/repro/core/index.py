@@ -229,7 +229,8 @@ class IndexCore:
         ``changes`` holds ``(u, v, new_weight)`` triples whose new weight
         is at most the current one. The whole batch is validated before
         anything is written; ``config.engine`` names the sweeps that run
-        — the frontier-batched array kernels by default.
+        — the native kernels by default, the array rounds where no C
+        compiler exists.
         """
         return self._maintain("decrease", changes)
 
@@ -361,7 +362,8 @@ class IndexCore:
         entries = sum(labels.num_entries for labels in self.labellings)
         return (
             f"{type(self).__name__}(n={self.graph.num_vertices}, "
-            f"m={self.graph.num_edges}, entries={entries})"
+            f"m={self.graph.num_edges}, entries={entries}, "
+            f"engine={self._engine.engine})"
         )
 
 

@@ -281,20 +281,24 @@ def _config_payload(config) -> dict:
         "leaf_size": config.leaf_size,
         "seed": config.seed,
         "coarsest_size": config.coarsest_size,
-        "engine": config.engine,
         "validate": config.validate,
+        "insert_closure_limit": config.insert_closure_limit,
+        "compaction_threshold": config.compaction_threshold,
     }
 
 
 def _config_from_payload(payload: dict):
-    """Rebuild a ``DHLConfig``, keeping only the fields it still has.
+    """Rebuild a ``DHLConfig`` from the fields a snapshot may set.
 
-    Older snapshots carry retired keys (``workers``); dropping unknown
-    keys keeps every snapshot on disk loadable.
+    Older snapshots carry retired keys (``workers``) and an ``engine``;
+    both are dropped, which keeps every snapshot on disk loadable. The
+    engine is a property of the machine that loads, not of the index:
+    the default resolves it there. Keys a snapshot predates keep their
+    defaults.
     """
     from repro.core.config import DHLConfig
 
-    known = {f.name for f in dataclasses.fields(DHLConfig)}
+    known = {f.name for f in dataclasses.fields(DHLConfig)} - {"engine"}
     return DHLConfig(**{k: v for k, v in payload.items() if k in known})
 
 
@@ -442,20 +446,6 @@ def _store_from_payload(
     return ContractionResult(graph, order, rank, csr, up_weights)
 
 
-def _warmup_for(config) -> None:
-    """JIT-compile the numba kernels when a loaded index will use them.
-
-    Loading is the serving cold-start path: warming here keeps kernel
-    compilation off the first query/maintenance request. Without numba
-    it only runs the toy warmup sweep once; the downgrade warning comes
-    from the first engine resolution.
-    """
-    if config.engine == "compiled":
-        from repro.labelling.compiled import warmup_kernels
-
-        warmup_kernels()
-
-
 def load_index(
     path: Path, mmap_labels: bool = False, verify: bool = True, cls=None
 ):
@@ -487,7 +477,6 @@ def load_index(
     manifest = _read_manifest(path, layout.kind)
     data = np.load(path / "arrays.npz")
     config = _config_from_payload(manifest["config"])
-    _warmup_for(config)
 
     n = manifest["n"]
     if layout.kind == "directed":
@@ -578,7 +567,6 @@ def load_sharded_index(path: Path, mmap_labels: bool = False, verify: bool = Tru
         )
     graph = graph_from_json(json.dumps(manifest["graph"]))
     config = _config_from_payload(manifest["config"])
-    _warmup_for(config)
     region_of = np.load(path / "region_of.npy")
     partition = regions_from_assignment(graph, region_of)
     if partition.k != manifest["k"]:

@@ -17,6 +17,7 @@ import argparse
 import sys
 from pathlib import Path
 
+from repro.core.config import DHLConfig
 from repro.datasets.synthetic import dataset_names
 from repro.experiments.context import ExperimentContext
 from repro.experiments.figures import (
@@ -131,6 +132,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     selected = list(EXPERIMENTS) if "all" in args.experiments else args.experiments
     out_dir = Path(args.out)
+    print(f"[engine: {DHLConfig().resolve_engine()}]", file=sys.stderr)
     for key in selected:
         payload = EXPERIMENTS[key](ctx)
         print(payload["text"])

@@ -96,8 +96,8 @@ class Graph:
     def version(self) -> int:
         """Mutation counter: bumped by every weight or topology change.
 
-        Lets derived caches (e.g. the compiled engine's per-slot direct
-        edge weights) detect out-of-band mutations cheaply instead of
+        Lets derived caches (e.g. the maintenance driver's per-cell
+        direct edge weights) detect out-of-band mutations cheaply instead of
         re-reading the adjacency.
         """
         return self._version

@@ -9,10 +9,12 @@
   validation, seeding, stats and the engine table, over the four-sweep
   :class:`~repro.labelling.maintenance.Engine` contract (DH-U
   decrease/increase — Algorithms 2/3 — and DHL-/DHL+ — Algorithms 4/5).
+* :mod:`repro.labelling.native` — the default engine wherever a C
+  compiler exists: the pair query and the four sweeps as heap loops of
+  one C file, built at first use and called through ``ctypes``.
 * :mod:`repro.labelling.maintenance_kernels` — the frontier-batched
-  array engine (default): order-free rounds over the CSR shortcut
-  store's weight cells and the flat label buffer.
-* :mod:`repro.labelling.compiled` — the same sweeps as numba kernels.
+  array engine, what a compiler-less host runs: order-free numpy rounds
+  over the CSR shortcut store's weight cells and the flat label buffer.
 * :mod:`repro.labelling.maintenance` — the contract, the stats record
   and the scalar reference engine (the differential-test oracle).
 """

@@ -31,13 +31,6 @@ def build_labelling(hu) -> HierarchicalLabelling:
     ``v`` to its rank-``i`` ancestor — equivalently the interval-subgraph
     distance of Definition 4.11 (by Lemma 6.3 / Corollary 6.5).
     """
-    # JIT warmup rides on label construction: any maintenance or query
-    # after a build finds the compiled kernels ready (idempotent, and a
-    # no-op beyond a flag check when numba is absent).
-    from repro.labelling.compiled import warmup_kernels
-
-    warmup_kernels()
-
     tau = np.asarray(hu.tau, dtype=np.int64)
     n = len(tau)
     csr = hu.csr

@@ -26,9 +26,10 @@ from typing import Callable, Hashable, Iterable
 import numpy as np
 
 from repro.exceptions import MaintenanceError, StructuralFallbackRequired
-from repro.labelling import compiled, maintenance, maintenance_kernels
+from repro.labelling import maintenance, maintenance_kernels
 from repro.labelling.labels import HierarchicalLabelling
 from repro.labelling.maintenance import Engine, MaintenanceStats, WeightChange
+from repro.labelling.native import engine as native_engine
 from repro.observability.phases import collect_phases, phase, phases_active
 from repro.utils.ragged import expand
 
@@ -40,13 +41,14 @@ __all__ = [
     "split_batch",
 ]
 
-#: ``DHLConfig.engine`` name -> implementation. ``array`` and
-#: ``compiled`` are the production engines; ``reference`` is the scalar
-#: oracle the differential tests compare them against (and what the
-#: baselines run).
+#: Resolved ``DHLConfig.engine`` name -> implementation. ``compiled``
+#: (the C kernels, wherever they load) and ``array`` (numpy rounds, the
+#: engine of a compiler-less host) are the production engines;
+#: ``reference`` is the scalar oracle the differential tests compare
+#: them against (and what the baselines run).
 ENGINES: dict[str, Engine] = {
     "array": maintenance_kernels.ENGINE,
-    "compiled": compiled.ENGINE,
+    "compiled": native_engine.ENGINE,
     "reference": maintenance.ENGINE,
 }
 

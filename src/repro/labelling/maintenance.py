@@ -22,7 +22,7 @@ sweeps :mod:`repro.labelling.driver` calls) and its one-pop-per-entry
 *reference* implementation, selected with
 ``DHLConfig(engine="reference")``. Production updates run the
 frontier-batched kernels in :mod:`repro.labelling.maintenance_kernels`
-or the compiled ones in :mod:`repro.labelling.compiled`, which must
+or the C ones of :mod:`repro.labelling.native`, which must
 produce identical labels, change counts and affected sets — the
 differential property tests rely on it.
 

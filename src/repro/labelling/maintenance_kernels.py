@@ -43,7 +43,7 @@ included (1.2-1.4x the ordered sweep's count on the bench graphs).
 
 What the rounds buy is their number. A burst's work chains through
 shortcut *hops*, not through ``tau`` levels: measured on the benchmark's
-graphs (rolling 16-change bursts, 2 cores, no numba; ms per burst,
+graphs (rolling 16-change bursts, 2 cores; ms per burst,
 best of three runs of the per-burst median, ordered level/layer sweeps
 -> rounds):
 

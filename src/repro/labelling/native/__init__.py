@@ -1,0 +1,262 @@
+"""The native engine behind ``DHLConfig(engine="compiled")``: one C file.
+
+:mod:`dhl_kernels.c <repro.labelling.native>` (package data, plain C99,
+no ``Python.h``) holds the pair query and the four maintenance sweeps.
+This module builds it at first use and opens it with :mod:`ctypes`:
+
+* :func:`library` — the loaded library, or None where it cannot be had.
+  The first call compiles ``cc -O3 -fPIC -shared -ffp-contract=off``
+  into a per-user cache (``$XDG_CACHE_HOME`` or ``~/.cache``, then
+  ``repro-dhl/``; ``<tmp>/repro-dhl-<uid>`` where neither is usable),
+  under a name keyed by SHA-1 of the source and the compiler binary's
+  identity (resolved path, size, mtime), so a changed kernel or
+  compiler never loads a stale file and every process after the first
+  just ``dlopen``\\ s, spawning nothing. The build is written to a
+  temporary name and ``os.replace``\\ d, so processes racing on a cold
+  cache each end with a whole file; a file whose size is not the one
+  its name records (a torn write) is never opened. A directory that is
+  not the current user's, or that group/other may write, is never
+  loaded from — the build goes to a fresh private directory — and
+  neither is such a library. A cached file that does not open, or
+  lacks a symbol, is rebuilt once.
+* :func:`status` — ``(engine, reason, library_path, compile_seconds)``
+  of that one resolution; ``compile_seconds`` is None when the cache was
+  warm.
+* :func:`resolved_engine` — ``"compiled"`` stays itself when the
+  library loads and downgrades to ``"array"`` otherwise (no compiler, a
+  failed compile, an unloadable file), with one ``RuntimeWarning`` per
+  process naming the reason. The choice is read off the platform; there
+  is no option for it.
+
+The validating wrappers over the exported functions are in
+:mod:`repro.labelling.native.engine`.
+"""
+
+from __future__ import annotations
+
+import ctypes
+import hashlib
+import os
+import shutil
+import stat
+import subprocess
+import tempfile
+import threading
+import time
+import warnings
+from pathlib import Path
+from typing import NamedTuple
+
+from repro.observability.phases import phase
+
+__all__ = ["EngineStatus", "library", "resolved_engine", "status"]
+
+SOURCE = Path(__file__).with_name("dhl_kernels.c")
+_CFLAGS = ("-O3", "-fPIC", "-shared", "-ffp-contract=off")
+_COMPILERS = ("cc", "gcc", "clang")
+
+_i64, _ptr = ctypes.c_int64, ctypes.c_void_p
+#: ``name -> (restype, argtypes)`` of every exported function; pointers
+#: travel as the integer address ``ndarray.ctypes.data`` gives.
+SIGNATURES = {
+    "dhl_gather_pairs": (None, [_i64] + [_ptr] * 11 + [_i64] + [_ptr] * 3),
+    "dhl_shortcut_decrease": (
+        ctypes.c_int,
+        [_i64, _ptr, _i64, _ptr, _i64] + [_ptr] * 7,
+    ),
+    "dhl_shortcut_increase": (
+        _i64,
+        [_i64, _ptr, _i64, _ptr, _i64] + [_ptr] * 11,
+    ),
+    "dhl_label_decrease": (
+        _i64,
+        [_i64, _ptr, _i64, _ptr, _i64] + [_ptr] * 7,
+    ),
+    "dhl_label_increase": (
+        ctypes.c_int,
+        [_i64, _ptr, _ptr, _i64, _ptr, _i64] + [_ptr] * 10,
+    ),
+}
+
+
+class EngineStatus(NamedTuple):
+    """What the one resolution of this process found."""
+
+    engine: str
+    reason: str
+    library_path: str | None
+    compile_seconds: float | None
+
+
+class _Unavailable(Exception):
+    """The library cannot be had; the message is the downgrade reason."""
+
+
+class _State:
+    """The process's single resolution, made under ``lock`` on first use."""
+
+    def __init__(self) -> None:
+        self.lock = threading.Lock()
+        self.status: EngineStatus | None = None
+        self.library: ctypes.CDLL | None = None
+        self.warned = False
+
+
+_state = _State()
+
+
+def _private(path: Path) -> bool:
+    """Owned by this user and not writable by group or other."""
+    info = path.stat()
+    return info.st_uid == os.getuid() and not info.st_mode & (
+        stat.S_IWGRP | stat.S_IWOTH
+    )
+
+
+def _cache_dir() -> Path:
+    """A directory only this user can write: the per-user cache, else a
+    fresh temporary one."""
+    home = os.environ.get("XDG_CACHE_HOME") or os.path.expanduser("~/.cache")
+    shared_tmp = Path(tempfile.gettempdir()) / f"repro-dhl-{os.getuid()}"
+    for candidate in (Path(home) / "repro-dhl", shared_tmp):
+        try:
+            candidate.mkdir(mode=0o700, parents=True, exist_ok=True)
+            if _private(candidate) and os.access(candidate, os.W_OK | os.X_OK):
+                return candidate
+        except OSError:
+            continue
+    return Path(tempfile.mkdtemp(prefix="repro-dhl-"))
+
+
+def _compiler() -> tuple[str, str]:
+    """``(path, identity)`` of the first C compiler on ``PATH``.
+
+    The identity is the resolved binary's path, size and mtime rather
+    than its ``--version`` banner: a warm start must not spawn a process
+    (a child forked from a serving process is as large as its parent
+    until it execs, and ``RUSAGE_CHILDREN`` remembers that).
+    """
+    for name in _COMPILERS:
+        path = shutil.which(name)
+        if path is not None:
+            real = os.path.realpath(path)
+            info = os.stat(real)
+            return path, f"{real}:{info.st_size}:{info.st_mtime_ns}"
+    raise _Unavailable("no C compiler (cc, gcc, clang) on PATH")
+
+
+def _compile(cc: str, cache: Path, digest: str) -> tuple[Path, float]:
+    """Build the library under a temporary name in *cache*, then move it
+    into place under its final one; returns that and the seconds taken."""
+    start = time.perf_counter()
+    tmp = None
+    try:
+        fd, tmp = tempfile.mkstemp(dir=cache, suffix=".tmp")
+        os.close(fd)
+        with phase("build.native_compile"):
+            done = subprocess.run(
+                [cc, *_CFLAGS, "-o", tmp, str(SOURCE)],
+                capture_output=True, text=True, timeout=300,
+            )
+        if done.returncode != 0:
+            tail = done.stderr.strip().splitlines()[-1:] or ["no output"]
+            raise _Unavailable(f"{cc} exited {done.returncode}: {tail[0]}")
+        os.chmod(tmp, 0o700)
+        target = cache / f"dhl_kernels-{digest}-{os.path.getsize(tmp)}.so"
+        os.replace(tmp, target)
+    except (OSError, subprocess.SubprocessError) as exc:
+        raise _Unavailable(f"compiling {SOURCE.name} failed: {exc}") from exc
+    finally:
+        if tmp is not None and os.path.exists(tmp):
+            os.unlink(tmp)
+    return target, time.perf_counter() - start
+
+
+def _cached(cache: Path, digest: str) -> Path | None:
+    """A whole, private build of this source in *cache*, if there is one.
+
+    A library's byte count is part of its name and a file of any other
+    size is not opened: the dynamic loader maps a torn file as its
+    headers describe it and faults past the end instead of failing.
+    """
+    for path in sorted(cache.glob(f"dhl_kernels-{digest}-*.so")):
+        size = path.stem.rpartition("-")[2]
+        if size.isdigit() and path.stat().st_size == int(size) and _private(path):
+            return path
+    return None
+
+
+def _open(path: Path) -> ctypes.CDLL:
+    """``dlopen`` *path* and declare every exported function's types."""
+    lib = ctypes.CDLL(str(path))
+    try:
+        for name, (restype, argtypes) in SIGNATURES.items():
+            fn = getattr(lib, name)
+            fn.restype = restype
+            fn.argtypes = argtypes
+    except AttributeError:
+        # Unload it, or a rebuilt file of the same name would resolve to
+        # this stale mapping.
+        from _ctypes import dlclose
+
+        dlclose(lib._handle)
+        raise
+    return lib
+
+
+def _load() -> tuple[ctypes.CDLL, Path, float | None]:
+    cc, identity = _compiler()
+    digest = hashlib.sha1(SOURCE.read_bytes() + identity.encode()).hexdigest()[:16]
+    cache = _cache_dir()
+    cached = _cached(cache, digest)
+    if cached is not None:
+        try:
+            return _open(cached), cached, None
+        except (OSError, AttributeError):
+            pass  # not a loadable build of this source: rebuild once
+    built, seconds = _compile(cc, cache, digest)
+    try:
+        return _open(built), built, seconds
+    except (OSError, AttributeError) as exc:
+        raise _Unavailable(f"{built} does not load: {exc}") from exc
+
+
+def _resolve() -> _State:
+    state = _state
+    if state.status is None:
+        with state.lock:
+            if state.status is None:
+                try:
+                    state.library, path, seconds = _load()
+                    state.status = EngineStatus(
+                        "compiled", "native library loaded", str(path), seconds
+                    )
+                except _Unavailable as exc:
+                    state.status = EngineStatus("array", str(exc), None, None)
+    return state
+
+
+def library() -> ctypes.CDLL | None:
+    """The loaded kernel library; None when this platform cannot have it."""
+    return _resolve().library
+
+
+def status() -> EngineStatus:
+    """``(engine, reason, library_path, compile_seconds)`` of this process."""
+    return _resolve().status
+
+
+def resolved_engine(requested: str) -> str:
+    """The engine that will run for *requested* (compiled may downgrade)."""
+    if requested != "compiled":
+        return requested
+    state = _resolve()
+    if state.library is None and not state.warned:
+        state.warned = True
+        warnings.warn(
+            f"the native DHL kernels are unavailable ({state.status.reason}); "
+            "falling back to the numpy array engine",
+            RuntimeWarning,
+            stacklevel=3,
+        )
+    return state.status.engine

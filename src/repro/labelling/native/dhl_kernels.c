@@ -1,0 +1,494 @@
+/*
+ * DHL kernels over the flat CSR buffers: the pair query (Section 4.3)
+ * and the four maintenance sweeps of the Engine contract (Algorithms
+ * 2-5). Plain C99 over int64_t / double / uint8_t pointers; built at
+ * first use by repro.labelling.native and called through ctypes, which
+ * validates dtype, contiguity and lengths and range-checks every vertex
+ * id before a pointer gets here.
+ *
+ * The sweeps are scalar fixpoints in the paper's order (shortcuts
+ * deepest owner first, label entries shallowest vertex first) over an
+ * array-backed binary min-heap. The heap is lazy: an in_queue byte per
+ * item drops pushes of queued items, and an item re-enters after its
+ * pop. Every relaxation carries the strict-improvement or
+ * exact-equality guard of the reference engine, so weights and labels
+ * converge to the same bits. Scratch is O(touched): the heap grows by
+ * doubling from the seed count; only the in_queue map is sized to the
+ * store. A failed allocation returns DHL_NOMEM with the caller's
+ * changed marks still describing every write made so far.
+ *
+ * Build: cc -O3 -fPIC -shared -ffp-contract=off (no -ffast-math: sums
+ * must round exactly as numpy's do).
+ */
+
+#include <math.h>
+#include <stdint.h>
+#include <stdlib.h>
+
+#define DHL_NOMEM (-1)
+
+/* ------------------------------------------------------------------ */
+/* lazy binary min-heap of (key, item)                                 */
+/* ------------------------------------------------------------------ */
+
+typedef struct {
+    int64_t *keys;
+    int64_t *items;
+    uint8_t *in_queue;
+    int64_t size;
+    int64_t cap;
+} heap_t;
+
+static int heap_init(heap_t *h, int64_t universe, int64_t seeds) {
+    h->size = 0;
+    h->cap = seeds > 16 ? seeds : 16;
+    h->keys = malloc((size_t)h->cap * sizeof(int64_t));
+    h->items = malloc((size_t)h->cap * sizeof(int64_t));
+    h->in_queue = calloc(universe > 0 ? (size_t)universe : 1, 1);
+    return (h->keys && h->items && h->in_queue) ? 0 : DHL_NOMEM;
+}
+
+static void heap_free(heap_t *h) {
+    free(h->keys);
+    free(h->items);
+    free(h->in_queue);
+}
+
+/* Queue item unless it is queued already; DHL_NOMEM when growth fails. */
+static int heap_push(heap_t *h, int64_t key, int64_t item) {
+    if (h->in_queue[item])
+        return 0;
+    if (h->size == h->cap) {
+        int64_t cap = 2 * h->cap;
+        int64_t *keys = realloc(h->keys, (size_t)cap * sizeof(int64_t));
+        if (!keys)
+            return DHL_NOMEM;
+        h->keys = keys;
+        int64_t *items = realloc(h->items, (size_t)cap * sizeof(int64_t));
+        if (!items)
+            return DHL_NOMEM;
+        h->items = items;
+        h->cap = cap;
+    }
+    h->in_queue[item] = 1;
+    int64_t i = h->size++;
+    while (i > 0) {
+        int64_t parent = (i - 1) >> 1;
+        if (h->keys[parent] <= key)
+            break;
+        h->keys[i] = h->keys[parent];
+        h->items[i] = h->items[parent];
+        i = parent;
+    }
+    h->keys[i] = key;
+    h->items[i] = item;
+    return 0;
+}
+
+static int64_t heap_pop(heap_t *h) {
+    int64_t top = h->items[0];
+    int64_t size = --h->size;
+    if (size > 0) {
+        int64_t key = h->keys[size], item = h->items[size];
+        int64_t i = 0;
+        for (;;) {
+            int64_t child = 2 * i + 1;
+            if (child >= size)
+                break;
+            if (child + 1 < size && h->keys[child + 1] < h->keys[child])
+                child++;
+            if (key <= h->keys[child])
+                break;
+            h->keys[i] = h->keys[child];
+            h->items[i] = h->items[child];
+            i = child;
+        }
+        h->keys[i] = key;
+        h->items[i] = item;
+    }
+    h->in_queue[top] = 0;
+    return top;
+}
+
+/* Vertex owning flat label position pos (capacity offsets, n + 1 long). */
+static int64_t vertex_of(const int64_t *offsets, int64_t n, int64_t pos) {
+    int64_t lo = 0, hi = n;
+    while (hi - lo > 1) {
+        int64_t mid = (lo + hi) >> 1;
+        if (offsets[mid] <= pos)
+            lo = mid;
+        else
+            hi = mid;
+    }
+    return lo;
+}
+
+/* Slot of pair (deeper, the vertex of contraction rank r): rows are
+   sorted by rank, so one binary search of deeper's up row; -1 where
+   compaction removed the pair. */
+static int64_t find_slot(const int64_t *indptr, const int64_t *ranks,
+                         int64_t deeper, int64_t r) {
+    int64_t lo = indptr[deeper], hi = indptr[deeper + 1], end = hi;
+    while (lo < hi) {
+        int64_t mid = (lo + hi) >> 1;
+        if (ranks[mid] < r)
+            lo = mid + 1;
+        else
+            hi = mid;
+    }
+    return (lo < end && ranks[lo] == r) ? lo : -1;
+}
+
+/* ------------------------------------------------------------------ */
+/* pair query                                                          */
+/* ------------------------------------------------------------------ */
+
+/*
+ * out[p] = min over i < K of values_s[offsets_s[s[p]] + i]
+ *                          + values_t[offsets_t[t[p]] + i],
+ * gather_pairs' contract: K == 0 -> inf, s == t -> 0.0 and rank -1,
+ * ranks[p] the first minimising i (argmin's tie rule), -1 on inf;
+ * ranks may be NULL. K is k[p] when k is given; otherwise it is
+ * |anc(s) ∩ anc(t)| from AncestorTables' arrays: xor of the
+ * depth-aligned bitstrings, its bit length by clz, the node's vend
+ * chain at the LCA depth clamped by both tau.
+ */
+void dhl_gather_pairs(
+    int64_t count, const int64_t *s, const int64_t *t, const int64_t *k,
+    const double *values_s, const int64_t *offsets_s,
+    const double *values_t, const int64_t *offsets_t,
+    const int64_t *node_of, const int64_t *depth, const int64_t *bits,
+    const int64_t *chain, int64_t chain_width, const int64_t *tau,
+    double *out, int64_t *ranks)
+{
+    for (int64_t p = 0; p < count; p++) {
+        int64_t sv = s[p], tv = t[p];
+        if (ranks)
+            ranks[p] = -1;
+        if (sv == tv) {
+            out[p] = 0.0;
+            continue;
+        }
+        int64_t kk;
+        if (k) {
+            kk = k[p];
+        } else {
+            int64_t ns = node_of[sv], nt = node_of[tv];
+            int64_t ds = depth[ns], dt = depth[nt];
+            int64_t d = ds < dt ? ds : dt;
+            uint64_t diff =
+                (uint64_t)((bits[ns] >> (ds - d)) ^ (bits[nt] >> (dt - d)));
+            if (diff)
+                d -= 64 - __builtin_clzll(diff);
+            kk = chain[ns * chain_width + d] - 1;
+            if (tau[sv] < kk)
+                kk = tau[sv];
+            if (tau[tv] < kk)
+                kk = tau[tv];
+            kk += 1;
+        }
+        if (kk <= 0) {
+            out[p] = INFINITY;
+            continue;
+        }
+        const double *a = values_s + offsets_s[sv];
+        const double *b = values_t + offsets_t[tv];
+        /* Four running minima: the minimum of a set of doubles does not
+           depend on the order it is taken in. */
+        double m0 = INFINITY, m1 = INFINITY, m2 = INFINITY, m3 = INFINITY;
+        int64_t i = 0;
+        for (; i + 4 <= kk; i += 4) {
+            double c0 = a[i] + b[i], c1 = a[i + 1] + b[i + 1];
+            double c2 = a[i + 2] + b[i + 2], c3 = a[i + 3] + b[i + 3];
+            m0 = c0 < m0 ? c0 : m0;
+            m1 = c1 < m1 ? c1 : m1;
+            m2 = c2 < m2 ? c2 : m2;
+            m3 = c3 < m3 ? c3 : m3;
+        }
+        for (; i < kk; i++) {
+            double c = a[i] + b[i];
+            m0 = c < m0 ? c : m0;
+        }
+        m0 = m1 < m0 ? m1 : m0;
+        m2 = m3 < m2 ? m3 : m2;
+        m0 = m2 < m0 ? m2 : m0;
+        out[p] = m0;
+        if (ranks && m0 < INFINITY) {
+            i = 0;
+            while (a[i] + b[i] != m0)
+                i++;
+            ranks[p] = i;
+        }
+    }
+}
+
+/* ------------------------------------------------------------------ */
+/* shortcut sweeps (Algorithms 2 and 3)                                */
+/* ------------------------------------------------------------------ */
+
+/*
+ * weights holds num_cells = m * planes cells, cell = slot + m * plane.
+ * A triangle through owner v from cell (v, w, plane) reads its second
+ * leg (v, o) from the opposite plane and lands on pair (w, o), a slot of
+ * the deeper endpoint's row, in plane (rank[o] > rank[w]) xor plane.
+ * With one plane every offset is zero.
+ */
+
+/*
+ * Algorithm 2 from the lowered (and pre-marked) seed cells: chaotic
+ * min-relaxation, deepest owner first. Pushes go strictly shallower
+ * than the popping owner, so every cell pops at most once. Returns 1,
+ * stopping early, when a finite candidate targets a pair compaction
+ * removed (the contract's fallback signal), 0 otherwise.
+ */
+int dhl_shortcut_decrease(
+    int64_t num_seeds, const int64_t *seeds,
+    int64_t num_cells, double *weights,
+    int64_t m, const int64_t *indptr, const int64_t *indices,
+    const int64_t *ranks, const int64_t *owners, const int64_t *rank,
+    uint8_t *changed, double *first_old)
+{
+    heap_t h;
+    int status = heap_init(&h, num_cells, num_seeds);
+    int64_t last = num_cells - m; /* offset of the last plane */
+    for (int64_t i = 0; !status && i < num_seeds; i++)
+        status = heap_push(&h, rank[owners[seeds[i] % m]], seeds[i]);
+    while (!status && h.size > 0) {
+        int64_t cell = heap_pop(&h);
+        int64_t slot = cell % m, own = cell - slot, opposite = last - own;
+        int64_t v = owners[slot], a = indices[slot], ra = ranks[slot];
+        double w_vw = weights[cell];
+        for (int64_t leg = indptr[v]; leg < indptr[v + 1]; leg++) {
+            if (leg == slot)
+                continue;
+            double cand = w_vw + weights[leg + opposite];
+            int64_t rb = ranks[leg], tslot, plane;
+            if (ra < rb) {
+                tslot = find_slot(indptr, ranks, a, rb);
+                plane = opposite;
+            } else {
+                tslot = find_slot(indptr, ranks, indices[leg], ra);
+                plane = own;
+            }
+            if (tslot < 0) {
+                /* The pair was inf when the store was compacted: an inf
+                   candidate could never win, a finite one (only an
+                   insertion-seeded sweep makes it) has no slot. */
+                if (cand < INFINITY) {
+                    status = 1;
+                    break;
+                }
+                continue;
+            }
+            int64_t target = tslot + plane;
+            if (weights[target] > cand) {
+                if (!changed[target]) {
+                    changed[target] = 1;
+                    first_old[target] = weights[target];
+                }
+                weights[target] = cand;
+                if (heap_push(&h, rank[owners[tslot]], target)) {
+                    status = DHL_NOMEM;
+                    break;
+                }
+            }
+        }
+    }
+    heap_free(&h);
+    return status;
+}
+
+/*
+ * Algorithm 3 over the suspect seed cells, deepest owner first. A
+ * popped cell (v, w, plane) is recomputed as the min of direct[cell]
+ * and, over the common down-neighbours x (both down rows are sorted by
+ * vertex id), W[(x, v), opposite plane] + W[(x, w), own plane]. When it
+ * moves, every shallower pair whose stored weight equals the old
+ * chained value is queued. Returns the pop count, DHL_NOMEM on failure.
+ */
+int64_t dhl_shortcut_increase(
+    int64_t num_seeds, const int64_t *seeds,
+    int64_t num_cells, double *weights,
+    int64_t m, const int64_t *indptr, const int64_t *indices,
+    const int64_t *ranks, const int64_t *owners,
+    const int64_t *down_indptr, const int64_t *down_indices,
+    const int64_t *down_slots, const double *direct, const int64_t *rank,
+    uint8_t *changed, double *first_old)
+{
+    heap_t h;
+    int status = heap_init(&h, num_cells, num_seeds);
+    int64_t last = num_cells - m;
+    int64_t pops = 0;
+    for (int64_t i = 0; !status && i < num_seeds; i++)
+        status = heap_push(&h, rank[owners[seeds[i] % m]], seeds[i]);
+    while (!status && h.size > 0) {
+        int64_t cell = heap_pop(&h);
+        pops++;
+        int64_t slot = cell % m, own = cell - slot, opposite = last - own;
+        int64_t v = owners[slot], w = indices[slot];
+        double w_new = direct[cell];
+        int64_t pa = down_indptr[v], ea = down_indptr[v + 1];
+        int64_t pb = down_indptr[w], eb = down_indptr[w + 1];
+        while (pa < ea && pb < eb) {
+            int64_t xa = down_indices[pa], xb = down_indices[pb];
+            if (xa == xb) {
+                double cand = weights[down_slots[pa] + opposite]
+                            + weights[down_slots[pb] + own];
+                if (cand < w_new)
+                    w_new = cand;
+                pa++;
+                pb++;
+            } else if (xa < xb) {
+                pa++;
+            } else {
+                pb++;
+            }
+        }
+        double old = weights[cell];
+        if (old == w_new)
+            continue;
+        int64_t ra = ranks[slot];
+        for (int64_t leg = indptr[v]; leg < indptr[v + 1]; leg++) {
+            if (leg == slot)
+                continue;
+            int64_t rb = ranks[leg], tslot, plane;
+            if (ra < rb) {
+                tslot = find_slot(indptr, ranks, w, rb);
+                plane = opposite;
+            } else {
+                tslot = find_slot(indptr, ranks, indices[leg], ra);
+                plane = own;
+            }
+            if (tslot < 0) /* dropped by compaction: was inf, no suspect */
+                continue;
+            int64_t target = tslot + plane;
+            if (weights[target] == old + weights[leg + opposite]
+                && heap_push(&h, rank[owners[tslot]], target)) {
+                status = DHL_NOMEM;
+                break;
+            }
+        }
+        if (status)
+            break; /* nothing written for this cell yet */
+        if (!changed[cell]) {
+            changed[cell] = 1;
+            first_old[cell] = old;
+        }
+        weights[cell] = w_new;
+    }
+    heap_free(&h);
+    return status ? status : pops;
+}
+
+/* ------------------------------------------------------------------ */
+/* label sweeps (Algorithms 4 and 5), one weight plane at a time       */
+/* ------------------------------------------------------------------ */
+
+/*
+ * Algorithm 4: seed_pos are flat label positions already lowered (and
+ * marked) by the driver. Each pop relaxes the entry along every down
+ * shortcut of its vertex into the same ancestor column; strict
+ * improvements are written, marked and queued by tau. Returns the pop
+ * count, DHL_NOMEM on failure.
+ */
+int64_t dhl_label_decrease(
+    int64_t num_seeds, const int64_t *seed_pos,
+    int64_t capacity, double *values,
+    int64_t n, const int64_t *offsets, const int64_t *tau,
+    const double *weights,
+    const int64_t *down_indptr, const int64_t *down_indices,
+    const int64_t *down_slots,
+    uint8_t *changed)
+{
+    heap_t h;
+    int status = heap_init(&h, capacity, num_seeds);
+    int64_t pops = 0;
+    for (int64_t i = 0; !status && i < num_seeds; i++)
+        status = heap_push(
+            &h, tau[vertex_of(offsets, n, seed_pos[i])], seed_pos[i]);
+    while (!status && h.size > 0) {
+        int64_t pos = heap_pop(&h);
+        pops++;
+        int64_t v = vertex_of(offsets, n, pos);
+        int64_t col = pos - offsets[v];
+        double value = values[pos];
+        for (int64_t d = down_indptr[v]; d < down_indptr[v + 1]; d++) {
+            int64_t u = down_indices[d];
+            int64_t tpos = offsets[u] + col;
+            double cand = weights[down_slots[d]] + value;
+            if (cand < values[tpos]) {
+                values[tpos] = cand;
+                changed[tpos] = 1;
+                if (heap_push(&h, tau[u], tpos)) {
+                    status = DHL_NOMEM;
+                    break;
+                }
+            }
+        }
+    }
+    heap_free(&h);
+    return status ? status : pops;
+}
+
+/*
+ * Algorithm 5: each popped entry (v, col) is recomputed per Property
+ * 3.1, the min over up shortcuts into ancestors at least col deep. If
+ * the value rose, down entries whose stored value equals the old
+ * chained one are queued; any change is marked. counts[0] receives the
+ * pops, counts[1] the entries whose value strictly rose. Returns 0,
+ * DHL_NOMEM on failure.
+ */
+int dhl_label_increase(
+    int64_t num_seeds, const int64_t *seed_verts, const int64_t *seed_cols,
+    int64_t capacity, double *values,
+    int64_t n, const int64_t *offsets, const int64_t *tau,
+    const double *weights,
+    const int64_t *indptr, const int64_t *indices,
+    const int64_t *down_indptr, const int64_t *down_indices,
+    const int64_t *down_slots,
+    uint8_t *changed, int64_t *counts)
+{
+    heap_t h;
+    int status = heap_init(&h, capacity, num_seeds);
+    int64_t pops = 0, increased = 0;
+    for (int64_t i = 0; !status && i < num_seeds; i++)
+        status = heap_push(
+            &h, tau[seed_verts[i]], offsets[seed_verts[i]] + seed_cols[i]);
+    while (!status && h.size > 0) {
+        int64_t pos = heap_pop(&h);
+        pops++;
+        int64_t v = vertex_of(offsets, n, pos);
+        int64_t col = pos - offsets[v];
+        double w_new = INFINITY;
+        for (int64_t slot = indptr[v]; slot < indptr[v + 1]; slot++) {
+            int64_t w = indices[slot];
+            if (tau[w] >= col) {
+                double cand = weights[slot] + values[offsets[w] + col];
+                if (cand < w_new)
+                    w_new = cand;
+            }
+        }
+        double old = values[pos];
+        if (w_new > old) {
+            for (int64_t d = down_indptr[v]; d < down_indptr[v + 1]; d++) {
+                int64_t u = down_indices[d];
+                int64_t tpos = offsets[u] + col;
+                if (weights[down_slots[d]] + old == values[tpos]
+                    && heap_push(&h, tau[u], tpos)) {
+                    status = DHL_NOMEM;
+                    break;
+                }
+            }
+            if (status)
+                break; /* nothing written for this entry yet */
+            increased++;
+        }
+        if (w_new != old)
+            changed[pos] = 1;
+        values[pos] = w_new;
+    }
+    heap_free(&h);
+    counts[0] = pops;
+    counts[1] = increased;
+    return status;
+}

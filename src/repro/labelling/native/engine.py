@@ -1,0 +1,220 @@
+"""The C kernels as the ``Engine`` contract and the batch pair query.
+
+Each wrapper unpacks the store's flat buffers, checks dtype,
+C-contiguity and length of every one in Python, and hands the fixpoint
+to a single loop of ``dhl_kernels.c``; seeding, mark bookkeeping and
+stats are the shared driver's (:mod:`repro.labelling.driver`). Vertex
+ids are range-checked by the callers (``QueryEngine``'s entry points,
+the driver's batch validation) before they reach a wrapper.
+
+Buffer addresses are read on every call: the label and weight stores
+re-allocate (``extend_label``, ``ensure_writable``, ``rebind``,
+compaction, a shared-memory republish) and an unpickled engine has new
+arrays throughout, so no address is kept anywhere. Every array stays referenced by the calling frame until the C
+function returns.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from repro.labelling.maintenance import Engine
+from repro.labelling.native import library
+
+__all__ = ["ENGINE", "gather_pairs"]
+
+_I64 = np.dtype(np.int64)
+_F64 = np.dtype(np.float64)
+_U8 = np.dtype(np.uint8)
+
+
+def _addr(arr: np.ndarray, dtype: np.dtype, length: int, write: bool = False) -> int:
+    """Address of *arr* once it is what the C side assumes it is."""
+    if (
+        arr.dtype != dtype
+        or not arr.flags.c_contiguous
+        or arr.size != length
+        or (write and not arr.flags.writeable)
+    ):
+        raise TypeError(
+            f"native kernel needs a {'writable ' if write else ''}C-contiguous "
+            f"{dtype} buffer of {length} items; got {arr.dtype} x {arr.size}, "
+            f"contiguous={arr.flags.c_contiguous}, writable={arr.flags.writeable}"
+        )
+    return arr.ctypes.data
+
+
+def _label_addrs(values, offsets, n: int, write: bool = False) -> tuple[int, int]:
+    """Addresses of a flat label store over *n* vertices whose value
+    buffer covers every slot. The caller holds both arrays: the store
+    may swap either for a new one at any time."""
+    if len(offsets) != n + 1 or offsets[n] > values.size:
+        raise ValueError("label offsets do not match the value buffer")
+    return (
+        _addr(values, _F64, values.size, write),
+        _addr(offsets, _I64, n + 1),
+    )
+
+
+def _csr_rows(csr) -> tuple[int, int]:
+    return (
+        _addr(csr.indptr, _I64, csr.n + 1),
+        _addr(csr.indices, _I64, csr.num_slots),
+    )
+
+
+def _csr_up(csr) -> tuple[int, ...]:
+    m = csr.num_slots
+    return (*_csr_rows(csr), _addr(csr.ranks, _I64, m), _addr(csr.owners, _I64, m))
+
+
+def _csr_down(csr) -> tuple[int, ...]:
+    m, n = csr.num_slots, csr.n
+    return (
+        _addr(csr.down_indptr, _I64, n + 1),
+        _addr(csr.down_indices, _I64, m),
+        _addr(csr.down_slots, _I64, m),
+    )
+
+
+def _checked(status: int) -> int:
+    if status < 0:
+        raise MemoryError("native sweep could not grow its heap")
+    return status
+
+
+# ---------------------------------------------------------------------------
+# the four sweeps
+# ---------------------------------------------------------------------------
+
+def shortcut_decrease_sweep(sc, seeds, changed, first_old) -> bool:
+    """Algorithm 2 — C min-relaxation sweep."""
+    csr, weights = sc.csr, sc.up_weights
+    cells = weights.size
+    return bool(
+        _checked(
+            library().dhl_shortcut_decrease(
+                len(seeds), _addr(seeds, _I64, len(seeds)),
+                cells, _addr(weights, _F64, cells, write=True),
+                csr.num_slots, *_csr_up(csr),
+                _addr(csr.rank, _I64, csr.n),
+                _addr(changed, _U8, cells, write=True),
+                _addr(first_old, _F64, cells, write=True),
+            )
+        )
+    )
+
+
+def shortcut_increase_sweep(sc, seeds, direct, changed, first_old) -> None:
+    """Algorithm 3 — C recompute sweep."""
+    csr, weights = sc.csr, sc.up_weights
+    cells = weights.size
+    _checked(
+        library().dhl_shortcut_increase(
+            len(seeds), _addr(seeds, _I64, len(seeds)),
+            cells, _addr(weights, _F64, cells, write=True),
+            csr.num_slots, *_csr_up(csr), *_csr_down(csr),
+            _addr(direct, _F64, cells),
+            _addr(csr.rank, _I64, csr.n),
+            _addr(changed, _U8, cells, write=True),
+            _addr(first_old, _F64, cells, write=True),
+        )
+    )
+
+
+def label_decrease_sweep(store, labels, verts, cols, changed) -> int:
+    """Algorithm 4 — C descendant sweep."""
+    csr, n, weights = store.csr, store.csr.n, store.up_weights
+    values, offsets = labels.values, labels.offsets
+    seeds = offsets[verts] + cols
+    values_addr, offsets_addr = _label_addrs(values, offsets, n, write=True)
+    return _checked(
+        library().dhl_label_decrease(
+            len(seeds), _addr(seeds, _I64, len(seeds)),
+            values.size, values_addr,
+            n, offsets_addr, _addr(store.tau, _I64, n),
+            _addr(weights, _F64, csr.num_slots),
+            *_csr_down(csr),
+            _addr(changed, _U8, values.size, write=True),
+        )
+    )
+
+
+def label_increase_sweep(store, labels, verts, cols, changed) -> tuple[int, int]:
+    """Algorithm 5 — C recompute sweep."""
+    csr, n, weights = store.csr, store.csr.n, store.up_weights
+    values, offsets = labels.values, labels.offsets
+    values_addr, offsets_addr = _label_addrs(values, offsets, n, write=True)
+    counts = np.zeros(2, dtype=np.int64)
+    _checked(
+        library().dhl_label_increase(
+            len(verts), _addr(verts, _I64, len(verts)),
+            _addr(cols, _I64, len(verts)),
+            values.size, values_addr,
+            n, offsets_addr, _addr(store.tau, _I64, n),
+            _addr(weights, _F64, csr.num_slots),
+            *_csr_rows(csr), *_csr_down(csr),
+            _addr(changed, _U8, values.size, write=True),
+            _addr(counts, _I64, 2, write=True),
+        )
+    )
+    return int(counts[0]), int(counts[1])
+
+
+ENGINE = Engine(
+    shortcut_decrease_sweep,
+    shortcut_increase_sweep,
+    label_decrease_sweep,
+    label_increase_sweep,
+)
+
+
+# ---------------------------------------------------------------------------
+# the pair query
+# ---------------------------------------------------------------------------
+
+def _table_addrs(tables) -> tuple:
+    """``AncestorTables``' arrays in the kernel's order (read per call,
+    like every other address: an unpickled engine has new arrays)."""
+    n, nodes = len(tables.tau), len(tables.depth)
+    width = tables.chain.shape[1]
+    return (
+        _addr(tables.node_of, _I64, n),
+        _addr(tables.depth, _I64, nodes),
+        _addr(tables.bits, _I64, nodes),
+        _addr(tables.chain, _I64, nodes * width),
+        width,
+        _addr(tables.tau, _I64, n),
+    )
+
+
+def gather_pairs(
+    labels_s, s, labels_t, t, k, tables, want_ranks: bool = False
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """:func:`repro.labelling.query.gather_pairs` as one fused C loop.
+
+    *s* / *t* are C-contiguous int64 ids already known to lie in
+    ``[0, n)``. With ``k=None`` the kernel counts the common ancestors
+    itself from *tables* (a vectorised
+    :class:`~repro.labelling.query.AncestorTables`); otherwise *tables*
+    is ignored and ``k[p] <= min(tau[s[p]], tau[t[p]]) + 1`` is the
+    caller's to guarantee.
+    """
+    count, n = len(s), labels_s.num_vertices
+    values_s, offsets_s = labels_s.values, labels_s.offsets
+    values_t, offsets_t = labels_t.values, labels_t.offsets
+    out = np.empty(count, dtype=np.float64)
+    ranks = np.empty(count, dtype=np.int64) if want_ranks else None
+    if k is None:
+        k_addr, lca = None, _table_addrs(tables)
+    else:
+        k_addr, lca = _addr(k, _I64, count), (None, None, None, None, 0, None)
+    library().dhl_gather_pairs(
+        count, _addr(s, _I64, count), _addr(t, _I64, count), k_addr,
+        *_label_addrs(values_s, offsets_s, n),
+        *_label_addrs(values_t, offsets_t, n),
+        *lca,
+        _addr(out, _F64, count),
+        None if ranks is None else _addr(ranks, _I64, count),
+    )
+    return out, ranks

@@ -34,8 +34,11 @@ import math
 
 import numpy as np
 
+from repro.exceptions import VertexNotFound
 from repro.hierarchy.query_hierarchy import QueryHierarchy
+from repro.labelling import native
 from repro.labelling.labels import HierarchicalLabelling
+from repro.labelling.native import engine as native_engine
 from repro.utils.pairs import as_pair_array
 from repro.utils.ragged import expand
 
@@ -210,22 +213,26 @@ class QueryEngine:
     (both sides are the same object); a directed one passes its
     ``(out, in)`` pair.
 
-    ``engine="compiled"`` routes the batch gather through the numba
-    kernel of :mod:`repro.labelling.compiled` (one fused per-pair loop,
-    no temporaries at all) when the compiled package is usable and both
-    sides are one labelling; any other value — or an unusable compiled
-    package, or two labellings — runs the numpy exact-K ragged gather,
-    :func:`gather_pairs`. Constructing a compiled engine triggers the
-    JIT warmup so the first query batch never pays compilation.
+    *engine* is resolved on construction (``self.engine`` is the name
+    that runs): ``"compiled"`` answers a batch with the pair kernel of
+    :mod:`repro.labelling.native` — LCA, scan and argmin of each pair
+    in one C loop over one labelling or two, no temporaries — wherever
+    that library loads; any other value, or a host where it does not,
+    runs the numpy exact-K ragged gather, :func:`gather_pairs`.
 
     Three entry points, one live label store: :meth:`distance` (scalar),
     :meth:`distances_arrays` (independent pairs, ``sum(K)`` cells a side)
     and :meth:`distance_matrix` (a source set against a fixed target
-    set — plain numpy under every ``engine`` value). The engine keeps
-    H_Q-only static state next to the labelling — the ancestor-chain
-    :meth:`hub_store` and the last target set's scatter tables — and
-    never a label value, so weight maintenance, slot growth and
-    compaction need no invalidation hook.
+    set — plain numpy under every ``engine`` value). Each checks its
+    vertex ids against ``[0, n)`` once, at the door, and raises
+    :class:`~repro.exceptions.VertexNotFound`: numpy would wrap a
+    negative id onto another vertex, and C would read out of bounds.
+    The engine keeps H_Q-only static state next to the labelling — the
+    ancestor-chain :meth:`hub_store`, the LCA tables and the last target
+    set's scatter tables — and never a label value or a buffer address
+    (the kernel's pointers are read from the arrays on every call), so
+    weight maintenance, slot growth, compaction and a pickle round trip
+    need no invalidation hook.
     """
 
     __slots__ = (
@@ -249,15 +256,33 @@ class QueryEngine:
         self.hq = hq
         self.labels = labels
         self.target_labels = labels if target_labels is None else target_labels
-        self.engine = engine
+        self.engine = native.resolved_engine(engine)
         self._tables: AncestorTables | None = None
         self._hub_values: np.ndarray | None = None
         self._hub_offsets: np.ndarray | None = None
         self._targets: _TargetTables | None = None
-        if engine == "compiled":
-            from repro.labelling.compiled import warmup_kernels
 
-            warmup_kernels()
+    def __getstate__(self):
+        """The bound objects and the engine name; the H_Q tables are
+        derived, and the name is re-resolved where the pickle lands (a
+        ``compiled`` engine must not outlive the library it was for)."""
+        return self.hq, self.labels, self.target_labels, self.engine
+
+    def __setstate__(self, state) -> None:
+        self.__init__(*state)
+
+    def _check_vertices(self, *vertices: int) -> None:
+        for v in vertices:
+            if not 0 <= v < self.hq.n:
+                raise VertexNotFound(v)
+
+    def _check_ids(self, *ids: np.ndarray) -> None:
+        """Reject a batch holding an id outside ``[0, n)`` (int64 arrays;
+        read as unsigned, a negative id is a huge one: one reduction)."""
+        n = self.hq.n
+        for arr in ids:
+            if arr.size and arr.view(np.uint64).max() >= n:
+                raise VertexNotFound(int(arr[(arr < 0) | (arr >= n)][0]))
 
     def distance(self, s: int, t: int) -> float:
         """Exact shortest-path distance between *s* and *t*.
@@ -265,6 +290,7 @@ class QueryEngine:
         Returns ``math.inf`` when the vertices are disconnected (including
         separation caused by logically deleted roads).
         """
+        self._check_vertices(s, t)
         if s == t:
             return 0.0
         k = self.hq.common_ancestor_count(s, t)
@@ -280,6 +306,7 @@ class QueryEngine:
         or disconnected pairs. Used by applications that need a via-vertex
         (e.g. reconstructing a coarse route).
         """
+        self._check_vertices(s, t)
         if s == t:
             return 0.0, -1
         k = self.hq.common_ancestor_count(s, t)
@@ -365,6 +392,7 @@ class QueryEngine:
         """
         sources = np.asarray(sources, dtype=np.int64)
         targets = np.asarray(targets, dtype=np.int64)
+        self._check_ids(sources, targets)
         out = np.full((len(sources), len(targets)), np.inf, dtype=np.float64)
         if not out.size:
             return out
@@ -419,26 +447,33 @@ class QueryEngine:
         return self._batch_tables().counts(s, t)
 
     def _gather(
-        self, s: np.ndarray, t: np.ndarray, k: np.ndarray, want_ranks: bool
+        self, s: np.ndarray, t: np.ndarray, want_ranks: bool
     ) -> tuple[np.ndarray, np.ndarray | None]:
         """``(distances, argmin ranks)``: the one step that forks by engine."""
-        labels, target = self.labels, self.target_labels
-        # The compiled gather reads one store; two labellings run the
-        # numpy kernel, which is written over two.
-        if self.engine == "compiled" and labels is target:
-            import repro.labelling.compiled as compiled
-
-            if compiled.available():
-                return compiled.batch_query_compiled(
-                    labels.values, labels.offsets, s, t, k
-                )
-        return gather_pairs(labels, s, target, t, k, want_ranks)
+        tables = self._batch_tables()
+        if self.engine != "compiled":
+            k = tables.counts(s, t)
+            return gather_pairs(
+                self.labels, s, self.target_labels, t, k, want_ranks
+            )
+        # The kernel counts K itself from the LCA tables; a hierarchy
+        # too deep for them is counted pair by pair, as everywhere.
+        k = None if tables.vectorised else tables.counts(s, t)
+        return native_engine.gather_pairs(
+            self.labels, s, self.target_labels, t, k, tables, want_ranks
+        )
 
     def _batch_kernel(
-        self, s: np.ndarray, t: np.ndarray, want_hubs: bool
+        self, s, t, want_hubs: bool
     ) -> tuple[np.ndarray, np.ndarray | None]:
-        k = self.common_ancestor_counts(s, t)
-        out, ranks = self._gather(s, t, k, want_hubs)
+        s = np.ascontiguousarray(s, dtype=np.int64)
+        t = np.ascontiguousarray(t, dtype=np.int64)
+        if s.ndim != 1 or s.shape != t.shape:
+            raise ValueError(
+                f"length mismatch: {s.shape} sources, {t.shape} targets"
+            )
+        self._check_ids(s, t)
+        out, ranks = self._gather(s, t, want_hubs)
         if not want_hubs:
             return out, None
         hub_values, hub_offsets = self.hub_store()
@@ -462,10 +497,6 @@ class QueryEngine:
         facades, bulk matrix fills) skip the pair-list round trip
         entirely.
         """
-        s = np.asarray(s, dtype=np.int64)
-        t = np.asarray(t, dtype=np.int64)
-        if len(s) != len(t):
-            raise ValueError(f"length mismatch: {len(s)} sources, {len(t)} targets")
         return self._batch_kernel(s, t, want_hubs=False)[0]
 
     def distances_with_hubs(self, pairs) -> tuple[np.ndarray, np.ndarray]:

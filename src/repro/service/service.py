@@ -43,6 +43,7 @@ import numpy as np
 
 from repro.core.backend import DistanceBackend
 from repro.exceptions import PartialResultError, VertexNotFound
+from repro.labelling import native
 from repro.labelling.maintenance import MaintenanceStats
 from repro.observability import (
     NULL_OBSERVABILITY,
@@ -84,6 +85,10 @@ class ServiceStats:
     #: ``in-process/sharded``, ``worker-pool/sharded[4x1 replicas]`` — so
     #: bench artifacts and logs can tell runtimes apart.
     backend: str = "in-process/monolithic"
+    #: What answers on that backend: its query engines' resolved name
+    #: (``index.engine.engine``; every distinct one on a sharded index)
+    #: and why — ``configured``, or the native loader's reason.
+    engine: str = "array (configured)"
     #: Worker-pool scheduler / delta-sync counters
     #: (:meth:`~repro.service.runtime.WorkerPoolStats.as_dict`) when the
     #: runtime pools workers, ``None`` for in-process backends.
@@ -109,6 +114,7 @@ class ServiceStats:
             f"epoch {self.epoch}: {self.queries} queries in "
             f"{self.batches} calls",
             f"  backend : {self.backend}",
+            f"  engine  : {self.engine}",
             f"  queries : {self.query_latency}",
             f"  updates : {self.update_latency}",
             f"  cache   : {self.cache}",
@@ -605,6 +611,18 @@ class DistanceService:
     # ------------------------------------------------------------------
     # introspection
     # ------------------------------------------------------------------
+    def _engine_info(self) -> tuple[str, str]:
+        """``(engine, reason)`` of the backend: the name its query
+        engines run under (each distinct one of a sharded index's
+        shards) and why. The loader is only asked when ``compiled`` was
+        requested — the index resolved it then, so nothing compiles here."""
+        index = self.index
+        parts = getattr(index, "shards", None) or (index,)
+        names = "+".join(sorted({part.engine.engine for part in parts}))
+        if index.config.engine != "compiled":
+            return names, "configured"
+        return names, native.status().reason
+
     def stats(self) -> ServiceStats:
         pool = self.runtime.pool_stats()
         return ServiceStats(
@@ -618,6 +636,7 @@ class DistanceService:
             shortcuts_changed=self._shortcuts_changed,
             labels_changed=self._labels_changed,
             backend=self.runtime.backend,
+            engine="{} ({})".format(*self._engine_info()),
             worker_pool=pool.as_dict() if pool is not None else None,
             structural_batches=self._structural_batches,
             compactions=self._compactions,
@@ -666,6 +685,12 @@ class DistanceService:
         registry.gauge("dhl_epoch", "Index maintenance epoch").set(
             self.index.epoch
         )
+        engine, reason = self._engine_info()
+        registry.gauge(
+            "dhl_native_engine_info",
+            "The engine this backend's queries resolved to, and why",
+            labels={"engine": engine, "reason": reason},
+        ).set(1)
         registry.gauge(
             "dhl_pending_updates", "Distinct edges buffered in the coalescer"
         ).set(self.coalescer.pending_edges)

@@ -146,9 +146,8 @@ class ShardExecutor:
         labels = HierarchicalLabelling.from_shared_buffers(
             values, offsets, index.hq.tau
         )
-        # Adoption resolves the engine in the worker process: the
-        # compiled package probes (and warms) locally, so a numba-less
-        # worker downgrades cleanly even if the parent compiled.
+        # Adoption resolves the engine in this process: a replica opens
+        # the cached native library itself, or downgrades on its own.
         index._adopt(index.hq, index.hu, (labels,))
         # Every fan reads the ancestor-chain store; build it while
         # attaching, not inside the first epoch-stamped batch.

@@ -126,17 +126,17 @@ def small_index(small_road) -> DHLIndex:
     return DHLIndex.build(small_road.copy(), DHLConfig(leaf_size=6, seed=0))
 
 
-@pytest.fixture
-def forced_compiled(monkeypatch):
-    """Resolve ``engine="compiled"`` to the compiled sweeps even without numba.
+def require_engine(name: str) -> None:
+    """Skip a ``compiled`` parametrisation on a host without the C library.
 
-    The kernels degrade to pure Python when numba is missing, so forcing
-    the capability probe exercises the whole compiled path on every
-    environment instead of letting it downgrade to ``array``.
+    Everywhere else ``engine="compiled"`` is the native kernels of
+    :mod:`repro.labelling.native`; ``tests/test_native_engine.py`` fails
+    (not skips) when a compiler is on ``PATH`` and they still do not load.
     """
-    import repro.labelling.compiled as compiled
+    from repro.labelling import native
 
-    monkeypatch.setattr(compiled, "available", lambda: True)
+    if name == "compiled" and native.status().engine != "compiled":
+        pytest.skip(f"native engine unavailable: {native.status().reason}")
 
 
 def directed_dijkstra(dg, source: int) -> list[float]:

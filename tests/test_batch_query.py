@@ -12,6 +12,7 @@ from repro.baselines.dijkstra import dijkstra
 from repro.core.config import DHLConfig
 from repro.core.directed import DirectedDHLIndex
 from repro.core.index import DHLIndex
+from repro.exceptions import VertexNotFound
 from repro.graph.digraph import DiGraph
 from repro.graph.generators import delaunay_network, grid_network
 from repro.graph.graph import Graph
@@ -19,7 +20,7 @@ from repro.labelling import query as query_module
 from repro.labelling.query import QueryEngine
 from repro.utils.rng import make_rng, sample_pairs
 from tests.strategies import caterpillar_index, connected_graphs
-from tests.conftest import directed_dijkstra
+from tests.conftest import directed_dijkstra, require_engine
 
 
 def scalar_distances(index, pairs):
@@ -353,3 +354,77 @@ def test_distances_from_and_k_nearest_still_consistent(small_index):
     nearest = small_index.k_nearest(5, targets, 4)
     assert len(nearest) == 4
     assert nearest == sorted(nearest, key=lambda item: item[1])[:4]
+
+
+# ---------------------------------------------------------------------------
+# vertex ids are checked before they become indices (or pointers)
+# ---------------------------------------------------------------------------
+
+def _door_index(family: str, engine: str):
+    graph = delaunay_network(300, seed=7)
+    config = DHLConfig(leaf_size=6, seed=0, engine=engine)
+    if family == "directed":
+        return DirectedDHLIndex.build(DiGraph.from_undirected(graph), config)
+    return DHLIndex.build(graph, config)
+
+
+@pytest.mark.parametrize("engine", ["reference", "array", "compiled"])
+@pytest.mark.parametrize("family", ["undirected", "directed"])
+class TestVertexIdsAtTheDoor:
+    """numpy wraps a negative id onto another vertex's label and C would
+    read out of bounds: every entry point rejects ids outside [0, n)."""
+
+    def test_out_of_range_ids_raise_vertex_not_found(self, family, engine):
+        require_engine(engine)
+        index = _door_index(family, engine)
+        for bad in (-2, -1, 300, 2**40):
+            for pair in ((0, bad), (bad, 0)):
+                with pytest.raises(VertexNotFound) as caught:
+                    index.distances([(4, 9), pair])
+                assert caught.value.vertex == bad
+                with pytest.raises(VertexNotFound):
+                    index.distance(*pair)
+                with pytest.raises(VertexNotFound):
+                    index.distance_with_hub(*pair)
+                with pytest.raises(VertexNotFound):
+                    index.engine.distances_with_hubs([pair])
+                with pytest.raises(VertexNotFound):
+                    index.engine.distances_arrays(
+                        np.array([pair[0]]), np.array([pair[1]])
+                    )
+            with pytest.raises(VertexNotFound):
+                index.engine.distance_matrix([0, bad], [1, 2])
+            with pytest.raises(VertexNotFound):
+                index.engine.distance_matrix([0, 3], [1, bad])
+            with pytest.raises(VertexNotFound):
+                index.distances_from(0, [5, bad])
+
+    def test_any_integer_columns_are_copied_not_passed_through(
+        self, family, engine
+    ):
+        require_engine(engine)
+        index = _door_index(family, engine)
+        pairs = np.asarray(sample_pairs(300, 400, make_rng(6), distinct=False))
+        want = np.array([index.distance(s, t) for s, t in pairs.tolist()])
+        wide = np.zeros((400, 6), dtype=np.int64)
+        wide[:, 1], wide[:, 4] = pairs[:, 0], pairs[:, 1]
+        for s, t in (
+            (pairs[:, 0].astype(np.int32), pairs[:, 1].astype(np.int32)),
+            (pairs[:, 0].astype(np.uint16), pairs[:, 1].tolist()),
+            (wide[:, 1], wide[:, 4]),  # neither column is contiguous
+            (pairs[::-1, 0][::-1], pairs[:, 1]),
+        ):
+            assert np.array_equal(index.engine.distances_arrays(s, t), want)
+        assert np.array_equal(index.distances(pairs.astype(np.int32)), want)
+        assert np.array_equal(index.distances(pairs[:, ::-1][:, ::-1]), want)
+
+    def test_empty_batches(self, family, engine):
+        require_engine(engine)
+        index = _door_index(family, engine)
+        empty = np.empty(0, dtype=np.int64)
+        assert index.distances([]).shape == (0,)
+        assert index.distances(np.empty((0, 2), dtype=np.int64)).shape == (0,)
+        assert index.engine.distances_arrays(empty, empty).shape == (0,)
+        out, hubs = index.engine.distances_with_hubs([])
+        assert out.shape == hubs.shape == (0,)
+        assert index.engine.distance_matrix([], [1, 2]).shape == (0, 2)

@@ -133,9 +133,8 @@ class TestDirectedDynamic:
         assert idx.labels_in.equals(rebuilt.labels_in)
 
     def test_compiled_request_maintains_the_array_engine_state(self, asym_digraph):
-        """``engine="compiled"`` runs the njit sweeps where numba is
-        installed — the CI numba leg is the only place the two-plane
-        kernels really compile — and downgrades to ``array`` elsewhere;
+        """``engine="compiled"`` runs the two-plane C sweeps wherever the
+        native library loads and downgrades to ``array`` elsewhere;
         either way the maintained state must equal the array engine's."""
         indexes = [
             DirectedDHLIndex.build(

@@ -1,6 +1,6 @@
 """Differential tests: the three maintenance engines must agree.
 
-The frontier-batched kernels (``engine="array"``) and the compiled
+The frontier-batched kernels (``engine="array"``) and the C
 heap sweeps (``engine="compiled"``) must be observationally identical
 to the one-pop-per-entry reference (``engine="reference"``): same
 labels, same shortcut/label change counts, same affected-shortcut
@@ -11,23 +11,20 @@ array engine relaxes along shortcut weights (Lemma 6.3) while the
 scalar reference relaxes along label entries, which changes the
 intermediate frontier but not the fixpoint.
 
-The compiled engine runs here even without numba: ``force_compiled``
-patches the capability probe so ``engine="compiled"`` resolves to the
-compiled drivers, whose kernels degrade to pure-Python loops — the same
-code numba compiles, so the differential covers the kernel logic on
-every machine and the JIT'd machine code on the numba CI leg.
+``compiled`` is the C library of :mod:`repro.labelling.native` wherever
+a C compiler exists (``tests/test_native_engine.py`` asserts it loaded);
+on a compiler-less host it resolves to ``array`` and the three-way
+comparison degenerates to two engines.
 """
 
 from __future__ import annotations
 
-import contextlib
 import pickle
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 
-import repro.labelling.compiled as compiled
 from repro.baselines.dijkstra import dijkstra
 from repro.core.config import DHLConfig
 from repro.core.directed import DirectedDHLIndex
@@ -38,21 +35,6 @@ from repro.hierarchy.contraction import contract_in_order
 from repro.labelling.driver import ENGINES, split_batch
 from repro.labelling.maintenance import MaintenanceStats
 from tests.strategies import assert_stats_match, connected_graphs, update_sequences
-
-
-@contextlib.contextmanager
-def force_compiled():
-    """Make ``engine="compiled"`` resolve to the compiled drivers.
-
-    Without numba the capability probe downgrades compiled to array, so
-    the differential would silently compare array against itself. The
-    kernels themselves run fine uncompiled; forcing the probe exercises
-    the full compiled dispatch (index seam, directed label seam, sharded
-    routing, query gather) on every machine.
-    """
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(compiled, "available", lambda: True)
-        yield
 
 
 def test_engine_table_is_three_engines_of_exactly_four_sweeps():
@@ -83,46 +65,46 @@ class TestUndirectedDifferential:
     )
     def test_engines_identical_under_random_interleavings(self, data):
         graph, sequence = data
-        with force_compiled():
-            config_a = DHLConfig(leaf_size=3, seed=0, engine="array")
-            config_r = DHLConfig(leaf_size=3, seed=0, engine="reference")
-            config_c = DHLConfig(leaf_size=3, seed=0, engine="compiled")
-            idx_a = DHLIndex.build(graph.copy(), config_a)
-            idx_r = DHLIndex.build(graph.copy(), config_r)
-            idx_c = DHLIndex.build(graph.copy(), config_c)
-            for batch in sequence:
-                seen = {}
-                for u, v, w in batch:
-                    seen[(min(u, v), max(u, v))] = (u, v, w)
-                merged = list(seen.values())
-                increases, decreases = split_batch(idx_a.graph, merged)
-                for changes, method in (
-                    (increases, "increase"),
-                    (decreases, "decrease"),
-                ):
-                    if not changes:
-                        continue
-                    stats_a = getattr(idx_a, method)(changes)
-                    stats_r = getattr(idx_r, method)(changes)
-                    stats_c = getattr(idx_c, method)(changes)
-                    assert_stats_match(stats_a, stats_r)
-                    assert_stats_match(stats_c, stats_r)
-                assert idx_a.labels.equals(idx_r.labels)
-                assert idx_c.labels.equals(idx_r.labels)
-                np.testing.assert_array_equal(
-                    idx_a.hu.up_weights, idx_r.hu.up_weights
-                )
-                np.testing.assert_array_equal(
-                    idx_c.hu.up_weights, idx_r.hu.up_weights
-                )
-            ref = dijkstra(idx_a.graph, 0)
-            for t in range(graph.num_vertices):
-                assert idx_a.distance(0, t) == ref[t]
-                assert idx_c.distance(0, t) == ref[t]
+        config_a = DHLConfig(leaf_size=3, seed=0, engine="array")
+        config_r = DHLConfig(leaf_size=3, seed=0, engine="reference")
+        config_c = DHLConfig(leaf_size=3, seed=0, engine="compiled")
+        idx_a = DHLIndex.build(graph.copy(), config_a)
+        idx_r = DHLIndex.build(graph.copy(), config_r)
+        idx_c = DHLIndex.build(graph.copy(), config_c)
+        for batch in sequence:
+            seen = {}
+            for u, v, w in batch:
+                seen[(min(u, v), max(u, v))] = (u, v, w)
+            merged = list(seen.values())
+            increases, decreases = split_batch(idx_a.graph, merged)
+            for changes, method in (
+                (increases, "increase"),
+                (decreases, "decrease"),
+            ):
+                if not changes:
+                    continue
+                stats_a = getattr(idx_a, method)(changes)
+                stats_r = getattr(idx_r, method)(changes)
+                stats_c = getattr(idx_c, method)(changes)
+                assert_stats_match(stats_a, stats_r)
+                assert_stats_match(stats_c, stats_r)
+            assert idx_a.labels.equals(idx_r.labels)
+            assert idx_c.labels.equals(idx_r.labels)
+            np.testing.assert_array_equal(
+                idx_a.hu.up_weights, idx_r.hu.up_weights
+            )
+            np.testing.assert_array_equal(
+                idx_c.hu.up_weights, idx_r.hu.up_weights
+            )
+        ref = dijkstra(idx_a.graph, 0)
+        for t in range(graph.num_vertices):
+            assert idx_a.distance(0, t) == ref[t]
+            assert idx_c.distance(0, t) == ref[t]
 
     def test_array_engine_matches_rebuild(self, small_road):
-        idx = DHLIndex.build(small_road.copy(), DHLConfig(leaf_size=4, seed=0))
-        assert idx.config.engine == "array"
+        idx = DHLIndex.build(
+            small_road.copy(), DHLConfig(leaf_size=4, seed=0, engine="array")
+        )
         edges = list(idx.graph.edges())
         idx.increase([(u, v, 3 * w) for u, v, w in edges[:60]])
         idx.decrease([(u, v, max(1.0, w // 2)) for u, v, w in edges[30:90]])
@@ -158,97 +140,95 @@ class TestDirectedDifferential:
     )
     def test_engines_identical_on_digraphs(self, data):
         graph, sequence = data
-        with force_compiled():
-            digraph_a = DiGraph.from_undirected(graph)
-            # Make half the arcs asymmetric so both label stores do real
-            # work.
-            for i, (u, v, w) in enumerate(list(digraph_a.arcs())):
-                if i % 2 == 0:
-                    digraph_a.set_weight(u, v, float(w + 3))
-            digraph_r = digraph_a.copy()
-            digraph_c = digraph_a.copy()
-            config_a = DHLConfig(leaf_size=3, seed=0, engine="array")
-            config_r = DHLConfig(leaf_size=3, seed=0, engine="reference")
-            config_c = DHLConfig(leaf_size=3, seed=0, engine="compiled")
-            idx_a = DirectedDHLIndex.build(digraph_a, config_a)
-            idx_r = DirectedDHLIndex.build(digraph_r, config_r)
-            idx_c = DirectedDHLIndex.build(digraph_c, config_c)
-            for batch in sequence:
-                seen = {}
-                for u, v, w in batch:
-                    # Directed updates address one arc; dedupe on the arc.
-                    seen[(u, v)] = (u, v, w)
-                merged = [
-                    (u, v, w)
-                    for (u, v, w) in seen.values()
-                    if digraph_a.out_neighbors(u).get(v) is not None
-                ]
-                if not merged:
-                    continue
-                stats_a = idx_a.update(merged)
-                stats_r = idx_r.update(merged)
-                stats_c = idx_c.update(merged)
-                assert_stats_match(stats_a, stats_r)
-                assert_stats_match(stats_c, stats_r)
-                for idx in (idx_a, idx_c):
-                    assert idx.labels_out.equals(idx_r.labels_out)
-                    assert idx.labels_in.equals(idx_r.labels_in)
-                    np.testing.assert_array_equal(
-                        idx.out_weights, idx_r.out_weights
-                    )
-                    np.testing.assert_array_equal(
-                        idx.in_weights, idx_r.in_weights
-                    )
+        digraph_a = DiGraph.from_undirected(graph)
+        # Make half the arcs asymmetric so both label stores do real
+        # work.
+        for i, (u, v, w) in enumerate(list(digraph_a.arcs())):
+            if i % 2 == 0:
+                digraph_a.set_weight(u, v, float(w + 3))
+        digraph_r = digraph_a.copy()
+        digraph_c = digraph_a.copy()
+        config_a = DHLConfig(leaf_size=3, seed=0, engine="array")
+        config_r = DHLConfig(leaf_size=3, seed=0, engine="reference")
+        config_c = DHLConfig(leaf_size=3, seed=0, engine="compiled")
+        idx_a = DirectedDHLIndex.build(digraph_a, config_a)
+        idx_r = DirectedDHLIndex.build(digraph_r, config_r)
+        idx_c = DirectedDHLIndex.build(digraph_c, config_c)
+        for batch in sequence:
+            seen = {}
+            for u, v, w in batch:
+                # Directed updates address one arc; dedupe on the arc.
+                seen[(u, v)] = (u, v, w)
+            merged = [
+                (u, v, w)
+                for (u, v, w) in seen.values()
+                if digraph_a.out_neighbors(u).get(v) is not None
+            ]
+            if not merged:
+                continue
+            stats_a = idx_a.update(merged)
+            stats_r = idx_r.update(merged)
+            stats_c = idx_c.update(merged)
+            assert_stats_match(stats_a, stats_r)
+            assert_stats_match(stats_c, stats_r)
+            for idx in (idx_a, idx_c):
+                assert idx.labels_out.equals(idx_r.labels_out)
+                assert idx.labels_in.equals(idx_r.labels_in)
+                np.testing.assert_array_equal(
+                    idx.out_weights, idx_r.out_weights
+                )
+                np.testing.assert_array_equal(
+                    idx.in_weights, idx_r.in_weights
+                )
 
 
 class TestShardedDifferential:
     def test_k2_sharded_engines_agree(self, small_road):
-        with force_compiled():
-            config_a = DHLConfig(seed=0, engine="array")
-            config_r = DHLConfig(seed=0, engine="reference")
-            config_c = DHLConfig(seed=0, engine="compiled")
-            sharded_a = ShardedDHLIndex.build(
-                small_road.copy(), k=2, config=config_a, build_workers=1
+        config_a = DHLConfig(seed=0, engine="array")
+        config_r = DHLConfig(seed=0, engine="reference")
+        config_c = DHLConfig(seed=0, engine="compiled")
+        sharded_a = ShardedDHLIndex.build(
+            small_road.copy(), k=2, config=config_a, build_workers=1
+        )
+        sharded_r = ShardedDHLIndex.build(
+            small_road.copy(), k=2, config=config_r, build_workers=1
+        )
+        sharded_c = ShardedDHLIndex.build(
+            small_road.copy(), k=2, config=config_c, build_workers=1
+        )
+        edges = list(small_road.edges())
+        batches = [
+            [(u, v, 2 * w) for u, v, w in edges[:40]],
+            [(u, v, w) for u, v, w in edges[:40]],
+            [(u, v, max(1.0, w // 2)) for u, v, w in edges[40:80]],
+        ]
+        rng = np.random.default_rng(3)
+        pairs = [
+            (int(s), int(t))
+            for s, t in rng.integers(
+                0, small_road.num_vertices, size=(200, 2)
             )
-            sharded_r = ShardedDHLIndex.build(
-                small_road.copy(), k=2, config=config_r, build_workers=1
+        ]
+        for batch in batches:
+            sharded_a.update(batch)
+            sharded_r.update(batch)
+            sharded_c.update(batch)
+            for shard_a, shard_r, shard_c in zip(
+                sharded_a.shards, sharded_r.shards, sharded_c.shards
+            ):
+                assert shard_a.labels.equals(shard_r.labels)
+                assert shard_c.labels.equals(shard_r.labels)
+            expected = sharded_r.distances(pairs)
+            np.testing.assert_array_equal(
+                sharded_a.distances(pairs), expected
             )
-            sharded_c = ShardedDHLIndex.build(
-                small_road.copy(), k=2, config=config_c, build_workers=1
+            np.testing.assert_array_equal(
+                sharded_c.distances(pairs), expected
             )
-            edges = list(small_road.edges())
-            batches = [
-                [(u, v, 2 * w) for u, v, w in edges[:40]],
-                [(u, v, w) for u, v, w in edges[:40]],
-                [(u, v, max(1.0, w // 2)) for u, v, w in edges[40:80]],
-            ]
-            rng = np.random.default_rng(3)
-            pairs = [
-                (int(s), int(t))
-                for s, t in rng.integers(
-                    0, small_road.num_vertices, size=(200, 2)
-                )
-            ]
-            for batch in batches:
-                sharded_a.update(batch)
-                sharded_r.update(batch)
-                sharded_c.update(batch)
-                for shard_a, shard_r, shard_c in zip(
-                    sharded_a.shards, sharded_r.shards, sharded_c.shards
-                ):
-                    assert shard_a.labels.equals(shard_r.labels)
-                    assert shard_c.labels.equals(shard_r.labels)
-                expected = sharded_r.distances(pairs)
-                np.testing.assert_array_equal(
-                    sharded_a.distances(pairs), expected
-                )
-                np.testing.assert_array_equal(
-                    sharded_c.distances(pairs), expected
-                )
-            ref = dijkstra(sharded_a.graph, 1)
-            for t in range(0, small_road.num_vertices, 17):
-                assert sharded_a.distance(1, t) == ref[t]
-                assert sharded_c.distance(1, t) == ref[t]
+        ref = dijkstra(sharded_a.graph, 1)
+        for t in range(0, small_road.num_vertices, 17):
+            assert sharded_a.distance(1, t) == ref[t]
+            assert sharded_c.distance(1, t) == ref[t]
 
 
 class TestCSRStore:

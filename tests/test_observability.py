@@ -21,6 +21,7 @@ from repro.core.directed import DirectedDHLIndex
 from repro.core.index import DHLIndex
 from repro.graph.digraph import DiGraph
 from repro.graph.generators import grid_network
+from repro.labelling import native
 from repro.observability import (
     NULL_OBSERVABILITY,
     NULL_REGISTRY,
@@ -407,6 +408,29 @@ def test_service_disabled_observability_records_nothing(small_service_graph):
     assert stats.phases == {}  # kernels stayed uninstrumented
 
 
+def test_service_reports_its_backends_engine_not_the_process(
+    small_service_graph, monkeypatch
+):
+    """An ``array`` / ``reference`` backend says so, without the loader."""
+    from repro.core.sharded import ShardedDHLIndex
+
+    monkeypatch.setattr(
+        native, "status", lambda: pytest.fail("loader asked for no reason")
+    )
+    for name in ("array", "reference"):
+        config = DHLConfig(seed=0, engine=name)
+        backends = (
+            DHLIndex.build(small_service_graph.copy(), config),
+            ShardedDHLIndex.build(small_service_graph.copy(), k=2, config=config),
+        )
+        for backend in backends:
+            service = DistanceService(backend, observability=Observability.enabled())
+            assert service.stats().engine == f"{name} (configured)"
+            assert f"engine  : {name} (configured)" in str(service.stats())
+            info = f'dhl_native_engine_info{{engine="{name}",reason="configured"}}'
+            assert info in service.metrics()
+
+
 def test_service_metrics_snapshot_core_names(small_service_graph, tmp_path):
     obs = Observability.enabled(trace_sample_rate=1.0, slow_query_seconds=0.0)
     service = build_service(small_service_graph, observability=obs)
@@ -430,6 +454,12 @@ def test_service_metrics_snapshot_core_names(small_service_graph, tmp_path):
         assert name in snapshot, name
     assert snapshot["dhl_queries_total"]["value"] == 3
     assert snapshot["dhl_query_seconds"]["count"] == 1
+    # One typed record says which engine answers this backend, and why.
+    engine, reason = native.status()[:2]
+    info = f'dhl_native_engine_info{{engine="{engine}",reason="{reason}"}}'
+    assert snapshot[info] == {"type": "gauge", "value": 1}
+    assert f"engine  : {engine} ({reason})" in service.stats().summary()
+    assert service.index.engine.engine == engine
     assert snapshot["dhl_slow_queries_total"]["value"] == 1  # threshold 0
     # Maintenance phases surfaced both as labelled histograms and on the
     # returned MaintenanceStats.

@@ -28,12 +28,25 @@ class TestSaveLoad:
             assert loaded.distance(s, t) == small_index.distance(s, t)
 
     def test_round_trip_config(self, small_road, tmp_path):
-        idx = DHLIndex.build(
-            small_road.copy(), DHLConfig(leaf_size=5, seed=9)
+        config = DHLConfig(
+            leaf_size=5, seed=9, insert_closure_limit=17, compaction_threshold=0.6
         )
+        idx = DHLIndex.build(small_road.copy(), config)
         idx.save(tmp_path / "idx")
         loaded = DHLIndex.load(tmp_path / "idx")
-        assert loaded.config == idx.config
+        assert loaded.config == idx.config == config
+
+    def test_snapshot_does_not_pin_the_engine(self, small_road, tmp_path):
+        """The engine belongs to the machine that loads, not to the index."""
+        idx = DHLIndex.build(
+            small_road.copy(), DHLConfig(leaf_size=5, seed=9, engine="reference")
+        )
+        idx.save(tmp_path / "idx")
+        manifest = json.loads((tmp_path / "idx" / "manifest.json").read_text())
+        assert "engine" not in manifest["config"]
+        loaded = DHLIndex.load(tmp_path / "idx")
+        assert loaded.config.engine == DHLConfig().engine
+        assert loaded.engine.engine == DHLConfig().resolve_engine()
 
     def test_loaded_index_supports_updates(self, small_index, tmp_path):
         small_index.save(tmp_path / "idx")
@@ -225,18 +238,24 @@ class TestCrashSafeSnapshots:
 
 
 class TestPreWorkersRemovalSnapshots:
-    """Snapshots written while ``DHLConfig`` still had ``workers`` must load."""
+    """Snapshots written while ``DHLConfig`` still had ``workers``, and
+    while the writer recorded ``engine`` (always ``"array"``, the old
+    default) but not the two structural limits, must load — onto this
+    machine's engine and the default limits."""
 
     @staticmethod
     def _age(path):
-        """Rewrite every manifest under *path* the way the old writer did:
-        a ``workers`` key inside ``config``, checksums resealed to match."""
+        """Rewrite every manifest under *path* the way the old writers did,
+        checksums resealed to match."""
         from repro.core.serialization import _write_checksums
 
         for manifest_path in path.rglob("manifest.json"):
             manifest = json.loads(manifest_path.read_text())
             assert "workers" not in manifest["config"]  # no longer written
             manifest["config"]["workers"] = 2
+            manifest["config"]["engine"] = "array"
+            del manifest["config"]["insert_closure_limit"]
+            del manifest["config"]["compaction_threshold"]
             manifest_path.write_text(json.dumps(manifest))
             (manifest_path.parent / "checksums.json").unlink()
         _write_checksums(path)
@@ -246,6 +265,7 @@ class TestPreWorkersRemovalSnapshots:
         self._age(tmp_path / "idx")
         loaded = DHLIndex.load(tmp_path / "idx", verify=True)
         assert loaded.config == small_index.config
+        assert loaded.engine.engine == DHLConfig().resolve_engine()
         assert loaded.distance(3, 250) == small_index.distance(3, 250)
 
     def test_directed(self, tmp_path):

@@ -33,7 +33,7 @@ from repro.graph.graph import Graph
 from repro.hierarchy.csr import compact_slots
 from repro.service import DistanceService, ShardWorkerRuntime
 from repro.service.coalescer import UpdateCoalescer
-from tests.conftest import directed_dijkstra
+from tests.conftest import directed_dijkstra, require_engine
 from tests.strategies import connected_graphs
 
 
@@ -166,6 +166,7 @@ def test_batched_equals_sequential(data):
 @pytest.mark.parametrize("engine", ["reference", "array", "compiled"])
 def test_engines_agree_on_structural_batches(engine):
     """compiled == array == reference across a fixed mixed script."""
+    require_engine(engine)
     graph = delaunay_network(150, seed=21)
     cfg = DHLConfig(leaf_size=6, seed=0, engine=engine)
     index = DHLIndex.build(graph.copy(), cfg)
@@ -322,8 +323,9 @@ ENGINES = ["reference", "array", "compiled"]
 
 
 @pytest.mark.parametrize("engine", ENGINES)
-def test_restore_after_compaction_reinserts(engine, small_road, forced_compiled):
+def test_restore_after_compaction_reinserts(engine, small_road):
     """A weight report on a compacted-away edge re-enters via insertion."""
+    require_engine(engine)
     cfg = DHLConfig(leaf_size=6, seed=0, engine=engine)
     index = DHLIndex.build(small_road.copy(), cfg)
     u, v, w = next(iter(index.graph.edges()))
@@ -380,10 +382,11 @@ ROAD_DIJKSTRA = {"undirected": dijkstra, "directed": directed_dijkstra}
 
 @pytest.mark.parametrize("engine", ENGINES)
 def test_decrease_onto_compacted_slot_raises_under_every_engine(
-    engine, small_road, forced_compiled
+    engine, small_road
 ):
     """The compacted-slot guard is part of the sweep contract: a finite
     candidate for a removed pair must surface, not be skipped."""
+    require_engine(engine)
     for build in FAMILIES.values():
         index = build(small_road, DHLConfig(leaf_size=6, seed=0, engine=engine))
         x, p, q, o = _triangle_over(index, need_edge=True)
@@ -394,8 +397,9 @@ def test_decrease_onto_compacted_slot_raises_under_every_engine(
 
 @pytest.mark.parametrize("engine", ENGINES)
 def test_insertion_onto_compacted_slot_falls_back_to_rebuild(
-    engine, small_road, forced_compiled
+    engine, small_road
 ):
+    require_engine(engine)
     for family, build in FAMILIES.items():
         index = build(small_road, DHLConfig(leaf_size=6, seed=0, engine=engine))
         x, p, q, o = _triangle_over(index, need_edge=False)

@@ -3,7 +3,7 @@
 The ``array`` sweeps run as frontier rounds in no particular order and
 rely on the equality guard to re-deliver work: an entry recomputed from
 a stale neighbour is suspected again when that neighbour moves. The
-``reference`` (rank-ordered heaps) and forced-``compiled`` engines keep
+``reference`` (rank-ordered heaps) and ``compiled`` (C heaps) engines keep
 the paper's order, so three-way parity of everything but
 ``entries_processed`` — on the inputs where stale reads and ties are
 most likely — is the check that re-delivery loses nothing. The last
@@ -45,8 +45,6 @@ from tests.strategies import (
     rolling_stream,
     update_sequences,
 )
-
-pytestmark = pytest.mark.usefixtures("forced_compiled")
 
 ENGINE_NAMES = ("array", "reference", "compiled")
 
@@ -340,7 +338,7 @@ def test_sweeps_finish_in_hop_rounds_not_tau_levels(monkeypatch):
         driver.ENGINES, "array", Engine(*map(counted, Engine._fields, array))
     )
     graph = grid_network(24, 24, seed=0)
-    index = DHLIndex.build(graph.copy(), DHLConfig(seed=0))
+    index = DHLIndex.build(graph.copy(), DHLConfig(seed=0, engine="array"))
     levels = int(index.hu.tau.max()) + 1
     for burst in rolling_bursts(graph, rounds=6, seed=1):
         index.update(burst)

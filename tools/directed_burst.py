@@ -118,8 +118,10 @@ def measure(name: str, engine: str) -> bool:
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("graphs", nargs="+", choices=sorted(GRAPHS))
-    parser.add_argument("--engine", default="array")
+    parser.add_argument("--engine", default=DHLConfig().engine)
     args = parser.parse_args()
+    resolved = DHLConfig(engine=args.engine).resolve_engine()
+    print(f"# engine: {args.engine} requested, {resolved} runs")
     # A list, not a generator: every graph is measured and printed even
     # after one has missed its pins.
     if not all([measure(name, args.engine) for name in args.graphs]):

@@ -34,6 +34,7 @@ from pathlib import Path
 if not any(Path(p, "repro").is_dir() for p in sys.path if p):
     sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
+from repro.core.config import DHLConfig  # noqa: E402
 from repro.graph.generators import delaunay_network, grid_network  # noqa: E402
 from repro.observability import collect_phases  # noqa: E402
 from repro.partition import partition_regions, recursive_bisection  # noqa: E402
@@ -103,7 +104,8 @@ def main() -> int:
     args = parser.parse_args()
     print(
         f"machine: {os.cpu_count()} cores, python {sys.version.split()[0]}, "
-        f"OPENBLAS_NUM_THREADS={os.environ.get('OPENBLAS_NUM_THREADS', 'unset')}"
+        f"OPENBLAS_NUM_THREADS={os.environ.get('OPENBLAS_NUM_THREADS', 'unset')}, "
+        f"engine {DHLConfig().resolve_engine()}"
     )
     for name in args.graphs:
         profile(name, max(1, args.repeat))
