@@ -4,8 +4,9 @@ A pure-Python reproduction of *"Dual-Hierarchy Labelling: Scaling Up
 Distance Queries on Dynamic Road Networks"* (Farhan, Koehler, Wang —
 SIGMOD 2025), including the DHL index, its dynamic maintenance algorithms,
 the DCH and IncH2H state-of-the-art baselines, a multilevel graph
-partitioner, synthetic road-network datasets and a benchmark harness for
-every table and figure of the paper's evaluation.
+partitioner, synthetic road-network datasets and an experiment harness
+(``repro-experiments``) for every table and figure of the paper's
+evaluation.
 
 Quickstart::
 

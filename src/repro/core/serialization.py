@@ -399,18 +399,15 @@ def _arc_payload(digraph: DiGraph) -> dict[str, np.ndarray]:
 
 
 def _digraph_from_payload(data, n: int) -> DiGraph:
-    digraph = DiGraph(n, data["coords"] if "coords" in data else None)
-    for a, b, w in zip(
-        data["arc_src"].tolist(),
-        data["arc_dst"].tolist(),
-        data["arc_weight"].tolist(),
-    ):
-        if np.isfinite(w):
-            digraph.add_arc(a, b, w)
-        else:  # logically deleted arc: allocate the slot, then mark
-            digraph.add_arc(a, b, 0.0)
-            digraph.set_weight(a, b, w)
-    return digraph
+    return DiGraph.from_arcs(
+        n,
+        zip(
+            data["arc_src"].tolist(),
+            data["arc_dst"].tolist(),
+            data["arc_weight"].tolist(),
+        ),
+        data["coords"] if "coords" in data else None,
+    )
 
 
 def _store_from_payload(

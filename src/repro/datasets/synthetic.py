@@ -7,8 +7,8 @@ obstacle, Europe is two landmasses with a corridor, and so on. Weights
 are integer travel times.
 
 The suite scale can be overridden globally with the ``REPRO_SCALE``
-environment variable (a float multiplier on the default sizes), which the
-benchmark profiles use to stay within CI budgets.
+environment variable (a float multiplier on the default sizes), to move
+the experiments toward the paper's full sizes.
 """
 
 from __future__ import annotations

@@ -1,8 +1,8 @@
 """Timing helpers for the experiment harness.
 
 Thin wrappers over the canonical :class:`repro.observability.Timer`
-primitive so every layer (experiments, benchmarks, the service) times
-work through one clock discipline.
+primitive so every layer (experiments, the service) times work through
+one clock discipline.
 """
 
 from __future__ import annotations

@@ -8,13 +8,14 @@ writes JSON payloads next to the printed text tables::
     REPRO_SCALE=2 repro-experiments table3   # 2x the default suite scale
 
 ``--quick`` restricts to the four smallest datasets and shrinks query
-counts, which is what CI and the pytest benchmarks use.
+counts, which is what the CI smoke steps use.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+from functools import partial
 from pathlib import Path
 
 from repro.core.config import DHLConfig
@@ -28,8 +29,7 @@ from repro.experiments.figures import (
 from repro.experiments.report import save_results
 from repro.experiments.service import service_scenarios
 from repro.experiments.service_chaos import service_chaos_scenarios
-from repro.experiments.service_sockets import service_sockets_scenarios
-from repro.experiments.service_workers import service_workers_scenarios
+from repro.experiments.service_runtime import shard_runtime_scenarios
 from repro.experiments.sharded import sharded_scenarios
 from repro.experiments.structural import structural_scenarios
 from repro.experiments.tables import (
@@ -39,6 +39,7 @@ from repro.experiments.tables import (
     table3_index,
 )
 from repro.experiments.verification import verify_correctness
+from repro.service import ShardWorkerRuntime, SocketShardRuntime
 
 __all__ = ["main", "EXPERIMENTS"]
 
@@ -52,8 +53,12 @@ EXPERIMENTS = {
     "figure7": figure7_scalability,
     "service": service_scenarios,
     "service-chaos": service_chaos_scenarios,
-    "service-sockets": service_sockets_scenarios,
-    "service-workers": service_workers_scenarios,
+    "service-sockets": partial(
+        shard_runtime_scenarios, runtime_cls=SocketShardRuntime
+    ),
+    "service-workers": partial(
+        shard_runtime_scenarios, runtime_cls=ShardWorkerRuntime
+    ),
     "sharded": sharded_scenarios,
     "structural": structural_scenarios,
     "verify": verify_correctness,

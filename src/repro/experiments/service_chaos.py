@@ -16,7 +16,8 @@ sleeps. The contract it certifies, per dataset:
   the shard's breaker walks open → half-open → closed on the first
   served request;
 * **bounded recovery** — failover and respawn downtime stay under a
-  loose ceiling (the tight gates live in the benchmark checker);
+  loose ceiling (the exact downtime is pinned by the tier-1 fault
+  drills on a fake clock);
 * **stale rejoiners heal** — a replica holding an old epoch resolves
   through the ``StaleReply`` → republish → retry path mid-request;
 * **torn snapshots are refused** — a crash-corrupted on-disk snapshot
@@ -46,8 +47,9 @@ __all__ = ["service_chaos_scenarios"]
 _K = 2
 _REPLICAS = 2
 _SUPERVISE_INTERVAL = 60.0
-#: Loose sanity ceiling, milliseconds. The regression gates in
-#: ``benchmarks/check_service_regression.py`` are the tight ones.
+#: Loose sanity ceiling, milliseconds: recovery that slow means a
+#: failover waited out a deadline. The exact downtime is pinned on a
+#: fake clock by the tier-1 fault drills.
 _RECOVERY_CEILING_MS = 30_000.0
 
 

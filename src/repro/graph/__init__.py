@@ -9,7 +9,6 @@ extension.
 
 from repro.graph.graph import Graph
 from repro.graph.digraph import DiGraph
-from repro.graph.csr import CSRGraph
 from repro.graph.components import connected_components, is_connected, largest_component
 from repro.graph.generators import (
     grid_network,
@@ -31,7 +30,6 @@ from repro.graph.metrics import NetworkMetrics, network_metrics, approximate_dia
 __all__ = [
     "Graph",
     "DiGraph",
-    "CSRGraph",
     "connected_components",
     "is_connected",
     "largest_component",

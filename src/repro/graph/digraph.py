@@ -39,15 +39,27 @@ class DiGraph:
         self.coords = coords
 
     @classmethod
-    def from_arcs(cls, n: int, arcs: Iterable[ArcTriple]) -> "DiGraph":
-        """Build from ``(u, v, w)`` arcs; duplicates keep the minimum weight."""
-        g = cls(n)
+    def from_arcs(
+        cls,
+        n: int,
+        arcs: Iterable[ArcTriple],
+        coords: np.ndarray | None = None,
+    ) -> "DiGraph":
+        """Build from ``(u, v, w)`` arcs, as :meth:`Graph.from_edges`.
+
+        Duplicates keep the minimum weight; an infinite weight is stored
+        as a logically deleted arc.
+        """
+        g = cls(n, coords)
         for u, v, w in arcs:
             if g.has_arc(u, v):
                 if w < g.weight(u, v):
                     g.set_weight(u, v, w)
-            else:
+            elif math.isfinite(w):
                 g.add_arc(u, v, w)
+            else:  # logically deleted arc: allocate the slot, then mark
+                g.add_arc(u, v, 0.0)
+                g.set_weight(u, v, w)
         return g
 
     @classmethod

@@ -40,7 +40,7 @@ from repro.observability.registry import (
     NULL_REGISTRY,
 )
 from repro.observability.slowlog import NullSlowLog, NULL_SLOW_LOG, SlowLog
-from repro.observability.timing import Timer, best_of, measure_seconds
+from repro.observability.timing import Timer
 from repro.observability.tracing import (
     NullTracer,
     NULL_TRACER,
@@ -72,8 +72,6 @@ __all__ = [
     "PhaseCollector",
     "collect_phases",
     "Timer",
-    "best_of",
-    "measure_seconds",
 ]
 
 

@@ -1,17 +1,16 @@
-"""Shared wall-clock timing primitives.
+"""Shared wall-clock timing primitive.
 
 Every layer that measures time — the serving hot path, the experiment
-harness, the standalone quick benchmarks — uses these two helpers, so a
-latency number always means the same thing: ``time.perf_counter`` wall
-seconds around exactly the measured call.
+harness — uses :class:`Timer`, so a latency number always means the
+same thing: ``time.perf_counter`` wall seconds around exactly the
+measured call.
 """
 
 from __future__ import annotations
 
 import time
-from typing import Callable
 
-__all__ = ["Timer", "best_of", "measure_seconds"]
+__all__ = ["Timer"]
 
 
 class Timer:
@@ -29,20 +28,3 @@ class Timer:
 
     def __exit__(self, *exc) -> None:
         self.seconds = time.perf_counter() - self._start
-
-
-def measure_seconds(fn: Callable[[], object]) -> float:
-    """Wall-clock seconds of one invocation of *fn*."""
-    with Timer() as timer:
-        fn()
-    return timer.seconds
-
-
-def best_of(fn: Callable[[], object], repeats: int) -> float:
-    """Minimum wall-clock seconds of *fn* over *repeats* invocations.
-
-    The canonical benchmark loop: best-of-N filters scheduler noise on
-    shared runners, so ratios of two ``best_of`` numbers from the same
-    process are stable enough to gate in CI.
-    """
-    return min(measure_seconds(fn) for _ in range(max(1, repeats)))

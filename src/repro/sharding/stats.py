@@ -1,8 +1,8 @@
 """Maintenance accounting for the sharded index.
 
 A sharded update fans out into independent per-shard maintenance passes
-plus one overlay pass; serving code (the epoch-guarded cache, the
-benchmarks' update-isolation evidence) needs both the aggregate view —
+plus one overlay pass; serving code (the epoch-guarded cache) and the
+update-isolation tests need both the aggregate view —
 the same counters a monolithic :class:`MaintenanceStats` exposes — and
 the per-shard breakdown showing which shards actually did work.
 """

@@ -1,14 +1,9 @@
-"""Priority queues used by the shortest-path and maintenance loops.
+"""Priority queue used by the shortest-path and maintenance loops.
 
-Two flavours are provided:
-
-* :class:`AddressableHeap` — a binary min-heap with ``decrease_key`` by item,
-  the textbook structure for Dijkstra's algorithm. Items must be hashable.
-* :class:`LazyHeap` — a thin wrapper over :mod:`heapq` with lazy deletion,
-  which is often faster in CPython because it avoids position bookkeeping.
-
-Both order items by a ``(key, item)``-style comparison where only the key
-matters; ties are broken by insertion order to keep behaviour deterministic.
+:class:`LazyHeap` is a thin wrapper over :mod:`heapq` with lazy deletion:
+no position bookkeeping, so it is the fast choice in CPython. Only the
+key orders items; ties are broken by insertion order to keep behaviour
+deterministic.
 """
 
 from __future__ import annotations
@@ -17,120 +12,9 @@ import heapq
 import itertools
 from typing import Generic, Hashable, Iterator, TypeVar
 
-__all__ = ["AddressableHeap", "LazyHeap"]
+__all__ = ["LazyHeap"]
 
 T = TypeVar("T", bound=Hashable)
-
-
-class AddressableHeap(Generic[T]):
-    """Binary min-heap supporting ``decrease_key`` addressed by item.
-
-    >>> h = AddressableHeap()
-    >>> h.push("a", 3.0); h.push("b", 1.0); h.push("c", 2.0)
-    >>> h.decrease_key("a", 0.5)
-    True
-    >>> [h.pop() for _ in range(len(h))]
-    [('a', 0.5), ('b', 1.0), ('c', 2.0)]
-    """
-
-    def __init__(self) -> None:
-        self._heap: list[tuple[float, int, T]] = []
-        self._pos: dict[T, int] = {}
-        self._counter = itertools.count()
-
-    def __len__(self) -> int:
-        return len(self._heap)
-
-    def __bool__(self) -> bool:
-        return bool(self._heap)
-
-    def __contains__(self, item: T) -> bool:
-        return item in self._pos
-
-    def key_of(self, item: T) -> float:
-        """Return the current key of *item* (KeyError if absent)."""
-        return self._heap[self._pos[item]][0]
-
-    def push(self, item: T, key: float) -> None:
-        """Insert *item* with *key*; the item must not already be present."""
-        if item in self._pos:
-            raise ValueError(f"item {item!r} already in heap")
-        entry = (key, next(self._counter), item)
-        self._heap.append(entry)
-        self._pos[item] = len(self._heap) - 1
-        self._sift_up(len(self._heap) - 1)
-
-    def push_or_decrease(self, item: T, key: float) -> bool:
-        """Insert *item*, or lower its key if already present with a larger one.
-
-        Returns True when the heap changed.
-        """
-        if item in self._pos:
-            return self.decrease_key(item, key)
-        self.push(item, key)
-        return True
-
-    def decrease_key(self, item: T, key: float) -> bool:
-        """Lower the key of *item*; returns False when *key* is not lower."""
-        i = self._pos[item]
-        current = self._heap[i][0]
-        if key >= current:
-            return False
-        self._heap[i] = (key, self._heap[i][1], item)
-        self._sift_up(i)
-        return True
-
-    def pop(self) -> tuple[T, float]:
-        """Remove and return ``(item, key)`` with the smallest key."""
-        if not self._heap:
-            raise IndexError("pop from empty heap")
-        key, _, item = self._heap[0]
-        last = self._heap.pop()
-        del self._pos[item]
-        if self._heap:
-            self._heap[0] = last
-            self._pos[last[2]] = 0
-            self._sift_down(0)
-        return item, key
-
-    def peek(self) -> tuple[T, float]:
-        """Return ``(item, key)`` with the smallest key without removing it."""
-        if not self._heap:
-            raise IndexError("peek at empty heap")
-        key, _, item = self._heap[0]
-        return item, key
-
-    def _sift_up(self, i: int) -> None:
-        heap, pos = self._heap, self._pos
-        entry = heap[i]
-        while i > 0:
-            parent = (i - 1) >> 1
-            if heap[parent] <= entry:
-                break
-            heap[i] = heap[parent]
-            pos[heap[i][2]] = i
-            i = parent
-        heap[i] = entry
-        pos[entry[2]] = i
-
-    def _sift_down(self, i: int) -> None:
-        heap, pos = self._heap, self._pos
-        n = len(heap)
-        entry = heap[i]
-        while True:
-            child = 2 * i + 1
-            if child >= n:
-                break
-            right = child + 1
-            if right < n and heap[right] < heap[child]:
-                child = right
-            if entry <= heap[child]:
-                break
-            heap[i] = heap[child]
-            pos[heap[i][2]] = i
-            i = child
-        heap[i] = entry
-        pos[entry[2]] = i
 
 
 class LazyHeap(Generic[T]):

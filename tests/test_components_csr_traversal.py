@@ -1,13 +1,10 @@
-"""Tests for components, CSR snapshots and traversal helpers."""
+"""Tests for components and traversal helpers."""
 
 from __future__ import annotations
 
 import math
 
-import numpy as np
-
 from repro.graph.components import connected_components, is_connected, largest_component
-from repro.graph.csr import CSRGraph
 from repro.graph.graph import Graph
 from repro.graph.traversal import bfs_distances, bfs_order, eccentric_vertex
 
@@ -41,27 +38,6 @@ class TestComponents:
         sub, mapping = largest_component(two_component_graph())
         assert sub.num_vertices == 3
         assert sorted(mapping) == [0, 1, 2]
-
-
-class TestCSR:
-    def test_round_trip_neighbors(self, diamond_graph):
-        csr = CSRGraph.from_graph(diamond_graph)
-        assert csr.num_vertices == 4
-        assert csr.num_edges == 4
-        ids, weights = csr.neighbors(0)
-        assert set(ids.tolist()) == {1, 2}
-        assert sorted(weights.tolist()) == [1.0, 2.0]
-        assert csr.degree(0) == 2
-
-    def test_to_scipy_symmetric(self, diamond_graph):
-        mat = CSRGraph.from_graph(diamond_graph).to_scipy()
-        dense = mat.toarray()
-        assert (dense == dense.T).all()
-        assert dense[0, 1] == 1.0
-
-    def test_laplacian_rows_sum_to_zero(self, small_grid):
-        lap = CSRGraph.from_graph(small_grid).laplacian()
-        assert np.allclose(np.asarray(lap.sum(axis=1)).ravel(), 0.0)
 
 
 class TestTraversal:

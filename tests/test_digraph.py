@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import math
+
+import numpy as np
 import pytest
 
 from repro.exceptions import EdgeNotFound, GraphError
@@ -35,6 +38,34 @@ class TestDiGraph:
     def test_from_arcs_keeps_min(self):
         g = DiGraph.from_arcs(2, [(0, 1, 5.0), (0, 1, 2.0)])
         assert g.weight(0, 1) == 2.0
+
+    def test_from_arcs_has_the_from_edges_contract(self):
+        """``inf`` is a logically deleted arc (slot kept, as
+        ``Graph.from_edges`` keeps the edge) and coords ride along."""
+        coords = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+        arcs = [(0, 1, math.inf), (1, 2, 3.0), (2, 1, math.inf), (2, 1, 4.0)]
+        g = DiGraph.from_arcs(3, arcs, coords)
+        undirected = Graph.from_edges(2, [(0, 1, math.inf)])
+        assert math.isinf(undirected.weight(0, 1))
+        assert math.isinf(g.weight(0, 1)) and g.in_neighbors(1)[0] == math.inf
+        assert g.weight(2, 1) == 4.0  # a finite duplicate revives the slot
+        assert list(g.arcs()) == [(0, 1, math.inf), (1, 2, 3.0), (2, 1, 4.0)]
+        assert g.num_arcs == 3 and g.coords is not None
+        np.testing.assert_array_equal(g.coords, coords)
+        assert DiGraph.from_arcs(2, [(0, 1, 1.0)]).coords is None
+
+    @pytest.mark.parametrize("w", [math.nan, -1.0, -math.inf])
+    def test_from_arcs_rejects_what_from_edges_rejects(self, w):
+        """Only ``+inf`` is a deletion marker; NaN and negative weights
+        fail in both constructors."""
+        with pytest.raises(GraphError):
+            Graph.from_edges(2, [(0, 1, w)])
+        with pytest.raises(GraphError):
+            DiGraph.from_arcs(2, [(0, 1, w)])
+
+    def test_from_arcs_checks_coords_shape(self):
+        with pytest.raises(GraphError):
+            DiGraph.from_arcs(3, [(0, 1, 1.0)], np.zeros((2, 2)))
 
     def test_set_weight_updates_both_tables(self):
         g = DiGraph(2)

@@ -14,9 +14,9 @@ around the respawn; the service frontend re-aligns partial results
 without poisoning its cache; the async frontend unfolds a degraded
 merged batch so only the affected clients see the error. The drills
 that cross the transport seam (kill, heartbeat death, request
-deadline, breaker shed and recovery) take the ``transport`` fixture
-and run on both transports; the scheduler- and frontend-level ones run
-once.
+deadline, channel loss, breaker shed and recovery) take the
+``transport`` fixture and run on both transports; the scheduler- and
+frontend-level ones run once.
 """
 
 from __future__ import annotations
@@ -31,6 +31,7 @@ import pytest
 from repro.exceptions import (
     PartialResultError,
     ProtocolTruncationError,
+    ServiceRuntimeError,
     ShardUnavailableError,
 )
 from repro.graph.generators import delaunay_network
@@ -284,6 +285,42 @@ def test_request_deadline_fails_over_then_sheds(transport, small_sharded):
         finally:
             os.kill(survivor.process.pid, signal.SIGCONT)
         assert info.value.open_shards == (0,) and not survivor.alive
+
+
+def test_dead_replica_is_retired_by_its_channel_not_the_deadline(
+    transport, small_sharded
+):
+    """A hard-killed replica's channel reports the loss (EOF / reset)
+    at once, so failing over never waits out ``request_timeout``: the
+    error that retired it is a channel error, never a timeout."""
+    _, sharded = small_sharded
+    pairs = shard_pairs(sharded, 0)
+    expected = sharded.distances(pairs)
+    with transport(
+        sharded, replicas=2, request_timeout=2.0,
+        clock=FakeClock(), supervise_interval=1000.0,
+    ) as runtime:
+        victim = runtime._groups[0][0]
+        causes = []
+        request = victim.request
+
+        def spy(message):
+            try:
+                return request(message)
+            except ServiceRuntimeError as exc:
+                causes.append(exc.__cause__)
+                raise
+
+        victim.request = spy
+        # The first batch spends the due supervision poll (a health
+        # probe would otherwise find the corpse before a request does).
+        np.testing.assert_array_equal(runtime.distances(pairs), expected)
+        kill(victim)
+        for _ in range(2):  # round-robin reaches the dead replica
+            np.testing.assert_array_equal(runtime.distances(pairs), expected)
+        assert runtime.stats.failovers == 1 and not victim.alive
+        assert len(causes) == 1 and causes[0] is not None
+        assert not isinstance(causes[0], TimeoutError), causes[0]
 
 
 def test_respawn_gives_up_after_policy_attempts(small_sharded):

@@ -32,7 +32,6 @@ from repro.observability import (
     SlowLog,
     Span,
     Timer,
-    best_of,
     collect_phases,
     maybe_child,
     phase,
@@ -362,14 +361,10 @@ def test_default_slow_log_never_fires():
     assert log.as_list() == []
 
 
-def test_timer_and_best_of():
+def test_timer():
     with Timer() as timer:
         time.sleep(0.001)
     assert timer.seconds >= 0.001
-    calls = []
-    best = best_of(lambda: calls.append(None), repeats=4)
-    assert len(calls) == 4
-    assert best >= 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -406,6 +401,35 @@ def test_service_disabled_observability_records_nothing(small_service_graph):
     service.submit(u, v, 2.0 * w)
     stats = service.flush()
     assert stats.phases == {}  # kernels stayed uninstrumented
+
+
+def test_untraced_metrics_cost_per_call_not_per_pair(
+    small_service_graph, monkeypatch
+):
+    """The scrape configuration (metrics on, tracing off) adds a fixed
+    handful of instrument calls per ``distances`` call, however many
+    pairs it carries — one latency observation per call, and not a
+    single span object built."""
+    spans = []
+    original = Span.__init__
+
+    def counting(self, name):
+        spans.append(name)
+        original(self, name)
+
+    monkeypatch.setattr(Span, "__init__", counting)
+    service = build_service(
+        small_service_graph, observability=Observability.enabled(), cache_capacity=1
+    )
+    n = small_service_graph.num_vertices
+    pairs = [(s, t) for s in range(n) for t in range(n)]
+    for _ in range(3):
+        service.distances(pairs)
+    snapshot = service.metrics()
+    assert snapshot["dhl_query_seconds"]["count"] == 3
+    assert snapshot["dhl_query_batches_total"]["value"] == 3
+    assert snapshot["dhl_queries_total"]["value"] == 3 * len(pairs)
+    assert spans == [] and service.last_trace() is None
 
 
 def test_service_reports_its_backends_engine_not_the_process(

@@ -1,87 +1,11 @@
-"""Tests for the heap implementations."""
+"""Tests for the lazy-deletion heap."""
 
 from __future__ import annotations
 
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.utils.priority_queue import AddressableHeap, LazyHeap
-
-
-class TestAddressableHeap:
-    def test_push_pop_orders_by_key(self):
-        h = AddressableHeap()
-        for item, key in [("a", 3.0), ("b", 1.0), ("c", 2.0)]:
-            h.push(item, key)
-        assert [h.pop() for _ in range(3)] == [("b", 1.0), ("c", 2.0), ("a", 3.0)]
-
-    def test_decrease_key_moves_item_up(self):
-        h = AddressableHeap()
-        h.push("x", 10.0)
-        h.push("y", 5.0)
-        assert h.decrease_key("x", 1.0)
-        assert h.pop() == ("x", 1.0)
-
-    def test_decrease_key_rejects_larger_key(self):
-        h = AddressableHeap()
-        h.push("x", 2.0)
-        assert not h.decrease_key("x", 3.0)
-        assert h.key_of("x") == 2.0
-
-    def test_push_duplicate_raises(self):
-        h = AddressableHeap()
-        h.push("x", 1.0)
-        with pytest.raises(ValueError):
-            h.push("x", 2.0)
-
-    def test_push_or_decrease(self):
-        h = AddressableHeap()
-        assert h.push_or_decrease("x", 5.0)
-        assert h.push_or_decrease("x", 2.0)
-        assert not h.push_or_decrease("x", 9.0)
-        assert h.pop() == ("x", 2.0)
-
-    def test_pop_empty_raises(self):
-        with pytest.raises(IndexError):
-            AddressableHeap().pop()
-
-    def test_peek_does_not_remove(self):
-        h = AddressableHeap()
-        h.push("x", 1.0)
-        assert h.peek() == ("x", 1.0)
-        assert len(h) == 1
-
-    def test_contains_and_len(self):
-        h = AddressableHeap()
-        h.push(4, 1.0)
-        assert 4 in h and 5 not in h and len(h) == 1
-
-    def test_ties_broken_by_insertion_order(self):
-        h = AddressableHeap()
-        h.push("first", 1.0)
-        h.push("second", 1.0)
-        assert h.pop()[0] == "first"
-
-    @given(st.lists(st.tuples(st.integers(0, 50), st.integers(0, 100)), max_size=120))
-    def test_model_against_sorted(self, ops):
-        """Dijkstra-style usage matches a reference sorted simulation."""
-        h = AddressableHeap()
-        best: dict[int, int] = {}
-        for item, key in ops:
-            if item in best:
-                if key < best[item]:
-                    best[item] = key
-                    h.decrease_key(item, key)
-            else:
-                best[item] = key
-                h.push(item, key)
-        drained = []
-        while h:
-            drained.append(h.pop())
-        assert sorted(drained, key=lambda kv: (kv[1], kv[0])) == sorted(
-            ((i, k) for i, k in best.items()), key=lambda kv: (kv[1], kv[0])
-        )
-        assert [k for _, k in drained] == sorted(k for k in best.values())
+from repro.utils.priority_queue import LazyHeap
 
 
 class TestLazyHeap:
@@ -116,6 +40,32 @@ class TestLazyHeap:
         with pytest.raises(IndexError):
             LazyHeap().pop()
 
+    def test_ties_broken_by_insertion_order(self):
+        h = LazyHeap()
+        h.push("first", 1.0)
+        h.push("second", 1.0)
+        assert h.pop()[0] == "first"
+
+    def test_contains_and_len_count_items_not_entries(self):
+        h = LazyHeap()
+        h.push(4, 5.0)
+        h.push(4, 1.0)  # supersedes: two heap entries, one item
+        assert 4 in h and 5 not in h and len(h) == 1
+        h.pop()
+        assert 4 not in h and len(h) == 0
+
+    def test_stale_entry_does_not_resurface_after_repush(self):
+        """The entry a lower key superseded stays in the heap; once the
+        item is popped and pushed again at a larger key, that old entry
+        must be skipped, not returned under the new push."""
+        h = LazyHeap()
+        h.push("a", 5.0)
+        h.push("a", 1.0)
+        assert h.pop() == ("a", 1.0)
+        h.push("a", 7.0)
+        assert h.pop() == ("a", 7.0)
+        assert not h
+
     def test_drain_yields_sorted(self):
         h = LazyHeap()
         for i, key in enumerate([5.0, 1.0, 3.0, 2.0]):
@@ -133,3 +83,16 @@ class TestLazyHeap:
                 best[item] = key
         drained = dict(h.drain())
         assert drained == best
+
+    @given(st.lists(st.tuples(st.integers(0, 30), st.integers(0, 100)), max_size=100))
+    def test_model_drains_in_key_order(self, ops):
+        """Dijkstra-style usage: each item comes out once, keys never
+        decrease, and equal keys keep the order of their winning push."""
+        h = LazyHeap()
+        winner: dict[int, tuple[int, int]] = {}  # item -> (key, push seq)
+        for seq, (item, key) in enumerate(ops):
+            if h.push(item, key):
+                winner[item] = (key, seq)
+        drained = list(h.drain())
+        assert [item for item, _ in drained] == sorted(winner, key=winner.get)
+        assert [key for _, key in drained] == sorted(k for k, _ in winner.values())

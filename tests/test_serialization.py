@@ -123,9 +123,8 @@ class TestDirectedLogicalDeletionRoundTrip:
     def test_saved_inf_arcs_reload(self, tmp_path):
         """Logically deleted arcs (weight inf) must survive save/load.
 
-        The loader rebuilds the digraph arc by arc; add_arc rejects
-        infinite weights, so deleted slots need the allocate-then-mark
-        pattern the graph constructors use.
+        The loader rebuilds the digraph with ``DiGraph.from_arcs``,
+        which stores an infinite weight as a deleted slot.
         """
         import math
 
@@ -144,6 +143,19 @@ class TestDirectedLogicalDeletionRoundTrip:
         pairs = [(s, t) for s in range(0, 30, 5) for t in range(0, 30, 7)]
         for s, t in pairs:
             assert loaded.distance(s, t) == index.distance(s, t)
+
+    def test_saved_coords_reload(self, tmp_path):
+        from repro.core.directed import DirectedDHLIndex
+        from repro.graph.digraph import DiGraph
+        from repro.graph.generators import delaunay_network
+
+        dg = DiGraph.from_undirected(delaunay_network(40, seed=2))
+        index = DirectedDHLIndex.build(dg, DHLConfig(leaf_size=4, seed=0))
+        index.save(tmp_path / "idx")
+        loaded = DirectedDHLIndex.load(tmp_path / "idx")
+        assert loaded.digraph.coords is not None
+        np.testing.assert_array_equal(loaded.digraph.coords, dg.coords)
+        assert list(loaded.digraph.arcs()) == list(dg.arcs())
 
 
 class TestCrashSafeSnapshots:

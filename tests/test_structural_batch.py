@@ -238,6 +238,39 @@ def test_insert_closure_limit_zero_disables_fast_path(small_road):
     assert index.distance(*pair) <= 1.5
 
 
+def test_insert_fast_path_builds_what_the_rebuild_tier_builds(small_road):
+    """Four comparable links in one batch: the slot-extension fast path
+    and the fallback rebuild (``insert_closure_limit=0``) must leave
+    bit-equal labels — the fast path is a shortcut, not an
+    approximation."""
+    fast, rebuilt = (
+        DHLIndex.build(small_road.copy(), DHLConfig(leaf_size=6, seed=0, **extra))
+        for extra in ({}, {"insert_closure_limit": 0})
+    )
+    hq, n = fast.hq, small_road.num_vertices
+    links = []
+    for a in range(n):
+        b = next(
+            (
+                b
+                for b in range(a + 1, n)
+                if hq.comparable(a, b) and not small_road.has_edge(a, b)
+            ),
+            None,
+        )
+        if b is not None:
+            # Slightly better than the current route: real label work.
+            links.append((a, b, float(max(1, round(0.95 * fast.distance(a, b))))))
+        if len(links) == 4:
+            break
+    a = fast.apply_batch(insertions=links)
+    b = rebuilt.apply_batch(insertions=links)
+    assert (a.fastpath_inserts, a.fallback_rebuilds) == (4, 0)
+    assert (b.fastpath_inserts, b.fallback_rebuilds) == (0, 1)
+    assert fast.labels.equals(rebuilt.labels)
+    assert a.maintenance.labels_changed > 0
+
+
 def test_already_deleted_counter(small_index):
     index = small_index
     u, v, _ = next(iter(index.graph.edges()))
