@@ -1,7 +1,8 @@
 """The native engine behind ``DHLConfig(engine="compiled")``: one C file.
 
 :mod:`dhl_kernels.c <repro.labelling.native>` (package data, plain C99,
-no ``Python.h``) holds the pair query and the four maintenance sweeps.
+no ``Python.h``) holds the pair and set-to-set queries, the sharded
+min-plus combine and the four maintenance sweeps.
 This module builds it at first use and opens it with :mod:`ctypes`:
 
 * :func:`library` — the loaded library, or None where it cannot be had.
@@ -60,6 +61,11 @@ _i64, _ptr = ctypes.c_int64, ctypes.c_void_p
 #: travel as the integer address ``ndarray.ctypes.data`` gives.
 SIGNATURES = {
     "dhl_gather_pairs": (None, [_i64] + [_ptr] * 11 + [_i64] + [_ptr] * 3),
+    "dhl_distance_matrix": (
+        None,
+        [_i64, _ptr, _i64] + [_ptr] * 9 + [_i64] + [_ptr] * 2,
+    ),
+    "dhl_min_plus": (None, [_i64] * 3 + [_ptr] * 3 + [_i64] + [_ptr] * 4),
     "dhl_shortcut_decrease": (
         ctypes.c_int,
         [_i64, _ptr, _i64, _ptr, _i64] + [_ptr] * 7,

@@ -1,10 +1,11 @@
 /*
- * DHL kernels over the flat CSR buffers: the pair query (Section 4.3)
+ * DHL kernels over the flat CSR buffers: the pair and set-to-set
+ * queries (Section 4.3), the sharded boundary route's min-plus combine,
  * and the four maintenance sweeps of the Engine contract (Algorithms
  * 2-5). Plain C99 over int64_t / double / uint8_t pointers; built at
  * first use by repro.labelling.native and called through ctypes, which
- * validates dtype, contiguity and lengths and range-checks every vertex
- * id before a pointer gets here.
+ * validates dtype, contiguity, alignment and lengths and range-checks
+ * every vertex id and row index before a pointer gets here.
  *
  * The sweeps are scalar fixpoints in the paper's order (shortcuts
  * deepest owner first, label entries shallowest vertex first) over an
@@ -140,18 +141,66 @@ static int64_t find_slot(const int64_t *indptr, const int64_t *ranks,
 }
 
 /* ------------------------------------------------------------------ */
-/* pair query                                                          */
+/* queries                                                             */
 /* ------------------------------------------------------------------ */
+
+/*
+ * K = |anc(s) ∩ anc(t)| from AncestorTables' arrays: xor of the
+ * depth-aligned bitstrings, its bit length by clz, the node's vend
+ * chain at the LCA depth clamped by both tau. 0 across components.
+ */
+static inline int64_t common_ancestors(
+    int64_t sv, int64_t tv,
+    const int64_t *node_of, const int64_t *depth, const int64_t *bits,
+    const int64_t *chain, int64_t chain_width, const int64_t *tau)
+{
+    int64_t ns = node_of[sv], nt = node_of[tv];
+    int64_t ds = depth[ns], dt = depth[nt];
+    int64_t d = ds < dt ? ds : dt;
+    uint64_t diff = (uint64_t)((bits[ns] >> (ds - d)) ^ (bits[nt] >> (dt - d)));
+    if (diff)
+        d -= 64 - __builtin_clzll(diff);
+    int64_t kk = chain[ns * chain_width + d] - 1;
+    if (tau[sv] < kk)
+        kk = tau[sv];
+    if (tau[tv] < kk)
+        kk = tau[tv];
+    return kk + 1;
+}
+
+/*
+ * min over i < kk of a[i] + b[i]; inf when kk <= 0. Four running
+ * minima: the minimum of a set of doubles does not depend on the order
+ * it is taken in, and each sum is one rounding, as in numpy.
+ */
+static inline double min_sum(const double *a, const double *b, int64_t kk)
+{
+    double m0 = INFINITY, m1 = INFINITY, m2 = INFINITY, m3 = INFINITY;
+    int64_t i = 0;
+    for (; i + 4 <= kk; i += 4) {
+        double c0 = a[i] + b[i], c1 = a[i + 1] + b[i + 1];
+        double c2 = a[i + 2] + b[i + 2], c3 = a[i + 3] + b[i + 3];
+        m0 = c0 < m0 ? c0 : m0;
+        m1 = c1 < m1 ? c1 : m1;
+        m2 = c2 < m2 ? c2 : m2;
+        m3 = c3 < m3 ? c3 : m3;
+    }
+    for (; i < kk; i++) {
+        double c = a[i] + b[i];
+        m0 = c < m0 ? c : m0;
+    }
+    m0 = m1 < m0 ? m1 : m0;
+    m2 = m3 < m2 ? m3 : m2;
+    return m2 < m0 ? m2 : m0;
+}
 
 /*
  * out[p] = min over i < K of values_s[offsets_s[s[p]] + i]
  *                          + values_t[offsets_t[t[p]] + i],
  * gather_pairs' contract: K == 0 -> inf, s == t -> 0.0 and rank -1,
  * ranks[p] the first minimising i (argmin's tie rule), -1 on inf;
- * ranks may be NULL. K is k[p] when k is given; otherwise it is
- * |anc(s) ∩ anc(t)| from AncestorTables' arrays: xor of the
- * depth-aligned bitstrings, its bit length by clz, the node's vend
- * chain at the LCA depth clamped by both tau.
+ * ranks may be NULL. K is k[p] when k is given, common_ancestors
+ * otherwise.
  */
 void dhl_gather_pairs(
     int64_t count, const int64_t *s, const int64_t *t, const int64_t *k,
@@ -169,57 +218,86 @@ void dhl_gather_pairs(
             out[p] = 0.0;
             continue;
         }
-        int64_t kk;
-        if (k) {
-            kk = k[p];
-        } else {
-            int64_t ns = node_of[sv], nt = node_of[tv];
-            int64_t ds = depth[ns], dt = depth[nt];
-            int64_t d = ds < dt ? ds : dt;
-            uint64_t diff =
-                (uint64_t)((bits[ns] >> (ds - d)) ^ (bits[nt] >> (dt - d)));
-            if (diff)
-                d -= 64 - __builtin_clzll(diff);
-            kk = chain[ns * chain_width + d] - 1;
-            if (tau[sv] < kk)
-                kk = tau[sv];
-            if (tau[tv] < kk)
-                kk = tau[tv];
-            kk += 1;
-        }
-        if (kk <= 0) {
-            out[p] = INFINITY;
-            continue;
-        }
+        int64_t kk = k ? k[p]
+                       : common_ancestors(sv, tv, node_of, depth, bits,
+                                          chain, chain_width, tau);
         const double *a = values_s + offsets_s[sv];
         const double *b = values_t + offsets_t[tv];
-        /* Four running minima: the minimum of a set of doubles does not
-           depend on the order it is taken in. */
-        double m0 = INFINITY, m1 = INFINITY, m2 = INFINITY, m3 = INFINITY;
-        int64_t i = 0;
-        for (; i + 4 <= kk; i += 4) {
-            double c0 = a[i] + b[i], c1 = a[i + 1] + b[i + 1];
-            double c2 = a[i + 2] + b[i + 2], c3 = a[i + 3] + b[i + 3];
-            m0 = c0 < m0 ? c0 : m0;
-            m1 = c1 < m1 ? c1 : m1;
-            m2 = c2 < m2 ? c2 : m2;
-            m3 = c3 < m3 ? c3 : m3;
-        }
-        for (; i < kk; i++) {
-            double c = a[i] + b[i];
-            m0 = c < m0 ? c : m0;
-        }
-        m0 = m1 < m0 ? m1 : m0;
-        m2 = m3 < m2 ? m3 : m2;
-        m0 = m2 < m0 ? m2 : m0;
-        out[p] = m0;
-        if (ranks && m0 < INFINITY) {
-            i = 0;
-            while (a[i] + b[i] != m0)
+        double best = min_sum(a, b, kk);
+        out[p] = best;
+        if (ranks && best < INFINITY) {
+            int64_t i = 0;
+            while (a[i] + b[i] != best)
                 i++;
             ranks[p] = i;
         }
     }
+}
+
+/*
+ * out[u * num_targets + j] = the pair answer of (sources[u],
+ * targets[j]), written row by row: QueryEngine.distance_matrix's
+ * contract, equal bit for bit to dhl_gather_pairs on the expanded
+ * pairs, with no pair arrays.
+ */
+void dhl_distance_matrix(
+    int64_t num_sources, const int64_t *sources,
+    int64_t num_targets, const int64_t *targets,
+    const double *values_s, const int64_t *offsets_s,
+    const double *values_t, const int64_t *offsets_t,
+    const int64_t *node_of, const int64_t *depth, const int64_t *bits,
+    const int64_t *chain, int64_t chain_width, const int64_t *tau,
+    double *out)
+{
+    for (int64_t u = 0; u < num_sources; u++) {
+        int64_t sv = sources[u];
+        const double *a = values_s + offsets_s[sv];
+        double *row = out + u * num_targets;
+        for (int64_t j = 0; j < num_targets; j++) {
+            int64_t tv = targets[j];
+            row[j] = sv == tv
+                ? 0.0
+                : min_sum(a, values_t + offsets_t[tv],
+                          common_ancestors(sv, tv, node_of, depth, bits,
+                                           chain, chain_width, tau));
+        }
+    }
+}
+
+/*
+ * min_plus_compact's contract: out[p] = min over (a, b) of
+ * (ds[si, a] + block[a, b]) + dt[ti, b], si = ds_inverse[p],
+ * ti = dt_inverse[p]; ds is rows x width_a, block width_a x width_b,
+ * dt any number of rows x width_b, all row-major. The first hop
+ * hop[u, b] = min over a of ds[u, a] + block[a, b] runs once per ds
+ * row into the caller's rows x width_b buffer, the second once per
+ * pair: the additions are numpy's, in its order, so the bits are too.
+ * An inf ds entry is skipped (it only ever sums to inf).
+ */
+void dhl_min_plus(
+    int64_t rows, int64_t width_a, int64_t width_b,
+    const double *ds, const double *block, const double *dt,
+    int64_t count, const int64_t *ds_inverse, const int64_t *dt_inverse,
+    double *hop, double *out)
+{
+    for (int64_t u = 0; u < rows; u++) {
+        double *h = hop + u * width_b;
+        for (int64_t b = 0; b < width_b; b++)
+            h[b] = INFINITY;
+        for (int64_t a = 0; a < width_a; a++) {
+            double x = ds[u * width_a + a];
+            if (x == INFINITY)
+                continue;
+            const double *row = block + a * width_b;
+            for (int64_t b = 0; b < width_b; b++) {
+                double c = x + row[b];
+                h[b] = c < h[b] ? c : h[b];
+            }
+        }
+    }
+    for (int64_t p = 0; p < count; p++)
+        out[p] = min_sum(hop + ds_inverse[p] * width_b,
+                         dt + dt_inverse[p] * width_b, width_b);
 }
 
 /* ------------------------------------------------------------------ */

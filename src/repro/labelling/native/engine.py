@@ -1,11 +1,14 @@
-"""The C kernels as the ``Engine`` contract and the batch pair query.
+"""The C kernels as the ``Engine`` contract and the batch queries.
 
 Each wrapper unpacks the store's flat buffers, checks dtype,
-C-contiguity and length of every one in Python, and hands the fixpoint
-to a single loop of ``dhl_kernels.c``; seeding, mark bookkeeping and
-stats are the shared driver's (:mod:`repro.labelling.driver`). Vertex
-ids are range-checked by the callers (``QueryEngine``'s entry points,
-the driver's batch validation) before they reach a wrapper.
+C-contiguity, alignment and length of every one in Python, and hands
+the work to a single loop of ``dhl_kernels.c``; seeding, mark
+bookkeeping and stats are the shared driver's
+(:mod:`repro.labelling.driver`). Vertex ids are range-checked by the
+callers (``QueryEngine``'s entry points, the driver's batch validation)
+before they reach a wrapper; :func:`min_plus` checks its row maps
+itself. :func:`operand` is how a caller meets the checks with any
+array-like, copying only what is not a fit already.
 
 Buffer addresses are read on every call: the label and weight stores
 re-allocate (``extend_label``, ``ensure_writable``, ``rebind``,
@@ -21,11 +24,19 @@ import numpy as np
 from repro.labelling.maintenance import Engine
 from repro.labelling.native import library
 
-__all__ = ["ENGINE", "gather_pairs"]
+__all__ = ["ENGINE", "distance_matrix", "gather_pairs", "min_plus", "operand"]
 
 _I64 = np.dtype(np.int64)
 _F64 = np.dtype(np.float64)
 _U8 = np.dtype(np.uint8)
+
+
+def operand(arr, dtype) -> np.ndarray:
+    """*arr* as an aligned C-contiguous *dtype* array, copied only when
+    it is not one: a buffer decoded from a frame may start at any byte,
+    and vectorised C loops assume natural alignment."""
+    arr = np.ascontiguousarray(arr, dtype=dtype)
+    return arr if arr.flags.aligned else arr.copy()
 
 
 def _addr(arr: np.ndarray, dtype: np.dtype, length: int, write: bool = False) -> int:
@@ -33,13 +44,15 @@ def _addr(arr: np.ndarray, dtype: np.dtype, length: int, write: bool = False) ->
     if (
         arr.dtype != dtype
         or not arr.flags.c_contiguous
+        or not arr.flags.aligned
         or arr.size != length
         or (write and not arr.flags.writeable)
     ):
         raise TypeError(
-            f"native kernel needs a {'writable ' if write else ''}C-contiguous "
-            f"{dtype} buffer of {length} items; got {arr.dtype} x {arr.size}, "
-            f"contiguous={arr.flags.c_contiguous}, writable={arr.flags.writeable}"
+            f"native kernel needs a {'writable ' if write else ''}aligned "
+            f"C-contiguous {dtype} buffer of {length} items; got {arr.dtype} "
+            f"x {arr.size}, contiguous={arr.flags.c_contiguous}, "
+            f"aligned={arr.flags.aligned}, writable={arr.flags.writeable}"
         )
     return arr.ctypes.data
 
@@ -218,3 +231,61 @@ def gather_pairs(
         None if ranks is None else _addr(ranks, _I64, count),
     )
     return out, ranks
+
+
+def distance_matrix(labels_s, sources, labels_t, targets, tables) -> np.ndarray:
+    """:meth:`repro.labelling.query.QueryEngine.distance_matrix` as one
+    C loop: each ``(source, target)`` cell is :func:`gather_pairs`' pair
+    answer, K counted from *tables* (a vectorised
+    :class:`~repro.labelling.query.AncestorTables`), written straight
+    into the ``(len(sources), len(targets))`` result. Ids are int64,
+    already known to lie in ``[0, n)``."""
+    rows, cols, n = len(sources), len(targets), labels_s.num_vertices
+    values_s, offsets_s = labels_s.values, labels_s.offsets
+    values_t, offsets_t = labels_t.values, labels_t.offsets
+    out = np.empty((rows, cols), dtype=np.float64)
+    library().dhl_distance_matrix(
+        rows, _addr(sources, _I64, rows), cols, _addr(targets, _I64, cols),
+        *_label_addrs(values_s, offsets_s, n),
+        *_label_addrs(values_t, offsets_t, n),
+        *_table_addrs(tables),
+        _addr(out, _F64, rows * cols),
+    )
+    return out
+
+
+def _rows_addr(inverse: np.ndarray, count: int, rows: int) -> int:
+    """Address of a row map of *count* entries, each below *rows*
+    (read as unsigned, a negative entry is a huge one: one reduction)."""
+    addr = _addr(inverse, _I64, count)
+    if count and inverse.view(np.uint64).max() >= rows:
+        raise ValueError(f"row map points past the {rows} rows it indexes")
+    return addr
+
+
+def min_plus(ds, ds_inverse, block, dt, dt_inverse) -> np.ndarray:
+    """:func:`repro.sharding.engine.min_plus_compact` as one C loop.
+
+    The first hop ``min over a of ds[u, a] + block[a, b]`` runs once per
+    row of *ds*, the second once per pair through the two row maps; the
+    sums are numpy's, in its order, so the answers are its bits.
+    """
+    rows, width_a = ds.shape
+    width_b = dt.shape[1]
+    count = len(ds_inverse)
+    if block.shape != (width_a, width_b) or len(dt_inverse) != count:
+        raise ValueError(
+            f"min-plus shapes disagree: ds {ds.shape}, block {block.shape}, "
+            f"dt {dt.shape}, {count} vs {len(dt_inverse)} pairs"
+        )
+    hop = np.empty((rows, width_b), dtype=np.float64)
+    out = np.empty(count, dtype=np.float64)
+    library().dhl_min_plus(
+        rows, width_a, width_b,
+        _addr(ds, _F64, ds.size), _addr(block, _F64, block.size),
+        _addr(dt, _F64, dt.size),
+        count, _rows_addr(ds_inverse, count, rows),
+        _rows_addr(dt_inverse, count, len(dt)),
+        _addr(hop, _F64, hop.size), _addr(out, _F64, count),
+    )
+    return out

@@ -18,10 +18,13 @@ Python-level loop over pairs, and nothing to re-sync after maintenance
 (the kernel reads the live buffer that the maintenance algorithms write
 into).
 
-Set-to-set queries (:meth:`QueryEngine.distance_matrix`) do not go
-through pairs at all. ``anc(u) ∩ anc(t)`` *is* the common-ancestor
-prefix and an ancestor ``a`` has the same rank ``tau(a)`` on every
-descendant's chain, so the query is ``min over a in anc(u)`` of
+Set-to-set queries (:meth:`QueryEngine.distance_matrix`) under the
+compiled engine run the pair kernel's per-cell LCA and scan in one C
+loop over the output. In numpy they do not go through pairs at all
+(pair arrays would be ``|U| * |T|`` long). ``anc(u) ∩ anc(t)`` *is*
+the common-ancestor prefix and an ancestor ``a`` has the same rank
+``tau(a)`` on every descendant's chain, so the query is
+``min over a in anc(u)`` of
 ``L_u[tau(a)] + M[a, t]`` with ``M[a, t] = L_t[tau(a)]`` for
 ``a in anc(t)`` and ``inf`` elsewhere: one dense block per target set
 (the "labels to a fixed cut" block of Hierarchical Cut Labelling),
@@ -39,7 +42,7 @@ from repro.hierarchy.query_hierarchy import QueryHierarchy
 from repro.labelling import native
 from repro.labelling.labels import HierarchicalLabelling
 from repro.labelling.native import engine as native_engine
-from repro.utils.pairs import as_pair_array
+from repro.utils.pairs import as_pair_array, check_ids
 from repro.utils.ragged import expand
 
 __all__ = ["AncestorTables", "QueryEngine", "gather_pairs"]
@@ -216,14 +219,17 @@ class QueryEngine:
     *engine* is resolved on construction (``self.engine`` is the name
     that runs): ``"compiled"`` answers a batch with the pair kernel of
     :mod:`repro.labelling.native` — LCA, scan and argmin of each pair
-    in one C loop over one labelling or two, no temporaries — wherever
-    that library loads; any other value, or a host where it does not,
-    runs the numpy exact-K ragged gather, :func:`gather_pairs`.
+    in one C loop over one labelling or two, no temporaries — and a
+    source set against a target set with its set kernel, wherever that
+    library loads; any other value, or a host where it does not, runs
+    the numpy exact-K ragged gather, :func:`gather_pairs`, and the
+    numpy set kernel.
 
     Three entry points, one live label store: :meth:`distance` (scalar),
     :meth:`distances_arrays` (independent pairs, ``sum(K)`` cells a side)
     and :meth:`distance_matrix` (a source set against a fixed target
-    set — plain numpy under every ``engine`` value). Each checks its
+    set — the C set kernel under ``compiled``, the numpy set kernel
+    otherwise and past the LCA tables' depth). Each checks its
     vertex ids against ``[0, n)`` once, at the door, and raises
     :class:`~repro.exceptions.VertexNotFound`: numpy would wrap a
     negative id onto another vertex, and C would read out of bounds.
@@ -275,14 +281,6 @@ class QueryEngine:
         for v in vertices:
             if not 0 <= v < self.hq.n:
                 raise VertexNotFound(v)
-
-    def _check_ids(self, *ids: np.ndarray) -> None:
-        """Reject a batch holding an id outside ``[0, n)`` (int64 arrays;
-        read as unsigned, a negative id is a huge one: one reduction)."""
-        n = self.hq.n
-        for arr in ids:
-            if arr.size and arr.view(np.uint64).max() >= n:
-                raise VertexNotFound(int(arr[(arr < 0) | (arr >= n)][0]))
 
     def distance(self, s: int, t: int) -> float:
         """Exact shortest-path distance between *s* and *t*.
@@ -382,17 +380,26 @@ class QueryEngine:
         """All ``len(sources) x len(targets)`` distances in one kernel.
 
         Equal, bit for bit, to :meth:`distances_arrays` on the expanded
-        pairs (the same float sums are minimised), but costs
-        ``sum_u |anc(u) ∩ A| * |T|`` contiguous cells instead of
-        ``|U| * |T|`` pair gathers, and uses no bitstring LCA — so it has
-        no depth limit. The target side runs through static H_Q-only
-        tables kept for the last target set (:class:`_TargetTables`);
-        label values are read from the live store on every call.
-        Duplicate sources are answered once each; callers dedupe.
+        pairs (the same float sums are minimised). Under ``compiled``
+        it is the set kernel of :mod:`repro.labelling.native`: each cell
+        is the pair kernel's LCA and K-cell scan, written in place, no
+        pair arrays. Otherwise — and for a hierarchy too deep for the
+        LCA tables — it is numpy: ``sum_u |anc(u) ∩ A| * |T|``
+        contiguous cells instead of ``|U| * |T|`` pair gathers, no
+        bitstring LCA and so no depth limit, the target side through
+        static H_Q-only tables kept for the last target set
+        (:class:`_TargetTables`). Label values are read from the live
+        store on every call. Duplicate sources are answered once each;
+        callers dedupe.
         """
-        sources = np.asarray(sources, dtype=np.int64)
-        targets = np.asarray(targets, dtype=np.int64)
-        self._check_ids(sources, targets)
+        sources = native_engine.operand(sources, np.int64)
+        targets = native_engine.operand(targets, np.int64)
+        check_ids(self.hq.n, sources, targets)
+        lca = self._batch_tables() if self.engine == "compiled" else None
+        if lca is not None and lca.vectorised:
+            return native_engine.distance_matrix(
+                self.labels, sources, self.target_labels, targets, lca
+            )
         out = np.full((len(sources), len(targets)), np.inf, dtype=np.float64)
         if not out.size:
             return out
@@ -466,13 +473,13 @@ class QueryEngine:
     def _batch_kernel(
         self, s, t, want_hubs: bool
     ) -> tuple[np.ndarray, np.ndarray | None]:
-        s = np.ascontiguousarray(s, dtype=np.int64)
-        t = np.ascontiguousarray(t, dtype=np.int64)
+        s = native_engine.operand(s, np.int64)
+        t = native_engine.operand(t, np.int64)
         if s.ndim != 1 or s.shape != t.shape:
             raise ValueError(
                 f"length mismatch: {s.shape} sources, {t.shape} targets"
             )
-        self._check_ids(s, t)
+        check_ids(self.hq.n, s, t)
         out, ranks = self._gather(s, t, want_hubs)
         if not want_hubs:
             return out, None

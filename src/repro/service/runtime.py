@@ -46,7 +46,7 @@ from repro.labelling.maintenance import MaintenanceStats
 from repro.observability import NULL_OBSERVABILITY, Span, maybe_child, phase
 from repro.service.protocol import FanQuery, SubQuery, SubResult
 from repro.sharding.engine import min_plus_compact, region_pair_groups
-from repro.utils.pairs import as_pair_array
+from repro.utils.pairs import as_pair_array, check_ids
 
 __all__ = [
     "ExecutionRuntime",
@@ -470,7 +470,9 @@ class RegionPairScheduler(ExecutionRuntime):
         )
 
     def distances_arrays(self, s: np.ndarray, t: np.ndarray) -> np.ndarray:
-        """Batch distances via the region-pair-aware batch scheduler."""
+        """Batch distances via the region-pair-aware batch scheduler; an
+        id outside ``[0, n)`` raises
+        :class:`~repro.exceptions.VertexNotFound` before any dispatch."""
         if self._closed:
             raise ServiceRuntimeError("runtime is closed")
         self._reconcile_index_epoch()
@@ -480,6 +482,7 @@ class RegionPairScheduler(ExecutionRuntime):
         owner = self.index
         s = np.asarray(s, dtype=np.int64)
         t = np.asarray(t, dtype=np.int64)
+        check_ids(owner.graph.num_vertices, s, t)
         if not len(s):
             return np.empty(0, dtype=np.float64)
         out = np.full(len(s), np.inf, dtype=np.float64)
@@ -587,6 +590,7 @@ class RegionPairScheduler(ExecutionRuntime):
                 engine.overlay_block(i, j),
                 dst.dt,
                 dst.dt_inverse,
+                owner.shards[i].engine.engine,
             )
 
         def overlay_answer(item):

@@ -61,7 +61,7 @@ from repro.service.cache import (
 from repro.service.coalescer import CoalescerStats, UpdateCoalescer
 from repro.service.metrics import LatencyRecorder, LatencySummary, Timer
 from repro.service.runtime import ExecutionRuntime, InProcessRuntime
-from repro.utils.pairs import as_pair_array
+from repro.utils.pairs import as_pair_array, check_ids
 
 __all__ = ["ServiceStats", "DistanceService"]
 
@@ -315,10 +315,7 @@ class DistanceService:
         cache or the runtime is touched.
         """
         pairs = as_pair_array(pairs)
-        n = self.index.graph.num_vertices
-        # One reduction: a negative id reads as a huge unsigned one.
-        if len(pairs) and pairs.view(np.uint64).max() >= n:
-            raise VertexNotFound(int(pairs[(pairs < 0) | (pairs >= n)][0]))
+        check_ids(self.index.graph.num_vertices, pairs)
         self._pre_query()
         with self.observability.tracer.trace("distances", pairs=len(pairs)):
             with Timer() as timer:

@@ -149,9 +149,13 @@ class ShardExecutor:
         # Adoption resolves the engine in this process: a replica opens
         # the cached native library itself, or downgrades on its own.
         index._adopt(index.hq, index.hu, (labels,))
-        # Every fan reads the ancestor-chain store; build it while
-        # attaching, not inside the first epoch-stamped batch.
-        index.engine.hub_store()
+        # Build the H_Q tables the kernels read while attaching, not
+        # inside the first epoch-stamped batch: the LCA tables for the
+        # pair kernel (and the compiled fans), the ancestor-chain store
+        # for the numpy fans.
+        engine = index.engine
+        if not engine.supports_batch_kernel() or engine.engine != "compiled":
+            engine.hub_store()
 
     # -- maintenance ----------------------------------------------------
     def apply_delta(self, delta: EpochDelta) -> AckReply:
@@ -222,7 +226,9 @@ class ShardExecutor:
                 # Intra-shard sub: fold the boundary route here, return
                 # the final array instead of two fan matrices.
                 with maybe_child(sub_span, "min_plus"):
-                    best = min_plus_compact(ds[0], ds[1], block, dt[0], dt[1])
+                    best = min_plus_compact(
+                        ds[0], ds[1], block, dt[0], dt[1], engine.engine
+                    )
                     if intra is not None:
                         best = np.minimum(intra, best)
                 results.append(SubResult(final=best))

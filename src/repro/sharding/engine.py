@@ -15,7 +15,10 @@ the overlay's) set-to-set kernel
 fixed boundary set: the source/target fans (duplicated endpoints
 answered once; one call for both sides of an intra-shard group) and the
 all-boundary overlay matrix, computed once per overlay maintenance
-epoch and sliced into per-region-pair blocks.
+epoch and sliced into per-region-pair blocks. Both the set kernel and
+the combine (:func:`min_plus_compact`) follow the shard engine's
+resolved name: one C loop each under ``compiled``, numpy otherwise,
+with the same bits either way.
 
 For cross-region pairs the intra-shard term is skipped (no such path
 exists); for regions without boundary vertices (k = 1, or an isolated
@@ -26,7 +29,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.utils.pairs import as_pair_array
+from repro.labelling.native import engine as native_engine
+from repro.utils.pairs import as_pair_array, check_ids
 
 __all__ = [
     "ShardedQueryEngine",
@@ -98,6 +102,7 @@ def min_plus_compact(
     block: np.ndarray,
     dt: np.ndarray,
     dt_inverse: np.ndarray,
+    engine: str = "array",
 ) -> np.ndarray:
     """Pair-wise ``min_{a,b} ds[p,a] + block[a,b] + dt[p,b]`` over
     deduplicated fans.
@@ -107,9 +112,21 @@ def min_plus_compact(
     boundary-to-boundary matrix. The expensive first hop —
     ``min_a ds[u, a] + block[a, b]`` — runs once per *unique* source
     instead of once per pair, then the cheap second hop gathers through
-    the inverse maps. Chunked so the 3-D intermediate stays bounded
+    the inverse maps. *engine* is the resolved name of the shard
+    engine that made the fans: ``"compiled"`` runs both hops in one C
+    loop (:func:`repro.labelling.native.engine.min_plus`, the same bits);
+    otherwise numpy, chunked so the 3-D intermediate stays bounded
     regardless of batch size.
     """
+    if engine == "compiled":
+        operand = native_engine.operand
+        return native_engine.min_plus(
+            operand(ds, np.float64),
+            operand(ds_inverse, np.int64),
+            operand(block, np.float64),
+            operand(dt, np.float64),
+            operand(dt_inverse, np.int64),
+        )
     unique_count, width_a = ds.shape
     width_b = dt.shape[1]
     tmp = np.empty((unique_count, width_b), dtype=np.float64)
@@ -174,24 +191,27 @@ class ShardedQueryEngine:
         """Best route through the boundary for a ``(region i, region j)``
         group, on the owner's own shard engines."""
         owner = self.owner
+        engine = owner.shards[i].engine
         if i == j:
             (ds, ds_inv), (dt, dt_inv) = boundary_fans(
-                owner.shards[i].engine, s_local, t_local, owner.boundary_local[i]
+                engine, s_local, t_local, owner.boundary_local[i]
             )
         else:
-            ds, ds_inv = boundary_fan(
-                owner.shards[i].engine, s_local, owner.boundary_local[i]
-            )
+            ds, ds_inv = boundary_fan(engine, s_local, owner.boundary_local[i])
             dt, dt_inv = boundary_fan(
                 owner.shards[j].engine, t_local, owner.boundary_local[j]
             )
-        return min_plus_compact(ds, ds_inv, self.overlay_block(i, j), dt, dt_inv)
+        return min_plus_compact(
+            ds, ds_inv, self.overlay_block(i, j), dt, dt_inv, engine.engine
+        )
 
     def distances_arrays(self, s: np.ndarray, t: np.ndarray) -> np.ndarray:
-        """Batch distances over parallel global-id arrays."""
+        """Batch distances over parallel global-id arrays; an id outside
+        ``[0, n)`` raises :class:`~repro.exceptions.VertexNotFound`."""
         owner = self.owner
         s = np.asarray(s, dtype=np.int64)
         t = np.asarray(t, dtype=np.int64)
+        check_ids(owner.graph.num_vertices, s, t)
         if not len(s):
             return np.empty(0, dtype=np.float64)
         region_of = owner.region_of

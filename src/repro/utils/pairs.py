@@ -5,6 +5,7 @@ A batch of vertex pairs travels through the stack as an ``(m, 2)``
 integer dtype; ``int64`` passes through without a copy) or any iterable
 of ``(s, t)`` pairs — a list of tuples, a generator — which is flattened
 once, at the first facade it meets, and never rebuilt on the way down.
+Every door range-checks the ids once with :func:`check_ids`.
 """
 
 from __future__ import annotations
@@ -13,7 +14,19 @@ from itertools import chain
 
 import numpy as np
 
-__all__ = ["as_pair_array"]
+from repro.exceptions import VertexNotFound
+
+__all__ = ["as_pair_array", "check_ids"]
+
+
+def check_ids(n: int, *ids: np.ndarray) -> None:
+    """Raise :class:`VertexNotFound` for an id outside ``[0, n)`` in any
+    of the int64 arrays *ids*: numpy would wrap a negative id onto
+    another vertex, and C would read out of bounds. Read as unsigned, a
+    negative id is a huge one, so each array costs one reduction."""
+    for arr in ids:
+        if arr.size and arr.view(np.uint64).max() >= n:
+            raise VertexNotFound(int(arr[(arr < 0) | (arr >= n)][0]))
 
 
 def as_pair_array(pairs) -> np.ndarray:

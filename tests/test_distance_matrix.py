@@ -1,9 +1,10 @@
 """The set-to-set kernel must equal the pair kernel bit for bit.
 
 ``QueryEngine.distance_matrix`` answers a whole ``sources x targets``
-block from one dense per-target-set table; the reference throughout is
-``distances_arrays`` on the expanded pairs, compared with
-``np.array_equal`` (never ``allclose``): both minimise the same float
+block: in C under ``compiled`` (each cell the pair kernel's scan), from
+one dense per-target-set table in numpy otherwise. The reference
+throughout is ``distances_arrays`` on the expanded pairs, compared with
+``np.array_equal`` (never ``allclose``): all minimise the same float
 sums.
 """
 
@@ -16,8 +17,10 @@ from hypothesis import strategies as st
 
 from repro.baselines.dijkstra import dijkstra
 from repro.core.config import DHLConfig
+from repro.core.directed import DirectedDHLIndex
 from repro.core.index import DHLIndex
 from repro.core.sharded import ShardedDHLIndex
+from repro.graph.digraph import DiGraph
 from repro.graph.generators import delaunay_network, grid_network
 from repro.graph.graph import Graph
 from repro.labelling import query as query_module
@@ -33,6 +36,9 @@ def assert_kernel_matches(engine, sources, targets) -> np.ndarray:
     assert got.shape == (len(sources), len(targets))
     assert not np.isnan(got).any()
     assert np.array_equal(got, pair_matrix(engine, sources, targets))
+    if engine.engine == "compiled" and engine.supports_batch_kernel():
+        # The C set kernel answered: the numpy one's tables never exist.
+        assert engine._targets is None
     return got
 
 
@@ -112,13 +118,16 @@ class TestKernelAgainstPairKernel:
         edges = [(0, 1, 2.0), (1, 2, 3.0), (2, 3, 1.0), (4, 5, 1.0), (5, 6, 4.0)]
         for u, v, w in edges:
             graph.add_edge(u, v, w)  # vertices 7 and 8 are isolated
+        everyone = np.arange(9)
+        answers = []
         for engine_name in ("array", "compiled"):
             index = DHLIndex.build(
                 graph.copy(), DHLConfig(leaf_size=2, seed=0, engine=engine_name)
             )
-            everyone = np.arange(9)
             got = assert_kernel_matches(index.engine, everyone, everyone[:4])
             assert np.isinf(got[4:]).all() and np.isfinite(got[:4]).all()
+            answers.append(assert_kernel_matches(index.engine, everyone, everyone))
+        assert np.array_equal(*answers)
 
     def test_hierarchy_deeper_than_the_vector_kernel(self):
         index = caterpillar_index(query_module._MAX_VECTOR_DEPTH + 6)
@@ -127,8 +136,30 @@ class TestKernelAgainstPairKernel:
         n = index.graph.num_vertices
         targets = np.array([0, 5, n // 2 - 1, n // 2 + 3, n - 1])
         got = assert_kernel_matches(engine, np.arange(n), targets)
+        assert engine._targets is not None  # the numpy set kernel, any engine
         for s in (0, 17, n - 1):
             assert np.array_equal(got[s], dijkstra(index.graph, s)[targets])
+
+    def test_two_labellings(self):
+        """A directed index: sources read out-labels, targets in-labels."""
+        require_engine("compiled")
+        digraph = DiGraph.from_undirected(delaunay_network(150, seed=5))
+        for i, (u, v, w) in enumerate(list(digraph.arcs())):
+            if i % 3 == 0:
+                digraph.set_weight(u, v, float(w + 4))
+        n = digraph.num_vertices
+        sources, targets = np.arange(0, n, 3), np.arange(1, n, 5)
+        answers = []
+        for engine_name in ("array", "compiled"):
+            index = DirectedDHLIndex.build(
+                digraph.copy(), DHLConfig(leaf_size=4, seed=0, engine=engine_name)
+            )
+            assert index.labellings[0] is not index.labellings[-1]
+            got = assert_kernel_matches(index.engine, sources, targets)
+            back = assert_kernel_matches(index.engine, targets, sources)
+            assert (got != back.T).any()  # the two labellings really differ
+            answers.append(got)
+        assert np.array_equal(*answers)
 
     def test_chunked_calls_equal_one_call(self, road_index, monkeypatch):
         engine = road_index.engine
@@ -259,6 +290,49 @@ class TestShardedCallSites:
         ]
         got = min_plus_compact(ds, ds_inv, block, dt, dt_inv)
         assert np.array_equal(got, np.array(want))
+
+    def test_array_and_compiled_agree_after_an_overlay_burst(self):
+        """Fans, overlay matrix, clique refresh and combine all follow
+        the shard engine: both engines answer every pair with the same
+        bits, before and after a burst that moves the overlay."""
+        require_engine("compiled")
+        graph = grid_network(10, 10, seed=2)
+        both = [
+            ShardedDHLIndex.build(
+                graph.copy(),
+                k=2,
+                config=DHLConfig(seed=0, engine=engine),
+                build_workers=1,
+            )
+            for engine in ("array", "compiled")
+        ]
+        assert [index.shards[0].engine.engine for index in both] == [
+            "array",
+            "compiled",
+        ]
+        n = graph.num_vertices
+        pairs = np.stack(np.divmod(np.arange(n * n), n), axis=1)
+        region_of = both[0].region_of
+        inner = [e for e in graph.edges() if region_of[e[0]] == region_of[e[1]]]
+        cut = both[0].partition.cut_edges[:4]
+        burst = [(u, v, 3 * w) for u, v, w in cut + inner[:12]]
+        answers = []
+        for index in both:
+            before = index.distances(pairs)
+            epoch = index.overlay.epoch
+            index.update(burst)
+            assert index.overlay.epoch != epoch
+            answers.append((before, index.distances(pairs)))
+        (want_before, want), (got_before, got) = answers
+        assert np.array_equal(got_before, want_before)
+        assert np.array_equal(got, want)
+        for s in (0, 37, n - 1):
+            row = got[s * n : (s + 1) * n]
+            assert np.array_equal(row, dijkstra(both[1].graph, s))
+        for i in range(2):
+            for j in range(2):
+                blocks = [index.engine.overlay_block(i, j) for index in both]
+                assert np.array_equal(*blocks)
 
     def test_new_cut_edge_rekeys_the_boundary_tables(self, sharded):
         n = sharded.graph.num_vertices

@@ -2,8 +2,10 @@
 
 With a C compiler on ``PATH`` the library must load and
 ``engine="compiled"`` must mean it — the first class fails, not skips,
-otherwise. The pair kernel's contract is checked here against the numpy
-kernel it replaces; the sweeps' differential coverage lives in the
+otherwise. The pair kernel's and the min-plus combine's contracts, and
+what the set kernel's wrapper refuses, are checked here against the
+numpy code they replace (the set kernel's parity lives in
+``test_distance_matrix``); the sweeps' differential coverage lives in the
 three-way suites (``test_sweep_rounds``, ``test_maintenance_kernels``,
 ``test_structural_batch``, ``test_directed``). The loader cases each run
 against an empty cache directory under ``tmp_path`` and a fresh loader
@@ -41,6 +43,7 @@ from repro.labelling import query as query_module
 from repro.labelling.labels import HierarchicalLabelling
 from repro.labelling.native import engine as native_engine
 from repro.observability import collect_phases
+from repro.sharding.engine import min_plus_compact
 from repro.utils.rng import make_rng, sample_pairs
 from tests.conftest import require_engine
 from tests.strategies import caterpillar_index
@@ -360,6 +363,154 @@ class TestPairKernel:
             native_engine._checked(status)
         assert not changed.any()
         np.testing.assert_array_equal(labels.values, before)
+
+
+# ---------------------------------------------------------------------------
+# the set kernel and the min-plus combine
+# ---------------------------------------------------------------------------
+
+def fan_case(rng, rows, width_a, width_b, dt_rows, count):
+    """A min-plus input with inf rows, columns and cells mixed in; a
+    *count* above *rows* / *dt_rows* repeats entries of the row maps."""
+    def matrix(r, c):
+        out = rng.integers(0, 60, (r, c)).astype(np.float64)
+        out[rng.random((r, c)) < 0.15] = np.inf
+        return out
+
+    ds = matrix(rows, width_a)
+    block = matrix(width_a, width_b)
+    dt = matrix(dt_rows, width_b)
+    ds[rows // 2] = np.inf
+    block[:, width_b // 2] = np.inf
+    dt[-1] = np.inf
+    ds_inv = rng.integers(0, rows, count)
+    dt_inv = rng.integers(0, dt_rows, count)
+    return ds, ds_inv, block, dt, dt_inv
+
+
+class TestMinPlus:
+    @pytest.mark.parametrize(
+        "shape",
+        [(7, 5, 6, 4, 40), (1, 5, 6, 3, 9), (6, 1, 4, 5, 20), (5, 6, 1, 5, 20),
+         (1, 1, 1, 1, 3), (4, 3, 3, 2, 0), (9, 51, 51, 8, 64)],
+        ids=["wide", "one-ds-row", "one-row-block", "one-column-block",
+             "scalar", "no-pairs", "grid-fan"],
+    )
+    def test_equals_numpy(self, shape):
+        require_engine("compiled")
+        rng = make_rng(sum(shape))
+        case = fan_case(rng, *shape)
+        want = min_plus_compact(*case, engine="array")
+        got = min_plus_compact(*case, engine="compiled")
+        assert got.dtype == np.float64 and got.shape == want.shape
+        np.testing.assert_array_equal(got, want)
+
+    def test_strided_and_unaligned_inputs_are_copied_not_misread(self):
+        """A block is a slice of the overlay matrix and a fan decoded
+        from a frame may start at any byte: the call site makes them
+        aligned contiguous copies; the wrapper itself takes neither."""
+        require_engine("compiled")
+        ds, ds_inv, block, dt, dt_inv = fan_case(make_rng(2), 5, 4, 6, 3, 25)
+        big = np.full((9, 10), 7.0)
+        big[2:6, 1:7] = block
+        view = big[2:6, 1:7]
+        raw = bytes(1) + ds.tobytes()
+        unaligned = np.frombuffer(raw, np.float64, ds.size, offset=1)
+        unaligned = unaligned.reshape(ds.shape)
+        assert not view.flags.c_contiguous and not unaligned.flags.aligned
+        want = min_plus_compact(ds, ds_inv, block, dt, dt_inv, engine="array")
+        got = min_plus_compact(
+            unaligned, ds_inv, view, dt, dt_inv, engine="compiled"
+        )
+        np.testing.assert_array_equal(got, want)
+        with pytest.raises(TypeError):
+            native_engine.min_plus(ds, ds_inv, view, dt, dt_inv)
+        with pytest.raises(TypeError):
+            native_engine.min_plus(unaligned, ds_inv, block, dt, dt_inv)
+
+    def test_wrapper_rejects_what_c_would_misread(self):
+        require_engine("compiled")
+        ds, ds_inv, block, dt, dt_inv = fan_case(make_rng(3), 5, 4, 6, 3, 25)
+
+        def call(**replace):
+            args = dict(
+                ds=ds, ds_inverse=ds_inv, block=block, dt=dt, dt_inverse=dt_inv
+            )
+            args.update(replace)
+            return native_engine.min_plus(**args)
+
+        np.testing.assert_array_equal(
+            call(), min_plus_compact(ds, ds_inv, block, dt, dt_inv)
+        )
+        with pytest.raises(TypeError):
+            call(ds_inverse=ds_inv.astype(np.int32))
+        with pytest.raises(TypeError):
+            call(ds=ds.astype(np.float32))
+        with pytest.raises(TypeError):
+            call(dt=np.asfortranarray(dt))
+        with pytest.raises(TypeError):
+            call(dt_inverse=np.repeat(dt_inv, 2)[::2])
+        with pytest.raises(ValueError, match="shapes"):
+            call(block=block[:, :-1].copy())
+        with pytest.raises(ValueError, match="shapes"):
+            call(dt_inverse=dt_inv[:-1].copy())
+        for bad in (-1, len(ds)):
+            inv = ds_inv.copy()
+            inv[3] = bad
+            with pytest.raises(ValueError, match="row map"):
+                call(ds_inverse=inv)
+        inv = dt_inv.copy()
+        inv[0] = len(dt)
+        with pytest.raises(ValueError, match="row map"):
+            call(dt_inverse=inv)
+
+
+class TestSetKernelWrapper:
+    def test_rejects_what_c_would_misread(self, road_pair):
+        _, idx_c = road_pair
+        labels = idx_c.labels
+        tables = idx_c.engine._batch_tables()
+        ids = np.arange(10, dtype=np.int64)
+
+        def matrix(sources, targets):
+            return native_engine.distance_matrix(
+                labels, sources, labels, targets, tables
+            )
+
+        want = idx_c.engine.distance_matrix(ids, ids[:4])
+        np.testing.assert_array_equal(matrix(ids, ids[:4].copy()), want)
+        with pytest.raises(TypeError):
+            matrix(ids.astype(np.int32), ids)
+        with pytest.raises(TypeError):
+            matrix(ids, np.arange(20, dtype=np.int64)[::2])
+        with pytest.raises(TypeError):
+            matrix(np.stack((ids, ids)), ids)
+        raw = bytes(3) + ids.tobytes()
+        with pytest.raises(TypeError):
+            matrix(np.frombuffer(raw, np.int64, len(ids), offset=3), ids)
+        short = HierarchicalLabelling(
+            labels.values[:50], labels.offsets, labels.lengths, labels.tau
+        )
+        with pytest.raises(ValueError, match="offsets"):
+            native_engine.distance_matrix(short, ids, labels, ids, tables)
+
+    def test_engine_takes_any_integer_ids(self, road_pair):
+        """The query door coerces lists, other dtypes and strided or
+        unaligned arrays before the wrapper sees them."""
+        idx_a, idx_c = road_pair
+        ids = np.arange(0, 40, 3, dtype=np.int64)
+        want = idx_a.engine.distance_matrix(ids, ids[:5])
+        raw = bytes(5) + ids.tobytes()
+        unaligned = np.frombuffer(raw, np.int64, len(ids), offset=5)
+        for sources in (ids.tolist(), ids.astype(np.int32), unaligned,
+                        np.repeat(ids, 2)[::2]):
+            np.testing.assert_array_equal(
+                idx_c.engine.distance_matrix(sources, ids[:5]), want
+            )
+        np.testing.assert_array_equal(
+            idx_c.engine.distances_arrays(unaligned, unaligned[::-1]),
+            idx_a.engine.distances_arrays(ids, ids[::-1]),
+        )
 
 
 # ---------------------------------------------------------------------------

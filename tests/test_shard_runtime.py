@@ -30,6 +30,7 @@ from repro.exceptions import (
     PartialResultError,
     ServiceRuntimeError,
     ShardUnavailableError,
+    VertexNotFound,
     WorkerEpochError,
 )
 from repro.graph.generators import delaunay_network, grid_network
@@ -50,7 +51,7 @@ from repro.service.protocol import (
     StaleReply,
     SubQuery,
 )
-from tests.conftest import TRANSPORTS, build_sharded, kill
+from tests.conftest import TRANSPORTS, build_sharded, kill, require_engine
 from tests.strategies import (
     assert_stream_parity,
     connected_graphs,
@@ -97,6 +98,22 @@ def test_matches_monolithic(stack):
     )
 
 
+def test_ids_outside_the_graph_raise_before_dispatch(stack):
+    """A negative id must not wrap onto vertex n - 1, nor n index past
+    the region table: both are typed errors and nothing is sent."""
+    graph, _, _, runtime = stack
+    n = graph.num_vertices
+    sent = runtime.stats.sub_batches
+    for bad in [(0, -1), (-2, 5), (0, n)]:
+        with pytest.raises(VertexNotFound):
+            runtime.distances([bad])
+        with pytest.raises(VertexNotFound):
+            runtime.distances(np.array([(1, 2), bad]))
+        with pytest.raises(VertexNotFound):
+            runtime.distance(*bad)
+    assert runtime.stats.sub_batches == sent
+
+
 def test_matches_in_process_runtime(stack):
     graph, _, sharded, runtime = stack
     pairs = sample_pairs_grid(graph.num_vertices, 11, 3)
@@ -140,11 +157,17 @@ def test_wide_boundary_grid_stream_parity(transport, k):
         assert pool.stats.republishes == 0 and pool.stats.full_syncs == 0
 
 
-def test_executor_builds_the_chain_store_at_attach(monkeypatch):
-    """The ancestor-chain store every fan reads is built while the
-    executor binds its buffers, not inside the first stamped batch —
-    and a batch stamped with another epoch is still refused untouched."""
-    sharded = build_sharded(grid_network(8, 8, seed=1), k=2)
+def attached_executor(monkeypatch, engine: str):
+    """Shard 0 of a k = 2 grid under *engine*, attached by a fresh
+    executor at epoch 3; also returns the engines whose ancestor-chain
+    store was built, in order."""
+    require_engine(engine)
+    sharded = ShardedDHLIndex.build(
+        grid_network(8, 8, seed=1),
+        k=2,
+        config=DHLConfig(seed=0, engine=engine),
+        build_workers=1,
+    )
     builds = []
     original = QueryEngine.hub_store
 
@@ -161,16 +184,40 @@ def test_executor_builds_the_chain_store_at_attach(monkeypatch):
         values,
         offsets,
     )
-    assert builds == [executor.index.engine]
+    assert executor.index.engine.engine == engine
+    return sharded, executor, builds
+
+
+def fan_batch_matches(sharded, executor) -> ComputeBatch:
     sources = np.array([5, 0, 5, 9], dtype=np.int64)
     batch = ComputeBatch(epoch=3, subs=[SubQuery(fan_src=FanQuery(sources))])
     (result,) = executor.compute(batch).results
-    assert len(builds) == 1
     boundary = sharded.boundary_local[0]
     want = pair_matrix(sharded.shards[0].engine, sources, boundary)
     np.testing.assert_array_equal(result.ds[result.ds_inverse], want)
+    return batch
+
+
+def test_executor_builds_the_chain_store_at_attach(monkeypatch):
+    """The ancestor-chain store the numpy fans read is built while the
+    executor binds its buffers, not inside the first stamped batch —
+    and a batch stamped with another epoch is still refused untouched."""
+    sharded, executor, builds = attached_executor(monkeypatch, "array")
+    assert builds == [executor.index.engine]
+    batch = fan_batch_matches(sharded, executor)
+    assert len(builds) == 1
     stale = executor.compute(ComputeBatch(epoch=4, subs=batch.subs))
     assert isinstance(stale, StaleReply) and executor.served == 1
+
+
+def test_compiled_executor_warms_only_the_lca_tables(monkeypatch):
+    """The C fans read the LCA tables: those are built at attach, and
+    the ancestor-chain store is never built at all."""
+    sharded, executor, builds = attached_executor(monkeypatch, "compiled")
+    engine = executor.index.engine
+    assert engine._tables is not None and engine._tables.vectorised
+    fan_batch_matches(sharded, executor)
+    assert builds == [] and engine._hub_values is None
 
 
 def test_runtime_rejects_monolithic_index(transport):

@@ -12,7 +12,7 @@ from repro.baselines.dijkstra import dijkstra
 from repro.core.config import DHLConfig
 from repro.core.index import DHLIndex
 from repro.core.sharded import ShardedDHLIndex
-from repro.exceptions import PartitionError, SerializationError
+from repro.exceptions import PartitionError, SerializationError, VertexNotFound
 from repro.graph.generators import delaunay_network, grid_network
 from repro.partition.regions import partition_regions, regions_from_assignment
 from repro.service.service import DistanceService
@@ -209,6 +209,27 @@ def test_update_coalesced_last_write_wins(road_pair):
     np.testing.assert_array_equal(sharded.distances(pairs), mono.distances(pairs))
     sharded.update([(u, v, w)])
     mono.update([(u, v, w)])
+
+
+@pytest.mark.parametrize(
+    "bad", [(0, -1), (-2, 5), (0, None)], ids=["0,-1", "-2,5", "0,n"]
+)
+def test_ids_outside_the_graph_raise_vertex_not_found(road_pair, bad):
+    """``(0, -1)`` used to answer d(0, n - 1) and ``(0, n)`` raised a bare
+    IndexError: every door now checks ``[0, n)`` once."""
+    graph, _, sharded = road_pair
+    n = graph.num_vertices
+    s, t = (n if v is None else v for v in bad)
+    with pytest.raises(VertexNotFound):
+        sharded.distances([(s, t)])
+    with pytest.raises(VertexNotFound):
+        sharded.distances(np.array([(1, 2), (s, t)]))
+    with pytest.raises(VertexNotFound):
+        sharded.distance(s, t)
+    with pytest.raises(VertexNotFound):
+        sharded.distances_from(s, [t])
+    with pytest.raises(VertexNotFound):
+        sharded.distances_from(0, [3, s, t])
 
 
 def test_facade_helpers(road_pair):
