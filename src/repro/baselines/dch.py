@@ -108,7 +108,7 @@ class DCHIndex:
         return len(maintain_shortcuts("increase", self.sc, changes))
 
     def update(self, changes: list[WeightChange]) -> int:
-        increases, decreases = split_batch(self.graph, changes)
+        increases, decreases = split_batch(self.graph, changes, self.sc.edge_key)
         affected = 0
         if increases:
             affected += self.increase(increases)

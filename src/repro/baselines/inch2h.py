@@ -177,7 +177,7 @@ class IncH2HIndex(H2HIndex):
 
     def update(self, changes: list[WeightChange]) -> MaintenanceStats:
         """Mixed batch: increases first, then decreases."""
-        increases, decreases = split_batch(self.graph, changes)
+        increases, decreases = split_batch(self.graph, changes, self.sc.edge_key)
         stats = MaintenanceStats()
         if increases:
             stats = stats.merge(self.increase(increases))

@@ -19,10 +19,9 @@ The surface, by concern:
 * **query** — :meth:`~DistanceBackend.distance` (single pair) and
   :meth:`~DistanceBackend.distances` (batch);
 * **update** — :meth:`~DistanceBackend.update` applies one
-  weight-change batch (validated whole before the first write — a
-  rejected batch leaves graph, labels and epoch untouched),
-  :meth:`~DistanceBackend.update_coalesced` folds a raw change stream
-  first (last write wins);
+  weight-change batch (folded to the last mention of each road, then
+  validated whole before the first write — a rejected batch leaves
+  graph, labels and epoch untouched);
 * **epoch** — a monotone counter bumped once per applied batch; the
   result cache and the worker epoch-broadcast protocol key on it;
 * **affected surface** — every update returns a
@@ -99,18 +98,13 @@ class DistanceBackend(Protocol):
     ) -> MaintenanceStats:
         """Apply one weight-change batch; returns the affected surface.
 
+        A road named more than once ends at its last mention's weight.
         ``workers`` selected the removed thread-column maintenance
         variant and is now accepted and ignored, here and on
         ``ExecutionRuntime.apply_update``, only because the frozen bench
         proxies (``bench/trace.py``) still forward it positionally; the
         next benchmark PR drops it.
         """
-        ...
-
-    def update_coalesced(
-        self, changes: Iterable[WeightChange]
-    ) -> MaintenanceStats:
-        """Fold a raw change stream (last write wins), then apply it."""
         ...
 
     # -- introspection --------------------------------------------------

@@ -32,14 +32,14 @@ class DHLConfig:
         ``"compiled"`` (default) runs the C kernels of
         :mod:`repro.labelling.native`, built with the host's ``cc`` at
         first use and cached per user; where they cannot be had (no
-        compiler, a failed build) it downgrades to ``"array"`` with a
-        one-time warning — see :meth:`resolve_engine`. ``"array"`` runs
-        the frontier-batched numpy kernels of
-        :mod:`repro.labelling.maintenance_kernels`; ``"reference"`` runs
-        the scalar one-pop-per-entry path. All engines produce identical
-        labels, change counts and affected sets — the reference exists
-        for differential testing. The engine belongs to the machine,
-        not the index: snapshots do not record it.
+        compiler, a failed build) it downgrades to ``"reference"`` with
+        a one-time warning — see :meth:`resolve_engine`.
+        ``"reference"`` runs the paper-literal scalar sweeps of
+        :mod:`repro.labelling.maintenance` and the numpy queries. Both
+        engines produce identical labels, change counts and affected
+        sets — the differential tests hold them to it. The engine
+        belongs to the machine, not the index: snapshots do not record
+        it.
     validate:
         When True, run the (expensive) structural invariant checks after
         construction: comparability of shortcut endpoints and the
@@ -79,9 +79,9 @@ class DHLConfig:
             raise IndexBuildError(
                 f"coarsest_size must be >= 8, got {self.coarsest_size}"
             )
-        if self.engine not in ("array", "reference", "compiled"):
+        if self.engine not in ("compiled", "reference"):
             raise IndexBuildError(
-                "engine must be one of 'array', 'reference' or 'compiled', "
+                "engine must be one of 'compiled' or 'reference', "
                 f"got {self.engine!r}"
             )
         if self.insert_closure_limit < 0:
@@ -98,10 +98,10 @@ class DHLConfig:
     def resolve_engine(self) -> str:
         """The engine that will actually run.
 
-        ``"array"`` and ``"reference"`` resolve to themselves.
-        ``"compiled"`` resolves to itself when the native library loads
-        (compiling it on the first call a user ever makes) and
-        downgrades to ``"array"`` otherwise, emitting a single
+        ``"reference"`` resolves to itself. ``"compiled"`` resolves to
+        itself when the native library loads (compiling it on the first
+        call a user ever makes) and downgrades to ``"reference"``
+        otherwise, emitting a single
         ``RuntimeWarning`` per process that names the reason — a host
         without a C compiler is never an error.
         :func:`repro.labelling.native.status` has the details.

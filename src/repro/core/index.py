@@ -229,8 +229,8 @@ class IndexCore:
         ``changes`` holds ``(u, v, new_weight)`` triples whose new weight
         is at most the current one. The whole batch is validated before
         anything is written; ``config.engine`` names the sweeps that run
-        — the native kernels by default, the array rounds where no C
-        compiler exists.
+        — the native kernels by default, the scalar reference sweeps
+        where no C compiler exists.
         """
         return self._maintain("decrease", changes)
 
@@ -252,35 +252,21 @@ class IndexCore:
     ) -> MaintenanceStats:
         """Apply a mixed batch: splits into increases and decreases.
 
-        Increases are applied first, then decreases, mirroring the
-        paper's experimental protocol. Unchanged weights are skipped.
+        Repeated mentions of one road (the store's ``edge_key``: an
+        unordered pair, or the ordered arc of a digraph, whose two
+        directions must not merge) fold to the last one, so a batch
+        that raises then restores a road costs nothing. Increases are
+        then applied first, then decreases, mirroring the paper's
+        experimental protocol. Unchanged weights are skipped.
         ``workers`` is ignored (see :meth:`DistanceBackend.update`).
         """
-        increases, decreases = split_batch(self.graph, changes)
+        increases, decreases = split_batch(self.graph, changes, self.hu.edge_key)
         stats = MaintenanceStats()
         if increases:
             stats = stats.merge(self.increase(increases))
         if decreases:
             stats = stats.merge(self.decrease(decreases))
         return stats
-
-    def update_coalesced(
-        self, changes: Iterable[WeightChange]
-    ) -> MaintenanceStats:
-        """Apply a raw change stream as one merged batch.
-
-        Duplicate mentions of the same road (the store's ``edge_key``:
-        an unordered pair, or the ordered arc of a digraph, whose two
-        directions must not merge) collapse to their *final* weight, so
-        a burst that raises then restores a road costs nothing; the
-        merged batch then follows :meth:`update`'s increase-then-decrease
-        protocol. Index-level counterpart of the serving layer's
-        streaming :class:`~repro.service.UpdateCoalescer` for callers
-        that batch changes themselves.
-        """
-        edge_key = self.hu.edge_key
-        final = {edge_key(u, v): (u, v, w) for u, v, w in changes}
-        return self.update(final.values())
 
     # ------------------------------------------------------------------
     # structural updates (Section 8) — implemented in core.structural

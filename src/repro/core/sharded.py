@@ -31,8 +31,9 @@ import numpy as np
 from repro.core.config import DHLConfig
 from repro.core.index import DHLIndex
 from repro.core.stats import IndexStats
-from repro.exceptions import IndexBuildError, MaintenanceError
+from repro.exceptions import IndexBuildError
 from repro.graph.graph import Graph
+from repro.labelling.driver import fold_batch
 from repro.labelling.maintenance import MaintenanceStats
 from repro.observability.phases import phase
 from repro.partition.regions import RegionPartition, partition_regions
@@ -45,6 +46,11 @@ from repro.utils.timing import Stopwatch
 __all__ = ["ShardedDHLIndex", "ShardedIndexStats"]
 
 WeightChange = tuple[int, int, float]
+
+
+def _road_key(u: int, v: int) -> tuple[int, int]:
+    """What a weight batch dedupes on: the unordered pair."""
+    return (u, v) if u <= v else (v, u)
 
 
 @dataclass
@@ -83,7 +89,7 @@ class ShardedDHLIndex:
 
     Build with :meth:`build`; query with :meth:`distance` /
     :meth:`distances`; maintain with :meth:`update` /
-    :meth:`update_coalesced`; persist with :meth:`save` / :meth:`load`.
+    :meth:`apply_batch`; persist with :meth:`save` / :meth:`load`.
     The facade matches :class:`~repro.core.index.DHLIndex`, so the
     serving layer accepts either backend.
     """
@@ -265,20 +271,19 @@ class ShardedDHLIndex:
     ) -> ShardedMaintenanceStats:
         """Apply a mixed weight-change batch, routed per shard.
 
-        Intra-region changes go to the owning shard's DHL+/DHL- pass;
-        cut edge changes go straight to the overlay. After shard passes,
-        only the overlay clique edges incident to an *affected* boundary
-        label are recomputed and folded into one overlay pass.
-        ``workers`` is ignored (see :meth:`DistanceBackend.update`).
+        A road named twice ends at its last mention's weight, as on
+        :meth:`DHLIndex.update`. Intra-region changes go to the owning
+        shard's DHL+/DHL- pass; cut edge changes go straight to the
+        overlay. After shard passes, only the overlay clique edges
+        incident to an *affected* boundary label are recomputed and
+        folded into one overlay pass. ``workers`` is ignored (see
+        :meth:`DistanceBackend.update`).
         """
         per_shard: dict[int, list[WeightChange]] = {}
         overlay_changes: list[WeightChange] = []
         applied: list[WeightChange] = []
-        for u, v, w in changes:
-            current = self.graph.weight(u, v)
-            if w < 0 or math.isnan(w):
-                raise MaintenanceError(f"invalid weight {w!r} for edge ({u}, {v})")
-            if w == current:
+        for u, v, w in fold_batch(changes, _road_key):
+            if w == self.graph.weight(u, v):
                 continue
             ru = int(self.region_of[u])
             rv = int(self.region_of[v])
@@ -329,15 +334,6 @@ class ShardedDHLIndex:
             self.graph.set_weight(u, v, w)
         self._epoch += 1
         return stats
-
-    def update_coalesced(
-        self, changes: Iterable[WeightChange]
-    ) -> ShardedMaintenanceStats:
-        """Apply a raw change stream as one merged batch (last write wins)."""
-        final: dict[tuple[int, int], float] = {}
-        for u, v, w in changes:
-            final[(u, v) if u <= v else (v, u)] = w
-        return self.update([(u, v, w) for (u, v), w in final.items()])
 
     # ------------------------------------------------------------------
     # structural updates
@@ -392,12 +388,8 @@ class ShardedDHLIndex:
                 cross_inserts.append((u, v, w))
 
         if folded_changes:
-            # Duplicate reports on one edge coalesce last-wins
+            # update() folds duplicate reports on one edge last-wins
             # (sequential semantics).
-            net: dict[tuple[int, int], WeightChange] = {}
-            for u, v, w in folded_changes:
-                net[(u, v) if u <= v else (v, u)] = (u, v, w)
-            folded_changes = list(net.values())
             weight_stats = self.update(folded_changes)
             stats.per_shard.update(weight_stats.per_shard)
             stats.overlay_stats = weight_stats.overlay_stats

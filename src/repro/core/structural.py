@@ -5,7 +5,7 @@ coarsely: insertion repartitioned the LCA subtree and rebuilt H_U and L
 wholesale, deletion left infinite-weight slots allocated forever. This
 module replaces that with a batched engine in the BatchHL+ direction
 (VLDB 2023): mixed batches of insertions, deletions and weight changes
-are reflected through the existing frontier-batched maintenance kernels,
+are reflected through the ordinary maintenance driver and its engines,
 with rebuilds reserved for the cases that genuinely invalidate the
 hierarchy.
 
@@ -79,6 +79,7 @@ from repro.graph.graph import Graph
 from repro.hierarchy.csr import ShortcutCSR, compact_slots, extend_slots
 from repro.hierarchy.query_hierarchy import QueryHierarchy
 from repro.labelling.build import build_labelling
+from repro.labelling.driver import split_batch
 from repro.labelling.maintenance import MaintenanceStats
 from repro.observability.phases import phase
 from repro.partition.recursive import PartitionTreeNode
@@ -313,7 +314,6 @@ def apply_batch(
     fallback) and returns a :class:`StructuralStats`.
     """
     graph = index.graph
-    edge_key = index.hu.edge_key
     stats = StructuralStats()
 
     increases: list[tuple[int, int, float]] = []
@@ -328,15 +328,10 @@ def apply_batch(
 
     # Duplicate reports on one edge coalesce last-wins (sequential
     # semantics) — the kernels reject mixed-direction batches.
-    net_changes = {edge_key(u, v): (u, v, w) for u, v, w in weight_changes}
-    for u, v, w in net_changes.values():
-        current = graph.weight(u, v)
-        if w > current:
-            increases.append((u, v, w))
-            stats.weight_changed += 1
-        elif w < current:
-            decreases.append((u, v, w))
-            stats.weight_changed += 1
+    raised, lowered = split_batch(graph, weight_changes, index.hu.edge_key)
+    increases += raised
+    decreases += lowered
+    stats.weight_changed += len(raised) + len(lowered)
 
     real_inserts: list[tuple[int, int, float]] = []
     for u, v, w in insertions:

@@ -8,7 +8,7 @@ measured per dataset through :meth:`DHLIndex.apply_batch`:
   increases through the DHL+ kernels) plus congestion reweighs;
 * **re-openings**: the same edges restored in one decrease batch;
 * **construction**: new links inserted — comparable endpoint pairs ride
-  the frontier-kernel fast path (slot extension + seeded decrease),
+  the closure fast path (slot extension + seeded decrease),
   incomparable ones fall back to a rebuild — with the fast-path /
   fallback split reported from the index's structural counters;
 * **compaction**: the closure batch is re-applied, the dead-slot store

@@ -85,9 +85,9 @@ def table2_updates(ctx: ExperimentContext) -> dict:
     """Table 2: update times — batch & single, +/-.
 
     The paper's parallel columns (DHL+p/DHL-p, Algorithms 6/7) have no
-    counterpart here: their enabling idea, independent ancestor columns,
-    is what the default engine's frontier rounds already batch over, and a
-    thread-per-column realisation only loses under CPython's GIL.
+    counterpart here yet. The C sweeps release the GIL, so threads could
+    now overlap; ROADMAP item 4 ("Parallel DHL over the released GIL")
+    tracks them.
     """
     rows = []
     raw = {}

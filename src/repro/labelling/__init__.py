@@ -12,11 +12,9 @@
 * :mod:`repro.labelling.native` — the default engine wherever a C
   compiler exists: the pair query and the four sweeps as heap loops of
   one C file, built at first use and called through ``ctypes``.
-* :mod:`repro.labelling.maintenance_kernels` — the frontier-batched
-  array engine, what a compiler-less host runs: order-free numpy rounds
-  over the CSR shortcut store's weight cells and the flat label buffer.
 * :mod:`repro.labelling.maintenance` — the contract, the stats record
-  and the scalar reference engine (the differential-test oracle).
+  and the paper-literal scalar reference engine: the differential-test
+  oracle, and what a compiler-less host runs.
 """
 
 from repro.labelling.labels import HierarchicalLabelling

@@ -26,7 +26,7 @@ from typing import Callable, Hashable, Iterable
 import numpy as np
 
 from repro.exceptions import MaintenanceError, StructuralFallbackRequired
-from repro.labelling import maintenance, maintenance_kernels
+from repro.labelling import maintenance
 from repro.labelling.labels import HierarchicalLabelling
 from repro.labelling.maintenance import Engine, MaintenanceStats, WeightChange
 from repro.labelling.native import engine as native_engine
@@ -38,16 +38,15 @@ __all__ = [
     "maintain",
     "maintain_shortcuts",
     "validate_batch",
+    "fold_batch",
     "split_batch",
 ]
 
 #: Resolved ``DHLConfig.engine`` name -> implementation. ``compiled``
-#: (the C kernels, wherever they load) and ``array`` (numpy rounds, the
-#: engine of a compiler-less host) are the production engines;
-#: ``reference`` is the scalar oracle the differential tests compare
-#: them against (and what the baselines run).
+#: (the C kernels) runs wherever the library loads; ``reference`` is the
+#: paper-literal scalar oracle the differential tests compare it
+#: against, what a compiler-less host runs and what the baselines run.
 ENGINES: dict[str, Engine] = {
-    "array": maintenance_kernels.ENGINE,
     "compiled": native_engine.ENGINE,
     "reference": maintenance.ENGINE,
 }
@@ -97,8 +96,9 @@ def validate_batch(
             continue
         if (w > current) == (kind == "decrease"):
             other = "increase" if kind == "decrease" else "decrease"
+            article = "an" if kind == "increase" else "a"
             raise MaintenanceError(
-                f"edge ({u}, {v}): {current} -> {w} is not a {kind}; "
+                f"edge ({u}, {v}): {current} -> {w} is not {article} {kind}; "
                 f"use {other}()/update()"
             )
         pending[edge] = w
@@ -106,19 +106,36 @@ def validate_batch(
     return batch
 
 
+def fold_batch(
+    changes: Iterable[WeightChange], edge_key: Callable[[int, int], Hashable]
+) -> list[WeightChange]:
+    """One change per road, the last mention's weight, in first-mention
+    order. *edge_key* names the road a change addresses. Every weight
+    is checked, a superseded one too."""
+    final: dict[Hashable, WeightChange] = {}
+    for u, v, w in changes:
+        _check_weight(u, v, w)
+        final[edge_key(u, v)] = (u, v, w)
+    return list(final.values())
+
+
 def split_batch(
-    graph, changes: Iterable[WeightChange]
+    graph,
+    changes: Iterable[WeightChange],
+    edge_key: Callable[[int, int], Hashable],
 ) -> tuple[list[WeightChange], list[WeightChange]]:
     """Classify a mixed batch into ``(increases, decreases)``.
 
-    Every weight is checked first, so a bad one rejects the batch
-    before its increases are applied. Unchanged weights are skipped.
+    The batch is folded first (:func:`fold_batch`), so a road named
+    twice ends at its last mention's weight. Every weight and every
+    edge is checked before anything is returned, so a bad one rejects
+    the batch before its increases are applied. Unchanged weights are
+    skipped.
     """
     increases: list[WeightChange] = []
     decreases: list[WeightChange] = []
-    for u, v, w in changes:
+    for u, v, w in fold_batch(changes, edge_key):
         current = graph.weight(u, v)
-        _check_weight(u, v, w)
         if w > current:
             increases.append((u, v, w))
         elif w < current:
@@ -268,7 +285,7 @@ def _seed_decrease(store, labels, lo, hi, slots) -> np.ndarray:
     Applies ``L_lo[i] <- min(L_lo[i], w_new + L_hi[i])`` for every
     affected shortcut in one ragged scatter-min. Candidates read the
     phase's pre-state; any cross-pair chaining a sequential pass would
-    exploit is re-delivered by the descendant sweep, so the fixpoint is
+    exploit is picked up by the descendant sweep, so the fixpoint is
     unchanged. Returns the improved flat positions.
     """
     values, offsets = labels.values, labels.offsets

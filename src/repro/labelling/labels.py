@@ -139,14 +139,11 @@ class HierarchicalLabelling:
         self.values[self.offsets[v] + i] = value
 
     # -- batched maintenance primitives -----------------------------------
-    def entry_positions(self, verts: np.ndarray, cols: np.ndarray) -> np.ndarray:
-        """Flat positions of entries ``L_verts[cols]`` in ``values``."""
-        return self.offsets[verts] + cols
-
     def entries_of_positions(
         self, positions: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Inverse of :meth:`entry_positions`: ``(verts, cols)`` arrays.
+        """``(verts, cols)`` of the entries at flat *positions* (the
+        inverse of ``offsets[verts] + cols``).
 
         Valid because slot capacities are disjoint ranges of ``values``:
         a flat position maps back to its vertex with one searchsorted

@@ -20,11 +20,11 @@ Two layers are maintained, in order:
 This module defines the engine contract (:class:`Engine`: the four
 sweeps :mod:`repro.labelling.driver` calls) and its one-pop-per-entry
 *reference* implementation, selected with
-``DHLConfig(engine="reference")``. Production updates run the
-frontier-batched kernels in :mod:`repro.labelling.maintenance_kernels`
-or the C ones of :mod:`repro.labelling.native`, which must
-produce identical labels, change counts and affected sets — the
-differential property tests rely on it.
+``DHLConfig(engine="reference")`` and what ``"compiled"`` downgrades to
+on a host without a C compiler. Production updates run the C heap
+sweeps of :mod:`repro.labelling.native`, which must produce identical
+labels, change counts and affected sets — the differential property
+tests rely on it.
 
 Increase-side pruning tests exact equality of path sums; with integer
 weights (the library default) these comparisons are exact in float64.
@@ -97,14 +97,12 @@ class MaintenanceStats:
     ``shortcuts_changed`` is the paper's |S-delta|; ``labels_changed`` is
     |L-delta| (distinct label entries whose value changed);
     ``entries_processed`` counts queue pops (search effort — the only
-    field that may differ between engines). The array engine's
-    order-free rounds count every entry of every round, so an entry
-    re-delivered by the equality guard and recomputed again counts
-    again: 1.2-1.4x the ordered engines' count on the bench graphs.
-    ``affected_labels`` holds the vertices whose label array was modified;
-    a distance ``d(s, t)`` is a pure function of ``L_s`` and ``L_t``, so a
-    cached result is stale only when one of its endpoints is in this set —
-    the serving layer's fine-grained cache eviction relies on it.
+    field that may differ between engines: compiled and reference may
+    differ by heap tie order). ``affected_labels`` holds the vertices
+    whose label array was modified; a distance ``d(s, t)`` is a pure
+    function of ``L_s`` and ``L_t``, so a cached result is stale only
+    when one of its endpoints is in this set — the serving layer's
+    fine-grained cache eviction relies on it.
 
     ``phases`` maps maintenance phase names (``decrease.relax_round``,
     ``increase.dependency_layer``, ``decrease.label_sweep``, ...) to

@@ -24,10 +24,10 @@ This module builds it at first use and opens it with :mod:`ctypes`:
   of that one resolution; ``compile_seconds`` is None when the cache was
   warm.
 * :func:`resolved_engine` — ``"compiled"`` stays itself when the
-  library loads and downgrades to ``"array"`` otherwise (no compiler, a
-  failed compile, an unloadable file), with one ``RuntimeWarning`` per
-  process naming the reason. The choice is read off the platform; there
-  is no option for it.
+  library loads and downgrades to ``"reference"`` otherwise (no
+  compiler, a failed compile, an unloadable file), with one
+  ``RuntimeWarning`` per process naming the reason. The choice is read
+  off the platform; there is no option for it.
 
 The validating wrappers over the exported functions are in
 :mod:`repro.labelling.native.engine`.
@@ -238,7 +238,7 @@ def _resolve() -> _State:
                         "compiled", "native library loaded", str(path), seconds
                     )
                 except _Unavailable as exc:
-                    state.status = EngineStatus("array", str(exc), None, None)
+                    state.status = EngineStatus("reference", str(exc), None, None)
     return state
 
 
@@ -261,7 +261,7 @@ def resolved_engine(requested: str) -> str:
         state.warned = True
         warnings.warn(
             f"the native DHL kernels are unavailable ({state.status.reason}); "
-            "falling back to the numpy array engine",
+            "falling back to the reference engine",
             RuntimeWarning,
             stacklevel=3,
         )

@@ -257,7 +257,7 @@ class QueryEngine:
         hq: QueryHierarchy,
         labels: HierarchicalLabelling,
         target_labels: HierarchicalLabelling | None = None,
-        engine: str = "array",
+        engine: str = "reference",
     ):
         self.hq = hq
         self.labels = labels

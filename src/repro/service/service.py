@@ -88,7 +88,7 @@ class ServiceStats:
     #: What answers on that backend: its query engines' resolved name
     #: (``index.engine.engine``; every distinct one on a sharded index)
     #: and why — ``configured``, or the native loader's reason.
-    engine: str = "array (configured)"
+    engine: str = "reference (configured)"
     #: Worker-pool scheduler / delta-sync counters
     #: (:meth:`~repro.service.runtime.WorkerPoolStats.as_dict`) when the
     #: runtime pools workers, ``None`` for in-process backends.

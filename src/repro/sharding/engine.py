@@ -102,7 +102,7 @@ def min_plus_compact(
     block: np.ndarray,
     dt: np.ndarray,
     dt_inverse: np.ndarray,
-    engine: str = "array",
+    engine: str = "reference",
 ) -> np.ndarray:
     """Pair-wise ``min_{a,b} ds[p,a] + block[a,b] + dt[p,b]`` over
     deduplicated fans.

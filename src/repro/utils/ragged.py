@@ -1,15 +1,16 @@
-"""Ragged-array index arithmetic shared by the query and maintenance kernels.
+"""Ragged-array index arithmetic shared by the numpy query kernels and
+the maintenance driver's batched label seeds.
 
-Both engines walk CSR rows of unequal length as one flat batch: a row
-count per source becomes ``(source index, within-row offset)`` pairs, and
-a sorted key array splits into runs for ``ufunc.reduceat``.
+Rows of unequal length are walked as one flat batch: a row count per
+source becomes ``(source index, within-row offset)`` pairs, and a sorted
+key array splits into runs for ``ufunc.reduceat``.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["expand", "expand_rows", "segment_starts"]
+__all__ = ["expand", "segment_starts"]
 
 
 def expand(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -30,10 +31,3 @@ def segment_starts(sorted_keys: np.ndarray) -> np.ndarray:
     first[0] = True
     np.not_equal(sorted_keys[1:], sorted_keys[:-1], out=first[1:])
     return np.nonzero(first)[0]
-
-
-def expand_rows(indptr: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Every element of the CSR *rows*: (index into *rows*, flat CSR index)."""
-    starts = indptr[rows]
-    rep, ramp = expand(indptr[rows + 1] - starts)
-    return rep, starts[rep] + ramp

@@ -332,7 +332,7 @@ def test_update_coalesced_merges_and_matches_sequential(small_index):
     (u0, v0, w0) = edges[0]
     stream = [(u, v, 2 * w) for u, v, w in edges]
     stream += [(u0, v0, 7 * w0), (u0, v0, w0)]  # raise twice, then restore
-    stats = small_index.update_coalesced(stream)
+    stats = small_index.update(stream)
     assert small_index.graph.weight(u0, v0) == w0  # last write won
     for u, v, w in edges[1:]:
         assert small_index.graph.weight(u, v) == 2 * w
@@ -368,7 +368,7 @@ def _door_index(family: str, engine: str):
     return DHLIndex.build(graph, config)
 
 
-@pytest.mark.parametrize("engine", ["reference", "array", "compiled"])
+@pytest.mark.parametrize("engine", ["reference", "compiled"])
 @pytest.mark.parametrize("family", ["undirected", "directed"])
 class TestVertexIdsAtTheDoor:
     """numpy wraps a negative id onto another vertex's label and C would

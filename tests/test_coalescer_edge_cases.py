@@ -1,12 +1,23 @@
-"""Update-coalescer edge cases: no-ops, reversed duplicates, empty flushes."""
+"""Update-coalescer edge cases: no-ops, reversed duplicates, empty
+flushes — and the same last-mention fold inside every index's
+``update``."""
 
 from __future__ import annotations
 
+import numpy as np
+import pytest
+
+from repro.baselines.dijkstra import dijkstra
 from repro.core.config import DHLConfig
+from repro.core.directed import DirectedDHLIndex
 from repro.core.index import DHLIndex
+from repro.core.sharded import ShardedDHLIndex
+from repro.exceptions import MaintenanceError
+from repro.graph.digraph import DiGraph
 from repro.graph.generators import delaunay_network
 from repro.service.coalescer import UpdateCoalescer
 from repro.service.service import DistanceService
+from tests.conftest import directed_dijkstra
 
 
 def build_index():
@@ -77,7 +88,55 @@ def test_index_level_coalescing_matches_service_semantics():
     index = build_index()
     u, v, w = first_edge(index.graph)
     before = index.epoch
-    stats = index.update_coalesced([(u, v, 5.0 * w), (v, u, w)])
+    stats = index.update([(u, v, 5.0 * w), (v, u, w)])
     assert index.epoch == before  # net no-op applied nothing
     assert stats.shortcuts_changed == 0
     assert stats.labels_changed == 0
+
+
+def family_index(family: str):
+    """A 300-vertex index of *family*, one of its roads ``(u, v, w)`` —
+    inside one shard for the sharded family — and the Dijkstra oracle
+    over ``index.graph``."""
+    graph = delaunay_network(300, seed=7)
+    config = DHLConfig(seed=0)
+    if family == "directed":
+        index = DirectedDHLIndex.build(DiGraph.from_undirected(graph), config)
+        return index, next(iter(index.graph.arcs())), directed_dijkstra
+    if family == "sharded":
+        index = ShardedDHLIndex.build(graph, k=2, config=config, build_workers=1)
+        region = index.region_of
+        road = next(e for e in graph.edges() if region[e[0]] == region[e[1]])
+        return index, road, dijkstra
+    index = DHLIndex.build(graph, config)
+    return index, next(iter(graph.edges())), dijkstra
+
+
+@pytest.mark.parametrize("family", ["monolithic", "directed", "sharded"])
+@pytest.mark.parametrize(
+    "first, last",
+    [(3.0, 2.0), (2.0, 1.0), (0.5, 2.0)],
+    ids=["two-increases", "increase-then-restore", "decrease-then-increase"],
+)
+def test_update_naming_a_road_twice_keeps_the_last_mention(family, first, last):
+    """Each mention alone is a legal change; together they are one road
+    changed once, to the last weight — on the shard and on the global
+    graph alike."""
+    index, (u, v, w), oracle = family_index(family)
+    index.update([(u, v, first * w), (u, v, last * w)])
+    assert index.graph.weight(u, v) == last * w
+    n = index.graph.num_vertices
+    want = np.asarray(oracle(index.graph, u))
+    np.testing.assert_array_equal(index.distances([(u, t) for t in range(n)]), want)
+    assert index.distance(u, v) == want[v]
+
+
+@pytest.mark.parametrize("family", ["monolithic", "directed", "sharded"])
+def test_a_superseded_invalid_mention_still_rejects_the_batch(family):
+    """The fold keeps the last mention but checks every one: a negative
+    weight named first rejects the whole batch before any write."""
+    index, (u, v, w), _ = family_index(family)
+    epoch = index.epoch
+    with pytest.raises(MaintenanceError, match="invalid weight"):
+        index.update([(u, v, -w), (u, v, 2.0 * w)])
+    assert index.graph.weight(u, v) == w and index.epoch == epoch

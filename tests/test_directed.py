@@ -132,15 +132,17 @@ class TestDirectedDynamic:
         assert idx.labels_out.equals(rebuilt.labels_out)
         assert idx.labels_in.equals(rebuilt.labels_in)
 
-    def test_compiled_request_maintains_the_array_engine_state(self, asym_digraph):
+    def test_compiled_request_maintains_the_reference_engine_state(
+        self, asym_digraph
+    ):
         """``engine="compiled"`` runs the two-plane C sweeps wherever the
-        native library loads and downgrades to ``array`` elsewhere;
-        either way the maintained state must equal the array engine's."""
+        native library loads and downgrades to ``reference`` elsewhere;
+        either way the maintained state must equal the reference's."""
         indexes = [
             DirectedDHLIndex.build(
                 asym_digraph.copy(), DHLConfig(leaf_size=4, seed=0, engine=engine)
             )
-            for engine in ("array", "compiled")
+            for engine in ("reference", "compiled")
         ]
         arcs = list(asym_digraph.arcs())[::7]
         for index in indexes:

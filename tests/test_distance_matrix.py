@@ -42,7 +42,7 @@ def assert_kernel_matches(engine, sources, targets) -> np.ndarray:
     return got
 
 
-@pytest.fixture(params=["array", "compiled"])
+@pytest.fixture(params=["reference", "compiled"])
 def road_index(request, small_road) -> DHLIndex:
     require_engine(request.param)
     index = DHLIndex.build(
@@ -120,7 +120,7 @@ class TestKernelAgainstPairKernel:
             graph.add_edge(u, v, w)  # vertices 7 and 8 are isolated
         everyone = np.arange(9)
         answers = []
-        for engine_name in ("array", "compiled"):
+        for engine_name in ("reference", "compiled"):
             index = DHLIndex.build(
                 graph.copy(), DHLConfig(leaf_size=2, seed=0, engine=engine_name)
             )
@@ -150,7 +150,7 @@ class TestKernelAgainstPairKernel:
         n = digraph.num_vertices
         sources, targets = np.arange(0, n, 3), np.arange(1, n, 5)
         answers = []
-        for engine_name in ("array", "compiled"):
+        for engine_name in ("reference", "compiled"):
             index = DirectedDHLIndex.build(
                 digraph.copy(), DHLConfig(leaf_size=4, seed=0, engine=engine_name)
             )
@@ -291,7 +291,7 @@ class TestShardedCallSites:
         got = min_plus_compact(ds, ds_inv, block, dt, dt_inv)
         assert np.array_equal(got, np.array(want))
 
-    def test_array_and_compiled_agree_after_an_overlay_burst(self):
+    def test_reference_and_compiled_agree_after_an_overlay_burst(self):
         """Fans, overlay matrix, clique refresh and combine all follow
         the shard engine: both engines answer every pair with the same
         bits, before and after a burst that moves the overlay."""
@@ -304,10 +304,10 @@ class TestShardedCallSites:
                 config=DHLConfig(seed=0, engine=engine),
                 build_workers=1,
             )
-            for engine in ("array", "compiled")
+            for engine in ("reference", "compiled")
         ]
         assert [index.shards[0].engine.engine for index in both] == [
-            "array",
+            "reference",
             "compiled",
         ]
         n = graph.num_vertices

@@ -165,9 +165,9 @@ class TestMixedUpdates:
     def test_wrong_direction_rejected_by_wrappers(self, small_road):
         idx = fresh_index(small_road)
         u, v, w = next(iter(idx.graph.edges()))
-        with pytest.raises(MaintenanceError):
+        with pytest.raises(MaintenanceError, match="is not an increase; use decr"):
             idx.increase([(u, v, w / 2)])
-        with pytest.raises(MaintenanceError):
+        with pytest.raises(MaintenanceError, match="is not a decrease; use incr"):
             idx.decrease([(u, v, w * 2)])
 
     def test_empty_batch_is_noop(self, small_road):

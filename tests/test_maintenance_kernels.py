@@ -1,20 +1,17 @@
-"""Differential tests: the three maintenance engines must agree.
+"""Differential tests: the two maintenance engines must agree.
 
-The frontier-batched kernels (``engine="array"``) and the C
-heap sweeps (``engine="compiled"``) must be observationally identical
-to the one-pop-per-entry reference (``engine="reference"``): same
-labels, same shortcut/label change counts, same affected-shortcut
-dicts (including the recorded old weights) and same affected-label
-vertex sets, under arbitrary interleavings of increase and decrease
-batches. Only ``entries_processed`` (search effort) may differ — the
-array engine relaxes along shortcut weights (Lemma 6.3) while the
-scalar reference relaxes along label entries, which changes the
-intermediate frontier but not the fixpoint.
+The C heap sweeps (``engine="compiled"``) must be observationally
+identical to the paper-literal one-pop-per-entry reference
+(``engine="reference"``): same labels, same shortcut/label change
+counts, same affected-shortcut dicts (including the recorded old
+weights) and same affected-label vertex sets, under arbitrary
+interleavings of increase and decrease batches. Only
+``entries_processed`` (search effort) may differ, by heap tie order.
 
 ``compiled`` is the C library of :mod:`repro.labelling.native` wherever
 a C compiler exists (``tests/test_native_engine.py`` asserts it loaded);
-on a compiler-less host it resolves to ``array`` and the three-way
-comparison degenerates to two engines.
+on a compiler-less host it resolves to ``reference`` and the comparison
+degenerates to the oracle against itself.
 """
 
 from __future__ import annotations
@@ -37,9 +34,9 @@ from repro.labelling.maintenance import MaintenanceStats
 from tests.strategies import assert_stats_match, connected_graphs, update_sequences
 
 
-def test_engine_table_is_three_engines_of_exactly_four_sweeps():
+def test_engine_table_is_two_engines_of_exactly_four_sweeps():
     """The whole engine contract: nothing else is dispatched per engine."""
-    assert set(ENGINES) == {"array", "compiled", "reference"}
+    assert set(ENGINES) == {"compiled", "reference"}
     for engine in ENGINES.values():
         assert engine._fields == (
             "shortcut_decrease_sweep",
@@ -49,7 +46,7 @@ def test_engine_table_is_three_engines_of_exactly_four_sweeps():
         )
         assert all(callable(sweep) for sweep in engine)
     sweeps = [sweep for engine in ENGINES.values() for sweep in engine]
-    assert len(set(sweeps)) == 12  # no engine borrows another's sweep
+    assert len(set(sweeps)) == 8  # no engine borrows another's sweep
 
 
 class TestUndirectedDifferential:
@@ -65,45 +62,36 @@ class TestUndirectedDifferential:
     )
     def test_engines_identical_under_random_interleavings(self, data):
         graph, sequence = data
-        config_a = DHLConfig(leaf_size=3, seed=0, engine="array")
         config_r = DHLConfig(leaf_size=3, seed=0, engine="reference")
         config_c = DHLConfig(leaf_size=3, seed=0, engine="compiled")
-        idx_a = DHLIndex.build(graph.copy(), config_a)
         idx_r = DHLIndex.build(graph.copy(), config_r)
         idx_c = DHLIndex.build(graph.copy(), config_c)
         for batch in sequence:
-            seen = {}
-            for u, v, w in batch:
-                seen[(min(u, v), max(u, v))] = (u, v, w)
-            merged = list(seen.values())
-            increases, decreases = split_batch(idx_a.graph, merged)
+            increases, decreases = split_batch(
+                idx_r.graph, batch, idx_r.hu.edge_key
+            )
             for changes, method in (
                 (increases, "increase"),
                 (decreases, "decrease"),
             ):
                 if not changes:
                     continue
-                stats_a = getattr(idx_a, method)(changes)
                 stats_r = getattr(idx_r, method)(changes)
                 stats_c = getattr(idx_c, method)(changes)
-                assert_stats_match(stats_a, stats_r)
                 assert_stats_match(stats_c, stats_r)
-            assert idx_a.labels.equals(idx_r.labels)
             assert idx_c.labels.equals(idx_r.labels)
-            np.testing.assert_array_equal(
-                idx_a.hu.up_weights, idx_r.hu.up_weights
-            )
             np.testing.assert_array_equal(
                 idx_c.hu.up_weights, idx_r.hu.up_weights
             )
-        ref = dijkstra(idx_a.graph, 0)
+        ref = dijkstra(idx_r.graph, 0)
         for t in range(graph.num_vertices):
-            assert idx_a.distance(0, t) == ref[t]
+            assert idx_r.distance(0, t) == ref[t]
             assert idx_c.distance(0, t) == ref[t]
 
-    def test_array_engine_matches_rebuild(self, small_road):
+    @pytest.mark.parametrize("engine", ["compiled", "reference"])
+    def test_maintained_index_matches_rebuild(self, small_road, engine):
         idx = DHLIndex.build(
-            small_road.copy(), DHLConfig(leaf_size=4, seed=0, engine="array")
+            small_road.copy(), DHLConfig(leaf_size=4, seed=0, engine=engine)
         )
         edges = list(idx.graph.edges())
         idx.increase([(u, v, 3 * w) for u, v, w in edges[:60]])
@@ -114,7 +102,7 @@ class TestUndirectedDifferential:
 
     def test_decrease_stats_count_distinct_entries(self, small_road):
         """Both engines report |L-delta| as *distinct* changed entries."""
-        for engine in ("array", "reference"):
+        for engine in ("compiled", "reference"):
             idx = DHLIndex.build(
                 small_road.copy(), DHLConfig(leaf_size=4, seed=0, engine=engine)
             )
@@ -140,56 +128,39 @@ class TestDirectedDifferential:
     )
     def test_engines_identical_on_digraphs(self, data):
         graph, sequence = data
-        digraph_a = DiGraph.from_undirected(graph)
+        digraph_r = DiGraph.from_undirected(graph)
         # Make half the arcs asymmetric so both label stores do real
         # work.
-        for i, (u, v, w) in enumerate(list(digraph_a.arcs())):
+        for i, (u, v, w) in enumerate(list(digraph_r.arcs())):
             if i % 2 == 0:
-                digraph_a.set_weight(u, v, float(w + 3))
-        digraph_r = digraph_a.copy()
-        digraph_c = digraph_a.copy()
-        config_a = DHLConfig(leaf_size=3, seed=0, engine="array")
+                digraph_r.set_weight(u, v, float(w + 3))
+        digraph_c = digraph_r.copy()
         config_r = DHLConfig(leaf_size=3, seed=0, engine="reference")
         config_c = DHLConfig(leaf_size=3, seed=0, engine="compiled")
-        idx_a = DirectedDHLIndex.build(digraph_a, config_a)
         idx_r = DirectedDHLIndex.build(digraph_r, config_r)
         idx_c = DirectedDHLIndex.build(digraph_c, config_c)
         for batch in sequence:
-            seen = {}
-            for u, v, w in batch:
-                # Directed updates address one arc; dedupe on the arc.
-                seen[(u, v)] = (u, v, w)
-            merged = [
+            # Directed updates address one arc; update() folds on the arc.
+            arcs = [
                 (u, v, w)
-                for (u, v, w) in seen.values()
-                if digraph_a.out_neighbors(u).get(v) is not None
+                for (u, v, w) in batch
+                if digraph_r.out_neighbors(u).get(v) is not None
             ]
-            if not merged:
+            if not arcs:
                 continue
-            stats_a = idx_a.update(merged)
-            stats_r = idx_r.update(merged)
-            stats_c = idx_c.update(merged)
-            assert_stats_match(stats_a, stats_r)
+            stats_r = idx_r.update(arcs)
+            stats_c = idx_c.update(arcs)
             assert_stats_match(stats_c, stats_r)
-            for idx in (idx_a, idx_c):
-                assert idx.labels_out.equals(idx_r.labels_out)
-                assert idx.labels_in.equals(idx_r.labels_in)
-                np.testing.assert_array_equal(
-                    idx.out_weights, idx_r.out_weights
-                )
-                np.testing.assert_array_equal(
-                    idx.in_weights, idx_r.in_weights
-                )
+            assert idx_c.labels_out.equals(idx_r.labels_out)
+            assert idx_c.labels_in.equals(idx_r.labels_in)
+            np.testing.assert_array_equal(idx_c.out_weights, idx_r.out_weights)
+            np.testing.assert_array_equal(idx_c.in_weights, idx_r.in_weights)
 
 
 class TestShardedDifferential:
     def test_k2_sharded_engines_agree(self, small_road):
-        config_a = DHLConfig(seed=0, engine="array")
         config_r = DHLConfig(seed=0, engine="reference")
         config_c = DHLConfig(seed=0, engine="compiled")
-        sharded_a = ShardedDHLIndex.build(
-            small_road.copy(), k=2, config=config_a, build_workers=1
-        )
         sharded_r = ShardedDHLIndex.build(
             small_road.copy(), k=2, config=config_r, build_workers=1
         )
@@ -210,24 +181,16 @@ class TestShardedDifferential:
             )
         ]
         for batch in batches:
-            sharded_a.update(batch)
             sharded_r.update(batch)
             sharded_c.update(batch)
-            for shard_a, shard_r, shard_c in zip(
-                sharded_a.shards, sharded_r.shards, sharded_c.shards
-            ):
-                assert shard_a.labels.equals(shard_r.labels)
+            for shard_r, shard_c in zip(sharded_r.shards, sharded_c.shards):
                 assert shard_c.labels.equals(shard_r.labels)
-            expected = sharded_r.distances(pairs)
             np.testing.assert_array_equal(
-                sharded_a.distances(pairs), expected
+                sharded_c.distances(pairs), sharded_r.distances(pairs)
             )
-            np.testing.assert_array_equal(
-                sharded_c.distances(pairs), expected
-            )
-        ref = dijkstra(sharded_a.graph, 1)
+        ref = dijkstra(sharded_r.graph, 1)
         for t in range(0, small_road.num_vertices, 17):
-            assert sharded_a.distance(1, t) == ref[t]
+            assert sharded_r.distance(1, t) == ref[t]
             assert sharded_c.distance(1, t) == ref[t]
 
 

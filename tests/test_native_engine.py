@@ -5,9 +5,10 @@ With a C compiler on ``PATH`` the library must load and
 otherwise. The pair kernel's and the min-plus combine's contracts, and
 what the set kernel's wrapper refuses, are checked here against the
 numpy code they replace (the set kernel's parity lives in
-``test_distance_matrix``); the sweeps' differential coverage lives in the
-three-way suites (``test_sweep_rounds``, ``test_maintenance_kernels``,
-``test_structural_batch``, ``test_directed``). The loader cases each run
+``test_distance_matrix``); the sweeps' differential coverage lives in
+the compiled-vs-reference suites (``test_sweep_rounds``,
+``test_maintenance_kernels``, ``test_structural_batch``,
+``test_directed``). The loader cases each run
 against an empty cache directory under ``tmp_path`` and a fresh loader
 state, so they neither see nor disturb the library the rest of the
 session runs on.
@@ -78,8 +79,13 @@ class TestConfigEngine:
         with pytest.raises(IndexBuildError, match="engine must be one of"):
             DHLConfig(engine=bad)
 
+    def test_retired_array_engine_is_rejected_naming_the_two_engines(self):
+        with pytest.raises(IndexBuildError) as raised:
+            DHLConfig(engine="array")
+        message = str(raised.value)
+        assert "'compiled' or 'reference'" in message and "'array'" in message
+
     def test_non_compiled_resolution_is_identity(self):
-        assert DHLConfig(engine="array").resolve_engine() == "array"
         assert DHLConfig(engine="reference").resolve_engine() == "reference"
 
     @pytest.mark.skipif(not HAVE_COMPILER, reason="no C compiler on PATH")
@@ -110,22 +116,22 @@ def road_pair(small_road) -> tuple[DHLIndex, DHLIndex]:
         DHLIndex.build(
             small_road.copy(), DHLConfig(leaf_size=6, seed=0, engine=engine)
         )
-        for engine in ("array", "compiled")
+        for engine in ("reference", "compiled")
     )
 
 
 class TestPairKernel:
     def test_matches_array_kernel(self, road_pair):
-        idx_a, idx_c = road_pair
+        idx_r, idx_c = road_pair
         assert idx_c.engine.engine == "compiled"
-        n = idx_a.graph.num_vertices
+        n = idx_r.graph.num_vertices
         pairs = sample_pairs(n, 2000, make_rng(9), distinct=False)
         pairs += [(v, v) for v in range(0, n, 13)]
-        d_a, h_a = idx_a.engine.distances_with_hubs(pairs)
+        d_r, h_r = idx_r.engine.distances_with_hubs(pairs)
         d_c, h_c = idx_c.engine.distances_with_hubs(pairs)
-        np.testing.assert_array_equal(d_c, d_a)
-        np.testing.assert_array_equal(h_c, h_a)
-        np.testing.assert_array_equal(idx_c.distances(pairs), d_a)
+        np.testing.assert_array_equal(d_c, d_r)
+        np.testing.assert_array_equal(h_c, h_r)
+        np.testing.assert_array_equal(idx_c.distances(pairs), d_r)
 
     def test_self_and_disconnected_pairs(self):
         require_engine("compiled")
@@ -141,7 +147,7 @@ class TestPairKernel:
 
     def test_fused_k_equals_supplied_k_on_every_pair(self, road_pair):
         """K counted in C == ``AncestorTables.counts``, on all n^2 pairs."""
-        idx_a, idx_c = road_pair
+        idx_r, idx_c = road_pair
         n = idx_c.graph.num_vertices
         s, t = (a.ravel() for a in np.divmod(np.arange(n * n), n))
         engine = idx_c.engine
@@ -169,7 +175,7 @@ class TestPairKernel:
             graph.set_weight(u, v, 1.0)
         built = [
             DHLIndex.build(graph.copy(), DHLConfig(seed=0, engine=engine))
-            for engine in ("array", "compiled")
+            for engine in ("reference", "compiled")
         ]
         n = graph.num_vertices
         pairs = np.stack(np.divmod(np.arange(n * n), n), axis=1)
@@ -184,7 +190,7 @@ class TestPairKernel:
             index.apply_batch(
                 deletions=[(v, u) for u in list(index.graph.neighbors(v))]
             )
-        idx_a, idx_c = road_pair
+        idx_r, idx_c = road_pair
         pairs = [(17, t) for t in range(0, 300, 7) if t != 17] + [(3, 250)]
         want, got = (i.engine.distances_with_hubs(pairs) for i in road_pair)
         assert np.isinf(got[0][:-1]).all() and (got[1][:-1] == -1).all()
@@ -202,7 +208,7 @@ class TestPairKernel:
             DirectedDHLIndex.build(
                 digraph.copy(), DHLConfig(leaf_size=4, seed=0, engine=engine)
             )
-            for engine in ("array", "compiled")
+            for engine in ("reference", "compiled")
         ]
         assert built[1].labellings[0] is not built[1].labellings[1]
         assert built[1].engine.engine == "compiled"
@@ -218,7 +224,7 @@ class TestPairKernel:
         require_engine("compiled")
         spine = query_module._MAX_VECTOR_DEPTH + 6
         deep = caterpillar_index(spine)
-        flat = caterpillar_index(spine, DHLConfig(seed=0, engine="array"))
+        flat = caterpillar_index(spine, DHLConfig(seed=0, engine="reference"))
         assert deep.engine.engine == "compiled"
         assert not deep.engine.supports_batch_kernel()
         n = deep.graph.num_vertices
@@ -257,29 +263,29 @@ class TestPairKernel:
         np.testing.assert_array_equal(again[0], want[0])
 
     def test_read_only_mmap_labels(self, road_pair, tmp_path):
-        idx_a, idx_c = road_pair
+        idx_r, idx_c = road_pair
         idx_c.save(tmp_path / "idx")
         loaded = DHLIndex.load(tmp_path / "idx", mmap_labels=True)
         assert loaded.engine.engine == "compiled"
         assert not loaded.labels.values.flags.writeable
         pairs = sample_pairs(300, 500, make_rng(2), distinct=False)
         np.testing.assert_array_equal(
-            loaded.distances(pairs), idx_a.distances(pairs)
+            loaded.distances(pairs), idx_r.distances(pairs)
         )
         # The first update materialises a writable buffer at a new
         # address; the kernel must follow it.
         u, v, w = next(iter(loaded.graph.edges()))
-        for index in (loaded, idx_a):
+        for index in (loaded, idx_r):
             index.update([(u, v, w + 5.0)])
         assert loaded.labels.values.flags.writeable
         np.testing.assert_array_equal(
-            loaded.distances(pairs), idx_a.distances(pairs)
+            loaded.distances(pairs), idx_r.distances(pairs)
         )
 
     def test_shared_memory_labels_after_a_republish(self, road_pair):
         """A replica re-binds its labelling onto a new segment: the
         kernel reads the new address, never a cached one."""
-        idx_a, idx_c = road_pair
+        idx_r, idx_c = road_pair
         pairs = sample_pairs(300, 500, make_rng(4), distinct=False)
         segments = []
 
@@ -299,7 +305,7 @@ class TestPairKernel:
             engine_before = replica.engine
             replica._adopt(replica.hq, replica.hu, (publish(idx_c),))
             np.testing.assert_array_equal(
-                replica.distances(pairs), idx_a.distances(pairs)
+                replica.distances(pairs), idx_r.distances(pairs)
             )
             edges = list(idx_c.graph.edges())[:20]
             for index in road_pair:
@@ -309,7 +315,7 @@ class TestPairKernel:
             assert replica.engine is not engine_before
             assert replica.labels.values.ctypes.data != first.ctypes.data
             np.testing.assert_array_equal(
-                replica.distances(pairs), idx_a.distances(pairs)
+                replica.distances(pairs), idx_r.distances(pairs)
             )
             del first, replica
         finally:
@@ -400,7 +406,7 @@ class TestMinPlus:
         require_engine("compiled")
         rng = make_rng(sum(shape))
         case = fan_case(rng, *shape)
-        want = min_plus_compact(*case, engine="array")
+        want = min_plus_compact(*case, engine="reference")
         got = min_plus_compact(*case, engine="compiled")
         assert got.dtype == np.float64 and got.shape == want.shape
         np.testing.assert_array_equal(got, want)
@@ -418,7 +424,7 @@ class TestMinPlus:
         unaligned = np.frombuffer(raw, np.float64, ds.size, offset=1)
         unaligned = unaligned.reshape(ds.shape)
         assert not view.flags.c_contiguous and not unaligned.flags.aligned
-        want = min_plus_compact(ds, ds_inv, block, dt, dt_inv, engine="array")
+        want = min_plus_compact(ds, ds_inv, block, dt, dt_inv, engine="reference")
         got = min_plus_compact(
             unaligned, ds_inv, view, dt, dt_inv, engine="compiled"
         )
@@ -497,9 +503,9 @@ class TestSetKernelWrapper:
     def test_engine_takes_any_integer_ids(self, road_pair):
         """The query door coerces lists, other dtypes and strided or
         unaligned arrays before the wrapper sees them."""
-        idx_a, idx_c = road_pair
+        idx_r, idx_c = road_pair
         ids = np.arange(0, 40, 3, dtype=np.int64)
-        want = idx_a.engine.distance_matrix(ids, ids[:5])
+        want = idx_r.engine.distance_matrix(ids, ids[:5])
         raw = bytes(5) + ids.tobytes()
         unaligned = np.frombuffer(raw, np.int64, len(ids), offset=5)
         for sources in (ids.tolist(), ids.astype(np.int32), unaligned,
@@ -509,7 +515,7 @@ class TestSetKernelWrapper:
             )
         np.testing.assert_array_equal(
             idx_c.engine.distances_arrays(unaligned, unaligned[::-1]),
-            idx_a.engine.distances_arrays(ids, ids[::-1]),
+            idx_r.engine.distances_arrays(ids, ids[::-1]),
         )
 
 
@@ -562,14 +568,14 @@ class TestFallback:
         monkeypatch.setenv("PATH", str(empty))
         config = DHLConfig(engine="compiled")
         with pytest.warns(RuntimeWarning, match="no C compiler"):
-            assert config.resolve_engine() == "array"
+            assert config.resolve_engine() == "reference"
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert config.resolve_engine() == "array"
-            assert DHLConfig().resolve_engine() == "array"
+            assert config.resolve_engine() == "reference"
+            assert DHLConfig().resolve_engine() == "reference"
             assert DHLConfig(engine="reference").resolve_engine() == "reference"
         status = native.status()
-        assert status == ("array", status.reason, None, None)
+        assert status == ("reference", status.reason, None, None)
         assert native.library() is None
         assert not cold.exists() or not list(cold.iterdir())
 
@@ -579,7 +585,7 @@ class TestFallback:
         )
         monkeypatch.setenv("PATH", str(tmp_path / "bin"))
         with pytest.warns(RuntimeWarning, match="exited 1: .*error: no"):
-            assert DHLConfig().resolve_engine() == "array"
+            assert DHLConfig().resolve_engine() == "reference"
         assert not list(cold.iterdir())  # no temporary left behind
 
     def test_index_builds_and_updates_without_a_compiler(
@@ -589,7 +595,7 @@ class TestFallback:
         with pytest.warns(RuntimeWarning, match="falling back"):
             idx = path_index()
         assert idx.config.engine == "compiled"
-        assert idx.engine.engine == "array"
+        assert idx.engine.engine == "reference"
         assert idx.distance(0, 4) == 10.0
         assert idx.distances([(0, 4), (1, 3)]).tolist() == [10.0, 5.0]
         idx.update([(0, 1, 0.5)])
@@ -601,13 +607,13 @@ class TestFallback:
         self, cold, monkeypatch, tmp_path
     ):
         """The engine name is re-resolved where the pickle is opened."""
-        idx = path_index(engine="array")
+        idx = path_index(engine="reference")
         idx.config = DHLConfig(leaf_size=2, seed=0)
         idx.engine.engine = "compiled"  # as pickled on a host that had it
         monkeypatch.setenv("PATH", str(tmp_path))
         with pytest.warns(RuntimeWarning, match="falling back"):
             clone = pickle.loads(pickle.dumps(idx))
-        assert clone.engine.engine == "array"
+        assert clone.engine.engine == "reference"
         assert clone.distances([(0, 4), (1, 3)]).tolist() == [10.0, 5.0]
 
 
@@ -670,14 +676,14 @@ class TestLoader:
     def test_rebuild_that_still_does_not_load_downgrades(
         self, cold, monkeypatch, tmp_path
     ):
-        """A compiler that 'succeeds' with garbage: one rebuild, then array."""
+        """A compiler that 'succeeds' with garbage: one rebuild, then reference."""
         fake_compiler(
             tmp_path / "bin",
             'while [ $# -gt 1 ]; do [ "$1" = -o ] && echo junk > "$2"; shift; done',
         )
         monkeypatch.setenv("PATH", str(tmp_path / "bin"))
         with pytest.warns(RuntimeWarning, match="does not load"):
-            assert DHLConfig().resolve_engine() == "array"
+            assert DHLConfig().resolve_engine() == "reference"
 
     def test_group_writable_directory_is_never_loaded_from(self, cold):
         cold.mkdir(mode=0o700)

@@ -435,24 +435,23 @@ def test_untraced_metrics_cost_per_call_not_per_pair(
 def test_service_reports_its_backends_engine_not_the_process(
     small_service_graph, monkeypatch
 ):
-    """An ``array`` / ``reference`` backend says so, without the loader."""
+    """A ``reference`` backend says so, without the loader."""
     from repro.core.sharded import ShardedDHLIndex
 
     monkeypatch.setattr(
         native, "status", lambda: pytest.fail("loader asked for no reason")
     )
-    for name in ("array", "reference"):
-        config = DHLConfig(seed=0, engine=name)
-        backends = (
-            DHLIndex.build(small_service_graph.copy(), config),
-            ShardedDHLIndex.build(small_service_graph.copy(), k=2, config=config),
-        )
-        for backend in backends:
-            service = DistanceService(backend, observability=Observability.enabled())
-            assert service.stats().engine == f"{name} (configured)"
-            assert f"engine  : {name} (configured)" in str(service.stats())
-            info = f'dhl_native_engine_info{{engine="{name}",reason="configured"}}'
-            assert info in service.metrics()
+    config = DHLConfig(seed=0, engine="reference")
+    backends = (
+        DHLIndex.build(small_service_graph.copy(), config),
+        ShardedDHLIndex.build(small_service_graph.copy(), k=2, config=config),
+    )
+    for backend in backends:
+        service = DistanceService(backend, observability=Observability.enabled())
+        assert service.stats().engine == "reference (configured)"
+        assert "engine  : reference (configured)" in str(service.stats())
+        info = 'dhl_native_engine_info{engine="reference",reason="configured"}'
+        assert info in service.metrics()
 
 
 def test_service_metrics_snapshot_core_names(small_service_graph, tmp_path):

@@ -251,9 +251,10 @@ class TestCrashSafeSnapshots:
 
 class TestPreWorkersRemovalSnapshots:
     """Snapshots written while ``DHLConfig`` still had ``workers``, and
-    while the writer recorded ``engine`` (always ``"array"``, the old
-    default) but not the two structural limits, must load — onto this
-    machine's engine and the default limits."""
+    while the writer recorded ``engine`` (always the retired numpy
+    engine's name, which ``DHLConfig`` now rejects) but not the two
+    structural limits, must load — onto this machine's engine and the
+    default limits."""
 
     @staticmethod
     def _age(path):
@@ -265,7 +266,7 @@ class TestPreWorkersRemovalSnapshots:
             manifest = json.loads(manifest_path.read_text())
             assert "workers" not in manifest["config"]  # no longer written
             manifest["config"]["workers"] = 2
-            manifest["config"]["engine"] = "array"
+            manifest["config"]["engine"] = "array"  # on-disk legacy value
             del manifest["config"]["insert_closure_limit"]
             del manifest["config"]["compaction_threshold"]
             manifest_path.write_text(json.dumps(manifest))

@@ -202,7 +202,7 @@ def test_executor_builds_the_chain_store_at_attach(monkeypatch):
     """The ancestor-chain store the numpy fans read is built while the
     executor binds its buffers, not inside the first stamped batch —
     and a batch stamped with another epoch is still refused untouched."""
-    sharded, executor, builds = attached_executor(monkeypatch, "array")
+    sharded, executor, builds = attached_executor(monkeypatch, "reference")
     assert builds == [executor.index.engine]
     batch = fan_batch_matches(sharded, executor)
     assert len(builds) == 1

@@ -188,21 +188,21 @@ def test_epoch_bumps_once_per_applied_batch(road_pair):
     assert sharded.epoch == before
     sharded.update([(u, v, 2.0 * w)])
     assert sharded.epoch == before + 1
-    # The stream coalesces to the final weight w (one real change back
-    # from 2w), so exactly one more epoch — not two.
-    sharded.update_coalesced([(u, v, 5.0 * w), (v, u, w)])
+    # The batch folds to the final weight w (one real change back from
+    # 2w), so exactly one more epoch — not two.
+    sharded.update([(u, v, 5.0 * w), (v, u, w)])
     assert sharded.epoch == before + 2
     assert sharded.graph.weight(u, v) == w
-    # Coalescing a stream whose net effect equals the live weight
-    # applies nothing and leaves the epoch alone.
-    sharded.update_coalesced([(u, v, 5.0 * w), (v, u, w)])
+    # Folding a batch whose net effect equals the live weight applies
+    # nothing and leaves the epoch alone.
+    sharded.update([(u, v, 5.0 * w), (v, u, w)])
     assert sharded.epoch == before + 2
 
 
 def test_update_coalesced_last_write_wins(road_pair):
     graph, mono, sharded = road_pair
     u, v, w = next(iter(sharded.graph.edges()))
-    sharded.update_coalesced([(u, v, 9.0 * w), (v, u, 4.0 * w)])
+    sharded.update([(u, v, 9.0 * w), (v, u, 4.0 * w)])
     mono.update([(u, v, 4.0 * w)])
     assert sharded.graph.weight(u, v) == 4.0 * w
     pairs = [(u, v), (u, (v + 7) % graph.num_vertices)]

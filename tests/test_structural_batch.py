@@ -4,7 +4,7 @@ The load-bearing property: a mixed batch of insertions, deletions and
 weight changes applied through ``apply_batch`` must leave queried
 distances identical to (a) applying the same operations one at a time
 and (b) Dijkstra on the mutated graph — across the undirected,
-directed and sharded backends and all three maintenance engines.
+directed and sharded backends and both maintenance engines.
 Compaction must reclaim dead slots without moving any distance, and
 compacted indexes must survive snapshot round-trips and worker-pool
 republish.
@@ -163,9 +163,9 @@ def test_batched_equals_sequential(data):
             ), (s, t, b, q)
 
 
-@pytest.mark.parametrize("engine", ["reference", "array", "compiled"])
+@pytest.mark.parametrize("engine", ["reference", "compiled"])
 def test_engines_agree_on_structural_batches(engine):
-    """compiled == array == reference across a fixed mixed script."""
+    """compiled == reference across a fixed mixed script."""
     require_engine(engine)
     graph = delaunay_network(150, seed=21)
     cfg = DHLConfig(leaf_size=6, seed=0, engine=engine)
@@ -352,7 +352,7 @@ def test_compaction_reclaims_dead_slots(small_road):
     assert index.structural_counters["dead_slots_reclaimed"] > 0
 
 
-ENGINES = ["reference", "array", "compiled"]
+ENGINES = ["reference", "compiled"]
 
 
 @pytest.mark.parametrize("engine", ENGINES)

@@ -19,8 +19,9 @@ state; only public API is used, so the script runs against either::
     PYTHONPATH=/path/to/parent/src python tools/directed_burst.py grid road
 
 The totals and digests are pinned (:data:`PINNED`) and a mismatch exits
-non-zero, which is what makes "same maintained state" a CI gate: every
-engine maintains the same bits, so the pins hold under ``--engine`` too.
+non-zero, which is what makes "same maintained state" a CI gate: both
+engines maintain the same bits, so the pins hold under ``--engine
+reference`` too.
 Times are only comparable between runs on one machine in one session.
 """
 
@@ -118,7 +119,9 @@ def measure(name: str, engine: str) -> bool:
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("graphs", nargs="+", choices=sorted(GRAPHS))
-    parser.add_argument("--engine", default=DHLConfig().engine)
+    parser.add_argument(
+        "--engine", default=DHLConfig().engine, choices=("compiled", "reference")
+    )
     args = parser.parse_args()
     resolved = DHLConfig(engine=args.engine).resolve_engine()
     print(f"# engine: {args.engine} requested, {resolved} runs")
