@@ -45,8 +45,8 @@ from repro.labelling.labels import HierarchicalLabelling
 from repro.labelling.maintenance import MaintenanceStats
 from repro.labelling.query import QueryEngine
 from repro.observability.phases import phase
+from repro.observability.timing import Timer
 from repro.partition.recursive import PartitionTreeNode, recursive_bisection
-from repro.utils.timing import Stopwatch
 
 __all__ = ["IndexCore", "DHLIndex"]
 
@@ -129,19 +129,18 @@ class IndexCore:
             raise IndexBuildError("cannot index an empty graph")
         stats = IndexStats(num_vertices=n, num_edges=graph.num_edges)
 
-        watch = Stopwatch()
-        with watch, phase("build.partition"):
+        with Timer() as t, phase("build.partition"):
             tree = cls._bisect(cls._skeleton(graph), config)
             hq = QueryHierarchy.from_partition_tree(tree, n)
-        stats.partition_seconds = watch.laps[-1]
+        stats.partition_seconds = t.seconds
 
-        with watch, phase("build.contraction"):
+        with Timer() as t, phase("build.contraction"):
             hu = cls._hierarchy.build(graph, hq)
-        stats.contraction_seconds = watch.laps[-1]
+        stats.contraction_seconds = t.seconds
 
-        with watch, phase("build.labelling"):
+        with Timer() as t, phase("build.labelling"):
             labellings = [build_labelling(plane) for plane in hu.plane_views()]
-        stats.labelling_seconds = watch.laps[-1]
+        stats.labelling_seconds = t.seconds
 
         index = cls(graph, hq, hu, *labellings, config, stats)
         if config.validate:

@@ -36,12 +36,12 @@ from repro.graph.graph import Graph
 from repro.labelling.driver import fold_batch
 from repro.labelling.maintenance import MaintenanceStats
 from repro.observability.phases import phase
+from repro.observability.timing import Timer
 from repro.partition.regions import RegionPartition, partition_regions
 from repro.sharding.build import ShardBuildReport, build_shards
 from repro.sharding.engine import ShardedQueryEngine
 from repro.sharding.overlay import build_overlay_graph, clique_refresh_changes
 from repro.sharding.stats import ShardedMaintenanceStats
-from repro.utils.timing import Stopwatch
 
 __all__ = ["ShardedDHLIndex", "ShardedIndexStats"]
 
@@ -166,8 +166,7 @@ class ShardedDHLIndex:
         config = config or DHLConfig()
         if graph.num_vertices == 0:
             raise IndexBuildError("cannot index an empty graph")
-        watch = Stopwatch()
-        with watch, phase("build.regions"):
+        with Timer() as t, phase("build.regions"):
             partition = partition_regions(
                 graph,
                 k,
@@ -175,7 +174,7 @@ class ShardedDHLIndex:
                 seed=config.seed,
                 coarsest_size=config.coarsest_size,
             )
-        partition_seconds = watch.laps[-1]
+        partition_seconds = t.seconds
 
         subgraphs = [
             graph.induced_subgraph(vertices)[0] for vertices in partition.regions
@@ -194,9 +193,9 @@ class ShardedDHLIndex:
             build=report,
         )
         index = cls(graph, partition, shards, None, config, stats)
-        with watch:
+        with Timer() as t:
             index._build_overlay()
-        stats.overlay_seconds = watch.laps[-1]
+        stats.overlay_seconds = t.seconds
         index._refresh_size_stats()
         return index
 

@@ -18,7 +18,7 @@ from repro.core.config import DHLConfig
 from repro.core.index import DHLIndex
 from repro.datasets.synthetic import dataset_names, load_dataset
 from repro.graph.graph import Graph
-from repro.utils.timing import Stopwatch
+from repro.observability.timing import Timer
 
 __all__ = ["ExperimentContext", "BuiltIndexes"]
 
@@ -73,30 +73,27 @@ class ExperimentContext:
     def dhl(self, name: str) -> DHLIndex:
         built = self.built(name)
         if built.dhl is None:
-            watch = Stopwatch()
-            with watch:
+            with Timer() as t:
                 built.dhl = DHLIndex.build(
                     self.graph(name).copy(), DHLConfig(seed=self.seed)
                 )
-            built.dhl_seconds = watch.elapsed
+            built.dhl_seconds = t.seconds
         return built.dhl
 
     def inch2h(self, name: str) -> IncH2HIndex:
         built = self.built(name)
         if built.inch2h is None:
-            watch = Stopwatch()
-            with watch:
+            with Timer() as t:
                 built.inch2h = IncH2HIndex.build(self.graph(name).copy())
-            built.inch2h_seconds = watch.elapsed
+            built.inch2h_seconds = t.seconds
         return built.inch2h
 
     def dch(self, name: str) -> DCHIndex:
         built = self.built(name)
         if built.dch is None:
-            watch = Stopwatch()
-            with watch:
+            with Timer() as t:
                 built.dch = DCHIndex.build(self.graph(name).copy())
-            built.dch_seconds = watch.elapsed
+            built.dch_seconds = t.seconds
         return built.dch
 
     def drop(self, name: str) -> None:

@@ -513,4 +513,5 @@ class QueryEngine:
 
     def search_space_size(self, s: int, t: int) -> int:
         """Number of label entries inspected for the pair (paper's 'hops')."""
+        check_ids(self.hq.n, np.array([s, t], dtype=np.int64))
         return 2 * self.hq.common_ancestor_count(s, t)

@@ -53,7 +53,6 @@ from repro.service.runtime import (
     CircuitBreaker,
     ExecutionRuntime,
     InProcessRuntime,
-    RegionPairScheduler,
     RetryPolicy,
     WorkerPoolStats,
 )
@@ -103,7 +102,6 @@ __all__ = [
     "FaultEvent",
     "FaultPlan",
     "InProcessRuntime",
-    "RegionPairScheduler",
     "RetryPolicy",
     "WorkerPoolStats",
     "DistanceService",

@@ -3,8 +3,8 @@
 Chaos testing that is reproducible in CI: a :class:`FaultPlan` is a
 scriptable schedule of faults keyed by **which replica incarnation**
 and **which request number** — no wall-clock, no randomness, no sleeps.
-The plan is consulted at the parent-side transport seam (inside
-``_ReplicaHandle.request``, before the frame is written), which is
+The plan is consulted at the parent-side transport seam (in the send
+half, ``_ReplicaHandle.send``, before the frame is written), which is
 exactly where a real network fault would surface to the scheduler, so
 every recovery path — failover, breaker trip, shed, supervisor respawn,
 resync — is exercised through its production code.
@@ -17,7 +17,7 @@ Actions
     receive then hits EOF — the honest shape of "the replica died
     mid-request".
 ``timeout``
-    Raise ``TimeoutError`` as if the per-request deadline expired.
+    Raise ``TimeoutError`` as if the request's deadline expired.
     The replica process itself stays up (a *slow* replica, not a dead
     one), but the parent abandons the channel — the supervisor
     replaces it with a fresh incarnation.
@@ -129,8 +129,9 @@ class FaultPlan:
     def apply(self, handle, message) -> None:
         """Advance the handle's fault clock; fire a due event if any.
 
-        Called by ``_ReplicaHandle.request`` with the handle's lock
-        held, *before* the frame is written. Raising here is
+        Called from the send half, ``_ReplicaHandle.send``, with the
+        handle's lock held, *before* the frame is written; start-up and
+        goodbye frames do not advance the clock. Raising here is
         indistinguishable from the same failure occurring on the wire —
         the handle marks itself dead and the scheduler fails over.
         """

@@ -12,18 +12,13 @@ implementations exist:
 * :class:`~repro.service.workers.ShardRuntime` — each region shard of
   a :class:`~repro.core.sharded.ShardedDHLIndex` is served by N
   long-lived replica processes speaking the framed protocol of
-  :mod:`repro.service.protocol`, with round-robin reads, per-request
-  deadlines, failover and supervised respawn. Its two public names
-  pick the transport: :class:`~repro.service.workers.ShardWorkerRuntime`
-  (pipe frames, labels attached from ``multiprocessing.shared_memory``)
-  and :class:`~repro.service.workers.SocketShardRuntime` (loopback TCP,
+  :mod:`repro.service.protocol`, with round-robin reads, per-round
+  deadlines, failover and supervised respawn, all driven from the
+  calling thread. Its two public names pick the transport:
+  :class:`~repro.service.workers.ShardWorkerRuntime` (pipe frames,
+  labels attached from ``multiprocessing.shared_memory``) and
+  :class:`~repro.service.workers.SocketShardRuntime` (loopback TCP,
   labels shipped inline).
-
-:class:`RegionPairScheduler` is the transport-agnostic batch scheduler
-under the shard runtime: it splits a pair batch by ``(source region,
-target region)``, builds typed
-:class:`~repro.service.protocol.SubQuery` messages, and combines the
-replies — the runtime only implements message delivery and label sync.
 
 Runtimes own operating-system resources (processes, shared-memory
 segments, sockets); callers must :meth:`~ExecutionRuntime.close` them —
@@ -34,24 +29,18 @@ from __future__ import annotations
 
 import abc
 import zlib
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
 
 from repro.core.backend import DistanceBackend, WeightChange
-from repro.exceptions import PartialResultError, ServiceRuntimeError
 from repro.labelling.maintenance import MaintenanceStats
-from repro.observability import NULL_OBSERVABILITY, Span, maybe_child, phase
-from repro.service.protocol import FanQuery, SubQuery, SubResult
-from repro.sharding.engine import min_plus_compact, region_pair_groups
-from repro.utils.pairs import as_pair_array, check_ids
+from repro.observability import NULL_OBSERVABILITY
 
 __all__ = [
     "ExecutionRuntime",
     "InProcessRuntime",
-    "RegionPairScheduler",
     "WorkerPoolStats",
     "RetryPolicy",
     "CircuitBreaker",
@@ -370,377 +359,3 @@ class CircuitBreaker:
 
     def __repr__(self) -> str:  # pragma: no cover - repr sugar
         return f"CircuitBreaker(sid={self.sid}, state={self.state!r})"
-
-
-# ---------------------------------------------------------------------------
-# the shared region-pair batch scheduler
-# ---------------------------------------------------------------------------
-
-_DEGRADED_MODES = ("shed", "overlay", "error")
-
-
-class RegionPairScheduler(ExecutionRuntime):
-    """Transport-agnostic batch scheduler over a sharded backend.
-
-    Owns everything about *what* to compute: the ``(region_s,
-    region_t)`` batch split, the typed :class:`SubQuery` construction
-    (fans, overlay blocks, epoch stamps), the parent-side min-plus
-    combine for cross-shard groups, the update→delta-broadcast flow and
-    the epoch-drift reconcile. Subclasses own *how* messages travel:
-
-    * :meth:`_dispatch` — deliver each shard's :class:`SubQuery` list
-      and return :class:`SubResult` replies by scheduler slot;
-    * :meth:`_sync_shard` — ship one shard's changed label slots (or
-      republish) after maintenance;
-    * :meth:`_full_sync` — whole-buffer re-sync for one shard after
-      out-of-band maintenance;
-    * :meth:`_close_transport` — release transport resources.
-
-    Sub-queries always carry their overlay block plus its epoch stamp
-    (block materialisation is an engine-cache hit for the parent);
-    transports elide the block per target once they know it is held —
-    so a failover retry to a sibling replica that holds nothing can
-    always re-ship it from the same :class:`SubQuery`.
-    """
-
-    kind = "pooled"
-    # Sharded distances have no per-pair hub certificate (see
-    # ShardedDHLIndex); the cache must use epoch invalidation.
-    supports_fine_grained_eviction = False
-
-    def __init__(self, index, degraded_mode: str = "shed"):
-        from repro.core.sharded import ShardedDHLIndex
-
-        if not isinstance(index, ShardedDHLIndex):
-            raise TypeError(
-                f"{type(self).__name__} requires a ShardedDHLIndex; got "
-                f"{type(index).__name__} (use InProcessRuntime instead)"
-            )
-        if degraded_mode not in _DEGRADED_MODES:
-            raise ValueError(
-                f"degraded_mode must be one of {_DEGRADED_MODES}, "
-                f"got {degraded_mode!r}"
-            )
-        self.index = index
-        #: What a batch does while a shard's every replica is down (see
-        #: :class:`~repro.service.workers.ShardRuntime`).
-        self.degraded_mode = degraded_mode
-        self.stats = WorkerPoolStats()
-        self._epochs = [0] * index.k
-        self._index_epoch = index.epoch
-        self._closed = False
-        self._pool: ThreadPoolExecutor | None = ThreadPoolExecutor(
-            max_workers=index.k, thread_name_prefix="shard-io"
-        )
-
-    # ------------------------------------------------------------------
-    # transport hooks
-    # ------------------------------------------------------------------
-    @abc.abstractmethod
-    def _dispatch(
-        self,
-        requests: dict[int, list[tuple[tuple[int, int], SubQuery]]],
-        request_span: Span | None = None,
-    ) -> dict[tuple[int, int], SubResult]:
-        """Deliver each shard's sub-queries; map slots to results."""
-
-    @abc.abstractmethod
-    def _sync_shard(self, sid: int, affected: Iterable[int]) -> None:
-        """Ship shard *sid*'s changed label slots at ``self._epochs[sid]``."""
-
-    @abc.abstractmethod
-    def _full_sync(self, sid: int) -> None:
-        """Whole-buffer re-sync of shard *sid* at ``self._epochs[sid]``."""
-
-    def _close_transport(self) -> None:
-        """Release transport-owned resources (processes, sockets)."""
-
-    # ------------------------------------------------------------------
-    # queries
-    # ------------------------------------------------------------------
-    def distances(self, pairs) -> np.ndarray:
-        arr = as_pair_array(pairs)
-        return self.distances_arrays(arr[:, 0], arr[:, 1])
-
-    def distance(self, s: int, t: int) -> float:
-        return float(
-            self.distances_arrays(
-                np.array([s], dtype=np.int64), np.array([t], dtype=np.int64)
-            )[0]
-        )
-
-    def distances_arrays(self, s: np.ndarray, t: np.ndarray) -> np.ndarray:
-        """Batch distances via the region-pair-aware batch scheduler; an
-        id outside ``[0, n)`` raises
-        :class:`~repro.exceptions.VertexNotFound` before any dispatch."""
-        if self._closed:
-            raise ServiceRuntimeError("runtime is closed")
-        self._reconcile_index_epoch()
-        # Attach scheduler/worker spans under the caller's open request
-        # span (None when the request was not sampled or tracing is off).
-        request_span = self.observability.tracer.current
-        owner = self.index
-        s = np.asarray(s, dtype=np.int64)
-        t = np.asarray(t, dtype=np.int64)
-        check_ids(owner.graph.num_vertices, s, t)
-        if not len(s):
-            return np.empty(0, dtype=np.float64)
-        out = np.full(len(s), np.inf, dtype=np.float64)
-        rs = owner.region_of[s]
-        rt = owner.region_of[t]
-        local_s = owner.local_of[s]
-        local_t = owner.local_of[t]
-        has_overlay = owner.overlay is not None
-        overlay_epoch = owner.overlay.epoch if has_overlay else 0
-
-        groups: list[tuple[np.ndarray, int, int]] = []
-        requests: dict[int, list[tuple[tuple[int, int], SubQuery]]] = {}
-        # Slots each group is owed, with the shard that owes them — the
-        # shed detector: a group whose dispatched slots did not all come
-        # back lost (at least) one shard to an open breaker.
-        expected: dict[int, list[tuple[tuple[int, int], int]]] = {}
-
-        def enqueue(sid: int, slot: tuple[int, int], sub: SubQuery) -> None:
-            requests.setdefault(sid, []).append((slot, sub))
-            expected.setdefault(slot[0], []).append((slot, sid))
-            self.stats.sub_batches += 1
-
-        engine = owner.engine  # overlay blocks + their epoch cache
-        # Same (region_s, region_t) split as the in-process sharded
-        # engine, but each group becomes typed worker sub-queries.
-        with maybe_child(request_span, "scheduler"):
-            for g, (idx, i, j) in enumerate(region_pair_groups(rs, rt, owner.k)):
-                groups.append((idx, i, j))
-                s_local = local_s[idx]
-                t_local = local_t[idx]
-                fan = (
-                    has_overlay
-                    and len(owner.boundary_local[i])
-                    and len(owner.boundary_local[j])
-                )
-                if i == j:
-                    self.stats.intra_pairs += len(idx)
-                    # The (tiny, epoch-cached) overlay block travels with
-                    # the sub-query: the owning worker folds the boundary
-                    # route itself and ships back one final array. The
-                    # transport elides the block once its target holds
-                    # this overlay epoch.
-                    enqueue(
-                        i,
-                        (g, "final"),
-                        SubQuery(
-                            s=s_local,
-                            t=t_local,
-                            fan_src=FanQuery(s_local) if fan else None,
-                            fan_dst=FanQuery(t_local) if fan else None,
-                            block=engine.overlay_block(i, i) if fan else None,
-                            block_epoch=overlay_epoch if fan else -1,
-                        ),
-                    )
-                else:
-                    self.stats.cross_pairs += len(idx)
-                    if fan:
-                        engine.overlay_block(i, j)  # warm the cache serially
-                        enqueue(
-                            i, (g, "src"), SubQuery(fan_src=FanQuery(s_local))
-                        )
-                        enqueue(
-                            j, (g, "dst"), SubQuery(fan_dst=FanQuery(t_local))
-                        )
-
-        replies = self._dispatch(requests, request_span)
-
-        # Cross-shard combines need both workers' fans, so they run in
-        # the parent — spread across the I/O threads (numpy releases
-        # the GIL for the large intermediates). Groups missing a
-        # dispatched slot lost a shard to an open breaker: they are
-        # either answered overlay-only in the parent (degraded opt-in)
-        # or shed with a typed partial-result error.
-        combines = []
-        overlay_fallbacks = []
-        open_shards: set[int] = set()
-        shed_mask = np.zeros(len(s), dtype=bool)
-        for g, (idx, i, j) in enumerate(groups):
-            lost = [
-                sid for slot, sid in expected.get(g, ()) if slot not in replies
-            ]
-            if lost:
-                open_shards.update(lost)
-                fan = (
-                    has_overlay
-                    and len(owner.boundary_local[i])
-                    and len(owner.boundary_local[j])
-                )
-                if self.degraded_mode == "overlay" and fan:
-                    overlay_fallbacks.append((g, idx, i, j))
-                else:
-                    shed_mask[idx] = True
-            elif i == j:
-                out[idx] = replies[(g, "final")].final
-            elif (g, "src") in replies:
-                combines.append((g, idx, i, j))
-
-        def combine(item):
-            g, idx, i, j = item
-            src = replies[(g, "src")]
-            dst = replies[(g, "dst")]
-            out[idx] = min_plus_compact(
-                src.ds,
-                src.ds_inverse,
-                engine.overlay_block(i, j),
-                dst.dt,
-                dst.dt_inverse,
-                owner.shards[i].engine.engine,
-            )
-
-        def overlay_answer(item):
-            # Boundary-route answer computed on the parent's own
-            # authoritative shard engines: exact for cross-region pairs
-            # (every route crosses the boundary), an upper bound for
-            # intra-region pairs (the direct intra path is missed).
-            g, idx, i, j = item
-            out[idx] = engine.boundary_route(i, j, local_s[idx], local_t[idx])
-            self.stats.degraded_pairs += len(idx)
-
-        with maybe_child(request_span, "min_plus_combine") as combine_span:
-            if combine_span is not None:
-                combine_span.annotate(groups=len(combines))
-            if len(combines) > 1:
-                list(self._pool.map(combine, combines))
-            elif combines:
-                combine(combines[0])
-            for item in overlay_fallbacks:
-                overlay_answer(item)
-        # Self-pairs are trivially zero — even inside a shed group, so
-        # the shed mask never reports a pair no shard was needed for.
-        if shed_mask.any():
-            out[shed_mask] = np.nan
-        out[s == t] = 0.0
-        self.stats.batches += 1
-        self.stats.pairs += len(s)
-        shed_positions = np.flatnonzero(shed_mask & (s != t))
-        if len(shed_positions):
-            self.stats.shed_pairs += len(shed_positions)
-            raise PartialResultError(out, shed_positions, open_shards)
-        return out
-
-    # ------------------------------------------------------------------
-    # maintenance + epoch broadcast
-    # ------------------------------------------------------------------
-    def apply_update(self, changes: Iterable[WeightChange], workers=None):
-        """Apply the batch in the parent, then broadcast shard deltas.
-
-        Overlay maintenance needs no broadcast (the overlay index lives
-        only in the parent); a touched shard gets its changed label
-        slots shipped by the transport plus an epoch bump — or a full
-        republish if maintenance changed the label layout.
-        """
-        if self._closed:
-            raise ServiceRuntimeError("runtime is closed")
-        self._reconcile_index_epoch()
-        stats = self.index.update(changes)
-        self._index_epoch = self.index.epoch
-        with phase("flush.delta_sync"):
-            for sid in stats.touched_shards:
-                self._epochs[sid] += 1
-                self._sync_shard(sid, stats.per_shard[sid].affected_labels)
-                self.stats.epoch_broadcasts += 1
-        return stats
-
-    def apply_structural(self, insertions=(), deletions=(), weight_changes=()):
-        """Structural batch in the parent, then whole-buffer republish.
-
-        Label layouts may move arbitrarily under structural maintenance,
-        so every shard rides the full-sync/republish path rather than
-        the per-slot delta. Workers pin the shard *query structure*
-        (H_Q, boundary lists) at startup; batches the parent absorbed
-        with fast paths or same-H_Q rebuilds keep both invariant, but a
-        repartition splice or a boundary-set change (a brand-new cut
-        edge) leaves pooled workers unrecoverably stale — the batch is
-        still applied to the index, and a
-        :class:`~repro.exceptions.ServiceRuntimeError` tells the caller
-        to rebuild the runtime over it.
-        """
-        if self._closed:
-            raise ServiceRuntimeError("runtime is closed")
-        self._reconcile_index_epoch()
-        owner = self.index
-        hq_before = [id(shard.hq) for shard in owner.shards]
-        boundary_before = owner.boundary_global.copy()
-        stats = owner.apply_batch(
-            insertions=insertions,
-            deletions=deletions,
-            weight_changes=weight_changes,
-        )
-        with phase("flush.structural_sync"):
-            self._reconcile_index_epoch()
-        if [id(shard.hq) for shard in owner.shards] != hq_before or not (
-            np.array_equal(owner.boundary_global, boundary_before)
-        ):
-            raise ServiceRuntimeError(
-                "structural batch changed shard query topology (hierarchy "
-                "repartition or boundary-set change); the index is updated "
-                "but pooled workers pin structure at startup — rebuild the "
-                "runtime over the updated index, or serve structural-heavy "
-                "traffic with InProcessRuntime"
-            )
-        return stats
-
-    def compact(self):
-        """Compact in the parent; republish every shard's buffers.
-
-        Sharded compaction only rebuilds boundary structures when it
-        physically removes a cut edge — the same topology-staleness
-        rule as :meth:`apply_structural` applies.
-        """
-        if self._closed:
-            raise ServiceRuntimeError("runtime is closed")
-        owner = self.index
-        boundary_before = owner.boundary_global.copy()
-        stats = owner.compact()
-        with phase("flush.structural_sync"):
-            self._reconcile_index_epoch()
-        if not np.array_equal(owner.boundary_global, boundary_before):
-            raise ServiceRuntimeError(
-                "compaction removed a cut edge and changed the boundary "
-                "set; rebuild the pooled runtime over the updated index"
-            )
-        return stats
-
-    def _reconcile_index_epoch(self) -> None:
-        """Re-sync workers after maintenance that bypassed this runtime.
-
-        A direct ``index.update(...)`` (structural op, another caller)
-        advances the index epoch without telling us which labels moved;
-        the only safe answer is a whole-buffer publish per shard.
-        """
-        if self.index.epoch == self._index_epoch:
-            return
-        for sid in range(self.index.k):
-            self._epochs[sid] += 1
-            self._full_sync(sid)
-            self.stats.full_syncs += 1
-            self.stats.epoch_broadcasts += 1
-        self._index_epoch = self.index.epoch
-
-    def pool_stats(self) -> WorkerPoolStats:
-        return self.stats
-
-    # ------------------------------------------------------------------
-    # lifecycle
-    # ------------------------------------------------------------------
-    def close(self) -> None:
-        """Release transport resources and the I/O pool; idempotent."""
-        if self._closed:
-            return
-        self._closed = True
-        self._close_transport()
-        if self._pool is not None:
-            self._pool.shutdown(wait=True)
-            self._pool = None
-
-    def __del__(self):  # pragma: no cover - safety net
-        try:
-            self.close()
-        except Exception:
-            pass

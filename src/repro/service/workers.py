@@ -2,14 +2,19 @@
 
 :class:`ShardRuntime` serves each region shard of a
 :class:`~repro.core.sharded.ShardedDHLIndex` from ``replicas`` long-lived
-processes. *What* to compute is the
-:class:`~repro.service.runtime.RegionPairScheduler` base; keeping
-replicas alive and current lives here, once: the replica loop
-(:func:`_replica_main` feeding the transport-blind
-:class:`ShardExecutor`), the parent-side :class:`_ReplicaHandle`
-(deadline, :class:`~repro.service.faults.FaultPlan` hook), dispatch
-with failover and shedding, label sync, and the
-:class:`ReplicaSupervisor`.
+processes: it splits a pair batch by ``(source region, target region)``
+into typed :class:`~repro.service.protocol.SubQuery` messages, combines
+the replies, ships label deltas after maintenance and keeps replicas
+alive (:class:`_ReplicaHandle`, :class:`ReplicaSupervisor`). Replica
+side, :func:`_replica_main` feeds the transport-blind
+:class:`ShardExecutor`.
+
+**One thread talks to the replicas.** Every frame goes through
+:meth:`ShardRuntime._exchange` on the calling thread: a round sends one
+message per replica, waits on all their channels at once
+(``multiprocessing.connection.wait``) and has one deadline. Dispatch and
+each failover retry, label broadcasts, the start-up handshake, health
+checks and shutdown are rounds; the runtime starts no thread.
 
 **The transport seam** is a channel class plus a per-shard buffer class
 — nothing else in this module may branch on the transport:
@@ -52,16 +57,19 @@ import socket
 import threading
 import time
 from multiprocessing import get_context, shared_memory
+from multiprocessing.connection import wait
 from typing import Callable, Iterable
 
 import numpy as np
 
+from repro.core.backend import WeightChange
 from repro.exceptions import (
+    PartialResultError,
     ServiceRuntimeError,
     ShardUnavailableError,
     WorkerEpochError,
 )
-from repro.observability import Span, maybe_child
+from repro.observability import Span, maybe_child, phase
 from repro.service.protocol import (
     AckReply,
     ByeReply,
@@ -69,6 +77,7 @@ from repro.service.protocol import (
     ComputeReply,
     EpochDelta,
     ErrorReply,
+    FanQuery,
     HealthCheck,
     HealthReply,
     Message,
@@ -85,8 +94,19 @@ from repro.service.protocol import (
     recv_message,
     send_message,
 )
-from repro.service.runtime import CircuitBreaker, RegionPairScheduler, RetryPolicy
-from repro.sharding.engine import boundary_fan, boundary_fans, min_plus_compact
+from repro.service.runtime import (
+    CircuitBreaker,
+    ExecutionRuntime,
+    RetryPolicy,
+    WorkerPoolStats,
+)
+from repro.sharding.engine import (
+    boundary_fan,
+    boundary_fans,
+    min_plus_compact,
+    region_pair_groups,
+)
+from repro.utils.pairs import as_pair_array, check_ids
 
 __all__ = [
     "ShardExecutor",
@@ -98,6 +118,7 @@ __all__ = [
 
 _STARTUP_TIMEOUT = 120.0
 _SHUTDOWN_TIMEOUT = 5.0
+_DEGRADED_MODES = ("shed", "overlay", "error")
 
 
 # ---------------------------------------------------------------------------
@@ -394,12 +415,13 @@ class _ShmBuffers:
 
 class _PipeChannel:
     """Framed messages over a duplex pipe (it preserves frame
-    boundaries, so no length prefix); labels ride :class:`_ShmBuffers`."""
+    boundaries, so no length prefix); labels ride :class:`_ShmBuffers`.
+    ``waitable`` is what a round waits on for the reply."""
 
     buffers = _ShmBuffers
 
     def __init__(self, conn):
-        self.conn = conn
+        self.conn = self.waitable = conn
 
     @classmethod
     def dial(cls, endpoint) -> "_PipeChannel":
@@ -461,13 +483,14 @@ class _InlineBuffers:
 class _TcpChannel:
     """Length-prefixed frames over one loopback TCP connection; labels
     ride :class:`_InlineBuffers`. The replica binds port 0 and reports
-    the port over the one-shot bootstrap pipe it was spawned with."""
+    the port over the one-shot bootstrap pipe it was spawned with.
+    ``waitable`` is what a round waits on for the reply."""
 
     buffers = _InlineBuffers
 
     def __init__(self, sock: socket.socket):
         sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        self.sock = sock
+        self.sock = self.waitable = sock
 
     @classmethod
     def dial(cls, bootstrap) -> "_TcpChannel":
@@ -596,17 +619,22 @@ def _replica_main(channel_type, endpoint) -> None:
 # parent-side replica handle
 # ---------------------------------------------------------------------------
 
+#: Start-up and goodbye frames: outside the fault plan's request clock.
+_LIFECYCLE = (SpecRequest, Shutdown)
+
+
 class _ReplicaHandle:
     """Parent-side endpoint of one shard replica.
 
-    Owns the process and the channel. :meth:`request` applies the
-    per-request deadline; any timeout or channel error marks the handle
-    dead (the failover unit is the whole replica — no reconnects to a
-    broken channel, matching how a remote host would be drained). A
-    dead handle is *replaced*, not revived: the supervisor spawns a
-    fresh process with ``incarnation + 1``. A lock serialises
-    cross-batch races — within one batch the scheduler already funnels
-    a shard's requests through a single I/O thread.
+    Owns the process and the channel. A request is a :meth:`send` and,
+    later in the same :meth:`ShardRuntime._exchange` round, a
+    :meth:`receive`; the lock is held from one to the other, so another
+    calling thread waits for the reply in flight instead of reading it.
+    A failure, or the round's deadline, retires the handle through
+    :meth:`fail` (the failover unit is the whole replica — no reconnects
+    to a broken channel, matching how a remote host would be drained).
+    A dead handle is *replaced*, not revived: the supervisor spawns a
+    fresh process with ``incarnation + 1``.
     """
 
     def __init__(self, runtime: "ShardRuntime", sid: int, replica: int,
@@ -614,7 +642,6 @@ class _ReplicaHandle:
         self.sid = sid
         self.replica = replica
         self.incarnation = incarnation
-        self.timeout = runtime.request_timeout
         self.faults = runtime.fault_plan
         #: Requests issued through this handle (the fault-plan clock).
         self.requests = 0
@@ -622,85 +649,75 @@ class _ReplicaHandle:
         self.health_requests = 0
         #: Overlay epoch of the intra block this replica holds (-1: none).
         self.block_epoch = -1
+        #: Set once the replica answered its :class:`SpecRequest`.
         self.alive = False
-        self.process = None
         self.channel = None
         self._lock = threading.Lock()
-        endpoint, child_endpoint = runtime._ctx.Pipe()
-        try:
-            self.process = runtime._ctx.Process(
-                target=_replica_main,
-                args=(runtime.channel_type, child_endpoint),
-                name=f"dhl-shard-{sid}-r{replica}-i{incarnation}",
-                daemon=True,
-            )
-            self.process.start()
-            child_endpoint.close()
-            self.channel = runtime.channel_type.dial(endpoint)
-            # The shard's *current* buffers at its *current* epoch: a
-            # respawn is a full resync by construction.
-            self.channel.send(
-                SpecRequest(
-                    payload=runtime.index.shard_worker_payload(sid),
-                    epoch=runtime._epochs[sid],
-                    **runtime._buffers[sid].announce(
-                        runtime.index.shards[sid].labels
-                    ),
-                )
-            )
-            reply = self.channel.recv(_STARTUP_TIMEOUT)
-            if not isinstance(reply, ReadyReply):
-                raise ServiceRuntimeError(
-                    f"shard {sid} replica {replica} failed to start: {reply!r}"
-                )
-            self.alive = True
-        except BaseException:
-            endpoint.close()
-            self.destroy()
-            raise
+        # Dialled and handshaken by ShardRuntime._spawn.
+        self.endpoint, child_endpoint = runtime._ctx.Pipe()
+        self.process = runtime._ctx.Process(
+            target=_replica_main,
+            args=(runtime.channel_type, child_endpoint),
+            name=f"dhl-shard-{sid}-r{replica}-i{incarnation}",
+            daemon=True,
+        )
+        self.process.start()
+        child_endpoint.close()
 
-    def request(self, message: Message) -> Message:
-        """One framed round trip under the request deadline; a timeout
-        or channel failure kills the handle."""
-        with self._lock:
-            if not self.alive:
-                raise ServiceRuntimeError(
-                    f"shard {self.sid} replica {self.replica} is dead"
-                )
-            try:
-                if self.faults is not None:
-                    self.faults.apply(self, message)
-                self.channel.send(message)
-                reply = self.channel.recv(self.timeout)
-            except Exception as exc:
-                # Timeout, reset, or a torn frame: this replica is done.
-                self.alive = False
-                raise ServiceRuntimeError(
-                    f"shard {self.sid} replica {self.replica} failed "
-                    f"({type(exc).__name__}: {exc})"
-                ) from exc
+    def send(self, message: Message) -> None:
+        """Send half: take the lock, advance the fault clock (the plan
+        fires here), write the frame. A failure kills the handle. Only
+        the handshake goes to a replica not (or no longer) alive: a dead
+        one's channel may still hold a late reply."""
+        if not (self.alive or isinstance(message, SpecRequest)):
+            raise ServiceRuntimeError(
+                f"shard {self.sid} replica {self.replica} is dead"
+            )
+        self._lock.acquire()
+        try:
+            if self.faults is not None and not isinstance(message, _LIFECYCLE):
+                self.faults.apply(self, message)
+            self.channel.send(message)
+        except Exception as exc:
+            raise self.fail(exc)
+
+    def receive(self, timeout: float) -> Message:
+        """Receive half: read the reply to :meth:`send`, release the
+        lock. A failure kills the handle; an :class:`ErrorReply` is
+        raised but leaves it alive."""
+        try:
+            reply = self.channel.recv(timeout)
+        except Exception as exc:
+            raise self.fail(exc)
+        self._lock.release()
         if isinstance(reply, ErrorReply):
             raise ServiceRuntimeError(
                 f"shard {self.sid} replica {self.replica}: {reply.message}"
             )
         return reply
 
+    def fail(self, cause: BaseException) -> ServiceRuntimeError:
+        """Retire the handle mid-request (timeout, reset, a torn frame):
+        mark it dead, release the lock; returns the error to report."""
+        self.alive = False
+        self._lock.release()
+        error = ServiceRuntimeError(
+            f"shard {self.sid} replica {self.replica} failed "
+            f"({type(cause).__name__}: {cause})"
+        )
+        error.__cause__ = cause
+        return error
+
     def destroy(self) -> None:
         """Close the channel and reap the process; idempotent."""
+        self.alive = False
         if self.channel is not None:
-            if self.alive:
-                try:
-                    with self._lock:
-                        self.channel.send(Shutdown())
-                        self.channel.recv(_SHUTDOWN_TIMEOUT)
-                except Exception:
-                    pass
-            self.alive = False
             try:
                 self.channel.close()
             except OSError:  # pragma: no cover - already closed
                 pass
             self.channel = None
+        self.endpoint.close()  # still ours if the replica was never dialled
         if self.process is not None:
             self.process.join(_SHUTDOWN_TIMEOUT)
             if self.process.is_alive():  # pragma: no cover - stuck replica
@@ -722,11 +739,11 @@ class ReplicaSupervisor:
     *clock*) or explicitly by tests/operators with ``force=True`` — so
     recovery behavior is reproducible without sleeps.
 
-    One poll does two things per shard:
+    One poll does two things:
 
     * **Health checks.** Every live replica gets a
-      :class:`~repro.service.protocol.HealthCheck` with a fresh nonce;
-      a timeout, error, or wrong echo marks it dead
+      :class:`~repro.service.protocol.HealthCheck` with a fresh nonce,
+      all in one round; a timeout, error, or wrong echo marks it dead
       (``heartbeat_timeouts``). A healthy replica reporting a stale
       epoch is resynced (``resyncs``).
     * **Respawns.** Every dead slot past its backoff deadline
@@ -785,12 +802,20 @@ class ReplicaSupervisor:
             "failed": 0,
             "gave_up": 0,
         }
+        # Every live replica is probed in one round.
+        probes = {
+            handle: HealthCheck(nonce=next(self._nonce))
+            for group in runtime._groups
+            for handle in group
+            if handle.alive
+        }
+        replies = runtime._exchange(probes.items())
         for sid, group in enumerate(runtime._groups):
             for slot, handle in enumerate(group):
                 key = (sid, slot)
-                if handle.alive:
+                if handle in probes:
                     summary["checked"] += 1
-                    if self._health_check(handle):
+                    if self._healthy(handle, probes[handle], replies[handle]):
                         continue
                     summary["timeouts"] += 1
                 if key not in self._down_since:
@@ -806,15 +831,10 @@ class ReplicaSupervisor:
         return summary
 
     # ------------------------------------------------------------------
-    def _health_check(self, handle: _ReplicaHandle) -> bool:
-        """Probe one live replica; marks it dead on any failure."""
+    def _healthy(self, handle: _ReplicaHandle, probe, reply) -> bool:
+        """Judge one probe's reply; marks a failed replica dead."""
         runtime = self.runtime
-        nonce = next(self._nonce)
-        try:
-            reply = handle.request(HealthCheck(nonce=nonce))
-        except ServiceRuntimeError:
-            reply = None
-        if not isinstance(reply, HealthReply) or reply.nonce != nonce:
+        if not isinstance(reply, HealthReply) or reply.nonce != probe.nonce:
             handle.alive = False
             runtime.stats.heartbeat_timeouts += 1
             return False
@@ -840,9 +860,7 @@ class ReplicaSupervisor:
         except Exception:  # pragma: no cover - reaping best effort
             pass
         try:
-            fresh = _ReplicaHandle(
-                runtime, sid, dead.replica, dead.incarnation + 1
-            )
+            (fresh,) = runtime._spawn([(sid, dead.replica, dead.incarnation + 1)])
         except (ServiceRuntimeError, OSError, EOFError):
             runtime.stats.respawn_failures += 1
             self._not_before[key] = now + self.policy.delay(attempt + 1)
@@ -866,12 +884,16 @@ class ReplicaSupervisor:
 # the runtime
 # ---------------------------------------------------------------------------
 
-class ShardRuntime(RegionPairScheduler):
+class ShardRuntime(ExecutionRuntime):
     """Serve a sharded index from N replica processes per shard.
 
     Subclasses name the transport (:attr:`channel_type`) — that choice
     is the only thing :class:`ShardWorkerRuntime` and
-    :class:`SocketShardRuntime` differ in.
+    :class:`SocketShardRuntime` differ in. Sub-queries always carry
+    their overlay block plus its epoch stamp (block materialisation is
+    an engine-cache hit for the parent); a batch elides the block per
+    replica once it holds that epoch — so a failover retry to a sibling
+    that holds nothing re-ships it from the same :class:`SubQuery`.
 
     Parameters
     ----------
@@ -883,8 +905,9 @@ class ShardRuntime(RegionPairScheduler):
         Replica processes per shard; two or more add read capacity and
         failover.
     request_timeout:
-        Per-request deadline in seconds; an expired request marks the
-        replica dead and fails over to a sibling.
+        Deadline in seconds of one round of requests; a replica still
+        silent when it expires is marked dead and the shard fails over
+        to a sibling.
     start_method:
         ``multiprocessing`` start method; ``spawn`` by default and the
         only method the runtime is tested with.
@@ -911,8 +934,12 @@ class ShardRuntime(RegionPairScheduler):
         every parent-side request — the deterministic chaos harness.
     """
 
+    kind: str  # the backend tag's prefix
     #: The transport seam: a channel class naming its ``buffers`` class.
     channel_type: type
+    # Sharded distances have no per-pair hub certificate (see
+    # ShardedDHLIndex); the cache must use epoch invalidation.
+    supports_fine_grained_eviction = False
 
     def __init__(
         self,
@@ -927,12 +954,29 @@ class ShardRuntime(RegionPairScheduler):
         clock: Callable[[], float] = time.monotonic,
         fault_plan=None,
     ):
+        from repro.core.sharded import ShardedDHLIndex
+
         if replicas < 1:
             raise ValueError(f"replicas must be >= 1, got {replicas}")
-        super().__init__(index, degraded_mode=degraded_mode)
+        if not isinstance(index, ShardedDHLIndex):
+            raise TypeError(
+                f"{type(self).__name__} requires a ShardedDHLIndex; got "
+                f"{type(index).__name__} (use InProcessRuntime instead)"
+            )
+        if degraded_mode not in _DEGRADED_MODES:
+            raise ValueError(
+                f"degraded_mode must be one of {_DEGRADED_MODES}, "
+                f"got {degraded_mode!r}"
+            )
+        self.index = index
+        self.degraded_mode = degraded_mode
         self.replicas = replicas
         self.request_timeout = request_timeout
         self.fault_plan = fault_plan
+        self.stats = WorkerPoolStats()
+        self._epochs = [0] * index.k
+        self._index_epoch = index.epoch
+        self._closed = False
         self._groups: list[list[_ReplicaHandle]] = [[] for _ in range(index.k)]
         self._buffers: list = []
         self._rr = [itertools.count() for _ in range(index.k)]
@@ -949,22 +993,9 @@ class ShardRuntime(RegionPairScheduler):
         try:
             for shard in index.shards:
                 self._buffers.append(self.channel_type.buffers(shard.labels))
-            # Spawn + handshake concurrently: interpreter boot dominates
-            # replica startup, so all of them come up in ~one boot.
-            futures = [
-                self._pool.submit(_ReplicaHandle, self, sid, replica)
-                for sid in range(index.k)
-                for replica in range(replicas)
-            ]
-            errors = []
-            for future in futures:
-                try:
-                    handle = future.result()
-                    self._groups[handle.sid].append(handle)
-                except BaseException as exc:
-                    errors.append(exc)
-            if errors:
-                raise errors[0]
+            slots = [(sid, r, 0) for sid in range(index.k) for r in range(replicas)]
+            for handle in self._spawn(slots):
+                self._groups[handle.sid].append(handle)
         except BaseException:
             self.close()
             raise
@@ -983,6 +1014,218 @@ class ShardRuntime(RegionPairScheduler):
     def alive_replicas(self, sid: int) -> list[_ReplicaHandle]:
         return [handle for handle in self._groups[sid] if handle.alive]
 
+    def pool_stats(self) -> WorkerPoolStats:
+        return self.stats
+
+    # ------------------------------------------------------------------
+    # the one way to talk to replicas
+    # ------------------------------------------------------------------
+    def _exchange(self, messages, timeout: float | None = None) -> dict:
+        """One round on the calling thread: send every ``(handle,
+        message)``, then read the replies in arrival order under one
+        deadline, *timeout* (``request_timeout``) from the sends.
+
+        Maps each handle to its reply or to the ``ServiceRuntimeError``
+        it ended with. No request outlives the round: a handle still
+        unanswered at the deadline, or when something raises, is marked
+        dead — its live channel would hand the late reply to the next
+        request.
+        """
+        timeout = self.request_timeout if timeout is None else timeout
+        outcomes, pending = {}, {}  # pending: channel waitable -> handle
+        try:
+            for handle, message in messages:
+                try:
+                    handle.send(message)
+                    pending[handle.channel.waitable] = handle
+                except ServiceRuntimeError as exc:
+                    outcomes[handle] = exc
+            deadline = time.monotonic() + timeout
+            while pending and (
+                ready := wait(list(pending), max(0.0, deadline - time.monotonic()))
+            ):
+                for waitable in ready:
+                    handle = pending[waitable]
+                    try:
+                        left = max(0.0, deadline - time.monotonic())
+                        outcomes[handle] = handle.receive(left)
+                    except ServiceRuntimeError as exc:
+                        outcomes[handle] = exc
+                    del pending[waitable]  # only once read
+        finally:
+            for handle in pending.values():
+                outcomes[handle] = handle.fail(
+                    TimeoutError(f"no reply within {timeout}s")
+                )
+        return outcomes
+
+    def _spawn(self, slots) -> list[_ReplicaHandle]:
+        """Start one replica per ``(sid, replica, incarnation)`` slot,
+        then handshake them all in one round — every process boots while
+        the others do, so all come up in about one interpreter boot.
+        Each gets the shard's *current* buffers at its *current* epoch:
+        a respawn is a full resync by construction."""
+        handles: list[_ReplicaHandle] = []
+        try:
+            for sid, replica, incarnation in slots:
+                handles.append(_ReplicaHandle(self, sid, replica, incarnation))
+            specs = []
+            for handle in handles:
+                handle.channel = self.channel_type.dial(handle.endpoint)
+                payload = self.index.shard_worker_payload(handle.sid)
+                spec = SpecRequest(
+                    payload=payload, epoch=self._epochs[handle.sid],
+                    **self._announce(handle.sid),
+                )
+                specs.append((handle, spec))
+            replies = self._exchange(specs, _STARTUP_TIMEOUT)
+            for handle, reply in replies.items():
+                if not isinstance(reply, ReadyReply):
+                    raise ServiceRuntimeError(
+                        f"shard {handle.sid} replica {handle.replica} failed "
+                        f"to start: {reply!r}"
+                    )
+                handle.alive = True
+        except BaseException:
+            for handle in handles:
+                handle.destroy()
+            raise
+        return handles
+
+    def _announce(self, sid: int) -> dict:
+        """Message fields naming shard *sid*'s published label buffers."""
+        return self._buffers[sid].announce(self.index.shards[sid].labels)
+
+    # ------------------------------------------------------------------
+    # queries
+    # ------------------------------------------------------------------
+    def distances(self, pairs) -> np.ndarray:
+        """Batch distances via the region-pair-aware batch scheduler; an
+        id outside ``[0, n)`` raises
+        :class:`~repro.exceptions.VertexNotFound` before any dispatch."""
+        if self._closed:
+            raise ServiceRuntimeError("runtime is closed")
+        self._reconcile_index_epoch()
+        # Attach scheduler/worker spans under the caller's open request
+        # span (None when the request was not sampled or tracing is off).
+        request_span = self.observability.tracer.current
+        owner = self.index
+        pairs = as_pair_array(pairs)
+        check_ids(owner.graph.num_vertices, pairs)
+        s, t = pairs[:, 0], pairs[:, 1]
+        if not len(s):
+            return np.empty(0, dtype=np.float64)
+        out = np.full(len(s), np.inf, dtype=np.float64)
+        rs = owner.region_of[s]
+        rt = owner.region_of[t]
+        local_s = owner.local_of[s]
+        local_t = owner.local_of[t]
+        has_overlay = owner.overlay is not None
+        overlay_epoch = owner.overlay.epoch if has_overlay else 0
+        # Boundary fans exist only through the overlay, and only for a
+        # shard with boundary vertices.
+        fans = [has_overlay and len(b) > 0 for b in owner.boundary_local]
+
+        groups: list[tuple[np.ndarray, int, int]] = []
+        requests: dict[int, list[tuple[tuple[int, int], SubQuery]]] = {}
+
+        def enqueue(sid: int, slot: tuple[int, int], sub: SubQuery) -> None:
+            requests.setdefault(sid, []).append((slot, sub))
+            self.stats.sub_batches += 1
+
+        engine = owner.engine  # overlay blocks + their epoch cache
+        # Same (region_s, region_t) split as the in-process sharded
+        # engine, but each group becomes typed worker sub-queries.
+        with maybe_child(request_span, "scheduler"):
+            for g, (idx, i, j) in enumerate(region_pair_groups(rs, rt, owner.k)):
+                groups.append((idx, i, j))
+                s_local = local_s[idx]
+                t_local = local_t[idx]
+                fan = fans[i] and fans[j]
+                if i == j:
+                    self.stats.intra_pairs += len(idx)
+                    # The (tiny, epoch-cached) overlay block travels with
+                    # the sub-query: the owning worker folds the boundary
+                    # route itself and ships back one final array. The
+                    # batch elides the block once its replica holds this
+                    # overlay epoch.
+                    enqueue(
+                        i,
+                        (g, "final"),
+                        SubQuery(
+                            s=s_local,
+                            t=t_local,
+                            fan_src=FanQuery(s_local) if fan else None,
+                            fan_dst=FanQuery(t_local) if fan else None,
+                            block=engine.overlay_block(i, i) if fan else None,
+                            block_epoch=overlay_epoch if fan else -1,
+                        ),
+                    )
+                else:
+                    self.stats.cross_pairs += len(idx)
+                    if fan:
+                        engine.overlay_block(i, j)  # warm the cache
+                        enqueue(
+                            i, (g, "src"), SubQuery(fan_src=FanQuery(s_local))
+                        )
+                        enqueue(
+                            j, (g, "dst"), SubQuery(fan_dst=FanQuery(t_local))
+                        )
+
+        replies, shed = self._dispatch(requests, request_span)
+
+        # One pass answers every group. Cross-shard combines need both
+        # workers' fans, so they run in the parent. A group that needed
+        # a shed shard (breaker open) is either answered overlay-only in
+        # the parent (degraded opt-in) or shed with a typed
+        # partial-result error.
+        open_shards: set[int] = set()
+        shed_mask = np.zeros(len(s), dtype=bool)
+        with maybe_child(request_span, "min_plus_combine") as combine_span:
+            combined = 0
+            for g, (idx, i, j) in enumerate(groups):
+                fan = fans[i] and fans[j]
+                lost = shed & ({i} if i == j else {i, j} if fan else set())
+                if lost:
+                    open_shards.update(lost)
+                    if self.degraded_mode != "overlay" or not fan:
+                        shed_mask[idx] = True
+                        continue
+                    # Boundary-route answer computed on the parent's own
+                    # authoritative shard engines: exact for cross-region
+                    # pairs (every route crosses the boundary), an upper
+                    # bound for intra-region pairs (the direct intra path
+                    # is missed).
+                    out[idx] = engine.boundary_route(i, j, local_s[idx], local_t[idx])
+                    self.stats.degraded_pairs += len(idx)
+                elif i == j:
+                    out[idx] = replies[(g, "final")].final
+                elif fan:
+                    src, dst = replies[(g, "src")], replies[(g, "dst")]
+                    out[idx] = min_plus_compact(
+                        src.ds,
+                        src.ds_inverse,
+                        engine.overlay_block(i, j),
+                        dst.dt,
+                        dst.dt_inverse,
+                        owner.shards[i].engine.engine,
+                    )
+                    combined += 1
+            if combine_span is not None:
+                combine_span.annotate(groups=combined)
+        # Self-pairs are trivially zero — even inside a shed group, so
+        # the shed mask never reports a pair no shard was needed for.
+        if shed_mask.any():
+            out[shed_mask] = np.nan
+        out[s == t] = 0.0
+        self.stats.batches += 1
+        self.stats.pairs += len(s)
+        shed_positions = np.flatnonzero(shed_mask & (s != t))
+        if len(shed_positions):
+            self.stats.shed_pairs += len(shed_positions)
+            raise PartialResultError(out, shed_positions, open_shards)
+        return out
+
     # ------------------------------------------------------------------
     # dispatch
     # ------------------------------------------------------------------
@@ -990,95 +1233,116 @@ class ShardRuntime(RegionPairScheduler):
         self,
         requests: dict[int, list[tuple[tuple[int, int], SubQuery]]],
         request_span: Span | None = None,
-    ) -> dict[tuple[int, int], SubResult]:
-        """One framed round trip per shard, concurrently (the I/O threads
-        only wait, so the k shards compute in parallel).
+    ) -> tuple[dict[tuple[int, int], SubResult], set[int]]:
+        """Each shard's sub-queries as one :class:`ComputeBatch` to its
+        next live replica in rotation, all shards in one round; a shard
+        whose replica failed goes to an untried sibling in the next
+        round. The request set is immutable, so a replica killed
+        mid-batch loses nothing; a *behind* replica is healed and asked
+        once more. A shard with no replica left trips its breaker and
+        is shed — returned with the replies by slot, for
+        :meth:`distances` to shed or overlay-answer its groups — or the
+        batch hard-fails under ``"error"``.
 
         With *request_span*, each shard gets a ``worker[sid]`` child
         span the replica's own subtree is grafted under — finished even
         when the batch is refused or shed, so an aborted trace still
         shows the round trip that failed.
         """
-
-        def run(sid: int, items):
-            span = None
-            if request_span is not None:
-                span = request_span.child(f"worker[{sid}]")
-                span.annotate(subs=len(items))
-            try:
-                reply = self._serve_shard(sid, items, span)
-            finally:
-                if span is not None:
-                    span.finish()
-            if reply is None:
-                return []
-            self._breakers[sid].record_success()
-            if span is not None and reply.trace is not None:
-                span.graft(reply.trace.spans)
-            return [
-                (slot, result)
-                for (slot, _), result in zip(items, reply.results)
-            ]
-
         # Opportunistic supervision: dead replicas come back (and
         # wedged ones are detected) as part of serving traffic, without
         # a background thread. Rate-limited by the supervisor interval.
         self.supervisor.poll()
-        futures = [
-            self._pool.submit(run, sid, items) for sid, items in requests.items()
-        ]
+        spans: dict[int, Span] = {
+            sid: request_span.child(f"worker[{sid}]").annotate(subs=len(items))
+            for sid, items in requests.items()
+            if request_span is not None
+        }
+        tried: dict[int, list[_ReplicaHandle]] = {sid: [] for sid in requests}
         replies: dict[tuple[int, int], SubResult] = {}
-        for future in futures:
-            for slot, result in future.result():
-                replies[slot] = result
-        return replies
-
-    def _serve_shard(self, sid: int, items, span: Span | None):
-        """Answer one shard's sub-queries on the next live replica in
-        rotation, failing over until one does.
-
-        The request set is immutable, so a replica killed mid-batch
-        loses nothing: the identical work goes to a sibling not yet
-        tried. With no replica left alive the shard's breaker trips and
-        the batch goes unanswered (``None``) for the scheduler to shed
-        or overlay-answer — or hard-fails under ``"error"``.
-        """
-        tried: list[_ReplicaHandle] = []
-        while True:
-            live = [h for h in self.alive_replicas(sid) if h not in tried]
-            if not live:
-                if self.alive_replicas(sid):
-                    # They all answered — with errors: a bug, not an outage.
-                    raise ServiceRuntimeError(
-                        f"every live replica of shard {sid} already failed "
-                        "this batch"
-                    )
-                self._breakers[sid].trip()
-                if self.degraded_mode == "error":
-                    raise ShardUnavailableError(
-                        sid,
-                        f"no live replica left for shard {sid}; breaker open "
-                        "until the supervisor respawns one",
-                    )
-                if span is not None:
+        shed: set[int] = set()
+        waiting = list(requests)
+        try:
+            while waiting:
+                batches = {}
+                for sid in waiting:
+                    handle = self._next_replica(sid, tried[sid])
+                    if handle is None:
+                        shed.add(sid)
+                    else:
+                        batches[handle] = self._compute_batch(
+                            handle, requests[sid], request_span is not None
+                        )
+                outcomes = self._exchange(
+                    (handle, batch) for handle, (batch, _) in batches.items()
+                )
+                waiting = []
+                for handle, (batch, shipped) in batches.items():
+                    sid, reply = handle.sid, outcomes[handle]
+                    if isinstance(reply, StaleReply) and reply.stamped > reply.held:
+                        try:
+                            self._resync_replica(handle)
+                            reply = self._exchange([(handle, batch)])[handle]
+                        except ServiceRuntimeError as exc:
+                            reply = exc
+                    if isinstance(reply, StaleReply):
+                        behind = reply.stamped > reply.held
+                        raise WorkerEpochError(
+                            f"shard {sid} replica {handle.replica} holds epoch "
+                            f"{reply.held} but the batch is stamped "
+                            f"{reply.stamped}"
+                            + (" (missed epoch broadcast)" if behind else "")
+                        )
+                    if isinstance(reply, ServiceRuntimeError):
+                        # Timed out, dropped or errored: on to a sibling.
+                        self.stats.failovers += 1
+                        if sid in spans:
+                            spans[sid].annotate(failover=True)
+                        waiting.append(sid)
+                        continue
+                    if shipped >= 0:
+                        # Only a delivered block counts as held
+                        # replica-side; a failed dispatch re-ships.
+                        handle.block_epoch = shipped
+                    self._breakers[sid].record_success()
+                    if reply.trace is not None:  # asked for iff traced
+                        spans[sid].finish().graft(reply.trace.spans)
+                    for (slot, _), result in zip(requests[sid], reply.results):
+                        replies[slot] = result
+        finally:
+            for sid, span in spans.items():
+                if sid in shed:
                     span.annotate(shed=True)
-                return None
-            handle = live[next(self._rr[sid]) % len(live)]
-            tried.append(handle)
-            try:
-                return self._round_trip(handle, items, span is not None)
-            except WorkerEpochError:
-                raise  # an epoch bug is not an availability event
-            except ServiceRuntimeError:
-                # Timed out, dropped or errored: on to a sibling.
-                self.stats.failovers += 1
-                if span is not None:
-                    span.annotate(failover=True)
+                span.finish()
+        return replies, shed
 
-    def _round_trip(self, handle: _ReplicaHandle, items, want_trace: bool):
-        """One :class:`ComputeBatch` to one replica, overlay blocks it
-        already holds elided; a *behind* replica is healed and asked
-        once more."""
+    def _next_replica(self, sid: int, tried: list) -> _ReplicaHandle | None:
+        """The next live replica of *sid* in rotation not yet tried this
+        batch; ``None`` once none is left alive (the breaker trips)."""
+        live = [h for h in self.alive_replicas(sid) if h not in tried]
+        if not live:
+            if self.alive_replicas(sid):
+                # They all answered — with errors: a bug, not an outage.
+                raise ServiceRuntimeError(
+                    f"every live replica of shard {sid} already failed "
+                    "this batch"
+                )
+            self._breakers[sid].trip()
+            if self.degraded_mode == "error":
+                raise ShardUnavailableError(
+                    sid,
+                    f"no live replica left for shard {sid}; breaker open "
+                    "until the supervisor respawns one",
+                )
+            return None
+        handle = live[next(self._rr[sid]) % len(live)]
+        tried.append(handle)
+        return handle
+
+    def _compute_batch(self, handle: _ReplicaHandle, items, want_trace: bool):
+        """A shard's sub-queries as one batch for *handle*, overlay blocks
+        it already holds elided; also the block epoch it ships (-1:
+        none)."""
         shipped = -1
         subs = []
         for _, sub in items:
@@ -1091,98 +1355,206 @@ class ShardRuntime(RegionPairScheduler):
         batch = ComputeBatch(
             epoch=self._epochs[handle.sid], subs=subs, want_trace=want_trace
         )
-        reply = handle.request(batch)
-        if isinstance(reply, StaleReply) and reply.stamped > reply.held:
-            self._resync_replica(handle)
-            reply = handle.request(batch)
-        if isinstance(reply, StaleReply):
-            behind = reply.stamped > reply.held
-            raise WorkerEpochError(
-                f"shard {handle.sid} replica {handle.replica} holds epoch "
-                f"{reply.held} but the batch is stamped {reply.stamped}"
-                + (" (missed epoch broadcast)" if behind else "")
-            )
-        if shipped >= 0:
-            # Only a delivered block counts as held replica-side; a
-            # failed dispatch re-ships next batch.
-            handle.block_epoch = shipped
-        return reply
+        return batch, shipped
 
     # ------------------------------------------------------------------
-    # label sync
+    # maintenance + label sync
     # ------------------------------------------------------------------
+    def apply_update(self, changes: Iterable[WeightChange], workers=None):
+        """Apply the batch in the parent, then broadcast shard deltas.
+
+        Overlay maintenance needs no broadcast (the overlay index lives
+        only in the parent); a touched shard gets its changed label
+        slots shipped plus an epoch bump — or a full republish if
+        maintenance changed the label layout.
+        """
+        if self._closed:
+            raise ServiceRuntimeError("runtime is closed")
+        self._reconcile_index_epoch()
+        stats = self.index.update(changes)
+        self._index_epoch = self.index.epoch
+        with phase("flush.delta_sync"):
+            self._sync(
+                {
+                    sid: stats.per_shard[sid].affected_labels
+                    for sid in stats.touched_shards
+                }
+            )
+        return stats
+
+    def apply_structural(self, insertions=(), deletions=(), weight_changes=()):
+        """Structural batch in the parent, then whole-buffer republish.
+
+        Label layouts may move arbitrarily under structural maintenance,
+        so every shard rides the full-sync/republish path rather than
+        the per-slot delta. Workers pin the shard *query structure*
+        (H_Q, boundary lists) at startup; batches the parent absorbed
+        with fast paths or same-H_Q rebuilds keep both invariant, but a
+        repartition splice or a boundary-set change (a brand-new cut
+        edge) leaves pooled workers unrecoverably stale — the batch is
+        still applied to the index, and a
+        :class:`~repro.exceptions.ServiceRuntimeError` tells the caller
+        to rebuild the runtime over it.
+        """
+        if self._closed:
+            raise ServiceRuntimeError("runtime is closed")
+        self._reconcile_index_epoch()
+        owner = self.index
+        hq_before = [id(shard.hq) for shard in owner.shards]
+        boundary_before = owner.boundary_global.copy()
+        stats = owner.apply_batch(
+            insertions=insertions,
+            deletions=deletions,
+            weight_changes=weight_changes,
+        )
+        with phase("flush.structural_sync"):
+            self._reconcile_index_epoch()
+        if [id(shard.hq) for shard in owner.shards] != hq_before or not (
+            np.array_equal(owner.boundary_global, boundary_before)
+        ):
+            raise ServiceRuntimeError(
+                "structural batch changed shard query topology (hierarchy "
+                "repartition or boundary-set change); the index is updated "
+                "but pooled workers pin structure at startup — rebuild the "
+                "runtime over the updated index, or serve structural-heavy "
+                "traffic with InProcessRuntime"
+            )
+        return stats
+
+    def compact(self):
+        """Compact in the parent; republish every shard's buffers.
+
+        Sharded compaction only rebuilds boundary structures when it
+        physically removes a cut edge — the same topology-staleness
+        rule as :meth:`apply_structural` applies.
+        """
+        if self._closed:
+            raise ServiceRuntimeError("runtime is closed")
+        owner = self.index
+        boundary_before = owner.boundary_global.copy()
+        stats = owner.compact()
+        with phase("flush.structural_sync"):
+            self._reconcile_index_epoch()
+        if not np.array_equal(owner.boundary_global, boundary_before):
+            raise ServiceRuntimeError(
+                "compaction removed a cut edge and changed the boundary "
+                "set; rebuild the pooled runtime over the updated index"
+            )
+        return stats
+
+    def _reconcile_index_epoch(self) -> None:
+        """Re-sync workers after maintenance that bypassed this runtime.
+
+        A direct ``index.update(...)`` (structural op, another caller)
+        advances the index epoch without telling us which labels moved;
+        the only safe answer is a whole-buffer publish per shard.
+        """
+        if self.index.epoch == self._index_epoch:
+            return
+        self.stats.full_syncs += self.index.k
+        self._sync(dict.fromkeys(range(self.index.k)))
+        self._index_epoch = self.index.epoch
+
     def _resync_replica(self, handle: _ReplicaHandle) -> None:
         """Bring one behind replica to the shard's current buffers and
         epoch (the stale-reply path and the supervisor's skewed
         heartbeat both land here)."""
-        sid = handle.sid
-        fields = self._buffers[sid].announce(self.index.shards[sid].labels)
-        handle.request(Republish(epoch=self._epochs[sid], **fields))
+        message = Republish(
+            epoch=self._epochs[handle.sid], **self._announce(handle.sid)
+        )
+        reply = self._exchange([(handle, message)])[handle]
+        if isinstance(reply, ServiceRuntimeError):
+            raise reply
         self.stats.resyncs += 1
 
-    def _broadcast(self, sid: int, message: Message) -> bool:
-        """Send one sync frame to every live replica; True if any acked.
+    def _sync(self, shards: dict[int, Iterable[int] | None]) -> None:
+        """Bump each shard's epoch and ship it to all its live replicas,
+        all shards in one round: the label slots it maps to, or — for
+        ``None`` or a moved label layout, where a delta would corrupt
+        the replicas — its whole buffers, republished.
 
-        A replica whose send fails is marked dead by its handle — the
-        next read fails over past it. With every replica down *during
-        maintenance* the epoch already advanced in the parent, so the
+        Counts the shards at least one replica acked. A replica whose
+        request fails is marked dead by its handle — the next read
+        fails over past it. A shard with no replica left *during
+        maintenance* already advanced its epoch in the parent, so its
         breaker trips and serving moves on (``"error"`` mode raises): a
         respawned replica handshakes with the current buffers at the
         current epoch and needs no delta.
         """
-        acked = False
-        for handle in self.alive_replicas(sid):
-            try:
-                handle.request(message)
-                acked = True
-            except ServiceRuntimeError:
-                continue
-        if not acked:
-            self._breakers[sid].trip()
-            if self.degraded_mode == "error":
-                raise ShardUnavailableError(
-                    sid,
-                    f"no live replica left for shard {sid} to sync; "
-                    "breaker open until the supervisor respawns one",
-                )
-        return acked
-
-    def _sync_shard(self, sid: int, affected: Iterable[int]) -> None:
-        labels = self.index.shards[sid].labels
-        buffers = self._buffers[sid]
-        if not np.array_equal(np.diff(buffers.offsets), labels.lengths):
-            # The live store no longer fits the published layout: a
-            # delta against it would corrupt the replicas.
-            self._full_sync(sid)
-            return
-        vertices = np.unique(np.fromiter(affected, dtype=np.int64))
-        fields = buffers.delta(labels, vertices)
-        if self._broadcast(sid, EpochDelta(epoch=self._epochs[sid], **fields)):
-            self.stats.delta_syncs += 1
-            self.stats.delta_bytes += 8 * int(labels.lengths[vertices].sum())
-
-    def _full_sync(self, sid: int) -> None:
-        buffers = self._buffers[sid]
-        fields = buffers.publish(self.index.shards[sid].labels)
-        if self._broadcast(sid, Republish(epoch=self._epochs[sid], **fields)):
-            self.stats.republishes += 1
-            self.stats.republish_bytes += 8 * (
-                int(buffers.offsets[-1]) + len(buffers.offsets)
-            )
+        messages = {}
+        for sid, affected in shards.items():
+            self._epochs[sid] += 1
+            self.stats.epoch_broadcasts += 1
+            labels, buffers = self.index.shards[sid].labels, self._buffers[sid]
+            if affected is not None and np.array_equal(
+                np.diff(buffers.offsets), labels.lengths
+            ):
+                vertices = np.unique(np.fromiter(affected, dtype=np.int64))
+                fields = buffers.delta(labels, vertices)
+                message = EpochDelta(epoch=self._epochs[sid], **fields)
+                messages[sid] = message, 8 * int(labels.lengths[vertices].sum())
+            else:
+                fields = buffers.publish(labels)
+                message = Republish(epoch=self._epochs[sid], **fields)
+                offsets = buffers.offsets
+                messages[sid] = message, 8 * (int(offsets[-1]) + len(offsets))
+        targets = [
+            (handle, message)
+            for sid, (message, _) in messages.items()
+            for handle in self.alive_replicas(sid)
+        ]
+        acked = {
+            handle.sid
+            for handle, reply in self._exchange(targets).items()
+            if not isinstance(reply, ServiceRuntimeError)
+        }
+        for sid, (message, nbytes) in messages.items():
+            if isinstance(message, EpochDelta) and sid in acked:
+                self.stats.delta_syncs += 1
+                self.stats.delta_bytes += nbytes
+            elif sid in acked:
+                self.stats.republishes += 1
+                self.stats.republish_bytes += nbytes
+            else:
+                self._breakers[sid].trip()
+                if self.degraded_mode == "error":
+                    raise ShardUnavailableError(
+                        sid,
+                        f"no live replica left for shard {sid} to sync; "
+                        "breaker open until the supervisor respawns one",
+                    )
 
     # ------------------------------------------------------------------
     # lifecycle
     # ------------------------------------------------------------------
-    def _close_transport(self) -> None:
-        for handle in itertools.chain.from_iterable(self._groups):
-            try:
-                handle.destroy()
-            except Exception:  # pragma: no cover - teardown best effort
-                pass
-        self._groups = [[] for _ in range(self.index.k)]
-        for buffers in self._buffers:
-            buffers.destroy()
-        self._buffers = []
+    def close(self) -> None:
+        """Say goodbye to every live replica in one round, reap them all
+        and release the label buffers; idempotent."""
+        if self._closed:
+            return
+        self._closed = True
+        handles = list(itertools.chain.from_iterable(self._groups))
+        try:
+            self._exchange(
+                [(handle, Shutdown()) for handle in handles if handle.alive],
+                _SHUTDOWN_TIMEOUT,
+            )
+        finally:
+            for handle in handles:
+                try:
+                    handle.destroy()
+                except Exception:  # pragma: no cover - teardown best effort
+                    pass
+            self._groups = [[] for _ in range(self.index.k)]
+            for buffers in self._buffers:
+                buffers.destroy()
+            self._buffers = []
+
+    def __del__(self):  # pragma: no cover - safety net
+        try:
+            self.close()
+        except Exception:
+            pass
 
 
 class ShardWorkerRuntime(ShardRuntime):

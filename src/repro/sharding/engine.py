@@ -271,6 +271,7 @@ class ShardedQueryEngine:
     def search_space_size(self, s: int, t: int) -> int:
         """Label entries a pair inspects (shard fans + overlay block)."""
         owner = self.owner
+        check_ids(owner.graph.num_vertices, np.array([s, t], dtype=np.int64))
         i = int(owner.region_of[s])
         j = int(owner.region_of[t])
         size = 0

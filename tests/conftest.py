@@ -6,6 +6,7 @@ import heapq
 import math
 import multiprocessing
 import os
+import threading
 
 import numpy as np
 import pytest
@@ -71,16 +72,20 @@ def _shm_segments() -> set[str]:
 
 @pytest.fixture(scope="session", autouse=True)
 def leak_guard():
-    """Fail the session if it leaves a shared-memory segment or a child
-    process behind — respawned replicas over shared segments are exactly
-    where such a leak would hide."""
+    """Fail the session if it leaves a shared-memory segment, a child
+    process or a live thread behind — respawned replicas over shared
+    segments are exactly where such a leak would hide, and the shard
+    runtime talks to its replicas from the calling thread only."""
     segments = _shm_segments()
     children = set(multiprocessing.active_children())
+    threads = set(threading.enumerate())
     yield
     leaked = sorted(_shm_segments() - segments)
     orphans = set(multiprocessing.active_children()) - children
-    assert not leaked and not orphans, (
-        f"leaked /dev/shm segments {leaked}, child processes {orphans}"
+    stray = [t for t in threading.enumerate() if t not in threads and t.is_alive()]
+    assert not leaked and not orphans and not stray, (
+        f"leaked /dev/shm segments {leaked}, child processes {orphans}, "
+        f"threads {stray}"
     )
 
 

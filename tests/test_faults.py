@@ -302,16 +302,15 @@ def test_dead_replica_is_retired_by_its_channel_not_the_deadline(
     ) as runtime:
         victim = runtime._groups[0][0]
         causes = []
-        request = victim.request
+        fail = victim.fail
 
-        def spy(message):
-            try:
-                return request(message)
-            except ServiceRuntimeError as exc:
-                causes.append(exc.__cause__)
-                raise
+        def spy(cause):
+            error = fail(cause)
+            assert isinstance(error, ServiceRuntimeError)
+            causes.append(error.__cause__)
+            return error
 
-        victim.request = spy
+        victim.fail = spy  # every way a handle dies goes through fail()
         # The first batch spends the due supervision poll (a health
         # probe would otherwise find the corpse before a request does).
         np.testing.assert_array_equal(runtime.distances(pairs), expected)

@@ -8,13 +8,19 @@ only thing allowed to differ. The load-bearing checks: answers equal
 the in-process runtime's (and Dijkstra's) across interleaved update
 batches synced as label *deltas* to the same long-lived processes; a
 replica killed mid-replay loses zero requests; a replica behind the
-parent heals and one ahead of it is a typed error; ``close()`` leaves
-no process and no ``/dev/shm`` segment behind, even when construction
-fails halfway or a replica was respawned in between.
+parent heals and one ahead of it is a typed error; a refused batch
+leaves no reply in flight, wedged shards share one deadline and no
+thread is ever started; ``close()`` leaves no process and no
+``/dev/shm`` segment behind, even when construction fails halfway or a
+replica was respawned in between.
 """
 
 from __future__ import annotations
 
+import os
+import signal
+import threading
+import time
 from multiprocessing import shared_memory
 
 import numpy as np
@@ -51,7 +57,14 @@ from repro.service.protocol import (
     StaleReply,
     SubQuery,
 )
-from tests.conftest import TRANSPORTS, build_sharded, kill, require_engine
+from tests.conftest import (
+    TRANSPORTS,
+    FakeClock,
+    build_sharded,
+    kill,
+    require_engine,
+    shard_pairs,
+)
 from tests.strategies import (
     assert_stream_parity,
     connected_graphs,
@@ -364,6 +377,88 @@ def test_last_replica_loss_sheds_or_hard_fails(transport):
         runtime.degraded_mode = "error"
         with pytest.raises(ShardUnavailableError, match="breaker open"):
             runtime.distances(pairs)
+
+
+# ---------------------------------------------------------------------------
+# the exchange: one thread, one deadline a round, no reply left in flight
+# ---------------------------------------------------------------------------
+
+def test_epoch_refusal_leaves_no_reply_in_flight(stack):
+    """Shard 0 refuses its sub-batch (its replicas hold a newer epoch)
+    while shard 1 still computes a large one. Shard 1's reply must not
+    stay unread on a live channel, where a later batch would take it
+    for its own, and no handle may keep its lock."""
+    _, _, sharded, runtime = stack
+    vertices = sharded.shard_vertices
+    heavy = [(int(s), int(t)) for s in vertices[1] for t in vertices[1]] * 4
+    pairs = [(int(vertices[0][0]), int(vertices[0][-1]))] + heavy
+    # Spend a due supervision poll first: its health check would resync
+    # the skewed replicas instead of letting the batch be refused.
+    runtime.distances(pairs[:1])
+    runtime._epochs[0] -= 1
+    try:
+        with pytest.raises(WorkerEpochError, match="holds epoch"):
+            runtime.distances(pairs)
+        assert not any(
+            handle._lock.locked() for group in runtime._groups for handle in group
+        )
+    finally:
+        runtime._epochs[0] += 1
+    graph = sharded.graph
+    sources = sorted({s for s, _ in pairs})
+    rows = {s: dijkstra(graph, s) for s in sources}
+    expected = np.array([rows[s][t] for s, t in pairs])
+    for _ in range(2):  # both replicas of every shard
+        np.testing.assert_array_equal(runtime.distances(pairs), expected)
+
+
+def test_wedged_shards_share_one_deadline(transport):
+    """Both shards' only replicas stopped (SIGSTOP: alive, silent): the
+    batch's health probes wait out one deadline together, not one per
+    shard, and the batch is shed within 1.5 x ``request_timeout``."""
+    timeout = 0.5
+    sharded = build_sharded(delaunay_network(120, seed=29), k=2)
+    pairs = shard_pairs(sharded, 0, 3) + shard_pairs(sharded, 1, 3)
+    with transport(
+        sharded, replicas=1, request_timeout=timeout, degraded_mode="shed",
+        clock=FakeClock(), supervise_interval=0.0,  # a poll every batch
+    ) as runtime:
+        np.testing.assert_array_equal(
+            runtime.distances(pairs), sharded.distances(pairs)
+        )
+        pids = [group[0].process.pid for group in runtime._groups]
+        for pid in pids:
+            os.kill(pid, signal.SIGSTOP)
+        try:
+            start = time.perf_counter()
+            with pytest.raises(PartialResultError) as info:
+                runtime.distances(pairs)
+            elapsed = time.perf_counter() - start
+        finally:
+            for pid in pids:
+                os.kill(pid, signal.SIGCONT)
+        assert info.value.open_shards == (0, 1)
+        assert elapsed < 1.5 * timeout, elapsed
+
+
+def test_runtime_starts_no_thread(transport):
+    """Replicas are talked to from the calling thread only: no thread
+    appears at construction, a batch, a flush or close."""
+    graph = delaunay_network(120, seed=5)
+    sharded = build_sharded(graph, k=2)
+    u, v, w = intra_edges(graph, sharded)[0]
+    before = threading.active_count()
+    with DistanceService(
+        transport(sharded, replicas=2), cache_capacity=1
+    ) as service:
+        assert threading.active_count() == before
+        service.distances(sample_pairs_grid(graph.num_vertices, 7, 5))
+        assert threading.active_count() == before
+        service.submit(u, v, 2.0 * w)
+        service.flush()
+        assert service.runtime.stats.delta_syncs == 1
+        assert threading.active_count() == before
+    assert threading.active_count() == before
 
 
 # ---------------------------------------------------------------------------

@@ -232,6 +232,17 @@ def test_ids_outside_the_graph_raise_vertex_not_found(road_pair, bad):
         sharded.distances_from(0, [3, s, t])
 
 
+@pytest.mark.parametrize("family", ["mono", "sharded"])
+@pytest.mark.parametrize("bad", [-1, None], ids=["-1", "n"])
+def test_search_space_size_checks_ids(road_pair, family, bad):
+    """``search_space_size(-1, 5)`` used to wrap onto vertex n - 1 and
+    ``(n, 5)`` raised a bare IndexError, on both engines."""
+    graph, mono, sharded = road_pair
+    engine = (mono if family == "mono" else sharded).engine
+    with pytest.raises(VertexNotFound):
+        engine.search_space_size(graph.num_vertices if bad is None else bad, 5)
+
+
 def test_facade_helpers(road_pair):
     graph, mono, sharded = road_pair
     n = graph.num_vertices

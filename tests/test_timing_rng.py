@@ -1,4 +1,4 @@
-"""Tests for timing and RNG helpers."""
+"""Tests for the seeded RNG helpers."""
 
 from __future__ import annotations
 
@@ -6,46 +6,6 @@ import numpy as np
 import pytest
 
 from repro.utils.rng import make_rng, sample_pairs
-from repro.utils.timing import Stopwatch, format_duration
-
-
-class TestStopwatch:
-    def test_context_manager_accumulates(self):
-        sw = Stopwatch()
-        with sw:
-            pass
-        with sw:
-            pass
-        assert sw.elapsed >= 0.0
-        assert len(sw.laps) == 2
-        assert sw.mean_lap == pytest.approx(sw.elapsed / 2)
-
-    def test_double_start_raises(self):
-        sw = Stopwatch().start()
-        with pytest.raises(RuntimeError):
-            sw.start()
-        sw.stop()
-
-    def test_stop_without_start_raises(self):
-        with pytest.raises(RuntimeError):
-            Stopwatch().stop()
-
-
-class TestFormatDuration:
-    @pytest.mark.parametrize(
-        "seconds, expected",
-        [
-            (1.2e-6, "1.20us"),
-            (0.00345, "3.450ms"),
-            (1.5, "1.500s"),
-            (150.0, "2.50min"),
-        ],
-    )
-    def test_units(self, seconds, expected):
-        assert format_duration(seconds) == expected
-
-    def test_negative(self):
-        assert format_duration(-1.5).startswith("-")
 
 
 class TestRng:
