@@ -27,6 +27,7 @@ names the sweep implementation it runs.
 from __future__ import annotations
 
 import math
+from functools import reduce
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -40,7 +41,7 @@ from repro.graph.graph import Graph
 from repro.hierarchy.query_hierarchy import QueryHierarchy
 from repro.hierarchy.update_hierarchy import UpdateHierarchy
 from repro.labelling.build import build_labelling
-from repro.labelling.driver import maintain, split_batch
+from repro.labelling.driver import collected, maintain, split_batch
 from repro.labelling.labels import HierarchicalLabelling
 from repro.labelling.maintenance import MaintenanceStats
 from repro.labelling.query import QueryEngine
@@ -259,13 +260,21 @@ class IndexCore:
         experimental protocol. Unchanged weights are skipped.
         ``workers`` is ignored (see :meth:`DistanceBackend.update`).
         """
-        increases, decreases = split_batch(self.graph, changes, self.hu.edge_key)
-        stats = MaintenanceStats()
-        if increases:
-            stats = stats.merge(self.increase(increases))
-        if decreases:
-            stats = stats.merge(self.decrease(decreases))
-        return stats
+
+        def run() -> MaintenanceStats:
+            with phase("update.split"):
+                increases, decreases = split_batch(
+                    self.graph, changes, self.hu.edge_key
+                )
+            parts = [MaintenanceStats()]
+            if increases:
+                parts.append(self.increase(increases))
+            if decreases:
+                parts.append(self.decrease(decreases))
+            with phase("update.stats"):
+                return reduce(MaintenanceStats.merge, parts)
+
+        return collected(run)
 
     # ------------------------------------------------------------------
     # structural updates (Section 8) — implemented in core.structural

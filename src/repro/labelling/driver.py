@@ -4,13 +4,16 @@ Every index family reaches Algorithms 2-5 through :func:`maintain`: it
 validates the whole batch before the first write, applies the graph
 weights, resolves seed cells, runs the engine's shortcut sweep over the
 whole store (one weight plane or two — see
-:class:`~repro.hierarchy.contraction.ContractionResult`), turns its
-``changed``/``first_old`` marks into ``affected_shortcuts``, then once
-per plane runs the batched label seed phase and the engine's label
-sweep, and fills :class:`~repro.labelling.maintenance.MaintenanceStats`
-and the ``phase()`` marks. An engine is nothing more than the four
-sweeps of :class:`~repro.labelling.maintenance.Engine`; :data:`ENGINES`
-is the only place one is chosen.
+:class:`~repro.hierarchy.contraction.ContractionResult`), turns the
+cells it listed as touched into ``affected_shortcuts``, then once per
+plane runs the batched label seed phase and the engine's label sweep,
+and fills :class:`~repro.labelling.maintenance.MaintenanceStats` from
+the positions and vertices that sweep listed. No step scans a
+store-sized array, so a burst costs O(touched); the ``phase()`` marks
+cover every step, validation and stats assembly included. An engine is
+nothing more than the four sweeps of
+:class:`~repro.labelling.maintenance.Engine`; :data:`ENGINES` is the
+only place one is chosen.
 
 The shortcut half is also exposed on its own: :func:`maintain_shortcuts`
 for stores without labels (the DCH/IncH2H baselines share Algorithms
@@ -35,6 +38,7 @@ from repro.utils.ragged import expand
 
 __all__ = [
     "ENGINES",
+    "collected",
     "maintain",
     "maintain_shortcuts",
     "validate_batch",
@@ -203,19 +207,18 @@ def _shortcut_phase(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Write a validated batch into the graph and sweep H_U.
 
-    Returns the changed cells and the weight each held before the batch.
+    Returns the changed cells (ascending when the store has two planes,
+    which the driver splits) and the weight each held before the batch.
     """
     graph = sc.graph
     weights = sc.up_weights
     decrease = kind == "decrease"
-    changed = np.zeros(len(weights), dtype=np.uint8)
-    first_old = np.zeros(len(weights), dtype=np.float64)
-    # Only the increase sweep reads the direct weights; a decrease just
-    # keeps an existing cache current.
-    cache = _fresh_direct_cache(sc) if decrease else _direct_cell_weights(sc)
-
-    seeds: list[int] = []
     with phase(f"{kind}.seed"):
+        # Only the increase sweep reads the direct weights; a decrease
+        # just keeps an existing cache current.
+        cache = _fresh_direct_cache(sc) if decrease else _direct_cell_weights(sc)
+        marks = maintenance.cell_marks(len(weights))
+        seeds: set[int] = set()
         for a, b, w_new in batch:
             old_edge = graph.set_weight(a, b, w_new)
             cell = sc.edge_slot(a, b)
@@ -223,32 +226,29 @@ def _shortcut_phase(
                 cache.direct[cell] = w_new
             if decrease:
                 if weights[cell] > w_new:
-                    if not changed[cell]:
-                        changed[cell] = 1
-                        first_old[cell] = weights[cell]
+                    maintenance.mark_cell(marks, cell, weights)
                     weights[cell] = w_new
-                    seeds.append(cell)
+                    seeds.add(cell)
             elif weights[cell] == old_edge:
                 # Only shortcuts whose weight was realised by this edge
                 # can change.
-                seeds.append(cell)
+                seeds.add(cell)
         if cache is not None:
             cache.version = graph.version
 
     if seeds:
-        seed_cells = np.unique(np.asarray(seeds, dtype=np.int64))
+        seed_cells = np.asarray(sorted(seeds), dtype=np.int64)
         with phase(_SHORTCUT_SWEEP_PHASE[kind]):
             if not decrease:
-                engine.shortcut_increase_sweep(
-                    sc, seed_cells, cache.direct, changed, first_old
-                )
-            elif engine.shortcut_decrease_sweep(
-                sc, seed_cells, changed, first_old
-            ):
+                engine.shortcut_increase_sweep(sc, seed_cells, cache.direct, marks)
+            elif engine.shortcut_decrease_sweep(sc, seed_cells, marks):
                 raise StructuralFallbackRequired(
                     "decrease sweep reached a compacted shortcut slot"
                 )
-    cells = np.flatnonzero(changed)
+    _, first_old, touched, count = marks
+    cells = touched[: count[0]]
+    if sc.planes > 1:
+        cells = np.sort(cells)
     return cells, first_old[cells]
 
 
@@ -333,38 +333,38 @@ def _label_phase(
 ) -> MaintenanceStats:
     """Seed and sweep the labels for the changed shortcut *slots*."""
     csr = store.csr
-    stats = MaintenanceStats(
-        shortcuts_changed=len(slots),
-        affected_shortcuts=_affected_shortcuts(csr, slots, old),
-    )
+    with phase(f"{kind}.affected_shortcuts"):
+        stats = MaintenanceStats(
+            shortcuts_changed=len(slots),
+            affected_shortcuts=_affected_shortcuts(csr, slots, old),
+        )
     if not len(slots):
         return stats
     labels.ensure_writable()
     lo, hi = csr.owners[slots], csr.indices[slots]
-    changed = np.zeros(len(labels.values), dtype=np.uint8)
     if kind == "decrease":
         with phase("decrease.label_seed"):
+            marks = maintenance.entry_marks(len(labels.values), csr.n)
             seeded = _seed_decrease(store, labels, lo, hi, slots)
         if len(seeded):
-            changed[seeded] = 1
             with phase("decrease.label_sweep"):
                 stats.entries_processed = engine.label_decrease_sweep(
-                    store, labels, *labels.entries_of_positions(seeded), changed
+                    store, labels, seeded, marks
                 )
-        positions = np.flatnonzero(changed)
-        stats.labels_changed = len(positions)
     else:
         with phase("increase.label_seed"):
+            marks = maintenance.entry_marks(len(labels.values), csr.n)
             verts, cols = _seed_increase(store, labels, lo, hi, old)
         if len(verts):
             with phase("increase.label_sweep"):
                 stats.entries_processed, stats.labels_changed = (
-                    engine.label_increase_sweep(store, labels, verts, cols, changed)
+                    engine.label_increase_sweep(store, labels, verts, cols, marks)
                 )
-        positions = np.flatnonzero(changed)
-    if len(positions):
-        verts, _ = labels.entries_of_positions(positions)
-        stats.affected_labels = set(np.unique(verts).tolist())
+    with phase(f"{kind}.stats"):
+        *_, touched_vertices, count = marks
+        if kind == "decrease":
+            stats.labels_changed = int(count[0])
+        stats.affected_labels = set(touched_vertices[: count[1]].tolist())
     return stats
 
 
@@ -393,31 +393,43 @@ def maintain(
     insertion-seeded batches can); the graph then carries the batch but
     ``H_U``/``L`` must be rebuilt.
 
-    ``stats.phases`` is filled only when a phase collector is already
-    installed (an enabled observability flush, or a bench under
-    ``collect_phases()``); otherwise the ``phase()`` marks stay no-ops
-    and nothing is measured.
+    ``stats.phases`` is filled as :func:`collected` says.
     """
-    batch = validate_batch(kind, store.graph, changes, store.edge_key)
-    if not batch:
-        return None
-    engine = _engine(config)
 
-    def run() -> MaintenanceStats:
+    def run() -> MaintenanceStats | None:
+        with phase(f"{kind}.validate"):
+            batch = validate_batch(kind, store.graph, changes, store.edge_key)
+        if not batch:
+            return None
+        engine = _engine(config)
         cells, old = _shortcut_phase(kind, store, batch, engine)
         m = store.csr.num_slots
         parts = []
         for plane, (view, labelling) in enumerate(store.label_planes(labels)):
+            # Two planes' cells come sorted; one plane's need not be, but
+            # then every cell lies in [0, m) and both searches are exact.
             lo, hi = np.searchsorted(cells, (plane * m, (plane + 1) * m))
             slots = cells[lo:hi] - plane * m
             parts.append(
                 _label_phase(kind, view, labelling, slots, old[lo:hi], engine)
             )
-        return reduce(MaintenanceStats.merge, parts)
+        with phase(f"{kind}.stats"):
+            return reduce(MaintenanceStats.merge, parts)
 
+    return collected(run)
+
+
+def collected(
+    run: Callable[[], MaintenanceStats | None]
+) -> MaintenanceStats | None:
+    """``run()``, its stats' ``phases`` holding the ``phase()`` marks it
+    fired — only when a phase collector is already installed (an
+    enabled observability flush, or a bench under ``collect_phases()``);
+    otherwise the marks stay no-ops and nothing is measured."""
     if not phases_active():
         return run()
     with collect_phases() as collector:
         stats = run()
-    stats.phases = collector.as_dict()
+    if stats is not None:
+        stats.phases = collector.as_dict()
     return stats

@@ -36,9 +36,19 @@ import math
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
+import numpy as np
+
 from repro.utils.priority_queue import LazyHeap
 
-__all__ = ["Engine", "MaintenanceStats", "ENGINE"]
+__all__ = [
+    "Engine",
+    "MaintenanceStats",
+    "ENGINE",
+    "cell_marks",
+    "entry_marks",
+    "mark_cell",
+    "mark_entry",
+]
 
 WeightChange = tuple[int, int, float]
 ShortcutKey = tuple[int, int]
@@ -62,26 +72,38 @@ class Engine(NamedTuple):
     The label sweeps take one plane at a time, shaped like a one-plane
     store (``csr``, that plane's ``up_weights``, ``tau``), and *labels*,
     a flat :class:`~repro.labelling.labels.HierarchicalLabelling`.
-    Seeds arrive already applied and marked by the driver; sweeps record
-    every further write in the caller's mark arrays (``changed`` uint8
-    per cell / flat label position, ``first_old`` the pre-batch weight
-    of a cell on its first write) and never touch the graph.
+    Sweeps never touch the graph.
 
-    * ``shortcut_decrease_sweep(store, seeds, changed, first_old)`` —
-      Algorithm 2 from the lowered seed cells. Returns True as soon as
-      a *finite* candidate targets a pair that compaction removed: the
-      store has no slot to absorb it and the driver hands over to the
-      rebuild fallback.
-    * ``shortcut_increase_sweep(store, seeds, direct, changed,
-      first_old)`` — Algorithm 3 over the suspect seed cells;
-      ``direct`` holds each cell's direct edge (arc) weight, inf
-      without one.
-    * ``label_decrease_sweep(store, labels, verts, cols, changed)`` —
-      Algorithm 4 from the lowered entries ``L_verts[cols]``; returns
-      the entries popped (an entry popped twice counts twice).
-    * ``label_increase_sweep(store, labels, verts, cols, changed)`` —
-      Algorithm 5 over the suspect entries; returns ``(entries popped,
-      distinct entries whose value rose)``.
+    Every sweep records its writes in the caller's *marks* and hands
+    back what it touched, so the driver reads lists, never a
+    store-sized array. Shortcut sweeps take :func:`cell_marks`
+    ``(changed, first_old, touched, count)``: the first write to a cell
+    sets ``changed[cell]``, keeps its pre-batch weight in
+    ``first_old[cell]`` and appends it to ``touched``, ``count[0]``
+    long. Label sweeps take :func:`entry_marks` ``(changed, touched,
+    vertex_marks, touched_vertices, count)``: the first change of a flat
+    position marks and lists it (``count[0]``), and the first of a
+    vertex's entries also lists the vertex (``vertex_marks``,
+    ``count[1]``). Counts are in/out — a sweep appends after what the
+    caller listed — and :func:`mark_cell` / :func:`mark_entry` are the
+    one way the scalar sweeps (and the driver, for its own seed writes)
+    append.
+
+    * ``shortcut_decrease_sweep(store, seeds, marks)`` — Algorithm 2
+      from the lowered seed cells, which the driver marked. Returns True
+      as soon as a *finite* candidate targets a pair that compaction
+      removed: the store has no slot to absorb it and the driver hands
+      over to the rebuild fallback.
+    * ``shortcut_increase_sweep(store, seeds, direct, marks)`` —
+      Algorithm 3 over the suspect seed cells; ``direct`` holds each
+      cell's direct edge (arc) weight, inf without one.
+    * ``label_decrease_sweep(store, labels, seeds, marks)`` — Algorithm
+      4 from the distinct flat positions *seeds* the driver already
+      lowered; the sweep marks them. Returns the entries popped (an
+      entry popped twice counts twice).
+    * ``label_increase_sweep(store, labels, verts, cols, marks)`` —
+      Algorithm 5 over the suspect entries ``L_verts[cols]``; returns
+      ``(entries popped, distinct entries whose value rose)``.
     """
 
     shortcut_decrease_sweep: Callable
@@ -123,11 +145,9 @@ class MaintenanceStats:
     def merge(self, other: "MaintenanceStats") -> "MaintenanceStats":
         # ``affected_shortcuts`` records the weight each shortcut held
         # *before* the batch; when both sides touched a shortcut, the
-        # earliest recorded old weight must win (setdefault semantics) —
-        # a plain dict union would let the later batch overwrite it.
-        merged_shortcuts = dict(self.affected_shortcuts)
-        for key, old in other.affected_shortcuts.items():
-            merged_shortcuts.setdefault(key, old)
+        # earliest recorded old weight must win, so *self* is unpacked
+        # last.
+        merged_shortcuts = {**other.affected_shortcuts, **self.affected_shortcuts}
         merged_phases = dict(self.phases)
         for name, seconds in other.phases.items():
             merged_phases[name] = merged_phases.get(name, 0.0) + seconds
@@ -139,6 +159,60 @@ class MaintenanceStats:
             self.affected_labels | other.affected_labels,
             merged_phases,
         )
+
+
+# ---------------------------------------------------------------------------
+# Marks: what a sweep wrote, and the lists of what it touched
+# ---------------------------------------------------------------------------
+
+def cell_marks(cells: int) -> tuple:
+    """Fresh shortcut-sweep marks over *cells* weight cells:
+    ``(changed, first_old, touched, count)``. The buffers are
+    ``np.empty`` / ``np.zeros`` of the universe size, so only the pages
+    a burst writes are ever committed."""
+    return (
+        np.zeros(cells, dtype=np.uint8),
+        np.empty(cells, dtype=np.float64),
+        np.empty(cells, dtype=np.int64),
+        np.zeros(1, dtype=np.int64),
+    )
+
+
+def entry_marks(positions: int, n: int) -> tuple:
+    """Fresh label-sweep marks over *positions* flat label positions of
+    *n* vertices: ``(changed, touched, vertex_marks, touched_vertices,
+    count)``."""
+    return (
+        np.zeros(positions, dtype=np.uint8),
+        np.empty(positions, dtype=np.int64),
+        np.zeros(n, dtype=np.uint8),
+        np.empty(n, dtype=np.int64),
+        np.zeros(2, dtype=np.int64),
+    )
+
+
+def mark_cell(marks, cell: int, weights) -> None:
+    """First write to *cell*: mark it, keep its weight, list it."""
+    changed, first_old, touched, count = marks
+    if not changed[cell]:
+        changed[cell] = 1
+        first_old[cell] = weights[cell]
+        touched[count[0]] = cell
+        count[0] += 1
+
+
+def mark_entry(marks, pos: int, v: int) -> None:
+    """Flat position *pos* of vertex *v* changed: mark and list it, and
+    *v* on the first change among its entries."""
+    changed, touched, vertex_marks, touched_vertices, count = marks
+    if not changed[pos]:
+        changed[pos] = 1
+        touched[count[0]] = pos
+        count[0] += 1
+        if not vertex_marks[v]:
+            vertex_marks[v] = 1
+            touched_vertices[count[1]] = v
+            count[1] += 1
 
 
 # ---------------------------------------------------------------------------
@@ -180,13 +254,7 @@ def triangles(sc, cell: int):
             yield leg + opposite, target
 
 
-def _mark(cell: int, weights, changed, first_old) -> None:
-    if not changed[cell]:
-        changed[cell] = 1
-        first_old[cell] = weights[cell]
-
-
-def shortcut_decrease_sweep(sc, seeds, changed, first_old) -> bool:
+def shortcut_decrease_sweep(sc, seeds, marks) -> bool:
     """Algorithm 2 — DH-U under edge weight decrease."""
     weights = sc.up_weights
     heap = _cell_heap(sc, seeds)
@@ -203,13 +271,13 @@ def shortcut_decrease_sweep(sc, seeds, changed, first_old) -> bool:
                     return True
                 continue
             if weights[target] > candidate:
-                _mark(target, weights, changed, first_old)
+                mark_cell(marks, target, weights)
                 weights[target] = candidate
                 _push_cell(heap, sc, target)
     return False
 
 
-def shortcut_increase_sweep(sc, seeds, direct, changed, first_old) -> None:
+def shortcut_increase_sweep(sc, seeds, direct, marks) -> None:
     """Algorithm 3 — DH-U under edge weight increase.
 
     Recomputes every potentially affected shortcut from Property 3.1
@@ -238,7 +306,7 @@ def shortcut_increase_sweep(sc, seeds, direct, changed, first_old) -> None:
                 # (pairs removed by compaction were inf — no suspect).
                 if target >= 0 and weights[target] == old + weights[leg]:
                     _push_cell(heap, sc, target)
-            _mark(cell, weights, changed, first_old)
+            mark_cell(marks, cell, weights)
             weights[cell] = w_new
 
 
@@ -254,11 +322,14 @@ def _entry_heap(hu, verts, cols) -> LazyHeap[tuple[int, int]]:
     return heap
 
 
-def label_decrease_sweep(hu, labels, verts, cols, changed) -> int:
+def label_decrease_sweep(hu, labels, seeds, marks) -> int:
     """Algorithm 4 — DHL- label maintenance under weight decrease."""
     tau = hu.tau
     arrays = labels.views()
     offsets = labels.offsets
+    verts, cols = labels.entries_of_positions(seeds)
+    for pos, v in zip(seeds.tolist(), verts.tolist()):
+        mark_entry(marks, pos, v)
     heap = _entry_heap(hu, verts, cols)
     pops = 0
     while heap:
@@ -271,12 +342,12 @@ def label_decrease_sweep(hu, labels, verts, cols, changed) -> int:
             candidate = row[tv] + value
             if candidate < row[i]:
                 row[i] = candidate
-                changed[offsets[u] + i] = 1
+                mark_entry(marks, offsets[u] + i, u)
                 heap.push((u, i), int(tau[u]))
     return pops
 
 
-def label_increase_sweep(hu, labels, verts, cols, changed) -> tuple[int, int]:
+def label_increase_sweep(hu, labels, verts, cols, marks) -> tuple[int, int]:
     """Algorithm 5 — DHL+ label maintenance under weight increase.
 
     Support-free: every suspect entry is recomputed from up-neighbour
@@ -313,7 +384,7 @@ def label_increase_sweep(hu, labels, verts, cols, changed) -> tuple[int, int]:
                     heap.push((u, i), int(tau[u]))
             increased += 1
         if w_new != old:
-            changed[offsets[v] + i] = 1
+            mark_entry(marks, offsets[v] + i, v)
         row[i] = w_new
     return pops, increased
 

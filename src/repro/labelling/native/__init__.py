@@ -68,19 +68,19 @@ SIGNATURES = {
     "dhl_min_plus": (None, [_i64] * 3 + [_ptr] * 3 + [_i64] + [_ptr] * 4),
     "dhl_shortcut_decrease": (
         ctypes.c_int,
-        [_i64, _ptr, _i64, _ptr, _i64] + [_ptr] * 7,
+        [_i64, _ptr, _i64, _ptr, _i64] + [_ptr] * 9,
     ),
     "dhl_shortcut_increase": (
         _i64,
-        [_i64, _ptr, _i64, _ptr, _i64] + [_ptr] * 11,
+        [_i64, _ptr, _i64, _ptr, _i64] + [_ptr] * 13,
     ),
     "dhl_label_decrease": (
         _i64,
-        [_i64, _ptr, _i64, _ptr, _i64] + [_ptr] * 7,
+        [_i64, _ptr, _i64, _ptr, _i64] + [_ptr] * 11,
     ),
     "dhl_label_increase": (
         ctypes.c_int,
-        [_i64, _ptr, _ptr, _i64, _ptr, _i64] + [_ptr] * 10,
+        [_i64, _ptr, _ptr, _i64, _ptr, _i64] + [_ptr] * 14,
     ),
 }
 

@@ -15,8 +15,18 @@
  * exact-equality guard of the reference engine, so weights and labels
  * converge to the same bits. Scratch is O(touched): the heap grows by
  * doubling from the seed count; only the in_queue map is sized to the
- * store. A failed allocation returns DHL_NOMEM with the caller's
- * changed marks still describing every write made so far.
+ * store.
+ *
+ * A sweep hands back what it touched, so its caller never scans a
+ * store-sized array: the first time it sets a changed mark it also
+ * appends that cell (label position) to the caller's int64 touched list
+ * and bumps count[0]; the label sweeps also set a per-vertex byte mark
+ * and append each vertex whose entries first change to a second list,
+ * count[1] long. Counts are in/out: a sweep appends after what the
+ * caller listed already. The lists are the caller's np.empty buffers of
+ * the universe size, committed page by page as they are written. A
+ * failed allocation returns DHL_NOMEM with the marks, lists and counts
+ * still describing every write made so far.
  *
  * Build: cc -O3 -fPIC -shared -ffp-contract=off (no -ffast-math: sums
  * must round exactly as numpy's do).
@@ -109,6 +119,34 @@ static int64_t heap_pop(heap_t *h) {
     }
     h->in_queue[top] = 0;
     return top;
+}
+
+/* First write to cell: mark it, keep its pre-batch weight, list it. */
+static inline void mark_cell(int64_t cell, const double *weights,
+                             uint8_t *changed, double *first_old,
+                             int64_t *touched, int64_t *count)
+{
+    if (!changed[cell]) {
+        changed[cell] = 1;
+        first_old[cell] = weights[cell];
+        touched[count[0]++] = cell;
+    }
+}
+
+/* Label position pos of vertex v changed: mark and list it, and v the
+   first time one of its entries changes. */
+static inline void mark_entry(int64_t pos, int64_t v, uint8_t *changed,
+                              int64_t *touched, uint8_t *vertex_marks,
+                              int64_t *touched_vertices, int64_t *count)
+{
+    if (changed[pos])
+        return;
+    changed[pos] = 1;
+    touched[count[0]++] = pos;
+    if (!vertex_marks[v]) {
+        vertex_marks[v] = 1;
+        touched_vertices[count[1]++] = v;
+    }
 }
 
 /* Vertex owning flat label position pos (capacity offsets, n + 1 long). */
@@ -313,18 +351,19 @@ void dhl_min_plus(
  */
 
 /*
- * Algorithm 2 from the lowered (and pre-marked) seed cells: chaotic
- * min-relaxation, deepest owner first. Pushes go strictly shallower
- * than the popping owner, so every cell pops at most once. Returns 1,
- * stopping early, when a finite candidate targets a pair compaction
- * removed (the contract's fallback signal), 0 otherwise.
+ * Algorithm 2 from the lowered seed cells, which the caller marked and
+ * listed: chaotic min-relaxation, deepest owner first. Pushes go
+ * strictly shallower than the popping owner, so every cell pops at
+ * most once. Returns 1, stopping early, when a finite candidate targets
+ * a pair compaction removed (the contract's fallback signal), 0
+ * otherwise.
  */
 int dhl_shortcut_decrease(
     int64_t num_seeds, const int64_t *seeds,
     int64_t num_cells, double *weights,
     int64_t m, const int64_t *indptr, const int64_t *indices,
     const int64_t *ranks, const int64_t *owners, const int64_t *rank,
-    uint8_t *changed, double *first_old)
+    uint8_t *changed, double *first_old, int64_t *touched, int64_t *count)
 {
     heap_t h;
     int status = heap_init(&h, num_cells, num_seeds);
@@ -360,10 +399,7 @@ int dhl_shortcut_decrease(
             }
             int64_t target = tslot + plane;
             if (weights[target] > cand) {
-                if (!changed[target]) {
-                    changed[target] = 1;
-                    first_old[target] = weights[target];
-                }
+                mark_cell(target, weights, changed, first_old, touched, count);
                 weights[target] = cand;
                 if (heap_push(&h, rank[owners[tslot]], target)) {
                     status = DHL_NOMEM;
@@ -391,7 +427,7 @@ int64_t dhl_shortcut_increase(
     const int64_t *ranks, const int64_t *owners,
     const int64_t *down_indptr, const int64_t *down_indices,
     const int64_t *down_slots, const double *direct, const int64_t *rank,
-    uint8_t *changed, double *first_old)
+    uint8_t *changed, double *first_old, int64_t *touched, int64_t *count)
 {
     heap_t h;
     int status = heap_init(&h, num_cells, num_seeds);
@@ -448,10 +484,7 @@ int64_t dhl_shortcut_increase(
         }
         if (status)
             break; /* nothing written for this cell yet */
-        if (!changed[cell]) {
-            changed[cell] = 1;
-            first_old[cell] = old;
-        }
+        mark_cell(cell, weights, changed, first_old, touched, count);
         weights[cell] = w_new;
     }
     heap_free(&h);
@@ -463,11 +496,12 @@ int64_t dhl_shortcut_increase(
 /* ------------------------------------------------------------------ */
 
 /*
- * Algorithm 4: seed_pos are flat label positions already lowered (and
- * marked) by the driver. Each pop relaxes the entry along every down
- * shortcut of its vertex into the same ancestor column; strict
- * improvements are written, marked and queued by tau. Returns the pop
- * count, DHL_NOMEM on failure.
+ * Algorithm 4: seed_pos are distinct flat label positions the driver
+ * already lowered; the sweep marks and lists them as it queues them
+ * (none when the heap cannot be had). Each pop relaxes the entry along
+ * every down shortcut of its vertex into the same ancestor column;
+ * strict improvements are written, marked and queued by tau. Returns
+ * the pop count, DHL_NOMEM on failure.
  */
 int64_t dhl_label_decrease(
     int64_t num_seeds, const int64_t *seed_pos,
@@ -476,14 +510,18 @@ int64_t dhl_label_decrease(
     const double *weights,
     const int64_t *down_indptr, const int64_t *down_indices,
     const int64_t *down_slots,
-    uint8_t *changed)
+    uint8_t *changed, int64_t *touched, uint8_t *vertex_marks,
+    int64_t *touched_vertices, int64_t *count)
 {
     heap_t h;
     int status = heap_init(&h, capacity, num_seeds);
     int64_t pops = 0;
-    for (int64_t i = 0; !status && i < num_seeds; i++)
-        status = heap_push(
-            &h, tau[vertex_of(offsets, n, seed_pos[i])], seed_pos[i]);
+    for (int64_t i = 0; !status && i < num_seeds; i++) {
+        int64_t v = vertex_of(offsets, n, seed_pos[i]);
+        mark_entry(seed_pos[i], v, changed, touched, vertex_marks,
+                   touched_vertices, count);
+        status = heap_push(&h, tau[v], seed_pos[i]);
+    }
     while (!status && h.size > 0) {
         int64_t pos = heap_pop(&h);
         pops++;
@@ -496,7 +534,8 @@ int64_t dhl_label_decrease(
             double cand = weights[down_slots[d]] + value;
             if (cand < values[tpos]) {
                 values[tpos] = cand;
-                changed[tpos] = 1;
+                mark_entry(tpos, u, changed, touched, vertex_marks,
+                           touched_vertices, count);
                 if (heap_push(&h, tau[u], tpos)) {
                     status = DHL_NOMEM;
                     break;
@@ -512,9 +551,9 @@ int64_t dhl_label_decrease(
  * Algorithm 5: each popped entry (v, col) is recomputed per Property
  * 3.1, the min over up shortcuts into ancestors at least col deep. If
  * the value rose, down entries whose stored value equals the old
- * chained one are queued; any change is marked. counts[0] receives the
- * pops, counts[1] the entries whose value strictly rose. Returns 0,
- * DHL_NOMEM on failure.
+ * chained one are queued; any change is marked and listed. work[0]
+ * receives the pops, work[1] the entries whose value strictly rose.
+ * Returns 0, DHL_NOMEM on failure.
  */
 int dhl_label_increase(
     int64_t num_seeds, const int64_t *seed_verts, const int64_t *seed_cols,
@@ -524,7 +563,8 @@ int dhl_label_increase(
     const int64_t *indptr, const int64_t *indices,
     const int64_t *down_indptr, const int64_t *down_indices,
     const int64_t *down_slots,
-    uint8_t *changed, int64_t *counts)
+    uint8_t *changed, int64_t *touched, uint8_t *vertex_marks,
+    int64_t *touched_vertices, int64_t *count, int64_t *work)
 {
     heap_t h;
     int status = heap_init(&h, capacity, num_seeds);
@@ -562,11 +602,12 @@ int dhl_label_increase(
             increased++;
         }
         if (w_new != old)
-            changed[pos] = 1;
+            mark_entry(pos, v, changed, touched, vertex_marks,
+                       touched_vertices, count);
         values[pos] = w_new;
     }
     heap_free(&h);
-    counts[0] = pops;
-    counts[1] = increased;
+    work[0] = pops;
+    work[1] = increased;
     return status;
 }

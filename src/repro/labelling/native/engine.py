@@ -2,19 +2,22 @@
 
 Each wrapper unpacks the store's flat buffers, checks dtype,
 C-contiguity, alignment and length of every one in Python, and hands
-the work to a single loop of ``dhl_kernels.c``; seeding, mark
-bookkeeping and stats are the shared driver's
-(:mod:`repro.labelling.driver`). Vertex ids are range-checked by the
-callers (``QueryEngine``'s entry points, the driver's batch validation)
-before they reach a wrapper; :func:`min_plus` checks its row maps
-itself. :func:`operand` is how a caller meets the checks with any
-array-like, copying only what is not a fit already.
+the work to a single loop of ``dhl_kernels.c``; the sweeps write the
+caller's marks and touched lists
+(:func:`~repro.labelling.maintenance.cell_marks` /
+:func:`~repro.labelling.maintenance.entry_marks`), while seeding and
+stats are the shared driver's (:mod:`repro.labelling.driver`). Vertex
+ids are range-checked by the callers (``QueryEngine``'s entry points,
+the driver's batch validation) before they reach a wrapper;
+:func:`min_plus` checks its row maps itself. :func:`operand` is how a
+caller meets the checks with any array-like, copying only what is not
+a fit already.
 
 Buffer addresses are read on every call: the label and weight stores
 re-allocate (``extend_label``, ``ensure_writable``, ``rebind``,
 compaction, a shared-memory republish) and an unpickled engine has new
-arrays throughout, so no address is kept anywhere. Every array stays referenced by the calling frame until the C
-function returns.
+arrays throughout, so no address is kept anywhere. Every array stays
+referenced by the calling frame until the C function returns.
 """
 
 from __future__ import annotations
@@ -96,11 +99,34 @@ def _checked(status: int) -> int:
     return status
 
 
+def _cell_marks(marks, cells: int) -> tuple[int, ...]:
+    """Addresses of :func:`~repro.labelling.maintenance.cell_marks`."""
+    changed, first_old, touched, count = marks
+    return (
+        _addr(changed, _U8, cells, write=True),
+        _addr(first_old, _F64, cells, write=True),
+        _addr(touched, _I64, cells, write=True),
+        _addr(count, _I64, 1, write=True),
+    )
+
+
+def _entry_marks(marks, positions: int, n: int) -> tuple[int, ...]:
+    """Addresses of :func:`~repro.labelling.maintenance.entry_marks`."""
+    changed, touched, vertex_marks, touched_vertices, count = marks
+    return (
+        _addr(changed, _U8, positions, write=True),
+        _addr(touched, _I64, positions, write=True),
+        _addr(vertex_marks, _U8, n, write=True),
+        _addr(touched_vertices, _I64, n, write=True),
+        _addr(count, _I64, 2, write=True),
+    )
+
+
 # ---------------------------------------------------------------------------
 # the four sweeps
 # ---------------------------------------------------------------------------
 
-def shortcut_decrease_sweep(sc, seeds, changed, first_old) -> bool:
+def shortcut_decrease_sweep(sc, seeds, marks) -> bool:
     """Algorithm 2 — C min-relaxation sweep."""
     csr, weights = sc.csr, sc.up_weights
     cells = weights.size
@@ -111,14 +137,13 @@ def shortcut_decrease_sweep(sc, seeds, changed, first_old) -> bool:
                 cells, _addr(weights, _F64, cells, write=True),
                 csr.num_slots, *_csr_up(csr),
                 _addr(csr.rank, _I64, csr.n),
-                _addr(changed, _U8, cells, write=True),
-                _addr(first_old, _F64, cells, write=True),
+                *_cell_marks(marks, cells),
             )
         )
     )
 
 
-def shortcut_increase_sweep(sc, seeds, direct, changed, first_old) -> None:
+def shortcut_increase_sweep(sc, seeds, direct, marks) -> None:
     """Algorithm 3 — C recompute sweep."""
     csr, weights = sc.csr, sc.up_weights
     cells = weights.size
@@ -129,17 +154,15 @@ def shortcut_increase_sweep(sc, seeds, direct, changed, first_old) -> None:
             csr.num_slots, *_csr_up(csr), *_csr_down(csr),
             _addr(direct, _F64, cells),
             _addr(csr.rank, _I64, csr.n),
-            _addr(changed, _U8, cells, write=True),
-            _addr(first_old, _F64, cells, write=True),
+            *_cell_marks(marks, cells),
         )
     )
 
 
-def label_decrease_sweep(store, labels, verts, cols, changed) -> int:
+def label_decrease_sweep(store, labels, seeds, marks) -> int:
     """Algorithm 4 — C descendant sweep."""
     csr, n, weights = store.csr, store.csr.n, store.up_weights
     values, offsets = labels.values, labels.offsets
-    seeds = offsets[verts] + cols
     values_addr, offsets_addr = _label_addrs(values, offsets, n, write=True)
     return _checked(
         library().dhl_label_decrease(
@@ -148,17 +171,17 @@ def label_decrease_sweep(store, labels, verts, cols, changed) -> int:
             n, offsets_addr, _addr(store.tau, _I64, n),
             _addr(weights, _F64, csr.num_slots),
             *_csr_down(csr),
-            _addr(changed, _U8, values.size, write=True),
+            *_entry_marks(marks, values.size, n),
         )
     )
 
 
-def label_increase_sweep(store, labels, verts, cols, changed) -> tuple[int, int]:
+def label_increase_sweep(store, labels, verts, cols, marks) -> tuple[int, int]:
     """Algorithm 5 — C recompute sweep."""
     csr, n, weights = store.csr, store.csr.n, store.up_weights
     values, offsets = labels.values, labels.offsets
     values_addr, offsets_addr = _label_addrs(values, offsets, n, write=True)
-    counts = np.zeros(2, dtype=np.int64)
+    work = np.zeros(2, dtype=np.int64)
     _checked(
         library().dhl_label_increase(
             len(verts), _addr(verts, _I64, len(verts)),
@@ -167,11 +190,11 @@ def label_increase_sweep(store, labels, verts, cols, changed) -> tuple[int, int]
             n, offsets_addr, _addr(store.tau, _I64, n),
             _addr(weights, _F64, csr.num_slots),
             *_csr_rows(csr), *_csr_down(csr),
-            _addr(changed, _U8, values.size, write=True),
-            _addr(counts, _I64, 2, write=True),
+            *_entry_marks(marks, values.size, n),
+            _addr(work, _I64, 2, write=True),
         )
     )
-    return int(counts[0]), int(counts[1])
+    return int(work[0]), int(work[1])
 
 
 ENGINE = Engine(

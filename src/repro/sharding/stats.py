@@ -11,6 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from repro.labelling.maintenance import MaintenanceStats
 
 __all__ = ["ShardedMaintenanceStats"]
@@ -38,14 +40,20 @@ class ShardedMaintenanceStats(MaintenanceStats):
         """Fold one component's stats into the aggregate counters.
 
         ``global_ids`` maps that component's local vertex ids to global
-        ids (any indexable sequence / array).
+        ids (any sequence or array); one fancy index maps them all. A
+        shortcut already present keeps the old weight absorbed last.
         """
         self.shortcuts_changed += stats.shortcuts_changed
         self.labels_changed += stats.labels_changed
         self.entries_processed += stats.entries_processed
-        for (v, w), old in stats.affected_shortcuts.items():
-            self.affected_shortcuts[(int(global_ids[v]), int(global_ids[w]))] = old
-        for v in stats.affected_labels:
-            self.affected_labels.add(int(global_ids[v]))
+        ids = np.asarray(global_ids)
+        shortcuts = stats.affected_shortcuts
+        if shortcuts:
+            keys = ids[np.array(list(shortcuts), dtype=np.int64)].tolist()
+            self.affected_shortcuts.update(zip(map(tuple, keys), shortcuts.values()))
+        labels = stats.affected_labels
+        if labels:
+            local = np.fromiter(labels, dtype=np.int64, count=len(labels))
+            self.affected_labels.update(ids[local].tolist())
         for name, seconds in stats.phases.items():
             self.phases[name] = self.phases.get(name, 0.0) + seconds

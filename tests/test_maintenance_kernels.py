@@ -17,6 +17,7 @@ degenerates to the oracle against itself.
 from __future__ import annotations
 
 import pickle
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -29,8 +30,9 @@ from repro.core.index import DHLIndex
 from repro.core.sharded import ShardedDHLIndex
 from repro.graph.digraph import DiGraph
 from repro.hierarchy.contraction import contract_in_order
+from repro.labelling import driver, maintenance
 from repro.labelling.driver import ENGINES, split_batch
-from repro.labelling.maintenance import MaintenanceStats
+from repro.labelling.maintenance import Engine, MaintenanceStats
 from tests.strategies import assert_stats_match, connected_graphs, update_sequences
 
 
@@ -155,6 +157,133 @@ class TestDirectedDifferential:
             assert idx_c.labels_in.equals(idx_r.labels_in)
             np.testing.assert_array_equal(idx_c.out_weights, idx_r.out_weights)
             np.testing.assert_array_equal(idx_c.in_weights, idx_r.in_weights)
+
+
+class TestTouchedLists:
+    """The sweeps hand back what they marked: after every sweep the
+    touched lists are the marks, listed once each, and the stats the
+    driver builds from them are the ones a scan of the store-sized marks
+    gives (``flatnonzero`` + ``entries_of_positions`` + ``np.unique``)."""
+
+    @staticmethod
+    def check_cell_lists(marks) -> None:
+        changed, _, touched, count = marks
+        listed = touched[: count[0]]
+        assert len(set(listed.tolist())) == len(listed)
+        assert set(listed.tolist()) == set(np.flatnonzero(changed).tolist())
+
+    @staticmethod
+    def check_entry_lists(labels, marks) -> None:
+        changed, touched, vertex_marks, touched_vertices, count = marks
+        positions = touched[: count[0]]
+        vertices = touched_vertices[: count[1]]
+        assert len(set(positions.tolist())) == len(positions)
+        assert len(set(vertices.tolist())) == len(vertices)
+        assert set(positions.tolist()) == set(np.flatnonzero(changed).tolist())
+        owners = labels.entries_of_positions(positions)[0]
+        assert set(vertices.tolist()) == set(owners.tolist())
+        assert set(vertices.tolist()) == set(np.flatnonzero(vertex_marks).tolist())
+
+    def spied(self, engine: Engine, label_calls: list) -> Engine:
+        """*engine*, each sweep's lists checked the moment it returns."""
+
+        def shortcut(sweep):
+            def run(*args):
+                result = sweep(*args)
+                self.check_cell_lists(args[-1])
+                return result
+
+            return run
+
+        def label(sweep):
+            def run(store, labels, *args):
+                result = sweep(store, labels, *args)
+                self.check_entry_lists(labels, args[-1])
+                label_calls.append((store, labels, args[-1], result))
+                return result
+
+            return run
+
+        return Engine(
+            shortcut(engine.shortcut_decrease_sweep),
+            shortcut(engine.shortcut_increase_sweep),
+            label(engine.label_decrease_sweep),
+            label(engine.label_increase_sweep),
+        )
+
+    @staticmethod
+    def scanned(kind, store, cell_marks, label_calls) -> MaintenanceStats:
+        """The stats of one pass, rebuilt from full scans of its marks."""
+        stats = MaintenanceStats()
+        m = store.csr.num_slots
+        for changed, first_old, _, _ in cell_marks:
+            cells = np.flatnonzero(changed)
+            stats.shortcuts_changed += len(cells)
+            for cell in cells.tolist():  # ascending: plane 0 first wins
+                slot = cell % m
+                key = (int(store.csr.owners[slot]), int(store.csr.indices[slot]))
+                stats.affected_shortcuts.setdefault(key, float(first_old[cell]))
+        for _, labels, marks, result in label_calls:
+            positions = np.flatnonzero(marks[0])
+            verts, _ = labels.entries_of_positions(positions)
+            stats.affected_labels |= set(np.unique(verts).tolist())
+            if kind == "decrease":
+                stats.entries_processed += result
+                stats.labels_changed += len(positions)
+            else:
+                stats.entries_processed += result[0]
+                stats.labels_changed += result[1]
+        return stats
+
+    @pytest.mark.parametrize("directed", [False, True], ids=["undirected", "directed"])
+    @pytest.mark.parametrize("engine", ["compiled", "reference"])
+    @settings(
+        max_examples=12,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(
+        data=connected_graphs(min_n=4, max_n=16).flatmap(
+            lambda g: update_sequences(g, max_steps=4).map(lambda seq: (g, seq))
+        )
+    )
+    def test_lists_are_the_marks_and_stats_match_a_scan(self, engine, directed, data):
+        graph, sequence = data
+        kinds = ("increase", "decrease")
+        config = DHLConfig(leaf_size=3, seed=0, engine=engine)
+        if directed:
+            digraph = DiGraph.from_undirected(graph)
+            for i, (u, v, w) in enumerate(list(digraph.arcs())):
+                if i % 2 == 0:
+                    digraph.set_weight(u, v, float(w + 3))
+            index = DirectedDHLIndex.build(digraph, config)
+        else:
+            index = DHLIndex.build(graph.copy(), config)
+        resolved = config.resolve_engine()
+        cell_marks: list = []
+        label_calls: list = []
+        fresh = maintenance.cell_marks
+
+        def recording(cells):
+            cell_marks.append(fresh(cells))
+            return cell_marks[-1]
+
+        spy = self.spied(ENGINES[resolved], label_calls)
+        with mock.patch.dict(driver.ENGINES, {resolved: spy}):
+            with mock.patch.object(maintenance, "cell_marks", recording):
+                for batch in sequence:
+                    increases, decreases = split_batch(
+                        index.hu.graph, batch, index.hu.edge_key
+                    )
+                    for kind, changes in zip(kinds, (increases, decreases)):
+                        if not changes:
+                            continue
+                        cell_marks.clear()
+                        label_calls.clear()
+                        stats = getattr(index, kind)(changes)
+                        want = self.scanned(kind, index.hu, cell_marks, label_calls)
+                        assert stats == want
+        index.verify()
 
 
 class TestShardedDifferential:

@@ -42,6 +42,7 @@ from repro.graph.graph import Graph
 from repro.labelling import native
 from repro.labelling import query as query_module
 from repro.labelling.labels import HierarchicalLabelling
+from repro.labelling.maintenance import cell_marks, entry_marks
 from repro.labelling.native import engine as native_engine
 from repro.observability import collect_phases
 from repro.sharding.engine import min_plus_compact
@@ -347,28 +348,58 @@ class TestPairKernel:
         with pytest.raises(ValueError, match="offsets"):
             native_engine.gather_pairs(short, s, labels, s, None, addrs)
 
-    def test_sweep_reports_a_failed_allocation(self, road_pair):
+    @pytest.mark.parametrize(
+        "sweep",
+        [
+            "shortcut_decrease_sweep",
+            "shortcut_increase_sweep",
+            "label_decrease_sweep",
+            "label_increase_sweep",
+        ],
+    )
+    def test_sweep_reports_a_failed_allocation(self, road_pair, monkeypatch, sweep):
         """A heap that cannot be allocated comes back as a status, which
-        the wrapper turns into ``MemoryError`` — nothing was written."""
+        the wrapper turns into ``MemoryError``: nothing was written,
+        marked or listed."""
         _, idx_c = road_pair
-        labels, csr = idx_c.labels, idx_c.hu.csr
-        before = labels.values.copy()
-        changed = np.zeros(labels.values.size, dtype=np.uint8)
-        seeds = np.zeros(1, dtype=np.int64)
-        status = native.library().dhl_label_decrease(
-            2**60,  # seeds the kernel would need 2**63 bytes of heap for
-            seeds.ctypes.data,
-            labels.values.size, labels.values.ctypes.data,
-            csr.n, labels.offsets.ctypes.data, idx_c.hu.tau.ctypes.data,
-            idx_c.hu.up_weights.ctypes.data,
-            csr.down_indptr.ctypes.data, csr.down_indices.ctypes.data,
-            csr.down_slots.ctypes.data, changed.ctypes.data,
-        )
-        assert status == -1
+        store, labels = idx_c.hu, idx_c.labels
+        weights, values = store.up_weights.copy(), labels.values.copy()
+        real, statuses = native.library(), []
+
+        class HugeSeedCount:
+            """Tells every sweep of 2**60 seeds: a heap the kernel would
+            need 2**63 bytes for."""
+
+            def __getattr__(self, name):
+                def call(num_seeds, *args):
+                    statuses.append(getattr(real, name)(2**60, *args))
+                    return statuses[-1]
+
+                return call
+
+        monkeypatch.setattr(native_engine, "library", HugeSeedCount)
+        seeds = np.arange(4, dtype=np.int64)
+        if sweep.startswith("shortcut"):
+            marks = cell_marks(weights.size)
+            direct = (np.full(weights.size, np.inf),) if "increase" in sweep else ()
+            args = (store, seeds, *direct, marks)
+        else:
+            marks = entry_marks(values.size, store.csr.n)
+            if "decrease" in sweep:
+                args = (store, labels, labels.offsets[seeds], marks)
+            else:
+                args = (store, labels, seeds, np.zeros_like(seeds), marks)
         with pytest.raises(MemoryError):
-            native_engine._checked(status)
-        assert not changed.any()
-        np.testing.assert_array_equal(labels.values, before)
+            getattr(native_engine, sweep)(*args)
+        assert statuses == [-1]
+        with pytest.raises(MemoryError):
+            native_engine._checked(statuses[0])
+        np.testing.assert_array_equal(store.up_weights, weights)
+        np.testing.assert_array_equal(labels.values, values)
+        assert not marks[0].any()
+        assert not marks[-1].any()
+        if sweep.startswith("label"):
+            assert not marks[2].any()
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import json
 import math
+import random
+import statistics
 import time
 
 import pytest
@@ -315,6 +317,40 @@ def test_an_increase_reports_its_four_phases_in_every_family(build):
     }
     assert names <= set(stats.phases)
     assert names <= set(collector.as_dict())
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda graph: DHLIndex.build(graph, DHLConfig(seed=0)),
+        lambda graph: DirectedDHLIndex.build(
+            DiGraph.from_undirected(graph), DHLConfig(seed=0)
+        ),
+    ],
+    ids=["undirected", "directed"],
+)
+def test_phase_marks_cover_the_burst(build):
+    """``stats.phases`` sums to the burst: validation and split, the
+    seeds and sweeps, the affected sets and the stats assembly are all
+    marked, and no mark nests inside another (the sum never exceeds
+    the wall time)."""
+    graph = grid_network(24, 24, seed=3)
+    index = build(graph.copy())
+    edges = list(graph.edges())
+    rng = random.Random(5)
+    shares = []
+    for _ in range(5):
+        chosen = rng.sample(edges, 32)
+        burst = [(u, v, 3 * w) for u, v, w in chosen[:16]]
+        burst += [(u, v, max(1.0, w // 2)) for u, v, w in chosen[16:]]
+        with collect_phases():
+            start = time.perf_counter()
+            stats = index.update(burst)
+            wall = time.perf_counter() - start
+        marked = sum(stats.phases.values())
+        assert marked <= wall
+        shares.append(marked / wall)
+    assert statistics.median(shares) >= 0.8, shares
 
 
 def test_build_marks_its_phases_and_the_partition_stages_add_up():

@@ -14,9 +14,11 @@ from repro.core.index import DHLIndex
 from repro.core.sharded import ShardedDHLIndex
 from repro.exceptions import PartitionError, SerializationError, VertexNotFound
 from repro.graph.generators import delaunay_network, grid_network
+from repro.labelling.maintenance import MaintenanceStats
 from repro.partition.regions import partition_regions, regions_from_assignment
 from repro.service.service import DistanceService
 from repro.service.workload import commute_traffic, replay
+from repro.sharding.stats import ShardedMaintenanceStats
 from tests.strategies import connected_graphs, update_sequences
 
 
@@ -178,6 +180,36 @@ def test_cut_edge_update_routes_to_overlay(road_pair):
     finally:
         sharded.update([(u, v, w)])
         mono.update([(u, v, w)])
+
+
+def test_absorb_maps_ids_and_keeps_the_last_old_weight():
+    """One fancy index maps a component's stats to global ids; a
+    shortcut two components report keeps the old weight absorbed last."""
+    stats = ShardedMaintenanceStats()
+    first = MaintenanceStats(
+        shortcuts_changed=2,
+        labels_changed=3,
+        entries_processed=4,
+        affected_shortcuts={(0, 1): 5.0, (2, 1): 7.0},
+        affected_labels={0, 2},
+        phases={"increase.seed": 1.0},
+    )
+    second = MaintenanceStats(
+        shortcuts_changed=1,
+        affected_shortcuts={(1, 0): 9.0},
+        affected_labels={0},
+        phases={"increase.seed": 0.5},
+    )
+    stats.absorb(first, [10, 20, 30])
+    stats.absorb(second, np.array([20, 10], dtype=np.int32))
+    stats.absorb(MaintenanceStats(), np.array([], dtype=np.int64))
+    assert stats.affected_shortcuts == {(10, 20): 9.0, (30, 20): 7.0}
+    assert stats.affected_labels == {10, 20, 30}
+    keys = [v for key in stats.affected_shortcuts for v in key]
+    assert all(type(v) is int for v in keys + list(stats.affected_labels))
+    assert (stats.shortcuts_changed, stats.labels_changed) == (3, 3)
+    assert stats.entries_processed == 4
+    assert stats.phases == {"increase.seed": 1.5}
 
 
 def test_epoch_bumps_once_per_applied_batch(road_pair):
