@@ -6,8 +6,8 @@ weights, resolves seed cells, runs the engine's shortcut sweep over the
 whole store (one weight plane or two — see
 :class:`~repro.hierarchy.contraction.ContractionResult`), turns the
 cells it listed as touched into ``affected_shortcuts``, then once per
-plane runs the batched label seed phase and the engine's label sweep,
-and fills :class:`~repro.labelling.maintenance.MaintenanceStats` from
+plane makes one engine label-sweep call (its seed phase inside), and
+fills :class:`~repro.labelling.maintenance.MaintenanceStats` from
 the positions and vertices that sweep listed. No step scans a
 store-sized array, so a burst costs O(touched); the ``phase()`` marks
 cover every step, validation and stats assembly included. An engine is
@@ -34,7 +34,6 @@ from repro.labelling.labels import HierarchicalLabelling
 from repro.labelling.maintenance import Engine, MaintenanceStats, WeightChange
 from repro.labelling.native import engine as native_engine
 from repro.observability.phases import collect_phases, phase, phases_active
-from repro.utils.ragged import expand
 
 __all__ = [
     "ENGINES",
@@ -279,50 +278,6 @@ def _affected_shortcuts(csr, slots, old) -> dict[tuple[int, int], float]:
 # label phase (Algorithms 4 and 5)
 # ---------------------------------------------------------------------------
 
-def _seed_decrease(store, labels, lo, hi, slots) -> np.ndarray:
-    """Batched phase 1 of Algorithm 4: ancestor-side improvements.
-
-    Applies ``L_lo[i] <- min(L_lo[i], w_new + L_hi[i])`` for every
-    affected shortcut in one ragged scatter-min. Candidates read the
-    phase's pre-state; any cross-pair chaining a sequential pass would
-    exploit is picked up by the descendant sweep, so the fixpoint is
-    unchanged. Returns the improved flat positions.
-    """
-    values, offsets = labels.values, labels.offsets
-    w_new = store.up_weights[slots]
-    tw = store.tau[hi]
-    mask = w_new < values[offsets[lo] + tw]
-    if not mask.any():
-        return np.empty(0, dtype=np.int64)
-    lo, hi, w_new, tw = lo[mask], hi[mask], w_new[mask], tw[mask]
-    rep, ramp = expand(tw + 1)
-    cand = w_new[rep] + values[offsets[hi][rep] + ramp]
-    return labels.relax_entries(offsets[lo][rep] + ramp, cand)
-
-
-def _seed_increase(store, labels, lo, hi, old) -> tuple[np.ndarray, np.ndarray]:
-    """Batched phase 1 of Algorithm 5: entries realised by old weights.
-
-    An entry ``L_lo[i]`` is suspect when the chain through affected
-    shortcut ``(lo, hi)`` with its *old* weight realised the stored
-    value. Read-only; returns suspect ``(verts, cols)``.
-    """
-    values, offsets = labels.values, labels.offsets
-    tw = store.tau[hi]
-    direct = values[offsets[lo] + tw]
-    mask = old == direct
-    if not mask.any():
-        empty = np.empty(0, dtype=np.int64)
-        return empty, empty
-    lo, hi, old, tw = lo[mask], hi[mask], old[mask], tw[mask]
-    rep, ramp = expand(tw + 1)
-    cand = old[rep] + values[offsets[hi][rep] + ramp]
-    segment = values[offsets[lo][rep] + ramp]
-    # inf == inf covers the unreachable-stays-suspect case.
-    match = cand == segment
-    return lo[rep][match], ramp[match]
-
-
 def _label_phase(
     kind: str,
     store,
@@ -331,7 +286,8 @@ def _label_phase(
     old: np.ndarray,
     engine: Engine,
 ) -> MaintenanceStats:
-    """Seed and sweep the labels for the changed shortcut *slots*."""
+    """Seed and sweep the labels for the changed shortcut *slots*: one
+    engine call, its seed phase inside."""
     csr = store.csr
     with phase(f"{kind}.affected_shortcuts"):
         stats = MaintenanceStats(
@@ -341,25 +297,16 @@ def _label_phase(
     if not len(slots):
         return stats
     labels.ensure_writable()
-    lo, hi = csr.owners[slots], csr.indices[slots]
-    if kind == "decrease":
-        with phase("decrease.label_seed"):
-            marks = maintenance.entry_marks(len(labels.values), csr.n)
-            seeded = _seed_decrease(store, labels, lo, hi, slots)
-        if len(seeded):
-            with phase("decrease.label_sweep"):
-                stats.entries_processed = engine.label_decrease_sweep(
-                    store, labels, seeded, marks
-                )
-    else:
-        with phase("increase.label_seed"):
-            marks = maintenance.entry_marks(len(labels.values), csr.n)
-            verts, cols = _seed_increase(store, labels, lo, hi, old)
-        if len(verts):
-            with phase("increase.label_sweep"):
-                stats.entries_processed, stats.labels_changed = (
-                    engine.label_increase_sweep(store, labels, verts, cols, marks)
-                )
+    with phase(f"{kind}.label_sweep"):
+        marks = maintenance.entry_marks(len(labels.values), csr.n)
+        if kind == "decrease":
+            stats.entries_processed = engine.label_decrease_sweep(
+                store, labels, slots, marks
+            )
+        else:
+            stats.entries_processed, stats.labels_changed = (
+                engine.label_increase_sweep(store, labels, slots, old, marks)
+            )
     with phase(f"{kind}.stats"):
         *_, touched_vertices, count = marks
         if kind == "decrease":

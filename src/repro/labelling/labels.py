@@ -28,8 +28,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.utils.ragged import segment_starts
-
 __all__ = ["HierarchicalLabelling"]
 
 
@@ -137,42 +135,6 @@ class HierarchicalLabelling:
     def set_entry(self, v: int, i: int, value: float) -> None:
         self.ensure_writable()
         self.values[self.offsets[v] + i] = value
-
-    # -- batched maintenance primitives -----------------------------------
-    def entries_of_positions(
-        self, positions: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """``(verts, cols)`` of the entries at flat *positions* (the
-        inverse of ``offsets[verts] + cols``).
-
-        Valid because slot capacities are disjoint ranges of ``values``:
-        a flat position maps back to its vertex with one searchsorted
-        over ``offsets``.
-        """
-        verts = np.searchsorted(self.offsets, positions, side="right") - 1
-        return verts, positions - self.offsets[verts]
-
-    def relax_entries(
-        self, positions: np.ndarray, candidates: np.ndarray
-    ) -> np.ndarray:
-        """Scatter-min *candidates* into ``values`` at *positions*.
-
-        Duplicate positions are allowed: candidates that do not beat the
-        stored value are dropped first, the rest min-reduce per position
-        via a sort + ``np.minimum.reduceat`` pass (no unbuffered
-        ``ufunc.at`` scatter). Returns the sorted unique positions whose
-        stored value strictly improved.
-        """
-        better = candidates < self.values[positions]
-        if not better.any():
-            return positions[:0]
-        positions, candidates = positions[better], candidates[better]
-        order = np.argsort(positions)
-        positions = positions[order]
-        starts = segment_starts(positions)
-        improved = positions[starts]
-        self.values[improved] = np.minimum.reduceat(candidates[order], starts)
-        return improved
 
     # -- mutation support -------------------------------------------------
     def ensure_writable(self) -> None:

@@ -22,9 +22,10 @@ sweeps :mod:`repro.labelling.driver` calls) and its one-pop-per-entry
 *reference* implementation, selected with
 ``DHLConfig(engine="reference")`` and what ``"compiled"`` downgrades to
 on a host without a C compiler. Production updates run the C heap
-sweeps of :mod:`repro.labelling.native`, which must produce identical
-labels, change counts and affected sets — the differential property
-tests rely on it.
+sweeps of :mod:`repro.labelling.native`, whose label sweeps pop a
+vertex and handle all of its queued entries at once (ancestor columns
+are independent); they must produce identical labels, change counts
+and affected sets — the differential property tests rely on it.
 
 Increase-side pruning tests exact equality of path sums; with integer
 weights (the library default) these comparisons are exact in float64.
@@ -80,14 +81,15 @@ class Engine(NamedTuple):
     ``(changed, first_old, touched, count)``: the first write to a cell
     sets ``changed[cell]``, keeps its pre-batch weight in
     ``first_old[cell]`` and appends it to ``touched``, ``count[0]``
-    long. Label sweeps take :func:`entry_marks` ``(changed, touched,
-    vertex_marks, touched_vertices, count)``: the first change of a flat
-    position marks and lists it (``count[0]``), and the first of a
-    vertex's entries also lists the vertex (``vertex_marks``,
-    ``count[1]``). Counts are in/out — a sweep appends after what the
-    caller listed — and :func:`mark_cell` / :func:`mark_entry` are the
-    one way the scalar sweeps (and the driver, for its own seed writes)
-    append.
+    long; counts are in/out — a sweep appends after what the caller
+    listed. Label sweeps take fresh :func:`entry_marks` ``(changed,
+    touched, vertex_marks, touched_vertices, count)``: the first change
+    of a flat position marks and lists it (``count[0]``), and the first
+    of a vertex's entries also lists the vertex (``vertex_marks``,
+    ``count[1]``). Fresh, because a decrease sweep may use its own
+    ``changed`` marks as its queue. :func:`mark_cell` /
+    :func:`mark_entry` are the one way the scalar sweeps (and the driver,
+    for its own shortcut seed writes) append.
 
     * ``shortcut_decrease_sweep(store, seeds, marks)`` — Algorithm 2
       from the lowered seed cells, which the driver marked. Returns True
@@ -97,13 +99,17 @@ class Engine(NamedTuple):
     * ``shortcut_increase_sweep(store, seeds, direct, marks)`` —
       Algorithm 3 over the suspect seed cells; ``direct`` holds each
       cell's direct edge (arc) weight, inf without one.
-    * ``label_decrease_sweep(store, labels, seeds, marks)`` — Algorithm
-      4 from the distinct flat positions *seeds* the driver already
-      lowered; the sweep marks them. Returns the entries popped (an
-      entry popped twice counts twice).
-    * ``label_increase_sweep(store, labels, verts, cols, marks)`` —
-      Algorithm 5 over the suspect entries ``L_verts[cols]``; returns
-      ``(entries popped, distinct entries whose value rose)``.
+    * ``label_decrease_sweep(store, labels, slots, marks)`` — Algorithm
+      4 for the changed shortcut *slots* of the plane, seed phase
+      included: each slot ``(lo, hi)`` relaxes row ``lo`` against row
+      ``hi`` with its new weight, then the lowered entries sweep down.
+      Returns the entries handled (each lowered entry once).
+    * ``label_increase_sweep(store, labels, slots, old, marks)`` —
+      Algorithm 5 for the changed *slots*, whose pre-batch weights are
+      *old*: the seed phase reads which entries of row ``lo`` the old
+      chain through ``hi`` realised, and those suspects are recomputed;
+      returns ``(entries handled, distinct entries whose value
+      rose)``.
     """
 
     shortcut_decrease_sweep: Callable
@@ -118,9 +124,12 @@ class MaintenanceStats:
 
     ``shortcuts_changed`` is the paper's |S-delta|; ``labels_changed`` is
     |L-delta| (distinct label entries whose value changed);
-    ``entries_processed`` counts queue pops (search effort — the only
-    field that may differ between engines: compiled and reference may
-    differ by heap tie order). ``affected_labels`` holds the vertices
+    ``entries_processed`` counts the label entries a sweep handled
+    (search effort: each lowered or suspect entry once, whether the
+    engine pops it alone or with its vertex's other queued entries). It
+    is the only field that may differ between engines: their increase
+    sweeps test suspects through different but equally exact chains.
+    ``affected_labels`` holds the vertices
     whose label array was modified; a distance ``d(s, t)`` is a pure
     function of ``L_s`` and ``L_t``, so a cached result is stale only
     when one of its endpoints is in this set — the serving layer's
@@ -314,30 +323,33 @@ def shortcut_increase_sweep(sc, seeds, direct, marks) -> None:
 # Label maintenance (Algorithms 4 and 5)
 # ---------------------------------------------------------------------------
 
-def _entry_heap(hu, verts, cols) -> LazyHeap[tuple[int, int]]:
-    """Seed entries ``(v, i)`` queued by ``tau(v)`` (shallowest first)."""
-    heap: LazyHeap[tuple[int, int]] = LazyHeap()
-    for v, i in zip(verts.tolist(), cols.tolist()):
-        heap.push((v, i), int(hu.tau[v]))
-    return heap
-
-
-def label_decrease_sweep(hu, labels, seeds, marks) -> int:
+def label_decrease_sweep(hu, labels, slots, marks) -> int:
     """Algorithm 4 — DHL- label maintenance under weight decrease."""
     tau = hu.tau
+    csr = hu.csr
+    weights = hu.up_weights
     arrays = labels.views()
     offsets = labels.offsets
-    verts, cols = labels.entries_of_positions(seeds)
-    for pos, v in zip(seeds.tolist(), verts.tolist()):
-        mark_entry(marks, pos, v)
-    heap = _entry_heap(hu, verts, cols)
+    heap: LazyHeap[tuple[int, int]] = LazyHeap()
+    # Phase 1: ancestor-side improvements through each changed shortcut.
+    for slot in slots.tolist():
+        lo, hi = int(csr.owners[slot]), int(csr.indices[slot])
+        w, row, up = weights[slot], arrays[lo], arrays[hi]
+        th = int(tau[hi])
+        if w < row[th]:
+            for i in range(th + 1):
+                candidate = w + up[i]
+                if candidate < row[i]:
+                    row[i] = candidate
+                    mark_entry(marks, offsets[lo] + i, lo)
+                    heap.push((lo, i), int(tau[lo]))
     pops = 0
     while heap:
         (v, i), _ = heap.pop()
         pops += 1
         value = arrays[v][i]
         tv = int(tau[v])
-        for u in hu.csr.down_row(v).tolist():
+        for u in csr.down_row(v).tolist():
             row = arrays[u]
             candidate = row[tv] + value
             if candidate < row[i]:
@@ -347,7 +359,7 @@ def label_decrease_sweep(hu, labels, seeds, marks) -> int:
     return pops
 
 
-def label_increase_sweep(hu, labels, verts, cols, marks) -> tuple[int, int]:
+def label_increase_sweep(hu, labels, slots, old, marks) -> tuple[int, int]:
     """Algorithm 5 — DHL+ label maintenance under weight increase.
 
     Support-free: every suspect entry is recomputed from up-neighbour
@@ -359,7 +371,17 @@ def label_increase_sweep(hu, labels, verts, cols, marks) -> tuple[int, int]:
     weights = hu.up_weights
     arrays = labels.views()
     offsets = labels.offsets
-    heap = _entry_heap(hu, verts, cols)
+    heap: LazyHeap[tuple[int, int]] = LazyHeap()
+    # Phase 1: entries the changed shortcuts' old weights realised.
+    for slot, w in zip(slots.tolist(), old.tolist()):
+        lo, hi = int(csr.owners[slot]), int(csr.indices[slot])
+        row, up = arrays[lo], arrays[hi]
+        th = int(tau[hi])
+        if w == row[th]:
+            for i in range(th + 1):
+                # inf == inf keeps an unreachable entry suspect.
+                if w + up[i] == row[i]:
+                    heap.push((lo, i), int(tau[lo]))
     pops = increased = 0
     while heap:
         (v, i), _ = heap.pop()
@@ -372,18 +394,18 @@ def label_increase_sweep(hu, labels, verts, cols, marks) -> tuple[int, int]:
                 candidate = weights[slot] + arrays[w][i]
                 if candidate < w_new:
                     w_new = candidate
-        old = row[i]
-        if w_new > old:
+        old_value = row[i]
+        if w_new > old_value:
             tv = int(tau[v])
             for u in csr.down_row(v).tolist():
                 urow = arrays[u]
-                chained = urow[tv] + old
+                chained = urow[tv] + old_value
                 if chained == urow[i] or (
                     math.isinf(chained) and math.isinf(urow[i])
                 ):
                     heap.push((u, i), int(tau[u]))
             increased += 1
-        if w_new != old:
+        if w_new != old_value:
             mark_entry(marks, offsets[v] + i, v)
         row[i] = w_new
     return pops, increased

@@ -74,13 +74,10 @@ SIGNATURES = {
         _i64,
         [_i64, _ptr, _i64, _ptr, _i64] + [_ptr] * 13,
     ),
-    "dhl_label_decrease": (
-        _i64,
-        [_i64, _ptr, _i64, _ptr, _i64] + [_ptr] * 11,
-    ),
+    "dhl_label_decrease": (_i64, [_i64, _ptr, _ptr, _i64] + [_ptr] * 13),
     "dhl_label_increase": (
         ctypes.c_int,
-        [_i64, _ptr, _ptr, _i64, _ptr, _i64] + [_ptr] * 14,
+        [_i64, _ptr, _ptr, _i64, _ptr, _i64] + [_ptr] * 15,
     ),
 }
 

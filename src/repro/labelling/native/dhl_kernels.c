@@ -11,22 +11,24 @@
  * deepest owner first, label entries shallowest vertex first) over an
  * array-backed binary min-heap. The heap is lazy: an in_queue byte per
  * item drops pushes of queued items, and an item re-enters after its
- * pop. Every relaxation carries the strict-improvement or
- * exact-equality guard of the reference engine, so weights and labels
- * converge to the same bits. Scratch is O(touched): the heap grows by
- * doubling from the seed count; only the in_queue map is sized to the
- * store.
+ * pop. The shortcut heaps hold weight cells; the label heaps hold
+ * vertices, each pop handling all of the vertex's queued hub columns.
+ * Every relaxation carries the strict-improvement or exact-equality
+ * guard of the reference engine, so weights and labels converge to the
+ * same bits. Scratch is O(touched): the heap grows by doubling from the
+ * seed count; the in_queue maps are sized to the cells or the vertices,
+ * and only the increase sweep's suspect map to the label store.
  *
  * A sweep hands back what it touched, so its caller never scans a
  * store-sized array: the first time it sets a changed mark it also
  * appends that cell (label position) to the caller's int64 touched list
  * and bumps count[0]; the label sweeps also set a per-vertex byte mark
  * and append each vertex whose entries first change to a second list,
- * count[1] long. Counts are in/out: a sweep appends after what the
- * caller listed already. The lists are the caller's np.empty buffers of
- * the universe size, committed page by page as they are written. A
- * failed allocation returns DHL_NOMEM with the marks, lists and counts
- * still describing every write made so far.
+ * count[1] long. Shortcut counts are in/out: a sweep appends after what
+ * the caller listed already; label marks come in fresh. The lists are
+ * the caller's np.empty buffers of the universe size, committed page by
+ * page as they are written. A failed allocation returns DHL_NOMEM with
+ * the marks, lists and counts still describing every write made so far.
  *
  * Build: cc -O3 -fPIC -shared -ffp-contract=off (no -ffast-math: sums
  * must round exactly as numpy's do).
@@ -147,19 +149,6 @@ static inline void mark_entry(int64_t pos, int64_t v, uint8_t *changed,
         vertex_marks[v] = 1;
         touched_vertices[count[1]++] = v;
     }
-}
-
-/* Vertex owning flat label position pos (capacity offsets, n + 1 long). */
-static int64_t vertex_of(const int64_t *offsets, int64_t n, int64_t pos) {
-    int64_t lo = 0, hi = n;
-    while (hi - lo > 1) {
-        int64_t mid = (lo + hi) >> 1;
-        if (offsets[mid] <= pos)
-            lo = mid;
-        else
-            hi = mid;
-    }
-    return lo;
 }
 
 /* Slot of pair (deeper, the vertex of contraction rank r): rows are
@@ -496,118 +485,214 @@ int64_t dhl_shortcut_increase(
 /* ------------------------------------------------------------------ */
 
 /*
- * Algorithm 4: seed_pos are distinct flat label positions the driver
- * already lowered; the sweep marks and lists them as it queues them
- * (none when the heap cannot be had). Each pop relaxes the entry along
- * every down shortcut of its vertex into the same ancestor column;
- * strict improvements are written, marked and queued by tau. Returns
- * the pop count, DHL_NOMEM on failure.
+ * Both take the changed shortcut slots of the plane (slot -> lo =
+ * owners[slot], hi = indices[slot]) and run the whole algorithm: phase 1
+ * is one pass of row lo against row hi per slot, then a heap of
+ * vertices keyed by tau. Lemma 6.3 keeps every ancestor column
+ * independent (entry i of a vertex reads only entries i of its
+ * neighbours), and pushes go only to strictly deeper vertices while pops
+ * never go up in tau: a popped vertex's queued entries are final, each is
+ * handled once, and handling them column by column inside one pass per
+ * shortcut does the same additions and minima as one pop per entry.
+ * Everything a sweep allocates is had before its first write, so
+ * DHL_NOMEM from the allocations means nothing was written, marked or
+ * listed.
+ */
+
+/* One past the deepest tau: the widest label, the column scratch size. */
+static int64_t label_width(int64_t n, const int64_t *tau) {
+    int64_t width = 1;
+    for (int64_t v = 0; v < n; v++)
+        if (tau[v] >= width)
+            width = tau[v] + 1;
+    return width;
+}
+
+/*
+ * Algorithm 4. Phase 1 lowers L_lo[i] to w(lo, hi) + L_hi[i] wherever
+ * that is smaller (only for a slot whose new weight beats L_lo[tau(hi)]).
+ * An entry is queued exactly when it is first lowered, and the marks
+ * come in fresh, so the changed marks of a popped vertex's row are its
+ * queue; its lowered columns are relaxed into every down shortcut, the
+ * weight and the row loaded once per shortcut. Returns the entries
+ * handled (each lowered entry once), DHL_NOMEM on failure.
  */
 int64_t dhl_label_decrease(
-    int64_t num_seeds, const int64_t *seed_pos,
-    int64_t capacity, double *values,
+    int64_t num_slots, const int64_t *slots, double *values,
     int64_t n, const int64_t *offsets, const int64_t *tau,
-    const double *weights,
+    const double *weights, const int64_t *indices, const int64_t *owners,
     const int64_t *down_indptr, const int64_t *down_indices,
     const int64_t *down_slots,
     uint8_t *changed, int64_t *touched, uint8_t *vertex_marks,
     int64_t *touched_vertices, int64_t *count)
 {
     heap_t h;
-    int status = heap_init(&h, capacity, num_seeds);
-    int64_t pops = 0;
-    for (int64_t i = 0; !status && i < num_seeds; i++) {
-        int64_t v = vertex_of(offsets, n, seed_pos[i]);
-        mark_entry(seed_pos[i], v, changed, touched, vertex_marks,
-                   touched_vertices, count);
-        status = heap_push(&h, tau[v], seed_pos[i]);
+    int status = heap_init(&h, n, num_slots);
+    int64_t *cols = status ? NULL
+                           : malloc((size_t)label_width(n, tau) * sizeof(int64_t));
+    if (!cols) {
+        heap_free(&h);
+        return DHL_NOMEM;
     }
-    while (!status && h.size > 0) {
-        int64_t pos = heap_pop(&h);
-        pops++;
-        int64_t v = vertex_of(offsets, n, pos);
-        int64_t col = pos - offsets[v];
-        double value = values[pos];
-        for (int64_t d = down_indptr[v]; d < down_indptr[v + 1]; d++) {
-            int64_t u = down_indices[d];
-            int64_t tpos = offsets[u] + col;
-            double cand = weights[down_slots[d]] + value;
-            if (cand < values[tpos]) {
-                values[tpos] = cand;
-                mark_entry(tpos, u, changed, touched, vertex_marks,
+    for (int64_t s = 0; !status && s < num_slots; s++) {
+        int64_t lo = owners[slots[s]], hi = indices[slots[s]];
+        int64_t th = tau[hi], base = offsets[lo];
+        double w = weights[slots[s]], *row = values + base;
+        const double *up = values + offsets[hi];
+        if (!(w < row[th]))
+            continue;
+        for (int64_t i = 0; i <= th; i++) {
+            double cand = w + up[i];
+            if (cand < row[i]) {
+                row[i] = cand;
+                mark_entry(base + i, lo, changed, touched, vertex_marks,
                            touched_vertices, count);
-                if (heap_push(&h, tau[u], tpos)) {
-                    status = DHL_NOMEM;
-                    break;
+            }
+        }
+        status = heap_push(&h, tau[lo], lo);
+    }
+    int64_t handled = 0;
+    while (!status && h.size > 0) {
+        int64_t v = heap_pop(&h);
+        const double *row = values + offsets[v];
+        const uint8_t *queued = changed + offsets[v];
+        int64_t k = 0;
+        for (int64_t c = 0; c <= tau[v]; c++)
+            if (queued[c])
+                cols[k++] = c;
+        handled += k;
+        for (int64_t d = down_indptr[v]; d < down_indptr[v + 1]; d++) {
+            int64_t u = down_indices[d], base = offsets[u];
+            double w = weights[down_slots[d]], *target = values + base;
+            int lowered = 0;
+            for (int64_t j = 0; j < k; j++) {
+                int64_t c = cols[j];
+                double cand = w + row[c];
+                if (cand < target[c]) {
+                    target[c] = cand;
+                    mark_entry(base + c, u, changed, touched, vertex_marks,
+                               touched_vertices, count);
+                    lowered = 1;
                 }
+            }
+            if (lowered && heap_push(&h, tau[u], u)) {
+                status = DHL_NOMEM;
+                break;
             }
         }
     }
     heap_free(&h);
-    return status ? status : pops;
+    free(cols);
+    return status ? status : handled;
 }
 
 /*
- * Algorithm 5: each popped entry (v, col) is recomputed per Property
- * 3.1, the min over up shortcuts into ancestors at least col deep. If
- * the value rose, down entries whose stored value equals the old
- * chained one are queued; any change is marked and listed. work[0]
- * receives the pops, work[1] the entries whose value strictly rose.
- * Returns 0, DHL_NOMEM on failure.
+ * Algorithm 5. Phase 1 only reads: entry L_lo[i] is suspect when the
+ * old weight w_old(lo, hi) + L_hi[i] equals it (inf == inf included;
+ * only for a slot whose old weight equals L_lo[tau(hi)]). A per-position
+ * byte map holds the suspects. A popped vertex recomputes its suspect
+ * columns per Property 3.1, one pass per up shortcut into ancestors at
+ * least that deep; for the columns whose value rose, down entries whose
+ * stored value equals the old chained one turn suspect, one pass per
+ * down shortcut; then every changed entry is written, marked and listed.
+ * work[0] receives the entries handled, work[1] those whose value
+ * strictly rose. Returns 0, DHL_NOMEM on failure.
  */
 int dhl_label_increase(
-    int64_t num_seeds, const int64_t *seed_verts, const int64_t *seed_cols,
+    int64_t num_slots, const int64_t *slots, const double *old,
     int64_t capacity, double *values,
     int64_t n, const int64_t *offsets, const int64_t *tau,
     const double *weights,
-    const int64_t *indptr, const int64_t *indices,
+    const int64_t *indptr, const int64_t *indices, const int64_t *owners,
     const int64_t *down_indptr, const int64_t *down_indices,
     const int64_t *down_slots,
     uint8_t *changed, int64_t *touched, uint8_t *vertex_marks,
     int64_t *touched_vertices, int64_t *count, int64_t *work)
 {
     heap_t h;
-    int status = heap_init(&h, capacity, num_seeds);
-    int64_t pops = 0, increased = 0;
-    for (int64_t i = 0; !status && i < num_seeds; i++)
-        status = heap_push(
-            &h, tau[seed_verts[i]], offsets[seed_verts[i]] + seed_cols[i]);
+    int status = heap_init(&h, n, num_slots);
+    int64_t width = status ? 0 : label_width(n, tau);
+    uint8_t *suspect = status ? NULL : calloc(capacity > 0 ? (size_t)capacity : 1, 1);
+    /* cols then risen, width each; fresh and before, width each */
+    int64_t *cols = suspect ? malloc(2 * (size_t)width * sizeof(int64_t)) : NULL;
+    double *fresh = cols ? malloc(2 * (size_t)width * sizeof(double)) : NULL;
+    work[0] = work[1] = 0;
+    if (!fresh) {
+        heap_free(&h);
+        free(suspect);
+        free(cols);
+        return DHL_NOMEM;
+    }
+    int64_t *risen = cols + width;
+    double *before = fresh + width;
+    for (int64_t s = 0; !status && s < num_slots; s++) {
+        int64_t lo = owners[slots[s]], hi = indices[slots[s]];
+        int64_t th = tau[hi], base = offsets[lo];
+        double w = old[s];
+        const double *row = values + base, *up = values + offsets[hi];
+        if (w != row[th])
+            continue;
+        for (int64_t i = 0; i <= th; i++)
+            if (w + up[i] == row[i])
+                suspect[base + i] = 1;
+        status = heap_push(&h, tau[lo], lo);
+    }
+    int64_t handled = 0, increased = 0;
     while (!status && h.size > 0) {
-        int64_t pos = heap_pop(&h);
-        pops++;
-        int64_t v = vertex_of(offsets, n, pos);
-        int64_t col = pos - offsets[v];
-        double w_new = INFINITY;
+        int64_t v = heap_pop(&h), base = offsets[v];
+        double *row = values + base;
+        int64_t k = 0;
+        for (int64_t c = 0; c <= tau[v]; c++)
+            if (suspect[base + c]) {
+                cols[k] = c;
+                fresh[k++] = INFINITY;
+            }
+        handled += k;
         for (int64_t slot = indptr[v]; slot < indptr[v + 1]; slot++) {
-            int64_t w = indices[slot];
-            if (tau[w] >= col) {
-                double cand = weights[slot] + values[offsets[w] + col];
-                if (cand < w_new)
-                    w_new = cand;
+            int64_t tw = tau[indices[slot]];
+            double w = weights[slot];
+            const double *up = values + offsets[indices[slot]];
+            for (int64_t j = 0; j < k && cols[j] <= tw; j++) {
+                double cand = w + up[cols[j]];
+                if (cand < fresh[j])
+                    fresh[j] = cand;
             }
         }
-        double old = values[pos];
-        if (w_new > old) {
-            for (int64_t d = down_indptr[v]; d < down_indptr[v + 1]; d++) {
-                int64_t u = down_indices[d];
-                int64_t tpos = offsets[u] + col;
-                if (weights[down_slots[d]] + old == values[tpos]
-                    && heap_push(&h, tau[u], tpos)) {
-                    status = DHL_NOMEM;
-                    break;
+        int64_t r = 0;
+        for (int64_t j = 0; j < k; j++)
+            if (fresh[j] > row[cols[j]]) {
+                risen[r] = cols[j];
+                before[r++] = row[cols[j]];
+            }
+        for (int64_t d = down_indptr[v]; !status && d < down_indptr[v + 1]; d++) {
+            int64_t u = down_indices[d], ubase = offsets[u];
+            double w = weights[down_slots[d]];
+            const double *target = values + ubase;
+            int hit = 0;
+            for (int64_t j = 0; j < r; j++)
+                if (w + before[j] == target[risen[j]]) {
+                    suspect[ubase + risen[j]] = 1;
+                    hit = 1;
                 }
-            }
-            if (status)
-                break; /* nothing written for this entry yet */
-            increased++;
+            if (hit && heap_push(&h, tau[u], u))
+                status = DHL_NOMEM;
         }
-        if (w_new != old)
-            mark_entry(pos, v, changed, touched, vertex_marks,
-                       touched_vertices, count);
-        values[pos] = w_new;
+        if (status)
+            break; /* nothing written for this vertex yet */
+        increased += r;
+        for (int64_t j = 0; j < k; j++) {
+            int64_t c = cols[j];
+            if (fresh[j] != row[c])
+                mark_entry(base + c, v, changed, touched, vertex_marks,
+                           touched_vertices, count);
+            row[c] = fresh[j];
+        }
     }
     heap_free(&h);
-    work[0] = pops;
+    free(suspect);
+    free(cols);
+    free(fresh);
+    work[0] = handled;
     work[1] = increased;
     return status;
 }

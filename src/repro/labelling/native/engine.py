@@ -5,10 +5,12 @@ C-contiguity, alignment and length of every one in Python, and hands
 the work to a single loop of ``dhl_kernels.c``; the sweeps write the
 caller's marks and touched lists
 (:func:`~repro.labelling.maintenance.cell_marks` /
-:func:`~repro.labelling.maintenance.entry_marks`), while seeding and
-stats are the shared driver's (:mod:`repro.labelling.driver`). Vertex
+:func:`~repro.labelling.maintenance.entry_marks`) and the label sweeps
+run their own seed phase, while the shortcut seeds and the stats are
+the shared driver's (:mod:`repro.labelling.driver`). Vertex
 ids are range-checked by the callers (``QueryEngine``'s entry points,
-the driver's batch validation) before they reach a wrapper;
+the driver's batch validation) before they reach a wrapper, and a label
+sweep's slots are cells the shortcut sweep listed;
 :func:`min_plus` checks its row maps itself. :func:`operand` is how a
 caller meets the checks with any array-like, copying only what is not
 a fit already.
@@ -159,37 +161,38 @@ def shortcut_increase_sweep(sc, seeds, direct, marks) -> None:
     )
 
 
-def label_decrease_sweep(store, labels, seeds, marks) -> int:
-    """Algorithm 4 — C descendant sweep."""
-    csr, n, weights = store.csr, store.csr.n, store.up_weights
+def label_decrease_sweep(store, labels, slots, marks) -> int:
+    """Algorithm 4 — C seed pass and vertex-heap descendant sweep."""
+    csr, n, m = store.csr, store.csr.n, store.csr.num_slots
     values, offsets = labels.values, labels.offsets
     values_addr, offsets_addr = _label_addrs(values, offsets, n, write=True)
     return _checked(
         library().dhl_label_decrease(
-            len(seeds), _addr(seeds, _I64, len(seeds)),
-            values.size, values_addr,
+            len(slots), _addr(slots, _I64, len(slots)), values_addr,
             n, offsets_addr, _addr(store.tau, _I64, n),
-            _addr(weights, _F64, csr.num_slots),
+            _addr(store.up_weights, _F64, m),
+            _addr(csr.indices, _I64, m), _addr(csr.owners, _I64, m),
             *_csr_down(csr),
             *_entry_marks(marks, values.size, n),
         )
     )
 
 
-def label_increase_sweep(store, labels, verts, cols, marks) -> tuple[int, int]:
-    """Algorithm 5 — C recompute sweep."""
+def label_increase_sweep(store, labels, slots, old, marks) -> tuple[int, int]:
+    """Algorithm 5 — C suspect pass and vertex-heap recompute sweep."""
     csr, n, weights = store.csr, store.csr.n, store.up_weights
     values, offsets = labels.values, labels.offsets
     values_addr, offsets_addr = _label_addrs(values, offsets, n, write=True)
     work = np.zeros(2, dtype=np.int64)
     _checked(
         library().dhl_label_increase(
-            len(verts), _addr(verts, _I64, len(verts)),
-            _addr(cols, _I64, len(verts)),
+            len(slots), _addr(slots, _I64, len(slots)),
+            _addr(old, _F64, len(slots)),
             values.size, values_addr,
             n, offsets_addr, _addr(store.tau, _I64, n),
             _addr(weights, _F64, csr.num_slots),
-            *_csr_rows(csr), *_csr_down(csr),
+            *_csr_rows(csr), _addr(csr.owners, _I64, csr.num_slots),
+            *_csr_down(csr),
             *_entry_marks(marks, values.size, n),
             _addr(work, _I64, 2, write=True),
         )

@@ -1,8 +1,8 @@
 """Kernel-phase profiling.
 
 The maintenance driver marks its phases with ``phase(name)`` — batch
-seeding, the shortcut sweep, label seeding, the label sweep — as do the
-structural and flush steps. When nobody is collecting, the mark is a
+seeding, the shortcut sweep, the label sweep (label seeding inside) —
+as do the structural and flush steps. When nobody is collecting, the mark is a
 dict-free truthiness check returning a shared no-op context manager, so
 the update path stays uninstrumented-fast by default.
 

@@ -1,16 +1,14 @@
-"""Ragged-array index arithmetic shared by the numpy query kernels and
-the maintenance driver's batched label seeds.
+"""Ragged-array index arithmetic for the numpy query kernels.
 
 Rows of unequal length are walked as one flat batch: a row count per
-source becomes ``(source index, within-row offset)`` pairs, and a sorted
-key array splits into runs for ``ufunc.reduceat``.
+source becomes ``(source index, within-row offset)`` pairs.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["expand", "segment_starts"]
+__all__ = ["expand"]
 
 
 def expand(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -23,11 +21,3 @@ def expand(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     rep = np.repeat(np.arange(len(counts), dtype=np.int64), counts)
     ramp = np.arange(total, dtype=np.int64) - np.repeat(ends - counts, counts)
     return rep, ramp
-
-
-def segment_starts(sorted_keys: np.ndarray) -> np.ndarray:
-    """First index of each run in a non-empty sorted key array."""
-    first = np.empty(len(sorted_keys), dtype=bool)
-    first[0] = True
-    np.not_equal(sorted_keys[1:], sorted_keys[:-1], out=first[1:])
-    return np.nonzero(first)[0]

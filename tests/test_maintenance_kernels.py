@@ -16,12 +16,14 @@ degenerates to the oracle against itself.
 
 from __future__ import annotations
 
+import functools
 import pickle
 from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.baselines.dijkstra import dijkstra
 from repro.core.config import DHLConfig
@@ -29,6 +31,7 @@ from repro.core.directed import DirectedDHLIndex
 from repro.core.index import DHLIndex
 from repro.core.sharded import ShardedDHLIndex
 from repro.graph.digraph import DiGraph
+from repro.graph.generators import delaunay_network, grid_network
 from repro.hierarchy.contraction import contract_in_order
 from repro.labelling import driver, maintenance
 from repro.labelling.driver import ENGINES, split_batch
@@ -159,11 +162,69 @@ class TestDirectedDifferential:
             np.testing.assert_array_equal(idx_c.in_weights, idx_r.in_weights)
 
 
+@functools.cache
+def built_index(graph: str, directed: bool, engine: str):
+    """A small grid or road index, built once per family and engine;
+    callers work on a pickled copy."""
+    g = grid_network(7, 7, seed=3) if graph == "grid" else delaunay_network(90, seed=5)
+    config = DHLConfig(leaf_size=3, seed=0, engine=engine)
+    if not directed:
+        return DHLIndex.build(g, config)
+    digraph = DiGraph.from_undirected(g)
+    for i, (u, v, w) in enumerate(list(digraph.arcs())):
+        if i % 2 == 0:
+            digraph.set_weight(u, v, float(w + 3))
+    return DirectedDHLIndex.build(digraph, config)
+
+
+class TestDecreaseHandlesEachLoweredEntryOnce:
+    """Algorithm 4 queues an entry when it is first lowered and handles
+    it once it is final, so the entries a decrease handles are exactly
+    the entries it lowered. A vertex popped twice would count its
+    entries twice; a queued column skipped would leave an entry lowered
+    but never handled, and its descendants stale."""
+
+    @pytest.mark.parametrize("directed", [False, True], ids=["undirected", "directed"])
+    @pytest.mark.parametrize("graph", ["grid", "road"])
+    @pytest.mark.parametrize("engine", ["compiled", "reference"])
+    @settings(
+        max_examples=15,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(
+        picks=st.lists(
+            st.tuples(st.integers(0, 10**6), st.sampled_from([0.0, 0.25, 0.5])),
+            min_size=1,
+            max_size=12,
+        )
+    )
+    def test_entries_processed_equals_labels_changed(
+        self, engine, graph, directed, picks
+    ):
+        index = pickle.loads(pickle.dumps(built_index(graph, directed, engine)))
+        roads = list(index.graph.edges())
+        batch = {}
+        for pick, factor in picks:
+            u, v, w = roads[pick % len(roads)]
+            batch[u, v] = (u, v, float(int(w * factor)))
+        stats = index.decrease(batch.values())
+        assert stats.entries_processed == stats.labels_changed
+        rebuilt = type(index).build(index.graph.copy(), index.config)
+        for got, want in zip(index.labellings, rebuilt.labellings):
+            assert got.equals(want)
+
+
+def owner_vertices(labels, positions) -> np.ndarray:
+    """The vertex of each flat label position."""
+    return np.searchsorted(labels.offsets, positions, side="right") - 1
+
+
 class TestTouchedLists:
     """The sweeps hand back what they marked: after every sweep the
     touched lists are the marks, listed once each, and the stats the
     driver builds from them are the ones a scan of the store-sized marks
-    gives (``flatnonzero`` + ``entries_of_positions`` + ``np.unique``)."""
+    gives (``flatnonzero`` + an ``offsets`` search + ``np.unique``)."""
 
     @staticmethod
     def check_cell_lists(marks) -> None:
@@ -180,7 +241,7 @@ class TestTouchedLists:
         assert len(set(positions.tolist())) == len(positions)
         assert len(set(vertices.tolist())) == len(vertices)
         assert set(positions.tolist()) == set(np.flatnonzero(changed).tolist())
-        owners = labels.entries_of_positions(positions)[0]
+        owners = owner_vertices(labels, positions)
         assert set(vertices.tolist()) == set(owners.tolist())
         assert set(vertices.tolist()) == set(np.flatnonzero(vertex_marks).tolist())
 
@@ -225,7 +286,7 @@ class TestTouchedLists:
                 stats.affected_shortcuts.setdefault(key, float(first_old[cell]))
         for _, labels, marks, result in label_calls:
             positions = np.flatnonzero(marks[0])
-            verts, _ = labels.entries_of_positions(positions)
+            verts = owner_vertices(labels, positions)
             stats.affected_labels |= set(np.unique(verts).tolist())
             if kind == "decrease":
                 stats.entries_processed += result

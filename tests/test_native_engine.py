@@ -384,11 +384,17 @@ class TestPairKernel:
             direct = (np.full(weights.size, np.inf),) if "increase" in sweep else ()
             args = (store, seeds, *direct, marks)
         else:
+            # Changed shortcut slots whose seed phase would write: a
+            # decrease to 0, or an increase from the weights they held.
             marks = entry_marks(values.size, store.csr.n)
+            old = weights[seeds]
             if "decrease" in sweep:
-                args = (store, labels, labels.offsets[seeds], marks)
+                store.up_weights[seeds] = 0.0
+                args = (store, labels, seeds, marks)
             else:
-                args = (store, labels, seeds, np.zeros_like(seeds), marks)
+                store.up_weights[seeds] = old + 1000.0
+                args = (store, labels, seeds, old, marks)
+            weights = store.up_weights.copy()
         with pytest.raises(MemoryError):
             getattr(native_engine, sweep)(*args)
         assert statuses == [-1]

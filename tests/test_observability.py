@@ -300,10 +300,11 @@ def test_phase_collector_is_addressable_directly():
     ],
     ids=["undirected", "directed"],
 )
-def test_an_increase_reports_its_four_phases_in_every_family(build):
+def test_an_increase_reports_its_three_phases_in_every_family(build):
     """Both families maintain through the driver, so a collected update
-    names the seed, the shortcut sweep and both label phases — the
-    shortcut sweep is most of a directed burst and must not be blind."""
+    names the seed, the shortcut sweep and the label sweep (whose seed
+    phase runs inside it) — the shortcut sweep is most of a directed
+    burst and must not be blind."""
     graph = grid_network(10, 10, seed=1)
     index = build(graph.copy())
     edges = list(graph.edges())[::9]
@@ -312,7 +313,6 @@ def test_an_increase_reports_its_four_phases_in_every_family(build):
     names = {
         "increase.seed",
         "increase.dependency_layer",
-        "increase.label_seed",
         "increase.label_sweep",
     }
     assert names <= set(stats.phases)
