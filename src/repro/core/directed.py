@@ -8,14 +8,17 @@ maintenance, structural batches, compaction, snapshots, ``verify()``)
 over a shortcut store with two weight planes. What this module adds is
 only what genuinely differs:
 
-* the **structural skeleton** (which pairs are shortcuts) comes from the
-  symmetrised graph — structure is weight-independent, so one skeleton
-  serves both directions and is what gets partitioned;
+* the **structural skeleton** (which pairs are shortcuts) is the
+  symmetrised graph (:meth:`DiGraph.to_undirected`) — structure is
+  weight-independent, so one skeleton serves both directions, is what
+  gets partitioned and is what the shared symbolic elimination
+  contracts;
 * every shortcut pair ``(v, u)`` with ``v`` deeper carries two weights,
   one per **weight plane** of :class:`DirectedUpdateHierarchy`'s single
   buffer: plane 0 (``out_weights``) for the ascending arc ``v -> u``,
   plane 1 (``in_weights``) for the descending arc ``u -> v``, filled by
-  a directed contraction loop;
+  the same Algorithm 2 sweep from an empty store as the undirected
+  build;
 * the core's two labellings are Algorithm 1 once per plane:
   ``L_out[v][i]`` = distance ``v -> ancestor_i`` and ``L_in[v][i]`` =
   distance ``ancestor_i -> v`` within the interval subgraph;
@@ -32,7 +35,6 @@ only what genuinely differs:
 
 from __future__ import annotations
 
-import math
 from typing import NamedTuple
 
 import numpy as np
@@ -41,9 +43,7 @@ from repro.core.config import DHLConfig
 from repro.core.index import IndexCore
 from repro.core.stats import IndexStats
 from repro.graph.digraph import DiGraph
-from repro.graph.graph import Graph
-from repro.hierarchy.contraction import ContractionResult
-from repro.hierarchy.csr import ShortcutCSR, build_shortcut_csr
+from repro.hierarchy.csr import ShortcutCSR
 from repro.hierarchy.query_hierarchy import QueryHierarchy
 from repro.hierarchy.update_hierarchy import UpdateHierarchy
 from repro.labelling.labels import HierarchicalLabelling
@@ -74,47 +74,7 @@ class DirectedUpdateHierarchy(UpdateHierarchy):
 
     __slots__ = ()
 
-    @classmethod
-    def build(cls, digraph: DiGraph, hq: QueryHierarchy) -> "DirectedUpdateHierarchy":
-        """Directed contraction over the symmetric structural skeleton."""
-        n = digraph.num_vertices
-        order = hq.contraction_order()
-        rank = np.empty(n, dtype=np.int64)
-        rank[order] = np.arange(n)
-
-        # Working directed adjacency with symmetric key structure:
-        # b in work[a] iff a in work[b]; missing arcs carry inf.
-        work: list[dict[int, float]] = [{} for _ in range(n)]
-        for a, b, w in digraph.arcs():
-            work[a][b] = min(work[a].get(b, math.inf), w)
-            work[b].setdefault(a, math.inf)
-
-        up: list[list[int]] = [[] for _ in range(n)]
-        wout: list[dict[int, float]] = [{} for _ in range(n)]
-        win: list[dict[int, float]] = [{} for _ in range(n)]
-
-        for v in order.tolist():
-            nbrs = sorted(work[v], key=lambda u: rank[u])
-            up[v] = nbrs
-            wout[v] = {u: work[v][u] for u in nbrs}
-            win[v] = {u: work[u][v] for u in nbrs}
-            for i, a in enumerate(nbrs):
-                va = work[v][a]  # v -> a
-                av = work[a][v]  # a -> v
-                del work[a][v]
-                for b in nbrs[i + 1 :]:
-                    vb = work[v][b]
-                    bv = work[b][v]
-                    ab = av + vb  # a -> v -> b
-                    ba = bv + va  # b -> v -> a
-                    row_a, row_b = work[a], work[b]
-                    cur_ab = row_a.get(b, math.inf)
-                    cur_ba = row_b.get(a, math.inf)
-                    row_a[b] = ab if ab < cur_ab else cur_ab
-                    row_b[a] = ba if ba < cur_ba else cur_ba
-            work[v].clear()
-        store = build_shortcut_csr(up, rank, wout, win)
-        return cls(ContractionResult(digraph, order, rank, *store), hq)
+    skeleton = staticmethod(DiGraph.to_undirected)
 
     def edge_key(self, a: int, b: int) -> tuple[int, int]:
         """The ordered arc: a digraph's two directions are distinct roads."""
@@ -171,20 +131,3 @@ class DirectedDHLIndex(IndexCore):
     def in_weights(self) -> np.ndarray:
         """Plane 1 of the shortcut store: arcs shallower -> deeper."""
         return self.hu.plane_views()[1].up_weights
-
-    @staticmethod
-    def _skeleton(digraph: DiGraph) -> Graph:
-        """Symmetrised structural skeleton used for partitioning."""
-        g = Graph(digraph.num_vertices, digraph.coords)
-        for u, v, w in digraph.arcs():
-            if not g.has_edge(u, v):
-                reverse = digraph.out_neighbors(v).get(u, math.inf)
-                wmin = min(w, reverse)
-                if math.isinf(wmin):
-                    # Logically deleted in both directions: keep the
-                    # structural edge so every arc retains a slot.
-                    g.add_edge(u, v, 0.0)
-                    g.set_weight(u, v, math.inf)
-                else:
-                    g.add_edge(u, v, wmin)
-        return g

@@ -64,8 +64,8 @@ class IndexCore:
     afterwards: weight updates must go through the index so that the
     hierarchies and labels stay consistent.
 
-    A family supplies ``kind``, the store class ``_hierarchy`` and, when
-    its graph is not what gets partitioned, :meth:`_skeleton`.
+    A family supplies ``kind`` and the store class ``_hierarchy``, whose
+    ``skeleton`` is the undirected graph that gets partitioned.
     """
 
     kind: str
@@ -73,8 +73,8 @@ class IndexCore:
     # the target's), so the minimising hub certifies a cached result;
     # the serving layer may evict per-pair after an update.
     supports_fine_grained_eviction = True
-    #: The shortcut-store class: ``build(graph, hq)`` contracts, and its
-    #: ``planes`` is how many labellings the index carries.
+    #: The shortcut-store class: ``build(graph, hq, engine)`` contracts,
+    #: and its ``planes`` is how many labellings the index carries.
     _hierarchy: type[UpdateHierarchy]
 
     def __init__(
@@ -131,12 +131,12 @@ class IndexCore:
         stats = IndexStats(num_vertices=n, num_edges=graph.num_edges)
 
         with Timer() as t, phase("build.partition"):
-            tree = cls._bisect(cls._skeleton(graph), config)
+            tree = cls._bisect(cls._hierarchy.skeleton(graph), config)
             hq = QueryHierarchy.from_partition_tree(tree, n)
         stats.partition_seconds = t.seconds
 
         with Timer() as t, phase("build.contraction"):
-            hu = cls._hierarchy.build(graph, hq)
+            hu = cls._hierarchy.build(graph, hq, config.resolve_engine())
         stats.contraction_seconds = t.seconds
 
         with Timer() as t, phase("build.labelling"):
@@ -147,11 +147,6 @@ class IndexCore:
         if config.validate:
             index.verify()
         return index
-
-    @staticmethod
-    def _skeleton(graph) -> Graph:
-        """The undirected graph whose separators order the hierarchy."""
-        return graph
 
     @staticmethod
     def _bisect(graph: Graph, config: DHLConfig) -> PartitionTreeNode:

@@ -45,7 +45,10 @@ Qualifying batches allocate their closure slots in one
 allocated, not yet relaxed), add the new edges as logically-deleted, and
 seed one decrease sweep from the new arcs: the monotone min-relaxation
 from ``inf`` reaches exactly the Property-3.1 fixpoint of the extended
-store. On a previously compacted store the sweep can produce a finite
+store. A build runs the same relaxation over a whole empty store
+(:func:`~repro.labelling.driver.fill_weights`), so an inserted slot
+ends with the bits a fresh build would give it. On a previously
+compacted store the sweep can produce a finite
 candidate for a removed pair; every engine's decrease sweep reports it
 and the driver raises
 :class:`~repro.exceptions.StructuralFallbackRequired` → rebuild.
@@ -201,7 +204,7 @@ def _rebuild(index, hq: QueryHierarchy) -> None:
     Works on snapshot-loaded indexes too — the contraction order is a
     pure function of ``hq.tau``, which is always available.
     """
-    hu = index._hierarchy.build(index.graph, hq)
+    hu = index._hierarchy.build(index.graph, hq, index.config.resolve_engine())
     index._adopt(hq, hu, map(build_labelling, hu.plane_views()))
 
 
@@ -266,7 +269,7 @@ def _repartition(index, incomparable: list[tuple[int, int]]) -> None:
         fresh = type(index).build(index.graph, index.config)
         index._adopt(fresh.hq, fresh.hu, fresh.labellings)
         return
-    skeleton = index._skeleton(index.graph)
+    skeleton = index._hierarchy.skeleton(index.graph)
     for u, v in incomparable:
         # An earlier splice may already have separated this pair (always
         # so for the second arc of a two-way road).

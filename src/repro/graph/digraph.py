@@ -23,7 +23,7 @@ class DiGraph:
     forward ones.
     """
 
-    __slots__ = ("_out", "_in", "_m", "_version", "coords")
+    __slots__ = ("_out", "_in", "_m", "coords")
 
     def __init__(self, n: int, coords: np.ndarray | None = None):
         if n < 0:
@@ -31,7 +31,6 @@ class DiGraph:
         self._out: list[dict[int, float]] = [{} for _ in range(n)]
         self._in: list[dict[int, float]] = [{} for _ in range(n)]
         self._m = 0
-        self._version = 0
         if coords is not None:
             coords = np.asarray(coords, dtype=np.float64)
             if coords.shape != (n, 2):
@@ -87,12 +86,6 @@ class DiGraph:
     def num_arcs(self) -> int:
         return self._m
 
-    @property
-    def version(self) -> int:
-        """Mutation counter, as :attr:`Graph.version`: bumped by every
-        arc weight or topology change."""
-        return self._version
-
     def __len__(self) -> int:
         return len(self._out)
 
@@ -137,7 +130,6 @@ class DiGraph:
         self._out[u][v] = w
         self._in[v][u] = w
         self._m += 1
-        self._version += 1
 
     def set_weight(self, u: int, v: int, w: float) -> float:
         """Update an existing arc's weight; returns the old weight."""
@@ -146,7 +138,6 @@ class DiGraph:
             raise GraphError(f"arc weight must be non-negative, got {w!r}")
         self._out[u][v] = w
         self._in[v][u] = w
-        self._version += 1
         return old
 
     def remove_arc(self, u: int, v: int) -> float:
@@ -160,7 +151,6 @@ class DiGraph:
         del self._out[u][v]
         del self._in[v][u]
         self._m -= 1
-        self._version += 1
         return old
 
     # The road vocabulary the index core, the structural driver and the
@@ -180,15 +170,10 @@ class DiGraph:
         return g
 
     def to_undirected(self) -> Graph:
-        """Collapse to an undirected graph keeping min weight per pair."""
-        g = Graph(self.num_vertices, self.coords)
-        for u, v, w in self.arcs():
-            if g.has_edge(u, v):
-                if w < g.weight(u, v):
-                    g.set_weight(u, v, w)
-            else:
-                g.add_edge(u, v, w)
-        return g
+        """Collapse to an undirected graph keeping min weight per pair; a
+        pair whose every arc is logically deleted stays as an inf edge,
+        so it keeps its place in the structure."""
+        return Graph.from_edges(self.num_vertices, self.arcs(), self.coords)
 
     def is_symmetric(self) -> bool:
         """True when every arc has a reverse arc of equal weight."""

@@ -31,14 +31,13 @@ class Graph:
         Optional ``(n, 2)`` array of planar coordinates.
     """
 
-    __slots__ = ("_adj", "_m", "_version", "coords")
+    __slots__ = ("_adj", "_m", "coords")
 
     def __init__(self, n: int, coords: np.ndarray | None = None):
         if n < 0:
             raise GraphError("vertex count must be non-negative")
         self._adj: list[dict[int, float]] = [{} for _ in range(n)]
         self._m = 0
-        self._version = 0
         if coords is not None:
             coords = np.asarray(coords, dtype=np.float64)
             if coords.shape != (n, 2):
@@ -91,16 +90,6 @@ class Graph:
     def num_edges(self) -> int:
         """Number of undirected edges."""
         return self._m
-
-    @property
-    def version(self) -> int:
-        """Mutation counter: bumped by every weight or topology change.
-
-        Lets derived caches (e.g. the maintenance driver's per-cell
-        direct edge weights) detect out-of-band mutations cheaply instead of
-        re-reading the adjacency.
-        """
-        return self._version
 
     def __len__(self) -> int:
         return len(self._adj)
@@ -159,7 +148,6 @@ class Graph:
         self._adj[u][v] = w
         self._adj[v][u] = w
         self._m += 1
-        self._version += 1
 
     def set_weight(self, u: int, v: int, w: float) -> float:
         """Update the weight of an existing edge; returns the old weight.
@@ -173,7 +161,6 @@ class Graph:
             raise GraphError(f"edge weight must be non-negative, got {w!r}")
         self._adj[u][v] = w
         self._adj[v][u] = w
-        self._version += 1
         return old
 
     def remove_edge(self, u: int, v: int) -> float:
@@ -182,7 +169,6 @@ class Graph:
         del self._adj[u][v]
         del self._adj[v][u]
         self._m -= 1
-        self._version += 1
         return w
 
     # ------------------------------------------------------------------

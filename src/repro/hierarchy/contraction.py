@@ -7,11 +7,20 @@ neighbours (no witness search), so the shortcut *structure* depends only
 on the contraction order, never on edge weights — the structural
 stability property (U1) that makes dynamic maintenance cheap.
 
-Shortcut weights satisfy the minimum-weight property (Property 3.1):
+A contraction is therefore two passes. :func:`eliminate` is the
+symbolic one: it contracts an undirected skeleton over neighbour sets
+and yields the structure alone — for a digraph the symmetrised
+skeleton it is partitioned by, so one elimination serves both index
+families. The weights are then filled by Algorithm 2 from an empty
+store (:func:`~repro.labelling.driver.fill_weights`): every cell starts
+at its direct road weight and the decrease sweep of the resolved
+engine relaxes them to the minimum-weight property (Property 3.1),
 
     w(u, v) = min( w_G(u, v), min_x w(x, u) + w(x, v) )
 
-over all common "down" neighbours ``x`` (contracted before both).
+over all common "down" neighbours ``x`` (contracted before both). A
+build is an insertion into an empty store, the same relaxation the
+structural insertion fast path runs.
 
 Storage is a flat CSR shortcut store (:mod:`repro.hierarchy.csr`): one
 rank-sorted structure plus a single ``up_weights`` buffer of weight
@@ -31,7 +40,13 @@ from repro.graph.graph import Graph
 from repro.hierarchy.csr import ShortcutCSR, build_shortcut_csr
 from repro.utils.priority_queue import LazyHeap
 
-__all__ = ["ContractionResult", "contract_in_order", "min_degree_order"]
+__all__ = [
+    "ContractionResult",
+    "contract_in_order",
+    "eliminate",
+    "min_degree_order",
+    "unweighted_store",
+]
 
 
 class ContractionResult:
@@ -62,7 +77,7 @@ class ContractionResult:
 
     planes = 1
 
-    __slots__ = ("graph", "order", "rank", "csr", "up_weights", "_direct_cache")
+    __slots__ = ("graph", "order", "rank", "csr", "up_weights", "direct")
 
     def __init__(
         self,
@@ -82,11 +97,11 @@ class ContractionResult:
 
         The one place either is replaced (construction, slot growth,
         compaction), so nothing derived from the old pair survives it:
-        the driver's per-cell direct-weight cache is dropped here.
+        the per-cell direct weights are dropped here.
         """
         self.csr = csr
         self.up_weights = up_weights
-        self._direct_cache = None
+        self.direct = None
 
     # -- addressing -----------------------------------------------------
     def shortcut_key(self, a: int, b: int) -> tuple[int, int]:
@@ -112,6 +127,34 @@ class ContractionResult:
         if cell < 0:
             raise KeyError(f"no shortcut ({a}, {b})")
         return cell
+
+    def direct_weights(self) -> np.ndarray:
+        """Each cell's direct road weight, inf where no road survives —
+        the store's one road -> cell mapping, the base term of Property
+        3.1 and the seed of a build.
+
+        A derived cache in ``direct``, outside :meth:`memory_bytes` and
+        snapshots: a build leaves it filled and the maintenance driver
+        keeps it current; :meth:`rebind` drops it, so after a load or a
+        slot growth or compaction it is rebuilt from the graph here, on
+        first use.
+        """
+        if self.direct is None:
+            direct = np.full(self.planes * self.csr.num_slots, math.inf)
+            # A two-plane store weighs arcs (a digraph's ``edges()``):
+            # a -> b falls in plane 1 when it descends (``a`` the
+            # shallower endpoint).
+            triples = list(self.graph.edges())
+            if triples:
+                arr = np.asarray([(u, v) for u, v, _ in triples], dtype=np.int64)
+                u, v = arr[:, 0], arr[:, 1]
+                flip = self.rank[u] > self.rank[v]
+                cells = self.csr.slots_of(np.where(flip, v, u), np.where(flip, u, v))
+                if self.planes == 2:
+                    cells += flip * self.csr.num_slots
+                direct[cells] = [w for _, _, w in triples]
+            self.direct = direct
+        return self.direct
 
     def plane_views(self) -> tuple:
         """Every weight plane shaped like a one-plane store (``tau``,
@@ -198,48 +241,62 @@ class ContractionResult:
             assert ok, f"road {a} -> {b}: stored {actual}, recomputed {expected}"
 
 
-def contract_in_order(graph: Graph, order: Sequence[int]) -> ContractionResult:
-    """Contract *graph* following *order* (earliest contracted first).
+def eliminate(skeleton: Graph, order: np.ndarray, rank: np.ndarray) -> ShortcutCSR:
+    """The shortcut structure of contracting *skeleton* in *order*
+    (``rank`` its inverse).
 
-    Implements the weight-independent DCH-variant contraction: when a
-    vertex is contracted every pair of its remaining neighbours receives a
-    shortcut whose weight is min-combined with any existing one.
+    Symbolic elimination over neighbour sets: contracting ``v`` makes
+    its remaining neighbours its up-row and joins them pairwise. Since
+    every up-row is a clique, joining the row into the row of its
+    first-contracted member alone — the elimination-tree parent, which
+    passes it on in turn — adds the same pairs, so each slot is merged
+    once. A logically deleted (inf) edge is structure like any other.
     """
-    n = graph.num_vertices
+    ranks = rank.tolist()
+    work = [
+        {u for u in skeleton.neighbors(v) if ranks[u] > ranks[v]}
+        for v in range(skeleton.num_vertices)
+    ]
+    for v in order.tolist():
+        row = work[v]  # complete: every child has merged its row in
+        if row:
+            parent = min(row, key=ranks.__getitem__)
+            work[parent] |= row
+            work[parent].discard(parent)
+    return build_shortcut_csr(work, rank)
+
+
+def unweighted_store(
+    graph, skeleton: Graph, order: Sequence[int], planes: int = 1
+) -> ContractionResult:
+    """The store of contracting *skeleton* in *order* (earliest first)
+    over *graph*'s roads, its ``planes`` weight planes not yet filled."""
+    n = skeleton.num_vertices
     order = np.asarray(order, dtype=np.int64)
     if len(order) != n or len(set(order.tolist())) != n:
         raise ValueError("order must be a permutation of all vertices")
     rank = np.empty(n, dtype=np.int64)
     rank[order] = np.arange(n)
+    csr = eliminate(skeleton, order, rank)
+    return ContractionResult(graph, order, rank, csr, np.empty(planes * csr.num_slots))
 
-    # Working adjacency over uncontracted vertices, seeded with G's edges.
-    work: list[dict[int, float]] = [dict(graph.neighbors(v)) for v in range(n)]
-    up: list[list[int]] = [[] for _ in range(n)]
-    wup: list[dict[int, float]] = [{} for _ in range(n)]
 
-    for v in order.tolist():
-        nbrs = work[v]
-        items = list(nbrs.items())
-        # Record N+(v) sorted by contraction rank (useful determinism).
-        items.sort(key=lambda kv: rank[kv[0]])
-        up[v] = [u for u, _ in items]
-        wup[v] = {u: w for u, w in items}
-        # Add all-pairs shortcuts among the remaining neighbours.
-        for i in range(len(items)):
-            u, wu = items[i]
-            work_u = work[u]
-            del work_u[v]
-            for j in range(i + 1, len(items)):
-                x, wx = items[j]
-                candidate = wu + wx
-                current = work_u.get(x)
-                if current is None or candidate < current:
-                    work_u[x] = candidate
-                    work[x][u] = candidate
-        nbrs.clear()
-    return ContractionResult(
-        graph, order, rank, *build_shortcut_csr(up, rank, wup)
-    )
+def weighed(store, engine: str = "compiled"):
+    """*store* with its cells filled by *engine*: Algorithm 2 from an
+    empty store (:func:`~repro.labelling.driver.fill_weights`)."""
+    # The labelling package imports the hierarchies, so its driver is
+    # imported at call time.
+    from repro.labelling.driver import fill_weights
+
+    fill_weights(store, engine)
+    return store
+
+
+def contract_in_order(graph: Graph, order: Sequence[int]) -> ContractionResult:
+    """Contract *graph* following *order* (earliest contracted first):
+    the structure by :func:`eliminate`, the weights by the default
+    resolved engine's Algorithm 2 from an empty store."""
+    return weighed(unweighted_store(graph, graph, order))
 
 
 def min_degree_order(graph: Graph) -> list[int]:

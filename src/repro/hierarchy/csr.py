@@ -23,14 +23,17 @@ Two derived tables make the maintenance kernels array-native:
   the up-slot of its shortcut, so Property-3.1 recomputation runs as a
   sorted intersection over two down rows and weight gathers.
 
-:func:`extend_slots` and :func:`compact_slots` are the two ways the
-structure changes after construction; both permute every weight plane
-alongside and hand the result to the store's ``rebind``.
+:func:`build_shortcut_csr` builds the structure alone, from the up-rows
+of the symbolic elimination (:func:`~repro.hierarchy.contraction.eliminate`);
+the store then fills its weight planes by Algorithm 2. :func:`extend_slots`
+and :func:`compact_slots` are the two ways the structure changes after
+construction; both permute every weight plane alongside and hand the
+result to the store's ``rebind``.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -173,19 +176,13 @@ class ShortcutCSR:
         return self.down_slots[sa + ia], self.down_slots[sb + ib]
 
 
-def build_shortcut_csr(
-    rows: Sequence[Sequence[int]],
-    rank: np.ndarray,
-    *weight_rows,
-) -> tuple[ShortcutCSR, np.ndarray]:
-    """Build a :class:`ShortcutCSR` and its weight buffer from rows.
+def build_shortcut_csr(rows: Sequence[Iterable[int]], rank: np.ndarray) -> ShortcutCSR:
+    """Build a :class:`ShortcutCSR` from rows.
 
-    ``rows[v]`` lists vertex ``v``'s up-neighbours in any order; each
-    ``weight_rows`` entry is one plane's aligned mapping-or-sequence
-    per vertex (``weight_rows[p][v][u]``). Rows are re-sorted by
-    contraction rank and every plane follows the same permutation.
-
-    Returns ``(csr, up_weights)`` with the planes laid end to end.
+    ``rows[v]`` holds vertex ``v``'s up-neighbours in any order (any
+    sized iterable); each row is sorted by contraction rank. The
+    structure carries no weights: a store fills its ``up_weights``
+    beside it.
     """
     n = len(rows)
     rank = np.asarray(rank, dtype=np.int64)
@@ -198,15 +195,7 @@ def build_shortcut_csr(
     )
     owners = np.repeat(np.arange(n, dtype=np.int64), counts)
     order = np.lexsort((rank[indices], owners))
-    up_weights = np.empty(len(weight_rows) * m, dtype=np.float64)
-    for plane, wrows in enumerate(weight_rows):
-        flat = np.fromiter(
-            (wrow[u] for row, wrow in zip(rows, wrows) for u in row),
-            dtype=np.float64,
-            count=m,
-        )
-        up_weights[plane * m : (plane + 1) * m] = flat[order]
-    return ShortcutCSR(n, rank, indptr, indices[order]), up_weights
+    return ShortcutCSR(n, rank, indptr, indices[order])
 
 
 def _counts_to_indptr(owners: np.ndarray, n: int) -> np.ndarray:

@@ -12,6 +12,12 @@ Structural stability (U1) holds by construction: weight updates never add
 or remove shortcuts, they only change stored weights, which the dynamic
 algorithms keep consistent with the minimum-weight property (3.1).
 
+A build is the contraction engine's two passes
+(:mod:`repro.hierarchy.contraction`): symbolic elimination of the
+store's :meth:`~UpdateHierarchy.skeleton` gives the structure, then
+Algorithm 2 from an empty store fills every weight plane on the
+resolved maintenance engine — the same relaxation that maintains it.
+
 The shortcut store itself is the flat CSR layout inherited from
 :class:`~repro.hierarchy.contraction.ContractionResult` — the update
 hierarchy *shares* the base result's arrays (no rebuild) and adds the
@@ -24,7 +30,7 @@ import numpy as np
 
 from repro.exceptions import HierarchyError
 from repro.graph.graph import Graph
-from repro.hierarchy.contraction import ContractionResult, contract_in_order
+from repro.hierarchy.contraction import ContractionResult, unweighted_store, weighed
 from repro.hierarchy.query_hierarchy import QueryHierarchy
 
 __all__ = ["UpdateHierarchy"]
@@ -53,11 +59,21 @@ class UpdateHierarchy(ContractionResult):
         self.hq = hq
 
     @classmethod
-    def build(cls, graph: Graph, hq: QueryHierarchy) -> "UpdateHierarchy":
-        """Contract *graph* in decreasing ``tau`` order (deepest first)."""
-        order = hq.contraction_order()
-        base = contract_in_order(graph, order)
-        return cls(base, hq)
+    def build(
+        cls, graph, hq: QueryHierarchy, engine: str = "compiled"
+    ) -> "UpdateHierarchy":
+        """Contract *graph* in decreasing ``tau`` order (deepest first),
+        its weights filled by *engine*."""
+        base = unweighted_store(
+            graph, cls.skeleton(graph), hq.contraction_order(), cls.planes
+        )
+        return weighed(cls(base, hq), engine)
+
+    @staticmethod
+    def skeleton(graph: Graph) -> Graph:
+        """The undirected graph whose elimination is the structure and
+        whose separators order the hierarchy: here the graph itself."""
+        return graph
 
     def validate_comparability(self) -> None:
         """Check Lemma 4.8: every shortcut joins comparable vertices.

@@ -17,7 +17,8 @@ only place one is chosen.
 
 The shortcut half is also exposed on its own: :func:`maintain_shortcuts`
 for stores without labels (the DCH/IncH2H baselines share Algorithms
-2/3).
+2/3), and :func:`fill_weights`, Algorithm 2 from an empty store, which
+is how every build weighs its shortcuts.
 """
 
 from __future__ import annotations
@@ -28,8 +29,12 @@ from typing import Callable, Hashable, Iterable
 
 import numpy as np
 
-from repro.exceptions import MaintenanceError, StructuralFallbackRequired
-from repro.labelling import maintenance
+from repro.exceptions import (
+    HierarchyError,
+    MaintenanceError,
+    StructuralFallbackRequired,
+)
+from repro.labelling import maintenance, native
 from repro.labelling.labels import HierarchicalLabelling
 from repro.labelling.maintenance import Engine, MaintenanceStats, WeightChange
 from repro.labelling.native import engine as native_engine
@@ -38,6 +43,7 @@ from repro.observability.phases import collect_phases, phase, phases_active
 __all__ = [
     "ENGINES",
     "collected",
+    "fill_weights",
     "maintain",
     "maintain_shortcuts",
     "validate_batch",
@@ -147,57 +153,6 @@ def split_batch(
 
 
 # ---------------------------------------------------------------------------
-# per-cell direct edge weights (Algorithm 3's Property-3.1 base term)
-# ---------------------------------------------------------------------------
-
-class _DirectCache:
-    """Per-cell direct edge weights, pinned to a graph mutation version."""
-
-    __slots__ = ("direct", "version")
-
-    def __init__(self, direct: np.ndarray, version: int):
-        self.direct = direct
-        self.version = version
-
-
-def _fresh_direct_cache(sc) -> _DirectCache | None:
-    """The store's direct-edge cache, or None if it went stale."""
-    cache = sc._direct_cache
-    if cache is not None and cache.version != sc.graph.version:
-        sc._direct_cache = cache = None
-    return cache
-
-
-def _direct_cell_weights(sc) -> _DirectCache:
-    """Build (or reuse) the per-cell direct edge weight array.
-
-    inf where no edge survives. Cached on the store and invalidated
-    through the graph's mutation counter, so out-of-band graph writes
-    (structural insertions, compaction) are never missed.
-    """
-    cache = _fresh_direct_cache(sc)
-    if cache is None:
-        graph = sc.graph
-        rank = sc.rank
-        direct = np.full(len(sc.up_weights), math.inf, dtype=np.float64)
-        # A two-plane store weighs arcs (a digraph's ``edges()``):
-        # a -> b falls in plane 1 when it descends (``a`` the shallower
-        # endpoint).
-        triples = list(graph.edges())
-        if triples:
-            arr = np.asarray([(u, v) for u, v, _ in triples], dtype=np.int64)
-            ws = np.asarray([w for _, _, w in triples], dtype=np.float64)
-            u, v = arr[:, 0], arr[:, 1]
-            flip = rank[u] > rank[v]
-            cells = sc.csr.slots_of(np.where(flip, v, u), np.where(flip, u, v))
-            if sc.planes == 2:
-                cells += flip * sc.csr.num_slots
-            direct[cells] = ws
-        cache = sc._direct_cache = _DirectCache(direct, graph.version)
-    return cache
-
-
-# ---------------------------------------------------------------------------
 # shortcut phase (Algorithms 2 and 3)
 # ---------------------------------------------------------------------------
 
@@ -214,15 +169,15 @@ def _shortcut_phase(
     decrease = kind == "decrease"
     with phase(f"{kind}.seed"):
         # Only the increase sweep reads the direct weights; a decrease
-        # just keeps an existing cache current.
-        cache = _fresh_direct_cache(sc) if decrease else _direct_cell_weights(sc)
+        # keeps them current when the store has them.
+        direct = sc.direct if decrease else sc.direct_weights()
         marks = maintenance.cell_marks(len(weights))
         seeds: set[int] = set()
         for a, b, w_new in batch:
             old_edge = graph.set_weight(a, b, w_new)
             cell = sc.edge_slot(a, b)
-            if cache is not None:
-                cache.direct[cell] = w_new
+            if direct is not None:
+                direct[cell] = w_new
             if decrease:
                 if weights[cell] > w_new:
                     maintenance.mark_cell(marks, cell, weights)
@@ -232,14 +187,12 @@ def _shortcut_phase(
                 # Only shortcuts whose weight was realised by this edge
                 # can change.
                 seeds.add(cell)
-        if cache is not None:
-            cache.version = graph.version
 
     if seeds:
         seed_cells = np.asarray(sorted(seeds), dtype=np.int64)
         with phase(_SHORTCUT_SWEEP_PHASE[kind]):
             if not decrease:
-                engine.shortcut_increase_sweep(sc, seed_cells, cache.direct, marks)
+                engine.shortcut_increase_sweep(sc, seed_cells, direct, marks)
             elif engine.shortcut_decrease_sweep(sc, seed_cells, marks):
                 raise StructuralFallbackRequired(
                     "decrease sweep reached a compacted shortcut slot"
@@ -249,6 +202,25 @@ def _shortcut_phase(
     if sc.planes > 1:
         cells = np.sort(cells)
     return cells, first_old[cells]
+
+
+def fill_weights(store, engine: str = "compiled") -> None:
+    """Weigh a freshly contracted *store*: Algorithm 2 from an empty one.
+
+    Every cell starts at its direct road weight (inf where there is
+    none) and the resolved *engine*'s decrease sweep runs once from
+    every finite cell. The monotone min-relaxation from inf reaches
+    exactly the Property-3.1 fixpoint, and float addition is monotone,
+    so every engine fills the same bits. The store keeps the direct
+    weights for its first increase.
+    """
+    direct = store.direct_weights()
+    np.copyto(store.up_weights, direct)
+    seeds = np.flatnonzero(np.isfinite(direct))
+    marks = maintenance.cell_marks(len(direct))
+    sweep = ENGINES[native.resolved_engine(engine)].shortcut_decrease_sweep
+    if sweep(store, seeds, marks):
+        raise HierarchyError("a fresh shortcut store lacks a pair its sweep reached")
 
 
 def maintain_shortcuts(

@@ -46,6 +46,11 @@ def _cut_weight(pgraph: PartitionGraph, side) -> float:
     return total
 
 
+#: Greedy-growing candidates drawn per coarsest graph (one BFS-halves
+#: and, past a cut of 4, one spectral candidate join them).
+_GROWING_TRIALS = 4
+
+
 def _max_side_weight(total: int, beta: float) -> int:
     """Balance bound: each side at most (1 - beta) of the total weight."""
     bound = int(math.floor((1.0 - beta) * total))
@@ -57,8 +62,6 @@ def multilevel_bisection(
     beta: float = 0.2,
     seed: int | np.random.Generator | None = 0,
     coarsest_size: int = 120,
-    growing_trials: int = 4,
-    use_spectral: bool = True,
 ) -> Bipartition:
     """Balanced bisection of *pgraph* minimising crossing multiplicity.
 
@@ -94,9 +97,7 @@ def multilevel_bisection(
             [tuple([(index[u], w) for u, w in pgraph.rows[v]]) for v in giant],
             [pgraph.vweight[v] for v in giant],
         )
-        local_sides = multilevel_bisection(
-            sub, beta, rng, coarsest_size, growing_trials, use_spectral
-        ).side.tolist()
+        local_sides = multilevel_bisection(sub, beta, rng, coarsest_size).side.tolist()
         with phase("partition.refine"):
             side = bytearray(n)
             side_weight = [0, 0]
@@ -137,7 +138,7 @@ def multilevel_bisection(
             best_side = cand
 
     with phase("partition.initial"):
-        for _ in range(max(1, growing_trials)):
+        for _ in range(_GROWING_TRIALS):
             seed_vertex = int(rng.integers(0, coarsest.num_vertices))
             if seed_vertex not in seeds:
                 seeds.add(seed_vertex)
@@ -145,7 +146,7 @@ def multilevel_bisection(
         consider(bfs_halves(coarsest, rng))
     # Spectral is the most expensive candidate; only bother when the
     # combinatorial ones left room for improvement.
-    if use_spectral and best_cut > 4.0:
+    if best_cut > 4.0:
         with phase("partition.spectral"):
             spectral = spectral_bisection(coarsest)
             if spectral is not None:

@@ -87,12 +87,15 @@ class TestDiGraph:
         assert not r.has_arc(0, 1)
 
     def test_to_undirected_min_of_directions(self):
-        g = DiGraph(2)
-        g.add_arc(0, 1, 5.0)
-        g.add_arc(1, 0, 2.0)
+        g = DiGraph.from_arcs(
+            3, [(0, 1, 5.0), (1, 0, 2.0), (1, 2, math.inf), (2, 1, math.inf)]
+        )
         u = g.to_undirected()
         assert isinstance(u, Graph)
         assert u.weight(0, 1) == 2.0
+        # A pair deleted both ways stays as structure.
+        assert u.has_edge(1, 2) and math.isinf(u.weight(1, 2))
+        assert u.num_edges == 2
 
     def test_is_symmetric_detects_asymmetry(self):
         g = DiGraph(2)
