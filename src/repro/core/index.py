@@ -11,6 +11,11 @@ components ``(<H_Q, H_U>, L)``:
 4. :func:`~repro.labelling.build_labelling` runs Algorithm 1, once per
    weight plane of the shortcut store.
 
+Every step runs on ``config.resolve_engine()``: under ``compiled`` the
+FM refinement of step 1, the weight fill of step 3 and the top-down
+pass of step 4 are loops of the C kernel file, under ``reference`` their
+Python twins; the index is the same bits either way.
+
 Everything that does not depend on whether roads are edges or arcs lives
 once, in :class:`IndexCore`, written against the store contract
 (:class:`~repro.hierarchy.contraction.ContractionResult`: ``planes``,
@@ -130,17 +135,18 @@ class IndexCore:
             raise IndexBuildError("cannot index an empty graph")
         stats = IndexStats(num_vertices=n, num_edges=graph.num_edges)
 
+        engine = config.resolve_engine()
         with Timer() as t, phase("build.partition"):
             tree = cls._bisect(cls._hierarchy.skeleton(graph), config)
             hq = QueryHierarchy.from_partition_tree(tree, n)
         stats.partition_seconds = t.seconds
 
         with Timer() as t, phase("build.contraction"):
-            hu = cls._hierarchy.build(graph, hq, config.resolve_engine())
+            hu = cls._hierarchy.build(graph, hq, engine)
         stats.contraction_seconds = t.seconds
 
         with Timer() as t, phase("build.labelling"):
-            labellings = [build_labelling(plane) for plane in hu.plane_views()]
+            labellings = [build_labelling(plane, engine) for plane in hu.plane_views()]
         stats.labelling_seconds = t.seconds
 
         index = cls(graph, hq, hu, *labellings, config, stats)
@@ -156,6 +162,7 @@ class IndexCore:
             leaf_size=config.leaf_size,
             seed=config.seed,
             coarsest_size=config.coarsest_size,
+            engine=config.resolve_engine(),
         )
 
     def _refresh_size_stats(self) -> None:

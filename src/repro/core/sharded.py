@@ -173,6 +173,7 @@ class ShardedDHLIndex:
                 beta=region_beta,
                 seed=config.seed,
                 coarsest_size=config.coarsest_size,
+                engine=config.resolve_engine(),
             )
         partition_seconds = t.seconds
 

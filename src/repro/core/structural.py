@@ -204,8 +204,9 @@ def _rebuild(index, hq: QueryHierarchy) -> None:
     Works on snapshot-loaded indexes too — the contraction order is a
     pure function of ``hq.tau``, which is always available.
     """
-    hu = index._hierarchy.build(index.graph, hq, index.config.resolve_engine())
-    index._adopt(hq, hu, map(build_labelling, hu.plane_views()))
+    engine = index.config.resolve_engine()
+    hu = index._hierarchy.build(index.graph, hq, engine)
+    index._adopt(hq, hu, [build_labelling(plane, engine) for plane in hu.plane_views()])
 
 
 def _subtree_vertices(hq: QueryHierarchy, node_id: int) -> list[int]:

@@ -3,15 +3,16 @@
 * :class:`HierarchicalLabelling` — the distance map ``gamma`` stored as one
   dense numpy array per vertex, indexed by ancestor rank ``tau``
   (Definitions 4.9-4.12).
-* :mod:`repro.labelling.build` — bottom-up construction (Algorithm 1).
+* :mod:`repro.labelling.build` — top-down construction (Algorithm 1).
 * :mod:`repro.labelling.query` — 2-hop distance queries through H_Q.
 * :mod:`repro.labelling.driver` — the one maintenance driver: batch
   validation, seeding, stats and the engine table, over the four-sweep
   :class:`~repro.labelling.maintenance.Engine` contract (DH-U
   decrease/increase — Algorithms 2/3 — and DHL-/DHL+ — Algorithms 4/5).
 * :mod:`repro.labelling.native` — the default engine wherever a C
-  compiler exists: the pair query and the four sweeps as heap loops of
-  one C file, built at first use and called through ``ctypes``.
+  compiler exists: the queries, the four sweeps and the build's FM and
+  Algorithm 1 passes as loops of one C file, built at first use and
+  called through ``ctypes``.
 * :mod:`repro.labelling.maintenance` — the contract, the stats record
   and the paper-literal scalar reference engine: the differential-test
   oracle, and what a compiler-less host runs.

@@ -2,26 +2,30 @@
 
 Labels are computed top-down in increasing ``tau`` order: a vertex's label
 is the element-wise minimum over its up-neighbours ``w`` of
-``w(v, w) + L_w``, seeded with its direct shortcut weights. Each inner
-step is one vectorised ``numpy.minimum`` over a prefix, which is what
-keeps pure-Python construction practical (the ``repro_why`` concern).
+``w(v, w) + L_w``, seeded with its direct shortcut weights.
 
 The builder reads the CSR shortcut store directly (``csr.indptr`` /
-``csr.indices`` / ``up_weights``): the shortcut-weight seeding is one
-scatter into the flat label buffer, and the top-down pass walks row
-slices with no per-edge dict probing.
+``csr.indices`` / ``up_weights``): the diagonal and the shortcut-weight
+seeding are two scatters into the flat label buffer, in numpy on every
+engine. The top-down pass follows the resolved engine: under
+``compiled`` it is one loop of the C kernel ``dhl_label_build``; under
+``reference`` (and on a host without a compiler) it walks row slices
+here, one vectorised ``numpy.minimum`` per slot — the differential
+oracle the C pass must match bit for bit.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from repro.labelling import native
 from repro.labelling.labels import HierarchicalLabelling
+from repro.labelling.native import engine as native_engine
 
 __all__ = ["build_labelling"]
 
 
-def build_labelling(hu) -> HierarchicalLabelling:
+def build_labelling(hu, engine: str = "compiled") -> HierarchicalLabelling:
     """Run Algorithm 1 over the update hierarchy *hu*.
 
     *hu* is any one-plane CSR shortcut store carrying ``tau``, ``csr``
@@ -29,7 +33,8 @@ def build_labelling(hu) -> HierarchicalLabelling:
     plane of the directed one. Returns the hierarchical labelling whose
     entry ``L_v[i]`` is the length of the shortest shortcut chain from
     ``v`` to its rank-``i`` ancestor — equivalently the interval-subgraph
-    distance of Definition 4.11 (by Lemma 6.3 / Corollary 6.5).
+    distance of Definition 4.11 (by Lemma 6.3 / Corollary 6.5). The
+    top-down pass runs on the resolved *engine*; both give equal bits.
     """
     tau = np.asarray(hu.tau, dtype=np.int64)
     n = len(tau)
@@ -54,7 +59,11 @@ def build_labelling(hu) -> HierarchicalLabelling:
 
     # Lines 5-8: top-down pass in increasing tau; ties are incomparable
     # vertices whose labels do not interact, so any tie-break works.
-    for v in np.argsort(tau, kind="stable").tolist():
+    order = np.argsort(tau, kind="stable")
+    if native.resolved_engine(engine) == "compiled":
+        native_engine.label_build(hu, labels, order)
+        return labels
+    for v in order.tolist():
         start, end = int(indptr[v]), int(indptr[v + 1])
         if start == end:
             continue

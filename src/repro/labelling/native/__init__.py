@@ -2,7 +2,8 @@
 
 :mod:`dhl_kernels.c <repro.labelling.native>` (package data, plain C99,
 no ``Python.h``) holds the pair and set-to-set queries, the sharded
-min-plus combine and the four maintenance sweeps.
+min-plus combine, the four maintenance sweeps and the build's two hot
+loops: FM bisection refinement and Algorithm 1's top-down pass.
 This module builds it at first use and opens it with :mod:`ctypes`:
 
 * :func:`library` — the loaded library, or None where it cannot be had.
@@ -79,6 +80,11 @@ SIGNATURES = {
         ctypes.c_int,
         [_i64, _ptr, _ptr, _i64, _ptr, _i64] + [_ptr] * 15,
     ),
+    "dhl_fm_refine": (
+        ctypes.c_int,
+        [_i64, _i64] + [_ptr] * 4 + [_i64, _i64] + [_ptr] * 2,
+    ),
+    "dhl_label_build": (None, [_i64] + [_ptr] * 7),
 }
 
 

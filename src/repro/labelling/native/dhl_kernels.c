@@ -1,11 +1,13 @@
 /*
  * DHL kernels over the flat CSR buffers: the pair and set-to-set
  * queries (Section 4.3), the sharded boundary route's min-plus combine,
- * and the four maintenance sweeps of the Engine contract (Algorithms
- * 2-5). Plain C99 over int64_t / double / uint8_t pointers; built at
- * first use by repro.labelling.native and called through ctypes, which
- * validates dtype, contiguity, alignment and lengths and range-checks
- * every vertex id and row index before a pointer gets here.
+ * the four maintenance sweeps of the Engine contract (Algorithms 2-5)
+ * and the build's two hot loops, FM bisection refinement and Algorithm
+ * 1's top-down pass. Plain C99 over int64_t / double / uint8_t
+ * pointers; built at first use by repro.labelling.native and called
+ * through ctypes, which validates dtype, contiguity, alignment and
+ * lengths and range-checks every vertex id, row index and side byte
+ * before a pointer gets here.
  *
  * The sweeps are scalar fixpoints in the paper's order (shortcuts
  * deepest owner first, label entries shallowest vertex first) over an
@@ -37,6 +39,7 @@
 #include <math.h>
 #include <stdint.h>
 #include <stdlib.h>
+#include <string.h>
 
 #define DHL_NOMEM (-1)
 
@@ -695,4 +698,264 @@ int dhl_label_increase(
     work[0] = handled;
     work[1] = increased;
     return status;
+}
+
+/* ------------------------------------------------------------------ */
+/* construction: FM refinement and Algorithm 1's top-down pass         */
+/* ------------------------------------------------------------------ */
+
+/*
+ * One FM gain-queue entry, ordered by (key, push counter). Counters are
+ * distinct, so the order is total and any correct min-heap pops the
+ * sequence heapq pops over the same pushes.
+ */
+typedef struct {
+    double key;
+    int64_t counter;
+    int64_t vertex;
+} fm_entry_t;
+
+static inline int fm_less(const fm_entry_t *a, const fm_entry_t *b) {
+    return a->key < b->key || (a->key == b->key && a->counter < b->counter);
+}
+
+static void fm_sift_down(fm_entry_t *heap, int64_t size, int64_t i) {
+    fm_entry_t e = heap[i];
+    for (;;) {
+        int64_t child = 2 * i + 1;
+        if (child >= size)
+            break;
+        if (child + 1 < size && fm_less(&heap[child + 1], &heap[child]))
+            child++;
+        if (!fm_less(&heap[child], &e))
+            break;
+        heap[i] = heap[child];
+        i = child;
+    }
+    heap[i] = e;
+}
+
+static void fm_push(fm_entry_t *heap, int64_t *size, double key,
+                    int64_t counter, int64_t vertex)
+{
+    fm_entry_t e = {key, counter, vertex};
+    int64_t i = (*size)++;
+    while (i > 0) {
+        int64_t parent = (i - 1) >> 1;
+        if (!fm_less(&e, &heap[parent]))
+            break;
+        heap[i] = heap[parent];
+        i = parent;
+    }
+    heap[i] = e;
+}
+
+static fm_entry_t fm_pop(fm_entry_t *heap, int64_t *size) {
+    fm_entry_t top = heap[0];
+    if (--*size > 0) {
+        heap[0] = heap[*size];
+        fm_sift_down(heap, *size, 0);
+    }
+    return top;
+}
+
+/* Cut reduction of moving v: external minus internal, in row order. */
+static double fm_gain(int64_t v, const int64_t *indptr, const int64_t *indices,
+                      const double *mult, const uint8_t *side)
+{
+    double internal = 0.0, external = 0.0;
+    for (int64_t e = indptr[v]; e < indptr[v + 1]; e++) {
+        if (side[indices[e]] == side[v])
+            internal += mult[e];
+        else
+            external += mult[e];
+    }
+    return external - internal;
+}
+
+/*
+ * Fiduccia-Mattheyses refinement of side (0/1 bytes, refined in place)
+ * over the CSR graph (indptr, indices, multiplicities, vertex weights):
+ * repro.partition.fm.fm_refine's passes, decision for decision. Gains
+ * are summed in row order over integer multiplicities held in doubles,
+ * so every sum is exact and every 1e-12 test sees the same values. A
+ * pass stops when its queue drains or when room, the cut the pass can
+ * still remove, closes on the best prefix; it then rolls back to that
+ * prefix. work[0] and work[1] grow by the queue pops and by n per pass
+ * that queued a boundary.
+ *
+ * All scratch is allocated up front, before side is read: a heap of
+ * n + nnz entries is enough, since a pass queues at most n boundary
+ * vertices, each vertex moves at most once per pass and queues at most
+ * its row, and a stale re-push replaces the entry just popped. Returns
+ * 0, or DHL_NOMEM with side untouched.
+ */
+int dhl_fm_refine(
+    int64_t n, int64_t nnz, const int64_t *indptr, const int64_t *indices,
+    const double *mult, const int64_t *vweight, int64_t max_side_weight,
+    int64_t max_passes, uint8_t *side, int64_t *work)
+{
+    if (n < 0 || nnz < 0
+        || (uint64_t)n + (uint64_t)nnz >= SIZE_MAX / sizeof(fm_entry_t))
+        return DHL_NOMEM;
+    size_t cells = (size_t)n + 1, entries = (size_t)n + (size_t)nnz + 1;
+    fm_entry_t *heap = malloc(entries * sizeof(fm_entry_t));
+    double *gains = malloc(cells * sizeof(double));
+    double *queued = malloc(cells * sizeof(double));
+    int64_t *moves = malloc(cells * sizeof(int64_t));
+    /* three byte maps: gain known, locked, queued */
+    uint8_t *flags = malloc(3 * cells);
+    if (!heap || !gains || !queued || !moves || !flags) {
+        free(heap);
+        free(gains);
+        free(queued);
+        free(moves);
+        free(flags);
+        return DHL_NOMEM;
+    }
+    uint8_t *have_gain = flags, *locked = flags + cells;
+    uint8_t *is_queued = flags + 2 * cells;
+    int64_t side_weight[2] = {0, 0};
+    for (int64_t v = 0; v < n; v++)
+        side_weight[side[v]] += vweight[v];
+
+    for (int64_t pass = 0; pass < max_passes; pass++) {
+        memset(flags, 0, 3 * cells);
+        int64_t size = 0;
+        double room = 0.0;
+        for (int64_t v = 0; v < n; v++) {
+            double internal = 0.0, external = 0.0;
+            int on_boundary = 0;
+            for (int64_t e = indptr[v]; e < indptr[v + 1]; e++) {
+                if (side[indices[e]] == side[v]) {
+                    internal += mult[e];
+                } else {
+                    external += mult[e];
+                    on_boundary = 1;
+                }
+            }
+            if (on_boundary) {
+                double gain = external - internal;
+                gains[v] = gain;
+                have_gain[v] = is_queued[v] = 1;
+                queued[v] = -gain;
+                heap[size] = (fm_entry_t){-gain, size, v};
+                size++;
+                room += external;
+            }
+        }
+        if (size == 0)
+            break; /* zero cut: nothing to refine */
+        room /= 2.0;
+        int64_t live = size, counter = size;
+        for (int64_t i = size / 2 - 1; i >= 0; i--)
+            fm_sift_down(heap, size, i);
+        work[1] += n;
+
+        int64_t num_moves = 0, best_prefix = 0;
+        double cumulative = 0.0, best_value = 0.0;
+        while (live > 0 && size > 0) {
+            fm_entry_t top = fm_pop(heap, &size);
+            work[0]++;
+            int64_t v = top.vertex;
+            if (!is_queued[v] || queued[v] != top.key)
+                continue; /* superseded entry */
+            is_queued[v] = 0;
+            live--;
+            double gain = gains[v];
+            if (-top.key != gain) {
+                /* stale: pushes refuse key increases; re-queue the true gain */
+                queued[v] = -gain;
+                is_queued[v] = 1;
+                live++;
+                fm_push(heap, &size, -gain, counter++, v);
+                continue;
+            }
+            uint8_t sv = side[v], target = (uint8_t)(1 - sv);
+            int64_t wv = vweight[v];
+            if (side_weight[target] + wv > max_side_weight)
+                continue; /* infeasible move; may be re-pushed later */
+            locked[v] = 1;
+            side[v] = target;
+            side_weight[sv] -= wv;
+            side_weight[target] += wv;
+            cumulative += gain;
+            moves[num_moves++] = v;
+            if (cumulative > best_value + 1e-12) {
+                best_value = cumulative;
+                best_prefix = num_moves;
+            }
+            for (int64_t e = indptr[v]; e < indptr[v + 1]; e++) {
+                int64_t u = indices[e];
+                double w = mult[e];
+                if (locked[u]) {
+                    if (side[u] == sv)
+                        room -= w; /* (u, v) stays cut for the pass */
+                    continue;
+                }
+                double g;
+                if (have_gain[u]) {
+                    g = gains[u] + (side[u] == sv ? 2.0 * w : -2.0 * w);
+                } else {
+                    g = fm_gain(u, indptr, indices, mult, side);
+                    have_gain[u] = 1;
+                }
+                gains[u] = g;
+                double key = -g;
+                if (!is_queued[u])
+                    live++;
+                else if (queued[u] <= key)
+                    continue;
+                queued[u] = key;
+                is_queued[u] = 1;
+                fm_push(heap, &size, key, counter++, u);
+            }
+            if (room <= best_value + 1e-12)
+                break; /* no later prefix can beat the best one */
+        }
+
+        for (int64_t i = best_prefix; i < num_moves; i++) {
+            int64_t v = moves[i];
+            uint8_t sv = side[v];
+            side[v] = (uint8_t)(1 - sv);
+            side_weight[sv] -= vweight[v];
+            side_weight[1 - sv] += vweight[v];
+        }
+        if (best_prefix == 0)
+            break; /* no improvement: converged */
+    }
+    free(heap);
+    free(gains);
+    free(queued);
+    free(moves);
+    free(flags);
+    return 0;
+}
+
+/*
+ * Algorithm 1, lines 5-8: in stable tau order, every vertex v lowers
+ * L_v[:k] to w(v, w) + L_w[:k] (k = tau(w) + 1) over its up slots, in
+ * slot order. The caller has seeded the diagonal and the shortcut
+ * weights; each candidate is the one double sum numpy's pass adds, so
+ * the labels are its bits. Allocates nothing.
+ */
+void dhl_label_build(
+    int64_t n, const int64_t *order, const int64_t *indptr,
+    const int64_t *indices, const double *weights, const int64_t *tau,
+    const int64_t *offsets, double *values)
+{
+    for (int64_t i = 0; i < n; i++) {
+        int64_t v = order[i];
+        double *row = values + offsets[v];
+        for (int64_t slot = indptr[v]; slot < indptr[v + 1]; slot++) {
+            int64_t w = indices[slot], k = tau[w] + 1;
+            const double *up = values + offsets[w];
+            double weight = weights[slot];
+            for (int64_t c = 0; c < k; c++) {
+                double cand = weight + up[c];
+                if (cand < row[c])
+                    row[c] = cand;
+            }
+        }
+    }
 }

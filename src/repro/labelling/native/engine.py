@@ -28,8 +28,17 @@ import numpy as np
 
 from repro.labelling.maintenance import Engine
 from repro.labelling.native import library
+from repro.partition.types import side_bytes
 
-__all__ = ["ENGINE", "distance_matrix", "gather_pairs", "min_plus", "operand"]
+__all__ = [
+    "ENGINE",
+    "distance_matrix",
+    "fm_refine",
+    "gather_pairs",
+    "label_build",
+    "min_plus",
+    "operand",
+]
 
 _I64 = np.dtype(np.int64)
 _F64 = np.dtype(np.float64)
@@ -97,7 +106,7 @@ def _csr_down(csr) -> tuple[int, ...]:
 
 def _checked(status: int) -> int:
     if status < 0:
-        raise MemoryError("native sweep could not grow its heap")
+        raise MemoryError("native kernel could not allocate its heap")
     return status
 
 
@@ -315,3 +324,57 @@ def min_plus(ds, ds_inverse, block, dt, dt_inverse) -> np.ndarray:
         _addr(hop, _F64, hop.size), _addr(out, _F64, count),
     )
     return out
+
+
+# ---------------------------------------------------------------------------
+# the build: FM refinement and Algorithm 1
+# ---------------------------------------------------------------------------
+
+def fm_refine(
+    pgraph, side, max_side_weight: int, max_passes: int = 8, work=None
+) -> bytearray:
+    """:func:`repro.partition.fm.fm_refine` as one C loop, same decisions.
+
+    Reads ``pgraph.flat()``; *side* is any 0/1 sequence and is left as
+    it is. *work*, when given, is an int64 pair the kernel adds its
+    gain-queue pops and pass-vertices (n per pass that queued a
+    boundary) to.
+    """
+    indptr, indices, mult, vweight = pgraph.flat()
+    n, nnz = len(vweight), len(indices)
+    side = side_bytes(side)
+    buf = np.frombuffer(side, dtype=np.uint8)
+    if len(buf) != n or (n and buf.max() > 1):
+        raise ValueError(f"FM needs {n} sides of 0 or 1")
+    if work is None:
+        work = np.zeros(2, dtype=np.int64)
+    _checked(
+        library().dhl_fm_refine(
+            n, nnz, _addr(indptr, _I64, n + 1), _addr(indices, _I64, nnz),
+            _addr(mult, _F64, nnz), _addr(vweight, _I64, n),
+            max_side_weight, max_passes,
+            _addr(buf, _U8, n, write=True), _addr(work, _I64, 2, write=True),
+        )
+    )
+    return side
+
+
+def label_build(store, labels, order: np.ndarray) -> None:
+    """Lines 5-8 of :func:`repro.labelling.build.build_labelling` as one
+    C loop over the seeded *labels*: vertices in *order* (stable ``tau``
+    order), each row lowered by ``w(v, w) + L_w`` over its up slots.
+    A row is written below ``tau(w) + 1 <= tau(v)`` only, so the checks
+    are that every shortcut points to an ancestor and every row holds
+    its ``tau(v) + 1`` entries."""
+    csr, n, m = store.csr, store.csr.n, store.csr.num_slots
+    tau, offsets = store.tau, labels.offsets
+    values_addr, offsets_addr = _label_addrs(labels.values, offsets, n, write=True)
+    if n and (offsets[0] < 0 or (np.diff(offsets) <= tau).any()):
+        raise ValueError("label rows do not hold tau + 1 entries")
+    if m and (tau[csr.indices] >= tau[csr.owners]).any():
+        raise ValueError("a shortcut does not point to an ancestor")
+    library().dhl_label_build(
+        n, _addr(order, _I64, n), *_csr_rows(csr),
+        _addr(store.up_weights, _F64, m), _addr(tau, _I64, n),
+        offsets_addr, values_addr,
+    )

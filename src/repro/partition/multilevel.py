@@ -4,7 +4,9 @@ Pipeline: heavy-edge coarsening down to ``coarsest_size`` (120) vertices,
 a portfolio of initial partitions on the coarsest graph (greedy graph
 growing from several seeds, BFS layering, spectral), Fiduccia-Mattheyses
 refinement, then projection back up the levels with refinement at each
-step.
+step. FM runs on the resolved engine: the ``dhl_fm_refine`` C kernel
+under ``compiled``, :func:`~repro.partition.fm.fm_refine` (its reference
+twin) otherwise; both make the same decisions.
 
 The objective is the number of crossing *original* edges (multiplicities),
 since the query hierarchy's label sizes are driven by separator sizes,
@@ -51,6 +53,18 @@ def _cut_weight(pgraph: PartitionGraph, side) -> float:
 _GROWING_TRIALS = 4
 
 
+def _refiner(engine: str):
+    """FM refinement on the resolved *engine*."""
+    # Deferred: repro.labelling imports this package (via H_Q).
+    from repro.labelling import native
+
+    if native.resolved_engine(engine) == "compiled":
+        from repro.labelling.native.engine import fm_refine as native_fm_refine
+
+        return native_fm_refine
+    return fm_refine
+
+
 def _max_side_weight(total: int, beta: float) -> int:
     """Balance bound: each side at most (1 - beta) of the total weight."""
     bound = int(math.floor((1.0 - beta) * total))
@@ -62,11 +76,13 @@ def multilevel_bisection(
     beta: float = 0.2,
     seed: int | np.random.Generator | None = 0,
     coarsest_size: int = 120,
+    engine: str = "compiled",
 ) -> Bipartition:
     """Balanced bisection of *pgraph* minimising crossing multiplicity.
 
     Both sides of the result weigh at most ``(1 - beta)`` of the total
-    vertex weight (Definition 4.1's balance parameter).
+    vertex weight (Definition 4.1's balance parameter). *engine* picks
+    the FM implementation; the result does not depend on it.
     """
     if not 0.0 < beta <= 0.5:
         raise PartitionError(f"beta must be in (0, 0.5], got {beta}")
@@ -74,6 +90,7 @@ def multilevel_bisection(
     if n < 2:
         raise PartitionError("cannot bisect a graph with fewer than 2 vertices")
     rng = make_rng(seed)
+    refine = _refiner(engine)
     total = pgraph.total_vweight()
     max_side = _max_side_weight(total, beta)
 
@@ -90,14 +107,16 @@ def multilevel_bisection(
                 packed = component_packing(pgraph, comps)
                 assert packed is not None
                 packed = rebalance(pgraph, packed, max_side)
-                packed = fm_refine(pgraph, packed, max_side)
+                packed = refine(pgraph, packed, max_side)
                 return Bipartition.compute_cut(pgraph, packed)
         index = {v: i for i, v in enumerate(giant)}
         sub = PartitionGraph(
             [tuple([(index[u], w) for u, w in pgraph.rows[v]]) for v in giant],
             [pgraph.vweight[v] for v in giant],
         )
-        local_sides = multilevel_bisection(sub, beta, rng, coarsest_size).side.tolist()
+        local_sides = multilevel_bisection(
+            sub, beta, rng, coarsest_size, engine
+        ).side.tolist()
         with phase("partition.refine"):
             side = bytearray(n)
             side_weight = [0, 0]
@@ -131,7 +150,7 @@ def multilevel_bisection(
         if key in refined:
             return
         refined.add(key)
-        cand = fm_refine(coarsest, cand, coarse_max_side)
+        cand = refine(coarsest, cand, coarse_max_side)
         cut = _cut_weight(coarsest, cand)
         if cut < best_cut:
             best_cut = cut
@@ -161,7 +180,7 @@ def multilevel_bisection(
             side = np.frombuffer(side, dtype=np.int8)[levels[k].fine_to_coarse]
             fine_max_side = _max_side_weight(fine_graph.total_vweight(), beta)
             side = rebalance(fine_graph, side, fine_max_side)
-            side = fm_refine(fine_graph, side, fine_max_side)
+            side = refine(fine_graph, side, fine_max_side)
 
         side = rebalance(pgraph, side, max_side)
         return Bipartition.compute_cut(pgraph, side)

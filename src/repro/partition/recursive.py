@@ -67,6 +67,7 @@ def recursive_bisection(
     leaf_size: int = 8,
     seed: int | np.random.Generator | None = 0,
     coarsest_size: int = 120,
+    engine: str = "compiled",
 ) -> PartitionTreeNode:
     """Build the partition tree of *graph* by recursive balanced bisection.
 
@@ -77,6 +78,9 @@ def recursive_bisection(
         most ``(1 - beta)`` of its parent's vertices. The paper uses 0.2.
     leaf_size:
         Parts of at most this many vertices become leaves.
+    engine:
+        The engine FM refinement runs on (resolved like
+        ``DHLConfig.engine``); the tree does not depend on it.
     """
     rng = make_rng(seed)
     all_vertices = list(graph.vertices())
@@ -91,7 +95,7 @@ def recursive_bisection(
         with phase("partition.subgraph"):
             pgraph = PartitionGraph.from_graph(graph, subset)
         bipartition = multilevel_bisection(
-            pgraph, beta=beta, seed=rng, coarsest_size=coarsest_size
+            pgraph, beta=beta, seed=rng, coarsest_size=coarsest_size, engine=engine
         )
         with phase("partition.separator"):
             separator_local = minimum_vertex_separator(bipartition.cut_edges)

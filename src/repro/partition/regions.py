@@ -98,12 +98,13 @@ def _bisect_subset(
     beta: float,
     rng: np.random.Generator,
     coarsest_size: int,
+    engine: str,
 ) -> tuple[list[int], list[int]]:
     """Split *subset* into two non-empty parts along a small edge cut."""
     pgraph = PartitionGraph.from_graph(graph, subset)
     try:
         bipartition = multilevel_bisection(
-            pgraph, beta=beta, seed=rng, coarsest_size=coarsest_size
+            pgraph, beta=beta, seed=rng, coarsest_size=coarsest_size, engine=engine
         )
     except PartitionError:
         return _split_in_order(subset)
@@ -122,13 +123,15 @@ def partition_regions(
     beta: float = 0.2,
     seed: int | np.random.Generator | None = 0,
     coarsest_size: int = 120,
+    engine: str = "compiled",
 ) -> RegionPartition:
     """Split *graph* into *k* edge-disjoint regions with boundaries.
 
     The largest part is repeatedly bisected (multilevel pipeline, same
     *beta* balance guarantee as the hierarchy construction) until *k*
     parts exist. ``k`` is clamped to the vertex count; requesting one
-    region returns the trivial partition with no cut edges.
+    region returns the trivial partition with no cut edges. *engine*
+    picks the FM implementation; the regions do not depend on it.
     """
     if k < 1:
         raise PartitionError(f"region count must be >= 1, got {k}")
@@ -144,7 +147,7 @@ def partition_regions(
         # on the smallest contained vertex id).
         target = max(range(len(parts)), key=lambda i: (len(parts[i]), -min(parts[i])))
         subset = parts.pop(target)
-        left, right = _bisect_subset(graph, subset, beta, rng, coarsest_size)
+        left, right = _bisect_subset(graph, subset, beta, rng, coarsest_size, engine)
         parts.append(left)
         parts.append(right)
 

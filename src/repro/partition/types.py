@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import compress
+from itertools import chain, compress
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -30,9 +30,10 @@ class PartitionGraph:
     ints and floats. Pair order is part of the contract — gain-queue ties
     break in it — so every builder keeps the insertion order of what it
     reads. ``dict`` rows (``{u: w}``) are accepted and frozen the same way.
+    :meth:`flat` is the same adjacency as CSR arrays, for the C kernels.
     """
 
-    __slots__ = ("rows", "vweight")
+    __slots__ = ("rows", "vweight", "_flat")
 
     def __init__(
         self,
@@ -46,6 +47,7 @@ class PartitionGraph:
             ]
         )
         self.vweight = vweight
+        self._flat: tuple[np.ndarray, ...] | None = None
 
     @classmethod
     def from_graph(cls, graph: Graph, vertices: Iterable[int] | None = None) -> "PartitionGraph":
@@ -74,6 +76,31 @@ class PartitionGraph:
     @property
     def num_vertices(self) -> int:
         return len(self.rows)
+
+    def flat(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """``(indptr, indices, multiplicities, vertex weights)``: ``rows``
+        and ``vweight`` as int64 / float64 CSR arrays in pair order, built
+        on first use. Raises ``ValueError`` for a neighbour outside
+        ``[0, n)``."""
+        if self._flat is None:
+            rows = self.rows
+            n = len(rows)
+            indptr = np.zeros(n + 1, dtype=np.int64)
+            np.cumsum(np.fromiter(map(len, rows), np.int64, n), out=indptr[1:])
+            nnz = int(indptr[-1])
+            pairs = np.fromiter(
+                chain.from_iterable(chain.from_iterable(rows)), np.float64, 2 * nnz
+            ).reshape(nnz, 2)
+            indices = pairs[:, 0].astype(np.int64)
+            if nnz and indices.view(np.uint64).max() >= n:
+                raise ValueError(f"a row names a neighbour outside [0, {n})")
+            self._flat = (
+                indptr,
+                indices,
+                np.ascontiguousarray(pairs[:, 1]),
+                np.array(self.vweight, dtype=np.int64),
+            )
+        return self._flat
 
     def total_vweight(self) -> int:
         return sum(self.vweight)

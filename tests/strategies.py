@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 from hypothesis import strategies as st
 
@@ -14,6 +16,22 @@ from repro.hierarchy.query_hierarchy import QueryHierarchy
 from repro.hierarchy.update_hierarchy import UpdateHierarchy
 from repro.labelling.build import build_labelling
 from repro.partition.recursive import PartitionTreeNode
+
+
+@st.composite
+def road_lists(draw, max_n: int = 14):
+    """``(n, roads)``: random roads, duplicates and self-pairs dropped
+    by the caller, with inf (deleted) and fractional weights; nothing
+    keeps the graph connected."""
+    n = draw(st.integers(2, max_n))
+    weight = st.one_of(
+        st.integers(0, 30).map(float),
+        st.floats(0.0, 50.0, allow_nan=False, allow_infinity=False),
+        st.just(math.inf),
+    )
+    pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1), weight)
+    roads = draw(st.lists(pairs, max_size=3 * n))
+    return n, [(u, v, w) for u, v, w in roads if u != v]
 
 
 @st.composite

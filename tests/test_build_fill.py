@@ -33,6 +33,7 @@ from repro.hierarchy.update_hierarchy import UpdateHierarchy
 from repro.labelling.driver import fill_weights
 from repro.partition.recursive import recursive_bisection
 from tests.conftest import require_engine
+from tests.strategies import road_lists
 
 #: SHA-1 of ``DHLIndex.build(graph).hu.up_weights`` on the bench graphs
 #: (seed 7), as the weighted contraction loop computed them.
@@ -45,22 +46,6 @@ BENCH_GRAPHS = {
     "grid": lambda: grid_network(48, 48, seed=7),
     "road": lambda: delaunay_network(4_000, style="uniform", edge_factor=1.35, seed=7),
 }
-
-
-@st.composite
-def road_lists(draw, max_n: int = 14):
-    """``(n, roads)``: random roads, duplicates and self-pairs dropped
-    by the caller, with inf (deleted) and fractional weights; nothing
-    keeps the graph connected."""
-    n = draw(st.integers(2, max_n))
-    weight = st.one_of(
-        st.integers(0, 30).map(float),
-        st.floats(0.0, 50.0, allow_nan=False, allow_infinity=False),
-        st.just(math.inf),
-    )
-    pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1), weight)
-    roads = draw(st.lists(pairs, max_size=3 * n))
-    return n, [(u, v, w) for u, v, w in roads if u != v]
 
 
 def _hq(skeleton: Graph) -> QueryHierarchy:

@@ -10,19 +10,35 @@ The deep invariants checked here come straight from the paper:
 
 from __future__ import annotations
 
+import hashlib
 import math
 
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.baselines.dijkstra import dijkstra, dijkstra_subgraph
+from repro.core.directed import DirectedUpdateHierarchy
+from repro.core.index import DHLIndex
+from repro.graph.digraph import DiGraph
+from repro.graph.graph import Graph
 from repro.hierarchy.query_hierarchy import QueryHierarchy
 from repro.hierarchy.update_hierarchy import UpdateHierarchy
 from repro.labelling.build import build_labelling
 from repro.labelling.labels import HierarchicalLabelling
 from repro.labelling.query import QueryEngine
 from repro.partition.recursive import recursive_bisection
-from tests.strategies import connected_graphs
+from tests.conftest import require_engine
+from tests.strategies import connected_graphs, road_lists
+from tests.test_build_fill import BENCH_GRAPHS
+
+#: SHA-1 of the bench labellings' values (generator seed 7), as the
+#: numpy top-down pass built them.
+PINNED_LABELS = {
+    "grid": "cb93ffea241012f510dc3740b7569d0ba9950b46",
+    "road": "7fc542a4c560dc0ae0da5ff509d7157959856fe7",
+}
 
 
 def build_all(graph, leaf_size=4, seed=0):
@@ -85,6 +101,43 @@ class TestAlgorithm1:
                     graph, v, a, lambda x, a=a: hq.precedes(a, x)
                 )
                 assert labels.view(v)[i] == expected
+
+
+@pytest.fixture(scope="module", params=sorted(PINNED_LABELS))
+def bench_store(request) -> tuple[str, UpdateHierarchy]:
+    return request.param, DHLIndex.build(BENCH_GRAPHS[request.param]()).hu
+
+
+class TestEngines:
+    """The top-down pass runs in C under ``compiled`` and in numpy under
+    ``reference``; the seeding is shared. Both must give the same bits."""
+
+    @settings(
+        max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow]
+    )
+    @given(road_lists(), st.booleans())
+    def test_both_engines_build_the_same_labels(self, case, directed):
+        require_engine("compiled")
+        n, roads = case
+        if directed:
+            graph, store = DiGraph.from_arcs(n, roads), DirectedUpdateHierarchy
+        else:
+            graph, store = Graph.from_edges(n, roads), UpdateHierarchy
+        skeleton = store.skeleton(graph)
+        tree = recursive_bisection(skeleton, leaf_size=2, seed=0)
+        hu = store.build(graph, QueryHierarchy.from_partition_tree(tree, n))
+        for plane in hu.plane_views():
+            compiled = build_labelling(plane, "compiled")
+            reference = build_labelling(plane, "reference")
+            assert np.array_equal(compiled.offsets, reference.offsets)
+            assert compiled.values.tobytes() == reference.values.tobytes()
+
+    @pytest.mark.parametrize("engine", ["compiled", "reference"])
+    def test_bench_labellings_keep_their_bits(self, bench_store, engine):
+        require_engine(engine)
+        name, hu = bench_store
+        labels = build_labelling(hu, engine)
+        assert hashlib.sha1(labels.values.tobytes()).hexdigest() == PINNED_LABELS[name]
 
 
 class TestTwoHopCover:

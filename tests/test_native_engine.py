@@ -3,9 +3,11 @@
 With a C compiler on ``PATH`` the library must load and
 ``engine="compiled"`` must mean it — the first class fails, not skips,
 otherwise. The pair kernel's and the min-plus combine's contracts, and
-what the set kernel's wrapper refuses, are checked here against the
-numpy code they replace (the set kernel's parity lives in
-``test_distance_matrix``); the sweeps' differential coverage lives in
+what the set kernel's and the build kernels' wrappers refuse, are
+checked here against the numpy code they replace (the set kernel's
+parity lives in ``test_distance_matrix``, FM's in
+``test_partition_identity``, Algorithm 1's in ``test_labelling``); the
+sweeps' differential coverage lives in
 the compiled-vs-reference suites (``test_sweep_rounds``,
 ``test_maintenance_kernels``, ``test_structural_batch``,
 ``test_directed``). The loader cases each run
@@ -16,6 +18,7 @@ session runs on.
 
 from __future__ import annotations
 
+import ctypes
 import json
 import gc
 import os
@@ -28,6 +31,7 @@ import textwrap
 import warnings
 from multiprocessing import shared_memory
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -45,6 +49,7 @@ from repro.labelling.labels import HierarchicalLabelling
 from repro.labelling.maintenance import cell_marks, entry_marks
 from repro.labelling.native import engine as native_engine
 from repro.observability import collect_phases
+from repro.partition.types import PartitionGraph
 from repro.sharding.engine import min_plus_compact
 from repro.utils.rng import make_rng, sample_pairs
 from tests.conftest import require_engine
@@ -406,6 +411,81 @@ class TestPairKernel:
         assert not marks[-1].any()
         if sweep.startswith("label"):
             assert not marks[2].any()
+
+
+# ---------------------------------------------------------------------------
+# the build kernels
+# ---------------------------------------------------------------------------
+
+def grid_halves() -> tuple[PartitionGraph, np.ndarray]:
+    """A 6 x 6 grid split into two jagged halves FM has moves to make on."""
+    pg = PartitionGraph.from_graph(grid_network(6, 6))
+    return pg, (np.arange(36) % 7 < 3).astype(np.int8)
+
+
+class TestBuildKernels:
+    def test_fm_reports_a_failed_allocation(self, monkeypatch):
+        """A heap the kernel cannot allocate comes back as a status, which
+        the wrapper turns into ``MemoryError``: the side buffer the kernel
+        was handed and its work counts are as they came in."""
+        require_engine("compiled")
+        pg, side = grid_halves()
+        before = side.copy()
+        real, statuses, seen = native.library(), [], []
+
+        class HugeRowCount:
+            """Tells the kernel of 2**58 adjacency entries: a heap it
+            would need 2**62 bytes and more for."""
+
+            def __getattr__(self, name):
+                def call(n, nnz, *args):
+                    statuses.append(getattr(real, name)(n, 2**58, *args))
+                    seen.append(ctypes.string_at(args[-2], n))
+                    return statuses[-1]
+
+                return call
+
+        monkeypatch.setattr(native_engine, "library", HugeRowCount)
+        work = np.zeros(2, dtype=np.int64)
+        with pytest.raises(MemoryError):
+            native_engine.fm_refine(pg, side, 20, work=work)
+        assert statuses == [-1]
+        assert seen == [before.tobytes()]
+        np.testing.assert_array_equal(side, before)
+        assert not work.any()
+        monkeypatch.undo()
+        assert native_engine.fm_refine(pg, side, 20) != bytearray(before.tobytes())
+
+    def test_fm_wrapper_rejects_what_c_would_misread(self):
+        require_engine("compiled")
+        pg, side = grid_halves()
+        with pytest.raises(ValueError, match="sides"):
+            native_engine.fm_refine(pg, side[:-1], 20)
+        bad = side.copy()
+        bad[3] = 2
+        with pytest.raises(ValueError, match="sides"):
+            native_engine.fm_refine(pg, bad, 20)
+        with pytest.raises(TypeError):
+            native_engine.fm_refine(pg, side, 20, work=np.zeros(2, dtype=np.int32))
+        stray = PartitionGraph([((1, 1.0),), ((0, 1.0), (2, 1.0))], [1, 1])
+        with pytest.raises(ValueError, match="neighbour"):
+            native_engine.fm_refine(stray, [0, 1], 1)
+
+    def test_label_build_wrapper_rejects_what_c_would_misread(self, road_pair):
+        """Rows shorter than ``tau + 1`` and a shortcut that does not
+        point to an ancestor would send the C writes past a row."""
+        _, idx_c = road_pair
+        hu, tau = idx_c.hu, idx_c.hu.tau
+        order = np.argsort(tau, kind="stable")
+        lengths = tau.copy()  # one entry short on every row
+        offsets = np.concatenate([[0], np.cumsum(lengths)])
+        short = HierarchicalLabelling(np.zeros(offsets[-1]), offsets, lengths, tau)
+        with pytest.raises(ValueError, match="tau"):
+            native_engine.label_build(hu, short, order)
+        skewed = SimpleNamespace(csr=hu.csr, up_weights=hu.up_weights, tau=tau.copy())
+        skewed.tau[hu.csr.owners[0]] = 0  # its up-neighbour is now no ancestor
+        with pytest.raises(ValueError, match="ancestor"):
+            native_engine.label_build(skewed, idx_c.labels.copy(), order)
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,9 @@
 by function on random inputs, (b) through whole builds with the oracle
 bodies patched into the pipeline, both sides in one process, plus (c)
 seed determinism, (d) a guard that the FM pass really stops on its bound
-and (e) that repeated candidates are refined once.
+and (e) that repeated candidates are refined once. FM has two
+implementations, the C kernel (``compiled``) and its Python twin
+(``reference``): (a), (b) and (d) run on both.
 """
 
 from __future__ import annotations
@@ -36,6 +38,7 @@ from repro.partition import (
 )
 from repro.partition.types import PartitionGraph
 from tests import partition_oracle as oracle
+from tests.conftest import require_engine
 from tests.test_recursive_partition import (
     check_balance,
     check_separators,
@@ -89,17 +92,23 @@ def same_sides(new, old) -> bool:
     return np.array_equal(np.frombuffer(bytes(new), dtype=np.int8), old)
 
 
+ENGINES = ["compiled", "reference"]
+
+
+@pytest.mark.parametrize("engine", ENGINES)
 @settings(max_examples=300, deadline=None)
 @given(partition_cases(), st.sampled_from([1, 8]))
-def test_fm_refine_matches_oracle(case, max_passes):
+def test_fm_refine_matches_oracle(engine, case, max_passes):
+    require_engine(engine)
+    refine = multilevel._refiner(engine)
     pg, side, bound = case
     before = side.copy()
-    new = fm.fm_refine(pg, side, bound, max_passes)
+    new = refine(pg, side, bound, max_passes)
     assert same_sides(new, oracle.fm_refine(pg, side, bound, max_passes))
     assert np.array_equal(side, before)  # input untouched
     # any 0/1 sequence is accepted, whatever its dtype
-    assert fm.fm_refine(pg, side.astype(np.int64), bound, max_passes) == new
-    assert fm.fm_refine(pg, side.tolist(), bound, max_passes) == new
+    assert refine(pg, side.astype(np.int64), bound, max_passes) == new
+    assert refine(pg, side.tolist(), bound, max_passes) == new
 
 
 @settings(max_examples=200, deadline=None)
@@ -182,7 +191,7 @@ def _oracle_rebalance(pgraph, side, max_side_weight):
 
 
 def patch_oracle(mp: pytest.MonkeyPatch) -> None:
-    mp.setattr(multilevel, "fm_refine", oracle.fm_refine)
+    mp.setattr(multilevel, "_refiner", lambda engine: oracle.fm_refine)
     mp.setattr(multilevel, "rebalance", _oracle_rebalance)
     mp.setattr(multilevel, "greedy_growing", oracle.greedy_growing)
     mp.setattr(multilevel, "bfs_halves", oracle.bfs_halves)
@@ -249,11 +258,15 @@ PIPELINE_CASES = {
 }
 
 
+@pytest.mark.parametrize("engine", ENGINES)
 @pytest.mark.parametrize("name", PIPELINE_CASES)
-def test_recursive_bisection_tree_matches_oracle(name):
+def test_recursive_bisection_tree_matches_oracle(name, engine):
+    require_engine(engine)
     make, kwargs = PIPELINE_CASES[name]
     graph = make()
-    new, expected = both(lambda: preorder(recursive_bisection(graph, seed=0, **kwargs)))
+    new, expected = both(
+        lambda: preorder(recursive_bisection(graph, seed=0, engine=engine, **kwargs))
+    )
     assert new == expected
     assert sorted(v for vertices, _ in new for v in vertices) == list(graph.vertices())
 
@@ -294,15 +307,19 @@ def test_star_through_the_lanczos_branch_matches_oracle(monkeypatch):
     assert len(sizes) == 2 and min(sizes) > spectral._DENSE_CUTOFF
 
 
+@pytest.mark.parametrize("engine", ENGINES)
 @pytest.mark.parametrize("k", [2, 4])
 @pytest.mark.parametrize(
     "make",
     [lambda: grid_network(20, 31), lambda: delaunay_network(1_500, seed=5)],
     ids=["grid-20x31", "delaunay-1500"],
 )
-def test_partition_regions_matches_oracle(make, k):
+def test_partition_regions_matches_oracle(make, k, engine):
+    require_engine(engine)
     graph = make()
-    new, expected = both(lambda: partition_regions(graph, k, seed=0).region_of)
+    new, expected = both(
+        lambda: partition_regions(graph, k, seed=0, engine=engine).region_of
+    )
     assert np.array_equal(new, expected)
 
 
@@ -328,29 +345,49 @@ def test_same_seed_same_tree_other_seed_valid_tree():
 
 class _FMCounter:
     """Counts gain-queue pops (an upper bound on moves) and pass-vertices
-    (n per pass that had a boundary to queue) inside ``fm_refine``."""
+    (n per pass that had a boundary to queue) inside the FM *engine*
+    runs: its ``heapq`` calls on the Python loop, the counts the kernel
+    adds to its ``work`` pair on the C one."""
 
-    def __init__(self, mp: pytest.MonkeyPatch):
-        self.pops = self.pass_vertices = self._n = 0
-        self._real = fm.fm_refine
-        mp.setattr(fm, "heappop", self._pop)
-        mp.setattr(fm, "heapify", self._heapify)
-        mp.setattr(multilevel, "fm_refine", self.fm_refine)
+    def __init__(self, mp: pytest.MonkeyPatch, engine: str):
+        require_engine(engine)
+        self.work = np.zeros(2, dtype=np.int64)  # pops, pass-vertices
+        self._n = 0
+        real = multilevel._refiner(engine)
+        if engine == "reference":
+            mp.setattr(fm, "heappop", self._pop)
+            mp.setattr(fm, "heapify", self._heapify)
+
+            def refine(pgraph, side, *args):
+                self._n = pgraph.num_vertices
+                return real(pgraph, side, *args)
+        else:
+
+            def refine(*args):
+                return real(*args, work=self.work)
+
+        self.fm_refine = refine
+        mp.setattr(multilevel, "_refiner", lambda engine: refine)
+
+    @property
+    def pops(self) -> int:
+        return int(self.work[0])
+
+    @property
+    def pass_vertices(self) -> int:
+        return int(self.work[1])
 
     def _pop(self, heap):
-        self.pops += 1
+        self.work[0] += 1
         return heapq.heappop(heap)
 
     def _heapify(self, heap):
-        self.pass_vertices += self._n
+        self.work[1] += self._n
         heapq.heapify(heap)
 
-    def fm_refine(self, pgraph, side, *args):
-        self._n = pgraph.num_vertices
-        return self._real(pgraph, side, *args)
 
-
-def test_fm_pass_stops_when_the_bound_closes(monkeypatch):
+@pytest.mark.parametrize("engine", ENGINES)
+def test_fm_pass_stops_when_the_bound_closes(monkeypatch, engine):
     """Two disjoint 40-cliques with one vertex on the wrong side: moving
     it back reaches a zero cut, ``room`` closes, and the pass ends after
     that one move instead of dragging all 80 vertices across and back."""
@@ -362,21 +399,23 @@ def test_fm_pass_stops_when_the_bound_closes(monkeypatch):
     pg = PartitionGraph(adj, [1] * n)
     side = np.array([0] * 40 + [1] * 40, dtype=np.int8)
     side[7] = 1
-    counter = _FMCounter(monkeypatch)
+    counter = _FMCounter(monkeypatch, engine)
     refined = counter.fm_refine(pg, side, 60)
     assert same_sides(refined, oracle.fm_refine(pg, side, 60))
     assert multilevel._cut_weight(pg, refined) == 0
+    assert counter.pass_vertices == n  # one pass: the second has no cut
     assert counter.pops <= 3  # the drained pass pops every vertex at least once
 
 
-def test_fm_pops_stay_well_under_the_pass_vertices_on_road(monkeypatch):
+@pytest.mark.parametrize("engine", ENGINES)
+def test_fm_pops_stay_well_under_the_pass_vertices_on_road(monkeypatch, engine):
     """Over a whole build of the bench ``road`` graph, queue pops stay
     under 0.7 x the pass-vertices (0.55 with the bound-based exit, 1.10
     when every pass drains its queue; moves are at most pops — 0.38 vs
     0.83), so losing the exit fails here, not in a benchmark."""
     graph = delaunay_network(4_000, style="uniform", edge_factor=1.35, seed=7)
-    counter = _FMCounter(monkeypatch)
-    recursive_bisection(graph, seed=0)
+    counter = _FMCounter(monkeypatch, engine)
+    recursive_bisection(graph, seed=0, engine=engine)
     assert counter.pass_vertices > 100_000
     assert counter.pops <= 0.7 * counter.pass_vertices
 
@@ -393,7 +432,7 @@ def test_colliding_candidates_are_grown_and_refined_once(monkeypatch):
     oracle's, which grew and refined all five."""
     seeds, rebalanced, refined = [], [], []
     real_growing = multilevel.greedy_growing
-    real_rebalance, real_fm = multilevel.rebalance, multilevel.fm_refine
+    real_rebalance, real_fm = multilevel.rebalance, multilevel._refiner("compiled")
 
     def spy_growing(pgraph, seed_vertex):
         seeds.append(seed_vertex)
@@ -409,7 +448,7 @@ def test_colliding_candidates_are_grown_and_refined_once(monkeypatch):
 
     monkeypatch.setattr(multilevel, "greedy_growing", spy_growing)
     monkeypatch.setattr(multilevel, "rebalance", spy_rebalance)
-    monkeypatch.setattr(multilevel, "fm_refine", spy_fm)
+    monkeypatch.setattr(multilevel, "_refiner", lambda engine: spy_fm)
     pg = PartitionGraph([{1: 1.0}, {0: 1.0, 2: 1.0}, {1: 1.0}], [1, 1, 1])
     bip = multilevel.multilevel_bisection(pg, seed=0)
     assert len(seeds) == len(set(seeds)) < 4

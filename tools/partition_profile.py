@@ -8,14 +8,16 @@ on it under ``collect_phases()`` and prints
   ``partition_regions(k).region_of`` for k in {2, 4}. Two checkouts that
   print the same digests made the same partitioning decisions. The
   spectral candidate runs LAPACK's ``eigh``, so digests are comparable
-  between checkouts on one machine, not between machines;
+  between checkouts on one machine, not between machines. Both are
+  computed under the ``compiled`` engine (the ``dhl_fm_refine`` kernel)
+  and the ``reference`` one (the Python FM) in this one process, where
+  ``eigh`` is shared; the script exits 1 when the engines disagree;
 * the **stage table** — raw seconds per ``partition.*`` phase mark (best
-  of ``--repeat`` runs by total), with the share of the measured total
-  the marks account for. A checkout without the marks prints the digest
-  and the total only, which is all an identity check needs::
+  of ``--repeat`` runs by total) under the default engine, with the
+  share of the measured total the marks account for::
 
       python tools/partition_profile.py road grid
-      PYTHONPATH=/path/to/parent/src python tools/partition_profile.py road grid
+      cd /path/to/parent && python tools/partition_profile.py road grid
 
 ``road`` and ``grid`` are the two bench profiles (``bench/workloads.py``
 ``make_graph``, generator seed 7); ``road16k`` is the 16,000-vertex
@@ -39,6 +41,8 @@ from repro.graph.generators import delaunay_network, grid_network  # noqa: E402
 from repro.observability import collect_phases  # noqa: E402
 from repro.partition import partition_regions, recursive_bisection  # noqa: E402
 
+ENGINES = ("compiled", "reference")
+
 GRAPHS = {
     "road": lambda: delaunay_network(4_000, style="uniform", edge_factor=1.35, seed=7),
     "grid": lambda: grid_network(48, 48, seed=7),
@@ -56,27 +60,37 @@ def tree_digest(tree) -> str:
     return h.hexdigest()[:12]
 
 
-def regions_digest(graph) -> str:
+def digests(graph, engine: str) -> tuple[str, str]:
+    """``(tree digest, regions digest)`` of the partitioning on *engine*."""
     h = hashlib.sha1()
     for k in (2, 4):
-        h.update(partition_regions(graph, k, seed=0).region_of.tobytes())
-    return h.hexdigest()[:12]
+        h.update(partition_regions(graph, k, seed=0, engine=engine).region_of.tobytes())
+    tree = recursive_bisection(graph, seed=0, engine=engine)
+    return tree_digest(tree), h.hexdigest()[:12]
 
 
-def profile(name: str, repeat: int) -> None:
+def profile(name: str, repeat: int) -> bool:
+    """Print *name*'s digests and stage table; False when the engines'
+    digests differ."""
     graph = GRAPHS[name]()
     n = graph.num_vertices
     runs = []
     for _ in range(repeat):
         with collect_phases() as collector:
             start = time.perf_counter()
-            tree = recursive_bisection(graph, seed=0)
+            recursive_bisection(graph, seed=0)
             total = time.perf_counter() - start
         runs.append((total, collector.as_dict(), dict(collector.counts)))
     total, seconds, counts = min(runs, key=lambda run: run[0])
+    compiled, reference = (digests(graph, engine) for engine in ENGINES)
     print(
-        f"{name}: n={n} m={graph.num_edges}  tree {tree_digest(tree)}  "
-        f"regions {regions_digest(graph)}"
+        f"{name}: n={n} m={graph.num_edges}  tree {compiled[0]}  "
+        f"regions {compiled[1]}  "
+        + (
+            "(both engines)"
+            if compiled == reference
+            else f"MISMATCH, reference tree {reference[0]} regions {reference[1]}"
+        )
     )
     print(
         f"  recursive_bisection {total:.3f} s best of {repeat} "
@@ -85,9 +99,6 @@ def profile(name: str, repeat: int) -> None:
         + ")"
     )
     stages = {k: v for k, v in seconds.items() if k.startswith("partition.")}
-    if not stages:
-        print("  (no partition.* phase marks in this checkout)")
-        return
     for stage, secs in sorted(stages.items(), key=lambda kv: -kv[1]):
         print(
             f"  {stage:<22}{secs:8.3f} s {100 * secs / total:5.1f} %"
@@ -95,6 +106,7 @@ def profile(name: str, repeat: int) -> None:
         )
     covered = sum(stages.values())
     print(f"  {'marks / total':<22}{covered:8.3f} s {100 * covered / total:5.1f} %")
+    return compiled == reference
 
 
 def main() -> int:
@@ -107,9 +119,8 @@ def main() -> int:
         f"OPENBLAS_NUM_THREADS={os.environ.get('OPENBLAS_NUM_THREADS', 'unset')}, "
         f"engine {DHLConfig().resolve_engine()}"
     )
-    for name in args.graphs:
-        profile(name, max(1, args.repeat))
-    return 0
+    # A list, not a generator: every graph is printed after a mismatch.
+    return 0 if all([profile(name, max(1, args.repeat)) for name in args.graphs]) else 1
 
 
 if __name__ == "__main__":
