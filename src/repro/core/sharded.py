@@ -40,7 +40,11 @@ from repro.observability.timing import Timer
 from repro.partition.regions import RegionPartition, partition_regions
 from repro.sharding.build import ShardBuildReport, build_shards
 from repro.sharding.engine import ShardedQueryEngine
-from repro.sharding.overlay import build_overlay_graph, clique_refresh_changes
+from repro.sharding.overlay import (
+    build_overlay_graph,
+    clique_refresh_changes,
+    clique_weights,
+)
 from repro.sharding.stats import ShardedMaintenanceStats
 
 __all__ = ["ShardedDHLIndex", "ShardedIndexStats"]
@@ -137,6 +141,12 @@ class ShardedDHLIndex:
             barr = np.asarray(bverts, dtype=np.int64)
             self.boundary_local.append(self.local_of[barr])
             self.boundary_overlay.append(self.overlay_of[barr])
+        # Region i's |B_i| x |B_i| clique weight matrix, held equal to
+        # the overlay graph's clique edge weights (a loaded overlay's
+        # are recomputed here; a build fills them in _build_overlay).
+        self.cliques: list[np.ndarray] = []
+        if overlay is not None:
+            self._hold_cliques()
         self._engine = ShardedQueryEngine(self)
         self._epoch = 0
 
@@ -204,10 +214,11 @@ class ShardedDHLIndex:
         """Construct (or reconstruct) the overlay index from scratch."""
         if not len(self.boundary_global):
             self.overlay = None
+            self.cliques = []
             return
+        self._hold_cliques()
         overlay_graph = build_overlay_graph(
-            self.shards,
-            self.boundary_local,
+            self.cliques,
             self.boundary_overlay,
             self.partition.cut_edges,
             self.overlay_of,
@@ -215,6 +226,13 @@ class ShardedDHLIndex:
         )
         self.overlay = DHLIndex.build(overlay_graph, self.config)
         self._engine.invalidate_blocks()
+
+    def _hold_cliques(self) -> None:
+        """Recompute every region's clique weight matrix from its shard."""
+        self.cliques = [
+            clique_weights(shard, boundary)
+            for shard, boundary in zip(self.shards, self.boundary_local)
+        ]
 
     def _refresh_size_stats(self) -> None:
         self._stats.shards = [shard.stats() for shard in self.shards]
@@ -316,7 +334,7 @@ class ShardedDHLIndex:
                             self.shards[rid],
                             self.boundary_local[rid],
                             self.boundary_overlay[rid],
-                            self.overlay.graph,
+                            self.cliques[rid],
                             shard_stats.affected_labels,
                         )
                     )
@@ -420,7 +438,7 @@ class ShardedDHLIndex:
                         self.shards[rid],
                         self.boundary_local[rid],
                         self.boundary_overlay[rid],
-                        self.overlay.graph,
+                        self.cliques[rid],
                         shard_stats.affected_labels,
                     )
                 )
@@ -478,13 +496,16 @@ class ShardedDHLIndex:
         self._build_overlay()
 
     def compact(self):
-        """Compact every shard (and the overlay or boundary structures).
+        """Compact every shard (and the boundary structures).
 
         Shards squeeze their own dead slots and edges; global-graph
         edges that are dead follow them out. When that removes a cut
         edge, the boundary vertex set may shrink, so the navigation
-        arrays and overlay are rebuilt; otherwise the overlay compacts
-        in place. Returns an aggregate
+        arrays and overlay are rebuilt. Otherwise the overlay is left
+        as it is: its only dead slots are then infinite clique edges,
+        which it keeps by design so that a later insertion reconnecting
+        two boundary vertices is a weight decrease on an existing edge
+        (:mod:`repro.sharding.overlay`). Returns an aggregate
         :class:`~repro.core.structural.CompactionStats`.
         """
         from repro.core.structural import CompactionStats, _bump
@@ -502,11 +523,6 @@ class ShardedDHLIndex:
                     cut_removed = True
         if cut_removed:
             self._rebuild_boundary_structures()
-        elif self.overlay is not None:
-            cs = self.overlay.compact()
-            total.dead_slots_reclaimed += cs.dead_slots_reclaimed
-            total.bytes_reclaimed += cs.bytes_reclaimed
-            self._engine.invalidate_blocks()
         self._epoch += 1
         _bump(self, "compactions")
         _bump(self, "dead_slots_reclaimed", total.dead_slots_reclaimed)

@@ -184,18 +184,17 @@ class ShardExecutor:
 
         ``vertices=None`` means the parent already wrote the values into
         the attached segment in place; otherwise the changed label
-        arrays arrive inline and are spliced into the private writable
-        buffers using the executor's own offsets.
+        arrays arrive inline and land in the private writable buffers
+        with one scatter through the executor's own offsets (one run
+        of ``lengths[i]`` positions from ``starts[i]`` per vertex, the
+        pair kernel's ragged idiom).
         """
         if delta.vertices is not None:
-            values, offsets = self.values, self.offsets
-            payload = delta.payload
-            pos = 0
-            for v in delta.vertices:
-                start = int(offsets[v])
-                length = int(offsets[v + 1]) - start
-                values[start : start + length] = payload[pos : pos + length]
-                pos += length
+            starts = self.offsets[delta.vertices]
+            lengths = self.offsets[delta.vertices + 1] - starts
+            pos = np.repeat(starts - (np.cumsum(lengths) - lengths), lengths)
+            pos += np.arange(len(pos))
+            self.values[pos] = delta.payload
         self.epoch = delta.epoch
         return AckReply()
 
@@ -401,10 +400,22 @@ class _ShmBuffers:
         return self.announce()
 
     def delta(self, labels, vertices: np.ndarray) -> dict:
-        """Copy changed label slots into the segment, in place."""
-        offsets, values = self.offsets, self.segments[0].array
-        for v in vertices.tolist():
-            values[offsets[v] : offsets[v + 1]] = labels.view(v)
+        """Copy the changed labels into the segment, in place.
+
+        One gather from the live store (read through its own
+        ``offsets``, which may carry slack) and one scatter into the
+        segment's packed slots; the caller has checked that the two
+        layouts hold equal label lengths, so shifting each vertex's run
+        of positions by the difference of its two offsets turns the
+        gather positions into the scatter ones.
+        """
+        lengths = labels.lengths[vertices]
+        starts = labels.offsets[vertices]
+        pos = np.repeat(starts - (np.cumsum(lengths) - lengths), lengths)
+        pos += np.arange(len(pos))
+        gathered = labels.values.take(pos)
+        pos += np.repeat(self.offsets[vertices] - starts, lengths)
+        self.segments[0].array[pos] = gathered
         return {}
 
     def destroy(self) -> None:
@@ -468,13 +479,14 @@ class _InlineBuffers:
         return fields
 
     def delta(self, labels, vertices: np.ndarray) -> dict:
-        """The changed label arrays, concatenated in vertex order (each
-        replica splices them apart by its own offsets)."""
-        if len(vertices):
-            payload = np.concatenate([labels.view(v) for v in vertices.tolist()])
-        else:
-            payload = np.empty(0, dtype=np.float64)
-        return {"vertices": vertices, "payload": payload}
+        """The changed label arrays, concatenated in vertex order by one
+        gather from the live store (each replica scatters them back
+        through its own offsets)."""
+        lengths = labels.lengths[vertices]
+        starts = labels.offsets[vertices]
+        pos = np.repeat(starts - (np.cumsum(lengths) - lengths), lengths)
+        pos += np.arange(len(pos))
+        return {"vertices": vertices, "payload": labels.values.take(pos)}
 
     def destroy(self) -> None:
         pass

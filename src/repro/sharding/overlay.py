@@ -18,6 +18,15 @@ query kernel combines with source/target-to-boundary fans.
 Unreachable intra-region pairs keep their clique edge as a *logically
 deleted* (infinite-weight) slot: maintenance only ever changes weights,
 so a later decrease can resurrect the connection without rebuilding.
+Compaction therefore leaves the overlay alone (see
+:meth:`~repro.core.sharded.ShardedDHLIndex.compact`).
+
+The sharded index holds each region's clique as a dense
+``|B_i| x |B_i|`` weight matrix (:func:`clique_weights`), equal cell for
+cell to the overlay graph's clique edge weights. A shard maintenance
+pass refreshes it against the recomputed rows of its touched boundary
+vertices (:func:`clique_refresh_changes`), so finding the moved clique
+edges is one vectorised comparison, not a graph lookup per pair.
 """
 
 from __future__ import annotations
@@ -28,7 +37,7 @@ import numpy as np
 
 from repro.graph.graph import Graph
 
-__all__ = ["build_overlay_graph", "clique_refresh_changes"]
+__all__ = ["build_overlay_graph", "clique_refresh_changes", "clique_weights"]
 
 OverlayChange = tuple[int, int, float]
 
@@ -42,23 +51,15 @@ def _add_overlay_edge(overlay: Graph, a: int, b: int, w: float) -> None:
         overlay.set_weight(a, b, w)
 
 
-def clique_weights(
-    shard, boundary_local: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Intra-shard distances over one region's boundary pairs.
-
-    Returns ``(iu, iv, d)``: index pairs into *boundary_local* (upper
-    triangle) and their shard distances, read off one set-kernel matrix
-    over the shard's flat label store.
-    """
-    iu, iv = np.triu_indices(len(boundary_local), k=1)
-    matrix = shard.engine.distance_matrix(boundary_local, boundary_local)
-    return iu, iv, matrix[iu, iv]
+def clique_weights(shard, boundary_local: np.ndarray) -> np.ndarray:
+    """Intra-shard distances between every pair of one region's boundary
+    vertices: one set-kernel matrix over the shard's flat label store,
+    indexed like *boundary_local* (zero diagonal, symmetric)."""
+    return shard.engine.distance_matrix(boundary_local, boundary_local)
 
 
 def build_overlay_graph(
-    shards: list,
-    boundary_local: list[np.ndarray],
+    cliques: list[np.ndarray],
     boundary_overlay: list[np.ndarray],
     cut_edges: list[tuple[int, int, float]],
     overlay_of: np.ndarray,
@@ -66,20 +67,22 @@ def build_overlay_graph(
 ) -> Graph:
     """Assemble the boundary overlay graph.
 
-    ``boundary_local[i]`` / ``boundary_overlay[i]`` are region *i*'s
-    boundary vertices as shard-local and overlay ids (aligned);
-    ``overlay_of`` maps global vertex ids to overlay ids (-1 when not a
-    boundary vertex).
+    ``cliques[i]`` is region *i*'s :func:`clique_weights` matrix and
+    ``boundary_overlay[i]`` its boundary vertices as overlay ids (aligned
+    with the matrix rows); ``overlay_of`` maps global vertex ids to
+    overlay ids (-1 when not a boundary vertex).
     """
     overlay = Graph(num_overlay_vertices)
     for u, v, w in cut_edges:
         _add_overlay_edge(overlay, int(overlay_of[u]), int(overlay_of[v]), w)
-    for shard, locals_, overlays in zip(shards, boundary_local, boundary_overlay):
-        iu, iv, d = clique_weights(shard, locals_)
-        for a, b, w in zip(overlays[iu], overlays[iv], d):
+    for matrix, overlays in zip(cliques, boundary_overlay):
+        iu, iv = np.triu_indices(len(overlays), k=1)
+        for a, b, w in zip(
+            overlays[iu].tolist(), overlays[iv].tolist(), matrix[iu, iv].tolist()
+        ):
             # Cut edges never coincide with clique pairs (their endpoints
             # lie in different regions), so every insert is fresh.
-            _add_overlay_edge(overlay, int(a), int(b), float(w))
+            _add_overlay_edge(overlay, a, b, w)
     return overlay
 
 
@@ -87,7 +90,7 @@ def clique_refresh_changes(
     shard,
     boundary_local: np.ndarray,
     boundary_overlay: np.ndarray,
-    overlay_graph: Graph,
+    held: np.ndarray,
     affected_local: set[int],
 ) -> list[OverlayChange]:
     """Clique edges whose weight moved after a shard maintenance pass.
@@ -96,29 +99,29 @@ def clique_refresh_changes(
     the two labels ``L_a`` and ``L_b``, so only pairs with at least one
     endpoint in the pass's ``affected_labels`` can have changed — rows
     whose labels are untouched are skipped without recomputation: an
-    ``isin`` membership test marks the touched rows, one set-kernel call
-    answers touched-against-all, and the pair set canonicalises and
-    deduplicates through one key ``unique``.
+    ``isin`` membership test marks the touched rows and one set-kernel
+    call answers touched-against-all. One comparison against the held
+    clique matrix *held* (:func:`clique_weights`, kept equal to the
+    overlay's clique weights) finds the moved cells; only those are
+    written back (both triangles) and returned as ``(a, b, w)`` overlay
+    changes, deduplicated and ordered by their ``(lo, hi)`` row pair.
     """
     count = len(boundary_local)
     if count < 2 or not affected_local:
         return []
     affected = np.fromiter(affected_local, np.int64, len(affected_local))
-    touched = np.nonzero(np.isin(boundary_local, affected))[0]
+    touched = np.flatnonzero(np.isin(boundary_local, affected))
     if not len(touched):
         return []
-    matrix = shard.engine.distance_matrix(boundary_local[touched], boundary_local)
-    others = np.arange(count, dtype=np.int64)
-    lo = np.minimum(touched[:, None], others)
-    hi = np.maximum(touched[:, None], others)
-    off_diagonal = lo != hi
-    keys, first = np.unique((lo * count + hi)[off_diagonal], return_index=True)
-    ia, ib = keys // count, keys % count
-    d = matrix[off_diagonal][first]
-    changes: list[OverlayChange] = []
-    for ov_a, ov_b, w in zip(
-        boundary_overlay[ia].tolist(), boundary_overlay[ib].tolist(), d.tolist()
-    ):
-        if overlay_graph.weight(ov_a, ov_b) != w:
-            changes.append((ov_a, ov_b, w))
-    return changes
+    rows = shard.engine.distance_matrix(boundary_local[touched], boundary_local)
+    row, col = np.nonzero(rows != held[touched])
+    if not len(row):
+        return []
+    lo, hi = np.minimum(touched[row], col), np.maximum(touched[row], col)
+    _, first = np.unique(lo * count + hi, return_index=True)
+    lo, hi, w = lo[first], hi[first], rows[row[first], col[first]]
+    held[lo, hi] = w
+    held[hi, lo] = w
+    return list(
+        zip(boundary_overlay[lo].tolist(), boundary_overlay[hi].tolist(), w.tolist())
+    )

@@ -484,7 +484,7 @@ class TestOverlayIncrementalRefresh:
             ShardProxy(),
             boundary,
             sharded.boundary_overlay[rid],
-            sharded.overlay.graph,
+            sharded.cliques[rid].copy(),
             affected,
         )
         assert recorded == [(1, len(boundary))]
@@ -499,7 +499,7 @@ class TestOverlayIncrementalRefresh:
             sharded.shards[0],
             sharded.boundary_local[0],
             sharded.boundary_overlay[0],
-            sharded.overlay.graph,
+            sharded.cliques[0].copy(),
             set(),
         )
         assert changes == []
