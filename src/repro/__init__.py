@@ -1,12 +1,14 @@
 """Dual-Hierarchy Labelling (DHL) for dynamic road networks.
 
-A pure-Python reproduction of *"Dual-Hierarchy Labelling: Scaling Up
+A Python + numpy reproduction of *"Dual-Hierarchy Labelling: Scaling Up
 Distance Queries on Dynamic Road Networks"* (Farhan, Koehler, Wang —
 SIGMOD 2025), including the DHL index, its dynamic maintenance algorithms,
 the DCH and IncH2H state-of-the-art baselines, a multilevel graph
 partitioner, synthetic road-network datasets and an experiment harness
 (``repro-experiments``) for every table and figure of the paper's
-evaluation.
+evaluation. The hot loops run in one C kernel file the package compiles
+at first use (:mod:`repro.labelling.native`); a host without a C compiler
+runs the pure-Python reference engine instead.
 
 Quickstart::
 

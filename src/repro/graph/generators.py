@@ -16,7 +16,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.spatial import Delaunay
 
 from repro.exceptions import GraphError
 from repro.graph.graph import Graph
@@ -135,6 +134,10 @@ def _sample_points(
 
 def _delaunay_edges(points: np.ndarray) -> list[tuple[float, int, int]]:
     """Unique Delaunay edges as ``(length, u, v)`` triples."""
+    # Imported here, its only user, so that importing the graph package
+    # (and every replica process) does not load scipy.
+    from scipy.spatial import Delaunay
+
     tri = Delaunay(points)
     pairs: set[tuple[int, int]] = set()
     for simplex in tri.simplices:

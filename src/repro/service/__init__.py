@@ -31,93 +31,78 @@ Deep observability (metrics registry, request span tracing, kernel
 phase profiling, slow-query log) lives in :mod:`repro.observability`;
 hand :class:`DistanceService` an ``Observability.enabled(...)`` bundle
 to switch it on — the default is the zero-overhead null bundle.
+
+The names above are re-exported lazily, as :mod:`repro` does: a module
+is imported on the first access of one of its names. A spawned replica
+unpickles :func:`repro.service.workers._replica_main`, which imports
+this package first; eager re-exports would load the async frontend
+(``asyncio``), the cache, the coalescer and the workload generators —
+modules a replica never runs — into every replica's boot.
 """
 
-from repro.observability import NULL_OBSERVABILITY, Observability
-from repro.service.async_frontend import AsyncDistanceService, AsyncFrontendStats
-from repro.service.cache import CacheStats, EpochLRUCache
-from repro.service.coalescer import CoalescedBatch, CoalescerStats, UpdateCoalescer
-from repro.service.faults import FaultEvent, FaultPlan
-from repro.service.metrics import LatencyRecorder, LatencySummary, Timer
-from repro.service.protocol import (
-    PROTOCOL_VERSION,
-    ComputeBatch,
-    EpochDelta,
-    FanQuery,
-    HealthCheck,
-    HealthReply,
-    SubQuery,
-    TraceEnvelope,
-)
-from repro.service.runtime import (
-    CircuitBreaker,
-    ExecutionRuntime,
-    InProcessRuntime,
-    RetryPolicy,
-    WorkerPoolStats,
-)
-from repro.service.service import DistanceService, ServiceStats
-from repro.service.workers import (
-    ReplicaSupervisor,
-    ShardExecutor,
-    ShardRuntime,
-    ShardWorkerRuntime,
-    SocketShardRuntime,
-)
-from repro.service.workload import (
-    Event,
-    QueryBatch,
-    ReplayReport,
-    UpdateBatch,
-    commute_traffic,
-    replay,
-    rush_hour_traffic,
-    uniform_traffic,
-    zipf_hotspot_traffic,
-)
+from __future__ import annotations
 
-__all__ = [
-    "Observability",
-    "NULL_OBSERVABILITY",
-    "AsyncDistanceService",
-    "AsyncFrontendStats",
-    "CacheStats",
-    "EpochLRUCache",
-    "CoalescedBatch",
-    "CoalescerStats",
-    "UpdateCoalescer",
-    "LatencyRecorder",
-    "LatencySummary",
-    "Timer",
-    "PROTOCOL_VERSION",
-    "ComputeBatch",
-    "EpochDelta",
-    "FanQuery",
-    "HealthCheck",
-    "HealthReply",
-    "SubQuery",
-    "TraceEnvelope",
-    "CircuitBreaker",
-    "ExecutionRuntime",
-    "FaultEvent",
-    "FaultPlan",
-    "InProcessRuntime",
-    "RetryPolicy",
-    "WorkerPoolStats",
-    "DistanceService",
-    "ServiceStats",
-    "ReplicaSupervisor",
-    "SocketShardRuntime",
-    "ShardExecutor",
-    "ShardRuntime",
-    "ShardWorkerRuntime",
-    "Event",
-    "QueryBatch",
-    "UpdateBatch",
-    "ReplayReport",
-    "commute_traffic",
-    "replay",
-    "rush_hour_traffic",
-    "uniform_traffic",
-    "zipf_hotspot_traffic",
-]
+from typing import Any
+
+_EXPORTS = {
+    "Observability": "repro.observability",
+    "NULL_OBSERVABILITY": "repro.observability",
+    "AsyncDistanceService": "repro.service.async_frontend",
+    "AsyncFrontendStats": "repro.service.async_frontend",
+    "CacheStats": "repro.service.cache",
+    "EpochLRUCache": "repro.service.cache",
+    "CoalescedBatch": "repro.service.coalescer",
+    "CoalescerStats": "repro.service.coalescer",
+    "UpdateCoalescer": "repro.service.coalescer",
+    "LatencyRecorder": "repro.service.metrics",
+    "LatencySummary": "repro.service.metrics",
+    "Timer": "repro.service.metrics",
+    "PROTOCOL_VERSION": "repro.service.protocol",
+    "ComputeBatch": "repro.service.protocol",
+    "EpochDelta": "repro.service.protocol",
+    "FanQuery": "repro.service.protocol",
+    "HealthCheck": "repro.service.protocol",
+    "HealthReply": "repro.service.protocol",
+    "SubQuery": "repro.service.protocol",
+    "TraceEnvelope": "repro.service.protocol",
+    "CircuitBreaker": "repro.service.runtime",
+    "ExecutionRuntime": "repro.service.runtime",
+    "FaultEvent": "repro.service.faults",
+    "FaultPlan": "repro.service.faults",
+    "InProcessRuntime": "repro.service.runtime",
+    "RetryPolicy": "repro.service.runtime",
+    "WorkerPoolStats": "repro.service.runtime",
+    "DistanceService": "repro.service.service",
+    "ServiceStats": "repro.service.service",
+    "ReplicaSupervisor": "repro.service.workers",
+    "SocketShardRuntime": "repro.service.workers",
+    "ShardExecutor": "repro.service.workers",
+    "ShardRuntime": "repro.service.workers",
+    "ShardWorkerRuntime": "repro.service.workers",
+    "Event": "repro.service.workload",
+    "QueryBatch": "repro.service.workload",
+    "UpdateBatch": "repro.service.workload",
+    "ReplayReport": "repro.service.workload",
+    "commute_traffic": "repro.service.workload",
+    "replay": "repro.service.workload",
+    "rush_hour_traffic": "repro.service.workload",
+    "uniform_traffic": "repro.service.workload",
+    "zipf_hotspot_traffic": "repro.service.workload",
+}
+
+__all__ = list(_EXPORTS)
+
+
+def __getattr__(name: str) -> Any:
+    module_name = _EXPORTS.get(name)
+    if module_name is None:
+        raise AttributeError(f"module 'repro.service' has no attribute {name!r}")
+    import importlib
+
+    value = getattr(importlib.import_module(module_name), name)
+    globals()[name] = value  # cache for subsequent lookups
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(__all__)

@@ -47,6 +47,16 @@ silently stale distance.
 Replicas are started with the ``spawn`` method; every process, channel
 and shared-memory segment is released by :meth:`ShardRuntime.close`,
 including on construction failure.
+
+**What a replica imports.** A spawned replica boots a fresh interpreter
+and unpickles :func:`_replica_main`, which imports this module, then
+the shard payload of its :class:`SpecRequest`: numpy, the protocol, the
+runtime base classes, the sharding engine and the index packages —
+never scipy (only the Delaunay generator and the Lanczos branch of
+spectral bisection need it, and both import it lazily) and never
+asyncio (:mod:`repro.service` re-exports lazily, so the async frontend
+is not loaded). Interpreter boot is most of a runtime's start-up cost;
+``tests/test_replica_boot.py`` pins that import set.
 """
 
 from __future__ import annotations
@@ -673,8 +683,15 @@ class _ReplicaHandle:
             name=f"dhl-shard-{sid}-r{replica}-i{incarnation}",
             daemon=True,
         )
-        self.process.start()
-        child_endpoint.close()
+        try:
+            self.process.start()
+        except OSError as exc:
+            self.endpoint.close()
+            raise ServiceRuntimeError(
+                f"shard {sid} replica {replica} failed to start ({exc!r})"
+            ) from exc
+        finally:
+            child_endpoint.close()
 
     def send(self, message: Message) -> None:
         """Send half: take the lock, advance the fault clock (the plan
@@ -718,6 +735,20 @@ class _ReplicaHandle:
             f"({type(cause).__name__}: {cause})"
         )
         error.__cause__ = cause
+        return error
+
+    def start_failure(self, cause) -> ServiceRuntimeError:
+        """The one error a failed dial or handshake raises (*cause*: the
+        exception or the unexpected reply). Reaps the handle first, so
+        the exit code it names is final."""
+        process = self.process
+        self.destroy()
+        error = ServiceRuntimeError(
+            f"shard {self.sid} replica {self.replica} failed to start "
+            f"(process exit code {process.exitcode}): {cause!r}"
+        )
+        if isinstance(cause, BaseException):
+            error.__cause__ = cause
         return error
 
     def destroy(self) -> None:
@@ -873,7 +904,7 @@ class ReplicaSupervisor:
             pass
         try:
             (fresh,) = runtime._spawn([(sid, dead.replica, dead.incarnation + 1)])
-        except (ServiceRuntimeError, OSError, EOFError):
+        except ServiceRuntimeError:
             runtime.stats.respawn_failures += 1
             self._not_before[key] = now + self.policy.delay(attempt + 1)
             return False
@@ -1076,14 +1107,20 @@ class ShardRuntime(ExecutionRuntime):
         then handshake them all in one round — every process boots while
         the others do, so all come up in about one interpreter boot.
         Each gets the shard's *current* buffers at its *current* epoch:
-        a respawn is a full resync by construction."""
+        a respawn is a full resync by construction. A replica that fails
+        to start, to dial or to handshake raises one
+        :class:`~repro.exceptions.ServiceRuntimeError` naming its slot
+        (and, once its process ran, the exit code)."""
         handles: list[_ReplicaHandle] = []
         try:
             for sid, replica, incarnation in slots:
                 handles.append(_ReplicaHandle(self, sid, replica, incarnation))
             specs = []
             for handle in handles:
-                handle.channel = self.channel_type.dial(handle.endpoint)
+                try:
+                    handle.channel = self.channel_type.dial(handle.endpoint)
+                except (ServiceRuntimeError, OSError, EOFError) as exc:
+                    raise handle.start_failure(exc)
                 payload = self.index.shard_worker_payload(handle.sid)
                 spec = SpecRequest(
                     payload=payload, epoch=self._epochs[handle.sid],
@@ -1093,10 +1130,7 @@ class ShardRuntime(ExecutionRuntime):
             replies = self._exchange(specs, _STARTUP_TIMEOUT)
             for handle, reply in replies.items():
                 if not isinstance(reply, ReadyReply):
-                    raise ServiceRuntimeError(
-                        f"shard {handle.sid} replica {handle.replica} failed "
-                        f"to start: {reply!r}"
-                    )
+                    raise handle.start_failure(reply)
                 handle.alive = True
         except BaseException:
             for handle in handles:

@@ -3,8 +3,9 @@
 An import cycle only bites the module that enters it first, so a test
 process that has already imported ``repro`` cannot see one: each
 subpackage (and each ``repro.sharding`` module, where the cycle through
-``repro.core.sharded`` used to live) is imported in its own fresh
-interpreter.
+``repro.core.sharded`` used to live, and each ``repro.service`` module,
+which the package no longer imports eagerly) is imported in its own
+fresh interpreter.
 """
 
 from __future__ import annotations
@@ -15,7 +16,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import repro
+import repro.service
 
 SRC = str(Path(repro.__file__).resolve().parent.parent)
 
@@ -23,14 +27,20 @@ SRC = str(Path(repro.__file__).resolve().parent.parent)
 def first_import_targets() -> list[str]:
     names = ["repro"]
     for info in pkgutil.walk_packages(repro.__path__, prefix="repro."):
-        if info.ispkg or info.name.startswith("repro.sharding."):
+        if info.ispkg or info.name.startswith(("repro.sharding.", "repro.service.")):
             names.append(info.name)
     return names
 
 
 def test_every_subpackage_imports_first_in_a_fresh_interpreter():
     targets = first_import_targets()
-    assert {"repro.sharding", "repro.sharding.engine", "repro.service"} <= set(targets)
+    assert {
+        "repro.sharding",
+        "repro.sharding.engine",
+        "repro.service",
+        "repro.service.workers",
+        "repro.service.async_frontend",
+    } <= set(targets)
     running = [
         (
             name,
@@ -49,3 +59,21 @@ def test_every_subpackage_imports_first_in_a_fresh_interpreter():
         if process.returncode:
             failures[name] = stderr.strip().splitlines()[-1]
     assert not failures, failures
+
+
+def test_every_service_export_is_its_defining_modules_object():
+    """The lazy re-exports hand out the very objects their modules
+    define, and an unknown name is an ``AttributeError``."""
+    import importlib
+    import inspect
+
+    for name in repro.service.__all__:
+        value = getattr(repro.service, name)
+        module = importlib.import_module(repro.service._EXPORTS[name])
+        assert value is getattr(module, name), name
+        if inspect.isclass(value) or inspect.isfunction(value):
+            defining = importlib.import_module(value.__module__)
+            assert getattr(defining, name) is value, name
+    assert sorted(dir(repro.service)) == sorted(repro.service.__all__)
+    with pytest.raises(AttributeError, match="no_such_name"):
+        repro.service.no_such_name  # noqa: B018
