@@ -10,8 +10,8 @@ entry point:
   frontier-kernel fast path; incomparable ones repartition + rebuild);
 * compacting dead slots out of the shortcut/label stores.
 
-The measured per-dataset version of this scenario lives in
-``repro-experiments structural``. Run this walkthrough with::
+Every phase is checked against Dijkstra, so the walkthrough fails
+loudly on a wrong distance. Run it with::
 
     python examples/road_closures.py
 """

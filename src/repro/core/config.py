@@ -24,8 +24,6 @@ class DHLConfig:
     seed:
         Seed for the randomised partitioning heuristics; fixed seed means
         reproducible indexes.
-    coarsest_size:
-        Multilevel coarsening stops at roughly this many vertices.
     engine:
         The four maintenance sweeps (Algorithms 2-5) the driver in
         :mod:`repro.labelling.driver` runs, and the batch query kernel.
@@ -64,7 +62,6 @@ class DHLConfig:
     beta: float = 0.2
     leaf_size: int = 8
     seed: int = 0
-    coarsest_size: int = 120
     engine: str = "compiled"
     validate: bool = False
     insert_closure_limit: int = 4096
@@ -75,10 +72,6 @@ class DHLConfig:
             raise IndexBuildError(f"beta must be in (0, 0.5], got {self.beta}")
         if self.leaf_size < 1:
             raise IndexBuildError(f"leaf_size must be >= 1, got {self.leaf_size}")
-        if self.coarsest_size < 8:
-            raise IndexBuildError(
-                f"coarsest_size must be >= 8, got {self.coarsest_size}"
-            )
         if self.engine not in ("compiled", "reference"):
             raise IndexBuildError(
                 "engine must be one of 'compiled' or 'reference', "

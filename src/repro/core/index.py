@@ -161,7 +161,6 @@ class IndexCore:
             beta=config.beta,
             leaf_size=config.leaf_size,
             seed=config.seed,
-            coarsest_size=config.coarsest_size,
             engine=config.resolve_engine(),
         )
 

@@ -280,7 +280,6 @@ def _config_payload(config) -> dict:
         "beta": config.beta,
         "leaf_size": config.leaf_size,
         "seed": config.seed,
-        "coarsest_size": config.coarsest_size,
         "validate": config.validate,
         "insert_closure_limit": config.insert_closure_limit,
         "compaction_threshold": config.compaction_threshold,
@@ -290,11 +289,11 @@ def _config_payload(config) -> dict:
 def _config_from_payload(payload: dict):
     """Rebuild a ``DHLConfig`` from the fields a snapshot may set.
 
-    Older snapshots carry retired keys (``workers``) and an ``engine``;
-    both are dropped, which keeps every snapshot on disk loadable. The
-    engine is a property of the machine that loads, not of the index:
-    the default resolves it there. Keys a snapshot predates keep their
-    defaults.
+    Older snapshots carry retired keys (``workers``, ``coarsest_size``)
+    and an ``engine``; all are dropped, which keeps every snapshot on
+    disk loadable. The engine is a property of the machine that loads,
+    not of the index: the default resolves it there. Keys a snapshot
+    predates keep their defaults.
     """
     from repro.core.config import DHLConfig
 

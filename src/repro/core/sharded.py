@@ -182,7 +182,6 @@ class ShardedDHLIndex:
                 k,
                 beta=region_beta,
                 seed=config.seed,
-                coarsest_size=config.coarsest_size,
                 engine=config.resolve_engine(),
             )
         partition_seconds = t.seconds

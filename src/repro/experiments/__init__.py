@@ -7,8 +7,8 @@
   (datasets), Table 2 (update times), Table 3 (query/size/construction).
 * :mod:`repro.experiments.figures` — Figure 5 (weight sweep), Figure 6
   (distance-stratified queries), Figure 7 (batch scalability).
-* :mod:`repro.experiments.service` — serving-layer scenarios: mixed
-  traffic replayed through the batched/cached :class:`DistanceService`.
+* :mod:`repro.experiments.verification` — every method against
+  Dijkstra, static and after an update round trip.
 * :mod:`repro.experiments.runner` — the ``repro-experiments`` CLI.
 """
 

@@ -10,7 +10,6 @@ the same *structure* at suite scale).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from pathlib import Path
 
 from repro.baselines.dch import DCHIndex
 from repro.baselines.inch2h import IncH2HIndex
@@ -44,12 +43,6 @@ class ExperimentContext:
     seed: int = 0
     num_batches: int = 10
     query_count: int = 20_000
-    #: Process count for the sharded experiments' shard build
-    #: (``ShardedDHLIndex.build(build_workers=...)``).
-    workers: int = 4
-    # Serving experiments dump their metrics registry (JSON lines, one
-    # instrument per line) here when set; ``None`` keeps them silent.
-    metrics_out: Path | None = None
     _graphs: dict[str, Graph] = field(default_factory=dict, repr=False)
     _indexes: dict[str, BuiltIndexes] = field(default_factory=dict, repr=False)
 

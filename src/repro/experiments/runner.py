@@ -8,14 +8,13 @@ writes JSON payloads next to the printed text tables::
     REPRO_SCALE=2 repro-experiments table3   # 2x the default suite scale
 
 ``--quick`` restricts to the four smallest datasets and shrinks query
-counts, which is what the CI smoke steps use.
+counts; CI runs ``all --quick``.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from functools import partial
 from pathlib import Path
 
 from repro.core.config import DHLConfig
@@ -27,11 +26,6 @@ from repro.experiments.figures import (
     figure7_scalability,
 )
 from repro.experiments.report import save_results
-from repro.experiments.service import service_scenarios
-from repro.experiments.service_chaos import service_chaos_scenarios
-from repro.experiments.service_runtime import shard_runtime_scenarios
-from repro.experiments.sharded import sharded_scenarios
-from repro.experiments.structural import structural_scenarios
 from repro.experiments.tables import (
     figure1_summary,
     table1_datasets,
@@ -39,7 +33,6 @@ from repro.experiments.tables import (
     table3_index,
 )
 from repro.experiments.verification import verify_correctness
-from repro.service import ShardWorkerRuntime, SocketShardRuntime
 
 __all__ = ["main", "EXPERIMENTS"]
 
@@ -51,16 +44,6 @@ EXPERIMENTS = {
     "figure5": figure5_weight_sweep,
     "figure6": figure6_query_sets,
     "figure7": figure7_scalability,
-    "service": service_scenarios,
-    "service-chaos": service_chaos_scenarios,
-    "service-sockets": partial(
-        shard_runtime_scenarios, runtime_cls=SocketShardRuntime
-    ),
-    "service-workers": partial(
-        shard_runtime_scenarios, runtime_cls=ShardWorkerRuntime
-    ),
-    "sharded": sharded_scenarios,
-    "structural": structural_scenarios,
     "verify": verify_correctness,
 }
 
@@ -97,21 +80,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--batches", type=int, default=10, help="update batches per dataset"
     )
     parser.add_argument(
-        "--workers",
-        type=int,
-        default=4,
-        help="processes for the sharded experiments' shard build",
-    )
-    parser.add_argument(
         "--out", default="results", help="directory for JSON payloads"
-    )
-    parser.add_argument(
-        "--metrics-out",
-        type=Path,
-        default=None,
-        help="dump the serving experiments' metrics registry (JSON lines) "
-        "here; each metrics-capable experiment overwrites the file, so "
-        "select one scenario when scraping",
     )
     parser.add_argument(
         "--quick",
@@ -132,8 +101,6 @@ def main(argv: list[str] | None = None) -> int:
         seed=args.seed,
         num_batches=max(1, args.batches // (2 if args.quick else 1)),
         query_count=args.queries // (4 if args.quick else 1),
-        workers=args.workers,
-        metrics_out=args.metrics_out,
     )
     selected = list(EXPERIMENTS) if "all" in args.experiments else args.experiments
     out_dir = Path(args.out)

@@ -5,6 +5,8 @@ and correctness has been verified using Dijkstra." This experiment
 reproduces that check: for every dataset it builds all three indexes
 (DHL, IncH2H, DCH), samples query pairs, runs a batch of weight updates,
 and verifies every answer against Dijkstra before and after the updates.
+Any mismatch raises :class:`AssertionError`, so the ``verify`` command
+exits non-zero.
 """
 
 from __future__ import annotations
@@ -33,7 +35,11 @@ def _mismatches(indexes: dict, graph, pairs) -> dict[str, int]:
 
 
 def verify_correctness(ctx: ExperimentContext, pairs_per_phase: int = 50) -> dict:
-    """Verify DHL / IncH2H / DCH against Dijkstra, static and dynamic."""
+    """Verify DHL / IncH2H / DCH against Dijkstra, static and dynamic.
+
+    Raises :class:`AssertionError` naming every dataset, method and
+    phase with a non-zero mismatch count.
+    """
     rows = []
     raw = {}
     for name in ctx.datasets:
@@ -82,4 +88,15 @@ def verify_correctness(ctx: ExperimentContext, pairs_per_phase: int = 50) -> dic
         rows,
         title="Verification against Dijkstra (static / increase / restore)",
     )
+    errors = [
+        f"{name}/{method}/{phase}: {count} of {pairs_per_phase} pairs"
+        for name, report in raw.items()
+        for phase in ("static", "after_increase", "after_restore")
+        for method, count in report[phase].items()
+        if count
+    ]
+    if errors:
+        raise AssertionError(
+            f"{text}\ndistances disagree with Dijkstra: " + "; ".join(errors)
+        )
     return {"experiment": "verify", "raw": raw, "rows": rows, "text": text}

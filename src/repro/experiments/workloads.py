@@ -22,7 +22,6 @@ __all__ = [
     "restore_weights",
     "scale_weights",
     "random_query_pairs",
-    "cross_region_pairs",
     "distance_stratified_queries",
 ]
 
@@ -73,55 +72,6 @@ def random_query_pairs(
 ) -> list[tuple[int, int]]:
     """Uniform random distinct (s, t) pairs (Table 3 protocol)."""
     return sample_pairs(n, count, make_rng(seed))
-
-
-def cross_region_pairs(
-    region_of: np.ndarray,
-    count: int,
-    seed: int | np.random.Generator | None = 0,
-    boundary: "list[list[int]] | None" = None,
-    boundary_bias: float = 0.5,
-) -> list[tuple[int, int]]:
-    """Cross-region commute pairs — the sharded index's worst case.
-
-    Every pair straddles two distinct regions of *region_of* (a
-    per-vertex region assignment, e.g.
-    :attr:`~repro.partition.RegionPartition.region_of`), so a sharded
-    backend can never answer from a single shard: each query pays the
-    source-fan + overlay + target-fan combine. With *boundary* given
-    (per-region boundary vertex lists), each endpoint is drawn from its
-    region's boundary set with probability *boundary_bias* — commutes
-    that hug the partition frontier, where the overlay detour is least
-    amortised.
-
-    Requires at least two regions; a single-region assignment raises.
-    """
-    rng = make_rng(seed)
-    region_of = np.asarray(region_of, dtype=np.int64)
-    num_regions = int(region_of.max()) + 1 if len(region_of) else 0
-    if num_regions < 2:
-        raise ValueError("cross-region pairs need at least two regions")
-    members = [np.flatnonzero(region_of == r) for r in range(num_regions)]
-    boundary_arrays = None
-    if boundary is not None:
-        boundary_arrays = [np.asarray(b, dtype=np.int64) for b in boundary]
-
-    def draw(region: int) -> int:
-        if (
-            boundary_arrays is not None
-            and len(boundary_arrays[region])
-            and rng.random() < boundary_bias
-        ):
-            pool = boundary_arrays[region]
-        else:
-            pool = members[region]
-        return int(pool[rng.integers(len(pool))])
-
-    pairs: list[tuple[int, int]] = []
-    for _ in range(count):
-        rs, rt = rng.choice(num_regions, size=2, replace=False)
-        pairs.append((draw(int(rs)), draw(int(rt))))
-    return pairs
 
 
 def distance_stratified_queries(

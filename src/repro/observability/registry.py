@@ -14,8 +14,8 @@ paths need no ``if enabled`` branches.
 Two export formats:
 
 * :meth:`MetricsRegistry.to_jsonl` — one JSON object per metric per
-  line, machine-diffable snapshots for bench artifacts and the replay
-  driver's ``--metrics-out``;
+  line, machine-diffable snapshots for bench artifacts and
+  ``DistanceService.dump_metrics``;
 * :meth:`MetricsRegistry.to_prometheus` — the Prometheus text
   exposition format (``# TYPE`` headers, cumulative ``_bucket{le=}``
   series), scrape-ready.

@@ -1,6 +1,6 @@
 """Multilevel balanced bisection (METIS-style, from scratch).
 
-Pipeline: heavy-edge coarsening down to ``coarsest_size`` (120) vertices,
+Pipeline: heavy-edge coarsening down to ``COARSEST_SIZE`` (120) vertices,
 a portfolio of initial partitions on the coarsest graph (greedy graph
 growing from several seeds, BFS layering, spectral), Fiduccia-Mattheyses
 refinement, then projection back up the levels with refinement at each
@@ -48,6 +48,9 @@ def _cut_weight(pgraph: PartitionGraph, side) -> float:
     return total
 
 
+#: Coarsening stops at roughly this many vertices.
+COARSEST_SIZE = 120
+
 #: Greedy-growing candidates drawn per coarsest graph (one BFS-halves
 #: and, past a cut of 4, one spectral candidate join them).
 _GROWING_TRIALS = 4
@@ -75,7 +78,6 @@ def multilevel_bisection(
     pgraph: PartitionGraph,
     beta: float = 0.2,
     seed: int | np.random.Generator | None = 0,
-    coarsest_size: int = 120,
     engine: str = "compiled",
 ) -> Bipartition:
     """Balanced bisection of *pgraph* minimising crossing multiplicity.
@@ -114,9 +116,7 @@ def multilevel_bisection(
             [tuple([(index[u], w) for u, w in pgraph.rows[v]]) for v in giant],
             [pgraph.vweight[v] for v in giant],
         )
-        local_sides = multilevel_bisection(
-            sub, beta, rng, coarsest_size, engine
-        ).side.tolist()
+        local_sides = multilevel_bisection(sub, beta, rng, engine).side.tolist()
         with phase("partition.refine"):
             side = bytearray(n)
             side_weight = [0, 0]
@@ -129,7 +129,7 @@ def multilevel_bisection(
             return Bipartition.compute_cut(pgraph, side)
 
     with phase("partition.coarsen"):
-        levels = coarsen_to_size(pgraph, coarsest_size, rng)
+        levels = coarsen_to_size(pgraph, COARSEST_SIZE, rng)
     coarsest = levels[-1].graph if levels else pgraph
     coarse_max_side = _max_side_weight(coarsest.total_vweight(), beta)
 

@@ -66,7 +66,6 @@ def recursive_bisection(
     beta: float = 0.2,
     leaf_size: int = 8,
     seed: int | np.random.Generator | None = 0,
-    coarsest_size: int = 120,
     engine: str = "compiled",
 ) -> PartitionTreeNode:
     """Build the partition tree of *graph* by recursive balanced bisection.
@@ -94,9 +93,7 @@ def recursive_bisection(
             continue
         with phase("partition.subgraph"):
             pgraph = PartitionGraph.from_graph(graph, subset)
-        bipartition = multilevel_bisection(
-            pgraph, beta=beta, seed=rng, coarsest_size=coarsest_size, engine=engine
-        )
+        bipartition = multilevel_bisection(pgraph, beta=beta, seed=rng, engine=engine)
         with phase("partition.separator"):
             separator_local = minimum_vertex_separator(bipartition.cut_edges)
             left_local: list[int] = []

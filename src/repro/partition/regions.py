@@ -97,15 +97,12 @@ def _bisect_subset(
     subset: list[int],
     beta: float,
     rng: np.random.Generator,
-    coarsest_size: int,
     engine: str,
 ) -> tuple[list[int], list[int]]:
     """Split *subset* into two non-empty parts along a small edge cut."""
     pgraph = PartitionGraph.from_graph(graph, subset)
     try:
-        bipartition = multilevel_bisection(
-            pgraph, beta=beta, seed=rng, coarsest_size=coarsest_size, engine=engine
-        )
+        bipartition = multilevel_bisection(pgraph, beta=beta, seed=rng, engine=engine)
     except PartitionError:
         return _split_in_order(subset)
     side = bipartition.side.tolist()
@@ -122,7 +119,6 @@ def partition_regions(
     *,
     beta: float = 0.2,
     seed: int | np.random.Generator | None = 0,
-    coarsest_size: int = 120,
     engine: str = "compiled",
 ) -> RegionPartition:
     """Split *graph* into *k* edge-disjoint regions with boundaries.
@@ -147,7 +143,7 @@ def partition_regions(
         # on the smallest contained vertex id).
         target = max(range(len(parts)), key=lambda i: (len(parts[i]), -min(parts[i])))
         subset = parts.pop(target)
-        left, right = _bisect_subset(graph, subset, beta, rng, coarsest_size, engine)
+        left, right = _bisect_subset(graph, subset, beta, rng, engine)
         parts.append(left)
         parts.append(right)
 

@@ -329,7 +329,7 @@ class DistanceService:
                     raise
         self._queries += len(pairs)
         self._batches += 1
-        self.query_latency.record(timer.seconds, max(1, len(pairs)))
+        self.query_latency.record(timer.seconds, len(pairs))
         self._note_query(timer.seconds, len(pairs))
         return out
 
@@ -724,12 +724,6 @@ class DistanceService:
             registry.gauge(
                 f"dhl_{field_name}", f"Structural updates: {field_name}"
             ).set(value)
-        registry.gauge(
-            "dhl_shed_pairs", "Pairs shed by open circuit breakers"
-        ).set(self._shed_pairs)
-        registry.gauge(
-            "dhl_partial_batches", "Query batches degraded to partial results"
-        ).set(self._partial_batches)
         registry.gauge(
             "dhl_shortcuts_changed", "Shortcut mutations applied"
         ).set(self._shortcuts_changed)

@@ -951,9 +951,6 @@ class ShardRuntime(ExecutionRuntime):
         Deadline in seconds of one round of requests; a replica still
         silent when it expires is marked dead and the shard fails over
         to a sibling.
-    start_method:
-        ``multiprocessing`` start method; ``spawn`` by default and the
-        only method the runtime is tested with.
     degraded_mode:
         What a batch does when a shard's every replica is down:
         ``"shed"`` (default) answers the rest and raises a typed
@@ -990,7 +987,6 @@ class ShardRuntime(ExecutionRuntime):
         *,
         replicas: int,
         request_timeout: float = 30.0,
-        start_method: str = "spawn",
         degraded_mode: str = "shed",
         retry_policy: RetryPolicy | None = None,
         supervise_interval: float = 5.0,
@@ -1026,7 +1022,7 @@ class ShardRuntime(ExecutionRuntime):
         self._breakers = [
             CircuitBreaker(sid, self.stats) for sid in range(index.k)
         ]
-        self._ctx = get_context(start_method)
+        self._ctx = get_context("spawn")
         self.supervisor = ReplicaSupervisor(
             self,
             policy=retry_policy or RetryPolicy(),

@@ -107,14 +107,31 @@ class TestDynamicAgreement:
 
 
 class TestVerificationExperiment:
-    def test_verify_reports_zero_errors(self):
+    @staticmethod
+    def _verify():
         from repro.experiments.context import ExperimentContext
         from repro.experiments.verification import verify_correctness
 
         ctx = ExperimentContext(
             datasets=["NY"], scale=5e-4, num_batches=1, query_count=50
         )
-        payload = verify_correctness(ctx, pairs_per_phase=15)
+        return verify_correctness(ctx, pairs_per_phase=15)
+
+    def test_verify_reports_zero_errors(self):
+        payload = self._verify()
         for name, report in payload["raw"].items():
             for phase in ("static", "after_increase", "after_restore"):
                 assert all(v == 0 for v in report[phase].values()), (name, phase)
+
+    def test_verify_raises_on_a_wrong_distance(self, monkeypatch):
+        """An off-by-one DHL answer fails the run, naming every phase."""
+        exact = DHLIndex.distance
+        monkeypatch.setattr(
+            DHLIndex, "distance", lambda self, s, t: exact(self, s, t) + 1
+        )
+        with pytest.raises(AssertionError) as caught:
+            self._verify()
+        message = str(caught.value)
+        for phase in ("static", "after_increase", "after_restore"):
+            assert f"NY/DHL/{phase}: " in message
+        assert "IncH2H/" not in message and "DCH/" not in message

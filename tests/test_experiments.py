@@ -145,7 +145,6 @@ class TestHarnessSmoke:
             scale=5e-4,
             num_batches=2,
             query_count=300,
-            workers=2,
         )
 
     def test_table1(self, ctx):

@@ -405,6 +405,42 @@ def test_breaker_closes_after_respawn_and_first_success(
         assert runtime.stats.breakers_open == 0
 
 
+def test_whole_shard_outage_respawns_every_slot(transport, small_sharded):
+    """Both replicas of shard 0 die: one poll past the backoff brings
+    both slots back as fresh incarnations, the breaker closes on the
+    first served batch, and the new processes take a weight update."""
+    graph, _ = small_sharded
+    sharded = build_sharded(graph)  # updated below: not the shared one
+    pairs = shard_pairs(sharded, 0, 4)
+    clock = FakeClock()
+    with transport(
+        sharded, replicas=2, clock=clock, supervise_interval=1000.0
+    ) as runtime:
+        _kill_shard(runtime, 0)
+        with pytest.raises(PartialResultError):
+            runtime.distances(pairs)
+        clock.advance(1.0)
+        assert runtime.supervisor.poll(force=True)["respawned"] == 2
+        assert [h.incarnation for h in runtime._groups[0]] == [1, 1]
+        assert len(runtime.alive_replicas(0)) == 2
+        assert runtime._breakers[0].state == CircuitBreaker.HALF_OPEN
+        np.testing.assert_array_equal(
+            runtime.distances(pairs), sharded.distances(pairs)
+        )
+        assert runtime._breakers[0].state == CircuitBreaker.CLOSED
+
+        u, v, w = next(
+            (u, v, w)
+            for u, v, w in graph.edges()
+            if sharded.region_of[u] == sharded.region_of[v] == 0
+        )
+        runtime.apply_update([(u, v, 2.0 * w)])
+        for _ in range(2):  # round-robin reaches both fresh processes
+            np.testing.assert_array_equal(
+                runtime.distances(pairs), sharded.distances(pairs)
+            )
+
+
 def test_overlay_mode_serves_bounds_for_lost_shard(small_sharded):
     graph, sharded = small_sharded
     intra = shard_pairs(sharded, 0, 4)

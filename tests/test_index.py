@@ -27,7 +27,6 @@ class TestConfig:
             {"beta": 0.0},
             {"beta": 0.7},
             {"leaf_size": 0},
-            {"coarsest_size": 2},
         ],
     )
     def test_invalid_configs_rejected(self, kwargs):

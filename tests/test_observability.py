@@ -558,3 +558,72 @@ def test_service_stats_str_and_worker_pool_field(small_service_graph):
     assert stats.worker_pool is None  # in-process backends have no pool
     assert str(stats) == stats.summary()
     assert "workers :" not in str(stats)
+
+
+# ---------------------------------------------------------------------------
+# the metrics export of a shard-runtime service
+# ---------------------------------------------------------------------------
+
+#: One instrument of each family the service promises to export.
+REQUIRED_METRICS = (
+    "dhl_queries_total",
+    "dhl_query_batches_total",
+    "dhl_query_seconds",
+    "dhl_flushes_total",
+    "dhl_flush_seconds",
+    "dhl_maintenance_phase_seconds",
+    "dhl_cache_hits",
+    "dhl_coalescer_submitted",
+    "dhl_epoch",
+)
+
+
+def test_shard_runtime_metrics_dump_keeps_the_export_contract(tmp_path):
+    """Replay flushes and batches through a traced shard-runtime service,
+    then dump its registry: every line carries the exporter schema, every
+    instrument family is there (a ``dhl_worker_*`` one too), both latency
+    histograms observed values with ``+Inf == count``, the last query's
+    trace holds the replica-side spans, and no fact is exported twice as
+    a gauge ``X`` beside a counter ``X_total``."""
+    from repro.core.sharded import ShardedDHLIndex
+    from repro.service import ShardWorkerRuntime
+    from repro.service.workload import commute_traffic, cross_region_pairs, replay
+
+    sharded = ShardedDHLIndex.build(
+        grid_network(8, 8), k=2, config=DHLConfig(seed=0), build_workers=1
+    )
+    events = commute_traffic(
+        sharded.graph,
+        sharded.region_of,
+        query_batches=6,
+        batch_size=20,
+        update_every=2,
+        update_size=4,
+        seed=0,
+    )
+    with DistanceService(
+        ShardWorkerRuntime(sharded, replicas=1),
+        cache_capacity=1,
+        observability=Observability.enabled(trace_sample_rate=1.0),
+    ) as service:
+        report = replay(service, events)
+        service.distances(cross_region_pairs(sharded.region_of, 8, seed=1))
+        trace = service.last_trace().format()
+        path = service.dump_metrics(tmp_path / "metrics.jsonl")
+    assert report.update_batches >= 2
+
+    records = [json.loads(line) for line in path.read_text().splitlines()]
+    for record in records:
+        assert {"name", "type", "labels"} <= record.keys(), record
+    names = {record["name"] for record in records}
+    assert set(REQUIRED_METRICS) <= names
+    assert any(name.startswith("dhl_worker_") for name in names)
+    for name in ("dhl_query_seconds", "dhl_flush_seconds"):
+        (record,) = [r for r in records if r["name"] == name]
+        assert record["type"] == "histogram"
+        assert record["count"] > 0
+        assert record["buckets"]["+Inf"] == record["count"]
+    assert "worker[" in trace and "shard_compute" in trace
+    gauges = {r["name"] for r in records if r["type"] == "gauge"}
+    counters = {r["name"] for r in records if r["type"] == "counter"}
+    assert sorted(g for g in gauges if f"{g}_total" in counters) == []

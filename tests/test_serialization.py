@@ -250,11 +250,11 @@ class TestCrashSafeSnapshots:
 
 
 class TestPreWorkersRemovalSnapshots:
-    """Snapshots written while ``DHLConfig`` still had ``workers``, and
-    while the writer recorded ``engine`` (always the retired numpy
-    engine's name, which ``DHLConfig`` now rejects) but not the two
-    structural limits, must load — onto this machine's engine and the
-    default limits."""
+    """Snapshots written while ``DHLConfig`` still had ``workers`` and
+    ``coarsest_size``, and while the writer recorded ``engine`` (always
+    the retired numpy engine's name, which ``DHLConfig`` now rejects)
+    but not the two structural limits, must load — onto this machine's
+    engine and the default limits."""
 
     @staticmethod
     def _age(path):
@@ -264,8 +264,11 @@ class TestPreWorkersRemovalSnapshots:
 
         for manifest_path in path.rglob("manifest.json"):
             manifest = json.loads(manifest_path.read_text())
-            assert "workers" not in manifest["config"]  # no longer written
+            # Neither is written any more.
+            assert "workers" not in manifest["config"]
+            assert "coarsest_size" not in manifest["config"]
             manifest["config"]["workers"] = 2
+            manifest["config"]["coarsest_size"] = 120
             manifest["config"]["engine"] = "array"  # on-disk legacy value
             del manifest["config"]["insert_closure_limit"]
             del manifest["config"]["compaction_threshold"]

@@ -9,22 +9,29 @@ of a change stream.
 from __future__ import annotations
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import repro
 from repro.baselines.dijkstra import dijkstra
 from repro.core.config import DHLConfig
 from repro.core.index import DHLIndex
 from repro.graph.generators import delaunay_network
+from repro.partition.regions import partition_regions
 from repro.service import (
     DistanceService,
     EpochLRUCache,
     QueryBatch,
     UpdateBatch,
     UpdateCoalescer,
+    commute_traffic,
     replay,
     rush_hour_traffic,
     uniform_traffic,
@@ -157,6 +164,15 @@ class TestDistanceService:
         # Second pass is served from the cache — still identical.
         assert np.array_equal(service.distances(pairs), out)
         assert service.stats().cache.hits > 0
+
+    def test_empty_batch_counts_no_operation(self, service_graph):
+        """Queries and latency operations count the same pairs."""
+        service = fresh_service(service_graph)
+        assert len(service.distances([])) == 0
+        service.distances([(0, 1), (2, 3)])
+        stats = service.stats()
+        assert stats.queries == stats.query_latency.operations == 2
+        assert stats.query_latency.calls == 2
 
     def test_single_distance_cached(self, service_graph):
         service = fresh_service(service_graph)
@@ -304,9 +320,22 @@ class TestDistanceService:
 # ---------------------------------------------------------------------------
 # workloads + replay
 # ---------------------------------------------------------------------------
+def four_region_commute(graph, seed):
+    partition = partition_regions(graph, 4, seed=seed)
+    return commute_traffic(
+        graph, partition.region_of, boundary=partition.boundary, seed=seed
+    )
+
+
 class TestWorkloads:
     @pytest.mark.parametrize(
-        "maker", [uniform_traffic, zipf_hotspot_traffic, rush_hour_traffic]
+        "maker",
+        [
+            uniform_traffic,
+            zipf_hotspot_traffic,
+            rush_hour_traffic,
+            four_region_commute,
+        ],
     )
     def test_replay_restores_graph_and_matches_dijkstra(
         self, service_graph, maker
@@ -332,6 +361,30 @@ class TestWorkloads:
             replay(fresh_service(service_graph), list(events)) for _ in range(2)
         ]
         assert reports[0].distance_checksum == reports[1].distance_checksum
+
+    def test_commute_traffic_loads_no_experiments_module(self):
+        """The serving layer stands alone: a fresh interpreter that
+        imports the workload module and draws commute traffic holds no
+        ``repro.experiments`` module."""
+        code = (
+            "import sys\n"
+            "import numpy as np\n"
+            "from repro.graph.generators import grid_network\n"
+            "import repro.service.workload as workload\n"
+            "graph = grid_network(6, 6)\n"
+            "workload.commute_traffic(graph, np.arange(36) % 2, query_batches=2)\n"
+            "print(sorted(m for m in sys.modules if m.startswith('repro.experiments')))"
+        )
+        src = str(Path(repro.__file__).resolve().parent.parent)
+        result = subprocess.run(
+            [sys.executable, "-c", code],
+            env={**os.environ, "PYTHONPATH": src},
+            capture_output=True,
+            text=True,
+            timeout=120,
+            check=True,
+        )
+        assert result.stdout.strip().splitlines()[-1] == "[]"
 
     def test_zipf_alpha_validation(self, service_graph):
         with pytest.raises(ValueError):
