@@ -20,7 +20,7 @@ from repro.hierarchy.contraction import (
     contract_in_order,
     min_degree_order,
 )
-from repro.labelling.driver import maintain_shortcuts, split_batch
+from repro.labelling.driver import fold_batch, maintain_shortcuts
 
 __all__ = ["DCHIndex"]
 
@@ -108,7 +108,9 @@ class DCHIndex:
         return len(maintain_shortcuts("increase", self.sc, changes))
 
     def update(self, changes: list[WeightChange]) -> int:
-        increases, decreases = split_batch(self.graph, changes, self.sc.edge_key)
+        batch = fold_batch(changes, self.sc.edge_key)
+        increases = [(u, v, w) for u, v, w in batch if w > self.graph.weight(u, v)]
+        decreases = [(u, v, w) for u, v, w in batch if w < self.graph.weight(u, v)]
         affected = 0
         if increases:
             affected += self.increase(increases)

@@ -33,7 +33,7 @@ import math
 import numpy as np
 
 from repro.baselines.h2h import H2HIndex
-from repro.labelling.driver import maintain_shortcuts, split_batch
+from repro.labelling.driver import fold_batch, maintain_shortcuts
 from repro.labelling.maintenance import MaintenanceStats
 from repro.utils.priority_queue import LazyHeap
 
@@ -177,7 +177,9 @@ class IncH2HIndex(H2HIndex):
 
     def update(self, changes: list[WeightChange]) -> MaintenanceStats:
         """Mixed batch: increases first, then decreases."""
-        increases, decreases = split_batch(self.graph, changes, self.sc.edge_key)
+        batch = fold_batch(changes, self.sc.edge_key)
+        increases = [(u, v, w) for u, v, w in batch if w > self.graph.weight(u, v)]
+        decreases = [(u, v, w) for u, v, w in batch if w < self.graph.weight(u, v)]
         stats = MaintenanceStats()
         if increases:
             stats = stats.merge(self.increase(increases))

@@ -25,14 +25,16 @@ class DHLConfig:
         Seed for the randomised partitioning heuristics; fixed seed means
         reproducible indexes.
     engine:
-        The four maintenance sweeps (Algorithms 2-5) the driver in
-        :mod:`repro.labelling.driver` runs, and the batch query kernel.
+        The two maintenance sweeps (Algorithms 2 + 3 over the
+        shortcuts, 4 + 5 over the labels, each for a whole mixed batch)
+        the driver in :mod:`repro.labelling.driver` runs, and the batch
+        query kernel.
         ``"compiled"`` (default) runs the C kernels of
         :mod:`repro.labelling.native`, built with the host's ``cc`` at
         first use and cached per user; where they cannot be had (no
         compiler, a failed build) it downgrades to ``"reference"`` with
         a one-time warning — see :meth:`resolve_engine`.
-        ``"reference"`` runs the paper-literal scalar sweeps of
+        ``"reference"`` runs the scalar one-pop-per-entry sweeps of
         :mod:`repro.labelling.maintenance` and the numpy queries. Both
         engines produce identical labels, change counts and affected
         sets — the differential tests hold them to it. The engine

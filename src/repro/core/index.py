@@ -32,7 +32,6 @@ names the sweep implementation it runs.
 from __future__ import annotations
 
 import math
-from functools import reduce
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -46,7 +45,7 @@ from repro.graph.graph import Graph
 from repro.hierarchy.query_hierarchy import QueryHierarchy
 from repro.hierarchy.update_hierarchy import UpdateHierarchy
 from repro.labelling.build import build_labelling
-from repro.labelling.driver import collected, maintain, split_batch
+from repro.labelling.driver import maintain
 from repro.labelling.labels import HierarchicalLabelling
 from repro.labelling.maintenance import MaintenanceStats
 from repro.labelling.query import QueryEngine
@@ -251,31 +250,18 @@ class IndexCore:
     def update(
         self, changes: Iterable[WeightChange], workers: int | None = None
     ) -> MaintenanceStats:
-        """Apply a mixed batch: splits into increases and decreases.
+        """Apply a mixed batch in one pass (one epoch).
 
         Repeated mentions of one road (the store's ``edge_key``: an
         unordered pair, or the ordered arc of a digraph, whose two
         directions must not merge) fold to the last one, so a batch
-        that raises then restores a road costs nothing. Increases are
-        then applied first, then decreases, mirroring the paper's
-        experimental protocol. Unchanged weights are skipped.
+        that raises then restores a road costs nothing. Raised and
+        lowered roads then seed one shortcut sweep and one label sweep
+        per plane together; each moved shortcut and label entry is
+        written and counted once. Unchanged weights are skipped.
         ``workers`` is ignored (see :meth:`DistanceBackend.update`).
         """
-
-        def run() -> MaintenanceStats:
-            with phase("update.split"):
-                increases, decreases = split_batch(
-                    self.graph, changes, self.hu.edge_key
-                )
-            parts = [MaintenanceStats()]
-            if increases:
-                parts.append(self.increase(increases))
-            if decreases:
-                parts.append(self.decrease(decreases))
-            with phase("update.stats"):
-                return reduce(MaintenanceStats.merge, parts)
-
-        return collected(run)
+        return self._maintain("update", changes)
 
     # ------------------------------------------------------------------
     # structural updates (Section 8) — implemented in core.structural

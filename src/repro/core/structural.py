@@ -82,7 +82,7 @@ from repro.graph.graph import Graph
 from repro.hierarchy.csr import ShortcutCSR, compact_slots, extend_slots
 from repro.hierarchy.query_hierarchy import QueryHierarchy
 from repro.labelling.build import build_labelling
-from repro.labelling.driver import split_batch
+from repro.labelling.driver import fold_batch
 from repro.labelling.maintenance import MaintenanceStats
 from repro.observability.phases import phase
 from repro.partition.recursive import PartitionTreeNode
@@ -304,8 +304,9 @@ def apply_batch(
       increases (the deletion fast path), already-dead or missing edges
       only bump the ``already_deleted`` counter.
     * *weight_changes* — ``(u, v, w)`` triples on existing edges,
-      classified into the increase/decrease kernels as in
-      :meth:`IndexCore.update` (a finite ``w`` on a dead edge is a
+      folded as in :meth:`IndexCore.update` and classified into one
+      :meth:`~IndexCore.increase` and one :meth:`~IndexCore.decrease`
+      call with the deletions (a finite ``w`` on a dead edge is a
       restore: a plain decrease).
     * *insertions* — ``(u, v, w)`` triples; an existing edge folds into
       a weight change, new edges take the closure fast path or a
@@ -331,11 +332,12 @@ def apply_batch(
             stats.deleted += 1
 
     # Duplicate reports on one edge coalesce last-wins (sequential
-    # semantics) — the kernels reject mixed-direction batches.
-    raised, lowered = split_batch(graph, weight_changes, index.hu.edge_key)
-    increases += raised
-    decreases += lowered
-    stats.weight_changed += len(raised) + len(lowered)
+    # semantics) — increase() and decrease() reject the other direction.
+    for u, v, w in fold_batch(weight_changes, index.hu.edge_key):
+        current = graph.weight(u, v)
+        if w != current:
+            (increases if w > current else decreases).append((u, v, w))
+            stats.weight_changed += 1
 
     real_inserts: list[tuple[int, int, float]] = []
     for u, v, w in insertions:

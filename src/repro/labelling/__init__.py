@@ -6,11 +6,12 @@
 * :mod:`repro.labelling.build` — top-down construction (Algorithm 1).
 * :mod:`repro.labelling.query` — 2-hop distance queries through H_Q.
 * :mod:`repro.labelling.driver` — the one maintenance driver: batch
-  validation, seeding, stats and the engine table, over the four-sweep
-  :class:`~repro.labelling.maintenance.Engine` contract (DH-U
-  decrease/increase — Algorithms 2/3 — and DHL-/DHL+ — Algorithms 4/5).
+  validation, seeding, stats and the engine table, over the two-sweep
+  :class:`~repro.labelling.maintenance.Engine` contract (DH-U —
+  Algorithms 2 + 3 — and DHL — Algorithms 4 + 5 — each for a whole
+  mixed batch).
 * :mod:`repro.labelling.native` — the default engine wherever a C
-  compiler exists: the queries, the four sweeps and the build's FM and
+  compiler exists: the queries, the two sweeps and the build's FM and
   Algorithm 1 passes as loops of one C file, built at first use and
   called through ``ctypes``.
 * :mod:`repro.labelling.maintenance` — the contract, the stats record

@@ -1,33 +1,24 @@
 """Dynamic maintenance — Algorithms 2-5 of the paper (scalar reference).
 
-Two layers are maintained, in order:
+Two layers are maintained, in order, each by one sweep over a whole
+weight batch, raised and lowered roads together: the shortcuts of the
+update hierarchy H_U (Algorithms 2 and 3, bottom-up by contraction
+rank, on any :class:`~repro.hierarchy.contraction.ContractionResult`,
+so the DCH/IncH2H baselines reuse it), then the labelling L
+(Algorithms 4 and 5, top-down by ``tau``, support-free — the paper's
+Section 8 "Boundedness" trade-off). Either order makes whatever an
+item reads final before it is read.
 
-1. **Shortcuts** (update hierarchy H_U): Algorithm 2 (decrease) relaxes
-   triangle inequalities outward from the changed edges; Algorithm 3
-   (increase) re-derives affected shortcut weights from Property 3.1.
-   Both process shortcuts bottom-up (decreasing ``tau`` of the deeper
-   endpoint == increasing contraction rank), so triangle legs are always
-   final before they are used. These run on any
-   :class:`~repro.hierarchy.contraction.ContractionResult`, which lets the
-   DCH/IncH2H baselines reuse them.
-2. **Labels** (hierarchical labelling L): Algorithm 4 (decrease) relaxes
-   label entries along shortcut chains; Algorithm 5 (increase) recomputes
-   potentially affected entries from up-neighbours, support-free (the
-   paper's deliberate trade-off — Section 8 "Boundedness"). Entries are
-   processed top-down (increasing ``tau``), so ancestor columns are final
-   before descendants read them.
-
-This module defines the engine contract (:class:`Engine`: the four
-sweeps :mod:`repro.labelling.driver` calls) and its one-pop-per-entry
-*reference* implementation, selected with
+This module defines the engine contract (:class:`Engine`) and its
+one-pop-per-entry *reference* implementation, selected with
 ``DHLConfig(engine="reference")`` and what ``"compiled"`` downgrades to
-on a host without a C compiler. Production updates run the C heap
-sweeps of :mod:`repro.labelling.native`, whose label sweeps pop a
-vertex and handle all of its queued entries at once (ancestor columns
-are independent); they must produce identical labels, change counts
-and affected sets — the differential property tests rely on it.
+on a host without a C compiler. Production updates run the C sweeps of
+:mod:`repro.labelling.native`, whose label sweep pops a vertex with all
+its queued entries (ancestor columns are independent); both must
+produce identical labels, change counts and affected sets — the
+differential property tests rely on it.
 
-Increase-side pruning tests exact equality of path sums; with integer
+Suspect tests compare exact equality of path sums; with integer
 weights (the library default) these comparisons are exact in float64.
 """
 
@@ -56,12 +47,12 @@ ShortcutKey = tuple[int, int]
 
 
 class Engine(NamedTuple):
-    """The whole maintenance-engine contract: four fixpoint sweeps.
+    """The whole maintenance-engine contract: two fixpoint sweeps.
 
-    The shortcut sweeps take a whole *store*
+    The shortcut sweep takes a whole *store*
     (:class:`~repro.hierarchy.contraction.ContractionResult`: ``csr`` of
     ``m`` slots, ``planes`` weight planes in one flat ``up_weights``)
-    and work on weight **cells** ``slot + m * plane``. Two rules make
+    and works on weight **cells** ``slot + m * plane``. Two rules make
     one sweep serve one plane or two. A triangle through owner ``v``
     from cell ``(v, w, plane)`` reads its second leg ``(v, o)`` from
     the opposite plane, ``leg + m * (planes - 1 - plane)``, and lands on
@@ -70,73 +61,81 @@ class Engine(NamedTuple):
     down-neighbours ``x``, with ``W[(x, v) + m * (planes - 1 - plane)] +
     W[(x, w) + m * plane]``. With one plane every offset is zero.
 
-    The label sweeps take one plane at a time, shaped like a one-plane
+    The label sweep takes one plane at a time, shaped like a one-plane
     store (``csr``, that plane's ``up_weights``, ``tau``), and *labels*,
     a flat :class:`~repro.labelling.labels.HierarchicalLabelling`.
     Sweeps never touch the graph.
 
-    Every sweep records its writes in the caller's *marks* and hands
-    back what it touched, so the driver reads lists, never a
-    store-sized array. Shortcut sweeps take :func:`cell_marks`
-    ``(changed, first_old, touched, count)``: the first write to a cell
-    sets ``changed[cell]``, keeps its pre-batch weight in
-    ``first_old[cell]`` and appends it to ``touched``, ``count[0]``
-    long; counts are in/out — a sweep appends after what the caller
-    listed. Label sweeps take fresh :func:`entry_marks` ``(changed,
-    touched, vertex_marks, touched_vertices, count)``: the first change
-    of a flat position marks and lists it (``count[0]``), and the first
-    of a vertex's entries also lists the vertex (``vertex_marks``,
-    ``count[1]``). Fresh, because a decrease sweep may use its own
-    ``changed`` marks as its queue. :func:`mark_cell` /
-    :func:`mark_entry` are the one way the scalar sweeps (and the driver,
-    for its own shortcut seed writes) append.
+    **The invariant** both engines hold, in both sweeps:
 
-    * ``shortcut_decrease_sweep(store, seeds, marks)`` — Algorithm 2
-      from the lowered seed cells, which the driver marked. Returns True
-      as soon as a *finite* candidate targets a pair that compaction
-      removed: the store has no slot to absorb it and the driver hands
-      over to the rebuild fallback.
-    * ``shortcut_increase_sweep(store, seeds, direct, marks)`` —
-      Algorithm 3 over the suspect seed cells; ``direct`` holds each
-      cell's direct edge (arc) weight, inf without one.
-    * ``label_decrease_sweep(store, labels, slots, marks)`` — Algorithm
-      4 for the changed shortcut *slots* of the plane, seed phase
-      included: each slot ``(lo, hi)`` relaxes row ``lo`` against row
-      ``hi`` with its new weight, then the lowered entries sweep down.
-      Returns the entries handled (each lowered entry once).
-    * ``label_increase_sweep(store, labels, slots, old, marks)`` —
-      Algorithm 5 for the changed *slots*, whose pre-batch weights are
-      *old*: the seed phase reads which entries of row ``lo`` the old
-      chain through ``hi`` realised, and those suspects are recomputed;
-      returns ``(entries handled, distinct entries whose value
-      rose)``.
+    * Pop order: a cell pops after every cell of a deeper owner, a
+      vertex after all its ancestors; each item pops at most once.
+    * Seeds only read and queue. A raised change flags as *suspect*
+      each dependent whose pre-batch value it realised; a lowered change
+      queues what it may lower.
+    * Every write is either a suspect's recompute at its pop (Property
+      3.1, or Algorithm 5's recompute) from witnesses that are already
+      final, or a relaxation ``min(current, a + b)`` where ``a`` and
+      ``b`` are each final or never suspect.
+    * Relaxations skip suspects (the recompute covers them), and no
+      prune reads a suspect: a label relaxation through a lowered slot
+      ``(lo, hi)`` runs at ``lo``'s pop, when row ``hi`` is final.
+    * Tightness tests compare pre-batch operands: a rewritten cell's
+      ``first_old``, a changed slot's pre-batch weight. An item the
+      batch has already lowered never turns suspect: relaxations bring
+      it to its final value.
+
+    So a one-kind batch writes what Algorithm 2/4 or 3/5 alone writes,
+    and in a mixed batch each moved cell and entry is written, and
+    counted, once.
+
+    Each sweep records its writes in the caller's fresh *marks* and
+    hands back what it touched, so the driver reads lists, never a
+    store-sized array: :func:`cell_marks` ``(changed, first_old,
+    touched, count)`` keep each written cell's pre-batch weight and list
+    it once; :func:`entry_marks` ``(changed, touched, vertex_marks,
+    touched_vertices, count)`` list each changed label position once
+    and each vertex on its first changed entry (``count[1]``). The
+    label sweep reads its own ``changed`` marks as the queue of lowered
+    entries. :func:`mark_cell` / :func:`mark_entry` are the one way the
+    scalar sweeps append.
+
+    * ``shortcut_sweep(store, raised, lowered, direct, marks)`` —
+      Algorithms 2 and 3 from the *raised* (suspect) and *lowered* seed
+      cells; ``direct`` holds each cell's direct edge (arc) weight, inf
+      without one, already the batch's. Returns True as soon as a
+      *finite* candidate targets a pair that compaction removed: the
+      store has no slot to absorb it and the driver hands over to the
+      rebuild fallback.
+    * ``label_sweep(store, labels, slots, slot_marks, marks)`` —
+      Algorithms 4 and 5 for the changed shortcut *slots* of the plane,
+      seed phase included; *slot_marks* are the plane's ``(changed,
+      first_old)`` of the shortcut sweep's marks, so a slot's pre-batch
+      weight is ``first_old[slot]`` where ``changed[slot]``. Returns the
+      entries handled (each lowered or suspect entry once).
     """
 
-    shortcut_decrease_sweep: Callable
-    shortcut_increase_sweep: Callable
-    label_decrease_sweep: Callable
-    label_increase_sweep: Callable
+    shortcut_sweep: Callable
+    label_sweep: Callable
 
 
 @dataclass
 class MaintenanceStats:
     """Work counters reported by the update algorithms.
 
-    ``shortcuts_changed`` is the paper's |S-delta|; ``labels_changed`` is
-    |L-delta| (distinct label entries whose value changed);
-    ``entries_processed`` counts the label entries a sweep handled
-    (search effort: each lowered or suspect entry once, whether the
-    engine pops it alone or with its vertex's other queued entries). It
-    is the only field that may differ between engines: their increase
-    sweeps test suspects through different but equally exact chains.
-    ``affected_labels`` holds the vertices
-    whose label array was modified; a distance ``d(s, t)`` is a pure
-    function of ``L_s`` and ``L_t``, so a cached result is stale only
-    when one of its endpoints is in this set — the serving layer's
-    fine-grained cache eviction relies on it.
+    ``shortcuts_changed`` is the paper's |S-delta| (distinct weight
+    cells whose value changed); ``labels_changed`` is |L-delta|
+    (distinct label entries whose value changed); ``entries_processed``
+    counts the label entries a sweep handled (search effort: each
+    lowered or suspect entry once, whether the engine pops it alone or
+    with its vertex's other queued entries). ``affected_labels`` holds
+    the vertices whose label array was modified; a distance ``d(s, t)``
+    is a pure function of ``L_s`` and ``L_t``, so a cached result is
+    stale only when one of its endpoints is in this set — the serving
+    layer's fine-grained cache eviction relies on it.
 
-    ``phases`` maps maintenance phase names (``decrease.relax_round``,
-    ``increase.dependency_layer``, ``decrease.label_sweep``, ...) to
+    ``phases`` maps maintenance phase names (``maintain.seed``,
+    ``maintain.shortcut_sweep``, ``maintain.label_sweep``, ...) to
     wall seconds. It is populated only when a phase collector was
     active during the update (the observability layer's
     :func:`~repro.observability.collect_phases` — e.g. a service flush
@@ -234,15 +233,9 @@ def _push_cell(heap: LazyHeap[int], sc, cell: int) -> None:
     heap.push(cell, int(sc.rank[owner]))
 
 
-def _cell_heap(sc, seeds) -> LazyHeap[int]:
-    heap: LazyHeap[int] = LazyHeap()
-    for cell in seeds.tolist():
-        _push_cell(heap, sc, cell)
-    return heap
-
-
 def triangles(sc, cell: int):
-    """Every triangle through the owner of *cell*: ``(leg cell, target)``.
+    """Every triangle through the owner of *cell*: ``(leg cell, pair)``,
+    whose target cell is ``sc.find_edge_slot(*pair)``.
 
     Cell ``(v, w)`` of plane 0 is the arc ``v -> w``, of the second of
     two planes the arc ``w -> v``. A partner ``o`` in ``v``'s up row
@@ -259,161 +252,167 @@ def triangles(sc, cell: int):
     for leg in range(start, end):
         if leg != slot:
             o = int(csr.indices[leg])
-            target = sc.find_edge_slot(w, o) if plane else sc.find_edge_slot(o, w)
-            yield leg + opposite, target
+            yield leg + opposite, ((w, o) if plane else (o, w))
 
 
-def shortcut_decrease_sweep(sc, seeds, marks) -> bool:
-    """Algorithm 2 — DH-U under edge weight decrease."""
-    weights = sc.up_weights
-    heap = _cell_heap(sc, seeds)
+def shortcut_sweep(sc, raised, lowered, direct, marks) -> bool:
+    """Algorithms 2 and 3 — DH-U under a mixed weight batch.
+
+    A suspect cell is recomputed from Property 3.1 at its pop; any
+    other queued cell takes its (lowered) direct weight. A cell that
+    moved — or a suspect whose partner moved — then visits its
+    triangles: a rise flags the targets its pre-batch weight realised,
+    and every pair whose legs are both settled relaxes its target.
+    """
+    csr, weights = sc.csr, sc.up_weights
+    m = csr.num_slots
+    changed, first_old, _, _ = marks
+    suspects = set(raised.tolist())
+    heap: LazyHeap[int] = LazyHeap()
+    for cell in (*raised.tolist(), *lowered.tolist()):
+        _push_cell(heap, sc, cell)
+
+    def old(cell: int) -> float:
+        return first_old[cell] if changed[cell] else weights[cell]
+
     while heap:
         cell, _ = heap.pop()
-        for leg, target in triangles(sc, cell):
-            candidate = weights[cell] + weights[leg]
+        was = old(cell)
+        suspect = cell in suspects
+        now = direct[cell]
+        if suspect:  # Property 3.1 over its (final) lower triangles
+            plane, slot = divmod(cell, m)
+            v, w = int(csr.owners[slot]), int(csr.indices[slot])
+            via_v, via_w = csr.common_down(v, w)
+            via_v += m * (sc.planes - 1 - plane)
+            via_w += m * plane
+            for leg_v, leg_w in zip(via_v.tolist(), via_w.tolist()):
+                now = min(now, weights[leg_v] + weights[leg_w])
+        else:
+            now = min(now, weights[cell])
+        if now != weights[cell]:
+            mark_cell(marks, cell, weights)
+            weights[cell] = now
+        moved = not suspect or now != was
+        for leg, pair in triangles(sc, cell):
+            if not moved and not changed[leg]:
+                continue
+            target = sc.find_edge_slot(*pair)
+            # A suspect partner still queued is not final: its own pop
+            # relaxes this pair.
+            settled = not (leg in suspects and leg in heap)
+            candidate = now + weights[leg]
             if target < 0:
-                # The pair was inf when the store was compacted. A pure
-                # weight decrease can never produce a finite candidate
-                # for it (both legs finite implies the target was finite
-                # pre-compaction); an insertion-seeded sweep can.
-                if math.isfinite(candidate):
+                # Compaction removed the pair as inf; only an insertion-
+                # seeded sweep can make a finite candidate for it.
+                if settled and math.isfinite(candidate):
                     return True
                 continue
-            if weights[target] > candidate:
+            if now > was and not changed[target] and (
+                weights[target] == was + old(leg)
+            ):
+                suspects.add(target)
+                _push_cell(heap, sc, target)
+            if settled and target not in suspects and weights[target] > candidate:
                 mark_cell(marks, target, weights)
                 weights[target] = candidate
                 _push_cell(heap, sc, target)
     return False
 
 
-def shortcut_increase_sweep(sc, seeds, direct, marks) -> None:
-    """Algorithm 3 — DH-U under edge weight increase.
-
-    Recomputes every potentially affected shortcut from Property 3.1
-    bottom-up.
-    """
-    csr = sc.csr
-    m = csr.num_slots
-    weights = sc.up_weights
-    heap = _cell_heap(sc, seeds)
-    while heap:
-        cell, _ = heap.pop()
-        plane, slot = divmod(cell, m)
-        # Recompute the shortcut weight from Equation (1).
-        w_new = direct[cell]
-        via_v, via_w = csr.common_down(int(csr.owners[slot]), int(csr.indices[slot]))
-        via_v += m * (sc.planes - 1 - plane)
-        via_w += m * plane
-        for leg_v, leg_w in zip(via_v.tolist(), via_w.tolist()):
-            candidate = weights[leg_v] + weights[leg_w]
-            if candidate < w_new:
-                w_new = candidate
-        old = weights[cell]
-        if old != w_new:
-            for leg, target in triangles(sc, cell):
-                # Triangles realising the old weight are potentially hit
-                # (pairs removed by compaction were inf — no suspect).
-                if target >= 0 and weights[target] == old + weights[leg]:
-                    _push_cell(heap, sc, target)
-            mark_cell(marks, cell, weights)
-            weights[cell] = w_new
-
-
 # ---------------------------------------------------------------------------
 # Label maintenance (Algorithms 4 and 5)
 # ---------------------------------------------------------------------------
 
-def label_decrease_sweep(hu, labels, slots, marks) -> int:
-    """Algorithm 4 — DHL- label maintenance under weight decrease."""
-    tau = hu.tau
-    csr = hu.csr
-    weights = hu.up_weights
-    arrays = labels.views()
-    offsets = labels.offsets
-    heap: LazyHeap[tuple[int, int]] = LazyHeap()
-    # Phase 1: ancestor-side improvements through each changed shortcut.
-    for slot in slots.tolist():
-        lo, hi = int(csr.owners[slot]), int(csr.indices[slot])
-        w, row, up = weights[slot], arrays[lo], arrays[hi]
-        th = int(tau[hi])
-        if w < row[th]:
-            for i in range(th + 1):
-                candidate = w + up[i]
-                if candidate < row[i]:
-                    row[i] = candidate
-                    mark_entry(marks, offsets[lo] + i, lo)
-                    heap.push((lo, i), int(tau[lo]))
-    pops = 0
-    while heap:
-        (v, i), _ = heap.pop()
-        pops += 1
-        value = arrays[v][i]
-        tv = int(tau[v])
-        for u in csr.down_row(v).tolist():
-            row = arrays[u]
-            candidate = row[tv] + value
-            if candidate < row[i]:
-                row[i] = candidate
-                mark_entry(marks, offsets[u] + i, u)
-                heap.push((u, i), int(tau[u]))
-    return pops
+def label_sweep(hu, labels, slots, slot_marks, marks) -> int:
+    """Algorithms 4 and 5 — DHL label maintenance under a mixed batch.
 
-
-def label_increase_sweep(hu, labels, slots, old, marks) -> tuple[int, int]:
-    """Algorithm 5 — DHL+ label maintenance under weight increase.
-
-    Support-free: every suspect entry is recomputed from up-neighbour
-    labels; strictly increased entries trigger a descendant sweep guarded
-    by path-sum equality.
+    Seeds: a raised slot ``(lo, hi)`` flags the entries of row ``lo``
+    its old weight realised through row ``hi``; a lowered one queues a
+    pull of row ``lo``, which pops once every row above ``lo`` is final
+    and relaxes the non-suspect entries through ``lo``'s lowered slots.
+    At its pop a suspect entry is recomputed from its up-neighbours
+    (support-free). A risen entry then flags the descendant entries its
+    old value realised, a lowered one relaxes them.
     """
     tau = hu.tau
     csr = hu.csr
     weights = hu.up_weights
+    slot_changed, slot_old = slot_marks
     arrays = labels.views()
     offsets = labels.offsets
+    changed = marks[0]
     heap: LazyHeap[tuple[int, int]] = LazyHeap()
-    # Phase 1: entries the changed shortcuts' old weights realised.
-    for slot, w in zip(slots.tolist(), old.tolist()):
+    suspects: set[int] = set()
+    pulls: dict[int, list[int]] = {}
+    for slot in slots.tolist():
         lo, hi = int(csr.owners[slot]), int(csr.indices[slot])
-        row, up = arrays[lo], arrays[hi]
+        w, row, up = slot_old[slot], arrays[lo], arrays[hi]
         th = int(tau[hi])
-        if w == row[th]:
+        if weights[slot] < w:
+            # Entry -1 is the pull; it pops after every shallower row.
+            pulls.setdefault(lo, []).append(slot)
+            heap.push((lo, -1), tau[lo] - 0.5)
+        elif w == row[th]:
             for i in range(th + 1):
                 # inf == inf keeps an unreachable entry suspect.
                 if w + up[i] == row[i]:
+                    suspects.add(int(offsets[lo]) + i)
                     heap.push((lo, i), int(tau[lo]))
-    pops = increased = 0
+    pops = 0
     while heap:
         (v, i), _ = heap.pop()
-        pops += 1
         row = arrays[v]
-        w_new = math.inf
-        for slot in range(*csr.row_bounds(v)):
-            w = csr.indices[slot]
-            if tau[w] >= i:
-                candidate = weights[slot] + arrays[w][i]
-                if candidate < w_new:
-                    w_new = candidate
-        old_value = row[i]
-        if w_new > old_value:
-            tv = int(tau[v])
-            for u in csr.down_row(v).tolist():
-                urow = arrays[u]
-                chained = urow[tv] + old_value
-                if chained == urow[i] or (
-                    math.isinf(chained) and math.isinf(urow[i])
-                ):
+        if i < 0:
+            base = int(offsets[v])
+            for slot in pulls[v]:
+                w, up = weights[slot], arrays[csr.indices[slot]]
+                th = len(up) - 1
+                # A slot no shorter than v's non-suspect entry for hi lowers nothing.
+                if base + th not in suspects and not w < row[th]:
+                    continue
+                for c, candidate in enumerate((w + up).tolist()):
+                    if candidate < row[c] and base + c not in suspects:
+                        row[c] = candidate
+                        mark_entry(marks, base + c, v)
+                        heap.push((v, c), int(tau[v]))
+            continue
+        pops += 1
+        pos = int(offsets[v]) + i
+        value = fresh = row[i]
+        if pos in suspects:
+            fresh = math.inf
+            for slot in range(*csr.row_bounds(v)):
+                w = csr.indices[slot]
+                if tau[w] >= i:
+                    fresh = min(fresh, weights[slot] + arrays[w][i])
+            if fresh != value:
+                mark_entry(marks, pos, v)
+                row[i] = fresh
+        risen = fresh > value
+        if not (risen or changed[pos]):
+            continue
+        down = slice(int(csr.down_indptr[v]), int(csr.down_indptr[v + 1]))
+        us, down_slots = csr.down_indices[down], csr.down_slots[down]
+        upositions = (offsets[us] + i).tolist()
+        if risen:
+            # Each down entry's pre-batch chain through v: old slot weight.
+            old_weights = np.where(
+                slot_changed[down_slots], slot_old[down_slots], weights[down_slots]
+            )
+            chains = (old_weights + value).tolist()
+            for u, upos, chained in zip(us.tolist(), upositions, chains):
+                if not changed[upos] and chained == arrays[u][i]:
+                    suspects.add(upos)
                     heap.push((u, i), int(tau[u]))
-            increased += 1
-        if w_new != old_value:
-            mark_entry(marks, offsets[v] + i, v)
-        row[i] = w_new
-    return pops, increased
+            continue
+        candidates = (weights[down_slots] + fresh).tolist()
+        for u, upos, candidate in zip(us.tolist(), upositions, candidates):
+            if candidate < arrays[u][i] and upos not in suspects:
+                arrays[u][i] = candidate
+                mark_entry(marks, upos, u)
+                heap.push((u, i), int(tau[u]))
+    return pops
 
 
-ENGINE = Engine(
-    shortcut_decrease_sweep,
-    shortcut_increase_sweep,
-    label_decrease_sweep,
-    label_increase_sweep,
-)
+ENGINE = Engine(shortcut_sweep, label_sweep)

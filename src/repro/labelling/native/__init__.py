@@ -2,7 +2,7 @@
 
 :mod:`dhl_kernels.c <repro.labelling.native>` (package data, plain C99,
 no ``Python.h``) holds the pair and set-to-set queries, the sharded
-min-plus combine, the four maintenance sweeps and the build's two hot
+min-plus combine, the two maintenance sweeps and the build's two hot
 loops: FM bisection refinement and Algorithm 1's top-down pass.
 This module builds it at first use and opens it with :mod:`ctypes`:
 
@@ -67,18 +67,13 @@ SIGNATURES = {
         [_i64, _ptr, _i64] + [_ptr] * 9 + [_i64] + [_ptr] * 2,
     ),
     "dhl_min_plus": (None, [_i64] * 3 + [_ptr] * 3 + [_i64] + [_ptr] * 4),
-    "dhl_shortcut_decrease": (
+    "dhl_shortcut_sweep": (
         ctypes.c_int,
-        [_i64, _ptr, _i64, _ptr, _i64] + [_ptr] * 9,
+        [_i64, _ptr, _i64, _ptr, _i64, _ptr, _i64] + [_ptr] * 13,
     ),
-    "dhl_shortcut_increase": (
+    "dhl_label_sweep": (
         _i64,
-        [_i64, _ptr, _i64, _ptr, _i64] + [_ptr] * 13,
-    ),
-    "dhl_label_decrease": (_i64, [_i64, _ptr, _ptr, _i64] + [_ptr] * 13),
-    "dhl_label_increase": (
-        ctypes.c_int,
-        [_i64, _ptr, _ptr, _i64, _ptr, _i64] + [_ptr] * 15,
+        [_i64, _ptr, _ptr, _ptr, _i64, _ptr, _i64] + [_ptr] * 14,
     ),
     "dhl_fm_refine": (
         ctypes.c_int,

@@ -1,36 +1,56 @@
 /*
  * DHL kernels over the flat CSR buffers: the pair and set-to-set
  * queries (Section 4.3), the sharded boundary route's min-plus combine,
- * the four maintenance sweeps of the Engine contract (Algorithms 2-5)
- * and the build's two hot loops, FM bisection refinement and Algorithm
- * 1's top-down pass. Plain C99 over int64_t / double / uint8_t
- * pointers; built at first use by repro.labelling.native and called
- * through ctypes, which validates dtype, contiguity, alignment and
- * lengths and range-checks every vertex id, row index and side byte
+ * the two maintenance sweeps of the Engine contract (Algorithms 2 + 3
+ * over the shortcuts, 4 + 5 over the labels, each for a whole mixed
+ * batch) and the build's two hot loops, FM bisection refinement and
+ * Algorithm 1's top-down pass. Plain C99 over int64_t / double /
+ * uint8_t pointers; built at first use by repro.labelling.native and
+ * called through ctypes, which validates dtype, contiguity, alignment
+ * and lengths and range-checks every vertex id, row index and side byte
  * before a pointer gets here.
  *
- * The sweeps are scalar fixpoints in the paper's order (shortcuts
- * deepest owner first, label entries shallowest vertex first) over an
+ * The sweeps are scalar fixpoints in the paper's order over an
  * array-backed binary min-heap. The heap is lazy: an in_queue byte per
  * item drops pushes of queued items, and an item re-enters after its
- * pop. The shortcut heaps hold weight cells; the label heaps hold
+ * pop. The shortcut heap holds weight cells; the label heap holds
  * vertices, each pop handling all of the vertex's queued hub columns.
- * Every relaxation carries the strict-improvement or exact-equality
- * guard of the reference engine, so weights and labels converge to the
- * same bits. Scratch is O(touched): the heap grows by doubling from the
- * seed count; the in_queue maps are sized to the cells or the vertices,
- * and only the increase sweep's suspect map to the label store.
+ * Both sweeps hold one invariant:
+ *
+ *   - Pop order: a cell pops after every cell of a deeper owner, a
+ *     vertex after all its ancestors; each item pops at most once.
+ *   - Seeds only read and queue. A raised change flags as suspect each
+ *     dependent whose pre-batch value it realised; a lowered change
+ *     queues what it may lower.
+ *   - Every write is a suspect's recompute at its pop (Property 3.1, or
+ *     Algorithm 5's recompute) from witnesses already final, or a
+ *     relaxation min(current, a + b) with a and b each final or never
+ *     suspect.
+ *   - Relaxations skip suspects (the recompute covers them) and no
+ *     prune reads a suspect: a label relaxation through a lowered slot
+ *     (lo, hi) runs at lo's pop, when row hi is final.
+ *   - Tightness tests compare pre-batch operands (a rewritten cell's
+ *     first_old, a changed slot's old weight). An item the batch has
+ *     already lowered never turns suspect: relaxations finish it.
+ *
+ * So a one-kind batch writes what Algorithm 2/4 or 3/5 alone writes,
+ * and in a mixed batch each moved cell and entry is written, and
+ * counted, once; every guard is the strict-improvement or
+ * exact-equality one of the reference engine, so weights and labels
+ * converge to the same bits. Scratch is O(touched): the heap grows by
+ * doubling from the seed count; the in_queue maps are sized to the
+ * cells or the vertices, and the label sweep's suspect map to the label
+ * store.
  *
  * A sweep hands back what it touched, so its caller never scans a
  * store-sized array: the first time it sets a changed mark it also
  * appends that cell (label position) to the caller's int64 touched list
- * and bumps count[0]; the label sweeps also set a per-vertex byte mark
- * and append each vertex whose entries first change to a second list,
- * count[1] long. Shortcut counts are in/out: a sweep appends after what
- * the caller listed already; label marks come in fresh. The lists are
- * the caller's np.empty buffers of the universe size, committed page by
- * page as they are written. A failed allocation returns DHL_NOMEM with
- * the marks, lists and counts still describing every write made so far.
+ * and bumps count[0]; the label sweep also sets a per-vertex byte mark
+ * and appends each vertex whose entries first change to a second list,
+ * count[1] long. The lists are the caller's np.empty buffers of the
+ * universe size, committed page by page as they are written. A failed
+ * allocation returns DHL_NOMEM with the marks, lists and counts still
+ * describing every write made so far.
  *
  * Build: cc -O3 -fPIC -shared -ffp-contract=off (no -ffast-math: sums
  * must round exactly as numpy's do).
@@ -42,6 +62,9 @@
 #include <string.h>
 
 #define DHL_NOMEM (-1)
+#define QUEUED 1  /* in_queue bits: the item waits in the heap, */
+#define SUSPECT 2 /* its pop recomputes it, */
+#define LOWERED 4 /* or its pop lowers it to its direct weight */
 
 /* ------------------------------------------------------------------ */
 /* lazy binary min-heap of (key, item)                                 */
@@ -86,7 +109,7 @@ static int heap_push(heap_t *h, int64_t key, int64_t item) {
         h->items = items;
         h->cap = cap;
     }
-    h->in_queue[item] = 1;
+    h->in_queue[item] = QUEUED;
     int64_t i = h->size++;
     while (i > 0) {
         int64_t parent = (i - 1) >> 1;
@@ -99,6 +122,14 @@ static int heap_push(heap_t *h, int64_t key, int64_t item) {
     h->keys[i] = key;
     h->items[i] = item;
     return 0;
+}
+
+/* Queue item with the state bits flag (a queued item gains them). */
+static int heap_flag(heap_t *h, int64_t key, int64_t item, uint8_t flag) {
+    int status = heap_push(h, key, item);
+    if (!status)
+        h->in_queue[item] |= flag;
+    return status;
 }
 
 static int64_t heap_pop(heap_t *h) {
@@ -331,7 +362,7 @@ void dhl_min_plus(
 }
 
 /* ------------------------------------------------------------------ */
-/* shortcut sweeps (Algorithms 2 and 3)                                */
+/* the shortcut sweep (Algorithms 2 and 3)                             */
 /* ------------------------------------------------------------------ */
 
 /*
@@ -343,37 +374,81 @@ void dhl_min_plus(
  */
 
 /*
- * Algorithm 2 from the lowered seed cells, which the caller marked and
- * listed: chaotic min-relaxation, deepest owner first. Pushes go
- * strictly shallower than the popping owner, so every cell pops at
- * most once. Returns 1, stopping early, when a finite candidate targets
- * a pair compaction removed (the contract's fallback signal), 0
- * otherwise.
+ * Algorithms 2 and 3 from the raised (suspect) and lowered seed cells,
+ * deepest owner first; pushes go strictly shallower than the popping
+ * owner, so every cell pops once. A popped suspect is recomputed as the
+ * min of direct[cell] and, over the common down-neighbours x (both down
+ * rows are sorted by vertex id), W[(x, v), opposite plane] +
+ * W[(x, w), own plane]; a lowered seed takes min(W, direct). A cell
+ * that is not a suspect, or that moved, then visits every triangle, an
+ * unmoved suspect only those whose leg moved: a rise flags each
+ * unwritten target its pre-batch weight realised, and a pair whose leg
+ * is not a queued suspect relaxes a target that is not one. Returns 1,
+ * stopping early, when a finite candidate targets a pair compaction
+ * removed (the contract's fallback signal), 0 otherwise, DHL_NOMEM on
+ * failure.
  */
-int dhl_shortcut_decrease(
-    int64_t num_seeds, const int64_t *seeds,
+int dhl_shortcut_sweep(
+    int64_t num_raised, const int64_t *raised,
+    int64_t num_lowered, const int64_t *lowered,
     int64_t num_cells, double *weights,
     int64_t m, const int64_t *indptr, const int64_t *indices,
-    const int64_t *ranks, const int64_t *owners, const int64_t *rank,
+    const int64_t *ranks, const int64_t *owners,
+    const int64_t *down_indptr, const int64_t *down_indices,
+    const int64_t *down_slots, const double *direct, const int64_t *rank,
     uint8_t *changed, double *first_old, int64_t *touched, int64_t *count)
 {
     heap_t h;
-    int status = heap_init(&h, num_cells, num_seeds);
+    int status = heap_init(&h, num_cells, num_raised + num_lowered);
     int64_t last = num_cells - m; /* offset of the last plane */
-    for (int64_t i = 0; !status && i < num_seeds; i++)
-        status = heap_push(&h, rank[owners[seeds[i] % m]], seeds[i]);
+    for (int64_t i = 0; !status && i < num_raised; i++)
+        status = heap_flag(&h, rank[owners[raised[i] % m]], raised[i], SUSPECT);
+    for (int64_t i = 0; !status && i < num_lowered; i++)
+        status = heap_flag(&h, rank[owners[lowered[i] % m]], lowered[i], LOWERED);
     while (!status && h.size > 0) {
+        uint8_t state = h.in_queue[h.items[0]];
+        int suspect = state & SUSPECT;
         int64_t cell = heap_pop(&h);
         int64_t slot = cell % m, own = cell - slot, opposite = last - own;
-        int64_t v = owners[slot], a = indices[slot], ra = ranks[slot];
-        double w_vw = weights[cell];
+        int64_t v = owners[slot], w = indices[slot], ra = ranks[slot];
+        double now = weights[cell], was = now;
+        if (suspect) {
+            if (changed[cell])
+                was = first_old[cell];
+            now = direct[cell];
+            int64_t pa = down_indptr[v], ea = down_indptr[v + 1];
+            int64_t pb = down_indptr[w], eb = down_indptr[w + 1];
+            while (pa < ea && pb < eb) {
+                int64_t xa = down_indices[pa], xb = down_indices[pb];
+                if (xa == xb) {
+                    double cand = weights[down_slots[pa] + opposite]
+                                + weights[down_slots[pb] + own];
+                    if (cand < now)
+                        now = cand;
+                    pa++;
+                    pb++;
+                } else if (xa < xb) {
+                    pa++;
+                } else {
+                    pb++;
+                }
+            }
+        } else if ((state & LOWERED) && direct[cell] < now) {
+            now = direct[cell];
+        }
+        if (now != weights[cell]) {
+            mark_cell(cell, weights, changed, first_old, touched, count);
+            weights[cell] = now;
+        }
+        int spreads = !suspect || now != was, rose = now > was;
         for (int64_t leg = indptr[v]; leg < indptr[v + 1]; leg++) {
-            if (leg == slot)
+            int64_t partner = leg + opposite;
+            if (leg == slot || (!spreads && !changed[partner]))
                 continue;
-            double cand = w_vw + weights[leg + opposite];
+            double cand = now + weights[partner];
             int64_t rb = ranks[leg], tslot, plane;
             if (ra < rb) {
-                tslot = find_slot(indptr, ranks, a, rb);
+                tslot = find_slot(indptr, ranks, w, rb);
                 plane = opposite;
             } else {
                 tslot = find_slot(indptr, ranks, indices[leg], ra);
@@ -383,124 +458,42 @@ int dhl_shortcut_decrease(
                 /* The pair was inf when the store was compacted: an inf
                    candidate could never win, a finite one (only an
                    insertion-seeded sweep makes it) has no slot. */
-                if (cand < INFINITY) {
+                if (cand < INFINITY && !(h.in_queue[partner] & SUSPECT)) {
                     status = 1;
                     break;
                 }
                 continue;
             }
             int64_t target = tslot + plane;
-            if (weights[target] > cand) {
+            if (rose
+                && weights[target] == was + (changed[partner] ? first_old[partner]
+                                                              : weights[partner])
+                && !changed[target]) {
+                status = heap_flag(&h, rank[owners[tslot]], target, SUSPECT);
+            } else if (weights[target] > cand
+                       /* a queued suspect leg is not final: its pop relaxes */
+                       && !(h.in_queue[partner] & SUSPECT)
+                       && !(h.in_queue[target] & SUSPECT)) {
                 mark_cell(target, weights, changed, first_old, touched, count);
                 weights[target] = cand;
-                if (heap_push(&h, rank[owners[tslot]], target)) {
-                    status = DHL_NOMEM;
-                    break;
-                }
+                status = heap_push(&h, rank[owners[tslot]], target);
             }
+            if (status)
+                break;
         }
     }
     heap_free(&h);
     return status;
 }
 
-/*
- * Algorithm 3 over the suspect seed cells, deepest owner first. A
- * popped cell (v, w, plane) is recomputed as the min of direct[cell]
- * and, over the common down-neighbours x (both down rows are sorted by
- * vertex id), W[(x, v), opposite plane] + W[(x, w), own plane]. When it
- * moves, every shallower pair whose stored weight equals the old
- * chained value is queued. Returns the pop count, DHL_NOMEM on failure.
- */
-int64_t dhl_shortcut_increase(
-    int64_t num_seeds, const int64_t *seeds,
-    int64_t num_cells, double *weights,
-    int64_t m, const int64_t *indptr, const int64_t *indices,
-    const int64_t *ranks, const int64_t *owners,
-    const int64_t *down_indptr, const int64_t *down_indices,
-    const int64_t *down_slots, const double *direct, const int64_t *rank,
-    uint8_t *changed, double *first_old, int64_t *touched, int64_t *count)
-{
-    heap_t h;
-    int status = heap_init(&h, num_cells, num_seeds);
-    int64_t last = num_cells - m;
-    int64_t pops = 0;
-    for (int64_t i = 0; !status && i < num_seeds; i++)
-        status = heap_push(&h, rank[owners[seeds[i] % m]], seeds[i]);
-    while (!status && h.size > 0) {
-        int64_t cell = heap_pop(&h);
-        pops++;
-        int64_t slot = cell % m, own = cell - slot, opposite = last - own;
-        int64_t v = owners[slot], w = indices[slot];
-        double w_new = direct[cell];
-        int64_t pa = down_indptr[v], ea = down_indptr[v + 1];
-        int64_t pb = down_indptr[w], eb = down_indptr[w + 1];
-        while (pa < ea && pb < eb) {
-            int64_t xa = down_indices[pa], xb = down_indices[pb];
-            if (xa == xb) {
-                double cand = weights[down_slots[pa] + opposite]
-                            + weights[down_slots[pb] + own];
-                if (cand < w_new)
-                    w_new = cand;
-                pa++;
-                pb++;
-            } else if (xa < xb) {
-                pa++;
-            } else {
-                pb++;
-            }
-        }
-        double old = weights[cell];
-        if (old == w_new)
-            continue;
-        int64_t ra = ranks[slot];
-        for (int64_t leg = indptr[v]; leg < indptr[v + 1]; leg++) {
-            if (leg == slot)
-                continue;
-            int64_t rb = ranks[leg], tslot, plane;
-            if (ra < rb) {
-                tslot = find_slot(indptr, ranks, w, rb);
-                plane = opposite;
-            } else {
-                tslot = find_slot(indptr, ranks, indices[leg], ra);
-                plane = own;
-            }
-            if (tslot < 0) /* dropped by compaction: was inf, no suspect */
-                continue;
-            int64_t target = tslot + plane;
-            if (weights[target] == old + weights[leg + opposite]
-                && heap_push(&h, rank[owners[tslot]], target)) {
-                status = DHL_NOMEM;
-                break;
-            }
-        }
-        if (status)
-            break; /* nothing written for this cell yet */
-        mark_cell(cell, weights, changed, first_old, touched, count);
-        weights[cell] = w_new;
-    }
-    heap_free(&h);
-    return status ? status : pops;
+/* ------------------------------------------------------------------ */
+/* the label sweep (Algorithms 4 and 5), one weight plane at a time    */
+/* ------------------------------------------------------------------ */
+
+/* Position p is flagged in a suspect map that may not exist. */
+static inline int is_suspect(const uint8_t *suspect, int64_t p) {
+    return suspect && suspect[p];
 }
-
-/* ------------------------------------------------------------------ */
-/* label sweeps (Algorithms 4 and 5), one weight plane at a time       */
-/* ------------------------------------------------------------------ */
-
-/*
- * Both take the changed shortcut slots of the plane (slot -> lo =
- * owners[slot], hi = indices[slot]) and run the whole algorithm: phase 1
- * is one pass of row lo against row hi per slot, then a heap of
- * vertices keyed by tau. Lemma 6.3 keeps every ancestor column
- * independent (entry i of a vertex reads only entries i of its
- * neighbours), and pushes go only to strictly deeper vertices while pops
- * never go up in tau: a popped vertex's queued entries are final, each is
- * handled once, and handling them column by column inside one pass per
- * shortcut does the same additions and minima as one pop per entry.
- * Everything a sweep allocates is had before its first write, so
- * DHL_NOMEM from the allocations means nothing was written, marked or
- * listed.
- */
 
 /* One past the deepest tau: the widest label, the column scratch size. */
 static int64_t label_width(int64_t n, const int64_t *tau) {
@@ -512,97 +505,36 @@ static int64_t label_width(int64_t n, const int64_t *tau) {
 }
 
 /*
- * Algorithm 4. Phase 1 lowers L_lo[i] to w(lo, hi) + L_hi[i] wherever
- * that is smaller (only for a slot whose new weight beats L_lo[tau(hi)]).
- * An entry is queued exactly when it is first lowered, and the marks
- * come in fresh, so the changed marks of a popped vertex's row are its
- * queue; its lowered columns are relaxed into every down shortcut, the
- * weight and the row loaded once per shortcut. Returns the entries
- * handled (each lowered entry once), DHL_NOMEM on failure.
+ * Algorithms 4 and 5 for the changed shortcut slots of the plane (slot
+ * -> lo = owners[slot], hi = indices[slot]); slot_changed / slot_old
+ * are the plane's shortcut marks, so a slot's pre-batch weight is
+ * slot_old[slot] where slot_changed[slot]. Seeds only read: a raised
+ * slot flags the entries L_lo[i] its old weight realised, w_old +
+ * L_hi[i] == L_lo[i] (inf == inf included; only when w_old equals
+ * L_lo[tau(hi)]), in a per-position byte map, and queues lo; a lowered
+ * slot queues lo when its new weight undercuts L_lo[tau(hi)] (should
+ * that entry rise instead, its flag queues lo). A heap of vertices keyed
+ * by tau then pops each vertex once, after all its ancestors. At a pop,
+ * each lowered up slot relaxes the non-suspect entries of the row from
+ * its (final) row hi, unless the slot is no shorter than a non-suspect
+ * L_lo[tau(hi)] (the triangle inequality then bounds every entry); the
+ * suspect
+ * columns are recomputed per Property 3.1, one pass per up shortcut
+ * into ancestors at least that deep; the columns that rose flag each
+ * unwritten down entry their old value realised through the slot's old
+ * weight, and the columns that fell (relaxed or recomputed lower) relax
+ * the non-suspect down entries. Lemma 6.3 keeps every ancestor column
+ * independent, so handling them column by column inside one pass per
+ * shortcut does the same additions and minima as one pop per entry.
+ * The changed marks come in fresh: a row's marks at its pop are its
+ * lowered entries. Everything the sweep allocates is had before its
+ * first write, so DHL_NOMEM from the allocations means nothing was
+ * written, marked or listed. Returns the entries handled (each lowered
+ * or suspect entry once), DHL_NOMEM on failure.
  */
-int64_t dhl_label_decrease(
-    int64_t num_slots, const int64_t *slots, double *values,
-    int64_t n, const int64_t *offsets, const int64_t *tau,
-    const double *weights, const int64_t *indices, const int64_t *owners,
-    const int64_t *down_indptr, const int64_t *down_indices,
-    const int64_t *down_slots,
-    uint8_t *changed, int64_t *touched, uint8_t *vertex_marks,
-    int64_t *touched_vertices, int64_t *count)
-{
-    heap_t h;
-    int status = heap_init(&h, n, num_slots);
-    int64_t *cols = status ? NULL
-                           : malloc((size_t)label_width(n, tau) * sizeof(int64_t));
-    if (!cols) {
-        heap_free(&h);
-        return DHL_NOMEM;
-    }
-    for (int64_t s = 0; !status && s < num_slots; s++) {
-        int64_t lo = owners[slots[s]], hi = indices[slots[s]];
-        int64_t th = tau[hi], base = offsets[lo];
-        double w = weights[slots[s]], *row = values + base;
-        const double *up = values + offsets[hi];
-        if (!(w < row[th]))
-            continue;
-        for (int64_t i = 0; i <= th; i++) {
-            double cand = w + up[i];
-            if (cand < row[i]) {
-                row[i] = cand;
-                mark_entry(base + i, lo, changed, touched, vertex_marks,
-                           touched_vertices, count);
-            }
-        }
-        status = heap_push(&h, tau[lo], lo);
-    }
-    int64_t handled = 0;
-    while (!status && h.size > 0) {
-        int64_t v = heap_pop(&h);
-        const double *row = values + offsets[v];
-        const uint8_t *queued = changed + offsets[v];
-        int64_t k = 0;
-        for (int64_t c = 0; c <= tau[v]; c++)
-            if (queued[c])
-                cols[k++] = c;
-        handled += k;
-        for (int64_t d = down_indptr[v]; d < down_indptr[v + 1]; d++) {
-            int64_t u = down_indices[d], base = offsets[u];
-            double w = weights[down_slots[d]], *target = values + base;
-            int lowered = 0;
-            for (int64_t j = 0; j < k; j++) {
-                int64_t c = cols[j];
-                double cand = w + row[c];
-                if (cand < target[c]) {
-                    target[c] = cand;
-                    mark_entry(base + c, u, changed, touched, vertex_marks,
-                               touched_vertices, count);
-                    lowered = 1;
-                }
-            }
-            if (lowered && heap_push(&h, tau[u], u)) {
-                status = DHL_NOMEM;
-                break;
-            }
-        }
-    }
-    heap_free(&h);
-    free(cols);
-    return status ? status : handled;
-}
-
-/*
- * Algorithm 5. Phase 1 only reads: entry L_lo[i] is suspect when the
- * old weight w_old(lo, hi) + L_hi[i] equals it (inf == inf included;
- * only for a slot whose old weight equals L_lo[tau(hi)]). A per-position
- * byte map holds the suspects. A popped vertex recomputes its suspect
- * columns per Property 3.1, one pass per up shortcut into ancestors at
- * least that deep; for the columns whose value rose, down entries whose
- * stored value equals the old chained one turn suspect, one pass per
- * down shortcut; then every changed entry is written, marked and listed.
- * work[0] receives the entries handled, work[1] those whose value
- * strictly rose. Returns 0, DHL_NOMEM on failure.
- */
-int dhl_label_increase(
-    int64_t num_slots, const int64_t *slots, const double *old,
+int64_t dhl_label_sweep(
+    int64_t num_slots, const int64_t *slots,
+    const uint8_t *slot_changed, const double *slot_old,
     int64_t capacity, double *values,
     int64_t n, const int64_t *offsets, const int64_t *tau,
     const double *weights,
@@ -610,48 +542,75 @@ int dhl_label_increase(
     const int64_t *down_indptr, const int64_t *down_indices,
     const int64_t *down_slots,
     uint8_t *changed, int64_t *touched, uint8_t *vertex_marks,
-    int64_t *touched_vertices, int64_t *count, int64_t *work)
+    int64_t *touched_vertices, int64_t *count)
 {
     heap_t h;
-    int status = heap_init(&h, n, num_slots);
+    int status = heap_init(&h, n, num_slots), raised = 0;
+    for (int64_t s = 0; !status && s < num_slots; s++)
+        raised |= weights[slots[s]] > slot_old[slots[s]];
+    /* Suspects only descend from a raised slot: without one the sweep
+       has no suspect map to fault in. */
+    uint8_t *suspect = raised ? calloc(capacity > 0 ? (size_t)capacity : 1, 1) : NULL;
     int64_t width = status ? 0 : label_width(n, tau);
-    uint8_t *suspect = status ? NULL : calloc(capacity > 0 ? (size_t)capacity : 1, 1);
-    /* cols then risen, width each; fresh and before, width each */
-    int64_t *cols = suspect ? malloc(2 * (size_t)width * sizeof(int64_t)) : NULL;
-    double *fresh = cols ? malloc(2 * (size_t)width * sizeof(double)) : NULL;
-    work[0] = work[1] = 0;
-    if (!fresh) {
+    /* suspect, lowered and risen columns; fresh and before values */
+    int64_t *cols = malloc(3 * (size_t)width * sizeof(int64_t));
+    double *fresh = malloc(2 * (size_t)width * sizeof(double));
+    if (status || (raised && !suspect) || !cols || !fresh) {
         heap_free(&h);
         free(suspect);
         free(cols);
+        free(fresh);
         return DHL_NOMEM;
     }
-    int64_t *risen = cols + width;
+    int64_t *fell = cols + width, *risen = cols + 2 * width;
     double *before = fresh + width;
     for (int64_t s = 0; !status && s < num_slots; s++) {
-        int64_t lo = owners[slots[s]], hi = indices[slots[s]];
+        int64_t slot = slots[s], lo = owners[slot], hi = indices[slot];
         int64_t th = tau[hi], base = offsets[lo];
-        double w = old[s];
+        double w = slot_old[slot];
         const double *row = values + base, *up = values + offsets[hi];
-        if (w != row[th])
+        if (weights[slot] > w) {
+            if (w != row[th])
+                continue;
+            for (int64_t i = 0; i <= th; i++)
+                if (w + up[i] == row[i])
+                    suspect[base + i] = 1;
+        } else if (!(weights[slot] < row[th])) {
             continue;
-        for (int64_t i = 0; i <= th; i++)
-            if (w + up[i] == row[i])
-                suspect[base + i] = 1;
+        }
         status = heap_push(&h, tau[lo], lo);
     }
-    int64_t handled = 0, increased = 0;
+    int64_t handled = 0;
     while (!status && h.size > 0) {
         int64_t v = heap_pop(&h), base = offsets[v];
         double *row = values + base;
-        int64_t k = 0;
-        for (int64_t c = 0; c <= tau[v]; c++)
-            if (suspect[base + c]) {
+        for (int64_t slot = indptr[v]; slot < indptr[v + 1]; slot++) {
+            double w = weights[slot];
+            int64_t th = tau[indices[slot]];
+            if (!slot_changed[slot] || !(w < slot_old[slot])
+                || (!is_suspect(suspect, base + th) && !(w < row[th])))
+                continue;
+            const double *up = values + offsets[indices[slot]];
+            for (int64_t c = 0; c <= th; c++) {
+                double cand = w + up[c];
+                if (cand < row[c] && !is_suspect(suspect, base + c)) {
+                    row[c] = cand;
+                    mark_entry(base + c, v, changed, touched, vertex_marks,
+                               touched_vertices, count);
+                }
+            }
+        }
+        int64_t k = 0, nf = 0, r = 0;
+        for (int64_t c = 0; c <= tau[v]; c++) {
+            if (is_suspect(suspect, base + c)) {
                 cols[k] = c;
                 fresh[k++] = INFINITY;
+            } else if (changed[base + c]) {
+                fell[nf++] = c;
             }
-        handled += k;
-        for (int64_t slot = indptr[v]; slot < indptr[v + 1]; slot++) {
+        }
+        handled += k + nf;
+        for (int64_t slot = indptr[v]; k && slot < indptr[v + 1]; slot++) {
             int64_t tw = tau[indices[slot]];
             double w = weights[slot];
             const double *up = values + offsets[indices[slot]];
@@ -661,43 +620,54 @@ int dhl_label_increase(
                     fresh[j] = cand;
             }
         }
-        int64_t r = 0;
-        for (int64_t j = 0; j < k; j++)
-            if (fresh[j] > row[cols[j]]) {
-                risen[r] = cols[j];
-                before[r++] = row[cols[j]];
-            }
-        for (int64_t d = down_indptr[v]; !status && d < down_indptr[v + 1]; d++) {
-            int64_t u = down_indices[d], ubase = offsets[u];
-            double w = weights[down_slots[d]];
-            const double *target = values + ubase;
-            int hit = 0;
-            for (int64_t j = 0; j < r; j++)
-                if (w + before[j] == target[risen[j]]) {
-                    suspect[ubase + risen[j]] = 1;
-                    hit = 1;
-                }
-            if (hit && heap_push(&h, tau[u], u))
-                status = DHL_NOMEM;
-        }
-        if (status)
-            break; /* nothing written for this vertex yet */
-        increased += r;
         for (int64_t j = 0; j < k; j++) {
             int64_t c = cols[j];
-            if (fresh[j] != row[c])
+            if (fresh[j] > row[c]) {
+                risen[r] = c;
+                before[r++] = row[c];
+            } else if (fresh[j] < row[c] || changed[base + c]) {
+                fell[nf++] = c;
+            }
+            if (fresh[j] != row[c]) {
                 mark_entry(base + c, v, changed, touched, vertex_marks,
                            touched_vertices, count);
-            row[c] = fresh[j];
+                row[c] = fresh[j];
+            }
+        }
+        for (int64_t d = down_indptr[v]; (nf || r) && d < down_indptr[v + 1]; d++) {
+            int64_t u = down_indices[d], slot = down_slots[d], ubase = offsets[u];
+            double w = weights[slot];
+            double w_old = slot_changed[slot] ? slot_old[slot] : w;
+            double *target = values + ubase;
+            int push = 0;
+            for (int64_t j = 0; j < nf; j++) {
+                int64_t c = fell[j];
+                double cand = w + row[c];
+                if (cand < target[c] && !is_suspect(suspect, ubase + c)) {
+                    target[c] = cand;
+                    mark_entry(ubase + c, u, changed, touched, vertex_marks,
+                               touched_vertices, count);
+                    push = 1;
+                }
+            }
+            for (int64_t j = 0; j < r; j++) {
+                int64_t c = risen[j];
+                if (w_old + before[j] == target[c] && !changed[ubase + c]) {
+                    suspect[ubase + c] = 1;
+                    push = 1;
+                }
+            }
+            if (push && heap_push(&h, tau[u], u)) {
+                status = DHL_NOMEM;
+                break;
+            }
         }
     }
     heap_free(&h);
     free(suspect);
     free(cols);
     free(fresh);
-    work[0] = handled;
-    work[1] = increased;
-    return status;
+    return status ? status : handled;
 }
 
 /* ------------------------------------------------------------------ */

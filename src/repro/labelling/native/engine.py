@@ -5,11 +5,11 @@ C-contiguity, alignment and length of every one in Python, and hands
 the work to a single loop of ``dhl_kernels.c``; the sweeps write the
 caller's marks and touched lists
 (:func:`~repro.labelling.maintenance.cell_marks` /
-:func:`~repro.labelling.maintenance.entry_marks`) and the label sweeps
-run their own seed phase, while the shortcut seeds and the stats are
+:func:`~repro.labelling.maintenance.entry_marks`) and the label sweep
+runs its own seed phase, while the shortcut seeds and the stats are
 the shared driver's (:mod:`repro.labelling.driver`). Vertex
 ids are range-checked by the callers (``QueryEngine``'s entry points,
-the driver's batch validation) before they reach a wrapper, and a label
+the driver's batch validation) before they reach a wrapper, and the label
 sweep's slots are cells the shortcut sweep listed;
 :func:`min_plus` checks its row maps itself. :func:`operand` is how a
 caller meets the checks with any array-like, copying only what is not
@@ -134,19 +134,21 @@ def _entry_marks(marks, positions: int, n: int) -> tuple[int, ...]:
 
 
 # ---------------------------------------------------------------------------
-# the four sweeps
+# the two sweeps
 # ---------------------------------------------------------------------------
 
-def shortcut_decrease_sweep(sc, seeds, marks) -> bool:
-    """Algorithm 2 — C min-relaxation sweep."""
+def shortcut_sweep(sc, raised, lowered, direct, marks) -> bool:
+    """Algorithms 2 and 3 — the C suspect-and-relax sweep."""
     csr, weights = sc.csr, sc.up_weights
     cells = weights.size
     return bool(
         _checked(
-            library().dhl_shortcut_decrease(
-                len(seeds), _addr(seeds, _I64, len(seeds)),
+            library().dhl_shortcut_sweep(
+                len(raised), _addr(raised, _I64, len(raised)),
+                len(lowered), _addr(lowered, _I64, len(lowered)),
                 cells, _addr(weights, _F64, cells, write=True),
-                csr.num_slots, *_csr_up(csr),
+                csr.num_slots, *_csr_up(csr), *_csr_down(csr),
+                _addr(direct, _F64, cells),
                 _addr(csr.rank, _I64, csr.n),
                 *_cell_marks(marks, cells),
             )
@@ -154,67 +156,27 @@ def shortcut_decrease_sweep(sc, seeds, marks) -> bool:
     )
 
 
-def shortcut_increase_sweep(sc, seeds, direct, marks) -> None:
-    """Algorithm 3 — C recompute sweep."""
-    csr, weights = sc.csr, sc.up_weights
-    cells = weights.size
-    _checked(
-        library().dhl_shortcut_increase(
-            len(seeds), _addr(seeds, _I64, len(seeds)),
-            cells, _addr(weights, _F64, cells, write=True),
-            csr.num_slots, *_csr_up(csr), *_csr_down(csr),
-            _addr(direct, _F64, cells),
-            _addr(csr.rank, _I64, csr.n),
-            *_cell_marks(marks, cells),
-        )
-    )
-
-
-def label_decrease_sweep(store, labels, slots, marks) -> int:
-    """Algorithm 4 — C seed pass and vertex-heap descendant sweep."""
+def label_sweep(store, labels, slots, slot_marks, marks) -> int:
+    """Algorithms 4 and 5 — C seed pass and vertex-heap sweep."""
     csr, n, m = store.csr, store.csr.n, store.csr.num_slots
     values, offsets = labels.values, labels.offsets
     values_addr, offsets_addr = _label_addrs(values, offsets, n, write=True)
+    slot_changed, slot_old = slot_marks
     return _checked(
-        library().dhl_label_decrease(
-            len(slots), _addr(slots, _I64, len(slots)), values_addr,
-            n, offsets_addr, _addr(store.tau, _I64, n),
-            _addr(store.up_weights, _F64, m),
-            _addr(csr.indices, _I64, m), _addr(csr.owners, _I64, m),
-            *_csr_down(csr),
-            *_entry_marks(marks, values.size, n),
-        )
-    )
-
-
-def label_increase_sweep(store, labels, slots, old, marks) -> tuple[int, int]:
-    """Algorithm 5 — C suspect pass and vertex-heap recompute sweep."""
-    csr, n, weights = store.csr, store.csr.n, store.up_weights
-    values, offsets = labels.values, labels.offsets
-    values_addr, offsets_addr = _label_addrs(values, offsets, n, write=True)
-    work = np.zeros(2, dtype=np.int64)
-    _checked(
-        library().dhl_label_increase(
+        library().dhl_label_sweep(
             len(slots), _addr(slots, _I64, len(slots)),
-            _addr(old, _F64, len(slots)),
+            _addr(slot_changed, _U8, m), _addr(slot_old, _F64, m),
             values.size, values_addr,
             n, offsets_addr, _addr(store.tau, _I64, n),
-            _addr(weights, _F64, csr.num_slots),
-            *_csr_rows(csr), _addr(csr.owners, _I64, csr.num_slots),
+            _addr(store.up_weights, _F64, m),
+            *_csr_rows(csr), _addr(csr.owners, _I64, m),
             *_csr_down(csr),
             *_entry_marks(marks, values.size, n),
-            _addr(work, _I64, 2, write=True),
         )
     )
-    return int(work[0]), int(work[1])
 
 
-ENGINE = Engine(
-    shortcut_decrease_sweep,
-    shortcut_increase_sweep,
-    label_decrease_sweep,
-    label_increase_sweep,
-)
+ENGINE = Engine(shortcut_sweep, label_sweep)
 
 
 # ---------------------------------------------------------------------------

@@ -11,9 +11,9 @@ its *net effect* first:
   beyond the number of distinct touched edges;
 * changes whose final weight equals the current graph weight are
   dropped as no-ops at flush time (raise-then-restore costs nothing);
-* the surviving batch splits into increase and decrease sets and runs
-  through Algorithms 2-5 once, in the paper's increase-then-decrease
-  order.
+* the surviving batch is listed as increase and decrease sets and runs
+  through Algorithms 2-5 once: one shortcut sweep and one label sweep
+  per plane take both sets together.
 
 The buffer also coalesces *structural* traffic (road closures,
 construction) through a per-edge operation state machine:
@@ -94,7 +94,7 @@ class CoalescedBatch:
         return bool(self.insertions or self.deletions)
 
     def changes(self) -> list[WeightChange]:
-        """Increases first, then decreases (the paper's batch protocol)."""
+        """Increases first, then decreases: one mixed batch."""
         return [*self.increases, *self.decreases]
 
 

@@ -15,7 +15,7 @@ query-heavy dynamic service needs:
    update;
 3. **update coalescing** — incoming weight changes buffer in an
    :class:`~repro.service.coalescer.UpdateCoalescer` and apply as one
-   merged increase+decrease pass (Algorithms 2-5) when a query needs
+   mixed maintenance pass (Algorithms 2-5) when a query needs
    fresh state, the buffer hits ``flush_threshold``, or :meth:`flush`
    is called.
 

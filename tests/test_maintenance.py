@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 
@@ -16,8 +17,9 @@ from repro.baselines.dijkstra import dijkstra
 from repro.core.config import DHLConfig
 from repro.core.index import DHLIndex
 from repro.exceptions import MaintenanceError
+from repro.graph.generators import grid_network
 from repro.labelling.driver import maintain_shortcuts
-from tests.strategies import connected_graphs, update_sequences
+from tests.strategies import connected_graphs, rolling_stream, update_sequences
 
 
 def fresh_index(graph, leaf_size=4):
@@ -143,6 +145,30 @@ class TestLabelIncrease:
         assert_matches_rebuild(idx)
 
 
+def _monolithic(graph):
+    idx = fresh_index(graph)
+    return idx, idx.graph, [idx.labels]
+
+
+def _directed(graph):
+    from repro.core.directed import DirectedDHLIndex
+    from repro.graph.digraph import DiGraph
+
+    idx = DirectedDHLIndex.build(
+        DiGraph.from_undirected(graph), DHLConfig(leaf_size=4, seed=0)
+    )
+    return idx, idx.digraph, [idx.labels_out, idx.labels_in]
+
+
+def _sharded(graph):
+    from repro.core.sharded import ShardedDHLIndex
+
+    idx = ShardedDHLIndex.build(
+        graph.copy(), k=2, config=DHLConfig(seed=0), build_workers=1
+    )
+    return idx, idx.graph, [shard.labels for shard in idx.shards]
+
+
 class TestMixedUpdates:
     def test_update_splits_batches(self, small_road):
         idx = fresh_index(small_road)
@@ -176,29 +202,37 @@ class TestMixedUpdates:
         idx.update([])
         assert idx.labels.equals(before)
 
-
-def _monolithic(graph):
-    idx = fresh_index(graph)
-    return idx, idx.graph, [idx.labels]
-
-
-def _directed(graph):
-    from repro.core.directed import DirectedDHLIndex
-    from repro.graph.digraph import DiGraph
-
-    idx = DirectedDHLIndex.build(
-        DiGraph.from_undirected(graph), DHLConfig(leaf_size=4, seed=0)
+    @pytest.mark.parametrize(
+        "family", [_monolithic, _directed, _sharded], ids=["dhl", "directed", "sharded"]
     )
-    return idx, idx.digraph, [idx.labels_out, idx.labels_in]
+    def test_mixed_batch_is_one_epoch(self, family):
+        """``epoch`` counts maintenance batches applied: a batch that
+        raises one road and lowers another is one, on every family."""
+        idx, graph, _ = family(grid_network(8, 8, seed=1))
+        edges = list(graph.arcs() if hasattr(graph, "arcs") else graph.edges())
+        (a, b, w_ab), (c, d, w_cd) = edges[0], edges[-1]
+        idx.update([(a, b, 2 * w_ab), (c, d, w_cd / 2)])
+        assert idx.epoch == 1
 
-
-def _sharded(graph):
-    from repro.core.sharded import ShardedDHLIndex
-
-    idx = ShardedDHLIndex.build(
-        graph.copy(), k=2, config=DHLConfig(seed=0), build_workers=1
-    )
-    return idx, idx.graph, [shard.labels for shard in idx.shards]
+    @pytest.mark.parametrize("engine", ["compiled", "reference"])
+    def test_mixed_counts_are_the_diff(self, engine):
+        """On rolling bursts (8 roads doubled, the previous 8 restored)
+        each counter is the diff of the before and after buffers: an
+        entry or shortcut both halves of the batch moved counts once."""
+        graph = grid_network(16, 16, seed=7)
+        idx = DHLIndex.build(graph.copy(), DHLConfig(seed=0, engine=engine))
+        halves = np.arange(graph.num_vertices) % 2
+        for changes, _ in rolling_stream(graph, halves, rounds=4, seed=3, group=8):
+            labels, weights = idx.labels.copy(), idx.hu.up_weights.copy()
+            stats = idx.update(changes)
+            moved = np.count_nonzero(weights != idx.hu.up_weights)
+            assert stats.shortcuts_changed == len(stats.affected_shortcuts) == moved
+            assert stats.labels_changed == labels.diff_count(idx.labels)
+            assert stats.affected_labels == {
+                v
+                for v in range(graph.num_vertices)
+                if not np.array_equal(labels.view(v), idx.labels.view(v))
+            }
 
 
 class TestRejectedBatchIsNotHalfApplied:

@@ -34,24 +34,19 @@ from repro.graph.digraph import DiGraph
 from repro.graph.generators import delaunay_network, grid_network
 from repro.hierarchy.contraction import contract_in_order
 from repro.labelling import driver, maintenance
-from repro.labelling.driver import ENGINES, split_batch
+from repro.labelling.driver import ENGINES
 from repro.labelling.maintenance import Engine, MaintenanceStats
 from tests.strategies import assert_stats_match, connected_graphs, update_sequences
 
 
-def test_engine_table_is_two_engines_of_exactly_four_sweeps():
+def test_engine_table_is_two_engines_of_exactly_two_sweeps():
     """The whole engine contract: nothing else is dispatched per engine."""
     assert set(ENGINES) == {"compiled", "reference"}
     for engine in ENGINES.values():
-        assert engine._fields == (
-            "shortcut_decrease_sweep",
-            "shortcut_increase_sweep",
-            "label_decrease_sweep",
-            "label_increase_sweep",
-        )
+        assert engine._fields == ("shortcut_sweep", "label_sweep")
         assert all(callable(sweep) for sweep in engine)
     sweeps = [sweep for engine in ENGINES.values() for sweep in engine]
-    assert len(set(sweeps)) == 8  # no engine borrows another's sweep
+    assert len(set(sweeps)) == 4  # no engine borrows another's sweep
 
 
 class TestUndirectedDifferential:
@@ -72,18 +67,7 @@ class TestUndirectedDifferential:
         idx_r = DHLIndex.build(graph.copy(), config_r)
         idx_c = DHLIndex.build(graph.copy(), config_c)
         for batch in sequence:
-            increases, decreases = split_batch(
-                idx_r.graph, batch, idx_r.hu.edge_key
-            )
-            for changes, method in (
-                (increases, "increase"),
-                (decreases, "decrease"),
-            ):
-                if not changes:
-                    continue
-                stats_r = getattr(idx_r, method)(changes)
-                stats_c = getattr(idx_c, method)(changes)
-                assert_stats_match(stats_c, stats_r)
+            assert_stats_match(idx_c.update(batch), idx_r.update(batch))
             assert idx_c.labels.equals(idx_r.labels)
             np.testing.assert_array_equal(
                 idx_c.hu.up_weights, idx_r.hu.up_weights
@@ -265,15 +249,10 @@ class TestTouchedLists:
 
             return run
 
-        return Engine(
-            shortcut(engine.shortcut_decrease_sweep),
-            shortcut(engine.shortcut_increase_sweep),
-            label(engine.label_decrease_sweep),
-            label(engine.label_increase_sweep),
-        )
+        return Engine(shortcut(engine.shortcut_sweep), label(engine.label_sweep))
 
     @staticmethod
-    def scanned(kind, store, cell_marks, label_calls) -> MaintenanceStats:
+    def scanned(store, cell_marks, label_calls) -> MaintenanceStats:
         """The stats of one pass, rebuilt from full scans of its marks."""
         stats = MaintenanceStats()
         m = store.csr.num_slots
@@ -288,12 +267,8 @@ class TestTouchedLists:
             positions = np.flatnonzero(marks[0])
             verts = owner_vertices(labels, positions)
             stats.affected_labels |= set(np.unique(verts).tolist())
-            if kind == "decrease":
-                stats.entries_processed += result
-                stats.labels_changed += len(positions)
-            else:
-                stats.entries_processed += result[0]
-                stats.labels_changed += result[1]
+            stats.entries_processed += result
+            stats.labels_changed += len(positions)
         return stats
 
     @pytest.mark.parametrize("directed", [False, True], ids=["undirected", "directed"])
@@ -310,7 +285,6 @@ class TestTouchedLists:
     )
     def test_lists_are_the_marks_and_stats_match_a_scan(self, engine, directed, data):
         graph, sequence = data
-        kinds = ("increase", "decrease")
         config = DHLConfig(leaf_size=3, seed=0, engine=engine)
         if directed:
             digraph = DiGraph.from_undirected(graph)
@@ -333,17 +307,11 @@ class TestTouchedLists:
         with mock.patch.dict(driver.ENGINES, {resolved: spy}):
             with mock.patch.object(maintenance, "cell_marks", recording):
                 for batch in sequence:
-                    increases, decreases = split_batch(
-                        index.hu.graph, batch, index.hu.edge_key
-                    )
-                    for kind, changes in zip(kinds, (increases, decreases)):
-                        if not changes:
-                            continue
-                        cell_marks.clear()
-                        label_calls.clear()
-                        stats = getattr(index, kind)(changes)
-                        want = self.scanned(kind, index.hu, cell_marks, label_calls)
-                        assert stats == want
+                    cell_marks.clear()
+                    label_calls.clear()
+                    stats = index.update(batch)
+                    want = self.scanned(index.hu, cell_marks, label_calls)
+                    assert stats == want
         index.verify()
 
 

@@ -353,15 +353,7 @@ class TestPairKernel:
         with pytest.raises(ValueError, match="offsets"):
             native_engine.gather_pairs(short, s, labels, s, None, addrs)
 
-    @pytest.mark.parametrize(
-        "sweep",
-        [
-            "shortcut_decrease_sweep",
-            "shortcut_increase_sweep",
-            "label_decrease_sweep",
-            "label_increase_sweep",
-        ],
-    )
+    @pytest.mark.parametrize("sweep", ["shortcut_sweep", "label_sweep"])
     def test_sweep_reports_a_failed_allocation(self, road_pair, monkeypatch, sweep):
         """A heap that cannot be allocated comes back as a status, which
         the wrapper turns into ``MemoryError``: nothing was written,
@@ -384,21 +376,19 @@ class TestPairKernel:
 
         monkeypatch.setattr(native_engine, "library", HugeSeedCount)
         seeds = np.arange(4, dtype=np.int64)
-        if sweep.startswith("shortcut"):
+        if sweep == "shortcut_sweep":
             marks = cell_marks(weights.size)
-            direct = (np.full(weights.size, np.inf),) if "increase" in sweep else ()
-            args = (store, seeds, *direct, marks)
+            lowered = np.empty(0, dtype=np.int64)
+            args = (store, seeds, lowered, np.full(weights.size, np.inf), marks)
         else:
-            # Changed shortcut slots whose seed phase would write: a
-            # decrease to 0, or an increase from the weights they held.
+            # Changed shortcut slots whose seed phase would write: raised
+            # from the weights they held.
             marks = entry_marks(values.size, store.csr.n)
-            old = weights[seeds]
-            if "decrease" in sweep:
-                store.up_weights[seeds] = 0.0
-                args = (store, labels, seeds, marks)
-            else:
-                store.up_weights[seeds] = old + 1000.0
-                args = (store, labels, seeds, old, marks)
+            slot_marks = cell_marks(weights.size)[:2]
+            slot_marks[0][seeds] = 1
+            slot_marks[1][seeds] = weights[seeds]
+            store.up_weights[seeds] = weights[seeds] + 1000.0
+            args = (store, labels, seeds, slot_marks, marks)
             weights = store.up_weights.copy()
         with pytest.raises(MemoryError):
             getattr(native_engine, sweep)(*args)
@@ -781,7 +771,7 @@ class TestLoader:
     ):
         target = built_by_another_process()
         stub = tmp_path / "stub.c"
-        stub.write_text("int dhl_label_decrease(void) { return 7; }\n")
+        stub.write_text("int dhl_label_sweep(void) { return 7; }\n")
         cc = next(filter(None, map(shutil.which, native._COMPILERS)))
         subprocess.run(
             [cc, "-shared", "-fPIC", "-o", str(target), str(stub)], check=True

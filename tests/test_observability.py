@@ -311,9 +311,9 @@ def test_an_increase_reports_its_three_phases_in_every_family(build):
     with collect_phases() as collector:
         stats = index.update([(u, v, 3 * w) for u, v, w in edges])
     names = {
-        "increase.seed",
-        "increase.dependency_layer",
-        "increase.label_sweep",
+        "maintain.seed",
+        "maintain.shortcut_sweep",
+        "maintain.label_sweep",
     }
     assert names <= set(stats.phases)
     assert names <= set(collector.as_dict())
@@ -330,7 +330,7 @@ def test_an_increase_reports_its_three_phases_in_every_family(build):
     ids=["undirected", "directed"],
 )
 def test_phase_marks_cover_the_burst(build):
-    """``stats.phases`` sums to the burst: validation and split, the
+    """``stats.phases`` sums to the burst: validation, the
     seeds and sweeps, the affected sets and the stats assembly are all
     marked, and no mark nests inside another (the sum never exceeds
     the wall time)."""

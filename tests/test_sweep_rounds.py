@@ -5,6 +5,9 @@ array heaps) both run the paper's ordered sweeps. Lockstep parity of
 everything but ``entries_processed`` — on the inputs where ties, ``inf``
 and long dependency chains are most likely to trip a heap sweep — plus
 identity with a fresh build is the check that the C sweeps lose nothing.
+Every mixed burst is also replayed as the paper's two passes (DHL+ on
+its raised roads, then DHL- on its lowered ones) on a pickled copy:
+the one-pass sweep must leave the same bits.
 """
 
 from __future__ import annotations
@@ -68,15 +71,41 @@ def assert_in_lockstep(indexes, results) -> None:
             np.testing.assert_array_equal(got, ref)
 
 
+def two_passes(index, burst):
+    """A pickled copy of *index* after *burst* as two one-kind batches:
+    its raised roads, then its lowered ones (the sharded index, which
+    has only ``update()``, takes each as an update)."""
+    twin = pickle.loads(pickle.dumps(index))
+    raised = [(u, v, w) for u, v, w in burst if w > twin.graph.weight(u, v)]
+    lowered = [(u, v, w) for u, v, w in burst if w < twin.graph.weight(u, v)]
+    sharded = isinstance(twin, ShardedDHLIndex)
+    (twin.update if sharded else twin.increase)(raised)
+    (twin.update if sharded else twin.decrease)(lowered)
+    return twin
+
+
 def replay(indexes, bursts) -> None:
+    """Each burst through every index in lockstep, each index's state
+    then equal to its two-pass twin's."""
     for burst in bursts:
+        twins = [two_passes(index, burst) for index in indexes]
         assert_in_lockstep(indexes, [index.update(burst) for index in indexes])
+        for index, twin in zip(indexes, twins):
+            for got, want in zip(
+                maintained_state(index), maintained_state(twin), strict=True
+            ):
+                np.testing.assert_array_equal(got, want)
 
 
 def assert_equals_rebuild(index) -> None:
     """Maintained shortcuts and labels equal a fresh build on the
     current weights: the whole index for the directed family, H_U and L
-    over the same (weight-independent) H_Q for the undirected one."""
+    over the same (weight-independent) H_Q for the undirected one, and
+    for every shard and the overlay of a sharded index."""
+    if isinstance(index, ShardedDHLIndex):
+        for part in (*index.shards, index.overlay):
+            assert_equals_rebuild(part)
+        return
     if isinstance(index, DirectedDHLIndex):
         fresh = DirectedDHLIndex.build(index.digraph.copy(), index.config)
         for got, want in zip(
@@ -191,6 +220,9 @@ def test_rolling_bursts_through_sharded_index():
         group=8,
         after_update=lambda results: assert_in_lockstep(indexes, results),
     )
+    replay(indexes, rolling_bursts(graph, rounds=4, seed=6))
+    for index in indexes:
+        assert_equals_rebuild(index)
 
 
 def digraph_of(graph: Graph, kind: str) -> DiGraph:
@@ -259,5 +291,10 @@ def test_random_bursts_equal_fresh_rebuild(data):
     graph, sequence = data
     index = DHLIndex.build(graph.copy(), DHLConfig(leaf_size=3, seed=0))
     for burst in sequence:
+        # One change per road, so the two passes see the batch update() does.
+        burst = list({index.hu.edge_key(u, v): (u, v, w) for u, v, w in burst}.values())
+        twin = two_passes(index, burst)
         index.update(burst)
         assert_equals_rebuild(index)
+        for got, want in zip(maintained_state(index), maintained_state(twin)):
+            np.testing.assert_array_equal(got, want)
