@@ -1,8 +1,9 @@
 """The native engine behind ``DHLConfig(engine="compiled")``: one C file.
 
 :mod:`dhl_kernels.c <repro.labelling.native>` (package data, plain C99,
-no ``Python.h``) holds the pair and set-to-set queries, the sharded
-min-plus combine, the two maintenance sweeps and the build's two hot
+no ``Python.h``) holds the pair and set-to-set queries, one shard's
+share of a sharded batch and the parent's min-plus combine, the two
+maintenance sweeps and the build's two hot
 loops: FM bisection refinement and Algorithm 1's top-down pass.
 This module builds it at first use and opens it with :mod:`ctypes`:
 
@@ -66,7 +67,12 @@ SIGNATURES = {
         None,
         [_i64, _ptr, _i64] + [_ptr] * 9 + [_i64] + [_ptr] * 2,
     ),
-    "dhl_min_plus": (None, [_i64] * 3 + [_ptr] * 3 + [_i64] + [_ptr] * 4),
+    "dhl_min_plus": (None, [_i64] * 2 + [_ptr] * 3 + [_i64] + [_ptr] * 5),
+    "dhl_shard_batch": (
+        _i64,
+        [_i64] + [_ptr] * 8 + [_i64, _ptr, _i64] + [_ptr] * 2
+        + [_i64] + [_ptr] * 2 + [_i64] + [_ptr] * 4,
+    ),
     "dhl_shortcut_sweep": (
         ctypes.c_int,
         [_i64, _ptr, _i64, _ptr, _i64, _ptr, _i64] + [_ptr] * 13,

@@ -1,10 +1,11 @@
 /*
  * DHL kernels over the flat CSR buffers: the pair and set-to-set
- * queries (Section 4.3), the sharded boundary route's min-plus combine,
- * the two maintenance sweeps of the Engine contract (Algorithms 2 + 3
- * over the shortcuts, 4 + 5 over the labels, each for a whole mixed
- * batch) and the build's two hot loops, FM bisection refinement and
- * Algorithm 1's top-down pass. Plain C99 over int64_t / double /
+ * queries (Section 4.3), one shard's share of a sharded batch and the
+ * parent's min-plus combine of the boundary route, the two maintenance
+ * sweeps of the Engine contract (Algorithms 2 + 3 over the shortcuts,
+ * 4 + 5 over the labels, each for a whole mixed batch) and the build's
+ * two hot loops, FM bisection refinement and Algorithm 1's top-down
+ * pass. Plain C99 over int64_t / double /
  * uint8_t pointers; built at first use by repro.labelling.native and
  * called through ctypes, which validates dtype, contiguity, alignment
  * and lengths and range-checks every vertex id, row index and side byte
@@ -295,6 +296,37 @@ void dhl_gather_pairs(
     }
 }
 
+/* A label store and its LCA tables, as the pair kernel reads them. */
+typedef struct {
+    const double *values_s;
+    const int64_t *offsets_s;
+    const double *values_t;
+    const int64_t *offsets_t;
+    const int64_t *node_of;
+    const int64_t *depth;
+    const int64_t *bits;
+    const int64_t *chain;
+    int64_t chain_width;
+    const int64_t *tau;
+} pair_store_t;
+
+/* row[j] = the pair answer of (sv, targets[j]): one set-kernel row. */
+static void matrix_row(const pair_store_t *q, int64_t sv,
+                       int64_t num_targets, const int64_t *targets,
+                       double *row)
+{
+    const double *a = q->values_s + q->offsets_s[sv];
+    for (int64_t j = 0; j < num_targets; j++) {
+        int64_t tv = targets[j];
+        row[j] = sv == tv
+            ? 0.0
+            : min_sum(a, q->values_t + q->offsets_t[tv],
+                      common_ancestors(sv, tv, q->node_of, q->depth,
+                                       q->bits, q->chain, q->chain_width,
+                                       q->tau));
+    }
+}
+
 /*
  * out[u * num_targets + j] = the pair answer of (sources[u],
  * targets[j]), written row by row: QueryEngine.distance_matrix's
@@ -310,17 +342,31 @@ void dhl_distance_matrix(
     const int64_t *chain, int64_t chain_width, const int64_t *tau,
     double *out)
 {
-    for (int64_t u = 0; u < num_sources; u++) {
-        int64_t sv = sources[u];
-        const double *a = values_s + offsets_s[sv];
-        double *row = out + u * num_targets;
-        for (int64_t j = 0; j < num_targets; j++) {
-            int64_t tv = targets[j];
-            row[j] = sv == tv
-                ? 0.0
-                : min_sum(a, values_t + offsets_t[tv],
-                          common_ancestors(sv, tv, node_of, depth, bits,
-                                           chain, chain_width, tau));
+    const pair_store_t q = {values_s, offsets_s, values_t, offsets_t,
+                            node_of, depth, bits, chain, chain_width, tau};
+    for (int64_t u = 0; u < num_sources; u++)
+        matrix_row(&q, sources[u], num_targets, targets,
+                   out + u * num_targets);
+}
+
+/*
+ * The boundary route's first hop for one source row: h[b] = min over a
+ * of ds_row[a] + block[a, b], numpy's sums. An inf ds entry is skipped
+ * (it only ever sums to inf).
+ */
+static void first_hop(const double *ds_row, const double *block,
+                      int64_t width_a, int64_t width_b, double *h)
+{
+    for (int64_t b = 0; b < width_b; b++)
+        h[b] = INFINITY;
+    for (int64_t a = 0; a < width_a; a++) {
+        double x = ds_row[a];
+        if (x == INFINITY)
+            continue;
+        const double *row = block + a * width_b;
+        for (int64_t b = 0; b < width_b; b++) {
+            double c = x + row[b];
+            h[b] = c < h[b] ? c : h[b];
         }
     }
 }
@@ -328,37 +374,123 @@ void dhl_distance_matrix(
 /*
  * min_plus_compact's contract: out[p] = min over (a, b) of
  * (ds[si, a] + block[a, b]) + dt[ti, b], si = ds_inverse[p],
- * ti = dt_inverse[p]; ds is rows x width_a, block width_a x width_b,
- * dt any number of rows x width_b, all row-major. The first hop
- * hop[u, b] = min over a of ds[u, a] + block[a, b] runs once per ds
- * row into the caller's rows x width_b buffer, the second once per
- * pair: the additions are numpy's, in its order, so the bits are too.
- * An inf ds entry is skipped (it only ever sums to inf).
+ * ti = dt_inverse[p]; ds is any number of rows x width_a, block
+ * width_a x width_b, dt any number of rows x width_b, all row-major.
+ * The first hop runs at most once per ds row, when a pair first names
+ * it, into that row of the caller's hop buffer (hopped[si] set once it
+ * holds it); a row no pair names, such as a fan row only ever used as
+ * a target, is never hopped. The second hop runs once per pair: the
+ * additions are numpy's, in its order, so the bits are too.
  */
 void dhl_min_plus(
-    int64_t rows, int64_t width_a, int64_t width_b,
+    int64_t width_a, int64_t width_b,
     const double *ds, const double *block, const double *dt,
     int64_t count, const int64_t *ds_inverse, const int64_t *dt_inverse,
-    double *hop, double *out)
+    uint8_t *hopped, double *hop, double *out)
 {
-    for (int64_t u = 0; u < rows; u++) {
-        double *h = hop + u * width_b;
-        for (int64_t b = 0; b < width_b; b++)
-            h[b] = INFINITY;
-        for (int64_t a = 0; a < width_a; a++) {
-            double x = ds[u * width_a + a];
-            if (x == INFINITY)
+    for (int64_t p = 0; p < count; p++) {
+        int64_t si = ds_inverse[p];
+        double *h = hop + si * width_b;
+        if (!hopped[si]) {
+            first_hop(ds + si * width_a, block, width_a, width_b, h);
+            hopped[si] = 1;
+        }
+        out[p] = min_sum(h, dt + dt_inverse[p] * width_b, width_b);
+    }
+}
+
+/* v's row against the boundary: computed into rows at its first
+ * mention, read back through row_of (1 + row; 0 until v has one). */
+static inline int64_t take_row(const pair_store_t *q, int64_t v,
+                               int64_t width, const int64_t *boundary,
+                               int64_t *row_of, double *rows, int64_t *used)
+{
+    if (!row_of[v]) {
+        matrix_row(q, v, width, boundary, rows + *used * width);
+        row_of[v] = ++*used;
+    }
+    return row_of[v] - 1;
+}
+
+/*
+ * One shard's share of a sharded batch, in one call.
+ *
+ * final[p] is the pair answer of (s[p], t[p]) (dhl_gather_pairs). With
+ * a block (the width x width overlay block between the shard's own
+ * boundary vertices) it is lowered to the boundary route when that is
+ * shorter: min over (a, b) of (ds[a] + block[a, b]) + dt[b], ds and dt
+ * the rows of s[p] and t[p] against the boundary. Those are
+ * min_plus_compact's sums followed by np.minimum, so the bits are the
+ * numpy composition's; a self-pair keeps its 0.0.
+ *
+ * Each vertex's row against the boundary (boundary[0 .. width)) is
+ * computed once, at its first mention, into rows; a row map over the n
+ * local ids stands in for np.unique. The fan is read first, so its
+ * distinct vertices hold rows 0 .. F - 1 in first-mention order, and
+ * fan_inverse[e] is fan[e]'s row. The route's endpoints take rows after
+ * them. The first hop runs once per distinct source row, as in
+ * dhl_min_plus, and never for a target's row. Each distinct vertex
+ * takes one row, so rows must hold min(n, fan_count + 2 * count) rows
+ * with a block, min(n, fan_count) without.
+ *
+ * Returns F, or DHL_NOMEM (final then holds the pair answers only).
+ */
+int64_t dhl_shard_batch(
+    int64_t n,
+    const double *values_s, const int64_t *offsets_s,
+    const double *values_t, const int64_t *offsets_t,
+    const int64_t *node_of, const int64_t *depth, const int64_t *bits,
+    const int64_t *chain, int64_t chain_width, const int64_t *tau,
+    int64_t width, const int64_t *boundary, const double *block,
+    int64_t count, const int64_t *s, const int64_t *t,
+    int64_t fan_count, const int64_t *fan,
+    double *final, double *rows, int64_t *fan_inverse)
+{
+    const pair_store_t q = {values_s, offsets_s, values_t, offsets_t,
+                            node_of, depth, bits, chain, chain_width, tau};
+    dhl_gather_pairs(count, s, t, NULL, values_s, offsets_s, values_t,
+                     offsets_t, node_of, depth, bits, chain, chain_width,
+                     tau, final, NULL);
+    int route = block != NULL && count > 0;
+    if (!fan_count && !route)
+        return 0;
+    int64_t capacity = fan_count + (route ? 2 * count : 0);
+    if (capacity > n)
+        capacity = n;
+    int64_t *row_of = calloc((size_t)n + 1, sizeof *row_of);
+    uint8_t *hopped = NULL;
+    double *hop = NULL;
+    if (route) {
+        hopped = calloc((size_t)capacity, sizeof *hopped);
+        hop = malloc(((size_t)(capacity * width) + 1) * sizeof *hop);
+    }
+    int64_t fan_rows = DHL_NOMEM;
+    if (row_of && (!route || (hopped && hop))) {
+        int64_t used = 0;
+        for (int64_t e = 0; e < fan_count; e++)
+            fan_inverse[e] = take_row(&q, fan[e], width, boundary, row_of,
+                                      rows, &used);
+        fan_rows = used;
+        for (int64_t p = 0; route && p < count; p++) {
+            if (s[p] == t[p])
                 continue;
-            const double *row = block + a * width_b;
-            for (int64_t b = 0; b < width_b; b++) {
-                double c = x + row[b];
-                h[b] = c < h[b] ? c : h[b];
+            int64_t si = take_row(&q, s[p], width, boundary, row_of, rows,
+                                  &used);
+            int64_t ti = take_row(&q, t[p], width, boundary, row_of, rows,
+                                  &used);
+            double *h = hop + si * width;
+            if (!hopped[si]) {
+                first_hop(rows + si * width, block, width, width, h);
+                hopped[si] = 1;
             }
+            double best = min_sum(h, rows + ti * width, width);
+            final[p] = best < final[p] ? best : final[p];
         }
     }
-    for (int64_t p = 0; p < count; p++)
-        out[p] = min_sum(hop + ds_inverse[p] * width_b,
-                         dt + dt_inverse[p] * width_b, width_b);
+    free(row_of);
+    free(hopped);
+    free(hop);
+    return fan_rows;
 }
 
 /* ------------------------------------------------------------------ */

@@ -9,7 +9,8 @@ caller's marks and touched lists
 runs its own seed phase, while the shortcut seeds and the stats are
 the shared driver's (:mod:`repro.labelling.driver`). Vertex
 ids are range-checked by the callers (``QueryEngine``'s entry points,
-the driver's batch validation) before they reach a wrapper, and the label
+:func:`repro.sharding.engine.shard_batch`, the driver's batch
+validation) before they reach a wrapper, and the label
 sweep's slots are cells the shortcut sweep listed;
 :func:`min_plus` checks its row maps itself. :func:`operand` is how a
 caller meets the checks with any array-like, copying only what is not
@@ -38,6 +39,7 @@ __all__ = [
     "label_build",
     "min_plus",
     "operand",
+    "shard_batch",
 ]
 
 _I64 = np.dtype(np.int64)
@@ -264,7 +266,8 @@ def min_plus(ds, ds_inverse, block, dt, dt_inverse) -> np.ndarray:
     """:func:`repro.sharding.engine.min_plus_compact` as one C loop.
 
     The first hop ``min over a of ds[u, a] + block[a, b]`` runs once per
-    row of *ds*, the second once per pair through the two row maps; the
+    row of *ds* that *ds_inverse* names (a row no pair uses is never
+    hopped), the second once per pair through the two row maps; the
     sums are numpy's, in its order, so the answers are its bits.
     """
     rows, width_a = ds.shape
@@ -275,17 +278,59 @@ def min_plus(ds, ds_inverse, block, dt, dt_inverse) -> np.ndarray:
             f"min-plus shapes disagree: ds {ds.shape}, block {block.shape}, "
             f"dt {dt.shape}, {count} vs {len(dt_inverse)} pairs"
         )
+    hopped = np.zeros(rows, dtype=np.uint8)
     hop = np.empty((rows, width_b), dtype=np.float64)
     out = np.empty(count, dtype=np.float64)
     library().dhl_min_plus(
-        rows, width_a, width_b,
+        width_a, width_b,
         _addr(ds, _F64, ds.size), _addr(block, _F64, block.size),
         _addr(dt, _F64, dt.size),
         count, _rows_addr(ds_inverse, count, rows),
         _rows_addr(dt_inverse, count, len(dt)),
-        _addr(hop, _F64, hop.size), _addr(out, _F64, count),
+        _addr(hopped, _U8, rows, write=True),
+        _addr(hop, _F64, hop.size, write=True), _addr(out, _F64, count),
     )
     return out
+
+
+def shard_batch(labels_s, labels_t, tables, boundary, block, s, t, fan):
+    """:func:`repro.sharding.engine.shard_batch` as one C call.
+
+    Returns ``(final, fan_matrix, fan_inverse)``: the intra pairs'
+    answers (lowered by the boundary route through *block* when one is
+    given), the fan's distinct rows against *boundary* in first-mention
+    order and each fan entry's row. Ids are int64, already known to lie
+    in ``[0, n)``; *tables* is a vectorised
+    :class:`~repro.labelling.query.AncestorTables`.
+    """
+    count, fans, width = len(s), len(fan), len(boundary)
+    if len(t) != count or (block is not None and block.shape != (width, width)):
+        raise ValueError(
+            f"shard batch shapes disagree: {count} vs {len(t)} pair ends, "
+            f"block {None if block is None else block.shape} for a "
+            f"{width}-vertex boundary"
+        )
+    n = labels_s.num_vertices
+    values_s, offsets_s = labels_s.values, labels_s.offsets
+    values_t, offsets_t = labels_t.values, labels_t.offsets
+    final = np.empty(count, dtype=np.float64)
+    rows = np.empty((min(n, fans + (0 if block is None else 2 * count)), width))
+    inverse = np.empty(fans, dtype=np.int64)
+    used = _checked(
+        library().dhl_shard_batch(
+            n,
+            *_label_addrs(values_s, offsets_s, n),
+            *_label_addrs(values_t, offsets_t, n),
+            *_table_addrs(tables),
+            width, _addr(boundary, _I64, width),
+            None if block is None else _addr(block, _F64, block.size),
+            count, _addr(s, _I64, count), _addr(t, _I64, count),
+            fans, _addr(fan, _I64, fans),
+            _addr(final, _F64, count), _addr(rows, _F64, rows.size, write=True),
+            _addr(inverse, _I64, fans, write=True),
+        )
+    )
+    return final, rows[:used], inverse
 
 
 # ---------------------------------------------------------------------------

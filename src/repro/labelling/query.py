@@ -329,6 +329,15 @@ class QueryEngine:
             self._tables = AncestorTables(self.hq)
         return self._tables
 
+    def kernel_tables(self) -> AncestorTables | None:
+        """The LCA tables the C set kernels read, or ``None`` where they
+        do not run: an engine that is not ``compiled``, or a hierarchy
+        too deep for the tables (the numpy kernels take over there)."""
+        if self.engine != "compiled":
+            return None
+        tables = self._batch_tables()
+        return tables if tables.vectorised else None
+
     def hub_store(self) -> tuple[np.ndarray, np.ndarray]:
         """Flat ancestor-chain store: ``(hub_values, hub_offsets)``.
 
@@ -395,8 +404,8 @@ class QueryEngine:
         sources = native_engine.operand(sources, np.int64)
         targets = native_engine.operand(targets, np.int64)
         check_ids(self.hq.n, sources, targets)
-        lca = self._batch_tables() if self.engine == "compiled" else None
-        if lca is not None and lca.vectorised:
+        lca = self.kernel_tables()
+        if lca is not None:
             return native_engine.distance_matrix(
                 self.labels, sources, self.target_labels, targets, lca
             )

@@ -60,7 +60,6 @@ _EXPORTS = {
     "PROTOCOL_VERSION": "repro.service.protocol",
     "ComputeBatch": "repro.service.protocol",
     "EpochDelta": "repro.service.protocol",
-    "FanQuery": "repro.service.protocol",
     "HealthCheck": "repro.service.protocol",
     "HealthReply": "repro.service.protocol",
     "SubQuery": "repro.service.protocol",

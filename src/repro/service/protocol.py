@@ -5,20 +5,23 @@ Every conversation between a scheduler and a shard worker — over a
 is a sequence of the dataclasses defined here, serialised by one
 length-framed binary codec. The protocol is what lets a new transport
 (or a new labelling backend behind :class:`~repro.core.backend
-.DistanceBackend`) plug into the region-pair scheduler without touching
+.DistanceBackend`) plug into the shard scheduler without touching
 it: the scheduler emits :class:`ComputeBatch` objects and consumes
 :class:`ComputeReply` objects, full stop.
 
 **Message catalogue.** Requests: :class:`SpecRequest` (startup
 handshake; the only message allowed to carry a pickle, because it ships
 arbitrary index structure exactly once), :class:`ComputeBatch` (one
-batch's worth of shard-local work: :class:`SubQuery` entries with
-optional :class:`FanQuery` boundary fans and an overlay block),
+batch's worth of one shard's work, stamped with its epoch: a
+:class:`SubQuery` of the shard's intra pairs, its ``fan`` of cross-pair
+endpoints and, when the intra pairs have a boundary route, its own
+overlay block or a note that the replica holds it),
 :class:`EpochDelta` (label maintenance: either "values already in your
 shared segment, adopt this epoch" or the changed label slots inline),
 :class:`Republish` (label layout changed: fresh buffers, by shared
 memory name or inline), :class:`Shutdown`. Replies: :class:`ReadyReply`,
-:class:`ComputeReply` (per-sub :class:`SubResult` plus an optional
+:class:`ComputeReply` (a :class:`SubResult` per sub-query — the intra
+finals, the deduplicated fan matrix and its inverse — plus an optional
 :class:`TraceEnvelope` of worker-side spans), :class:`AckReply`,
 :class:`StaleReply` (epoch refusal — the consistency contract),
 :class:`ErrorReply`, :class:`ByeReply`.
@@ -58,7 +61,7 @@ from __future__ import annotations
 import json
 import struct
 import zlib
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import ClassVar
 
 import numpy as np
@@ -73,7 +76,6 @@ __all__ = [
     "PROTOCOL_VERSION",
     "Message",
     "SpecRequest",
-    "FanQuery",
     "SubQuery",
     "ComputeBatch",
     "EpochDelta",
@@ -101,7 +103,10 @@ __all__ = [
 #: field); purely additive optional meta keys do not need a bump.
 #: v2 appended a body CRC32 to the header and added the
 #: :class:`HealthCheck`/:class:`HealthReply` pair.
-PROTOCOL_VERSION = 2
+#: v3 made a :class:`SubQuery` one shard's whole share of a batch (intra
+#: pairs plus one ``fan`` list) and a :class:`SubResult` its finals plus
+#: one deduplicated fan matrix and its inverse.
+PROTOCOL_VERSION = 3
 
 _MAGIC = b"DHLP"
 _HEAD = struct.Struct("<4sHHII")  # magic, version, msg_type, meta_len, crc32
@@ -264,52 +269,32 @@ def decode_frame(data: bytes) -> Message:
 # ---------------------------------------------------------------------------
 
 @dataclass
-class FanQuery:
-    """Boundary fan request: shard distances from each vertex in
-    ``vertices`` (shard-local ids) to the worker's boundary set."""
-
-    vertices: np.ndarray
-
-    def _pack(self, buffers) -> dict:
-        return {"v": _put(buffers, self.vertices, np.int64)}
-
-    @classmethod
-    def _unpack(cls, meta, buffers) -> "FanQuery":
-        return cls(vertices=_take(buffers, meta["v"]))
-
-
-@dataclass
 class SubQuery:
-    """One region-pair group's shard-local work.
+    """One shard's share of a batch, in shard-local ids.
 
-    ``s``/``t`` (parallel local-id arrays) request intra-shard batch
-    distances; ``fan_src``/``fan_dst`` request boundary fans. ``block``
-    is the (tiny, overlay-epoch-stable) boundary-to-boundary overlay
-    matrix: when present the worker folds the boundary route itself via
-    min-plus and ships back one final array. ``block_cached`` elides the
-    matrix when the target worker already holds the ``block_epoch``
-    revision — re-shipping is always safe (failover targets a sibling
-    that may hold nothing), eliding just saves bytes.
+    ``s``/``t`` are the shard's intra pairs (parallel arrays); ``fan``
+    lists every cross-pair endpoint the shard owns, sources and targets
+    together, whose rows against its boundary the parent combines.
+    ``block`` is the shard's own (tiny, overlay-epoch-stable)
+    boundary-to-boundary overlay block: with it the replica lowers the
+    intra answers by the boundary route itself. ``block_cached`` elides
+    the matrix when the target replica already holds the
+    ``block_epoch`` revision — re-shipping is always safe (failover
+    targets a sibling that may hold nothing), eliding just saves bytes.
     """
 
     s: np.ndarray | None = None
     t: np.ndarray | None = None
-    fan_src: FanQuery | None = None
-    fan_dst: FanQuery | None = None
+    fan: np.ndarray | None = None
     block: np.ndarray | None = None
     block_cached: bool = False
     block_epoch: int = -1
-
-    @property
-    def wants_block(self) -> bool:
-        return self.block is not None or self.block_cached
 
     def _pack(self, buffers) -> dict:
         return {
             "s": _put(buffers, self.s, np.int64),
             "t": _put(buffers, self.t, np.int64),
-            "fs": self.fan_src._pack(buffers) if self.fan_src else None,
-            "fd": self.fan_dst._pack(buffers) if self.fan_dst else None,
+            "f": _put(buffers, self.fan, np.int64),
             "b": _put(buffers, self.block, np.float64),
             "bc": bool(self.block_cached),
             "be": int(self.block_epoch),
@@ -320,8 +305,7 @@ class SubQuery:
         return cls(
             s=_take(buffers, meta["s"]),
             t=_take(buffers, meta["t"]),
-            fan_src=FanQuery._unpack(meta["fs"], buffers) if meta["fs"] else None,
-            fan_dst=FanQuery._unpack(meta["fd"], buffers) if meta["fd"] else None,
+            fan=_take(buffers, meta["f"]),
             block=_take(buffers, meta["b"]),
             block_cached=bool(meta["bc"]),
             block_epoch=int(meta["be"]),
@@ -329,42 +313,42 @@ class SubQuery:
 
     def without_block(self) -> "SubQuery":
         """The byte-thrifty form: same work, block elided as held."""
-        return replace(self, block=None, block_cached=True)
+        return SubQuery(
+            s=self.s,
+            t=self.t,
+            fan=self.fan,
+            block_cached=True,
+            block_epoch=self.block_epoch,
+        )
 
 
 @dataclass
 class SubResult:
     """One :class:`SubQuery`'s answer.
 
-    ``final`` is the finished distance array (intra subs, or intra
-    folded with the boundary route); fans come back deduplicated as
-    ``(unique_matrix, inverse)`` so pipe/socket bytes scale with unique
-    endpoints, not raw pair count.
+    ``final`` answers the intra pairs (boundary route folded in);
+    ``fan`` holds the fan's distinct rows against the shard's boundary
+    and ``fan_inverse`` each fan entry's row, so pipe/socket bytes
+    scale with distinct endpoints, not raw pair count.
     """
 
     final: np.ndarray | None = None
-    ds: np.ndarray | None = None
-    ds_inverse: np.ndarray | None = None
-    dt: np.ndarray | None = None
-    dt_inverse: np.ndarray | None = None
+    fan: np.ndarray | None = None
+    fan_inverse: np.ndarray | None = None
 
     def _pack(self, buffers) -> dict:
         return {
             "f": _put(buffers, self.final, np.float64),
-            "ds": _put(buffers, self.ds, np.float64),
-            "dsi": _put(buffers, self.ds_inverse, np.int64),
-            "dt": _put(buffers, self.dt, np.float64),
-            "dti": _put(buffers, self.dt_inverse, np.int64),
+            "fm": _put(buffers, self.fan, np.float64),
+            "fi": _put(buffers, self.fan_inverse, np.int64),
         }
 
     @classmethod
     def _unpack(cls, meta, buffers) -> "SubResult":
         return cls(
             final=_take(buffers, meta["f"]),
-            ds=_take(buffers, meta["ds"]),
-            ds_inverse=_take(buffers, meta["dsi"]),
-            dt=_take(buffers, meta["dt"]),
-            dt_inverse=_take(buffers, meta["dti"]),
+            fan=_take(buffers, meta["fm"]),
+            fan_inverse=_take(buffers, meta["fi"]),
         )
 
 
@@ -442,9 +426,9 @@ class SpecRequest(Message):
 class ComputeBatch(Message):
     """One batch's worth of shard-local work at a stamped epoch.
 
-    All of one worker's sub-batches travel in one message, so a batch
-    costs one round trip per worker regardless of how many region-pair
-    groups it split into. A worker holding a different epoch must answer
+    The scheduler sends one sub-query per shard, so a batch costs one
+    round trip per shard however its pairs spread over region pairs. A
+    worker holding a different epoch must answer
     :class:`StaleReply` without touching its buffers.
     """
 

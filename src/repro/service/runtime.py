@@ -222,7 +222,8 @@ class InProcessRuntime(ExecutionRuntime):
 class WorkerPoolStats:
     """Scheduler and epoch-broadcast counters of a pooled runtime.
 
-    ``sub_batches`` counts worker requests (the split granularity),
+    ``sub_batches`` counts worker requests (one per shard a batch
+    needs, so at most k a batch),
     ``intra_pairs``/``cross_pairs`` how the traffic divided, and the
     broadcast counters certify the delta path: after N flushes,
     ``delta_syncs + republishes == shards touched across those flushes``

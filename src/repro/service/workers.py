@@ -2,9 +2,10 @@
 
 :class:`ShardRuntime` serves each region shard of a
 :class:`~repro.core.sharded.ShardedDHLIndex` from ``replicas`` long-lived
-processes: it splits a pair batch by ``(source region, target region)``
-into typed :class:`~repro.service.protocol.SubQuery` messages, combines
-the replies, ships label deltas after maintenance and keeps replicas
+processes: it cuts a pair batch into one typed
+:class:`~repro.service.protocol.SubQuery` per shard
+(:class:`~repro.sharding.engine.BatchSplit`), combines the cross region
+pairs from the replies, ships label deltas after maintenance and keeps replicas
 alive (:class:`_ReplicaHandle`, :class:`ReplicaSupervisor`). Replica
 side, :func:`_replica_main` feeds the transport-blind
 :class:`ShardExecutor`.
@@ -87,7 +88,6 @@ from repro.service.protocol import (
     ComputeReply,
     EpochDelta,
     ErrorReply,
-    FanQuery,
     HealthCheck,
     HealthReply,
     Message,
@@ -110,12 +110,7 @@ from repro.service.runtime import (
     RetryPolicy,
     WorkerPoolStats,
 )
-from repro.sharding.engine import (
-    boundary_fan,
-    boundary_fans,
-    min_plus_compact,
-    region_pair_groups,
-)
+from repro.sharding.engine import BatchSplit, shard_batch
 from repro.utils.pairs import as_pair_array, check_ids
 
 __all__ = [
@@ -182,10 +177,10 @@ class ShardExecutor:
         index._adopt(index.hq, index.hu, (labels,))
         # Build the H_Q tables the kernels read while attaching, not
         # inside the first epoch-stamped batch: the LCA tables for the
-        # pair kernel (and the compiled fans), the ancestor-chain store
-        # for the numpy fans.
+        # C shard kernel, the ancestor-chain store where the numpy set
+        # kernel runs instead.
         engine = index.engine
-        if not engine.supports_batch_kernel() or engine.engine != "compiled":
+        if engine.kernel_tables() is None:
             engine.hub_store()
 
     # -- maintenance ----------------------------------------------------
@@ -209,13 +204,16 @@ class ShardExecutor:
         return AckReply()
 
     # -- compute --------------------------------------------------------
-    def compute(self, batch: ComputeBatch) -> ComputeReply | StaleReply:
+    def compute(self, batch: ComputeBatch) -> ComputeReply | StaleReply | ErrorReply:
         """Answer one batch's worth of shard-local work at its epoch.
 
         A batch stamped with a different epoch than held is refused
         without touching the buffers — the consistency contract that
         keeps a worker that missed a broadcast from serving silently
-        wrong distances.
+        wrong distances. Each sub-query is one :func:`shard_batch`
+        call; one that fails its checks (an id outside the shard, a
+        block of the wrong shape, a block it does not hold) turns the
+        batch into an :class:`ErrorReply` naming the error.
         """
         if batch.epoch != self.epoch:
             return StaleReply(held=self.epoch, stamped=batch.epoch)
@@ -223,58 +221,20 @@ class ShardExecutor:
         worker_span = Span("shard_compute") if batch.want_trace else None
         engine = self.index.engine
         results: list[SubResult] = []
-        for sub_index, sub in enumerate(batch.subs):
-            sub_span = (
-                worker_span.child(f"sub[{sub_index}]")
-                if worker_span is not None
-                else None
-            )
-            block = self._resolve_block(sub)
-            intra = ds = dt = None
-            if sub.s is not None:
-                with maybe_child(sub_span, "intra_kernel"):
-                    intra = engine.distances_arrays(sub.s, sub.t)
-            if sub.fan_src is not None and sub.fan_dst is not None:
-                with maybe_child(sub_span, "fans"):
-                    ds, dt = boundary_fans(
+        try:
+            for sub in batch.subs:
+                with maybe_child(worker_span, "shard_batch"):
+                    final, fan, inverse = shard_batch(
                         engine,
-                        sub.fan_src.vertices,
-                        sub.fan_dst.vertices,
                         self.boundary_local,
+                        sub.s,
+                        sub.t,
+                        sub.fan,
+                        self._resolve_block(sub),
                     )
-            elif sub.fan_src is not None:
-                with maybe_child(sub_span, "fan_src"):
-                    ds = boundary_fan(
-                        engine, sub.fan_src.vertices, self.boundary_local
-                    )
-            elif sub.fan_dst is not None:
-                with maybe_child(sub_span, "fan_dst"):
-                    dt = boundary_fan(
-                        engine, sub.fan_dst.vertices, self.boundary_local
-                    )
-            if block is not None:
-                # Intra-shard sub: fold the boundary route here, return
-                # the final array instead of two fan matrices.
-                with maybe_child(sub_span, "min_plus"):
-                    best = min_plus_compact(
-                        ds[0], ds[1], block, dt[0], dt[1], engine.engine
-                    )
-                    if intra is not None:
-                        best = np.minimum(intra, best)
-                results.append(SubResult(final=best))
-            elif intra is not None:
-                results.append(SubResult(final=intra))
-            else:
-                results.append(
-                    SubResult(
-                        ds=ds[0] if ds is not None else None,
-                        ds_inverse=ds[1] if ds is not None else None,
-                        dt=dt[0] if dt is not None else None,
-                        dt_inverse=dt[1] if dt is not None else None,
-                    )
-                )
-            if sub_span is not None:
-                sub_span.finish()
+                results.append(SubResult(final=final, fan=fan, fan_inverse=inverse))
+        except (KeyError, ValueError, RuntimeError) as exc:
+            return ErrorReply(message=f"{type(exc).__name__}: {exc}")
         trace = (
             TraceEnvelope(spans=worker_span.finish().to_dict())
             if worker_span is not None
@@ -1142,9 +1102,9 @@ class ShardRuntime(ExecutionRuntime):
     # queries
     # ------------------------------------------------------------------
     def distances(self, pairs) -> np.ndarray:
-        """Batch distances via the region-pair-aware batch scheduler; an
-        id outside ``[0, n)`` raises
-        :class:`~repro.exceptions.VertexNotFound` before any dispatch."""
+        """Batch distances, one sub-query per shard; an id outside
+        ``[0, n)`` raises :class:`~repro.exceptions.VertexNotFound`
+        before any dispatch."""
         if self._closed:
             raise ServiceRuntimeError("runtime is closed")
         self._reconcile_index_epoch()
@@ -1157,115 +1117,64 @@ class ShardRuntime(ExecutionRuntime):
         s, t = pairs[:, 0], pairs[:, 1]
         if not len(s):
             return np.empty(0, dtype=np.float64)
-        out = np.full(len(s), np.inf, dtype=np.float64)
-        rs = owner.region_of[s]
-        rt = owner.region_of[t]
-        local_s = owner.local_of[s]
-        local_t = owner.local_of[t]
-        has_overlay = owner.overlay is not None
-        overlay_epoch = owner.overlay.epoch if has_overlay else 0
-        # Boundary fans exist only through the overlay, and only for a
-        # shard with boundary vertices.
-        fans = [has_overlay and len(b) > 0 for b in owner.boundary_local]
-
-        groups: list[tuple[np.ndarray, int, int]] = []
-        requests: dict[int, list[tuple[tuple[int, int], SubQuery]]] = {}
-
-        def enqueue(sid: int, slot: tuple[int, int], sub: SubQuery) -> None:
-            requests.setdefault(sid, []).append((slot, sub))
-            self.stats.sub_batches += 1
-
-        engine = owner.engine  # overlay blocks + their epoch cache
-        # Same (region_s, region_t) split as the in-process sharded
-        # engine, but each group becomes typed worker sub-queries.
+        overlay_epoch = owner.overlay.epoch if owner.overlay is not None else 0
+        # The shard's own (tiny, epoch-cached) overlay block travels with
+        # its sub-query, so the replica folds its intra pairs' boundary
+        # route itself; the batch elides the block once the replica
+        # holds this overlay epoch.
         with maybe_child(request_span, "scheduler"):
-            for g, (idx, i, j) in enumerate(region_pair_groups(rs, rt, owner.k)):
-                groups.append((idx, i, j))
-                s_local = local_s[idx]
-                t_local = local_t[idx]
-                fan = fans[i] and fans[j]
-                if i == j:
-                    self.stats.intra_pairs += len(idx)
-                    # The (tiny, epoch-cached) overlay block travels with
-                    # the sub-query: the owning worker folds the boundary
-                    # route itself and ships back one final array. The
-                    # batch elides the block once its replica holds this
-                    # overlay epoch.
-                    enqueue(
-                        i,
-                        (g, "final"),
-                        SubQuery(
-                            s=s_local,
-                            t=t_local,
-                            fan_src=FanQuery(s_local) if fan else None,
-                            fan_dst=FanQuery(t_local) if fan else None,
-                            block=engine.overlay_block(i, i) if fan else None,
-                            block_epoch=overlay_epoch if fan else -1,
-                        ),
-                    )
-                else:
-                    self.stats.cross_pairs += len(idx)
-                    if fan:
-                        engine.overlay_block(i, j)  # warm the cache
-                        enqueue(
-                            i, (g, "src"), SubQuery(fan_src=FanQuery(s_local))
-                        )
-                        enqueue(
-                            j, (g, "dst"), SubQuery(fan_dst=FanQuery(t_local))
-                        )
+            split = BatchSplit(owner, s, t)
+            requests = {
+                sid: SubQuery(
+                    s=s_local,
+                    t=t_local,
+                    fan=fan,
+                    block=block,
+                    block_epoch=-1 if block is None else overlay_epoch,
+                )
+                for sid, (s_local, t_local, fan, block) in split.subs.items()
+            }
+        self.stats.intra_pairs += split.intra_pairs
+        self.stats.cross_pairs += split.cross_pairs
+        self.stats.sub_batches += len(requests)
 
         replies, shed = self._dispatch(requests, request_span)
 
-        # One pass answers every group. Cross-shard combines need both
-        # workers' fans, so they run in the parent. A group that needed
-        # a shed shard (breaker open) is either answered overlay-only in
-        # the parent (degraded opt-in) or shed with a typed
-        # partial-result error.
-        open_shards: set[int] = set()
+        # A shed shard (breaker open) is either answered from the
+        # parent's own shard engines by the boundary route alone
+        # (degraded opt-in: exact for cross pairs, an upper bound for
+        # intra pairs) or what needed it is shed with a typed error.
+        degrade = self.degraded_mode == "overlay"
         shed_mask = np.zeros(len(s), dtype=bool)
         with maybe_child(request_span, "min_plus_combine") as combine_span:
-            combined = 0
-            for g, (idx, i, j) in enumerate(groups):
-                fan = fans[i] and fans[j]
-                lost = shed & ({i} if i == j else {i, j} if fan else set())
-                if lost:
-                    open_shards.update(lost)
-                    if self.degraded_mode != "overlay" or not fan:
-                        shed_mask[idx] = True
-                        continue
-                    # Boundary-route answer computed on the parent's own
-                    # authoritative shard engines: exact for cross-region
-                    # pairs (every route crosses the boundary), an upper
-                    # bound for intra-region pairs (the direct intra path
-                    # is missed).
-                    out[idx] = engine.boundary_route(i, j, local_s[idx], local_t[idx])
-                    self.stats.degraded_pairs += len(idx)
-                elif i == j:
-                    out[idx] = replies[(g, "final")].final
-                elif fan:
-                    src, dst = replies[(g, "src")], replies[(g, "dst")]
-                    out[idx] = min_plus_compact(
-                        src.ds,
-                        src.ds_inverse,
-                        engine.overlay_block(i, j),
-                        dst.dt,
-                        dst.dt_inverse,
-                        owner.shards[i].engine.engine,
-                    )
-                    combined += 1
+            results = {
+                sid: (reply.final, reply.fan, reply.fan_inverse)
+                for sid, reply in replies.items()
+            }
+            for sid in shed:
+                if degrade and split.routed[sid]:
+                    results[sid] = split.route_only(sid)
+                    self.stats.degraded_pairs += len(split.intra[sid])
+                else:
+                    shed_mask[split.intra[sid]] = True
+            for i, j, positions, _, _ in split.routes:
+                if i in shed or j in shed:
+                    if degrade:
+                        self.stats.degraded_pairs += len(positions)
+                    else:
+                        shed_mask[positions] = True
+            out = split.answer(results)
             if combine_span is not None:
-                combine_span.annotate(groups=combined)
-        # Self-pairs are trivially zero — even inside a shed group, so
-        # the shed mask never reports a pair no shard was needed for.
-        if shed_mask.any():
-            out[shed_mask] = np.nan
-        out[s == t] = 0.0
+                combine_span.annotate(routes=len(split.routes))
         self.stats.batches += 1
         self.stats.pairs += len(s)
-        shed_positions = np.flatnonzero(shed_mask & (s != t))
+        # A self-pair is zero even inside a shed shard: no shard was
+        # needed for it.
+        shed_positions = np.flatnonzero(shed_mask & ~split.self_pairs)
         if len(shed_positions):
+            out[shed_positions] = np.nan
             self.stats.shed_pairs += len(shed_positions)
-            raise PartialResultError(out, shed_positions, open_shards)
+            raise PartialResultError(out, shed_positions, shed)
         return out
 
     # ------------------------------------------------------------------
@@ -1273,18 +1182,18 @@ class ShardRuntime(ExecutionRuntime):
     # ------------------------------------------------------------------
     def _dispatch(
         self,
-        requests: dict[int, list[tuple[tuple[int, int], SubQuery]]],
+        requests: dict[int, SubQuery],
         request_span: Span | None = None,
-    ) -> tuple[dict[tuple[int, int], SubResult], set[int]]:
-        """Each shard's sub-queries as one :class:`ComputeBatch` to its
+    ) -> tuple[dict[int, SubResult], set[int]]:
+        """Each shard's sub-query as one :class:`ComputeBatch` to its
         next live replica in rotation, all shards in one round; a shard
         whose replica failed goes to an untried sibling in the next
         round. The request set is immutable, so a replica killed
         mid-batch loses nothing; a *behind* replica is healed and asked
         once more. A shard with no replica left trips its breaker and
-        is shed — returned with the replies by slot, for
-        :meth:`distances` to shed or overlay-answer its groups — or the
-        batch hard-fails under ``"error"``.
+        is shed — returned with the replies by shard, for
+        :meth:`distances` to shed or overlay-answer what needed it — or
+        the batch hard-fails under ``"error"``.
 
         With *request_span*, each shard gets a ``worker[sid]`` child
         span the replica's own subtree is grafted under — finished even
@@ -1296,12 +1205,14 @@ class ShardRuntime(ExecutionRuntime):
         # a background thread. Rate-limited by the supervisor interval.
         self.supervisor.poll()
         spans: dict[int, Span] = {
-            sid: request_span.child(f"worker[{sid}]").annotate(subs=len(items))
-            for sid, items in requests.items()
+            sid: request_span.child(f"worker[{sid}]").annotate(
+                intra=len(sub.s), fan=len(sub.fan)
+            )
+            for sid, sub in requests.items()
             if request_span is not None
         }
         tried: dict[int, list[_ReplicaHandle]] = {sid: [] for sid in requests}
-        replies: dict[tuple[int, int], SubResult] = {}
+        replies: dict[int, SubResult] = {}
         shed: set[int] = set()
         waiting = list(requests)
         try:
@@ -1349,8 +1260,7 @@ class ShardRuntime(ExecutionRuntime):
                     self._breakers[sid].record_success()
                     if reply.trace is not None:  # asked for iff traced
                         spans[sid].finish().graft(reply.trace.spans)
-                    for (slot, _), result in zip(requests[sid], reply.results):
-                        replies[slot] = result
+                    (replies[sid],) = reply.results
         finally:
             for sid, span in spans.items():
                 if sid in shed:
@@ -1381,21 +1291,18 @@ class ShardRuntime(ExecutionRuntime):
         tried.append(handle)
         return handle
 
-    def _compute_batch(self, handle: _ReplicaHandle, items, want_trace: bool):
-        """A shard's sub-queries as one batch for *handle*, overlay blocks
-        it already holds elided; also the block epoch it ships (-1:
-        none)."""
+    def _compute_batch(self, handle: _ReplicaHandle, sub: SubQuery, want_trace: bool):
+        """A shard's sub-query as one batch for *handle*, its overlay
+        block elided when the replica already holds it; also the block
+        epoch it ships (-1: none)."""
         shipped = -1
-        subs = []
-        for _, sub in items:
-            if sub.block is not None:
-                if sub.block_epoch == handle.block_epoch:
-                    sub = sub.without_block()
-                else:
-                    shipped = sub.block_epoch
-            subs.append(sub)
+        if sub.block is not None:
+            if sub.block_epoch == handle.block_epoch:
+                sub = sub.without_block()
+            else:
+                shipped = sub.block_epoch
         batch = ComputeBatch(
-            epoch=self._epochs[handle.sid], subs=subs, want_trace=want_trace
+            epoch=self._epochs[handle.sid], subs=[sub], want_trace=want_trace
         )
         return batch, shipped
 

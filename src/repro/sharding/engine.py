@@ -1,28 +1,26 @@
 """Shard-routed query kernel for the sharded index.
 
-Batch pairs are grouped by ``(source region, target region)``:
+:class:`BatchSplit` cuts a pair batch, in whole-array steps, into at
+most one sub-query per shard: its **intra pairs** and its **fan**, every
+cross-pair endpoint it owns, sources and targets together.
 
-* **intra-shard** groups go straight to the owning shard's zero-copy
-  flat-store kernel;
-* **every** group additionally considers the boundary route — the
-  min-plus combine ``min over (b1, b2)`` of
-  ``d_shard(s, b1) + d_overlay(b1, b2) + d_shard(b2, t)`` — because a
-  shortest path may leave and re-enter a region.
+:func:`shard_batch` answers one sub-query — a replica's whole compute
+step (:class:`~repro.service.workers.ShardExecutor`), this engine's
+per-shard step and the shard runtime's degraded overlay answer alike.
+Intra pairs get the pair kernel's answer, lowered by the boundary route
+``min over (b1, b2) of d_shard(s, b1) + d_overlay(b1, b2) + d_shard(b2,
+t)`` through the shard's own overlay block (a shortest path may leave
+and re-enter its region); the fan comes back as its distinct rows
+against the shard's boundary plus each entry's row. It forks once on
+the shard engine's resolved name: one C call under ``compiled``, else
+(and past the LCA tables' depth) the numpy composition of the pair
+kernel, the set kernel and :func:`min_plus_compact` — the same bits.
 
-Every matrix the boundary route needs is one call of the shards' (or
-the overlay's) set-to-set kernel
-:meth:`~repro.labelling.query.QueryEngine.distance_matrix` against a
-fixed boundary set: the source/target fans (duplicated endpoints
-answered once; one call for both sides of an intra-shard group) and the
-all-boundary overlay matrix, computed once per overlay maintenance
-epoch and sliced into per-region-pair blocks. Both the set kernel and
-the combine (:func:`min_plus_compact`) follow the shard engine's
-resolved name: one C loop each under ``compiled``, numpy otherwise,
-with the same bits either way.
-
-For cross-region pairs the intra-shard term is skipped (no such path
-exists); for regions without boundary vertices (k = 1, or an isolated
-region) the boundary route is skipped.
+The parent answers each cross region pair ``(i, j)`` with one
+:func:`min_plus_compact` over the two shards' fans and the overlay block
+``(i, j)``, a slice of one all-boundary overlay matrix computed once per
+overlay maintenance epoch. A cross pair has a route only when both
+regions have boundary vertices (else ``inf``).
 """
 
 from __future__ import annotations
@@ -33,67 +31,71 @@ from repro.labelling.native import engine as native_engine
 from repro.utils.pairs import as_pair_array, check_ids
 
 __all__ = [
+    "BatchSplit",
     "ShardedQueryEngine",
-    "boundary_fan",
-    "boundary_fans",
     "min_plus_compact",
-    "region_pair_groups",
+    "shard_batch",
 ]
 
 # Cap for the (pairs x |B_i| x |B_j|) min-plus intermediate, in cells.
 _MIN_PLUS_CELLS = 4_000_000
+_NO_IDS = np.empty(0, dtype=np.int64)
+_NO_IDS.flags.writeable = False
 
 
-def region_pair_groups(rs: np.ndarray, rt: np.ndarray, k: int):
-    """Yield ``(idx, i, j)`` position groups by (source, target) region.
+def _local_ids(ids) -> np.ndarray:
+    """*ids* as a flat int64 array (``None``: no ids)."""
+    if ids is None:
+        return _NO_IDS
+    ids = native_engine.operand(ids, np.int64)
+    if ids.ndim != 1:
+        raise ValueError(f"local ids must be one-dimensional, got {ids.shape}")
+    return ids
 
-    The canonical batch split shared by the in-process engine and the
-    worker-pool scheduler: positions are grouped with one stable
-    argsort over the composite key, so each group is answered in a few
-    vectorised strokes (or becomes one worker sub-batch).
+
+def shard_batch(engine, boundary, s=None, t=None, fan=None, block=None):
+    """One shard's share of a batch: ``(final, fan_matrix, fan_inverse)``.
+
+    *engine* is the shard's :class:`~repro.labelling.query.QueryEngine`
+    and *boundary* its boundary vertices, both in shard-local ids, like
+    the intra pairs *s* / *t* and the cross-pair endpoints *fan*
+    (``None``: none). ``final`` answers the intra pairs, lowered by the
+    boundary route through *block* (the shard's own ``|B| x |B|``
+    overlay block) when one is given. ``fan_matrix`` holds the fan's
+    distinct rows against *boundary* and ``fan_inverse[e]`` is the row
+    of ``fan[e]``. The first hop of the route runs once per distinct
+    source row, never for a target's.
+
+    An id outside ``[0, n)`` raises
+    :class:`~repro.exceptions.VertexNotFound`; mismatched pair arrays
+    or a block of the wrong shape raise :class:`ValueError`.
     """
-    key = rs * k + rt
-    order = np.argsort(key, kind="stable")
-    sorted_key = key[order]
-    starts = np.flatnonzero(np.r_[True, sorted_key[1:] != sorted_key[:-1]])
-    bounds = np.r_[starts, len(sorted_key)]
-    for g in range(len(starts)):
-        idx = order[bounds[g] : bounds[g + 1]]
-        yield idx, int(rs[idx[0]]), int(rt[idx[0]])
-
-
-def boundary_fan(engine, sources_local: np.ndarray, boundary_local: np.ndarray):
-    """Shard distances to the boundary set: ``(unique_matrix, inverse)``.
-
-    ``engine`` is a shard's :class:`~repro.labelling.query.QueryEngine`
-    (shard-local ids). Duplicate sources (hot endpoints, k-nearest fans)
-    collapse to one matrix row each; row ``inverse[p]`` answers source
-    ``p``. The deduplicated form is what shard worker processes ship
-    over the pipe (bytes scale with unique endpoints, not raw pair
-    count) and what :func:`min_plus_compact` consumes. Module-level so
-    workers can compute fans next to the label buffers.
-    """
-    uniq, inverse = np.unique(sources_local, return_inverse=True)
-    return engine.distance_matrix(uniq, boundary_local), inverse
-
-
-def boundary_fans(
-    engine, s_local: np.ndarray, t_local: np.ndarray, boundary_local: np.ndarray
-):
-    """Both fans of an intra-shard group from one kernel call.
-
-    Sources and targets face the same boundary, so one matrix over
-    ``unique(s ∪ t)`` holds every row; each side keeps only its own
-    rows (the combine's first hop runs per source row). Returns
-    ``(ds, ds_inverse), (dt, dt_inverse)`` as two :func:`boundary_fan`
-    calls would.
-    """
-    matrix, inverse = boundary_fan(
-        engine, np.concatenate((s_local, t_local)), boundary_local
-    )
-    src_rows, ds_inverse = np.unique(inverse[: len(s_local)], return_inverse=True)
-    dst_rows, dt_inverse = np.unique(inverse[len(s_local) :], return_inverse=True)
-    return (matrix[src_rows], ds_inverse), (matrix[dst_rows], dt_inverse)
+    s, t, fan, boundary = map(_local_ids, (s, t, fan, boundary))
+    width = len(boundary)
+    if len(s) != len(t):
+        raise ValueError(f"length mismatch: {len(s)} sources, {len(t)} targets")
+    check_ids(engine.hq.n, s, t, fan, boundary)
+    if block is not None:
+        block = native_engine.operand(block, np.float64)
+        if block.shape != (width, width):
+            raise ValueError(
+                f"overlay block is {block.shape}, the boundary has {width} vertices"
+            )
+    tables = engine.kernel_tables()
+    if tables is not None:
+        return native_engine.shard_batch(
+            engine.labels, engine.target_labels, tables, boundary, block, s, t, fan
+        )
+    final = engine.distances_arrays(s, t)
+    ends = fan if block is None else np.concatenate((fan, s, t))
+    uniq, inverse = np.unique(ends, return_inverse=True)
+    matrix = engine.distance_matrix(uniq, boundary)
+    if block is not None and len(s):
+        src = inverse[len(fan) : len(fan) + len(s)]
+        dst = inverse[len(fan) + len(s) :]
+        final = np.minimum(final, min_plus_compact(matrix, src, block, matrix, dst))
+    rows, fan_inverse = np.unique(inverse[: len(fan)], return_inverse=True)
+    return final, matrix[rows], fan_inverse
 
 
 def min_plus_compact(
@@ -104,19 +106,20 @@ def min_plus_compact(
     dt_inverse: np.ndarray,
     engine: str = "reference",
 ) -> np.ndarray:
-    """Pair-wise ``min_{a,b} ds[p,a] + block[a,b] + dt[p,b]`` over
+    """Pair-wise ``min_{a,b} (ds[p,a] + block[a,b]) + dt[p,b]`` over
     deduplicated fans.
 
-    The boundary-route combine: ``ds``/``dt`` are :func:`boundary_fan`
-    matrices with their inverse maps, ``block`` the overlay
-    boundary-to-boundary matrix. The expensive first hop —
-    ``min_a ds[u, a] + block[a, b]`` — runs once per *unique* source
-    instead of once per pair, then the cheap second hop gathers through
-    the inverse maps. *engine* is the resolved name of the shard
-    engine that made the fans: ``"compiled"`` runs both hops in one C
-    loop (:func:`repro.labelling.native.engine.min_plus`, the same bits);
+    The boundary-route combine: ``ds``/``dt`` are fan matrices with
+    their row maps, ``block`` the overlay boundary-to-boundary matrix.
+    The expensive first hop — ``min_a ds[u, a] + block[a, b]`` — runs
+    once per row of *ds* that *ds_inverse* names (never for a row only
+    a target uses), then the cheap second hop gathers through the row
+    maps. *engine* is the resolved name of the shard engine that made
+    the fans: ``"compiled"`` runs both hops in one C loop
+    (:func:`repro.labelling.native.engine.min_plus`, the same bits);
     otherwise numpy, chunked so the 3-D intermediate stays bounded
-    regardless of batch size.
+    regardless of batch size. Either way a row map entry outside its
+    matrix raises :class:`ValueError`.
     """
     if engine == "compiled":
         operand = native_engine.operand
@@ -127,6 +130,11 @@ def min_plus_compact(
             operand(dt, np.float64),
             operand(dt_inverse, np.int64),
         )
+    for inverse, rows in ((ds_inverse, len(ds)), (dt_inverse, len(dt))):
+        if len(inverse) and (inverse.min() < 0 or inverse.max() >= rows):
+            raise ValueError(f"row map points past the {rows} rows it indexes")
+    used, ds_inverse = np.unique(ds_inverse, return_inverse=True)
+    ds = ds[used]
     unique_count, width_a = ds.shape
     width_b = dt.shape[1]
     tmp = np.empty((unique_count, width_b), dtype=np.float64)
@@ -141,6 +149,122 @@ def min_plus_compact(
         hi = min(lo + chunk, count)
         out[lo:hi] = (tmp[ds_inverse[lo:hi]] + dt[dt_inverse[lo:hi]]).min(axis=1)
     return out
+
+
+class BatchSplit:
+    """A pair batch cut into at most one sub-query per shard.
+
+    Every pair puts a source entry into its source shard and a target
+    entry into its target shard; one stable sort over the entries' group
+    keys lays each shard's entries out as one run: its cross sources by
+    target region, its cross targets by source region, then its intra
+    sources and intra targets. The sort keeps batch order within a
+    group, so a region pair's sources and targets line up, and so do an
+    intra pair's two ends.
+
+    ``subs`` maps each shard the batch needs to its ``(s, t, fan,
+    block)`` sub-query in local ids, ``block`` being its own overlay
+    block when its intra pairs have a boundary route (else ``None``);
+    ``intra`` maps it to the positions its finals answer. ``routes``
+    lists each routed cross region pair as ``(i, j, positions, src,
+    dst)``: where its sources start in shard i's fan, its targets in
+    shard j's.
+    """
+
+    def __init__(self, owner, s: np.ndarray, t: np.ndarray):
+        self.owner = owner
+        k, m = owner.k, len(s)
+        rs, rt = owner.region_of[s], owner.region_of[t]
+        #: Shards with a boundary route: an overlay and boundary vertices.
+        self.routed = np.array(
+            [owner.overlay is not None and len(b) > 0 for b in owner.boundary_local]
+        )
+        intra = rs == rt
+        self.self_pairs = s == t
+        self.intra_pairs = int(np.count_nonzero(intra))
+        self.cross_pairs = m - self.intra_pairs
+        # Group key: shard * width + (target region | k + source region |
+        # 2k for an intra source | 2k + 1 for an intra target). A cross
+        # pair without a route goes to one group past every shard's.
+        width = 2 * k + 2
+        key = np.empty(2 * m, dtype=np.int64)
+        np.add(rs * width, np.where(intra, 2 * k, rt), out=key[:m])
+        np.add(rt * width, np.where(intra, 2 * k + 1, rs + k), out=key[m:])
+        if not self.routed.all():
+            lost = ~intra & ~(self.routed[rs] & self.routed[rt])
+            key[:m][lost] = key[m:][lost] = k * width
+        # Small keys take numpy's radix sort.
+        order = np.argsort(key.astype(np.min_scalar_type(k * width)), kind="stable")
+        local = np.concatenate((owner.local_of[s], owner.local_of[t]))[order]
+        bounds = np.zeros(k * width + 2, dtype=np.int64)
+        np.cumsum(np.bincount(key, minlength=k * width + 1), out=bounds[1:])
+        bounds = bounds.tolist()
+        self.subs: dict[int, tuple] = {}
+        self.intra: dict[int, np.ndarray] = {}
+        for sid in range(k):
+            fan = bounds[sid * width]
+            lo, mid, hi = bounds[sid * width + 2 * k : sid * width + 2 * k + 3]
+            if fan < hi:
+                block = None
+                if mid > lo and self.routed[sid]:
+                    block = owner.engine.overlay_block(sid, sid)
+                self.intra[sid] = order[lo:mid]
+                self.subs[sid] = (local[lo:mid], local[mid:hi], local[fan:lo], block)
+        self.routes = [
+            (
+                i,
+                j,
+                order[bounds[i * width + j] : bounds[i * width + j + 1]],
+                bounds[i * width + j] - bounds[i * width],
+                bounds[j * width + k + i] - bounds[j * width],
+            )
+            for i in range(k)
+            for j in range(k)
+            if i != j and bounds[i * width + j] < bounds[i * width + j + 1]
+        ]
+
+    def answer(self, results: dict) -> np.ndarray:
+        """The batch's distances from *results*, which maps a shard id to
+        its :func:`shard_batch` triple: each shard's finals on its intra
+        positions, one :func:`min_plus_compact` per route whose two shards
+        both answered, ``inf`` for what a missing shard was needed for,
+        ``0.0`` on self-pairs."""
+        owner = self.owner
+        out = np.full(len(self.self_pairs), np.inf, dtype=np.float64)
+        for sid, at in self.intra.items():
+            if sid in results:
+                out[at] = results[sid][0]
+        for i, j, positions, src, dst in self.routes:
+            if i in results and j in results:
+                _, ds, ds_inverse = results[i]
+                _, dt, dt_inverse = results[j]
+                out[positions] = min_plus_compact(
+                    ds,
+                    ds_inverse[src : src + len(positions)],
+                    owner.engine.overlay_block(i, j),
+                    dt,
+                    dt_inverse[dst : dst + len(positions)],
+                    owner.shards[i].engine.engine,
+                )
+        out[self.self_pairs] = 0.0
+        return out
+
+    def route_only(self, sid: int):
+        """Shard *sid*'s triple from the owner's own shard engine with the
+        boundary route alone (the direct intra path is skipped): exact
+        for its cross pairs, an upper bound for its intra pairs. The
+        shard runtime's answer for a shard with no replica left."""
+        owner, (s, t, fan, _) = self.owner, self.subs[sid]
+        _, matrix, inverse = shard_batch(
+            owner.shards[sid].engine,
+            owner.boundary_local[sid],
+            fan=np.concatenate((fan, s, t)),
+        )
+        fan_rows, src, dst = np.split(inverse, [len(fan), len(fan) + len(s)])
+        block = owner.engine.overlay_block(sid, sid)
+        engine = owner.shards[sid].engine.engine
+        route = min_plus_compact(matrix, src, block, matrix, dst, engine)
+        return route, matrix, fan_rows
 
 
 class ShardedQueryEngine:
@@ -163,8 +287,8 @@ class ShardedQueryEngine:
         The all-boundary overlay matrix is computed by one set-kernel
         call per overlay epoch, its rows and columns ordered region by
         region so every block is a plain slice. Public because the
-        worker-pool runtime runs the same min-plus combine in the parent
-        over worker-computed fans.
+        shard runtime ships a shard its own block and combines the
+        cross region pairs in the parent.
         """
         owner = self.owner
         overlay = owner.overlay
@@ -185,26 +309,6 @@ class ShardedQueryEngine:
     # ------------------------------------------------------------------
     # queries
     # ------------------------------------------------------------------
-    def boundary_route(
-        self, i: int, j: int, s_local: np.ndarray, t_local: np.ndarray
-    ) -> np.ndarray:
-        """Best route through the boundary for a ``(region i, region j)``
-        group, on the owner's own shard engines."""
-        owner = self.owner
-        engine = owner.shards[i].engine
-        if i == j:
-            (ds, ds_inv), (dt, dt_inv) = boundary_fans(
-                engine, s_local, t_local, owner.boundary_local[i]
-            )
-        else:
-            ds, ds_inv = boundary_fan(engine, s_local, owner.boundary_local[i])
-            dt, dt_inv = boundary_fan(
-                owner.shards[j].engine, t_local, owner.boundary_local[j]
-            )
-        return min_plus_compact(
-            ds, ds_inv, self.overlay_block(i, j), dt, dt_inv, engine.engine
-        )
-
     def distances_arrays(self, s: np.ndarray, t: np.ndarray) -> np.ndarray:
         """Batch distances over parallel global-id arrays; an id outside
         ``[0, n)`` raises :class:`~repro.exceptions.VertexNotFound`."""
@@ -212,33 +316,15 @@ class ShardedQueryEngine:
         s = np.asarray(s, dtype=np.int64)
         t = np.asarray(t, dtype=np.int64)
         check_ids(owner.graph.num_vertices, s, t)
-        if not len(s):
-            return np.empty(0, dtype=np.float64)
-        region_of = owner.region_of
-        local_of = owner.local_of
-        rs = region_of[s]
-        rt = region_of[t]
-        out = np.full(len(s), np.inf, dtype=np.float64)
-        # Group pairs by (region_s, region_t); each group is answered in
-        # two vectorised strokes (shard kernel + min-plus combine).
-        for idx, i, j in region_pair_groups(rs, rt, owner.k):
-            s_local = local_of[s[idx]]
-            t_local = local_of[t[idx]]
-            if i == j:
-                best = owner.shards[i].engine.distances_arrays(s_local, t_local)
-            else:
-                best = np.full(len(idx), np.inf, dtype=np.float64)
-            if (
-                owner.overlay is not None
-                and len(owner.boundary_local[i])
-                and len(owner.boundary_local[j])
-            ):
-                best = np.minimum(
-                    best, self.boundary_route(i, j, s_local, t_local)
+        split = BatchSplit(owner, s, t)
+        return split.answer(
+            {
+                sid: shard_batch(
+                    owner.shards[sid].engine, owner.boundary_local[sid], *sub
                 )
-            out[idx] = best
-        out[s == t] = 0.0
-        return out
+                for sid, sub in split.subs.items()
+            }
+        )
 
     def distances(self, pairs) -> np.ndarray:
         """Batch distances for global-id pairs: an ``(m, 2)`` integer

@@ -24,7 +24,7 @@ from repro.graph.digraph import DiGraph
 from repro.graph.generators import delaunay_network, grid_network
 from repro.graph.graph import Graph
 from repro.labelling import query as query_module
-from repro.sharding.engine import boundary_fan, boundary_fans, min_plus_compact
+from repro.sharding.engine import min_plus_compact, shard_batch
 from repro.utils.rng import make_rng
 from tests.conftest import require_engine
 from tests.strategies import caterpillar_index, connected_graphs, pair_matrix
@@ -235,18 +235,12 @@ class TestShardedCallSites:
     def test_fans_dedupe_and_match_the_pair_kernel(self, sharded):
         shard = sharded.shards[0]
         boundary = sharded.boundary_local[0]
-        rng = make_rng(1)
-        s_local = rng.integers(0, shard.graph.num_vertices, 40)
-        t_local = rng.integers(0, shard.graph.num_vertices, 40)
-        ds, ds_inv = boundary_fan(shard.engine, s_local, boundary)
-        assert len(ds) == len(np.unique(s_local))
-        assert np.array_equal(ds[ds_inv], pair_matrix(shard.engine, s_local, boundary))
-        (fs, fs_inv), (ft, ft_inv) = boundary_fans(
-            shard.engine, s_local, t_local, boundary
+        fan = make_rng(1).integers(0, shard.graph.num_vertices, 40)
+        final, matrix, inverse = shard_batch(shard.engine, boundary, fan=fan)
+        assert len(final) == 0 and len(matrix) == len(np.unique(fan))
+        assert np.array_equal(
+            matrix[inverse], pair_matrix(shard.engine, fan, boundary)
         )
-        dt, dt_inv = boundary_fan(shard.engine, t_local, boundary)
-        assert np.array_equal(fs, ds) and np.array_equal(fs_inv, ds_inv)
-        assert np.array_equal(ft, dt) and np.array_equal(ft_inv, dt_inv)
 
     def test_overlay_blocks_are_slices_of_one_matrix(self, sharded):
         engine = sharded.engine

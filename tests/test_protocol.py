@@ -32,7 +32,6 @@ from repro.service.protocol import (
     ComputeReply,
     EpochDelta,
     ErrorReply,
-    FanQuery,
     HealthCheck,
     HealthReply,
     ReadyReply,
@@ -83,14 +82,12 @@ def f64_matrix(draw):
 @st.composite
 def sub_queries(draw):
     has_pairs = draw(st.booleans())
-    has_fans = draw(st.booleans())
-    has_block = has_fans and draw(st.booleans())
-    s = draw(i64_arrays) if has_pairs else None
+    has_fan = draw(st.booleans())
+    has_block = has_pairs and draw(st.booleans())
     return SubQuery(
-        s=s,
-        t=(draw(i64_arrays) if has_pairs else None),
-        fan_src=FanQuery(draw(i64_arrays)) if has_fans else None,
-        fan_dst=FanQuery(draw(i64_arrays)) if has_fans else None,
+        s=draw(i64_arrays) if has_pairs else None,
+        t=draw(i64_arrays) if has_pairs else None,
+        fan=draw(i64_arrays) if has_fan else None,
         block=f64_matrix(draw) if has_block else None,
         block_cached=draw(st.booleans()) if not has_block else False,
         block_epoch=draw(st.integers(min_value=-1, max_value=50)),
@@ -144,17 +141,14 @@ def trace_envelopes(draw):
 def compute_replies(draw):
     results = []
     for _ in range(draw(st.integers(min_value=0, max_value=3))):
-        if draw(st.booleans()):
-            results.append(SubResult(final=draw(f64_arrays)))
-        else:
-            results.append(
-                SubResult(
-                    ds=f64_matrix(draw),
-                    ds_inverse=draw(i64_arrays),
-                    dt=f64_matrix(draw),
-                    dt_inverse=draw(i64_arrays),
-                )
+        has_fan = draw(st.booleans())
+        results.append(
+            SubResult(
+                final=draw(f64_arrays) if draw(st.booleans()) else None,
+                fan=f64_matrix(draw) if has_fan else None,
+                fan_inverse=draw(i64_arrays) if has_fan else None,
             )
+        )
     return ComputeReply(
         results=results,
         trace=draw(trace_envelopes()) if draw(st.booleans()) else None,
@@ -251,14 +245,26 @@ def test_spec_request_roundtrip_preserves_payload_bytes():
 
 def test_decoded_arrays_preserve_dtype_and_2d_shape():
     sub = SubQuery(
-        fan_src=FanQuery(np.array([3, 1, 2], dtype=np.int64)),
+        fan=np.array([3, 1, 2], dtype=np.int64),
         block=np.arange(6, dtype=np.float64).reshape(2, 3),
     )
     out = decode_frame(encode_frame(ComputeBatch(epoch=0, subs=[sub])))
     decoded = out.subs[0]
     assert decoded.block.shape == (2, 3)
     assert decoded.block.dtype == np.float64
-    assert decoded.fan_src.vertices.dtype == np.int64
+    assert decoded.fan.dtype == np.int64
+    reply = ComputeReply(
+        results=[
+            SubResult(
+                final=np.array([1.5]),
+                fan=np.arange(6, dtype=np.float64).reshape(3, 2),
+                fan_inverse=np.array([2, 0, 1, 0], dtype=np.int64),
+            )
+        ]
+    )
+    (result,) = decode_frame(encode_frame(reply)).results
+    assert result.fan.shape == (3, 2) and result.fan.dtype == np.float64
+    assert result.fan_inverse.dtype == np.int64
 
 
 def test_frame_has_no_pickle_on_compute_path():
@@ -311,13 +317,17 @@ def test_every_truncation_point_rejected_or_never_silent():
 
 
 def test_version_mismatch_rejected():
+    """A v2 peer (per-region-pair sub-queries, four fan arrays a reply)
+    and a newer one are both refused outright."""
+    assert PROTOCOL_VERSION == 3
     frame = bytearray(reference_frame())
     offset = 4  # after magic
     (version,) = struct.unpack_from("<H", frame, offset)
     assert version == PROTOCOL_VERSION
-    struct.pack_into("<H", frame, offset, PROTOCOL_VERSION + 1)
-    with pytest.raises(ProtocolError, match="version mismatch"):
-        decode_frame(bytes(frame))
+    for skew in (PROTOCOL_VERSION - 1, PROTOCOL_VERSION + 1):
+        struct.pack_into("<H", frame, offset, skew)
+        with pytest.raises(ProtocolError, match="version mismatch"):
+            decode_frame(bytes(frame))
 
 
 def test_bad_magic_rejected():

@@ -52,7 +52,6 @@ from repro.service import (
 )
 from repro.service.protocol import (
     ComputeBatch,
-    FanQuery,
     SpecRequest,
     StaleReply,
     SubQuery,
@@ -203,17 +202,18 @@ def attached_executor(monkeypatch, engine: str):
 
 def fan_batch_matches(sharded, executor) -> ComputeBatch:
     sources = np.array([5, 0, 5, 9], dtype=np.int64)
-    batch = ComputeBatch(epoch=3, subs=[SubQuery(fan_src=FanQuery(sources))])
+    batch = ComputeBatch(epoch=3, subs=[SubQuery(fan=sources)])
     (result,) = executor.compute(batch).results
     boundary = sharded.boundary_local[0]
     want = pair_matrix(sharded.shards[0].engine, sources, boundary)
-    np.testing.assert_array_equal(result.ds[result.ds_inverse], want)
+    assert len(result.fan) == len(np.unique(sources))
+    np.testing.assert_array_equal(result.fan[result.fan_inverse], want)
     return batch
 
 
 def test_executor_builds_the_chain_store_at_attach(monkeypatch):
-    """The ancestor-chain store the numpy fans read is built while the
-    executor binds its buffers, not inside the first stamped batch —
+    """The ancestor-chain store the numpy set kernel reads is built while
+    the executor binds its buffers, not inside the first stamped batch —
     and a batch stamped with another epoch is still refused untouched."""
     sharded, executor, builds = attached_executor(monkeypatch, "reference")
     assert builds == [executor.index.engine]
@@ -224,8 +224,8 @@ def test_executor_builds_the_chain_store_at_attach(monkeypatch):
 
 
 def test_compiled_executor_warms_only_the_lca_tables(monkeypatch):
-    """The C fans read the LCA tables: those are built at attach, and
-    the ancestor-chain store is never built at all."""
+    """The C shard kernel reads the LCA tables: those are built at
+    attach, and the ancestor-chain store is never built at all."""
     sharded, executor, builds = attached_executor(monkeypatch, "compiled")
     engine = executor.index.engine
     assert engine._tables is not None and engine._tables.vectorised
@@ -633,7 +633,7 @@ def test_worker_spans_stitched_into_parent_trace(stack):
                 for child in worker_span.children
                 if child.name == "shard_compute"
             )
-            assert compute.children  # per-sub-batch kernel spans
+            assert compute.children  # the shard kernel's span
         text = trace.format()
         assert "shard_compute" in text and "min_plus_combine" in text
     finally:
