@@ -3,8 +3,8 @@
 :mod:`dhl_kernels.c <repro.labelling.native>` (package data, plain C99,
 no ``Python.h``) holds the pair and set-to-set queries, one shard's
 share of a sharded batch and the parent's min-plus combine, the two
-maintenance sweeps and the build's two hot
-loops: FM bisection refinement and Algorithm 1's top-down pass.
+maintenance sweeps and the build's hot loops: every combinatorial
+step of the multilevel partitioner and Algorithm 1's top-down pass.
 This module builds it at first use and opens it with :mod:`ctypes`:
 
 * :func:`library` — the loaded library, or None where it cannot be had.
@@ -32,7 +32,8 @@ This module builds it at first use and opens it with :mod:`ctypes`:
   off the platform; there is no option for it.
 
 The validating wrappers over the exported functions are in
-:mod:`repro.labelling.native.engine`.
+:mod:`repro.labelling.native.engine` and, for the partitioner's, in
+:mod:`repro.partition.kernels`.
 """
 
 from __future__ import annotations
@@ -85,6 +86,26 @@ SIGNATURES = {
         ctypes.c_int,
         [_i64, _i64] + [_ptr] * 4 + [_i64, _i64] + [_ptr] * 2,
     ),
+    "dhl_step_rebalance": (ctypes.c_int, [_i64] + [_ptr] * 4 + [_i64, _ptr]),
+    "dhl_step_grow": (ctypes.c_int, [_i64, _i64] + [_ptr] * 4 + [_i64, _ptr]),
+    "dhl_step_bfs_halves": (ctypes.c_int, [_i64] + [_ptr] * 3 + [_i64, _ptr]),
+    "dhl_step_components": (_i64, [_i64] + [_ptr] * 6),
+    "dhl_step_coarsen": (_i64, [_i64] + [_ptr] * 5 + [_i64] + [_ptr] * 5),
+    "dhl_step_cut_weight": (ctypes.c_double, [_i64] + [_ptr] * 4),
+    "dhl_step_separator": (_i64, [_i64, _i64] + [_ptr] * 3),
+    "dhl_part_new": (
+        _ptr, [_i64, _i64] + [_ptr] * 4 + [ctypes.c_double] + [_ptr] * 4
+    ),
+    "dhl_part_free": (None, [_ptr]),
+    "dhl_part_load": (_i64, [_ptr, _i64, _ptr]),
+    "dhl_part_disconnected": (_i64, [_ptr]),
+    "dhl_part_coarsen": (_i64, [_ptr, _ptr, _i64, ctypes.c_double]),
+    "dhl_part_initial": (None, [_ptr, _ptr, _i64]),
+    "dhl_part_coarsest": (None, [_ptr] * 5),
+    "dhl_part_consider": (None, [_ptr, _ptr]),
+    "dhl_part_project": (None, [_ptr]),
+    "dhl_part_result": (None, [_ptr] * 4),
+    "dhl_part_split": (_i64, [_ptr]),
     "dhl_label_build": (None, [_i64] + [_ptr] * 7),
 }
 

@@ -3,13 +3,15 @@
  * queries (Section 4.3), one shard's share of a sharded batch and the
  * parent's min-plus combine of the boundary route, the two maintenance
  * sweeps of the Engine contract (Algorithms 2 + 3 over the shortcuts,
- * 4 + 5 over the labels, each for a whole mixed batch) and the build's
- * two hot loops, FM bisection refinement and Algorithm 1's top-down
- * pass. Plain C99 over int64_t / double /
- * uint8_t pointers; built at first use by repro.labelling.native and
- * called through ctypes, which validates dtype, contiguity, alignment
- * and lengths and range-checks every vertex id, row index and side byte
- * before a pointer gets here.
+ * 4 + 5 over the labels, each for a whole mixed batch) and the build:
+ * every combinatorial step of the multilevel partitioner (dhl_step_*
+ * one at a time, dhl_part_* as a context that bisects one subset after
+ * another; tie rules in their section) and Algorithm 1's top-down pass.
+ * Plain C99 over int64_t / double / uint8_t pointers; built at first
+ * use by repro.labelling.native and called through ctypes, which
+ * validates dtype, contiguity, alignment and lengths and range-checks
+ * every vertex id, row index, permutation and side byte before a
+ * pointer gets here.
  *
  * The sweeps are scalar fixpoints in the paper's order over an
  * array-backed binary min-heap. The heap is lazy: an in_queue byte per
@@ -803,11 +805,47 @@ int64_t dhl_label_sweep(
 }
 
 /* ------------------------------------------------------------------ */
-/* construction: FM refinement and Algorithm 1's top-down pass         */
+/* construction: the multilevel partitioner                            */
 /* ------------------------------------------------------------------ */
 
 /*
- * One FM gain-queue entry, ordered by (key, push counter). Counters are
+ * Every combinatorial step of repro.partition's multilevel bisection,
+ * decision for decision: the Python bodies there are the reference
+ * engine and the differential oracle. A graph is CSR: row v lists its
+ * neighbours (indices) with their cut multiplicities (mult, integers
+ * held in doubles, so every sum is exact) in pair order; vweight holds
+ * the vertex weights. The tie rules are part of the decisions:
+ *
+ *   - FM's and greedy growing's queues pop by (key, push counter);
+ *   - rebalance moves the overweight side's vertices by gain, ties in
+ *     id order (Python's stable sort), components pack heaviest first,
+ *     ties to the one found later (Python's reverse tuple sort);
+ *   - a coarse row lists its neighbours in the order its members' rows
+ *     first meet them;
+ *   - Hopcroft-Karp's augmenting DFS tries a left vertex's edges in cut
+ *     order, on an explicit stack in place of Python's recursion;
+ *   - a candidate replaces the best one only on a strictly smaller cut.
+ *
+ * The random draws stay numpy's: the caller passes each level's
+ * permutation and the growing and BFS seeds.
+ */
+
+typedef struct {
+    int64_t n;
+    const int64_t *indptr, *indices;
+    const double *mult;
+    const int64_t *vweight;
+} csr_t;
+
+static int64_t csr_total(const csr_t *g) {
+    int64_t total = 0;
+    for (int64_t v = 0; v < g->n; v++)
+        total += g->vweight[v];
+    return total;
+}
+
+/*
+ * One gain-queue entry, ordered by (key, push counter). Counters are
  * distinct, so the order is total and any correct min-heap pops the
  * sequence heapq pops over the same pushes.
  */
@@ -819,6 +857,11 @@ typedef struct {
 
 static inline int fm_less(const fm_entry_t *a, const fm_entry_t *b) {
     return a->key < b->key || (a->key == b->key && a->counter < b->counter);
+}
+
+static int fm_entry_cmp(const void *a, const void *b) {
+    const fm_entry_t *x = a, *y = b;
+    return fm_less(x, y) ? -1 : fm_less(y, x) ? 1 : 0;
 }
 
 static void fm_sift_down(fm_entry_t *heap, int64_t size, int64_t i) {
@@ -862,59 +905,96 @@ static fm_entry_t fm_pop(fm_entry_t *heap, int64_t *size) {
 }
 
 /* Cut reduction of moving v: external minus internal, in row order. */
-static double fm_gain(int64_t v, const int64_t *indptr, const int64_t *indices,
-                      const double *mult, const uint8_t *side)
-{
+static double fm_gain(const csr_t *g, const uint8_t *side, int64_t v) {
     double internal = 0.0, external = 0.0;
-    for (int64_t e = indptr[v]; e < indptr[v + 1]; e++) {
-        if (side[indices[e]] == side[v])
-            internal += mult[e];
+    for (int64_t e = g->indptr[v]; e < g->indptr[v + 1]; e++) {
+        if (side[g->indices[e]] == side[v])
+            internal += g->mult[e];
         else
-            external += mult[e];
+            external += g->mult[e];
     }
     return external - internal;
 }
 
 /*
- * Fiduccia-Mattheyses refinement of side (0/1 bytes, refined in place)
- * over the CSR graph (indptr, indices, multiplicities, vertex weights):
- * repro.partition.fm.fm_refine's passes, decision for decision. Gains
- * are summed in row order over integer multiplicities held in doubles,
- * so every sum is exact and every 1e-12 test sees the same values. A
- * pass stops when its queue drains or when room, the cut the pass can
- * still remove, closes on the best prefix; it then rolls back to that
- * prefix. work[0] and work[1] grow by the queue pops and by n per pass
- * that queued a boundary.
- *
- * All scratch is allocated up front, before side is read: a heap of
- * n + nnz entries is enough, since a pass queues at most n boundary
- * vertices, each vertex moves at most once per pass and queues at most
- * its row, and a stale re-push replaces the entry just popped. Returns
- * 0, or DHL_NOMEM with side untouched.
+ * Scratch for a graph of up to n vertices and nnz pairs: a queue of
+ * n + nnz + 1 entries (FM and growing push at most that many; rebalance
+ * and packing sort at most n), two double and four int64 maps of n + 1,
+ * and three byte maps.
  */
-int dhl_fm_refine(
-    int64_t n, int64_t nnz, const int64_t *indptr, const int64_t *indices,
-    const double *mult, const int64_t *vweight, int64_t max_side_weight,
-    int64_t max_passes, uint8_t *side, int64_t *work)
-{
-    if (n < 0 || nnz < 0
-        || (uint64_t)n + (uint64_t)nnz >= SIZE_MAX / sizeof(fm_entry_t))
+typedef struct {
+    fm_entry_t *heap;
+    double *gains, *queued;
+    int64_t *moves, *ia, *ib, *ic;
+    uint8_t *flags;
+} scratch_t;
+
+static void scratch_free(scratch_t *s) {
+    free(s->heap);
+    free(s->gains);
+    free(s->queued);
+    free(s->moves);
+    free(s->ia);
+    free(s->ib);
+    free(s->ic);
+    free(s->flags);
+    memset(s, 0, sizeof *s);
+}
+
+/* Counts no allocation here could be sized for: every buffer holds at
+ * most 13 eight-byte items per vertex plus 3 per pair (less than 128
+ * bytes per item), so below this bound no size computation wraps. */
+static int oversized(int64_t n, int64_t nnz) {
+    return n < 0 || nnz < 0 || (uint64_t)n + (uint64_t)nnz >= SIZE_MAX / 128;
+}
+
+static int scratch_init(scratch_t *s, int64_t n, int64_t nnz) {
+    memset(s, 0, sizeof *s);
+    if (oversized(n, nnz))
         return DHL_NOMEM;
-    size_t cells = (size_t)n + 1, entries = (size_t)n + (size_t)nnz + 1;
-    fm_entry_t *heap = malloc(entries * sizeof(fm_entry_t));
-    double *gains = malloc(cells * sizeof(double));
-    double *queued = malloc(cells * sizeof(double));
-    int64_t *moves = malloc(cells * sizeof(int64_t));
-    /* three byte maps: gain known, locked, queued */
-    uint8_t *flags = malloc(3 * cells);
-    if (!heap || !gains || !queued || !moves || !flags) {
-        free(heap);
-        free(gains);
-        free(queued);
-        free(moves);
-        free(flags);
+    size_t cells = (size_t)n + 1;
+    s->heap = malloc(((size_t)n + (size_t)nnz + 1) * sizeof(fm_entry_t));
+    s->gains = malloc(cells * sizeof(double));
+    s->queued = malloc(cells * sizeof(double));
+    s->moves = malloc(cells * sizeof(int64_t));
+    s->ia = malloc(cells * sizeof(int64_t));
+    s->ib = malloc(cells * sizeof(int64_t));
+    s->ic = malloc(cells * sizeof(int64_t));
+    s->flags = malloc(3 * cells);
+    if (!s->heap || !s->gains || !s->queued || !s->moves || !s->ia
+        || !s->ib || !s->ic || !s->flags) {
+        scratch_free(s);
         return DHL_NOMEM;
     }
+    return 0;
+}
+
+/*
+ * Fiduccia-Mattheyses refinement of side (0/1 bytes, refined in place):
+ * repro.partition.fm.fm_refine's passes, decision for decision. Gains
+ * are summed in row order over integer multiplicities, so every sum is
+ * exact and every 1e-12 test sees the same values. A pass stops when
+ * its queue drains or when room, the cut the pass can still remove,
+ * closes on the best prefix; it then rolls back to that prefix. work[0]
+ * and work[1] grow by the queue pops and by n per pass that queued a
+ * boundary. The heap of n + nnz entries is enough: a pass queues at
+ * most n boundary vertices, each vertex moves at most once per pass and
+ * queues at most its row, and a stale re-push replaces the entry just
+ * popped.
+ */
+static void fm_run(const csr_t *g, int64_t max_side_weight,
+                   int64_t max_passes, uint8_t *side, int64_t *work,
+                   scratch_t *s)
+{
+    int64_t n = g->n;
+    const int64_t *indptr = g->indptr, *indices = g->indices;
+    const int64_t *vweight = g->vweight;
+    const double *mult = g->mult;
+    size_t cells = (size_t)n + 1;
+    fm_entry_t *heap = s->heap;
+    double *gains = s->gains, *queued = s->queued;
+    int64_t *moves = s->moves;
+    uint8_t *flags = s->flags;
     uint8_t *have_gain = flags, *locked = flags + cells;
     uint8_t *is_queued = flags + 2 * cells;
     int64_t side_weight[2] = {0, 0};
@@ -995,15 +1075,15 @@ int dhl_fm_refine(
                         room -= w; /* (u, v) stays cut for the pass */
                     continue;
                 }
-                double g;
+                double gu;
                 if (have_gain[u]) {
-                    g = gains[u] + (side[u] == sv ? 2.0 * w : -2.0 * w);
+                    gu = gains[u] + (side[u] == sv ? 2.0 * w : -2.0 * w);
                 } else {
-                    g = fm_gain(u, indptr, indices, mult, side);
+                    gu = fm_gain(g, side, u);
                     have_gain[u] = 1;
                 }
-                gains[u] = g;
-                double key = -g;
+                gains[u] = gu;
+                double key = -gu;
                 if (!is_queued[u])
                     live++;
                 else if (queued[u] <= key)
@@ -1026,13 +1106,1051 @@ int dhl_fm_refine(
         if (best_prefix == 0)
             break; /* no improvement: converged */
     }
-    free(heap);
-    free(gains);
-    free(queued);
-    free(moves);
-    free(flags);
+}
+
+/*
+ * Rebalance (repro.partition.fm.rebalance): while a side outweighs the
+ * bound, move its vertices across by gain, best first, ties in id
+ * order. Gains are taken before the first move. buf holds n entries.
+ */
+static void rebalance_run(const csr_t *g, int64_t max_side_weight,
+                          uint8_t *side, fm_entry_t *buf)
+{
+    int64_t side_weight[2] = {0, 0};
+    for (int64_t v = 0; v < g->n; v++)
+        side_weight[side[v]] += g->vweight[v];
+    for (uint8_t heavy = 0; heavy < 2; heavy++) {
+        if (side_weight[heavy] <= max_side_weight)
+            continue;
+        int64_t m = 0;
+        for (int64_t v = 0; v < g->n; v++)
+            if (side[v] == heavy)
+                buf[m++] = (fm_entry_t){-fm_gain(g, side, v), v, v};
+        qsort(buf, (size_t)m, sizeof *buf, fm_entry_cmp);
+        for (int64_t i = 0; i < m && side_weight[heavy] > max_side_weight; i++) {
+            int64_t v = buf[i].vertex;
+            side[v] = (uint8_t)(1 - heavy);
+            side_weight[heavy] -= g->vweight[v];
+            side_weight[1 - heavy] += g->vweight[v];
+        }
+    }
+}
+
+/*
+ * Greedy graph growing (repro.partition.initial.greedy_growing): side 0
+ * grows from seed to half the total weight, the frontier popped by
+ * (external minus internal cost, push counter). The queue holds at most
+ * nnz + 1 entries: each absorbed vertex pushes at most its row.
+ */
+static void grow_run(const csr_t *g, int64_t total, int64_t seed,
+                     uint8_t *side, fm_entry_t *heap)
+{
+    int64_t n = g->n;
+    if (n == 0)
+        return;
+    double half = (double)total / 2.0;
+    memset(side, 1, (size_t)n);
+    int64_t grown = 0, size = 1, counter = 1;
+    heap[0] = (fm_entry_t){0.0, 0, seed};
+    while (size > 0 && (double)grown < half) {
+        int64_t v = fm_pop(heap, &size).vertex;
+        if (!side[v])
+            continue;
+        side[v] = 0;
+        grown += g->vweight[v];
+        for (int64_t e = g->indptr[v]; e < g->indptr[v + 1]; e++) {
+            int64_t u = g->indices[e];
+            if (!side[u])
+                continue;
+            double cost = 0.0;
+            for (int64_t f = g->indptr[u]; f < g->indptr[u + 1]; f++)
+                cost += side[g->indices[f]] ? g->mult[f] : -g->mult[f];
+            fm_push(heap, &size, cost, counter++, u);
+        }
+    }
+    if (grown == 0)
+        side[seed] = 0;
+}
+
+/* BFS from start: hop distances (-1 where unreached) and visit order;
+ * returns the number visited. */
+static int64_t bfs_run(const csr_t *g, int64_t start, int64_t *dist,
+                       int64_t *order)
+{
+    for (int64_t v = 0; v < g->n; v++)
+        dist[v] = -1;
+    dist[start] = 0;
+    order[0] = start;
+    int64_t count = 1;
+    for (int64_t i = 0; i < count; i++) {
+        int64_t v = order[i], hop = dist[v] + 1;
+        for (int64_t e = g->indptr[v]; e < g->indptr[v + 1]; e++) {
+            int64_t u = g->indices[e];
+            if (dist[u] < 0) {
+                dist[u] = hop;
+                order[count++] = u;
+            }
+        }
+    }
+    return count;
+}
+
+/* Side 0 = the shortest prefix of order holding half the weight. */
+static void prefix_half(const csr_t *g, int64_t total, const int64_t *order,
+                        int64_t count, uint8_t *side)
+{
+    memset(side, 1, (size_t)g->n);
+    double half = (double)total / 2.0;
+    int64_t grown = 0;
+    for (int64_t i = 0; i < count && (double)grown < half; i++) {
+        side[order[i]] = 0;
+        grown += g->vweight[order[i]];
+    }
+}
+
+/*
+ * BFS halves (repro.partition.initial.bfs_halves): two sweeps from seed
+ * towards the periphery (the farthest vertex, ties to the largest id),
+ * then the BFS order from there, unreached vertices after it in id
+ * order, split at half the weight.
+ */
+static void bfs_halves_run(const csr_t *g, int64_t total, int64_t seed,
+                           uint8_t *side, int64_t *dist, int64_t *order)
+{
+    int64_t n = g->n;
+    if (n == 0)
+        return;
+    for (int sweep = 0; sweep < 2; sweep++) {
+        bfs_run(g, seed, dist, order);
+        seed = 0;
+        for (int64_t v = 1; v < n; v++)
+            if (dist[v] >= dist[seed])
+                seed = v;
+    }
+    int64_t count = bfs_run(g, seed, dist, order);
+    for (int64_t v = 0; v < n; v++)
+        if (dist[v] < 0)
+            order[count++] = v;
+    prefix_half(g, total, order, count, side);
+}
+
+/*
+ * Connected components (repro.partition.initial.components) in order of
+ * their smallest vertex, members in BFS order: component c is
+ * members[starts[c]:starts[c + 1]] and weighs weights[c]. starts holds
+ * n + 1 entries, seen n bytes. Returns the number of components.
+ */
+static int64_t components_run(const csr_t *g, int64_t *members,
+                              int64_t *starts, int64_t *weights,
+                              uint8_t *seen)
+{
+    memset(seen, 0, (size_t)g->n);
+    int64_t num = 0, count = 0;
+    for (int64_t start = 0; start < g->n; start++) {
+        if (seen[start])
+            continue;
+        seen[start] = 1;
+        starts[num] = count;
+        members[count++] = start;
+        int64_t weight = g->vweight[start];
+        for (int64_t i = starts[num]; i < count; i++) {
+            int64_t v = members[i];
+            for (int64_t e = g->indptr[v]; e < g->indptr[v + 1]; e++) {
+                int64_t u = g->indices[e];
+                if (!seen[u]) {
+                    seen[u] = 1;
+                    members[count++] = u;
+                    weight += g->vweight[u];
+                }
+            }
+        }
+        weights[num++] = weight;
+    }
+    starts[num] = count;
+    return num;
+}
+
+/*
+ * Place whole components (all but skip) on the lighter side, heaviest
+ * first; of equal weights the one found later goes first, as Python's
+ * reverse sort of (weight, members) tuples has it. buf holds num
+ * entries.
+ */
+static void pack_run(int64_t num, const int64_t *members,
+                     const int64_t *starts, const int64_t *weights,
+                     int64_t skip, uint8_t *side, int64_t side_weight[2],
+                     fm_entry_t *buf)
+{
+    int64_t m = 0;
+    for (int64_t c = 0; c < num; c++)
+        if (c != skip)
+            buf[m++] = (fm_entry_t){-(double)weights[c], -c, c};
+    qsort(buf, (size_t)m, sizeof *buf, fm_entry_cmp);
+    for (int64_t i = 0; i < m; i++) {
+        int64_t c = buf[i].vertex;
+        int target = side_weight[0] <= side_weight[1] ? 0 : 1;
+        side_weight[target] += weights[c];
+        if (target)
+            for (int64_t j = starts[c]; j < starts[c + 1]; j++)
+                side[members[j]] = 1;
+    }
+}
+
+/* Total multiplicity of the edges crossing side, in row order. */
+static double cut_weight_run(const csr_t *g, const uint8_t *side) {
+    double total = 0.0;
+    for (int64_t v = 0; v < g->n; v++)
+        for (int64_t e = g->indptr[v]; e < g->indptr[v + 1]; e++) {
+            int64_t u = g->indices[e];
+            if (v < u && side[u] != side[v])
+                total += g->mult[e];
+        }
+    return total;
+}
+
+/*
+ * One heavy-edge matching level (repro.partition.coarsen.coarsen_once):
+ * vertices visited in perm order pair with their unmatched neighbour of
+ * heaviest multiplicity (ties: the lighter one, then the first in the
+ * row) unless the pair would outweigh max_vertex_weight. Coarse ids
+ * follow each cluster's smaller member; a coarse row lists what its
+ * members' rows meet, in first-meeting order, multiplicities summed in
+ * that order. Writes fine_to_coarse and the coarse CSR (at most n
+ * vertices and the fine pair count); returns the coarse vertex count.
+ * match, pos and first hold n entries each.
+ */
+static int64_t coarsen_run(const csr_t *g, const int64_t *perm,
+                           int64_t max_vertex_weight, int64_t *f2c,
+                           int64_t *c_indptr, int64_t *c_indices,
+                           double *c_mult, int64_t *c_vweight,
+                           int64_t *match, int64_t *pos, int64_t *first)
+{
+    int64_t n = g->n;
+    const int64_t *indptr = g->indptr, *indices = g->indices;
+    const int64_t *vweight = g->vweight;
+    for (int64_t v = 0; v < n; v++)
+        match[v] = -1;
+    for (int64_t i = 0; i < n; i++) {
+        int64_t v = perm[i];
+        if (match[v] != -1)
+            continue;
+        int64_t best = v, best_light = 0, room = max_vertex_weight - vweight[v];
+        double best_w = -1.0;
+        for (int64_t e = indptr[v]; e < indptr[v + 1]; e++) {
+            int64_t u = indices[e];
+            double w = g->mult[e];
+            if (match[u] != -1 || u == v || vweight[u] > room)
+                continue;
+            if (w > best_w || (w == best_w && -vweight[u] > best_light)) {
+                best_w = w;
+                best_light = -vweight[u];
+                best = u;
+            }
+        }
+        match[v] = best;
+        match[best] = v;
+    }
+
+    int64_t nc = 0;
+    for (int64_t v = 0; v < n; v++)
+        f2c[v] = -1;
+    for (int64_t v = 0; v < n; v++)
+        if (f2c[v] == -1) {
+            f2c[v] = f2c[match[v]] = nc;
+            first[nc++] = v;
+        }
+
+    int64_t nnz = 0;
+    c_indptr[0] = 0;
+    for (int64_t cv = 0; cv < nc; cv++)
+        pos[cv] = -1;
+    for (int64_t cv = 0; cv < nc; cv++) {
+        int64_t start = nnz, v = first[cv], partner = match[v];
+        c_vweight[cv] = vweight[v] + (partner != v ? vweight[partner] : 0);
+        for (int k = 0; k < 2; k++) {
+            int64_t x = k ? partner : v;
+            if (k && partner == v)
+                break;
+            for (int64_t e = indptr[x]; e < indptr[x + 1]; e++) {
+                int64_t cu = f2c[indices[e]];
+                if (cu == cv)
+                    continue;
+                if (pos[cu] < start) {
+                    pos[cu] = nnz;
+                    c_indices[nnz] = cu;
+                    c_mult[nnz++] = 0.0 + g->mult[e];
+                } else {
+                    c_mult[pos[cu]] += g->mult[e];
+                }
+            }
+        }
+        c_indptr[cv + 1] = nnz;
+    }
+    return nc;
+}
+
+/*
+ * Minimum vertex cover of the cut edges (a[i] on side 0, b[i] on side
+ * 1, ids in [0, n)), as repro.partition.separator builds it: left and
+ * right classes in id order, each left vertex's edges in cut order
+ * without repeats, a Hopcroft-Karp maximum matching, then Koenig's
+ * construction from the unmatched left vertices. Marks the cover in
+ * in_sep (n bytes) and returns its size, or DHL_NOMEM.
+ */
+static int64_t separator_run(int64_t n, int64_t m, const int64_t *a,
+                             const int64_t *b, uint8_t *in_sep)
+{
+    if (oversized(n, m))
+        return DHL_NOMEM;
+    memset(in_sep, 0, (size_t)n);
+    if (m == 0)
+        return 0;
+    size_t cells = (size_t)n + 1;
+    int64_t *block = malloc((12 * cells + (size_t)m) * sizeof(int64_t));
+    uint8_t *visited = malloc(2 * cells);
+    if (!block || !visited) {
+        free(block);
+        free(visited);
+        return DHL_NOMEM;
+    }
+    int64_t *lidx = block, *ridx = lidx + cells, *left = ridx + cells;
+    int64_t *right = left + cells, *adj_ptr = right + cells;
+    int64_t *cursor = adj_ptr + cells, *match_left = cursor + cells;
+    int64_t *match_right = match_left + cells, *dist = match_right + cells;
+    int64_t *queue = dist + cells, *stack_node = queue + cells;
+    int64_t *stack_it = stack_node + cells, *adj = stack_it + cells;
+    uint8_t *visited_left = visited, *visited_right = visited + cells;
+    const int64_t inf = INT64_MAX;
+
+    for (int64_t v = 0; v < n; v++)
+        lidx[v] = ridx[v] = -1;
+    for (int64_t i = 0; i < m; i++) {
+        lidx[a[i]] = -2;
+        ridx[b[i]] = -2;
+    }
+    int64_t num_left = 0, num_right = 0;
+    for (int64_t v = 0; v < n; v++) {
+        if (lidx[v] == -2) {
+            left[num_left] = v;
+            lidx[v] = num_left++;
+        }
+        if (ridx[v] == -2) {
+            right[num_right] = v;
+            ridx[v] = num_right++;
+        }
+    }
+    /* edges grouped by left vertex, cut order kept, repeats dropped */
+    for (int64_t l = 0; l <= num_left; l++)
+        adj_ptr[l] = 0;
+    for (int64_t i = 0; i < m; i++)
+        adj_ptr[lidx[a[i]] + 1]++;
+    for (int64_t l = 0; l < num_left; l++) {
+        adj_ptr[l + 1] += adj_ptr[l];
+        cursor[l] = adj_ptr[l];
+    }
+    for (int64_t i = 0; i < m; i++)
+        adj[cursor[lidx[a[i]]]++] = ridx[b[i]];
+    for (int64_t r = 0; r < num_right; r++)
+        cursor[r] = -1; /* now: the left vertex that last listed r */
+    int64_t kept = 0, old_start = 0;
+    for (int64_t l = 0; l < num_left; l++) {
+        int64_t old_end = adj_ptr[l + 1];
+        adj_ptr[l] = kept;
+        for (int64_t j = old_start; j < old_end; j++) {
+            int64_t r = adj[j];
+            if (cursor[r] != l) {
+                cursor[r] = l;
+                adj[kept++] = r;
+            }
+        }
+        old_start = old_end;
+    }
+    adj_ptr[num_left] = kept;
+
+    for (int64_t l = 0; l < num_left; l++)
+        match_left[l] = -1;
+    for (int64_t r = 0; r < num_right; r++)
+        match_right[r] = -1;
+    for (;;) {
+        /* BFS layers from the free left vertices */
+        int64_t head = 0, tail = 0;
+        int found = 0;
+        for (int64_t l = 0; l < num_left; l++) {
+            if (match_left[l] == -1) {
+                dist[l] = 0;
+                queue[tail++] = l;
+            } else {
+                dist[l] = inf;
+            }
+        }
+        while (head < tail) {
+            int64_t l = queue[head++];
+            for (int64_t j = adj_ptr[l]; j < adj_ptr[l + 1]; j++) {
+                int64_t next = match_right[adj[j]];
+                if (next == -1) {
+                    found = 1;
+                } else if (dist[next] == inf) {
+                    dist[next] = dist[l] + 1;
+                    queue[tail++] = next;
+                }
+            }
+        }
+        if (!found)
+            break;
+        /* one augmenting DFS per free left vertex, in id order */
+        for (int64_t root = 0; root < num_left; root++) {
+            if (match_left[root] != -1)
+                continue;
+            int64_t top = 0;
+            stack_node[0] = root;
+            stack_it[0] = adj_ptr[root];
+            for (;;) {
+                int64_t l = stack_node[top];
+                if (stack_it[top] == adj_ptr[l + 1]) {
+                    dist[l] = inf; /* every edge failed */
+                    if (top == 0)
+                        break;
+                    stack_it[--top]++;
+                    continue;
+                }
+                int64_t r = adj[stack_it[top]], next = match_right[r];
+                if (next == -1) {
+                    for (int64_t d = top; d >= 0; d--) {
+                        int64_t ld = stack_node[d], rd = adj[stack_it[d]];
+                        match_left[ld] = rd;
+                        match_right[rd] = ld;
+                    }
+                    break;
+                }
+                if (dist[l] != inf && dist[next] == dist[l] + 1) {
+                    stack_node[++top] = next;
+                    stack_it[top] = adj_ptr[next];
+                } else {
+                    stack_it[top]++;
+                }
+            }
+        }
+    }
+
+    /* Koenig: alternating BFS from the unmatched left vertices */
+    memset(visited, 0, 2 * cells);
+    int64_t head = 0, tail = 0;
+    for (int64_t l = 0; l < num_left; l++)
+        if (match_left[l] == -1) {
+            visited_left[l] = 1;
+            queue[tail++] = l;
+        }
+    while (head < tail) {
+        int64_t l = queue[head++];
+        for (int64_t j = adj_ptr[l]; j < adj_ptr[l + 1]; j++) {
+            int64_t r = adj[j];
+            if (!visited_right[r] && match_left[l] != r) {
+                visited_right[r] = 1;
+                int64_t next = match_right[r];
+                if (next != -1 && !visited_left[next]) {
+                    visited_left[next] = 1;
+                    queue[tail++] = next;
+                }
+            }
+        }
+    }
+    int64_t size = 0;
+    for (int64_t l = 0; l < num_left; l++)
+        if (!visited_left[l] && !in_sep[left[l]]) {
+            in_sep[left[l]] = 1;
+            size++;
+        }
+    for (int64_t r = 0; r < num_right; r++)
+        if (visited_right[r] && !in_sep[right[r]]) {
+            in_sep[right[r]] = 1;
+            size++;
+        }
+    free(block);
+    free(visited);
+    return size;
+}
+
+/* ------------------------------------------------------------------ */
+/* the partitioner's steps, one call each (the wrappers' parity checks) */
+/* ------------------------------------------------------------------ */
+
+/*
+ * Each step over caller arrays, with its own scratch; 0 (or a count),
+ * or DHL_NOMEM with the outputs untouched. side is n bytes of 0/1,
+ * every id lies in [0, n) and perm is a permutation: the wrappers
+ * check all of it.
+ */
+int dhl_fm_refine(
+    int64_t n, int64_t nnz, const int64_t *indptr, const int64_t *indices,
+    const double *mult, const int64_t *vweight, int64_t max_side_weight,
+    int64_t max_passes, uint8_t *side, int64_t *work)
+{
+    scratch_t s;
+    if (scratch_init(&s, n, nnz))
+        return DHL_NOMEM;
+    csr_t g = {n, indptr, indices, mult, vweight};
+    fm_run(&g, max_side_weight, max_passes, side, work, &s);
+    scratch_free(&s);
     return 0;
 }
+
+int dhl_step_rebalance(
+    int64_t n, const int64_t *indptr, const int64_t *indices,
+    const double *mult, const int64_t *vweight, int64_t max_side_weight,
+    uint8_t *side)
+{
+    if (oversized(n, 0))
+        return DHL_NOMEM;
+    fm_entry_t *buf = malloc(((size_t)n + 1) * sizeof(fm_entry_t));
+    if (!buf)
+        return DHL_NOMEM;
+    csr_t g = {n, indptr, indices, mult, vweight};
+    rebalance_run(&g, max_side_weight, side, buf);
+    free(buf);
+    return 0;
+}
+
+int dhl_step_grow(
+    int64_t n, int64_t nnz, const int64_t *indptr, const int64_t *indices,
+    const double *mult, const int64_t *vweight, int64_t seed, uint8_t *side)
+{
+    if (oversized(n, nnz))
+        return DHL_NOMEM;
+    fm_entry_t *heap = malloc(((size_t)n + (size_t)nnz + 1) * sizeof(fm_entry_t));
+    if (!heap)
+        return DHL_NOMEM;
+    csr_t g = {n, indptr, indices, mult, vweight};
+    grow_run(&g, csr_total(&g), seed, side, heap);
+    free(heap);
+    return 0;
+}
+
+int dhl_step_bfs_halves(
+    int64_t n, const int64_t *indptr, const int64_t *indices,
+    const int64_t *vweight, int64_t seed, uint8_t *side)
+{
+    if (oversized(n, 0))
+        return DHL_NOMEM;
+    int64_t *dist = malloc(2 * ((size_t)n + 1) * sizeof(int64_t));
+    if (!dist)
+        return DHL_NOMEM;
+    csr_t g = {n, indptr, indices, NULL, vweight};
+    bfs_halves_run(&g, csr_total(&g), seed, side, dist, dist + n + 1);
+    free(dist);
+    return 0;
+}
+
+int64_t dhl_step_components(
+    int64_t n, const int64_t *indptr, const int64_t *indices,
+    const int64_t *vweight, int64_t *members, int64_t *starts,
+    int64_t *weights)
+{
+    if (oversized(n, 0))
+        return DHL_NOMEM;
+    uint8_t *seen = malloc((size_t)n + 1);
+    if (!seen)
+        return DHL_NOMEM;
+    csr_t g = {n, indptr, indices, NULL, vweight};
+    int64_t num = components_run(&g, members, starts, weights, seen);
+    free(seen);
+    return num;
+}
+
+int64_t dhl_step_coarsen(
+    int64_t n, const int64_t *indptr, const int64_t *indices,
+    const double *mult, const int64_t *vweight, const int64_t *perm,
+    int64_t max_vertex_weight, int64_t *fine_to_coarse, int64_t *c_indptr,
+    int64_t *c_indices, double *c_mult, int64_t *c_vweight)
+{
+    if (oversized(n, 0))
+        return DHL_NOMEM;
+    int64_t *match = malloc(3 * ((size_t)n + 1) * sizeof(int64_t));
+    if (!match)
+        return DHL_NOMEM;
+    csr_t g = {n, indptr, indices, mult, vweight};
+    int64_t nc = coarsen_run(&g, perm, max_vertex_weight, fine_to_coarse,
+                             c_indptr, c_indices, c_mult, c_vweight, match,
+                             match + n + 1, match + 2 * (n + 1));
+    free(match);
+    return nc;
+}
+
+double dhl_step_cut_weight(
+    int64_t n, const int64_t *indptr, const int64_t *indices,
+    const double *mult, const uint8_t *side)
+{
+    csr_t g = {n, indptr, indices, mult, NULL};
+    return cut_weight_run(&g, side);
+}
+
+int64_t dhl_step_separator(
+    int64_t n, int64_t m, const int64_t *a, const int64_t *b, uint8_t *in_sep)
+{
+    return separator_run(n, m, a, b, in_sep);
+}
+
+/* ------------------------------------------------------------------ */
+/* the partitioner's context: one bisection after another              */
+/* ------------------------------------------------------------------ */
+
+/*
+ * A context over one source graph (borrowed: the caller keeps its
+ * arrays alive and unchanged for the context's life) runs
+ * repro.partition.multilevel.multilevel_bisection on one vertex subset
+ * at a time, every graph of it in its own memory, none in Python:
+ *
+ *   dhl_part_load         the induced subgraph of the subset, in subset
+ *                         order, and its components; returns their count
+ *   dhl_part_disconnected more than one: pack the components (returns
+ *                         1, done) or make the giant one the working
+ *                         graph (returns 0)
+ *   dhl_part_coarsen      one heavy-edge level from the caller's
+ *                         permutation; 0 when it shrank by less than
+ *                         min_shrink (the level is dropped)
+ *   dhl_part_initial      the growing trials from the caller's seeds
+ *                         (a repeated seed is skipped) and BFS halves,
+ *                         each rebalanced, refined once per distinct side
+ *                         and cut-weighed; cut[0] = the best cut
+ *   dhl_part_coarsest     copy the coarsest graph out (the caller's
+ *                         spectral candidate needs its Laplacian)
+ *   dhl_part_consider     one more candidate side on the coarsest graph
+ *   dhl_part_project      back up the levels, rebalance + FM at each,
+ *                         the final rebalance (and the giant's crumbs),
+ *                         then the cut: cut[0] its weight
+ *   dhl_part_result       copy the side and the cut edges out
+ *   dhl_part_split        the minimum vertex separator of the cut and
+ *                         the two sides without it, as source ids
+ *
+ * info[] describes the working level after each call (vertices, pairs,
+ * total weight) and the result's counts; work[] counts FM's pops and
+ * pass-vertices as dhl_fm_refine does. Everything is allocated by
+ * dhl_part_new, sized to the source graph, except the coarse levels and
+ * the giant's graph (allocated per bisection, freed by the next load).
+ */
+
+enum {
+    INFO_N, INFO_NNZ, INFO_TOTAL, INFO_CUT_EDGES,
+    INFO_SEPARATOR, INFO_LEFT, INFO_RIGHT
+};
+
+#define MAX_CANDIDATES 8
+
+typedef struct {
+    int64_t n, nnz, total;
+    int64_t *indptr, *indices, *vweight;
+    double *mult;
+    /* a coarse level's fine-to-coarse map, or the giant's member ids */
+    int64_t *map;
+} level_t;
+
+typedef struct {
+    csr_t source;
+    double beta;
+    int64_t *out, *info, *work;
+    double *cut;
+    int64_t *local_of, *subset, loaded;
+    level_t *levels;
+    int64_t num_levels, cap_levels, base;
+    int64_t num_comps, giant, *members, *starts, *weights;
+    uint8_t *side, *best, *cand, *memo;
+    int64_t num_memo;
+    double best_cut;
+    int64_t *cut_a, *cut_b, num_cut;
+    scratch_t s;
+} part_t;
+
+static csr_t level_csr(const level_t *l) {
+    csr_t g = {l->n, l->indptr, l->indices, l->mult, l->vweight};
+    return g;
+}
+
+static void level_free(level_t *l) {
+    free(l->indptr);
+    free(l->indices);
+    free(l->vweight);
+    free(l->mult);
+    free(l->map);
+    memset(l, 0, sizeof *l);
+}
+
+static int level_alloc(level_t *l, int64_t n, int64_t nnz) {
+    memset(l, 0, sizeof *l);
+    if (oversized(n, nnz))
+        return DHL_NOMEM;
+    size_t cells = (size_t)n + 1, pairs = (size_t)nnz + 1;
+    l->indptr = malloc(cells * sizeof(int64_t));
+    l->indices = malloc(pairs * sizeof(int64_t));
+    l->vweight = malloc(cells * sizeof(int64_t));
+    l->mult = malloc(pairs * sizeof(double));
+    l->map = malloc(cells * sizeof(int64_t));
+    if (!l->indptr || !l->indices || !l->vweight || !l->mult || !l->map) {
+        level_free(l);
+        return DHL_NOMEM;
+    }
+    return 0;
+}
+
+/* (1 - beta) of the total, never below half of it (rounded up). */
+static int64_t max_side_weight(double beta, int64_t total) {
+    int64_t bound = (int64_t)floor((1.0 - beta) * (double)total);
+    int64_t half = (total + 1) / 2;
+    return bound > half ? bound : half;
+}
+
+static level_t *top_level(part_t *p) {
+    return &p->levels[p->num_levels - 1];
+}
+
+static void describe(part_t *p) {
+    level_t *l = top_level(p);
+    p->info[INFO_N] = l->n;
+    p->info[INFO_NNZ] = l->nnz;
+    p->info[INFO_TOTAL] = l->total;
+}
+
+static int push_level(part_t *p) {
+    if (p->num_levels == p->cap_levels) {
+        int64_t cap = 2 * p->cap_levels;
+        level_t *levels = realloc(p->levels, (size_t)cap * sizeof(level_t));
+        if (!levels)
+            return DHL_NOMEM;
+        p->levels = levels;
+        p->cap_levels = cap;
+    }
+    p->num_levels++;
+    return 0;
+}
+
+void dhl_part_free(part_t *p) {
+    if (!p)
+        return;
+    if (p->levels)
+        for (int64_t k = 0; k < p->num_levels; k++)
+            level_free(&p->levels[k]);
+    free(p->levels);
+    free(p->local_of);
+    free(p->subset);
+    free(p->members);
+    free(p->starts);
+    free(p->weights);
+    free(p->side);
+    free(p->best);
+    free(p->cand);
+    free(p->memo);
+    free(p->cut_a);
+    free(p->cut_b);
+    scratch_free(&p->s);
+    free(p);
+}
+
+part_t *dhl_part_new(
+    int64_t n, int64_t nnz, const int64_t *indptr, const int64_t *indices,
+    const double *mult, const int64_t *vweight, double beta, int64_t *out,
+    int64_t *info, double *cut, int64_t *work)
+{
+    if (oversized(n, nnz))
+        return NULL;
+    part_t *p = calloc(1, sizeof *p);
+    if (!p)
+        return NULL;
+    p->source = (csr_t){n, indptr, indices, mult, vweight};
+    p->beta = beta;
+    p->out = out;
+    p->info = info;
+    p->cut = cut;
+    p->work = work;
+    size_t cells = (size_t)n + 1, pairs = (size_t)nnz + 1;
+    p->local_of = malloc(cells * sizeof(int64_t));
+    p->subset = malloc(cells * sizeof(int64_t));
+    p->members = malloc(cells * sizeof(int64_t));
+    p->starts = malloc((cells + 1) * sizeof(int64_t));
+    p->weights = malloc(cells * sizeof(int64_t));
+    p->side = malloc(cells);
+    p->best = malloc(cells);
+    p->cand = malloc(cells);
+    p->memo = malloc(MAX_CANDIDATES * cells);
+    p->cut_a = malloc(pairs * sizeof(int64_t));
+    p->cut_b = malloc(pairs * sizeof(int64_t));
+    p->cap_levels = 8;
+    p->levels = calloc((size_t)p->cap_levels, sizeof(level_t));
+    if (!p->local_of || !p->subset || !p->members || !p->starts
+        || !p->weights || !p->side || !p->best || !p->cand || !p->memo
+        || !p->cut_a || !p->cut_b || !p->levels
+        || scratch_init(&p->s, n, nnz)
+        || level_alloc(&p->levels[0], n, nnz)) {
+        dhl_part_free(p);
+        return NULL;
+    }
+    p->num_levels = 1;
+    for (int64_t v = 0; v < n; v++)
+        p->local_of[v] = -1;
+    return p;
+}
+
+int64_t dhl_part_load(part_t *p, int64_t count, const int64_t *subset) {
+    for (int64_t i = 0; i < p->loaded; i++)
+        p->local_of[p->subset[i]] = -1;
+    for (int64_t k = 1; k < p->num_levels; k++)
+        level_free(&p->levels[k]);
+    p->num_levels = 1;
+    p->base = 0;
+    p->loaded = count;
+    memcpy(p->subset, subset, (size_t)count * sizeof(int64_t));
+    for (int64_t i = 0; i < count; i++)
+        p->local_of[subset[i]] = i;
+
+    const csr_t *src = &p->source;
+    level_t *l = &p->levels[0];
+    int64_t nnz = 0, total = 0;
+    l->indptr[0] = 0;
+    for (int64_t i = 0; i < count; i++) {
+        int64_t v = subset[i];
+        for (int64_t e = src->indptr[v]; e < src->indptr[v + 1]; e++) {
+            int64_t u = p->local_of[src->indices[e]];
+            if (u >= 0) {
+                l->indices[nnz] = u;
+                l->mult[nnz++] = src->mult[e];
+            }
+        }
+        l->indptr[i + 1] = nnz;
+        l->vweight[i] = src->vweight[v];
+        total += src->vweight[v];
+    }
+    l->n = count;
+    l->nnz = nnz;
+    l->total = total;
+    csr_t g = level_csr(l);
+    p->num_comps = components_run(&g, p->members, p->starts, p->weights,
+                                  p->s.flags);
+    describe(p);
+    return p->num_comps;
+}
+
+/* The cut of the source-level side: weight and (side 0, side 1) edges. */
+static void finish(part_t *p) {
+    level_t *root = &p->levels[0];
+    const uint8_t *side = p->side;
+    double weight = 0.0;
+    int64_t m = 0;
+    for (int64_t v = 0; v < root->n; v++)
+        for (int64_t e = root->indptr[v]; e < root->indptr[v + 1]; e++) {
+            int64_t u = root->indices[e];
+            if (v < u && side[u] != side[v]) {
+                weight += root->mult[e];
+                p->cut_a[m] = side[v] ? u : v;
+                p->cut_b[m++] = side[v] ? v : u;
+            }
+        }
+    p->num_cut = m;
+    p->cut[0] = weight;
+    p->info[INFO_CUT_EDGES] = m;
+}
+
+int64_t dhl_part_disconnected(part_t *p) {
+    level_t *root = &p->levels[0];
+    csr_t g = level_csr(root);
+    int64_t bound = max_side_weight(p->beta, root->total), giant = 0;
+    for (int64_t c = 1; c < p->num_comps; c++)
+        if (p->weights[c] > p->weights[giant])
+            giant = c;
+    p->giant = giant;
+    if (p->weights[giant] <= bound) {
+        int64_t side_weight[2] = {0, 0};
+        memset(p->side, 0, (size_t)root->n);
+        pack_run(p->num_comps, p->members, p->starts, p->weights, -1,
+                 p->side, side_weight, p->s.heap);
+        rebalance_run(&g, bound, p->side, p->s.heap);
+        fm_run(&g, bound, 8, p->side, p->work, &p->s);
+        finish(p);
+        return 1;
+    }
+    /* the giant alone, its members in BFS order, is the working graph */
+    const int64_t *members = p->members + p->starts[giant];
+    int64_t n = p->starts[giant + 1] - p->starts[giant], nnz = 0;
+    int64_t *local = p->s.ia;
+    for (int64_t j = 0; j < n; j++) {
+        local[members[j]] = j;
+        nnz += root->indptr[members[j] + 1] - root->indptr[members[j]];
+    }
+    if (push_level(p))
+        return DHL_NOMEM;
+    root = &p->levels[0];
+    level_t *sub = top_level(p);
+    if (level_alloc(sub, n, nnz)) {
+        p->num_levels--;
+        return DHL_NOMEM;
+    }
+    int64_t k = 0;
+    sub->indptr[0] = 0;
+    for (int64_t j = 0; j < n; j++) {
+        int64_t v = members[j];
+        for (int64_t e = root->indptr[v]; e < root->indptr[v + 1]; e++) {
+            sub->indices[k] = local[root->indices[e]];
+            sub->mult[k++] = root->mult[e];
+        }
+        sub->indptr[j + 1] = k;
+        sub->vweight[j] = root->vweight[v];
+        sub->map[j] = v;
+    }
+    sub->n = n;
+    sub->nnz = nnz;
+    sub->total = p->weights[giant];
+    p->base = 1;
+    describe(p);
+    return 0;
+}
+
+int64_t dhl_part_coarsen(part_t *p, const int64_t *perm,
+                         int64_t max_vertex_weight, double min_shrink)
+{
+    if (push_level(p))
+        return DHL_NOMEM;
+    level_t *fine = &p->levels[p->num_levels - 2];
+    level_t *coarse = top_level(p);
+    if (level_alloc(coarse, fine->n, fine->nnz)) {
+        p->num_levels--;
+        return DHL_NOMEM;
+    }
+    csr_t g = level_csr(fine);
+    int64_t nc = coarsen_run(&g, perm, max_vertex_weight, coarse->map,
+                             coarse->indptr, coarse->indices, coarse->mult,
+                             coarse->vweight, p->s.ia, p->s.ib, p->s.ic);
+    if ((double)nc >= (double)fine->n * min_shrink) {
+        level_free(coarse); /* matching stalled */
+        p->num_levels--;
+        return 0;
+    }
+    coarse->n = nc;
+    coarse->nnz = coarse->indptr[nc];
+    coarse->total = fine->total;
+    describe(p);
+    return nc;
+}
+
+/* Rebalance cand; unless an equal side was refined already, refine it
+ * and keep it if it cuts strictly less than the best so far. */
+static void consider(part_t *p) {
+    level_t *top = top_level(p);
+    csr_t g = level_csr(top);
+    size_t n = (size_t)top->n;
+    int64_t bound = max_side_weight(p->beta, top->total);
+    rebalance_run(&g, bound, p->cand, p->s.heap);
+    for (int64_t k = 0; k < p->num_memo; k++)
+        if (!memcmp(p->memo + (size_t)k * n, p->cand, n))
+            return;
+    if (p->num_memo < MAX_CANDIDATES)
+        memcpy(p->memo + (size_t)p->num_memo++ * n, p->cand, n);
+    fm_run(&g, bound, 8, p->cand, p->work, &p->s);
+    double cut = cut_weight_run(&g, p->cand);
+    if (cut < p->best_cut) {
+        p->best_cut = cut;
+        memcpy(p->best, p->cand, n);
+    }
+}
+
+void dhl_part_initial(part_t *p, const int64_t *seeds, int64_t trials) {
+    level_t *top = top_level(p);
+    csr_t g = level_csr(top);
+    p->best_cut = INFINITY;
+    p->num_memo = 0;
+    for (int64_t t = 0; t < trials; t++) {
+        int repeat = 0;
+        for (int64_t k = 0; k < t; k++)
+            repeat |= seeds[k] == seeds[t];
+        if (repeat)
+            continue;
+        grow_run(&g, top->total, seeds[t], p->cand, p->s.heap);
+        consider(p);
+    }
+    bfs_halves_run(&g, top->total, seeds[trials], p->cand, p->s.ia, p->s.ib);
+    consider(p);
+    p->cut[0] = p->best_cut;
+}
+
+void dhl_part_coarsest(part_t *p, int64_t *indptr, int64_t *indices,
+                       double *mult, int64_t *vweight)
+{
+    level_t *top = top_level(p);
+    memcpy(indptr, top->indptr, (size_t)(top->n + 1) * sizeof(int64_t));
+    memcpy(indices, top->indices, (size_t)top->nnz * sizeof(int64_t));
+    memcpy(mult, top->mult, (size_t)top->nnz * sizeof(double));
+    memcpy(vweight, top->vweight, (size_t)top->n * sizeof(int64_t));
+}
+
+void dhl_part_consider(part_t *p, const uint8_t *side) {
+    memcpy(p->cand, side, (size_t)top_level(p)->n);
+    consider(p);
+    p->cut[0] = p->best_cut;
+}
+
+void dhl_part_project(part_t *p) {
+    level_t *work = &p->levels[p->base];
+    int64_t bound = max_side_weight(p->beta, work->total);
+    uint8_t *side = p->best;
+    for (int64_t k = p->num_levels - 1; k > p->base; k--) {
+        level_t *fine = &p->levels[k - 1];
+        const int64_t *f2c = p->levels[k].map;
+        uint8_t *next = side == p->best ? p->cand : p->best;
+        for (int64_t v = 0; v < fine->n; v++)
+            next[v] = side[f2c[v]];
+        csr_t g = level_csr(fine);
+        rebalance_run(&g, bound, next, p->s.heap);
+        fm_run(&g, bound, 8, next, p->work, &p->s);
+        side = next;
+    }
+    csr_t g = level_csr(work);
+    rebalance_run(&g, bound, side, p->s.heap);
+    level_t *root = &p->levels[0];
+    if (p->base == 0) {
+        memcpy(p->side, side, (size_t)root->n);
+    } else {
+        /* the giant's sides, then the crumbs packed around them */
+        int64_t side_weight[2] = {0, 0};
+        memset(p->side, 0, (size_t)root->n);
+        for (int64_t j = 0; j < work->n; j++) {
+            int64_t v = work->map[j];
+            p->side[v] = side[j];
+            side_weight[side[j]] += root->vweight[v];
+        }
+        pack_run(p->num_comps, p->members, p->starts, p->weights, p->giant,
+                 p->side, side_weight, p->s.heap);
+        csr_t r = level_csr(root);
+        rebalance_run(&r, max_side_weight(p->beta, root->total), p->side,
+                      p->s.heap);
+    }
+    finish(p);
+}
+
+void dhl_part_result(part_t *p, uint8_t *side, int64_t *a, int64_t *b) {
+    memcpy(side, p->side, (size_t)p->levels[0].n);
+    memcpy(a, p->cut_a, (size_t)p->num_cut * sizeof(int64_t));
+    memcpy(b, p->cut_b, (size_t)p->num_cut * sizeof(int64_t));
+}
+
+int64_t dhl_part_split(part_t *p) {
+    int64_t n = p->levels[0].n;
+    uint8_t *in_sep = p->cand;
+    int64_t size = separator_run(n, p->num_cut, p->cut_a, p->cut_b, in_sep);
+    if (size < 0)
+        return size;
+    int64_t *out = p->out, k = 0;
+    for (int64_t v = 0; v < n; v++)
+        if (in_sep[v])
+            out[k++] = p->subset[v];
+    p->info[INFO_SEPARATOR] = k;
+    for (uint8_t s = 0; s < 2; s++) {
+        int64_t start = k;
+        for (int64_t v = 0; v < n; v++)
+            if (!in_sep[v] && p->side[v] == s)
+                out[k++] = p->subset[v];
+        p->info[INFO_LEFT + s] = k - start;
+    }
+    return 0;
+}
+
+/* ------------------------------------------------------------------ */
+/* construction: Algorithm 1's top-down pass                          */
+/* ------------------------------------------------------------------ */
 
 /*
  * Algorithm 1, lines 5-8: in stable tau order, every vertex v lowers

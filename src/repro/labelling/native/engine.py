@@ -29,12 +29,10 @@ import numpy as np
 
 from repro.labelling.maintenance import Engine
 from repro.labelling.native import library
-from repro.partition.types import side_bytes
 
 __all__ = [
     "ENGINE",
     "distance_matrix",
-    "fm_refine",
     "gather_pairs",
     "label_build",
     "min_plus",
@@ -334,37 +332,8 @@ def shard_batch(labels_s, labels_t, tables, boundary, block, s, t, fan):
 
 
 # ---------------------------------------------------------------------------
-# the build: FM refinement and Algorithm 1
+# the build: Algorithm 1
 # ---------------------------------------------------------------------------
-
-def fm_refine(
-    pgraph, side, max_side_weight: int, max_passes: int = 8, work=None
-) -> bytearray:
-    """:func:`repro.partition.fm.fm_refine` as one C loop, same decisions.
-
-    Reads ``pgraph.flat()``; *side* is any 0/1 sequence and is left as
-    it is. *work*, when given, is an int64 pair the kernel adds its
-    gain-queue pops and pass-vertices (n per pass that queued a
-    boundary) to.
-    """
-    indptr, indices, mult, vweight = pgraph.flat()
-    n, nnz = len(vweight), len(indices)
-    side = side_bytes(side)
-    buf = np.frombuffer(side, dtype=np.uint8)
-    if len(buf) != n or (n and buf.max() > 1):
-        raise ValueError(f"FM needs {n} sides of 0 or 1")
-    if work is None:
-        work = np.zeros(2, dtype=np.int64)
-    _checked(
-        library().dhl_fm_refine(
-            n, nnz, _addr(indptr, _I64, n + 1), _addr(indices, _I64, nnz),
-            _addr(mult, _F64, nnz), _addr(vweight, _I64, n),
-            max_side_weight, max_passes,
-            _addr(buf, _U8, n, write=True), _addr(work, _I64, 2, write=True),
-        )
-    )
-    return side
-
 
 def label_build(store, labels, order: np.ndarray) -> None:
     """Lines 5-8 of :func:`repro.labelling.build.build_labelling` as one

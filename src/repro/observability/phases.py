@@ -17,10 +17,17 @@ async frontend flushes on its executor thread.
 from __future__ import annotations
 
 import threading
-import time
 from contextlib import contextmanager
+from time import perf_counter
 
-__all__ = ["phase", "PhaseCollector", "collect_phases", "phases_active"]
+__all__ = [
+    "phase",
+    "phase_laps",
+    "PhaseCollector",
+    "PhaseLaps",
+    "collect_phases",
+    "phases_active",
+]
 
 # Globally-installed collectors. Appends/removes happen in collect_phases();
 # the list is read on every phase() call, so keep it a plain module global.
@@ -39,8 +46,24 @@ class PhaseCollector:
 
     def add(self, name: str, dt: float) -> None:
         with self._lock:
-            self.seconds[name] = self.seconds.get(name, 0.0) + dt
-            self.counts[name] = self.counts.get(name, 0) + 1
+            seconds = self.seconds
+            if name in seconds:
+                seconds[name] += dt
+                self.counts[name] += 1
+            else:
+                seconds[name] = dt
+                self.counts[name] = 1
+
+    def add_laps(self, laps: list[tuple[str, float]]) -> None:
+        with self._lock:
+            seconds, counts = self.seconds, self.counts
+            for name, dt in laps:
+                if name in seconds:
+                    seconds[name] += dt
+                    counts[name] += 1
+                else:
+                    seconds[name] = dt
+                    counts[name] = 1
 
     def as_dict(self) -> dict[str, float]:
         with self._lock:
@@ -68,11 +91,10 @@ class _PhaseCM:
         self._start = 0.0
 
     def __enter__(self):
-        self._start = time.perf_counter()
-        return None
+        self._start = perf_counter()
 
-    def __exit__(self, *exc) -> None:
-        dt = time.perf_counter() - self._start
+    def __exit__(self, exc_type, exc, tb) -> None:
+        dt = perf_counter() - self._start
         # Snapshot the list: a collector uninstalled mid-phase still
         # receives the measurement it was present for.
         for collector in tuple(_collectors):
@@ -84,6 +106,57 @@ def phase(name: str):
     if not _collectors:
         return _NULL_PHASE
     return _PhaseCM(name)
+
+
+class PhaseLaps:
+    """Back-to-back phases on one clock: :meth:`lap` ends the running
+    phase under *name* and starts the next, one clock read per boundary;
+    :meth:`close` hands all of them to the collectors at once. For a loop
+    whose phases follow each other with nothing in between, where a
+    ``phase()`` per step would cost as much as a short step. Each lap
+    counts as one ``phase()`` of its name."""
+
+    __slots__ = ("_last", "_laps")
+
+    def __init__(self) -> None:
+        self._laps: list[tuple[str, float]] = []
+        self._last = perf_counter()
+
+    def restart(self) -> None:
+        """Start the next phase now (what ran since the last lap is
+        nobody's)."""
+        self._last = perf_counter()
+
+    def lap(self, name: str) -> None:
+        now = perf_counter()
+        self._laps.append((name, now - self._last))
+        self._last = now
+
+    def close(self) -> None:
+        for collector in tuple(_collectors):
+            collector.add_laps(self._laps)
+        self._laps = []
+
+
+class _NullLaps:
+    __slots__ = ()
+
+    def restart(self) -> None:
+        pass
+
+    def lap(self, name: str) -> None:
+        pass
+
+    def close(self) -> None:
+        pass
+
+
+_NULL_LAPS = _NullLaps()
+
+
+def phase_laps() -> PhaseLaps | _NullLaps:
+    """A :class:`PhaseLaps`, or a no-op one when nobody is collecting."""
+    return PhaseLaps() if _collectors else _NULL_LAPS
 
 
 def phases_active() -> bool:

@@ -18,6 +18,16 @@ from repro.utils.rng import make_rng
 
 __all__ = ["coarsen_once", "coarsen_to_size", "CoarseningLevel"]
 
+#: A level that keeps this share of its graph's vertices or more ends
+#: coarsening (the matching stalled, e.g. on a star).
+MIN_SHRINK = 0.95
+
+
+def max_cluster_weight(total: int, target: int) -> int:
+    """Heaviest coarse vertex allowed, so the coarsest graph of about
+    *target* vertices can still be balanced."""
+    return max(1, math.ceil(total / max(8, target / 2)))
+
 
 class CoarseningLevel(NamedTuple):
     """One coarsening step: the coarse graph plus the fine->coarse map."""
@@ -91,7 +101,7 @@ def coarsen_to_size(
     pgraph: PartitionGraph,
     target: int,
     rng: np.random.Generator | int | None = None,
-    min_shrink: float = 0.95,
+    min_shrink: float = MIN_SHRINK,
 ) -> list[CoarseningLevel]:
     """Coarsen until at most *target* vertices or progress stalls.
 
@@ -101,9 +111,7 @@ def coarsen_to_size(
     rng = make_rng(rng)
     levels: list[CoarseningLevel] = []
     current = pgraph
-    total = current.total_vweight()
-    # Cap cluster weight so the coarsest graph can still be balanced.
-    max_vertex_weight = max(1, math.ceil(total / max(8, target / 2)))
+    max_vertex_weight = max_cluster_weight(current.total_vweight(), target)
     while current.num_vertices > target:
         level = coarsen_once(current, rng, max_vertex_weight)
         if level.graph.num_vertices >= current.num_vertices * min_shrink:

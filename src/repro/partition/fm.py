@@ -13,10 +13,10 @@ distinct and totally ordered, so the pop sequence depends only on what
 was pushed, and ties fall to the push counter — to the order the
 adjacency rows list their neighbours in.
 
-:func:`fm_refine` is the reference twin of the C kernel
-``dhl_fm_refine`` (:func:`repro.labelling.native.engine.fm_refine`),
+:func:`fm_refine` is the reference twin of the C kernel's FM (one call:
+``dhl_fm_refine`` behind :func:`repro.partition.kernels.fm_refine`),
 which the multilevel pipeline runs under the ``compiled`` engine: the
-same passes over ``PartitionGraph.flat()``, a binary heap of the same
+same passes over the same CSR rows, a binary heap of the same
 ``(key, push counter)`` entries, and the same row-order sums, so both
 make the same moves. This loop runs under ``reference`` and on a host
 without a compiler, and is the kernel's differential oracle.

@@ -4,9 +4,12 @@ Pipeline: heavy-edge coarsening down to ``COARSEST_SIZE`` (120) vertices,
 a portfolio of initial partitions on the coarsest graph (greedy graph
 growing from several seeds, BFS layering, spectral), Fiduccia-Mattheyses
 refinement, then projection back up the levels with refinement at each
-step. FM runs on the resolved engine: the ``dhl_fm_refine`` C kernel
-under ``compiled``, :func:`~repro.partition.fm.fm_refine` (its reference
-twin) otherwise; both make the same decisions.
+step. The pipeline forks once on the resolved engine: under
+``compiled`` :func:`compiled_bisection` runs every combinatorial step in
+the C context of :class:`repro.partition.kernels.Bisector`, and Python
+keeps numpy's draws (in the same order and count), the spectral
+candidate's eigensolve and nothing else; under ``reference`` the body
+below runs the Python steps. Both make the same decisions.
 
 The objective is the number of crossing *original* edges (multiplicities),
 since the query hierarchy's label sizes are driven by separator sizes,
@@ -20,8 +23,9 @@ import math
 import numpy as np
 
 from repro.exceptions import PartitionError
-from repro.observability.phases import phase
-from repro.partition.coarsen import coarsen_to_size
+from repro.observability.phases import PhaseLaps, phase, phase_laps
+from repro.partition import kernels
+from repro.partition.coarsen import MIN_SHRINK, coarsen_to_size, max_cluster_weight
 from repro.partition.fm import fm_refine, rebalance
 from repro.partition.initial import (
     bfs_halves,
@@ -30,11 +34,11 @@ from repro.partition.initial import (
     greedy_growing,
     pack_components,
 )
-from repro.partition.spectral import spectral_bisection
+from repro.partition.spectral import spectral_bisection, spectral_bisection_flat
 from repro.partition.types import Bipartition, PartitionGraph
 from repro.utils.rng import make_rng
 
-__all__ = ["multilevel_bisection"]
+__all__ = ["check_bisectable", "compiled_bisection", "multilevel_bisection"]
 
 
 def _cut_weight(pgraph: PartitionGraph, side) -> float:
@@ -56,22 +60,62 @@ COARSEST_SIZE = 120
 _GROWING_TRIALS = 4
 
 
-def _refiner(engine: str):
-    """FM refinement on the resolved *engine*."""
-    # Deferred: repro.labelling imports this package (via H_Q).
-    from repro.labelling import native
-
-    if native.resolved_engine(engine) == "compiled":
-        from repro.labelling.native.engine import fm_refine as native_fm_refine
-
-        return native_fm_refine
-    return fm_refine
-
-
 def _max_side_weight(total: int, beta: float) -> int:
     """Balance bound: each side at most (1 - beta) of the total weight."""
     bound = int(math.floor((1.0 - beta) * total))
     return max(bound, (total + 1) // 2)  # never infeasible
+
+
+def check_bisectable(n: int, beta: float) -> None:
+    """Raise :class:`PartitionError` where no bisection exists."""
+    if not 0.0 < beta <= 0.5:
+        raise PartitionError(f"beta must be in (0, 0.5], got {beta}")
+    if n < 2:
+        raise PartitionError("cannot bisect a graph with fewer than 2 vertices")
+
+
+def compiled_bisection(
+    bisector: kernels.Bisector,
+    subset,
+    rng: np.random.Generator,
+    laps: PhaseLaps,
+) -> None:
+    """:func:`multilevel_bisection` of the subgraph *subset* induces, on
+    the C context *bisector* (built with the balance ``beta``): the same
+    steps, draws and decisions as the reference body. The result stays
+    in the context (``result`` / ``parts`` / ``split``). The steps are
+    timed as *laps* of the reference body's phase names; the caller
+    closes them."""
+    laps.restart()
+    parts = bisector.load(subset)
+    laps.lap("partition.subgraph")
+    if parts > 1:
+        packed = bisector.disconnected()
+        laps.lap("partition.refine")
+        if packed:
+            return
+        if bisector.size < 2:  # the giant, bisected on its own
+            raise PartitionError("cannot bisect a graph with fewer than 2 vertices")
+    n = bisector.size
+    if n > COARSEST_SIZE:
+        max_vertex_weight = max_cluster_weight(bisector.total, COARSEST_SIZE)
+        while n > COARSEST_SIZE:
+            coarse = bisector.coarsen(rng.permutation(n), max_vertex_weight, MIN_SHRINK)
+            if not coarse:
+                break
+            n = coarse
+        laps.lap("partition.coarsen")
+    # One call draws what the growing trials and BFS halves draw one by
+    # one: the same stream, in the same order.
+    best_cut = bisector.initial(rng.integers(0, n, size=_GROWING_TRIALS + 1))
+    laps.lap("partition.initial")
+    if best_cut > 4.0:
+        spectral = spectral_bisection_flat(*bisector.coarsest())
+        if spectral is not None:
+            bisector.consider(spectral)
+        laps.lap("partition.spectral")
+    bisector.project()
+    laps.lap("partition.refine")
 
 
 def multilevel_bisection(
@@ -84,15 +128,20 @@ def multilevel_bisection(
 
     Both sides of the result weigh at most ``(1 - beta)`` of the total
     vertex weight (Definition 4.1's balance parameter). *engine* picks
-    the FM implementation; the result does not depend on it.
+    the implementation of every combinatorial step (the C context or
+    the Python bodies); the result does not depend on it.
     """
-    if not 0.0 < beta <= 0.5:
-        raise PartitionError(f"beta must be in (0, 0.5], got {beta}")
     n = pgraph.num_vertices
-    if n < 2:
-        raise PartitionError("cannot bisect a graph with fewer than 2 vertices")
+    check_bisectable(n, beta)
     rng = make_rng(seed)
-    refine = _refiner(engine)
+    if kernels.compiled(engine):
+        laps = phase_laps()
+        with kernels.Bisector(*pgraph.flat(), beta) as bisector:
+            try:
+                compiled_bisection(bisector, range(n), rng, laps)
+            finally:
+                laps.close()
+            return bisector.result()
     total = pgraph.total_vweight()
     max_side = _max_side_weight(total, beta)
 
@@ -109,7 +158,7 @@ def multilevel_bisection(
                 packed = component_packing(pgraph, comps)
                 assert packed is not None
                 packed = rebalance(pgraph, packed, max_side)
-                packed = refine(pgraph, packed, max_side)
+                packed = fm_refine(pgraph, packed, max_side)
                 return Bipartition.compute_cut(pgraph, packed)
         index = {v: i for i, v in enumerate(giant)}
         sub = PartitionGraph(
@@ -150,7 +199,7 @@ def multilevel_bisection(
         if key in refined:
             return
         refined.add(key)
-        cand = refine(coarsest, cand, coarse_max_side)
+        cand = fm_refine(coarsest, cand, coarse_max_side)
         cut = _cut_weight(coarsest, cand)
         if cut < best_cut:
             best_cut = cut
@@ -180,7 +229,7 @@ def multilevel_bisection(
             side = np.frombuffer(side, dtype=np.int8)[levels[k].fine_to_coarse]
             fine_max_side = _max_side_weight(fine_graph.total_vweight(), beta)
             side = rebalance(fine_graph, side, fine_max_side)
-            side = refine(fine_graph, side, fine_max_side)
+            side = fm_refine(fine_graph, side, fine_max_side)
 
         side = rebalance(pgraph, side, max_side)
         return Bipartition.compute_cut(pgraph, side)

@@ -21,7 +21,13 @@ import numpy as np
 
 from repro.exceptions import PartitionError
 from repro.graph.graph import Graph
-from repro.partition.multilevel import multilevel_bisection
+from repro.observability.phases import phase_laps
+from repro.partition import kernels
+from repro.partition.multilevel import (
+    check_bisectable,
+    compiled_bisection,
+    multilevel_bisection,
+)
 from repro.partition.types import PartitionGraph
 from repro.utils.rng import make_rng
 
@@ -92,22 +98,14 @@ def _split_in_order(subset: list[int]) -> tuple[list[int], list[int]]:
     return ordered[:mid], ordered[mid:]
 
 
-def _bisect_subset(
-    graph: Graph,
-    subset: list[int],
-    beta: float,
-    rng: np.random.Generator,
-    engine: str,
-) -> tuple[list[int], list[int]]:
-    """Split *subset* into two non-empty parts along a small edge cut."""
-    pgraph = PartitionGraph.from_graph(graph, subset)
+def _bisect_subset(sides, subset: list[int]) -> tuple[list[int], list[int]]:
+    """Split *subset* into two non-empty parts along a small edge cut:
+    ``sides(subset)``, or halves by id where that fails or leaves a
+    side empty."""
     try:
-        bipartition = multilevel_bisection(pgraph, beta=beta, seed=rng, engine=engine)
+        left, right = sides(subset)
     except PartitionError:
         return _split_in_order(subset)
-    side = bipartition.side.tolist()
-    left = [v for v, s in zip(subset, side) if s == 0]
-    right = [v for v, s in zip(subset, side) if s == 1]
     if not left or not right:
         return _split_in_order(subset)
     return left, right
@@ -127,7 +125,10 @@ def partition_regions(
     *beta* balance guarantee as the hierarchy construction) until *k*
     parts exist. ``k`` is clamped to the vertex count; requesting one
     region returns the trivial partition with no cut edges. *engine*
-    picks the FM implementation; the regions do not depend on it.
+    picks the implementation of every combinatorial step of each
+    bisection (C under ``compiled``, Python under ``reference``; the
+    draws and the spectral eigensolve are numpy's on both); the regions
+    do not depend on it.
     """
     if k < 1:
         raise PartitionError(f"region count must be >= 1, got {k}")
@@ -137,15 +138,45 @@ def partition_regions(
     k = min(k, n)
     rng = make_rng(seed)
 
+    if kernels.compiled(engine):
+        bisector = kernels.Bisector.over_graph(graph, beta)
+
+        def sides(subset):
+            check_bisectable(len(subset), beta)
+            laps = phase_laps()
+            try:
+                compiled_bisection(bisector, subset, rng, laps)
+            finally:
+                laps.close()
+            return bisector.parts()
+    else:
+        bisector = None
+
+        def sides(subset):
+            pgraph = PartitionGraph.from_graph(graph, subset)
+            side = multilevel_bisection(
+                pgraph, beta=beta, seed=rng, engine="reference"
+            ).side.tolist()
+            return (
+                [v for v, s in zip(subset, side) if s == 0],
+                [v for v, s in zip(subset, side) if s == 1],
+            )
+
     parts: list[list[int]] = [list(graph.vertices())]
-    while len(parts) < k:
-        # Split the largest remaining part (ties break deterministically
-        # on the smallest contained vertex id).
-        target = max(range(len(parts)), key=lambda i: (len(parts[i]), -min(parts[i])))
-        subset = parts.pop(target)
-        left, right = _bisect_subset(graph, subset, beta, rng, engine)
-        parts.append(left)
-        parts.append(right)
+    try:
+        while len(parts) < k:
+            # Split the largest remaining part (ties break deterministically
+            # on the smallest contained vertex id).
+            target = max(
+                range(len(parts)), key=lambda i: (len(parts[i]), -min(parts[i]))
+            )
+            subset = parts.pop(target)
+            left, right = _bisect_subset(sides, subset)
+            parts.append(left)
+            parts.append(right)
+    finally:
+        if bisector is not None:
+            bisector.close()
 
     # Deterministic region numbering: by smallest owned vertex id.
     parts.sort(key=min)

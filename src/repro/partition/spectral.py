@@ -2,7 +2,8 @@
 
 Used as one of several initial-partition candidates on the coarsest graph
 of the multilevel pipeline. Dense eigendecomposition below a size cutoff
-(robust), sparse Lanczos above it (best effort, may return None).
+(robust), sparse Lanczos above it (best effort, may return None). Both
+are deterministic.
 """
 
 from __future__ import annotations
@@ -15,6 +16,9 @@ from repro.partition.types import PartitionGraph
 __all__ = ["spectral_bisection"]
 
 _DENSE_CUTOFF = 600
+
+#: Seed of the Lanczos start vector's own generator.
+_LANCZOS_SEED = 0
 
 
 def _laplacian(pgraph: PartitionGraph) -> tuple[list[int], list[int], list[float]]:
@@ -41,16 +45,39 @@ def spectral_bisection(pgraph: PartitionGraph) -> np.ndarray | None:
     n = pgraph.num_vertices
     if n < 4:
         return None
-    vs, us, ws = _laplacian(pgraph)
+    return _fiedler_split(n, *_laplacian(pgraph), pgraph.vweight)
+
+
+def spectral_bisection_flat(indptr, indices, mult, vweight) -> np.ndarray | None:
+    """:func:`spectral_bisection` of the graph with these CSR arrays (the
+    coarsest graph of the ``compiled`` pipeline): the same Laplacian
+    triplets in the same order, so the same eigenvectors."""
+    n = len(vweight)
+    if n < 4:
+        return None
+    rows = np.repeat(np.arange(n), np.diff(indptr))
+    diagonal = np.arange(n)
+    degrees = np.bincount(rows, weights=mult, minlength=n)  # row order
+    return _fiedler_split(
+        n,
+        np.concatenate([rows, diagonal]),
+        np.concatenate([indices, diagonal]),
+        np.concatenate([-mult, degrees]),
+        vweight.tolist(),
+    )
+
+
+def _fiedler_split(n: int, vs, us, ws, vweight: list[int]) -> np.ndarray | None:
     try:
         if n <= _DENSE_CUTOFF:
             lap = np.zeros((n, n))
             lap[vs, us] = ws
             fiedler = np.linalg.eigh(lap)[1][:, 1]
         else:
-            # Shift-invert Lanczos. Its start vector is random, so unlike
-            # the dense branch it does not repeat bit for bit even within
-            # one process. ArpackError is a RuntimeError.
+            # Shift-invert Lanczos from a fixed start vector (ARPACK's
+            # default one is random), drawn from its own generator so the
+            # caller's stream is untouched: the result repeats bit for
+            # bit. ArpackError is a RuntimeError.
             from scipy.sparse import csc_matrix
             from scipy.sparse.linalg import eigsh
 
@@ -60,6 +87,7 @@ def spectral_bisection(pgraph: PartitionGraph) -> np.ndarray | None:
                 sigma=-1e-4,
                 which="LM",
                 maxiter=500,
+                v0=np.random.default_rng(_LANCZOS_SEED).uniform(-1.0, 1.0, n),
             )
             fiedler = eigvecs[:, np.argsort(eigvals)[1]]
     except (np.linalg.LinAlgError, RuntimeError, ValueError):
@@ -70,5 +98,5 @@ def spectral_bisection(pgraph: PartitionGraph) -> np.ndarray | None:
 
     # Split at the vertex-weight median of the Fiedler values.
     order = np.argsort(fiedler, kind="stable").tolist()
-    side = prefix_half(order, pgraph.vweight)
+    side = prefix_half(order, vweight)
     return None if side.min() == side.max() else side

@@ -73,6 +73,17 @@ class PartitionGraph:
             [1] * len(local),
         )
 
+    @classmethod
+    def from_flat(cls, indptr, indices, mult, vweight) -> "PartitionGraph":
+        """The graph whose :meth:`flat` is these four CSR arrays."""
+        pairs = list(zip(indices.tolist(), mult.tolist()))
+        bounds = indptr.tolist()
+        pgraph = cls(
+            [pairs[a:b] for a, b in zip(bounds, bounds[1:])], vweight.tolist()
+        )
+        pgraph._flat = (indptr, indices, mult, vweight)
+        return pgraph
+
     @property
     def num_vertices(self) -> int:
         return len(self.rows)

@@ -1,13 +1,23 @@
-"""Tests for Hopcroft-Karp matching and Koenig vertex separators."""
+"""Tests for Hopcroft-Karp matching and Koenig vertex separators.
+
+The separator has two implementations, the Python one and the C one
+(``dhl_step_separator``, the step the compiled pipeline runs): the
+separator tests run on both, and a differential test requires equal
+separators on random cuts, duplicates and vertices on both sides
+included.
+"""
 
 from __future__ import annotations
 
 import itertools
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.partition import kernels, separator
 from repro.partition.matching import hopcroft_karp
-from repro.partition.separator import koenig_cover, minimum_vertex_separator
+from repro.partition.separator import koenig_cover
+from tests.conftest import require_engine
 
 
 def brute_force_max_matching(left: int, right: int, adj: list[list[int]]) -> int:
@@ -87,26 +97,49 @@ class TestKoenigCover:
                 assert l in covered_left or r in covered_right
 
 
+@pytest.fixture(params=["compiled", "reference"])
+def minimum_vertex_separator(request):
+    require_engine(request.param)
+    if request.param == "compiled":
+        return kernels.minimum_vertex_separator
+    return separator.minimum_vertex_separator
+
+
 class TestMinimumVertexSeparator:
-    def test_empty_cut(self):
+    def test_empty_cut(self, minimum_vertex_separator):
         assert minimum_vertex_separator([]) == set()
 
-    def test_single_edge(self):
+    def test_single_edge(self, minimum_vertex_separator):
         sep = minimum_vertex_separator([(3, 9)])
         assert len(sep) == 1 and sep <= {3, 9}
 
-    def test_star_cut_picks_center(self):
+    def test_star_cut_picks_center(self, minimum_vertex_separator):
         # vertex 5 on side A touches three cut edges: cover = {5}
         sep = minimum_vertex_separator([(5, 10), (5, 11), (5, 12)])
         assert sep == {5}
 
-    def test_duplicate_edges_ignored(self):
+    def test_duplicate_edges_ignored(self, minimum_vertex_separator):
         sep = minimum_vertex_separator([(1, 2), (1, 2)])
         assert len(sep) == 1
 
-    def test_covers_all_edges(self):
+    def test_covers_all_edges(self, minimum_vertex_separator):
         cut = [(0, 10), (1, 10), (1, 11), (2, 12)]
         sep = minimum_vertex_separator(cut)
         for a, b in cut:
             assert a in sep or b in sep
         assert len(sep) <= 3
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(
+        st.tuples(st.integers(0, 14), st.integers(0, 14)), min_size=1, max_size=40
+    )
+)
+def test_compiled_separator_matches_reference(cut):
+    """Same cover, vertex for vertex (a vertex may sit on both sides of
+    an arbitrary list; edges may repeat)."""
+    require_engine("compiled")
+    assert kernels.minimum_vertex_separator(cut) == separator.minimum_vertex_separator(
+        cut
+    )

@@ -49,6 +49,7 @@ from repro.labelling.labels import HierarchicalLabelling
 from repro.labelling.maintenance import cell_marks, entry_marks
 from repro.labelling.native import engine as native_engine
 from repro.observability import collect_phases
+from repro.partition import kernels
 from repro.partition.types import PartitionGraph
 from repro.sharding.engine import min_plus_compact
 from repro.utils.rng import make_rng, sample_pairs
@@ -435,31 +436,117 @@ class TestBuildKernels:
 
                 return call
 
-        monkeypatch.setattr(native_engine, "library", HugeRowCount)
+        monkeypatch.setattr(native, "library", HugeRowCount)
         work = np.zeros(2, dtype=np.int64)
         with pytest.raises(MemoryError):
-            native_engine.fm_refine(pg, side, 20, work=work)
+            kernels.fm_refine(pg, side, 20, work=work)
         assert statuses == [-1]
         assert seen == [before.tobytes()]
         np.testing.assert_array_equal(side, before)
         assert not work.any()
         monkeypatch.undo()
-        assert native_engine.fm_refine(pg, side, 20) != bytearray(before.tobytes())
+        assert kernels.fm_refine(pg, side, 20) != bytearray(before.tobytes())
+
+    def test_partitioner_steps_report_a_failed_allocation(self, monkeypatch):
+        """Every partitioner entry point that allocates turns a size it
+        cannot have into ``MemoryError``: the context and the one-step
+        kernels alike (told of 2**58 vertices here)."""
+        require_engine("compiled")
+        pg, side = grid_halves()
+        real = native.library()
+
+        class HugeVertexCount:
+            def __getattr__(self, name):
+                def call(n, *args):
+                    return getattr(real, name)(2**58, *args)
+
+                return call
+
+        monkeypatch.setattr(native, "library", HugeVertexCount)
+        with pytest.raises(MemoryError):
+            kernels.Bisector(*pg.flat(), 0.2)
+        with pytest.raises(MemoryError):
+            kernels.rebalance(pg, side, 10)
+        with pytest.raises(MemoryError):
+            kernels.greedy_growing(pg, seed_vertex=0)
+        with pytest.raises(MemoryError):
+            kernels.bfs_halves(pg, seed=0)
+        with pytest.raises(MemoryError):
+            kernels.components(pg)
+        with pytest.raises(MemoryError):
+            kernels.coarsen_once(pg, 0, 4)
+        with pytest.raises(MemoryError):
+            kernels.minimum_vertex_separator([(0, 1)])
+
+    def test_partitioner_wrappers_reject_what_c_would_misread(self, monkeypatch):
+        """One case per array a partitioner entry point reads: each bad
+        one raises ``ValueError`` in the wrapper, and C is never called
+        (every library symbol is a tripwire once the context exists)."""
+        require_engine("compiled")
+        pg, side = grid_halves()
+        n = pg.num_vertices
+        stray = PartitionGraph([((1, 1.0),), ((0, 1.0), (2, 1.0))], [1, 1])
+        negative = PartitionGraph([((-1, 1.0),), ((0, 1.0),)], [1, 1])
+        bad_side = side.copy()
+        bad_side[3] = 2
+        with kernels.Bisector(*pg.flat(), 0.2) as ctx:
+            assert ctx.load(range(n)) == 1
+            calls = []
+
+            class Tripwire:
+                def __getattr__(self, name):
+                    calls.append(name)
+                    raise AssertionError(f"{name} reached C")
+
+            monkeypatch.setattr(native, "library", Tripwire)
+            ctx._lib = Tripwire()
+            indptr, indices, mult, vweight = pg.flat()
+            wide = indices.copy()
+            wide[5] = n
+            cases = {
+                "neighbour >= n": lambda: kernels.greedy_growing(stray, seed_vertex=0),
+                "negative neighbour": lambda: kernels.components(negative),
+                "context neighbour >= n": lambda: kernels.Bisector(
+                    indptr, wide, mult, vweight, 0.2
+                ),
+                "subset id >= n": lambda: ctx.load([0, 1, n]),
+                "negative subset id": lambda: ctx.load([-1, 0, 1]),
+                "repeated subset id": lambda: ctx.load([3, 1, 3]),
+                "perm repeats an id": lambda: ctx.coarsen(
+                    np.r_[0, np.arange(n - 1)], 4, 0.95
+                ),
+                "perm id >= n": lambda: ctx.coarsen(
+                    np.r_[np.arange(n - 1), n], 4, 0.95
+                ),
+                "perm too short": lambda: ctx.coarsen(np.arange(n - 1), 4, 0.95),
+                "side byte 2 (rebalance)": lambda: kernels.rebalance(pg, bad_side, 20),
+                "side byte 2 (cut)": lambda: kernels.cut_weight(pg, bad_side),
+                "side byte 2 (FM)": lambda: kernels.fm_refine(pg, bad_side, 20),
+                "side byte 2 (candidate)": lambda: ctx.consider(bad_side),
+                "growing seed >= n": lambda: kernels.greedy_growing(pg, seed_vertex=n),
+                "BFS seed >= n": lambda: kernels.bfs_halves(pg, seed=n),
+                "portfolio seed >= n": lambda: ctx.initial([0, 1, 2, 3, n]),
+                "negative portfolio seed": lambda: ctx.initial([0, 1, -2, 3, 4]),
+            }
+            for case, call in cases.items():
+                with pytest.raises(ValueError):
+                    call()
+                assert not calls, case
 
     def test_fm_wrapper_rejects_what_c_would_misread(self):
         require_engine("compiled")
         pg, side = grid_halves()
         with pytest.raises(ValueError, match="sides"):
-            native_engine.fm_refine(pg, side[:-1], 20)
+            kernels.fm_refine(pg, side[:-1], 20)
         bad = side.copy()
         bad[3] = 2
         with pytest.raises(ValueError, match="sides"):
-            native_engine.fm_refine(pg, bad, 20)
+            kernels.fm_refine(pg, bad, 20)
         with pytest.raises(TypeError):
-            native_engine.fm_refine(pg, side, 20, work=np.zeros(2, dtype=np.int32))
+            kernels.fm_refine(pg, side, 20, work=np.zeros(2, dtype=np.int32))
         stray = PartitionGraph([((1, 1.0),), ((0, 1.0), (2, 1.0))], [1, 1])
         with pytest.raises(ValueError, match="neighbour"):
-            native_engine.fm_refine(stray, [0, 1], 1)
+            kernels.fm_refine(stray, [0, 1], 1)
 
     def test_label_build_wrapper_rejects_what_c_would_misread(self, road_pair):
         """Rows shorter than ``tau + 1`` and a shortcut that does not

@@ -5,9 +5,11 @@
 by function on random inputs, (b) through whole builds with the oracle
 bodies patched into the pipeline, both sides in one process, plus (c)
 seed determinism, (d) a guard that the FM pass really stops on its bound
-and (e) that repeated candidates are refined once. FM has two
-implementations, the C kernel (``compiled``) and its Python twin
-(``reference``): (a), (b) and (d) run on both.
+and (e) that repeated candidates are refined once. Every step has two
+implementations, the C one (``compiled``, :mod:`repro.partition.kernels`)
+and the Python body (``reference``): (a), (b) and (d) run on both, and
+(f) requires whole trees and bisections of both engines to be equal on
+random graph families.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ import scipy.sparse.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.exceptions import PartitionError
 from repro.graph.generators import (
     delaunay_network,
     grid_network,
@@ -31,6 +34,7 @@ from repro.partition import (
     coarsen,
     fm,
     initial,
+    kernels,
     multilevel,
     partition_regions,
     recursive_bisection,
@@ -95,12 +99,30 @@ def same_sides(new, old) -> bool:
 ENGINES = ["compiled", "reference"]
 
 
+class _Reference:
+    """The Python steps under the names :mod:`repro.partition.kernels`
+    gives their C twins."""
+
+    fm_refine = staticmethod(fm.fm_refine)
+    rebalance = staticmethod(fm.rebalance)
+    greedy_growing = staticmethod(initial.greedy_growing)
+    bfs_halves = staticmethod(initial.bfs_halves)
+    components = staticmethod(initial.components)
+    coarsen_once = staticmethod(coarsen.coarsen_once)
+    cut_weight = staticmethod(multilevel._cut_weight)
+
+
+def steps(engine: str):
+    """The partitioner's steps on *engine*."""
+    require_engine(engine)
+    return kernels if engine == "compiled" else _Reference
+
+
 @pytest.mark.parametrize("engine", ENGINES)
 @settings(max_examples=300, deadline=None)
 @given(partition_cases(), st.sampled_from([1, 8]))
 def test_fm_refine_matches_oracle(engine, case, max_passes):
-    require_engine(engine)
-    refine = multilevel._refiner(engine)
+    refine = steps(engine).fm_refine
     pg, side, bound = case
     before = side.copy()
     new = refine(pg, side, bound, max_passes)
@@ -111,59 +133,65 @@ def test_fm_refine_matches_oracle(engine, case, max_passes):
     assert refine(pg, side.tolist(), bound, max_passes) == new
 
 
+@pytest.mark.parametrize("engine", ENGINES)
 @settings(max_examples=200, deadline=None)
 @given(partition_cases())
-def test_rebalance_matches_oracle(case):
+def test_rebalance_matches_oracle(engine, case):
     pg, side, bound = case
     assert same_sides(
-        fm.rebalance(pg, side, bound), oracle.rebalance(pg, side, bound)
+        steps(engine).rebalance(pg, side, bound), oracle.rebalance(pg, side, bound)
     )
 
 
+@pytest.mark.parametrize("engine", ENGINES)
 @settings(max_examples=200, deadline=None)
 @given(partition_cases())
-def test_cut_weight_matches_oracle(case):
+def test_cut_weight_matches_oracle(engine, case):
     pg, side, _ = case
+    cut_weight = steps(engine).cut_weight
     expected = oracle._cut_weight(pg, side)
-    assert multilevel._cut_weight(pg, side) == expected
-    assert multilevel._cut_weight(pg, bytearray(side)) == expected
+    assert cut_weight(pg, side) == expected
+    assert cut_weight(pg, bytearray(side)) == expected
 
 
+@pytest.mark.parametrize("engine", ENGINES)
 @settings(max_examples=200, deadline=None)
 @given(partition_cases(), st.integers(0, 2**32 - 1), st.data())
-def test_greedy_growing_matches_oracle(case, seed, data):
+def test_greedy_growing_matches_oracle(engine, case, seed, data):
+    greedy_growing = steps(engine).greedy_growing
     pg = case[0]
     rng_new, rng_old = np.random.default_rng(seed), np.random.default_rng(seed)
     assert np.array_equal(
-        initial.greedy_growing(pg, rng_new), oracle.greedy_growing(pg, rng_old)
+        greedy_growing(pg, rng_new), oracle.greedy_growing(pg, rng_old)
     )
     assert rng_new.bit_generator.state == rng_old.bit_generator.state
     seed_vertex = data.draw(st.integers(0, pg.num_vertices - 1))
     assert np.array_equal(
-        initial.greedy_growing(pg, rng_new, seed_vertex=seed_vertex),
+        greedy_growing(pg, rng_new, seed_vertex=seed_vertex),
         oracle.greedy_growing(pg, rng_old, seed_vertex=seed_vertex),
     )
     assert rng_new.bit_generator.state == rng_old.bit_generator.state
 
 
+@pytest.mark.parametrize("engine", ENGINES)
 @settings(max_examples=200, deadline=None)
 @given(partition_cases(), st.integers(0, 2**32 - 1))
-def test_bfs_halves_and_components_match_oracle(case, seed):
+def test_bfs_halves_and_components_match_oracle(engine, case, seed):
+    impl = steps(engine)
     pg = case[0]  # often disconnected: the id-order remainder is covered
     rng_new, rng_old = np.random.default_rng(seed), np.random.default_rng(seed)
-    assert np.array_equal(
-        initial.bfs_halves(pg, rng_new), oracle.bfs_halves(pg, rng_old)
-    )
+    assert np.array_equal(impl.bfs_halves(pg, rng_new), oracle.bfs_halves(pg, rng_old))
     assert rng_new.bit_generator.state == rng_old.bit_generator.state
-    assert initial.components(pg) == oracle.components(pg)
+    assert impl.components(pg) == oracle.components(pg)
 
 
+@pytest.mark.parametrize("engine", ENGINES)
 @settings(max_examples=200, deadline=None)
 @given(partition_cases(), st.integers(0, 2**32 - 1), st.integers(1, 12))
-def test_coarsen_once_matches_oracle(case, seed, max_vertex_weight):
+def test_coarsen_once_matches_oracle(engine, case, seed, max_vertex_weight):
     pg = case[0]
     rng_new, rng_old = np.random.default_rng(seed), np.random.default_rng(seed)
-    new = coarsen.coarsen_once(pg, rng_new, max_vertex_weight)
+    new = steps(engine).coarsen_once(pg, rng_new, max_vertex_weight)
     old = oracle.coarsen_once(pg, rng_old, max_vertex_weight)
     assert np.array_equal(new.fine_to_coarse, old.fine_to_coarse)
     assert new.graph.rows == old.graph.rows  # pair order included
@@ -191,7 +219,7 @@ def _oracle_rebalance(pgraph, side, max_side_weight):
 
 
 def patch_oracle(mp: pytest.MonkeyPatch) -> None:
-    mp.setattr(multilevel, "_refiner", lambda engine: oracle.fm_refine)
+    mp.setattr(multilevel, "fm_refine", oracle.fm_refine)
     mp.setattr(multilevel, "rebalance", _oracle_rebalance)
     mp.setattr(multilevel, "greedy_growing", oracle.greedy_growing)
     mp.setattr(multilevel, "bfs_halves", oracle.bfs_halves)
@@ -204,12 +232,14 @@ def preorder(tree) -> list[tuple[list[int], int]]:
     return [(list(node.vertices), len(node.children)) for node in tree.iter_nodes()]
 
 
-def both(build):
-    """``build()`` under the oracle bodies, then under the real ones."""
+def both(build, engine: str = "compiled"):
+    """``build(engine)`` and, under the oracle bodies, ``build("reference")``
+    (the oracle bodies stand in for the reference engine's)."""
+    require_engine(engine)
     with pytest.MonkeyPatch.context() as mp:
         patch_oracle(mp)
-        expected = build()
-    return build(), expected
+        expected = build("reference")
+    return build(engine), expected
 
 
 def star(leaves: int) -> Graph:
@@ -261,38 +291,56 @@ PIPELINE_CASES = {
 @pytest.mark.parametrize("engine", ENGINES)
 @pytest.mark.parametrize("name", PIPELINE_CASES)
 def test_recursive_bisection_tree_matches_oracle(name, engine):
-    require_engine(engine)
     make, kwargs = PIPELINE_CASES[name]
     graph = make()
     new, expected = both(
-        lambda: preorder(recursive_bisection(graph, seed=0, engine=engine, **kwargs))
+        lambda engine: preorder(
+            recursive_bisection(graph, seed=0, engine=engine, **kwargs)
+        ),
+        engine,
     )
     assert new == expected
     assert sorted(v for vertices, _ in new for v in vertices) == list(graph.vertices())
 
 
-def test_giant_component_case_recurses_on_the_giant(monkeypatch):
+@pytest.mark.parametrize("engine", ENGINES)
+def test_giant_component_case_recurses_on_the_giant(monkeypatch, engine):
     """The case above really bisects the 500-vertex component on its own."""
+    require_engine(engine)
     sizes = []
-    real = multilevel.multilevel_bisection
-    monkeypatch.setattr(
-        multilevel,
-        "multilevel_bisection",
-        lambda pg, *args: sizes.append(pg.num_vertices) or real(pg, *args),
-    )
-    recursive_bisection(giant_and_crumbs(), seed=0)
+    if engine == "reference":
+        real = multilevel.multilevel_bisection
+        monkeypatch.setattr(
+            multilevel,
+            "multilevel_bisection",
+            lambda pg, *args: sizes.append(pg.num_vertices) or real(pg, *args),
+        )
+    else:
+        real = kernels.Bisector.disconnected
+
+        def disconnected(ctx):
+            packed = real(ctx)
+            if not packed:
+                sizes.append(ctx.size)
+            return packed
+
+        monkeypatch.setattr(kernels.Bisector, "disconnected", disconnected)
+    recursive_bisection(giant_and_crumbs(), seed=0, engine=engine)
     assert sizes and sizes[0] == 500
 
 
-def test_star_through_the_lanczos_branch_matches_oracle(monkeypatch):
+@pytest.mark.parametrize("engine", ENGINES)
+def test_star_through_the_lanczos_branch_matches_oracle(monkeypatch, engine):
     """900 leaves: matching stalls, the coarsest graph stays above
     ``_DENSE_CUTOFF`` and the spectral candidate comes from ``eigsh``.
 
-    ``eigsh`` does *not* repeat bit for bit within a process (random
-    start vector, and a star's Fiedler eigenspace is 899-fold degenerate),
-    so the two sides see different vectors. The trees are still equal:
-    every balanced cut of a star is the same 181 leaves, the earlier
-    candidates already reach it, and a tie never passes the strict ``<``.
+    ``eigsh`` starts from a fixed vector of its own generator, so it
+    repeats bit for bit and both builds see the same Fiedler vector of
+    the same Laplacian (the C pipeline's comes from its CSR arrays, in
+    the same triplet order). The trees would be equal even if it did
+    not: every balanced cut of a star is the same 181 leaves, the
+    earlier candidates already reach it, and a tie never passes the
+    strict ``<``.
     """
     sizes = []
     real = scipy.sparse.linalg.eigsh
@@ -302,9 +350,24 @@ def test_star_through_the_lanczos_branch_matches_oracle(monkeypatch):
         lambda lap, **kwargs: sizes.append(lap.shape[0]) or real(lap, **kwargs),
     )
     graph = star(900)
-    new, expected = both(lambda: preorder(recursive_bisection(graph, seed=0)))
+    new, expected = both(
+        lambda engine: preorder(recursive_bisection(graph, seed=0, engine=engine)),
+        engine,
+    )
     assert new == expected
     assert len(sizes) == 2 and min(sizes) > spectral._DENSE_CUTOFF
+
+
+def test_lanczos_branch_repeats_bit_for_bit():
+    """Two spectral bisections of star(900) — the ``eigsh`` branch — give
+    the same sides, and leave the caller's generator alone (there is
+    none to touch)."""
+    pg = PartitionGraph.from_graph(star(900))
+    first = spectral.spectral_bisection(pg)
+    assert first is not None
+    assert np.array_equal(spectral.spectral_bisection(pg), first)
+    flat = spectral.spectral_bisection_flat(*pg.flat())
+    assert np.array_equal(flat, first)
 
 
 @pytest.mark.parametrize("engine", ENGINES)
@@ -315,10 +378,10 @@ def test_star_through_the_lanczos_branch_matches_oracle(monkeypatch):
     ids=["grid-20x31", "delaunay-1500"],
 )
 def test_partition_regions_matches_oracle(make, k, engine):
-    require_engine(engine)
     graph = make()
     new, expected = both(
-        lambda: partition_regions(graph, k, seed=0, engine=engine).region_of
+        lambda engine: partition_regions(graph, k, seed=0, engine=engine).region_of,
+        engine,
     )
     assert np.array_equal(new, expected)
 
@@ -346,36 +409,47 @@ def test_same_seed_same_tree_other_seed_valid_tree():
 class _FMCounter:
     """Counts gain-queue pops (an upper bound on moves) and pass-vertices
     (n per pass that had a boundary to queue) inside the FM *engine*
-    runs: its ``heapq`` calls on the Python loop, the counts the kernel
-    adds to its ``work`` pair on the C one."""
+    runs: its ``heapq`` calls on the Python loop; on the C one, the
+    counts the kernel adds to the ``work`` pair of a one-off call or of
+    every partitioner context made meanwhile."""
 
     def __init__(self, mp: pytest.MonkeyPatch, engine: str):
         require_engine(engine)
         self.work = np.zeros(2, dtype=np.int64)  # pops, pass-vertices
         self._n = 0
-        real = multilevel._refiner(engine)
+        self._contexts: list[kernels.Bisector] = []
         if engine == "reference":
             mp.setattr(fm, "heappop", self._pop)
             mp.setattr(fm, "heapify", self._heapify)
 
             def refine(pgraph, side, *args):
                 self._n = pgraph.num_vertices
-                return real(pgraph, side, *args)
+                return fm.fm_refine(pgraph, side, *args)
+
+            mp.setattr(multilevel, "fm_refine", refine)
         else:
+            real_init = kernels.Bisector.__init__
+
+            def init(ctx, *args):
+                real_init(ctx, *args)
+                self._contexts.append(ctx)
 
             def refine(*args):
-                return real(*args, work=self.work)
+                return kernels.fm_refine(*args, work=self.work)
 
+            mp.setattr(kernels.Bisector, "__init__", init)
         self.fm_refine = refine
-        mp.setattr(multilevel, "_refiner", lambda engine: refine)
+
+    def _total(self, i: int) -> int:
+        return int(self.work[i]) + sum(int(ctx.work[i]) for ctx in self._contexts)
 
     @property
     def pops(self) -> int:
-        return int(self.work[0])
+        return self._total(0)
 
     @property
     def pass_vertices(self) -> int:
-        return int(self.work[1])
+        return self._total(1)
 
     def _pop(self, heap):
         self.work[0] += 1
@@ -432,7 +506,7 @@ def test_colliding_candidates_are_grown_and_refined_once(monkeypatch):
     oracle's, which grew and refined all five."""
     seeds, rebalanced, refined = [], [], []
     real_growing = multilevel.greedy_growing
-    real_rebalance, real_fm = multilevel.rebalance, multilevel._refiner("compiled")
+    real_rebalance, real_fm = multilevel.rebalance, multilevel.fm_refine
 
     def spy_growing(pgraph, seed_vertex):
         seeds.append(seed_vertex)
@@ -448,9 +522,9 @@ def test_colliding_candidates_are_grown_and_refined_once(monkeypatch):
 
     monkeypatch.setattr(multilevel, "greedy_growing", spy_growing)
     monkeypatch.setattr(multilevel, "rebalance", spy_rebalance)
-    monkeypatch.setattr(multilevel, "_refiner", lambda engine: spy_fm)
+    monkeypatch.setattr(multilevel, "fm_refine", spy_fm)
     pg = PartitionGraph([{1: 1.0}, {0: 1.0, 2: 1.0}, {1: 1.0}], [1, 1, 1])
-    bip = multilevel.multilevel_bisection(pg, seed=0)
+    bip = multilevel.multilevel_bisection(pg, seed=0, engine="reference")
     assert len(seeds) == len(set(seeds)) < 4
     candidates = rebalanced[:-1]  # the last call is the final safety rebalance
     assert len(candidates) == len(seeds) + 1  # + BFS (n < 4: no spectral)
@@ -460,6 +534,116 @@ def test_colliding_candidates_are_grown_and_refined_once(monkeypatch):
     monkeypatch.undo()
     with pytest.MonkeyPatch.context() as mp:
         patch_oracle(mp)
-        expected = multilevel.multilevel_bisection(pg, seed=0)
+        expected = multilevel.multilevel_bisection(pg, seed=0, engine="reference")
     assert np.array_equal(bip.side, expected.side)
     assert bip.cut_edges == expected.cut_edges
+    require_engine("compiled")
+    compiled = multilevel.multilevel_bisection(pg, seed=0, engine="compiled")
+    assert np.array_equal(compiled.side, expected.side)
+    assert compiled.cut_edges == expected.cut_edges
+
+
+# ---------------------------------------------------------------------------
+# (f) the engines build the same trees
+# ---------------------------------------------------------------------------
+
+
+def test_one_draw_of_the_portfolio_seeds_is_the_scalar_draws():
+    """The C pipeline draws the growing and BFS seeds in one
+    ``integers(..., size=5)`` call; the reference body draws them one by
+    one. Same values, same generator state afterwards."""
+    for seed in range(50):
+        for n in (2, 3, 7, 120, 121, 4_000):
+            one, many = np.random.default_rng(seed), np.random.default_rng(seed)
+            one.permutation(n)
+            many.permutation(n)
+            scalar = [int(many.integers(0, n)) for _ in range(5)]
+            assert one.integers(0, n, size=5).tolist() == scalar
+            assert one.bit_generator.state == many.bit_generator.state
+
+
+def _disjoint_union(parts: list[Graph]) -> Graph:
+    g = Graph(sum(p.num_vertices for p in parts))
+    offset = 0
+    for part in parts:
+        for u, v, w in part.edges():
+            g.add_edge(offset + u, offset + v, w)
+        offset += part.num_vertices
+    return g
+
+
+@st.composite
+def tree_graphs(draw):
+    """Graphs from the families the two engines must partition alike:
+    disconnected ones (many pieces, or a giant and crumbs), stars above
+    the Lanczos cutoff, and small grids and Delaunay networks."""
+    kind = draw(st.sampled_from(["pieces", "giant", "star", "grid", "delaunay"]))
+    seed = draw(st.integers(0, 10_000))
+    if kind == "pieces":
+        sizes = draw(st.lists(st.integers(1, 40), min_size=2, max_size=8))
+        return _disjoint_union(
+            [random_connected_graph(k, extra_edges=k // 3, seed=seed + i)
+             for i, k in enumerate(sizes)]
+        )
+    if kind == "giant":
+        crumbs = draw(st.lists(st.integers(1, 12), min_size=1, max_size=5))
+        giant = delaunay_network(draw(st.integers(60, 300)), seed=seed)
+        return _disjoint_union([giant] + [path(k) for k in crumbs])
+    if kind == "star":
+        return star(draw(st.integers(spectral._DENSE_CUTOFF + 1, 640)))
+    if kind == "grid":
+        rows, cols = draw(st.integers(2, 16)), draw(st.integers(2, 16))
+        return grid_network(rows, cols, seed=seed)
+    return delaunay_network(draw(st.integers(10, 400)), seed=seed)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    tree_graphs(),
+    st.integers(0, 2**32 - 1),
+    st.sampled_from([0.2, 0.35, 0.5]),
+    st.sampled_from([1, 4, 8]),
+)
+def test_compiled_tree_equals_reference_tree(graph, seed, beta, leaf_size):
+    require_engine("compiled")
+    trees = [
+        preorder(
+            recursive_bisection(
+                graph, beta=beta, leaf_size=leaf_size, seed=seed, engine=engine
+            )
+        )
+        for engine in ENGINES
+    ]
+    assert trees[0] == trees[1]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    partition_cases(max_n=60),
+    st.integers(0, 2**32 - 1),
+    st.sampled_from([0.2, 0.4]),
+)
+def test_compiled_bisection_of_a_weighted_graph_equals_reference(case, seed, beta):
+    """Vertex-weighted, multiplicity-weighted graphs like coarse levels,
+    often disconnected: the whole ``multilevel_bisection`` agrees."""
+    require_engine("compiled")
+    pg = case[0]
+
+    def outcome(engine):
+        try:
+            bip = multilevel.multilevel_bisection(
+                pg, beta=beta, seed=seed, engine=engine
+            )
+        except PartitionError as exc:  # a giant of one heavy vertex
+            return str(exc)
+        return bip.side.tolist(), bip.cut_weight, bip.cut_edges
+
+    assert outcome("compiled") == outcome("reference")
+
+
+def test_a_giant_of_one_heavy_vertex_raises_on_both_engines():
+    pg = PartitionGraph([{}, {}], [4, 1])
+    for engine in ENGINES:
+        require_engine(engine)
+        with pytest.raises(PartitionError, match="fewer than 2"):
+            multilevel.multilevel_bisection(pg, beta=0.4, engine=engine)

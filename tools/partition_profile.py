@@ -9,19 +9,23 @@ on it under ``collect_phases()`` and prints
   print the same digests made the same partitioning decisions. The
   spectral candidate runs LAPACK's ``eigh``, so digests are comparable
   between checkouts on one machine, not between machines. Both are
-  computed under the ``compiled`` engine (the ``dhl_fm_refine`` kernel)
-  and the ``reference`` one (the Python FM) in this one process, where
-  ``eigh`` is shared; the script exits 1 when the engines disagree;
-* the **stage table** — raw seconds per ``partition.*`` phase mark (best
-  of ``--repeat`` runs by total) under the default engine, with the
-  share of the measured total the marks account for::
+  computed under the ``compiled`` engine (every step in
+  ``dhl_kernels.c``) and the ``reference`` one (the Python bodies) in
+  this one process, where ``eigh`` is shared; the script exits 1 when
+  the engines disagree;
+* the **stage table** of each engine — raw seconds per ``partition.*``
+  phase mark (best of ``--repeat`` runs by total), with the share of the
+  measured total the marks account for — and the reference-over-compiled
+  ratio of the totals::
 
       python tools/partition_profile.py road grid
       cd /path/to/parent && python tools/partition_profile.py road grid
 
 ``road`` and ``grid`` are the two bench profiles (``bench/workloads.py``
-``make_graph``, generator seed 7); ``road16k`` is the 16,000-vertex
-``road`` the ROADMAP quotes ms-per-vertex on.
+``make_graph``, generator seed 7); ``road16k`` and ``road32k`` are the
+16,000- and 32,000-vertex ``road`` the ROADMAP quotes ms per vertex and
+its scale build on (``--repeat 1`` keeps the reference run of
+``road32k`` to one).
 """
 
 from __future__ import annotations
@@ -49,6 +53,9 @@ GRAPHS = {
     "road16k": lambda: delaunay_network(
         16_000, style="uniform", edge_factor=1.35, seed=7
     ),
+    "road32k": lambda: delaunay_network(
+        32_000, style="uniform", edge_factor=1.35, seed=7
+    ),
 }
 
 
@@ -69,22 +76,43 @@ def digests(graph, engine: str) -> tuple[str, str]:
     return tree_digest(tree), h.hexdigest()[:12]
 
 
-def profile(name: str, repeat: int) -> bool:
-    """Print *name*'s digests and stage table; False when the engines'
-    digests differ."""
-    graph = GRAPHS[name]()
+def stage_table(graph, engine: str, repeat: int) -> float:
+    """Print *engine*'s stage table; returns its best total seconds."""
     n = graph.num_vertices
     runs = []
     for _ in range(repeat):
         with collect_phases() as collector:
             start = time.perf_counter()
-            recursive_bisection(graph, seed=0)
+            recursive_bisection(graph, seed=0, engine=engine)
             total = time.perf_counter() - start
         runs.append((total, collector.as_dict(), dict(collector.counts)))
     total, seconds, counts = min(runs, key=lambda run: run[0])
+    resolved = DHLConfig(engine=engine).resolve_engine()
+    label = engine if resolved == engine else f"{engine} (ran as {resolved})"
+    print(
+        f"  {label}: recursive_bisection {total:.3f} s best of {repeat} "
+        f"({1e3 * total / n:.4f} ms per vertex; all runs: "
+        + " ".join(f"{run[0]:.3f}" for run in runs)
+        + ")"
+    )
+    stages = {k: v for k, v in seconds.items() if k.startswith("partition.")}
+    for stage, secs in sorted(stages.items(), key=lambda kv: -kv[1]):
+        print(
+            f"    {stage:<22}{secs:8.3f} s {100 * secs / total:5.1f} %"
+            f"  x{counts[stage]}"
+        )
+    covered = sum(stages.values())
+    print(f"    {'marks / total':<22}{covered:8.3f} s {100 * covered / total:5.1f} %")
+    return total
+
+
+def profile(name: str, repeat: int) -> bool:
+    """Print *name*'s digests and both engines' stage tables; False when
+    the engines' digests differ."""
+    graph = GRAPHS[name]()
     compiled, reference = (digests(graph, engine) for engine in ENGINES)
     print(
-        f"{name}: n={n} m={graph.num_edges}  tree {compiled[0]}  "
+        f"{name}: n={graph.num_vertices} m={graph.num_edges}  tree {compiled[0]}  "
         f"regions {compiled[1]}  "
         + (
             "(both engines)"
@@ -92,20 +120,8 @@ def profile(name: str, repeat: int) -> bool:
             else f"MISMATCH, reference tree {reference[0]} regions {reference[1]}"
         )
     )
-    print(
-        f"  recursive_bisection {total:.3f} s best of {repeat} "
-        f"({1e3 * total / n:.3f} ms per vertex; all runs: "
-        + " ".join(f"{run[0]:.3f}" for run in runs)
-        + ")"
-    )
-    stages = {k: v for k, v in seconds.items() if k.startswith("partition.")}
-    for stage, secs in sorted(stages.items(), key=lambda kv: -kv[1]):
-        print(
-            f"  {stage:<22}{secs:8.3f} s {100 * secs / total:5.1f} %"
-            f"  x{counts[stage]}"
-        )
-    covered = sum(stages.values())
-    print(f"  {'marks / total':<22}{covered:8.3f} s {100 * covered / total:5.1f} %")
+    totals = [stage_table(graph, engine, repeat) for engine in ENGINES]
+    print(f"  reference / compiled: {totals[1] / totals[0]:.1f}x")
     return compiled == reference
 
 
