@@ -1864,10 +1864,11 @@ part_t *dhl_part_new(
     p->subset = malloc(cells * sizeof(int64_t));
     p->members = malloc(cells * sizeof(int64_t));
     p->starts = malloc((cells + 1) * sizeof(int64_t));
-    p->weights = malloc(cells * sizeof(int64_t));
-    p->side = malloc(cells);
-    p->best = malloc(cells);
-    p->cand = malloc(cells);
+    /* zeroed: whatever a call reads before a load is a valid side */
+    p->weights = calloc(cells, sizeof(int64_t));
+    p->side = calloc(cells, 1);
+    p->best = calloc(cells, 1);
+    p->cand = calloc(cells, 1);
     p->memo = malloc(MAX_CANDIDATES * cells);
     p->cut_a = malloc(pairs * sizeof(int64_t));
     p->cut_b = malloc(pairs * sizeof(int64_t));

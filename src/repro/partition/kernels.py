@@ -314,7 +314,7 @@ class Bisector:
         self.cut = np.zeros(1, dtype=np.float64)
         self.work = np.zeros(2, dtype=np.int64)
         self._subset = np.empty(n, dtype=np.int64)
-        self._loaded = 0
+        self._loaded = self._components = 0
         self._subset_addr = addr(self._subset, _I64, n, write=True)
         handle = lib.dhl_part_new(
             n, nnz, *source, float(beta),
@@ -375,13 +375,16 @@ class Bisector:
             if len(np.unique(buf)) != count:
                 raise ValueError("the subset names a vertex twice")
         self._loaded = count
-        return self._checked(
+        self._components = self._checked(
             self._lib.dhl_part_load(self._handle, count, self._subset_addr)
         )
+        return self._components
 
     def disconnected(self) -> bool:
         """Pack the components (True: bisected) or make the giant one
         the working graph (False)."""
+        if self._components < 2:
+            raise ValueError("the loaded subgraph is connected")
         return bool(self._checked(self._lib.dhl_part_disconnected(self._handle)))
 
     def coarsen(self, perm, max_vertex_weight: int, min_shrink: float) -> int:
