@@ -127,9 +127,9 @@ class ProtocolTruncationError(ProtocolError):
 
 class ProtocolCorruptionError(ProtocolError):
     """A complete frame failed validation: bad magic, an unparseable
-    meta section, trailing bytes, an implausible length prefix, or a
-    body CRC mismatch. The byte stream can no longer be trusted — the
-    connection must be dropped, not retried."""
+    meta, a bad buffer table or reference, trailing bytes, an implausible
+    length prefix, or a body CRC mismatch. The byte stream can no longer
+    be trusted — the connection must be dropped, not retried."""
 
 
 class ServiceOverloadError(ServiceRuntimeError):

@@ -31,23 +31,28 @@ finals, the deduplicated fan matrix and its inverse — plus an optional
     u32 length | b"DHLP" | u16 version | u16 type | u32 meta_len |
     u32 body_crc32 | meta (UTF-8 JSON) | buffer bytes...
 
-``meta`` holds scalars and the buffer table (dtype + shape per array);
-array payloads follow as raw little-endian bytes in table order, sliced
-zero-copy with ``np.frombuffer`` on receipt. ``body_crc32`` covers
-everything after the header (meta + buffers), so a frame that arrives
-complete but damaged is rejected instead of decoded into garbage
-labels. **No pickle on the hot path**: a compute round trip is struct +
-JSON header parsing plus raw buffer views. Frames are validated
-structurally — wrong magic, an unknown version
-(:data:`PROTOCOL_VERSION` is bumped on any incompatible change), a
-truncated payload, or an unknown message type raise
+``meta`` is a JSON object keyed by field name, plus the buffer table
+(dtype + shape per array); array payloads follow as raw little-endian
+bytes in table order, sliced zero-copy with ``np.frombuffer`` on
+receipt. One codec serves every type through the field plan each
+dataclass gets from its type hints: an array field declares its dtype
+as :data:`I64` or :data:`F64`, ``bytes`` ride as a uint8 buffer, the
+rest lives in the meta. ``body_crc32`` covers everything after the
+header (meta + buffers), so a frame that arrives complete but damaged
+is rejected instead of decoded into garbage labels. **No pickle on the
+hot path**: a compute round trip is struct + JSON header parsing plus
+raw buffer views. Frames are validated structurally — wrong magic, an
+unknown version (:data:`PROTOCOL_VERSION` is bumped on any
+incompatible change), a truncated payload, an unknown message type, or
+a field of the wrong type or dtype raise
 :class:`~repro.exceptions.ProtocolError` instead of yielding garbage.
 Failures are classified for the supervisor:
 :class:`~repro.exceptions.ProtocolTruncationError` means the bytes
 stopped early (peer died mid-send — safe to respawn and retry), while
 :class:`~repro.exceptions.ProtocolCorruptionError` means a complete
-frame failed validation (bad magic, unparseable meta, trailing bytes,
-CRC mismatch — the stream itself can no longer be trusted).
+frame failed validation (bad magic, unparseable meta, a bad buffer
+table or reference, trailing bytes, CRC mismatch — the stream itself
+can no longer be trusted).
 
 Helpers at the bottom adapt the codec to the two byte streams used
 today: ``send_message``/``recv_message`` for sockets (length-prefixed
@@ -59,10 +64,11 @@ preserve frame boundaries, so the length prefix is omitted).
 from __future__ import annotations
 
 import json
+import math
 import struct
 import zlib
-from dataclasses import dataclass, field
-from typing import ClassVar
+from dataclasses import dataclass, field, fields
+from typing import Annotated, ClassVar, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -106,7 +112,9 @@ __all__ = [
 #: v3 made a :class:`SubQuery` one shard's whole share of a batch (intra
 #: pairs plus one ``fan`` list) and a :class:`SubResult` its finals plus
 #: one deduplicated fan matrix and its inverse.
-PROTOCOL_VERSION = 3
+#: v4 keys the meta by field name (one field-driven codec for every
+#: type) and checks each array against its field's declared dtype.
+PROTOCOL_VERSION = 4
 
 _MAGIC = b"DHLP"
 _HEAD = struct.Struct("<4sHHII")  # magic, version, msg_type, meta_len, crc32
@@ -115,77 +123,138 @@ _LEN = struct.Struct("<I")
 #: length prefix must not trigger a multi-gigabyte read.
 MAX_FRAME_BYTES = 1 << 31
 
-
-# ---------------------------------------------------------------------------
-# codec core
-# ---------------------------------------------------------------------------
-
-def _put(buffers: list[np.ndarray], array, dtype) -> int | None:
-    """Append *array* to the frame's buffer table; returns its index."""
-    if array is None:
-        return None
-    arr = np.ascontiguousarray(array, dtype=dtype)
-    buffers.append(arr)
-    return len(buffers) - 1
-
-
-def _take(buffers: list[np.ndarray], index) -> np.ndarray | None:
-    if index is None:
-        return None
-    try:
-        return buffers[index]
-    except (IndexError, TypeError) as exc:
-        raise ProtocolError(f"bad buffer reference {index!r}") from exc
-
-
+#: Array field types: the annotation carries the dtype the wire holds.
+I64 = Annotated[np.ndarray | None, np.int64]
+F64 = Annotated[np.ndarray | None, np.float64]
+#: Every dtype a buffer table may name: the two above and ``bytes``.
+_WIRE_DTYPES = {np.dtype(t).str: np.dtype(t) for t in (np.int64, np.float64, np.uint8)}
 _MESSAGE_TYPES: dict[int, type] = {}
 
 
-def _register(msg_type: int):
+# ---------------------------------------------------------------------------
+# codec core: one field plan per wire type
+# ---------------------------------------------------------------------------
+
+def _typed(where: str, kind: type, value):
+    """*value* if it is exactly a *kind* (a bool is no int here)."""
+    if type(value) is not kind:
+        raise ProtocolError(f"{where}: {type(value).__name__} is no {kind.__name__}")
+    return value
+
+
+def _array_codec(where: str, dtype: np.dtype):
+    def encode(value, buffers):
+        if value is None:
+            return None
+        buffers.append(np.ascontiguousarray(value, dtype=dtype))
+        return len(buffers) - 1
+
+    def decode(ref, buffers):
+        if ref is None:
+            return None
+        if type(ref) is not int or not 0 <= ref < len(buffers):
+            raise ProtocolCorruptionError(f"{where}: bad buffer reference {ref!r}")
+        if buffers[ref].dtype != dtype:
+            raise ProtocolError(f"{where}: {buffers[ref].dtype} buffer, not {dtype}")
+        return buffers[ref]
+
+    return encode, decode
+
+
+def _field_codec(where: str, hint):
+    """``(encode, decode)`` for the field *where*, by its type hint: field
+    value to meta value (arrays appended to the buffer table), and back."""
+    if get_origin(hint) is Annotated:
+        return _array_codec(where, np.dtype(get_args(hint)[1]))
+    if hint is bytes:
+        encode, decode = _array_codec(where, np.dtype(np.uint8))
+        return (
+            lambda v, b: encode(np.frombuffer(v, np.uint8), b),
+            lambda m, b: decode(m, b).tobytes(),
+        )
+    kinds = [a for a in get_args(hint) if a is not type(None)]
+    optional = len(kinds) < len(get_args(hint))
+    kind = kinds[0] if optional else hint
+    if get_origin(kind) is list:
+        (record,) = get_args(kind)
+        return (
+            lambda v, b: [_encode(item, b) for item in v],
+            lambda m, b: [_decode(record, x, b) for x in _typed(where, list, m)],
+        )
+    if kind in (int, bool, str, dict):
+        return (
+            lambda v, b: v if optional and v is None else kind(v),
+            lambda m, b: m if optional and m is None else _typed(where, kind, m),
+        )
+    return (
+        lambda v, b: None if v is None else _encode(v, b),
+        lambda m, b: None if m is None else _decode(kind, m, b),
+    )
+
+
+def _encode(obj, buffers: list[np.ndarray]) -> dict:
+    """*obj*'s meta: one entry per field, its arrays appended to *buffers*."""
+    return {name: encode(getattr(obj, name), buffers) for name, encode, _ in obj._plan}
+
+
+def _decode(cls, meta, buffers: list[np.ndarray]):
+    """The inverse of :func:`_encode`: one *cls* from its meta."""
+    meta = _typed(cls.__name__, dict, meta)
+    return cls(**{name: decode(meta[name], buffers) for name, _, decode in cls._plan})
+
+
+def _wire(msg_type: int | None = None):
+    """Give a wire dataclass its field plan; with *msg_type*, also
+    register it as a top-level message of that type."""
+
     def install(cls):
-        if msg_type in _MESSAGE_TYPES:  # pragma: no cover - author error
-            raise ValueError(f"duplicate message type {msg_type}")
-        cls.TYPE = msg_type
-        _MESSAGE_TYPES[msg_type] = cls
+        hints = get_type_hints(cls, include_extras=True)
+        cls._plan = tuple(
+            (f.name, *_field_codec(f"{cls.__name__}.{f.name}", hints[f.name]))
+            for f in fields(cls)
+        )
+        if msg_type is not None:
+            if msg_type in _MESSAGE_TYPES:  # pragma: no cover - author error
+                raise ValueError(f"duplicate message type {msg_type}")
+            cls.TYPE = msg_type
+            _MESSAGE_TYPES[msg_type] = cls
         return cls
 
     return install
 
 
 class Message:
-    """Base of every top-level protocol message.
-
-    Subclasses implement ``_pack`` (meta dict + appended buffers) and
-    ``_unpack`` (the inverse); :func:`encode_frame` / :func:`decode_frame`
-    handle framing, versioning, and validation around them.
-    """
+    """Base of every top-level protocol message; :func:`encode_frame` /
+    :func:`decode_frame` frame any subclass through its field plan."""
 
     TYPE: ClassVar[int]
-
-    def _pack(self, buffers: list[np.ndarray]) -> dict:
-        raise NotImplementedError
-
-    @classmethod
-    def _unpack(cls, meta: dict, buffers: list[np.ndarray]) -> "Message":
-        raise NotImplementedError
+    _plan: ClassVar[tuple]
 
 
 def encode_frame(message: Message) -> bytes:
     """Serialise one message to a self-describing binary frame."""
     buffers: list[np.ndarray] = []
-    meta = message._pack(buffers)
-    meta["__buffers__"] = [
-        [arr.dtype.str, list(arr.shape)] for arr in buffers
-    ]
+    meta = _encode(message, buffers)
+    meta["__buffers__"] = [[arr.dtype.str, list(arr.shape)] for arr in buffers]
     meta_bytes = json.dumps(meta, separators=(",", ":")).encode("utf-8")
     crc = zlib.crc32(meta_bytes)
     raw = [arr.tobytes() for arr in buffers]
     for chunk in raw:
         crc = zlib.crc32(chunk, crc)
-    head = _HEAD.pack(
-        _MAGIC, PROTOCOL_VERSION, message.TYPE, len(meta_bytes), crc
-    )
+    head = _HEAD.pack(_MAGIC, PROTOCOL_VERSION, message.TYPE, len(meta_bytes), crc)
     return b"".join([head, meta_bytes, *raw])
+
+
+def _buffer_spec(entry) -> tuple[np.dtype, list[int]]:
+    """One buffer-table row, checked: a wire dtype and non-negative dims."""
+    if type(entry) is not list or len(entry) != 2:
+        raise ProtocolCorruptionError(f"bad buffer table entry {entry!r}")
+    dtype_str, shape = entry
+    if type(dtype_str) is not str or dtype_str not in _WIRE_DTYPES:
+        raise ProtocolCorruptionError(f"unreadable buffer dtype {dtype_str!r}")
+    if type(shape) is not list or not all(type(d) is int and d >= 0 for d in shape):
+        raise ProtocolCorruptionError(f"bad buffer shape {shape!r}")
+    return _WIRE_DTYPES[dtype_str], shape
 
 
 def decode_frame(data: bytes) -> Message:
@@ -194,10 +263,11 @@ def decode_frame(data: bytes) -> Message:
     Bounds failures (the bytes stop before the header, meta, or a
     declared buffer ends) raise :class:`ProtocolTruncationError`; a
     structurally complete frame that fails validation (bad magic,
-    unparseable meta, trailing bytes, CRC mismatch) raises
-    :class:`ProtocolCorruptionError`. Version and unknown-type
-    mismatches stay plain :class:`ProtocolError` — the frame is fine,
-    the peers just disagree on the dialect.
+    unparseable meta, a bad buffer table or reference, trailing bytes,
+    CRC mismatch) raises :class:`ProtocolCorruptionError`. Version and
+    unknown-type mismatches, and fields of the wrong type or dtype, stay
+    plain :class:`ProtocolError` — the frame is fine, the peers just
+    disagree on the dialect.
     """
     if len(data) < _HEAD.size:
         raise ProtocolTruncationError(
@@ -227,19 +297,24 @@ def decode_frame(data: bytes) -> Message:
         meta = json.loads(data[offset : offset + meta_len].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ProtocolCorruptionError(f"unparseable frame meta: {exc}") from exc
+    table = meta.get("__buffers__", []) if type(meta) is dict else None
+    if type(table) is not list:
+        raise ProtocolCorruptionError("frame meta is no object with a buffer list")
     offset += meta_len
     buffers: list[np.ndarray] = []
-    for dtype_str, shape in meta.get("__buffers__", ()):
-        dtype = np.dtype(dtype_str)
-        count = int(np.prod(shape, dtype=np.int64)) if shape else 1
+    for entry in table:
+        dtype, shape = _buffer_spec(entry)
+        count = math.prod(shape)
         nbytes = dtype.itemsize * count
         if offset + nbytes > len(data):
             raise ProtocolTruncationError(
                 f"truncated frame: buffer wants {nbytes} bytes, "
                 f"{len(data) - offset} remain"
             )
-        arr = np.frombuffer(data, dtype=dtype, count=count, offset=offset)
-        buffers.append(arr.reshape(shape))
+        try:
+            buffers.append(np.frombuffer(data, dtype, count, offset).reshape(shape))
+        except ValueError as exc:  # over 64 dims, or a size numpy cannot hold
+            raise ProtocolCorruptionError(f"bad buffer shape: {exc}") from exc
         offset += nbytes
     if offset != len(data):
         raise ProtocolCorruptionError(
@@ -255,7 +330,7 @@ def decode_frame(data: bytes) -> Message:
             f"body hashes to {actual:#010x}"
         )
     try:
-        return cls._unpack(meta, buffers)
+        return _decode(cls, meta, buffers)
     except ProtocolError:
         raise
     except Exception as exc:
@@ -268,6 +343,7 @@ def decode_frame(data: bytes) -> Message:
 # nested wire records (not top-level frames)
 # ---------------------------------------------------------------------------
 
+@_wire()
 @dataclass
 class SubQuery:
     """One shard's share of a batch, in shard-local ids.
@@ -283,33 +359,12 @@ class SubQuery:
     targets a sibling that may hold nothing), eliding just saves bytes.
     """
 
-    s: np.ndarray | None = None
-    t: np.ndarray | None = None
-    fan: np.ndarray | None = None
-    block: np.ndarray | None = None
+    s: I64 = None
+    t: I64 = None
+    fan: I64 = None
+    block: F64 = None
     block_cached: bool = False
     block_epoch: int = -1
-
-    def _pack(self, buffers) -> dict:
-        return {
-            "s": _put(buffers, self.s, np.int64),
-            "t": _put(buffers, self.t, np.int64),
-            "f": _put(buffers, self.fan, np.int64),
-            "b": _put(buffers, self.block, np.float64),
-            "bc": bool(self.block_cached),
-            "be": int(self.block_epoch),
-        }
-
-    @classmethod
-    def _unpack(cls, meta, buffers) -> "SubQuery":
-        return cls(
-            s=_take(buffers, meta["s"]),
-            t=_take(buffers, meta["t"]),
-            fan=_take(buffers, meta["f"]),
-            block=_take(buffers, meta["b"]),
-            block_cached=bool(meta["bc"]),
-            block_epoch=int(meta["be"]),
-        )
 
     def without_block(self) -> "SubQuery":
         """The byte-thrifty form: same work, block elided as held."""
@@ -322,6 +377,7 @@ class SubQuery:
         )
 
 
+@_wire()
 @dataclass
 class SubResult:
     """One :class:`SubQuery`'s answer.
@@ -332,26 +388,12 @@ class SubResult:
     scale with distinct endpoints, not raw pair count.
     """
 
-    final: np.ndarray | None = None
-    fan: np.ndarray | None = None
-    fan_inverse: np.ndarray | None = None
-
-    def _pack(self, buffers) -> dict:
-        return {
-            "f": _put(buffers, self.final, np.float64),
-            "fm": _put(buffers, self.fan, np.float64),
-            "fi": _put(buffers, self.fan_inverse, np.int64),
-        }
-
-    @classmethod
-    def _unpack(cls, meta, buffers) -> "SubResult":
-        return cls(
-            final=_take(buffers, meta["f"]),
-            fan=_take(buffers, meta["fm"]),
-            fan_inverse=_take(buffers, meta["fi"]),
-        )
+    final: F64 = None
+    fan: F64 = None
+    fan_inverse: I64 = None
 
 
+@_wire()
 @dataclass
 class TraceEnvelope:
     """A worker-side span subtree in plain-dict form, ready to graft
@@ -360,19 +402,12 @@ class TraceEnvelope:
 
     spans: dict
 
-    def _pack(self, buffers) -> dict:
-        return {"spans": self.spans}
-
-    @classmethod
-    def _unpack(cls, meta, buffers) -> "TraceEnvelope":
-        return cls(spans=meta["spans"])
-
 
 # ---------------------------------------------------------------------------
 # requests
 # ---------------------------------------------------------------------------
 
-@_register(1)
+@_wire(1)
 @dataclass
 class SpecRequest(Message):
     """Startup handshake: the shard's structure and its label buffers.
@@ -392,36 +427,11 @@ class SpecRequest(Message):
     shm_offsets: str | None = None
     values_len: int = 0
     offsets_len: int = 0
-    values: np.ndarray | None = None
-    offsets: np.ndarray | None = None
-
-    def _pack(self, buffers) -> dict:
-        return {
-            "p": _put(buffers, np.frombuffer(self.payload, dtype=np.uint8), np.uint8),
-            "e": int(self.epoch),
-            "sv": self.shm_values,
-            "so": self.shm_offsets,
-            "vl": int(self.values_len),
-            "ol": int(self.offsets_len),
-            "v": _put(buffers, self.values, np.float64),
-            "o": _put(buffers, self.offsets, np.int64),
-        }
-
-    @classmethod
-    def _unpack(cls, meta, buffers) -> "SpecRequest":
-        return cls(
-            payload=_take(buffers, meta["p"]).tobytes(),
-            epoch=int(meta["e"]),
-            shm_values=meta["sv"],
-            shm_offsets=meta["so"],
-            values_len=int(meta["vl"]),
-            offsets_len=int(meta["ol"]),
-            values=_take(buffers, meta["v"]),
-            offsets=_take(buffers, meta["o"]),
-        )
+    values: F64 = None
+    offsets: I64 = None
 
 
-@_register(2)
+@_wire(2)
 @dataclass
 class ComputeBatch(Message):
     """One batch's worth of shard-local work at a stamped epoch.
@@ -436,23 +446,8 @@ class ComputeBatch(Message):
     subs: list[SubQuery] = field(default_factory=list)
     want_trace: bool = False
 
-    def _pack(self, buffers) -> dict:
-        return {
-            "e": int(self.epoch),
-            "subs": [sub._pack(buffers) for sub in self.subs],
-            "wt": bool(self.want_trace),
-        }
 
-    @classmethod
-    def _unpack(cls, meta, buffers) -> "ComputeBatch":
-        return cls(
-            epoch=int(meta["e"]),
-            subs=[SubQuery._unpack(m, buffers) for m in meta["subs"]],
-            want_trace=bool(meta["wt"]),
-        )
-
-
-@_register(3)
+@_wire(3)
 @dataclass
 class EpochDelta(Message):
     """Adopt *epoch*; optionally splice the changed label slots first.
@@ -466,26 +461,11 @@ class EpochDelta(Message):
     """
 
     epoch: int
-    vertices: np.ndarray | None = None
-    payload: np.ndarray | None = None
-
-    def _pack(self, buffers) -> dict:
-        return {
-            "e": int(self.epoch),
-            "v": _put(buffers, self.vertices, np.int64),
-            "p": _put(buffers, self.payload, np.float64),
-        }
-
-    @classmethod
-    def _unpack(cls, meta, buffers) -> "EpochDelta":
-        return cls(
-            epoch=int(meta["e"]),
-            vertices=_take(buffers, meta["v"]),
-            payload=_take(buffers, meta["p"]),
-        )
+    vertices: I64 = None
+    payload: F64 = None
 
 
-@_register(4)
+@_wire(4)
 @dataclass
 class Republish(Message):
     """The label layout changed: rebind onto fresh buffers, adopt *epoch*.
@@ -499,47 +479,17 @@ class Republish(Message):
     shm_offsets: str | None = None
     values_len: int = 0
     offsets_len: int = 0
-    values: np.ndarray | None = None
-    offsets: np.ndarray | None = None
-
-    def _pack(self, buffers) -> dict:
-        return {
-            "e": int(self.epoch),
-            "sv": self.shm_values,
-            "so": self.shm_offsets,
-            "vl": int(self.values_len),
-            "ol": int(self.offsets_len),
-            "v": _put(buffers, self.values, np.float64),
-            "o": _put(buffers, self.offsets, np.int64),
-        }
-
-    @classmethod
-    def _unpack(cls, meta, buffers) -> "Republish":
-        return cls(
-            epoch=int(meta["e"]),
-            shm_values=meta["sv"],
-            shm_offsets=meta["so"],
-            values_len=int(meta["vl"]),
-            offsets_len=int(meta["ol"]),
-            values=_take(buffers, meta["v"]),
-            offsets=_take(buffers, meta["o"]),
-        )
+    values: F64 = None
+    offsets: I64 = None
 
 
-@_register(5)
+@_wire(5)
 @dataclass
 class Shutdown(Message):
     """Orderly teardown; the worker answers :class:`ByeReply` and exits."""
 
-    def _pack(self, buffers) -> dict:
-        return {}
 
-    @classmethod
-    def _unpack(cls, meta, buffers) -> "Shutdown":
-        return cls()
-
-
-@_register(6)
+@_wire(6)
 @dataclass
 class HealthCheck(Message):
     """Liveness probe: the worker must echo ``nonce`` in a
@@ -548,19 +498,12 @@ class HealthCheck(Message):
 
     nonce: int = 0
 
-    def _pack(self, buffers) -> dict:
-        return {"n": int(self.nonce)}
-
-    @classmethod
-    def _unpack(cls, meta, buffers) -> "HealthCheck":
-        return cls(nonce=int(meta["n"]))
-
 
 # ---------------------------------------------------------------------------
 # replies
 # ---------------------------------------------------------------------------
 
-@_register(16)
+@_wire(16)
 @dataclass
 class ReadyReply(Message):
     """Handshake complete: the worker serves ``num_vertices`` at *epoch*."""
@@ -568,15 +511,8 @@ class ReadyReply(Message):
     num_vertices: int
     epoch: int = 0
 
-    def _pack(self, buffers) -> dict:
-        return {"n": int(self.num_vertices), "e": int(self.epoch)}
 
-    @classmethod
-    def _unpack(cls, meta, buffers) -> "ReadyReply":
-        return cls(num_vertices=int(meta["n"]), epoch=int(meta["e"]))
-
-
-@_register(17)
+@_wire(17)
 @dataclass
 class ComputeReply(Message):
     """Per-sub answers, in :class:`ComputeBatch` order, plus optional
@@ -585,34 +521,14 @@ class ComputeReply(Message):
     results: list[SubResult] = field(default_factory=list)
     trace: TraceEnvelope | None = None
 
-    def _pack(self, buffers) -> dict:
-        return {
-            "r": [result._pack(buffers) for result in self.results],
-            "t": self.trace._pack(buffers) if self.trace else None,
-        }
 
-    @classmethod
-    def _unpack(cls, meta, buffers) -> "ComputeReply":
-        return cls(
-            results=[SubResult._unpack(m, buffers) for m in meta["r"]],
-            trace=TraceEnvelope._unpack(meta["t"], buffers) if meta["t"] else None,
-        )
-
-
-@_register(18)
+@_wire(18)
 @dataclass
 class AckReply(Message):
     """Generic success acknowledgement (epoch adopt, republish rebind)."""
 
-    def _pack(self, buffers) -> dict:
-        return {}
 
-    @classmethod
-    def _unpack(cls, meta, buffers) -> "AckReply":
-        return cls()
-
-
-@_register(19)
+@_wire(19)
 @dataclass
 class StaleReply(Message):
     """Epoch refusal: the worker holds ``held``, the batch was stamped
@@ -622,43 +538,22 @@ class StaleReply(Message):
     held: int
     stamped: int
 
-    def _pack(self, buffers) -> dict:
-        return {"h": int(self.held), "s": int(self.stamped)}
 
-    @classmethod
-    def _unpack(cls, meta, buffers) -> "StaleReply":
-        return cls(held=int(meta["h"]), stamped=int(meta["s"]))
-
-
-@_register(20)
+@_wire(20)
 @dataclass
 class ErrorReply(Message):
     """The worker hit an exception; ``message`` is its rendered form."""
 
     message: str
 
-    def _pack(self, buffers) -> dict:
-        return {"m": str(self.message)}
 
-    @classmethod
-    def _unpack(cls, meta, buffers) -> "ErrorReply":
-        return cls(message=str(meta["m"]))
-
-
-@_register(21)
+@_wire(21)
 @dataclass
 class ByeReply(Message):
     """Shutdown acknowledged; the worker exits after sending this."""
 
-    def _pack(self, buffers) -> dict:
-        return {}
 
-    @classmethod
-    def _unpack(cls, meta, buffers) -> "ByeReply":
-        return cls()
-
-
-@_register(22)
+@_wire(22)
 @dataclass
 class HealthReply(Message):
     """Answer to :class:`HealthCheck`: the echoed ``nonce``, the label
@@ -668,21 +563,6 @@ class HealthReply(Message):
     nonce: int = 0
     epoch: int = 0
     served: int = 0
-
-    def _pack(self, buffers) -> dict:
-        return {
-            "n": int(self.nonce),
-            "e": int(self.epoch),
-            "s": int(self.served),
-        }
-
-    @classmethod
-    def _unpack(cls, meta, buffers) -> "HealthReply":
-        return cls(
-            nonce=int(meta["n"]),
-            epoch=int(meta["e"]),
-            served=int(meta["s"]),
-        )
 
 
 # ---------------------------------------------------------------------------

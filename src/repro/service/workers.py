@@ -184,7 +184,7 @@ class ShardExecutor:
             engine.hub_store()
 
     # -- maintenance ----------------------------------------------------
-    def apply_delta(self, delta: EpochDelta) -> AckReply:
+    def apply_delta(self, delta: EpochDelta) -> AckReply | ErrorReply:
         """Adopt the epoch; splice inline label deltas first if present.
 
         ``vertices=None`` means the parent already wrote the values into
@@ -192,11 +192,23 @@ class ShardExecutor:
         arrays arrive inline and land in the private writable buffers
         with one scatter through the executor's own offsets (one run
         of ``lengths[i]`` positions from ``starts[i]`` per vertex, the
-        pair kernel's ragged idiom).
+        pair kernel's ragged idiom). A vertex outside ``[0, n)`` (numpy
+        would wrap a negative one onto another label) or a payload that
+        is not exactly those labels' entries is an :class:`ErrorReply`,
+        with the values and the epoch untouched.
         """
         if delta.vertices is not None:
-            starts = self.offsets[delta.vertices]
-            lengths = self.offsets[delta.vertices + 1] - starts
+            try:
+                check_ids(len(self.offsets) - 1, delta.vertices)
+                starts = self.offsets[delta.vertices]
+                lengths = self.offsets[delta.vertices + 1] - starts
+                if np.shape(delta.payload) != (lengths.sum(),):
+                    raise ValueError(
+                        f"delta payload of shape {np.shape(delta.payload)} "
+                        f"for {lengths.sum()} label entries"
+                    )
+            except (KeyError, ValueError) as exc:
+                return ErrorReply(message=f"{type(exc).__name__}: {exc}")
             pos = np.repeat(starts - (np.cumsum(lengths) - lengths), lengths)
             pos += np.arange(len(pos))
             self.values[pos] = delta.payload

@@ -10,9 +10,12 @@ that is truncated, version-skewed, or otherwise malformed raises
 
 from __future__ import annotations
 
+import json
 import socket
 import struct
 import threading
+import zlib
+from dataclasses import MISSING, fields, is_dataclass
 
 import numpy as np
 import pytest
@@ -25,6 +28,8 @@ from repro.exceptions import (
     ProtocolTruncationError,
 )
 from repro.service.protocol import (
+    _HEAD,
+    _MESSAGE_TYPES,
     PROTOCOL_VERSION,
     AckReply,
     ByeReply,
@@ -206,7 +211,89 @@ def test_trace_envelope_rides_compute_reply(envelope):
     assert decode_frame(encode_frame(reply)).trace.spans == envelope.spans
 
 
+#: One message of every registered type, each field off its default.
+EXAMPLES = [
+    SpecRequest(
+        payload=b"\x00pickled\xff",
+        epoch=3,
+        shm_values="psm_v",
+        shm_offsets="psm_o",
+        values_len=2,
+        offsets_len=3,
+        values=np.array([1.5, np.inf]),
+        offsets=np.array([0, 1, 2], dtype=np.int64),
+    ),
+    ComputeBatch(
+        epoch=4,
+        subs=[
+            SubQuery(
+                s=np.array([0, 1], dtype=np.int64),
+                t=np.array([2, 3], dtype=np.int64),
+                fan=np.array([5], dtype=np.int64),
+                block=np.arange(6, dtype=np.float64).reshape(2, 3),
+                block_cached=True,
+                block_epoch=6,
+            )
+        ],
+        want_trace=True,
+    ),
+    EpochDelta(
+        epoch=5,
+        vertices=np.array([2], dtype=np.int64),
+        payload=np.array([0.5, 1.0]),
+    ),
+    Republish(
+        epoch=9,
+        shm_values="psm_abc",
+        shm_offsets="psm_def",
+        values_len=10,
+        offsets_len=11,
+        values=np.array([1.0, np.inf]),
+        offsets=np.array([0, 2], dtype=np.int64),
+    ),
+    Shutdown(),
+    HealthCheck(nonce=41),
+    ReadyReply(num_vertices=42, epoch=7),
+    ComputeReply(
+        results=[
+            SubResult(
+                final=np.array([1.5]),
+                fan=np.ones((2, 2)),
+                fan_inverse=np.array([1, 0, 1], dtype=np.int64),
+            )
+        ],
+        trace=TraceEnvelope(spans={"name": "shard_compute", "seconds": 0.5}),
+    ),
+    AckReply(),
+    StaleReply(held=3, stamped=5),
+    ErrorReply(message="KeyError: 'boom'"),
+    ByeReply(),
+    HealthReply(nonce=41, epoch=7, served=99),
+]
+
+
+def assert_off_default(record):
+    """Every defaulted field of *record*, nested records included, holds
+    something other than its default."""
+    for f in fields(record):
+        value = getattr(record, f.name)
+        if f.default is not MISSING:
+            assert value is not f.default, f"{type(record).__name__}.{f.name}"
+            assert isinstance(value, np.ndarray) or value != f.default
+        elif f.default_factory is not MISSING:
+            assert value != f.default_factory(), f"{type(record).__name__}.{f.name}"
+        for item in value if isinstance(value, list) else [value]:
+            if is_dataclass(item):
+                assert_off_default(item)
+
+
 def test_scalar_messages_roundtrip():
+    missing = {c.__name__ for c in _MESSAGE_TYPES.values()}
+    missing -= {type(m).__name__ for m in EXAMPLES}
+    assert not missing, f"no round-trip example for {sorted(missing)}"
+    for message in EXAMPLES:
+        assert_off_default(message)
+        assert_same(decode_frame(encode_frame(message)), message)
     for message in (
         ReadyReply(num_vertices=42, epoch=7),
         StaleReply(held=3, stamped=5),
@@ -317,9 +404,9 @@ def test_every_truncation_point_rejected_or_never_silent():
 
 
 def test_version_mismatch_rejected():
-    """A v2 peer (per-region-pair sub-queries, four fan arrays a reply)
-    and a newer one are both refused outright."""
-    assert PROTOCOL_VERSION == 3
+    """A v3 peer (two-letter meta keys) and a newer one are both
+    refused outright."""
+    assert PROTOCOL_VERSION == 4
     frame = bytearray(reference_frame())
     offset = 4  # after magic
     (version,) = struct.unpack_from("<H", frame, offset)
@@ -346,6 +433,103 @@ def test_unknown_message_type_rejected():
 def test_trailing_garbage_rejected():
     with pytest.raises(ProtocolError, match="oversized"):
         decode_frame(reference_frame() + b"xx")
+
+
+def split(frame: bytes) -> tuple[int, object, bytes]:
+    """A frame's message type, parsed meta and raw buffer bytes."""
+    _, _, msg_type, meta_len, _ = _HEAD.unpack_from(frame)
+    body = frame[_HEAD.size :]
+    return msg_type, json.loads(body[:meta_len]), body[meta_len:]
+
+
+def craft(msg_type: int, meta, raw: bytes) -> bytes:
+    """A frame around *meta* and *raw* with its CRC recomputed: it passes
+    the framing checks, so only the decoder's own checks can refuse it."""
+    meta_bytes = json.dumps(meta).encode("utf-8")
+    crc = zlib.crc32(raw, zlib.crc32(meta_bytes))
+    head = _HEAD.pack(b"DHLP", PROTOCOL_VERSION, msg_type, len(meta_bytes), crc)
+    return head + meta_bytes + raw
+
+
+def replaced(meta, path: tuple, value):
+    """*meta* with the value at *path* (dict keys / list indices; the
+    root for an empty path) replaced by *value*."""
+    if not path:
+        return value
+    node = meta
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return meta
+
+
+# reference_frame() holds buffers s = 0, t = 1, block = 2.
+@pytest.mark.parametrize(
+    "path, value, error, match",
+    [
+        (("subs", 0, "s"), -1, ProtocolCorruptionError, "buffer reference"),
+        (("subs", 0, "t"), True, ProtocolCorruptionError, "buffer reference"),
+        (("subs", 0, "s"), 3, ProtocolCorruptionError, "buffer reference"),
+        (("__buffers__", 0, 0), "zz", ProtocolCorruptionError, "dtype"),
+        (("__buffers__", 0, 0), "|O", ProtocolCorruptionError, "dtype"),
+        (("__buffers__", 0, 1), [-2], ProtocolCorruptionError, "shape"),
+        ((), [], ProtocolCorruptionError, "object"),
+        ((), "meta", ProtocolCorruptionError, "object"),
+        (("__buffers__", 0, 0), "<f8", ProtocolError, r"SubQuery\.s"),
+    ],
+    ids=[
+        "reference-negative",
+        "reference-bool",
+        "reference-past-table",
+        "dtype-unknown",
+        "dtype-object",
+        "dimension-negative",
+        "meta-list",
+        "meta-string",
+        "dtype-not-declared",
+    ],
+)
+def test_crc_valid_malformed_frames_rejected(path, value, error, match):
+    msg_type, meta, raw = split(reference_frame())
+    frame = craft(msg_type, replaced(meta, path, value), raw)
+    with pytest.raises(error, match=match):
+        decode_frame(frame)
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+def meta_paths(node, path: tuple = ()):
+    """Every position in a meta tree, the root included."""
+    yield path
+    if isinstance(node, dict):
+        children = node.items()
+    elif isinstance(node, list):
+        children = enumerate(node)
+    else:
+        children = ()
+    for key, child in children:
+        yield from meta_paths(child, (*path, key))
+
+
+@settings(max_examples=300, deadline=None)
+@given(message=st.sampled_from(EXAMPLES), data=st.data())
+def test_any_meta_value_decodes_or_raises_protocol_error(message, data):
+    """Swap any one meta value of a valid frame for arbitrary JSON and
+    recompute the CRC: the frame decodes or raises ProtocolError, never
+    another exception type."""
+    msg_type, meta, raw = split(encode_frame(message))
+    path = data.draw(st.sampled_from(list(meta_paths(meta))))
+    frame = craft(msg_type, replaced(meta, path, data.draw(json_values)), raw)
+    try:
+        decode_frame(frame)
+    except ProtocolError:
+        pass
 
 
 def test_corrupt_meta_rejected():

@@ -27,6 +27,7 @@ from repro.service import ShardExecutor
 from repro.service.protocol import (
     ComputeBatch,
     ComputeReply,
+    EpochDelta,
     ErrorReply,
     SpecRequest,
     SubQuery,
@@ -349,6 +350,32 @@ def test_a_block_never_shipped_is_an_error_reply(attached):
         ComputeBatch(epoch=0, subs=[SubQuery(**sub, block_cached=True, block_epoch=7)])
     )
     assert isinstance(reply, ErrorReply) and "no cached overlay block" in reply.message
+
+
+@pytest.mark.parametrize("bad", ["negative", "past_n", "short", "broadcast"])
+def test_a_bad_inline_delta_is_an_error_reply_and_splices_nothing(attached, bad):
+    """An inline delta is checked before the splice: -2 would wrap
+    through ``offsets[-2]`` onto vertex n - 1's label, and a one-value
+    payload would broadcast over every touched slot."""
+    _, replica = attached
+    n = len(replica.offsets) - 1
+    lengths = np.diff(replica.offsets)
+    vertices = {"negative": [0, -2], "past_n": [0, n]}.get(bad, [0, n - 1])
+    size = {"short": lengths[0] + lengths[n - 1] - 1, "broadcast": 1}.get(
+        bad, lengths[0] + lengths[n - 1]
+    )
+    before = replica.values.copy()
+    reply = replica.apply_delta(
+        EpochDelta(
+            epoch=1,
+            vertices=np.array(vertices, dtype=np.int64),
+            payload=np.full(size, 7.0),
+        )
+    )
+    expected = "VertexNotFound" if bad in ("negative", "past_n") else "payload"
+    assert isinstance(reply, ErrorReply) and expected in reply.message
+    np.testing.assert_array_equal(replica.values, before)
+    assert replica.epoch == 0
 
 
 @pytest.mark.parametrize("side", ["source", "target"])
