@@ -6,9 +6,10 @@ SIGMOD 2025), including the DHL index, its dynamic maintenance algorithms,
 the DCH and IncH2H state-of-the-art baselines, a multilevel graph
 partitioner, synthetic road-network datasets and an experiment harness
 (``repro-experiments``) for every table and figure of the paper's
-evaluation. The hot loops run in one C kernel file the package compiles
-at first use (:mod:`repro.labelling.native`); a host without a C compiler
-runs the pure-Python reference engine instead.
+evaluation. Every algorithm runs in one C kernel file the package compiles
+at first use (:mod:`repro.labelling.native`), so a C compiler (``cc``,
+``gcc`` or ``clang``) is required: without one the first build raises
+:class:`~repro.exceptions.NativeUnavailableError`.
 
 Quickstart::
 

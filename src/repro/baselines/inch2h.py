@@ -28,14 +28,15 @@ its exact constant factors — see DESIGN.md §3.
 
 from __future__ import annotations
 
+import itertools
 import math
+from heapq import heappop, heappush
 
 import numpy as np
 
 from repro.baselines.h2h import H2HIndex
 from repro.labelling.driver import fold_batch, maintain_shortcuts
 from repro.labelling.maintenance import MaintenanceStats
-from repro.utils.priority_queue import LazyHeap
 
 __all__ = ["IncH2HIndex"]
 
@@ -77,7 +78,7 @@ class IncH2HIndex(H2HIndex):
         )
         depth = self.depth
         dist = self.dist
-        heap: LazyHeap[tuple[int, int]] = LazyHeap()
+        heap, push, pop = _entry_queue(depth)
 
         # Phase 1: seed from affected shortcuts (v deeper, w its ancestor).
         for (v, w), _old in affected.items():
@@ -90,11 +91,11 @@ class IncH2HIndex(H2HIndex):
                 np.minimum(row[:dv], candidate, out=row[:dv])
                 stats.labels_changed += int(improved.sum())
                 for j in np.nonzero(improved)[0].tolist():
-                    heap.push((v, int(j)), float(depth[v]))
+                    push(v, j)
 
         # Phase 2: chaotic relaxation along both dependency types.
         while heap:
-            (v, j), _ = heap.pop()
+            v, j = pop()
             stats.entries_processed += 1
             value = dist[v, j]
             dv = int(depth[v])
@@ -105,7 +106,7 @@ class IncH2HIndex(H2HIndex):
                 if candidate < dist[u, j]:
                     dist[u, j] = candidate
                     stats.labels_changed += 1
-                    heap.push((u, j), float(depth[u]))
+                    push(u, j)
             # (b) peak-crossing: x below anc_j (with v on its chain)
             # reaches v through anc_j.
             for x, weight in zip(*self.sc.down_row(anc_j)):
@@ -114,7 +115,7 @@ class IncH2HIndex(H2HIndex):
                     if candidate < dist[x, dv]:
                         dist[x, dv] = candidate
                         stats.labels_changed += 1
-                        heap.push((x, dv), float(depth[x]))
+                        push(x, dv)
         return stats
 
     # ------------------------------------------------------------------
@@ -128,7 +129,7 @@ class IncH2HIndex(H2HIndex):
         )
         depth = self.depth
         dist = self.dist
-        heap: LazyHeap[tuple[int, int]] = LazyHeap()
+        heap, push, pop = _entry_queue(depth)
 
         # Phase 1: entries whose value was realised through an affected
         # shortcut's old weight are suspect.
@@ -139,12 +140,12 @@ class IncH2HIndex(H2HIndex):
             suspect = candidate == row[:dv]
             suspect |= np.isinf(candidate) & np.isinf(row[:dv])
             for j in np.nonzero(suspect)[0].tolist():
-                heap.push((v, int(j)), float(depth[v]))
+                push(v, j)
 
         # Phase 2: recompute in increasing depth; dependencies (same
         # column above, and mixed lookups into shallower rows) are final.
         while heap:
-            (v, j), _ = heap.pop()
+            v, j = pop()
             stats.entries_processed += 1
             ancestors = self.anc[v]
             w_new = math.inf
@@ -162,7 +163,7 @@ class IncH2HIndex(H2HIndex):
                     if chained == dist[u, j] or (
                         math.isinf(chained) and math.isinf(dist[u, j])
                     ):
-                        heap.push((u, j), float(depth[u]))
+                        push(u, j)
                 # (b) peak-crossing dependents.
                 for x, weight in zip(*self.sc.down_row(anc_j)):
                     if depth[x] > dv and self.anc[x, dv] == v:
@@ -170,7 +171,7 @@ class IncH2HIndex(H2HIndex):
                         if chained == dist[x, dv] or (
                             math.isinf(chained) and math.isinf(dist[x, dv])
                         ):
-                            heap.push((x, dv), float(depth[x]))
+                            push(x, dv)
                 stats.labels_changed += 1
             dist[v, j] = w_new
         return stats
@@ -187,3 +188,25 @@ class IncH2HIndex(H2HIndex):
             stats = stats.merge(self.decrease(decreases))
         return stats
 
+
+def _entry_queue(depth):
+    """``(heap, push, pop)`` of a min-queue of label entries ``(v, j)``
+    keyed by ``depth[v]``: :mod:`heapq` entries ``(depth, push counter,
+    v, j)``, and an entry already queued is not queued again. An
+    entry's key never changes, so no queued entry goes stale and ties
+    pop in push order."""
+    heap: list[tuple[int, int, int, int]] = []
+    queued: set[tuple[int, int]] = set()
+    counter = itertools.count()
+
+    def push(v: int, j: int) -> None:
+        if (v, j) not in queued:
+            queued.add((v, j))
+            heappush(heap, (int(depth[v]), next(counter), v, j))
+
+    def pop() -> tuple[int, int]:
+        _, _, v, j = heappop(heap)
+        queued.remove((v, j))
+        return v, j
+
+    return heap, push, pop

@@ -13,6 +13,13 @@ __all__ = ["DHLConfig"]
 class DHLConfig:
     """Tunable knobs of index construction.
 
+    There is no engine knob: every algorithm runs in the C kernels of
+    :mod:`repro.labelling.native`, built with the host's C compiler at
+    first use (a host without one raises
+    :class:`~repro.exceptions.NativeUnavailableError` on the first
+    build). Snapshots written when the config still had an ``engine``
+    field load; the field is dropped.
+
     Attributes
     ----------
     beta:
@@ -24,22 +31,6 @@ class DHLConfig:
     seed:
         Seed for the randomised partitioning heuristics; fixed seed means
         reproducible indexes.
-    engine:
-        The two maintenance sweeps (Algorithms 2 + 3 over the
-        shortcuts, 4 + 5 over the labels, each for a whole mixed batch)
-        the driver in :mod:`repro.labelling.driver` runs, and the batch
-        query kernel.
-        ``"compiled"`` (default) runs the C kernels of
-        :mod:`repro.labelling.native`, built with the host's ``cc`` at
-        first use and cached per user; where they cannot be had (no
-        compiler, a failed build) it downgrades to ``"reference"`` with
-        a one-time warning — see :meth:`resolve_engine`.
-        ``"reference"`` runs the scalar one-pop-per-entry sweeps of
-        :mod:`repro.labelling.maintenance` and the numpy queries. Both
-        engines produce identical labels, change counts and affected
-        sets — the differential tests hold them to it. The engine
-        belongs to the machine, not the index: snapshots do not record
-        it.
     validate:
         When True, run the (expensive) structural invariant checks after
         construction: comparability of shortcut endpoints and the
@@ -64,7 +55,6 @@ class DHLConfig:
     beta: float = 0.2
     leaf_size: int = 8
     seed: int = 0
-    engine: str = "compiled"
     validate: bool = False
     insert_closure_limit: int = 4096
     compaction_threshold: float = 0.25
@@ -74,11 +64,6 @@ class DHLConfig:
             raise IndexBuildError(f"beta must be in (0, 0.5], got {self.beta}")
         if self.leaf_size < 1:
             raise IndexBuildError(f"leaf_size must be >= 1, got {self.leaf_size}")
-        if self.engine not in ("compiled", "reference"):
-            raise IndexBuildError(
-                "engine must be one of 'compiled' or 'reference', "
-                f"got {self.engine!r}"
-            )
         if self.insert_closure_limit < 0:
             raise IndexBuildError(
                 "insert_closure_limit must be >= 0, got "
@@ -91,16 +76,14 @@ class DHLConfig:
             )
 
     def resolve_engine(self) -> str:
-        """The engine that will actually run.
+        """Load the C kernel library and return ``"compiled"``.
 
-        ``"reference"`` resolves to itself. ``"compiled"`` resolves to
-        itself when the native library loads (compiling it on the first
-        call a user ever makes) and downgrades to ``"reference"``
-        otherwise, emitting a single
-        ``RuntimeWarning`` per process that names the reason — a host
-        without a C compiler is never an error.
-        :func:`repro.labelling.native.status` has the details.
+        Kept for the benchmark harness, which records this name as its
+        ``engine`` meta key; there is no other engine. Raises
+        :class:`~repro.exceptions.NativeUnavailableError` where the
+        library cannot be had.
         """
-        from repro.labelling.native import resolved_engine
+        from repro.labelling.native import library
 
-        return resolved_engine(self.engine)
+        library()
+        return "compiled"

@@ -11,10 +11,9 @@ components ``(<H_Q, H_U>, L)``:
 4. :func:`~repro.labelling.build_labelling` runs Algorithm 1, once per
    weight plane of the shortcut store.
 
-Every step runs on ``config.resolve_engine()``: under ``compiled`` the
-FM refinement of step 1, the weight fill of step 3 and the top-down
-pass of step 4 are loops of the C kernel file, under ``reference`` their
-Python twins; the index is the same bits either way.
+Every combinatorial step of 1, the weight fill of 3 and the top-down
+pass of 4 are loops of the C kernel file (:mod:`repro.labelling.native`),
+as are the maintenance sweeps and the batch queries.
 
 Everything that does not depend on whether roads are edges or arcs lives
 once, in :class:`IndexCore`, written against the store contract
@@ -25,8 +24,7 @@ one-plane store; the directed index
 two-plane one.
 
 Updates go through DHL+/DHL- (Algorithms 2-5) via the single
-maintenance driver (:mod:`repro.labelling.driver`); ``config.engine``
-names the sweep implementation it runs.
+maintenance driver (:mod:`repro.labelling.driver`).
 """
 
 from __future__ import annotations
@@ -77,7 +75,7 @@ class IndexCore:
     # the target's), so the minimising hub certifies a cached result;
     # the serving layer may evict per-pair after an update.
     supports_fine_grained_eviction = True
-    #: The shortcut-store class: ``build(graph, hq, engine)`` contracts,
+    #: The shortcut-store class: ``build(graph, hq)`` contracts,
     #: and its ``planes`` is how many labellings the index carries.
     _hierarchy: type[UpdateHierarchy]
 
@@ -108,12 +106,7 @@ class IndexCore:
         self.hu = hu
         #: One labelling per weight plane of ``hu``, in plane order.
         self.labellings = tuple(labellings)
-        self._engine = QueryEngine(
-            hq,
-            self.labellings[0],
-            self.labellings[-1],
-            engine=self.config.resolve_engine(),
-        )
+        self._engine = QueryEngine(hq, self.labellings[0], self.labellings[-1])
         self._epoch += 1
         self._refresh_size_stats()
 
@@ -134,18 +127,17 @@ class IndexCore:
             raise IndexBuildError("cannot index an empty graph")
         stats = IndexStats(num_vertices=n, num_edges=graph.num_edges)
 
-        engine = config.resolve_engine()
         with Timer() as t, phase("build.partition"):
             tree = cls._bisect(cls._hierarchy.skeleton(graph), config)
             hq = QueryHierarchy.from_partition_tree(tree, n)
         stats.partition_seconds = t.seconds
 
         with Timer() as t, phase("build.contraction"):
-            hu = cls._hierarchy.build(graph, hq, engine)
+            hu = cls._hierarchy.build(graph, hq)
         stats.contraction_seconds = t.seconds
 
         with Timer() as t, phase("build.labelling"):
-            labellings = [build_labelling(plane, engine) for plane in hu.plane_views()]
+            labellings = [build_labelling(plane) for plane in hu.plane_views()]
         stats.labelling_seconds = t.seconds
 
         index = cls(graph, hq, hu, *labellings, config, stats)
@@ -160,7 +152,6 @@ class IndexCore:
             beta=config.beta,
             leaf_size=config.leaf_size,
             seed=config.seed,
-            engine=config.resolve_engine(),
         )
 
     def _refresh_size_stats(self) -> None:
@@ -228,9 +219,8 @@ class IndexCore:
 
         ``changes`` holds ``(u, v, new_weight)`` triples whose new weight
         is at most the current one. The whole batch is validated before
-        anything is written; ``config.engine`` names the sweeps that run
-        — the native kernels by default, the scalar reference sweeps
-        where no C compiler exists.
+        anything is written; the C sweeps of
+        :mod:`repro.labelling.native.engine` run it.
         """
         return self._maintain("decrease", changes)
 
@@ -241,7 +231,7 @@ class IndexCore:
     def _maintain(
         self, kind: str, changes: Iterable[WeightChange]
     ) -> MaintenanceStats:
-        stats = maintain(kind, self.hu, self.labellings, changes, self.config)
+        stats = maintain(kind, self.hu, self.labellings, changes)
         if stats is None:
             return MaintenanceStats()
         self._epoch += 1
@@ -343,8 +333,7 @@ class IndexCore:
         entries = sum(labels.num_entries for labels in self.labellings)
         return (
             f"{type(self).__name__}(n={self.graph.num_vertices}, "
-            f"m={self.graph.num_edges}, entries={entries}, "
-            f"engine={self._engine.engine})"
+            f"m={self.graph.num_edges}, entries={entries})"
         )
 
 

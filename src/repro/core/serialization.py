@@ -289,15 +289,13 @@ def _config_payload(config) -> dict:
 def _config_from_payload(payload: dict):
     """Rebuild a ``DHLConfig`` from the fields a snapshot may set.
 
-    Older snapshots carry retired keys (``workers``, ``coarsest_size``)
-    and an ``engine``; all are dropped, which keeps every snapshot on
-    disk loadable. The engine is a property of the machine that loads,
-    not of the index: the default resolves it there. Keys a snapshot
-    predates keep their defaults.
+    Older snapshots carry retired keys (``workers``, ``coarsest_size``,
+    ``engine``); all are dropped, which keeps every snapshot on disk
+    loadable. Keys a snapshot predates keep their defaults.
     """
     from repro.core.config import DHLConfig
 
-    known = {f.name for f in dataclasses.fields(DHLConfig)} - {"engine"}
+    known = {f.name for f in dataclasses.fields(DHLConfig)}
     return DHLConfig(**{k: v for k, v in payload.items() if k in known})
 
 

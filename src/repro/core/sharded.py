@@ -178,11 +178,7 @@ class ShardedDHLIndex:
             raise IndexBuildError("cannot index an empty graph")
         with Timer() as t, phase("build.regions"):
             partition = partition_regions(
-                graph,
-                k,
-                beta=region_beta,
-                seed=config.seed,
-                engine=config.resolve_engine(),
+                graph, k, beta=region_beta, seed=config.seed
             )
         partition_seconds = t.seconds
 

@@ -5,7 +5,7 @@ coarsely: insertion repartitioned the LCA subtree and rebuilt H_U and L
 wholesale, deletion left infinite-weight slots allocated forever. This
 module replaces that with a batched engine in the BatchHL+ direction
 (VLDB 2023): mixed batches of insertions, deletions and weight changes
-are reflected through the ordinary maintenance driver and its engines,
+are reflected through the ordinary maintenance driver and its sweeps,
 with rebuilds reserved for the cases that genuinely invalidate the
 hierarchy.
 
@@ -49,7 +49,7 @@ store. A build runs the same relaxation over a whole empty store
 (:func:`~repro.labelling.driver.fill_weights`), so an inserted slot
 ends with the bits a fresh build would give it. On a previously
 compacted store the sweep can produce a finite
-candidate for a removed pair; every engine's decrease sweep reports it
+candidate for a removed pair; the shortcut sweep reports it
 and the driver raises
 :class:`~repro.exceptions.StructuralFallbackRequired` → rebuild.
 
@@ -204,9 +204,8 @@ def _rebuild(index, hq: QueryHierarchy) -> None:
     Works on snapshot-loaded indexes too — the contraction order is a
     pure function of ``hq.tau``, which is always available.
     """
-    engine = index.config.resolve_engine()
-    hu = index._hierarchy.build(index.graph, hq, engine)
-    index._adopt(hq, hu, [build_labelling(plane, engine) for plane in hu.plane_views()])
+    hu = index._hierarchy.build(index.graph, hq)
+    index._adopt(hq, hu, [build_labelling(plane) for plane in hu.plane_views()])
 
 
 def _subtree_vertices(hq: QueryHierarchy, node_id: int) -> list[int]:

@@ -16,6 +16,7 @@ __all__ = [
     "PartitionError",
     "HierarchyError",
     "IndexBuildError",
+    "NativeUnavailableError",
     "MaintenanceError",
     "StructuralFallbackRequired",
     "SerializationError",
@@ -70,6 +71,15 @@ class HierarchyError(ReproError):
 
 class IndexBuildError(ReproError):
     """Index construction failed (bad configuration or degenerate input)."""
+
+
+class NativeUnavailableError(IndexBuildError):
+    """The C kernel library cannot be built or loaded on this host.
+
+    Every algorithm runs in ``dhl_kernels.c``, which the package compiles
+    with the host's C compiler at first use; the message names the
+    reason and the fix.
+    """
 
 
 class MaintenanceError(ReproError):

@@ -13,8 +13,8 @@ and yields the structure alone — for a digraph the symmetrised
 skeleton it is partitioned by, so one elimination serves both index
 families. The weights are then filled by Algorithm 2 from an empty
 store (:func:`~repro.labelling.driver.fill_weights`): every cell starts
-at its direct road weight and the decrease sweep of the resolved
-engine relaxes them to the minimum-weight property (Property 3.1),
+at its direct road weight and the C shortcut sweep relaxes them to the
+minimum-weight property (Property 3.1),
 
     w(u, v) = min( w_G(u, v), min_x w(x, u) + w(x, v) )
 
@@ -31,14 +31,15 @@ directed one two.
 
 from __future__ import annotations
 
+import itertools
 import math
+from heapq import heapify, heappop, heappush
 from typing import Sequence
 
 import numpy as np
 
 from repro.graph.graph import Graph
 from repro.hierarchy.csr import ShortcutCSR, build_shortcut_csr
-from repro.utils.priority_queue import LazyHeap
 
 __all__ = [
     "ContractionResult",
@@ -281,21 +282,21 @@ def unweighted_store(
     return ContractionResult(graph, order, rank, csr, np.empty(planes * csr.num_slots))
 
 
-def weighed(store, engine: str = "compiled"):
-    """*store* with its cells filled by *engine*: Algorithm 2 from an
-    empty store (:func:`~repro.labelling.driver.fill_weights`)."""
+def weighed(store):
+    """*store* with its cells filled: Algorithm 2 from an empty store
+    (:func:`~repro.labelling.driver.fill_weights`)."""
     # The labelling package imports the hierarchies, so its driver is
     # imported at call time.
     from repro.labelling.driver import fill_weights
 
-    fill_weights(store, engine)
+    fill_weights(store)
     return store
 
 
 def contract_in_order(graph: Graph, order: Sequence[int]) -> ContractionResult:
     """Contract *graph* following *order* (earliest contracted first):
-    the structure by :func:`eliminate`, the weights by the default
-    resolved engine's Algorithm 2 from an empty store."""
+    the structure by :func:`eliminate`, the weights by Algorithm 2 from
+    an empty store."""
     return weighed(unweighted_store(graph, graph, order))
 
 
@@ -308,17 +309,31 @@ def min_degree_order(graph: Graph) -> list[int]:
     """
     n = graph.num_vertices
     work: list[set[int]] = [set(graph.neighbors(v)) for v in range(n)]
-    heap: LazyHeap[int] = LazyHeap()
-    for v in range(n):
-        heap.push(v, float(len(work[v])))
+    # Lazy deletion with heapq: ``(degree, push counter, vertex)``
+    # entries and each vertex's live key in ``queued``; a push no lower
+    # than the live key is refused and a pop that is not it is skipped.
+    heap = [(len(work[v]), v, v) for v in range(n)]
+    heapify(heap)
+    queued = {v: len(work[v]) for v in range(n)}
+    counter = itertools.count(n)
+
+    def push(v: int) -> None:
+        key = len(work[v])
+        if queued.get(v, key + 1) > key:
+            queued[v] = key
+            heappush(heap, (key, next(counter), v))
+
     contracted = bytearray(n)
     order: list[int] = []
     while len(order) < n:
-        v, key = heap.pop()
+        key, _, v = heappop(heap)
+        if queued.get(v) != key:
+            continue
+        del queued[v]
         if contracted[v]:
             continue
-        if key != float(len(work[v])):
-            heap.push(v, float(len(work[v])))
+        if key != len(work[v]):
+            push(v)
             continue
         contracted[v] = 1
         order.append(v)
@@ -330,6 +345,6 @@ def min_degree_order(graph: Graph) -> list[int]:
                     work[u].add(x)
                     work[x].add(u)
         for u in nbrs:
-            heap.push(u, float(len(work[u])))
+            push(u)
         work[v].clear()
     return order

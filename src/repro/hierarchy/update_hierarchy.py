@@ -15,8 +15,8 @@ algorithms keep consistent with the minimum-weight property (3.1).
 A build is the contraction engine's two passes
 (:mod:`repro.hierarchy.contraction`): symbolic elimination of the
 store's :meth:`~UpdateHierarchy.skeleton` gives the structure, then
-Algorithm 2 from an empty store fills every weight plane on the
-resolved maintenance engine — the same relaxation that maintains it.
+Algorithm 2 from an empty store fills every weight plane with the C
+shortcut sweep — the same relaxation that maintains it.
 
 The shortcut store itself is the flat CSR layout inherited from
 :class:`~repro.hierarchy.contraction.ContractionResult` — the update
@@ -59,15 +59,13 @@ class UpdateHierarchy(ContractionResult):
         self.hq = hq
 
     @classmethod
-    def build(
-        cls, graph, hq: QueryHierarchy, engine: str = "compiled"
-    ) -> "UpdateHierarchy":
+    def build(cls, graph, hq: QueryHierarchy) -> "UpdateHierarchy":
         """Contract *graph* in decreasing ``tau`` order (deepest first),
-        its weights filled by *engine*."""
+        its weights filled by Algorithm 2."""
         base = unweighted_store(
             graph, cls.skeleton(graph), hq.contraction_order(), cls.planes
         )
-        return weighed(cls(base, hq), engine)
+        return weighed(cls(base, hq))
 
     @staticmethod
     def skeleton(graph: Graph) -> Graph:

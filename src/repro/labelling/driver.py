@@ -2,19 +2,18 @@
 
 Every index family reaches Algorithms 2-5 through :func:`maintain`: it
 validates the whole batch before the first write, applies the graph
-weights, resolves seed cells (raised and lowered alike), runs the
-engine's one shortcut sweep over the whole store (one weight plane or
-two — see :class:`~repro.hierarchy.contraction.ContractionResult`),
-turns the cells it listed as touched into ``affected_shortcuts``, then
-once per plane makes one engine label-sweep call (its seed phase
-inside), and fills :class:`~repro.labelling.maintenance.MaintenanceStats`
-from the positions and vertices that sweep listed. A mixed batch is
-one pass, not an increase pass and a decrease pass. No step scans a
-store-sized array, so a burst costs O(touched); the ``phase()`` marks
-cover every step, validation and stats assembly included. An engine is
-nothing more than the two sweeps of
-:class:`~repro.labelling.maintenance.Engine`; :data:`ENGINES` is the
-only place one is chosen.
+weights, resolves seed cells (raised and lowered alike), runs the C
+shortcut sweep once over the whole store (one weight plane or two —
+see :class:`~repro.hierarchy.contraction.ContractionResult`), turns the
+cells it listed as touched into ``affected_shortcuts``, then once per
+plane makes one C label-sweep call (its seed phase inside), and fills
+:class:`~repro.labelling.maintenance.MaintenanceStats` from the
+positions and vertices that sweep listed. A mixed batch is one pass,
+not an increase pass and a decrease pass. No step scans a store-sized
+array, so a burst costs O(touched); the ``phase()`` marks cover every
+step, validation and stats assembly included. The two sweeps and their
+contract are :func:`repro.labelling.native.engine.shortcut_sweep` and
+:func:`~repro.labelling.native.engine.label_sweep`.
 
 The shortcut half is also exposed on its own: :func:`maintain_shortcuts`
 for stores without labels (the DCH/IncH2H baselines share Algorithms
@@ -34,33 +33,18 @@ from repro.exceptions import (
     MaintenanceError,
     StructuralFallbackRequired,
 )
-from repro.labelling import maintenance, native
-from repro.labelling.maintenance import Engine, MaintenanceStats, WeightChange
+from repro.labelling import maintenance
+from repro.labelling.maintenance import MaintenanceStats, WeightChange
 from repro.labelling.native import engine as native_engine
 from repro.observability.phases import collect_phases, phase, phases_active
 
 __all__ = [
-    "ENGINES",
     "fill_weights",
     "maintain",
     "maintain_shortcuts",
     "validate_batch",
     "fold_batch",
 ]
-
-#: Resolved ``DHLConfig.engine`` name -> implementation. ``compiled``
-#: (the C kernels) runs wherever the library loads; ``reference`` is the
-#: paper-literal scalar oracle the differential tests compare it
-#: against, what a compiler-less host runs and what the baselines run.
-ENGINES: dict[str, Engine] = {
-    "compiled": native_engine.ENGINE,
-    "reference": maintenance.ENGINE,
-}
-
-
-def _engine(config) -> Engine:
-    return ENGINES[config.resolve_engine()]
-
 
 # ---------------------------------------------------------------------------
 # batch validation
@@ -136,7 +120,7 @@ def _cells(cells) -> np.ndarray:
     return np.asarray(sorted(cells), dtype=np.int64)
 
 
-def _shortcut_phase(sc, batch: list[WeightChange], engine: Engine) -> tuple:
+def _shortcut_phase(sc, batch: list[WeightChange]) -> tuple:
     """Write a validated batch into the graph and sweep H_U once.
 
     Seeds only read: a raised road makes its cell suspect when the old
@@ -160,7 +144,7 @@ def _shortcut_phase(sc, batch: list[WeightChange], engine: Engine) -> tuple:
                 raised.add(cell)
     if raised or lowered:
         with phase("maintain.shortcut_sweep"):
-            if engine.shortcut_sweep(
+            if native_engine.shortcut_sweep(
                 sc, _cells(raised), _cells(lowered), direct, marks
             ):
                 raise StructuralFallbackRequired(
@@ -169,29 +153,28 @@ def _shortcut_phase(sc, batch: list[WeightChange], engine: Engine) -> tuple:
     return marks
 
 
-def fill_weights(store, engine: str = "compiled") -> None:
+def fill_weights(store) -> None:
     """Weigh a freshly contracted *store*: Algorithm 2 from an empty one.
 
     Every cell starts at its direct road weight (inf where there is
-    none) and the resolved *engine*'s shortcut sweep runs once with
-    every finite cell lowered. The monotone min-relaxation from inf
-    reaches exactly the Property-3.1 fixpoint, and float addition is
-    monotone, so every engine fills the same bits. The store keeps the
-    direct weights for its first update.
+    none) and the shortcut sweep runs once with every finite cell
+    lowered. The monotone min-relaxation from inf reaches exactly the
+    Property-3.1 fixpoint, and float addition is monotone, so any sweep
+    order fills the same bits. The store keeps the direct weights for
+    its first update.
     """
     direct = store.direct_weights()
     np.copyto(store.up_weights, direct)
     seeds = np.flatnonzero(np.isfinite(direct))
     marks = maintenance.cell_marks(len(direct))
-    sweep = ENGINES[native.resolved_engine(engine)].shortcut_sweep
-    if sweep(store, _NO_CELLS, seeds, direct, marks):
+    if native_engine.shortcut_sweep(store, _NO_CELLS, seeds, direct, marks):
         raise HierarchyError("a fresh shortcut store lacks a pair its sweep reached")
 
 
 def maintain_shortcuts(
     kind: str, sc, changes: Iterable[WeightChange]
 ) -> dict[tuple[int, int], float]:
-    """Algorithms 2/3 alone, on the reference sweep.
+    """Algorithms 2/3 alone: the C shortcut sweep, no labels.
 
     For shortcut stores that carry no DHL labelling (the rank-generic
     DCH/IncH2H baselines). Returns the affected shortcuts as
@@ -201,7 +184,7 @@ def maintain_shortcuts(
     batch = validate_batch(kind, sc.graph, changes, sc.edge_key)
     if not batch:
         return {}
-    _, first_old, touched, count = _shortcut_phase(sc, batch, ENGINES["reference"])
+    _, first_old, touched, count = _shortcut_phase(sc, batch)
     cells = touched[: count[0]]
     return _affected_shortcuts(sc.csr, cells, first_old[cells])
 
@@ -224,7 +207,6 @@ def maintain(
     store,
     labels,
     changes: Iterable[WeightChange],
-    config,
 ) -> MaintenanceStats | None:
     """Apply one ``"decrease"`` / ``"increase"`` / ``"update"`` batch to
     ``(H_U, L)`` in one pass: one shortcut sweep, one label sweep per
@@ -253,8 +235,7 @@ def maintain(
             batch = validate_batch(kind, store.graph, changes, store.edge_key)
         if not batch:
             return None
-        engine = _engine(config)
-        changed, first_old, touched, count = _shortcut_phase(store, batch, engine)
+        changed, first_old, touched, count = _shortcut_phase(store, batch)
         m = store.csr.num_slots
         with phase("maintain.affected_shortcuts"):
             cells = touched[: count[0]]
@@ -274,7 +255,7 @@ def maintain(
             labelling.ensure_writable()
             with phase("maintain.label_sweep"):
                 marks = maintenance.entry_marks(len(labelling.values), view.csr.n)
-                stats.entries_processed += engine.label_sweep(
+                stats.entries_processed += native_engine.label_sweep(
                     view,
                     labelling,
                     cells[lo:hi] - plane * m,

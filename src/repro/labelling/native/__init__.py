@@ -1,14 +1,16 @@
-"""The native engine behind ``DHLConfig(engine="compiled")``: one C file.
+"""The C kernel library every algorithm runs in: one C file.
 
 :mod:`dhl_kernels.c <repro.labelling.native>` (package data, plain C99,
 no ``Python.h``) holds the pair and set-to-set queries, one shard's
 share of a sharded batch and the parent's min-plus combine, the two
 maintenance sweeps and the build's hot loops: every combinatorial
 step of the multilevel partitioner and Algorithm 1's top-down pass.
-This module builds it at first use and opens it with :mod:`ctypes`:
+There is no other implementation in the package, so a C compiler is a
+requirement. This module builds the file at first use and opens it
+with :mod:`ctypes`:
 
-* :func:`library` — the loaded library, or None where it cannot be had.
-  The first call compiles ``cc -O3 -fPIC -shared -ffp-contract=off``
+* :func:`library` — the loaded library. The first call compiles
+  ``cc -O3 -fPIC -shared -ffp-contract=off``
   into a per-user cache (``$XDG_CACHE_HOME`` or ``~/.cache``, then
   ``repro-dhl/``; ``<tmp>/repro-dhl-<uid>`` where neither is usable),
   under a name keyed by SHA-1 of the source and the compiler binary's
@@ -21,15 +23,13 @@ This module builds it at first use and opens it with :mod:`ctypes`:
   not the current user's, or that group/other may write, is never
   loaded from — the build goes to a fresh private directory — and
   neither is such a library. A cached file that does not open, or
-  lacks a symbol, is rebuilt once.
-* :func:`status` — ``(engine, reason, library_path, compile_seconds)``
-  of that one resolution; ``compile_seconds`` is None when the cache was
-  warm.
-* :func:`resolved_engine` — ``"compiled"`` stays itself when the
-  library loads and downgrades to ``"reference"`` otherwise (no
-  compiler, a failed compile, an unloadable file), with one
-  ``RuntimeWarning`` per process naming the reason. The choice is read
-  off the platform; there is no option for it.
+  lacks a symbol, is rebuilt once. Where the library cannot be had (no
+  compiler, a failed compile, an unloadable file) every call raises
+  :class:`~repro.exceptions.NativeUnavailableError` naming the reason
+  and the fix; the failure is remembered, so nothing is compiled twice.
+* :func:`status` — ``(reason, library_path, compile_seconds)`` of that
+  one resolution; ``compile_seconds`` is None when the cache was warm,
+  ``library_path`` None when the library is unavailable.
 
 The validating wrappers over the exported functions are in
 :mod:`repro.labelling.native.engine` and, for the partitioner's, in
@@ -47,13 +47,13 @@ import subprocess
 import tempfile
 import threading
 import time
-import warnings
 from pathlib import Path
 from typing import NamedTuple
 
+from repro.exceptions import NativeUnavailableError
 from repro.observability.phases import phase
 
-__all__ = ["EngineStatus", "library", "resolved_engine", "status"]
+__all__ = ["LibraryStatus", "library", "status"]
 
 SOURCE = Path(__file__).with_name("dhl_kernels.c")
 _CFLAGS = ("-O3", "-fPIC", "-shared", "-ffp-contract=off")
@@ -110,17 +110,16 @@ SIGNATURES = {
 }
 
 
-class EngineStatus(NamedTuple):
+class LibraryStatus(NamedTuple):
     """What the one resolution of this process found."""
 
-    engine: str
     reason: str
     library_path: str | None
     compile_seconds: float | None
 
 
 class _Unavailable(Exception):
-    """The library cannot be had; the message is the downgrade reason."""
+    """The library cannot be had; the message is the reason."""
 
 
 class _State:
@@ -128,9 +127,8 @@ class _State:
 
     def __init__(self) -> None:
         self.lock = threading.Lock()
-        self.status: EngineStatus | None = None
+        self.status: LibraryStatus | None = None
         self.library: ctypes.CDLL | None = None
-        self.warned = False
 
 
 _state = _State()
@@ -259,35 +257,30 @@ def _resolve() -> _State:
             if state.status is None:
                 try:
                     state.library, path, seconds = _load()
-                    state.status = EngineStatus(
-                        "compiled", "native library loaded", str(path), seconds
+                    state.status = LibraryStatus(
+                        "native library loaded", str(path), seconds
                     )
                 except _Unavailable as exc:
-                    state.status = EngineStatus("reference", str(exc), None, None)
+                    state.status = LibraryStatus(str(exc), None, None)
     return state
 
 
-def library() -> ctypes.CDLL | None:
-    """The loaded kernel library; None when this platform cannot have it."""
-    return _resolve().library
+def library() -> ctypes.CDLL:
+    """The loaded kernel library.
 
-
-def status() -> EngineStatus:
-    """``(engine, reason, library_path, compile_seconds)`` of this process."""
-    return _resolve().status
-
-
-def resolved_engine(requested: str) -> str:
-    """The engine that will run for *requested* (compiled may downgrade)."""
-    if requested != "compiled":
-        return requested
+    Raises :class:`~repro.exceptions.NativeUnavailableError` where this
+    host cannot have it — on every call, without a second attempt.
+    """
     state = _resolve()
-    if state.library is None and not state.warned:
-        state.warned = True
-        warnings.warn(
+    if state.library is None:
+        raise NativeUnavailableError(
             f"the native DHL kernels are unavailable ({state.status.reason}); "
-            "falling back to the reference engine",
-            RuntimeWarning,
-            stacklevel=3,
+            f"install a C compiler ({', '.join(_COMPILERS)}) on PATH: every "
+            f"algorithm runs in {SOURCE.name}, compiled at first use"
         )
-    return state.status.engine
+    return state.library
+
+
+def status() -> LibraryStatus:
+    """``(reason, library_path, compile_seconds)`` of this process."""
+    return _resolve().status

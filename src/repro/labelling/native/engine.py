@@ -1,4 +1,4 @@
-"""The C kernels as the ``Engine`` contract and the batch queries.
+"""The validating wrappers over the C kernels: sweeps, queries, build.
 
 Each wrapper unpacks the store's flat buffers, checks dtype,
 C-contiguity, alignment and length of every one in Python, and hands
@@ -27,17 +27,17 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.labelling.maintenance import Engine
 from repro.labelling.native import library
 
 __all__ = [
-    "ENGINE",
     "distance_matrix",
     "gather_pairs",
     "label_build",
+    "label_sweep",
     "min_plus",
     "operand",
     "shard_batch",
+    "shortcut_sweep",
 ]
 
 _I64 = np.dtype(np.int64)
@@ -136,6 +136,75 @@ def _entry_marks(marks, positions: int, n: int) -> tuple[int, ...]:
 # ---------------------------------------------------------------------------
 # the two sweeps
 # ---------------------------------------------------------------------------
+#
+# The contract of the two fixpoint sweeps (their Python oracles in the
+# test suite hold it too, so either can run under the driver).
+#
+# The shortcut sweep takes a whole *store*
+# (:class:`~repro.hierarchy.contraction.ContractionResult`: ``csr`` of
+# ``m`` slots, ``planes`` weight planes in one flat ``up_weights``)
+# and works on weight **cells** ``slot + m * plane``. Two rules make
+# one sweep serve one plane or two. A triangle through owner ``v``
+# from cell ``(v, w, plane)`` reads its second leg ``(v, o)`` from
+# the opposite plane, ``leg + m * (planes - 1 - plane)``, and lands on
+# pair ``(w, o)`` in plane ``(rank[o] > rank[w]) xor plane``. Property
+# 3.1 for that cell is ``direct[cell]`` min-combined, over the common
+# down-neighbours ``x``, with ``W[(x, v) + m * (planes - 1 - plane)] +
+# W[(x, w) + m * plane]``. With one plane every offset is zero.
+#
+# The label sweep takes one plane at a time, shaped like a one-plane
+# store (``csr``, that plane's ``up_weights``, ``tau``), and *labels*,
+# a flat :class:`~repro.labelling.labels.HierarchicalLabelling`.
+# Sweeps never touch the graph.
+#
+# **The invariant** both sweeps hold:
+#
+# * Pop order: a cell pops after every cell of a deeper owner, a
+#   vertex after all its ancestors; each item pops at most once.
+# * Seeds only read and queue. A raised change flags as *suspect*
+#   each dependent whose pre-batch value it realised; a lowered change
+#   queues what it may lower.
+# * Every write is either a suspect's recompute at its pop (Property
+#   3.1, or Algorithm 5's recompute) from witnesses that are already
+#   final, or a relaxation ``min(current, a + b)`` where ``a`` and
+#   ``b`` are each final or never suspect.
+# * Relaxations skip suspects (the recompute covers them), and no
+#   prune reads a suspect: a label relaxation through a lowered slot
+#   ``(lo, hi)`` runs at ``lo``'s pop, when row ``hi`` is final.
+# * Tightness tests compare pre-batch operands: a rewritten cell's
+#   ``first_old``, a changed slot's pre-batch weight. An item the
+#   batch has already lowered never turns suspect: relaxations bring
+#   it to its final value.
+#
+# So a one-kind batch writes what Algorithm 2/4 or 3/5 alone writes,
+# and in a mixed batch each moved cell and entry is written, and
+# counted, once.
+#
+# Each sweep records its writes in the caller's fresh *marks* and
+# hands back what it touched, so the driver reads lists, never a
+# store-sized array: :func:`~repro.labelling.maintenance.cell_marks`
+# ``(changed, first_old, touched, count)`` keep each written cell's
+# pre-batch weight and list it once;
+# :func:`~repro.labelling.maintenance.entry_marks` ``(changed, touched,
+# vertex_marks, touched_vertices, count)`` list each changed label
+# position once and each vertex on its first changed entry
+# (``count[1]``). The label sweep reads its own ``changed`` marks as
+# the queue of lowered entries.
+#
+# * ``shortcut_sweep(store, raised, lowered, direct, marks)`` —
+#   Algorithms 2 and 3 from the *raised* (suspect) and *lowered* seed
+#   cells; ``direct`` holds each cell's direct edge (arc) weight, inf
+#   without one, already the batch's. Returns True as soon as a
+#   *finite* candidate targets a pair that compaction removed: the
+#   store has no slot to absorb it and the driver hands over to the
+#   rebuild fallback.
+# * ``label_sweep(store, labels, slots, slot_marks, marks)`` —
+#   Algorithms 4 and 5 for the changed shortcut *slots* of the plane,
+#   seed phase included; *slot_marks* are the plane's ``(changed,
+#   first_old)`` of the shortcut sweep's marks, so a slot's pre-batch
+#   weight is ``first_old[slot]`` where ``changed[slot]``. Returns the
+#   entries handled (each lowered or suspect entry once).
+
 
 def shortcut_sweep(sc, raised, lowered, direct, marks) -> bool:
     """Algorithms 2 and 3 — the C suspect-and-relax sweep."""
@@ -175,8 +244,6 @@ def label_sweep(store, labels, slots, slot_marks, marks) -> int:
         )
     )
 
-
-ENGINE = Engine(shortcut_sweep, label_sweep)
 
 
 # ---------------------------------------------------------------------------

@@ -9,19 +9,17 @@ entries are distances within the subgraph induced by ``desc(r)``, which
 contains that path.
 
 Batch queries gather *directly* from the labelling's flat CSR store: the
-entry ``L_v[i]`` lives at ``values[offsets[v] + i]``, so a batch of
-pairs is one ragged run of exactly ``sum(K)`` cells per side
-(:func:`gather_pairs`): two gathers, one add and one segmented minimum,
-cut at pair boundaries into runs that stay in cache — the paper's cost
-model of K cells per endpoint, with no padding to a common width, no
-Python-level loop over pairs, and nothing to re-sync after maintenance
-(the kernel reads the live buffer that the maintenance algorithms write
-into).
+entry ``L_v[i]`` lives at ``values[offsets[v] + i]``, so a pair costs
+exactly ``K`` cells per side — the paper's cost model, with no padding
+to a common width, no Python-level loop over pairs, and nothing to
+re-sync after maintenance (the C pair kernel reads the live buffer that
+the maintenance algorithms write into).
 
-Set-to-set queries (:meth:`QueryEngine.distance_matrix`) under the
-compiled engine run the pair kernel's per-cell LCA and scan in one C
-loop over the output. In numpy they do not go through pairs at all
-(pair arrays would be ``|U| * |T|`` long). ``anc(u) ∩ anc(t)`` *is*
+Set-to-set queries (:meth:`QueryEngine.distance_matrix`) run the pair
+kernel's per-cell LCA and scan in one C loop over the output. A
+hierarchy too deep for the LCA tables (``AncestorTables.vectorised``
+false) has them in numpy instead, where they do not go through pairs at
+all (pair arrays would be ``|U| * |T|`` long). ``anc(u) ∩ anc(t)`` *is*
 the common-ancestor prefix and an ancestor ``a`` has the same rank
 ``tau(a)`` on every descendant's chain, so the query is
 ``min over a in anc(u)`` of
@@ -39,13 +37,12 @@ import numpy as np
 
 from repro.exceptions import VertexNotFound
 from repro.hierarchy.query_hierarchy import QueryHierarchy
-from repro.labelling import native
 from repro.labelling.labels import HierarchicalLabelling
 from repro.labelling.native import engine as native_engine
 from repro.utils.pairs import as_pair_array, check_ids
 from repro.utils.ragged import expand
 
-__all__ = ["AncestorTables", "QueryEngine", "gather_pairs"]
+__all__ = ["AncestorTables", "QueryEngine"]
 
 # The vectorised LCA kernel packs partition bitstrings into int64 and
 # recovers bit lengths through float64 mantissas (np.frexp), both exact
@@ -53,13 +50,9 @@ __all__ = ["AncestorTables", "QueryEngine", "gather_pairs"]
 # ludicrously unbalanced partition tree) count K pair by pair.
 _MAX_VECTOR_DEPTH = 50
 
-# Cells per temporary of the set kernel: one ``(chunk, h)`` sum matrix
-# stays around 32 MB regardless of the hierarchy height.
+# Cells per temporary of the numpy set kernel: one ``(chunk, h)`` sum
+# matrix stays around 32 MB regardless of the hierarchy height.
 _CHUNK_CELLS = 4_000_000
-
-# Cells per run of the pair kernel: its two temporaries (positions and
-# sums, 128 kB each) are gathered, added and reduced while still in L2.
-_PAIR_CHUNK_CELLS = 16_384
 
 
 class AncestorTables:
@@ -106,64 +99,6 @@ class AncestorTables:
         lca_depth = d - shift
         vend = self.chain[ns, lca_depth]
         return np.minimum(np.minimum(self.tau[s], self.tau[t]), vend - 1) + 1
-
-
-def gather_pairs(
-    labels_s: HierarchicalLabelling,
-    s: np.ndarray,
-    labels_t: HierarchicalLabelling,
-    t: np.ndarray,
-    k: np.ndarray,
-    want_ranks: bool = False,
-) -> tuple[np.ndarray, np.ndarray | None]:
-    """``min over i < k[p]`` of ``L_s[s[p]][i] + L_t[t[p]][i]`` per pair.
-
-    The exact-K ragged gather over two flat label stores (the same one
-    twice for an undirected index, out/in labels for a directed one):
-    pair ``p`` owns ``k[p]`` consecutive cells of one flat run, so both
-    sides cost ``sum(k)`` cells and the minimum is one ``reduceat``.
-    Returns ``(distances, ranks)`` with ``ranks`` the first minimising
-    ``i`` (``argmin``'s tie rule) when *want_ranks*; ``s == t`` answers
-    ``0.0`` and, like a pair without a finite sum, rank ``-1``.
-    """
-    out = np.full(len(k), np.inf, dtype=np.float64)
-    ranks = np.full(len(k), -1, dtype=np.int64) if want_ranks else None
-    same = s == t
-    # Pairs with k == 0 (other component, empty root separator) have no
-    # cell to reduce over and keep ``inf``.
-    live = np.flatnonzero(k)
-    if len(live) < len(k):
-        s, t, k = s[live], t[live], k[live]
-    ends = np.cumsum(k)
-    starts = ends - k
-    values_s, values_t = labels_s.values, labels_t.values
-    base = labels_s.offsets[s]
-    shift = labels_t.offsets[t] - base
-    base -= starts
-    lo = 0
-    while lo < len(live):
-        first = starts[lo]
-        hi = int(np.searchsorted(ends, first + _PAIR_CHUNK_CELLS, "right"))
-        hi = max(lo + 1, hi)
-        width = k[lo:hi]
-        # Cell ``c`` of pair ``p`` reads ``values[offsets[v] + c - starts[p]]``
-        # and ``c - starts[p] < K <= tau(v) + 1`` keeps it inside v's label.
-        pos = np.repeat(base[lo:hi], width)
-        pos += np.arange(first, ends[hi - 1], dtype=np.int64)
-        sums = values_s.take(pos)
-        pos += np.repeat(shift[lo:hi], width)
-        sums += values_t.take(pos)
-        seg = starts[lo:hi] - first
-        best = np.minimum.reduceat(sums, seg)
-        out[live[lo:hi]] = best
-        if want_ranks:
-            hit = np.flatnonzero(sums == np.repeat(best, width))
-            ranks[live[lo:hi]] = hit[np.searchsorted(hit, seg)] - seg
-        lo = hi
-    out[same] = 0.0
-    if want_ranks:
-        ranks[same | np.isinf(out)] = -1
-    return out, ranks
 
 
 class _TargetTables:
@@ -216,20 +151,15 @@ class QueryEngine:
     (both sides are the same object); a directed one passes its
     ``(out, in)`` pair.
 
-    *engine* is resolved on construction (``self.engine`` is the name
-    that runs): ``"compiled"`` answers a batch with the pair kernel of
+    A batch is answered by the pair kernel of
     :mod:`repro.labelling.native` — LCA, scan and argmin of each pair
     in one C loop over one labelling or two, no temporaries — and a
-    source set against a target set with its set kernel, wherever that
-    library loads; any other value, or a host where it does not, runs
-    the numpy exact-K ragged gather, :func:`gather_pairs`, and the
-    numpy set kernel.
+    source set against a target set by its set kernel.
 
     Three entry points, one live label store: :meth:`distance` (scalar),
     :meth:`distances_arrays` (independent pairs, ``sum(K)`` cells a side)
     and :meth:`distance_matrix` (a source set against a fixed target
-    set — the C set kernel under ``compiled``, the numpy set kernel
-    otherwise and past the LCA tables' depth). Each checks its
+    set — the C set kernel, the numpy one past the LCA tables' depth). Each checks its
     vertex ids against ``[0, n)`` once, at the door, and raises
     :class:`~repro.exceptions.VertexNotFound`: numpy would wrap a
     negative id onto another vertex, and C would read out of bounds.
@@ -245,7 +175,6 @@ class QueryEngine:
         "hq",
         "labels",
         "target_labels",
-        "engine",
         "_tables",
         "_hub_values",
         "_hub_offsets",
@@ -257,22 +186,18 @@ class QueryEngine:
         hq: QueryHierarchy,
         labels: HierarchicalLabelling,
         target_labels: HierarchicalLabelling | None = None,
-        engine: str = "reference",
     ):
         self.hq = hq
         self.labels = labels
         self.target_labels = labels if target_labels is None else target_labels
-        self.engine = native.resolved_engine(engine)
         self._tables: AncestorTables | None = None
         self._hub_values: np.ndarray | None = None
         self._hub_offsets: np.ndarray | None = None
         self._targets: _TargetTables | None = None
 
     def __getstate__(self):
-        """The bound objects and the engine name; the H_Q tables are
-        derived, and the name is re-resolved where the pickle lands (a
-        ``compiled`` engine must not outlive the library it was for)."""
-        return self.hq, self.labels, self.target_labels, self.engine
+        """The bound objects; the H_Q tables are derived."""
+        return self.hq, self.labels, self.target_labels
 
     def __setstate__(self, state) -> None:
         self.__init__(*state)
@@ -330,11 +255,9 @@ class QueryEngine:
         return self._tables
 
     def kernel_tables(self) -> AncestorTables | None:
-        """The LCA tables the C set kernels read, or ``None`` where they
-        do not run: an engine that is not ``compiled``, or a hierarchy
-        too deep for the tables (the numpy kernels take over there)."""
-        if self.engine != "compiled":
-            return None
+        """The LCA tables the C set kernels read, or ``None`` for a
+        hierarchy too deep for the tables (the numpy kernels take over
+        there)."""
         tables = self._batch_tables()
         return tables if tables.vectorised else None
 
@@ -389,12 +312,11 @@ class QueryEngine:
         """All ``len(sources) x len(targets)`` distances in one kernel.
 
         Equal, bit for bit, to :meth:`distances_arrays` on the expanded
-        pairs (the same float sums are minimised). Under ``compiled``
-        it is the set kernel of :mod:`repro.labelling.native`: each cell
-        is the pair kernel's LCA and K-cell scan, written in place, no
-        pair arrays. Otherwise — and for a hierarchy too deep for the
-        LCA tables — it is numpy: ``sum_u |anc(u) ∩ A| * |T|``
-        contiguous cells instead of ``|U| * |T|`` pair gathers, no
+        pairs (the same float sums are minimised). It is the set kernel
+        of :mod:`repro.labelling.native`: each cell is the pair kernel's
+        LCA and K-cell scan, written in place, no pair arrays. For a
+        hierarchy too deep for the LCA tables it is numpy:
+        ``sum_u |anc(u) ∩ A| * |T|`` contiguous cells instead of ``|U| * |T|`` pair gathers, no
         bitstring LCA and so no depth limit, the target side through
         static H_Q-only tables kept for the last target set
         (:class:`_TargetTables`). Label values are read from the live
@@ -465,13 +387,8 @@ class QueryEngine:
     def _gather(
         self, s: np.ndarray, t: np.ndarray, want_ranks: bool
     ) -> tuple[np.ndarray, np.ndarray | None]:
-        """``(distances, argmin ranks)``: the one step that forks by engine."""
+        """``(distances, argmin ranks)`` from the C pair kernel."""
         tables = self._batch_tables()
-        if self.engine != "compiled":
-            k = tables.counts(s, t)
-            return gather_pairs(
-                self.labels, s, self.target_labels, t, k, want_ranks
-            )
         # The kernel counts K itself from the LCA tables; a hierarchy
         # too deep for them is counted pair by pair, as everywhere.
         k = None if tables.vectorised else tables.counts(s, t)

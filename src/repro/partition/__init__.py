@@ -12,11 +12,13 @@ implements that machinery from scratch:
   matching and Koenig's theorem;
 * a recursive bisection driver that emits the partition tree consumed by
   :class:`repro.hierarchy.QueryHierarchy`.
+
+Every combinatorial step of the first two runs in C
+(:mod:`repro.partition.kernels`).
 """
 
 from repro.partition.types import Bipartition, PartitionGraph
-from repro.partition.matching import hopcroft_karp
-from repro.partition.separator import minimum_vertex_separator
+from repro.partition.kernels import minimum_vertex_separator
 from repro.partition.multilevel import multilevel_bisection
 from repro.partition.recursive import PartitionTreeNode, recursive_bisection
 from repro.partition.regions import (
@@ -28,7 +30,6 @@ from repro.partition.regions import (
 __all__ = [
     "Bipartition",
     "PartitionGraph",
-    "hopcroft_karp",
     "minimum_vertex_separator",
     "multilevel_bisection",
     "PartitionTreeNode",

@@ -1,16 +1,15 @@
 """The partitioner in C: validating wrappers over ``dhl_kernels.c``.
 
-Under ``engine="compiled"`` every combinatorial step of the multilevel
-bisection runs in the native library (:mod:`repro.labelling.native`)
-over flat CSR arrays, with the decisions of the Python bodies in this
-package — the ``reference`` engine and the differential oracle. Two
-layers:
+Every combinatorial step of the multilevel bisection runs in the native
+library (:mod:`repro.labelling.native`) over flat CSR arrays, with the
+decisions of the dict-row Python bodies the package started from (the
+test suite keeps them as the oracle). Two layers:
 
 * one wrapper per step over a :class:`PartitionGraph`
   (:func:`fm_refine`, :func:`rebalance`, :func:`greedy_growing`,
   :func:`bfs_halves`, :func:`components`, :func:`coarsen_once`,
-  :func:`cut_weight`, :func:`minimum_vertex_separator`), each shaped
-  like its Python twin, for the parity tests and one-off calls;
+  :func:`cut_weight`, :func:`minimum_vertex_separator`), for the
+  parity tests and one-off calls;
 * :class:`Bisector`, a C context over one source graph that runs a
   whole bisection of one vertex subset after another. Its graphs —
   the induced subgraph, the giant component, every coarse level — live
@@ -39,7 +38,6 @@ __all__ = [
     "Bisector",
     "bfs_halves",
     "coarsen_once",
-    "compiled",
     "components",
     "cut_weight",
     "fm_refine",
@@ -54,14 +52,6 @@ _U8 = np.dtype(np.uint8)
 
 # info[] slots the context writes (dhl_kernels.c's INFO_* order)
 _N, _NNZ, _TOTAL, _CUT_EDGES, _SEPARATOR, _LEFT, _RIGHT = range(7)
-
-
-def compiled(engine: str) -> bool:
-    """Whether *engine* resolves to the C library on this host."""
-    # Deferred: repro.labelling imports this package (via H_Q).
-    from repro.labelling.native import resolved_engine
-
-    return resolved_engine(engine) == "compiled"
 
 
 def _native():
@@ -111,9 +101,14 @@ def _sides(side, n: int) -> tuple[bytearray, np.ndarray]:
 def fm_refine(
     pgraph, side, max_side_weight: int, max_passes: int = 8, work=None
 ) -> bytearray:
-    """:func:`repro.partition.fm.fm_refine` as one C loop, same decisions.
+    """Fiduccia-Mattheyses refinement of a copy of *side*, one C loop.
 
-    *side* is any 0/1 sequence and is left as it is. *work*, when given,
+    Each pass moves the best-gain unlocked vertex whose move keeps both
+    sides within *max_side_weight*, then rolls back to the best prefix;
+    a pass stops once no later prefix can beat that one (the ``room``
+    bound), after at most *max_passes* passes. Ties fall to the order
+    the rows list their neighbours in. Returns the sides as a
+    bytearray. *side* is any 0/1 sequence and is left as it is. *work*, when given,
     is an int64 pair the kernel adds its gain-queue pops and
     pass-vertices (n per pass that queued a boundary) to.
     """
@@ -132,7 +127,8 @@ def fm_refine(
 
 
 def rebalance(pgraph, side, max_side_weight: int) -> bytearray:
-    """:func:`repro.partition.fm.rebalance` in C."""
+    """Both sides forced under *max_side_weight*, moving vertices off the
+    overweight side best gain first, in C; a fresh bytearray."""
     lib, addr, checked = _native()
     n, _, graph = _flat(pgraph)
     side, buf = _sides(side, n)
@@ -145,8 +141,9 @@ def rebalance(pgraph, side, max_side_weight: int) -> bytearray:
 
 
 def greedy_growing(pgraph, rng=None, seed_vertex: int | None = None) -> np.ndarray:
-    """:func:`repro.partition.initial.greedy_growing` in C (the seed is
-    drawn the same way)."""
+    """Greedy graph growing in C: side 0 grows from a seed to half the
+    weight, the frontier by cut gain. *rng* is drawn from (once) only
+    when no *seed_vertex* is given."""
     lib, addr, checked = _native()
     n, nnz, graph = _flat(pgraph)
     if n == 0:
@@ -165,8 +162,9 @@ def greedy_growing(pgraph, rng=None, seed_vertex: int | None = None) -> np.ndarr
 
 
 def bfs_halves(pgraph, rng=None, seed: int | None = None) -> np.ndarray:
-    """:func:`repro.partition.initial.bfs_halves` in C: the start is
-    *seed*, or drawn from *rng* as the Python body draws it."""
+    """BFS layering from a pseudo-peripheral vertex (two sweeps from
+    *seed*, or a vertex drawn from *rng*), split at half the weight, in
+    C; unreached vertices join in id order."""
     lib, addr, checked = _native()
     n, _, (indptr, indices, _, vweight) = _flat(pgraph)
     if n == 0:
@@ -185,7 +183,8 @@ def bfs_halves(pgraph, rng=None, seed: int | None = None) -> np.ndarray:
 
 
 def components(pgraph) -> list[tuple[int, list[int]]]:
-    """:func:`repro.partition.initial.components` in C."""
+    """Connected components as ``(total_vertex_weight, members)`` pairs,
+    members in BFS order, in C."""
     lib, addr, checked = _native()
     n, _, (indptr, indices, _, vweight) = _flat(pgraph)
     members = np.empty(n, dtype=np.int64)
@@ -219,9 +218,11 @@ def _check_perm(perm, n: int) -> np.ndarray:
 
 
 def coarsen_once(pgraph, rng, max_vertex_weight: int) -> CoarseningLevel:
-    """:func:`repro.partition.coarsen.coarsen_once` in C (one
-    ``rng.permutation`` draw, as there); the coarse graph is read back
-    through :meth:`PartitionGraph.from_flat`."""
+    """Contract one heavy-edge matching in C: vertices visited in one
+    ``rng.permutation`` draw's order, each pairing with its unmatched
+    neighbour of largest multiplicity (ties: lighter first) unless the
+    pair would outweigh *max_vertex_weight*. The coarse graph is read
+    back through :meth:`PartitionGraph.from_flat`."""
     lib, addr, checked = _native()
     n, nnz, graph = _flat(pgraph)
     perm = _check_perm(make_rng(rng).permutation(n), n)
@@ -249,7 +250,7 @@ def coarsen_once(pgraph, rng, max_vertex_weight: int) -> CoarseningLevel:
 
 
 def cut_weight(pgraph, side) -> float:
-    """``multilevel._cut_weight`` in C."""
+    """Total multiplicity of the edges crossing *side*, in C."""
     lib, addr, _ = _native()
     n, _, (indptr, indices, mult, _) = _flat(pgraph)
     _, buf = _sides(side, n)
@@ -257,8 +258,10 @@ def cut_weight(pgraph, side) -> float:
 
 
 def minimum_vertex_separator(cut_edges) -> set[int]:
-    """:func:`repro.partition.separator.minimum_vertex_separator` in C:
-    ids relabelled in order to ``[0, k)``, the cover marked there."""
+    """Minimum vertex separator of an edge cut, in C: a minimum vertex
+    cover of the bipartite cut graph (Hopcroft-Karp matching, then
+    Koenig's construction), ids relabelled in order to ``[0, k)`` and
+    the cover marked there."""
     lib, addr, checked = _native()
     if not len(cut_edges):
         return set()

@@ -23,12 +23,7 @@ from repro.exceptions import PartitionError
 from repro.graph.graph import Graph
 from repro.observability.phases import phase_laps
 from repro.partition import kernels
-from repro.partition.multilevel import (
-    check_bisectable,
-    compiled_bisection,
-    multilevel_bisection,
-)
-from repro.partition.types import PartitionGraph
+from repro.partition.multilevel import bisect_subset, check_bisectable
 from repro.utils.rng import make_rng
 
 __all__ = ["RegionPartition", "partition_regions", "regions_from_assignment"]
@@ -117,66 +112,55 @@ def partition_regions(
     *,
     beta: float = 0.2,
     seed: int | np.random.Generator | None = 0,
-    engine: str = "compiled",
 ) -> RegionPartition:
     """Split *graph* into *k* edge-disjoint regions with boundaries.
 
     The largest part is repeatedly bisected (multilevel pipeline, same
     *beta* balance guarantee as the hierarchy construction) until *k*
     parts exist. ``k`` is clamped to the vertex count; requesting one
-    region returns the trivial partition with no cut edges. *engine*
-    picks the implementation of every combinatorial step of each
-    bisection (C under ``compiled``, Python under ``reference``; the
-    draws and the spectral eigensolve are numpy's on both); the regions
-    do not depend on it.
+    region returns the trivial partition with no cut edges. Every
+    combinatorial step of each bisection runs in the C context of
+    :class:`repro.partition.kernels.Bisector`; the draws and the
+    spectral eigensolve are numpy's.
     """
     if k < 1:
         raise PartitionError(f"region count must be >= 1, got {k}")
-    n = graph.num_vertices
-    if n == 0:
+    if graph.num_vertices == 0:
         raise PartitionError("cannot partition an empty graph")
-    k = min(k, n)
     rng = make_rng(seed)
+    bisector = kernels.Bisector.over_graph(graph, beta)
 
-    if kernels.compiled(engine):
-        bisector = kernels.Bisector.over_graph(graph, beta)
+    def sides(subset):
+        check_bisectable(len(subset), beta)
+        laps = phase_laps()
+        try:
+            bisect_subset(bisector, subset, rng, laps)
+        finally:
+            laps.close()
+        return bisector.parts()
 
-        def sides(subset):
-            check_bisectable(len(subset), beta)
-            laps = phase_laps()
-            try:
-                compiled_bisection(bisector, subset, rng, laps)
-            finally:
-                laps.close()
-            return bisector.parts()
-    else:
-        bisector = None
-
-        def sides(subset):
-            pgraph = PartitionGraph.from_graph(graph, subset)
-            side = multilevel_bisection(
-                pgraph, beta=beta, seed=rng, engine="reference"
-            ).side.tolist()
-            return (
-                [v for v, s in zip(subset, side) if s == 0],
-                [v for v, s in zip(subset, side) if s == 1],
-            )
-
-    parts: list[list[int]] = [list(graph.vertices())]
     try:
-        while len(parts) < k:
-            # Split the largest remaining part (ties break deterministically
-            # on the smallest contained vertex id).
-            target = max(
-                range(len(parts)), key=lambda i: (len(parts[i]), -min(parts[i]))
-            )
-            subset = parts.pop(target)
-            left, right = _bisect_subset(sides, subset)
-            parts.append(left)
-            parts.append(right)
+        return split_regions(graph, k, sides)
     finally:
-        if bisector is not None:
-            bisector.close()
+        bisector.close()
+
+
+def split_regions(graph: Graph, k: int, sides) -> RegionPartition:
+    """*graph* cut into ``min(k, n)`` regions: the largest part split
+    by ``sides(subset)`` (its two parts) until there are that many."""
+    n = graph.num_vertices
+    k = min(k, n)
+    parts: list[list[int]] = [list(graph.vertices())]
+    while len(parts) < k:
+        # Split the largest remaining part (ties break deterministically
+        # on the smallest contained vertex id).
+        target = max(
+            range(len(parts)), key=lambda i: (len(parts[i]), -min(parts[i]))
+        )
+        subset = parts.pop(target)
+        left, right = _bisect_subset(sides, subset)
+        parts.append(left)
+        parts.append(right)
 
     # Deterministic region numbering: by smallest owned vertex id.
     parts.sort(key=min)

@@ -10,10 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.partition.initial import prefix_half
-from repro.partition.types import PartitionGraph
-
-__all__ = ["spectral_bisection"]
+__all__ = ["prefix_half", "spectral_bisection_flat"]
 
 _DENSE_CUTOFF = 600
 
@@ -21,37 +18,14 @@ _DENSE_CUTOFF = 600
 _LANCZOS_SEED = 0
 
 
-def _laplacian(pgraph: PartitionGraph) -> tuple[list[int], list[int], list[float]]:
-    """Graph Laplacian as ``(row, column, value)`` triplets, diagonal last."""
-    vs, us, ws, degrees = [], [], [], []
-    for v, row in enumerate(pgraph.rows):
-        degree = 0.0
-        for u, w in row:
-            vs.append(v)
-            us.append(u)
-            ws.append(-w)
-            degree += w
-        degrees.append(degree)
-    diagonal = list(range(pgraph.num_vertices))
-    return vs + diagonal, us + diagonal, ws + degrees
-
-
-def spectral_bisection(pgraph: PartitionGraph) -> np.ndarray | None:
-    """Bisect by thresholding the Fiedler vector at its weighted median.
+def spectral_bisection_flat(indptr, indices, mult, vweight) -> np.ndarray | None:
+    """Bisect the graph with these CSR arrays (the coarsest graph of the
+    pipeline) by thresholding the Fiedler vector at its weighted median.
 
     Returns a side array, or None when the eigensolve fails or the graph
-    is too small/degenerate for a meaningful second eigenvector.
+    is too small/degenerate for a meaningful second eigenvector. The
+    Laplacian's triplets are the rows in order, diagonal last.
     """
-    n = pgraph.num_vertices
-    if n < 4:
-        return None
-    return _fiedler_split(n, *_laplacian(pgraph), pgraph.vweight)
-
-
-def spectral_bisection_flat(indptr, indices, mult, vweight) -> np.ndarray | None:
-    """:func:`spectral_bisection` of the graph with these CSR arrays (the
-    coarsest graph of the ``compiled`` pipeline): the same Laplacian
-    triplets in the same order, so the same eigenvectors."""
     n = len(vweight)
     if n < 4:
         return None
@@ -100,3 +74,16 @@ def _fiedler_split(n: int, vs, us, ws, vweight: list[int]) -> np.ndarray | None:
     order = np.argsort(fiedler, kind="stable").tolist()
     side = prefix_half(order, vweight)
     return None if side.min() == side.max() else side
+
+
+def prefix_half(order: list[int], vweight: list[int]) -> np.ndarray:
+    """Side 0 = the shortest prefix of *order* holding half the weight."""
+    side = bytearray(b"\x01") * len(vweight)
+    half = sum(vweight) / 2.0
+    grown = 0
+    for v in order:
+        if grown >= half:
+            break
+        side[v] = 0
+        grown += vweight[v]
+    return np.frombuffer(side, dtype=np.int8)

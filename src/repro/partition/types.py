@@ -124,12 +124,8 @@ class PartitionGraph:
 
 
 def side_bytes(side) -> bytearray:
-    """A private ``bytearray`` copy of a 0/1 side sequence.
-
-    Sides pass through rebalance, FM and cut evaluation as bytearrays
-    (Python-int indexing, ``bytes()`` as a memo key); they are numpy arrays
-    only on :class:`Bipartition` and at the fine-to-coarse projection.
-    """
+    """A private ``bytearray`` copy of a 0/1 side sequence: what the
+    C steps of :mod:`repro.partition.kernels` write their sides into."""
     if isinstance(side, np.ndarray) and side.dtype.itemsize != 1:
         side = side.astype(np.int8)
     return bytearray(side)
@@ -156,17 +152,3 @@ class Bipartition:
     def side_weights(self, pgraph: PartitionGraph) -> tuple[int, int]:
         w0, w1 = side_weights(pgraph.vweight, self.side.tolist())
         return w0, w1
-
-    @staticmethod
-    def compute_cut(pgraph: PartitionGraph, side) -> "Bipartition":
-        """Assemble a Bipartition from a side sequence, recomputing the cut."""
-        side = side_bytes(side)
-        cut_edges = []
-        cut_weight = 0.0
-        for v, row in enumerate(pgraph.rows):
-            sv = side[v]
-            for u, w in row:
-                if v < u and side[u] != sv:
-                    cut_weight += w
-                    cut_edges.append((u, v) if sv else (v, u))
-        return Bipartition(np.frombuffer(side, dtype=np.int8), cut_weight, cut_edges)

@@ -85,10 +85,10 @@ class ServiceStats:
     #: ``in-process/sharded``, ``worker-pool/sharded[4x1 replicas]`` — so
     #: bench artifacts and logs can tell runtimes apart.
     backend: str = "in-process/monolithic"
-    #: What answers on that backend: its query engines' resolved name
-    #: (``index.engine.engine``; every distinct one on a sharded index)
-    #: and why — ``configured``, or the native loader's reason.
-    engine: str = "reference (configured)"
+    #: What answers on that backend: the C kernel library every index
+    #: runs on, and the native loader's note on it
+    #: (``compiled (native library loaded)``).
+    engine: str = "compiled"
     #: Worker-pool scheduler / delta-sync counters
     #: (:meth:`~repro.service.runtime.WorkerPoolStats.as_dict`) when the
     #: runtime pools workers, ``None`` for in-process backends.
@@ -608,17 +608,12 @@ class DistanceService:
     # ------------------------------------------------------------------
     # introspection
     # ------------------------------------------------------------------
-    def _engine_info(self) -> tuple[str, str]:
-        """``(engine, reason)`` of the backend: the name its query
-        engines run under (each distinct one of a sharded index's
-        shards) and why. The loader is only asked when ``compiled`` was
-        requested — the index resolved it then, so nothing compiles here."""
-        index = self.index
-        parts = getattr(index, "shards", None) or (index,)
-        names = "+".join(sorted({part.engine.engine for part in parts}))
-        if index.config.engine != "compiled":
-            return names, "configured"
-        return names, native.status().reason
+    @staticmethod
+    def _engine_info() -> tuple[str, str]:
+        """``("compiled", reason)``: the loaded C library and the
+        loader's note on it. The index loaded it when it was built, so
+        nothing compiles here."""
+        return "compiled", native.status().reason
 
     def stats(self) -> ServiceStats:
         pool = self.runtime.pool_stats()
@@ -685,7 +680,7 @@ class DistanceService:
         engine, reason = self._engine_info()
         registry.gauge(
             "dhl_native_engine_info",
-            "The engine this backend's queries resolved to, and why",
+            "The kernel library this backend runs on, and the loader's note",
             labels={"engine": engine, "reason": reason},
         ).set(1)
         registry.gauge(

@@ -172,8 +172,8 @@ class ShardExecutor:
         labels = HierarchicalLabelling.from_shared_buffers(
             values, offsets, index.hq.tau
         )
-        # Adoption resolves the engine in this process: a replica opens
-        # the cached native library itself, or downgrades on its own.
+        # A replica opens the cached native library itself, on its
+        # first kernel call.
         index._adopt(index.hq, index.hu, (labels,))
         # Build the H_Q tables the kernels read while attaching, not
         # inside the first epoch-stamped batch: the LCA tables for the

@@ -12,9 +12,9 @@ Intra pairs get the pair kernel's answer, lowered by the boundary route
 t)`` through the shard's own overlay block (a shortest path may leave
 and re-enter its region); the fan comes back as its distinct rows
 against the shard's boundary plus each entry's row. It forks once on
-the shard engine's resolved name: one C call under ``compiled``, else
-(and past the LCA tables' depth) the numpy composition of the pair
-kernel, the set kernel and :func:`min_plus_compact` — the same bits.
+the shard's hierarchy: one C call, or past the LCA tables' depth the
+composition of the pair kernel, the set kernel and
+:func:`min_plus_compact` — the same bits.
 
 The parent answers each cross region pair ``(i, j)`` with one
 :func:`min_plus_compact` over the two shards' fans and the overlay block
@@ -37,8 +37,6 @@ __all__ = [
     "shard_batch",
 ]
 
-# Cap for the (pairs x |B_i| x |B_j|) min-plus intermediate, in cells.
-_MIN_PLUS_CELLS = 4_000_000
 _NO_IDS = np.empty(0, dtype=np.int64)
 _NO_IDS.flags.writeable = False
 
@@ -104,7 +102,6 @@ def min_plus_compact(
     block: np.ndarray,
     dt: np.ndarray,
     dt_inverse: np.ndarray,
-    engine: str = "reference",
 ) -> np.ndarray:
     """Pair-wise ``min_{a,b} (ds[p,a] + block[a,b]) + dt[p,b]`` over
     deduplicated fans.
@@ -114,41 +111,19 @@ def min_plus_compact(
     The expensive first hop — ``min_a ds[u, a] + block[a, b]`` — runs
     once per row of *ds* that *ds_inverse* names (never for a row only
     a target uses), then the cheap second hop gathers through the row
-    maps. *engine* is the resolved name of the shard engine that made
-    the fans: ``"compiled"`` runs both hops in one C loop
-    (:func:`repro.labelling.native.engine.min_plus`, the same bits);
-    otherwise numpy, chunked so the 3-D intermediate stays bounded
-    regardless of batch size. Either way a row map entry outside its
-    matrix raises :class:`ValueError`.
+    maps, both in one C loop
+    (:func:`repro.labelling.native.engine.min_plus`). Operands of any
+    layout are copied to what the kernel reads; a row map entry outside
+    its matrix raises :class:`ValueError`.
     """
-    if engine == "compiled":
-        operand = native_engine.operand
-        return native_engine.min_plus(
-            operand(ds, np.float64),
-            operand(ds_inverse, np.int64),
-            operand(block, np.float64),
-            operand(dt, np.float64),
-            operand(dt_inverse, np.int64),
-        )
-    for inverse, rows in ((ds_inverse, len(ds)), (dt_inverse, len(dt))):
-        if len(inverse) and (inverse.min() < 0 or inverse.max() >= rows):
-            raise ValueError(f"row map points past the {rows} rows it indexes")
-    used, ds_inverse = np.unique(ds_inverse, return_inverse=True)
-    ds = ds[used]
-    unique_count, width_a = ds.shape
-    width_b = dt.shape[1]
-    tmp = np.empty((unique_count, width_b), dtype=np.float64)
-    chunk = max(1, _MIN_PLUS_CELLS // max(1, width_a * width_b))
-    for lo in range(0, unique_count, chunk):
-        hi = min(lo + chunk, unique_count)
-        tmp[lo:hi] = (ds[lo:hi, :, None] + block[None, :, :]).min(axis=1)
-    count = len(ds_inverse)
-    out = np.empty(count, dtype=np.float64)
-    chunk = max(1, _MIN_PLUS_CELLS // max(1, width_b))
-    for lo in range(0, count, chunk):
-        hi = min(lo + chunk, count)
-        out[lo:hi] = (tmp[ds_inverse[lo:hi]] + dt[dt_inverse[lo:hi]]).min(axis=1)
-    return out
+    operand = native_engine.operand
+    return native_engine.min_plus(
+        operand(ds, np.float64),
+        operand(ds_inverse, np.int64),
+        operand(block, np.float64),
+        operand(dt, np.float64),
+        operand(dt_inverse, np.int64),
+    )
 
 
 class BatchSplit:
@@ -244,7 +219,6 @@ class BatchSplit:
                     owner.engine.overlay_block(i, j),
                     dt,
                     dt_inverse[dst : dst + len(positions)],
-                    owner.shards[i].engine.engine,
                 )
         out[self.self_pairs] = 0.0
         return out
@@ -262,8 +236,7 @@ class BatchSplit:
         )
         fan_rows, src, dst = np.split(inverse, [len(fan), len(fan) + len(s)])
         block = owner.engine.overlay_block(sid, sid)
-        engine = owner.shards[sid].engine.engine
-        route = min_plus_compact(matrix, src, block, matrix, dst, engine)
+        route = min_plus_compact(matrix, src, block, matrix, dst)
         return route, matrix, fan_rows
 
 

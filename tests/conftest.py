@@ -131,19 +131,6 @@ def small_index(small_road) -> DHLIndex:
     return DHLIndex.build(small_road.copy(), DHLConfig(leaf_size=6, seed=0))
 
 
-def require_engine(name: str) -> None:
-    """Skip a ``compiled`` parametrisation on a host without the C library.
-
-    Everywhere else ``engine="compiled"`` is the native kernels of
-    :mod:`repro.labelling.native`; ``tests/test_native_engine.py`` fails
-    (not skips) when a compiler is on ``PATH`` and they still do not load.
-    """
-    from repro.labelling import native
-
-    if name == "compiled" and native.status().engine != "compiled":
-        pytest.skip(f"native engine unavailable: {native.status().reason}")
-
-
 def directed_dijkstra(dg, source: int) -> list[float]:
     """Single-source distances over a :class:`DiGraph`'s arcs (test oracle)."""
     dist = [math.inf] * dg.num_vertices

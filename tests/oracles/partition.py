@@ -21,7 +21,7 @@ import numpy as np
 
 from repro.partition.coarsen import CoarseningLevel
 from repro.partition.types import PartitionGraph
-from repro.utils.priority_queue import LazyHeap
+from tests.oracles.priority_queue import LazyHeap
 from repro.utils.rng import make_rng
 
 __all__ = [

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from collections import deque
 
-from repro.partition.matching import hopcroft_karp
+from tests.oracles.matching import hopcroft_karp
 
 __all__ = ["minimum_vertex_separator", "koenig_cover"]
 

@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.utils.priority_queue import LazyHeap
+from tests.oracles.priority_queue import LazyHeap
 
 
 class TestLazyHeap:

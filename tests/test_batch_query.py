@@ -19,8 +19,10 @@ from repro.graph.graph import Graph
 from repro.labelling import query as query_module
 from repro.labelling.query import QueryEngine
 from repro.utils.rng import make_rng, sample_pairs
+from tests.conftest import directed_dijkstra
+from tests.oracles import query as oracle_query
+from tests.oracles.kernels import python_kernels
 from tests.strategies import caterpillar_index, connected_graphs
-from tests.conftest import directed_dijkstra, require_engine
 
 
 def scalar_distances(index, pairs):
@@ -109,7 +111,9 @@ def two_component_index() -> DHLIndex:
 
 
 class TestRaggedGather:
-    """The exact-K kernel: chunk edges, ties, empty segments, live store."""
+    """The exact-K kernel: chunk edges, ties, empty segments, live store.
+    The C pair kernel against its numpy oracle (``tests/oracles/query.py``)
+    with a chunk edge after every pair or at a run's end."""
 
     @pytest.fixture(params=["grid", "delaunay", "caterpillar"])
     def index(self, request) -> DHLIndex:
@@ -131,9 +135,10 @@ class TestRaggedGather:
         pairs += [(v, v) for v in range(0, n, 13)]
         whole, whole_hubs = engine.distances_with_hubs(pairs)
         assert np.array_equal(whole, scalar_distances(index, pairs))
-        monkeypatch.setattr(query_module, "_PAIR_CHUNK_CELLS", cells)
-        assert np.array_equal(engine.distances(pairs), whole)
-        chunked, chunked_hubs = engine.distances_with_hubs(pairs)
+        monkeypatch.setattr(oracle_query, "_PAIR_CHUNK_CELLS", cells)
+        with python_kernels():
+            assert np.array_equal(engine.distances(pairs), whole)
+            chunked, chunked_hubs = engine.distances_with_hubs(pairs)
         assert np.array_equal(chunked, whole)
         assert np.array_equal(chunked_hubs, whole_hubs)
 
@@ -153,8 +158,11 @@ class TestRaggedGather:
         engine = index.engine
         pairs = [(s, t) for s in range(0, half, 3) for t in range(half)]
         pairs += [(0, half), (half + 1, 5), (half, half + 1), (half, half)]
-        monkeypatch.setattr(query_module, "_PAIR_CHUNK_CELLS", cells)
+        monkeypatch.setattr(oracle_query, "_PAIR_CHUNK_CELLS", cells)
         dists, hubs = engine.distances_with_hubs(pairs)
+        with python_kernels():
+            oracle = engine.distances_with_hubs(pairs)
+        assert np.array_equal(oracle[0], dists) and np.array_equal(oracle[1], hubs)
         for (s, t), d, hub in zip(pairs, dists.tolist(), hubs.tolist()):
             assert (d, hub) == engine.distance_with_hub(s, t), (s, t)
             if s == t or np.isinf(d):
@@ -178,12 +186,14 @@ class TestRaggedGather:
         # Cross pairs first, last, and exactly where a 40-cell run ends.
         edge = int(np.searchsorted(np.cumsum(k), 40, "right"))
         for cells in (40, 16_384):
-            monkeypatch.setattr(query_module, "_PAIR_CHUNK_CELLS", cells)
+            monkeypatch.setattr(oracle_query, "_PAIR_CHUNK_CELLS", cells)
             for at in (0, len(inner), edge, edge + 1):
                 mixed = inner[:at] + [(3, half + 2), (half, 0)] + inner[at:]
-                got = engine.distances(mixed)
-                assert np.isinf(got[at : at + 2]).all()
-                assert np.array_equal(np.delete(got, [at, at + 1]), want)
+                with python_kernels():
+                    oracle = engine.distances(mixed)
+                for got in (engine.distances(mixed), oracle):
+                    assert np.isinf(got[at : at + 2]).all()
+                    assert np.array_equal(np.delete(got, [at, at + 1]), want)
 
     def test_degenerate_batches(self, small_index):
         engine = small_index.engine
@@ -360,23 +370,21 @@ def test_distances_from_and_k_nearest_still_consistent(small_index):
 # vertex ids are checked before they become indices (or pointers)
 # ---------------------------------------------------------------------------
 
-def _door_index(family: str, engine: str):
+def _door_index(family: str):
     graph = delaunay_network(300, seed=7)
-    config = DHLConfig(leaf_size=6, seed=0, engine=engine)
+    config = DHLConfig(leaf_size=6, seed=0)
     if family == "directed":
         return DirectedDHLIndex.build(DiGraph.from_undirected(graph), config)
     return DHLIndex.build(graph, config)
 
 
-@pytest.mark.parametrize("engine", ["reference", "compiled"])
 @pytest.mark.parametrize("family", ["undirected", "directed"])
 class TestVertexIdsAtTheDoor:
     """numpy wraps a negative id onto another vertex's label and C would
     read out of bounds: every entry point rejects ids outside [0, n)."""
 
-    def test_out_of_range_ids_raise_vertex_not_found(self, family, engine):
-        require_engine(engine)
-        index = _door_index(family, engine)
+    def test_out_of_range_ids_raise_vertex_not_found(self, family):
+        index = _door_index(family)
         for bad in (-2, -1, 300, 2**40):
             for pair in ((0, bad), (bad, 0)):
                 with pytest.raises(VertexNotFound) as caught:
@@ -400,10 +408,9 @@ class TestVertexIdsAtTheDoor:
                 index.distances_from(0, [5, bad])
 
     def test_any_integer_columns_are_copied_not_passed_through(
-        self, family, engine
+        self, family
     ):
-        require_engine(engine)
-        index = _door_index(family, engine)
+        index = _door_index(family)
         pairs = np.asarray(sample_pairs(300, 400, make_rng(6), distinct=False))
         want = np.array([index.distance(s, t) for s, t in pairs.tolist()])
         wide = np.zeros((400, 6), dtype=np.int64)
@@ -418,9 +425,8 @@ class TestVertexIdsAtTheDoor:
         assert np.array_equal(index.distances(pairs.astype(np.int32)), want)
         assert np.array_equal(index.distances(pairs[:, ::-1][:, ::-1]), want)
 
-    def test_empty_batches(self, family, engine):
-        require_engine(engine)
-        index = _door_index(family, engine)
+    def test_empty_batches(self, family):
+        index = _door_index(family)
         empty = np.empty(0, dtype=np.int64)
         assert index.distances([]).shape == (0,)
         assert index.distances(np.empty((0, 2), dtype=np.int64)).shape == (0,)

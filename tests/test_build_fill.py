@@ -1,9 +1,9 @@
 """A build is an insertion into an empty store.
 
 Contraction yields the shortcut structure alone; every build then fills
-the weights with the resolved engine's Algorithm 2 sweep from the
-direct road weights. The fixpoint is unique and float addition is
-monotone, so both engines must fill the same bits, every cell must
+the weights with the C Algorithm 2 sweep from the direct road weights.
+The fixpoint is unique and float addition is monotone, so the C sweep
+and its oracle must fill the same bits, every cell must
 satisfy Property 3.1 exactly, and the bench stores must keep the bits
 the weighted contraction loops used to compute. The fill leaves the
 per-cell direct weights on the store, so the first increase after a
@@ -32,7 +32,7 @@ from repro.hierarchy.query_hierarchy import QueryHierarchy
 from repro.hierarchy.update_hierarchy import UpdateHierarchy
 from repro.labelling.driver import fill_weights
 from repro.partition.recursive import recursive_bisection
-from tests.conftest import require_engine
+from tests.oracles.kernels import python_kernels
 from tests.strategies import road_lists
 
 #: SHA-1 of ``DHLIndex.build(graph).hu.up_weights`` on the bench graphs
@@ -70,8 +70,7 @@ def _clique_elimination(skeleton: Graph, order) -> list[set[int]]:
     max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow]
 )
 @given(road_lists(), st.booleans())
-def test_both_engines_fill_the_same_exact_store(case, directed):
-    require_engine("compiled")
+def test_c_and_oracle_sweeps_fill_the_same_exact_store(case, directed):
     n, roads = case
     if directed:
         graph, store = DiGraph.from_arcs(n, roads), DirectedUpdateHierarchy
@@ -79,8 +78,9 @@ def test_both_engines_fill_the_same_exact_store(case, directed):
         graph, store = Graph.from_edges(n, roads), UpdateHierarchy
     skeleton = store.skeleton(graph)
     hq = _hq(skeleton)
-    compiled = store.build(graph, hq, "compiled")
-    reference = store.build(graph, hq, "reference")
+    compiled = store.build(graph, hq)
+    with python_kernels():
+        reference = store.build(graph, hq)
     rows = _clique_elimination(skeleton, hq.contraction_order().tolist())
     assert [set(compiled.csr.row(v).tolist()) for v in range(n)] == rows
     assert np.array_equal(compiled.csr.indices, reference.csr.indices)
@@ -97,16 +97,19 @@ def test_bench_stores_keep_their_weights(name):
     assert digest == PINNED_UP_WEIGHTS[name]
 
 
-@pytest.mark.parametrize("engine", ["compiled", "reference"])
-def test_a_store_missing_a_pair_is_refused_not_patched(engine):
+@pytest.mark.parametrize("on_oracle", [False, True], ids=["c", "oracle"])
+def test_a_store_missing_a_pair_is_refused_not_patched(on_oracle):
     """Contracting 1 first joins 0 and 2; a store without that slot has
     nowhere to put the finite triangle, and a build is no fallback."""
-    require_engine(engine)
     graph = Graph.from_edges(3, [(0, 1, 1.0), (1, 2, 2.0)])
     store = unweighted_store(graph, graph, [1, 0, 2])
     compact_slots(store, store.csr.owners != 0)  # drops the shortcut (0, 2)
     with pytest.raises(HierarchyError):
-        fill_weights(store, engine)
+        if on_oracle:
+            with python_kernels():
+                fill_weights(store)
+        else:
+            fill_weights(store)
 
 
 @pytest.fixture(params=["undirected", "directed"])

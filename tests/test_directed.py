@@ -13,6 +13,7 @@ from repro.graph.digraph import DiGraph
 from repro.graph.generators import grid_network, random_connected_graph
 from repro.service import DistanceService, InProcessRuntime
 from tests.conftest import directed_dijkstra
+from tests.oracles.kernels import oracle_build
 
 
 @pytest.fixture
@@ -132,17 +133,13 @@ class TestDirectedDynamic:
         assert idx.labels_out.equals(rebuilt.labels_out)
         assert idx.labels_in.equals(rebuilt.labels_in)
 
-    def test_compiled_request_maintains_the_reference_engine_state(
-        self, asym_digraph
-    ):
-        """``engine="compiled"`` runs the two-plane C sweeps wherever the
-        native library loads and downgrades to ``reference`` elsewhere;
-        either way the maintained state must equal the reference's."""
+    def test_two_plane_c_sweeps_maintain_the_oracle_state(self, asym_digraph):
+        """The two-plane C sweeps leave the maintained state the oracle
+        sweeps leave."""
+        config = DHLConfig(leaf_size=4, seed=0)
         indexes = [
-            DirectedDHLIndex.build(
-                asym_digraph.copy(), DHLConfig(leaf_size=4, seed=0, engine=engine)
-            )
-            for engine in ("reference", "compiled")
+            oracle_build(DirectedDHLIndex, asym_digraph.copy(), config),
+            DirectedDHLIndex.build(asym_digraph.copy(), config),
         ]
         arcs = list(asym_digraph.arcs())[::7]
         for index in indexes:

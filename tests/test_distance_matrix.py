@@ -1,14 +1,18 @@
 """The set-to-set kernel must equal the pair kernel bit for bit.
 
 ``QueryEngine.distance_matrix`` answers a whole ``sources x targets``
-block: in C under ``compiled`` (each cell the pair kernel's scan), from
-one dense per-target-set table in numpy otherwise. The reference
+block: in C (each cell the pair kernel's scan), from one dense
+per-target-set table in numpy for a hierarchy past the LCA tables'
+depth — which :func:`tests.oracles.kernels.python_kernels` forces on
+any index, with the pair kernel's numpy oracle beside it. The reference
 throughout is ``distances_arrays`` on the expanded pairs, compared with
 ``np.array_equal`` (never ``allclose``): all minimise the same float
 sums.
 """
 
 from __future__ import annotations
+
+from contextlib import nullcontext
 
 import numpy as np
 import pytest
@@ -26,7 +30,7 @@ from repro.graph.graph import Graph
 from repro.labelling import query as query_module
 from repro.sharding.engine import min_plus_compact, shard_batch
 from repro.utils.rng import make_rng
-from tests.conftest import require_engine
+from tests.oracles.kernels import python_kernels
 from tests.strategies import caterpillar_index, connected_graphs, pair_matrix
 
 
@@ -36,20 +40,21 @@ def assert_kernel_matches(engine, sources, targets) -> np.ndarray:
     assert got.shape == (len(sources), len(targets))
     assert not np.isnan(got).any()
     assert np.array_equal(got, pair_matrix(engine, sources, targets))
-    if engine.engine == "compiled" and engine.supports_batch_kernel():
+    if engine.kernel_tables() is not None:
         # The C set kernel answered: the numpy one's tables never exist.
         assert engine._targets is None
     return got
 
 
-@pytest.fixture(params=["reference", "compiled"])
+KERNELS = {"c": nullcontext, "numpy": python_kernels}
+
+
+@pytest.fixture(params=list(KERNELS))
 def road_index(request, small_road) -> DHLIndex:
-    require_engine(request.param)
-    index = DHLIndex.build(
-        small_road.copy(), DHLConfig(leaf_size=6, seed=0, engine=request.param)
-    )
-    assert index.engine.engine == request.param
-    return index
+    """The road index, the test run on the C kernels or on the numpy
+    set kernel and the oracles."""
+    with KERNELS[request.param]():
+        yield DHLIndex.build(small_road.copy(), DHLConfig(leaf_size=6, seed=0))
 
 
 class TestHubStore:
@@ -120,13 +125,14 @@ class TestKernelAgainstPairKernel:
             graph.add_edge(u, v, w)  # vertices 7 and 8 are isolated
         everyone = np.arange(9)
         answers = []
-        for engine_name in ("reference", "compiled"):
-            index = DHLIndex.build(
-                graph.copy(), DHLConfig(leaf_size=2, seed=0, engine=engine_name)
-            )
-            got = assert_kernel_matches(index.engine, everyone, everyone[:4])
-            assert np.isinf(got[4:]).all() and np.isfinite(got[:4]).all()
-            answers.append(assert_kernel_matches(index.engine, everyone, everyone))
+        index = DHLIndex.build(graph, DHLConfig(leaf_size=2, seed=0))
+        for kernels in KERNELS.values():
+            with kernels():
+                got = assert_kernel_matches(index.engine, everyone, everyone[:4])
+                assert np.isinf(got[4:]).all() and np.isfinite(got[:4]).all()
+                answers.append(
+                    assert_kernel_matches(index.engine, everyone, everyone)
+                )
         assert np.array_equal(*answers)
 
     def test_hierarchy_deeper_than_the_vector_kernel(self):
@@ -142,7 +148,6 @@ class TestKernelAgainstPairKernel:
 
     def test_two_labellings(self):
         """A directed index: sources read out-labels, targets in-labels."""
-        require_engine("compiled")
         digraph = DiGraph.from_undirected(delaunay_network(150, seed=5))
         for i, (u, v, w) in enumerate(list(digraph.arcs())):
             if i % 3 == 0:
@@ -150,13 +155,12 @@ class TestKernelAgainstPairKernel:
         n = digraph.num_vertices
         sources, targets = np.arange(0, n, 3), np.arange(1, n, 5)
         answers = []
-        for engine_name in ("reference", "compiled"):
-            index = DirectedDHLIndex.build(
-                digraph.copy(), DHLConfig(leaf_size=4, seed=0, engine=engine_name)
-            )
-            assert index.labellings[0] is not index.labellings[-1]
-            got = assert_kernel_matches(index.engine, sources, targets)
-            back = assert_kernel_matches(index.engine, targets, sources)
+        index = DirectedDHLIndex.build(digraph, DHLConfig(leaf_size=4, seed=0))
+        assert index.labellings[0] is not index.labellings[-1]
+        for kernels in KERNELS.values():
+            with kernels():
+                got = assert_kernel_matches(index.engine, sources, targets)
+                back = assert_kernel_matches(index.engine, targets, sources)
             assert (got != back.T).any()  # the two labellings really differ
             answers.append(got)
         assert np.array_equal(*answers)
@@ -285,48 +289,49 @@ class TestShardedCallSites:
         got = min_plus_compact(ds, ds_inv, block, dt, dt_inv)
         assert np.array_equal(got, np.array(want))
 
-    def test_reference_and_compiled_agree_after_an_overlay_burst(self):
+    def test_c_and_oracle_agree_after_an_overlay_burst(self):
         """Fans, overlay matrix, clique refresh and combine all follow
-        the shard engine: both engines answer every pair with the same
-        bits, before and after a burst that moves the overlay."""
-        require_engine("compiled")
+        the shard kernels: the oracle kernels and C answer every pair
+        with the same bits, before and after a burst that moves the
+        overlay."""
         graph = grid_network(10, 10, seed=2)
-        both = [
-            ShardedDHLIndex.build(
-                graph.copy(),
-                k=2,
-                config=DHLConfig(seed=0, engine=engine),
-                build_workers=1,
-            )
-            for engine in ("reference", "compiled")
-        ]
-        assert [index.shards[0].engine.engine for index in both] == [
-            "reference",
-            "compiled",
-        ]
+        both = []
+        for kernels in (python_kernels, nullcontext):
+            with kernels():
+                both.append(
+                    ShardedDHLIndex.build(
+                        graph.copy(), k=2, config=DHLConfig(seed=0), build_workers=1
+                    )
+                )
         n = graph.num_vertices
         pairs = np.stack(np.divmod(np.arange(n * n), n), axis=1)
         region_of = both[0].region_of
         inner = [e for e in graph.edges() if region_of[e[0]] == region_of[e[1]]]
         cut = both[0].partition.cut_edges[:4]
         burst = [(u, v, 3 * w) for u, v, w in cut + inner[:12]]
-        answers = []
-        for index in both:
-            before = index.distances(pairs)
-            epoch = index.overlay.epoch
-            index.update(burst)
-            assert index.overlay.epoch != epoch
-            answers.append((before, index.distances(pairs)))
+        answers, blocks = [], []
+        for index, kernels in zip(both, (python_kernels, nullcontext)):
+            with kernels():
+                before = index.distances(pairs)
+                epoch = index.overlay.epoch
+                index.update(burst)
+                assert index.overlay.epoch != epoch
+                answers.append((before, index.distances(pairs)))
+                blocks.append(
+                    [
+                        index.engine.overlay_block(i, j)
+                        for i in range(2)
+                        for j in range(2)
+                    ]
+                )
         (want_before, want), (got_before, got) = answers
         assert np.array_equal(got_before, want_before)
         assert np.array_equal(got, want)
         for s in (0, 37, n - 1):
             row = got[s * n : (s + 1) * n]
             assert np.array_equal(row, dijkstra(both[1].graph, s))
-        for i in range(2):
-            for j in range(2):
-                blocks = [index.engine.overlay_block(i, j) for index in both]
-                assert np.array_equal(*blocks)
+        for want_block, got_block in zip(*blocks):
+            assert np.array_equal(got_block, want_block)
 
     def test_new_cut_edge_rekeys_the_boundary_tables(self, sharded):
         n = sharded.graph.num_vertices

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+from contextlib import nullcontext
 
 import numpy as np
 import pytest
@@ -29,7 +30,7 @@ from repro.labelling.build import build_labelling
 from repro.labelling.labels import HierarchicalLabelling
 from repro.labelling.query import QueryEngine
 from repro.partition.recursive import recursive_bisection
-from tests.conftest import require_engine
+from tests.oracles.kernels import python_kernels
 from tests.strategies import connected_graphs, road_lists
 from tests.test_build_fill import BENCH_GRAPHS
 
@@ -108,16 +109,16 @@ def bench_store(request) -> tuple[str, UpdateHierarchy]:
     return request.param, DHLIndex.build(BENCH_GRAPHS[request.param]()).hu
 
 
-class TestEngines:
-    """The top-down pass runs in C under ``compiled`` and in numpy under
-    ``reference``; the seeding is shared. Both must give the same bits."""
+class TestTopDownPass:
+    """The top-down pass runs in C; its oracle walks row slices in numpy
+    (``tests/oracles/build.py``). The seeding is shared. Both must give
+    the same bits."""
 
     @settings(
         max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow]
     )
     @given(road_lists(), st.booleans())
-    def test_both_engines_build_the_same_labels(self, case, directed):
-        require_engine("compiled")
+    def test_c_and_oracle_build_the_same_labels(self, case, directed):
         n, roads = case
         if directed:
             graph, store = DiGraph.from_arcs(n, roads), DirectedUpdateHierarchy
@@ -127,16 +128,19 @@ class TestEngines:
         tree = recursive_bisection(skeleton, leaf_size=2, seed=0)
         hu = store.build(graph, QueryHierarchy.from_partition_tree(tree, n))
         for plane in hu.plane_views():
-            compiled = build_labelling(plane, "compiled")
-            reference = build_labelling(plane, "reference")
+            compiled = build_labelling(plane)
+            with python_kernels():
+                reference = build_labelling(plane)
             assert np.array_equal(compiled.offsets, reference.offsets)
             assert compiled.values.tobytes() == reference.values.tobytes()
 
-    @pytest.mark.parametrize("engine", ["compiled", "reference"])
-    def test_bench_labellings_keep_their_bits(self, bench_store, engine):
-        require_engine(engine)
+    @pytest.mark.parametrize(
+        "kernels", [nullcontext, python_kernels], ids=["c", "oracle"]
+    )
+    def test_bench_labellings_keep_their_bits(self, bench_store, kernels):
         name, hu = bench_store
-        labels = build_labelling(hu, engine)
+        with kernels():
+            labels = build_labelling(hu)
         assert hashlib.sha1(labels.values.tobytes()).hexdigest() == PINNED_LABELS[name]
 
 

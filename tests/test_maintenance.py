@@ -8,6 +8,7 @@ must be *identical* to one rebuilt from scratch on the updated graph.
 from __future__ import annotations
 
 import math
+from contextlib import nullcontext
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from repro.core.index import DHLIndex
 from repro.exceptions import MaintenanceError
 from repro.graph.generators import grid_network
 from repro.labelling.driver import maintain_shortcuts
+from tests.oracles.kernels import python_kernels
 from tests.strategies import connected_graphs, rolling_stream, update_sequences
 
 
@@ -214,17 +216,20 @@ class TestMixedUpdates:
         idx.update([(a, b, 2 * w_ab), (c, d, w_cd / 2)])
         assert idx.epoch == 1
 
-    @pytest.mark.parametrize("engine", ["compiled", "reference"])
-    def test_mixed_counts_are_the_diff(self, engine):
+    @pytest.mark.parametrize(
+        "kernels", [nullcontext, python_kernels], ids=["c", "oracle"]
+    )
+    def test_mixed_counts_are_the_diff(self, kernels):
         """On rolling bursts (8 roads doubled, the previous 8 restored)
         each counter is the diff of the before and after buffers: an
         entry or shortcut both halves of the batch moved counts once."""
         graph = grid_network(16, 16, seed=7)
-        idx = DHLIndex.build(graph.copy(), DHLConfig(seed=0, engine=engine))
+        idx = DHLIndex.build(graph.copy(), DHLConfig(seed=0))
         halves = np.arange(graph.num_vertices) % 2
         for changes, _ in rolling_stream(graph, halves, rounds=4, seed=3, group=8):
             labels, weights = idx.labels.copy(), idx.hu.up_weights.copy()
-            stats = idx.update(changes)
+            with kernels():
+                stats = idx.update(changes)
             moved = np.count_nonzero(weights != idx.hu.up_weights)
             assert stats.shortcuts_changed == len(stats.affected_shortcuts) == moved
             assert stats.labels_changed == labels.diff_count(idx.labels)

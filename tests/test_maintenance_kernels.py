@@ -1,17 +1,13 @@
-"""Differential tests: the two maintenance engines must agree.
+"""Differential tests: the C sweeps must agree with their oracle.
 
-The C heap sweeps (``engine="compiled"``) must be observationally
-identical to the paper-literal one-pop-per-entry reference
-(``engine="reference"``): same labels, same shortcut/label change
-counts, same affected-shortcut dicts (including the recorded old
-weights) and same affected-label vertex sets, under arbitrary
-interleavings of increase and decrease batches. Only
+The C heap sweeps of :mod:`repro.labelling.native.engine` must be
+observationally identical to the paper-literal one-pop-per-entry
+sweeps of ``tests/oracles/maintenance.py`` (run under the same driver
+by :func:`tests.oracles.kernels.python_kernels`): same labels, same
+shortcut/label change counts, same affected-shortcut dicts (including
+the recorded old weights) and same affected-label vertex sets, under
+arbitrary interleavings of increase and decrease batches. Only
 ``entries_processed`` (search effort) may differ, by heap tie order.
-
-``compiled`` is the C library of :mod:`repro.labelling.native` wherever
-a C compiler exists (``tests/test_native_engine.py`` asserts it loaded);
-on a compiler-less host it resolves to ``reference`` and the comparison
-degenerates to the oracle against itself.
 """
 
 from __future__ import annotations
@@ -33,20 +29,33 @@ from repro.core.sharded import ShardedDHLIndex
 from repro.graph.digraph import DiGraph
 from repro.graph.generators import delaunay_network, grid_network
 from repro.hierarchy.contraction import contract_in_order
-from repro.labelling import driver, maintenance
-from repro.labelling.driver import ENGINES
-from repro.labelling.maintenance import Engine, MaintenanceStats
+from repro.labelling import maintenance
+from repro.labelling.driver import maintain_shortcuts
+from repro.labelling.maintenance import MaintenanceStats
+from repro.labelling.native import engine as native_engine
+from tests.oracles.kernels import oracle_build, python_kernels
 from tests.strategies import assert_stats_match, connected_graphs, update_sequences
 
 
-def test_engine_table_is_two_engines_of_exactly_two_sweeps():
-    """The whole engine contract: nothing else is dispatched per engine."""
-    assert set(ENGINES) == {"compiled", "reference"}
-    for engine in ENGINES.values():
-        assert engine._fields == ("shortcut_sweep", "label_sweep")
-        assert all(callable(sweep) for sweep in engine)
-    sweeps = [sweep for engine in ENGINES.values() for sweep in engine]
-    assert len(set(sweeps)) == 4  # no engine borrows another's sweep
+def test_baseline_shortcut_maintenance_equals_the_oracle_sweep():
+    """DCH / IncH2H maintain their stores through ``maintain_shortcuts``,
+    on the C sweep: a mixed burst (raised, lowered, and a road raised
+    then restored) reports the oracle sweep's affected-shortcut dict,
+    old weights included, and leaves its weights."""
+    graph = delaunay_network(150, seed=4)
+    order = list(np.random.default_rng(2).permutation(graph.num_vertices))
+    store = contract_in_order(graph.copy(), order)
+    oracle = pickle.loads(pickle.dumps(store))
+    roads = list(graph.edges())
+    burst = [(u, v, 3 * w) for u, v, w in roads[:25]]
+    burst += [(u, v, max(1.0, w // 2)) for u, v, w in roads[25:50]]
+    burst += [(u, v, 2 * w) for u, v, w in roads[50:55]]
+    burst += [(u, v, w) for u, v, w in roads[50:55]]
+    got = maintain_shortcuts("update", store, burst)
+    with python_kernels():
+        want = maintain_shortcuts("update", oracle, burst)
+    assert got and got == want
+    assert store.up_weights.tobytes() == oracle.up_weights.tobytes()
 
 
 class TestUndirectedDifferential:
@@ -62,10 +71,9 @@ class TestUndirectedDifferential:
     )
     def test_engines_identical_under_random_interleavings(self, data):
         graph, sequence = data
-        config_r = DHLConfig(leaf_size=3, seed=0, engine="reference")
-        config_c = DHLConfig(leaf_size=3, seed=0, engine="compiled")
-        idx_r = DHLIndex.build(graph.copy(), config_r)
-        idx_c = DHLIndex.build(graph.copy(), config_c)
+        config = DHLConfig(leaf_size=3, seed=0)
+        idx_r = oracle_build(DHLIndex, graph.copy(), config)
+        idx_c = DHLIndex.build(graph.copy(), config)
         for batch in sequence:
             assert_stats_match(idx_c.update(batch), idx_r.update(batch))
             assert idx_c.labels.equals(idx_r.labels)
@@ -77,11 +85,8 @@ class TestUndirectedDifferential:
             assert idx_r.distance(0, t) == ref[t]
             assert idx_c.distance(0, t) == ref[t]
 
-    @pytest.mark.parametrize("engine", ["compiled", "reference"])
-    def test_maintained_index_matches_rebuild(self, small_road, engine):
-        idx = DHLIndex.build(
-            small_road.copy(), DHLConfig(leaf_size=4, seed=0, engine=engine)
-        )
+    def test_maintained_index_matches_rebuild(self, small_road):
+        idx = DHLIndex.build(small_road.copy(), DHLConfig(leaf_size=4, seed=0))
         edges = list(idx.graph.edges())
         idx.increase([(u, v, 3 * w) for u, v, w in edges[:60]])
         idx.decrease([(u, v, max(1.0, w // 2)) for u, v, w in edges[30:90]])
@@ -90,11 +95,10 @@ class TestUndirectedDifferential:
         idx.hu.verify_minimum_weight_property()
 
     def test_decrease_stats_count_distinct_entries(self, small_road):
-        """Both engines report |L-delta| as *distinct* changed entries."""
-        for engine in ("compiled", "reference"):
-            idx = DHLIndex.build(
-                small_road.copy(), DHLConfig(leaf_size=4, seed=0, engine=engine)
-            )
+        """C and oracle sweeps report |L-delta| as *distinct* changed entries."""
+        config = DHLConfig(leaf_size=4, seed=0)
+        for build in (DHLIndex.build, functools.partial(oracle_build, DHLIndex)):
+            idx = build(small_road.copy(), config)
             before = idx.labels.copy()
             batch = [
                 (u, v, max(1.0, w // 3))
@@ -124,10 +128,9 @@ class TestDirectedDifferential:
             if i % 2 == 0:
                 digraph_r.set_weight(u, v, float(w + 3))
         digraph_c = digraph_r.copy()
-        config_r = DHLConfig(leaf_size=3, seed=0, engine="reference")
-        config_c = DHLConfig(leaf_size=3, seed=0, engine="compiled")
-        idx_r = DirectedDHLIndex.build(digraph_r, config_r)
-        idx_c = DirectedDHLIndex.build(digraph_c, config_c)
+        config = DHLConfig(leaf_size=3, seed=0)
+        idx_r = oracle_build(DirectedDHLIndex, digraph_r, config)
+        idx_c = DirectedDHLIndex.build(digraph_c, config)
         for batch in sequence:
             # Directed updates address one arc; update() folds on the arc.
             arcs = [
@@ -147,11 +150,11 @@ class TestDirectedDifferential:
 
 
 @functools.cache
-def built_index(graph: str, directed: bool, engine: str):
-    """A small grid or road index, built once per family and engine;
-    callers work on a pickled copy."""
+def built_index(graph: str, directed: bool):
+    """A small grid or road index, built once per family; callers work
+    on a pickled copy."""
     g = grid_network(7, 7, seed=3) if graph == "grid" else delaunay_network(90, seed=5)
-    config = DHLConfig(leaf_size=3, seed=0, engine=engine)
+    config = DHLConfig(leaf_size=3, seed=0)
     if not directed:
         return DHLIndex.build(g, config)
     digraph = DiGraph.from_undirected(g)
@@ -170,7 +173,6 @@ class TestDecreaseHandlesEachLoweredEntryOnce:
 
     @pytest.mark.parametrize("directed", [False, True], ids=["undirected", "directed"])
     @pytest.mark.parametrize("graph", ["grid", "road"])
-    @pytest.mark.parametrize("engine", ["compiled", "reference"])
     @settings(
         max_examples=15,
         deadline=None,
@@ -183,10 +185,8 @@ class TestDecreaseHandlesEachLoweredEntryOnce:
             max_size=12,
         )
     )
-    def test_entries_processed_equals_labels_changed(
-        self, engine, graph, directed, picks
-    ):
-        index = pickle.loads(pickle.dumps(built_index(graph, directed, engine)))
+    def test_entries_processed_equals_labels_changed(self, graph, directed, picks):
+        index = pickle.loads(pickle.dumps(built_index(graph, directed)))
         roads = list(index.graph.edges())
         batch = {}
         for pick, factor in picks:
@@ -229,8 +229,8 @@ class TestTouchedLists:
         assert set(vertices.tolist()) == set(owners.tolist())
         assert set(vertices.tolist()) == set(np.flatnonzero(vertex_marks).tolist())
 
-    def spied(self, engine: Engine, label_calls: list) -> Engine:
-        """*engine*, each sweep's lists checked the moment it returns."""
+    def spy(self, mp: pytest.MonkeyPatch, label_calls: list) -> None:
+        """The C sweeps, each one's lists checked the moment it returns."""
 
         def shortcut(sweep):
             def run(*args):
@@ -249,7 +249,10 @@ class TestTouchedLists:
 
             return run
 
-        return Engine(shortcut(engine.shortcut_sweep), label(engine.label_sweep))
+        mp.setattr(
+            native_engine, "shortcut_sweep", shortcut(native_engine.shortcut_sweep)
+        )
+        mp.setattr(native_engine, "label_sweep", label(native_engine.label_sweep))
 
     @staticmethod
     def scanned(store, cell_marks, label_calls) -> MaintenanceStats:
@@ -272,7 +275,6 @@ class TestTouchedLists:
         return stats
 
     @pytest.mark.parametrize("directed", [False, True], ids=["undirected", "directed"])
-    @pytest.mark.parametrize("engine", ["compiled", "reference"])
     @settings(
         max_examples=12,
         deadline=None,
@@ -283,9 +285,9 @@ class TestTouchedLists:
             lambda g: update_sequences(g, max_steps=4).map(lambda seq: (g, seq))
         )
     )
-    def test_lists_are_the_marks_and_stats_match_a_scan(self, engine, directed, data):
+    def test_lists_are_the_marks_and_stats_match_a_scan(self, directed, data):
         graph, sequence = data
-        config = DHLConfig(leaf_size=3, seed=0, engine=engine)
+        config = DHLConfig(leaf_size=3, seed=0)
         if directed:
             digraph = DiGraph.from_undirected(graph)
             for i, (u, v, w) in enumerate(list(digraph.arcs())):
@@ -294,7 +296,6 @@ class TestTouchedLists:
             index = DirectedDHLIndex.build(digraph, config)
         else:
             index = DHLIndex.build(graph.copy(), config)
-        resolved = config.resolve_engine()
         cell_marks: list = []
         label_calls: list = []
         fresh = maintenance.cell_marks
@@ -303,8 +304,8 @@ class TestTouchedLists:
             cell_marks.append(fresh(cells))
             return cell_marks[-1]
 
-        spy = self.spied(ENGINES[resolved], label_calls)
-        with mock.patch.dict(driver.ENGINES, {resolved: spy}):
+        with pytest.MonkeyPatch.context() as mp:
+            self.spy(mp, label_calls)
             with mock.patch.object(maintenance, "cell_marks", recording):
                 for batch in sequence:
                     cell_marks.clear()
@@ -316,14 +317,13 @@ class TestTouchedLists:
 
 
 class TestShardedDifferential:
-    def test_k2_sharded_engines_agree(self, small_road):
-        config_r = DHLConfig(seed=0, engine="reference")
-        config_c = DHLConfig(seed=0, engine="compiled")
-        sharded_r = ShardedDHLIndex.build(
-            small_road.copy(), k=2, config=config_r, build_workers=1
+    def test_k2_sharded_c_and_oracle_agree(self, small_road):
+        config = DHLConfig(seed=0)
+        sharded_r = oracle_build(
+            ShardedDHLIndex, small_road.copy(), k=2, config=config, build_workers=1
         )
         sharded_c = ShardedDHLIndex.build(
-            small_road.copy(), k=2, config=config_c, build_workers=1
+            small_road.copy(), k=2, config=config, build_workers=1
         )
         edges = list(small_road.edges())
         batches = [

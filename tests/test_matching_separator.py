@@ -1,10 +1,10 @@
 """Tests for Hopcroft-Karp matching and Koenig vertex separators.
 
-The separator has two implementations, the Python one and the C one
-(``dhl_step_separator``, the step the compiled pipeline runs): the
-separator tests run on both, and a differential test requires equal
-separators on random cuts, duplicates and vertices on both sides
-included.
+The separator the partitioner runs is C (``dhl_step_separator``); its
+oracle is the Python matching and cover in ``tests/oracles/``. The
+separator tests run on both, the matching is held to a brute force,
+and a differential test requires equal separators on random cuts,
+duplicates and vertices on both sides included.
 """
 
 from __future__ import annotations
@@ -14,10 +14,10 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.partition import kernels, separator
-from repro.partition.matching import hopcroft_karp
-from repro.partition.separator import koenig_cover
-from tests.conftest import require_engine
+from repro.partition import kernels
+from tests.oracles import separator
+from tests.oracles.matching import hopcroft_karp
+from tests.oracles.separator import koenig_cover
 
 
 def brute_force_max_matching(left: int, right: int, adj: list[list[int]]) -> int:
@@ -97,10 +97,9 @@ class TestKoenigCover:
                 assert l in covered_left or r in covered_right
 
 
-@pytest.fixture(params=["compiled", "reference"])
+@pytest.fixture(params=["c", "oracle"])
 def minimum_vertex_separator(request):
-    require_engine(request.param)
-    if request.param == "compiled":
+    if request.param == "c":
         return kernels.minimum_vertex_separator
     return separator.minimum_vertex_separator
 
@@ -136,10 +135,9 @@ class TestMinimumVertexSeparator:
         st.tuples(st.integers(0, 14), st.integers(0, 14)), min_size=1, max_size=40
     )
 )
-def test_compiled_separator_matches_reference(cut):
+def test_c_separator_matches_the_oracle(cut):
     """Same cover, vertex for vertex (a vertex may sit on both sides of
     an arbitrary list; edges may repeat)."""
-    require_engine("compiled")
     assert kernels.minimum_vertex_separator(cut) == separator.minimum_vertex_separator(
         cut
     )

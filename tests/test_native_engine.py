@@ -1,19 +1,18 @@
-"""The native engine: seen executing, and every way of not having it.
+"""The native library: seen executing, and every way of not having it.
 
-With a C compiler on ``PATH`` the library must load and
-``engine="compiled"`` must mean it — the first class fails, not skips,
-otherwise. The pair kernel's and the min-plus combine's contracts, and
-what the set kernel's and the build kernels' wrappers refuse, are
-checked here against the numpy code they replace (the set kernel's
-parity lives in ``test_distance_matrix``, FM's in
-``test_partition_identity``, Algorithm 1's in ``test_labelling``); the
-sweeps' differential coverage lives in
-the compiled-vs-reference suites (``test_sweep_rounds``,
+The library must load — every algorithm runs in it. The pair kernel's
+and the min-plus combine's contracts, and what the set kernel's and the
+build kernels' wrappers refuse, are checked here against their numpy
+oracles in ``tests/oracles/`` (the set kernel's parity lives in
+``test_distance_matrix``, FM's in ``test_partition_identity``,
+Algorithm 1's in ``test_labelling``); the sweeps' differential coverage
+lives in the C-vs-oracle suites (``test_sweep_rounds``,
 ``test_maintenance_kernels``, ``test_structural_batch``,
-``test_directed``). The loader cases each run
-against an empty cache directory under ``tmp_path`` and a fresh loader
-state, so they neither see nor disturb the library the rest of the
-session runs on.
+``test_directed``). The loader cases each run against an empty cache
+directory under ``tmp_path`` and a fresh loader state, so they neither
+see nor disturb the library the rest of the session runs on; a host
+without a compiler raises :class:`NativeUnavailableError`, once per
+process, naming the fix.
 """
 
 from __future__ import annotations
@@ -28,7 +27,6 @@ import stat
 import subprocess
 import sys
 import textwrap
-import warnings
 from multiprocessing import shared_memory
 from pathlib import Path
 from types import SimpleNamespace
@@ -39,7 +37,7 @@ import pytest
 from repro.core.config import DHLConfig
 from repro.core.directed import DirectedDHLIndex
 from repro.core.index import DHLIndex
-from repro.exceptions import IndexBuildError
+from repro.exceptions import NativeUnavailableError
 from repro.graph.digraph import DiGraph
 from repro.graph.generators import delaunay_network, grid_network
 from repro.graph.graph import Graph
@@ -53,10 +51,10 @@ from repro.partition import kernels
 from repro.partition.types import PartitionGraph
 from repro.sharding.engine import min_plus_compact
 from repro.utils.rng import make_rng, sample_pairs
-from tests.conftest import require_engine
+from tests.oracles import query as oracle_query
+from tests.oracles.kernels import python_kernels
 from tests.strategies import caterpillar_index
 
-HAVE_COMPILER = any(shutil.which(name) for name in native._COMPILERS)
 SRC = str(Path(native.__file__).resolve().parents[3])
 
 
@@ -69,46 +67,36 @@ def two_component_graph() -> Graph:
     return g
 
 
-def path_index(**config) -> DHLIndex:
+def path_index() -> DHLIndex:
     g = Graph(5)
     for i in range(4):
         g.add_edge(i, i + 1, float(i + 1))
-    return DHLIndex.build(g, DHLConfig(leaf_size=2, seed=0, **config))
+    return DHLIndex.build(g, DHLConfig(leaf_size=2, seed=0))
 
 
-class TestConfigEngine:
-    def test_accepts_compiled(self):
-        assert DHLConfig(engine="compiled").engine == "compiled"
-        assert DHLConfig().engine == "compiled"
+def on_oracles(call, *args):
+    """``call(*args)`` with every kernel on its Python oracle."""
+    with python_kernels():
+        return call(*args)
 
-    @pytest.mark.parametrize("bad", ["numba", "jit", "", "ARRAY"])
-    def test_rejects_unknown_engines(self, bad):
-        with pytest.raises(IndexBuildError, match="engine must be one of"):
-            DHLConfig(engine=bad)
 
-    def test_retired_array_engine_is_rejected_naming_the_two_engines(self):
-        with pytest.raises(IndexBuildError) as raised:
-            DHLConfig(engine="array")
-        message = str(raised.value)
-        assert "'compiled' or 'reference'" in message and "'array'" in message
+class TestOneEngine:
+    def test_config_has_no_engine_option(self):
+        with pytest.raises(TypeError):
+            DHLConfig(engine="reference")
+        assert not hasattr(DHLConfig(), "engine")
 
-    def test_non_compiled_resolution_is_identity(self):
-        assert DHLConfig(engine="reference").resolve_engine() == "reference"
-
-    @pytest.mark.skipif(not HAVE_COMPILER, reason="no C compiler on PATH")
-    def test_compiler_on_path_resolves_to_compiled(self):
-        """The library this session's parity suites run on is really there."""
+    def test_the_library_is_loaded(self):
+        """The library every algorithm runs on is really there."""
         status = native.status()
-        assert status.engine == "compiled", status.reason
+        assert status.library_path is not None, status.reason
         assert DHLConfig().resolve_engine() == "compiled"
         lib = native.library()
         assert all(hasattr(lib, name) for name in native.SIGNATURES)
         for name in native.SIGNATURES:
             assert getattr(lib, name).argtypes is not None
         assert os.path.isfile(status.library_path)
-        index = path_index()
-        assert index.engine.engine == "compiled"
-        assert "engine=compiled" in repr(index)
+        assert path_index().distances([(0, 4)]).tolist() == [10.0]
 
 
 # ---------------------------------------------------------------------------
@@ -116,32 +104,24 @@ class TestConfigEngine:
 # ---------------------------------------------------------------------------
 
 @pytest.fixture
-def road_pair(small_road) -> tuple[DHLIndex, DHLIndex]:
-    """The same index under the numpy and the native pair kernel."""
-    require_engine("compiled")
-    return tuple(
-        DHLIndex.build(
-            small_road.copy(), DHLConfig(leaf_size=6, seed=0, engine=engine)
-        )
-        for engine in ("reference", "compiled")
-    )
+def road_index(small_road) -> DHLIndex:
+    """The 300-vertex road index the kernel contracts are checked on."""
+    return DHLIndex.build(small_road.copy(), DHLConfig(leaf_size=6, seed=0))
 
 
 class TestPairKernel:
-    def test_matches_array_kernel(self, road_pair):
-        idx_r, idx_c = road_pair
-        assert idx_c.engine.engine == "compiled"
-        n = idx_r.graph.num_vertices
+    def test_matches_array_kernel(self, road_index):
+        idx_c = road_index
+        n = idx_c.graph.num_vertices
         pairs = sample_pairs(n, 2000, make_rng(9), distinct=False)
         pairs += [(v, v) for v in range(0, n, 13)]
-        d_r, h_r = idx_r.engine.distances_with_hubs(pairs)
+        d_r, h_r = on_oracles(idx_c.engine.distances_with_hubs, pairs)
         d_c, h_c = idx_c.engine.distances_with_hubs(pairs)
         np.testing.assert_array_equal(d_c, d_r)
         np.testing.assert_array_equal(h_c, h_r)
         np.testing.assert_array_equal(idx_c.distances(pairs), d_r)
 
     def test_self_and_disconnected_pairs(self):
-        require_engine("compiled")
         idx = DHLIndex.build(
             two_component_graph(), DHLConfig(leaf_size=2, seed=0)
         )
@@ -152,9 +132,9 @@ class TestPairKernel:
         assert out[2] == 5.0 and out[3] == 2.0
         assert out[4] == 0.0 and hubs[4] == -1
 
-    def test_fused_k_equals_supplied_k_on_every_pair(self, road_pair):
+    def test_fused_k_equals_supplied_k_on_every_pair(self, road_index):
         """K counted in C == ``AncestorTables.counts``, on all n^2 pairs."""
-        idx_r, idx_c = road_pair
+        idx_c = road_index
         n = idx_c.graph.num_vertices
         s, t = (a.ravel() for a in np.divmod(np.arange(n * n), n))
         engine = idx_c.engine
@@ -167,7 +147,7 @@ class TestPairKernel:
         supplied = native_engine.gather_pairs(
             labels, s, labels, t, tables.counts(s, t), None, True
         )
-        numpy_side = query_module.gather_pairs(
+        numpy_side = oracle_query.gather_pairs(
             labels, s, labels, t, tables.counts(s, t), True
         )
         for got in (fused, supplied):
@@ -176,67 +156,53 @@ class TestPairKernel:
 
     def test_ties_answer_the_first_rank(self):
         """On an all-equal-weight grid nearly every minimum is tied."""
-        require_engine("compiled")
         graph = grid_network(9, 9, diagonal_fraction=0.0, weight_jitter=0.0)
         for u, v, _ in list(graph.edges()):
             graph.set_weight(u, v, 1.0)
-        built = [
-            DHLIndex.build(graph.copy(), DHLConfig(seed=0, engine=engine))
-            for engine in ("reference", "compiled")
-        ]
+        index = DHLIndex.build(graph, DHLConfig(seed=0))
         n = graph.num_vertices
         pairs = np.stack(np.divmod(np.arange(n * n), n), axis=1)
-        want, got = (index.engine.distances_with_hubs(pairs) for index in built)
+        want = on_oracles(index.engine.distances_with_hubs, pairs)
+        got = index.engine.distances_with_hubs(pairs)
         np.testing.assert_array_equal(got[0], want[0])
         np.testing.assert_array_equal(got[1], want[1])
 
-    def test_all_inf_prefix_has_no_hub(self, road_pair):
+    def test_all_inf_prefix_has_no_hub(self, road_index):
         """Deleting every road at a vertex leaves whole prefixes inf."""
-        for index in road_pair:
-            v = 17
-            index.apply_batch(
-                deletions=[(v, u) for u in list(index.graph.neighbors(v))]
-            )
-        idx_r, idx_c = road_pair
+        index, v = road_index, 17
+        index.apply_batch(deletions=[(v, u) for u in list(index.graph.neighbors(v))])
         pairs = [(17, t) for t in range(0, 300, 7) if t != 17] + [(3, 250)]
-        want, got = (i.engine.distances_with_hubs(pairs) for i in road_pair)
+        want = on_oracles(index.engine.distances_with_hubs, pairs)
+        got = index.engine.distances_with_hubs(pairs)
         assert np.isinf(got[0][:-1]).all() and (got[1][:-1] == -1).all()
         np.testing.assert_array_equal(got[0], want[0])
         np.testing.assert_array_equal(got[1], want[1])
 
     def test_two_different_labellings(self):
         """A directed index hands the kernel its (out, in) label pair."""
-        require_engine("compiled")
         digraph = DiGraph.from_undirected(delaunay_network(120, seed=5))
         for i, (u, v, w) in enumerate(list(digraph.arcs())):
             if i % 2 == 0:
                 digraph.set_weight(u, v, float(w + 3))
-        built = [
-            DirectedDHLIndex.build(
-                digraph.copy(), DHLConfig(leaf_size=4, seed=0, engine=engine)
-            )
-            for engine in ("reference", "compiled")
-        ]
-        assert built[1].labellings[0] is not built[1].labellings[1]
-        assert built[1].engine.engine == "compiled"
+        index = DirectedDHLIndex.build(digraph, DHLConfig(leaf_size=4, seed=0))
+        assert index.labellings[0] is not index.labellings[1]
         n = digraph.num_vertices
         pairs = np.stack(np.divmod(np.arange(n * n), n), axis=1)
-        want, got = (index.engine.distances_with_hubs(pairs) for index in built)
+        want = on_oracles(index.engine.distances_with_hubs, pairs)
+        got = index.engine.distances_with_hubs(pairs)
         np.testing.assert_array_equal(got[0], want[0])
         np.testing.assert_array_equal(got[1], want[1])
         assert (got[0] != got[0].reshape(n, n).T.ravel()).any()  # asymmetric
 
     def test_hierarchy_deeper_than_the_lca_tables(self):
         """Past the vector depth K arrives from Python, pair by pair."""
-        require_engine("compiled")
         spine = query_module._MAX_VECTOR_DEPTH + 6
         deep = caterpillar_index(spine)
-        flat = caterpillar_index(spine, DHLConfig(seed=0, engine="reference"))
-        assert deep.engine.engine == "compiled"
         assert not deep.engine.supports_batch_kernel()
         n = deep.graph.num_vertices
         pairs = np.stack(np.divmod(np.arange(n * n), n), axis=1)
-        want, got = (i.engine.distances_with_hubs(pairs) for i in (flat, deep))
+        want = on_oracles(deep.engine.distances_with_hubs, pairs)
+        got = deep.engine.distances_with_hubs(pairs)
         np.testing.assert_array_equal(got[0], want[0])
         np.testing.assert_array_equal(got[1], want[1])
 
@@ -244,7 +210,6 @@ class TestPairKernel:
     def test_pickled_after_a_batch_query_reads_its_own_arrays(self, directed):
         """A clone made after the kernel has run must hand C the clone's
         buffers: the original's are freed (and overwritten) first."""
-        require_engine("compiled")
         graph = delaunay_network(150, seed=9)
         config = DHLConfig(leaf_size=4, seed=0)
         if directed:
@@ -260,7 +225,6 @@ class TestPairKernel:
         del idx, tables
         gc.collect()
         clone = pickle.loads(payload)
-        assert clone.engine.engine == "compiled"
         assert clone.engine.labels is clone.labellings[0]
         assert clone.engine.target_labels is clone.labellings[-1]
         got = clone.engine.distances_with_hubs(pairs)
@@ -269,11 +233,10 @@ class TestPairKernel:
         again = pickle.loads(pickle.dumps(clone)).engine.distances_with_hubs(pairs)
         np.testing.assert_array_equal(again[0], want[0])
 
-    def test_read_only_mmap_labels(self, road_pair, tmp_path):
-        idx_r, idx_c = road_pair
-        idx_c.save(tmp_path / "idx")
+    def test_read_only_mmap_labels(self, road_index, tmp_path):
+        idx_r = road_index
+        idx_r.save(tmp_path / "idx")
         loaded = DHLIndex.load(tmp_path / "idx", mmap_labels=True)
-        assert loaded.engine.engine == "compiled"
         assert not loaded.labels.values.flags.writeable
         pairs = sample_pairs(300, 500, make_rng(2), distinct=False)
         np.testing.assert_array_equal(
@@ -289,10 +252,10 @@ class TestPairKernel:
             loaded.distances(pairs), idx_r.distances(pairs)
         )
 
-    def test_shared_memory_labels_after_a_republish(self, road_pair):
+    def test_shared_memory_labels_after_a_republish(self, road_index):
         """A replica re-binds its labelling onto a new segment: the
         kernel reads the new address, never a cached one."""
-        idx_r, idx_c = road_pair
+        idx_r = idx_c = road_index
         pairs = sample_pairs(300, 500, make_rng(4), distinct=False)
         segments = []
 
@@ -315,8 +278,7 @@ class TestPairKernel:
                 replica.distances(pairs), idx_r.distances(pairs)
             )
             edges = list(idx_c.graph.edges())[:20]
-            for index in road_pair:
-                index.update([(u, v, 2 * w) for u, v, w in edges])
+            idx_c.update([(u, v, 2 * w) for u, v, w in edges])
             first = replica.labels.values
             replica._adopt(replica.hq, replica.hu, (publish(idx_c),))
             assert replica.engine is not engine_before
@@ -330,9 +292,9 @@ class TestPairKernel:
                 segment.close()
                 segment.unlink()
 
-    def test_wrapper_rejects_what_c_would_misread(self, road_pair):
+    def test_wrapper_rejects_what_c_would_misread(self, road_index):
         """dtype, contiguity and length are checked before any pointer."""
-        _, idx_c = road_pair
+        idx_c = road_index
         labels = idx_c.labels
         addrs = idx_c.engine._batch_tables()
         s = np.arange(10, dtype=np.int64)
@@ -355,11 +317,11 @@ class TestPairKernel:
             native_engine.gather_pairs(short, s, labels, s, None, addrs)
 
     @pytest.mark.parametrize("sweep", ["shortcut_sweep", "label_sweep"])
-    def test_sweep_reports_a_failed_allocation(self, road_pair, monkeypatch, sweep):
+    def test_sweep_reports_a_failed_allocation(self, road_index, monkeypatch, sweep):
         """A heap that cannot be allocated comes back as a status, which
         the wrapper turns into ``MemoryError``: nothing was written,
         marked or listed."""
-        _, idx_c = road_pair
+        idx_c = road_index
         store, labels = idx_c.hu, idx_c.labels
         weights, values = store.up_weights.copy(), labels.values.copy()
         real, statuses = native.library(), []
@@ -419,7 +381,6 @@ class TestBuildKernels:
         """A heap the kernel cannot allocate comes back as a status, which
         the wrapper turns into ``MemoryError``: the side buffer the kernel
         was handed and its work counts are as they came in."""
-        require_engine("compiled")
         pg, side = grid_halves()
         before = side.copy()
         real, statuses, seen = native.library(), [], []
@@ -451,7 +412,6 @@ class TestBuildKernels:
         """Every partitioner entry point that allocates turns a size it
         cannot have into ``MemoryError``: the context and the one-step
         kernels alike (told of 2**58 vertices here)."""
-        require_engine("compiled")
         pg, side = grid_halves()
         real = native.library()
 
@@ -482,7 +442,6 @@ class TestBuildKernels:
         """One case per array a partitioner entry point reads: each bad
         one raises ``ValueError`` in the wrapper, and C is never called
         (every library symbol is a tripwire once the context exists)."""
-        require_engine("compiled")
         pg, side = grid_halves()
         n = pg.num_vertices
         stray = PartitionGraph([((1, 1.0),), ((0, 1.0), (2, 1.0))], [1, 1])
@@ -534,7 +493,6 @@ class TestBuildKernels:
                 assert not calls, case
 
     def test_fm_wrapper_rejects_what_c_would_misread(self):
-        require_engine("compiled")
         pg, side = grid_halves()
         with pytest.raises(ValueError, match="sides"):
             kernels.fm_refine(pg, side[:-1], 20)
@@ -548,10 +506,10 @@ class TestBuildKernels:
         with pytest.raises(ValueError, match="neighbour"):
             kernels.fm_refine(stray, [0, 1], 1)
 
-    def test_label_build_wrapper_rejects_what_c_would_misread(self, road_pair):
+    def test_label_build_wrapper_rejects_what_c_would_misread(self, road_index):
         """Rows shorter than ``tau + 1`` and a shortcut that does not
         point to an ancestor would send the C writes past a row."""
-        _, idx_c = road_pair
+        idx_c = road_index
         hu, tau = idx_c.hu, idx_c.hu.tau
         order = np.argsort(tau, kind="stable")
         lengths = tau.copy()  # one entry short on every row
@@ -597,11 +555,10 @@ class TestMinPlus:
              "scalar", "no-pairs", "grid-fan"],
     )
     def test_equals_numpy(self, shape):
-        require_engine("compiled")
         rng = make_rng(sum(shape))
         case = fan_case(rng, *shape)
-        want = min_plus_compact(*case, engine="reference")
-        got = min_plus_compact(*case, engine="compiled")
+        want = oracle_query.min_plus(*case)
+        got = min_plus_compact(*case)
         assert got.dtype == np.float64 and got.shape == want.shape
         np.testing.assert_array_equal(got, want)
 
@@ -609,7 +566,6 @@ class TestMinPlus:
         """A block is a slice of the overlay matrix and a fan decoded
         from a frame may start at any byte: the call site makes them
         aligned contiguous copies; the wrapper itself takes neither."""
-        require_engine("compiled")
         ds, ds_inv, block, dt, dt_inv = fan_case(make_rng(2), 5, 4, 6, 3, 25)
         big = np.full((9, 10), 7.0)
         big[2:6, 1:7] = block
@@ -618,10 +574,8 @@ class TestMinPlus:
         unaligned = np.frombuffer(raw, np.float64, ds.size, offset=1)
         unaligned = unaligned.reshape(ds.shape)
         assert not view.flags.c_contiguous and not unaligned.flags.aligned
-        want = min_plus_compact(ds, ds_inv, block, dt, dt_inv, engine="reference")
-        got = min_plus_compact(
-            unaligned, ds_inv, view, dt, dt_inv, engine="compiled"
-        )
+        want = oracle_query.min_plus(ds, ds_inv, block, dt, dt_inv)
+        got = min_plus_compact(unaligned, ds_inv, view, dt, dt_inv)
         np.testing.assert_array_equal(got, want)
         with pytest.raises(TypeError):
             native_engine.min_plus(ds, ds_inv, view, dt, dt_inv)
@@ -629,7 +583,6 @@ class TestMinPlus:
             native_engine.min_plus(unaligned, ds_inv, block, dt, dt_inv)
 
     def test_wrapper_rejects_what_c_would_misread(self):
-        require_engine("compiled")
         ds, ds_inv, block, dt, dt_inv = fan_case(make_rng(3), 5, 4, 6, 3, 25)
 
         def call(**replace):
@@ -666,8 +619,8 @@ class TestMinPlus:
 
 
 class TestSetKernelWrapper:
-    def test_rejects_what_c_would_misread(self, road_pair):
-        _, idx_c = road_pair
+    def test_rejects_what_c_would_misread(self, road_index):
+        idx_c = road_index
         labels = idx_c.labels
         tables = idx_c.engine._batch_tables()
         ids = np.arange(10, dtype=np.int64)
@@ -694,12 +647,12 @@ class TestSetKernelWrapper:
         with pytest.raises(ValueError, match="offsets"):
             native_engine.distance_matrix(short, ids, labels, ids, tables)
 
-    def test_engine_takes_any_integer_ids(self, road_pair):
+    def test_engine_takes_any_integer_ids(self, road_index):
         """The query door coerces lists, other dtypes and strided or
         unaligned arrays before the wrapper sees them."""
-        idx_r, idx_c = road_pair
+        idx_c = road_index
         ids = np.arange(0, 40, 3, dtype=np.int64)
-        want = idx_r.engine.distance_matrix(ids, ids[:5])
+        want = on_oracles(idx_c.engine.distance_matrix, ids, ids[:5])
         raw = bytes(5) + ids.tobytes()
         unaligned = np.frombuffer(raw, np.int64, len(ids), offset=5)
         for sources in (ids.tolist(), ids.astype(np.int32), unaligned,
@@ -709,7 +662,7 @@ class TestSetKernelWrapper:
             )
         np.testing.assert_array_equal(
             idx_c.engine.distances_arrays(unaligned, unaligned[::-1]),
-            idx_r.engine.distances_arrays(ids, ids[::-1]),
+            on_oracles(idx_c.engine.distances_arrays, ids, ids[::-1]),
         )
 
 
@@ -734,11 +687,6 @@ def fake_compiler(directory: Path, body: str) -> None:
     script.chmod(0o755)
 
 
-needs_compiler = pytest.mark.skipif(
-    not HAVE_COMPILER, reason="no C compiler on PATH"
-)
-
-
 def built_by_another_process() -> Path:
     """Fill the (cold) cache from a child; this process never maps the
     file, so the test may damage it the way a crashed writer would."""
@@ -755,22 +703,34 @@ def built_by_another_process() -> Path:
     return Path(done.stdout.strip())
 
 
-class TestFallback:
-    def test_downgrade_warns_exactly_once(self, cold, monkeypatch, tmp_path):
+class TestUnavailable:
+    def test_no_compiler_raises_a_typed_error_naming_the_fix_once(
+        self, cold, monkeypatch, tmp_path
+    ):
+        """Without cc / gcc / clang the first build raises, naming the
+        reason and the fix; a second raises again without another
+        attempt: the failed resolution is kept."""
         empty = tmp_path / "bin"
         empty.mkdir()
         monkeypatch.setenv("PATH", str(empty))
-        config = DHLConfig(engine="compiled")
-        with pytest.warns(RuntimeWarning, match="no C compiler"):
-            assert config.resolve_engine() == "reference"
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert config.resolve_engine() == "reference"
-            assert DHLConfig().resolve_engine() == "reference"
-            assert DHLConfig(engine="reference").resolve_engine() == "reference"
+        attempts = {"_compiler": 0, "_compile": 0}
+        for name in attempts:
+            real = getattr(native, name)
+
+            def counted(*args, name=name, real=real):
+                attempts[name] += 1
+                return real(*args)
+
+            monkeypatch.setattr(native, name, counted)
+        for _ in range(2):
+            with pytest.raises(NativeUnavailableError) as raised:
+                path_index()
+            message = str(raised.value)
+            assert "no C compiler (cc, gcc, clang) on PATH" in message
+            assert "install a C compiler" in message
+        assert attempts == {"_compiler": 1, "_compile": 0}
         status = native.status()
-        assert status == ("reference", status.reason, None, None)
-        assert native.library() is None
+        assert status == (status.reason, None, None)
         assert not cold.exists() or not list(cold.iterdir())
 
     def test_compilation_failure_reason(self, cold, monkeypatch, tmp_path):
@@ -778,40 +738,23 @@ class TestFallback:
             tmp_path / "bin", "echo 'dhl_kernels.c:1: error: no' >&2; exit 1"
         )
         monkeypatch.setenv("PATH", str(tmp_path / "bin"))
-        with pytest.warns(RuntimeWarning, match="exited 1: .*error: no"):
-            assert DHLConfig().resolve_engine() == "reference"
+        for _ in range(2):
+            with pytest.raises(NativeUnavailableError, match="exited 1: .*error: no"):
+                DHLConfig().resolve_engine()
         assert not list(cold.iterdir())  # no temporary left behind
 
-    def test_index_builds_and_updates_without_a_compiler(
+    def test_a_pickle_landing_without_the_library_raises_on_its_first_kernel(
         self, cold, monkeypatch, tmp_path
     ):
+        payload = pickle.dumps(path_index())
+        monkeypatch.setattr(native, "_state", native._State())  # another host
         monkeypatch.setenv("PATH", str(tmp_path))
-        with pytest.warns(RuntimeWarning, match="falling back"):
-            idx = path_index()
-        assert idx.config.engine == "compiled"
-        assert idx.engine.engine == "reference"
-        assert idx.distance(0, 4) == 10.0
-        assert idx.distances([(0, 4), (1, 3)]).tolist() == [10.0, 5.0]
-        idx.update([(0, 1, 0.5)])
-        assert idx.distance(0, 4) == 9.5
-        idx.update([(0, 1, 4.0)])
-        assert idx.distance(0, 4) == 13.0
-
-    def test_compiled_pickle_landing_without_the_library(
-        self, cold, monkeypatch, tmp_path
-    ):
-        """The engine name is re-resolved where the pickle is opened."""
-        idx = path_index(engine="reference")
-        idx.config = DHLConfig(leaf_size=2, seed=0)
-        idx.engine.engine = "compiled"  # as pickled on a host that had it
-        monkeypatch.setenv("PATH", str(tmp_path))
-        with pytest.warns(RuntimeWarning, match="falling back"):
-            clone = pickle.loads(pickle.dumps(idx))
-        assert clone.engine.engine == "reference"
-        assert clone.distances([(0, 4), (1, 3)]).tolist() == [10.0, 5.0]
+        clone = pickle.loads(payload)
+        assert clone.distance(0, 4) == 10.0  # the scalar query is numpy
+        with pytest.raises(NativeUnavailableError, match="no C compiler"):
+            clone.distances([(0, 4), (1, 3)])
 
 
-@needs_compiler
 class TestLoader:
     def test_cold_then_warm(self, cold, monkeypatch):
         runs = []
@@ -824,7 +767,7 @@ class TestLoader:
         monkeypatch.setattr(native.subprocess, "run", counting_run)
         with collect_phases() as phases:
             first = native.status()
-        assert first.engine == "compiled" and first.compile_seconds > 0
+        assert first.library_path and first.compile_seconds > 0
         assert 0 < phases.as_dict()["build.native_compile"] <= first.compile_seconds
         (build,) = runs
         assert build[1:-3] == list(native._CFLAGS) and build[-1].endswith(".c")
@@ -848,7 +791,7 @@ class TestLoader:
         whole = target.stat().st_size
         target.write_bytes(target.read_bytes()[: whole // 3])
         status = native.status()  # opening the torn file would fault
-        assert status.engine == "compiled" and status.compile_seconds > 0
+        assert status.library_path and status.compile_seconds > 0
         assert Path(status.library_path) == target
         assert target.stat().st_size == whole
         assert path_index().distances([(0, 4)]).tolist() == [10.0]
@@ -864,26 +807,26 @@ class TestLoader:
             [cc, "-shared", "-fPIC", "-o", str(target), str(stub)], check=True
         )
         status = native.status()
-        assert status.engine == "compiled" and status.compile_seconds > 0
+        assert status.library_path and status.compile_seconds > 0
         assert path_index().distances([(0, 4)]).tolist() == [10.0]
 
-    def test_rebuild_that_still_does_not_load_downgrades(
+    def test_rebuild_that_still_does_not_load_raises(
         self, cold, monkeypatch, tmp_path
     ):
-        """A compiler that 'succeeds' with garbage: one rebuild, then reference."""
+        """A compiler that 'succeeds' with garbage: one rebuild, then the error."""
         fake_compiler(
             tmp_path / "bin",
             'while [ $# -gt 1 ]; do [ "$1" = -o ] && echo junk > "$2"; shift; done',
         )
         monkeypatch.setenv("PATH", str(tmp_path / "bin"))
-        with pytest.warns(RuntimeWarning, match="does not load"):
-            assert DHLConfig().resolve_engine() == "reference"
+        with pytest.raises(NativeUnavailableError, match="does not load"):
+            DHLConfig().resolve_engine()
 
     def test_group_writable_directory_is_never_loaded_from(self, cold):
         cold.mkdir(mode=0o700)
         cold.chmod(0o770)
         status = native.status()
-        assert status.engine == "compiled"
+        assert status.library_path is not None
         assert Path(status.library_path).parent != cold
         assert not list(cold.iterdir())
         shutil.rmtree(Path(status.library_path).parent)
@@ -893,7 +836,7 @@ class TestLoader:
         target.chmod(0o770)
         monkeypatch.setattr(native, "_state", native._State())
         status = native.status()
-        assert status.engine == "compiled" and status.compile_seconds > 0
+        assert status.library_path and status.compile_seconds > 0
         loaded = Path(status.library_path)  # rebuilt over the suspect file
         assert not loaded.stat().st_mode & (stat.S_IWGRP | stat.S_IWOTH)
 
@@ -902,7 +845,7 @@ class TestLoader:
         monkeypatch.setattr(native.tempfile, "tempdir", str(tmp_path))
         try:
             status = native.status()
-            assert status.engine == "compiled"
+            assert status.library_path is not None
             if os.getuid() != 0:  # root writes anywhere
                 assert Path(status.library_path).parent != cold
             assert path_index().distance(0, 4) == 10.0
@@ -927,7 +870,6 @@ class TestLoader:
                 index.update([(u, v, 2 * w) for u, v, w in edges])
                 out = np.concatenate([out, index.distances(pairs)])
             print(json.dumps({
-                "engine": index.engine.engine,
                 "status": native.status()._asdict(),
                 "warnings": len(caught),
                 "crc": zlib.crc32(out.tobytes()),
@@ -947,7 +889,6 @@ class TestLoader:
             out, _ = proc.communicate(timeout=300)
             assert proc.returncode == 0
             reports.append(json.loads(out))
-        assert {r["engine"] for r in reports} == {"compiled"}
         assert len({r["crc"] for r in reports}) == 1
         assert all(r["warnings"] == 0 for r in reports)
         assert len({r["status"]["library_path"] for r in reports}) == 1

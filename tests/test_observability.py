@@ -468,28 +468,6 @@ def test_untraced_metrics_cost_per_call_not_per_pair(
     assert spans == [] and service.last_trace() is None
 
 
-def test_service_reports_its_backends_engine_not_the_process(
-    small_service_graph, monkeypatch
-):
-    """A ``reference`` backend says so, without the loader."""
-    from repro.core.sharded import ShardedDHLIndex
-
-    monkeypatch.setattr(
-        native, "status", lambda: pytest.fail("loader asked for no reason")
-    )
-    config = DHLConfig(seed=0, engine="reference")
-    backends = (
-        DHLIndex.build(small_service_graph.copy(), config),
-        ShardedDHLIndex.build(small_service_graph.copy(), k=2, config=config),
-    )
-    for backend in backends:
-        service = DistanceService(backend, observability=Observability.enabled())
-        assert service.stats().engine == "reference (configured)"
-        assert "engine  : reference (configured)" in str(service.stats())
-        info = 'dhl_native_engine_info{engine="reference",reason="configured"}'
-        assert info in service.metrics()
-
-
 def test_service_metrics_snapshot_core_names(small_service_graph, tmp_path):
     obs = Observability.enabled(trace_sample_rate=1.0, slow_query_seconds=0.0)
     service = build_service(small_service_graph, observability=obs)
@@ -513,12 +491,11 @@ def test_service_metrics_snapshot_core_names(small_service_graph, tmp_path):
         assert name in snapshot, name
     assert snapshot["dhl_queries_total"]["value"] == 3
     assert snapshot["dhl_query_seconds"]["count"] == 1
-    # One typed record says which engine answers this backend, and why.
-    engine, reason = native.status()[:2]
-    info = f'dhl_native_engine_info{{engine="{engine}",reason="{reason}"}}'
+    # One typed record says which library answers this backend.
+    reason = native.status().reason
+    info = f'dhl_native_engine_info{{engine="compiled",reason="{reason}"}}'
     assert snapshot[info] == {"type": "gauge", "value": 1}
-    assert f"engine  : {engine} ({reason})" in service.stats().summary()
-    assert service.index.engine.engine == engine
+    assert f"engine  : compiled ({reason})" in service.stats().summary()
     assert snapshot["dhl_slow_queries_total"]["value"] == 1  # threshold 0
     # Maintenance phases surfaced both as labelled histograms and on the
     # returned MaintenanceStats.

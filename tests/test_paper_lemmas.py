@@ -21,7 +21,6 @@ import numpy as np
 from hypothesis import HealthCheck, given, settings
 
 from repro.baselines.dijkstra import dijkstra_subgraph
-from repro.core.config import DHLConfig
 from repro.graph.generators import delaunay_network
 from repro.hierarchy.contraction import contract_in_order
 from repro.hierarchy.query_hierarchy import QueryHierarchy
@@ -149,8 +148,6 @@ class TestComplexityCounters:
         deepest = int(np.argmax(tau))
         u = deepest
         v, w = next(iter(g.neighbors(u).items()))
-        stats = maintain(
-            "increase", hu, (labels,), [(u, v, 2 * w)], DHLConfig(engine="reference")
-        )
+        stats = maintain("increase", hu, (labels,), [(u, v, 2 * w)])
         assert stats.entries_processed <= labels.num_entries * 0.2
         assert stats.labels_changed <= stats.entries_processed

@@ -1,20 +1,19 @@
-"""The fast partitioner makes the oracle's decisions, bit for bit.
+"""The C partitioner makes the oracle's decisions, bit for bit.
 
-``tests/partition_oracle.py`` holds the dict-row / ``LazyHeap`` bodies
-``repro.partition`` was rewritten from. Identity is checked (a) function
-by function on random inputs, (b) through whole builds with the oracle
-bodies patched into the pipeline, both sides in one process, plus (c)
-seed determinism, (d) a guard that the FM pass really stops on its bound
-and (e) that repeated candidates are refined once. Every step has two
-implementations, the C one (``compiled``, :mod:`repro.partition.kernels`)
-and the Python body (``reference``): (a), (b) and (d) run on both, and
-(f) requires whole trees and bisections of both engines to be equal on
-random graph families.
+``tests/oracles/partition.py`` holds the dict-row / ``LazyHeap`` step
+bodies ``repro.partition`` was rewritten from, and
+``tests/oracles/multilevel.py`` the Python pipeline around them.
+Identity is checked (a) step by step on random inputs
+(:mod:`repro.partition.kernels` against the oracle bodies), (b) through
+whole builds against the oracle pipeline, both in one process, plus (c)
+seed determinism, (d) a guard that the FM pass really stops on its
+bound, (e) that repeated candidates are refined once (the oracle
+pipeline's memo against no memo, and the C result equal to both) and
+(f) whole trees and bisections equal on random graph families.
 """
 
 from __future__ import annotations
 
-import heapq
 import itertools
 
 import numpy as np
@@ -31,9 +30,6 @@ from repro.graph.generators import (
 )
 from repro.graph.graph import Graph
 from repro.partition import (
-    coarsen,
-    fm,
-    initial,
     kernels,
     multilevel,
     partition_regions,
@@ -41,8 +37,8 @@ from repro.partition import (
     spectral,
 )
 from repro.partition.types import PartitionGraph
-from tests import partition_oracle as oracle
-from tests.conftest import require_engine
+from tests.oracles import multilevel as pipeline
+from tests.oracles import partition as oracle
 from tests.test_recursive_partition import (
     check_balance,
     check_separators,
@@ -84,7 +80,7 @@ def partition_cases(draw, max_n: int = 26):
         side = [draw(st.integers(0, 1))] * n
     else:
         side = [0] * n
-        for _, members in initial.components(pg):
+        for _, members in oracle.components(pg):
             s = draw(st.integers(0, 1))
             for v in members:
                 side[v] = s
@@ -96,33 +92,10 @@ def same_sides(new, old) -> bool:
     return np.array_equal(np.frombuffer(bytes(new), dtype=np.int8), old)
 
 
-ENGINES = ["compiled", "reference"]
-
-
-class _Reference:
-    """The Python steps under the names :mod:`repro.partition.kernels`
-    gives their C twins."""
-
-    fm_refine = staticmethod(fm.fm_refine)
-    rebalance = staticmethod(fm.rebalance)
-    greedy_growing = staticmethod(initial.greedy_growing)
-    bfs_halves = staticmethod(initial.bfs_halves)
-    components = staticmethod(initial.components)
-    coarsen_once = staticmethod(coarsen.coarsen_once)
-    cut_weight = staticmethod(multilevel._cut_weight)
-
-
-def steps(engine: str):
-    """The partitioner's steps on *engine*."""
-    require_engine(engine)
-    return kernels if engine == "compiled" else _Reference
-
-
-@pytest.mark.parametrize("engine", ENGINES)
 @settings(max_examples=300, deadline=None)
 @given(partition_cases(), st.sampled_from([1, 8]))
-def test_fm_refine_matches_oracle(engine, case, max_passes):
-    refine = steps(engine).fm_refine
+def test_fm_refine_matches_oracle(case, max_passes):
+    refine = kernels.fm_refine
     pg, side, bound = case
     before = side.copy()
     new = refine(pg, side, bound, max_passes)
@@ -133,32 +106,29 @@ def test_fm_refine_matches_oracle(engine, case, max_passes):
     assert refine(pg, side.tolist(), bound, max_passes) == new
 
 
-@pytest.mark.parametrize("engine", ENGINES)
 @settings(max_examples=200, deadline=None)
 @given(partition_cases())
-def test_rebalance_matches_oracle(engine, case):
+def test_rebalance_matches_oracle(case):
     pg, side, bound = case
     assert same_sides(
-        steps(engine).rebalance(pg, side, bound), oracle.rebalance(pg, side, bound)
+        kernels.rebalance(pg, side, bound), oracle.rebalance(pg, side, bound)
     )
 
 
-@pytest.mark.parametrize("engine", ENGINES)
 @settings(max_examples=200, deadline=None)
 @given(partition_cases())
-def test_cut_weight_matches_oracle(engine, case):
+def test_cut_weight_matches_oracle(case):
     pg, side, _ = case
-    cut_weight = steps(engine).cut_weight
+    cut_weight = kernels.cut_weight
     expected = oracle._cut_weight(pg, side)
     assert cut_weight(pg, side) == expected
     assert cut_weight(pg, bytearray(side)) == expected
 
 
-@pytest.mark.parametrize("engine", ENGINES)
 @settings(max_examples=200, deadline=None)
 @given(partition_cases(), st.integers(0, 2**32 - 1), st.data())
-def test_greedy_growing_matches_oracle(engine, case, seed, data):
-    greedy_growing = steps(engine).greedy_growing
+def test_greedy_growing_matches_oracle(case, seed, data):
+    greedy_growing = kernels.greedy_growing
     pg = case[0]
     rng_new, rng_old = np.random.default_rng(seed), np.random.default_rng(seed)
     assert np.array_equal(
@@ -173,11 +143,10 @@ def test_greedy_growing_matches_oracle(engine, case, seed, data):
     assert rng_new.bit_generator.state == rng_old.bit_generator.state
 
 
-@pytest.mark.parametrize("engine", ENGINES)
 @settings(max_examples=200, deadline=None)
 @given(partition_cases(), st.integers(0, 2**32 - 1))
-def test_bfs_halves_and_components_match_oracle(engine, case, seed):
-    impl = steps(engine)
+def test_bfs_halves_and_components_match_oracle(case, seed):
+    impl = kernels
     pg = case[0]  # often disconnected: the id-order remainder is covered
     rng_new, rng_old = np.random.default_rng(seed), np.random.default_rng(seed)
     assert np.array_equal(impl.bfs_halves(pg, rng_new), oracle.bfs_halves(pg, rng_old))
@@ -185,13 +154,12 @@ def test_bfs_halves_and_components_match_oracle(engine, case, seed):
     assert impl.components(pg) == oracle.components(pg)
 
 
-@pytest.mark.parametrize("engine", ENGINES)
 @settings(max_examples=200, deadline=None)
 @given(partition_cases(), st.integers(0, 2**32 - 1), st.integers(1, 12))
-def test_coarsen_once_matches_oracle(engine, case, seed, max_vertex_weight):
+def test_coarsen_once_matches_oracle(case, seed, max_vertex_weight):
     pg = case[0]
     rng_new, rng_old = np.random.default_rng(seed), np.random.default_rng(seed)
-    new = steps(engine).coarsen_once(pg, rng_new, max_vertex_weight)
+    new = kernels.coarsen_once(pg, rng_new, max_vertex_weight)
     old = oracle.coarsen_once(pg, rng_old, max_vertex_weight)
     assert np.array_equal(new.fine_to_coarse, old.fine_to_coarse)
     assert new.graph.rows == old.graph.rows  # pair order included
@@ -218,28 +186,16 @@ def _oracle_rebalance(pgraph, side, max_side_weight):
     return _NeverSeen(oracle.rebalance(pgraph, bytearray(side), max_side_weight))
 
 
-def patch_oracle(mp: pytest.MonkeyPatch) -> None:
-    mp.setattr(multilevel, "fm_refine", oracle.fm_refine)
-    mp.setattr(multilevel, "rebalance", _oracle_rebalance)
-    mp.setattr(multilevel, "greedy_growing", oracle.greedy_growing)
-    mp.setattr(multilevel, "bfs_halves", oracle.bfs_halves)
-    mp.setattr(multilevel, "components", oracle.components)
-    mp.setattr(multilevel, "_cut_weight", oracle._cut_weight)
-    mp.setattr(coarsen, "coarsen_once", oracle.coarsen_once)
+def unmemoised(build):
+    """``build()`` with every rebalanced candidate of the oracle
+    pipeline refined, repeated or not, as it used to be."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(pipeline, "rebalance", _oracle_rebalance)
+        return build()
 
 
 def preorder(tree) -> list[tuple[list[int], int]]:
     return [(list(node.vertices), len(node.children)) for node in tree.iter_nodes()]
-
-
-def both(build, engine: str = "compiled"):
-    """``build(engine)`` and, under the oracle bodies, ``build("reference")``
-    (the oracle bodies stand in for the reference engine's)."""
-    require_engine(engine)
-    with pytest.MonkeyPatch.context() as mp:
-        patch_oracle(mp)
-        expected = build("reference")
-    return build(engine), expected
 
 
 def star(leaves: int) -> Graph:
@@ -288,32 +244,29 @@ PIPELINE_CASES = {
 }
 
 
-@pytest.mark.parametrize("engine", ENGINES)
 @pytest.mark.parametrize("name", PIPELINE_CASES)
-def test_recursive_bisection_tree_matches_oracle(name, engine):
+def test_recursive_bisection_tree_matches_oracle(name):
     make, kwargs = PIPELINE_CASES[name]
     graph = make()
-    new, expected = both(
-        lambda engine: preorder(
-            recursive_bisection(graph, seed=0, engine=engine, **kwargs)
-        ),
-        engine,
+    new = preorder(recursive_bisection(graph, seed=0, **kwargs))
+    expected = unmemoised(
+        lambda: preorder(pipeline.recursive_bisection(graph, seed=0, **kwargs))
     )
     assert new == expected
     assert sorted(v for vertices, _ in new for v in vertices) == list(graph.vertices())
 
 
-@pytest.mark.parametrize("engine", ENGINES)
-def test_giant_component_case_recurses_on_the_giant(monkeypatch, engine):
+@pytest.mark.parametrize("side", ["c", "oracle"])
+def test_giant_component_case_recurses_on_the_giant(monkeypatch, side):
     """The case above really bisects the 500-vertex component on its own."""
-    require_engine(engine)
     sizes = []
-    if engine == "reference":
-        real = multilevel.multilevel_bisection
+    if side == "oracle":
+        real = pipeline.multilevel_bisection
         monkeypatch.setattr(
-            multilevel,
+            pipeline,
             "multilevel_bisection",
-            lambda pg, *args: sizes.append(pg.num_vertices) or real(pg, *args),
+            lambda pg, *args, **kwargs: sizes.append(pg.num_vertices)
+            or real(pg, *args, **kwargs),
         )
     else:
         real = kernels.Bisector.disconnected
@@ -325,12 +278,13 @@ def test_giant_component_case_recurses_on_the_giant(monkeypatch, engine):
             return packed
 
         monkeypatch.setattr(kernels.Bisector, "disconnected", disconnected)
-    recursive_bisection(giant_and_crumbs(), seed=0, engine=engine)
-    assert sizes and sizes[0] == 500
+    build = recursive_bisection if side == "c" else pipeline.recursive_bisection
+    build(giant_and_crumbs(), seed=0)
+    # The oracle's first call is the whole graph's, its recursion the giant's.
+    assert sizes[:2] == [540, 500] if side == "oracle" else sizes[0] == 500
 
 
-@pytest.mark.parametrize("engine", ENGINES)
-def test_star_through_the_lanczos_branch_matches_oracle(monkeypatch, engine):
+def test_star_through_the_lanczos_branch_matches_oracle(monkeypatch):
     """900 leaves: matching stalls, the coarsest graph stays above
     ``_DENSE_CUTOFF`` and the spectral candidate comes from ``eigsh``.
 
@@ -350,9 +304,9 @@ def test_star_through_the_lanczos_branch_matches_oracle(monkeypatch, engine):
         lambda lap, **kwargs: sizes.append(lap.shape[0]) or real(lap, **kwargs),
     )
     graph = star(900)
-    new, expected = both(
-        lambda engine: preorder(recursive_bisection(graph, seed=0, engine=engine)),
-        engine,
+    new = preorder(recursive_bisection(graph, seed=0))
+    expected = unmemoised(
+        lambda: preorder(pipeline.recursive_bisection(graph, seed=0))
     )
     assert new == expected
     assert len(sizes) == 2 and min(sizes) > spectral._DENSE_CUTOFF
@@ -363,25 +317,24 @@ def test_lanczos_branch_repeats_bit_for_bit():
     the same sides, and leave the caller's generator alone (there is
     none to touch)."""
     pg = PartitionGraph.from_graph(star(900))
-    first = spectral.spectral_bisection(pg)
+    first = pipeline.spectral_bisection(pg)
     assert first is not None
-    assert np.array_equal(spectral.spectral_bisection(pg), first)
+    assert np.array_equal(pipeline.spectral_bisection(pg), first)
     flat = spectral.spectral_bisection_flat(*pg.flat())
     assert np.array_equal(flat, first)
 
 
-@pytest.mark.parametrize("engine", ENGINES)
 @pytest.mark.parametrize("k", [2, 4])
 @pytest.mark.parametrize(
     "make",
     [lambda: grid_network(20, 31), lambda: delaunay_network(1_500, seed=5)],
     ids=["grid-20x31", "delaunay-1500"],
 )
-def test_partition_regions_matches_oracle(make, k, engine):
+def test_partition_regions_matches_oracle(make, k):
     graph = make()
-    new, expected = both(
-        lambda engine: partition_regions(graph, k, seed=0, engine=engine).region_of,
-        engine,
+    new = partition_regions(graph, k, seed=0).region_of
+    expected = unmemoised(
+        lambda: pipeline.partition_regions(graph, k, seed=0).region_of
     )
     assert np.array_equal(new, expected)
 
@@ -408,37 +361,23 @@ def test_same_seed_same_tree_other_seed_valid_tree():
 
 class _FMCounter:
     """Counts gain-queue pops (an upper bound on moves) and pass-vertices
-    (n per pass that had a boundary to queue) inside the FM *engine*
-    runs: its ``heapq`` calls on the Python loop; on the C one, the
+    (n per pass that had a boundary to queue) inside the C FM runs: the
     counts the kernel adds to the ``work`` pair of a one-off call or of
     every partitioner context made meanwhile."""
 
-    def __init__(self, mp: pytest.MonkeyPatch, engine: str):
-        require_engine(engine)
+    def __init__(self, mp: pytest.MonkeyPatch):
         self.work = np.zeros(2, dtype=np.int64)  # pops, pass-vertices
-        self._n = 0
         self._contexts: list[kernels.Bisector] = []
-        if engine == "reference":
-            mp.setattr(fm, "heappop", self._pop)
-            mp.setattr(fm, "heapify", self._heapify)
+        real_init = kernels.Bisector.__init__
 
-            def refine(pgraph, side, *args):
-                self._n = pgraph.num_vertices
-                return fm.fm_refine(pgraph, side, *args)
+        def init(ctx, *args):
+            real_init(ctx, *args)
+            self._contexts.append(ctx)
 
-            mp.setattr(multilevel, "fm_refine", refine)
-        else:
-            real_init = kernels.Bisector.__init__
+        mp.setattr(kernels.Bisector, "__init__", init)
 
-            def init(ctx, *args):
-                real_init(ctx, *args)
-                self._contexts.append(ctx)
-
-            def refine(*args):
-                return kernels.fm_refine(*args, work=self.work)
-
-            mp.setattr(kernels.Bisector, "__init__", init)
-        self.fm_refine = refine
+    def fm_refine(self, *args):
+        return kernels.fm_refine(*args, work=self.work)
 
     def _total(self, i: int) -> int:
         return int(self.work[i]) + sum(int(ctx.work[i]) for ctx in self._contexts)
@@ -451,17 +390,8 @@ class _FMCounter:
     def pass_vertices(self) -> int:
         return self._total(1)
 
-    def _pop(self, heap):
-        self.work[0] += 1
-        return heapq.heappop(heap)
 
-    def _heapify(self, heap):
-        self.work[1] += self._n
-        heapq.heapify(heap)
-
-
-@pytest.mark.parametrize("engine", ENGINES)
-def test_fm_pass_stops_when_the_bound_closes(monkeypatch, engine):
+def test_fm_pass_stops_when_the_bound_closes(monkeypatch):
     """Two disjoint 40-cliques with one vertex on the wrong side: moving
     it back reaches a zero cut, ``room`` closes, and the pass ends after
     that one move instead of dragging all 80 vertices across and back."""
@@ -473,23 +403,22 @@ def test_fm_pass_stops_when_the_bound_closes(monkeypatch, engine):
     pg = PartitionGraph(adj, [1] * n)
     side = np.array([0] * 40 + [1] * 40, dtype=np.int8)
     side[7] = 1
-    counter = _FMCounter(monkeypatch, engine)
+    counter = _FMCounter(monkeypatch)
     refined = counter.fm_refine(pg, side, 60)
     assert same_sides(refined, oracle.fm_refine(pg, side, 60))
-    assert multilevel._cut_weight(pg, refined) == 0
+    assert kernels.cut_weight(pg, refined) == 0
     assert counter.pass_vertices == n  # one pass: the second has no cut
     assert counter.pops <= 3  # the drained pass pops every vertex at least once
 
 
-@pytest.mark.parametrize("engine", ENGINES)
-def test_fm_pops_stay_well_under_the_pass_vertices_on_road(monkeypatch, engine):
+def test_fm_pops_stay_well_under_the_pass_vertices_on_road(monkeypatch):
     """Over a whole build of the bench ``road`` graph, queue pops stay
     under 0.7 x the pass-vertices (0.55 with the bound-based exit, 1.10
     when every pass drains its queue; moves are at most pops — 0.38 vs
     0.83), so losing the exit fails here, not in a benchmark."""
     graph = delaunay_network(4_000, style="uniform", edge_factor=1.35, seed=7)
-    counter = _FMCounter(monkeypatch, engine)
-    recursive_bisection(graph, seed=0, engine=engine)
+    counter = _FMCounter(monkeypatch)
+    recursive_bisection(graph, seed=0)
     assert counter.pass_vertices > 100_000
     assert counter.pops <= 0.7 * counter.pass_vertices
 
@@ -503,10 +432,11 @@ def test_colliding_candidates_are_grown_and_refined_once(monkeypatch):
     """A 3-vertex path, four growing seeds: at least two collide, and
     seeds 0 and 1 grow the same side. Growing runs once per distinct
     seed and FM once per distinct rebalanced candidate; the result is the
-    oracle's, which grew and refined all five."""
+    oracle's, which grew and refined all five; the C pipeline, whose memo
+    is the same, gives it too."""
     seeds, rebalanced, refined = [], [], []
-    real_growing = multilevel.greedy_growing
-    real_rebalance, real_fm = multilevel.rebalance, multilevel.fm_refine
+    real_growing = pipeline.greedy_growing
+    real_rebalance, real_fm = pipeline.rebalance, pipeline.fm_refine
 
     def spy_growing(pgraph, seed_vertex):
         seeds.append(seed_vertex)
@@ -520,11 +450,11 @@ def test_colliding_candidates_are_grown_and_refined_once(monkeypatch):
         refined.append(bytes(args[1]))
         return real_fm(*args)
 
-    monkeypatch.setattr(multilevel, "greedy_growing", spy_growing)
-    monkeypatch.setattr(multilevel, "rebalance", spy_rebalance)
-    monkeypatch.setattr(multilevel, "fm_refine", spy_fm)
+    monkeypatch.setattr(pipeline, "greedy_growing", spy_growing)
+    monkeypatch.setattr(pipeline, "rebalance", spy_rebalance)
+    monkeypatch.setattr(pipeline, "fm_refine", spy_fm)
     pg = PartitionGraph([{1: 1.0}, {0: 1.0, 2: 1.0}, {1: 1.0}], [1, 1, 1])
-    bip = multilevel.multilevel_bisection(pg, seed=0, engine="reference")
+    bip = pipeline.multilevel_bisection(pg, seed=0)
     assert len(seeds) == len(set(seeds)) < 4
     candidates = rebalanced[:-1]  # the last call is the final safety rebalance
     assert len(candidates) == len(seeds) + 1  # + BFS (n < 4: no spectral)
@@ -532,26 +462,23 @@ def test_colliding_candidates_are_grown_and_refined_once(monkeypatch):
     assert len(refined) < len(candidates)
 
     monkeypatch.undo()
-    with pytest.MonkeyPatch.context() as mp:
-        patch_oracle(mp)
-        expected = multilevel.multilevel_bisection(pg, seed=0, engine="reference")
+    expected = unmemoised(lambda: pipeline.multilevel_bisection(pg, seed=0))
     assert np.array_equal(bip.side, expected.side)
     assert bip.cut_edges == expected.cut_edges
-    require_engine("compiled")
-    compiled = multilevel.multilevel_bisection(pg, seed=0, engine="compiled")
+    compiled = multilevel.multilevel_bisection(pg, seed=0)
     assert np.array_equal(compiled.side, expected.side)
     assert compiled.cut_edges == expected.cut_edges
 
 
 # ---------------------------------------------------------------------------
-# (f) the engines build the same trees
+# (f) the C partitioner and the oracle pipeline build the same trees
 # ---------------------------------------------------------------------------
 
 
 def test_one_draw_of_the_portfolio_seeds_is_the_scalar_draws():
     """The C pipeline draws the growing and BFS seeds in one
-    ``integers(..., size=5)`` call; the reference body draws them one by
-    one. Same values, same generator state afterwards."""
+    ``integers(..., size=5)`` call; the oracle pipeline draws them one
+    by one. Same values, same generator state afterwards."""
     for seed in range(50):
         for n in (2, 3, 7, 120, 121, 4_000):
             one, many = np.random.default_rng(seed), np.random.default_rng(seed)
@@ -574,7 +501,7 @@ def _disjoint_union(parts: list[Graph]) -> Graph:
 
 @st.composite
 def tree_graphs(draw):
-    """Graphs from the families the two engines must partition alike:
+    """Graphs from the families C and the oracle must partition alike:
     disconnected ones (many pieces, or a giant and crumbs), stars above
     the Lanczos cutoff, and small grids and Delaunay networks."""
     kind = draw(st.sampled_from(["pieces", "giant", "star", "grid", "delaunay"]))
@@ -604,15 +531,10 @@ def tree_graphs(draw):
     st.sampled_from([0.2, 0.35, 0.5]),
     st.sampled_from([1, 4, 8]),
 )
-def test_compiled_tree_equals_reference_tree(graph, seed, beta, leaf_size):
-    require_engine("compiled")
+def test_c_tree_equals_the_oracle_tree(graph, seed, beta, leaf_size):
     trees = [
-        preorder(
-            recursive_bisection(
-                graph, beta=beta, leaf_size=leaf_size, seed=seed, engine=engine
-            )
-        )
-        for engine in ENGINES
+        preorder(build(graph, beta=beta, leaf_size=leaf_size, seed=seed))
+        for build in (recursive_bisection, pipeline.recursive_bisection)
     ]
     assert trees[0] == trees[1]
 
@@ -623,27 +545,25 @@ def test_compiled_tree_equals_reference_tree(graph, seed, beta, leaf_size):
     st.integers(0, 2**32 - 1),
     st.sampled_from([0.2, 0.4]),
 )
-def test_compiled_bisection_of_a_weighted_graph_equals_reference(case, seed, beta):
+def test_c_bisection_of_a_weighted_graph_equals_the_oracle(case, seed, beta):
     """Vertex-weighted, multiplicity-weighted graphs like coarse levels,
     often disconnected: the whole ``multilevel_bisection`` agrees."""
-    require_engine("compiled")
     pg = case[0]
 
-    def outcome(engine):
+    def outcome(bisect):
         try:
-            bip = multilevel.multilevel_bisection(
-                pg, beta=beta, seed=seed, engine=engine
-            )
+            bip = bisect(pg, beta=beta, seed=seed)
         except PartitionError as exc:  # a giant of one heavy vertex
             return str(exc)
         return bip.side.tolist(), bip.cut_weight, bip.cut_edges
 
-    assert outcome("compiled") == outcome("reference")
+    assert outcome(multilevel.multilevel_bisection) == outcome(
+        pipeline.multilevel_bisection
+    )
 
 
-def test_a_giant_of_one_heavy_vertex_raises_on_both_engines():
+def test_a_giant_of_one_heavy_vertex_raises_on_c_and_the_oracle():
     pg = PartitionGraph([{}, {}], [4, 1])
-    for engine in ENGINES:
-        require_engine(engine)
+    for bisect in (multilevel.multilevel_bisection, pipeline.multilevel_bisection):
         with pytest.raises(PartitionError, match="fewer than 2"):
-            multilevel.multilevel_bisection(pg, beta=0.4, engine=engine)
+            bisect(pg, beta=0.4)

@@ -1,4 +1,9 @@
-"""Tests for coarsening, FM refinement, initial partitions, multilevel."""
+"""Tests for coarsening, FM refinement, initial partitions, multilevel.
+
+The steps are the C ones of :mod:`repro.partition.kernels`; coarsening
+to a size and component packing are the oracle pipeline's glue
+(``tests/oracles/multilevel.py``), which the C context does inside.
+"""
 
 from __future__ import annotations
 
@@ -7,13 +12,19 @@ import pytest
 
 from repro.exceptions import PartitionError
 from repro.graph.generators import delaunay_network, grid_network
-from repro.partition.coarsen import coarsen_once, coarsen_to_size
-from repro.partition.fm import fm_refine, rebalance
-from repro.partition.initial import bfs_halves, component_packing, greedy_growing
+from repro.partition.kernels import (
+    bfs_halves,
+    coarsen_once,
+    components,
+    fm_refine,
+    greedy_growing,
+    rebalance,
+)
 from repro.partition.multilevel import multilevel_bisection
-from repro.partition.spectral import spectral_bisection
-from repro.partition.types import Bipartition, PartitionGraph
+from repro.partition.spectral import spectral_bisection_flat
+from repro.partition.types import PartitionGraph
 from repro.utils.rng import make_rng
+from tests.oracles.multilevel import coarsen_to_size, component_packing, compute_cut
 
 
 def cut_of(pg: PartitionGraph, side: np.ndarray) -> float:
@@ -40,7 +51,7 @@ class TestPartitionGraph:
     def test_compute_cut(self, diamond_graph):
         pg = PartitionGraph.from_graph(diamond_graph)
         side = np.array([0, 0, 1, 1], dtype=np.int8)
-        bip = Bipartition.compute_cut(pg, side)
+        bip = compute_cut(pg, side)
         assert bip.cut_weight == 2.0
         assert len(bip.cut_edges) == 2
         assert all(side[a] == 0 and side[b] == 1 for a, b in bip.cut_edges)
@@ -152,13 +163,13 @@ class TestSpectral:
                         adj[a][b] = 1.0
         adj[4][5] = adj[5][4] = 1.0
         pg = PartitionGraph(adj, [1] * 10)
-        side = spectral_bisection(pg)
+        side = spectral_bisection_flat(*pg.flat())
         assert side is not None
         assert cut_of(pg, side) == 1.0
 
     def test_tiny_graph_returns_none(self):
         pg = PartitionGraph([{1: 1.0}, {0: 1.0}], [1, 1])
-        assert spectral_bisection(pg) is None
+        assert spectral_bisection_flat(*pg.flat()) is None
 
 
 class TestMultilevel:
@@ -206,8 +217,6 @@ class TestMultilevel:
         assert bip.cut_weight <= 60
 
     def test_components_helper(self):
-        from repro.partition.initial import components
-
         pg = PartitionGraph(
             [{1: 1.0}, {0: 1.0}, {}, {4: 1.0}, {3: 1.0}], [2, 1, 5, 1, 1]
         )

@@ -165,6 +165,22 @@ class TestDistanceService:
         assert np.array_equal(service.distances(pairs), out)
         assert service.stats().cache.hits > 0
 
+    def test_stats_name_the_loaded_library(self, small_index):
+        """Every backend runs on the one C library: the stats say so,
+        with the loader's note, on a monolithic and a sharded index."""
+        from repro.core.sharded import ShardedDHLIndex
+        from repro.labelling import native
+
+        want = f"compiled ({native.status().reason})"
+        assert native.status().library_path is not None
+        sharded = ShardedDHLIndex.build(
+            small_index.graph.copy(), k=2, config=DHLConfig(seed=0), build_workers=1
+        )
+        for backend in (small_index, sharded):
+            stats = DistanceService(backend).stats()
+            assert stats.engine == want == "compiled (native library loaded)"
+            assert f"engine  : {want}" in stats.summary()
+
     def test_empty_batch_counts_no_operation(self, service_graph):
         """Queries and latency operations count the same pairs."""
         service = fresh_service(service_graph)

@@ -6,14 +6,18 @@ are combined in the parent. These tests hold that path
 ``np.array_equal`` to the region-pair composition it replaced — per
 ``(source region, target region)`` group: the pair kernel, fans over
 ``np.unique`` endpoints, the overlay block and a brute-force numpy
-min-plus — under both engines, on ``road`` and ``grid`` shards with
-k = 2 and 3. The path runs twice: in process (``index.distances``) and
+min-plus — on ``road`` and ``grid`` shards with k = 2 and 3, through
+the C shard kernel and through the numpy composition a hierarchy past
+the LCA tables' depth takes (forced here by turning the tables off).
+The path runs twice: in process (``index.distances``) and
 through one :class:`ShardExecutor` per shard over encoded frames, the
 replica side of the shard runtime. The robustness tests feed the
 executor and the parent combine what a bad frame could carry.
 """
 
 from __future__ import annotations
+
+from contextlib import contextmanager, nullcontext
 
 import numpy as np
 import pytest
@@ -23,6 +27,7 @@ from hypothesis import strategies as st
 from repro.core.config import DHLConfig
 from repro.core.sharded import ShardedDHLIndex
 from repro.graph.generators import delaunay_network, grid_network
+from repro.labelling.query import QueryEngine
 from repro.service import ShardExecutor
 from repro.service.protocol import (
     ComputeBatch,
@@ -35,32 +40,40 @@ from repro.service.protocol import (
     encode_frame,
 )
 from repro.sharding.engine import BatchSplit, shard_batch
-from tests.conftest import require_engine
 from tests.strategies import pair_matrix
 
-ENGINES = ("compiled", "reference")
+
+@contextmanager
+def numpy_composition():
+    """Every shard batch answered as a hierarchy too deep for the LCA
+    tables is: the pair kernel, the set kernel and the combine."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(QueryEngine, "kernel_tables", lambda self: None)
+        yield
+
+
+PATHS = {"c": nullcontext, "numpy": numpy_composition}
 GRAPHS = {
     "road": lambda: delaunay_network(160, seed=21, style="city", edge_factor=1.35),
     "grid": lambda: grid_network(10, 10, seed=2),
 }
 
 
-def build(graph, k: int, engine: str) -> ShardedDHLIndex:
+def build(graph, k: int) -> ShardedDHLIndex:
     return ShardedDHLIndex.build(
-        graph.copy(), k=k, config=DHLConfig(seed=0, engine=engine), build_workers=1
+        graph.copy(), k=k, config=DHLConfig(seed=0), build_workers=1
     )
 
 
 @pytest.fixture(scope="module")
 def indexes():
-    """``(graph, k, engine) -> index``, built on first use."""
+    """``(graph, k) -> index``, built on first use."""
     built = {}
 
-    def get(name: str, k: int, engine: str) -> ShardedDHLIndex:
-        require_engine(engine)
-        if (name, k, engine) not in built:
-            built[name, k, engine] = build(GRAPHS[name](), k, engine)
-        return built[name, k, engine]
+    def get(name: str, k: int) -> ShardedDHLIndex:
+        if (name, k) not in built:
+            built[name, k] = build(GRAPHS[name](), k)
+        return built[name, k]
 
     return get
 
@@ -149,7 +162,7 @@ def assert_parity(index, s, t, replicas=None) -> np.ndarray:
 # parity
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize("engine", ENGINES)
+@pytest.mark.parametrize("path", list(PATHS))
 @pytest.mark.parametrize("k", [2, 3])
 @pytest.mark.parametrize("name", list(GRAPHS))
 @settings(
@@ -162,24 +175,30 @@ def assert_parity(index, s, t, replicas=None) -> np.ndarray:
     ],
 )
 @given(data=st.data())
-def test_one_call_path_equals_the_composition(indexes, name, k, engine, data):
+def test_one_call_path_equals_the_composition(indexes, name, k, path, data):
     """Random batches over a small vertex pool: duplicated endpoints,
     self-pairs and every mix of intra and cross pairs."""
-    index = indexes(name, k, engine)
+    index = indexes(name, k)
     n = index.graph.num_vertices
     pool = data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=10))
     vertex = st.sampled_from(pool)
     pairs = data.draw(st.lists(st.tuples(vertex, vertex), max_size=40))
     s = np.array([p[0] for p in pairs], dtype=np.int64)
     t = np.array([p[1] for p in pairs], dtype=np.int64)
-    assert_parity(index, s, t)
+    with PATHS[path]():
+        assert_parity(index, s, t)
 
 
-@pytest.mark.parametrize("engine", ENGINES)
+@pytest.mark.parametrize("path", list(PATHS))
 @pytest.mark.parametrize("k", [2, 3])
 @pytest.mark.parametrize("name", list(GRAPHS))
-def test_every_batch_shape(indexes, name, k, engine):
-    index = indexes(name, k, engine)
+def test_every_batch_shape(indexes, name, k, path):
+    with PATHS[path]():
+        check_every_batch_shape(indexes(name, k))
+
+
+def check_every_batch_shape(index):
+    k = index.k
     replicas = executors(index)
     region_of = index.region_of
     n = index.graph.num_vertices
@@ -202,15 +221,13 @@ def test_every_batch_shape(indexes, name, k, engine):
     assert_parity(index, t[home & ~intra], s[home & ~intra], replicas)
 
 
-@pytest.mark.parametrize("engine", ENGINES)
 @pytest.mark.parametrize("k", [2, 3])
-def test_intra_pairs_whose_path_leaves_the_region(engine, k):
+def test_intra_pairs_whose_path_leaves_the_region(k):
     """Slow down one region's own roads at a time: pairs of its boundary
     vertices then take the boundary route through the other regions.
     Those pairs, all together and each alone in its batch."""
-    require_engine(engine)
     graph = grid_network(10, 10, seed=2)
-    index = build(graph, k, engine)
+    index = build(graph, k)
     region_of, local_of = index.region_of, index.local_of
     for r in range(k):
         own = [e for e in graph.edges() if region_of[e[0]] == region_of[e[1]] == r]
@@ -228,14 +245,12 @@ def test_intra_pairs_whose_path_leaves_the_region(engine, k):
         index.update(own)
 
 
-@pytest.mark.parametrize("engine", ENGINES)
 @pytest.mark.parametrize("k", [2, 3])
-def test_a_region_with_no_boundary_answers_inf_never_nan(engine, k):
+def test_a_region_with_no_boundary_answers_inf_never_nan(k):
     """Cut the last region loose (its cut edges deleted, then compacted
     away): its cross pairs have no route and answer ``inf``; at k = 2
     there is no overlay at all."""
-    require_engine(engine)
-    index = build(grid_network(10, 10, seed=2), k, engine)
+    index = build(grid_network(10, 10, seed=2), k)
     region_of = index.region_of
     loose = k - 1
     index.apply_batch(
@@ -255,14 +270,12 @@ def test_a_region_with_no_boundary_answers_inf_never_nan(engine, k):
     assert np.isinf(got[crossing]).all() and np.isfinite(got[~crossing]).all()
 
 
-@pytest.mark.parametrize("engine", ENGINES)
 @pytest.mark.parametrize("name", list(GRAPHS))
-def test_parity_after_an_overlay_burst(name, engine):
+def test_parity_after_an_overlay_burst(name):
     """A burst over cut edges and intra edges moves the overlay epoch:
     the next batch reads fresh blocks and fresh fans on both paths."""
-    require_engine(engine)
     graph = GRAPHS[name]()
-    index = build(graph, 3, engine)
+    index = build(graph, 3)
     n = graph.num_vertices
     rng = np.random.default_rng(5)
     s, t = rng.integers(0, n, 300), rng.integers(0, n, 300)
@@ -282,11 +295,10 @@ def test_parity_after_an_overlay_burst(name, engine):
 # robustness: what a bad frame could carry
 # ---------------------------------------------------------------------------
 
-@pytest.fixture(params=ENGINES)
-def attached(request):
-    """Shard 0 of a k = 2 grid and its executor, under each engine."""
-    require_engine(request.param)
-    index = build(grid_network(8, 8, seed=1), 2, request.param)
+@pytest.fixture
+def attached():
+    """Shard 0 of a k = 2 grid and its executor."""
+    index = build(grid_network(8, 8, seed=1), 2)
     (replica, _) = executors(index)
     return index, replica
 

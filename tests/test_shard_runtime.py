@@ -61,7 +61,6 @@ from tests.conftest import (
     FakeClock,
     build_sharded,
     kill,
-    require_engine,
     shard_pairs,
 )
 from tests.strategies import (
@@ -169,17 +168,16 @@ def test_wide_boundary_grid_stream_parity(transport, k):
         assert pool.stats.republishes == 0 and pool.stats.full_syncs == 0
 
 
-def attached_executor(monkeypatch, engine: str):
-    """Shard 0 of a k = 2 grid under *engine*, attached by a fresh
-    executor at epoch 3; also returns the engines whose ancestor-chain
+def attached_executor(monkeypatch, deep: bool):
+    """Shard 0 of a k = 2 grid, attached by a fresh executor at epoch 3
+    — as a hierarchy too deep for the LCA tables when *deep* (the
+    tables turned off); also returns the engines whose ancestor-chain
     store was built, in order."""
-    require_engine(engine)
     sharded = ShardedDHLIndex.build(
-        grid_network(8, 8, seed=1),
-        k=2,
-        config=DHLConfig(seed=0, engine=engine),
-        build_workers=1,
+        grid_network(8, 8, seed=1), k=2, config=DHLConfig(seed=0), build_workers=1
     )
+    if deep:
+        monkeypatch.setattr(QueryEngine, "kernel_tables", lambda self: None)
     builds = []
     original = QueryEngine.hub_store
 
@@ -196,7 +194,6 @@ def attached_executor(monkeypatch, engine: str):
         values,
         offsets,
     )
-    assert executor.index.engine.engine == engine
     return sharded, executor, builds
 
 
@@ -215,7 +212,7 @@ def test_executor_builds_the_chain_store_at_attach(monkeypatch):
     """The ancestor-chain store the numpy set kernel reads is built while
     the executor binds its buffers, not inside the first stamped batch —
     and a batch stamped with another epoch is still refused untouched."""
-    sharded, executor, builds = attached_executor(monkeypatch, "reference")
+    sharded, executor, builds = attached_executor(monkeypatch, deep=True)
     assert builds == [executor.index.engine]
     batch = fan_batch_matches(sharded, executor)
     assert len(builds) == 1
@@ -223,10 +220,10 @@ def test_executor_builds_the_chain_store_at_attach(monkeypatch):
     assert isinstance(stale, StaleReply) and executor.served == 1
 
 
-def test_compiled_executor_warms_only_the_lca_tables(monkeypatch):
+def test_executor_warms_only_the_lca_tables(monkeypatch):
     """The C shard kernel reads the LCA tables: those are built at
     attach, and the ancestor-chain store is never built at all."""
-    sharded, executor, builds = attached_executor(monkeypatch, "compiled")
+    sharded, executor, builds = attached_executor(monkeypatch, deep=False)
     engine = executor.index.engine
     assert engine._tables is not None and engine._tables.vectorised
     fan_batch_matches(sharded, executor)

@@ -19,7 +19,6 @@ from repro.partition.regions import partition_regions, regions_from_assignment
 from repro.service.service import DistanceService
 from repro.service.workload import commute_traffic, replay
 from repro.sharding.stats import ShardedMaintenanceStats
-from tests.conftest import require_engine
 from tests.strategies import connected_graphs, update_sequences
 
 
@@ -322,30 +321,24 @@ def test_parallel_build_matches_serial():
     np.testing.assert_array_equal(pooled.distances(pairs), serial.distances(pairs))
 
 
-def test_both_engines_split_and_build_the_same_shards():
-    """The region split's FM and every build (each shard's, in a child
-    of the process pool, and the overlay's) follow the engine. The
-    regions and every label byte are the same either way."""
-    require_engine("compiled")
+def test_pool_children_build_the_shards_this_process_builds():
+    """Each shard built in a child of the process pool (which opens the
+    cached library itself) has every label byte of the same shard built
+    here, over the same regions."""
     graph = grid_network(16, 16, seed=3)
-    built = {
-        engine: ShardedDHLIndex.build(
-            graph.copy(), k=2, config=DHLConfig(engine=engine)
-        )
-        for engine in ("compiled", "reference")
-    }
-    compiled, reference = built["compiled"], built["reference"]
-    assert compiled.stats().build.parallel and reference.stats().build.parallel
-    np.testing.assert_array_equal(
-        compiled.partition.region_of, reference.partition.region_of
+    pooled = ShardedDHLIndex.build(graph.copy(), k=2, config=DHLConfig())
+    serial = ShardedDHLIndex.build(
+        graph.copy(), k=2, config=DHLConfig(), build_workers=1
     )
-    for ours, theirs in zip(compiled.shards, reference.shards, strict=True):
-        assert ours.engine.engine == "compiled"
-        assert theirs.engine.engine == "reference"
+    assert pooled.stats().build.parallel and not serial.stats().build.parallel
+    np.testing.assert_array_equal(
+        pooled.partition.region_of, serial.partition.region_of
+    )
+    for ours, theirs in zip(pooled.shards, serial.shards, strict=True):
         assert ours.labels.values.tobytes() == theirs.labels.values.tobytes()
     assert (
-        compiled.overlay.labels.values.tobytes()
-        == reference.overlay.labels.values.tobytes()
+        pooled.overlay.labels.values.tobytes()
+        == serial.overlay.labels.values.tobytes()
     )
 
 

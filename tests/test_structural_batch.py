@@ -4,7 +4,7 @@ The load-bearing property: a mixed batch of insertions, deletions and
 weight changes applied through ``apply_batch`` must leave queried
 distances identical to (a) applying the same operations one at a time
 and (b) Dijkstra on the mutated graph — across the undirected,
-directed and sharded backends and both maintenance engines.
+directed and sharded backends, on the C sweeps and on their oracle.
 Compaction must reclaim dead slots without moving any distance, and
 compacted indexes must survive snapshot round-trips and worker-pool
 republish.
@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 import random
+from contextlib import nullcontext
 
 import numpy as np
 import pytest
@@ -33,7 +34,8 @@ from repro.graph.graph import Graph
 from repro.hierarchy.csr import compact_slots
 from repro.service import DistanceService, ShardWorkerRuntime
 from repro.service.coalescer import UpdateCoalescer
-from tests.conftest import directed_dijkstra, require_engine
+from tests.conftest import directed_dijkstra
+from tests.oracles.kernels import python_kernels
 from tests.strategies import connected_graphs
 
 
@@ -163,30 +165,36 @@ def test_batched_equals_sequential(data):
             ), (s, t, b, q)
 
 
-@pytest.mark.parametrize("engine", ["reference", "compiled"])
-def test_engines_agree_on_structural_batches(engine):
-    """compiled == reference across a fixed mixed script."""
-    require_engine(engine)
+def test_c_and_oracle_sweeps_agree_on_structural_batches():
+    """A fixed mixed script of deletions, raises, restores and new links
+    leaves the same bits on the C sweeps as on their oracle."""
     graph = delaunay_network(150, seed=21)
-    cfg = DHLConfig(leaf_size=6, seed=0, engine=engine)
-    index = DHLIndex.build(graph.copy(), cfg)
+    cfg = DHLConfig(leaf_size=6, seed=0)
+    indexes = [DHLIndex.build(graph.copy(), cfg)]
+    with python_kernels():
+        indexes.append(DHLIndex.build(graph.copy(), cfg))
     rng = random.Random(99)
     edges = [(u, v) for u, v, _ in graph.edges()]
     dels = rng.sample(edges, 8)
-    index.apply_batch(deletions=dels[:5], weight_changes=[
-        (u, v, graph.weight(u, v) * 3.0) for u, v in dels[5:]
-    ])
     # restore two, insert two new links
     restores = [(u, v, 2.0) for u, v in dels[:2]]
     n = graph.num_vertices
     new_links = []
     while len(new_links) < 2:
         a, b = rng.randrange(n), rng.randrange(n)
-        if a != b and not index.graph.has_edge(a, b):
+        if a != b and not graph.has_edge(a, b):
             new_links.append((a, b, float(rng.randint(1, 20))))
-    index.apply_batch(insertions=restores + new_links)
-    assert_matches_dijkstra(index, index.graph, sample_pairs(n, rng, 40))
-    index.verify()
+    for index, kernels in zip(indexes, (nullcontext, python_kernels)):
+        with kernels():
+            index.apply_batch(deletions=dels[:5], weight_changes=[
+                (u, v, graph.weight(u, v) * 3.0) for u, v in dels[5:]
+            ])
+            index.apply_batch(insertions=restores + new_links)
+        assert_matches_dijkstra(index, index.graph, sample_pairs(n, rng, 40))
+        index.verify()
+    compiled, oracle = indexes
+    assert compiled.labels.equals(oracle.labels)
+    assert compiled.hu.up_weights.tobytes() == oracle.hu.up_weights.tobytes()
 
 
 def test_insert_fast_path_fires_on_comparable_pairs(small_index):
@@ -352,14 +360,9 @@ def test_compaction_reclaims_dead_slots(small_road):
     assert index.structural_counters["dead_slots_reclaimed"] > 0
 
 
-ENGINES = ["reference", "compiled"]
-
-
-@pytest.mark.parametrize("engine", ENGINES)
-def test_restore_after_compaction_reinserts(engine, small_road):
+def test_restore_after_compaction_reinserts(small_road):
     """A weight report on a compacted-away edge re-enters via insertion."""
-    require_engine(engine)
-    cfg = DHLConfig(leaf_size=6, seed=0, engine=engine)
+    cfg = DHLConfig(leaf_size=6, seed=0)
     index = DHLIndex.build(small_road.copy(), cfg)
     u, v, w = next(iter(index.graph.edges()))
     index.apply_batch(deletions=[(u, v)])
@@ -401,7 +404,7 @@ def _triangle_over(index, need_edge: bool):
 
 
 #: Both families run the driver's sweeps, so the compacted-slot guard
-#: must hold for each of them under each engine.
+#: must hold for each of them, on the C sweeps and on their oracle.
 FAMILIES = {
     "undirected": lambda graph, config: DHLIndex.build(graph.copy(), config),
     "directed": lambda graph, config: DirectedDHLIndex.build(
@@ -413,28 +416,21 @@ FAMILIES = {
 ROAD_DIJKSTRA = {"undirected": dijkstra, "directed": directed_dijkstra}
 
 
-@pytest.mark.parametrize("engine", ENGINES)
-def test_decrease_onto_compacted_slot_raises_under_every_engine(
-    engine, small_road
-):
+@pytest.mark.parametrize("kernels", [nullcontext, python_kernels], ids=["c", "oracle"])
+def test_decrease_onto_compacted_slot_raises_on_every_sweep(kernels, small_road):
     """The compacted-slot guard is part of the sweep contract: a finite
     candidate for a removed pair must surface, not be skipped."""
-    require_engine(engine)
     for build in FAMILIES.values():
-        index = build(small_road, DHLConfig(leaf_size=6, seed=0, engine=engine))
+        index = build(small_road, DHLConfig(leaf_size=6, seed=0))
         x, p, q, o = _triangle_over(index, need_edge=True)
         _drop_pair(index.hu, q, o)
-        with pytest.raises(StructuralFallbackRequired):
+        with kernels(), pytest.raises(StructuralFallbackRequired):
             index.decrease([(x, p, 0.0)])
 
 
-@pytest.mark.parametrize("engine", ENGINES)
-def test_insertion_onto_compacted_slot_falls_back_to_rebuild(
-    engine, small_road
-):
-    require_engine(engine)
+def test_insertion_onto_compacted_slot_falls_back_to_rebuild(small_road):
     for family, build in FAMILIES.items():
-        index = build(small_road, DHLConfig(leaf_size=6, seed=0, engine=engine))
+        index = build(small_road, DHLConfig(leaf_size=6, seed=0))
         x, p, q, o = _triangle_over(index, need_edge=False)
         _drop_pair(index.hu, q, o)
         stats = index.apply_batch(insertions=[(x, p, 0.0)])

@@ -1,7 +1,8 @@
-"""The two maintenance engines must stay in lockstep on the hard inputs.
+"""The C sweeps must stay in lockstep with their oracle on the hard inputs.
 
-``reference`` (rank-ordered ``LazyHeap`` loops) and ``compiled`` (the C
-array heaps) both run the paper's ordered sweeps. Lockstep parity of
+The oracle (``tests/oracles/maintenance.py``: rank-ordered ``LazyHeap``
+loops) and the C array heaps both run the paper's ordered sweeps, under
+the same driver. Lockstep parity of
 everything but ``entries_processed`` — on the inputs where ties, ``inf``
 and long dependency chains are most likely to trip a heap sweep — plus
 identity with a fresh build is the check that the C sweeps lose nothing.
@@ -14,6 +15,7 @@ from __future__ import annotations
 
 import math
 import pickle
+from contextlib import nullcontext
 
 import numpy as np
 import pytest
@@ -29,6 +31,7 @@ from repro.graph.graph import Graph
 from repro.hierarchy.update_hierarchy import UpdateHierarchy
 from repro.labelling.build import build_labelling
 from repro.service.runtime import InProcessRuntime
+from tests.oracles.kernels import OnOracles, python_kernels
 from tests.strategies import (
     assert_stats_match,
     assert_stream_parity,
@@ -38,12 +41,18 @@ from tests.strategies import (
     update_sequences,
 )
 
-ENGINE_NAMES = ("reference", "compiled")
-
-
 def per_engine(build) -> list:
-    """One index per engine from ``build(config)``; reference first."""
-    return [build(DHLConfig(leaf_size=4, seed=0, engine=name)) for name in ENGINE_NAMES]
+    """The index ``build(config)`` gives on the oracle kernels (first)
+    and on the C ones; :func:`kernels_of` runs calls on each."""
+    config = DHLConfig(leaf_size=4, seed=0)
+    with python_kernels():
+        oracle = build(config)
+    return [oracle, build(config)]
+
+
+def kernels_of(position: int):
+    """The kernels of :func:`per_engine`'s index at *position*."""
+    return python_kernels() if position == 0 else nullcontext()
 
 
 def maintained_state(index) -> list[np.ndarray]:
@@ -85,16 +94,19 @@ def two_passes(index, burst):
 
 
 def replay(indexes, bursts) -> None:
-    """Each burst through every index in lockstep, each index's state
-    then equal to its two-pass twin's."""
+    """Each burst through every index in lockstep (each on its own
+    kernels), each index's state then equal to its two-pass twin's."""
     for burst in bursts:
-        twins = [two_passes(index, burst) for index in indexes]
-        assert_in_lockstep(indexes, [index.update(burst) for index in indexes])
-        for index, twin in zip(indexes, twins):
+        results = []
+        for position, index in enumerate(indexes):
+            with kernels_of(position):
+                twin = two_passes(index, burst)
+                results.append(index.update(burst))
             for got, want in zip(
                 maintained_state(index), maintained_state(twin), strict=True
             ):
                 np.testing.assert_array_equal(got, want)
+        assert_in_lockstep(indexes, results)
 
 
 def assert_equals_rebuild(index) -> None:
@@ -195,8 +207,9 @@ def test_deep_caterpillar():
 def test_rolling_bursts_through_dhl_index(small_grid):
     indexes = per_engine(lambda config: DHLIndex.build(small_grid.copy(), config))
     halves = np.arange(small_grid.num_vertices) % 2
+    oracle, compiled = indexes
     assert_stream_parity(
-        [InProcessRuntime(index) for index in indexes],
+        [OnOracles(InProcessRuntime(oracle)), InProcessRuntime(compiled)],
         small_grid,
         halves,
         group=8,
@@ -212,8 +225,9 @@ def test_rolling_bursts_through_sharded_index():
             graph.copy(), k=2, config=config, build_workers=1
         )
     )
+    oracle, compiled = indexes
     assert_stream_parity(
-        [InProcessRuntime(index) for index in indexes],
+        [OnOracles(InProcessRuntime(oracle)), InProcessRuntime(compiled)],
         graph,
         indexes[0].region_of,
         seed=2,

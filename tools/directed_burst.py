@@ -19,9 +19,7 @@ state; only public API is used, so the script runs against either::
     PYTHONPATH=/path/to/parent/src python tools/directed_burst.py grid road
 
 The totals and digests are pinned (:data:`PINNED`) and a mismatch exits
-non-zero, which is what makes "same maintained state" a CI gate: both
-engines maintain the same bits, so the pins hold under ``--engine
-reference`` too.
+non-zero, which is what makes "same maintained state" a CI gate.
 Times are only comparable between runs on one machine in one session.
 """
 
@@ -84,10 +82,10 @@ def rolling_bursts(digraph: DiGraph) -> list[list[tuple[int, int, float]]]:
     return bursts
 
 
-def measure(name: str, engine: str) -> bool:
+def measure(name: str) -> bool:
     """Replay the bursts on graph *name*; True when the pins hold."""
     digraph = skewed_digraph(GRAPHS[name]())
-    index = DirectedDHLIndex.build(digraph, DHLConfig(seed=0, engine=engine))
+    index = DirectedDHLIndex.build(digraph, DHLConfig(seed=0))
     millis = []
     shortcuts = labels = 0
     for burst in rolling_bursts(digraph):
@@ -120,15 +118,10 @@ def measure(name: str, engine: str) -> bool:
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("graphs", nargs="+", choices=sorted(GRAPHS))
-    parser.add_argument(
-        "--engine", default=DHLConfig().engine, choices=("compiled", "reference")
-    )
     args = parser.parse_args()
-    resolved = DHLConfig(engine=args.engine).resolve_engine()
-    print(f"# engine: {args.engine} requested, {resolved} runs")
     # A list, not a generator: every graph is measured and printed even
     # after one has missed its pins.
-    if not all([measure(name, args.engine) for name in args.graphs]):
+    if not all([measure(name) for name in args.graphs]):
         sys.exit(1)
 
 

@@ -9,23 +9,22 @@ on it under ``collect_phases()`` and prints
   print the same digests made the same partitioning decisions. The
   spectral candidate runs LAPACK's ``eigh``, so digests are comparable
   between checkouts on one machine, not between machines. Both are
-  computed under the ``compiled`` engine (every step in
-  ``dhl_kernels.c``) and the ``reference`` one (the Python bodies) in
-  this one process, where ``eigh`` is shared; the script exits 1 when
-  the engines disagree;
-* the **stage table** of each engine — raw seconds per ``partition.*``
-  phase mark (best of ``--repeat`` runs by total), with the share of the
-  measured total the marks account for — and the reference-over-compiled
-  ratio of the totals::
+  computed by the package (every step in ``dhl_kernels.c``) and by the
+  Python oracle pipeline of ``tests/oracles/multilevel.py`` in this one
+  process, where ``eigh`` is shared; the script exits 1 when they
+  disagree;
+* the **stage table** — raw seconds per ``partition.*`` phase mark
+  (best of ``--repeat`` runs by total), with the share of the measured
+  total the marks account for — and the oracle's seconds for the same
+  digests::
 
-      python tools/partition_profile.py road grid
+      python tools/partition_profile.py grid road road16k
       cd /path/to/parent && python tools/partition_profile.py road grid
 
 ``road`` and ``grid`` are the two bench profiles (``bench/workloads.py``
 ``make_graph``, generator seed 7); ``road16k`` and ``road32k`` are the
 16,000- and 32,000-vertex ``road`` the ROADMAP quotes ms per vertex and
-its scale build on (``--repeat 1`` keeps the reference run of
-``road32k`` to one).
+its scale build on.
 """
 
 from __future__ import annotations
@@ -37,15 +36,22 @@ import sys
 import time
 from pathlib import Path
 
+ROOT = Path(__file__).resolve().parents[1]
 if not any(Path(p, "repro").is_dir() for p in sys.path if p):
-    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+    sys.path.insert(0, str(ROOT / "src"))
+sys.path.insert(0, str(ROOT))  # the oracle pipeline under tests/
 
-from repro.core.config import DHLConfig  # noqa: E402
 from repro.graph.generators import delaunay_network, grid_network  # noqa: E402
 from repro.observability import collect_phases  # noqa: E402
 from repro.partition import partition_regions, recursive_bisection  # noqa: E402
+from tests.oracles import multilevel as oracle  # noqa: E402
 
-ENGINES = ("compiled", "reference")
+#: ``(partition_regions, recursive_bisection)`` of the package and of
+#: the oracle pipeline.
+PIPELINES = {
+    "package": (partition_regions, recursive_bisection),
+    "oracle": (oracle.partition_regions, oracle.recursive_bisection),
+}
 
 GRAPHS = {
     "road": lambda: delaunay_network(4_000, style="uniform", edge_factor=1.35, seed=7),
@@ -67,30 +73,28 @@ def tree_digest(tree) -> str:
     return h.hexdigest()[:12]
 
 
-def digests(graph, engine: str) -> tuple[str, str]:
-    """``(tree digest, regions digest)`` of the partitioning on *engine*."""
+def digests(graph, pipeline: str) -> tuple[str, str]:
+    """``(tree digest, regions digest)`` of *pipeline*'s partitioning."""
+    regions, bisection = PIPELINES[pipeline]
     h = hashlib.sha1()
     for k in (2, 4):
-        h.update(partition_regions(graph, k, seed=0, engine=engine).region_of.tobytes())
-    tree = recursive_bisection(graph, seed=0, engine=engine)
-    return tree_digest(tree), h.hexdigest()[:12]
+        h.update(regions(graph, k, seed=0).region_of.tobytes())
+    return tree_digest(bisection(graph, seed=0)), h.hexdigest()[:12]
 
 
-def stage_table(graph, engine: str, repeat: int) -> float:
-    """Print *engine*'s stage table; returns its best total seconds."""
+def stage_table(graph, repeat: int) -> float:
+    """Print the package's stage table; returns its best total seconds."""
     n = graph.num_vertices
     runs = []
     for _ in range(repeat):
         with collect_phases() as collector:
             start = time.perf_counter()
-            recursive_bisection(graph, seed=0, engine=engine)
+            recursive_bisection(graph, seed=0)
             total = time.perf_counter() - start
         runs.append((total, collector.as_dict(), dict(collector.counts)))
     total, seconds, counts = min(runs, key=lambda run: run[0])
-    resolved = DHLConfig(engine=engine).resolve_engine()
-    label = engine if resolved == engine else f"{engine} (ran as {resolved})"
     print(
-        f"  {label}: recursive_bisection {total:.3f} s best of {repeat} "
+        f"  recursive_bisection {total:.3f} s best of {repeat} "
         f"({1e3 * total / n:.4f} ms per vertex; all runs: "
         + " ".join(f"{run[0]:.3f}" for run in runs)
         + ")"
@@ -107,22 +111,24 @@ def stage_table(graph, engine: str, repeat: int) -> float:
 
 
 def profile(name: str, repeat: int) -> bool:
-    """Print *name*'s digests and both engines' stage tables; False when
-    the engines' digests differ."""
+    """Print *name*'s digests and the package's stage table; False when
+    the oracle pipeline's digests differ."""
     graph = GRAPHS[name]()
-    compiled, reference = (digests(graph, engine) for engine in ENGINES)
+    package = digests(graph, "package")
+    start = time.perf_counter()
+    expected = digests(graph, "oracle")
+    oracle_seconds = time.perf_counter() - start
     print(
-        f"{name}: n={graph.num_vertices} m={graph.num_edges}  tree {compiled[0]}  "
-        f"regions {compiled[1]}  "
+        f"{name}: n={graph.num_vertices} m={graph.num_edges}  tree {package[0]}  "
+        f"regions {package[1]}  "
         + (
-            "(both engines)"
-            if compiled == reference
-            else f"MISMATCH, reference tree {reference[0]} regions {reference[1]}"
+            f"(the oracle's too, {oracle_seconds:.1f} s)"
+            if package == expected
+            else f"MISMATCH, oracle tree {expected[0]} regions {expected[1]}"
         )
     )
-    totals = [stage_table(graph, engine, repeat) for engine in ENGINES]
-    print(f"  reference / compiled: {totals[1] / totals[0]:.1f}x")
-    return compiled == reference
+    stage_table(graph, repeat)
+    return package == expected
 
 
 def main() -> int:
@@ -132,8 +138,7 @@ def main() -> int:
     args = parser.parse_args()
     print(
         f"machine: {os.cpu_count()} cores, python {sys.version.split()[0]}, "
-        f"OPENBLAS_NUM_THREADS={os.environ.get('OPENBLAS_NUM_THREADS', 'unset')}, "
-        f"engine {DHLConfig().resolve_engine()}"
+        f"OPENBLAS_NUM_THREADS={os.environ.get('OPENBLAS_NUM_THREADS', 'unset')}"
     )
     # A list, not a generator: every graph is printed after a mismatch.
     return 0 if all([profile(name, max(1, args.repeat)) for name in args.graphs]) else 1
