@@ -4,7 +4,7 @@
 ``components``, ``coarsen_once`` and ``_cut_weight`` exactly as they stood
 before ``repro.partition`` moved to the frozen flat adjacency: dict rows,
 one numpy/bytearray scalar per index,
-:class:`~repro.utils.priority_queue.LazyHeap` gain queues, and an FM pass
+:class:`~tests.oracles.priority_queue.LazyHeap` gain queues, and an FM pass
 that runs until its queue is empty. The only edit is :func:`_adj`, which
 turns the new ``(u, w)`` rows back into the dicts these bodies iterate.
 ``tests/test_partition_identity.py`` requires the fast implementations to

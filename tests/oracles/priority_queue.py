@@ -1,4 +1,4 @@
-"""Priority queue used by the shortest-path and maintenance loops.
+"""The priority queue of the oracles' maintenance and partition loops.
 
 :class:`LazyHeap` is a thin wrapper over :mod:`heapq` with lazy deletion:
 no position bookkeeping, so it is the fast choice in CPython. Only the
