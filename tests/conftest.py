@@ -21,6 +21,7 @@ from repro.graph.generators import (
 )
 from repro.graph.graph import Graph
 from repro.service import ShardWorkerRuntime, SocketShardRuntime
+from tests.oracles.kernels import python_kernels
 
 #: The shard runtime's two public names; the class is the transport choice.
 TRANSPORTS = {"pipe": ShardWorkerRuntime, "tcp": SocketShardRuntime}
@@ -30,6 +31,19 @@ TRANSPORTS = {"pipe": ShardWorkerRuntime, "tcp": SocketShardRuntime}
 def transport(request):
     """Run the test once per shard-runtime transport."""
     return TRANSPORTS[request.param]
+
+
+@pytest.fixture(params=["c", "oracle"])
+def on_kernels(request):
+    """Run the test once on the C kernels and once with every kernel
+    swapped for its Python oracle (:func:`python_kernels`), build
+    included: the oracle the differential suites trust is held to the
+    same checks as the code it judges."""
+    if request.param == "c":
+        yield request.param
+    else:
+        with python_kernels():
+            yield request.param
 
 
 class FakeClock:

@@ -378,10 +378,12 @@ def _door_index(family: str):
     return DHLIndex.build(graph, config)
 
 
+@pytest.mark.usefixtures("on_kernels")
 @pytest.mark.parametrize("family", ["undirected", "directed"])
 class TestVertexIdsAtTheDoor:
     """numpy wraps a negative id onto another vertex's label and C would
-    read out of bounds: every entry point rejects ids outside [0, n)."""
+    read out of bounds: every entry point rejects ids outside [0, n), in
+    front of the C kernels and of their numpy oracles alike."""
 
     def test_out_of_range_ids_raise_vertex_not_found(self, family):
         index = _door_index(family)

@@ -83,6 +83,10 @@ class TestDirectedStatic:
 
 
 class TestDirectedDynamic:
+    """Two-plane maintenance held to Dijkstra and to a rebuild, on the C
+    sweeps and again on their oracle; the last case holds the two equal."""
+
+    @pytest.mark.usefixtures("on_kernels")
     def test_increase_decrease_match_dijkstra(self, asym_digraph):
         idx = DirectedDHLIndex.build(asym_digraph, DHLConfig(leaf_size=4))
         rng = np.random.default_rng(17)
@@ -106,6 +110,7 @@ class TestDirectedDynamic:
             for t in range(60):
                 assert idx.distance(s, t) == ref[t], (s, t)
 
+    @pytest.mark.usefixtures("on_kernels")
     def test_one_direction_update_leaves_other_exact(self, asym_digraph):
         idx = DirectedDHLIndex.build(asym_digraph, DHLConfig(leaf_size=4))
         u, v, w = next(iter(asym_digraph.arcs()))
@@ -116,6 +121,7 @@ class TestDirectedDynamic:
         ref_rev = directed_dijkstra(asym_digraph, v)
         assert idx.distance(v, u) == ref_rev[u]
 
+    @pytest.mark.usefixtures("on_kernels")
     def test_wrong_direction_rejected(self, asym_digraph):
         idx = DirectedDHLIndex.build(asym_digraph, DHLConfig(leaf_size=4))
         u, v, w = next(iter(asym_digraph.arcs()))
@@ -124,6 +130,7 @@ class TestDirectedDynamic:
         with pytest.raises(MaintenanceError):
             idx.decrease([(u, v, w * 2)])
 
+    @pytest.mark.usefixtures("on_kernels")
     def test_maintained_equals_rebuilt(self, asym_digraph):
         idx = DirectedDHLIndex.build(asym_digraph, DHLConfig(leaf_size=4, seed=0))
         arcs = list(asym_digraph.arcs())[:20]

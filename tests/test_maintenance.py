@@ -3,6 +3,8 @@
 The strongest check exploits determinism: label entries are interval-
 subgraph distances, so after any update sequence the maintained labelling
 must be *identical* to one rebuilt from scratch on the updated graph.
+The unit cases run on the C sweeps and again on their oracle
+(``tests/oracles/maintenance.py``), build and rebuild included.
 """
 
 from __future__ import annotations
@@ -34,6 +36,7 @@ def assert_matches_rebuild(index):
     index.hu.verify_minimum_weight_property()
 
 
+@pytest.mark.usefixtures("on_kernels")
 class TestShortcutMaintenance:
     def test_decrease_updates_shortcut_weights(self, small_road):
         idx = fresh_index(small_road)
@@ -77,6 +80,7 @@ class TestShortcutMaintenance:
             assert idx.distance(0, t) == ref[t]
 
 
+@pytest.mark.usefixtures("on_kernels")
 class TestLabelDecrease:
     def test_single_decrease_correct(self, small_road):
         idx = fresh_index(small_road)
@@ -108,6 +112,7 @@ class TestLabelDecrease:
         assert stats.labels_changed == before.diff_count(idx.labels)
 
 
+@pytest.mark.usefixtures("on_kernels")
 class TestLabelIncrease:
     def test_single_increase_correct(self, small_road):
         idx = fresh_index(small_road)
@@ -172,6 +177,7 @@ def _sharded(graph):
 
 
 class TestMixedUpdates:
+    @pytest.mark.usefixtures("on_kernels")
     def test_update_splits_batches(self, small_road):
         idx = fresh_index(small_road)
         edges = list(idx.graph.edges())
@@ -182,6 +188,7 @@ class TestMixedUpdates:
         assert stats.shortcuts_changed >= 0
         assert_matches_rebuild(idx)
 
+    @pytest.mark.usefixtures("on_kernels")
     def test_invalid_weight_rejected(self, small_road):
         idx = fresh_index(small_road)
         u, v, _ = next(iter(idx.graph.edges()))
@@ -190,6 +197,7 @@ class TestMixedUpdates:
         with pytest.raises(MaintenanceError):
             idx.decrease([(u, v, math.nan)])
 
+    @pytest.mark.usefixtures("on_kernels")
     def test_wrong_direction_rejected_by_wrappers(self, small_road):
         idx = fresh_index(small_road)
         u, v, w = next(iter(idx.graph.edges()))
@@ -198,6 +206,7 @@ class TestMixedUpdates:
         with pytest.raises(MaintenanceError, match="is not a decrease; use incr"):
             idx.decrease([(u, v, w * 2)])
 
+    @pytest.mark.usefixtures("on_kernels")
     def test_empty_batch_is_noop(self, small_road):
         idx = fresh_index(small_road)
         before = idx.labels.copy()

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import functools
 import pickle
+from contextlib import nullcontext
 from unittest import mock
 
 import numpy as np
@@ -35,6 +36,9 @@ from repro.labelling.maintenance import MaintenanceStats
 from repro.labelling.native import engine as native_engine
 from tests.oracles.kernels import oracle_build, python_kernels
 from tests.strategies import assert_stats_match, connected_graphs, update_sequences
+
+#: The C sweeps, and the oracle sweeps in their place.
+KERNELS = (nullcontext, python_kernels)
 
 
 def test_baseline_shortcut_maintenance_equals_the_oracle_sweep():
@@ -85,6 +89,7 @@ class TestUndirectedDifferential:
             assert idx_r.distance(0, t) == ref[t]
             assert idx_c.distance(0, t) == ref[t]
 
+    @pytest.mark.usefixtures("on_kernels")
     def test_maintained_index_matches_rebuild(self, small_road):
         idx = DHLIndex.build(small_road.copy(), DHLConfig(leaf_size=4, seed=0))
         edges = list(idx.graph.edges())
@@ -173,6 +178,7 @@ class TestDecreaseHandlesEachLoweredEntryOnce:
 
     @pytest.mark.parametrize("directed", [False, True], ids=["undirected", "directed"])
     @pytest.mark.parametrize("graph", ["grid", "road"])
+    @pytest.mark.parametrize("kernels", KERNELS, ids=["c", "oracle"])
     @settings(
         max_examples=15,
         deadline=None,
@@ -185,14 +191,17 @@ class TestDecreaseHandlesEachLoweredEntryOnce:
             max_size=12,
         )
     )
-    def test_entries_processed_equals_labels_changed(self, graph, directed, picks):
+    def test_entries_processed_equals_labels_changed(
+        self, kernels, graph, directed, picks
+    ):
         index = pickle.loads(pickle.dumps(built_index(graph, directed)))
         roads = list(index.graph.edges())
         batch = {}
         for pick, factor in picks:
             u, v, w = roads[pick % len(roads)]
             batch[u, v] = (u, v, float(int(w * factor)))
-        stats = index.decrease(batch.values())
+        with kernels():
+            stats = index.decrease(batch.values())
         assert stats.entries_processed == stats.labels_changed
         rebuilt = type(index).build(index.graph.copy(), index.config)
         for got, want in zip(index.labellings, rebuilt.labellings):
@@ -275,6 +284,7 @@ class TestTouchedLists:
         return stats
 
     @pytest.mark.parametrize("directed", [False, True], ids=["undirected", "directed"])
+    @pytest.mark.parametrize("kernels", KERNELS, ids=["c", "oracle"])
     @settings(
         max_examples=12,
         deadline=None,
@@ -285,7 +295,13 @@ class TestTouchedLists:
             lambda g: update_sequences(g, max_steps=4).map(lambda seq: (g, seq))
         )
     )
-    def test_lists_are_the_marks_and_stats_match_a_scan(self, directed, data):
+    def test_lists_are_the_marks_and_stats_match_a_scan(
+        self, kernels, directed, data
+    ):
+        with kernels():
+            self.check_lists(directed, data)
+
+    def check_lists(self, directed, data):
         graph, sequence = data
         config = DHLConfig(leaf_size=3, seed=0)
         if directed:

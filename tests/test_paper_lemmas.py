@@ -18,6 +18,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, given, settings
 
 from repro.baselines.dijkstra import dijkstra_subgraph
@@ -136,8 +137,10 @@ class TestLemma63AndCorollary65:
 
 
 class TestComplexityCounters:
-    """Theorem 6.7/6.8 sanity: work scales with the affected set, not n."""
+    """Theorem 6.7/6.8 sanity: work scales with the affected set, not n,
+    on the C sweeps and on the paper-literal oracle sweeps."""
 
+    @pytest.mark.usefixtures("on_kernels")
     def test_local_update_touches_few_entries(self):
         g = delaunay_network(1_000, seed=4)
         hq = build_hq(g, leaf_size=8)

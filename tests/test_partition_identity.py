@@ -5,11 +5,13 @@ bodies ``repro.partition`` was rewritten from, and
 ``tests/oracles/multilevel.py`` the Python pipeline around them.
 Identity is checked (a) step by step on random inputs
 (:mod:`repro.partition.kernels` against the oracle bodies), (b) through
-whole builds against the oracle pipeline, both in one process, plus (c)
-seed determinism, (d) a guard that the FM pass really stops on its
-bound, (e) that repeated candidates are refined once (the oracle
-pipeline's memo against no memo, and the C result equal to both) and
-(f) whole trees and bisections equal on random graph families.
+whole builds against the oracle pipeline, both in one process (the C
+partitioner's builds, and the oracle pipeline's own loop over the C
+steps), plus (c) seed determinism, (d) a guard that the FM pass really
+stops on its bound, (e) that repeated candidates are refined once (the
+oracle pipeline's memo against no memo, and the C result equal to
+both) and (f) whole trees and bisections equal on random graph
+families.
 """
 
 from __future__ import annotations
@@ -194,6 +196,35 @@ def unmemoised(build):
         return build()
 
 
+def c_steps(build):
+    """``build()`` with the oracle pipeline's steps swapped for the C
+    one-step wrappers of :mod:`repro.partition.kernels`: the Python
+    orchestration over C steps, so a whole-build mismatch points at the
+    steps or at the C context's orchestration."""
+    with pytest.MonkeyPatch.context() as mp:
+        for name, step in (
+            ("fm_refine", kernels.fm_refine),
+            ("rebalance", kernels.rebalance),
+            ("greedy_growing", kernels.greedy_growing),
+            ("bfs_halves", kernels.bfs_halves),
+            ("components", kernels.components),
+            ("coarsen_once", kernels.coarsen_once),
+            ("_cut_weight", kernels.cut_weight),
+            ("minimum_vertex_separator", kernels.minimum_vertex_separator),
+        ):
+            mp.setattr(pipeline, name, step)
+        return build()
+
+
+#: The two C sides held to the oracle pipeline: the C partitioner (one
+#: :class:`kernels.Bisector` context per build), and the oracle's own
+#: orchestration running on the C steps.
+C_SIDES = {
+    "c": lambda c_build, oracle_build: c_build(),
+    "c-steps": lambda c_build, oracle_build: c_steps(oracle_build),
+}
+
+
 def preorder(tree) -> list[tuple[list[int], int]]:
     return [(list(node.vertices), len(node.children)) for node in tree.iter_nodes()]
 
@@ -244,14 +275,19 @@ PIPELINE_CASES = {
 }
 
 
+@pytest.mark.parametrize("side", list(C_SIDES))
 @pytest.mark.parametrize("name", PIPELINE_CASES)
-def test_recursive_bisection_tree_matches_oracle(name):
+def test_recursive_bisection_tree_matches_oracle(name, side):
     make, kwargs = PIPELINE_CASES[name]
     graph = make()
-    new = preorder(recursive_bisection(graph, seed=0, **kwargs))
-    expected = unmemoised(
-        lambda: preorder(pipeline.recursive_bisection(graph, seed=0, **kwargs))
+
+    def oracle_tree():
+        return preorder(pipeline.recursive_bisection(graph, seed=0, **kwargs))
+
+    new = C_SIDES[side](
+        lambda: preorder(recursive_bisection(graph, seed=0, **kwargs)), oracle_tree
     )
+    expected = unmemoised(oracle_tree)
     assert new == expected
     assert sorted(v for vertices, _ in new for v in vertices) == list(graph.vertices())
 
@@ -284,7 +320,8 @@ def test_giant_component_case_recurses_on_the_giant(monkeypatch, side):
     assert sizes[:2] == [540, 500] if side == "oracle" else sizes[0] == 500
 
 
-def test_star_through_the_lanczos_branch_matches_oracle(monkeypatch):
+@pytest.mark.parametrize("side", list(C_SIDES))
+def test_star_through_the_lanczos_branch_matches_oracle(monkeypatch, side):
     """900 leaves: matching stalls, the coarsest graph stays above
     ``_DENSE_CUTOFF`` and the spectral candidate comes from ``eigsh``.
 
@@ -304,10 +341,14 @@ def test_star_through_the_lanczos_branch_matches_oracle(monkeypatch):
         lambda lap, **kwargs: sizes.append(lap.shape[0]) or real(lap, **kwargs),
     )
     graph = star(900)
-    new = preorder(recursive_bisection(graph, seed=0))
-    expected = unmemoised(
-        lambda: preorder(pipeline.recursive_bisection(graph, seed=0))
+
+    def oracle_tree():
+        return preorder(pipeline.recursive_bisection(graph, seed=0))
+
+    new = C_SIDES[side](
+        lambda: preorder(recursive_bisection(graph, seed=0)), oracle_tree
     )
+    expected = unmemoised(oracle_tree)
     assert new == expected
     assert len(sizes) == 2 and min(sizes) > spectral._DENSE_CUTOFF
 
@@ -330,12 +371,17 @@ def test_lanczos_branch_repeats_bit_for_bit():
     [lambda: grid_network(20, 31), lambda: delaunay_network(1_500, seed=5)],
     ids=["grid-20x31", "delaunay-1500"],
 )
-def test_partition_regions_matches_oracle(make, k):
+@pytest.mark.parametrize("side", list(C_SIDES))
+def test_partition_regions_matches_oracle(make, k, side):
     graph = make()
-    new = partition_regions(graph, k, seed=0).region_of
-    expected = unmemoised(
-        lambda: pipeline.partition_regions(graph, k, seed=0).region_of
+
+    def oracle_regions():
+        return pipeline.partition_regions(graph, k, seed=0).region_of
+
+    new = C_SIDES[side](
+        lambda: partition_regions(graph, k, seed=0).region_of, oracle_regions
     )
+    expected = unmemoised(oracle_regions)
     assert np.array_equal(new, expected)
 
 

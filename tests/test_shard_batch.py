@@ -12,7 +12,9 @@ the LCA tables' depth takes (forced here by turning the tables off).
 The path runs twice: in process (``index.distances``) and
 through one :class:`ShardExecutor` per shard over encoded frames, the
 replica side of the shard runtime. The robustness tests feed the
-executor and the parent combine what a bad frame could carry.
+executor and the parent combine what a bad frame could carry. The
+update and robustness cases run on the C kernels and again with every
+kernel swapped for its oracle (``tests/oracles/``).
 """
 
 from __future__ import annotations
@@ -221,6 +223,7 @@ def check_every_batch_shape(index):
     assert_parity(index, t[home & ~intra], s[home & ~intra], replicas)
 
 
+@pytest.mark.usefixtures("on_kernels")
 @pytest.mark.parametrize("k", [2, 3])
 def test_intra_pairs_whose_path_leaves_the_region(k):
     """Slow down one region's own roads at a time: pairs of its boundary
@@ -245,6 +248,7 @@ def test_intra_pairs_whose_path_leaves_the_region(k):
         index.update(own)
 
 
+@pytest.mark.usefixtures("on_kernels")
 @pytest.mark.parametrize("k", [2, 3])
 def test_a_region_with_no_boundary_answers_inf_never_nan(k):
     """Cut the last region loose (its cut edges deleted, then compacted
@@ -270,6 +274,7 @@ def test_a_region_with_no_boundary_answers_inf_never_nan(k):
     assert np.isinf(got[crossing]).all() and np.isfinite(got[~crossing]).all()
 
 
+@pytest.mark.usefixtures("on_kernels")
 @pytest.mark.parametrize("name", list(GRAPHS))
 def test_parity_after_an_overlay_burst(name):
     """A burst over cut edges and intra edges moves the overlay epoch:
@@ -296,8 +301,9 @@ def test_parity_after_an_overlay_burst(name):
 # ---------------------------------------------------------------------------
 
 @pytest.fixture
-def attached():
-    """Shard 0 of a k = 2 grid and its executor."""
+def attached(on_kernels):
+    """Shard 0 of a k = 2 grid and its executor, on the C kernels and on
+    their oracles."""
     index = build(grid_network(8, 8, seed=1), 2)
     (replica, _) = executors(index)
     return index, replica

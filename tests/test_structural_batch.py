@@ -360,6 +360,7 @@ def test_compaction_reclaims_dead_slots(small_road):
     assert index.structural_counters["dead_slots_reclaimed"] > 0
 
 
+@pytest.mark.usefixtures("on_kernels")
 def test_restore_after_compaction_reinserts(small_road):
     """A weight report on a compacted-away edge re-enters via insertion."""
     cfg = DHLConfig(leaf_size=6, seed=0)
@@ -428,6 +429,7 @@ def test_decrease_onto_compacted_slot_raises_on_every_sweep(kernels, small_road)
             index.decrease([(x, p, 0.0)])
 
 
+@pytest.mark.usefixtures("on_kernels")
 def test_insertion_onto_compacted_slot_falls_back_to_rebuild(small_road):
     for family, build in FAMILIES.items():
         index = build(small_road, DHLConfig(leaf_size=6, seed=0))
