@@ -10,8 +10,8 @@ A caller that wants the breakdown installs a :class:`PhaseCollector`
 with ``collect_phases()``; every ``phase()`` that fires while it is
 installed adds its wall seconds to the collector. Collectors nest (an
 outer bench collector and an inner per-batch ``MaintenanceStats``
-collector both see the same phases) and are thread-safe, because the
-async frontend flushes on its executor thread.
+collector both see the same phases) and are thread-safe, though no
+caller in the package adds to one from more than one thread.
 """
 
 from __future__ import annotations

@@ -5,25 +5,35 @@
 ``await``-style client calls — the natural shape of an RPC handler —
 are terrible for the batch-oriented runtimes underneath (every pair
 pays a full scheduler round trip); the frontend fixes this by
-**micro-batching**: a dispatcher coroutine drains every request queued
-while the previous batch was executing and folds them into *one*
-scheduler batch, so k shard workers see one ComputeBatch per drain
-instead of one per client call. Concurrency alone creates the batching
-— no artificial latency timer is involved.
+**micro-batching**: back-to-back queries append to the open tail *run*,
+and a dispatcher coroutine answers each run with *one*
+``service.distances`` call. Concurrency alone creates the batching — no
+latency timer is involved: what callers ask while a run executes
+becomes the next run. An update is its own run, strictly ordered with
+the queries around it.
 
-Execution happens on a single dedicated thread (the service, its
-cache, and the runtimes are not thread-safe by design); the event loop
-stays free to accept work while that thread runs. Updates submitted
-through the frontend ride the same thread, strictly ordered with the
-query batches around them.
+The dispatcher calls the service **inline on the loop**, then yields
+once so the awaiters it just answered run before the next batch. It
+uses no executor thread: under the interpreter lock one buys no
+parallelism, and handing the lock to and fro with the loop on every
+batch costs more than half of a served request. The trade-off: the loop
+is held while a query run executes, and while an update's
+``submit_many`` + ``flush`` does (a shard runtime broadcasts it to every
+replica). With a shard runtime a wedged replica holds the loop for one
+``request_timeout`` per failover round — a failed shard is retried on
+each untried sibling, every round under a fresh deadline — plus a
+respawn's start-up whenever the supervisor polls. Callers have no
+deadline of their own.
 
-**Admission control.** The frontend tracks queued-but-unanswered pairs;
-a request that would push the backlog past ``max_queue_depth`` is
-*shed* immediately with :class:`~repro.exceptions.ServiceOverloadError`
-instead of queued — bounded memory and bounded tail latency under
-overload, with the shed count surfaced as ``dhl_async_shed_total`` in
-the service's metrics registry (PR 6) next to
-``dhl_async_batches_total`` / ``dhl_async_requests_total``.
+**Admission control.** Vertex ids are range-checked on admission, so a
+bad id fails only its own call. A request that would push the
+queued-but-unanswered pair count past ``max_queue_depth`` is *shed*
+with :class:`~repro.exceptions.ServiceOverloadError` instead of queued,
+and counted as ``dhl_async_shed_total`` in the service's metrics
+registry next to ``dhl_async_batches_total`` /
+``dhl_async_requests_total``. Should the dispatcher itself die, every
+outstanding call fails with :class:`ServiceOverloadError` naming the
+cause and the frontend closes, so no awaiter hangs.
 
 Use as an async context manager::
 
@@ -36,12 +46,13 @@ Use as an async context manager::
 from __future__ import annotations
 
 import asyncio
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from collections import deque
+from dataclasses import dataclass
 
 import numpy as np
 
-from repro.exceptions import PartialResultError, ServiceOverloadError
+from repro.exceptions import PartialResultError, ServiceOverloadError, VertexNotFound
+from repro.utils.pairs import as_pair_array, check_ids
 
 __all__ = ["AsyncDistanceService", "AsyncFrontendStats"]
 
@@ -77,19 +88,16 @@ class AsyncFrontendStats:
         return out
 
 
-@dataclass
-class _QueryItem:
-    pairs: list[tuple[int, int]]
-    future: asyncio.Future = field(repr=False)
+class _Run:
+    """Queries answered by one ``service.distances`` call: flat ``pairs``
+    (``s0, t0, s1, …``) and one ``(future, offset, count)`` per call,
+    ``count`` 0 marking a ``distance()`` call (answered with a float)."""
 
+    __slots__ = ("pairs", "calls")
 
-@dataclass
-class _UpdateItem:
-    changes: list[tuple[int, int, float]]
-    future: asyncio.Future = field(repr=False)
-
-
-_STOP = object()
+    def __init__(self) -> None:
+        self.pairs: list[int] = []
+        self.calls: list[tuple[asyncio.Future, int, int]] = []
 
 
 class AsyncDistanceService:
@@ -99,13 +107,13 @@ class AsyncDistanceService:
     ----------
     service:
         The synchronous service to front. The frontend *borrows* it:
-        :meth:`close` stops the dispatcher and executor but leaves the
-        service (and its runtime) to its owner, so one service can be
-        re-fronted or shared with synchronous callers.
+        :meth:`close` stops the dispatcher but leaves the service (and
+        its runtime) to its owner, so one service can be re-fronted or
+        shared with synchronous callers.
     max_batch:
-        Pair-count ceiling per folded scheduler batch; a drain stops
-        merging past it (requests left in the queue start the next
-        batch immediately).
+        Pair-count ceiling per folded scheduler batch: once the open
+        run holds this many pairs the next call opens a new run (a
+        call itself is never split).
     max_queue_depth:
         Admission limit in *pairs* queued but not yet answered. The
         request that would exceed it is refused with
@@ -129,15 +137,14 @@ class AsyncDistanceService:
         self.max_batch = max_batch
         self.max_queue_depth = max_queue_depth
         self.stats = AsyncFrontendStats()
-        self._queue: asyncio.Queue = asyncio.Queue()
+        #: Query runs and ``(changes, future)`` updates, oldest first.
+        self._runs: deque = deque()
+        self._wake = asyncio.Event()
         self._pending_pairs = 0
         self._dispatcher: asyncio.Task | None = None
-        # One thread: the service/runtime stack is single-writer by
-        # design; queries and updates interleave in queue order.
-        self._executor = ThreadPoolExecutor(
-            max_workers=1, thread_name_prefix="dhl-async-exec"
-        )
         self._closed = False
+        #: Why the dispatcher died, once it has.
+        self._failure: BaseException | None = None
         registry = service.observability.registry
         self._m_requests = registry.counter(
             "dhl_async_requests_total", "Client requests admitted"
@@ -163,19 +170,16 @@ class AsyncDistanceService:
         return self
 
     async def close(self) -> None:
-        """Drain queued work, stop the dispatcher; idempotent.
+        """Answer queued work, stop the dispatcher; idempotent.
 
         The fronted service is *not* closed — it belongs to the caller
         (and may be shared with synchronous code paths).
         """
-        if self._closed:
-            return
         self._closed = True
         if self._dispatcher is not None:
-            await self._queue.put(_STOP)
+            self._wake.set()
             await self._dispatcher
             self._dispatcher = None
-        self._executor.shutdown(wait=True)
 
     async def __aenter__(self) -> "AsyncDistanceService":
         return await self.start()
@@ -187,25 +191,32 @@ class AsyncDistanceService:
     # client surface
     # ------------------------------------------------------------------
     async def distances(self, pairs) -> np.ndarray:
-        """Batch distances; may be folded with concurrent calls."""
-        pairs = [(int(s), int(t)) for s, t in pairs]
-        if not pairs:
+        """Batch distances; may be folded with concurrent calls.
+
+        *pairs* is an ``(m, 2)`` integer array or any iterable of
+        ``(s, t)`` pairs; the answer is the caller's own array.
+        """
+        pairs = as_pair_array(pairs)
+        if not len(pairs):
             return np.empty(0, dtype=np.float64)
-        item = _QueryItem(pairs=pairs, future=self._admit(len(pairs)))
-        await self._queue.put(item)
-        return await item.future
+        check_ids(self.service.index.graph.num_vertices, pairs)
+        return await self._enqueue(pairs.ravel().tolist(), len(pairs))
 
     async def distance(self, s: int, t: int) -> float:
         """Single-pair distance (the micro-batcher's bread and butter)."""
-        out = await self.distances([(s, t)])
-        return float(out[0])
+        s, t = int(s), int(t)
+        n = self.service.index.graph.num_vertices
+        if not (0 <= s < n and 0 <= t < n):
+            raise VertexNotFound(t if 0 <= s < n else s)
+        return await self._enqueue((s, t), 0)
 
     async def update(self, changes) -> None:
         """Apply a weight-change batch, ordered with surrounding queries."""
         changes = [(int(u), int(v), float(w)) for u, v, w in changes]
-        item = _UpdateItem(changes=changes, future=self._admit(1))
-        await self._queue.put(item)
-        await item.future
+        future = self._admit(1)
+        self._runs.append((changes, future))
+        self._wake.set()
+        await future
 
     def frontend_stats(self) -> AsyncFrontendStats:
         return self.stats
@@ -217,8 +228,10 @@ class AsyncDistanceService:
         """Admission check; returns the future a queued item resolves."""
         if self._closed or self._dispatcher is None:
             raise ServiceOverloadError(
-                "frontend is not running (use `async with` or await start())"
-            )
+                f"frontend dispatcher died: {self._failure!r}"
+                if self._failure is not None
+                else "frontend is not running (use `async with` or await start())"
+            ) from self._failure
         self.stats.offered_requests += 1
         if self._pending_pairs + weight > self.max_queue_depth:
             self.stats.shed_requests += 1
@@ -231,118 +244,119 @@ class AsyncDistanceService:
         self._m_requests.inc()
         return asyncio.get_running_loop().create_future()
 
+    def _enqueue(self, flat, count: int) -> asyncio.Future:
+        """Append a query to the open tail run (``count`` 0: one pair)."""
+        future = self._admit(count or 1)
+        runs = self._runs
+        run = runs[-1] if runs else None
+        if type(run) is not _Run or len(run.pairs) >= 2 * self.max_batch:
+            run = _Run()
+            runs.append(run)
+        run.calls.append((future, len(run.pairs) >> 1, count))
+        run.pairs += flat
+        self._wake.set()
+        return future
+
     async def _dispatch_loop(self) -> None:
-        """Drain the queue into maximal same-kind runs, execute each.
+        """Answer runs oldest first until closed and drained.
 
-        Every iteration blocks on one item, then greedily drains
-        whatever else queued up meanwhile — that drain *is* the
-        micro-batch. Query runs fold into one ``service.distances``
-        call; an update forms its own run so ordering with neighbouring
-        queries is preserved.
+        A run leaves the deque once answered. Anything escaping one (a
+        fault here; service errors go to the run's callers) fails every
+        outstanding call rather than leave it to hang.
         """
-        loop = asyncio.get_running_loop()
-        stop = False
-        while not stop:
-            item = await self._queue.get()
-            if item is _STOP:
-                break
-            run: list = [item]
-            pair_budget = len(item.pairs) if isinstance(item, _QueryItem) else 0
-            while isinstance(run[-1], _QueryItem) and pair_budget < self.max_batch:
-                try:
-                    nxt = self._queue.get_nowait()
-                except asyncio.QueueEmpty:
-                    break
-                if nxt is _STOP:
-                    stop = True
-                    break
-                if isinstance(nxt, _QueryItem):
-                    run.append(nxt)
-                    pair_budget += len(nxt.pairs)
-                else:
-                    # An update ends the query run; flush the queries
-                    # first, then let the update execute as its own
-                    # run — client-visible ordering is preserved.
-                    await self._execute_run(loop, run)
-                    run = [nxt]
-                    break
-            await self._execute_run(loop, run)
-
-    async def _execute_run(self, loop, run: list) -> None:
-        if not run:
-            return
-        if isinstance(run[0], _UpdateItem):
-            item = run[0]
-            self.stats.updates += 1
-            try:
-                await loop.run_in_executor(
-                    self._executor, self._apply_update, item.changes
-                )
-            except BaseException as exc:
-                self._resolve(item.future, exc=exc)
-            else:
-                self._resolve(item.future, value=None)
-            finally:
-                self._pending_pairs -= 1
-            return
-        items: list[_QueryItem] = run
-        all_pairs = [pair for item in items for pair in item.pairs]
-        self.stats.batches += 1
-        self.stats.batched_pairs += len(all_pairs)
-        self.stats.max_merged = max(self.stats.max_merged, len(items))
-        self._m_batches.inc()
+        runs = self._runs
         try:
-            out = await loop.run_in_executor(
-                self._executor, self.service.distances, all_pairs
-            )
+            while runs or not self._closed:
+                if not runs:
+                    self._wake.clear()
+                    await self._wake.wait()
+                    continue
+                if type(runs[0]) is _Run:
+                    self._execute_queries(runs[0])
+                else:
+                    self._execute_update(*runs[0])
+                runs.popleft()
+                await asyncio.sleep(0)
+        except BaseException as exc:
+            self._fail_outstanding(exc)
+            if not isinstance(exc, Exception):
+                raise
+
+    def _execute_queries(self, run: _Run) -> None:
+        calls = run.calls
+        pairs = np.array(run.pairs, dtype=np.int64).reshape(-1, 2)
+        self.stats.batches += 1
+        self.stats.batched_pairs += len(pairs)
+        self.stats.max_merged = max(self.stats.max_merged, len(calls))
+        self._m_batches.inc()
+        self._pending_pairs -= len(pairs)
+        try:
+            out = self.service.distances(pairs)
         except PartialResultError as exc:
-            # A degraded batch: unfold the merged result so only the
-            # clients whose slice actually contains shed pairs see the
-            # error — everyone else gets their (complete) answers.
-            shed = set(int(i) for i in exc.shed)
-            offset = 0
-            for item in items:
-                n = len(item.pairs)
-                view = np.array(exc.distances[offset : offset + n])
-                item_shed = np.array(
-                    sorted(i - offset for i in shed if offset <= i < offset + n),
-                    dtype=np.int64,
-                )
-                offset += n
-                if len(item_shed):
+            # Only the callers whose slice holds shed pairs see the
+            # error, re-based to it; everyone else gets their answers.
+            shed = np.sort(np.asarray(exc.shed, dtype=np.int64))
+            for future, offset, count in calls:
+                end = offset + max(count, 1)
+                view = np.array(exc.distances[offset:end])
+                lo, hi = np.searchsorted(shed, (offset, end))
+                if hi > lo:
                     self.stats.partial_requests += 1
-                    self._resolve(
-                        item.future,
-                        exc=PartialResultError(view, item_shed, exc.open_shards),
-                    )
+                    shed_here = shed[lo:hi] - offset
+                    outcome = PartialResultError(view, shed_here, exc.open_shards)
                 else:
                     self.stats.answered_requests += 1
-                    self._resolve(item.future, value=view)
-        except BaseException as exc:
-            for item in items:
-                self._resolve(item.future, exc=exc)
-        else:
-            offset = 0
-            for item in items:
-                view = np.array(out[offset : offset + len(item.pairs)])
-                offset += len(item.pairs)
-                self.stats.answered_requests += 1
-                self._resolve(item.future, value=view)
-        finally:
-            self._pending_pairs -= len(all_pairs)
+                    outcome = view if count else float(view[0])
+                self._resolve(future, outcome)
+            return
+        except Exception as exc:
+            for future, _, _ in calls:
+                self._resolve(future, exc)
+            return
+        values = out.tolist()
+        for future, offset, count in calls:
+            if not future.done():  # a cancelled caller
+                future.set_result(
+                    out[offset : offset + count].copy() if count else values[offset]
+                )
+        self.stats.answered_requests += len(calls)
 
-    def _apply_update(self, changes) -> None:
-        self.service.submit_many(changes)
-        self.service.flush()
+    def _execute_update(self, changes, future: asyncio.Future) -> None:
+        self.stats.updates += 1
+        self._pending_pairs -= 1
+        try:
+            self.service.submit_many(changes)
+            self.service.flush()
+        except Exception as exc:
+            self._resolve(future, exc)
+        else:
+            self._resolve(future, None)
+
+    def _fail_outstanding(self, cause: BaseException) -> None:
+        """Close, failing every call still in the deque with *cause*."""
+        self._closed = True
+        self._failure = cause
+        self._pending_pairs = 0
+        error = ServiceOverloadError(f"frontend dispatcher died: {cause!r}")
+        error.__cause__ = cause
+        for run in self._runs:
+            if type(run) is _Run:
+                futures = [future for future, _, _ in run.calls]
+            else:
+                futures = [run[1]]
+            for future in futures:
+                self._resolve(future, error)
+        self._runs.clear()
 
     @staticmethod
-    def _resolve(future: asyncio.Future, value=None, exc=None) -> None:
-        if future.done():  # pragma: no cover - cancelled client
+    def _resolve(future: asyncio.Future, outcome) -> None:
+        """Settle *future* with *outcome* unless its caller cancelled it."""
+        if future.done():
             return
-        if exc is not None:
-            future.set_exception(exc)
+        if isinstance(outcome, BaseException):
+            future.set_exception(outcome)
         else:
-            future.set_result(value)
+            future.set_result(outcome)
 
     def __repr__(self) -> str:  # pragma: no cover - repr sugar
         state = "closed" if self._closed else "running"

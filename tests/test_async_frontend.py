@@ -6,12 +6,19 @@ full runtime round trip per pair), every admitted request is answered
 with exactly what the synchronous service would say, requests past the
 queue-depth limit are shed with
 :class:`~repro.exceptions.ServiceOverloadError` rather than queued, and
-updates stay strictly ordered with the queries around them.
+updates stay strictly ordered with the queries around them. A bad
+vertex id fails only its own call, and a dead dispatcher fails every
+outstanding call instead of hanging it.
+
+Every scenario runs through :func:`run`, which bounds it at
+``SCENARIO_TIMEOUT`` seconds and fails it on an exception that a task
+or future dropped unretrieved.
 """
 
 from __future__ import annotations
 
 import asyncio
+import gc
 import time
 
 import numpy as np
@@ -19,11 +26,38 @@ import pytest
 
 from repro.core.config import DHLConfig
 from repro.core.index import DHLIndex
-from repro.exceptions import ServiceOverloadError
+from repro.exceptions import ServiceOverloadError, VertexNotFound
 from repro.graph.generators import grid_network
 from repro.observability import Observability
 from repro.service.async_frontend import AsyncDistanceService
 from repro.service.service import DistanceService
+
+
+SCENARIO_TIMEOUT = 30.0
+
+
+def run(scenario):
+    """Run the coroutine function *scenario* on a fresh loop; its result.
+
+    A hung dispatcher fails the test after ``SCENARIO_TIMEOUT`` seconds
+    rather than hanging the suite, and an exception no one retrieved
+    (the loop reports it when the task or future is collected) fails it
+    too.
+    """
+    dropped = []
+
+    async def bounded():
+        asyncio.get_running_loop().set_exception_handler(
+            lambda loop, context: dropped.append(context["message"])
+        )
+        try:
+            return await asyncio.wait_for(scenario(), SCENARIO_TIMEOUT)
+        finally:
+            gc.collect()  # report dropped exceptions while we listen
+
+    result = asyncio.run(bounded())
+    assert not [m for m in dropped if "never retrieved" in m], dropped
+    return result
 
 
 @pytest.fixture(scope="module")
@@ -40,13 +74,15 @@ def service(small_graph):
 
 
 class SlowService:
-    """Delegating wrapper whose query path takes a fixed beat — lets a
-    test *guarantee* a backlog builds while a batch is executing."""
+    """Delegating wrapper whose query path takes a fixed beat, like a
+    backend doing real work: each batch holds the loop that long, so a
+    test passes only if its outcome does not hinge on a fast service."""
 
     def __init__(self, inner, delay: float = 0.03):
         self._inner = inner
         self.delay = delay
         self.observability = inner.observability
+        self.index = inner.index
 
     def distances(self, pairs):
         time.sleep(self.delay)
@@ -76,9 +112,89 @@ def test_results_match_sync_service(service, small_graph):
             batched = await frontend.distances(pairs)
             return singles, batched
 
-    singles, batched = asyncio.run(scenario())
+    singles, batched = run(scenario)
     np.testing.assert_array_equal(np.array(singles), expected)
     np.testing.assert_array_equal(batched, expected)
+
+
+def test_bad_id_fails_only_its_own_call(service):
+    """Ids are checked on admission: the bad call is never queued, so
+    the calls folded around it are answered."""
+
+    async def scenario():
+        async with AsyncDistanceService(service) as frontend:
+            results = await asyncio.gather(
+                frontend.distance(0, 5),
+                frontend.distance(0, 999),
+                frontend.distance(1, 7),
+                return_exceptions=True,
+            )
+            with pytest.raises(VertexNotFound):
+                await frontend.distances([(0, 1), (-1, 2)])
+            return results, frontend.stats
+
+    (first, bad, last), stats = run(scenario)
+    assert isinstance(bad, VertexNotFound) and bad.vertex == 999
+    assert first == service.distance(0, 5)
+    assert last == service.distance(1, 7)
+    assert stats.offered_requests == stats.answered_requests == 2
+    assert stats.batches == 1
+
+
+def test_closed_loop_callers_fold_into_full_runs(service, small_graph):
+    """32 callers x 10 sequential awaits, nothing slowed down: each
+    round of calls is answered by one run, and the answers are the
+    synchronous service's, one Python float per call."""
+    requests = np.random.default_rng(3).integers(
+        0, small_graph.num_vertices, size=(32, 10, 2)
+    )
+    expected = service.distances(requests.reshape(-1, 2)).reshape(32, 10)
+
+    async def scenario():
+        async with AsyncDistanceService(service) as frontend:
+
+            async def caller(row):
+                return [await frontend.distance(s, t) for s, t in row.tolist()]
+
+            answers = await asyncio.gather(*(caller(row) for row in requests))
+            batches = frontend.stats.batches
+            arrays = await asyncio.gather(
+                frontend.distances(requests[0]),
+                frontend.distances(requests[1].astype(np.int32)),
+            )
+            return answers, frontend.stats, frontend.stats.batches - batches, arrays
+
+    answers, stats, array_batches, (a, b) = run(scenario)
+    assert all(type(x) is float for row in answers for x in row)
+    np.testing.assert_array_equal(np.array(answers), expected)
+    assert stats.merge_ratio >= 16
+    # Two array calls fold into one run, yet each caller owns its answer.
+    assert array_batches == 1
+    np.testing.assert_array_equal(a, expected[0])
+    np.testing.assert_array_equal(b, expected[1])
+    assert a.shape == b.shape == (10,) and not np.shares_memory(a, b)
+
+
+def test_cancelled_awaiter_leaves_its_batch_mates_answered(service):
+    async def scenario():
+        async with AsyncDistanceService(service, max_queue_depth=3) as f:
+            calls = [
+                asyncio.ensure_future(f.distance(s, s + 5)) for s in range(3)
+            ]
+            await asyncio.sleep(0)  # all three are queued in one run
+            calls[1].cancel()
+            answered = await asyncio.gather(calls[0], calls[2])
+            # The whole depth is free again: three pairs are admitted.
+            again = await f.distances([(0, 1), (1, 2), (2, 3)])
+            return calls[1], answered, again, f.stats
+
+    cancelled, answered, again, stats = run(scenario)
+    assert cancelled.cancelled()
+    assert answered == [service.distance(0, 5), service.distance(2, 7)]
+    np.testing.assert_array_equal(
+        again, service.distances([(0, 1), (1, 2), (2, 3)])
+    )
+    assert stats.batches == 2 and stats.shed_requests == 0
 
 
 def test_empty_batch_short_circuits(service):
@@ -88,7 +204,7 @@ def test_empty_batch_short_circuits(service):
             assert out.size == 0
             assert frontend.stats.offered_requests == 0
 
-    asyncio.run(scenario())
+    run(scenario)
 
 
 # ---------------------------------------------------------------------------
@@ -107,7 +223,7 @@ def test_concurrent_calls_fold_into_few_batches(service):
             )
             return frontend.stats
 
-    stats = asyncio.run(scenario())
+    stats = run(scenario)
     assert stats.answered_requests == 64
     assert stats.batches <= 32  # acceptance: >= 2x folding vs serial
     assert stats.merge_ratio >= 2.0
@@ -124,7 +240,7 @@ def test_serial_awaits_do_not_batch(service):
                 await frontend.distance(s, s + 2)
             return frontend.stats
 
-    stats = asyncio.run(scenario())
+    stats = run(scenario)
     assert stats.batches == 8
     assert stats.merge_ratio == 1.0
 
@@ -135,7 +251,7 @@ def test_max_batch_caps_a_single_fold(service):
             await asyncio.gather(*(f.distance(s, s + 1) for s in range(32)))
             return f.stats
 
-    stats = asyncio.run(scenario())
+    stats = run(scenario)
     assert stats.answered_requests == 32
     # No drain may fold more pairs than max_batch plus the one item
     # that opened the run (the opener is never split).
@@ -159,7 +275,7 @@ def test_overload_sheds_instead_of_queueing(service):
             )
             return frontend.stats, results
 
-    stats, results = asyncio.run(scenario())
+    stats, results = run(scenario)
     shed = [r for r in results if isinstance(r, ServiceOverloadError)]
     answered = [r for r in results if isinstance(r, float)]
     assert len(shed) == stats.shed_requests > 0
@@ -184,7 +300,7 @@ def test_shed_counter_reaches_metrics_registry(small_graph):
                     return_exceptions=True,
                 )
 
-        asyncio.run(scenario())
+        run(scenario)
     snap = obs.registry.snapshot()
     assert snap["dhl_async_shed_total"]["value"] > 0
     assert snap["dhl_async_batches_total"]["value"] >= 1
@@ -219,7 +335,7 @@ def test_update_is_ordered_with_queries(small_graph):
                 second = asyncio.ensure_future(frontend.distance(u, v))
                 return await asyncio.gather(first, bump, second), frontend.stats
 
-        (before, _, after), stats = asyncio.run(scenario())
+        (before, _, after), stats = run(scenario)
         assert before == sync_before
         assert after == svc.distance(u, v)
         assert after <= w * 3.0
@@ -237,7 +353,39 @@ def test_calls_require_a_running_dispatcher(service):
         with pytest.raises(ServiceOverloadError, match="not running"):
             await frontend.distances([(0, 1)])
 
-    asyncio.run(scenario())
+    run(scenario)
+
+
+def test_dead_dispatcher_fails_every_outstanding_call(service):
+    """A fault in the dispatcher itself (here: the service answers with
+    something that is not an array) must fail the run it was answering
+    and everything queued behind it, then refuse new calls — an
+    awaiter left to hang would never learn the frontend is gone."""
+
+    class BrokenService(SlowService):
+        def distances(self, pairs):
+            return None
+
+    async def scenario():
+        frontend = await AsyncDistanceService(BrokenService(service)).start()
+        outstanding = await asyncio.gather(
+            frontend.distance(0, 1),
+            frontend.update([(0, 1, 2.0)]),
+            frontend.distances([(1, 2), (2, 3)]),
+            return_exceptions=True,
+        )
+        with pytest.raises(ServiceOverloadError, match="dispatcher died"):
+            await frontend.distance(0, 1)
+        with pytest.raises(ServiceOverloadError, match="closed"):
+            await frontend.start()
+        await frontend.close()
+        return outstanding
+
+    for err in run(scenario):
+        assert isinstance(err, ServiceOverloadError)
+        assert "AttributeError" in str(err)
+        assert isinstance(err.__cause__, AttributeError)
+    assert service.distance(0, 1) >= 0
 
 
 def test_close_is_idempotent_and_leaves_service_usable(service):
@@ -251,7 +399,7 @@ def test_close_is_idempotent_and_leaves_service_usable(service):
         with pytest.raises(ServiceOverloadError, match="closed"):
             await frontend.start()
 
-    asyncio.run(scenario())
+    run(scenario)
     # The frontend only borrows the service: it must still answer.
     assert service.distance(0, 1) >= 0
 

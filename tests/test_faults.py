@@ -24,6 +24,7 @@ from __future__ import annotations
 import asyncio
 import os
 import signal
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -47,7 +48,6 @@ from repro.service import (
     SocketShardRuntime,
     WorkerPoolStats,
 )
-from repro.service.async_frontend import _QueryItem
 from repro.service.cache import pair_key
 from repro.service.protocol import ComputeBatch, HealthCheck
 from tests.conftest import FakeClock, build_sharded, kill, shard_pairs
@@ -592,8 +592,12 @@ def test_array_path_realigns_shed_pairs_and_never_caches_them(small_sharded):
 
 
 def test_async_frontend_unfolds_partial_batches():
+    """Two concurrent calls fold into one degraded batch; only the call
+    whose slice holds the shed pair sees the error, re-based to it."""
+
     class FakeBackendService:
         observability = NULL_OBSERVABILITY
+        index = SimpleNamespace(graph=SimpleNamespace(num_vertices=4))
 
         def distances(self, pairs):
             out = np.arange(len(pairs), dtype=np.float64)
@@ -601,21 +605,20 @@ def test_async_frontend_unfolds_partial_batches():
             raise PartialResultError(out, np.array([1]), {3})
 
     async def drive():
-        frontend = AsyncDistanceService(FakeBackendService())
-        loop = asyncio.get_running_loop()
-        clean = _QueryItem(pairs=[(0, 1)], future=loop.create_future())
-        degraded = _QueryItem(pairs=[(2, 3)], future=loop.create_future())
-        frontend._pending_pairs = 2
-        await frontend._execute_run(loop, [clean, degraded])
-        assert list(await clean.future) == [0.0]
-        with pytest.raises(PartialResultError) as info:
-            await degraded.future
-        err = info.value
-        assert [int(i) for i in err.shed] == [0]  # re-based to the item
-        assert np.isnan(err.distances[0])
-        assert err.open_shards == (3,)
-        assert frontend.stats.partial_requests == 1
-        assert frontend.stats.answered_requests == 1
-        frontend._executor.shutdown(wait=True)
+        async with AsyncDistanceService(FakeBackendService()) as frontend:
+            clean, degraded = await asyncio.gather(
+                frontend.distances([(0, 1)]),
+                frontend.distances([(2, 3)]),
+                return_exceptions=True,
+            )
+            return frontend.stats, clean, degraded
 
-    asyncio.run(drive())
+    stats, clean, err = asyncio.run(drive())
+    assert list(clean) == [0.0]
+    assert isinstance(err, PartialResultError)
+    assert [int(i) for i in err.shed] == [0]  # re-based to the call
+    assert np.isnan(err.distances[0])
+    assert err.open_shards == (3,)
+    assert stats.batches == 1
+    assert stats.partial_requests == 1
+    assert stats.answered_requests == 1
