@@ -60,18 +60,22 @@ _CFLAGS = ("-O3", "-fPIC", "-shared", "-ffp-contract=off")
 _COMPILERS = ("cc", "gcc", "clang")
 
 _i64, _ptr = ctypes.c_int64, ctypes.c_void_p
+#: The LCA tables' arguments: node_of, depth, path, words, chain,
+#: chain_width, tau.
+_LCA = [_ptr] * 3 + [_i64, _ptr, _i64, _ptr]
 #: ``name -> (restype, argtypes)`` of every exported function; pointers
 #: travel as the integer address ``ndarray.ctypes.data`` gives.
 SIGNATURES = {
-    "dhl_gather_pairs": (None, [_i64] + [_ptr] * 11 + [_i64] + [_ptr] * 3),
+    "dhl_common_ancestors": (None, [_i64] + [_ptr] * 2 + _LCA + [_ptr]),
+    "dhl_gather_pairs": (None, [_i64] + [_ptr] * 6 + _LCA + [_ptr] * 2),
     "dhl_distance_matrix": (
         None,
-        [_i64, _ptr, _i64] + [_ptr] * 9 + [_i64] + [_ptr] * 2,
+        [_i64, _ptr, _i64] + [_ptr] * 5 + _LCA + [_ptr],
     ),
     "dhl_min_plus": (None, [_i64] * 2 + [_ptr] * 3 + [_i64] + [_ptr] * 5),
     "dhl_shard_batch": (
         _i64,
-        [_i64] + [_ptr] * 8 + [_i64, _ptr, _i64] + [_ptr] * 2
+        [_i64] + [_ptr] * 4 + _LCA + [_i64] + [_ptr] * 2
         + [_i64] + [_ptr] * 2 + [_i64] + [_ptr] * 4,
     ),
     "dhl_shortcut_sweep": (

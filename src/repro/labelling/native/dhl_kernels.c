@@ -39,8 +39,9 @@
  * So a one-kind batch writes what Algorithm 2/4 or 3/5 alone writes,
  * and in a mixed batch each moved cell and entry is written, and
  * counted, once; every guard is the strict-improvement or
- * exact-equality one of the reference engine, so weights and labels
- * converge to the same bits. Scratch is O(touched): the heap grows by
+ * exact-equality one of the Python oracle sweeps
+ * (tests/oracles/maintenance.py), so weights and labels converge to the
+ * same bits. Scratch is O(touched): the heap grows by
  * doubling from the seed count; the in_queue maps are sized to the
  * cells or the vertices, and the label sweep's suspect map to the label
  * store.
@@ -209,27 +210,65 @@ static int64_t find_slot(const int64_t *indptr, const int64_t *ranks,
 /* ------------------------------------------------------------------ */
 
 /*
- * K = |anc(s) ∩ anc(t)| from AncestorTables' arrays: xor of the
- * depth-aligned bitstrings, its bit length by clz, the node's vend
- * chain at the LCA depth clamped by both tau. 0 across components.
+ * H_Q's LCA tables (AncestorTables' arrays): a vertex's partition-tree
+ * node, each node's depth, its vend chain (chain_width entries a node)
+ * and each vertex's tau. A node's bitstring is a 1 followed by its path
+ * bits, root first; path holds those path bits left-aligned in `words`
+ * uint64 words a node, zero past its depth, so any depth is exact.
  */
-static inline int64_t common_ancestors(
-    int64_t sv, int64_t tv,
-    const int64_t *node_of, const int64_t *depth, const int64_t *bits,
-    const int64_t *chain, int64_t chain_width, const int64_t *tau)
+typedef struct {
+    const int64_t *node_of;
+    const int64_t *depth;
+    const uint64_t *path;
+    int64_t words;
+    const int64_t *chain;
+    int64_t chain_width;
+    const int64_t *tau;
+} lca_t;
+
+/* The exports' LCA table arguments, in AncestorTables' order. */
+#define LCA_PARAMS                                                        \
+    const int64_t *node_of, const int64_t *depth, const uint64_t *path,  \
+        int64_t words, const int64_t *chain, int64_t chain_width,        \
+        const int64_t *tau
+#define LCA_ARGS {node_of, depth, path, words, chain, chain_width, tau}
+
+/*
+ * K = |anc(s) ∩ anc(t)|: the LCA depth is min(ds, dt, common prefix
+ * length of the two paths), the prefix found by one xor and one clz a
+ * word; K is the node's vend chain at that depth clamped by both tau.
+ * 0 across components.
+ */
+static inline int64_t common_ancestors(int64_t sv, int64_t tv, const lca_t *l)
 {
-    int64_t ns = node_of[sv], nt = node_of[tv];
-    int64_t ds = depth[ns], dt = depth[nt];
+    int64_t ns = l->node_of[sv], nt = l->node_of[tv];
+    int64_t ds = l->depth[ns], dt = l->depth[nt];
     int64_t d = ds < dt ? ds : dt;
-    uint64_t diff = (uint64_t)((bits[ns] >> (ds - d)) ^ (bits[nt] >> (dt - d)));
-    if (diff)
-        d -= 64 - __builtin_clzll(diff);
-    int64_t kk = chain[ns * chain_width + d] - 1;
-    if (tau[sv] < kk)
-        kk = tau[sv];
-    if (tau[tv] < kk)
-        kk = tau[tv];
+    const uint64_t *ps = l->path + ns * l->words;
+    const uint64_t *pt = l->path + nt * l->words;
+    for (int64_t w = 0; 64 * w < d; w++) {
+        uint64_t diff = ps[w] ^ pt[w];
+        if (diff) {
+            int64_t common = 64 * w + __builtin_clzll(diff);
+            d = common < d ? common : d;
+            break;
+        }
+    }
+    int64_t kk = l->chain[ns * l->chain_width + d] - 1;
+    if (l->tau[sv] < kk)
+        kk = l->tau[sv];
+    if (l->tau[tv] < kk)
+        kk = l->tau[tv];
     return kk + 1;
+}
+
+/* k[p] = K of (s[p], t[p]): QueryEngine.common_ancestor_counts. */
+void dhl_common_ancestors(int64_t count, const int64_t *s, const int64_t *t,
+                          LCA_PARAMS, int64_t *k)
+{
+    const lca_t l = LCA_ARGS;
+    for (int64_t p = 0; p < count; p++)
+        k[p] = common_ancestors(s[p], t[p], &l);
 }
 
 /*
@@ -258,21 +297,25 @@ static inline double min_sum(const double *a, const double *b, int64_t kk)
     return m2 < m0 ? m2 : m0;
 }
 
+/* A label store and its LCA tables, as the pair kernel reads them. */
+typedef struct {
+    const double *values_s;
+    const int64_t *offsets_s;
+    const double *values_t;
+    const int64_t *offsets_t;
+    lca_t lca;
+} pair_store_t;
+
 /*
  * out[p] = min over i < K of values_s[offsets_s[s[p]] + i]
  *                          + values_t[offsets_t[t[p]] + i],
  * gather_pairs' contract: K == 0 -> inf, s == t -> 0.0 and rank -1,
  * ranks[p] the first minimising i (argmin's tie rule), -1 on inf;
- * ranks may be NULL. K is k[p] when k is given, common_ancestors
- * otherwise.
+ * ranks may be NULL.
  */
-void dhl_gather_pairs(
-    int64_t count, const int64_t *s, const int64_t *t, const int64_t *k,
-    const double *values_s, const int64_t *offsets_s,
-    const double *values_t, const int64_t *offsets_t,
-    const int64_t *node_of, const int64_t *depth, const int64_t *bits,
-    const int64_t *chain, int64_t chain_width, const int64_t *tau,
-    double *out, int64_t *ranks)
+static void gather_pairs(const pair_store_t *q, int64_t count,
+                         const int64_t *s, const int64_t *t, double *out,
+                         int64_t *ranks)
 {
     for (int64_t p = 0; p < count; p++) {
         int64_t sv = s[p], tv = t[p];
@@ -282,12 +325,9 @@ void dhl_gather_pairs(
             out[p] = 0.0;
             continue;
         }
-        int64_t kk = k ? k[p]
-                       : common_ancestors(sv, tv, node_of, depth, bits,
-                                          chain, chain_width, tau);
-        const double *a = values_s + offsets_s[sv];
-        const double *b = values_t + offsets_t[tv];
-        double best = min_sum(a, b, kk);
+        const double *a = q->values_s + q->offsets_s[sv];
+        const double *b = q->values_t + q->offsets_t[tv];
+        double best = min_sum(a, b, common_ancestors(sv, tv, &q->lca));
         out[p] = best;
         if (ranks && best < INFINITY) {
             int64_t i = 0;
@@ -298,19 +338,16 @@ void dhl_gather_pairs(
     }
 }
 
-/* A label store and its LCA tables, as the pair kernel reads them. */
-typedef struct {
-    const double *values_s;
-    const int64_t *offsets_s;
-    const double *values_t;
-    const int64_t *offsets_t;
-    const int64_t *node_of;
-    const int64_t *depth;
-    const int64_t *bits;
-    const int64_t *chain;
-    int64_t chain_width;
-    const int64_t *tau;
-} pair_store_t;
+void dhl_gather_pairs(
+    int64_t count, const int64_t *s, const int64_t *t,
+    const double *values_s, const int64_t *offsets_s,
+    const double *values_t, const int64_t *offsets_t, LCA_PARAMS,
+    double *out, int64_t *ranks)
+{
+    const pair_store_t q = {values_s, offsets_s, values_t, offsets_t,
+                            LCA_ARGS};
+    gather_pairs(&q, count, s, t, out, ranks);
+}
 
 /* row[j] = the pair answer of (sv, targets[j]): one set-kernel row. */
 static void matrix_row(const pair_store_t *q, int64_t sv,
@@ -323,9 +360,7 @@ static void matrix_row(const pair_store_t *q, int64_t sv,
         row[j] = sv == tv
             ? 0.0
             : min_sum(a, q->values_t + q->offsets_t[tv],
-                      common_ancestors(sv, tv, q->node_of, q->depth,
-                                       q->bits, q->chain, q->chain_width,
-                                       q->tau));
+                      common_ancestors(sv, tv, &q->lca));
     }
 }
 
@@ -339,13 +374,11 @@ void dhl_distance_matrix(
     int64_t num_sources, const int64_t *sources,
     int64_t num_targets, const int64_t *targets,
     const double *values_s, const int64_t *offsets_s,
-    const double *values_t, const int64_t *offsets_t,
-    const int64_t *node_of, const int64_t *depth, const int64_t *bits,
-    const int64_t *chain, int64_t chain_width, const int64_t *tau,
+    const double *values_t, const int64_t *offsets_t, LCA_PARAMS,
     double *out)
 {
     const pair_store_t q = {values_s, offsets_s, values_t, offsets_t,
-                            node_of, depth, bits, chain, chain_width, tau};
+                            LCA_ARGS};
     for (int64_t u = 0; u < num_sources; u++)
         matrix_row(&q, sources[u], num_targets, targets,
                    out + u * num_targets);
@@ -422,8 +455,9 @@ static inline int64_t take_row(const pair_store_t *q, int64_t v,
  * boundary vertices) it is lowered to the boundary route when that is
  * shorter: min over (a, b) of (ds[a] + block[a, b]) + dt[b], ds and dt
  * the rows of s[p] and t[p] against the boundary. Those are
- * min_plus_compact's sums followed by np.minimum, so the bits are the
- * numpy composition's; a self-pair keeps its 0.0.
+ * min_plus_compact's sums followed by np.minimum, so the bits are those
+ * of the numpy composition in tests/oracles/query.py; a self-pair keeps
+ * its 0.0.
  *
  * Each vertex's row against the boundary (boundary[0 .. width)) is
  * computed once, at its first mention, into rows; a row map over the n
@@ -440,19 +474,15 @@ static inline int64_t take_row(const pair_store_t *q, int64_t v,
 int64_t dhl_shard_batch(
     int64_t n,
     const double *values_s, const int64_t *offsets_s,
-    const double *values_t, const int64_t *offsets_t,
-    const int64_t *node_of, const int64_t *depth, const int64_t *bits,
-    const int64_t *chain, int64_t chain_width, const int64_t *tau,
+    const double *values_t, const int64_t *offsets_t, LCA_PARAMS,
     int64_t width, const int64_t *boundary, const double *block,
     int64_t count, const int64_t *s, const int64_t *t,
     int64_t fan_count, const int64_t *fan,
     double *final, double *rows, int64_t *fan_inverse)
 {
     const pair_store_t q = {values_s, offsets_s, values_t, offsets_t,
-                            node_of, depth, bits, chain, chain_width, tau};
-    dhl_gather_pairs(count, s, t, NULL, values_s, offsets_s, values_t,
-                     offsets_t, node_of, depth, bits, chain, chain_width,
-                     tau, final, NULL);
+                            LCA_ARGS};
+    gather_pairs(&q, count, s, t, final, NULL);
     int route = block != NULL && count > 0;
     if (!fan_count && !route)
         return 0;
@@ -810,11 +840,12 @@ int64_t dhl_label_sweep(
 
 /*
  * Every combinatorial step of repro.partition's multilevel bisection,
- * decision for decision: the Python bodies there are the reference
- * engine and the differential oracle. A graph is CSR: row v lists its
- * neighbours (indices) with their cut multiplicities (mult, integers
- * held in doubles, so every sum is exact) in pair order; vweight holds
- * the vertex weights. The tie rules are part of the decisions:
+ * decision for decision with the Python oracles in tests/oracles/
+ * (partition.py, multilevel.py, separator.py). A graph is CSR: row v
+ * lists its neighbours (indices) with their cut multiplicities (mult,
+ * integers held in doubles, so every sum is exact) in pair order;
+ * vweight holds the vertex weights. The tie rules are part of the
+ * decisions:
  *
  *   - FM's and greedy growing's queues pop by (key, push counter);
  *   - rebalance moves the overweight side's vertices by gain, ties in

@@ -30,6 +30,7 @@ import numpy as np
 from repro.labelling.native import library
 
 __all__ = [
+    "common_ancestors",
     "distance_matrix",
     "gather_pairs",
     "label_build",
@@ -42,6 +43,7 @@ __all__ = [
 
 _I64 = np.dtype(np.int64)
 _F64 = np.dtype(np.float64)
+_U64 = np.dtype(np.uint64)
 _U8 = np.dtype(np.uint8)
 
 
@@ -254,43 +256,51 @@ def _table_addrs(tables) -> tuple:
     """``AncestorTables``' arrays in the kernel's order (read per call,
     like every other address: an unpickled engine has new arrays)."""
     n, nodes = len(tables.tau), len(tables.depth)
-    width = tables.chain.shape[1]
+    words, width = tables.path.shape[1], tables.chain.shape[1]
     return (
         _addr(tables.node_of, _I64, n),
         _addr(tables.depth, _I64, nodes),
-        _addr(tables.bits, _I64, nodes),
+        _addr(tables.path, _U64, nodes * words),
+        words,
         _addr(tables.chain, _I64, nodes * width),
         width,
         _addr(tables.tau, _I64, n),
     )
 
 
-def gather_pairs(
-    labels_s, s, labels_t, t, k, tables, want_ranks: bool = False
-) -> tuple[np.ndarray, np.ndarray | None]:
-    """:func:`repro.labelling.query.gather_pairs` as one fused C loop.
+def common_ancestors(tables, s, t) -> np.ndarray:
+    """``|anc(s[p]) ∩ anc(t[p])|`` per pair, counted from *tables* (an
+    :class:`~repro.labelling.query.AncestorTables`) by the pair
+    kernel's own LCA. *s* / *t* are C-contiguous int64 ids already
+    known to lie in ``[0, n)``."""
+    count = len(s)
+    k = np.empty(count, dtype=np.int64)
+    library().dhl_common_ancestors(
+        count, _addr(s, _I64, count), _addr(t, _I64, count),
+        *_table_addrs(tables), _addr(k, _I64, count),
+    )
+    return k
 
-    *s* / *t* are C-contiguous int64 ids already known to lie in
-    ``[0, n)``. With ``k=None`` the kernel counts the common ancestors
-    itself from *tables* (a vectorised
-    :class:`~repro.labelling.query.AncestorTables`); otherwise *tables*
-    is ignored and ``k[p] <= min(tau[s[p]], tau[t[p]]) + 1`` is the
-    caller's to guarantee.
+
+def gather_pairs(
+    labels_s, s, labels_t, t, tables, want_ranks: bool = False
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """:meth:`repro.labelling.query.QueryEngine.distances_arrays` as one
+    fused C loop: each pair's K counted from *tables* (an
+    :class:`~repro.labelling.query.AncestorTables`), then its scan and
+    argmin. *s* / *t* are C-contiguous int64 ids already known to lie
+    in ``[0, n)``.
     """
     count, n = len(s), labels_s.num_vertices
     values_s, offsets_s = labels_s.values, labels_s.offsets
     values_t, offsets_t = labels_t.values, labels_t.offsets
     out = np.empty(count, dtype=np.float64)
     ranks = np.empty(count, dtype=np.int64) if want_ranks else None
-    if k is None:
-        k_addr, lca = None, _table_addrs(tables)
-    else:
-        k_addr, lca = _addr(k, _I64, count), (None, None, None, None, 0, None)
     library().dhl_gather_pairs(
-        count, _addr(s, _I64, count), _addr(t, _I64, count), k_addr,
+        count, _addr(s, _I64, count), _addr(t, _I64, count),
         *_label_addrs(values_s, offsets_s, n),
         *_label_addrs(values_t, offsets_t, n),
-        *lca,
+        *_table_addrs(tables),
         _addr(out, _F64, count),
         None if ranks is None else _addr(ranks, _I64, count),
     )
@@ -300,10 +310,8 @@ def gather_pairs(
 def distance_matrix(labels_s, sources, labels_t, targets, tables) -> np.ndarray:
     """:meth:`repro.labelling.query.QueryEngine.distance_matrix` as one
     C loop: each ``(source, target)`` cell is :func:`gather_pairs`' pair
-    answer, K counted from *tables* (a vectorised
-    :class:`~repro.labelling.query.AncestorTables`), written straight
-    into the ``(len(sources), len(targets))`` result. Ids are int64,
-    already known to lie in ``[0, n)``."""
+    answer, written straight into the ``(len(sources), len(targets))``
+    result. Ids are int64, already known to lie in ``[0, n)``."""
     rows, cols, n = len(sources), len(targets), labels_s.num_vertices
     values_s, offsets_s = labels_s.values, labels_s.offsets
     values_t, offsets_t = labels_t.values, labels_t.offsets
@@ -365,7 +373,7 @@ def shard_batch(labels_s, labels_t, tables, boundary, block, s, t, fan):
     answers (lowered by the boundary route through *block* when one is
     given), the fan's distinct rows against *boundary* in first-mention
     order and each fan entry's row. Ids are int64, already known to lie
-    in ``[0, n)``; *tables* is a vectorised
+    in ``[0, n)``; *tables* is the shard's
     :class:`~repro.labelling.query.AncestorTables`.
     """
     count, fans, width = len(s), len(fan), len(boundary)

@@ -16,17 +16,9 @@ re-sync after maintenance (the C pair kernel reads the live buffer that
 the maintenance algorithms write into).
 
 Set-to-set queries (:meth:`QueryEngine.distance_matrix`) run the pair
-kernel's per-cell LCA and scan in one C loop over the output. A
-hierarchy too deep for the LCA tables (``AncestorTables.vectorised``
-false) has them in numpy instead, where they do not go through pairs at
-all (pair arrays would be ``|U| * |T|`` long). ``anc(u) ∩ anc(t)`` *is*
-the common-ancestor prefix and an ancestor ``a`` has the same rank
-``tau(a)`` on every descendant's chain, so the query is
-``min over a in anc(u)`` of
-``L_u[tau(a)] + M[a, t]`` with ``M[a, t] = L_t[tau(a)]`` for
-``a in anc(t)`` and ``inf`` elsewhere: one dense block per target set
-(the "labels to a fixed cut" block of Hierarchical Cut Labelling),
-one ancestor-chain gather per source, no LCA.
+kernel's per-cell LCA and scan in one C loop over the output. The LCA
+reads each node's path bits in as many 64-bit words as the deepest
+node needs, so every hierarchy depth takes the same kernels.
 """
 
 from __future__ import annotations
@@ -40,107 +32,40 @@ from repro.hierarchy.query_hierarchy import QueryHierarchy
 from repro.labelling.labels import HierarchicalLabelling
 from repro.labelling.native import engine as native_engine
 from repro.utils.pairs import as_pair_array, check_ids
-from repro.utils.ragged import expand
 
 __all__ = ["AncestorTables", "QueryEngine"]
 
-# The vectorised LCA kernel packs partition bitstrings into int64 and
-# recovers bit lengths through float64 mantissas (np.frexp), both exact
-# only while ``depth + 1 <= 52``. Deeper hierarchies (which would need a
-# ludicrously unbalanced partition tree) count K pair by pair.
-_MAX_VECTOR_DEPTH = 50
-
-# Cells per temporary of the numpy set kernel: one ``(chunk, h)`` sum
-# matrix stays around 32 MB regardless of the hierarchy height.
-_CHUNK_CELLS = 4_000_000
-
-
 class AncestorTables:
-    """Batch ``|anc(s) ∩ anc(t)|`` over numpy renditions of H_Q's tables."""
+    """H_Q's LCA tables, as the C kernels read them.
 
-    __slots__ = ("hq", "vectorised", "node_of", "depth", "bits", "chain", "tau")
+    ``node_of`` / ``tau`` per vertex; ``depth``, the vend ``chain`` (one
+    row a node, as wide as the deepest) and ``path`` per node. A node's
+    bitstring is a 1 followed by its root-to-node path bits; ``path``
+    holds those bits left-aligned in ``max(1, ceil(max_depth / 64))``
+    uint64 words, zero past the node's depth, so the kernels'
+    common-prefix LCA is exact at any depth.
+    """
+
+    __slots__ = ("hq", "node_of", "depth", "path", "chain", "tau")
 
     def __init__(self, hq: QueryHierarchy):
         self.hq = hq
-        max_depth = max(hq.node_depth, default=0)
-        self.vectorised = max_depth <= _MAX_VECTOR_DEPTH
-        if not self.vectorised:
-            return
         self.node_of = np.asarray(hq.node_of, dtype=np.int64)
         self.depth = np.asarray(hq.node_depth, dtype=np.int64)
-        self.bits = np.asarray(hq.node_bits, dtype=np.int64)
         self.tau = np.asarray(hq.tau, dtype=np.int64)
+        max_depth = int(self.depth.max(initial=0))
+        words = max(1, -(-max_depth // 64))
+        width = 64 * words
+        packed = b"".join(
+            ((bits ^ (1 << depth)) << (width - depth)).to_bytes(8 * words, "big")
+            for bits, depth in zip(hq.node_bits, hq.node_depth)
+        )
+        path = np.frombuffer(packed, dtype=">u8").astype(np.uint64)
+        self.path = path.reshape(-1, words)
         chain = np.zeros((hq.num_nodes, max_depth + 1), dtype=np.int64)
         for nid, prefix in enumerate(hq.node_vend_chain):
             chain[nid, : len(prefix)] = prefix
         self.chain = chain
-
-    def counts(self, s: np.ndarray, t: np.ndarray) -> np.ndarray:
-        """Vectorised ``|anc(s) ∩ anc(t)|`` over pair arrays.
-
-        Mirrors :meth:`QueryHierarchy.common_ancestor_count`: the LCA
-        depth comes from xor-ing depth-aligned bitstrings, with
-        ``bit_length`` recovered from the float64 exponent (exact below
-        2**53, guaranteed by the ``vectorised`` gate).
-        """
-        if not self.vectorised:
-            count = map(self.hq.common_ancestor_count, s.tolist(), t.tolist())
-            return np.fromiter(count, np.int64, len(s))
-        ns = self.node_of[s]
-        nt = self.node_of[t]
-        ds = self.depth[ns]
-        dt = self.depth[nt]
-        d = np.minimum(ds, dt)
-        diff = (self.bits[ns] >> (ds - d)) ^ (self.bits[nt] >> (dt - d))
-        shift = np.zeros_like(diff)
-        nz = diff != 0
-        if nz.any():
-            shift[nz] = np.frexp(diff[nz].astype(np.float64))[1]
-        lca_depth = d - shift
-        vend = self.chain[ns, lca_depth]
-        return np.minimum(np.minimum(self.tau[s], self.tau[t]), vend - 1) + 1
-
-
-class _TargetTables:
-    """H_Q-only scatter tables of one target set for the set kernel.
-
-    With ``A`` the union of the targets' ancestor chains: ``rowmap``
-    sends a vertex to its row of the dense block ``M[a, t]``
-    (``num_rows``, one past the last row, outside ``A``), and
-    label entry ``e`` — ``L_vertex[e][rank[e]]``, entries sorted by
-    target column with ``col_starts`` bounding each column — is the
-    block's cell ``(row[e], col[e])``. No label *value* is held: the
-    block is filled from the live store on every call, so maintenance
-    needs no hook. Memory: ``8 n`` bytes for ``rowmap`` plus 32 bytes
-    per label entry of the target set.
-    """
-
-    __slots__ = (
-        "targets",
-        "rowmap",
-        "num_rows",
-        "vertex",
-        "rank",
-        "row",
-        "col",
-        "col_starts",
-    )
-
-    def __init__(
-        self, targets: np.ndarray, hubs: np.ndarray, hub_offsets: np.ndarray
-    ):
-        self.targets = targets.copy()
-        counts = hub_offsets[targets + 1] - hub_offsets[targets]
-        self.col, self.rank = expand(counts)
-        self.vertex = targets[self.col]
-        ancestors = hubs[hub_offsets[self.vertex] + self.rank]
-        members = np.unique(ancestors)
-        self.num_rows = len(members)
-        self.rowmap = np.full(len(hub_offsets) - 1, self.num_rows, dtype=np.int64)
-        self.rowmap[members] = np.arange(self.num_rows)
-        self.row = self.rowmap[ancestors]
-        self.col_starts = np.zeros(len(targets) + 1, dtype=np.int64)
-        np.cumsum(counts, out=self.col_starts[1:])
 
 
 class QueryEngine:
@@ -158,17 +83,16 @@ class QueryEngine:
 
     Three entry points, one live label store: :meth:`distance` (scalar),
     :meth:`distances_arrays` (independent pairs, ``sum(K)`` cells a side)
-    and :meth:`distance_matrix` (a source set against a fixed target
-    set — the C set kernel, the numpy one past the LCA tables' depth). Each checks its
-    vertex ids against ``[0, n)`` once, at the door, and raises
-    :class:`~repro.exceptions.VertexNotFound`: numpy would wrap a
+    and :meth:`distance_matrix` (a source set against a target set).
+    Each checks its vertex ids against ``[0, n)`` once, at the door, and
+    raises :class:`~repro.exceptions.VertexNotFound`: numpy would wrap a
     negative id onto another vertex, and C would read out of bounds.
     The engine keeps H_Q-only static state next to the labelling — the
-    ancestor-chain :meth:`hub_store`, the LCA tables and the last target
-    set's scatter tables — and never a label value or a buffer address
-    (the kernel's pointers are read from the arrays on every call), so
-    weight maintenance, slot growth, compaction and a pickle round trip
-    need no invalidation hook.
+    LCA :meth:`kernel_tables` and the ancestor-chain :meth:`hub_store` —
+    and never a label value or a buffer address (the kernel's pointers
+    are read from the arrays on every call), so weight maintenance, slot
+    growth, compaction and a pickle round trip need no invalidation
+    hook.
     """
 
     __slots__ = (
@@ -178,7 +102,6 @@ class QueryEngine:
         "_tables",
         "_hub_values",
         "_hub_offsets",
-        "_targets",
     )
 
     def __init__(
@@ -193,7 +116,6 @@ class QueryEngine:
         self._tables: AncestorTables | None = None
         self._hub_values: np.ndarray | None = None
         self._hub_offsets: np.ndarray | None = None
-        self._targets: _TargetTables | None = None
 
     def __getstate__(self):
         """The bound objects; the H_Q tables are derived."""
@@ -243,23 +165,13 @@ class QueryEngine:
         return best, self.hq.ancestors(s)[i]
 
     # ------------------------------------------------------------------
-    # vectorised batch path
+    # batch path
     # ------------------------------------------------------------------
-    def supports_batch_kernel(self) -> bool:
-        """Whether the int64/frexp bit tricks are exact for this H_Q."""
-        return self._batch_tables().vectorised
-
-    def _batch_tables(self) -> AncestorTables:
+    def kernel_tables(self) -> AncestorTables:
+        """The LCA tables every batch kernel reads, built on first use."""
         if self._tables is None:
             self._tables = AncestorTables(self.hq)
         return self._tables
-
-    def kernel_tables(self) -> AncestorTables | None:
-        """The LCA tables the C set kernels read, or ``None`` for a
-        hierarchy too deep for the tables (the numpy kernels take over
-        there)."""
-        tables = self._batch_tables()
-        return tables if tables.vectorised else None
 
     def hub_store(self) -> tuple[np.ndarray, np.ndarray]:
         """Flat ancestor-chain store: ``(hub_values, hub_offsets)``.
@@ -295,110 +207,25 @@ class QueryEngine:
             self._hub_values = np.concatenate(chains)[pick]
         return self._hub_values, self._hub_offsets
 
-    def _target_tables(self, targets: np.ndarray) -> _TargetTables:
-        """The set kernel's static tables, re-keyed when *targets* change.
-
-        One slot: every caller of an engine asks about one fixed set (a
-        shard's boundary, the overlay's vertex set). The slot is swapped
-        whole, so concurrent callers each keep a consistent table.
-        """
-        tables = self._targets
-        if tables is None or not np.array_equal(tables.targets, targets):
-            tables = _TargetTables(targets, *self.hub_store())
-            self._targets = tables
-        return tables
-
     def distance_matrix(self, sources, targets) -> np.ndarray:
         """All ``len(sources) x len(targets)`` distances in one kernel.
 
         Equal, bit for bit, to :meth:`distances_arrays` on the expanded
-        pairs (the same float sums are minimised). It is the set kernel
-        of :mod:`repro.labelling.native`: each cell is the pair kernel's
-        LCA and K-cell scan, written in place, no pair arrays. For a
-        hierarchy too deep for the LCA tables it is numpy:
-        ``sum_u |anc(u) ∩ A| * |T|`` contiguous cells instead of ``|U| * |T|`` pair gathers, no
-        bitstring LCA and so no depth limit, the target side through
-        static H_Q-only tables kept for the last target set
-        (:class:`_TargetTables`). Label values are read from the live
-        store on every call. Duplicate sources are answered once each;
-        callers dedupe.
+        pairs (the same float sums are minimised): the set kernel of
+        :mod:`repro.labelling.native` computes each cell as the pair
+        kernel's LCA and K-cell scan, written in place, no pair arrays.
+        Label values are read from the live store on every call.
+        Duplicate sources are answered once each; callers dedupe.
         """
         sources = native_engine.operand(sources, np.int64)
         targets = native_engine.operand(targets, np.int64)
         check_ids(self.hq.n, sources, targets)
-        lca = self.kernel_tables()
-        if lca is not None:
-            return native_engine.distance_matrix(
-                self.labels, sources, self.target_labels, targets, lca
-            )
-        out = np.full((len(sources), len(targets)), np.inf, dtype=np.float64)
-        if not out.size:
-            return out
-        tables = self._target_tables(targets)
-        values = self.labels.values
-        starts = self.labels.offsets
-        target = self.target_labels
-        hubs, hub_offsets = self.hub_store()
-
-        # The sources' chains, cut to their members of A: A is closed
-        # under ancestors, so what survives is each chain's prefix.
-        owner, rank = expand(hub_offsets[sources + 1] - hub_offsets[sources])
-        chain = sources[owner]
-        rows = tables.rowmap[hubs[hub_offsets[chain] + rank]]
-        keep = rows < tables.num_rows
-        rows = rows[keep]
-        entries = starts[chain[keep]] + rank[keep]
-        counts = np.bincount(owner[keep], minlength=len(sources))
-        reached = np.flatnonzero(counts)
-        seg_ends = np.cumsum(counts[reached])
-        seg_starts = seg_ends - counts[reached]
-
-        # The block is held targets-major so the segmented minimum runs
-        # along contiguous memory (several times faster than reducing
-        # down the columns of a sources-major gather).
-        height = tables.num_rows
-        col_step = max(1, _CHUNK_CELLS // height)
-        for c0 in range(0, len(targets), col_step):
-            c1 = min(c0 + col_step, len(targets))
-            fill = slice(tables.col_starts[c0], tables.col_starts[c1])
-            block = np.full((c1 - c0, height), np.inf, dtype=np.float64)
-            block[tables.col[fill] - c0, tables.row[fill]] = target.values[
-                target.offsets[tables.vertex[fill]] + tables.rank[fill]
-            ]
-            cap = max(1, _CHUNK_CELLS // (c1 - c0))
-            lo = 0
-            while lo < len(reached):
-                base = seg_starts[lo]
-                hi = max(lo + 1, int(np.searchsorted(seg_ends, base + cap, "right")))
-                span = slice(base, seg_ends[hi - 1])
-                sums = np.take(block, rows[span], axis=1)
-                sums += values[entries[span]]
-                out[reached[lo:hi], c0:c1] = np.minimum.reduceat(
-                    sums, seg_starts[lo:hi] - base, axis=1
-                ).T
-                lo = hi
-        out[sources[:, None] == targets] = 0.0
-        return out
-
-    def common_ancestor_counts(self, s: np.ndarray, t: np.ndarray) -> np.ndarray:
-        """``|anc(s) ∩ anc(t)|`` over pair arrays (:class:`AncestorTables`)."""
-        return self._batch_tables().counts(s, t)
-
-    def _gather(
-        self, s: np.ndarray, t: np.ndarray, want_ranks: bool
-    ) -> tuple[np.ndarray, np.ndarray | None]:
-        """``(distances, argmin ranks)`` from the C pair kernel."""
-        tables = self._batch_tables()
-        # The kernel counts K itself from the LCA tables; a hierarchy
-        # too deep for them is counted pair by pair, as everywhere.
-        k = None if tables.vectorised else tables.counts(s, t)
-        return native_engine.gather_pairs(
-            self.labels, s, self.target_labels, t, k, tables, want_ranks
+        return native_engine.distance_matrix(
+            self.labels, sources, self.target_labels, targets, self.kernel_tables()
         )
 
-    def _batch_kernel(
-        self, s, t, want_hubs: bool
-    ) -> tuple[np.ndarray, np.ndarray | None]:
+    def _pair_operands(self, s, t) -> tuple[np.ndarray, np.ndarray]:
+        """*s* / *t* as equal-length int64 id arrays inside ``[0, n)``."""
         s = native_engine.operand(s, np.int64)
         t = native_engine.operand(t, np.int64)
         if s.ndim != 1 or s.shape != t.shape:
@@ -406,7 +233,21 @@ class QueryEngine:
                 f"length mismatch: {s.shape} sources, {t.shape} targets"
             )
         check_ids(self.hq.n, s, t)
-        out, ranks = self._gather(s, t, want_hubs)
+        return s, t
+
+    def common_ancestor_counts(self, s, t) -> np.ndarray:
+        """``|anc(s) ∩ anc(t)|`` over pair arrays, by the pair kernel's LCA."""
+        s, t = self._pair_operands(s, t)
+        return native_engine.common_ancestors(self.kernel_tables(), s, t)
+
+    def _batch_kernel(
+        self, s, t, want_hubs: bool
+    ) -> tuple[np.ndarray, np.ndarray | None]:
+        """``(distances, hubs)`` from the C pair kernel."""
+        s, t = self._pair_operands(s, t)
+        out, ranks = native_engine.gather_pairs(
+            self.labels, s, self.target_labels, t, self.kernel_tables(), want_hubs
+        )
         if not want_hubs:
             return out, None
         hub_values, hub_offsets = self.hub_store()

@@ -175,13 +175,9 @@ class ShardExecutor:
         # A replica opens the cached native library itself, on its
         # first kernel call.
         index._adopt(index.hq, index.hu, (labels,))
-        # Build the H_Q tables the kernels read while attaching, not
-        # inside the first epoch-stamped batch: the LCA tables for the
-        # C shard kernel, the ancestor-chain store where the numpy set
-        # kernel runs instead.
-        engine = index.engine
-        if engine.kernel_tables() is None:
-            engine.hub_store()
+        # Build the LCA tables the C shard kernel reads while attaching,
+        # not inside the first epoch-stamped batch.
+        index.engine.kernel_tables()
 
     # -- maintenance ----------------------------------------------------
     def apply_delta(self, delta: EpochDelta) -> AckReply | ErrorReply:

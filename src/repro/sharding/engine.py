@@ -11,10 +11,7 @@ Intra pairs get the pair kernel's answer, lowered by the boundary route
 ``min over (b1, b2) of d_shard(s, b1) + d_overlay(b1, b2) + d_shard(b2,
 t)`` through the shard's own overlay block (a shortest path may leave
 and re-enter its region); the fan comes back as its distinct rows
-against the shard's boundary plus each entry's row. It forks once on
-the shard's hierarchy: one C call, or past the LCA tables' depth the
-composition of the pair kernel, the set kernel and
-:func:`min_plus_compact` — the same bits.
+against the shard's boundary plus each entry's row, all in one C call.
 
 The parent answers each cross region pair ``(i, j)`` with one
 :func:`min_plus_compact` over the two shards' fans and the overlay block
@@ -79,21 +76,16 @@ def shard_batch(engine, boundary, s=None, t=None, fan=None, block=None):
             raise ValueError(
                 f"overlay block is {block.shape}, the boundary has {width} vertices"
             )
-    tables = engine.kernel_tables()
-    if tables is not None:
-        return native_engine.shard_batch(
-            engine.labels, engine.target_labels, tables, boundary, block, s, t, fan
-        )
-    final = engine.distances_arrays(s, t)
-    ends = fan if block is None else np.concatenate((fan, s, t))
-    uniq, inverse = np.unique(ends, return_inverse=True)
-    matrix = engine.distance_matrix(uniq, boundary)
-    if block is not None and len(s):
-        src = inverse[len(fan) : len(fan) + len(s)]
-        dst = inverse[len(fan) + len(s) :]
-        final = np.minimum(final, min_plus_compact(matrix, src, block, matrix, dst))
-    rows, fan_inverse = np.unique(inverse[: len(fan)], return_inverse=True)
-    return final, matrix[rows], fan_inverse
+    return native_engine.shard_batch(
+        engine.labels,
+        engine.target_labels,
+        engine.kernel_tables(),
+        boundary,
+        block,
+        s,
+        t,
+        fan,
+    )
 
 
 def min_plus_compact(

@@ -3,10 +3,9 @@
 :func:`python_kernels` patches the entry points of
 :mod:`repro.labelling.native.engine` that the driver, the build and the
 queries call — the two maintenance sweeps, Algorithm 1's top-down pass,
-the pair kernel and the min-plus combine — with the bodies in this
-package, and turns the LCA tables off so the set and shard-batch
-queries take their numpy path. An index built, updated and queried
-inside it never enters C outside the partitioner (whose trees
+the K count, the pair, set and shard-batch kernels and the min-plus
+combine — with the bodies in this package. An index built, updated and
+queried inside it never enters C outside the partitioner (whose trees
 ``tests/test_partition_identity.py`` holds to their own oracle), so a
 differential test compares its bits with an index run on the C kernels.
 """
@@ -18,7 +17,6 @@ from contextlib import contextmanager
 import pytest
 
 from repro.labelling.native import engine as native_engine
-from repro.labelling.query import QueryEngine
 from tests.oracles import build, maintenance, query
 
 __all__ = ["python_kernels"]
@@ -31,9 +29,11 @@ def python_kernels():
         mp.setattr(native_engine, "shortcut_sweep", maintenance.shortcut_sweep)
         mp.setattr(native_engine, "label_sweep", maintenance.label_sweep)
         mp.setattr(native_engine, "label_build", build.label_build)
+        mp.setattr(native_engine, "common_ancestors", query.common_ancestors)
         mp.setattr(native_engine, "gather_pairs", query.pair_kernel)
+        mp.setattr(native_engine, "distance_matrix", query.distance_matrix)
+        mp.setattr(native_engine, "shard_batch", query.shard_batch)
         mp.setattr(native_engine, "min_plus", query.min_plus)
-        mp.setattr(QueryEngine, "kernel_tables", lambda self: None)
         yield
 
 

@@ -1,22 +1,38 @@
-"""The numpy query kernels, kept as the C pair and min-plus kernels' oracles.
+"""The numpy query kernels, kept as the C query kernels' oracles.
 
 :func:`gather_pairs` is the exact-K ragged gather over two flat label
-stores and :func:`min_plus` the chunked numpy boundary-route combine:
-what :class:`repro.labelling.query.QueryEngine` and
-:func:`repro.sharding.engine.min_plus_compact` ran before the C kernels
-were their only bodies. :func:`pair_kernel` and :func:`min_plus` take
+stores, :class:`FrexpTables` the numpy K count, :func:`distance_matrix`
+the numpy set kernel over one dense block per target set,
+:func:`shard_batch` the composition of the two with :func:`min_plus`,
+the chunked numpy boundary-route combine: what
+:class:`repro.labelling.query.QueryEngine` and
+:mod:`repro.sharding.engine` ran before the C kernels were their only
+bodies. :func:`common_ancestors`, :func:`pair_kernel`,
+:func:`distance_matrix`, :func:`shard_batch` and :func:`min_plus` take
 :mod:`repro.labelling.native.engine`'s arguments, so
 :func:`tests.oracles.kernels.python_kernels` can swap them in; the C
-side must give their bits.
+side must give their bits. They read only the hierarchy of the
+:class:`~repro.labelling.query.AncestorTables` they are handed, never
+its arrays, and keep their own H_Q-only tables per hierarchy.
 """
 
 from __future__ import annotations
+
+import weakref
 
 import numpy as np
 
 from repro.labelling.labels import HierarchicalLabelling
 
-__all__ = ["gather_pairs", "min_plus", "pair_kernel"]
+__all__ = [
+    "FrexpTables",
+    "common_ancestors",
+    "distance_matrix",
+    "gather_pairs",
+    "min_plus",
+    "pair_kernel",
+    "shard_batch",
+]
 
 # Cells per run of the pair kernel: its two temporaries (positions and
 # sums, 128 kB each) are gathered, added and reduced while still in L2.
@@ -24,6 +40,150 @@ _PAIR_CHUNK_CELLS = 16_384
 
 # Cap for the (pairs x |B_i| x |B_j|) min-plus intermediate, in cells.
 _MIN_PLUS_CELLS = 4_000_000
+
+# The numpy K count packs partition bitstrings into int64 and recovers
+# bit lengths through float64 mantissas (np.frexp), both exact only
+# while ``depth + 1 <= 52``. Deeper hierarchies count K pair by pair.
+_MAX_VECTOR_DEPTH = 50
+
+# Cells per temporary of the numpy set kernel: one ``(chunk, h)`` sum
+# matrix stays around 32 MB regardless of the hierarchy height.
+_CHUNK_CELLS = 4_000_000
+
+
+def expand(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Ragged expansion: (source index, within-row offset) arrays."""
+    total = int(counts.sum())
+    if total == 0:
+        empty = np.empty(0, dtype=np.int64)
+        return empty, empty
+    ends = np.cumsum(counts)
+    rep = np.repeat(np.arange(len(counts), dtype=np.int64), counts)
+    ramp = np.arange(total, dtype=np.int64) - np.repeat(ends - counts, counts)
+    return rep, ramp
+
+
+class FrexpTables:
+    """Batch ``|anc(s) ∩ anc(t)|`` over numpy renditions of H_Q's tables."""
+
+    __slots__ = ("hq", "vectorised", "node_of", "depth", "bits", "chain", "tau")
+
+    def __init__(self, hq):
+        self.hq = hq
+        max_depth = max(hq.node_depth, default=0)
+        self.vectorised = max_depth <= _MAX_VECTOR_DEPTH
+        if not self.vectorised:
+            return
+        self.node_of = np.asarray(hq.node_of, dtype=np.int64)
+        self.depth = np.asarray(hq.node_depth, dtype=np.int64)
+        self.bits = np.asarray(hq.node_bits, dtype=np.int64)
+        self.tau = np.asarray(hq.tau, dtype=np.int64)
+        chain = np.zeros((hq.num_nodes, max_depth + 1), dtype=np.int64)
+        for nid, prefix in enumerate(hq.node_vend_chain):
+            chain[nid, : len(prefix)] = prefix
+        self.chain = chain
+
+    def counts(self, s: np.ndarray, t: np.ndarray) -> np.ndarray:
+        """Vectorised ``|anc(s) ∩ anc(t)|`` over pair arrays.
+
+        Mirrors :meth:`QueryHierarchy.common_ancestor_count`: the LCA
+        depth comes from xor-ing depth-aligned bitstrings, with
+        ``bit_length`` recovered from the float64 exponent (exact below
+        2**53, guaranteed by the ``vectorised`` gate).
+        """
+        if not self.vectorised:
+            count = map(self.hq.common_ancestor_count, s.tolist(), t.tolist())
+            return np.fromiter(count, np.int64, len(s))
+        ns = self.node_of[s]
+        nt = self.node_of[t]
+        ds = self.depth[ns]
+        dt = self.depth[nt]
+        d = np.minimum(ds, dt)
+        diff = (self.bits[ns] >> (ds - d)) ^ (self.bits[nt] >> (dt - d))
+        shift = np.zeros_like(diff)
+        nz = diff != 0
+        if nz.any():
+            shift[nz] = np.frexp(diff[nz].astype(np.float64))[1]
+        lca_depth = d - shift
+        vend = self.chain[ns, lca_depth]
+        return np.minimum(np.minimum(self.tau[s], self.tau[t]), vend - 1) + 1
+
+
+class _TargetTables:
+    """H_Q-only scatter tables of one target set for the set kernel.
+
+    With ``A`` the union of the targets' ancestor chains: ``rowmap``
+    sends a vertex to its row of the dense block ``M[a, t]``
+    (``num_rows``, one past the last row, outside ``A``), and
+    label entry ``e`` — ``L_vertex[e][rank[e]]``, entries sorted by
+    target column with ``col_starts`` bounding each column — is the
+    block's cell ``(row[e], col[e])``. No label *value* is held: the
+    block is filled from the live store on every call, so maintenance
+    needs no hook. Memory: ``8 n`` bytes for ``rowmap`` plus 32 bytes
+    per label entry of the target set.
+    """
+
+    __slots__ = (
+        "targets",
+        "rowmap",
+        "num_rows",
+        "vertex",
+        "rank",
+        "row",
+        "col",
+        "col_starts",
+    )
+
+    def __init__(
+        self, targets: np.ndarray, hubs: np.ndarray, hub_offsets: np.ndarray
+    ):
+        self.targets = targets.copy()
+        counts = hub_offsets[targets + 1] - hub_offsets[targets]
+        self.col, self.rank = expand(counts)
+        self.vertex = targets[self.col]
+        ancestors = hubs[hub_offsets[self.vertex] + self.rank]
+        members = np.unique(ancestors)
+        self.num_rows = len(members)
+        self.rowmap = np.full(len(hub_offsets) - 1, self.num_rows, dtype=np.int64)
+        self.rowmap[members] = np.arange(self.num_rows)
+        self.row = self.rowmap[ancestors]
+        self.col_starts = np.zeros(len(targets) + 1, dtype=np.int64)
+        np.cumsum(counts, out=self.col_starts[1:])
+
+
+class _Static:
+    """One hierarchy's H_Q-only oracle state: the numpy K tables, the
+    ancestor chains as a flat ``(hubs, hub_offsets)`` store, and the
+    last target set's scatter tables (one slot, swapped whole)."""
+
+    def __init__(self, hq):
+        self.lca = FrexpTables(hq)
+        chains = [hq.ancestors(v) for v in range(hq.n)]
+        self.hub_offsets = np.zeros(hq.n + 1, dtype=np.int64)
+        np.cumsum([len(chain) for chain in chains], out=self.hub_offsets[1:])
+        self.hubs = np.fromiter(
+            (a for chain in chains for a in chain), np.int64, self.hub_offsets[-1]
+        )
+        self.targets: _TargetTables | None = None
+
+    def target_tables(self, targets: np.ndarray) -> _TargetTables:
+        """The set kernel's tables, re-keyed when *targets* change."""
+        tables = self.targets
+        if tables is None or not np.array_equal(tables.targets, targets):
+            tables = _TargetTables(targets, self.hubs, self.hub_offsets)
+            self.targets = tables
+        return tables
+
+
+_STATIC: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def _static(tables) -> _Static:
+    """The oracle state of *tables*' hierarchy, built on first use."""
+    state = _STATIC.get(tables.hq)
+    if state is None:
+        state = _STATIC[tables.hq] = _Static(tables.hq)
+    return state
 
 
 def gather_pairs(
@@ -84,13 +244,103 @@ def gather_pairs(
     return out, ranks
 
 
-def pair_kernel(labels_s, s, labels_t, t, k, tables, want_ranks=False):
+def common_ancestors(tables, s, t) -> np.ndarray:
+    """:class:`FrexpTables`' K count under
+    :func:`repro.labelling.native.engine.common_ancestors`' signature."""
+    return _static(tables).lca.counts(s, t)
+
+
+def pair_kernel(labels_s, s, labels_t, t, tables, want_ranks=False):
     """:func:`gather_pairs` under
     :func:`repro.labelling.native.engine.gather_pairs`' signature (K
-    counted from *tables* when *k* is None)."""
-    if k is None:
-        k = tables.counts(s, t)
+    counted by :func:`common_ancestors`)."""
+    k = common_ancestors(tables, s, t)
     return gather_pairs(labels_s, s, labels_t, t, k, want_ranks)
+
+
+def distance_matrix(labels_s, sources, labels_t, targets, tables) -> np.ndarray:
+    """The numpy set kernel under
+    :func:`repro.labelling.native.engine.distance_matrix`' signature.
+
+    ``anc(u) ∩ anc(t)`` *is* the common-ancestor prefix and an ancestor
+    ``a`` has the same rank ``tau(a)`` on every descendant's chain, so
+    the query is ``min over a in anc(u)`` of ``L_u[tau(a)] + M[a, t]``
+    with ``M[a, t] = L_t[tau(a)]`` for ``a in anc(t)`` and ``inf``
+    elsewhere: one dense block per target set (the "labels to a fixed
+    cut" block of Hierarchical Cut Labelling), one ancestor-chain
+    gather per source, no LCA — ``sum_u |anc(u) ∩ A| * |T|`` contiguous
+    cells instead of ``|U| * |T|`` pair gathers, the target side
+    through static H_Q-only tables kept for the last target set
+    (:class:`_TargetTables`).
+    """
+    out = np.full((len(sources), len(targets)), np.inf, dtype=np.float64)
+    if not out.size:
+        return out
+    state = _static(tables)
+    tables = state.target_tables(targets)
+    values = labels_s.values
+    starts = labels_s.offsets
+    target = labels_t
+    hubs, hub_offsets = state.hubs, state.hub_offsets
+
+    # The sources' chains, cut to their members of A: A is closed
+    # under ancestors, so what survives is each chain's prefix.
+    owner, rank = expand(hub_offsets[sources + 1] - hub_offsets[sources])
+    chain = sources[owner]
+    rows = tables.rowmap[hubs[hub_offsets[chain] + rank]]
+    keep = rows < tables.num_rows
+    rows = rows[keep]
+    entries = starts[chain[keep]] + rank[keep]
+    counts = np.bincount(owner[keep], minlength=len(sources))
+    reached = np.flatnonzero(counts)
+    seg_ends = np.cumsum(counts[reached])
+    seg_starts = seg_ends - counts[reached]
+
+    # The block is held targets-major so the segmented minimum runs
+    # along contiguous memory (several times faster than reducing
+    # down the columns of a sources-major gather).
+    height = tables.num_rows
+    col_step = max(1, _CHUNK_CELLS // height)
+    for c0 in range(0, len(targets), col_step):
+        c1 = min(c0 + col_step, len(targets))
+        fill = slice(tables.col_starts[c0], tables.col_starts[c1])
+        block = np.full((c1 - c0, height), np.inf, dtype=np.float64)
+        block[tables.col[fill] - c0, tables.row[fill]] = target.values[
+            target.offsets[tables.vertex[fill]] + tables.rank[fill]
+        ]
+        cap = max(1, _CHUNK_CELLS // (c1 - c0))
+        lo = 0
+        while lo < len(reached):
+            base = seg_starts[lo]
+            hi = max(lo + 1, int(np.searchsorted(seg_ends, base + cap, "right")))
+            span = slice(base, seg_ends[hi - 1])
+            sums = np.take(block, rows[span], axis=1)
+            sums += values[entries[span]]
+            out[reached[lo:hi], c0:c1] = np.minimum.reduceat(
+                sums, seg_starts[lo:hi] - base, axis=1
+            ).T
+            lo = hi
+    out[sources[:, None] == targets] = 0.0
+    return out
+
+
+def shard_batch(labels_s, labels_t, tables, boundary, block, s, t, fan):
+    """The numpy composition under
+    :func:`repro.labelling.native.engine.shard_batch`' signature: the
+    pair kernel, the set kernel over the unique endpoints and the
+    boundary-route combine. Fan rows come back in ``np.unique`` order,
+    not the C kernel's first-mention order; ``rows[fan_inverse]`` is
+    the same either way."""
+    final = pair_kernel(labels_s, s, labels_t, t, tables)[0]
+    ends = fan if block is None else np.concatenate((fan, s, t))
+    uniq, inverse = np.unique(ends, return_inverse=True)
+    matrix = distance_matrix(labels_s, uniq, labels_t, boundary, tables)
+    if block is not None and len(s):
+        src = inverse[len(fan) : len(fan) + len(s)]
+        dst = inverse[len(fan) + len(s) :]
+        final = np.minimum(final, min_plus(matrix, src, block, matrix, dst))
+    rows, fan_inverse = np.unique(inverse[: len(fan)], return_inverse=True)
+    return final, matrix[rows], fan_inverse
 
 
 def min_plus(ds, ds_inverse, block, dt, dt_inverse) -> np.ndarray:

@@ -100,13 +100,19 @@ def assert_stats_match(array_stats, reference_stats) -> None:
     assert array_stats.affected_labels == reference_stats.affected_labels
 
 
+#: Caterpillar depths at the edges of the C LCA's 64-bit path words:
+#: one word just short of full, full, and one bit into the next word.
+WORD_EDGES = [63, 64, 65, 128, 129]
+
+
 def caterpillar_index(spine: int, config: DHLConfig | None = None) -> DHLIndex:
     """A path with one leg per vertex under a depth-``spine`` hierarchy.
 
     Node ``i`` of the partition tree owns spine vertex ``i`` alone; its
     children are leg ``i`` and the rest of the spine, so the tree is as
-    deep as the spine is long — past ``_MAX_VECTOR_DEPTH``, where the
-    pair kernel falls back to the scalar path.
+    deep as the spine is long: its path bits fill ``ceil(spine / 64)``
+    of the C LCA's words, and past depth 50 the oracles' numpy K count
+    goes pair by pair.
     """
     graph = Graph(2 * spine)
     for i in range(spine):

@@ -1,4 +1,4 @@
-"""The vectorised batch query kernel must be bit-identical to the scalar path."""
+"""The C batch query kernels must be bit-identical to the scalar path."""
 
 from __future__ import annotations
 
@@ -16,13 +16,11 @@ from repro.exceptions import VertexNotFound
 from repro.graph.digraph import DiGraph
 from repro.graph.generators import delaunay_network, grid_network
 from repro.graph.graph import Graph
-from repro.labelling import query as query_module
-from repro.labelling.query import QueryEngine
 from repro.utils.rng import make_rng, sample_pairs
 from tests.conftest import directed_dijkstra
 from tests.oracles import query as oracle_query
 from tests.oracles.kernels import python_kernels
-from tests.strategies import caterpillar_index, connected_graphs
+from tests.strategies import WORD_EDGES, caterpillar_index, connected_graphs
 
 
 def scalar_distances(index, pairs):
@@ -85,18 +83,29 @@ class TestBatchKernel:
         d, h = small_index.engine.distances_with_hubs([])
         assert d.shape == (0,) and h.shape == (0,)
 
-    def test_scalar_fallback_matches(self, small_index, monkeypatch):
-        n = small_index.graph.num_vertices
-        pairs = sample_pairs(n, 400, make_rng(11), distinct=False)
-        expected, expected_hubs = small_index.engine.distances_with_hubs(pairs)
-        # Past the depth gate only K goes scalar; the gather is the same.
-        monkeypatch.setattr(query_module, "_MAX_VECTOR_DEPTH", 0)
-        engine = QueryEngine(small_index.hq, small_index.labels)
-        assert not engine.supports_batch_kernel()
-        assert np.array_equal(engine.distances(pairs), expected)
-        d, h = engine.distances_with_hubs(pairs)
-        assert np.array_equal(d, expected)
-        assert np.array_equal(h, expected_hubs)
+    @pytest.mark.parametrize("depth", WORD_EDGES)
+    def test_word_edge_depths_match_scalar_and_oracle(self, depth):
+        """Path bits that fill a 64-bit word, or spill one bit past it:
+        K, distances and hubs from C equal the scalar path's and the
+        oracles' on every pair."""
+        index = caterpillar_index(depth)
+        engine = index.engine
+        assert engine.kernel_tables().path.shape[1] == -(-depth // 64)
+        n = index.graph.num_vertices
+        s, t = (a.ravel() for a in np.divmod(np.arange(n * n), n))
+        pairs = np.stack((s, t), axis=1)
+        scalar = [engine.distance_with_hub(a, b) for a, b in pairs.tolist()]
+        want_k = [index.hq.common_ancestor_count(a, b) for a, b in pairs.tolist()]
+        got = engine.distances_with_hubs(pairs)
+        k = engine.common_ancestor_counts(s, t)
+        with python_kernels():
+            oracle = engine.distances_with_hubs(pairs)
+            oracle_k = engine.common_ancestor_counts(s, t)
+        assert np.array_equal(k, want_k) and np.array_equal(oracle_k, want_k)
+        for d, h in (got, oracle):
+            assert np.array_equal(d, [x[0] for x in scalar])
+            assert np.array_equal(h, [x[1] for x in scalar])
+        assert np.array_equal(engine.distances_arrays(s, t), got[0])
 
 
 def two_component_index() -> DHLIndex:
@@ -115,7 +124,9 @@ class TestRaggedGather:
     The C pair kernel against its numpy oracle (``tests/oracles/query.py``)
     with a chunk edge after every pair or at a run's end."""
 
-    @pytest.fixture(params=["grid", "delaunay", "caterpillar"])
+    @pytest.fixture(
+        params=["grid", "delaunay", *(f"caterpillar-{d}" for d in WORD_EDGES)]
+    )
     def index(self, request) -> DHLIndex:
         if request.param == "grid":
             return DHLIndex.build(grid_network(9, 11, seed=3), DHLConfig(seed=0))
@@ -123,9 +134,8 @@ class TestRaggedGather:
             return DHLIndex.build(
                 delaunay_network(250, seed=5), DHLConfig(leaf_size=6, seed=0)
             )
-        index = caterpillar_index(query_module._MAX_VECTOR_DEPTH + 6)
-        assert not index.engine.supports_batch_kernel()  # scalar K, same gather
-        return index
+        # Path bits at a word edge; the oracle counts K pair by pair.
+        return caterpillar_index(int(request.param.split("-")[1]))
 
     @pytest.mark.parametrize("cells", [1, 7, 64])
     def test_chunk_size_never_changes_an_answer(self, index, monkeypatch, cells):
@@ -400,6 +410,10 @@ class TestVertexIdsAtTheDoor:
                     index.engine.distances_with_hubs([pair])
                 with pytest.raises(VertexNotFound):
                     index.engine.distances_arrays(
+                        np.array([pair[0]]), np.array([pair[1]])
+                    )
+                with pytest.raises(VertexNotFound):
+                    index.engine.common_ancestor_counts(
                         np.array([pair[0]]), np.array([pair[1]])
                     )
             with pytest.raises(VertexNotFound):

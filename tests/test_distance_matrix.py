@@ -1,13 +1,12 @@
 """The set-to-set kernel must equal the pair kernel bit for bit.
 
 ``QueryEngine.distance_matrix`` answers a whole ``sources x targets``
-block: in C (each cell the pair kernel's scan), from one dense
-per-target-set table in numpy for a hierarchy past the LCA tables'
-depth — which :func:`tests.oracles.kernels.python_kernels` forces on
-any index, with the pair kernel's numpy oracle beside it. The reference
-throughout is ``distances_arrays`` on the expanded pairs, compared with
-``np.array_equal`` (never ``allclose``): all minimise the same float
-sums.
+block in C (each cell the pair kernel's LCA and scan); its oracle,
+swapped in by :func:`tests.oracles.kernels.python_kernels`, builds one
+dense per-target-set table in numpy, with the pair kernel's numpy
+oracle beside it. The reference throughout is ``distances_arrays`` on
+the expanded pairs, compared with ``np.array_equal`` (never
+``allclose``): all minimise the same float sums.
 """
 
 from __future__ import annotations
@@ -27,11 +26,16 @@ from repro.core.sharded import ShardedDHLIndex
 from repro.graph.digraph import DiGraph
 from repro.graph.generators import delaunay_network, grid_network
 from repro.graph.graph import Graph
-from repro.labelling import query as query_module
 from repro.sharding.engine import min_plus_compact, shard_batch
 from repro.utils.rng import make_rng
+from tests.oracles import query as oracle_query
 from tests.oracles.kernels import python_kernels
-from tests.strategies import caterpillar_index, connected_graphs, pair_matrix
+from tests.strategies import (
+    WORD_EDGES,
+    caterpillar_index,
+    connected_graphs,
+    pair_matrix,
+)
 
 
 def assert_kernel_matches(engine, sources, targets) -> np.ndarray:
@@ -40,19 +44,15 @@ def assert_kernel_matches(engine, sources, targets) -> np.ndarray:
     assert got.shape == (len(sources), len(targets))
     assert not np.isnan(got).any()
     assert np.array_equal(got, pair_matrix(engine, sources, targets))
-    if engine.kernel_tables() is not None:
-        # The C set kernel answered: the numpy one's tables never exist.
-        assert engine._targets is None
     return got
 
 
-KERNELS = {"c": nullcontext, "numpy": python_kernels}
+KERNELS = {"c": nullcontext, "oracle": python_kernels}
 
 
 @pytest.fixture(params=list(KERNELS))
 def road_index(request, small_road) -> DHLIndex:
-    """The road index, the test run on the C kernels or on the numpy
-    set kernel and the oracles."""
+    """The road index, the test run on the C kernels or on the oracles."""
     with KERNELS[request.param]():
         yield DHLIndex.build(small_road.copy(), DHLConfig(leaf_size=6, seed=0))
 
@@ -135,14 +135,20 @@ class TestKernelAgainstPairKernel:
                 )
         assert np.array_equal(*answers)
 
-    def test_hierarchy_deeper_than_the_vector_kernel(self):
-        index = caterpillar_index(query_module._MAX_VECTOR_DEPTH + 6)
+    @pytest.mark.parametrize("depth", WORD_EDGES)
+    def test_word_edge_depths(self, depth):
+        """Path bits that fill a 64-bit word or spill past it: the C set
+        kernel equals the scalar path and the numpy set kernel."""
+        index = caterpillar_index(depth)
         engine = index.engine
-        assert not engine.supports_batch_kernel()  # pair kernel goes scalar
         n = index.graph.num_vertices
-        targets = np.array([0, 5, n // 2 - 1, n // 2 + 3, n - 1])
-        got = assert_kernel_matches(engine, np.arange(n), targets)
-        assert engine._targets is not None  # the numpy set kernel, any engine
+        sources = np.arange(n)
+        targets = np.array([0, 5, depth - 1, depth, n // 2 + 3, n - 1])
+        got = assert_kernel_matches(engine, sources, targets)
+        scalar = [[engine.distance(s, t) for t in targets] for s in sources]
+        assert np.array_equal(got, scalar)
+        with python_kernels():
+            assert np.array_equal(assert_kernel_matches(engine, sources, targets), got)
         for s in (0, 17, n - 1):
             assert np.array_equal(got[s], dijkstra(index.graph, s)[targets])
 
@@ -171,9 +177,9 @@ class TestKernelAgainstPairKernel:
         sources = np.arange(n)
         targets = np.arange(0, n, 11)
         whole = assert_kernel_matches(engine, sources, targets)
-        # A cap below one chain x one column forces a chunk per source
-        # and per target column.
-        monkeypatch.setattr(query_module, "_CHUNK_CELLS", 8)
+        # A cap below one chain x one column forces the numpy set kernel
+        # into a chunk per source and per target column.
+        monkeypatch.setattr(oracle_query, "_CHUNK_CELLS", 8)
         assert np.array_equal(engine.distance_matrix(sources, targets), whole)
 
 

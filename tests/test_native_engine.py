@@ -42,7 +42,6 @@ from repro.graph.digraph import DiGraph
 from repro.graph.generators import delaunay_network, grid_network
 from repro.graph.graph import Graph
 from repro.labelling import native
-from repro.labelling import query as query_module
 from repro.labelling.labels import HierarchicalLabelling
 from repro.labelling.maintenance import cell_marks, entry_marks
 from repro.labelling.native import engine as native_engine
@@ -53,7 +52,7 @@ from repro.sharding.engine import min_plus_compact
 from repro.utils.rng import make_rng, sample_pairs
 from tests.oracles import query as oracle_query
 from tests.oracles.kernels import python_kernels
-from tests.strategies import caterpillar_index
+from tests.strategies import WORD_EDGES, caterpillar_index
 
 SRC = str(Path(native.__file__).resolve().parents[3])
 
@@ -132,27 +131,19 @@ class TestPairKernel:
         assert out[2] == 5.0 and out[3] == 2.0
         assert out[4] == 0.0 and hubs[4] == -1
 
-    def test_fused_k_equals_supplied_k_on_every_pair(self, road_index):
-        """K counted in C == ``AncestorTables.counts``, on all n^2 pairs."""
-        idx_c = road_index
-        n = idx_c.graph.num_vertices
+    def test_c_k_equals_the_frexp_k_on_every_pair(self, road_index):
+        """K counted in C == the oracle's numpy frexp count, and the
+        fused kernel == the numpy gather fed that K, on all n^2 pairs."""
+        n = road_index.graph.num_vertices
         s, t = (a.ravel() for a in np.divmod(np.arange(n * n), n))
-        engine = idx_c.engine
-        tables = engine._batch_tables()
-        assert tables.vectorised
-        labels = idx_c.labels
-        fused = native_engine.gather_pairs(
-            labels, s, labels, t, None, tables, True
-        )
-        supplied = native_engine.gather_pairs(
-            labels, s, labels, t, tables.counts(s, t), None, True
-        )
-        numpy_side = oracle_query.gather_pairs(
-            labels, s, labels, t, tables.counts(s, t), True
-        )
-        for got in (fused, supplied):
-            np.testing.assert_array_equal(got[0], numpy_side[0])
-            np.testing.assert_array_equal(got[1], numpy_side[1])
+        tables = road_index.engine.kernel_tables()
+        labels = road_index.labels
+        k = oracle_query.FrexpTables(road_index.hq).counts(s, t)
+        np.testing.assert_array_equal(native_engine.common_ancestors(tables, s, t), k)
+        fused = native_engine.gather_pairs(labels, s, labels, t, tables, True)
+        numpy_side = oracle_query.gather_pairs(labels, s, labels, t, k, True)
+        np.testing.assert_array_equal(fused[0], numpy_side[0])
+        np.testing.assert_array_equal(fused[1], numpy_side[1])
 
     def test_ties_answer_the_first_rank(self):
         """On an all-equal-weight grid nearly every minimum is tied."""
@@ -194,13 +185,18 @@ class TestPairKernel:
         np.testing.assert_array_equal(got[1], want[1])
         assert (got[0] != got[0].reshape(n, n).T.ravel()).any()  # asymmetric
 
-    def test_hierarchy_deeper_than_the_lca_tables(self):
-        """Past the vector depth K arrives from Python, pair by pair."""
-        spine = query_module._MAX_VECTOR_DEPTH + 6
-        deep = caterpillar_index(spine)
-        assert not deep.engine.supports_batch_kernel()
+    @pytest.mark.parametrize("depth", WORD_EDGES)
+    def test_word_edge_depths(self, depth):
+        """Path bits filling a 64-bit word or spilling past it: the C LCA
+        counts K exactly, as the oracle does pair by pair past depth 50."""
+        deep = caterpillar_index(depth)
         n = deep.graph.num_vertices
         pairs = np.stack(np.divmod(np.arange(n * n), n), axis=1)
+        s, t = pairs[:, 0].copy(), pairs[:, 1].copy()
+        np.testing.assert_array_equal(
+            deep.engine.common_ancestor_counts(s, t),
+            on_oracles(deep.engine.common_ancestor_counts, s, t),
+        )
         want = on_oracles(deep.engine.distances_with_hubs, pairs)
         got = deep.engine.distances_with_hubs(pairs)
         np.testing.assert_array_equal(got[0], want[0])
@@ -219,9 +215,10 @@ class TestPairKernel:
         pairs = sample_pairs(150, 400, make_rng(4), distinct=False)
         want = idx.engine.distances_with_hubs(pairs)
         payload = pickle.dumps(idx)
-        tables = idx.engine._batch_tables()
-        for name in ("node_of", "depth", "bits", "chain", "tau"):
-            getattr(tables, name).fill(-1)  # what a stale pointer would read
+        tables = idx.engine.kernel_tables()
+        for name in ("node_of", "depth", "path", "chain", "tau"):
+            # What a stale pointer would read.
+            getattr(tables, name).view(np.int64).fill(-1)
         del idx, tables
         gc.collect()
         clone = pickle.loads(payload)
@@ -296,11 +293,11 @@ class TestPairKernel:
         """dtype, contiguity and length are checked before any pointer."""
         idx_c = road_index
         labels = idx_c.labels
-        addrs = idx_c.engine._batch_tables()
+        tables = idx_c.engine.kernel_tables()
         s = np.arange(10, dtype=np.int64)
 
-        def gather(s, t, k=None):
-            return native_engine.gather_pairs(labels, s, labels, t, k, addrs)
+        def gather(s, t):
+            return native_engine.gather_pairs(labels, s, labels, t, tables)
 
         with pytest.raises(TypeError):
             gather(s.astype(np.int32), s)
@@ -309,12 +306,21 @@ class TestPairKernel:
         with pytest.raises(TypeError):
             gather(s, s[:9])
         with pytest.raises(TypeError):
-            gather(s, s, k=np.ones(10, dtype=np.int32))
+            native_engine.common_ancestors(tables, s, s.astype(np.int32))
+        signed = SimpleNamespace(
+            node_of=tables.node_of,
+            depth=tables.depth,
+            path=tables.path.view(np.int64),  # the path words are unsigned
+            chain=tables.chain,
+            tau=tables.tau,
+        )
+        with pytest.raises(TypeError):
+            native_engine.common_ancestors(signed, s, s)
         short = HierarchicalLabelling(
             labels.values[:50], labels.offsets, labels.lengths, labels.tau
         )
         with pytest.raises(ValueError, match="offsets"):
-            native_engine.gather_pairs(short, s, labels, s, None, addrs)
+            native_engine.gather_pairs(short, s, labels, s, tables)
 
     @pytest.mark.parametrize("sweep", ["shortcut_sweep", "label_sweep"])
     def test_sweep_reports_a_failed_allocation(self, road_index, monkeypatch, sweep):
@@ -622,7 +628,7 @@ class TestSetKernelWrapper:
     def test_rejects_what_c_would_misread(self, road_index):
         idx_c = road_index
         labels = idx_c.labels
-        tables = idx_c.engine._batch_tables()
+        tables = idx_c.engine.kernel_tables()
         ids = np.arange(10, dtype=np.int64)
 
         def matrix(sources, targets):

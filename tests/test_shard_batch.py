@@ -7,9 +7,10 @@ are combined in the parent. These tests hold that path
 ``(source region, target region)`` group: the pair kernel, fans over
 ``np.unique`` endpoints, the overlay block and a brute-force numpy
 min-plus — on ``road`` and ``grid`` shards with k = 2 and 3, through
-the C shard kernel and through the numpy composition a hierarchy past
-the LCA tables' depth takes (forced here by turning the tables off).
-The path runs twice: in process (``index.distances``) and
+the C shard kernel and through its oracle, the numpy composition in
+``tests/oracles/query.py``, and on hierarchies whose path bits fill a
+64-bit word or spill past it. The path runs twice: in process
+(``index.distances``) and
 through one :class:`ShardExecutor` per shard over encoded frames, the
 replica side of the shard runtime. The robustness tests feed the
 executor and the parent combine what a bad frame could carry. The
@@ -19,7 +20,7 @@ kernel swapped for its oracle (``tests/oracles/``).
 
 from __future__ import annotations
 
-from contextlib import contextmanager, nullcontext
+from contextlib import nullcontext
 
 import numpy as np
 import pytest
@@ -29,7 +30,6 @@ from hypothesis import strategies as st
 from repro.core.config import DHLConfig
 from repro.core.sharded import ShardedDHLIndex
 from repro.graph.generators import delaunay_network, grid_network
-from repro.labelling.query import QueryEngine
 from repro.service import ShardExecutor
 from repro.service.protocol import (
     ComputeBatch,
@@ -42,19 +42,11 @@ from repro.service.protocol import (
     encode_frame,
 )
 from repro.sharding.engine import BatchSplit, shard_batch
-from tests.strategies import pair_matrix
+from tests.oracles.kernels import python_kernels
+from tests.strategies import WORD_EDGES, caterpillar_index, pair_matrix
 
 
-@contextmanager
-def numpy_composition():
-    """Every shard batch answered as a hierarchy too deep for the LCA
-    tables is: the pair kernel, the set kernel and the combine."""
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(QueryEngine, "kernel_tables", lambda self: None)
-        yield
-
-
-PATHS = {"c": nullcontext, "numpy": numpy_composition}
+PATHS = {"c": nullcontext, "oracle": python_kernels}
 GRAPHS = {
     "road": lambda: delaunay_network(160, seed=21, style="city", edge_factor=1.35),
     "grid": lambda: grid_network(10, 10, seed=2),
@@ -294,6 +286,31 @@ def test_parity_after_an_overlay_burst(name):
     assert index.overlay.epoch != epoch
     after = assert_parity(index, s, t)
     assert not np.array_equal(before, after)
+
+
+@pytest.mark.parametrize("depth", WORD_EDGES)
+def test_word_edge_depths(depth):
+    """A shard hierarchy whose path bits fill a 64-bit word or spill
+    past it: the C shard kernel and its oracle give the scalar path's
+    bits — pair answers lowered by the boundary route, and fan rows."""
+    engine = caterpillar_index(depth).engine
+    n = engine.hq.n
+    rng = np.random.default_rng(depth)
+    boundary = rng.choice(n, 6, replace=False)
+    scalar = np.array([[engine.distance(u, b) for b in boundary] for u in range(n)])
+    block = scalar[boundary] * 0.5  # a shortcut the route can take
+    s, t = rng.integers(0, n, (2, 80))
+    s[:5] = t[:5]
+    fan = rng.integers(0, n, 30)
+    route = ((scalar[s][:, :, None] + block) + scalar[t][:, None, :]).min(axis=(1, 2))
+    direct = np.array([engine.distance(a, b) for a, b in zip(s.tolist(), t.tolist())])
+    want = np.where(s == t, 0.0, np.minimum(direct, route))
+    assert (route < direct).any() and (direct < route).any()
+    for kernels in PATHS.values():
+        with kernels():
+            final, rows, inverse = shard_batch(engine, boundary, s, t, fan, block)
+        assert np.array_equal(final, want)
+        assert np.array_equal(rows[inverse], scalar[fan])
 
 
 # ---------------------------------------------------------------------------

@@ -168,16 +168,13 @@ def test_wide_boundary_grid_stream_parity(transport, k):
         assert pool.stats.republishes == 0 and pool.stats.full_syncs == 0
 
 
-def attached_executor(monkeypatch, deep: bool):
-    """Shard 0 of a k = 2 grid, attached by a fresh executor at epoch 3
-    — as a hierarchy too deep for the LCA tables when *deep* (the
-    tables turned off); also returns the engines whose ancestor-chain
-    store was built, in order."""
+def attached_executor(monkeypatch):
+    """Shard 0 of a k = 2 grid, attached by a fresh executor at epoch 3;
+    also returns the engines whose ancestor-chain store was built, in
+    order."""
     sharded = ShardedDHLIndex.build(
         grid_network(8, 8, seed=1), k=2, config=DHLConfig(seed=0), build_workers=1
     )
-    if deep:
-        monkeypatch.setattr(QueryEngine, "kernel_tables", lambda self: None)
     builds = []
     original = QueryEngine.hub_store
 
@@ -208,26 +205,18 @@ def fan_batch_matches(sharded, executor) -> ComputeBatch:
     return batch
 
 
-def test_executor_builds_the_chain_store_at_attach(monkeypatch):
-    """The ancestor-chain store the numpy set kernel reads is built while
-    the executor binds its buffers, not inside the first stamped batch —
-    and a batch stamped with another epoch is still refused untouched."""
-    sharded, executor, builds = attached_executor(monkeypatch, deep=True)
-    assert builds == [executor.index.engine]
-    batch = fan_batch_matches(sharded, executor)
-    assert len(builds) == 1
-    stale = executor.compute(ComputeBatch(epoch=4, subs=batch.subs))
-    assert isinstance(stale, StaleReply) and executor.served == 1
-
-
 def test_executor_warms_only_the_lca_tables(monkeypatch):
     """The C shard kernel reads the LCA tables: those are built at
-    attach, and the ancestor-chain store is never built at all."""
-    sharded, executor, builds = attached_executor(monkeypatch, deep=False)
+    attach, not inside the first stamped batch, and the ancestor-chain
+    store is never built at all — and a batch stamped with another
+    epoch is refused untouched."""
+    sharded, executor, builds = attached_executor(monkeypatch)
     engine = executor.index.engine
-    assert engine._tables is not None and engine._tables.vectorised
-    fan_batch_matches(sharded, executor)
+    assert engine._tables is not None
+    batch = fan_batch_matches(sharded, executor)
     assert builds == [] and engine._hub_values is None
+    stale = executor.compute(ComputeBatch(epoch=4, subs=batch.subs))
+    assert isinstance(stale, StaleReply) and executor.served == 1
 
 
 def test_runtime_rejects_monolithic_index(transport):
