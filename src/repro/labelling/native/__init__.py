@@ -3,8 +3,9 @@
 :mod:`dhl_kernels.c <repro.labelling.native>` (package data, plain C99,
 no ``Python.h``) holds the pair and set-to-set queries, one shard's
 share of a sharded batch and the parent's min-plus combine, the two
-maintenance sweeps and the build's hot loops: every combinatorial
-step of the multilevel partitioner and Algorithm 1's top-down pass.
+maintenance sweeps, the build's hot loops (every combinatorial step
+of the multilevel partitioner and Algorithm 1's top-down pass) and the
+service's result-cache table (its batch probe and fill).
 There is no other implementation in the package, so a C compiler is a
 requirement. This module builds the file at first use and opens it
 with :mod:`ctypes`:
@@ -111,6 +112,10 @@ SIGNATURES = {
     "dhl_part_result": (None, [_ptr] * 4),
     "dhl_part_split": (_i64, [_ptr]),
     "dhl_label_build": (None, [_i64] + [_ptr] * 7),
+    "dhl_cache_probe": (
+        ctypes.c_int, [_ptr, _i64, _ptr, ctypes.c_int] + [_ptr] * 5
+    ),
+    "dhl_cache_fill": (ctypes.c_int, [_ptr, _i64] + [_ptr] * 3 + [_i64]),
 }
 
 

@@ -6,7 +6,9 @@
  * 4 + 5 over the labels, each for a whole mixed batch) and the build:
  * every combinatorial step of the multilevel partitioner (dhl_step_*
  * one at a time, dhl_part_* as a context that bisects one subset after
- * another; tie rules in their section) and Algorithm 1's top-down pass.
+ * another; tie rules in their section) and Algorithm 1's top-down pass,
+ * and the service's result cache: the probe and the fill of its
+ * set-associative pair table.
  * Plain C99 over int64_t / double / uint8_t pointers; built at first
  * use by repro.labelling.native and called through ctypes, which
  * validates dtype, contiguity, alignment and lengths and range-checks
@@ -2210,4 +2212,256 @@ void dhl_label_build(
             }
         }
     }
+}
+
+/* ------------------------------------------------------------------ */
+/* the service's result cache: one set-associative pair table          */
+/* ------------------------------------------------------------------ */
+
+/*
+ * repro.service.cache.EpochLRUCache's table as its header record
+ * describes it (repro.labelling.native.engine.PairTable fills the
+ * record once, when the table and its hub column are created): sets
+ * rows of ways slots, slot = set * ways + way, in four columns (packed
+ * key, value, epoch stamp, last-use tick) and an optional int32 hub
+ * column, address 0 until a fill first carries hubs. An empty slot has
+ * key 0 and tick 0. Both kernels move the clock and the counters of the
+ * record themselves.
+ */
+typedef struct {
+    int64_t sets, ways;
+    int64_t keys, values, epochs, ticks, hubs; /* column addresses */
+    int64_t tick, watermark;
+    int64_t hits, misses, stored, replaced, lru_evictions;
+} cache_header_t;
+
+typedef struct {
+    int64_t sets, ways, watermark;
+    int64_t *keys, *epochs, *ticks;
+    double *values;
+    int32_t *hubs;
+} cache_t;
+
+static cache_t cache_open(const cache_header_t *h)
+{
+    cache_t c = {h->sets, h->ways, h->watermark,
+                 (int64_t *)(uintptr_t)h->keys,
+                 (int64_t *)(uintptr_t)h->epochs,
+                 (int64_t *)(uintptr_t)h->ticks,
+                 (double *)(uintptr_t)h->values,
+                 (int32_t *)(uintptr_t)h->hubs};
+    return c;
+}
+
+/* A pair's key: lo << 32 | hi, non-zero unless the pair is (0, 0). */
+static inline uint64_t cache_key(int64_t lo, int64_t hi)
+{
+    return (uint64_t)lo << 32 | (uint64_t)hi;
+}
+
+/* The key's set: ((key >> 32) * MIX ^ key) % sets, in uint64 so no
+ * signed overflow reaches %; for 31-bit vertex ids it equals the int64
+ * expression of the numpy oracle. */
+static inline int64_t cache_set(uint64_t key, int64_t sets)
+{
+    return (int64_t)(((key >> 32) * UINT64_C(805306457) ^ key)
+                     % (uint64_t)sets);
+}
+
+/* The slot of the first way of set that holds key, or -1. */
+static inline int64_t cache_find(const cache_t *c, uint64_t key,
+                                 int64_t set)
+{
+    int64_t base = set * c->ways;
+    for (int64_t w = 0; w < c->ways; w++)
+        if ((uint64_t)c->keys[base + w] == key)
+            return base + w;
+    return -1;
+}
+
+/* Open addressing over the non-zero keys of one call: a power-of-two
+ * table at least twice the keys it will hold, linear probing. */
+typedef struct {
+    uint64_t *keys; /* 0: empty */
+    int64_t *index;
+    int64_t mask;
+    int shift;
+} key_set_t;
+
+static int key_set_init(key_set_t *s, int64_t count)
+{
+    int bits = 1;
+    while (((int64_t)1 << bits) < 2 * count)
+        bits++;
+    size_t size = (size_t)1 << bits;
+    s->keys = malloc(size * (sizeof *s->keys + sizeof *s->index));
+    if (!s->keys)
+        return DHL_NOMEM;
+    memset(s->keys, 0, size * sizeof *s->keys);
+    s->index = (int64_t *)(s->keys + size);
+    s->mask = (int64_t)size - 1;
+    s->shift = 64 - bits;
+    return 0;
+}
+
+/* The entry of key: found (*fresh 0) or claimed for it (*fresh 1). */
+static inline int64_t key_set_entry(const key_set_t *s, uint64_t key,
+                                    int *fresh)
+{
+    int64_t i = (int64_t)((key * UINT64_C(0x9E3779B97F4A7C15)) >> s->shift);
+    while (s->keys[i] && s->keys[i] != key)
+        i = (i + 1) & s->mask;
+    *fresh = !s->keys[i];
+    s->keys[i] = key;
+    return i;
+}
+
+/*
+ * The service door's probe of m pairs (pairs[2p], pairs[2p + 1]), one
+ * at a time. A self-pair answers 0.0 and probes nothing. Any other pair
+ * is ordered (min, max) unless directed and its key looked up in its
+ * set: a live entry (epoch >= watermark) answers, and its tick becomes
+ * tick + j, j the pair's index among the probed pairs; a stale match is
+ * dropped (key 0, tick 0) and misses. The i-th miss is at
+ * miss_positions[i]; misses are deduplicated by key, the distinct pairs
+ * written ordered to misses (u x 2) in first-seen order and
+ * miss_inverse[i] is the i-th miss's row there. A miss leaves out[p]
+ * unwritten. The clock then moves by the probes and the hit and miss
+ * counters by theirs; counts gets (probes, hits, u). Returns 0, or
+ * DHL_NOMEM with the table untouched.
+ */
+int dhl_cache_probe(
+    cache_header_t *h, int64_t m, const int64_t *pairs, int directed,
+    double *out, int64_t *misses, int64_t *miss_positions,
+    int64_t *miss_inverse, int64_t *counts)
+{
+    key_set_t seen;
+    if (key_set_init(&seen, m) < 0)
+        return DHL_NOMEM;
+    const cache_t c = cache_open(h);
+    int64_t probes = 0, hits = 0, missed = 0, distinct = 0;
+    for (int64_t p = 0; p < m; p++) {
+        int64_t lo = pairs[2 * p], hi = pairs[2 * p + 1];
+        if (lo == hi) {
+            out[p] = 0.0;
+            continue;
+        }
+        if (!directed && lo > hi) {
+            int64_t x = lo;
+            lo = hi;
+            hi = x;
+        }
+        uint64_t key = cache_key(lo, hi);
+        int64_t slot = cache_find(&c, key, cache_set(key, c.sets));
+        if (slot >= 0 && c.epochs[slot] >= c.watermark) {
+            out[p] = c.values[slot];
+            c.ticks[slot] = h->tick + probes;
+            hits++;
+        } else {
+            if (slot >= 0)
+                c.keys[slot] = c.ticks[slot] = 0;
+            int fresh;
+            int64_t e = key_set_entry(&seen, key, &fresh);
+            if (fresh) {
+                seen.index[e] = distinct;
+                misses[2 * distinct] = lo;
+                misses[2 * distinct + 1] = hi;
+                distinct++;
+            }
+            miss_positions[missed] = p;
+            miss_inverse[missed++] = seen.index[e];
+        }
+        probes++;
+    }
+    free(seen.keys);
+    h->tick += probes;
+    h->hits += hits;
+    h->misses += probes - hits;
+    counts[0] = probes;
+    counts[1] = hits;
+    counts[2] = distinct;
+    return 0;
+}
+
+static inline void cache_store(const cache_t *c, int64_t slot, uint64_t key,
+                               double value, const int64_t *hubs, int64_t i,
+                               int64_t epoch, int64_t tick)
+{
+    c->keys[slot] = (int64_t)key;
+    c->values[slot] = value;
+    c->epochs[slot] = epoch;
+    c->ticks[slot] = tick;
+    if (c->hubs)
+        c->hubs[slot] = hubs ? (int32_t)hubs[i] : -1;
+}
+
+/*
+ * Store count distinct ordered pairs (key lo << 32 | hi) with values[i]
+ * and, when the table has a hub column, hubs[i] (-1 when hubs is NULL),
+ * stamped with epoch; a batch stamped below the watermark is ignored.
+ * Stored key i gets tick + i. A key already in its set, live or stale,
+ * is overwritten in place, and counted in replaced if it was live. Then
+ * the new keys go in from the last to the first, each into its set's
+ * first way of the least age (0 for an empty or stale way, else the
+ * tick), an LRU eviction when that way is live; a set takes at most
+ * ways new keys of one batch, so of more only the last ways in batch
+ * order are placed. This is the placement of the numpy oracle's
+ * election rounds, which place one key per set per round, the last
+ * first. Every stored key counts in stored; the clock then moves by
+ * count. Returns 0, or DHL_NOMEM with the table untouched.
+ */
+int dhl_cache_fill(
+    cache_header_t *h, int64_t count, const int64_t *pairs,
+    const double *values, const int64_t *hubs, int64_t epoch)
+{
+    if (epoch < h->watermark)
+        return 0;
+    key_set_t taken; /* set + 1 -> new keys it has taken */
+    int64_t *set_of = malloc(((size_t)count + 1) * sizeof *set_of);
+    if (!set_of || key_set_init(&taken, count) < 0) {
+        free(set_of);
+        return DHL_NOMEM;
+    }
+    const cache_t c = cache_open(h);
+    int64_t ways = c.ways, tick = h->tick, stored = 0;
+    for (int64_t i = 0; i < count; i++) {
+        uint64_t key = cache_key(pairs[2 * i], pairs[2 * i + 1]);
+        int64_t set = cache_set(key, c.sets);
+        int64_t slot = cache_find(&c, key, set);
+        set_of[i] = slot < 0 ? set : -1;
+        if (slot >= 0) {
+            h->replaced += c.epochs[slot] >= c.watermark;
+            cache_store(&c, slot, key, values[i], hubs, i, epoch, tick + i);
+            stored++;
+        }
+    }
+    for (int64_t i = count - 1; i >= 0; i--) {
+        int64_t set = set_of[i];
+        if (set < 0)
+            continue;
+        int fresh;
+        int64_t e = key_set_entry(&taken, (uint64_t)set + 1, &fresh);
+        if (fresh)
+            taken.index[e] = 0;
+        if (taken.index[e] == ways)
+            continue;
+        taken.index[e]++;
+        int64_t base = set * ways, best = base, best_age = INT64_MAX;
+        for (int64_t slot = base; slot < base + ways; slot++) {
+            int64_t age = c.epochs[slot] < c.watermark ? 0 : c.ticks[slot];
+            if (age < best_age) {
+                best_age = age;
+                best = slot;
+            }
+        }
+        h->lru_evictions += best_age > 0;
+        cache_store(&c, best, cache_key(pairs[2 * i], pairs[2 * i + 1]),
+                    values[i], hubs, i, epoch, tick + i);
+        stored++;
+    }
+    free(set_of);
+    free(taken.keys);
+    h->stored += stored;
+    h->tick += count;
+    return 0;
 }

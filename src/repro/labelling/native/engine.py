@@ -19,8 +19,11 @@ a fit already.
 Buffer addresses are read on every call: the label and weight stores
 re-allocate (``extend_label``, ``ensure_writable``, ``rebind``,
 compaction, a shared-memory republish) and an unpickled engine has new
-arrays throughout, so no address is kept anywhere. Every array stays
-referenced by the calling frame until the C function returns.
+arrays throughout, so no store address is kept anywhere. Every array
+stays referenced by the calling frame until the C function returns.
+The one exception is the service's result-cache table
+(:class:`PairTable`): its columns never move, so their addresses are
+checked and kept once, when the table and its hub column are made.
 """
 
 from __future__ import annotations
@@ -30,6 +33,12 @@ import numpy as np
 from repro.labelling.native import library
 
 __all__ = [
+    "CACHE_HEADER",
+    "PairTable",
+    "cache_fill",
+    "cache_get",
+    "cache_probe",
+    "cache_put",
     "common_ancestors",
     "distance_matrix",
     "gather_pairs",
@@ -44,6 +53,7 @@ __all__ = [
 _I64 = np.dtype(np.int64)
 _F64 = np.dtype(np.float64)
 _U64 = np.dtype(np.uint64)
+_I32 = np.dtype(np.int32)
 _U8 = np.dtype(np.uint8)
 
 
@@ -428,4 +438,151 @@ def label_build(store, labels, order: np.ndarray) -> None:
         n, _addr(order, _I64, n), *_csr_rows(csr),
         _addr(store.up_weights, _F64, m), _addr(tau, _I64, n),
         offsets_addr, values_addr,
+    )
+
+
+# ---------------------------------------------------------------------------
+# the service's result cache
+# ---------------------------------------------------------------------------
+
+#: The C ``cache_header_t`` record: the table's geometry, its column
+#: addresses (``hubs`` 0 while it has no hub column), its clock, its
+#: invalidation watermark and its counters.
+CACHE_HEADER = np.dtype(
+    [
+        (name, np.int64)
+        for name in (
+            "sets", "ways", "keys", "values", "epochs", "ticks", "hubs",
+            "tick", "watermark",
+            "hits", "misses", "stored", "replaced", "lru_evictions",
+        )
+    ],
+    align=True,
+)
+
+
+class PairTable:
+    """The C view of :class:`~repro.service.cache.EpochLRUCache`'s table.
+
+    Four ``(sets, ways)`` columns — packed ``int64`` key, ``float64``
+    value, ``int64`` epoch stamp, ``int64`` last-use tick — and, once
+    :meth:`add_hubs` has made it, an ``int32`` hub column, described by
+    one :data:`CACHE_HEADER` record. Each column is checked and its
+    address written to the record here, once: the columns never move
+    (an unpickled table has new ones and is bound to them on load). The
+    kernels read the record's clock and watermark and update its
+    counters in place; the owner reads them as ``header["hits"]``. The
+    one-pair calls (:func:`cache_get`, :func:`cache_put`) run the same
+    kernels on buffers of the table's own, bound here too.
+    """
+
+    def __init__(self, keys, values, epochs, ticks):
+        self.keys, self.values, self.epochs, self.ticks = keys, values, epochs, ticks
+        self.hubs: np.ndarray | None = None
+        self.header = np.zeros((), dtype=CACHE_HEADER)
+        self.header["sets"], self.header["ways"] = keys.shape
+        self.header["tick"] = 1
+        # One pair: ids, hub, the probe's miss row, position, inverse and
+        # counts; and its value.
+        self.one = np.zeros(10, dtype=np.int64)
+        self.one_value = np.zeros(1, dtype=np.float64)
+        self._bind()
+
+    def _bind(self) -> None:
+        size, header = self.keys.size, self.header
+        header["keys"] = _addr(self.keys, _I64, size, write=True)
+        header["values"] = _addr(self.values, _F64, size, write=True)
+        header["epochs"] = _addr(self.epochs, _I64, size, write=True)
+        header["ticks"] = _addr(self.ticks, _I64, size, write=True)
+        header["hubs"] = (
+            0 if self.hubs is None else _addr(self.hubs, _I32, size, write=True)
+        )
+        self.address = _addr(header, header.dtype, 1, write=True)
+        one = _addr(self.one, _I64, 10, write=True)
+        value = _addr(self.one_value, _F64, 1, write=True)
+        self._one_probe = (
+            self.address, 1, one, True, value, one + 24, one + 40, one + 48, one + 56
+        )
+        self._one_fill = (self.address, 1, one, value)
+        self._one_hub = one + 16
+
+    def add_hubs(self) -> None:
+        """Give the table its hub column, every slot ``-1``."""
+        self.hubs = np.full(self.keys.shape, -1, dtype=np.int32)
+        self._bind()
+
+    def __setstate__(self, state) -> None:
+        self.__dict__.update(state)
+        self._bind()
+
+
+def cache_probe(table: PairTable, pairs, directed: bool):
+    """The service door's probe of a ``(m, 2)`` int64 *pairs* array.
+
+    Returns ``(out, misses, positions, inverse)``: ``out[p]`` is 0.0 for
+    a self-pair and the cached distance for a hit (unwritten for a
+    miss); ``misses`` the ``(u, 2)`` distinct missed pairs, ordered
+    ``(min, max)`` unless *directed*, in first-seen order; ``positions``
+    each miss's index in *pairs* and ``inverse`` its row of ``misses``.
+    Hits refresh their ticks, probed stale entries are dropped and the
+    table's clock and hit / miss counters move (``dhl_cache_probe``).
+    """
+    m = len(pairs)
+    out = np.empty(m, dtype=np.float64)
+    ints = np.empty(4 * m + 3, dtype=np.int64)  # misses, positions, inverse, counts
+    base = _addr(ints, _I64, ints.size, write=True)
+    _checked(
+        library().dhl_cache_probe(
+            table.address, m, _addr(pairs, _I64, 2 * m), directed,
+            _addr(out, _F64, m, write=True),
+            base, base + 16 * m, base + 24 * m, base + 32 * m,
+        )
+    )
+    probes, hits, distinct = ints[4 * m :].tolist()
+    missed = probes - hits
+    return (
+        out,
+        ints[: 2 * distinct].reshape(distinct, 2),
+        ints[2 * m : 2 * m + missed],
+        ints[3 * m : 3 * m + missed],
+    )
+
+
+def cache_fill(table: PairTable, pairs, values, hubs, epoch: int) -> None:
+    """Store the distinct ordered ``(u, 2)`` *pairs* with their *values*
+    (and int64 *hubs*, or None) at *epoch* (``dhl_cache_fill``: held
+    keys in place, new ones into an empty, stale or least recently used
+    way, at most ``ways`` new keys per set and batch)."""
+    count = len(pairs)
+    _checked(
+        library().dhl_cache_fill(
+            table.address, count, _addr(pairs, _I64, 2 * count),
+            _addr(values, _F64, count),
+            None if hubs is None else _addr(hubs, _I64, count),
+            epoch,
+        )
+    )
+
+
+def cache_get(table: PairTable, lo: int, hi: int) -> float | None:
+    """:func:`cache_probe` of the one ordered pair ``(lo, hi)``: its
+    cached distance (0.0 for a self-pair), or None."""
+    one = table.one
+    one[0], one[1] = lo, hi
+    _checked(library().dhl_cache_probe(*table._one_probe))
+    return float(table.one_value[0]) if one[7] == one[8] else None
+
+
+def cache_put(
+    table: PairTable, lo: int, hi: int, value: float, hub: int, epoch: int
+) -> None:
+    """:func:`cache_fill` of the one ordered pair ``(lo, hi)``; a *hub*
+    below 0 is none."""
+    one = table.one
+    one[0], one[1], one[2] = lo, hi, hub
+    table.one_value[0] = value
+    _checked(
+        library().dhl_cache_fill(
+            *table._one_fill, table._one_hub if hub >= 0 else None, epoch
+        )
     )

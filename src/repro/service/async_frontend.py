@@ -46,6 +46,7 @@ Use as an async context manager::
 from __future__ import annotations
 
 import asyncio
+import operator
 from collections import deque
 from dataclasses import dataclass
 
@@ -203,8 +204,12 @@ class AsyncDistanceService:
         return await self._enqueue(pairs.ravel().tolist(), len(pairs))
 
     async def distance(self, s: int, t: int) -> float:
-        """Single-pair distance (the micro-batcher's bread and butter)."""
-        s, t = int(s), int(t)
+        """Single-pair distance (the micro-batcher's bread and butter).
+
+        *s* and *t* are integers (``operator.index``): a float or a
+        string raises ``TypeError`` before anything is queued.
+        """
+        s, t = operator.index(s), operator.index(t)
         n = self.service.index.graph.num_vertices
         if not (0 <= s < n and 0 <= t < n):
             raise VertexNotFound(t if 0 <= s < n else s)

@@ -5,9 +5,13 @@ last-use tick, 32 bytes per entry, plus an ``int32`` hub (36 bytes) once
 fine-grained eviction supplies hubs — organised as about ``capacity //
 8`` sets of 8 ways; while ``capacity < 24`` there is a single set of
 ``capacity`` ways, which makes a small cache an exact LRU. A key hashes
-to one set; a batch is probed, refreshed and filled with array
-operations only, and ``service.distance()`` probes the same table
-through a scalar path.
+to one set, ``((key >> 32) * 805306457 ^ key) % sets``. Probing and
+filling are one C call each (``dhl_cache_probe`` / ``dhl_cache_fill``
+through :mod:`repro.labelling.native.engine`, which checks the columns
+once, when the table is made), for a batch and for a single pair
+alike: the door's probe orders, packs, looks up and deduplicates a
+whole pair batch in one pass. Invalidation, eviction and the counters'
+reading stay numpy.
 
 The contract is **a cache may forget, never lie**: a full set displaces
 its least-recently-used way even when other sets have room, but a hit
@@ -34,13 +38,12 @@ from typing import Iterable
 
 import numpy as np
 
+from repro.labelling.native import engine as native_engine
+
 __all__ = ["CacheStats", "EpochLRUCache", "pair_key", "unpack_keys"]
 
 _WAYS = 8
 _LOW = 0xFFFFFFFF
-# Set-hash multiplier, < 2**30: with 31-bit vertex ids the mix stays
-# inside int64, so ints and arrays hash through one expression.
-_MIX = 805_306_457
 _HALVES = np.array([32, 0])
 
 
@@ -106,81 +109,88 @@ class EpochLRUCache:
             raise ValueError("cache capacity must be positive")
         self.capacity = capacity
         # An odd set count lets the modulus see every bit of the hash.
-        self._sets = max(1, (capacity // _WAYS - 1) | 1)
-        self._ways = capacity // self._sets
+        sets = max(1, (capacity // _WAYS - 1) | 1)
         # One row per set; slot ``set * ways + way`` in flat order;
         # ``sets * ways <= capacity`` slots bound the live entries. An
-        # empty way has key 0 and tick 0.
-        shape = (self._sets, self._ways)
-        self._keys = _zeros(shape, np.int64)
-        self._values = _zeros(shape, np.float64)
-        self._epochs = _zeros(shape, np.int64)
-        self._ticks = _zeros(shape, np.int64)
-        # Allocated by the first insert that carries hubs.
-        self._hubs: np.ndarray | None = None
-        # Scratch of :meth:`insert`: which key of a batch a set takes next.
-        self._owner = np.zeros(self._sets, dtype=np.int64)
-        self._tick = 1
-        self._watermark = 0
-        self._hits = 0
-        self._misses = 0
-        # Entries ever stored / overwritten live by their own key. With
-        # the LRU count and the occupied slots they give ``invalidated``
-        # (see :meth:`stats`), so no hot path has to count it.
-        self._stored = 0
-        self._replaced = 0
-        self._lru_evictions = 0
-
-    def _set_of(self, keys):
-        """Set index of each key (one expression for an int and an array)."""
-        return ((keys >> 32) * _MIX ^ keys) % self._sets
-
-    def _find(self, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Each key's slot and whether an entry (live or stale) is in it."""
-        sets = self._set_of(keys)
-        match = self._keys.take(sets, axis=0) == keys[:, None]
-        slot = sets * self._ways + match.argmax(axis=1)
-        return slot, self._keys.take(slot) == keys
+        # empty way has key 0 and tick 0. The table's clock, watermark
+        # and counters live in its header record, where the kernels
+        # move them.
+        shape = (sets, capacity // sets)
+        self._table = native_engine.PairTable(
+            _zeros(shape, np.int64),
+            _zeros(shape, np.float64),
+            _zeros(shape, np.int64),
+            _zeros(shape, np.int64),
+        )
 
     def _drop(self, slots) -> int:
-        self._keys.put(slots, 0)
-        self._ticks.put(slots, 0)
+        self._table.keys.put(slots, 0)
+        self._table.ticks.put(slots, 0)
         return len(slots)
 
     # -- lookups --------------------------------------------------------
-    def lookup(self, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """``(values, hit_mask)`` for a key batch (duplicates allowed).
+    def probe_pairs(
+        self, pairs: np.ndarray, directed: bool
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """The service door's probe of an ``(m, 2)`` pair batch.
 
-        ``values`` is meaningful only where ``hit_mask`` is set. Hits
-        are refreshed in batch order; probed stale entries are dropped.
+        Returns ``(out, misses, positions, inverse)``: ``out`` holds 0.0
+        for each self-pair and the cached distance for each hit; the
+        ``(u, 2)`` *misses* are the distinct missed pairs, ordered
+        ``(min, max)`` unless *directed*, in first-seen order, the keys
+        :meth:`fill_pairs` takes; the caller writes ``out[positions] =
+        answers[inverse]``. Self-pairs probe nothing; hits are refreshed
+        in batch order and probed stale entries dropped.
         """
-        slot, found = self._find(keys)
-        live = found & (self._epochs.take(slot) >= self._watermark)
-        hit = live.nonzero()[0]
-        if len(hit) < np.count_nonzero(found):
-            self._drop(slot[found & ~live])
-        self._ticks.put(slot[hit], self._tick + hit)
-        self._tick += len(keys)
-        self._hits += len(hit)
-        self._misses += len(keys) - len(hit)
-        return self._values.take(slot), live
+        return native_engine.cache_probe(
+            self._table, native_engine.operand(pairs, np.int64), directed
+        )
+
+    def fill_pairs(
+        self,
+        pairs: np.ndarray,
+        values: np.ndarray,
+        hubs: np.ndarray | None,
+        epoch: int,
+    ) -> None:
+        """Store a batch of *distinct* ordered pairs, stamped with *epoch*.
+
+        An entry already under a key is overwritten in place; then the
+        new keys go in as if one by one from the last to the first, each
+        taking an empty or stale way of its set before the least
+        recently used live one. Of more new keys than ways for one set
+        only the last ``ways`` in batch order stay; a batch stamped
+        below the watermark is stale on arrival and ignored.
+        """
+        if hubs is not None:
+            self._with_hubs(epoch)
+        native_engine.cache_fill(
+            self._table,
+            native_engine.operand(pairs, np.int64),
+            native_engine.operand(values, np.float64),
+            None if hubs is None else native_engine.operand(hubs, np.int64),
+            epoch,
+        )
+
+    def _with_hubs(self, epoch: int) -> None:
+        """Give the table its hub column at the first fill that carries
+        hubs and is not stale on arrival."""
+        if self._table.hubs is None and epoch >= self.watermark:
+            self._table.add_hubs()
+
+    def lookup(self, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``(values, hit_mask)`` for a batch of packed keys (duplicates
+        allowed): :meth:`probe_pairs` in key order. ``values`` is
+        meaningful only where ``hit_mask`` is set; a self-pair key
+        ``a << 32 | a`` answers 0.0 without a probe."""
+        values, _, positions, _ = self.probe_pairs(unpack_keys(keys), True)
+        hit = np.ones(len(keys), dtype=bool)
+        hit[positions] = False
+        return values, hit
 
     def get(self, key: int) -> float | None:
-        """Scalar probe of the same table: the distance, or ``None``."""
-        row = self._set_of(key)
-        try:
-            way = self._keys[row].tolist().index(key)
-        except ValueError:
-            self._misses += 1
-            return None
-        if self._epochs[row, way] < self._watermark:
-            self._drop([row * self._ways + way])
-            self._misses += 1
-            return None
-        self._ticks[row, way] = self._tick
-        self._tick += 1
-        self._hits += 1
-        return float(self._values[row, way])
+        """One-key :meth:`lookup`: the distance, or ``None``."""
+        return native_engine.cache_get(self._table, key >> 32, key & _LOW)
 
     def insert(
         self,
@@ -189,70 +199,20 @@ class EpochLRUCache:
         hubs: np.ndarray | None,
         epoch: int,
     ) -> None:
-        """Store a batch of *distinct* keys, stamped with *epoch*.
-
-        An entry already under a key is overwritten in place; then the
-        new keys go in as if one by one in batch order, each taking an
-        empty or stale way of its set before the least recently used
-        live one. Of more new keys than ways for one set only ``ways``
-        stay; a batch stamped below the watermark is stale on arrival
-        and ignored.
-        """
-        ways, watermark = self._ways, self._watermark
-        if epoch < watermark:
-            return
-        if hubs is not None and self._hubs is None:
-            self._hubs = np.full(self._keys.shape, -1, dtype=np.int32)
-
-        def store(slot, pick):
-            self._stored += len(pick)
-            self._keys.put(slot, keys[pick])
-            self._values.put(slot, values[pick])
-            self._epochs.put(slot, epoch)
-            self._ticks.put(slot, self._tick + pick)
-            if self._hubs is not None:
-                self._hubs.put(slot, -1 if hubs is None else hubs[pick])
-
-        slot, found = self._find(keys)
-        todo = np.arange(len(keys))
-        if found.any():  # replaced, not shadowed by a second copy
-            held = slot[found]
-            self._replaced += int(
-                np.count_nonzero(self._epochs.take(held) >= watermark)
-            )
-            store(held, todo[found])
-            todo = todo[~found]
-        sets = slot // ways
-        for _ in range(ways):  # a round places at most one key per set
-            if not len(todo):
-                break
-            rows = sets[todo]
-            self._owner[rows] = todo
-            mine = self._owner[rows] == todo
-            pick, rows, todo = todo[mine], rows[mine], todo[~mine]
-            age = np.where(
-                self._epochs.take(rows, axis=0) < watermark,
-                0,
-                self._ticks.take(rows, axis=0),
-            )
-            self._lru_evictions += int(np.count_nonzero(age.min(axis=1) > 0))
-            store(rows * ways + age.argmin(axis=1), pick)
-        self._tick += len(keys)
+        """:meth:`fill_pairs` for a batch of distinct packed keys."""
+        self.fill_pairs(unpack_keys(keys), values, hubs, epoch)
 
     def put(self, key: int, value: float, hub: int, epoch: int) -> None:
-        """Scalar :meth:`insert`."""
-        self.insert(
-            np.array([key], dtype=np.int64),
-            np.array([value], dtype=np.float64),
-            None if hub < 0 else np.array([hub], dtype=np.int64),
-            epoch,
-        )
+        """One-key :meth:`insert`; a *hub* below 0 stores none."""
+        if hub >= 0:
+            self._with_hubs(epoch)
+        native_engine.cache_put(self._table, key >> 32, key & _LOW, value, hub, epoch)
 
     # -- invalidation ---------------------------------------------------
     def invalidate_all(self, epoch: int) -> None:
         """Mark every entry older than *epoch* stale (lazy, O(1))."""
-        if epoch > self._watermark:
-            self._watermark = epoch
+        if epoch > self.watermark:
+            self._table.header["watermark"] = epoch
 
     def evict_vertices(self, affected: Iterable[int]) -> int:
         """Remove entries touching *affected* vertices; returns the count.
@@ -266,42 +226,47 @@ class EpochLRUCache:
         affected = np.fromiter(affected, dtype=np.int64)
         if not len(affected):
             return 0
-        used = np.flatnonzero(self._keys)
-        keys = self._keys.take(used)
+        table = self._table
+        used = np.flatnonzero(table.keys)
+        keys = table.keys.take(used)
         doomed = np.isin(keys >> 32, affected) | np.isin(keys & _LOW, affected)
-        if self._hubs is not None:
-            doomed |= np.isin(self._hubs.take(used), affected)
+        if table.hubs is not None:
+            doomed |= np.isin(table.hubs.take(used), affected)
         return self._drop(used[doomed])
 
     def clear(self) -> None:
-        self._drop(np.flatnonzero(self._keys))
+        self._drop(np.flatnonzero(self._table.keys))
 
     # -- introspection --------------------------------------------------
+    def _live(self) -> np.ndarray:
+        return (self._table.keys != 0) & (self._table.epochs >= self.watermark)
+
     def __len__(self) -> int:
         """Live entries (stale ones are dead weight awaiting overwrite)."""
-        return int(
-            np.count_nonzero((self._keys != 0) & (self._epochs >= self._watermark))
-        )
+        return int(np.count_nonzero(self._live()))
 
     def __contains__(self, key: int) -> bool:
-        slot, found = self._find(np.array([key], dtype=np.int64))
-        return bool(found[0] and self._epochs.take(slot[0]) >= self._watermark)
+        """Whether *key* is held live (a scan: counts and refreshes
+        nothing)."""
+        return bool((self._live() & (self._table.keys == key)).any())
 
     @property
     def watermark(self) -> int:
-        return self._watermark
+        return int(self._table.header["watermark"])
 
     def stats(self) -> CacheStats:
         # Every stored entry is still in its slot or left it exactly one
         # way: displaced while live (LRU), overwritten live by its own
         # key, or invalidated — dropped by a probe, an eviction or
         # ``clear``, or overwritten while stale.
-        gone = self._stored - int(np.count_nonzero(self._keys))
+        header = self._table.header
+        lru_evictions = int(header["lru_evictions"])
+        gone = int(header["stored"]) - int(np.count_nonzero(self._table.keys))
         return CacheStats(
-            hits=self._hits,
-            misses=self._misses,
+            hits=int(header["hits"]),
+            misses=int(header["misses"]),
             size=len(self),
             capacity=self.capacity,
-            lru_evictions=self._lru_evictions,
-            invalidated=gone - self._lru_evictions - self._replaced,
+            lru_evictions=lru_evictions,
+            invalidated=gone - lru_evictions - int(header["replaced"]),
         )

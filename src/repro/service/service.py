@@ -4,15 +4,15 @@ Fronts :class:`~repro.core.index.DHLIndex` with the three mechanisms a
 query-heavy dynamic service needs:
 
 1. **batched queries** — a batch of pairs is answered by the engine's
-   zero-copy kernel, which gathers straight from the flat CSR label
-   store with numpy reductions (duplicate pairs inside a batch are
-   computed once);
+   pair kernel (``dhl_gather_pairs``), one C loop that reads each
+   pair's ``K`` common-ancestor cells straight from the flat CSR label
+   store (duplicate pairs inside a batch are computed once);
 2. **an epoch-guarded result cache** — repeated pairs are served from
    one flat set-associative table stamped with the index maintenance
-   epoch, probed and filled a batch at a time with array operations;
-   invalidation is either a lazy O(1) watermark bump or fine-grained
-   eviction of only the pairs whose endpoints/hub were touched by the
-   update;
+   epoch. A batch is one C probe (order, pack, look up and deduplicate
+   every pair) and one C fill of its distinct misses; invalidation is
+   either a lazy O(1) watermark bump or fine-grained eviction of only
+   the pairs whose endpoints/hub were touched by the update;
 3. **update coalescing** — incoming weight changes buffer in an
    :class:`~repro.service.coalescer.UpdateCoalescer` and apply as one
    mixed maintenance pass (Algorithms 2-5) when a query needs
@@ -35,6 +35,7 @@ consistency — it only batches work between queries.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -52,12 +53,7 @@ from repro.observability import (
     collect_phases,
     phase,
 )
-from repro.service.cache import (
-    CacheStats,
-    EpochLRUCache,
-    pair_key,
-    unpack_keys,
-)
+from repro.service.cache import CacheStats, EpochLRUCache, pair_key
 from repro.service.coalescer import CoalescerStats, UpdateCoalescer
 from repro.service.metrics import LatencyRecorder, LatencySummary, Timer
 from repro.service.runtime import ExecutionRuntime, InProcessRuntime
@@ -292,7 +288,14 @@ class DistanceService:
         return self.index.epoch
 
     def distance(self, s: int, t: int) -> float:
-        """Single-pair distance through the cache."""
+        """Single-pair distance through the cache.
+
+        *s* and *t* are integers (``operator.index``: a float or a
+        string raises ``TypeError``); an id outside ``[0, n)`` raises
+        :class:`VertexNotFound`. Either is raised before the cache or
+        the runtime is touched.
+        """
+        s, t = operator.index(s), operator.index(t)
         n = self.index.graph.num_vertices
         if not (0 <= s < n and 0 <= t < n):
             raise VertexNotFound(t if 0 <= s < n else s)
@@ -307,7 +310,8 @@ class DistanceService:
         return value
 
     def distances(self, pairs) -> np.ndarray:
-        """Batch distances: one table lookup, then one vectorised miss pass.
+        """Batch distances: one table probe, then one runtime call and
+        one table fill for the distinct misses.
 
         *pairs* is an ``(m, 2)`` integer array or any iterable of
         ``(s, t)`` pairs (:func:`~repro.utils.pairs.as_pair_array`). An
@@ -348,7 +352,7 @@ class DistanceService:
         # d(s, t) = d(t, s) on every backend but the directed one.
         if s > t and not self._directed:
             s, t = t, s
-        key = pair_key(int(s), int(t))
+        key = pair_key(s, t)
         value = self.cache.get(key)
         if value is not None:
             return value
@@ -363,26 +367,20 @@ class DistanceService:
     def _batch(self, pairs: np.ndarray) -> np.ndarray:
         if len(pairs) == 1:
             # A one-pair batch (an unfolded async request) is a single
-            # query: the scalar probe skips the array path's fixed cost.
+            # query: the one-pair probe and fill run on the table's own
+            # buffers, with none of the batch path's arrays.
             return np.array([self._cached_distance(*pairs[0].tolist())])
         tracer = self.observability.tracer
-        out = np.zeros(len(pairs), dtype=np.float64)
         with tracer.trace("cache_scan"):
-            s, t = pairs[:, 0], pairs[:, 1]
-            probed = (s != t).nonzero()[0]  # self-pairs stay 0.0
-            if not self._directed:
-                s, t = np.minimum(s, t), np.maximum(s, t)
-            keys = pair_key(s, t)[probed]
-            values, hit = self.cache.lookup(keys)
-            out[probed[hit]] = values[hit]
-        if hit.all():
+            # Self-pairs answer 0.0; a hotspot pair repeated inside one
+            # batch is one miss pair, computed once.
+            out, misses, positions, inverse = self.cache.probe_pairs(
+                pairs, self._directed
+            )
+        if not len(misses):
             return out
-        # A hotspot pair repeated inside one batch is computed only once.
-        positions = probed[~hit]
-        keys, inverse = np.unique(keys[~hit], return_inverse=True)
-        misses = unpack_keys(keys)
         hubs = shed = None
-        with tracer.trace("runtime", misses=len(keys)):
+        with tracer.trace("runtime", misses=len(misses)):
             if self.fine_grained_eviction:
                 values, hubs = self.runtime.distances_with_hubs(misses)
             else:
@@ -394,15 +392,15 @@ class DistanceService:
                     # the served values (and cache them), then re-raise
                     # re-aligned over the caller's positions.
                     values, open_shards = exc.distances, exc.open_shards
-                    shed = np.zeros(len(keys), dtype=bool)
+                    shed = np.zeros(len(misses), dtype=bool)
                     shed[exc.shed] = True
         with tracer.trace("cache_fill"):
             out[positions] = values[inverse]
             if shed is None:
-                self.cache.insert(keys, values, hubs, self.index.epoch)
+                self.cache.fill_pairs(misses, values, hubs, self.index.epoch)
             else:
-                self.cache.insert(
-                    keys[~shed], values[~shed], None, self.index.epoch
+                self.cache.fill_pairs(
+                    misses[~shed], values[~shed], None, self.index.epoch
                 )
         if shed is not None:
             raise PartialResultError(out, positions[shed[inverse]], open_shards)

@@ -3,8 +3,9 @@
 :func:`python_kernels` patches the entry points of
 :mod:`repro.labelling.native.engine` that the driver, the build and the
 queries call — the two maintenance sweeps, Algorithm 1's top-down pass,
-the K count, the pair, set and shard-batch kernels and the min-plus
-combine — with the bodies in this package. An index built, updated and
+the K count, the pair, set and shard-batch kernels, the min-plus
+combine and the result cache's probe and fill — with the bodies in
+this package. An index built, updated and
 queried inside it never enters C outside the partitioner (whose trees
 ``tests/test_partition_identity.py`` holds to their own oracle), so a
 differential test compares its bits with an index run on the C kernels.
@@ -17,14 +18,15 @@ from contextlib import contextmanager
 import pytest
 
 from repro.labelling.native import engine as native_engine
-from tests.oracles import build, maintenance, query
+from tests.oracles import build, cache, maintenance, query
 
 __all__ = ["python_kernels"]
 
 
 @contextmanager
 def python_kernels():
-    """Run maintenance, the label build and every query on the oracles."""
+    """Run maintenance, the label build, every query and the result
+    cache's table on the oracles."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(native_engine, "shortcut_sweep", maintenance.shortcut_sweep)
         mp.setattr(native_engine, "label_sweep", maintenance.label_sweep)
@@ -34,6 +36,10 @@ def python_kernels():
         mp.setattr(native_engine, "distance_matrix", query.distance_matrix)
         mp.setattr(native_engine, "shard_batch", query.shard_batch)
         mp.setattr(native_engine, "min_plus", query.min_plus)
+        mp.setattr(native_engine, "cache_probe", cache.cache_probe)
+        mp.setattr(native_engine, "cache_fill", cache.cache_fill)
+        mp.setattr(native_engine, "cache_get", cache.cache_get)
+        mp.setattr(native_engine, "cache_put", cache.cache_put)
         yield
 
 

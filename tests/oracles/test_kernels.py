@@ -1,12 +1,15 @@
 """The oracle kernels really replace the C ones, and agree with them.
 
 Inside :func:`~tests.oracles.kernels.python_kernels` an update, every
-query shape and a label build must run without a single call into the
-library (the partitioner, which has its own oracle pipeline, runs at
-build time outside it), and give the C kernels' bits.
+query shape, a label build and a result cache's probes and fills must
+run without a single call into the library (the partitioner, which has
+its own oracle pipeline, runs at build time outside it), and give the C
+kernels' bits.
 """
 
 from __future__ import annotations
+
+from dataclasses import astuple
 
 import numpy as np
 
@@ -16,6 +19,7 @@ from repro.core.sharded import ShardedDHLIndex
 from repro.graph.generators import grid_network
 from repro.labelling.build import build_labelling
 from repro.labelling.native import engine as native_engine
+from repro.service import DistanceService
 from tests.oracles.kernels import python_kernels
 
 
@@ -23,6 +27,10 @@ def exercise(index, sharded, burst, pairs) -> list[np.ndarray]:
     index.update(burst)
     sharded.update(burst)
     ids = np.arange(0, index.graph.num_vertices, 5)
+    with DistanceService(index, cache_capacity=64) as service:
+        served = [service.distances(pairs), service.distances(pairs[::-1])]
+        served.append(np.array([service.distance(1, 7), service.distance(7, 1)]))
+        served.append(np.array(astuple(service.stats().cache)))
     return [
         index.labels.values.copy(),
         index.hu.up_weights.copy(),
@@ -30,6 +38,7 @@ def exercise(index, sharded, burst, pairs) -> list[np.ndarray]:
         index.engine.distance_matrix(ids, ids[::3]),
         build_labelling(index.hu).values,
         sharded.distances(pairs),
+        *served,
     ]
 
 

@@ -564,10 +564,11 @@ def test_array_path_realigns_shed_pairs_and_never_caches_them(small_sharded):
         np.testing.assert_array_equal(
             err.distances[served], sharded.distances(batch[served])
         )
-        # One runtime call on the distinct, normalised misses — an array.
+        # One runtime call on the distinct, normalised misses — an
+        # array, in first-seen order.
         (sent,) = runtime.batches
         assert isinstance(sent, np.ndarray) and sent.dtype == np.int64
-        assert sent.tolist() == [[2, 21], [3, 40], [8, 17]]
+        assert sent.tolist() == [[3, 40], [8, 17], [2, 21]]
         assert pair_key(3, 40) in service.cache and pair_key(2, 21) in service.cache
         assert pair_key(8, 17) not in service.cache
         stats = service.stats()

@@ -3,21 +3,25 @@
 The table's contract is *a cache may forget, never lie*: the model
 tests replay interleaved ``insert`` / ``lookup`` / ``get`` /
 ``invalidate_all`` / ``evict_vertices`` against a dict oracle and a
-one-set table against an exact LRU. The door tests pin what the batch
-path promises its callers: vertex ids are checked before anything is
-touched, every input shape gives the same bits on every backend behind
-every runtime, and the counters stay truthful.
+one-set table against an exact LRU, on the C kernels and on their numpy
+oracle (``tests/oracles/cache.py``), and a differential test holds the
+door's probe and fill to that oracle step by step. The door tests pin
+what the batch path promises its callers: vertex ids are checked before
+anything is touched, every input shape gives the same bits on every
+backend behind every runtime, and the counters stay truthful.
 """
 
 from __future__ import annotations
 
+import asyncio
+import copy
 import math
 import os
 from collections import OrderedDict
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.config import DHLConfig
@@ -28,6 +32,7 @@ from repro.graph.digraph import DiGraph
 from repro.graph.generators import delaunay_network, grid_network
 from repro.graph.graph import Graph
 from repro.service import (
+    AsyncDistanceService,
     DistanceService,
     InProcessRuntime,
     ShardWorkerRuntime,
@@ -35,6 +40,7 @@ from repro.service import (
 )
 from repro.service.cache import EpochLRUCache, pair_key
 from tests.conftest import build_sharded
+from tests.oracles.kernels import python_kernels
 from tests.strategies import assert_stream_parity, rolling_stream
 from tests.test_structural_batch import directed_dijkstra
 
@@ -95,8 +101,14 @@ class Oracle:
                 del self.entries[key]
 
 
+#: A hypothesis test that also takes ``on_kernels`` (set once per test,
+#: not per example).
+FIXTURED = [HealthCheck.function_scoped_fixture]
+
+
+@pytest.mark.usefixtures("on_kernels")
 @given(capacity=st.sampled_from([1, 3, 8, 23, 24, 40, 200]), ops=ops_st)
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=150, deadline=None, suppress_health_check=FIXTURED)
 def test_model_a_hit_is_the_last_valid_insert(capacity, ops):
     cache, oracle = EpochLRUCache(capacity), Oracle()
     epoch, serial, probes = 3, 0.0, 0
@@ -145,12 +157,25 @@ def test_model_a_hit_is_the_last_valid_insert(capacity, ops):
             assert value == oracle.valid(key)
 
 
+@pytest.mark.usefixtures("on_kernels")
 @given(capacity=st.integers(1, 23), ops=ops_st)
-@settings(max_examples=150, deadline=None)
+@example(  # a held key is as recent as its batch index, not older
+    capacity=15,
+    ops=[
+        ("insert", [2], 0, False),
+        ("insert", [pair_key(1, 2), 2, 8, 11, pair_key(1, 5)], 0, False),
+        ("insert", [1, 3, 4, 5, 6, 7, 10, pair_key(1, 6)], 0, False),
+        ("insert", [9, pair_key(1, 3), pair_key(1, 4)], 0, False),
+        ("lookup", [2]),
+    ],
+)
+@settings(max_examples=150, deadline=None, suppress_health_check=FIXTURED)
 def test_one_set_table_is_an_exact_lru(capacity, ops):
     """Below 24 entries the table is one set: hits, misses and LRU
     evictions equal an ``OrderedDict`` LRU that forgets stale entries
-    when the watermark passes them."""
+    when the watermark passes them. A batch's keys, held or new, are
+    used in batch order: the tick of key ``i`` is the batch's first
+    tick plus ``i``."""
     cache = EpochLRUCache(capacity)
     lru: OrderedDict[int, tuple[float, int, int]] = OrderedDict()
     watermark, epoch, serial, evictions = 0, 3, 0.0, 0
@@ -189,6 +214,8 @@ def test_one_set_table_is_an_exact_lru(capacity, ops):
                     lru.popitem(last=False)
                     evictions += 1
                 lru[key] = entry
+            for key in keys:  # a batch's keys are used in batch order
+                lru.move_to_end(key)
         elif op[0] == "lookup":
             values, hit = cache.lookup(np.array(op[1], dtype=np.int64))
             for key, value, was_hit in zip(op[1], values, hit):
@@ -209,6 +236,110 @@ def test_one_set_table_is_an_exact_lru(capacity, ops):
                 del lru[key]
         assert len(cache) == len(lru)
     assert cache.stats().lru_evictions == evictions
+
+
+#: Vertex ids of the door streams: a few small ones, so pairs repeat,
+#: collide and crowd their sets, and 31-bit ones, so the hash's top
+#: bits move.
+DOOR_IDS = [0, 1, 2, 3, 4, 5, 6, 123_456_789, 2**30 + 7, 2**31 - 2, 2**31 - 1]
+
+door_pairs_st = st.lists(
+    st.tuples(st.sampled_from(DOOR_IDS), st.sampled_from(DOOR_IDS)), max_size=24
+)
+
+door_ops_st = st.lists(
+    st.one_of(
+        st.tuples(st.just("batch"), door_pairs_st, st.booleans()),
+        st.tuples(
+            st.just("fill"), door_pairs_st, st.integers(0, 2), st.booleans()
+        ),
+        st.tuples(st.just("invalidate"), st.integers(0, 2)),
+        st.tuples(st.just("evict"), st.sets(st.sampled_from(DOOR_IDS), max_size=3)),
+    ),
+    max_size=30,
+)
+
+
+def table_state(cache: EpochLRUCache) -> list:
+    """The table's clock, watermark, counters and column bytes."""
+    table = cache._table
+    counters = "tick watermark hits misses stored replaced lru_evictions"
+    columns = [table.keys, table.values, table.epochs, table.ticks, table.hubs]
+    return [int(table.header[name]) for name in counters.split()] + [
+        None if column is None else column.tobytes() for column in columns
+    ]
+
+
+@given(
+    capacity=st.sampled_from([1, 5, 24, 40, 200]),
+    directed=st.booleans(),
+    ops=door_ops_st,
+)
+@settings(max_examples=200, deadline=None)
+def test_the_door_probe_and_fill_equal_their_oracle(capacity, directed, ops):
+    """One stream of door batches, fills, watermark raises and vertex
+    evictions on two tables, one on the C kernels and one on the numpy
+    oracle: equal answers, miss pairs, positions and inverse, equal
+    ``stats()`` and equal table bytes after every step; and every hit
+    is the last value filled under its key at a valid epoch."""
+    ours, theirs = EpochLRUCache(capacity), EpochLRUCache(capacity)
+    model: dict[tuple[int, int], tuple[float, int]] = {}
+    epoch, serial = 3, 0.0
+
+    def both(call):
+        got = call(ours)
+        with python_kernels():
+            want = call(theirs)
+        return got, want
+
+    def ordered(pairs):
+        pairs = np.array(pairs, dtype=np.int64).reshape(-1, 2)
+        return pairs if directed else np.sort(pairs, axis=1)
+
+    def fill(pairs, at, with_hubs):
+        nonlocal serial
+        values = np.arange(len(pairs), dtype=np.float64) + serial
+        serial += len(pairs)
+        hubs = pairs[:, 0] % 7 if with_hubs else None
+        both(lambda cache: cache.fill_pairs(pairs, values, hubs, at))
+        if at >= ours.watermark:
+            for pair, value in zip(map(tuple, pairs.tolist()), values):
+                model[pair] = (value, at)
+        return values
+
+    for op in ops:
+        if op[0] == "batch":
+            pairs = np.array(op[1], dtype=np.int64).reshape(-1, 2)
+            got, want = both(lambda cache: cache.probe_pairs(pairs, directed))
+            out, misses, positions, inverse = got
+            for mine, other in zip(got[1:], want[1:]):
+                np.testing.assert_array_equal(mine, other)
+            answered = np.ones(len(pairs), dtype=bool)
+            answered[positions] = False
+            np.testing.assert_array_equal(out[answered], want[0][answered])
+            for pair, value in zip(ordered(pairs[answered]).tolist(), out[answered]):
+                if pair[0] != pair[1]:  # a hit never lies
+                    assert model[tuple(pair)][1] >= ours.watermark
+                    assert value == model[tuple(pair)][0]
+            seen = ordered(pairs[positions])  # distinct, in first-seen order
+            _, first = np.unique(seen, axis=0, return_index=True)
+            np.testing.assert_array_equal(misses, seen[np.sort(first)])
+            np.testing.assert_array_equal(misses[inverse], seen)
+            fill(misses, epoch, op[2])
+        elif op[0] == "fill":
+            pairs = ordered([(s, t) for s, t in op[1] if s != t])
+            _, first = np.unique(pairs, axis=0, return_index=True)
+            fill(pairs[np.sort(first)], epoch - op[2], op[3])
+        elif op[0] == "invalidate":
+            epoch += op[1]
+            both(lambda cache: cache.invalidate_all(epoch))
+        else:
+            got, want = both(lambda cache: cache.evict_vertices(op[1]))
+            assert got == want
+            model = {p: e for p, e in model.items() if not set(p) & op[1]}
+        assert ours.stats() == theirs.stats()
+        assert table_state(ours) == table_state(theirs)
+        assert len(ours) <= capacity
 
 
 def test_an_insert_below_the_watermark_is_ignored():
@@ -233,6 +364,7 @@ def test_insert_replaces_rather_than_shadows():
     assert stats.invalidated == 0 and stats.lru_evictions == 0
 
 
+@pytest.mark.usefixtures("on_kernels")
 def test_a_crowded_set_forgets_but_stays_bounded():
     cache = EpochLRUCache(64)  # 7 sets of 9 ways
     keys = pair_key(np.arange(1, 401), np.arange(1, 401) + 1)
@@ -283,6 +415,21 @@ def test_a_forked_child_never_writes_into_its_parents_table():
     assert cache.get(pair_key(3, 4)) is None
 
 
+def test_a_copied_table_probes_its_own_columns():
+    """The kernels read column addresses the table keeps: a deep copy
+    (a pickle round trip) must be bound to its own columns, so writing
+    one table never shows in the other."""
+    cache = EpochLRUCache(64)
+    cache.insert(np.array([pair_key(1, 2)]), np.array([5.0]), np.array([3]), 0)
+    clone = copy.deepcopy(cache)
+    clone.put(pair_key(1, 2), 9.0, 4, 0)
+    clone.put(pair_key(3, 4), 1.0, -1, 0)
+    assert (cache.get(pair_key(1, 2)), cache.get(pair_key(3, 4))) == (5.0, None)
+    assert (clone.get(pair_key(1, 2)), clone.get(pair_key(3, 4))) == (9.0, 1.0)
+    assert cache.evict_vertices([3]) == 1 and clone.evict_vertices([3]) == 1
+    assert (cache.stats().hits, clone.stats().hits) == (1, 2)
+
+
 def test_idle_table_costs_no_counted_entries():
     cache = EpochLRUCache()
     assert len(cache) == 0
@@ -319,6 +466,7 @@ def test_a_disconnected_distance_is_cached_and_served_as_a_hit():
         assert service.stats().cache.hits == 3
 
 
+@pytest.mark.usefixtures("on_kernels")
 def test_duplicates_self_pairs_empty_and_single_batches(small_index):
     with DistanceService(small_index) as service:
         assert service.distances([]).shape == (0,)
@@ -344,6 +492,7 @@ def test_duplicates_self_pairs_empty_and_single_batches(small_index):
         assert stats.queries == 1 + 1 + 7 and stats.batches == 5
 
 
+@pytest.mark.usefixtures("on_kernels")
 def test_stats_and_gauges_stay_truthful(small_index):
     from repro.observability import Observability
 
@@ -415,6 +564,47 @@ def test_unknown_vertices_are_refused_at_the_door(door_graph, kind):
         np.testing.assert_array_equal(
             service.distances([(0, 5)]), runtime.index.distances([(0, 5)])
         )
+
+
+@pytest.mark.parametrize("kind", ["in-process", "worker-pool"])
+def test_a_non_integral_id_is_refused_at_both_scalar_doors(door_graph, kind):
+    """``distance(1.5, 2)`` once answered d(1, 2) (from a warm cache, or
+    always behind the async frontend) and ``distance("3", 4)`` d(3, 4):
+    both doors take ids through ``operator.index``, so a float or a
+    string raises ``TypeError`` before the cache or the runtime is
+    touched, while numpy ints and bools still answer."""
+    runtime = door_runtimes(lambda: build_sharded(door_graph))[kind]()
+    with DistanceService(runtime) as service:
+        d12, d34 = (runtime.index.distance(*pair) for pair in [(1, 2), (3, 4)])
+        bad = [(1.5, 2), (1, 2.0), ("3", 4), (3, "4"), (np.float64(1), 2)]
+
+        def untouched():
+            pool = runtime.pool_stats()
+            return service.stats().cache, pool and pool.pairs
+
+        def refused_in_sync():
+            before = untouched()
+            for s, t in bad:
+                with pytest.raises(TypeError):
+                    service.distance(s, t)
+            assert untouched() == before
+
+        refused_in_sync()  # cold: (1, 2) is not cached yet
+        assert service.distance(np.int64(1), np.int32(2)) == d12
+        refused_in_sync()  # warm: it is
+        assert service.distance(True, 2) == runtime.index.distance(1, 2)
+
+        async def scenario():
+            async with AsyncDistanceService(service) as frontend:
+                before = untouched()
+                for s, t in bad:
+                    with pytest.raises(TypeError):
+                        await frontend.distance(s, t)
+                assert untouched() == before
+                assert frontend.frontend_stats().offered_requests == 0
+                return await frontend.distance(np.int64(3), np.uint8(4))
+
+        assert asyncio.run(scenario()) == d34
 
 
 def test_a_negative_id_no_longer_wraps_around(small_index):
