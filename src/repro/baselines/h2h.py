@@ -142,10 +142,3 @@ class H2HIndex:
     def shortcut_bytes(self) -> int:
         return self.sc.memory_bytes()
 
-    def validate_against(self, reference) -> None:
-        """Cheap sanity check against any distance callable (tests)."""
-        for v in range(min(5, self.graph.num_vertices)):
-            for u in range(min(5, self.graph.num_vertices)):
-                expected = reference(v, u)
-                got = self.distance(v, u)
-                assert got == expected or math.isclose(got, expected), (v, u, got, expected)

@@ -15,9 +15,11 @@ global rather than part of the bundle, because the maintenance kernels
 are far below the service layer and must not thread a handle through
 every call.
 
-Everything is **zero-overhead by default**: :data:`NULL_OBSERVABILITY`
-carries null-object registry/tracer/slow-log singletons whose methods
-are empty, so instrumented code calls them unconditionally.
+Nothing is exported by default: :data:`NULL_OBSERVABILITY` carries a
+registry whose instruments count for their owner but are not kept (the
+service's own stats are those instruments), a tracer that records no
+span and a slow log that never fires, so instrumented code calls them
+unconditionally.
 """
 
 from __future__ import annotations

@@ -6,10 +6,11 @@ them from its own thread without locks — a plain attribute store under
 the GIL, cheap enough for per-batch hot paths. Readers (snapshot and
 the exporters) may observe a value mid-update but never a torn one.
 
-Disabled observability uses :data:`NULL_REGISTRY`, whose instruments
-are shared no-op singletons — an ``inc()``/``observe()`` on the
-disabled path costs one empty method call, so the instrumented hot
-paths need no ``if enabled`` branches.
+The serving layer's own counts (``ServiceStats``, ``AsyncFrontendStats``)
+*are* registry instruments, so they must count with observability off
+too. Disabled observability uses :data:`NULL_REGISTRY`, whose factories
+hand out live instruments it does not keep: they count for their owner,
+nothing is exported, and the hot paths need no ``if enabled`` branches.
 
 Two export formats:
 
@@ -99,8 +100,9 @@ class Histogram:
     ``bounds`` are the inclusive upper edges of the finite buckets; one
     implicit +Inf bucket catches the rest. ``observe`` is one bisect
     plus three attribute updates — hot-path safe. Percentiles linearly
-    interpolate inside the winning bucket (the exact maximum is tracked
-    separately, so the +Inf bucket stays bounded).
+    interpolate inside the winning bucket; the exact maximum is tracked
+    separately and caps the top occupied bucket, so no estimate exceeds
+    the largest value observed.
     """
 
     kind = "histogram"
@@ -143,7 +145,7 @@ class Histogram:
             if not bucket_count:
                 continue
             lo = self.bounds[i - 1] if i > 0 else 0.0
-            hi = self.bounds[i] if i < len(self.bounds) else self.max
+            hi = min(self.bounds[i], self.max) if i < len(self.bounds) else self.max
             if seen + bucket_count >= target:
                 frac = (target - seen) / bucket_count
                 return lo + (max(hi, lo) - lo) * frac
@@ -279,72 +281,14 @@ class MetricsRegistry:
         return "\n".join(out) + ("\n" if out else "")
 
 
-# ---------------------------------------------------------------------------
-# disabled mode: shared no-op singletons
-# ---------------------------------------------------------------------------
-
-class _NullInstrument:
-    """Accepts every instrument method as a no-op."""
-
-    kind = "null"
-    name = ""
-    labels: LabelDict = {}
-    value = 0
-    count = 0
-    total = 0.0
-    max = 0.0
-    mean = 0.0
-
-    def inc(self, amount=1) -> None:
-        pass
-
-    def set(self, value) -> None:
-        pass
-
-    def observe(self, value) -> None:
-        pass
-
-    def percentile(self, p) -> float:
-        return 0.0
-
-    def summary(self) -> dict:
-        return {}
-
-    def value_dict(self) -> dict:
-        return {}
-
-
-_NULL_INSTRUMENT = _NullInstrument()
-
-
-class NullRegistry:
-    """Disabled registry: every factory returns the shared no-op."""
+class NullRegistry(MetricsRegistry):
+    """Disabled registry: every factory returns a fresh live instrument
+    that is not kept, so the exports stay empty."""
 
     enabled = False
 
-    def counter(self, name, help="", labels=None) -> _NullInstrument:
-        return _NULL_INSTRUMENT
-
-    def gauge(self, name, help="", labels=None) -> _NullInstrument:
-        return _NULL_INSTRUMENT
-
-    def histogram(self, name, help="", labels=None, bounds=()) -> _NullInstrument:
-        return _NULL_INSTRUMENT
-
-    def __len__(self) -> int:
-        return 0
-
-    def __iter__(self):
-        return iter(())
-
-    def snapshot(self) -> dict:
-        return {}
-
-    def to_jsonl(self) -> str:
-        return ""
-
-    def to_prometheus(self) -> str:
-        return ""
+    def _get(self, cls, name: str, help: str, labels: LabelDict | None, **kw):
+        return cls(name, labels, **kw)
 
 
 NULL_REGISTRY = NullRegistry()

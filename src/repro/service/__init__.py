@@ -25,12 +25,14 @@ service:
   labels shipped inline);
 * :mod:`repro.service.workload` — uniform / Zipf-hotspot / rush-hour
   traffic generators and the :func:`replay` driver;
-* :mod:`repro.service.metrics` — latency percentile recorders.
+* :mod:`repro.service.metrics` — latency summaries read off the
+  registry's latency histograms.
 
 Deep observability (metrics registry, request span tracing, kernel
-phase profiling, slow-query log) lives in :mod:`repro.observability`;
-hand :class:`DistanceService` an ``Observability.enabled(...)`` bundle
-to switch it on — the default is the zero-overhead null bundle.
+phase profiling, slow-query log) lives in :mod:`repro.observability`.
+The service and frontend count in registry instruments whatever the
+bundle; hand :class:`DistanceService` an ``Observability.enabled(...)``
+bundle to export them — the default null bundle exports nothing.
 
 The names above are re-exported lazily, as :mod:`repro` does: a module
 is imported on the first access of one of its names. A spawned replica
@@ -54,7 +56,6 @@ _EXPORTS = {
     "CoalescedBatch": "repro.service.coalescer",
     "CoalescerStats": "repro.service.coalescer",
     "UpdateCoalescer": "repro.service.coalescer",
-    "LatencyRecorder": "repro.service.metrics",
     "LatencySummary": "repro.service.metrics",
     "Timer": "repro.service.metrics",
     "PROTOCOL_VERSION": "repro.service.protocol",

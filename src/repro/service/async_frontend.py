@@ -29,11 +29,12 @@ deadline of their own.
 bad id fails only its own call. A request that would push the
 queued-but-unanswered pair count past ``max_queue_depth`` is *shed*
 with :class:`~repro.exceptions.ServiceOverloadError` instead of queued,
-and counted as ``dhl_async_shed_total`` in the service's metrics
-registry next to ``dhl_async_batches_total`` /
-``dhl_async_requests_total``. Should the dispatcher itself die, every
-outstanding call fails with :class:`ServiceOverloadError` naming the
-cause and the frontend closes, so no awaiter hangs.
+and counted as ``dhl_async_shed_total``. Every frontend count is one
+``dhl_async_*`` instrument of the service's metrics registry, and
+:class:`AsyncFrontendStats` is read off them. Should the dispatcher
+itself die, every outstanding call fails with
+:class:`ServiceOverloadError` naming the cause and the frontend closes,
+so no awaiter hangs.
 
 Use as an async context manager::
 
@@ -58,9 +59,9 @@ from repro.utils.pairs import as_pair_array, check_ids
 __all__ = ["AsyncDistanceService", "AsyncFrontendStats"]
 
 
-@dataclass
+@dataclass(frozen=True)
 class AsyncFrontendStats:
-    """Micro-batching and admission-control counters.
+    """Snapshot of the micro-batching and admission-control counters.
 
     ``merge_ratio`` is the effectiveness of the frontend: client
     requests answered per scheduler batch (1.0 means no batching
@@ -74,6 +75,7 @@ class AsyncFrontendStats:
     batches: int = 0
     batched_pairs: int = 0
     updates: int = 0
+    #: Most client requests folded into one batch.
     max_merged: int = 0
     #: Requests answered partially (their slice of a degraded batch
     #: contained breaker-shed pairs, resolved with PartialResultError).
@@ -137,7 +139,6 @@ class AsyncDistanceService:
         self.service = service
         self.max_batch = max_batch
         self.max_queue_depth = max_queue_depth
-        self.stats = AsyncFrontendStats()
         #: Query runs and ``(changes, future)`` updates, oldest first.
         self._runs: deque = deque()
         self._wake = asyncio.Event()
@@ -146,15 +147,32 @@ class AsyncDistanceService:
         self._closed = False
         #: Why the dispatcher died, once it has.
         self._failure: BaseException | None = None
+        # The counts live in the service's registry: frontends that
+        # front one enabled service in turn count in the same series.
         registry = service.observability.registry
-        self._m_requests = registry.counter(
+        counter = registry.counter
+        self._m_requests = counter(
             "dhl_async_requests_total", "Client requests admitted"
         )
-        self._m_batches = registry.counter(
+        self._m_shed = counter(
+            "dhl_async_shed_total", "Requests shed by admission control"
+        )
+        self._m_answered = counter(
+            "dhl_async_answered_total", "Client requests answered in full"
+        )
+        self._m_partial = counter(
+            "dhl_async_partial_requests_total",
+            "Client requests answered with a PartialResultError",
+        )
+        self._m_batches = counter(
             "dhl_async_batches_total", "Scheduler batches dispatched"
         )
-        self._m_shed = registry.counter(
-            "dhl_async_shed_total", "Requests shed by admission control"
+        self._m_batched_pairs = counter(
+            "dhl_async_batched_pairs_total", "Pairs in dispatched batches"
+        )
+        self._m_updates = counter("dhl_async_updates_total", "Update runs executed")
+        self._m_max_merged = registry.gauge(
+            "dhl_async_max_merged", "Most client requests folded into one batch"
         )
 
     # ------------------------------------------------------------------
@@ -224,7 +242,21 @@ class AsyncDistanceService:
         await future
 
     def frontend_stats(self) -> AsyncFrontendStats:
-        return self.stats
+        """The counters as they stand; ``offered_requests`` is the
+        admitted plus the shed."""
+        admitted, shed = self._m_requests.value, self._m_shed.value
+        return AsyncFrontendStats(
+            offered_requests=admitted + shed,
+            answered_requests=self._m_answered.value,
+            shed_requests=shed,
+            batches=self._m_batches.value,
+            batched_pairs=self._m_batched_pairs.value,
+            updates=self._m_updates.value,
+            max_merged=int(self._m_max_merged.value),
+            partial_requests=self._m_partial.value,
+        )
+
+    stats = property(frontend_stats)
 
     # ------------------------------------------------------------------
     # internals
@@ -237,9 +269,7 @@ class AsyncDistanceService:
                 if self._failure is not None
                 else "frontend is not running (use `async with` or await start())"
             ) from self._failure
-        self.stats.offered_requests += 1
         if self._pending_pairs + weight > self.max_queue_depth:
-            self.stats.shed_requests += 1
             self._m_shed.inc()
             raise ServiceOverloadError(
                 f"queue depth {self._pending_pairs} + {weight} exceeds "
@@ -290,11 +320,12 @@ class AsyncDistanceService:
     def _execute_queries(self, run: _Run) -> None:
         calls = run.calls
         pairs = np.array(run.pairs, dtype=np.int64).reshape(-1, 2)
-        self.stats.batches += 1
-        self.stats.batched_pairs += len(pairs)
-        self.stats.max_merged = max(self.stats.max_merged, len(calls))
         self._m_batches.inc()
+        self._m_batched_pairs.inc(len(pairs))
+        if len(calls) > self._m_max_merged.value:
+            self._m_max_merged.set(len(calls))
         self._pending_pairs -= len(pairs)
+        partial = 0
         try:
             out = self.service.distances(pairs)
         except PartialResultError as exc:
@@ -306,28 +337,28 @@ class AsyncDistanceService:
                 view = np.array(exc.distances[offset:end])
                 lo, hi = np.searchsorted(shed, (offset, end))
                 if hi > lo:
-                    self.stats.partial_requests += 1
+                    partial += 1
                     shed_here = shed[lo:hi] - offset
                     outcome = PartialResultError(view, shed_here, exc.open_shards)
                 else:
-                    self.stats.answered_requests += 1
                     outcome = view if count else float(view[0])
                 self._resolve(future, outcome)
-            return
         except Exception as exc:
             for future, _, _ in calls:
                 self._resolve(future, exc)
             return
-        values = out.tolist()
-        for future, offset, count in calls:
-            if not future.done():  # a cancelled caller
-                future.set_result(
-                    out[offset : offset + count].copy() if count else values[offset]
-                )
-        self.stats.answered_requests += len(calls)
+        else:
+            values = out.tolist()
+            for future, offset, count in calls:
+                if not future.done():  # a cancelled caller
+                    future.set_result(
+                        out[offset : offset + count].copy() if count else values[offset]
+                    )
+        self._m_partial.inc(partial)
+        self._m_answered.inc(len(calls) - partial)
 
     def _execute_update(self, changes, future: asyncio.Future) -> None:
-        self.stats.updates += 1
+        self._m_updates.inc()
         self._pending_pairs -= 1
         try:
             self.service.submit_many(changes)
@@ -367,5 +398,5 @@ class AsyncDistanceService:
         state = "closed" if self._closed else "running"
         return (
             f"AsyncDistanceService({state}, pending={self._pending_pairs}, "
-            f"batches={self.stats.batches})"
+            f"batches={self._m_batches.value})"
         )

@@ -6,22 +6,27 @@ operation throughput, and cache effectiveness. Latencies are recorded
 per *service call* (a batch of pairs is one call), while throughput is
 per individual operation, so a batched engine shows both its amortised
 win and its worst-case tail.
+
+A :class:`LatencySummary` is a view over a registry latency histogram
+and the counter of the operations its calls carried: the percentiles
+are bucket estimates over
+:data:`~repro.observability.registry.DEFAULT_LATENCY_BUCKETS`, held in
+fixed memory however many calls were timed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
+from repro.observability.registry import Counter, Histogram
 from repro.observability.timing import Timer
 
-__all__ = ["LatencySummary", "LatencyRecorder", "Timer"]
+__all__ = ["LatencySummary", "Timer"]
 
 
 @dataclass(frozen=True)
 class LatencySummary:
-    """Aggregated view of one :class:`LatencyRecorder`."""
+    """Aggregated view of one latency histogram and its operations."""
 
     calls: int
     operations: int
@@ -31,6 +36,21 @@ class LatencySummary:
     p95_seconds: float
     p99_seconds: float
     max_seconds: float
+
+    @classmethod
+    def of(cls, latency: Histogram, operations: Counter) -> "LatencySummary":
+        """The summary of the calls *latency* timed, which carried
+        ``operations.value`` operations between them."""
+        return cls(
+            calls=latency.count,
+            operations=operations.value,
+            total_seconds=latency.total,
+            mean_seconds=latency.mean,
+            p50_seconds=latency.percentile(50),
+            p95_seconds=latency.percentile(95),
+            p99_seconds=latency.percentile(99),
+            max_seconds=latency.max,
+        )
 
     @property
     def throughput(self) -> float:
@@ -62,50 +82,3 @@ class LatencySummary:
             f"p95 {self.p95_seconds * 1e3:.3f} ms, "
             f"p99 {self.p99_seconds * 1e3:.3f} ms"
         )
-
-
-class LatencyRecorder:
-    """Accumulates per-call latencies with their operation counts."""
-
-    __slots__ = ("_latencies", "_operations")
-
-    def __init__(self) -> None:
-        self._latencies: list[float] = []
-        self._operations = 0
-
-    def record(self, seconds: float, operations: int = 1) -> None:
-        self._latencies.append(float(seconds))
-        self._operations += int(operations)
-
-    @property
-    def calls(self) -> int:
-        return len(self._latencies)
-
-    @property
-    def operations(self) -> int:
-        return self._operations
-
-    def percentile(self, p: float) -> float:
-        if not self._latencies:
-            return 0.0
-        return float(np.percentile(np.asarray(self._latencies), p))
-
-    def summary(self) -> LatencySummary:
-        if not self._latencies:
-            return LatencySummary(0, 0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
-        arr = np.asarray(self._latencies)
-        p50, p95, p99 = np.percentile(arr, [50, 95, 99])
-        return LatencySummary(
-            calls=len(arr),
-            operations=self._operations,
-            total_seconds=float(arr.sum()),
-            mean_seconds=float(arr.mean()),
-            p50_seconds=float(p50),
-            p95_seconds=float(p95),
-            p99_seconds=float(p99),
-            max_seconds=float(arr.max()),
-        )
-
-    def clear(self) -> None:
-        self._latencies.clear()
-        self._operations = 0

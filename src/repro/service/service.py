@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import math
 import operator
+from contextlib import nullcontext
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -55,7 +56,7 @@ from repro.observability import (
 )
 from repro.service.cache import CacheStats, EpochLRUCache, pair_key
 from repro.service.coalescer import CoalescerStats, UpdateCoalescer
-from repro.service.metrics import LatencyRecorder, LatencySummary, Timer
+from repro.service.metrics import LatencySummary, Timer
 from repro.service.runtime import ExecutionRuntime, InProcessRuntime
 from repro.utils.pairs import as_pair_array, check_ids
 
@@ -66,7 +67,8 @@ WeightChange = tuple[int, int, float]
 
 @dataclass(frozen=True)
 class ServiceStats:
-    """Point-in-time operational snapshot of a :class:`DistanceService`."""
+    """Point-in-time operational snapshot of a :class:`DistanceService`:
+    its counts are the values of the service's registry instruments."""
 
     epoch: int
     queries: int
@@ -189,10 +191,12 @@ class DistanceService:
         tolerate bounded staleness between flushes.
     observability:
         An :class:`~repro.observability.Observability` bundle (metrics
-        registry + request tracer + slow log). Defaults to the null
-        bundle, which makes every instrumentation point a no-op call —
-        zero overhead unless a caller opts in with
-        ``Observability.enabled(...)``.
+        registry + request tracer + slow log). The service counts every
+        fact :meth:`stats` reports in one instrument of its registry.
+        The default null bundle's registry keeps none of them, so
+        nothing is exported, no span is built and no phase collected;
+        ``Observability.enabled(...)`` exports them. Services handed
+        one enabled bundle count in the same instruments.
     """
 
     def __init__(
@@ -221,37 +225,52 @@ class DistanceService:
         # service's request spans and is counted in the same registry.
         self.runtime.observability = self.observability
         registry = self.observability.registry
-        self._m_queries = registry.counter(
-            "dhl_queries_total", "Pair queries answered"
-        )
-        self._m_batches = registry.counter(
+        counter = registry.counter
+        self._m_queries = counter("dhl_queries_total", "Pair queries answered")
+        self._m_batches = counter(
             "dhl_query_batches_total", "Service query calls (a batch is one)"
         )
         self._m_query_seconds = registry.histogram(
             "dhl_query_seconds", "Per-call query latency in seconds"
         )
-        self._m_flushes = registry.counter(
+        self._m_flushes = counter(
             "dhl_flushes_total", "Coalesced update flushes applied"
         )
         self._m_flush_seconds = registry.histogram(
             "dhl_flush_seconds", "Coalesced update flush latency in seconds"
         )
-        self._m_flush_edges = registry.counter(
+        self._m_flush_edges = counter(
             "dhl_flush_edges_total", "Net weight changes applied by flushes"
         )
-        self._m_slow_queries = registry.counter(
+        self._m_slow_queries = counter(
             "dhl_slow_queries_total", "Query calls over the slow-query threshold"
         )
-        self._m_slow_flushes = registry.counter(
+        self._m_slow_flushes = counter(
             "dhl_slow_flushes_total", "Flushes over the slow-flush threshold"
         )
-        self._m_shed_pairs = registry.counter(
+        self._m_shed_pairs = counter(
             "dhl_shed_pairs_total",
             "Pairs shed (answered nan) because a shard's breaker was open",
         )
-        self._m_partial_batches = registry.counter(
+        self._m_partial_batches = counter(
             "dhl_partial_batches_total",
             "Query batches degraded to a PartialResultError",
+        )
+        self._m_shortcuts_changed = counter(
+            "dhl_shortcuts_changed", "Shortcut mutations applied"
+        )
+        self._m_labels_changed = counter(
+            "dhl_labels_changed", "Label entry mutations applied"
+        )
+        self._m_structural_batches = counter(
+            "dhl_structural_batches", "Flushes carrying insertions or deletions"
+        )
+        self._m_compactions = counter("dhl_compactions", "Compaction passes")
+        self._m_dead_slots_reclaimed = counter(
+            "dhl_dead_slots_reclaimed", "Dead shortcut slots compacted away"
+        )
+        self._m_bytes_reclaimed = counter(
+            "dhl_bytes_reclaimed", "Bytes compacted away (slots + label slack)"
         )
         self.cache = EpochLRUCache(cache_capacity)
         # Cache keys are unordered pairs unless d(s, t) != d(t, s).
@@ -262,18 +281,6 @@ class DistanceService:
         )
         self.flush_threshold = max(1, flush_threshold)
         self.auto_flush_on_query = auto_flush_on_query
-        self.query_latency = LatencyRecorder()
-        self.update_latency = LatencyRecorder()
-        self._queries = 0
-        self._batches = 0
-        self._shortcuts_changed = 0
-        self._labels_changed = 0
-        self._structural_batches = 0
-        self._compactions = 0
-        self._dead_slots_reclaimed = 0
-        self._bytes_reclaimed = 0
-        self._shed_pairs = 0
-        self._partial_batches = 0
         # Last index epoch this service reconciled its cache against.
         # Updates applied directly on the index (structural ops, another
         # caller) advance the epoch without telling us which pairs moved,
@@ -303,9 +310,6 @@ class DistanceService:
         with self.observability.tracer.trace("distance", s=s, t=t):
             with Timer() as timer:
                 value = self._cached_distance(s, t)
-        self._queries += 1
-        self._batches += 1
-        self.query_latency.record(timer.seconds, 1)
         self._note_query(timer.seconds, 1)
         return value
 
@@ -326,14 +330,9 @@ class DistanceService:
                 try:
                     out = self._batch(pairs)
                 except PartialResultError as exc:
-                    self._partial_batches += 1
-                    self._shed_pairs += len(exc.shed)
                     self._m_partial_batches.inc()
                     self._m_shed_pairs.inc(len(exc.shed))
                     raise
-        self._queries += len(pairs)
-        self._batches += 1
-        self.query_latency.record(timer.seconds, len(pairs))
         self._note_query(timer.seconds, len(pairs))
         return out
 
@@ -460,20 +459,21 @@ class DistanceService:
         if not self.coalescer:
             return MaintenanceStats()
         observability = self.observability
-        if not observability.is_enabled:
-            return self._flush_pending()[0]
         # A flush gets its own trace (it may run inside _pre_query,
-        # before any request span opens) and a phase collector: every
-        # phase() fired below — the flush steps, the maintenance
-        # kernels' inner loops, the worker delta sync — lands in the
-        # per-phase latency histograms.
-        with observability.tracer.trace("flush"):
-            with collect_phases() as collector, Timer() as timer:
+        # before any request span opens). An enabled flush also collects
+        # phases: every phase() fired below — the flush steps, the
+        # maintenance kernels' inner loops, the worker delta sync — lands
+        # in the per-phase latency histograms.
+        phases = collect_phases() if observability.is_enabled else nullcontext()
+        with observability.tracer.trace("flush"), phases as collector:
+            with Timer() as timer:
                 stats, applied_edges = self._flush_pending()
-        if applied_edges:
-            self._m_flushes.inc()
-            self._m_flush_edges.inc(applied_edges)
-            self._m_flush_seconds.observe(timer.seconds)
+        if not applied_edges:
+            return stats
+        self._m_flushes.inc()
+        self._m_flush_edges.inc(applied_edges)
+        self._m_flush_seconds.observe(timer.seconds)
+        if collector is not None:
             registry = observability.registry
             for name, dt in collector.as_dict().items():
                 if name.startswith("structural."):
@@ -490,10 +490,10 @@ class DistanceService:
                         "Wall seconds per maintenance/flush phase, per flush",
                         labels={"phase": name},
                     ).observe(dt)
-            if observability.slow_log.note_flush(
-                timer.seconds, edges=applied_edges, epoch=self.index.epoch
-            ):
-                self._m_slow_flushes.inc()
+        if observability.slow_log.note_flush(
+            timer.seconds, edges=applied_edges, epoch=self.index.epoch
+        ):
+            self._m_slow_flushes.inc()
         return stats
 
     def _flush_pending(self) -> tuple[MaintenanceStats, int]:
@@ -502,24 +502,22 @@ class DistanceService:
             batch = self.coalescer.drain(self.index.graph)
         if not batch.size:
             return MaintenanceStats(), 0
-        with Timer() as timer:
-            if batch.is_structural:
-                with phase("flush.apply_structural"):
-                    result = self.runtime.apply_structural(
-                        insertions=batch.insertions,
-                        deletions=batch.deletions,
-                        weight_changes=batch.changes(),
-                    )
-                # StructuralStats carries its MaintenanceStats in
-                # .maintenance; ShardedMaintenanceStats *is* one.
-                stats = getattr(result, "maintenance", result)
-                self._structural_batches += 1
-            else:
-                with phase("flush.apply"):
-                    stats = self.runtime.apply_update(batch.changes())
-        self.update_latency.record(timer.seconds, batch.size)
-        self._shortcuts_changed += stats.shortcuts_changed
-        self._labels_changed += stats.labels_changed
+        if batch.is_structural:
+            with phase("flush.apply_structural"):
+                result = self.runtime.apply_structural(
+                    insertions=batch.insertions,
+                    deletions=batch.deletions,
+                    weight_changes=batch.changes(),
+                )
+            # StructuralStats carries its MaintenanceStats in
+            # .maintenance; ShardedMaintenanceStats *is* one.
+            stats = getattr(result, "maintenance", result)
+            self._m_structural_batches.inc()
+        else:
+            with phase("flush.apply"):
+                stats = self.runtime.apply_update(batch.changes())
+        self._m_shortcuts_changed.inc(stats.shortcuts_changed)
+        self._m_labels_changed.inc(stats.labels_changed)
         with phase("flush.cache_evict"):
             if self.fine_grained_eviction:
                 affected = set(stats.affected_labels)
@@ -548,22 +546,17 @@ class DistanceService:
             return
         if getattr(self.index, "dead_fraction", 0.0) < threshold:
             return
-        result = self.runtime.compact()
-        self._compactions += 1
-        self._dead_slots_reclaimed += result.dead_slots_reclaimed
-        self._bytes_reclaimed += result.bytes_reclaimed
-        # Compaction bumps the index epoch; the cache watermark must
-        # follow even though queried distances are unchanged, because
-        # fine-grained state (hubs, slot ids) may have been re-packed.
-        self.cache.invalidate_all(self.index.epoch)
-        self._synced_epoch = self.index.epoch
+        self.compact()
 
     def compact(self) -> None:
         """Force a compaction pass regardless of the dead-slot fraction."""
         result = self.runtime.compact()
-        self._compactions += 1
-        self._dead_slots_reclaimed += result.dead_slots_reclaimed
-        self._bytes_reclaimed += result.bytes_reclaimed
+        self._m_compactions.inc()
+        self._m_dead_slots_reclaimed.inc(result.dead_slots_reclaimed)
+        self._m_bytes_reclaimed.inc(result.bytes_reclaimed)
+        # Compaction bumps the index epoch; the cache watermark must
+        # follow even though queried distances are unchanged, because
+        # fine-grained state (hubs, slot ids) may have been re-packed.
         self.cache.invalidate_all(self.index.epoch)
         self._synced_epoch = self.index.epoch
 
@@ -614,34 +607,41 @@ class DistanceService:
         return "compiled", native.status().reason
 
     def stats(self) -> ServiceStats:
+        """A read-only snapshot: the counts are the registry instruments'
+        values, the latencies :meth:`LatencySummary.of` views over
+        ``dhl_query_seconds`` and ``dhl_flush_seconds``."""
         pool = self.runtime.pool_stats()
         return ServiceStats(
             epoch=self.index.epoch,
-            queries=self._queries,
-            batches=self._batches,
+            queries=self._m_queries.value,
+            batches=self._m_batches.value,
             cache=self.cache.stats(),
             coalescer=self.coalescer.stats(),
-            query_latency=self.query_latency.summary(),
-            update_latency=self.update_latency.summary(),
-            shortcuts_changed=self._shortcuts_changed,
-            labels_changed=self._labels_changed,
+            query_latency=LatencySummary.of(self._m_query_seconds, self._m_queries),
+            update_latency=LatencySummary.of(
+                self._m_flush_seconds, self._m_flush_edges
+            ),
+            shortcuts_changed=self._m_shortcuts_changed.value,
+            labels_changed=self._m_labels_changed.value,
             backend=self.runtime.backend,
             engine="{} ({})".format(*self._engine_info()),
             worker_pool=pool.as_dict() if pool is not None else None,
-            structural_batches=self._structural_batches,
-            compactions=self._compactions,
-            dead_slots_reclaimed=self._dead_slots_reclaimed,
-            bytes_reclaimed=self._bytes_reclaimed,
-            shed_pairs=self._shed_pairs,
-            partial_batches=self._partial_batches,
+            structural_batches=self._m_structural_batches.value,
+            compactions=self._m_compactions.value,
+            dead_slots_reclaimed=self._m_dead_slots_reclaimed.value,
+            bytes_reclaimed=self._m_bytes_reclaimed.value,
+            shed_pairs=self._m_shed_pairs.value,
+            partial_batches=self._m_partial_batches.value,
         )
 
     def metrics(self) -> dict[str, dict]:
         """Current registry snapshot, ``{"name{labels}": values}``.
 
-        Empty when observability is disabled. Mirror counters (cache,
-        coalescer, worker pool, epoch) are synced from their stats
-        objects first, so the snapshot is self-contained.
+        Empty when observability is disabled. The service's own counts
+        are registry instruments already; the gauges for state held
+        elsewhere (epoch, engine, pending edges, cache, coalescer,
+        worker pool) are set from their owners first, so the snapshot
+        is self-contained.
         """
         self._sync_registry()
         return self.observability.registry.snapshot()
@@ -662,12 +662,11 @@ class DistanceService:
         return self.observability.tracer.last_trace()
 
     def _sync_registry(self) -> None:
-        """Mirror the frontend stats objects into registry instruments.
+        """Set the gauges for state the service does not count itself.
 
-        The hot paths maintain their own cheap counters (the cache and
-        coalescer predate the registry); rather than double-count per
-        operation, their totals are copied into registry gauges at
-        export time.
+        The cache counts in its C table header, the coalescer and the
+        worker pool in their own stats; their totals are copied into
+        registry gauges at export time.
         """
         registry = self.observability.registry
         if not registry.enabled:
@@ -708,21 +707,6 @@ class DistanceService:
             registry.gauge(
                 f"dhl_coalescer_{field_name}", f"Update coalescer {field_name}"
             ).set(getattr(coalescer, field_name))
-        for field_name, value in (
-            ("structural_batches", self._structural_batches),
-            ("compactions", self._compactions),
-            ("dead_slots_reclaimed", self._dead_slots_reclaimed),
-            ("bytes_reclaimed", self._bytes_reclaimed),
-        ):
-            registry.gauge(
-                f"dhl_{field_name}", f"Structural updates: {field_name}"
-            ).set(value)
-        registry.gauge(
-            "dhl_shortcuts_changed", "Shortcut mutations applied"
-        ).set(self._shortcuts_changed)
-        registry.gauge(
-            "dhl_labels_changed", "Label entry mutations applied"
-        ).set(self._labels_changed)
         pool = self.runtime.pool_stats()
         if pool is not None:
             for field_name, value in pool.as_dict().items():

@@ -2,19 +2,23 @@
 
 Two contracts matter. The *format* contract: the JSON-lines and
 Prometheus exporters are parsed by CI tooling and external scrapers, so
-their exact shapes are pinned here. The *zero-overhead* contract: with
-the default null stack every instrumented call must be a no-op — no
-recorded metrics, no spans, no kernel-phase collection — because the
-serving hot paths call the instruments unconditionally.
+their exact shapes are pinned here. The *one-count* contract: the
+service and frontend stats are read off the registry instruments they
+increment, so they count alike with the default null stack, which
+exports nothing, builds no span and collects no kernel phase.
 """
 
 from __future__ import annotations
 
+import asyncio
+import dataclasses
+import gc
 import json
 import math
 import random
 import statistics
 import time
+import tracemalloc
 
 import pytest
 
@@ -40,6 +44,7 @@ from repro.observability import (
     phases_active,
 )
 from repro.observability.tracing import Tracer
+from repro.service.async_frontend import AsyncDistanceService
 from repro.service.service import DistanceService
 
 # ---------------------------------------------------------------------------
@@ -81,8 +86,9 @@ def test_histogram_percentiles_interpolate():
     # p50 lands in the (1, 2] bucket: 1 seen below, 2 in bucket,
     # target 2 -> halfway through the bucket.
     assert 1.0 < hist.percentile(50) <= 2.0
-    # Finite buckets interpolate up to their upper edge.
-    assert hist.percentile(100) == 4.0
+    # The top bucket interpolates up to the tracked max, not its edge.
+    assert hist.percentile(100) == 3.0
+    assert hist.percentile(75) == 2.0
     # The +Inf bucket is capped by the tracked max, not unbounded.
     hist.observe(10.0)
     assert 4.0 < hist.percentile(100) <= 10.0
@@ -147,12 +153,22 @@ def test_prometheus_export_format_stable():
 
 
 def test_null_registry_is_inert():
+    """Its instruments count for whoever holds them, but the registry
+    keeps none of them, so nothing is exported."""
     assert not NULL_REGISTRY.enabled
     counter = NULL_REGISTRY.counter("anything")
     counter.inc()
+    counter.inc(2)
+    assert counter.value == 3
     histogram = NULL_REGISTRY.histogram("lat")
     histogram.observe(1.0)
-    assert histogram is NULL_REGISTRY.gauge("other")  # shared singleton
+    assert (histogram.count, histogram.max) == (1, 1.0)
+    gauge = NULL_REGISTRY.gauge("other")
+    gauge.set(4)
+    assert gauge.value == 4
+    again = NULL_REGISTRY.counter("anything")
+    assert again is not counter and again.value == 0  # not kept
+    assert len(NULL_REGISTRY) == 0 and list(NULL_REGISTRY) == []
     assert NULL_REGISTRY.snapshot() == {}
     assert NULL_REGISTRY.to_jsonl() == ""
     assert NULL_REGISTRY.to_prometheus() == ""
@@ -515,6 +531,134 @@ def test_service_metrics_snapshot_core_names(small_service_graph, tmp_path):
     assert "# TYPE dhl_query_seconds histogram" in prom.read_text()
     with pytest.raises(ValueError, match="unknown metrics format"):
         service.dump_metrics(tmp_path / "nope", fmt="xml")
+
+
+#: ServiceStats count field -> the registry series that holds it.
+SERVICE_SERIES = {
+    "queries": "dhl_queries_total",
+    "batches": "dhl_query_batches_total",
+    "shortcuts_changed": "dhl_shortcuts_changed",
+    "labels_changed": "dhl_labels_changed",
+    "structural_batches": "dhl_structural_batches",
+    "compactions": "dhl_compactions",
+    "dead_slots_reclaimed": "dhl_dead_slots_reclaimed",
+    "bytes_reclaimed": "dhl_bytes_reclaimed",
+    "shed_pairs": "dhl_shed_pairs_total",
+    "partial_batches": "dhl_partial_batches_total",
+}
+
+#: AsyncFrontendStats field -> its series (offered = requests + shed).
+FRONTEND_SERIES = {
+    "answered_requests": "dhl_async_answered_total",
+    "shed_requests": "dhl_async_shed_total",
+    "batches": "dhl_async_batches_total",
+    "batched_pairs": "dhl_async_batched_pairs_total",
+    "updates": "dhl_async_updates_total",
+    "max_merged": "dhl_async_max_merged",
+    "partial_requests": "dhl_async_partial_requests_total",
+}
+
+
+def serve_mixed_traffic(graph, observability):
+    """Empty, one-pair and multi-pair batches through a frontend and
+    the service, a weight flush, a structural flush and a forced
+    compaction; returns ``(service.stats(), frontend_stats(), metrics)``."""
+    u, v, w = next(iter(graph.edges()))
+    service = build_service(graph, observability=observability)
+
+    async def scenario():
+        async with AsyncDistanceService(service) as frontend:
+            await frontend.distances([])
+            await frontend.distances([(0, 5)])
+            await asyncio.gather(
+                frontend.distances([(0, 5), (3, 9), (3, 9), (7, 7)]),
+                *(frontend.distance(s, s + 6) for s in range(8)),
+            )
+            await frontend.update([(u, v, 2.0 * w)])
+            await frontend.distances([(0, 24), (u, v)])
+            return frontend.frontend_stats()
+
+    with service:
+        front = asyncio.run(scenario())
+        service.distances([])
+        service.distance(u, v)
+        service.submit_delete(u, v)
+        service.flush()
+        service.distances([(u, v), (0, 24)])
+        service.submit_insert(u, v, w)
+        service.compact()
+        service.distance(u, v)
+        return service.stats(), front, service.metrics()
+
+
+def test_stats_count_alike_with_observability_off_and_on(small_service_graph):
+    """The same traffic leaves the same counts whether or not the
+    registry is exported, and every count the enabled service reports
+    is the value of its one registry series."""
+    off, front_off, exported = serve_mixed_traffic(small_service_graph, None)
+    assert exported == {}
+    on, front_on, metrics = serve_mixed_traffic(
+        small_service_graph, Observability.enabled()
+    )
+    assert front_on == front_off
+    # 11 queries answered and one update offered; the empty batch is not.
+    assert (front_on.offered_requests, front_on.answered_requests) == (12, 11)
+    assert front_on.updates == 1
+    for field in (*SERVICE_SERIES, "epoch", "cache", "coalescer"):
+        assert getattr(on, field) == getattr(off, field), field
+    for latency in ("query_latency", "update_latency"):
+        for field in ("calls", "operations"):
+            assert getattr(getattr(on, latency), field) == getattr(
+                getattr(off, latency), field
+            ), (latency, field)
+    assert on.structural_batches == 2 and on.compactions == 1
+    assert on.update_latency.calls == 3  # the weight and both structural flushes
+
+    for field, series in SERVICE_SERIES.items():
+        assert metrics[series]["value"] == getattr(on, field), field
+    assert metrics["dhl_query_seconds"]["count"] == on.query_latency.calls
+    assert on.query_latency.calls == on.batches
+    assert on.query_latency.operations == on.queries
+    assert metrics["dhl_flush_seconds"]["count"] == on.update_latency.calls
+    assert metrics["dhl_flushes_total"]["value"] == on.update_latency.calls
+    assert metrics["dhl_flush_edges_total"]["value"] == on.update_latency.operations
+    assert metrics["dhl_epoch"]["value"] == on.epoch
+    for name in ("hits", "misses", "size", "capacity", "lru_evictions", "invalidated"):
+        assert metrics[f"dhl_cache_{name}"]["value"] == getattr(on.cache, name)
+    for name in ("submitted", "merged_duplicates", "noops_dropped", "flushes"):
+        assert metrics[f"dhl_coalescer_{name}"]["value"] == getattr(
+            on.coalescer, name
+        )
+    for field, series in FRONTEND_SERIES.items():
+        assert metrics[series]["value"] == getattr(front_on, field), field
+    assert front_on.offered_requests == (
+        metrics["dhl_async_requests_total"]["value"]
+        + metrics["dhl_async_shed_total"]["value"]
+    )
+    assert set(dataclasses.asdict(front_on)) == {
+        "offered_requests",
+        *FRONTEND_SERIES,
+    }
+
+
+def test_cache_hit_queries_keep_no_memory_per_call(small_service_graph):
+    """A served call adds to fixed-size instruments: 20,000 cache hits
+    leave no per-call record behind."""
+    service = build_service(small_service_graph)
+    for _ in range(100):  # warm: the pair is cached, the instruments exist
+        service.distance(0, 24)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for _ in range(20_000):
+            service.distance(0, 24)
+        gc.collect()
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert service.stats().queries == 20_100
+    assert kept < 64 * 1024, kept
 
 
 def test_service_trace_tree_stages(small_service_graph):
