@@ -18,6 +18,7 @@ or future dropped unretrieved.
 from __future__ import annotations
 
 import asyncio
+import dataclasses
 import gc
 import time
 
@@ -258,6 +259,23 @@ def test_max_batch_caps_a_single_fold(service):
     assert stats.batches >= 32 // 9
 
 
+def test_max_merged_is_a_high_water_mark(service):
+    """A smaller fold after a larger one leaves ``max_merged`` where the
+    larger one put it."""
+
+    async def scenario():
+        async with AsyncDistanceService(SlowService(service)) as frontend:
+            await asyncio.gather(*(frontend.distance(s, s + 1) for s in range(16)))
+            widest = frontend.stats.max_merged
+            await frontend.distance(2, 9)
+            return widest, frontend.stats
+
+    widest, stats = run(scenario)
+    assert widest >= 2
+    assert stats.max_merged == widest
+    assert stats.batched_pairs == 17
+
+
 # ---------------------------------------------------------------------------
 # admission control
 # ---------------------------------------------------------------------------
@@ -309,6 +327,41 @@ def test_shed_counter_reaches_metrics_registry(small_graph):
         + snap["dhl_async_shed_total"]["value"]
         == 12
     )
+
+
+def test_frontend_stats_are_frozen_snapshots(service):
+    """``stats`` and ``frontend_stats()`` read the same counters; a
+    snapshot taken earlier does not move and cannot be written."""
+
+    async def scenario():
+        async with AsyncDistanceService(service) as frontend:
+            await frontend.distance(0, 5)
+            before = frontend.stats
+            await frontend.distances([(1, 2), (3, 4)])
+            return before, frontend.stats, frontend.frontend_stats()
+
+    before, after, again = run(scenario)
+    assert (before.answered_requests, before.batches) == (1, 1)
+    assert (after.answered_requests, after.batches) == (2, 2)
+    assert after == again
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        after.batches = 0
+
+
+def test_frontends_on_a_disabled_service_count_apart(service):
+    """On the default stack each frontend's instruments are its own, so
+    a second frontend on the same service starts from zero."""
+
+    async def serve(count):
+        async with AsyncDistanceService(service) as frontend:
+            for s in range(count):
+                await frontend.distance(s, s + 3)
+            return frontend.stats
+
+    first = run(lambda: serve(5))
+    second = run(lambda: serve(2))
+    assert (first.offered_requests, first.batches) == (5, 5)
+    assert (second.offered_requests, second.batches) == (2, 2)
 
 
 # ---------------------------------------------------------------------------

@@ -20,11 +20,13 @@ import statistics
 import time
 import tracemalloc
 
+import numpy as np
 import pytest
 
 from repro.core.config import DHLConfig
 from repro.core.directed import DirectedDHLIndex
 from repro.core.index import DHLIndex
+from repro.exceptions import PartialResultError
 from repro.graph.digraph import DiGraph
 from repro.graph.generators import grid_network
 from repro.labelling import native
@@ -32,6 +34,8 @@ from repro.observability import (
     NULL_OBSERVABILITY,
     NULL_REGISTRY,
     NULL_TRACER,
+    Counter,
+    Histogram,
     MetricsRegistry,
     Observability,
     PhaseCollector,
@@ -45,6 +49,8 @@ from repro.observability import (
 )
 from repro.observability.tracing import Tracer
 from repro.service.async_frontend import AsyncDistanceService
+from repro.service.metrics import LatencySummary
+from repro.service.runtime import InProcessRuntime
 from repro.service.service import DistanceService
 
 # ---------------------------------------------------------------------------
@@ -103,6 +109,43 @@ def test_histogram_empty_and_validation():
     assert hist.mean == 0.0
     with pytest.raises(ValueError):
         MetricsRegistry().histogram("bad", bounds=[])
+
+
+def test_histogram_percentiles_never_exceed_the_largest_observation():
+    """Whatever bucket the values land in — the first, a middle one,
+    the last finite one or +Inf — no percentile estimate reads above
+    the largest value observed, and the estimates stay ordered."""
+    for value in (0.0004, 0.003, 0.7, 42.0):
+        hist = Histogram("lat")  # DEFAULT_LATENCY_BUCKETS
+        for _ in range(3):
+            hist.observe(value)
+        estimates = [hist.percentile(p) for p in (1, 50, 95, 99, 100)]
+        assert estimates == sorted(estimates), value
+        assert 0.0 < estimates[0], (value, estimates)
+        assert estimates[-1] == pytest.approx(value), (value, estimates)
+
+
+def test_latency_summary_of_fresh_instruments_is_empty():
+    summary = LatencySummary.of(Histogram("lat"), Counter("ops"))
+    assert summary == LatencySummary(0, 0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
+    assert summary.throughput == 0.0
+    assert str(summary) == "no calls recorded"
+
+
+def test_latency_summary_reads_its_histogram_and_counter():
+    latency, operations = Histogram("lat", bounds=[0.01, 0.1, 1.0]), Counter("ops")
+    for seconds, ops in ((0.005, 1), (0.05, 10), (0.05, 10), (0.5, 100)):
+        latency.observe(seconds)
+        operations.inc(ops)
+    summary = LatencySummary.of(latency, operations)
+    assert (summary.calls, summary.operations) == (4, 121)
+    assert summary.total_seconds == pytest.approx(0.605)
+    assert summary.mean_seconds == pytest.approx(0.605 / 4)
+    assert summary.max_seconds == 0.5
+    assert summary.throughput == pytest.approx(121 / 0.605)
+    assert 0.01 < summary.p50_seconds <= 0.1
+    assert 0.1 < summary.p95_seconds <= summary.p99_seconds <= 0.5
+    assert summary.as_dict()["calls"] == 4
 
 
 # ---------------------------------------------------------------------------
@@ -659,6 +702,116 @@ def test_cache_hit_queries_keep_no_memory_per_call(small_service_graph):
         tracemalloc.stop()
     assert service.stats().queries == 20_100
     assert kept < 64 * 1024, kept
+
+
+def test_disabled_services_count_apart(small_service_graph):
+    """The null registry keeps no instrument, so two services on the
+    default stack never read each other's counts."""
+    busy = build_service(small_service_graph)
+    idle = build_service(small_service_graph)
+    busy.distances([(0, 5), (3, 9)])
+    busy.distance(1, 7)
+    assert (busy.stats().queries, busy.stats().batches) == (3, 2)
+    assert (idle.stats().queries, idle.stats().batches) == (0, 0)
+    assert idle.stats().query_latency.calls == 0
+    assert len(NULL_REGISTRY) == 0
+    assert busy.metrics() == idle.metrics() == {}
+
+
+def test_services_sharing_an_enabled_bundle_count_in_one_series(
+    small_service_graph,
+):
+    obs = Observability.enabled()
+    first = build_service(small_service_graph, observability=obs)
+    second = build_service(small_service_graph, observability=obs)
+    first.distances([(0, 5), (3, 9)])
+    second.distance(1, 7)
+    assert first.stats().queries == second.stats().queries == 3
+    assert obs.registry.snapshot()["dhl_query_seconds"]["count"] == 2
+
+
+def test_a_flush_is_timed_once_with_observability_off(small_service_graph):
+    """``update_latency`` counts applied flushes on the disabled path
+    too; a flush with nothing to apply is not one of them."""
+    u, v, w = next(iter(small_service_graph.edges()))
+    service = build_service(small_service_graph)
+    service.flush()  # nothing pending
+    service.submit(u, v, w)  # the weight it already has: dropped
+    service.flush()
+    assert service.stats().update_latency.calls == 0
+    service.submit(u, v, 2.0 * w)
+    service.submit(u, v, 3.0 * w)  # coalesces with the first
+    service.flush()
+    latency = service.stats().update_latency
+    assert (latency.calls, latency.operations) == (1, 1)
+    assert latency.total_seconds > 0.0
+    assert latency.max_seconds == latency.total_seconds
+    assert latency.p99_seconds == pytest.approx(latency.max_seconds)
+
+
+class SheddingRuntime(InProcessRuntime):
+    """Answers every batch in-process but sheds its first pair, the way
+    a pooled runtime sheds a breaker-open shard's pairs."""
+
+    def distances(self, pairs):
+        out = self.index.distances(pairs)
+        out[0] = math.nan
+        raise PartialResultError(out, np.array([0]), (0,))
+
+
+@pytest.mark.parametrize("enabled", [False, True], ids=["off", "on"])
+def test_a_partial_batch_counts_only_as_shed(small_service_graph, enabled):
+    """A batch that raises PartialResultError is not an answered query
+    batch: it counts in ``shed_pairs`` and ``partial_batches`` alone."""
+    index = DHLIndex.build(small_service_graph.copy(), DHLConfig(seed=0))
+    obs = Observability.enabled() if enabled else None
+    service = DistanceService(SheddingRuntime(index), observability=obs)
+    with pytest.raises(PartialResultError):
+        service.distances([(0, 24), (3, 9), (4, 20)])
+    stats = service.stats()
+    assert (stats.shed_pairs, stats.partial_batches) == (1, 1)
+    assert (stats.queries, stats.batches, stats.query_latency.calls) == (0, 0, 0)
+    if enabled:
+        metrics = service.metrics()
+        assert metrics["dhl_shed_pairs_total"]["value"] == 1
+        assert metrics["dhl_queries_total"]["value"] == 0
+
+
+def test_auto_compaction_counts_like_a_forced_one(small_service_graph):
+    """Crossing the dead-slot threshold runs the same ``compact()`` a
+    caller forces: its counts reach the stats and the registry, and the
+    cache is dropped for the new epoch."""
+    config = DHLConfig(seed=0, leaf_size=6, compaction_threshold=0.001)
+    index = DHLIndex.build(small_service_graph.copy(), config)
+    service = DistanceService(index, observability=Observability.enabled())
+    service.distances([(0, 24), (3, 9)])
+    for u, v, _ in list(small_service_graph.edges())[:3]:
+        service.submit_delete(u, v)
+    service.flush()
+    stats = service.stats()
+    assert stats.compactions == 1 and stats.dead_slots_reclaimed > 0
+    assert index.dead_fraction < config.compaction_threshold
+    assert stats.cache.size == 0
+    metrics = service.metrics()
+    assert metrics["dhl_compactions"]["value"] == 1
+    assert metrics["dhl_dead_slots_reclaimed"]["value"] == stats.dead_slots_reclaimed
+    service.compact()
+    assert service.stats().compactions == 2
+
+
+def test_service_query_latency_is_a_consistent_bucket_summary(
+    small_service_graph,
+):
+    service = build_service(small_service_graph, cache_capacity=1)
+    n = small_service_graph.num_vertices
+    for s in range(n):
+        service.distances([(s, t) for t in range(n)])
+    latency = service.stats().query_latency
+    assert (latency.calls, latency.operations) == (n, n * n)
+    assert latency.mean_seconds == pytest.approx(latency.total_seconds / n)
+    assert 0.0 < latency.p50_seconds <= latency.p95_seconds
+    assert latency.p95_seconds <= latency.p99_seconds <= latency.max_seconds
+    assert latency.max_seconds <= latency.total_seconds
 
 
 def test_service_trace_tree_stages(small_service_graph):
