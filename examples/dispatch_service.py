@@ -36,13 +36,8 @@ def main() -> None:
     index = DHLIndex.build(graph, DHLConfig(seed=0))
 
     # 2. The serving layer: batched queries, a 64k-entry result cache
-    #    with fine-grained eviction, and an update coalescer.
-    service = DistanceService(
-        index,
-        cache_capacity=65_536,
-        fine_grained_eviction=True,
-        flush_threshold=512,
-    )
+    #    behind the maintenance epoch, and an update coalescer.
+    service = DistanceService(index, cache_capacity=65_536, flush_threshold=512)
 
     # 3. Three rush-hour cycles: congestion ramps (1.5x -> 2x -> 3x on an
     #    arterial edge set), a peak query storm, clearing, off-peak lull.

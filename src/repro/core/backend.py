@@ -26,9 +26,8 @@ The surface, by concern:
   result cache and the worker epoch-broadcast protocol key on it;
 * **affected surface** — every update returns a
   :class:`~repro.labelling.maintenance.MaintenanceStats` whose
-  ``affected_labels`` / ``affected_shortcuts`` drive fine-grained cache
-  eviction and the delta-sync path (only changed label slots ship to
-  workers);
+  ``affected_labels`` drive the shard clique refresh and the
+  delta-sync path (only changed label slots ship to workers);
 * **graph** — the authoritative weighted graph the update coalescer
   drains against (``weight(u, v)`` is the only requirement).
 
@@ -57,13 +56,6 @@ class DistanceBackend(Protocol):
     #: Human-readable backend family (``monolithic`` / ``directed`` /
     #: ``sharded``), surfaced in stats and bench artifacts.
     kind: str
-
-    #: Whether per-pair hub certificates can prove a cached result fresh
-    #: after an update. Backends whose distances depend on more label
-    #: arrays than the two endpoints' (the sharded index with its
-    #: boundary overlay) must report ``False`` so the service cache
-    #: downgrades to epoch-watermark invalidation.
-    supports_fine_grained_eviction: bool
 
     @property
     def epoch(self) -> int:

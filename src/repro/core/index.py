@@ -71,10 +71,6 @@ class IndexCore:
     """
 
     kind: str
-    # A distance is a min over two label arrays alone (the source's and
-    # the target's), so the minimising hub certifies a cached result;
-    # the serving layer may evict per-pair after an update.
-    supports_fine_grained_eviction = True
     #: The shortcut-store class: ``build(graph, hq)`` contracts,
     #: and its ``planes`` is how many labellings the index carries.
     _hierarchy: type[UpdateHierarchy]

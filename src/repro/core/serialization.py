@@ -48,7 +48,7 @@ import numpy as np
 
 from repro.exceptions import SerializationError, SnapshotCorruptionError
 from repro.graph.digraph import DiGraph
-from repro.graph.io import graph_from_json, graph_to_json
+from repro.graph.io import graph_from_payload, graph_to_payload
 from repro.hierarchy.contraction import ContractionResult
 from repro.hierarchy.csr import ShortcutCSR
 from repro.hierarchy.query_hierarchy import QueryHierarchy
@@ -376,7 +376,7 @@ def _write_index_contents(index, path: Path) -> None:
         arrays.update(_arc_payload(graph))
     else:
         arrays["order"] = hu.order
-        manifest["graph"] = json.loads(graph_to_json(graph))
+        manifest["graph"] = graph_to_payload(graph)
     np.savez_compressed(path / "arrays.npz", **arrays)
     for prefix, labels in zip(layout.label_prefixes, index.labellings):
         _save_labels(path, labels, prefix)
@@ -476,7 +476,7 @@ def load_index(
     if layout.kind == "directed":
         graph = _digraph_from_payload(data, n)
     else:
-        graph = graph_from_json(json.dumps(manifest["graph"]))
+        graph = graph_from_payload(manifest["graph"])
     hq = _hq_from_payload(data, [int(b) for b in manifest["node_bits"]], n)
     hu = cls._hierarchy(
         _store_from_payload(graph, hq, data, layout.weight_keys), hq
@@ -524,7 +524,7 @@ def _write_sharded_contents(index, path: Path) -> None:
         "n": index.graph.num_vertices,
         "has_overlay": index.overlay is not None,
         "config": _config_payload(index.config),
-        "graph": json.loads(graph_to_json(index.graph)),
+        "graph": graph_to_payload(index.graph),
     }
     (path / "manifest.json").write_text(json.dumps(manifest))
 
@@ -559,7 +559,7 @@ def load_sharded_index(path: Path, mmap_labels: bool = False, verify: bool = Tru
         raise SerializationError(
             f"{path} holds a {manifest.get('kind')!r} index; expected sharded"
         )
-    graph = graph_from_json(json.dumps(manifest["graph"]))
+    graph = graph_from_payload(manifest["graph"])
     config = _config_from_payload(manifest["config"])
     region_of = np.load(path / "region_of.npy")
     partition = regions_from_assignment(graph, region_of)

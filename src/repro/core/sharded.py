@@ -6,8 +6,8 @@ update / save / load`` surface as the monolithic
 
 1. a k-way region partition with boundary extraction
    (:func:`repro.partition.partition_regions`);
-2. one independent DHL index per region, built **in parallel** across
-   processes (:mod:`repro.sharding.build`);
+2. one independent DHL index per region, built one after another in
+   the calling process;
 3. a small overlay DHL index on the boundary-vertex graph — cut edges
    plus per-region boundary cliques weighted by intra-shard distances
    (:mod:`repro.sharding.overlay`).
@@ -38,7 +38,6 @@ from repro.labelling.maintenance import MaintenanceStats
 from repro.observability.phases import phase
 from repro.observability.timing import Timer
 from repro.partition.regions import RegionPartition, partition_regions
-from repro.sharding.build import ShardBuildReport, build_shards
 from repro.sharding.engine import ShardedQueryEngine
 from repro.sharding.overlay import (
     build_overlay_graph,
@@ -47,7 +46,7 @@ from repro.sharding.overlay import (
 )
 from repro.sharding.stats import ShardedMaintenanceStats
 
-__all__ = ["ShardedDHLIndex", "ShardedIndexStats"]
+__all__ = ["ShardBuildReport", "ShardedDHLIndex", "ShardedIndexStats"]
 
 WeightChange = tuple[int, int, float]
 
@@ -55,6 +54,17 @@ WeightChange = tuple[int, int, float]
 def _road_key(u: int, v: int) -> tuple[int, int]:
     """What a weight batch dedupes on: the unordered pair."""
     return (u, v) if u <= v else (v, u)
+
+
+@dataclass
+class ShardBuildReport:
+    """Where the shard-build wall clock went."""
+
+    per_shard_seconds: list[float] = field(default_factory=list)
+
+    @property
+    def total_seconds(self) -> float:
+        return sum(self.per_shard_seconds)
 
 
 @dataclass
@@ -99,10 +109,6 @@ class ShardedDHLIndex:
     """
 
     kind = "sharded"
-    # Sharded distances depend on boundary/overlay labels too, so no
-    # per-pair hub certifies them; the serving layer's fine-grained
-    # cache eviction must downgrade to epoch invalidation.
-    supports_fine_grained_eviction = False
 
     def __init__(
         self,
@@ -159,19 +165,16 @@ class ShardedDHLIndex:
         graph: Graph,
         k: int = 4,
         config: DHLConfig | None = None,
-        build_workers: int | None = None,
         region_beta: float = 0.45,
     ) -> "ShardedDHLIndex":
-        """Partition into *k* regions, build shards in parallel, overlay.
+        """Partition into *k* regions, build each shard, then the overlay.
 
-        ``build_workers`` sizes the shard-build process pool (default:
-        one process per shard, capped at the shard count); pass 1 to
-        force a serial build. ``region_beta`` balances the *region*
-        split only (the shard hierarchies keep ``config.beta``): near
-        0.5 the shards come out even, which shortens both the parallel
-        critical path (largest shard) and the serial sum — build cost
-        grows superlinearly in shard size — at the price of a slightly
-        larger cut, i.e. a few more boundary vertices.
+        The shards are independent builds and run one after another in
+        the calling process. ``region_beta`` balances the *region* split
+        only (the shard hierarchies keep ``config.beta``): near 0.5 the
+        shards come out even, which shortens the build — its cost grows
+        superlinearly in shard size — at the price of a slightly larger
+        cut, i.e. a few more boundary vertices.
         """
         config = config or DHLConfig()
         if graph.num_vertices == 0:
@@ -182,11 +185,13 @@ class ShardedDHLIndex:
             )
         partition_seconds = t.seconds
 
-        subgraphs = [
-            graph.induced_subgraph(vertices)[0] for vertices in partition.regions
-        ]
-        workers = len(subgraphs) if build_workers is None else build_workers
-        shards, report = build_shards(subgraphs, config, workers)
+        report = ShardBuildReport()
+        shards = []
+        for vertices in partition.regions:
+            subgraph = graph.induced_subgraph(vertices)[0]
+            with Timer() as t:
+                shards.append(DHLIndex.build(subgraph, config))
+            report.per_shard_seconds.append(t.seconds)
 
         stats = ShardedIndexStats(
             num_vertices=graph.num_vertices,

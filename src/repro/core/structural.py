@@ -102,8 +102,7 @@ __all__ = [
 class StructuralStats:
     """Outcome of one :func:`apply_batch` call.
 
-    ``maintenance`` merges the kernel stats of every sub-pass (the
-    serving layer evicts caches from its ``affected_labels``);
+    ``maintenance`` merges the kernel stats of every sub-pass;
     the counters say *how* the batch was absorbed — how many arcs took
     the insertion fast path versus a fallback rebuild, how many slots
     the closure allocated, and how many deletions were dropped because

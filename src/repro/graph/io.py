@@ -28,6 +28,8 @@ __all__ = [
     "write_edge_list",
     "graph_to_json",
     "graph_from_json",
+    "graph_to_payload",
+    "graph_from_payload",
 ]
 
 
@@ -159,20 +161,33 @@ def write_edge_list(graph: Graph, path: str | Path) -> None:
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def graph_to_json(graph: Graph) -> str:
-    """Serialise a graph (including coordinates) to a JSON string."""
-    payload = {
+def graph_to_payload(graph: Graph) -> dict:
+    """A graph (including coordinates) as the JSON-ready dict
+    :func:`graph_to_json` encodes."""
+    return {
         "n": graph.num_vertices,
         "edges": [[u, v, w] for u, v, w in graph.edges()],
         "coords": graph.coords.tolist() if graph.coords is not None else None,
     }
-    return json.dumps(payload)
+
+
+def graph_to_json(graph: Graph) -> str:
+    """Serialise a graph (including coordinates) to a JSON string."""
+    return json.dumps(graph_to_payload(graph))
 
 
 def graph_from_json(text: str) -> Graph:
     """Inverse of :func:`graph_to_json`."""
     try:
         payload = json.loads(text)
+    except ValueError as exc:
+        raise GraphFormatError(f"invalid graph JSON: {exc}") from exc
+    return graph_from_payload(payload)
+
+
+def graph_from_payload(payload) -> Graph:
+    """Inverse of :func:`graph_to_payload`."""
+    try:
         coords = payload["coords"]
         return Graph.from_edges(
             payload["n"],

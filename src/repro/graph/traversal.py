@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from typing import Sequence
 
 from repro.graph.graph import Graph
 
@@ -54,7 +53,3 @@ def eccentric_vertex(graph: Graph, start: int, sweeps: int = 2) -> int:
         current = max(range(graph.num_vertices), key=lambda v: dist[v])
     return current
 
-
-def farthest_in(order: Sequence[int], dist: Sequence[int]) -> int:
-    """Vertex of *order* maximising *dist* (helper for sweep variants)."""
-    return max(order, key=lambda v: dist[v])

@@ -46,9 +46,8 @@ class MaintenanceStats:
     lowered or suspect entry once, whether the engine pops it alone or
     with its vertex's other queued entries). ``affected_labels`` holds
     the vertices whose label array was modified; a distance ``d(s, t)``
-    is a pure function of ``L_s`` and ``L_t``, so a cached result is
-    stale only when one of its endpoints is in this set — the serving
-    layer's fine-grained cache eviction relies on it.
+    is a pure function of ``L_s`` and ``L_t``, so it moved only when one
+    of its endpoints is in this set.
 
     ``phases`` maps maintenance phase names (``maintain.seed``,
     ``maintain.shortcut_sweep``, ``maintain.label_sweep``, ...) to

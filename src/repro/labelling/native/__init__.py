@@ -115,7 +115,7 @@ SIGNATURES = {
     "dhl_cache_probe": (
         ctypes.c_int, [_ptr, _i64, _ptr, ctypes.c_int] + [_ptr] * 5
     ),
-    "dhl_cache_fill": (ctypes.c_int, [_ptr, _i64] + [_ptr] * 3 + [_i64]),
+    "dhl_cache_fill": (ctypes.c_int, [_ptr, _i64] + [_ptr] * 2 + [_i64]),
 }
 
 

@@ -2221,16 +2221,14 @@ void dhl_label_build(
 /*
  * repro.service.cache.EpochLRUCache's table as its header record
  * describes it (repro.labelling.native.engine.PairTable fills the
- * record once, when the table and its hub column are created): sets
- * rows of ways slots, slot = set * ways + way, in four columns (packed
- * key, value, epoch stamp, last-use tick) and an optional int32 hub
- * column, address 0 until a fill first carries hubs. An empty slot has
- * key 0 and tick 0. Both kernels move the clock and the counters of the
- * record themselves.
+ * record once, when the table is created): sets rows of ways slots,
+ * slot = set * ways + way, in four columns (packed key, value, epoch
+ * stamp, last-use tick). An empty slot has key 0 and tick 0. Both
+ * kernels move the clock and the counters of the record themselves.
  */
 typedef struct {
     int64_t sets, ways;
-    int64_t keys, values, epochs, ticks, hubs; /* column addresses */
+    int64_t keys, values, epochs, ticks; /* column addresses */
     int64_t tick, watermark;
     int64_t hits, misses, stored, replaced, lru_evictions;
 } cache_header_t;
@@ -2239,7 +2237,6 @@ typedef struct {
     int64_t sets, ways, watermark;
     int64_t *keys, *epochs, *ticks;
     double *values;
-    int32_t *hubs;
 } cache_t;
 
 static cache_t cache_open(const cache_header_t *h)
@@ -2248,8 +2245,7 @@ static cache_t cache_open(const cache_header_t *h)
                  (int64_t *)(uintptr_t)h->keys,
                  (int64_t *)(uintptr_t)h->epochs,
                  (int64_t *)(uintptr_t)h->ticks,
-                 (double *)(uintptr_t)h->values,
-                 (int32_t *)(uintptr_t)h->hubs};
+                 (double *)(uintptr_t)h->values};
     return c;
 }
 
@@ -2384,20 +2380,16 @@ int dhl_cache_probe(
 }
 
 static inline void cache_store(const cache_t *c, int64_t slot, uint64_t key,
-                               double value, const int64_t *hubs, int64_t i,
-                               int64_t epoch, int64_t tick)
+                               double value, int64_t epoch, int64_t tick)
 {
     c->keys[slot] = (int64_t)key;
     c->values[slot] = value;
     c->epochs[slot] = epoch;
     c->ticks[slot] = tick;
-    if (c->hubs)
-        c->hubs[slot] = hubs ? (int32_t)hubs[i] : -1;
 }
 
 /*
- * Store count distinct ordered pairs (key lo << 32 | hi) with values[i]
- * and, when the table has a hub column, hubs[i] (-1 when hubs is NULL),
+ * Store count distinct ordered pairs (key lo << 32 | hi) with values[i],
  * stamped with epoch; a batch stamped below the watermark is ignored.
  * Stored key i gets tick + i. A key already in its set, live or stale,
  * is overwritten in place, and counted in replaced if it was live. Then
@@ -2412,7 +2404,7 @@ static inline void cache_store(const cache_t *c, int64_t slot, uint64_t key,
  */
 int dhl_cache_fill(
     cache_header_t *h, int64_t count, const int64_t *pairs,
-    const double *values, const int64_t *hubs, int64_t epoch)
+    const double *values, int64_t epoch)
 {
     if (epoch < h->watermark)
         return 0;
@@ -2431,7 +2423,7 @@ int dhl_cache_fill(
         set_of[i] = slot < 0 ? set : -1;
         if (slot >= 0) {
             h->replaced += c.epochs[slot] >= c.watermark;
-            cache_store(&c, slot, key, values[i], hubs, i, epoch, tick + i);
+            cache_store(&c, slot, key, values[i], epoch, tick + i);
             stored++;
         }
     }
@@ -2456,7 +2448,7 @@ int dhl_cache_fill(
         }
         h->lru_evictions += best_age > 0;
         cache_store(&c, best, cache_key(pairs[2 * i], pairs[2 * i + 1]),
-                    values[i], hubs, i, epoch, tick + i);
+                    values[i], epoch, tick + i);
         stored++;
     }
     free(set_of);

@@ -23,7 +23,7 @@ arrays throughout, so no store address is kept anywhere. Every array
 stays referenced by the calling frame until the C function returns.
 The one exception is the service's result-cache table
 (:class:`PairTable`): its columns never move, so their addresses are
-checked and kept once, when the table and its hub column are made.
+checked and kept once, when the table is made.
 """
 
 from __future__ import annotations
@@ -53,7 +53,6 @@ __all__ = [
 _I64 = np.dtype(np.int64)
 _F64 = np.dtype(np.float64)
 _U64 = np.dtype(np.uint64)
-_I32 = np.dtype(np.int32)
 _U8 = np.dtype(np.uint8)
 
 
@@ -446,13 +445,12 @@ def label_build(store, labels, order: np.ndarray) -> None:
 # ---------------------------------------------------------------------------
 
 #: The C ``cache_header_t`` record: the table's geometry, its column
-#: addresses (``hubs`` 0 while it has no hub column), its clock, its
-#: invalidation watermark and its counters.
+#: addresses, its clock, its invalidation watermark and its counters.
 CACHE_HEADER = np.dtype(
     [
         (name, np.int64)
         for name in (
-            "sets", "ways", "keys", "values", "epochs", "ticks", "hubs",
+            "sets", "ways", "keys", "values", "epochs", "ticks",
             "tick", "watermark",
             "hits", "misses", "stored", "replaced", "lru_evictions",
         )
@@ -465,8 +463,7 @@ class PairTable:
     """The C view of :class:`~repro.service.cache.EpochLRUCache`'s table.
 
     Four ``(sets, ways)`` columns — packed ``int64`` key, ``float64``
-    value, ``int64`` epoch stamp, ``int64`` last-use tick — and, once
-    :meth:`add_hubs` has made it, an ``int32`` hub column, described by
+    value, ``int64`` epoch stamp, ``int64`` last-use tick — described by
     one :data:`CACHE_HEADER` record. Each column is checked and its
     address written to the record here, once: the columns never move
     (an unpickled table has new ones and is bound to them on load). The
@@ -478,13 +475,12 @@ class PairTable:
 
     def __init__(self, keys, values, epochs, ticks):
         self.keys, self.values, self.epochs, self.ticks = keys, values, epochs, ticks
-        self.hubs: np.ndarray | None = None
         self.header = np.zeros((), dtype=CACHE_HEADER)
         self.header["sets"], self.header["ways"] = keys.shape
         self.header["tick"] = 1
-        # One pair: ids, hub, the probe's miss row, position, inverse and
+        # One pair: ids, the probe's miss row, position, inverse and
         # counts; and its value.
-        self.one = np.zeros(10, dtype=np.int64)
+        self.one = np.zeros(9, dtype=np.int64)
         self.one_value = np.zeros(1, dtype=np.float64)
         self._bind()
 
@@ -494,22 +490,13 @@ class PairTable:
         header["values"] = _addr(self.values, _F64, size, write=True)
         header["epochs"] = _addr(self.epochs, _I64, size, write=True)
         header["ticks"] = _addr(self.ticks, _I64, size, write=True)
-        header["hubs"] = (
-            0 if self.hubs is None else _addr(self.hubs, _I32, size, write=True)
-        )
         self.address = _addr(header, header.dtype, 1, write=True)
-        one = _addr(self.one, _I64, 10, write=True)
+        one = _addr(self.one, _I64, 9, write=True)
         value = _addr(self.one_value, _F64, 1, write=True)
         self._one_probe = (
-            self.address, 1, one, True, value, one + 24, one + 40, one + 48, one + 56
+            self.address, 1, one, True, value, one + 16, one + 32, one + 40, one + 48
         )
         self._one_fill = (self.address, 1, one, value)
-        self._one_hub = one + 16
-
-    def add_hubs(self) -> None:
-        """Give the table its hub column, every slot ``-1``."""
-        self.hubs = np.full(self.keys.shape, -1, dtype=np.int32)
-        self._bind()
 
     def __setstate__(self, state) -> None:
         self.__dict__.update(state)
@@ -548,18 +535,16 @@ def cache_probe(table: PairTable, pairs, directed: bool):
     )
 
 
-def cache_fill(table: PairTable, pairs, values, hubs, epoch: int) -> None:
+def cache_fill(table: PairTable, pairs, values, epoch: int) -> None:
     """Store the distinct ordered ``(u, 2)`` *pairs* with their *values*
-    (and int64 *hubs*, or None) at *epoch* (``dhl_cache_fill``: held
-    keys in place, new ones into an empty, stale or least recently used
-    way, at most ``ways`` new keys per set and batch)."""
+    at *epoch* (``dhl_cache_fill``: held keys in place, new ones into an
+    empty, stale or least recently used way, at most ``ways`` new keys
+    per set and batch)."""
     count = len(pairs)
     _checked(
         library().dhl_cache_fill(
             table.address, count, _addr(pairs, _I64, 2 * count),
-            _addr(values, _F64, count),
-            None if hubs is None else _addr(hubs, _I64, count),
-            epoch,
+            _addr(values, _F64, count), epoch,
         )
     )
 
@@ -570,19 +555,12 @@ def cache_get(table: PairTable, lo: int, hi: int) -> float | None:
     one = table.one
     one[0], one[1] = lo, hi
     _checked(library().dhl_cache_probe(*table._one_probe))
-    return float(table.one_value[0]) if one[7] == one[8] else None
+    return float(table.one_value[0]) if one[6] == one[7] else None
 
 
-def cache_put(
-    table: PairTable, lo: int, hi: int, value: float, hub: int, epoch: int
-) -> None:
-    """:func:`cache_fill` of the one ordered pair ``(lo, hi)``; a *hub*
-    below 0 is none."""
+def cache_put(table: PairTable, lo: int, hi: int, value: float, epoch: int) -> None:
+    """:func:`cache_fill` of the one ordered pair ``(lo, hi)``."""
     one = table.one
-    one[0], one[1], one[2] = lo, hi, hub
+    one[0], one[1] = lo, hi
     table.one_value[0] = value
-    _checked(
-        library().dhl_cache_fill(
-            *table._one_fill, table._one_hub if hub >= 0 else None, epoch
-        )
-    )
+    _checked(library().dhl_cache_fill(*table._one_fill, epoch))

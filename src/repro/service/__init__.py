@@ -10,8 +10,8 @@ service:
   :class:`~repro.core.backend.DistanceBackend`, or a runtime;
 * :class:`AsyncDistanceService` — asyncio micro-batching frontend with
   admission control (:mod:`repro.service.async_frontend`);
-* :class:`EpochLRUCache` — LRU result cache with O(1) watermark or
-  fine-grained per-vertex invalidation (:mod:`repro.service.cache`);
+* :class:`EpochLRUCache` — LRU result cache with O(1) watermark
+  invalidation (:mod:`repro.service.cache`);
 * :class:`UpdateCoalescer` — folds redundant change streams into one
   maintenance batch (:mod:`repro.service.coalescer`);
 * :class:`ExecutionRuntime` — the pluggable execution layer: queries

@@ -1,8 +1,7 @@
 """Epoch-guarded result cache: one flat set-associative pair table.
 
 Parallel numpy columns — packed pair key, distance, epoch stamp and
-last-use tick, 32 bytes per entry, plus an ``int32`` hub (36 bytes) once
-fine-grained eviction supplies hubs — organised as about ``capacity //
+last-use tick, 32 bytes per entry — organised as about ``capacity //
 8`` sets of 8 ways; while ``capacity < 24`` there is a single set of
 ``capacity`` ways, which makes a small cache an exact LRU. A key hashes
 to one set, ``((key >> 32) * 805306457 ^ key) % sets``. Probing and
@@ -10,31 +9,23 @@ filling are one C call each (``dhl_cache_probe`` / ``dhl_cache_fill``
 through :mod:`repro.labelling.native.engine`, which checks the columns
 once, when the table is made), for a batch and for a single pair
 alike: the door's probe orders, packs, looks up and deduplicates a
-whole pair batch in one pass. Invalidation, eviction and the counters'
-reading stay numpy.
+whole pair batch in one pass. Clearing and the counters' reading stay
+numpy.
 
 The contract is **a cache may forget, never lie**: a full set displaces
 its least-recently-used way even when other sets have room, but a hit
 always re-checks the full 64-bit key and ``epoch >= watermark``, so what
 is served is the last value inserted under exactly that key at an epoch
-the owner still vouches for. Invalidation has two modes:
-
-* **global** (:meth:`EpochLRUCache.invalidate_all`) — O(1): a watermark
-  is raised to the new epoch; stale entries are dropped when probed and
-  are the first ways to be overwritten;
-* **fine-grained** (:meth:`EpochLRUCache.evict_vertices`) — only entries
-  with an endpoint (or cached hub) in the affected-vertex set are
-  removed. A distance ``d(s, t)`` is a pure function of the two label
-  arrays ``L_s`` and ``L_t``, so entries whose endpoints kept their
-  labels stay exact across the update — this is what lets a serving
-  cache survive localised traffic updates with its hit rate intact.
+the owner still vouches for. Invalidation is
+:meth:`EpochLRUCache.invalidate_all`, O(1): a watermark is raised to
+the new epoch; stale entries are dropped when probed and are the first
+ways to be overwritten.
 """
 
 from __future__ import annotations
 
 import mmap
 from dataclasses import dataclass
-from typing import Iterable
 
 import numpy as np
 
@@ -123,11 +114,6 @@ class EpochLRUCache:
             _zeros(shape, np.int64),
         )
 
-    def _drop(self, slots) -> int:
-        self._table.keys.put(slots, 0)
-        self._table.ticks.put(slots, 0)
-        return len(slots)
-
     # -- lookups --------------------------------------------------------
     def probe_pairs(
         self, pairs: np.ndarray, directed: bool
@@ -146,13 +132,7 @@ class EpochLRUCache:
             self._table, native_engine.operand(pairs, np.int64), directed
         )
 
-    def fill_pairs(
-        self,
-        pairs: np.ndarray,
-        values: np.ndarray,
-        hubs: np.ndarray | None,
-        epoch: int,
-    ) -> None:
+    def fill_pairs(self, pairs: np.ndarray, values: np.ndarray, epoch: int) -> None:
         """Store a batch of *distinct* ordered pairs, stamped with *epoch*.
 
         An entry already under a key is overwritten in place; then the
@@ -162,21 +142,12 @@ class EpochLRUCache:
         only the last ``ways`` in batch order stay; a batch stamped
         below the watermark is stale on arrival and ignored.
         """
-        if hubs is not None:
-            self._with_hubs(epoch)
         native_engine.cache_fill(
             self._table,
             native_engine.operand(pairs, np.int64),
             native_engine.operand(values, np.float64),
-            None if hubs is None else native_engine.operand(hubs, np.int64),
             epoch,
         )
-
-    def _with_hubs(self, epoch: int) -> None:
-        """Give the table its hub column at the first fill that carries
-        hubs and is not stale on arrival."""
-        if self._table.hubs is None and epoch >= self.watermark:
-            self._table.add_hubs()
 
     def lookup(self, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """``(values, hit_mask)`` for a batch of packed keys (duplicates
@@ -192,21 +163,13 @@ class EpochLRUCache:
         """One-key :meth:`lookup`: the distance, or ``None``."""
         return native_engine.cache_get(self._table, key >> 32, key & _LOW)
 
-    def insert(
-        self,
-        keys: np.ndarray,
-        values: np.ndarray,
-        hubs: np.ndarray | None,
-        epoch: int,
-    ) -> None:
+    def insert(self, keys: np.ndarray, values: np.ndarray, epoch: int) -> None:
         """:meth:`fill_pairs` for a batch of distinct packed keys."""
-        self.fill_pairs(unpack_keys(keys), values, hubs, epoch)
+        self.fill_pairs(unpack_keys(keys), values, epoch)
 
-    def put(self, key: int, value: float, hub: int, epoch: int) -> None:
-        """One-key :meth:`insert`; a *hub* below 0 stores none."""
-        if hub >= 0:
-            self._with_hubs(epoch)
-        native_engine.cache_put(self._table, key >> 32, key & _LOW, value, hub, epoch)
+    def put(self, key: int, value: float, epoch: int) -> None:
+        """One-key :meth:`insert`."""
+        native_engine.cache_put(self._table, key >> 32, key & _LOW, value, epoch)
 
     # -- invalidation ---------------------------------------------------
     def invalidate_all(self, epoch: int) -> None:
@@ -214,28 +177,10 @@ class EpochLRUCache:
         if epoch > self.watermark:
             self._table.header["watermark"] = epoch
 
-    def evict_vertices(self, affected: Iterable[int]) -> int:
-        """Remove entries touching *affected* vertices; returns the count.
-
-        An entry is removed when either endpoint or its cached hub lies
-        in the set. The endpoint test alone is sufficient for
-        correctness; the hub test additionally drops entries whose
-        witnessing shortcut moved, keeping the policy aligned with
-        ``MaintenanceStats.affected_shortcuts``.
-        """
-        affected = np.fromiter(affected, dtype=np.int64)
-        if not len(affected):
-            return 0
-        table = self._table
-        used = np.flatnonzero(table.keys)
-        keys = table.keys.take(used)
-        doomed = np.isin(keys >> 32, affected) | np.isin(keys & _LOW, affected)
-        if table.hubs is not None:
-            doomed |= np.isin(table.hubs.take(used), affected)
-        return self._drop(used[doomed])
-
     def clear(self) -> None:
-        self._drop(np.flatnonzero(self._table.keys))
+        used = np.flatnonzero(self._table.keys)
+        self._table.keys.put(used, 0)
+        self._table.ticks.put(used, 0)
 
     # -- introspection --------------------------------------------------
     def _live(self) -> np.ndarray:
@@ -257,8 +202,8 @@ class EpochLRUCache:
     def stats(self) -> CacheStats:
         # Every stored entry is still in its slot or left it exactly one
         # way: displaced while live (LRU), overwritten live by its own
-        # key, or invalidated — dropped by a probe, an eviction or
-        # ``clear``, or overwritten while stale.
+        # key, or invalidated — dropped by a probe or ``clear``, or
+        # overwritten while stale.
         header = self._table.header
         lru_evictions = int(header["lru_evictions"])
         gone = int(header["stored"]) - int(np.count_nonzero(self._table.keys))

@@ -79,30 +79,15 @@ class ExecutionRuntime(abc.ABC):
         """Worker processes serving queries (0 for in-process)."""
         return 0
 
-    @property
-    def supports_fine_grained_eviction(self) -> bool:
-        """Whether per-pair hubs certify cached results on this backend."""
-        return getattr(self.index, "supports_fine_grained_eviction", True)
-
     # -- queries --------------------------------------------------------
     @abc.abstractmethod
     def distances(self, pairs) -> np.ndarray:
         """Batch distances for global-id pairs: an ``(m, 2)`` integer
         array (what the service sends) or any iterable of ``(s, t)``."""
 
-    def distances_with_hubs(self, pairs) -> tuple[np.ndarray, np.ndarray]:
-        """Batch ``(distances, hubs)``; hub -1 where no hub certifies."""
-        out = self.distances(pairs)
-        return out, np.full(len(out), -1, dtype=np.int64)
-
     def distance(self, s: int, t: int) -> float:
         """Single-pair distance (batch round trip unless overridden)."""
         return float(self.distances([(s, t)])[0])
-
-    def distance_with_hub(self, s: int, t: int) -> tuple[float, int]:
-        """Single-pair ``(distance, hub)`` counterpart."""
-        values, hubs = self.distances_with_hubs([(s, t)])
-        return float(values[0]), int(hubs[0])
 
     # -- maintenance ----------------------------------------------------
     @abc.abstractmethod
@@ -163,25 +148,14 @@ class ExecutionRuntime(abc.ABC):
 class InProcessRuntime(ExecutionRuntime):
     """Execute directly on the backend in the calling process.
 
-    This is the pre-runtime serving path extracted verbatim: batch
-    misses hit the backend's zero-copy kernel (or the sharded routing
-    engine), updates call the backend's maintenance entry point. Any
-    :class:`~repro.core.backend.DistanceBackend` works — backends with
-    a hub-aware engine get the certified-hub fast path, the rest fall
-    back to the Protocol's plain batch surface. No resources are owned,
-    so :meth:`close` is a no-op.
+    Batch misses go to the backend's own ``distances`` (the pair kernel,
+    or the sharded routing engine), updates to its maintenance entry
+    point. Any :class:`~repro.core.backend.DistanceBackend` works. No
+    resources are owned, so :meth:`close` is a no-op.
     """
 
     def __init__(self, index: DistanceBackend):
         self.index = index
-
-    @property
-    def _engine(self):
-        """The backend's hub-aware engine, if it has one — its hubs
-        certify cached entries; a backend without one still serves
-        through the Protocol surface. Read per call: a structural
-        fallback rebuild makes the index adopt a new engine."""
-        return getattr(self.index, "engine", None)
 
     @property
     def backend(self) -> str:
@@ -190,20 +164,8 @@ class InProcessRuntime(ExecutionRuntime):
     def distances(self, pairs) -> np.ndarray:
         return self.index.distances(pairs)
 
-    def distances_with_hubs(self, pairs) -> tuple[np.ndarray, np.ndarray]:
-        engine = self._engine
-        if engine is not None:
-            return engine.distances_with_hubs(pairs)
-        return super().distances_with_hubs(pairs)
-
     def distance(self, s: int, t: int) -> float:
         return self.index.distance(s, t)
-
-    def distance_with_hub(self, s: int, t: int) -> tuple[float, int]:
-        engine = self._engine
-        if engine is not None:
-            return engine.distance_with_hub(s, t)
-        return super().distance_with_hub(s, t)
 
     def apply_update(
         self, changes: Iterable[WeightChange], workers: int | None = None

@@ -10,9 +10,8 @@ query-heavy dynamic service needs:
 2. **an epoch-guarded result cache** — repeated pairs are served from
    one flat set-associative table stamped with the index maintenance
    epoch. A batch is one C probe (order, pack, look up and deduplicate
-   every pair) and one C fill of its distinct misses; invalidation is
-   either a lazy O(1) watermark bump or fine-grained eviction of only
-   the pairs whose endpoints/hub were touched by the update;
+   every pair) and one C fill of its distinct misses; an applied
+   update invalidates the whole table with a lazy O(1) watermark bump;
 3. **update coalescing** — incoming weight changes buffer in an
    :class:`~repro.service.coalescer.UpdateCoalescer` and apply as one
    mixed maintenance pass (Algorithms 2-5) when a query needs
@@ -175,14 +174,6 @@ class DistanceService:
         pair table (:mod:`repro.service.cache`, 32 bytes each). A full
         set displaces its least recently used entry, so the table may
         forget a pair before ``cache_capacity`` are held.
-    fine_grained_eviction:
-        When True, a flush evicts only cached pairs whose endpoint or
-        hub was touched by the update (``MaintenanceStats``'s affected
-        label vertices and shortcut endpoints); when False, the whole
-        cache is invalidated by an O(1) epoch watermark bump. Backends
-        that cannot certify per-pair staleness (the sharded index, whose
-        distances also depend on boundary/overlay labels) downgrade this
-        to the epoch watermark automatically.
     flush_threshold:
         Auto-flush once this many distinct edges are buffered.
     auto_flush_on_query:
@@ -204,7 +195,6 @@ class DistanceService:
         backend: DistanceBackend | ExecutionRuntime,
         *,
         cache_capacity: int = 65_536,
-        fine_grained_eviction: bool = False,
         flush_threshold: int = 256,
         auto_flush_on_query: bool = True,
         observability: Observability | None = None,
@@ -227,14 +217,8 @@ class DistanceService:
         registry = self.observability.registry
         counter = registry.counter
         self._m_queries = counter("dhl_queries_total", "Pair queries answered")
-        self._m_batches = counter(
-            "dhl_query_batches_total", "Service query calls (a batch is one)"
-        )
         self._m_query_seconds = registry.histogram(
             "dhl_query_seconds", "Per-call query latency in seconds"
-        )
-        self._m_flushes = counter(
-            "dhl_flushes_total", "Coalesced update flushes applied"
         )
         self._m_flush_seconds = registry.histogram(
             "dhl_flush_seconds", "Coalesced update flush latency in seconds"
@@ -276,9 +260,6 @@ class DistanceService:
         # Cache keys are unordered pairs unless d(s, t) != d(t, s).
         self._directed = getattr(self.index, "kind", None) == "directed"
         self.coalescer = UpdateCoalescer()
-        self.fine_grained_eviction = (
-            fine_grained_eviction and self.runtime.supports_fine_grained_eviction
-        )
         self.flush_threshold = max(1, flush_threshold)
         self.auto_flush_on_query = auto_flush_on_query
         # Last index epoch this service reconciled its cache against.
@@ -338,7 +319,6 @@ class DistanceService:
 
     def _note_query(self, seconds: float, pairs: int) -> None:
         self._m_queries.inc(pairs)
-        self._m_batches.inc()
         self._m_query_seconds.observe(seconds)
         if self.observability.slow_log.note_query(
             seconds, pairs=pairs, epoch=self.index.epoch
@@ -355,12 +335,8 @@ class DistanceService:
         value = self.cache.get(key)
         if value is not None:
             return value
-        # Hubs only earn their cost when fine-grained eviction reads them.
-        if self.fine_grained_eviction:
-            value, hub = self.runtime.distance_with_hub(s, t)
-        else:
-            value, hub = self.runtime.distance(s, t), -1
-        self.cache.put(key, value, hub, self.index.epoch)
+        value = self.runtime.distance(s, t)
+        self.cache.put(key, value, self.index.epoch)
         return value
 
     def _batch(self, pairs: np.ndarray) -> np.ndarray:
@@ -378,29 +354,24 @@ class DistanceService:
             )
         if not len(misses):
             return out
-        hubs = shed = None
+        shed = None
         with tracer.trace("runtime", misses=len(misses)):
-            if self.fine_grained_eviction:
-                values, hubs = self.runtime.distances_with_hubs(misses)
-            else:
-                try:
-                    values = self.runtime.distances(misses)
-                except PartialResultError as exc:
-                    # Degraded batch: the runtime answered what it could
-                    # and nan'd pairs owned by breaker-open shards. Keep
-                    # the served values (and cache them), then re-raise
-                    # re-aligned over the caller's positions.
-                    values, open_shards = exc.distances, exc.open_shards
-                    shed = np.zeros(len(misses), dtype=bool)
-                    shed[exc.shed] = True
+            try:
+                values = self.runtime.distances(misses)
+            except PartialResultError as exc:
+                # Degraded batch: the runtime answered what it could and
+                # nan'd pairs owned by breaker-open shards. Keep the
+                # served values (and cache them), then re-raise
+                # re-aligned over the caller's positions.
+                values, open_shards = exc.distances, exc.open_shards
+                shed = np.zeros(len(misses), dtype=bool)
+                shed[exc.shed] = True
         with tracer.trace("cache_fill"):
             out[positions] = values[inverse]
             if shed is None:
-                self.cache.fill_pairs(misses, values, hubs, self.index.epoch)
+                self.cache.fill_pairs(misses, values, self.index.epoch)
             else:
-                self.cache.fill_pairs(
-                    misses[~shed], values[~shed], None, self.index.epoch
-                )
+                self.cache.fill_pairs(misses[~shed], values[~shed], self.index.epoch)
         if shed is not None:
             raise PartialResultError(out, positions[shed[inverse]], open_shards)
         return out
@@ -470,7 +441,6 @@ class DistanceService:
                 stats, applied_edges = self._flush_pending()
         if not applied_edges:
             return stats
-        self._m_flushes.inc()
         self._m_flush_edges.inc(applied_edges)
         self._m_flush_seconds.observe(timer.seconds)
         if collector is not None:
@@ -519,14 +489,7 @@ class DistanceService:
         self._m_shortcuts_changed.inc(stats.shortcuts_changed)
         self._m_labels_changed.inc(stats.labels_changed)
         with phase("flush.cache_evict"):
-            if self.fine_grained_eviction:
-                affected = set(stats.affected_labels)
-                for v, w in stats.affected_shortcuts:
-                    affected.add(v)
-                    affected.add(w)
-                self.cache.evict_vertices(affected)
-            else:
-                self.cache.invalidate_all(self.index.epoch)
+            self.cache.invalidate_all(self.index.epoch)
         self._synced_epoch = self.index.epoch
         if batch.deletions:
             self._maybe_compact()
@@ -554,9 +517,8 @@ class DistanceService:
         self._m_compactions.inc()
         self._m_dead_slots_reclaimed.inc(result.dead_slots_reclaimed)
         self._m_bytes_reclaimed.inc(result.bytes_reclaimed)
-        # Compaction bumps the index epoch; the cache watermark must
-        # follow even though queried distances are unchanged, because
-        # fine-grained state (hubs, slot ids) may have been re-packed.
+        # Compaction bumps the index epoch; the cache watermark follows
+        # it, though queried distances are unchanged.
         self.cache.invalidate_all(self.index.epoch)
         self._synced_epoch = self.index.epoch
 
@@ -567,10 +529,8 @@ class DistanceService:
 
     def _reconcile_epoch_drift(self) -> None:
         # An epoch advance this service did not perform means someone
-        # updated the index directly; we cannot know which pairs moved,
-        # so the whole cache is conservatively invalidated. Runs at the
-        # top of flush() too — fine-grained eviction only covers the
-        # service's own batch and must not absorb foreign updates.
+        # updated the index directly; the whole cache is invalidated.
+        # Runs at the top of flush() too.
         epoch = self.index.epoch
         if epoch != self._synced_epoch:
             self.cache.invalidate_all(epoch)
@@ -614,7 +574,7 @@ class DistanceService:
         return ServiceStats(
             epoch=self.index.epoch,
             queries=self._m_queries.value,
-            batches=self._m_batches.value,
+            batches=self._m_query_seconds.count,
             cache=self.cache.stats(),
             coalescer=self.coalescer.stats(),
             query_latency=LatencySummary.of(self._m_query_seconds, self._m_queries),

@@ -945,9 +945,6 @@ class ShardRuntime(ExecutionRuntime):
     kind: str  # the backend tag's prefix
     #: The transport seam: a channel class naming its ``buffers`` class.
     channel_type: type
-    # Sharded distances have no per-pair hub certificate (see
-    # ShardedDHLIndex); the cache must use epoch invalidation.
-    supports_fine_grained_eviction = False
 
     def __init__(
         self,

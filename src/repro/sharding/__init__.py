@@ -2,11 +2,10 @@
 
 Splits a road network into k edge-disjoint regions (reusing the
 multilevel bisection pipeline via :func:`repro.partition.partition_regions`),
-builds one DHL index per region — in parallel across processes — plus a
-small overlay index on the boundary-vertex graph, and routes queries
-and maintenance between them:
+builds one DHL index per region plus a small overlay index on the
+boundary-vertex graph, and routes queries and maintenance between
+them:
 
-* :mod:`repro.sharding.build` — partition-parallel shard construction;
 * :mod:`repro.sharding.overlay` — boundary overlay graph assembly and
   incremental clique-edge refresh after shard maintenance;
 * :mod:`repro.sharding.engine` — the vectorised shard-routed query
@@ -16,14 +15,11 @@ and maintenance between them:
 The user-facing facade is :class:`repro.core.sharded.ShardedDHLIndex`.
 """
 
-from repro.sharding.build import ShardBuildReport, build_shards
 from repro.sharding.engine import ShardedQueryEngine
 from repro.sharding.overlay import build_overlay_graph, clique_refresh_changes
 from repro.sharding.stats import ShardedMaintenanceStats
 
 __all__ = [
-    "ShardBuildReport",
-    "build_shards",
     "ShardedQueryEngine",
     "build_overlay_graph",
     "clique_refresh_changes",

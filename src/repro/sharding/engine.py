@@ -301,24 +301,6 @@ class ShardedQueryEngine:
         """Exact shortest-path distance (``inf`` when disconnected)."""
         return float(self.distances_arrays(np.array([s]), np.array([t]))[0])
 
-    # ------------------------------------------------------------------
-    # hub-compatible surface (service cache integration)
-    # ------------------------------------------------------------------
-    def distance_with_hub(self, s: int, t: int) -> tuple[float, int]:
-        """Distance plus a hub placeholder.
-
-        A sharded distance is not a function of two label arrays alone
-        (boundary and overlay labels participate), so no single hub
-        vertex certifies it; -1 is returned and the serving layer falls
-        back to coarse epoch invalidation.
-        """
-        return self.distance(s, t), -1
-
-    def distances_with_hubs(self, pairs) -> tuple[np.ndarray, np.ndarray]:
-        """Batch counterpart of :meth:`distance_with_hub` (hubs all -1)."""
-        out = self.distances(pairs)
-        return out, np.full(len(out), -1, dtype=np.int64)
-
     def search_space_size(self, s: int, t: int) -> int:
         """Label entries a pair inspects (shard fans + overlay block)."""
         owner = self.owner

@@ -60,9 +60,7 @@ class FakeClock:
 
 
 def build_sharded(graph: Graph, k: int = 2) -> ShardedDHLIndex:
-    return ShardedDHLIndex.build(
-        graph.copy(), k=k, config=DHLConfig(seed=0), build_workers=1
-    )
+    return ShardedDHLIndex.build(graph.copy(), k=k, config=DHLConfig(seed=0))
 
 
 def shard_pairs(sharded, sid, count=6):

@@ -80,7 +80,7 @@ def cache_probe(table, pairs, directed):
     return out, unpack_keys(keys[order]), positions, rank[inverse]
 
 
-def cache_fill(table, pairs, values, hubs, epoch) -> None:
+def cache_fill(table, pairs, values, epoch) -> None:
     """Store distinct ordered *pairs*: held keys in place, then election
     rounds of one new key per set."""
     header = table.header
@@ -97,8 +97,6 @@ def cache_fill(table, pairs, values, hubs, epoch) -> None:
         table.values.put(slot, values[pick])
         table.epochs.put(slot, epoch)
         table.ticks.put(slot, tick + pick)
-        if table.hubs is not None:
-            table.hubs.put(slot, -1 if hubs is None else hubs[pick])
 
     slot, found = _find(table, keys)
     todo = np.arange(len(keys))
@@ -133,7 +131,6 @@ def cache_get(table, lo, hi):
     return None if len(misses) else float(out[0])
 
 
-def cache_put(table, lo, hi, value, hub, epoch) -> None:
-    """:func:`cache_fill` of one ordered pair; a *hub* below 0 is none."""
-    hubs = None if hub < 0 else np.array([hub])
-    cache_fill(table, np.array([[lo, hi]]), np.array([value]), hubs, epoch)
+def cache_put(table, lo, hi, value, epoch) -> None:
+    """:func:`cache_fill` of one ordered pair."""
+    cache_fill(table, np.array([[lo, hi]]), np.array([value]), epoch)

@@ -48,7 +48,7 @@ def test_the_oracles_never_enter_c_and_give_its_bits(monkeypatch):
     builds = [
         (
             DHLIndex.build(graph.copy(), config),
-            ShardedDHLIndex.build(graph.copy(), k=2, config=config, build_workers=1),
+            ShardedDHLIndex.build(graph.copy(), k=2, config=config),
         )
         for _ in range(2)
     ]

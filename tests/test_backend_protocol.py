@@ -39,9 +39,7 @@ def directed(graph):
 
 @pytest.fixture(scope="module")
 def sharded(graph):
-    return ShardedDHLIndex.build(
-        graph.copy(), k=2, config=DHLConfig(seed=0), build_workers=1
-    )
+    return ShardedDHLIndex.build(graph.copy(), k=2, config=DHLConfig(seed=0))
 
 
 # ---------------------------------------------------------------------------
@@ -91,7 +89,6 @@ def test_protocol_surface_is_uniform(mono, directed, sharded):
     for index in (mono, directed, sharded):
         assert index.epoch == 0
         assert index.graph.num_vertices == 25
-        assert isinstance(index.supports_fine_grained_eviction, bool)
         assert index.stats().label_entries > 0
 
 

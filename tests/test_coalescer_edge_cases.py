@@ -104,7 +104,7 @@ def family_index(family: str):
         index = DirectedDHLIndex.build(DiGraph.from_undirected(graph), config)
         return index, next(iter(index.graph.arcs())), directed_dijkstra
     if family == "sharded":
-        index = ShardedDHLIndex.build(graph, k=2, config=config, build_workers=1)
+        index = ShardedDHLIndex.build(graph, k=2, config=config)
         region = index.region_of
         road = next(e for e in graph.edges() if region[e[0]] == region[e[1]])
         return index, road, dijkstra

@@ -11,7 +11,6 @@ from repro.core.index import DHLIndex
 from repro.exceptions import MaintenanceError
 from repro.graph.digraph import DiGraph
 from repro.graph.generators import grid_network, random_connected_graph
-from repro.service import DistanceService, InProcessRuntime
 from tests.conftest import directed_dijkstra
 from tests.oracles.kernels import oracle_build
 
@@ -212,24 +211,6 @@ class TestSharedCore:
                     idx.labels_out.view(s)[tau[hub]] + idx.labels_in.view(t)[tau[hub]]
                 )
                 assert certificate == value == idx.distance(s, t)
-
-    def test_service_door_gets_real_hubs(self):
-        """The serving layer's per-pair eviction keys on the hub the
-        runtime reports; -1 everywhere would mean the hub test never
-        fires for this backend."""
-        g = random_connected_graph(60, extra_edges=50, seed=8)
-        idx = DirectedDHLIndex.build(
-            DiGraph.from_undirected(g), DHLConfig(leaf_size=4, seed=0)
-        )
-        runtime = InProcessRuntime(idx)
-        value, hub = runtime.distance_with_hub(0, 5)
-        assert (value, hub) == idx.distance_with_hub(0, 5) and hub >= 0
-        with DistanceService(idx, fine_grained_eviction=True) as service:
-            pairs = [(0, 5), (5, 0), (12, 40)]
-            np.testing.assert_array_equal(
-                service.distances(pairs), idx.distances(pairs)
-            )
-            assert (runtime.distances_with_hubs(pairs)[1] >= 0).all()
 
     def test_set_queries_match_dijkstra_and_the_pair_kernel(self, asym_digraph):
         idx = DirectedDHLIndex.build(asym_digraph, DHLConfig(leaf_size=4, seed=0))

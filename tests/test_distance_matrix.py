@@ -239,7 +239,6 @@ class TestShardedCallSites:
             grid_network(10, 10, seed=2),
             k=2,
             config=DHLConfig(seed=0),
-            build_workers=1,
         )
 
     def test_fans_dedupe_and_match_the_pair_kernel(self, sharded):
@@ -305,9 +304,7 @@ class TestShardedCallSites:
         for kernels in (python_kernels, nullcontext):
             with kernels():
                 both.append(
-                    ShardedDHLIndex.build(
-                        graph.copy(), k=2, config=DHLConfig(seed=0), build_workers=1
-                    )
+                    ShardedDHLIndex.build(graph.copy(), k=2, config=DHLConfig(seed=0))
                 )
         n = graph.num_vertices
         pairs = np.stack(np.divmod(np.arange(n * n), n), axis=1)

@@ -170,9 +170,7 @@ def _directed(graph):
 def _sharded(graph):
     from repro.core.sharded import ShardedDHLIndex
 
-    idx = ShardedDHLIndex.build(
-        graph.copy(), k=2, config=DHLConfig(seed=0), build_workers=1
-    )
+    idx = ShardedDHLIndex.build(graph.copy(), k=2, config=DHLConfig(seed=0))
     return idx, idx.graph, [shard.labels for shard in idx.shards]
 
 

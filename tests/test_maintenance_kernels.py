@@ -335,12 +335,8 @@ class TestTouchedLists:
 class TestShardedDifferential:
     def test_k2_sharded_c_and_oracle_agree(self, small_road):
         config = DHLConfig(seed=0)
-        sharded_r = oracle_build(
-            ShardedDHLIndex, small_road.copy(), k=2, config=config, build_workers=1
-        )
-        sharded_c = ShardedDHLIndex.build(
-            small_road.copy(), k=2, config=config, build_workers=1
-        )
+        sharded_r = oracle_build(ShardedDHLIndex, small_road.copy(), k=2, config=config)
+        sharded_c = ShardedDHLIndex.build(small_road.copy(), k=2, config=config)
         edges = list(small_road.edges())
         batches = [
             [(u, v, 2 * w) for u, v, w in edges[:40]],
@@ -442,7 +438,7 @@ class TestOverlayIncrementalRefresh:
         endpoint: one affected boundary vertex of a region with B
         boundary vertices costs one kernel row of B cells, not B rows."""
         sharded = ShardedDHLIndex.build(
-            small_road.copy(), k=4, config=DHLConfig(seed=0), build_workers=1
+            small_road.copy(), k=4, config=DHLConfig(seed=0)
         )
         rid = max(
             range(sharded.k), key=lambda r: len(sharded.boundary_local[r])
@@ -475,7 +471,7 @@ class TestOverlayIncrementalRefresh:
 
     def test_no_affected_labels_no_recompute(self, small_road):
         sharded = ShardedDHLIndex.build(
-            small_road.copy(), k=2, config=DHLConfig(seed=0), build_workers=1
+            small_road.copy(), k=2, config=DHLConfig(seed=0)
         )
         from repro.sharding.overlay import clique_refresh_changes
 

@@ -414,22 +414,28 @@ def test_phase_marks_cover_the_burst(build):
 
 def test_build_marks_its_phases_and_the_partition_stages_add_up():
     """``build.*`` wrap the three ``IndexStats`` laps; the ``partition.*``
-    stage marks are disjoint and account for the partition lap."""
+    stage marks are disjoint and account for the partition lap. Every
+    build's marks must have that structure; the share of the lap the
+    stages cover is the median of several builds, so one build slowed
+    by a busy machine does not decide it."""
     graph = grid_network(24, 24)
-    with collect_phases() as collector:
-        stats = DHLIndex.build(graph, DHLConfig(seed=0)).stats()
-    seconds = collector.as_dict()
-    for lap in ("partition", "contraction", "labelling"):
-        assert collector.counts[f"build.{lap}"] == 1
-        assert seconds[f"build.{lap}"] == pytest.approx(
-            getattr(stats, f"{lap}_seconds"), rel=0.05, abs=1e-3
-        )
-    stages = {k: v for k, v in seconds.items() if k.startswith("partition.")}
-    assert {"coarsen", "initial", "refine", "separator"} <= {
-        k.split(".")[1] for k in stages
-    }
-    assert 0.9 * stats.partition_seconds <= sum(stages.values())
-    assert sum(stages.values()) <= stats.partition_seconds
+    shares = []
+    for _ in range(5):
+        with collect_phases() as collector:
+            stats = DHLIndex.build(graph.copy(), DHLConfig(seed=0)).stats()
+        seconds = collector.as_dict()
+        for lap in ("partition", "contraction", "labelling"):
+            assert collector.counts[f"build.{lap}"] == 1
+            assert seconds[f"build.{lap}"] == pytest.approx(
+                getattr(stats, f"{lap}_seconds"), rel=0.05, abs=1e-3
+            )
+        stages = {k: v for k, v in seconds.items() if k.startswith("partition.")}
+        assert {"coarsen", "initial", "refine", "separator"} <= {
+            k.split(".")[1] for k in stages
+        }
+        assert sum(stages.values()) <= stats.partition_seconds
+        shares.append(sum(stages.values()) / stats.partition_seconds)
+    assert statistics.median(shares) >= 0.9, shares
 
 
 # ---------------------------------------------------------------------------
@@ -522,7 +528,6 @@ def test_untraced_metrics_cost_per_call_not_per_pair(
         service.distances(pairs)
     snapshot = service.metrics()
     assert snapshot["dhl_query_seconds"]["count"] == 3
-    assert snapshot["dhl_query_batches_total"]["value"] == 3
     assert snapshot["dhl_queries_total"]["value"] == 3 * len(pairs)
     assert spans == [] and service.last_trace() is None
 
@@ -537,9 +542,7 @@ def test_service_metrics_snapshot_core_names(small_service_graph, tmp_path):
     snapshot = service.metrics()
     for name in (
         "dhl_queries_total",
-        "dhl_query_batches_total",
         "dhl_query_seconds",
-        "dhl_flushes_total",
         "dhl_flush_seconds",
         "dhl_flush_edges_total",
         "dhl_slow_queries_total",
@@ -579,7 +582,6 @@ def test_service_metrics_snapshot_core_names(small_service_graph, tmp_path):
 #: ServiceStats count field -> the registry series that holds it.
 SERVICE_SERIES = {
     "queries": "dhl_queries_total",
-    "batches": "dhl_query_batches_total",
     "shortcuts_changed": "dhl_shortcuts_changed",
     "labels_changed": "dhl_labels_changed",
     "structural_batches": "dhl_structural_batches",
@@ -647,7 +649,7 @@ def test_stats_count_alike_with_observability_off_and_on(small_service_graph):
     # 11 queries answered and one update offered; the empty batch is not.
     assert (front_on.offered_requests, front_on.answered_requests) == (12, 11)
     assert front_on.updates == 1
-    for field in (*SERVICE_SERIES, "epoch", "cache", "coalescer"):
+    for field in (*SERVICE_SERIES, "batches", "epoch", "cache", "coalescer"):
         assert getattr(on, field) == getattr(off, field), field
     for latency in ("query_latency", "update_latency"):
         for field in ("calls", "operations"):
@@ -663,7 +665,6 @@ def test_stats_count_alike_with_observability_off_and_on(small_service_graph):
     assert on.query_latency.calls == on.batches
     assert on.query_latency.operations == on.queries
     assert metrics["dhl_flush_seconds"]["count"] == on.update_latency.calls
-    assert metrics["dhl_flushes_total"]["value"] == on.update_latency.calls
     assert metrics["dhl_flush_edges_total"]["value"] == on.update_latency.operations
     assert metrics["dhl_epoch"]["value"] == on.epoch
     for name in ("hits", "misses", "size", "capacity", "lru_evictions", "invalidated"):
@@ -841,9 +842,7 @@ def test_service_stats_str_and_worker_pool_field(small_service_graph):
 #: One instrument of each family the service promises to export.
 REQUIRED_METRICS = (
     "dhl_queries_total",
-    "dhl_query_batches_total",
     "dhl_query_seconds",
-    "dhl_flushes_total",
     "dhl_flush_seconds",
     "dhl_maintenance_phase_seconds",
     "dhl_cache_hits",
@@ -863,9 +862,7 @@ def test_shard_runtime_metrics_dump_keeps_the_export_contract(tmp_path):
     from repro.service import ShardWorkerRuntime
     from repro.service.workload import commute_traffic, cross_region_pairs, replay
 
-    sharded = ShardedDHLIndex.build(
-        grid_network(8, 8), k=2, config=DHLConfig(seed=0), build_workers=1
-    )
+    sharded = ShardedDHLIndex.build(grid_network(8, 8), k=2, config=DHLConfig(seed=0))
     events = commute_traffic(
         sharded.graph,
         sharded.region_of,

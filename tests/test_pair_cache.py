@@ -2,7 +2,7 @@
 
 The table's contract is *a cache may forget, never lie*: the model
 tests replay interleaved ``insert`` / ``lookup`` / ``get`` /
-``invalidate_all`` / ``evict_vertices`` against a dict oracle and a
+``invalidate_all`` against a dict oracle and a
 one-set table against an exact LRU, on the C kernels and on their numpy
 oracle (``tests/oracles/cache.py``), and a differential test holds the
 door's probe and fill to that oracle step by step. The door tests pin
@@ -17,6 +17,7 @@ import asyncio
 import copy
 import math
 import os
+import pickle
 from collections import OrderedDict
 
 import numpy as np
@@ -31,6 +32,7 @@ from repro.exceptions import VertexNotFound
 from repro.graph.digraph import DiGraph
 from repro.graph.generators import delaunay_network, grid_network
 from repro.graph.graph import Graph
+from repro.labelling.native import engine as native_engine
 from repro.service import (
     AsyncDistanceService,
     DistanceService,
@@ -47,10 +49,6 @@ from tests.test_structural_batch import directed_dijkstra
 VERTICES = 12  # small universe: keys collide, repeat and get evicted
 
 
-def unpack(key: int) -> tuple[int, int]:
-    return key >> 32, key & 0xFFFFFFFF
-
-
 # ---------------------------------------------------------------------------
 # the table against its models
 # ---------------------------------------------------------------------------
@@ -65,14 +63,10 @@ ops_st = st.lists(
             st.just("insert"),
             st.lists(keys_st, min_size=0, max_size=10, unique=True),
             st.integers(0, 3),  # epoch offset below the newest epoch
-            st.booleans(),  # with hubs
         ),
         st.tuples(st.just("lookup"), st.lists(keys_st, max_size=10)),
         st.tuples(st.just("get"), keys_st),
         st.tuples(st.just("invalidate"), st.integers(0, 2)),
-        st.tuples(
-            st.just("evict"), st.sets(st.integers(0, VERTICES), max_size=3)
-        ),
     ),
     max_size=40,
 )
@@ -82,23 +76,18 @@ class Oracle:
     """What the table may serve: the last insert per key, while valid."""
 
     def __init__(self) -> None:
-        self.entries: dict[int, tuple[float, int, int]] = {}
+        self.entries: dict[int, tuple[float, int]] = {}
         self.watermark = 0
 
-    def insert(self, key, value, hub, epoch) -> None:
+    def insert(self, key, value, epoch) -> None:
         if epoch >= self.watermark:  # a stale insert is ignored
-            self.entries[key] = (value, hub, epoch)
+            self.entries[key] = (value, epoch)
 
     def valid(self, key) -> float | None:
         entry = self.entries.get(key)
-        if entry is None or entry[2] < self.watermark:
+        if entry is None or entry[1] < self.watermark:
             return None
         return entry[0]
-
-    def evict(self, affected) -> None:
-        for key in list(self.entries):
-            if {*unpack(key), self.entries[key][1]} & affected:
-                del self.entries[key]
 
 
 #: A hypothesis test that also takes ``on_kernels`` (set once per test,
@@ -114,18 +103,12 @@ def test_model_a_hit_is_the_last_valid_insert(capacity, ops):
     epoch, serial, probes = 3, 0.0, 0
     for op in ops:
         if op[0] == "insert":
-            _, keys, back, with_hubs = op
+            _, keys, back = op
             values = np.arange(len(keys), dtype=np.float64) + serial
             serial += len(keys)
-            hubs = np.array([k % VERTICES for k in keys], dtype=np.int64)
-            cache.insert(
-                np.array(keys, dtype=np.int64),
-                values,
-                hubs if with_hubs else None,
-                epoch - back,
-            )
-            for key, value, hub in zip(keys, values, hubs):
-                oracle.insert(key, value, int(hub) if with_hubs else -1, epoch - back)
+            cache.insert(np.array(keys, dtype=np.int64), values, epoch - back)
+            for key, value in zip(keys, values):
+                oracle.insert(key, value, epoch - back)
         elif op[0] == "lookup":
             keys = np.array(op[1], dtype=np.int64)
             values, hit = cache.lookup(keys)
@@ -142,9 +125,6 @@ def test_model_a_hit_is_the_last_valid_insert(capacity, ops):
             epoch += op[1]
             cache.invalidate_all(epoch)
             oracle.watermark = max(oracle.watermark, epoch)
-        else:
-            cache.evict_vertices(op[1])
-            oracle.evict(op[1])
         assert len(cache) <= capacity
     stats = cache.stats()
     assert stats.hits + stats.misses == probes
@@ -162,10 +142,10 @@ def test_model_a_hit_is_the_last_valid_insert(capacity, ops):
 @example(  # a held key is as recent as its batch index, not older
     capacity=15,
     ops=[
-        ("insert", [2], 0, False),
-        ("insert", [pair_key(1, 2), 2, 8, 11, pair_key(1, 5)], 0, False),
-        ("insert", [1, 3, 4, 5, 6, 7, 10, pair_key(1, 6)], 0, False),
-        ("insert", [9, pair_key(1, 3), pair_key(1, 4)], 0, False),
+        ("insert", [2], 0),
+        ("insert", [pair_key(1, 2), 2, 8, 11, pair_key(1, 5)], 0),
+        ("insert", [1, 3, 4, 5, 6, 7, 10, pair_key(1, 6)], 0),
+        ("insert", [9, pair_key(1, 3), pair_key(1, 4)], 0),
         ("lookup", [2]),
     ],
 )
@@ -177,7 +157,7 @@ def test_one_set_table_is_an_exact_lru(capacity, ops):
     used in batch order: the tick of key ``i`` is the batch's first
     tick plus ``i``."""
     cache = EpochLRUCache(capacity)
-    lru: OrderedDict[int, tuple[float, int, int]] = OrderedDict()
+    lru: OrderedDict[int, tuple[float, int]] = OrderedDict()
     watermark, epoch, serial, evictions = 0, 3, 0.0, 0
 
     def probe(key):
@@ -189,23 +169,14 @@ def test_one_set_table_is_an_exact_lru(capacity, ops):
 
     for op in ops:
         if op[0] == "insert":
-            _, keys, back, with_hubs = op
+            _, keys, back = op
             keys = keys[:capacity]  # which of a surplus stay is not promised
             values = np.arange(len(keys), dtype=np.float64) + serial
             serial += len(keys)
-            hubs = np.array([k % VERTICES for k in keys], dtype=np.int64)
-            cache.insert(
-                np.array(keys, dtype=np.int64),
-                values,
-                hubs if with_hubs else None,
-                epoch - back,
-            )
+            cache.insert(np.array(keys, dtype=np.int64), values, epoch - back)
             if epoch - back < watermark:
                 continue  # stale on arrival: ignored
-            entries = {
-                key: (value, int(hub) if with_hubs else -1, epoch - back)
-                for key, value, hub in zip(keys, values, hubs)
-            }
+            entries = {key: (value, epoch - back) for key, value in zip(keys, values)}
             for key in [k for k in keys if k in lru]:  # overwritten in place
                 lru[key] = entries.pop(key)
                 lru.move_to_end(key)
@@ -228,11 +199,7 @@ def test_one_set_table_is_an_exact_lru(capacity, ops):
             epoch += op[1]
             cache.invalidate_all(epoch)
             watermark = max(watermark, epoch)
-            for key in [k for k, e in lru.items() if e[2] < watermark]:
-                del lru[key]
-        else:
-            cache.evict_vertices(op[1])
-            for key in [k for k, e in lru.items() if {*unpack(k), e[1]} & op[1]]:
+            for key in [k for k, e in lru.items() if e[1] < watermark]:
                 del lru[key]
         assert len(cache) == len(lru)
     assert cache.stats().lru_evictions == evictions
@@ -249,12 +216,9 @@ door_pairs_st = st.lists(
 
 door_ops_st = st.lists(
     st.one_of(
-        st.tuples(st.just("batch"), door_pairs_st, st.booleans()),
-        st.tuples(
-            st.just("fill"), door_pairs_st, st.integers(0, 2), st.booleans()
-        ),
+        st.tuples(st.just("batch"), door_pairs_st),
+        st.tuples(st.just("fill"), door_pairs_st, st.integers(0, 2)),
         st.tuples(st.just("invalidate"), st.integers(0, 2)),
-        st.tuples(st.just("evict"), st.sets(st.sampled_from(DOOR_IDS), max_size=3)),
     ),
     max_size=30,
 )
@@ -264,9 +228,9 @@ def table_state(cache: EpochLRUCache) -> list:
     """The table's clock, watermark, counters and column bytes."""
     table = cache._table
     counters = "tick watermark hits misses stored replaced lru_evictions"
-    columns = [table.keys, table.values, table.epochs, table.ticks, table.hubs]
+    columns = [table.keys, table.values, table.epochs, table.ticks]
     return [int(table.header[name]) for name in counters.split()] + [
-        None if column is None else column.tobytes() for column in columns
+        column.tobytes() for column in columns
     ]
 
 
@@ -277,8 +241,8 @@ def table_state(cache: EpochLRUCache) -> list:
 )
 @settings(max_examples=200, deadline=None)
 def test_the_door_probe_and_fill_equal_their_oracle(capacity, directed, ops):
-    """One stream of door batches, fills, watermark raises and vertex
-    evictions on two tables, one on the C kernels and one on the numpy
+    """One stream of door batches, fills and watermark raises on two
+    tables, one on the C kernels and one on the numpy
     oracle: equal answers, miss pairs, positions and inverse, equal
     ``stats()`` and equal table bytes after every step; and every hit
     is the last value filled under its key at a valid epoch."""
@@ -296,12 +260,11 @@ def test_the_door_probe_and_fill_equal_their_oracle(capacity, directed, ops):
         pairs = np.array(pairs, dtype=np.int64).reshape(-1, 2)
         return pairs if directed else np.sort(pairs, axis=1)
 
-    def fill(pairs, at, with_hubs):
+    def fill(pairs, at):
         nonlocal serial
         values = np.arange(len(pairs), dtype=np.float64) + serial
         serial += len(pairs)
-        hubs = pairs[:, 0] % 7 if with_hubs else None
-        both(lambda cache: cache.fill_pairs(pairs, values, hubs, at))
+        both(lambda cache: cache.fill_pairs(pairs, values, at))
         if at >= ours.watermark:
             for pair, value in zip(map(tuple, pairs.tolist()), values):
                 model[pair] = (value, at)
@@ -325,18 +288,14 @@ def test_the_door_probe_and_fill_equal_their_oracle(capacity, directed, ops):
             _, first = np.unique(seen, axis=0, return_index=True)
             np.testing.assert_array_equal(misses, seen[np.sort(first)])
             np.testing.assert_array_equal(misses[inverse], seen)
-            fill(misses, epoch, op[2])
+            fill(misses, epoch)
         elif op[0] == "fill":
             pairs = ordered([(s, t) for s, t in op[1] if s != t])
             _, first = np.unique(pairs, axis=0, return_index=True)
-            fill(pairs[np.sort(first)], epoch - op[2], op[3])
-        elif op[0] == "invalidate":
+            fill(pairs[np.sort(first)], epoch - op[2])
+        else:
             epoch += op[1]
             both(lambda cache: cache.invalidate_all(epoch))
-        else:
-            got, want = both(lambda cache: cache.evict_vertices(op[1]))
-            assert got == want
-            model = {p: e for p, e in model.items() if not set(p) & op[1]}
         assert ours.stats() == theirs.stats()
         assert table_state(ours) == table_state(theirs)
         assert len(ours) <= capacity
@@ -344,10 +303,10 @@ def test_the_door_probe_and_fill_equal_their_oracle(capacity, directed, ops):
 
 def test_an_insert_below_the_watermark_is_ignored():
     cache = EpochLRUCache(2)
-    cache.put(pair_key(0, 1), 1.0, -1, 5)
+    cache.put(pair_key(0, 1), 1.0, 5)
     cache.invalidate_all(5)
-    cache.put(pair_key(0, 1), 9.0, -1, 4)  # older than what is held
-    cache.put(pair_key(0, 2), 2.0, -1, 4)
+    cache.put(pair_key(0, 1), 9.0, 4)  # older than what is held
+    cache.put(pair_key(0, 2), 2.0, 4)
     assert cache.get(pair_key(0, 1)) == 1.0
     assert cache.get(pair_key(0, 2)) is None
     assert len(cache) == 1 and cache.stats().invalidated == 0
@@ -356,8 +315,8 @@ def test_an_insert_below_the_watermark_is_ignored():
 def test_insert_replaces_rather_than_shadows():
     cache = EpochLRUCache(64)
     key = np.array([pair_key(2, 9)], dtype=np.int64)
-    cache.insert(key, np.array([5.0]), None, 0)
-    cache.insert(key, np.array([7.0]), None, 0)
+    cache.insert(key, np.array([5.0]), 0)
+    cache.insert(key, np.array([7.0]), 0)
     assert cache.get(pair_key(2, 9)) == 7.0
     assert len(cache) == 1
     stats = cache.stats()
@@ -369,7 +328,7 @@ def test_a_crowded_set_forgets_but_stays_bounded():
     cache = EpochLRUCache(64)  # 7 sets of 9 ways
     keys = pair_key(np.arange(1, 401), np.arange(1, 401) + 1)
     for chunk in np.split(keys, 8):
-        cache.insert(chunk, chunk.astype(np.float64), None, 0)
+        cache.insert(chunk, chunk.astype(np.float64), 0)
     assert len(cache) <= 64
     values, hit = cache.lookup(keys)
     assert 0 < hit.sum() <= 64
@@ -380,35 +339,15 @@ def test_a_crowded_set_forgets_but_stays_bounded():
     assert stats.lru_evictions > 0
 
 
-@given(
-    entries=st.dictionaries(
-        keys_st, st.integers(-1, VERTICES), min_size=1, max_size=30
-    ),
-    affected=st.sets(st.integers(0, VERTICES), max_size=4),
-)
-@settings(max_examples=100, deadline=None)
-def test_evict_vertices_equals_a_brute_force_scan(entries, affected):
-    cache = EpochLRUCache(256)
-    keys = np.array(list(entries), dtype=np.int64)
-    hubs = np.array(list(entries.values()), dtype=np.int64)
-    cache.insert(keys, np.ones(len(keys)), hubs, 0)
-    stored = {k: h for k, h in entries.items() if k in cache}
-    doomed = {k for k, h in stored.items() if {*unpack(k), h} & affected}
-    assert cache.evict_vertices(affected) == len(doomed)
-    for key in stored:
-        assert (key in cache) == (key not in doomed)
-    assert cache.stats().invalidated == len(doomed)
-
-
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
 def test_a_forked_child_never_writes_into_its_parents_table():
     # The columns sit on anonymous mappings; they must be private ones.
     cache = EpochLRUCache()
-    cache.put(pair_key(1, 2), 5.0, -1, 0)
+    cache.put(pair_key(1, 2), 5.0, 0)
     pid = os.fork()
     if pid == 0:
-        cache.put(pair_key(1, 2), 9.0, -1, 0)
-        cache.put(pair_key(3, 4), 1.0, -1, 0)
+        cache.put(pair_key(1, 2), 9.0, 0)
+        cache.put(pair_key(3, 4), 1.0, 0)
         os._exit(0)
     assert os.waitpid(pid, 0)[1] == 0
     assert cache.get(pair_key(1, 2)) == 5.0
@@ -420,14 +359,49 @@ def test_a_copied_table_probes_its_own_columns():
     (a pickle round trip) must be bound to its own columns, so writing
     one table never shows in the other."""
     cache = EpochLRUCache(64)
-    cache.insert(np.array([pair_key(1, 2)]), np.array([5.0]), np.array([3]), 0)
+    cache.insert(np.array([pair_key(1, 2)]), np.array([5.0]), 0)
     clone = copy.deepcopy(cache)
-    clone.put(pair_key(1, 2), 9.0, 4, 0)
-    clone.put(pair_key(3, 4), 1.0, -1, 0)
+    clone.put(pair_key(1, 2), 9.0, 0)
+    clone.put(pair_key(3, 4), 1.0, 0)
     assert (cache.get(pair_key(1, 2)), cache.get(pair_key(3, 4))) == (5.0, None)
     assert (clone.get(pair_key(1, 2)), clone.get(pair_key(3, 4))) == (9.0, 1.0)
-    assert cache.evict_vertices([3]) == 1 and clone.evict_vertices([3]) == 1
+    assert (len(cache), len(clone)) == (1, 2)
     assert (cache.stats().hits, clone.stats().hits) == (1, 2)
+
+
+@pytest.mark.parametrize("made", ["new", "deepcopy", "pickle"])
+def test_the_table_is_bound_once_when_it_is_made(monkeypatch, made):
+    """The header record takes its column addresses when the table is
+    made — constructed, or rebuilt by a copy or an unpickle, bound to
+    its own columns — and keeps them: no probe, fill or invalidation
+    binds again, and the record has four column fields, no more."""
+    cache = EpochLRUCache(64)
+    cache.put(pair_key(1, 2), 5.0, 0)
+    if made == "deepcopy":
+        cache = copy.deepcopy(cache)
+    elif made == "pickle":
+        cache = pickle.loads(pickle.dumps(cache))
+    table = cache._table
+    header = table.header.copy()
+    columns = ("keys", "values", "epochs", "ticks")
+    for name in columns:
+        assert int(header[name]) == getattr(table, name).ctypes.data, name
+    assert table._one_fill[2] == table.one.ctypes.data
+    binds = []
+    monkeypatch.setattr(native_engine.PairTable, "_bind", binds.append)
+    cache.put(pair_key(3, 4), 1.0, 0)
+    cache.insert(np.array([pair_key(5, 6), pair_key(1, 7)]), np.array([2.0, 3.0]), 0)
+    cache.fill_pairs(np.array([[2, 9]]), np.array([4.0]), 0)
+    out, misses, _, _ = cache.probe_pairs(np.array([[1, 2], [4, 3], [9, 2]]), False)
+    assert out.tolist() == [5.0, 1.0, 4.0] and len(misses) == 0
+    assert cache.get(pair_key(5, 6)) == 2.0
+    cache.invalidate_all(1)
+    assert cache.get(pair_key(5, 6)) is None
+    assert binds == []
+    for name in ("sets", "ways", *columns):
+        assert table.header[name] == header[name], name
+    assert native_engine.CACHE_HEADER.names[:6] == ("sets", "ways", *columns)
+    assert native_engine.CACHE_HEADER.itemsize == 13 * 8
 
 
 def test_idle_table_costs_no_counted_entries():

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 
 import numpy as np
@@ -9,7 +10,10 @@ import pytest
 
 from repro.core.config import DHLConfig
 from repro.core.index import DHLIndex
+from repro.core.sharded import ShardedDHLIndex
 from repro.exceptions import SerializationError
+from repro.graph.graph import Graph
+from repro.graph.io import graph_from_payload, graph_to_json
 
 
 class TestSaveLoad:
@@ -230,9 +234,7 @@ class TestCrashSafeSnapshots:
         from repro.graph.generators import delaunay_network
 
         graph = delaunay_network(60, seed=11)
-        index = ShardedDHLIndex.build(
-            graph, k=2, config=DHLConfig(seed=0), build_workers=1
-        )
+        index = ShardedDHLIndex.build(graph, k=2, config=DHLConfig(seed=0))
         index.save(tmp_path / "sharded")
         # Every component directory carries its own manifest.
         assert (tmp_path / "sharded" / "checksums.json").exists()
@@ -302,7 +304,6 @@ class TestPreWorkersRemovalSnapshots:
             delaunay_network(60, seed=11),
             k=2,
             config=DHLConfig(seed=0),
-            build_workers=1,
         )
         index.save(tmp_path / "sharded")
         self._age(tmp_path / "sharded")
@@ -311,3 +312,51 @@ class TestPreWorkersRemovalSnapshots:
         np.testing.assert_array_equal(
             loaded.distances(pairs), index.distances(pairs)
         )
+
+
+def awkward_graph() -> Graph:
+    """A 5 x 5 grid whose weights and coordinates have float reprs that
+    JSON must carry exactly: thirds, tenths, tiny and huge magnitudes."""
+    edges = []
+    for v in range(25):
+        r, c = divmod(v, 5)
+        if c < 4:
+            edges.append((v, v + 1, 1 / 3 + v))
+        if r < 4:
+            edges.append((v, v + 5, 0.1 * (v + 1)))
+    coords = [[r / 3 - 1.5, c * 1e-7 + 2.5e10] for r in range(5) for c in range(5)]
+    return Graph.from_edges(25, edges, np.array(coords))
+
+
+#: SHA-1 of the graph section of ``awkward_graph``'s manifest, as the
+#: JSON string codec (``graph_to_json``) wrote it.
+GRAPH_SECTION_SHA1 = "52cf0a28de83eb4117817a7ddff6b74b46a3ab32"
+
+
+@pytest.mark.parametrize("family", ["monolithic", "sharded"])
+def test_manifest_bytes_match_the_string_codec_and_load(family, tmp_path):
+    """The manifest carries the graph through the dict codec: its bytes
+    equal the manifest with the graph encoded to a JSON string and
+    decoded back, and the snapshot loads to the same graph and
+    distances."""
+    graph = awkward_graph()
+    config = DHLConfig(seed=0)
+    if family == "sharded":
+        index = ShardedDHLIndex.build(graph.copy(), k=2, config=config)
+    else:
+        index = DHLIndex.build(graph.copy(), config)
+    index.save(tmp_path / "snap")
+    text = (tmp_path / "snap" / "manifest.json").read_text()
+    manifest = json.loads(text)
+    section = json.dumps(manifest["graph"])
+    assert hashlib.sha1(section.encode()).hexdigest() == GRAPH_SECTION_SHA1
+    manifest["graph"] = json.loads(graph_to_json(graph))
+    assert json.dumps(manifest) == text
+    decoded = graph_from_payload(json.loads(section))
+    assert list(decoded.edges()) == list(graph.edges())
+
+    loaded = type(index).load(tmp_path / "snap")
+    assert sorted(loaded.graph.edges()) == sorted(graph.edges())
+    np.testing.assert_array_equal(loaded.graph.coords, graph.coords)
+    pairs = [(s, t) for s in range(25) for t in range(0, 25, 3)]
+    np.testing.assert_array_equal(loaded.distances(pairs), index.distances(pairs))

@@ -1,9 +1,8 @@
 """The serving layer: cache, coalescer, and DistanceService correctness.
 
 The load-bearing checks: cached results must match a fresh Dijkstra on
-the *current* graph across long interleaved query/update streams, in
-both invalidation modes, and coalescing must never change the net effect
-of a change stream.
+the *current* graph across long interleaved query/update streams, and
+coalescing must never change the net effect of a change stream.
 """
 
 from __future__ import annotations
@@ -17,7 +16,6 @@ from pathlib import Path
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
-from hypothesis import strategies as st
 
 import repro
 from repro.baselines.dijkstra import dijkstra
@@ -53,7 +51,7 @@ class TestEpochLRUCache:
     def test_hit_and_miss_accounting(self):
         cache = EpochLRUCache(capacity=4)
         assert cache.get(pair_key(1, 2)) is None
-        cache.put(pair_key(1, 2), 10.0, 7, epoch=0)
+        cache.put(pair_key(1, 2), 10.0, epoch=0)
         assert cache.get(pair_key(1, 2)) == 10.0
         stats = cache.stats()
         assert stats.hits == 1 and stats.misses == 1
@@ -62,36 +60,24 @@ class TestEpochLRUCache:
 
     def test_lru_eviction_order(self):
         cache = EpochLRUCache(capacity=2)
-        cache.put(pair_key(0, 1), 1.0, -1, 0)
-        cache.put(pair_key(0, 2), 2.0, -1, 0)
+        cache.put(pair_key(0, 1), 1.0, 0)
+        cache.put(pair_key(0, 2), 2.0, 0)
         cache.get(pair_key(0, 1))  # (0, 2) becomes least-recent
-        cache.put(pair_key(0, 3), 3.0, -1, 0)
+        cache.put(pair_key(0, 3), 3.0, 0)
         assert pair_key(0, 2) not in cache
         assert pair_key(0, 1) in cache and pair_key(0, 3) in cache
         assert cache.stats().lru_evictions == 1
 
     def test_watermark_invalidates_lazily(self):
         cache = EpochLRUCache(capacity=8)
-        cache.put(pair_key(1, 2), 5.0, 3, epoch=0)
+        cache.put(pair_key(1, 2), 5.0, epoch=0)
         cache.invalidate_all(epoch=1)
         assert pair_key(1, 2) not in cache
         assert len(cache) == 0  # stale entries are not live
         assert cache.get(pair_key(1, 2)) is None  # lazily dropped
         assert cache.stats().invalidated == 1
-        cache.put(pair_key(1, 2), 6.0, 3, epoch=1)
+        cache.put(pair_key(1, 2), 6.0, epoch=1)
         assert cache.get(pair_key(1, 2)) == 6.0
-
-    def test_fine_grained_eviction_by_endpoint_and_hub(self):
-        cache = EpochLRUCache(capacity=8)
-        cache.put(pair_key(1, 2), 5.0, 9, 0)
-        cache.put(pair_key(3, 4), 6.0, 10, 0)
-        cache.put(pair_key(5, 6), 7.0, 11, 0)
-        removed = cache.evict_vertices({3, 11})
-        assert removed == 2
-        assert pair_key(1, 2) in cache
-        assert pair_key(3, 4) not in cache  # endpoint match
-        assert pair_key(5, 6) not in cache  # hub match
-        assert cache.evict_vertices(set()) == 0
 
     def test_capacity_validation(self):
         with pytest.raises(ValueError):
@@ -174,7 +160,7 @@ class TestDistanceService:
         want = f"compiled ({native.status().reason})"
         assert native.status().library_path is not None
         sharded = ShardedDHLIndex.build(
-            small_index.graph.copy(), k=2, config=DHLConfig(seed=0), build_workers=1
+            small_index.graph.copy(), k=2, config=DHLConfig(seed=0)
         )
         for backend in (small_index, sharded):
             stats = DistanceService(backend).stats()
@@ -198,11 +184,8 @@ class TestDistanceService:
         assert service.stats().cache.hits == 1
         assert service.distance(5, 5) == 0.0
 
-    @pytest.mark.parametrize("fine_grained", [False, True])
-    def test_updates_invalidate_cached_results(self, service_graph, fine_grained):
-        service = fresh_service(
-            service_graph, fine_grained_eviction=fine_grained
-        )
+    def test_updates_invalidate_cached_results(self, service_graph):
+        service = fresh_service(service_graph)
         rng = make_rng(9)
         n = service_graph.num_vertices
         pairs = sample_pairs(n, 400, rng)
@@ -213,17 +196,10 @@ class TestDistanceService:
         for (s, t), got in zip(pairs[:60], out[:60]):
             assert got == dijkstra(service.index.graph, s)[t]
 
-    @pytest.mark.parametrize("fine_grained", [False, True])
-    def test_fifty_interleaved_coalesced_batches_stay_correct(
-        self, service_graph, fine_grained
-    ):
+    def test_fifty_interleaved_coalesced_batches_stay_correct(self, service_graph):
         """Acceptance: cached results match fresh Dijkstra across >= 50
         interleaved coalesced update batches."""
-        service = fresh_service(
-            service_graph,
-            fine_grained_eviction=fine_grained,
-            cache_capacity=8_192,
-        )
+        service = fresh_service(service_graph, cache_capacity=8_192)
         rng = make_rng(1234)
         n = service_graph.num_vertices
         base = {(u, v): w for u, v, w in service_graph.edges()}
@@ -292,20 +268,32 @@ class TestDistanceService:
         service.index.apply_batch(deletions=[(u, v)])  # structural, also direct
         assert service.distance(u, v) == dijkstra(service.index.graph, u)[v]
 
-    def test_fine_grained_flush_does_not_absorb_foreign_updates(
-        self, service_graph
-    ):
-        # A flush evicts only its own batch's vertices; epoch drift from a
-        # direct index update must still nuke the cache, even when the
-        # flush runs first in the query path.
-        service = fresh_service(service_graph, fine_grained_eviction=True)
-        edges = list(service.index.graph.edges())
-        (u, v, w) = edges[0]
-        service.distance(u, v)  # cached
-        service.index.increase([(u, v, 10 * w)])  # foreign update
-        (a, b, wb) = edges[-1]  # unrelated change through the service
-        service.submit(a, b, 2 * wb)
-        assert service.distance(u, v) == dijkstra(service.index.graph, u)[v]
+    @pytest.mark.parametrize("how", ["flush", "direct-update", "direct-batch"])
+    def test_every_cached_pair_misses_after_an_update(self, service_graph, how):
+        """An applied update — a service flush, or a call made on the
+        index directly — leaves no cached pair live: each one misses
+        once and its fresh answer equals Dijkstra on the current graph."""
+        service = fresh_service(service_graph)
+        pairs = np.array(sample_pairs(service_graph.num_vertices, 120, make_rng(4)))
+        service.distances(pairs)
+        assert len(service.cache) > 0
+        u, v, w = next(iter(service.index.graph.edges()))
+        if how == "flush":
+            service.submit(u, v, 3 * w)
+            service.flush()
+            assert len(service.cache) == 0
+        elif how == "direct-update":
+            service.index.update([(u, v, 3 * w)])
+        else:
+            service.index.apply_batch(deletions=[(u, v)])
+        before = service.stats().cache
+        out = service.distances(pairs)
+        after = service.stats().cache
+        assert after.hits == before.hits
+        probed = np.count_nonzero(pairs[:, 0] != pairs[:, 1])
+        assert after.misses - before.misses == probed
+        rows = {s: dijkstra(service.index.graph, s) for s in set(pairs[:, 0].tolist())}
+        np.testing.assert_array_equal(out, [rows[s][t] for s, t in pairs.tolist()])
 
     def test_k_nearest_through_cache(self, service_graph):
         service = fresh_service(service_graph)
@@ -313,24 +301,6 @@ class TestDistanceService:
         assert service.k_nearest(7, candidates, 5) == service.index.k_nearest(
             7, candidates, 5
         )
-
-    def test_fine_grained_keeps_unaffected_entries(self):
-        # A path graph: changing the far end cannot affect the near end.
-        from repro.graph.graph import Graph
-
-        g = Graph(8)
-        for i in range(7):
-            g.add_edge(i, i + 1, 2.0)
-        service = DistanceService(
-            build_index(g, leaf_size=2), fine_grained_eviction=True
-        )
-        near = service.distance(0, 1)
-        service.submit(6, 7, 9.0)
-        service.flush()
-        stats = service.stats()
-        assert pair_key(0, 1) in service.cache or stats.cache.invalidated == 0
-        assert service.distance(0, 1) == near
-        assert service.distance(0, 7) == dijkstra(service.index.graph, 0)[7]
 
 
 # ---------------------------------------------------------------------------
@@ -356,7 +326,7 @@ class TestWorkloads:
     def test_replay_restores_graph_and_matches_dijkstra(
         self, service_graph, maker
     ):
-        service = fresh_service(service_graph, fine_grained_eviction=True)
+        service = fresh_service(service_graph)
         baseline = {(u, v): w for u, v, w in service_graph.edges()}
         events = maker(service.index.graph, seed=5)
         assert any(isinstance(e, QueryBatch) for e in events)
@@ -416,15 +386,12 @@ class TestPropertyBased:
             lambda g: update_sequences(g, max_steps=4, max_batch=3).map(
                 lambda seq: (g, seq)
             )
-        ),
-        fine_grained=st.booleans(),
+        )
     )
-    def test_interleaved_streams_match_fresh_dijkstra(self, data, fine_grained):
+    def test_interleaved_streams_match_fresh_dijkstra(self, data):
         graph, sequence = data
         service = DistanceService(
-            DHLIndex.build(graph, DHLConfig(leaf_size=3, seed=0)),
-            fine_grained_eviction=fine_grained,
-            cache_capacity=512,
+            DHLIndex.build(graph, DHLConfig(leaf_size=3, seed=0)), cache_capacity=512
         )
         n = graph.num_vertices
         pairs = [(s, t) for s in range(n) for t in range(n)]

@@ -54,9 +54,7 @@ GRAPHS = {
 
 
 def build(graph, k: int) -> ShardedDHLIndex:
-    return ShardedDHLIndex.build(
-        graph.copy(), k=k, config=DHLConfig(seed=0), build_workers=1
-    )
+    return ShardedDHLIndex.build(graph.copy(), k=k, config=DHLConfig(seed=0))
 
 
 @pytest.fixture(scope="module")

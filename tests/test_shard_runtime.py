@@ -173,7 +173,7 @@ def attached_executor(monkeypatch):
     also returns the engines whose ancestor-chain store was built, in
     order."""
     sharded = ShardedDHLIndex.build(
-        grid_network(8, 8, seed=1), k=2, config=DHLConfig(seed=0), build_workers=1
+        grid_network(8, 8, seed=1), k=2, config=DHLConfig(seed=0)
     )
     builds = []
     original = QueryEngine.hub_store
@@ -710,9 +710,6 @@ def test_stats_report_backend_kind(stack):
     stats = service.stats()
     assert stats.backend == f"{runtime.kind}/sharded[4x2 replicas]"
     assert stats.backend in stats.summary()
-    # Sharded runtimes cannot certify per-pair staleness.
-    downgraded = DistanceService(runtime, fine_grained_eviction=True)
-    assert downgraded.fine_grained_eviction is False
 
 
 # ---------------------------------------------------------------------------

@@ -99,9 +99,7 @@ def test_regions_from_assignment_roundtrip():
 def test_sharded_matches_monolithic_and_dijkstra(data, k):
     graph = data
     mono = DHLIndex.build(graph.copy(), DHLConfig(seed=0))
-    sharded = ShardedDHLIndex.build(
-        graph.copy(), k=k, config=DHLConfig(seed=0), build_workers=1
-    )
+    sharded = ShardedDHLIndex.build(graph.copy(), k=k, config=DHLConfig(seed=0))
     assert_matches_monolithic_and_dijkstra(graph, sharded, mono)
 
 
@@ -117,9 +115,7 @@ def test_sharded_matches_monolithic_and_dijkstra(data, k):
 def test_sharded_matches_after_interleaved_updates(data, k):
     graph, sequence = data
     mono = DHLIndex.build(graph.copy(), DHLConfig(seed=0))
-    sharded = ShardedDHLIndex.build(
-        graph.copy(), k=k, config=DHLConfig(seed=0), build_workers=1
-    )
+    sharded = ShardedDHLIndex.build(graph.copy(), k=k, config=DHLConfig(seed=0))
     reference = graph.copy()
     for batch in sequence:
         mono.update(batch)
@@ -137,9 +133,7 @@ def test_sharded_matches_after_interleaved_updates(data, k):
 def road_pair():
     graph = delaunay_network(260, seed=11, style="city", edge_factor=1.35)
     mono = DHLIndex.build(graph.copy(), DHLConfig(seed=0))
-    sharded = ShardedDHLIndex.build(
-        graph.copy(), k=4, config=DHLConfig(seed=0), build_workers=1
-    )
+    sharded = ShardedDHLIndex.build(graph.copy(), k=4, config=DHLConfig(seed=0))
     return graph, mono, sharded
 
 
@@ -293,57 +287,70 @@ def test_facade_helpers(road_pair):
 
 def test_single_region_has_no_overlay():
     graph = grid_network(5, 5)
-    sharded = ShardedDHLIndex.build(
-        graph.copy(), k=1, config=DHLConfig(seed=0), build_workers=1
-    )
+    sharded = ShardedDHLIndex.build(graph.copy(), k=1, config=DHLConfig(seed=0))
     assert sharded.overlay is None
     mono = DHLIndex.build(graph.copy(), DHLConfig(seed=0))
     pairs = all_pairs(graph.num_vertices)
     np.testing.assert_array_equal(sharded.distances(pairs), mono.distances(pairs))
 
 
-def test_parallel_build_matches_serial():
-    """The process-pool build must be byte-for-byte reproducible and
-    produce shards that still accept maintenance (the pickled-label
-    regression below, exercised through the real pool)."""
+def test_a_sharded_build_starts_no_child_process(monkeypatch):
+    """Every shard builds in the calling process: no process object is
+    started, nothing is forked and no subprocess runs."""
+    import multiprocessing.process
+    import os
+    import subprocess
+
+    graph = grid_network(12, 12, seed=2)
+    DHLIndex.build(graph.copy(), DHLConfig(seed=0))  # the library is loaded
+    started = []
+
+    def refuse(name):
+        def call(*args, **kwargs):
+            started.append(name)
+            raise AssertionError(f"{name} called during a sharded build")
+
+        return call
+
+    monkeypatch.setattr(
+        multiprocessing.process.BaseProcess, "start", refuse("Process.start")
+    )
+    monkeypatch.setattr(os, "fork", refuse("os.fork"))
+    monkeypatch.setattr(subprocess.Popen, "__init__", refuse("Popen"))
+    sharded = ShardedDHLIndex.build(graph.copy(), k=3, config=DHLConfig(seed=0))
+    assert started == []
+    build = sharded.stats().build
+    assert len(build.per_shard_seconds) == sharded.k == 3
+    assert build.total_seconds == sum(build.per_shard_seconds) > 0.0
+
+
+@pytest.mark.parametrize("k", [2, 4])
+def test_shards_and_overlay_are_the_builds_of_their_regions(k):
+    """Each shard has every label byte of ``DHLIndex.build`` over its
+    region's induced subgraph, and the overlay every byte of
+    ``DHLIndex.build`` over the boundary graph its cliques make."""
+    from repro.sharding.overlay import build_overlay_graph
+
     graph = delaunay_network(180, seed=9, style="city", edge_factor=1.35)
-    serial = ShardedDHLIndex.build(
-        graph.copy(), k=4, config=DHLConfig(seed=0), build_workers=1
+    config = DHLConfig(seed=0)
+    sharded = ShardedDHLIndex.build(graph.copy(), k=k, config=config)
+    for shard, region in zip(sharded.shards, sharded.partition.regions, strict=True):
+        alone = DHLIndex.build(graph.induced_subgraph(region)[0], config)
+        assert shard.labels.values.tobytes() == alone.labels.values.tobytes()
+        assert shard.labels.offsets.tobytes() == alone.labels.offsets.tobytes()
+    boundary = build_overlay_graph(
+        sharded.cliques,
+        sharded.boundary_overlay,
+        sharded.partition.cut_edges,
+        sharded.overlay_of,
+        len(sharded.boundary_global),
     )
-    pooled = ShardedDHLIndex.build(
-        graph.copy(), k=4, config=DHLConfig(seed=0), build_workers=2
-    )
-    pairs = all_pairs(60)
-    np.testing.assert_array_equal(pooled.distances(pairs), serial.distances(pairs))
-    u, v, w = next(iter(graph.edges()))
-    serial.update([(u, v, 3.0 * w)])
-    pooled.update([(u, v, 3.0 * w)])
-    np.testing.assert_array_equal(pooled.distances(pairs), serial.distances(pairs))
-
-
-def test_pool_children_build_the_shards_this_process_builds():
-    """Each shard built in a child of the process pool (which opens the
-    cached library itself) has every label byte of the same shard built
-    here, over the same regions."""
-    graph = grid_network(16, 16, seed=3)
-    pooled = ShardedDHLIndex.build(graph.copy(), k=2, config=DHLConfig())
-    serial = ShardedDHLIndex.build(
-        graph.copy(), k=2, config=DHLConfig(), build_workers=1
-    )
-    assert pooled.stats().build.parallel and not serial.stats().build.parallel
-    np.testing.assert_array_equal(
-        pooled.partition.region_of, serial.partition.region_of
-    )
-    for ours, theirs in zip(pooled.shards, serial.shards, strict=True):
-        assert ours.labels.values.tobytes() == theirs.labels.values.tobytes()
-    assert (
-        pooled.overlay.labels.values.tobytes()
-        == serial.overlay.labels.values.tobytes()
-    )
+    overlay = DHLIndex.build(boundary, config)
+    assert sharded.overlay.labels.values.tobytes() == overlay.labels.values.tobytes()
 
 
 def test_pickled_index_still_maintains_correctly():
-    """The parallel build ships shard indexes across processes by pickle.
+    """An index crosses process boundaries by pickle.
 
     Label stores cache numpy *views* into their flat buffer; a naive
     pickle detached them, so maintenance on an unpickled index wrote
@@ -409,9 +416,7 @@ def test_sharded_load_rejects_wrong_dir(tmp_path, road_pair):
 
 def test_service_accepts_sharded_backend(road_pair):
     graph, _, _ = road_pair
-    sharded = ShardedDHLIndex.build(
-        graph.copy(), k=4, config=DHLConfig(seed=0), build_workers=1
-    )
+    sharded = ShardedDHLIndex.build(graph.copy(), k=4, config=DHLConfig(seed=0))
     events = commute_traffic(
         graph,
         sharded.region_of,
@@ -427,14 +432,3 @@ def test_service_accepts_sharded_backend(road_pair):
     assert round(mono_report.distance_checksum, 6) == round(
         shard_report.distance_checksum, 6
     )
-
-
-def test_service_downgrades_fine_grained_for_sharded(road_pair):
-    graph, _, sharded = road_pair
-    service = DistanceService(sharded, fine_grained_eviction=True)
-    assert service.fine_grained_eviction is False
-    mono_service = DistanceService(
-        DHLIndex.build(graph.copy(), DHLConfig(seed=0)),
-        fine_grained_eviction=True,
-    )
-    assert mono_service.fine_grained_eviction is True

@@ -535,9 +535,7 @@ def test_service_follows_a_fallback_rebuild(small_road):
     not keep answering from the one it first saw."""
     for family, build in FAMILIES.items():
         index = build(small_road, DHLConfig(leaf_size=6, seed=0))
-        with DistanceService(
-            index, fine_grained_eviction=True, cache_capacity=1
-        ) as service:
+        with DistanceService(index, cache_capacity=1) as service:
             a, b = _incomparable_pairs(index, 1)[0]
             assert index.apply_batch(insertions=[(a, b, 1.0)]).repartitions == 1
             pairs = sample_pairs(index.graph.num_vertices, random.Random(2), 60)
@@ -625,9 +623,7 @@ def test_directed_batch_matches_dijkstra():
 @pytest.fixture(scope="module")
 def sharded_road():
     graph = delaunay_network(200, seed=23)
-    index = ShardedDHLIndex.build(
-        graph.copy(), k=2, config=DHLConfig(seed=0), build_workers=1
-    )
+    index = ShardedDHLIndex.build(graph.copy(), k=2, config=DHLConfig(seed=0))
     return graph, index
 
 
@@ -679,9 +675,7 @@ def test_sharded_compaction(sharded_road):
 
 def test_sharded_compaction_roundtrips_v3_snapshot(tmp_path):
     graph = delaunay_network(160, seed=29)
-    index = ShardedDHLIndex.build(
-        graph.copy(), k=2, config=DHLConfig(seed=0), build_workers=1
-    )
+    index = ShardedDHLIndex.build(graph.copy(), k=2, config=DHLConfig(seed=0))
     rng = random.Random(61)
     edges = [(u, v) for u, v, w in index.graph.edges() if math.isfinite(w)]
     index.apply_batch(deletions=rng.sample(edges, 8))
@@ -697,9 +691,7 @@ def test_sharded_compaction_roundtrips_v3_snapshot(tmp_path):
 def test_worker_pool_republishes_after_structural_flush():
     """Label-layout-only structural work rides the full-sync republish."""
     graph = delaunay_network(160, seed=37)
-    index = ShardedDHLIndex.build(
-        graph.copy(), k=2, config=DHLConfig(seed=0), build_workers=1
-    )
+    index = ShardedDHLIndex.build(graph.copy(), k=2, config=DHLConfig(seed=0))
     rng = random.Random(43)
     region_of = index.region_of
     with ShardWorkerRuntime(index) as runtime:

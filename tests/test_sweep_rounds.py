@@ -221,9 +221,7 @@ def test_rolling_bursts_through_dhl_index(small_grid):
 def test_rolling_bursts_through_sharded_index():
     graph = grid_network(12, 12, seed=4)
     indexes = per_engine(
-        lambda config: ShardedDHLIndex.build(
-            graph.copy(), k=2, config=config, build_workers=1
-        )
+        lambda config: ShardedDHLIndex.build(graph.copy(), k=2, config=config)
     )
     oracle, compiled = indexes
     assert_stream_parity(
