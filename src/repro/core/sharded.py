@@ -21,6 +21,7 @@ boundary distances could have moved — tracked via the maintenance pass's
 
 from __future__ import annotations
 
+import ctypes
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -54,6 +55,36 @@ WeightChange = tuple[int, int, float]
 def _road_key(u: int, v: int) -> tuple[int, int]:
     """What a weight batch dedupes on: the unordered pair."""
     return (u, v) if u <= v else (v, u)
+
+
+#: glibc ``mallopt`` parameters (``<malloc.h>``).
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+_heap_thresholds_set = False
+
+
+def _set_heap_thresholds() -> None:
+    """Fix glibc's mmap and trim thresholds, once per process.
+
+    glibc starts them at 128 KiB / 256 KiB and raises them only after
+    freeing a block above the mmap threshold. A process that builds its
+    shards in place and then serves from them may never free one, so a
+    block of a few hundred KiB freed at the top of the heap is handed
+    back to the kernel and faulted in again by the next allocation of
+    its size: a cost that comes and goes with where the heap's free
+    blocks happen to lie. Fixed, blocks under 4 MiB come from the heap
+    and its top is returned only past 8 MiB. A C library without
+    ``mallopt`` is left as it is.
+    """
+    global _heap_thresholds_set
+    if _heap_thresholds_set:
+        return
+    _heap_thresholds_set = True
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return
+    mallopt(_M_MMAP_THRESHOLD, 4 << 20)
+    mallopt(_M_TRIM_THRESHOLD, 8 << 20)
 
 
 @dataclass
@@ -179,6 +210,7 @@ class ShardedDHLIndex:
         config = config or DHLConfig()
         if graph.num_vertices == 0:
             raise IndexBuildError("cannot index an empty graph")
+        _set_heap_thresholds()
         with Timer() as t, phase("build.regions"):
             partition = partition_regions(
                 graph, k, beta=region_beta, seed=config.seed

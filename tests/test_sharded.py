@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import platform
 
 import numpy as np
 import pytest
@@ -322,6 +323,55 @@ def test_a_sharded_build_starts_no_child_process(monkeypatch):
     build = sharded.stats().build
     assert len(build.per_shard_seconds) == sharded.k == 3
     assert build.total_seconds == sum(build.per_shard_seconds) > 0.0
+
+
+#: Two 512 KiB temporaries alive at once, freed, made again: the
+#: pattern glibc's default thresholds hand back to the kernel each time.
+PAIRED_TEMPORARIES = """
+import resource
+import numpy as np
+from repro.core.config import DHLConfig
+from repro.core.sharded import ShardedDHLIndex
+from repro.graph.generators import grid_network
+
+ShardedDHLIndex.build(grid_network(8, 8, seed=2), k=2, config=DHLConfig(seed=0))
+
+def faults(rounds):
+    before = resource.getrusage(resource.RUSAGE_THREAD).ru_minflt
+    for _ in range(rounds):
+        a, b = np.ones(1 << 16), np.ones(1 << 16)
+        del a, b
+    return resource.getrusage(resource.RUSAGE_THREAD).ru_minflt - before
+
+faults(3)
+print(faults(20))
+"""
+
+
+@pytest.mark.skipif(
+    platform.libc_ver()[0] != "glibc", reason="glibc's mallopt and RUSAGE_THREAD"
+)
+def test_a_sharded_build_keeps_freed_heap_blocks_mapped():
+    """After a sharded build, temporaries freed at the top of the heap
+    stay mapped: making them again faults no page in. Run in a fresh
+    interpreter, whose glibc thresholds nothing else has raised yet."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import repro
+
+    src = str(Path(repro.__file__).resolve().parent.parent)
+    result = subprocess.run(
+        [sys.executable, "-c", PAIRED_TEMPORARIES],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        timeout=120,
+        check=True,
+    )
+    assert int(result.stdout.split()[-1]) == 0
 
 
 @pytest.mark.parametrize("k", [2, 4])
