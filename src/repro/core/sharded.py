@@ -212,9 +212,7 @@ class ShardedDHLIndex:
             raise IndexBuildError("cannot index an empty graph")
         _set_heap_thresholds()
         with Timer() as t, phase("build.regions"):
-            partition = partition_regions(
-                graph, k, beta=region_beta, seed=config.seed
-            )
+            partition = partition_regions(graph, k, beta=region_beta, seed=config.seed)
         partition_seconds = t.seconds
 
         report = ShardBuildReport()

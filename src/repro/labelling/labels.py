@@ -51,7 +51,7 @@ class HierarchicalLabelling:
         Rank array shared with the hierarchies.
     """
 
-    __slots__ = ("values", "offsets", "lengths", "tau", "_views")
+    __slots__ = ("values", "offsets", "lengths", "tau", "_views", "_record")
 
     def __init__(
         self,
@@ -65,6 +65,10 @@ class HierarchicalLabelling:
         self.lengths = np.asarray(lengths, dtype=np.int64)
         self.tau = tau
         self._views: list[np.ndarray] | None = None
+        # The C kernels' record of values / offsets, bound at the first
+        # query and again whenever either array is swapped for another
+        # (repro.labelling.native.engine).
+        self._record = None
 
     @classmethod
     def from_arrays(
@@ -90,19 +94,20 @@ class HierarchicalLabelling:
 
     # -- pickling ---------------------------------------------------------
     def __getstate__(self):
-        """Pickle without the view cache.
+        """Pickle without the view cache or the kernels' record.
 
         ``_views`` holds numpy *views* into ``values``; pickling would
         materialise them as detached copies, and an unpickled store
-        would then route maintenance writes into dead buffers (the
-        parallel shard build ships label stores across processes this
-        way). The views are rebuilt lazily on first use instead.
+        would then route maintenance writes into dead buffers. The
+        views are rebuilt lazily on first use instead, and the record
+        (this process's addresses) is bound again at the first query.
         """
         return (self.values, self.offsets, self.lengths, self.tau)
 
     def __setstate__(self, state) -> None:
         self.values, self.offsets, self.lengths, self.tau = state
         self._views = None
+        self._record = None
 
     # -- per-vertex views -------------------------------------------------
     def view(self, v: int) -> np.ndarray:

@@ -2,10 +2,11 @@
 
 :mod:`dhl_kernels.c <repro.labelling.native>` (package data, plain C99,
 no ``Python.h``) holds the pair and set-to-set queries, one shard's
-share of a sharded batch and the parent's min-plus combine, the two
-maintenance sweeps, the build's hot loops (every combinatorial step
-of the multilevel partitioner and Algorithm 1's top-down pass) and the
-service's result-cache table (its batch probe and fill).
+share of a sharded batch, the parent's split of a batch by shard and
+its min-plus combine, the two maintenance sweeps, the build's hot
+loops (every combinatorial step of the multilevel partitioner and
+Algorithm 1's top-down pass) and the service's result-cache table (its
+batch probe and fill).
 There is no other implementation in the package, so a C compiler is a
 requirement. This module builds the file at first use and opens it
 with :mod:`ctypes`:
@@ -61,24 +62,23 @@ _CFLAGS = ("-O3", "-fPIC", "-shared", "-ffp-contract=off")
 _COMPILERS = ("cc", "gcc", "clang")
 
 _i64, _ptr = ctypes.c_int64, ctypes.c_void_p
-#: The LCA tables' arguments: node_of, depth, path, words, chain,
-#: chain_width, tau.
-_LCA = [_ptr] * 3 + [_i64, _ptr, _i64, _ptr]
 #: ``name -> (restype, argtypes)`` of every exported function; pointers
-#: travel as the integer address ``ndarray.ctypes.data`` gives.
+#: travel as integer addresses. The query kernels' first pointers are
+#: bound records (:class:`repro.labelling.native.engine.Bound`: a label
+#: store, the LCA tables, a shard's boundary, the routing state) whose
+#: fields hold their owners' buffer addresses; the pointers after them
+#: are the call's own operands and output arena.
 SIGNATURES = {
-    "dhl_common_ancestors": (None, [_i64] + [_ptr] * 2 + _LCA + [_ptr]),
-    "dhl_gather_pairs": (None, [_i64] + [_ptr] * 6 + _LCA + [_ptr] * 2),
-    "dhl_distance_matrix": (
-        None,
-        [_i64, _ptr, _i64] + [_ptr] * 5 + _LCA + [_ptr],
+    "dhl_common_ancestors": (_i64, [_ptr, _i64, _ptr, _ptr, _i64, _ptr]),
+    "dhl_gather_pairs": (_i64, [_ptr] * 3 + [_i64, _ptr, _ptr, _i64, _ptr, _ptr]),
+    "dhl_distance_matrix": (_i64, [_ptr] * 3 + [_i64, _ptr, _i64, _ptr, _ptr]),
+    "dhl_min_plus": (
+        ctypes.c_int,
+        [_i64, _i64, _ptr, _i64, _ptr, _ptr, _i64, _i64, _ptr, _ptr, _ptr],
     ),
-    "dhl_min_plus": (None, [_i64] * 2 + [_ptr] * 3 + [_i64] + [_ptr] * 5),
-    "dhl_shard_batch": (
-        _i64,
-        [_i64] + [_ptr] * 4 + _LCA + [_i64] + [_ptr] * 2
-        + [_i64] + [_ptr] * 2 + [_i64] + [_ptr] * 4,
-    ),
+    "dhl_shard_batch": (_i64, [_ptr] * 4 + [ctypes.c_int, _i64, _i64, _ptr, _ptr]),
+    "dhl_batch_split": (_i64, [_ptr, _i64, _ptr, _ptr, _i64, _ptr]),
+    "dhl_batch_answer": (_i64, [_ptr, _i64, _ptr, _ptr, _i64] + [_ptr] * 4),
     "dhl_shortcut_sweep": (
         ctypes.c_int,
         [_i64, _ptr, _i64, _ptr, _i64, _ptr, _i64] + [_ptr] * 13,

@@ -11,9 +11,11 @@
  * set-associative pair table.
  * Plain C99 over int64_t / double / uint8_t pointers; built at first
  * use by repro.labelling.native and called through ctypes, which
- * validates dtype, contiguity, alignment and lengths and range-checks
- * every vertex id, row index, permutation and side byte before a
- * pointer gets here.
+ * validates dtype, contiguity, alignment and lengths, and range-checks
+ * every permutation, side byte and maintenance id, before a pointer
+ * gets here. The query kernels read their owners' buffers through
+ * bound records and check their own vertex ids and row maps before
+ * they read a row.
  *
  * The sweeps are scalar fixpoints in the paper's order over an
  * array-backed binary min-heap. The heap is lazy: an in_queue byte per
@@ -68,6 +70,8 @@
 #include <string.h>
 
 #define DHL_NOMEM (-1)
+#define DHL_BAD_ID (-2)   /* a query id outside [0, n) */
+#define DHL_BAD_ROWS (-3) /* minus the shard: a row map past its rows */
 #define QUEUED 1  /* in_queue bits: the item waits in the heap, */
 #define SUSPECT 2 /* its pop recomputes it, */
 #define LOWERED 4 /* or its pop lowers it to its direct weight */
@@ -212,12 +216,34 @@ static int64_t find_slot(const int64_t *indptr, const int64_t *ranks,
 /* ------------------------------------------------------------------ */
 
 /*
+ * The query path reads its owners' buffers through bound records: each
+ * owner's arrays are checked once on the Python side and their
+ * addresses written to one record of int64 fields, which every call
+ * passes by pointer (repro.labelling.native.engine: LABELS_RECORD,
+ * LCA_RECORD, SHARD_RECORD, ROUTE_RECORD). The record is rebound
+ * whenever its owner holds another array, so an address here is always
+ * one of a live buffer the owner still holds.
+ */
+#define BOUND(type, addr) ((type *)(uintptr_t)(addr))
+
+/* A flat label store: n vertices, label v at values + offsets[v]. */
+typedef struct {
+    int64_t n;
+    int64_t values, offsets; /* addresses */
+} labels_record_t;
+
+/*
  * H_Q's LCA tables (AncestorTables' arrays): a vertex's partition-tree
  * node, each node's depth, its vend chain (chain_width entries a node)
  * and each vertex's tau. A node's bitstring is a 1 followed by its path
  * bits, root first; path holds those path bits left-aligned in `words`
  * uint64 words a node, zero past its depth, so any depth is exact.
  */
+typedef struct {
+    int64_t n, words, chain_width;
+    int64_t node_of, depth, path, chain, tau; /* addresses */
+} lca_record_t;
+
 typedef struct {
     const int64_t *node_of;
     const int64_t *depth;
@@ -228,12 +254,14 @@ typedef struct {
     const int64_t *tau;
 } lca_t;
 
-/* The exports' LCA table arguments, in AncestorTables' order. */
-#define LCA_PARAMS                                                        \
-    const int64_t *node_of, const int64_t *depth, const uint64_t *path,  \
-        int64_t words, const int64_t *chain, int64_t chain_width,        \
-        const int64_t *tau
-#define LCA_ARGS {node_of, depth, path, words, chain, chain_width, tau}
+static lca_t lca_open(const lca_record_t *r)
+{
+    lca_t l = {BOUND(const int64_t, r->node_of), BOUND(const int64_t, r->depth),
+               BOUND(const uint64_t, r->path), r->words,
+               BOUND(const int64_t, r->chain), r->chain_width,
+               BOUND(const int64_t, r->tau)};
+    return l;
+}
 
 /*
  * K = |anc(s) ∩ anc(t)|: the LCA depth is min(ds, dt, common prefix
@@ -264,13 +292,37 @@ static inline int64_t common_ancestors(int64_t sv, int64_t tv, const lca_t *l)
     return kk + 1;
 }
 
-/* k[p] = K of (s[p], t[p]): QueryEngine.common_ancestor_counts. */
-void dhl_common_ancestors(int64_t count, const int64_t *s, const int64_t *t,
-                          LCA_PARAMS, int64_t *k)
+/*
+ * 0 when every id of the count pairs (s[p * stride], t[p * stride])
+ * lies in [0, n), else DHL_BAD_ID: the query kernels check their ids against
+ * the bound stores before they read a row (read as unsigned, a
+ * negative id is a huge one).
+ */
+static int64_t check_pairs(int64_t n, int64_t count, const int64_t *s,
+                           const int64_t *t, int64_t stride)
 {
-    const lca_t l = LCA_ARGS;
     for (int64_t p = 0; p < count; p++)
-        k[p] = common_ancestors(s[p], t[p], &l);
+        if ((uint64_t)s[p * stride] >= (uint64_t)n ||
+            (uint64_t)t[p * stride] >= (uint64_t)n)
+            return DHL_BAD_ID;
+    return 0;
+}
+
+/*
+ * k[p] = K of (s[p * stride], t[p * stride]):
+ * QueryEngine.common_ancestor_counts. Returns 0, or DHL_BAD_ID
+ * (nothing written) for an id outside [0, n).
+ */
+int64_t dhl_common_ancestors(const lca_record_t *r, int64_t count,
+                             const int64_t *s, const int64_t *t,
+                             int64_t stride, int64_t *k)
+{
+    const lca_t l = lca_open(r);
+    if (check_pairs(r->n, count, s, t, stride))
+        return DHL_BAD_ID;
+    for (int64_t p = 0; p < count; p++)
+        k[p] = common_ancestors(s[p * stride], t[p * stride], &l);
+    return 0;
 }
 
 /*
@@ -299,7 +351,7 @@ static inline double min_sum(const double *a, const double *b, int64_t kk)
     return m2 < m0 ? m2 : m0;
 }
 
-/* A label store and its LCA tables, as the pair kernel reads them. */
+/* Two label stores (one twice when undirected) and their LCA tables. */
 typedef struct {
     const double *values_s;
     const int64_t *offsets_s;
@@ -308,19 +360,31 @@ typedef struct {
     lca_t lca;
 } pair_store_t;
 
+static pair_store_t pair_open(const labels_record_t *ls,
+                              const labels_record_t *lt,
+                              const lca_record_t *l)
+{
+    pair_store_t q = {BOUND(const double, ls->values),
+                      BOUND(const int64_t, ls->offsets),
+                      BOUND(const double, lt->values),
+                      BOUND(const int64_t, lt->offsets), lca_open(l)};
+    return q;
+}
+
 /*
  * out[p] = min over i < K of values_s[offsets_s[s[p]] + i]
  *                          + values_t[offsets_t[t[p]] + i],
  * gather_pairs' contract: K == 0 -> inf, s == t -> 0.0 and rank -1,
  * ranks[p] the first minimising i (argmin's tie rule), -1 on inf;
- * ranks may be NULL.
+ * ranks may be NULL. Pair p's ends are s[p * stride] and t[p * stride],
+ * so an (m, 2) pair array is read in place (t = s + 1, stride 2).
  */
 static void gather_pairs(const pair_store_t *q, int64_t count,
-                         const int64_t *s, const int64_t *t, double *out,
-                         int64_t *ranks)
+                         const int64_t *s, const int64_t *t, int64_t stride,
+                         double *out, int64_t *ranks)
 {
     for (int64_t p = 0; p < count; p++) {
-        int64_t sv = s[p], tv = t[p];
+        int64_t sv = s[p * stride], tv = t[p * stride];
         if (ranks)
             ranks[p] = -1;
         if (sv == tv) {
@@ -340,15 +404,27 @@ static void gather_pairs(const pair_store_t *q, int64_t count,
     }
 }
 
-void dhl_gather_pairs(
-    int64_t count, const int64_t *s, const int64_t *t,
-    const double *values_s, const int64_t *offsets_s,
-    const double *values_t, const int64_t *offsets_t, LCA_PARAMS,
-    double *out, int64_t *ranks)
+/* The ids a pair store and its tables both cover. */
+static int64_t store_vertices(const labels_record_t *ls,
+                              const labels_record_t *lt,
+                              const lca_record_t *l)
 {
-    const pair_store_t q = {values_s, offsets_s, values_t, offsets_t,
-                            LCA_ARGS};
-    gather_pairs(&q, count, s, t, out, ranks);
+    int64_t n = ls->n < lt->n ? ls->n : lt->n;
+    return l->n < n ? l->n : n;
+}
+
+/* gather_pairs over bound records; DHL_BAD_ID (nothing written) for an
+ * id outside [0, n). */
+int64_t dhl_gather_pairs(const labels_record_t *ls,
+                         const labels_record_t *lt, const lca_record_t *l,
+                         int64_t count, const int64_t *s, const int64_t *t,
+                         int64_t stride, double *out, int64_t *ranks)
+{
+    const pair_store_t q = pair_open(ls, lt, l);
+    if (check_pairs(store_vertices(ls, lt, l), count, s, t, stride))
+        return DHL_BAD_ID;
+    gather_pairs(&q, count, s, t, stride, out, ranks);
+    return 0;
 }
 
 /* row[j] = the pair answer of (sv, targets[j]): one set-kernel row. */
@@ -370,28 +446,33 @@ static void matrix_row(const pair_store_t *q, int64_t sv,
  * out[u * num_targets + j] = the pair answer of (sources[u],
  * targets[j]), written row by row: QueryEngine.distance_matrix's
  * contract, equal bit for bit to dhl_gather_pairs on the expanded
- * pairs, with no pair arrays.
+ * pairs, with no pair arrays. DHL_BAD_ID (nothing written) for an id
+ * outside [0, n).
  */
-void dhl_distance_matrix(
-    int64_t num_sources, const int64_t *sources,
-    int64_t num_targets, const int64_t *targets,
-    const double *values_s, const int64_t *offsets_s,
-    const double *values_t, const int64_t *offsets_t, LCA_PARAMS,
-    double *out)
+int64_t dhl_distance_matrix(const labels_record_t *ls,
+                            const labels_record_t *lt, const lca_record_t *l,
+                            int64_t num_sources, const int64_t *sources,
+                            int64_t num_targets, const int64_t *targets,
+                            double *out)
 {
-    const pair_store_t q = {values_s, offsets_s, values_t, offsets_t,
-                            LCA_ARGS};
+    const pair_store_t q = pair_open(ls, lt, l);
+    int64_t n = store_vertices(ls, lt, l);
+    if (check_pairs(n, num_sources, sources, sources, 1) ||
+        check_pairs(n, num_targets, targets, targets, 1))
+        return DHL_BAD_ID;
     for (int64_t u = 0; u < num_sources; u++)
         matrix_row(&q, sources[u], num_targets, targets,
                    out + u * num_targets);
+    return 0;
 }
 
 /*
  * The boundary route's first hop for one source row: h[b] = min over a
- * of ds_row[a] + block[a, b], numpy's sums. An inf ds entry is skipped
- * (it only ever sums to inf).
+ * of ds_row[a] + block[a * ld + b], numpy's sums. An inf ds entry is
+ * skipped (it only ever sums to inf). The block's rows are ld apart, so
+ * a block of a bigger row-major matrix is read in place.
  */
-static void first_hop(const double *ds_row, const double *block,
+static void first_hop(const double *ds_row, const double *block, int64_t ld,
                       int64_t width_a, int64_t width_b, double *h)
 {
     for (int64_t b = 0; b < width_b; b++)
@@ -400,7 +481,7 @@ static void first_hop(const double *ds_row, const double *block,
         double x = ds_row[a];
         if (x == INFINITY)
             continue;
-        const double *row = block + a * width_b;
+        const double *row = block + a * ld;
         for (int64_t b = 0; b < width_b; b++) {
             double c = x + row[b];
             h[b] = c < h[b] ? c : h[b];
@@ -409,32 +490,65 @@ static void first_hop(const double *ds_row, const double *block,
 }
 
 /*
- * min_plus_compact's contract: out[p] = min over (a, b) of
+ * The min-plus combine of count pairs: out[p] = min over (a, b) of
  * (ds[si, a] + block[a, b]) + dt[ti, b], si = ds_inverse[p],
- * ti = dt_inverse[p]; ds is any number of rows x width_a, block
- * width_a x width_b, dt any number of rows x width_b, all row-major.
- * The first hop runs at most once per ds row, when a pair first names
- * it, into that row of the caller's hop buffer (hopped[si] set once it
+ * ti = dt_inverse[p]. The first hop runs at most once per ds row, when
+ * a pair first names it, into that row of hop (hopped[si] set once it
  * holds it); a row no pair names, such as a fan row only ever used as
  * a target, is never hopped. The second hop runs once per pair: the
- * additions are numpy's, in its order, so the bits are too.
+ * additions are numpy's, in its order, so the bits are too. Returns 0,
+ * or DHL_BAD_ROWS at the first row map entry outside [0, ds_rows) /
+ * [0, dt_rows) (read as unsigned, a negative entry is a huge one).
  */
-void dhl_min_plus(
-    int64_t width_a, int64_t width_b,
-    const double *ds, const double *block, const double *dt,
-    int64_t count, const int64_t *ds_inverse, const int64_t *dt_inverse,
-    uint8_t *hopped, double *hop, double *out)
+static int min_plus_run(int64_t width_a, int64_t width_b, const double *ds,
+                        int64_t ds_rows, const double *block, int64_t ld,
+                        const double *dt, int64_t dt_rows, int64_t count,
+                        const int64_t *ds_inverse, const int64_t *dt_inverse,
+                        uint8_t *hopped, double *hop, double *out)
 {
     for (int64_t p = 0; p < count; p++) {
-        int64_t si = ds_inverse[p];
+        int64_t si = ds_inverse[p], ti = dt_inverse[p];
+        if ((uint64_t)si >= (uint64_t)ds_rows ||
+            (uint64_t)ti >= (uint64_t)dt_rows)
+            return DHL_BAD_ROWS;
         double *h = hop + si * width_b;
         if (!hopped[si]) {
-            first_hop(ds + si * width_a, block, width_a, width_b, h);
+            first_hop(ds + si * width_a, block, ld, width_a, width_b, h);
             hopped[si] = 1;
         }
-        out[p] = min_sum(h, dt + dt_inverse[p] * width_b, width_b);
+        out[p] = min_sum(h, dt + ti * width_b, width_b);
     }
+    return 0;
 }
+
+/*
+ * min_plus_compact's contract over row-major ds (ds_rows x width_a),
+ * block (width_a x width_b) and dt (dt_rows x width_b). arena is the
+ * call's one output buffer: out[count], then the hop rows
+ * (ds_rows x width_b), then ds_rows hopped bytes. Returns 0, or
+ * DHL_BAD_ROWS for a row map entry past its matrix.
+ */
+int dhl_min_plus(int64_t width_a, int64_t width_b, const double *ds,
+                 int64_t ds_rows, const double *block, const double *dt,
+                 int64_t dt_rows, int64_t count, const int64_t *ds_inverse,
+                 const int64_t *dt_inverse, double *arena)
+{
+    double *hop = arena + count;
+    uint8_t *hopped = (uint8_t *)(hop + ds_rows * width_b);
+    memset(hopped, 0, (size_t)ds_rows);
+    return min_plus_run(width_a, width_b, ds, ds_rows, block, width_b, dt,
+                        dt_rows, count, ds_inverse, dt_inverse, hopped, hop,
+                        arena);
+}
+
+/*
+ * One shard's boundary (width local ids) and its own width x width
+ * overlay block, rows ld apart (block 0 while none is held): what
+ * dhl_shard_batch's boundary route reads.
+ */
+typedef struct {
+    int64_t width, boundary, block, ld;
+} shard_record_t;
 
 /* v's row against the boundary: computed into rows at its first
  * mention, read back through row_of (1 + row; 0 until v has one). */
@@ -452,40 +566,48 @@ static inline int64_t take_row(const pair_store_t *q, int64_t v,
 /*
  * One shard's share of a sharded batch, in one call.
  *
+ * ids holds the sub-query's fan (fan_count ids), then its intra pairs'
+ * sources and targets (count each). arena is the call's output:
+ * final[count], then fan_inverse[fan_count] (int64), then the rows.
+ *
  * final[p] is the pair answer of (s[p], t[p]) (dhl_gather_pairs). With
- * a block (the width x width overlay block between the shard's own
- * boundary vertices) it is lowered to the boundary route when that is
- * shorter: min over (a, b) of (ds[a] + block[a, b]) + dt[b], ds and dt
- * the rows of s[p] and t[p] against the boundary. Those are
+ * use_block and a held block it is lowered to the boundary route when
+ * that is shorter: min over (a, b) of (ds[a] + block[a, b]) + dt[b], ds
+ * and dt the rows of s[p] and t[p] against the boundary. Those are
  * min_plus_compact's sums followed by np.minimum, so the bits are those
  * of the numpy composition in tests/oracles/query.py; a self-pair keeps
  * its 0.0.
  *
- * Each vertex's row against the boundary (boundary[0 .. width)) is
- * computed once, at its first mention, into rows; a row map over the n
- * local ids stands in for np.unique. The fan is read first, so its
- * distinct vertices hold rows 0 .. F - 1 in first-mention order, and
- * fan_inverse[e] is fan[e]'s row. The route's endpoints take rows after
- * them. The first hop runs once per distinct source row, as in
- * dhl_min_plus, and never for a target's row. Each distinct vertex
- * takes one row, so rows must hold min(n, fan_count + 2 * count) rows
- * with a block, min(n, fan_count) without.
+ * Each vertex's row against the boundary is computed once, at its first
+ * mention, into rows; a row map over the n local ids stands in for
+ * np.unique. The fan is read first, so its distinct vertices hold rows
+ * 0 .. F - 1 in first-mention order, and fan_inverse[e] is fan[e]'s
+ * row. The route's endpoints take rows after them. The first hop runs
+ * once per distinct source row, as in dhl_min_plus, and never for a
+ * target's row. Each distinct vertex takes one row, so the arena holds
+ * capacity = min(n, fan_count + 2 * count) rows with a route,
+ * min(n, fan_count) without.
  *
- * Returns F, or DHL_NOMEM (final then holds the pair answers only).
+ * Returns F, DHL_NOMEM (final then holds the pair answers only), or
+ * DHL_BAD_ID (nothing written) when an id lies outside [0, n).
  */
-int64_t dhl_shard_batch(
-    int64_t n,
-    const double *values_s, const int64_t *offsets_s,
-    const double *values_t, const int64_t *offsets_t, LCA_PARAMS,
-    int64_t width, const int64_t *boundary, const double *block,
-    int64_t count, const int64_t *s, const int64_t *t,
-    int64_t fan_count, const int64_t *fan,
-    double *final, double *rows, int64_t *fan_inverse)
+int64_t dhl_shard_batch(const labels_record_t *ls, const labels_record_t *lt,
+                        const lca_record_t *l, const shard_record_t *b,
+                        int use_block, int64_t count, int64_t fan_count,
+                        const int64_t *ids, double *arena)
 {
-    const pair_store_t q = {values_s, offsets_s, values_t, offsets_t,
-                            LCA_ARGS};
-    gather_pairs(&q, count, s, t, final, NULL);
-    int route = block != NULL && count > 0;
+    const pair_store_t q = pair_open(ls, lt, l);
+    const int64_t *fan = ids, *s = ids + fan_count, *t = s + count;
+    const int64_t *boundary = BOUND(const int64_t, b->boundary);
+    const double *block = BOUND(const double, b->block);
+    int64_t n = ls->n, width = b->width;
+    double *final = arena, *rows = arena + count + fan_count;
+    int64_t *fan_inverse = (int64_t *)(arena + count);
+    if (check_pairs(store_vertices(ls, lt, l), fan_count + 2 * count, ids, ids,
+                    1))
+        return DHL_BAD_ID;
+    gather_pairs(&q, count, s, t, 1, final, NULL);
+    int route = use_block && block != NULL && count > 0;
     if (!fan_count && !route)
         return 0;
     int64_t capacity = fan_count + (route ? 2 * count : 0);
@@ -514,7 +636,7 @@ int64_t dhl_shard_batch(
                                   &used);
             double *h = hop + si * width;
             if (!hopped[si]) {
-                first_hop(rows + si * width, block, width, width, h);
+                first_hop(rows + si * width, block, b->ld, width, width, h);
                 hopped[si] = 1;
             }
             double best = min_sum(h, rows + ti * width, width);
@@ -525,6 +647,176 @@ int64_t dhl_shard_batch(
     free(hopped);
     free(hop);
     return fan_rows;
+}
+
+/*
+ * The sharded index's routing state: each vertex's region and
+ * shard-local id, each shard's routed flag (an overlay and boundary
+ * vertices), and the overlay matrix of the current overlay epoch
+ * (total x total, its rows and columns region by region from
+ * bounds[r]; matrix 0 without an overlay).
+ */
+typedef struct {
+    int64_t n, k, total;
+    int64_t region_of, local_of, routed, bounds, matrix; /* addresses */
+} route_record_t;
+
+/*
+ * Group key of batch entry e (pair e % m; its source end for e < m, its
+ * target end after): shard * width + (target region | k + source
+ * region | 2k for an intra source | 2k + 1 for an intra target), width
+ * = 2k + 2. A cross pair without a route goes to group k * width, past
+ * every shard's.
+ */
+static inline int64_t split_key(int64_t k, const int64_t *routed, int64_t rs,
+                                int64_t rt, int source)
+{
+    int64_t width = 2 * k + 2;
+    if (rs == rt)
+        return rs * width + 2 * k + (source ? 0 : 1);
+    if (!routed[rs] || !routed[rt])
+        return k * width;
+    return source ? rs * width + rt : rt * width + k + rs;
+}
+
+/*
+ * BatchSplit's cut of m pairs (ends s[p * stride], t[p * stride]) into
+ * at most one sub-query per shard, as one stable counting sort of the
+ * 2m entries by split_key. arena: order[2m] (the entries in key order,
+ * batch order within a key), local[2m] (each ordered entry's
+ * shard-local id), bounds[k * width + 2] (group g's entries are
+ * order[bounds[g] .. bounds[g + 1])). The keys wait in local until the
+ * sort has placed every entry, and the sort's cursors are the counts
+ * pass's own bounds, shifted by one group, so the split needs no heap.
+ * Returns the number of intra pairs, or DHL_BAD_ID when an id lies
+ * outside [0, n).
+ */
+int64_t dhl_batch_split(const route_record_t *r, int64_t m, const int64_t *s,
+                        const int64_t *t, int64_t stride, int64_t *arena)
+{
+    const int64_t *region_of = BOUND(const int64_t, r->region_of);
+    const int64_t *local_of = BOUND(const int64_t, r->local_of);
+    const int64_t *routed = BOUND(const int64_t, r->routed);
+    const int64_t n = r->n, k = r->k, groups = k * (2 * k + 2) + 1;
+    int64_t *order = arena, *local = arena + 2 * m, *bounds = arena + 4 * m;
+    int64_t intra = 0;
+    for (int64_t g = 0; g <= groups; g++)
+        bounds[g] = 0;
+    for (int64_t p = 0; p < m; p++) {
+        int64_t sv = s[p * stride], tv = t[p * stride];
+        if ((uint64_t)sv >= (uint64_t)n || (uint64_t)tv >= (uint64_t)n)
+            return DHL_BAD_ID;
+        int64_t rs = region_of[sv], rt = region_of[tv];
+        int64_t source = split_key(k, routed, rs, rt, 1);
+        int64_t target = split_key(k, routed, rs, rt, 0);
+        intra += rs == rt;
+        local[p] = source;
+        local[m + p] = target;
+        bounds[source + 1]++;
+        bounds[target + 1]++;
+    }
+    /* bounds[g + 1] counts group g; make bounds[g] group g's start and
+     * use bounds[g + 1] as its cursor, which ends at group g + 1's
+     * start. */
+    int64_t start = 0;
+    for (int64_t g = 1; g <= groups; g++) {
+        int64_t size = bounds[g];
+        bounds[g] = start;
+        start += size;
+    }
+    for (int64_t e = 0; e < 2 * m; e++)
+        order[bounds[local[e] + 1]++] = e;
+    for (int64_t i = 0; i < 2 * m; i++) {
+        int64_t e = order[i];
+        local[i] = local_of[e < m ? s[e * stride] : t[(e - m) * stride]];
+    }
+    return intra;
+}
+
+/* A shard's fan row map in the answers arena (results row res). */
+static inline const int64_t *row_map(const double *answers, const int64_t *res)
+{
+    return (const int64_t *)(answers + res[4]);
+}
+
+/*
+ * BatchSplit.answer: the batch's distances out[m] from the split arena
+ * (dhl_batch_split's) and each shard's answer, all of them in one
+ * operand arena, answers. results holds k rows of (answered, final,
+ * rows, rows_count, fan_inverse): whether the shard answered, then the
+ * offsets in answers of its intra finals, its fan rows (rows_count x
+ * its boundary width) and its fan's row map (int64). Each shard's
+ * finals land on its intra positions; every cross region pair (i, j)
+ * whose two shards both answered takes the min-plus combine of shard
+ * i's source rows, the overlay block (i, j) read in place from the
+ * matrix, and shard j's target rows (min_plus_compact's bits); what a
+ * missing shard was needed for stays inf, and a self-pair is 0.0.
+ * Returns 0, DHL_NOMEM, or DHL_BAD_ROWS - sid for a fan row map of
+ * shard sid that points past its rows.
+ */
+int64_t dhl_batch_answer(const route_record_t *r, int64_t m, const int64_t *s,
+                         const int64_t *t, int64_t stride,
+                         const int64_t *split, const int64_t *results,
+                         const double *answers, double *out)
+{
+    int64_t k = r->k, width = 2 * k + 2, total = r->total;
+    const int64_t *order = split, *bounds = split + 4 * m;
+    const int64_t *rb = BOUND(const int64_t, r->bounds);
+    const double *matrix = BOUND(const double, r->matrix);
+    for (int64_t p = 0; p < m; p++)
+        out[p] = INFINITY;
+    for (int64_t sid = 0; sid < k; sid++) {
+        const int64_t *res = results + 5 * sid;
+        const double *final = answers + res[1];
+        int64_t lo = bounds[sid * width + 2 * k];
+        int64_t mid = bounds[sid * width + 2 * k + 1];
+        for (int64_t e = lo; res[0] && e < mid; e++)
+            out[order[e]] = final[e - lo];
+    }
+    for (int64_t i = 0; i < k; i++) {
+        for (int64_t j = 0; j < k; j++) {
+            int64_t start = bounds[i * width + j];
+            int64_t count = bounds[i * width + j + 1] - start;
+            const int64_t *ri = results + 5 * i, *rj = results + 5 * j;
+            if (i == j || !count || !ri[0] || !rj[0])
+                continue;
+            int64_t width_a = rb[i + 1] - rb[i], width_b = rb[j + 1] - rb[j];
+            int64_t rows_i = ri[3];
+            double *pick = malloc(((size_t)count + 1) * sizeof *pick);
+            double *hop = malloc(((size_t)(rows_i * width_b) + 1) * sizeof *hop);
+            uint8_t *hopped = calloc((size_t)rows_i + 1, 1);
+            int status = DHL_NOMEM;
+            if (pick && hop && hopped)
+                status = min_plus_run(
+                    width_a, width_b, answers + ri[2], rows_i,
+                    matrix + rb[i] * total + rb[j], total, answers + rj[2],
+                    rj[3], count,
+                    row_map(answers, ri) + start - bounds[i * width],
+                    row_map(answers, rj) + bounds[j * width + k + i]
+                        - bounds[j * width],
+                    hopped, hop, pick);
+            for (int64_t e = 0; status == 0 && e < count; e++)
+                out[order[start + e]] = pick[e];
+            free(pick);
+            free(hop);
+            free(hopped);
+            if (status == DHL_NOMEM)
+                return DHL_NOMEM;
+            if (status < 0) {
+                /* which map: re-run the check on the source side */
+                const int64_t *inv = row_map(answers, ri) + start
+                    - bounds[i * width];
+                for (int64_t e = 0; e < count; e++)
+                    if ((uint64_t)inv[e] >= (uint64_t)rows_i)
+                        return DHL_BAD_ROWS - i;
+                return DHL_BAD_ROWS - j;
+            }
+        }
+    }
+    for (int64_t p = 0; p < m; p++)
+        if (s[p * stride] == t[p * stride])
+            out[p] = 0.0;
+    return 0;
 }
 
 /* ------------------------------------------------------------------ */

@@ -1,46 +1,74 @@
-"""The validating wrappers over the C kernels: sweeps, queries, build.
+"""The validating wrappers over the C kernels: queries, sweeps, build.
 
-Each wrapper unpacks the store's flat buffers, checks dtype,
-C-contiguity, alignment and length of every one in Python, and hands
-the work to a single loop of ``dhl_kernels.c``; the sweeps write the
-caller's marks and touched lists
-(:func:`~repro.labelling.maintenance.cell_marks` /
+Each wrapper checks dtype, C-contiguity, alignment and length of the
+buffers it hands over, and the work runs as a single loop of
+``dhl_kernels.c``; the sweeps write the caller's marks and touched
+lists (:func:`~repro.labelling.maintenance.cell_marks` /
 :func:`~repro.labelling.maintenance.entry_marks`) and the label sweep
 runs its own seed phase, while the shortcut seeds and the stats are
-the shared driver's (:mod:`repro.labelling.driver`). Vertex
-ids are range-checked by the callers (``QueryEngine``'s entry points,
-:func:`repro.sharding.engine.shard_batch`, the driver's batch
-validation) before they reach a wrapper, and the label
-sweep's slots are cells the shortcut sweep listed;
-:func:`min_plus` checks its row maps itself. :func:`operand` is how a
-caller meets the checks with any array-like, copying only what is not
-a fit already.
+the shared driver's (:mod:`repro.labelling.driver`). Vertex ids are
+range-checked by the callers (``QueryEngine``'s entry points,
+:mod:`repro.sharding.engine`'s doors, the driver's batch validation)
+before they reach a wrapper, and the label sweep's slots are cells the
+shortcut sweep listed; the min-plus kernels check their row maps
+themselves. :func:`operand` is how a caller meets the checks with any
+array-like, copying only what is not a fit already; :func:`address`
+is the one place an address is read.
 
-Buffer addresses are read on every call: the label and weight stores
-re-allocate (``extend_label``, ``ensure_writable``, ``rebind``,
-compaction, a shared-memory republish) and an unpickled engine has new
-arrays throughout, so no store address is kept anywhere. Every array
-stays referenced by the calling frame until the C function returns.
-The one exception is the service's result-cache table
-(:class:`PairTable`): its columns never move, so their addresses are
-checked and kept once, when the table is made.
+**The query path binds once.** Each owner of a buffer the queries
+read keeps one :class:`Bound` record: its arrays are checked and their
+addresses written to the record when it is bound, and every kernel
+call passes the record's address. The owners are
+:class:`~repro.labelling.labels.HierarchicalLabelling`
+(:data:`LABELS_RECORD`), :class:`~repro.labelling.query.AncestorTables`
+(:data:`LCA_RECORD`), a shard's boundary and overlay block
+(:class:`ShardRoute`, :data:`SHARD_RECORD`) and the sharded index's
+routing state (:func:`bind_route`, :data:`ROUTE_RECORD`). A wrapper
+binds again whenever an array the record was made from is no longer
+the one its owner holds — an identity check, so label growth,
+compaction, copy-on-write, a republish, an unpickle, a load or a
+shared-memory attach needs no hook where it happens — and a record
+that is pickled or copied comes back unbound. A call reads only the
+addresses of its own operands: the pair array (read in place, strided)
+and one output arena; a one-pair query reads none (:class:`OnePair`).
+
+The maintenance sweeps and the build read their addresses on every
+call. So does the service's result-cache table (:class:`PairTable`),
+once, when it is made: its columns never move.
 """
 
 from __future__ import annotations
 
+import ctypes
+import weakref
+
 import numpy as np
 
 from repro.labelling.native import library
+from repro.utils.pairs import check_ids
 
 __all__ = [
     "CACHE_HEADER",
+    "LABELS_RECORD",
+    "LCA_RECORD",
+    "ROUTE_RECORD",
+    "SHARD_RECORD",
+    "Bound",
+    "OnePair",
     "PairTable",
+    "ShardRoute",
+    "address",
+    "batch_answer",
+    "batch_split",
+    "bind_route",
     "cache_fill",
     "cache_get",
     "cache_probe",
     "cache_put",
     "common_ancestors",
     "distance_matrix",
+    "gather_one",
+    "gather_pair_array",
     "gather_pairs",
     "label_build",
     "label_sweep",
@@ -64,14 +92,29 @@ def operand(arr, dtype) -> np.ndarray:
     return arr if arr.flags.aligned else arr.copy()
 
 
+_VIEW = ctypes.c_char * 0
+
+
+def address(arr: np.ndarray) -> int:
+    """The address of *arr*'s first item: the one place an address is
+    read. A writable C-contiguous buffer is read through ``ctypes``
+    directly (≈ 1 µs); numpy's ``ctypes.data``, which builds an object
+    first, takes the rest (≈ 3 µs)."""
+    try:
+        return ctypes.addressof(_VIEW.from_buffer(arr))
+    except TypeError:  # read-only, or not C-contiguous
+        return arr.ctypes.data
+
+
 def _addr(arr: np.ndarray, dtype: np.dtype, length: int, write: bool = False) -> int:
     """Address of *arr* once it is what the C side assumes it is."""
+    flags = arr.flags
     if (
         arr.dtype != dtype
-        or not arr.flags.c_contiguous
-        or not arr.flags.aligned
+        or not flags.c_contiguous
+        or not flags.aligned
         or arr.size != length
-        or (write and not arr.flags.writeable)
+        or (write and not flags.writeable)
     ):
         raise TypeError(
             f"native kernel needs a {'writable ' if write else ''}aligned "
@@ -79,7 +122,12 @@ def _addr(arr: np.ndarray, dtype: np.dtype, length: int, write: bool = False) ->
             f"x {arr.size}, contiguous={arr.flags.c_contiguous}, "
             f"aligned={arr.flags.aligned}, writable={arr.flags.writeable}"
         )
-    return arr.ctypes.data
+    return address(arr)
+
+
+def _record_dtype(*names: str) -> np.dtype:
+    """A C record of int64 fields (counts and addresses), in order."""
+    return np.dtype([(name, np.int64) for name in names], align=True)
 
 
 def _label_addrs(values, offsets, n: int, write: bool = False) -> tuple[int, int]:
@@ -224,10 +272,15 @@ def shortcut_sweep(sc, raised, lowered, direct, marks) -> bool:
     return bool(
         _checked(
             library().dhl_shortcut_sweep(
-                len(raised), _addr(raised, _I64, len(raised)),
-                len(lowered), _addr(lowered, _I64, len(lowered)),
-                cells, _addr(weights, _F64, cells, write=True),
-                csr.num_slots, *_csr_up(csr), *_csr_down(csr),
+                len(raised),
+                _addr(raised, _I64, len(raised)),
+                len(lowered),
+                _addr(lowered, _I64, len(lowered)),
+                cells,
+                _addr(weights, _F64, cells, write=True),
+                csr.num_slots,
+                *_csr_up(csr),
+                *_csr_down(csr),
                 _addr(direct, _F64, cells),
                 _addr(csr.rank, _I64, csr.n),
                 *_cell_marks(marks, cells),
@@ -244,51 +297,265 @@ def label_sweep(store, labels, slots, slot_marks, marks) -> int:
     slot_changed, slot_old = slot_marks
     return _checked(
         library().dhl_label_sweep(
-            len(slots), _addr(slots, _I64, len(slots)),
-            _addr(slot_changed, _U8, m), _addr(slot_old, _F64, m),
-            values.size, values_addr,
-            n, offsets_addr, _addr(store.tau, _I64, n),
+            len(slots),
+            _addr(slots, _I64, len(slots)),
+            _addr(slot_changed, _U8, m),
+            _addr(slot_old, _F64, m),
+            values.size,
+            values_addr,
+            n,
+            offsets_addr,
+            _addr(store.tau, _I64, n),
             _addr(store.up_weights, _F64, m),
-            *_csr_rows(csr), _addr(csr.owners, _I64, m),
+            *_csr_rows(csr),
+            _addr(csr.owners, _I64, m),
             *_csr_down(csr),
             *_entry_marks(marks, values.size, n),
         )
     )
 
 
+# ---------------------------------------------------------------------------
+# bound records: the query path's owned buffers, checked and addressed once
+# ---------------------------------------------------------------------------
+
+#: ``HierarchicalLabelling``'s record: ``n`` vertices, the addresses of
+#: ``values`` and ``offsets``.
+LABELS_RECORD = _record_dtype("n", "values", "offsets")
+#: ``AncestorTables``' record (the C ``lca_record_t``).
+LCA_RECORD = _record_dtype(
+    "n", "words", "chain_width", "node_of", "depth", "path", "chain", "tau"
+)
+#: A :class:`ShardRoute`'s record: its boundary and its own overlay
+#: block, whose rows lie ``ld`` values apart.
+SHARD_RECORD = _record_dtype("width", "boundary", "block", "ld")
+#: The sharded index's routing record (:func:`bind_route`).
+ROUTE_RECORD = _record_dtype(
+    "n", "k", "total", "region_of", "local_of", "routed", "bounds", "matrix"
+)
+
+
+def _ref(obj):
+    """A reference that does not keep *obj* alive where it can be weak."""
+    try:
+        return weakref.ref(obj)
+    except TypeError:  # None, a list: held as they are
+        return lambda: obj
+
+
+class Bound:
+    """One C record over an owner's arrays, made when they are bound.
+
+    ``address`` is the record's own address, which the kernels take;
+    ``refs`` reach the arrays it was made from without keeping them
+    alive, so a binder tells by identity whether its owner still holds
+    exactly those (any swap — growth, compaction, copy-on-write, a
+    re-attach — means a rebind). A pickled or copied record comes back
+    as ``None``, unbound: its addresses belong to the process and the
+    arrays it was made for.
+    """
+
+    __slots__ = ("record", "address", "refs")
+
+    def __init__(self, dtype: np.dtype, arrays: tuple, **fields):
+        self.record = np.zeros((), dtype=dtype)
+        for name, value in fields.items():
+            self.record[name] = value
+        self.address = address(self.record)
+        self.refs = tuple(_ref(arr) for arr in arrays)
+
+    def __reduce__(self):
+        return type(None), ()
+
+
+def _labels(labels) -> int:
+    """Address of *labels*' record, bound again when it holds another
+    ``values`` or ``offsets`` array than the record was made from."""
+    values, offsets = labels.values, labels.offsets
+    bound = labels._record
+    if bound is None or bound.refs[0]() is not values or bound.refs[1]() is not offsets:
+        n = labels.num_vertices
+        if len(offsets) != n + 1 or offsets[n] > values.size:
+            raise ValueError("label offsets do not match the value buffer")
+        bound = labels._record = Bound(
+            LABELS_RECORD,
+            (values, offsets),
+            n=n,
+            values=_addr(values, _F64, values.size),
+            offsets=_addr(offsets, _I64, n + 1),
+        )
+    return bound.address
+
+
+def _tables(tables) -> int:
+    """Address of *tables*' record (an
+    :class:`~repro.labelling.query.AncestorTables`), bound on first use
+    and again when any of its arrays was swapped."""
+    bound = getattr(tables, "_record", None)
+    if bound is not None:
+        node_of, depth, path, chain, tau = bound.refs
+        if (
+            node_of() is tables.node_of
+            and depth() is tables.depth
+            and path() is tables.path
+            and chain() is tables.chain
+            and tau() is tables.tau
+        ):
+            return bound.address
+    node_of, depth, path, chain, tau = arrays = (
+        tables.node_of,
+        tables.depth,
+        tables.path,
+        tables.chain,
+        tables.tau,
+    )
+    n, nodes = len(tau), len(depth)
+    words, width = path.shape[1], chain.shape[1]
+    bound = tables._record = Bound(
+        LCA_RECORD,
+        arrays,
+        n=n,
+        words=words,
+        chain_width=width,
+        node_of=_addr(node_of, _I64, n),
+        depth=_addr(depth, _I64, nodes),
+        path=_addr(path, _U64, nodes * words),
+        chain=_addr(chain, _I64, nodes * width),
+        tau=_addr(tau, _I64, n),
+    )
+    return bound.address
+
+
+class ShardRoute:
+    """One shard's boundary (shard-local ids) and its own ``|B| x |B|``
+    overlay block (``None`` while none is held), as
+    :func:`shard_batch` reads them through one record.
+
+    The block may be a block of a bigger row-major matrix (rows
+    contiguous, any row pitch): the sharded index's routing state hands
+    each shard a view of its one overlay matrix, read in place.
+    """
+
+    __slots__ = ("boundary", "block", "_record")
+
+    def __init__(self, boundary: np.ndarray, block: np.ndarray | None = None):
+        self.boundary = boundary
+        self.block = block
+        self._record: Bound | None = None
+
+
+def _shard(shard: ShardRoute, n: int) -> int:
+    """Address of *shard*'s record; its boundary is range-checked
+    against the shard's *n* vertices when it is bound."""
+    boundary, block = shard.boundary, shard.block
+    bound = shard._record
+    if bound is None or bound.refs[0]() is not boundary or bound.refs[1]() is not block:
+        width = len(boundary)
+        addr = _addr(boundary, _I64, width)
+        check_ids(n, boundary)
+        block_addr = ld = 0
+        if block is not None:
+            row_step, step = block.strides if block.ndim == 2 else (0, 0)
+            if (
+                block.dtype != _F64
+                or block.shape != (width, width)
+                or not block.flags.aligned
+                or (width > 1 and (step != 8 or row_step % 8 or row_step < 8 * width))
+            ):
+                raise TypeError(
+                    f"native kernel needs an aligned float64 {width} x {width} "
+                    f"block with contiguous rows; got {block.dtype} "
+                    f"{block.shape}, strides {block.strides}"
+                )
+            block_addr, ld = address(block), row_step // 8
+        bound = shard._record = Bound(
+            SHARD_RECORD,
+            (boundary, block),
+            width=width,
+            boundary=addr,
+            block=block_addr,
+            ld=ld,
+        )
+    return bound.address
+
+
+def bind_route(n, k, region_of, local_of, routed, bounds, matrix) -> Bound:
+    """The sharded index's routing record: *region_of* / *local_of* over
+    its *n* vertices, the *k* shards' ``routed`` flags (int64) and the
+    overlay matrix (``None`` without an overlay) with its region
+    *bounds*."""
+    total = int(bounds[-1])
+    return Bound(
+        ROUTE_RECORD,
+        (region_of, local_of, routed, bounds, matrix),
+        n=n,
+        k=k,
+        total=total,
+        region_of=_addr(region_of, _I64, n),
+        local_of=_addr(local_of, _I64, n),
+        routed=_addr(routed, _I64, k),
+        bounds=_addr(bounds, _I64, k + 1),
+        matrix=0 if matrix is None else _addr(matrix, _F64, total * total),
+    )
+
 
 # ---------------------------------------------------------------------------
 # the pair query
 # ---------------------------------------------------------------------------
 
-def _table_addrs(tables) -> tuple:
-    """``AncestorTables``' arrays in the kernel's order (read per call,
-    like every other address: an unpickled engine has new arrays)."""
-    n, nodes = len(tables.tau), len(tables.depth)
-    words, width = tables.path.shape[1], tables.chain.shape[1]
-    return (
-        _addr(tables.node_of, _I64, n),
-        _addr(tables.depth, _I64, nodes),
-        _addr(tables.path, _U64, nodes * words),
-        words,
-        _addr(tables.chain, _I64, nodes * width),
-        width,
-        _addr(tables.tau, _I64, n),
-    )
+#: A query kernel's status for an id outside ``[0, n)`` (nothing
+#: written), and the base of the combine's "row map past its rows".
+_BAD_ID, _BAD_ROWS = -2, -3
+
+
+def _ids_in_range(status: int, n: int, *ids: np.ndarray) -> None:
+    """A query kernel refused an id outside ``[0, n)``: raise
+    :class:`~repro.exceptions.VertexNotFound` naming it."""
+    if status == _BAD_ID:
+        check_ids(n, *ids)
+        raise ValueError("the label stores and the tables cover other vertices")
 
 
 def common_ancestors(tables, s, t) -> np.ndarray:
     """``|anc(s[p]) ∩ anc(t[p])|`` per pair, counted from *tables* (an
     :class:`~repro.labelling.query.AncestorTables`) by the pair
-    kernel's own LCA. *s* / *t* are C-contiguous int64 ids already
-    known to lie in ``[0, n)``."""
+    kernel's own LCA. *s* / *t* are C-contiguous int64 ids; one outside
+    ``[0, n)`` raises :class:`~repro.exceptions.VertexNotFound`."""
     count = len(s)
     k = np.empty(count, dtype=np.int64)
-    library().dhl_common_ancestors(
-        count, _addr(s, _I64, count), _addr(t, _I64, count),
-        *_table_addrs(tables), _addr(k, _I64, count),
+    status = library().dhl_common_ancestors(
+        _tables(tables),
+        count,
+        _addr(s, _I64, count),
+        _addr(t, _I64, count),
+        1,
+        address(k),
     )
+    _ids_in_range(status, len(tables.tau), s, t)
     return k
+
+
+def _gather(labels_s, labels_t, tables, count, ids, s, t, stride, want_ranks):
+    """``dhl_gather_pairs`` of the pairs at addresses *s* / *t* (every
+    *stride* items) into one output arena: the distances, then (as
+    int64) the ranks. *ids* are the arrays those addresses are in."""
+    out = np.empty(2 * count if want_ranks else count, dtype=np.float64)
+    base = address(out)
+    status = library().dhl_gather_pairs(
+        _labels(labels_s),
+        _labels(labels_t),
+        _tables(tables),
+        count,
+        s,
+        t,
+        stride,
+        base,
+        base + 8 * count if want_ranks else None,
+    )
+    _ids_in_range(status, labels_s.num_vertices, *ids)
+    if not want_ranks:
+        return out, None
+    return out[:count], out[count:].view(np.int64)
 
 
 def gather_pairs(
@@ -297,52 +564,108 @@ def gather_pairs(
     """:meth:`repro.labelling.query.QueryEngine.distances_arrays` as one
     fused C loop: each pair's K counted from *tables* (an
     :class:`~repro.labelling.query.AncestorTables`), then its scan and
-    argmin. *s* / *t* are C-contiguous int64 ids already known to lie
-    in ``[0, n)``.
+    argmin. *s* / *t* are C-contiguous int64 ids; one outside ``[0,
+    n)`` raises :class:`~repro.exceptions.VertexNotFound`.
     """
-    count, n = len(s), labels_s.num_vertices
-    values_s, offsets_s = labels_s.values, labels_s.offsets
-    values_t, offsets_t = labels_t.values, labels_t.offsets
-    out = np.empty(count, dtype=np.float64)
-    ranks = np.empty(count, dtype=np.int64) if want_ranks else None
-    library().dhl_gather_pairs(
-        count, _addr(s, _I64, count), _addr(t, _I64, count),
-        *_label_addrs(values_s, offsets_s, n),
-        *_label_addrs(values_t, offsets_t, n),
-        *_table_addrs(tables),
-        _addr(out, _F64, count),
-        None if ranks is None else _addr(ranks, _I64, count),
+    count = len(s)
+    return _gather(
+        labels_s,
+        labels_t,
+        tables,
+        count,
+        (s, t),
+        _addr(s, _I64, count),
+        _addr(t, _I64, count),
+        1,
+        want_ranks,
     )
-    return out, ranks
+
+
+def gather_pair_array(
+    labels_s, pairs, labels_t, tables, want_ranks: bool = False
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """:func:`gather_pairs` over a C-contiguous ``(m, 2)`` int64 *pairs*
+    array, read in place by the kernel (no column copies)."""
+    count = len(pairs)
+    base = _addr(pairs, _I64, 2 * count)
+    return _gather(
+        labels_s,
+        labels_t,
+        tables,
+        count,
+        (pairs,),
+        base,
+        base + 8,
+        2,
+        want_ranks,
+    )
+
+
+class OnePair:
+    """A one-pair query's operands and answer, bound once, as
+    :class:`PairTable`'s one-pair buffers are: the two ids, then the
+    distance and (as int64) the rank."""
+
+    __slots__ = ("ids", "out", "rank", "_args")
+
+    def __init__(self):
+        self.ids = np.zeros(2, dtype=np.int64)
+        self.out = np.zeros(2, dtype=np.float64)
+        self.rank = self.out[1:].view(np.int64)
+        ids, out = address(self.ids), address(self.out)
+        self._args = (ids, ids + 8, out, out + 8)
+
+
+def gather_one(labels_s, labels_t, tables, one: OnePair, s: int, t: int):
+    """``(distance, rank)`` of the pair ``(s, t)`` through
+    :func:`gather_pairs`' kernel on the bound buffers of *one*: no
+    address is read. The ids are ints already known to lie in ``[0,
+    n)``."""
+    ids = one.ids
+    ids[0] = s
+    ids[1] = t
+    s_addr, t_addr, out, rank = one._args
+    library().dhl_gather_pairs(
+        _labels(labels_s),
+        _labels(labels_t),
+        _tables(tables),
+        1,
+        s_addr,
+        t_addr,
+        1,
+        out,
+        rank,
+    )
+    return float(one.out[0]), int(one.rank[0])
 
 
 def distance_matrix(labels_s, sources, labels_t, targets, tables) -> np.ndarray:
     """:meth:`repro.labelling.query.QueryEngine.distance_matrix` as one
     C loop: each ``(source, target)`` cell is :func:`gather_pairs`' pair
     answer, written straight into the ``(len(sources), len(targets))``
-    result. Ids are int64, already known to lie in ``[0, n)``."""
-    rows, cols, n = len(sources), len(targets), labels_s.num_vertices
-    values_s, offsets_s = labels_s.values, labels_s.offsets
-    values_t, offsets_t = labels_t.values, labels_t.offsets
+    result. Ids are int64; one outside ``[0, n)`` raises
+    :class:`~repro.exceptions.VertexNotFound`."""
+    rows, cols = len(sources), len(targets)
+    sources_addr = _addr(sources, _I64, rows)
+    targets_addr = _addr(targets, _I64, cols)
     out = np.empty((rows, cols), dtype=np.float64)
-    library().dhl_distance_matrix(
-        rows, _addr(sources, _I64, rows), cols, _addr(targets, _I64, cols),
-        *_label_addrs(values_s, offsets_s, n),
-        *_label_addrs(values_t, offsets_t, n),
-        *_table_addrs(tables),
-        _addr(out, _F64, rows * cols),
+    status = library().dhl_distance_matrix(
+        _labels(labels_s),
+        _labels(labels_t),
+        _tables(tables),
+        rows,
+        sources_addr,
+        cols,
+        targets_addr,
+        address(out),
     )
+    _ids_in_range(status, labels_s.num_vertices, sources, targets)
     return out
 
 
-def _rows_addr(inverse: np.ndarray, count: int, rows: int) -> int:
-    """Address of a row map of *count* entries, each below *rows*
-    (read as unsigned, a negative entry is a huge one: one reduction)."""
-    addr = _addr(inverse, _I64, count)
-    if count and inverse.view(np.uint64).max() >= rows:
-        raise ValueError(f"row map points past the {rows} rows it indexes")
-    return addr
-
+# ---------------------------------------------------------------------------
+# the sharded batch: one shard's share, the split and the combine
+# ---------------------------------------------------------------------------
 
 def min_plus(ds, ds_inverse, block, dt, dt_inverse) -> np.ndarray:
     """:func:`repro.sharding.engine.min_plus_compact` as one C loop.
@@ -350,7 +673,8 @@ def min_plus(ds, ds_inverse, block, dt, dt_inverse) -> np.ndarray:
     The first hop ``min over a of ds[u, a] + block[a, b]`` runs once per
     row of *ds* that *ds_inverse* names (a row no pair uses is never
     hopped), the second once per pair through the two row maps; the
-    sums are numpy's, in its order, so the answers are its bits.
+    sums are numpy's, in its order, so the answers are its bits. A row
+    map entry outside its matrix raises :class:`ValueError`.
     """
     rows, width_a = ds.shape
     width_b = dt.shape[1]
@@ -360,59 +684,140 @@ def min_plus(ds, ds_inverse, block, dt, dt_inverse) -> np.ndarray:
             f"min-plus shapes disagree: ds {ds.shape}, block {block.shape}, "
             f"dt {dt.shape}, {count} vs {len(dt_inverse)} pairs"
         )
-    hopped = np.zeros(rows, dtype=np.uint8)
-    hop = np.empty((rows, width_b), dtype=np.float64)
-    out = np.empty(count, dtype=np.float64)
-    library().dhl_min_plus(
-        width_a, width_b,
-        _addr(ds, _F64, ds.size), _addr(block, _F64, block.size),
+    # The answers, the hop rows, then one hopped byte a row.
+    arena = np.empty(count + rows * width_b + -(-rows // 8), dtype=np.float64)
+    status = library().dhl_min_plus(
+        width_a,
+        width_b,
+        _addr(ds, _F64, ds.size),
+        rows,
+        _addr(block, _F64, block.size),
         _addr(dt, _F64, dt.size),
-        count, _rows_addr(ds_inverse, count, rows),
-        _rows_addr(dt_inverse, count, len(dt)),
-        _addr(hopped, _U8, rows, write=True),
-        _addr(hop, _F64, hop.size, write=True), _addr(out, _F64, count),
+        len(dt),
+        count,
+        _addr(ds_inverse, _I64, count),
+        _addr(dt_inverse, _I64, count),
+        address(arena),
     )
-    return out
+    if status == _BAD_ROWS:
+        bad = count and ds_inverse.view(np.uint64).max() >= rows
+        raise ValueError(
+            f"row map points past the {rows if bad else len(dt)} rows it indexes"
+        )
+    return arena[:count]
 
 
-def shard_batch(labels_s, labels_t, tables, boundary, block, s, t, fan):
+def shard_batch(labels_s, labels_t, tables, shard, ids, count, fans, use_block):
     """:func:`repro.sharding.engine.shard_batch` as one C call.
 
-    Returns ``(final, fan_matrix, fan_inverse)``: the intra pairs'
-    answers (lowered by the boundary route through *block* when one is
-    given), the fan's distinct rows against *boundary* in first-mention
-    order and each fan entry's row. Ids are int64, already known to lie
-    in ``[0, n)``; *tables* is the shard's
-    :class:`~repro.labelling.query.AncestorTables`.
+    *ids* is the sub-query's one int64 operand: its *fans* fan entries,
+    then its *count* intra sources and *count* intra targets (one
+    outside ``[0, n)`` raises :class:`~repro.exceptions.VertexNotFound`);
+    *shard* the :class:`ShardRoute` whose
+    boundary and block the call reads (the block only with
+    *use_block*). Returns ``(final, fan_matrix, fan_inverse)``: the
+    intra pairs' answers (lowered by the boundary route through the
+    block), the fan's distinct rows against the boundary in
+    first-mention order and each fan entry's row, all views of the
+    call's one output arena.
     """
-    count, fans, width = len(s), len(fan), len(boundary)
-    if len(t) != count or (block is not None and block.shape != (width, width)):
-        raise ValueError(
-            f"shard batch shapes disagree: {count} vs {len(t)} pair ends, "
-            f"block {None if block is None else block.shape} for a "
-            f"{width}-vertex boundary"
-        )
-    n = labels_s.num_vertices
-    values_s, offsets_s = labels_s.values, labels_s.offsets
-    values_t, offsets_t = labels_t.values, labels_t.offsets
-    final = np.empty(count, dtype=np.float64)
-    rows = np.empty((min(n, fans + (0 if block is None else 2 * count)), width))
-    inverse = np.empty(fans, dtype=np.int64)
-    used = _checked(
-        library().dhl_shard_batch(
-            n,
-            *_label_addrs(values_s, offsets_s, n),
-            *_label_addrs(values_t, offsets_t, n),
-            *_table_addrs(tables),
-            width, _addr(boundary, _I64, width),
-            None if block is None else _addr(block, _F64, block.size),
-            count, _addr(s, _I64, count), _addr(t, _I64, count),
-            fans, _addr(fan, _I64, fans),
-            _addr(final, _F64, count), _addr(rows, _F64, rows.size, write=True),
-            _addr(inverse, _I64, fans, write=True),
-        )
+    n, width = labels_s.num_vertices, len(shard.boundary)
+    route = use_block and count and shard.block is not None
+    capacity = min(n, fans + (2 * count if route else 0))
+    arena = np.empty(count + fans + capacity * width, dtype=np.float64)
+    used = library().dhl_shard_batch(
+        _labels(labels_s),
+        _labels(labels_t),
+        _tables(tables),
+        _shard(shard, n),
+        bool(use_block),
+        count,
+        fans,
+        _addr(ids, _I64, fans + 2 * count),
+        address(arena),
     )
-    return final, rows[:used], inverse
+    _ids_in_range(used, n, ids)
+    _checked(used)
+    rows = arena[count + fans :].reshape(capacity, width)
+    return arena[:count], rows[:used], arena[count : count + fans].view(np.int64)
+
+
+def batch_split(routing, pairs) -> tuple[np.ndarray, int]:
+    """:class:`repro.sharding.engine.BatchSplit`'s cut of a C-contiguous
+    ``(m, 2)`` int64 *pairs* array in one C pass over *routing*'s
+    record (``dhl_batch_split``). Returns ``(arena, intra)``: ``order``
+    (``2m`` entries), ``local`` (``2m``) and the ``k (2k + 2) + 2``
+    group bounds in one int64 arena, and the number of intra pairs. An
+    id outside ``[0, n)`` raises
+    :class:`~repro.exceptions.VertexNotFound`."""
+    m, k = len(pairs), routing.k
+    base = _addr(pairs, _I64, 2 * m)
+    arena = np.empty(4 * m + k * (2 * k + 2) + 2, dtype=np.int64)
+    intra = library().dhl_batch_split(
+        routing.address, m, base, base + 8, 2, address(arena)
+    )
+    _ids_in_range(intra, routing.n, pairs)
+    return arena, intra
+
+
+def batch_answer(routing, pairs, arena, results: dict) -> np.ndarray:
+    """:meth:`repro.sharding.engine.BatchSplit.answer` as one C call
+    (``dhl_batch_answer``): *arena* is :func:`batch_split`'s, *results*
+    maps a shard to its :func:`shard_batch` triple. The triples are
+    copied into one operand arena (a decoded frame's buffers are
+    read-only and may start at any byte); one of the wrong shape
+    raises :class:`ValueError`, and so does a fan row map that points
+    past its rows."""
+    m, k = len(pairs), routing.k
+    width = 2 * k + 2
+    bounds = arena[4 * m :].tolist()
+    # The answer, then each shard's row of (answered, final, rows,
+    # rows_count, fan_inverse) with offsets into the operand arena.
+    out = np.zeros(m + 5 * k, dtype=np.float64)
+    table = out[m:].view(np.int64)
+    parts = []
+    at = 0
+    for sid, (final, rows, inverse) in results.items():
+        final = np.asarray(final, dtype=np.float64)
+        rows = np.asarray(rows, dtype=np.float64)
+        inverse = np.ascontiguousarray(inverse, dtype=np.int64)
+        start = sid * width + 2 * k
+        intra = bounds[start + 1] - bounds[start]
+        fans = bounds[start] - bounds[sid * width]
+        if (
+            final.shape != (intra,)
+            or inverse.shape != (fans,)
+            or rows.ndim != 2
+            or rows.shape[1] != routing.widths[sid]
+        ):
+            raise ValueError(
+                f"shard {sid} answered {final.shape} finals, {rows.shape} fan "
+                f"rows and {inverse.shape} fan rows for {intra} intra pairs and "
+                f"{fans} fan entries over {routing.widths[sid]} boundary vertices"
+            )
+        table[5 * sid : 5 * sid + 5] = (
+            1, at, at + intra, len(rows), at + intra + rows.size
+        )
+        parts += (final, rows.ravel(), inverse.view(np.float64))
+        at += intra + rows.size + fans
+    answers = np.concatenate(parts) if parts else out
+    base, out_addr = address(pairs), address(out)
+    status = library().dhl_batch_answer(
+        routing.address,
+        m,
+        base,
+        base + 8,
+        2,
+        address(arena),
+        out_addr + 8 * m,
+        address(answers),
+        out_addr,
+    )
+    if status <= _BAD_ROWS:
+        rows = len(results[_BAD_ROWS - status][1])
+        raise ValueError(f"row map points past the {rows} rows it indexes")
+    _checked(status)
+    return out[:m]
 
 
 # ---------------------------------------------------------------------------
@@ -434,9 +839,13 @@ def label_build(store, labels, order: np.ndarray) -> None:
     if m and (tau[csr.indices] >= tau[csr.owners]).any():
         raise ValueError("a shortcut does not point to an ancestor")
     library().dhl_label_build(
-        n, _addr(order, _I64, n), *_csr_rows(csr),
-        _addr(store.up_weights, _F64, m), _addr(tau, _I64, n),
-        offsets_addr, values_addr,
+        n,
+        _addr(order, _I64, n),
+        *_csr_rows(csr),
+        _addr(store.up_weights, _F64, m),
+        _addr(tau, _I64, n),
+        offsets_addr,
+        values_addr,
     )
 
 
@@ -446,16 +855,20 @@ def label_build(store, labels, order: np.ndarray) -> None:
 
 #: The C ``cache_header_t`` record: the table's geometry, its column
 #: addresses, its clock, its invalidation watermark and its counters.
-CACHE_HEADER = np.dtype(
-    [
-        (name, np.int64)
-        for name in (
-            "sets", "ways", "keys", "values", "epochs", "ticks",
-            "tick", "watermark",
-            "hits", "misses", "stored", "replaced", "lru_evictions",
-        )
-    ],
-    align=True,
+CACHE_HEADER = _record_dtype(
+    "sets",
+    "ways",
+    "keys",
+    "values",
+    "epochs",
+    "ticks",
+    "tick",
+    "watermark",
+    "hits",
+    "misses",
+    "stored",
+    "replaced",
+    "lru_evictions",
 )
 
 
@@ -520,9 +933,15 @@ def cache_probe(table: PairTable, pairs, directed: bool):
     base = _addr(ints, _I64, ints.size, write=True)
     _checked(
         library().dhl_cache_probe(
-            table.address, m, _addr(pairs, _I64, 2 * m), directed,
+            table.address,
+            m,
+            _addr(pairs, _I64, 2 * m),
+            directed,
             _addr(out, _F64, m, write=True),
-            base, base + 16 * m, base + 24 * m, base + 32 * m,
+            base,
+            base + 16 * m,
+            base + 24 * m,
+            base + 32 * m,
         )
     )
     probes, hits, distinct = ints[4 * m :].tolist()
@@ -543,8 +962,11 @@ def cache_fill(table: PairTable, pairs, values, epoch: int) -> None:
     count = len(pairs)
     _checked(
         library().dhl_cache_fill(
-            table.address, count, _addr(pairs, _I64, 2 * count),
-            _addr(values, _F64, count), epoch,
+            table.address,
+            count,
+            _addr(pairs, _I64, 2 * count),
+            _addr(values, _F64, count),
+            epoch,
         )
     )
 

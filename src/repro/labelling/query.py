@@ -18,12 +18,14 @@ the maintenance algorithms write into).
 Set-to-set queries (:meth:`QueryEngine.distance_matrix`) run the pair
 kernel's per-cell LCA and scan in one C loop over the output. The LCA
 reads each node's path bits in as many 64-bit words as the deepest
-node needs, so every hierarchy depth takes the same kernels.
+node needs, so every hierarchy depth takes the same kernels. A scalar
+query is the same pair kernel on one bound pair.
 """
 
 from __future__ import annotations
 
-import math
+import threading
+from operator import index
 
 import numpy as np
 
@@ -46,10 +48,11 @@ class AncestorTables:
     common-prefix LCA is exact at any depth.
     """
 
-    __slots__ = ("hq", "node_of", "depth", "path", "chain", "tau")
+    __slots__ = ("hq", "node_of", "depth", "path", "chain", "tau", "_record")
 
     def __init__(self, hq: QueryHierarchy):
         self.hq = hq
+        self._record = None  # the kernels' record, bound at the first query
         self.node_of = np.asarray(hq.node_of, dtype=np.int64)
         self.depth = np.asarray(hq.node_depth, dtype=np.int64)
         self.tau = np.asarray(hq.tau, dtype=np.int64)
@@ -84,15 +87,19 @@ class QueryEngine:
     Three entry points, one live label store: :meth:`distance` (scalar),
     :meth:`distances_arrays` (independent pairs, ``sum(K)`` cells a side)
     and :meth:`distance_matrix` (a source set against a target set).
-    Each checks its vertex ids against ``[0, n)`` once, at the door, and
-    raises :class:`~repro.exceptions.VertexNotFound`: numpy would wrap a
-    negative id onto another vertex, and C would read out of bounds.
+    Each refuses a vertex id outside ``[0, n)`` with
+    :class:`~repro.exceptions.VertexNotFound` before any row is read
+    (the batch kernels check their ids themselves, the scalar door in
+    Python): numpy would wrap a negative id onto another vertex, and C
+    would read out of bounds.
     The engine keeps H_Q-only static state next to the labelling — the
     LCA :meth:`kernel_tables` and the ancestor-chain :meth:`hub_store` —
-    and never a label value or a buffer address (the kernel's pointers
-    are read from the arrays on every call), so weight maintenance, slot
-    growth, compaction and a pickle round trip need no invalidation
-    hook.
+    and never a label value. The kernels read the label stores and the
+    tables through records their owners bind once and bind again when
+    an array is swapped, so weight maintenance, slot growth, compaction
+    and a pickle round trip need no invalidation hook. A scalar query
+    writes its pair into this thread's one-pair buffers
+    (``native_engine.OnePair``), bound once.
     """
 
     __slots__ = (
@@ -102,6 +109,7 @@ class QueryEngine:
         "_tables",
         "_hub_values",
         "_hub_offsets",
+        "_scratch",
     )
 
     def __init__(
@@ -116,18 +124,32 @@ class QueryEngine:
         self._tables: AncestorTables | None = None
         self._hub_values: np.ndarray | None = None
         self._hub_offsets: np.ndarray | None = None
+        self._scratch = threading.local()
 
     def __getstate__(self):
-        """The bound objects; the H_Q tables are derived."""
+        """The bound objects; the H_Q tables and the scratch are derived."""
         return self.hq, self.labels, self.target_labels
 
     def __setstate__(self, state) -> None:
         self.__init__(*state)
 
-    def _check_vertices(self, *vertices: int) -> None:
-        for v in vertices:
-            if not 0 <= v < self.hq.n:
-                raise VertexNotFound(v)
+    def _one_pair(self, s, t) -> tuple[float, int]:
+        """``(distance, rank)`` of one pair by the pair kernel, on this
+        thread's bound one-pair buffers; ``s == t`` answers ``(0.0,
+        -1)``."""
+        s, t = index(s), index(t)
+        n = self.hq.n
+        if not 0 <= s < n:
+            raise VertexNotFound(s)
+        if not 0 <= t < n:
+            raise VertexNotFound(t)
+        try:
+            one = self._scratch.one
+        except AttributeError:
+            one = self._scratch.one = native_engine.OnePair()
+        return native_engine.gather_one(
+            self.labels, self.target_labels, self.kernel_tables(), one, s, t
+        )
 
     def distance(self, s: int, t: int) -> float:
         """Exact shortest-path distance between *s* and *t*.
@@ -135,14 +157,7 @@ class QueryEngine:
         Returns ``math.inf`` when the vertices are disconnected (including
         separation caused by logically deleted roads).
         """
-        self._check_vertices(s, t)
-        if s == t:
-            return 0.0
-        k = self.hq.common_ancestor_count(s, t)
-        if k <= 0:
-            return math.inf
-        total = self.labels.view(s)[:k] + self.target_labels.view(t)[:k]
-        return float(total.min())
+        return self._one_pair(s, t)[0]
 
     def distance_with_hub(self, s: int, t: int) -> tuple[float, int]:
         """Distance plus the common-ancestor vertex realising it.
@@ -151,18 +166,10 @@ class QueryEngine:
         or disconnected pairs. Used by applications that need a via-vertex
         (e.g. reconstructing a coarse route).
         """
-        self._check_vertices(s, t)
-        if s == t:
-            return 0.0, -1
-        k = self.hq.common_ancestor_count(s, t)
-        if k <= 0:
-            return math.inf, -1
-        total = self.labels.view(s)[:k] + self.target_labels.view(t)[:k]
-        i = int(np.argmin(total))
-        best = float(total[i])
-        if math.isinf(best):
-            return math.inf, -1
-        return best, self.hq.ancestors(s)[i]
+        best, rank = self._one_pair(s, t)
+        if rank < 0:
+            return best, -1
+        return best, self.hq.ancestors(s)[rank]
 
     # ------------------------------------------------------------------
     # batch path
@@ -219,20 +226,17 @@ class QueryEngine:
         """
         sources = native_engine.operand(sources, np.int64)
         targets = native_engine.operand(targets, np.int64)
-        check_ids(self.hq.n, sources, targets)
         return native_engine.distance_matrix(
             self.labels, sources, self.target_labels, targets, self.kernel_tables()
         )
 
     def _pair_operands(self, s, t) -> tuple[np.ndarray, np.ndarray]:
-        """*s* / *t* as equal-length int64 id arrays inside ``[0, n)``."""
+        """*s* / *t* as equal-length int64 id arrays (the kernels refuse
+        an id outside ``[0, n)`` before they read a row)."""
         s = native_engine.operand(s, np.int64)
         t = native_engine.operand(t, np.int64)
         if s.ndim != 1 or s.shape != t.shape:
-            raise ValueError(
-                f"length mismatch: {s.shape} sources, {t.shape} targets"
-            )
-        check_ids(self.hq.n, s, t)
+            raise ValueError(f"length mismatch: {s.shape} sources, {t.shape} targets")
         return s, t
 
     def common_ancestor_counts(self, s, t) -> np.ndarray:
@@ -240,28 +244,23 @@ class QueryEngine:
         s, t = self._pair_operands(s, t)
         return native_engine.common_ancestors(self.kernel_tables(), s, t)
 
-    def _batch_kernel(
-        self, s, t, want_hubs: bool
-    ) -> tuple[np.ndarray, np.ndarray | None]:
-        """``(distances, hubs)`` from the C pair kernel."""
-        s, t = self._pair_operands(s, t)
-        out, ranks = native_engine.gather_pairs(
-            self.labels, s, self.target_labels, t, self.kernel_tables(), want_hubs
-        )
-        if not want_hubs:
-            return out, None
-        hub_values, hub_offsets = self.hub_store()
-        hubs = hub_values[hub_offsets[s] + np.maximum(ranks, 0)]
-        hubs[ranks < 0] = -1
-        return out, hubs
+    @staticmethod
+    def _pair_array(pairs) -> np.ndarray:
+        """*pairs* as a C-contiguous ``(m, 2)`` int64 array."""
+        return native_engine.operand(as_pair_array(pairs), np.int64)
 
     def distances(self, pairs) -> np.ndarray:
         """Batch distances, gathered straight from the flat label store.
 
-        *pairs*: an ``(m, 2)`` integer array or any iterable of pairs.
+        *pairs*: an ``(m, 2)`` integer array or any iterable of pairs,
+        read in place by the pair kernel.
         """
-        arr = as_pair_array(pairs)
-        return self.distances_arrays(arr[:, 0], arr[:, 1])
+        return native_engine.gather_pair_array(
+            self.labels,
+            self._pair_array(pairs),
+            self.target_labels,
+            self.kernel_tables(),
+        )[0]
 
     def distances_arrays(self, s: np.ndarray, t: np.ndarray) -> np.ndarray:
         """Batch distances over parallel source/target id arrays.
@@ -271,12 +270,21 @@ class QueryEngine:
         facades, bulk matrix fills) skip the pair-list round trip
         entirely.
         """
-        return self._batch_kernel(s, t, want_hubs=False)[0]
+        s, t = self._pair_operands(s, t)
+        return native_engine.gather_pairs(
+            self.labels, s, self.target_labels, t, self.kernel_tables()
+        )[0]
 
     def distances_with_hubs(self, pairs) -> tuple[np.ndarray, np.ndarray]:
         """Batch ``(distances, hubs)``; hub is -1 for self/disconnected pairs."""
-        arr = as_pair_array(pairs)
-        return self._batch_kernel(arr[:, 0], arr[:, 1], want_hubs=True)
+        arr = self._pair_array(pairs)
+        out, ranks = native_engine.gather_pair_array(
+            self.labels, arr, self.target_labels, self.kernel_tables(), True
+        )
+        hub_values, hub_offsets = self.hub_store()
+        hubs = hub_values[hub_offsets[arr[:, 0]] + np.maximum(ranks, 0)]
+        hubs[ranks < 0] = -1
+        return out, hubs
 
     def search_space_size(self, s: int, t: int) -> int:
         """Number of label entries inspected for the pair (paper's 'hops')."""

@@ -80,6 +80,7 @@ from repro.exceptions import (
     ShardUnavailableError,
     WorkerEpochError,
 )
+from repro.labelling.native import engine as native_engine
 from repro.observability import Span, maybe_child, phase
 from repro.service.protocol import (
     AckReply,
@@ -110,7 +111,7 @@ from repro.service.runtime import (
     RetryPolicy,
     WorkerPoolStats,
 )
-from repro.sharding.engine import BatchSplit, shard_batch
+from repro.sharding.engine import BatchSplit, sub_query
 from repro.utils.pairs import as_pair_array, check_ids
 
 __all__ = [
@@ -147,6 +148,9 @@ class ShardExecutor:
         self.served = 0
         self.values: np.ndarray | None = None
         self.offsets: np.ndarray | None = None
+        #: The shard's boundary and held overlay block, as the shard
+        #: kernel reads them through one bound record.
+        self.shard: native_engine.ShardRoute | None = None
         self._block: np.ndarray | None = None
         self._block_epoch = -1
 
@@ -155,7 +159,10 @@ class ShardExecutor:
         """Unpickle the shard structure, bind the label buffers."""
         payload = pickle.loads(spec.payload)
         self.index = payload["index"]
-        self.boundary_local = payload["boundary_local"]
+        self.boundary_local = np.ascontiguousarray(
+            payload["boundary_local"], dtype=np.int64
+        )
+        self.shard = native_engine.ShardRoute(self.boundary_local, self._block)
         self.epoch = spec.epoch
         self.bind(values, offsets)
         return ReadyReply(
@@ -218,8 +225,10 @@ class ShardExecutor:
         A batch stamped with a different epoch than held is refused
         without touching the buffers — the consistency contract that
         keeps a worker that missed a broadcast from serving silently
-        wrong distances. Each sub-query is one :func:`shard_batch`
-        call; one that fails its checks (an id outside the shard, a
+        wrong distances. Each sub-query is one
+        :func:`~repro.sharding.engine.sub_query` call on the executor's
+        bound :class:`~repro.labelling.native.engine.ShardRoute`; one
+        that fails its checks (an id outside the shard, a
         block of the wrong shape, a block it does not hold) turns the
         batch into an :class:`ErrorReply` naming the error.
         """
@@ -232,9 +241,9 @@ class ShardExecutor:
         try:
             for sub in batch.subs:
                 with maybe_child(worker_span, "shard_batch"):
-                    final, fan, inverse = shard_batch(
+                    final, fan, inverse = sub_query(
                         engine,
-                        self.boundary_local,
+                        self.shard,
                         sub.s,
                         sub.t,
                         sub.fan,
@@ -250,8 +259,9 @@ class ShardExecutor:
         )
         return ComputeReply(results=results, trace=trace)
 
-    def _resolve_block(self, sub: SubQuery) -> np.ndarray | None:
-        """The sub's overlay block: shipped inline, or held from before.
+    def _resolve_block(self, sub: SubQuery) -> bool:
+        """Whether the sub's intra pairs take the boundary route, through
+        the block shipped inline (held from now on) or held from before.
 
         The scheduler elides a block only when it believes this target
         holds the stamped overlay epoch; a mismatch here means the
@@ -259,14 +269,21 @@ class ShardExecutor:
         use stale overlay distances.
         """
         if sub.block is not None:
-            self._block = sub.block
+            block = np.asarray(sub.block)
+            width = len(self.boundary_local)
+            if block.shape != (width, width):
+                raise ValueError(
+                    f"overlay block is {block.shape}, the boundary has "
+                    f"{width} vertices"
+                )
+            self._block = self.shard.block = native_engine.operand(block, np.float64)
             self._block_epoch = sub.block_epoch
-            return sub.block
+            return True
         if sub.block_cached:
             if self._block is None or self._block_epoch != sub.block_epoch:
                 raise RuntimeError("no cached overlay block held")
-            return self._block
-        return None
+            return True
+        return False
 
     # -- health ---------------------------------------------------------
     def health(self, probe: HealthCheck) -> HealthReply:

@@ -1,8 +1,10 @@
 """Shard-routed query kernel for the sharded index.
 
-:class:`BatchSplit` cuts a pair batch, in whole-array steps, into at
-most one sub-query per shard: its **intra pairs** and its **fan**, every
-cross-pair endpoint it owns, sources and targets together.
+:class:`BatchSplit` cuts a pair batch into at most one sub-query per
+shard — its **intra pairs** and its **fan**, every cross-pair endpoint
+it owns, sources and targets together — in one C pass
+(``dhl_batch_split``), and :meth:`BatchSplit.answer` combines the
+shards' answers in one C call (``dhl_batch_answer``).
 
 :func:`shard_batch` answers one sub-query — a replica's whole compute
 step (:class:`~repro.service.workers.ShardExecutor`), this engine's
@@ -13,11 +15,18 @@ t)`` through the shard's own overlay block (a shortest path may leave
 and re-enter its region); the fan comes back as its distinct rows
 against the shard's boundary plus each entry's row, all in one C call.
 
-The parent answers each cross region pair ``(i, j)`` with one
-:func:`min_plus_compact` over the two shards' fans and the overlay block
-``(i, j)``, a slice of one all-boundary overlay matrix computed once per
-overlay maintenance epoch. A cross pair has a route only when both
-regions have boundary vertices (else ``inf``).
+The parent answers each cross region pair ``(i, j)`` with the min-plus
+combine over the two shards' fans and the overlay block ``(i, j)``, a
+block of one all-boundary overlay matrix computed once per overlay
+maintenance epoch. A cross pair has a route only when both regions
+have boundary vertices (else ``inf``).
+
+The split, the combine and the in-process sub-queries read the index
+through one bound :class:`Routing` state: ``region_of``, ``local_of``,
+each shard's routed flag and boundary (a
+:class:`~repro.labelling.native.engine.ShardRoute` whose block is a view
+of the overlay matrix) and that matrix, bound again whenever the index
+holds another of those arrays or the overlay epoch moves.
 """
 
 from __future__ import annotations
@@ -25,13 +34,16 @@ from __future__ import annotations
 import numpy as np
 
 from repro.labelling.native import engine as native_engine
+from repro.labelling.native.engine import ShardRoute
 from repro.utils.pairs import as_pair_array, check_ids
 
 __all__ = [
     "BatchSplit",
+    "Routing",
     "ShardedQueryEngine",
     "min_plus_compact",
     "shard_batch",
+    "sub_query",
 ]
 
 _NO_IDS = np.empty(0, dtype=np.int64)
@@ -48,6 +60,37 @@ def _local_ids(ids) -> np.ndarray:
     return ids
 
 
+def sub_query(engine, shard: ShardRoute, s=None, t=None, fan=None, use_block=False):
+    """One sub-query on *shard*'s bound boundary (and its block, with
+    *use_block*): :func:`shard_batch`'s triple. The intra pairs *s* /
+    *t* and the fan travel to the kernel as one int64 operand; an id
+    outside ``[0, n)`` raises :class:`~repro.exceptions.VertexNotFound`
+    and mismatched pair arrays :class:`ValueError`."""
+    s, t, fan = _local_ids(s), _local_ids(t), _local_ids(fan)
+    if len(s) != len(t):
+        raise ValueError(f"length mismatch: {len(s)} sources, {len(t)} targets")
+    return native_engine.shard_batch(
+        engine.labels,
+        engine.target_labels,
+        engine.kernel_tables(),
+        shard,
+        np.concatenate((fan, s, t)),
+        len(s),
+        len(fan),
+        use_block,
+    )
+
+
+def _block_operand(block, width: int) -> np.ndarray:
+    """*block* as a ``(width, width)`` float64 operand."""
+    block = native_engine.operand(block, np.float64)
+    if block.shape != (width, width):
+        raise ValueError(
+            f"overlay block is {block.shape}, the boundary has {width} vertices"
+        )
+    return block
+
+
 def shard_batch(engine, boundary, s=None, t=None, fan=None, block=None):
     """One shard's share of a batch: ``(final, fan_matrix, fan_inverse)``.
 
@@ -59,33 +102,19 @@ def shard_batch(engine, boundary, s=None, t=None, fan=None, block=None):
     overlay block) when one is given. ``fan_matrix`` holds the fan's
     distinct rows against *boundary* and ``fan_inverse[e]`` is the row
     of ``fan[e]``. The first hop of the route runs once per distinct
-    source row, never for a target's.
+    source row, never for a target's. The boundary and block are bound
+    for this one call; a serving path keeps its
+    :class:`~repro.labelling.native.engine.ShardRoute` and calls
+    :func:`sub_query`.
 
     An id outside ``[0, n)`` raises
     :class:`~repro.exceptions.VertexNotFound`; mismatched pair arrays
     or a block of the wrong shape raise :class:`ValueError`.
     """
-    s, t, fan, boundary = map(_local_ids, (s, t, fan, boundary))
-    width = len(boundary)
-    if len(s) != len(t):
-        raise ValueError(f"length mismatch: {len(s)} sources, {len(t)} targets")
-    check_ids(engine.hq.n, s, t, fan, boundary)
+    boundary = _local_ids(boundary)
     if block is not None:
-        block = native_engine.operand(block, np.float64)
-        if block.shape != (width, width):
-            raise ValueError(
-                f"overlay block is {block.shape}, the boundary has {width} vertices"
-            )
-    return native_engine.shard_batch(
-        engine.labels,
-        engine.target_labels,
-        engine.kernel_tables(),
-        boundary,
-        block,
-        s,
-        t,
-        fan,
-    )
+        block = _block_operand(block, len(boundary))
+    return sub_query(engine, ShardRoute(boundary, block), s, t, fan, block is not None)
 
 
 def min_plus_compact(
@@ -118,66 +147,149 @@ def min_plus_compact(
     )
 
 
+class Routing:
+    """The sharded index's routing state, as the split and the combine
+    read it through one record (``ROUTE_RECORD``).
+
+    ``region_of`` / ``local_of`` over the index's ``n`` vertices, the
+    ``k`` shards' ``routed`` flags (an overlay and boundary vertices)
+    and boundary ``widths``, the overlay ``matrix`` of one overlay
+    epoch (``None`` without an overlay) with its region ``bounds``, and
+    one :class:`~repro.labelling.native.engine.ShardRoute` a shard
+    whose block is a view of that matrix. Made by
+    :meth:`ShardedQueryEngine.routing`, which makes a new one whenever
+    :meth:`holds` says the index holds other arrays.
+    """
+
+    __slots__ = (
+        "n",
+        "k",
+        "region_of",
+        "local_of",
+        "routed",
+        "widths",
+        "matrix",
+        "bounds",
+        "shards",
+        "_bound",
+        "_sources",
+    )
+
+    def __init__(self, owner, matrix: np.ndarray | None):
+        boundary_local = owner.boundary_local
+        self._sources = (owner.region_of, owner.local_of, boundary_local, matrix)
+        self.n, self.k = len(owner.region_of), owner.k
+        self.region_of = native_engine.operand(owner.region_of, np.int64)
+        self.local_of = native_engine.operand(owner.local_of, np.int64)
+        self.widths = [len(b) for b in boundary_local]
+        self.routed = np.array(
+            [matrix is not None and width > 0 for width in self.widths],
+            dtype=np.int64,
+        )
+        self.bounds = np.zeros(self.k + 1, dtype=np.int64)
+        np.cumsum(self.widths, out=self.bounds[1:])
+        self.matrix = matrix
+        self.shards = [
+            ShardRoute(
+                native_engine.operand(boundary, np.int64),
+                self.block(sid, sid) if routed else None,
+            )
+            for sid, (boundary, routed) in enumerate(
+                zip(boundary_local, self.routed.tolist())
+            )
+        ]
+        self._bound = native_engine.bind_route(
+            self.n,
+            self.k,
+            self.region_of,
+            self.local_of,
+            self.routed,
+            self.bounds,
+            matrix,
+        )
+
+    @property
+    def address(self) -> int:
+        """The routing record's address."""
+        return self._bound.address
+
+    def holds(self, owner, matrix: np.ndarray | None) -> bool:
+        """Whether *owner* still holds the arrays this state was made
+        from and *matrix* is the overlay matrix it binds."""
+        region_of, local_of, boundary_local, held = self._sources
+        return (
+            region_of is owner.region_of
+            and local_of is owner.local_of
+            and boundary_local is owner.boundary_local
+            and held is matrix
+        )
+
+    def block(self, i: int, j: int) -> np.ndarray:
+        """The overlay block ``(i, j)``: a view of the matrix."""
+        bounds = self.bounds
+        return self.matrix[bounds[i] : bounds[i + 1], bounds[j] : bounds[j + 1]]
+
+
 class BatchSplit:
     """A pair batch cut into at most one sub-query per shard.
 
     Every pair puts a source entry into its source shard and a target
-    entry into its target shard; one stable sort over the entries' group
-    keys lays each shard's entries out as one run: its cross sources by
-    target region, its cross targets by source region, then its intra
-    sources and intra targets. The sort keeps batch order within a
-    group, so a region pair's sources and targets line up, and so do an
-    intra pair's two ends.
+    entry into its target shard; one stable counting sort over the
+    entries' group keys (``dhl_batch_split``) lays each shard's entries
+    out as one run: its cross sources by target region, its cross
+    targets by source region, then its intra sources and intra targets.
+    The sort keeps batch order within a group, so a region pair's
+    sources and targets line up, and so do an intra pair's two ends.
 
-    ``subs`` maps each shard the batch needs to its ``(s, t, fan,
-    block)`` sub-query in local ids, ``block`` being its own overlay
-    block when its intra pairs have a boundary route (else ``None``);
-    ``intra`` maps it to the positions its finals answer. ``routes``
-    lists each routed cross region pair as ``(i, j, positions, src,
-    dst)``: where its sources start in shard i's fan, its targets in
-    shard j's.
+    *s* / *t* are parallel global-id arrays, or *s* alone an ``(m, 2)``
+    pair array. ``subs`` maps each shard the batch needs to its ``(s,
+    t, fan, block)`` sub-query in local ids, ``block`` being its own
+    overlay block when its intra pairs have a boundary route (else
+    ``None``); ``intra`` maps it to the positions its finals answer.
+    ``routes`` lists each routed cross region pair as ``(i, j,
+    positions, src, dst)``: where its sources start in shard i's fan,
+    its targets in shard j's. An id outside ``[0, n)`` raises
+    :class:`~repro.exceptions.VertexNotFound`.
     """
 
-    def __init__(self, owner, s: np.ndarray, t: np.ndarray):
+    def __init__(self, owner, s: np.ndarray, t: np.ndarray | None = None):
         self.owner = owner
-        k, m = owner.k, len(s)
-        rs, rt = owner.region_of[s], owner.region_of[t]
-        #: Shards with a boundary route: an overlay and boundary vertices.
-        self.routed = np.array(
-            [owner.overlay is not None and len(b) > 0 for b in owner.boundary_local]
-        )
-        intra = rs == rt
-        self.self_pairs = s == t
-        self.intra_pairs = int(np.count_nonzero(intra))
+        if t is not None:
+            s = np.stack((_local_ids(s), _local_ids(t)), axis=1)
+        self.pairs = pairs = native_engine.operand(as_pair_array(s), np.int64)
+        self.routing = routing = owner.engine.routing()
+        self.arena, self.intra_pairs = native_engine.batch_split(routing, pairs)
+        m, k = len(pairs), owner.k
         self.cross_pairs = m - self.intra_pairs
-        # Group key: shard * width + (target region | k + source region |
-        # 2k for an intra source | 2k + 1 for an intra target). A cross
-        # pair without a route goes to one group past every shard's.
+        self.routed = routing.routed
+        self.order = order = self.arena[: 2 * m]
+        self.local = local = self.arena[2 * m : 4 * m]
+        self.bounds = bounds = self.arena[4 * m :].tolist()
         width = 2 * k + 2
-        key = np.empty(2 * m, dtype=np.int64)
-        np.add(rs * width, np.where(intra, 2 * k, rt), out=key[:m])
-        np.add(rt * width, np.where(intra, 2 * k + 1, rs + k), out=key[m:])
-        if not self.routed.all():
-            lost = ~intra & ~(self.routed[rs] & self.routed[rt])
-            key[:m][lost] = key[m:][lost] = k * width
-        # Small keys take numpy's radix sort.
-        order = np.argsort(key.astype(np.min_scalar_type(k * width)), kind="stable")
-        local = np.concatenate((owner.local_of[s], owner.local_of[t]))[order]
-        bounds = np.zeros(k * width + 2, dtype=np.int64)
-        np.cumsum(np.bincount(key, minlength=k * width + 1), out=bounds[1:])
-        bounds = bounds.tolist()
         self.subs: dict[int, tuple] = {}
         self.intra: dict[int, np.ndarray] = {}
-        for sid in range(k):
+        #: Each sub-query's entries ``fan | s | t`` as one run of
+        #: ``local``: ``(fan, lo, mid, hi)``.
+        self.spans: dict[int, tuple[int, int, int, int]] = {}
+        for sid, shard in enumerate(routing.shards):
             fan = bounds[sid * width]
             lo, mid, hi = bounds[sid * width + 2 * k : sid * width + 2 * k + 3]
             if fan < hi:
-                block = None
-                if mid > lo and self.routed[sid]:
-                    block = owner.engine.overlay_block(sid, sid)
+                block = shard.block if mid > lo else None
                 self.intra[sid] = order[lo:mid]
                 self.subs[sid] = (local[lo:mid], local[mid:hi], local[fan:lo], block)
-        self.routes = [
+                self.spans[sid] = (fan, lo, mid, hi)
+
+    @property
+    def self_pairs(self) -> np.ndarray:
+        """Each pair's ``s == t``."""
+        return self.pairs[:, 0] == self.pairs[:, 1]
+
+    @property
+    def routes(self) -> list[tuple]:
+        k, bounds, order = self.owner.k, self.bounds, self.order
+        width = 2 * k + 2
+        return [
             (
                 i,
                 j,
@@ -193,27 +305,10 @@ class BatchSplit:
     def answer(self, results: dict) -> np.ndarray:
         """The batch's distances from *results*, which maps a shard id to
         its :func:`shard_batch` triple: each shard's finals on its intra
-        positions, one :func:`min_plus_compact` per route whose two shards
-        both answered, ``inf`` for what a missing shard was needed for,
-        ``0.0`` on self-pairs."""
-        owner = self.owner
-        out = np.full(len(self.self_pairs), np.inf, dtype=np.float64)
-        for sid, at in self.intra.items():
-            if sid in results:
-                out[at] = results[sid][0]
-        for i, j, positions, src, dst in self.routes:
-            if i in results and j in results:
-                _, ds, ds_inverse = results[i]
-                _, dt, dt_inverse = results[j]
-                out[positions] = min_plus_compact(
-                    ds,
-                    ds_inverse[src : src + len(positions)],
-                    owner.engine.overlay_block(i, j),
-                    dt,
-                    dt_inverse[dst : dst + len(positions)],
-                )
-        out[self.self_pairs] = 0.0
-        return out
+        positions, the min-plus combine per route whose two shards both
+        answered, ``inf`` for what a missing shard was needed for,
+        ``0.0`` on self-pairs — one C call over the bound routing state."""
+        return native_engine.batch_answer(self.routing, self.pairs, self.arena, results)
 
     def route_only(self, sid: int):
         """Shard *sid*'s triple from the owner's own shard engine with the
@@ -227,7 +322,7 @@ class BatchSplit:
             fan=np.concatenate((fan, s, t)),
         )
         fan_rows, src, dst = np.split(inverse, [len(fan), len(fan) + len(s)])
-        block = owner.engine.overlay_block(sid, sid)
+        block = self.routing.block(sid, sid)
         route = min_plus_compact(matrix, src, block, matrix, dst)
         return route, matrix, fan_rows
 
@@ -238,23 +333,24 @@ class ShardedQueryEngine:
     def __init__(self, owner):
         # ``owner`` is the ShardedDHLIndex; the engine reads its shard
         # list, overlay index and id-mapping arrays but owns no state
-        # beyond the cached overlay matrix: ``(epoch, matrix, bounds)``,
-        # swapped whole.
+        # beyond the cached overlay matrix, ``(epoch, matrix, bounds)``
+        # swapped whole, and the routing state bound over it.
         self.owner = owner
         self._overlay_matrix: tuple[int, np.ndarray, np.ndarray] | None = None
+        self._routing: Routing | None = None
+
+    def __getstate__(self):
+        """Everything but the routing state: it holds this process's
+        addresses and is bound again at the first query."""
+        return {**self.__dict__, "_routing": None}
 
     # ------------------------------------------------------------------
     # overlay boundary-to-boundary blocks
     # ------------------------------------------------------------------
-    def overlay_block(self, i: int, j: int) -> np.ndarray:
-        """``(|B_i|, |B_j|)`` overlay distances, a view of one matrix.
-
-        The all-boundary overlay matrix is computed by one set-kernel
-        call per overlay epoch, its rows and columns ordered region by
-        region so every block is a plain slice. Public because the
-        shard runtime ships a shard its own block and combines the
-        cross region pairs in the parent.
-        """
+    def _matrix(self) -> tuple[np.ndarray, np.ndarray]:
+        """The all-boundary overlay matrix of the current overlay epoch
+        and its region bounds: one set-kernel call per epoch, rows and
+        columns ordered region by region so every block is a slice."""
         owner = self.owner
         overlay = owner.overlay
         cached = self._overlay_matrix
@@ -268,34 +364,61 @@ class ShardedQueryEngine:
                 bounds,
             )
             self._overlay_matrix = cached
-        _, matrix, bounds = cached
+        return cached[1], cached[2]
+
+    def overlay_block(self, i: int, j: int) -> np.ndarray:
+        """``(|B_i|, |B_j|)`` overlay distances, a view of one matrix.
+
+        Public because the shard runtime ships a shard its own block
+        and combines the cross region pairs in the parent.
+        """
+        matrix, bounds = self._matrix()
         return matrix[bounds[i] : bounds[i + 1], bounds[j] : bounds[j + 1]]
+
+    def routing(self) -> Routing:
+        """The bound :class:`Routing` state of the index as it is now:
+        made again when the overlay epoch moved or the index holds
+        another ``region_of``, ``local_of`` or boundary list."""
+        owner = self.owner
+        matrix = None if owner.overlay is None else self._matrix()[0]
+        routing = self._routing
+        if routing is None or not routing.holds(owner, matrix):
+            routing = self._routing = Routing(owner, matrix)
+        return routing
 
     # ------------------------------------------------------------------
     # queries
     # ------------------------------------------------------------------
+    def _answer(self, split: BatchSplit) -> np.ndarray:
+        """Each sub-query of *split* on its shard's engine and bound
+        route (its ids one run of the split's ``local``), then the
+        combine."""
+        shards, routes = self.owner.shards, split.routing.shards
+        local = split.local
+        results = {}
+        for sid, (fan, lo, mid, hi) in split.spans.items():
+            engine = shards[sid].engine
+            results[sid] = native_engine.shard_batch(
+                engine.labels,
+                engine.target_labels,
+                engine.kernel_tables(),
+                routes[sid],
+                local[fan:hi],
+                mid - lo,
+                lo - fan,
+                split.subs[sid][3] is not None,
+            )
+        return split.answer(results)
+
     def distances_arrays(self, s: np.ndarray, t: np.ndarray) -> np.ndarray:
         """Batch distances over parallel global-id arrays; an id outside
         ``[0, n)`` raises :class:`~repro.exceptions.VertexNotFound`."""
-        owner = self.owner
-        s = np.asarray(s, dtype=np.int64)
-        t = np.asarray(t, dtype=np.int64)
-        check_ids(owner.graph.num_vertices, s, t)
-        split = BatchSplit(owner, s, t)
-        return split.answer(
-            {
-                sid: shard_batch(
-                    owner.shards[sid].engine, owner.boundary_local[sid], *sub
-                )
-                for sid, sub in split.subs.items()
-            }
-        )
+        return self._answer(BatchSplit(self.owner, s, t))
 
     def distances(self, pairs) -> np.ndarray:
         """Batch distances for global-id pairs: an ``(m, 2)`` integer
         array or any iterable of ``(s, t)``."""
-        arr = as_pair_array(pairs)
-        return self.distances_arrays(arr[:, 0], arr[:, 1])
+        return self._answer(BatchSplit(self.owner, pairs))
 
     def distance(self, s: int, t: int) -> float:
         """Exact shortest-path distance (``inf`` when disconnected)."""
@@ -316,7 +439,8 @@ class ShardedQueryEngine:
         return size
 
     def invalidate_blocks(self) -> None:
-        """Drop the cached overlay matrix (called after overlay maintenance)."""
+        """Drop the cached overlay matrix (called after overlay
+        maintenance); the routing state binds the next one."""
         self._overlay_matrix = None
 
     def __repr__(self) -> str:  # pragma: no cover - repr sugar

@@ -3,7 +3,8 @@
 :func:`python_kernels` patches the entry points of
 :mod:`repro.labelling.native.engine` that the driver, the build and the
 queries call — the two maintenance sweeps, Algorithm 1's top-down pass,
-the K count, the pair, set and shard-batch kernels, the min-plus
+the K count, the pair (batch, pair-array and one-pair), set and
+shard-batch kernels, the min-plus combine, a sharded batch's split and
 combine and the result cache's probe and fill — with the bodies in
 this package. An index built, updated and
 queried inside it never enters C outside the partitioner (whose trees
@@ -18,7 +19,7 @@ from contextlib import contextmanager
 import pytest
 
 from repro.labelling.native import engine as native_engine
-from tests.oracles import build, cache, maintenance, query
+from tests.oracles import build, cache, maintenance, query, sharding
 
 __all__ = ["python_kernels"]
 
@@ -33,9 +34,13 @@ def python_kernels():
         mp.setattr(native_engine, "label_build", build.label_build)
         mp.setattr(native_engine, "common_ancestors", query.common_ancestors)
         mp.setattr(native_engine, "gather_pairs", query.pair_kernel)
+        mp.setattr(native_engine, "gather_pair_array", query.pair_array_kernel)
+        mp.setattr(native_engine, "gather_one", query.one_pair)
         mp.setattr(native_engine, "distance_matrix", query.distance_matrix)
         mp.setattr(native_engine, "shard_batch", query.shard_batch)
         mp.setattr(native_engine, "min_plus", query.min_plus)
+        mp.setattr(native_engine, "batch_split", sharding.batch_split)
+        mp.setattr(native_engine, "batch_answer", sharding.batch_answer)
         mp.setattr(native_engine, "cache_probe", cache.cache_probe)
         mp.setattr(native_engine, "cache_fill", cache.cache_fill)
         mp.setattr(native_engine, "cache_get", cache.cache_get)

@@ -8,10 +8,13 @@ the chunked numpy boundary-route combine: what
 :class:`repro.labelling.query.QueryEngine` and
 :mod:`repro.sharding.engine` ran before the C kernels were their only
 bodies. :func:`common_ancestors`, :func:`pair_kernel`,
-:func:`distance_matrix`, :func:`shard_batch` and :func:`min_plus` take
+:func:`pair_array_kernel`, :func:`one_pair`, :func:`distance_matrix`,
+:func:`shard_batch` and :func:`min_plus` take
 :mod:`repro.labelling.native.engine`'s arguments, so
 :func:`tests.oracles.kernels.python_kernels` can swap them in; the C
-side must give their bits. They read only the hierarchy of the
+side must give their bits. Like the kernels, they refuse an id outside
+``[0, n)`` with :class:`~repro.exceptions.VertexNotFound` before
+reading a row. They read only the hierarchy of the
 :class:`~repro.labelling.query.AncestorTables` they are handed, never
 its arrays, and keep their own H_Q-only tables per hierarchy.
 """
@@ -23,6 +26,7 @@ import weakref
 import numpy as np
 
 from repro.labelling.labels import HierarchicalLabelling
+from repro.utils.pairs import check_ids
 
 __all__ = [
     "FrexpTables",
@@ -30,6 +34,8 @@ __all__ = [
     "distance_matrix",
     "gather_pairs",
     "min_plus",
+    "one_pair",
+    "pair_array_kernel",
     "pair_kernel",
     "shard_batch",
 ]
@@ -247,6 +253,7 @@ def gather_pairs(
 def common_ancestors(tables, s, t) -> np.ndarray:
     """:class:`FrexpTables`' K count under
     :func:`repro.labelling.native.engine.common_ancestors`' signature."""
+    check_ids(len(tables.tau), s, t)
     return _static(tables).lca.counts(s, t)
 
 
@@ -256,6 +263,20 @@ def pair_kernel(labels_s, s, labels_t, t, tables, want_ranks=False):
     counted by :func:`common_ancestors`)."""
     k = common_ancestors(tables, s, t)
     return gather_pairs(labels_s, s, labels_t, t, k, want_ranks)
+
+
+def pair_array_kernel(labels_s, pairs, labels_t, tables, want_ranks=False):
+    """:func:`pair_kernel` under
+    :func:`repro.labelling.native.engine.gather_pair_array`' signature."""
+    return pair_kernel(labels_s, pairs[:, 0], labels_t, pairs[:, 1], tables, want_ranks)
+
+
+def one_pair(labels_s, labels_t, tables, one, s, t):
+    """:func:`pair_kernel` of one pair under
+    :func:`repro.labelling.native.engine.gather_one`' signature."""
+    one.ids[:] = s, t
+    out, ranks = pair_kernel(labels_s, one.ids[:1], labels_t, one.ids[1:], tables, True)
+    return float(out[0]), int(ranks[0])
 
 
 def distance_matrix(labels_s, sources, labels_t, targets, tables) -> np.ndarray:
@@ -273,6 +294,7 @@ def distance_matrix(labels_s, sources, labels_t, targets, tables) -> np.ndarray:
     through static H_Q-only tables kept for the last target set
     (:class:`_TargetTables`).
     """
+    check_ids(labels_s.num_vertices, sources, targets)
     out = np.full((len(sources), len(targets)), np.inf, dtype=np.float64)
     if not out.size:
         return out
@@ -324,13 +346,18 @@ def distance_matrix(labels_s, sources, labels_t, targets, tables) -> np.ndarray:
     return out
 
 
-def shard_batch(labels_s, labels_t, tables, boundary, block, s, t, fan):
+def shard_batch(labels_s, labels_t, tables, shard, ids, count, fans, use_block):
     """The numpy composition under
     :func:`repro.labelling.native.engine.shard_batch`' signature: the
     pair kernel, the set kernel over the unique endpoints and the
     boundary-route combine. Fan rows come back in ``np.unique`` order,
     not the C kernel's first-mention order; ``rows[fan_inverse]`` is
     the same either way."""
+    n = labels_s.num_vertices
+    check_ids(n, ids, shard.boundary)
+    fan, s, t = np.split(ids, [fans, fans + count])
+    boundary = shard.boundary
+    block = shard.block if use_block else None
     final = pair_kernel(labels_s, s, labels_t, t, tables)[0]
     ends = fan if block is None else np.concatenate((fan, s, t))
     uniq, inverse = np.unique(ends, return_inverse=True)
