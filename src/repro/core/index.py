@@ -18,7 +18,7 @@ as are the maintenance sweeps and the batch queries.
 Everything that does not depend on whether roads are edges or arcs lives
 once, in :class:`IndexCore`, written against the store contract
 (:class:`~repro.hierarchy.contraction.ContractionResult`: ``planes``,
-``edge_key``, ``label_planes``). :class:`DHLIndex` is the core over a
+``edge_key``, ``plane_views``). :class:`DHLIndex` is the core over a
 one-plane store; the directed index
 (:class:`~repro.core.directed.DirectedDHLIndex`) is the same core over a
 two-plane one.
@@ -133,7 +133,7 @@ class IndexCore:
         stats.contraction_seconds = t.seconds
 
         with Timer() as t, phase("build.labelling"):
-            labellings = [build_labelling(plane) for plane in hu.plane_views()]
+            labellings = [build_labelling(hu, plane) for plane in range(hu.planes)]
         stats.labelling_seconds = t.seconds
 
         index = cls(graph, hq, hu, *labellings, config, stats)

@@ -50,7 +50,7 @@ from repro.exceptions import SerializationError, SnapshotCorruptionError
 from repro.graph.digraph import DiGraph
 from repro.graph.io import graph_from_payload, graph_to_payload
 from repro.hierarchy.contraction import ContractionResult
-from repro.hierarchy.csr import ShortcutCSR
+from repro.hierarchy.csr import ShortcutCSR, check_capacity
 from repro.hierarchy.query_hierarchy import QueryHierarchy
 from repro.labelling.labels import HierarchicalLabelling
 
@@ -354,11 +354,12 @@ def _write_index_contents(index, path: Path) -> None:
     layout = _LAYOUTS[hu.planes]
 
     # The CSR shortcut store is already the on-disk ragged layout:
-    # rank-sorted rows, every weight plane aligned slot-for-slot.
+    # rank-sorted rows, every weight plane aligned slot-for-slot. Its
+    # int32 ids are written as the format's int64.
     planes = hu.up_weights.reshape(hu.planes, hu.csr.num_slots)
     arrays = {
-        "up_flat": hu.csr.indices,
-        "up_offsets": hu.csr.indptr,
+        "up_flat": hu.csr.indices.astype(np.int64),
+        "up_offsets": hu.csr.indptr.astype(np.int64),
         **dict(zip(layout.weight_keys, planes)),
         **_hq_payload(hq),
     }
@@ -375,7 +376,7 @@ def _write_index_contents(index, path: Path) -> None:
     if layout.kind == "directed":
         arrays.update(_arc_payload(graph))
     else:
-        arrays["order"] = hu.order
+        arrays["order"] = hu.order.astype(np.int64)
         manifest["graph"] = graph_to_payload(graph)
     np.savez_compressed(path / "arrays.npz", **arrays)
     for prefix, labels in zip(layout.label_prefixes, index.labellings):
@@ -416,15 +417,19 @@ def _store_from_payload(
     weight planes laid end to end), so nothing is re-sorted; a snapshot
     whose arrays do not fit together, or whose rows are not rank-sorted,
     is rejected — it is outside input and every slot lookup binary
-    searches ``slot_keys``.
+    searches ``slot_keys``. The int64 ids on disk are narrowed by the
+    :class:`ShortcutCSR` constructor once they are known to fit; a
+    snapshot of 2**31 or more slots raises
+    :class:`~repro.exceptions.StoreCapacityError` before that.
     """
     n = hq.n
+    indptr, indices = data["up_offsets"], data["up_flat"]
+    m = len(indices)
+    check_capacity(n, m)
     order = hq.contraction_order()
     rank = np.empty(n, dtype=np.int64)
     rank[order] = np.arange(n)
-    indptr, indices = data["up_offsets"], data["up_flat"]
     up_weights = np.concatenate([data[key] for key in weight_keys])
-    m = len(indices)
     if (
         len(indptr) != n + 1
         or indptr[0] != 0
@@ -437,7 +442,7 @@ def _store_from_payload(
     csr = ShortcutCSR(n, rank, indptr, indices)
     if np.any(np.diff(csr.slot_keys) <= 0):
         raise SerializationError("shortcut rows are not rank-sorted")
-    return ContractionResult(graph, order, rank, csr, up_weights)
+    return ContractionResult(graph, csr, up_weights)
 
 
 def load_index(

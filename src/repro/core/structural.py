@@ -204,7 +204,7 @@ def _rebuild(index, hq: QueryHierarchy) -> None:
     pure function of ``hq.tau``, which is always available.
     """
     hu = index._hierarchy.build(index.graph, hq)
-    index._adopt(hq, hu, [build_labelling(plane) for plane in hu.plane_views()])
+    index._adopt(hq, hu, [build_labelling(hu, plane) for plane in range(hu.planes)])
 
 
 def _subtree_vertices(hq: QueryHierarchy, node_id: int) -> list[int]:

@@ -15,6 +15,7 @@ __all__ = [
     "GraphFormatError",
     "PartitionError",
     "HierarchyError",
+    "StoreCapacityError",
     "IndexBuildError",
     "NativeUnavailableError",
     "MaintenanceError",
@@ -67,6 +68,15 @@ class PartitionError(ReproError):
 
 class HierarchyError(ReproError):
     """Inconsistent query/update hierarchy state."""
+
+
+class StoreCapacityError(HierarchyError, ValueError):
+    """A shortcut store would hold 2**31 or more vertices or slots.
+
+    The store keeps its ids and offsets as ``int32``; a build, a slot
+    growth or a load past that count raises this before any array is
+    narrowed.
+    """
 
 
 class IndexBuildError(ReproError):

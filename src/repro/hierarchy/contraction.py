@@ -67,30 +67,27 @@ class ContractionResult:
         maintenance algorithms; the shortcut structure never changes
         under weight updates).
     order:
-        Vertices in contraction order (earliest first).
+        Vertices in contraction order (earliest first): ``csr.order``.
     rank:
-        ``rank[v]`` = position of ``v`` in ``order``. Up-neighbours have
-        larger rank (contracted later).
+        ``rank[v]`` = position of ``v`` in ``order``: ``csr.rank``.
+        Up-neighbours have larger rank (contracted later).
     csr / up_weights:
         Structure and current weights — the single source of truth,
         replaced together and only through :meth:`rebind`.
+
+    The maintenance sweeps and the label build read the store through
+    one bound record (``native_engine.STORE_RECORD``), made on first
+    use and again whenever the store holds another structure or weight
+    buffer; a pickled store comes back with none.
     """
 
     planes = 1
 
-    __slots__ = ("graph", "order", "rank", "csr", "up_weights", "direct")
+    __slots__ = ("graph", "csr", "up_weights", "direct", "_record")
 
-    def __init__(
-        self,
-        graph,
-        order: np.ndarray,
-        rank: np.ndarray,
-        csr: ShortcutCSR,
-        up_weights: np.ndarray,
-    ):
+    def __init__(self, graph, csr: ShortcutCSR, up_weights: np.ndarray):
         self.graph = graph
-        self.order = np.asarray(order, dtype=np.int64)
-        self.rank = np.asarray(rank, dtype=np.int64)
+        self._record = None
         self.rebind(csr, up_weights)
 
     def rebind(self, csr: ShortcutCSR, up_weights: np.ndarray) -> None:
@@ -103,6 +100,23 @@ class ContractionResult:
         self.csr = csr
         self.up_weights = up_weights
         self.direct = None
+
+    def __setstate__(self, state) -> None:
+        # Older pickles also held ``order`` and ``rank`` as int64 arrays
+        # of their own, and no record; both arrays are the structure's now.
+        _, slots = state
+        self._record = None
+        for name, value in slots.items():
+            if name not in ("order", "rank"):
+                setattr(self, name, value)
+
+    @property
+    def order(self) -> np.ndarray:
+        return self.csr.order
+
+    @property
+    def rank(self) -> np.ndarray:
+        return self.csr.rank
 
     # -- addressing -----------------------------------------------------
     def shortcut_key(self, a: int, b: int) -> tuple[int, int]:
@@ -159,15 +173,9 @@ class ContractionResult:
 
     def plane_views(self) -> tuple:
         """Every weight plane shaped like a one-plane store (``tau``,
-        ``csr``, that plane's ``up_weights``) — what Algorithm 1 and the
-        label sweeps read. With one plane that is the store itself."""
+        ``csr``, that plane's ``up_weights``). With one plane that is
+        the store itself."""
         return (self,)
-
-    def label_planes(self, labels) -> list[tuple]:
-        """``(one-plane store, labelling)`` per weight plane — what the
-        label phase of the maintenance driver runs over. *labels* holds
-        one labelling per plane."""
-        return list(zip(self.plane_views(), labels))
 
     # -- weight access --------------------------------------------------
     def has_shortcut(self, a: int, b: int) -> bool:
@@ -207,7 +215,7 @@ class ContractionResult:
 
     def memory_bytes(self) -> int:
         """Footprint of the store: every CSR array and every weight plane."""
-        return self.csr.memory_bytes() + self.up_weights.nbytes + self.order.nbytes
+        return self.csr.memory_bytes() + self.up_weights.nbytes
 
     # -- invariant checks (used heavily in tests) ------------------------
     def verify_minimum_weight_property(self, tolerance: float = 0.0) -> None:
@@ -227,7 +235,7 @@ class ContractionResult:
             a, b = (u, v) if plane else (v, u)
             expected = graph.weight(a, b) if graph.has_edge(a, b) else math.inf
             slots_v, slots_u = csr.common_down(v, u)
-            if len(slots_v):
+            if len(slots_v):  # int64 slots: a plane offset cannot wrap
                 triangles = (
                     weights[slots_v + m * (self.planes - 1 - plane)]
                     + weights[slots_u + m * plane]
@@ -279,7 +287,7 @@ def unweighted_store(
     rank = np.empty(n, dtype=np.int64)
     rank[order] = np.arange(n)
     csr = eliminate(skeleton, order, rank)
-    return ContractionResult(graph, order, rank, csr, np.empty(planes * csr.num_slots))
+    return ContractionResult(graph, csr, np.empty(planes * csr.num_slots))
 
 
 def weighed(store):

@@ -29,6 +29,34 @@ the store then fills its weight planes by Algorithm 2. :func:`extend_slots`
 and :func:`compact_slots` are the two ways the structure changes after
 construction; both permute every weight plane alongside and hand the
 result to the store's ``rebind``.
+
+Every id and offset array is ``int32``, narrowed in one place — the
+:class:`ShortcutCSR` constructor — so a build, :func:`extend_slots`,
+:func:`compact_slots`, a snapshot load and an unpickle all land on it:
+
+==================  =========  ===========================================
+array               dtype      items
+==================  =========  ===========================================
+``rank``            int32      ``n``: contraction rank per vertex
+``order``           int32      ``n``: vertices by rank (``rank``'s inverse)
+``indptr``          int32      ``n + 1``
+``indices``         int32      ``m``: each slot's shallower endpoint
+``ranks``           int32      ``m``: ``rank[indices]``
+``owners``          int32      ``m``: each slot's deeper endpoint
+``slot_keys``       int64      ``m``: ``owners * n + ranks``
+``down_indptr``     int32      ``n + 1``
+``down_indices``    int32      ``m``
+``down_slots``      int32      ``m``
+==================  =========  ===========================================
+
+``slot_keys`` stays 8 bytes (``owner * n + rank`` passes 2**31 above
+46,341 vertices), and so do the store's ``float64`` weight planes: a
+slot costs 20 id bytes, 8 key bytes and 8 bytes per plane. A structure
+of 2**31 or more vertices or slots raises
+:class:`~repro.exceptions.StoreCapacityError` before anything is
+narrowed. Arithmetic that can pass 2**31 — a slot key, a weight cell
+``slot + m * plane`` — is done in ``int64``: numpy keeps ``int32 *
+int`` in ``int32`` and wraps silently.
 """
 
 from __future__ import annotations
@@ -37,12 +65,33 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from repro.exceptions import StoreCapacityError
+
 __all__ = [
     "ShortcutCSR",
     "build_shortcut_csr",
     "extend_slots",
     "compact_slots",
+    "check_capacity",
 ]
+
+#: The dtype of every id and offset array of the structure.
+_ID_DTYPE = np.dtype(np.int32)
+_ID_LIMIT = 2**31
+
+
+def check_capacity(n: int, m: int) -> None:
+    """Raise :class:`~repro.exceptions.StoreCapacityError` when *n*
+    vertices or *m* slots do not fit the structure's ``int32`` ids."""
+    if n >= _ID_LIMIT or m >= _ID_LIMIT:
+        raise StoreCapacityError(
+            f"a shortcut store of {n} vertices and {m} slots does not fit "
+            f"int32 ids (fewer than 2**31 of each)"
+        )
+
+
+def _ids(arr) -> np.ndarray:
+    return np.ascontiguousarray(arr, dtype=_ID_DTYPE)
 
 
 class ShortcutCSR:
@@ -52,6 +101,9 @@ class ShortcutCSR:
     ----------
     n:
         Vertex count.
+    rank / order:
+        Contraction rank per vertex and its inverse (vertices, earliest
+        contracted first).
     indptr / indices:
         Up-adjacency rows, each sorted by contraction rank.
     ranks:
@@ -68,9 +120,10 @@ class ShortcutCSR:
         shortcut's up-slot index.
     """
 
-    __slots__ = (
-        "n",
+    #: Every array of the structure, in :meth:`memory_bytes` order.
+    ARRAYS = (
         "rank",
+        "order",
         "indptr",
         "indices",
         "ranks",
@@ -81,6 +134,10 @@ class ShortcutCSR:
         "down_slots",
     )
 
+    # Weak references let a store's bound record tell by identity
+    # whether it still holds this structure.
+    __slots__ = ("n", *ARRAYS, "__weakref__")
+
     def __init__(
         self,
         n: int,
@@ -88,27 +145,30 @@ class ShortcutCSR:
         indptr: np.ndarray,
         indices: np.ndarray,
     ):
+        check_capacity(n, len(indices))
         self.n = n
-        self.rank = rank
-        self.indptr = indptr
-        self.indices = indices
-        self.ranks = rank[indices]
-        counts = np.diff(indptr)
-        self.owners = np.repeat(np.arange(n, dtype=np.int64), counts)
-        self.slot_keys = self.owners * np.int64(n) + self.ranks
+        self.rank = _ids(rank)
+        self.indptr = _ids(indptr)
+        self.indices = _ids(indices)
+        self.order = np.empty(n, dtype=_ID_DTYPE)
+        self.order[self.rank] = np.arange(n, dtype=_ID_DTYPE)
+        self.ranks = self.rank[self.indices]
+        counts = np.diff(self.indptr)
+        self.owners = np.repeat(np.arange(n, dtype=_ID_DTYPE), counts)
+        self.slot_keys = self.owners.astype(np.int64) * n + self.ranks
         # Reverse (down) CSR: group slots by the shallow endpoint, order
         # each group by the deep endpoint's vertex id.
         down_order = np.lexsort((self.owners, self.indices))
         self.down_indices = self.owners[down_order]
-        self.down_slots = down_order.astype(np.int64)
-        down_counts = np.bincount(self.indices, minlength=n)
-        self.down_indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(down_counts, out=self.down_indptr[1:])
+        self.down_slots = down_order.astype(_ID_DTYPE)
+        self.down_indptr = np.zeros(n + 1, dtype=_ID_DTYPE)
+        np.cumsum(np.bincount(self.indices, minlength=n), out=self.down_indptr[1:])
 
     # -- pickling ---------------------------------------------------------
     def __getstate__(self):
         # Derived tables are cheap relative to pickling them; ship only
-        # the defining arrays and rebuild on the far side.
+        # the defining arrays and rebuild on the far side (which narrows
+        # an older pickle's int64 arrays).
         return (self.n, self.rank, self.indptr, self.indices)
 
     def __setstate__(self, state) -> None:
@@ -121,8 +181,9 @@ class ShortcutCSR:
         return len(self.indices)
 
     def memory_bytes(self) -> int:
-        """Bytes held by every array of the structure (``rank`` included)."""
-        return sum(getattr(self, name).nbytes for name in self.__slots__[1:])
+        """Bytes held by every array of the structure (``rank`` and
+        ``order`` included)."""
+        return sum(getattr(self, name).nbytes for name in self.ARRAYS)
 
     def row_bounds(self, v: int) -> tuple[int, int]:
         return int(self.indptr[v]), int(self.indptr[v + 1])
@@ -138,7 +199,7 @@ class ShortcutCSR:
     # -- slot resolution --------------------------------------------------
     def slot_of(self, lo: int, hi: int) -> int:
         """Weight slot of shortcut ``(lo, hi)``; raises when absent."""
-        key = lo * self.n + int(self.rank[hi])
+        key = int(lo) * self.n + int(self.rank[hi])
         slot = int(np.searchsorted(self.slot_keys, key))
         if slot >= len(self.slot_keys) or self.slot_keys[slot] != key:
             raise KeyError(f"no shortcut ({lo}, {hi})")
@@ -146,7 +207,7 @@ class ShortcutCSR:
 
     def find_slot(self, lo: int, hi: int) -> int:
         """Like :meth:`slot_of` but returns -1 when the pair is absent."""
-        key = lo * self.n + int(self.rank[hi])
+        key = int(lo) * self.n + int(self.rank[hi])
         slot = int(np.searchsorted(self.slot_keys, key))
         if slot >= len(self.slot_keys) or self.slot_keys[slot] != key:
             return -1
@@ -164,7 +225,8 @@ class ShortcutCSR:
         Returns ``(slots_a, slots_b)``: for each shared down-neighbour
         ``x`` (a vertex contracted before both), the slots of shortcuts
         ``(x, a)`` and ``(x, b)``. Runs as a sorted intersection of the
-        two down rows.
+        two down rows. The slots come back as ``int64``, so a caller
+        may add a plane offset to them.
         """
         sa, ea = int(self.down_indptr[a]), int(self.down_indptr[a + 1])
         sb, eb = int(self.down_indptr[b]), int(self.down_indptr[b + 1])
@@ -173,7 +235,8 @@ class ShortcutCSR:
         _, ia, ib = np.intersect1d(
             xs_a, xs_b, assume_unique=True, return_indices=True
         )
-        return self.down_slots[sa + ia], self.down_slots[sb + ib]
+        slots = self.down_slots
+        return slots[sa + ia].astype(np.int64), slots[sb + ib].astype(np.int64)
 
 
 def build_shortcut_csr(rows: Sequence[Iterable[int]], rank: np.ndarray) -> ShortcutCSR:
@@ -188,6 +251,7 @@ def build_shortcut_csr(rows: Sequence[Iterable[int]], rank: np.ndarray) -> Short
     rank = np.asarray(rank, dtype=np.int64)
     counts = np.fromiter((len(r) for r in rows), dtype=np.int64, count=n)
     m = int(counts.sum())
+    check_capacity(n, m)
     indptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(counts, out=indptr[1:])
     indices = np.fromiter(
@@ -225,6 +289,7 @@ def extend_slots(store, new_lo: np.ndarray, new_hi: np.ndarray) -> None:
         return
     csr = store.csr
     n = csr.n
+    check_capacity(n, csr.num_slots + k)
     new_keys = new_lo * np.int64(n) + csr.rank[new_hi]
     if len(np.unique(new_keys)) != k:
         raise ValueError("extend_slots: duplicate pairs in batch")

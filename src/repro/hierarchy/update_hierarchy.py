@@ -52,8 +52,7 @@ class UpdateHierarchy(ContractionResult):
         # Adopt the base result's storage wholesale — the CSR arrays are
         # the source of truth and must not be copied or rebuilt.
         self.graph = base.graph
-        self.order = base.order
-        self.rank = base.rank
+        self._record = None
         self.rebind(base.csr, base.up_weights)
         self.tau = np.asarray(hq.tau, dtype=np.int64)
         self.hq = hq

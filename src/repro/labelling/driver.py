@@ -214,8 +214,8 @@ def maintain(
     every change seeds the same sweeps by its own direction.
 
     *store* is the index's shortcut store and *labels* one labelling
-    per weight plane of it (``label_planes`` pairs them up): a 1-tuple
-    for the undirected hierarchy, ``(out, in)`` for the directed one.
+    per weight plane of it, in plane order: a 1-tuple for the
+    undirected hierarchy, ``(out, in)`` for the directed one.
 
     Nothing is written unless the whole batch validates. Returns
     ``None`` when no change moves a weight — nothing was applied.
@@ -247,20 +247,21 @@ def maintain(
                     store.csr, cells, first_old[cells]
                 ),
             )
-        for plane, (view, labelling) in enumerate(store.label_planes(labels)):
+        for plane, labelling in enumerate(labels):
             lo, hi = np.searchsorted(cells, (plane * m, (plane + 1) * m))
             if lo == hi:
                 continue
             window = slice(plane * m, (plane + 1) * m)
             labelling.ensure_writable()
             with phase("maintain.label_sweep"):
-                marks = maintenance.entry_marks(len(labelling.values), view.csr.n)
+                marks = maintenance.entry_marks(len(labelling.values), store.csr.n)
                 stats.entries_processed += native_engine.label_sweep(
-                    view,
+                    store,
                     labelling,
                     cells[lo:hi] - plane * m,
                     (changed[window], first_old[window]),
                     marks,
+                    plane=plane,
                 )
             with phase("maintain.stats"):
                 *_, touched_vertices, count = marks

@@ -63,11 +63,12 @@ _COMPILERS = ("cc", "gcc", "clang")
 
 _i64, _ptr = ctypes.c_int64, ctypes.c_void_p
 #: ``name -> (restype, argtypes)`` of every exported function; pointers
-#: travel as integer addresses. The query kernels' first pointers are
+#: travel as integer addresses. The query kernels' first pointers, and
+#: the sweeps' and the label build's store and labels pointers, are
 #: bound records (:class:`repro.labelling.native.engine.Bound`: a label
-#: store, the LCA tables, a shard's boundary, the routing state) whose
-#: fields hold their owners' buffer addresses; the pointers after them
-#: are the call's own operands and output arena.
+#: store, the LCA tables, a shard's boundary, the routing state, a
+#: shortcut store) whose fields hold their owners' buffer addresses; the
+#: other pointers are the call's own operands and output arena.
 SIGNATURES = {
     "dhl_common_ancestors": (_i64, [_ptr, _i64, _ptr, _ptr, _i64, _ptr]),
     "dhl_gather_pairs": (_i64, [_ptr] * 3 + [_i64, _ptr, _ptr, _i64, _ptr, _ptr]),
@@ -79,14 +80,8 @@ SIGNATURES = {
     "dhl_shard_batch": (_i64, [_ptr] * 4 + [ctypes.c_int, _i64, _i64, _ptr, _ptr]),
     "dhl_batch_split": (_i64, [_ptr, _i64, _ptr, _ptr, _i64, _ptr]),
     "dhl_batch_answer": (_i64, [_ptr, _i64, _ptr, _ptr, _i64] + [_ptr] * 4),
-    "dhl_shortcut_sweep": (
-        ctypes.c_int,
-        [_i64, _ptr, _i64, _ptr, _i64, _ptr, _i64] + [_ptr] * 13,
-    ),
-    "dhl_label_sweep": (
-        _i64,
-        [_i64, _ptr, _ptr, _ptr, _i64, _ptr, _i64] + [_ptr] * 14,
-    ),
+    "dhl_shortcut_sweep": (ctypes.c_int, [_i64, _ptr, _i64, _ptr] + [_ptr] * 6),
+    "dhl_label_sweep": (_i64, [_i64, _ptr, _ptr, _i64] + [_ptr] * 8),
     "dhl_fm_refine": (
         ctypes.c_int,
         [_i64, _i64] + [_ptr] * 4 + [_i64, _i64] + [_ptr] * 2,
@@ -111,7 +106,7 @@ SIGNATURES = {
     "dhl_part_project": (None, [_ptr]),
     "dhl_part_result": (None, [_ptr] * 4),
     "dhl_part_split": (_i64, [_ptr]),
-    "dhl_label_build": (None, [_i64] + [_ptr] * 7),
+    "dhl_label_build": (None, [_ptr, _i64, _ptr, _ptr]),
     "dhl_cache_probe": (
         ctypes.c_int, [_ptr, _i64, _ptr, ctypes.c_int] + [_ptr] * 5
     ),

@@ -9,13 +9,14 @@
  * another; tie rules in their section) and Algorithm 1's top-down pass,
  * and the service's result cache: the probe and the fill of its
  * set-associative pair table.
- * Plain C99 over int64_t / double / uint8_t pointers; built at first
- * use by repro.labelling.native and called through ctypes, which
- * validates dtype, contiguity, alignment and lengths, and range-checks
- * every permutation, side byte and maintenance id, before a pointer
- * gets here. The query kernels read their owners' buffers through
- * bound records and check their own vertex ids and row maps before
- * they read a row.
+ * Plain C99 over int64_t / int32_t / double / uint8_t pointers; built
+ * at first use by repro.labelling.native and called through ctypes,
+ * which validates dtype, contiguity, alignment and lengths, and
+ * range-checks every permutation, side byte and maintenance id, before
+ * a pointer gets here. The query kernels, the sweeps and the label
+ * build read their owners' buffers through bound records; the query
+ * kernels check their own vertex ids and row maps before they read a
+ * row.
  *
  * The sweeps are scalar fixpoints in the paper's order over an
  * array-backed binary min-heap. The heap is lazy: an in_queue byte per
@@ -198,7 +199,7 @@ static inline void mark_entry(int64_t pos, int64_t v, uint8_t *changed,
 /* Slot of pair (deeper, the vertex of contraction rank r): rows are
    sorted by rank, so one binary search of deeper's up row; -1 where
    compaction removed the pair. */
-static int64_t find_slot(const int64_t *indptr, const int64_t *ranks,
+static int64_t find_slot(const int32_t *indptr, const int32_t *ranks,
                          int64_t deeper, int64_t r) {
     int64_t lo = indptr[deeper], hi = indptr[deeper + 1], end = hi;
     while (lo < hi) {
@@ -216,20 +217,22 @@ static int64_t find_slot(const int64_t *indptr, const int64_t *ranks,
 /* ------------------------------------------------------------------ */
 
 /*
- * The query path reads its owners' buffers through bound records: each
+ * The kernels read their owners' buffers through bound records: each
  * owner's arrays are checked once on the Python side and their
  * addresses written to one record of int64 fields, which every call
  * passes by pointer (repro.labelling.native.engine: LABELS_RECORD,
- * LCA_RECORD, SHARD_RECORD, ROUTE_RECORD). The record is rebound
- * whenever its owner holds another array, so an address here is always
- * one of a live buffer the owner still holds.
+ * LCA_RECORD, SHARD_RECORD, ROUTE_RECORD, STORE_RECORD). The record is
+ * rebound whenever its owner holds another array, so an address here is
+ * always one of a live buffer the owner still holds.
  */
 #define BOUND(type, addr) ((type *)(uintptr_t)(addr))
 
-/* A flat label store: n vertices, label v at values + offsets[v]. */
+/* A flat label store: n vertices, label v at values + offsets[v] in a
+   buffer of capacity doubles. */
 typedef struct {
     int64_t n;
     int64_t values, offsets; /* addresses */
+    int64_t capacity;
 } labels_record_t;
 
 /*
@@ -820,6 +823,49 @@ int64_t dhl_batch_answer(const route_record_t *r, int64_t m, const int64_t *s,
 }
 
 /* ------------------------------------------------------------------ */
+/* the shortcut store                                                  */
+/* ------------------------------------------------------------------ */
+
+/*
+ * A shortcut store (repro.hierarchy.csr): m slots over n vertices, its
+ * ids and offsets int32, planes weight planes laid end to end in one
+ * double buffer (cell = slot + m * plane). tau (int64) is the update
+ * hierarchy's, 0 for a store without one; the label kernels are only
+ * handed a store that has it, whose every slot points to an ancestor.
+ */
+typedef struct {
+    int64_t n, m, planes;
+    int64_t weights; /* addresses from here on */
+    int64_t indptr, indices, ranks, owners;
+    int64_t down_indptr, down_indices, down_slots;
+    int64_t rank, tau;
+} store_record_t;
+
+typedef struct {
+    int64_t n, m, cells;
+    double *weights;
+    const int32_t *indptr, *indices, *ranks, *owners;
+    const int32_t *down_indptr, *down_indices, *down_slots, *rank;
+    const int64_t *tau;
+} store_t;
+
+static store_t store_open(const store_record_t *r)
+{
+    store_t st = {r->n, r->m, r->m * r->planes,
+                  BOUND(double, r->weights),
+                  BOUND(const int32_t, r->indptr),
+                  BOUND(const int32_t, r->indices),
+                  BOUND(const int32_t, r->ranks),
+                  BOUND(const int32_t, r->owners),
+                  BOUND(const int32_t, r->down_indptr),
+                  BOUND(const int32_t, r->down_indices),
+                  BOUND(const int32_t, r->down_slots),
+                  BOUND(const int32_t, r->rank),
+                  BOUND(const int64_t, r->tau)};
+    return st;
+}
+
+/* ------------------------------------------------------------------ */
 /* the shortcut sweep (Algorithms 2 and 3)                             */
 /* ------------------------------------------------------------------ */
 
@@ -844,18 +890,22 @@ int64_t dhl_batch_answer(const route_record_t *r, int64_t m, const int64_t *s,
  * is not a queued suspect relaxes a target that is not one. Returns 1,
  * stopping early, when a finite candidate targets a pair compaction
  * removed (the contract's fallback signal), 0 otherwise, DHL_NOMEM on
- * failure.
+ * failure. The store is read through its bound record; the seeds,
+ * direct (one double a cell) and the marks are the call's own.
  */
 int dhl_shortcut_sweep(
     int64_t num_raised, const int64_t *raised,
     int64_t num_lowered, const int64_t *lowered,
-    int64_t num_cells, double *weights,
-    int64_t m, const int64_t *indptr, const int64_t *indices,
-    const int64_t *ranks, const int64_t *owners,
-    const int64_t *down_indptr, const int64_t *down_indices,
-    const int64_t *down_slots, const double *direct, const int64_t *rank,
+    const store_record_t *record, const double *direct,
     uint8_t *changed, double *first_old, int64_t *touched, int64_t *count)
 {
+    const store_t st = store_open(record);
+    const int64_t m = st.m, num_cells = st.cells;
+    double *weights = st.weights;
+    const int32_t *indptr = st.indptr, *indices = st.indices;
+    const int32_t *ranks = st.ranks, *owners = st.owners, *rank = st.rank;
+    const int32_t *down_indptr = st.down_indptr;
+    const int32_t *down_indices = st.down_indices, *down_slots = st.down_slots;
     heap_t h;
     int status = heap_init(&h, num_cells, num_raised + num_lowered);
     int64_t last = num_cells - m; /* offset of the last plane */
@@ -899,7 +949,7 @@ int dhl_shortcut_sweep(
             weights[cell] = now;
         }
         int spreads = !suspect || now != was, rose = now > was;
-        for (int64_t leg = indptr[v]; leg < indptr[v + 1]; leg++) {
+        for (int64_t leg = indptr[v], end = indptr[v + 1]; leg < end; leg++) {
             int64_t partner = leg + opposite;
             if (leg == slot || (!spreads && !changed[partner]))
                 continue;
@@ -987,21 +1037,29 @@ static int64_t label_width(int64_t n, const int64_t *tau) {
  * The changed marks come in fresh: a row's marks at its pop are its
  * lowered entries. Everything the sweep allocates is had before its
  * first write, so DHL_NOMEM from the allocations means nothing was
- * written, marked or listed. Returns the entries handled (each lowered
- * or suspect entry once), DHL_NOMEM on failure.
+ * written, marked or listed. The store (its plane-th weight plane) and
+ * the labels are read through their bound records; the slots, the
+ * shortcut marks and the entry marks are the call's own. Returns the
+ * entries handled (each lowered or suspect entry once), DHL_NOMEM on
+ * failure.
  */
 int64_t dhl_label_sweep(
     int64_t num_slots, const int64_t *slots,
+    const store_record_t *record, int64_t plane,
+    const labels_record_t *labels,
     const uint8_t *slot_changed, const double *slot_old,
-    int64_t capacity, double *values,
-    int64_t n, const int64_t *offsets, const int64_t *tau,
-    const double *weights,
-    const int64_t *indptr, const int64_t *indices, const int64_t *owners,
-    const int64_t *down_indptr, const int64_t *down_indices,
-    const int64_t *down_slots,
     uint8_t *changed, int64_t *touched, uint8_t *vertex_marks,
     int64_t *touched_vertices, int64_t *count)
 {
+    const store_t st = store_open(record);
+    const int64_t n = st.n, capacity = labels->capacity;
+    const double *weights = st.weights + st.m * plane;
+    const int32_t *indptr = st.indptr, *indices = st.indices;
+    const int32_t *owners = st.owners, *down_indptr = st.down_indptr;
+    const int32_t *down_indices = st.down_indices, *down_slots = st.down_slots;
+    const int64_t *tau = st.tau;
+    double *values = BOUND(double, labels->values);
+    const int64_t *offsets = BOUND(const int64_t, labels->offsets);
     heap_t h;
     int status = heap_init(&h, n, num_slots), raised = 0;
     for (int64_t s = 0; !status && s < num_slots; s++)
@@ -2483,13 +2541,21 @@ int64_t dhl_part_split(part_t *p) {
  * L_v[:k] to w(v, w) + L_w[:k] (k = tau(w) + 1) over its up slots, in
  * slot order. The caller has seeded the diagonal and the shortcut
  * weights; each candidate is the one double sum numpy's pass adds, so
- * the labels are its bits. Allocates nothing.
+ * the labels are its bits. The store (its plane-th weight plane) and
+ * the labels are read through their bound records, order (the stable
+ * tau order, n ids) is the call's own. Allocates nothing.
  */
 void dhl_label_build(
-    int64_t n, const int64_t *order, const int64_t *indptr,
-    const int64_t *indices, const double *weights, const int64_t *tau,
-    const int64_t *offsets, double *values)
+    const store_record_t *record, int64_t plane,
+    const labels_record_t *labels, const int64_t *order)
 {
+    const store_t st = store_open(record);
+    const int64_t n = st.n;
+    const double *weights = st.weights + st.m * plane;
+    const int32_t *indptr = st.indptr, *indices = st.indices;
+    const int64_t *tau = st.tau;
+    double *values = BOUND(double, labels->values);
+    const int64_t *offsets = BOUND(const int64_t, labels->offsets);
     for (int64_t i = 0; i < n; i++) {
         int64_t v = order[i];
         double *row = values + offsets[v];

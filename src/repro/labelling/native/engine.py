@@ -15,26 +15,29 @@ themselves. :func:`operand` is how a caller meets the checks with any
 array-like, copying only what is not a fit already; :func:`address`
 is the one place an address is read.
 
-**The query path binds once.** Each owner of a buffer the queries
-read keeps one :class:`Bound` record: its arrays are checked and their
-addresses written to the record when it is bound, and every kernel
-call passes the record's address. The owners are
-:class:`~repro.labelling.labels.HierarchicalLabelling`
+**Owned buffers are bound once.** Each owner of a buffer the kernels
+read keeps one :class:`Bound` record: its arrays are checked (dtype,
+C-contiguity, alignment, length and, for a buffer a kernel writes,
+writability) and their addresses written to the record when it is
+bound, and every kernel call passes the record's address. The owners
+are :class:`~repro.labelling.labels.HierarchicalLabelling`
 (:data:`LABELS_RECORD`), :class:`~repro.labelling.query.AncestorTables`
 (:data:`LCA_RECORD`), a shard's boundary and overlay block
-(:class:`ShardRoute`, :data:`SHARD_RECORD`) and the sharded index's
-routing state (:func:`bind_route`, :data:`ROUTE_RECORD`). A wrapper
+(:class:`ShardRoute`, :data:`SHARD_RECORD`), the sharded index's
+routing state (:func:`bind_route`, :data:`ROUTE_RECORD`) and the
+shortcut store (:class:`~repro.hierarchy.contraction.ContractionResult`,
+:data:`STORE_RECORD`: its int32 CSR arrays, its weight buffer and
+``tau``), which the two sweeps and the label build read. A wrapper
 binds again whenever an array the record was made from is no longer
-the one its owner holds — an identity check, so label growth,
-compaction, copy-on-write, a republish, an unpickle, a load or a
-shared-memory attach needs no hook where it happens — and a record
+the one its owner holds — an identity check, so label growth, slot
+growth, compaction, copy-on-write, a republish, an unpickle, a load or
+a shared-memory attach needs no hook where it happens — and a record
 that is pickled or copied comes back unbound. A call reads only the
 addresses of its own operands: the pair array (read in place, strided)
-and one output arena; a one-pair query reads none (:class:`OnePair`).
-
-The maintenance sweeps and the build read their addresses on every
-call. So does the service's result-cache table (:class:`PairTable`),
-once, when it is made: its columns never move.
+and one output arena; a one-pair query reads none (:class:`OnePair`);
+a sweep its seeds or slots, ``direct`` and its marks; the build its
+``tau`` order. The service's result-cache table (:class:`PairTable`)
+is bound once, when it is made: its columns never move.
 """
 
 from __future__ import annotations
@@ -53,6 +56,7 @@ __all__ = [
     "LCA_RECORD",
     "ROUTE_RECORD",
     "SHARD_RECORD",
+    "STORE_RECORD",
     "Bound",
     "OnePair",
     "PairTable",
@@ -79,6 +83,7 @@ __all__ = [
 ]
 
 _I64 = np.dtype(np.int64)
+_I32 = np.dtype(np.int32)
 _F64 = np.dtype(np.float64)
 _U64 = np.dtype(np.uint64)
 _U8 = np.dtype(np.uint8)
@@ -130,39 +135,6 @@ def _record_dtype(*names: str) -> np.dtype:
     return np.dtype([(name, np.int64) for name in names], align=True)
 
 
-def _label_addrs(values, offsets, n: int, write: bool = False) -> tuple[int, int]:
-    """Addresses of a flat label store over *n* vertices whose value
-    buffer covers every slot. The caller holds both arrays: the store
-    may swap either for a new one at any time."""
-    if len(offsets) != n + 1 or offsets[n] > values.size:
-        raise ValueError("label offsets do not match the value buffer")
-    return (
-        _addr(values, _F64, values.size, write),
-        _addr(offsets, _I64, n + 1),
-    )
-
-
-def _csr_rows(csr) -> tuple[int, int]:
-    return (
-        _addr(csr.indptr, _I64, csr.n + 1),
-        _addr(csr.indices, _I64, csr.num_slots),
-    )
-
-
-def _csr_up(csr) -> tuple[int, ...]:
-    m = csr.num_slots
-    return (*_csr_rows(csr), _addr(csr.ranks, _I64, m), _addr(csr.owners, _I64, m))
-
-
-def _csr_down(csr) -> tuple[int, ...]:
-    m, n = csr.num_slots, csr.n
-    return (
-        _addr(csr.down_indptr, _I64, n + 1),
-        _addr(csr.down_indices, _I64, m),
-        _addr(csr.down_slots, _I64, m),
-    )
-
-
 def _checked(status: int) -> int:
     if status < 0:
         raise MemoryError("native kernel could not allocate its heap")
@@ -211,10 +183,16 @@ def _entry_marks(marks, positions: int, n: int) -> tuple[int, ...]:
 # down-neighbours ``x``, with ``W[(x, v) + m * (planes - 1 - plane)] +
 # W[(x, w) + m * plane]``. With one plane every offset is zero.
 #
-# The label sweep takes one plane at a time, shaped like a one-plane
-# store (``csr``, that plane's ``up_weights``, ``tau``), and *labels*,
-# a flat :class:`~repro.labelling.labels.HierarchicalLabelling`.
-# Sweeps never touch the graph.
+# The label sweep takes the same store and one weight plane of it at a
+# time (``plane``, with ``tau``), and *labels*, a flat
+# :class:`~repro.labelling.labels.HierarchicalLabelling`. Sweeps never
+# touch the graph.
+#
+# Both read the store through its bound record (:data:`STORE_RECORD`:
+# the int32 CSR arrays, the weight buffer, ``tau``), and the label
+# sweep the labels through theirs, bound writable; a warm call reads
+# the addresses of its per-call operands only — the seeds or slots,
+# ``direct``, the slot marks and the marks.
 #
 # **The invariant** both sweeps hold:
 #
@@ -257,7 +235,7 @@ def _entry_marks(marks, positions: int, n: int) -> tuple[int, ...]:
 #   *finite* candidate targets a pair that compaction removed: the
 #   store has no slot to absorb it and the driver hands over to the
 #   rebuild fallback.
-# * ``label_sweep(store, labels, slots, slot_marks, marks)`` —
+# * ``label_sweep(store, labels, slots, slot_marks, marks, plane)`` —
 #   Algorithms 4 and 5 for the changed shortcut *slots* of the plane,
 #   seed phase included; *slot_marks* are the plane's ``(changed,
 #   first_old)`` of the shortcut sweep's marks, so a slot's pre-batch
@@ -267,8 +245,7 @@ def _entry_marks(marks, positions: int, n: int) -> tuple[int, ...]:
 
 def shortcut_sweep(sc, raised, lowered, direct, marks) -> bool:
     """Algorithms 2 and 3 — the C suspect-and-relax sweep."""
-    csr, weights = sc.csr, sc.up_weights
-    cells = weights.size
+    cells = sc.up_weights.size
     return bool(
         _checked(
             library().dhl_shortcut_sweep(
@@ -276,41 +253,30 @@ def shortcut_sweep(sc, raised, lowered, direct, marks) -> bool:
                 _addr(raised, _I64, len(raised)),
                 len(lowered),
                 _addr(lowered, _I64, len(lowered)),
-                cells,
-                _addr(weights, _F64, cells, write=True),
-                csr.num_slots,
-                *_csr_up(csr),
-                *_csr_down(csr),
+                _store(sc),
                 _addr(direct, _F64, cells),
-                _addr(csr.rank, _I64, csr.n),
                 *_cell_marks(marks, cells),
             )
         )
     )
 
 
-def label_sweep(store, labels, slots, slot_marks, marks) -> int:
-    """Algorithms 4 and 5 — C seed pass and vertex-heap sweep."""
-    csr, n, m = store.csr, store.csr.n, store.csr.num_slots
-    values, offsets = labels.values, labels.offsets
-    values_addr, offsets_addr = _label_addrs(values, offsets, n, write=True)
+def label_sweep(store, labels, slots, slot_marks, marks, plane: int = 0) -> int:
+    """Algorithms 4 and 5 — C seed pass and vertex-heap sweep, over
+    weight plane *plane* of *store*."""
+    m = store.csr.num_slots
+    record = _store(store, plane, labels)
     slot_changed, slot_old = slot_marks
     return _checked(
         library().dhl_label_sweep(
             len(slots),
             _addr(slots, _I64, len(slots)),
+            record,
+            plane,
+            _labels(labels, write=True),
             _addr(slot_changed, _U8, m),
             _addr(slot_old, _F64, m),
-            values.size,
-            values_addr,
-            n,
-            offsets_addr,
-            _addr(store.tau, _I64, n),
-            _addr(store.up_weights, _F64, m),
-            *_csr_rows(csr),
-            _addr(csr.owners, _I64, m),
-            *_csr_down(csr),
-            *_entry_marks(marks, values.size, n),
+            *_entry_marks(marks, labels.values.size, store.csr.n),
         )
     )
 
@@ -320,8 +286,8 @@ def label_sweep(store, labels, slots, slot_marks, marks) -> int:
 # ---------------------------------------------------------------------------
 
 #: ``HierarchicalLabelling``'s record: ``n`` vertices, the addresses of
-#: ``values`` and ``offsets``.
-LABELS_RECORD = _record_dtype("n", "values", "offsets")
+#: ``values`` and ``offsets``, and the value buffer's capacity.
+LABELS_RECORD = _record_dtype("n", "values", "offsets", "capacity")
 #: ``AncestorTables``' record (the C ``lca_record_t``).
 LCA_RECORD = _record_dtype(
     "n", "words", "chain_width", "node_of", "depth", "path", "chain", "tau"
@@ -329,6 +295,24 @@ LCA_RECORD = _record_dtype(
 #: A :class:`ShardRoute`'s record: its boundary and its own overlay
 #: block, whose rows lie ``ld`` values apart.
 SHARD_RECORD = _record_dtype("width", "boundary", "block", "ld")
+#: A shortcut store's record (the C ``store_record_t``): ``n`` vertices,
+#: ``m`` slots, ``planes`` weight planes, then the addresses of the
+#: weight buffer, the int32 CSR arrays and (0 without one) int64 ``tau``.
+STORE_RECORD = _record_dtype(
+    "n",
+    "m",
+    "planes",
+    "weights",
+    "indptr",
+    "indices",
+    "ranks",
+    "owners",
+    "down_indptr",
+    "down_indices",
+    "down_slots",
+    "rank",
+    "tau",
+)
 #: The sharded index's routing record (:func:`bind_route`).
 ROUTE_RECORD = _record_dtype(
     "n", "k", "total", "region_of", "local_of", "routed", "bounds", "matrix"
@@ -350,40 +334,105 @@ class Bound:
     ``refs`` reach the arrays it was made from without keeping them
     alive, so a binder tells by identity whether its owner still holds
     exactly those (any swap — growth, compaction, copy-on-write, a
-    re-attach — means a rebind). A pickled or copied record comes back
-    as ``None``, unbound: its addresses belong to the process and the
-    arrays it was made for.
+    re-attach — means a rebind). ``writable`` says that the buffers a
+    kernel writes were checked writable when it was made. A pickled or
+    copied record comes back as ``None``, unbound: its addresses belong
+    to the process and the arrays it was made for.
     """
 
-    __slots__ = ("record", "address", "refs")
+    __slots__ = ("record", "address", "refs", "writable")
 
-    def __init__(self, dtype: np.dtype, arrays: tuple, **fields):
+    def __init__(self, dtype: np.dtype, arrays: tuple, writable=False, **fields):
         self.record = np.zeros((), dtype=dtype)
         for name, value in fields.items():
             self.record[name] = value
         self.address = address(self.record)
         self.refs = tuple(_ref(arr) for arr in arrays)
+        self.writable = writable
 
     def __reduce__(self):
         return type(None), ()
 
 
-def _labels(labels) -> int:
+def _labels(labels, write: bool = False) -> int:
     """Address of *labels*' record, bound again when it holds another
-    ``values`` or ``offsets`` array than the record was made from."""
+    ``values`` or ``offsets`` array than the record was made from, or,
+    for a kernel that writes the values (*write*), when the record was
+    made from a buffer that was read-only."""
     values, offsets = labels.values, labels.offsets
     bound = labels._record
-    if bound is None or bound.refs[0]() is not values or bound.refs[1]() is not offsets:
+    if (
+        bound is None
+        or bound.refs[0]() is not values
+        or bound.refs[1]() is not offsets
+        or (write and not bound.writable)
+    ):
         n = labels.num_vertices
         if len(offsets) != n + 1 or offsets[n] > values.size:
             raise ValueError("label offsets do not match the value buffer")
         bound = labels._record = Bound(
             LABELS_RECORD,
             (values, offsets),
+            writable=bool(values.flags.writeable),
             n=n,
-            values=_addr(values, _F64, values.size),
+            values=_addr(values, _F64, values.size, write),
             offsets=_addr(offsets, _I64, n + 1),
+            capacity=values.size,
         )
+    return bound.address
+
+
+def _store(store, plane: int = 0, labels=None) -> int:
+    """Address of *store*'s record (a
+    :class:`~repro.hierarchy.contraction.ContractionResult`), bound on
+    first use and again when it holds another structure, weight buffer
+    or ``tau``. The sweeps write its weights, so they must be writable.
+
+    With *labels* — the label kernels' operand, read in weight plane
+    *plane* — the store must carry ``tau``, which its record checks
+    once: every shortcut points to an ancestor, so a row written through
+    a slot stays below its ``tau + 1`` entries.
+    """
+    csr, weights = store.csr, store.up_weights
+    tau = getattr(store, "tau", None)
+    bound = store._record
+    if (
+        bound is None
+        or bound.refs[0]() is not csr
+        or bound.refs[1]() is not weights
+        or bound.refs[2]() is not tau
+    ):
+        n, m = csr.n, csr.num_slots
+        tau_addr = 0
+        if tau is not None:
+            tau_addr = _addr(tau, _I64, n)
+            if m and (tau[csr.indices] >= tau[csr.owners]).any():
+                raise ValueError("a shortcut does not point to an ancestor")
+        bound = store._record = Bound(
+            STORE_RECORD,
+            (csr, weights, tau),
+            writable=True,
+            n=n,
+            m=m,
+            planes=store.planes,
+            weights=_addr(weights, _F64, store.planes * m, write=True),
+            indptr=_addr(csr.indptr, _I32, n + 1),
+            indices=_addr(csr.indices, _I32, m),
+            ranks=_addr(csr.ranks, _I32, m),
+            owners=_addr(csr.owners, _I32, m),
+            down_indptr=_addr(csr.down_indptr, _I32, n + 1),
+            down_indices=_addr(csr.down_indices, _I32, m),
+            down_slots=_addr(csr.down_slots, _I32, m),
+            rank=_addr(csr.rank, _I32, n),
+            tau=tau_addr,
+        )
+    if labels is not None:
+        if tau is None:
+            raise TypeError("the label kernels need a store that carries tau")
+        if not 0 <= plane < store.planes:
+            raise ValueError(f"no weight plane {plane} in a {store.planes}-plane store")
+        if labels.num_vertices != csr.n:
+            raise ValueError("the labels and the store cover other vertices")
     return bound.address
 
 
@@ -824,28 +873,21 @@ def batch_answer(routing, pairs, arena, results: dict) -> np.ndarray:
 # the build: Algorithm 1
 # ---------------------------------------------------------------------------
 
-def label_build(store, labels, order: np.ndarray) -> None:
+def label_build(store, labels, order: np.ndarray, plane: int = 0) -> None:
     """Lines 5-8 of :func:`repro.labelling.build.build_labelling` as one
-    C loop over the seeded *labels*: vertices in *order* (stable ``tau``
-    order), each row lowered by ``w(v, w) + L_w`` over its up slots.
-    A row is written below ``tau(w) + 1 <= tau(v)`` only, so the checks
-    are that every shortcut points to an ancestor and every row holds
-    its ``tau(v) + 1`` entries."""
-    csr, n, m = store.csr, store.csr.n, store.csr.num_slots
-    tau, offsets = store.tau, labels.offsets
-    values_addr, offsets_addr = _label_addrs(labels.values, offsets, n, write=True)
-    if n and (offsets[0] < 0 or (np.diff(offsets) <= tau).any()):
+    C loop over the seeded *labels*, from weight plane *plane* of
+    *store*: vertices in *order* (stable ``tau`` order), each row
+    lowered by ``w(v, w) + L_w`` over its up slots. A row is written
+    below ``tau(w) + 1 <= tau(v)`` only, so the checks are that every
+    shortcut points to an ancestor (the store's record, once) and every
+    row holds its ``tau(v) + 1`` entries."""
+    n = store.csr.n
+    record = _store(store, plane, labels)
+    offsets = labels.offsets
+    if n and (offsets[0] < 0 or (np.diff(offsets) <= store.tau).any()):
         raise ValueError("label rows do not hold tau + 1 entries")
-    if m and (tau[csr.indices] >= tau[csr.owners]).any():
-        raise ValueError("a shortcut does not point to an ancestor")
     library().dhl_label_build(
-        n,
-        _addr(order, _I64, n),
-        *_csr_rows(csr),
-        _addr(store.up_weights, _F64, m),
-        _addr(tau, _I64, n),
-        offsets_addr,
-        values_addr,
+        record, plane, _labels(labels, write=True), _addr(order, _I64, n)
     )
 
 

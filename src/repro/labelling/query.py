@@ -164,12 +164,14 @@ class QueryEngine:
 
         Returns ``(distance, hub_vertex)``; the hub is -1 for ``s == t``
         or disconnected pairs. Used by applications that need a via-vertex
-        (e.g. reconstructing a coarse route).
+        (e.g. reconstructing a coarse route). The hub is one read of
+        :meth:`hub_store`, as in :meth:`distances_with_hubs`.
         """
         best, rank = self._one_pair(s, t)
         if rank < 0:
             return best, -1
-        return best, self.hq.ancestors(s)[rank]
+        hub_values, hub_offsets = self.hub_store()
+        return best, int(hub_values[hub_offsets[s] + rank])
 
     # ------------------------------------------------------------------
     # batch path

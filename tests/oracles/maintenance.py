@@ -146,8 +146,9 @@ def shortcut_sweep(sc, raised, lowered, direct, marks) -> bool:
 # Label maintenance (Algorithms 4 and 5)
 # ---------------------------------------------------------------------------
 
-def label_sweep(hu, labels, slots, slot_marks, marks) -> int:
-    """Algorithms 4 and 5 — DHL label maintenance under a mixed batch.
+def label_sweep(store, labels, slots, slot_marks, marks, plane: int = 0) -> int:
+    """Algorithms 4 and 5 — DHL label maintenance under a mixed batch,
+    over weight plane *plane* of *store*.
 
     Seeds: a raised slot ``(lo, hi)`` flags the entries of row ``lo``
     its old weight realised through row ``hi``; a lowered one queues a
@@ -157,6 +158,7 @@ def label_sweep(hu, labels, slots, slot_marks, marks) -> int:
     (support-free). A risen entry then flags the descendant entries its
     old value realised, a lowered one relaxes them.
     """
+    hu = store.plane_views()[plane]
     tau = hu.tau
     csr = hu.csr
     weights = hu.up_weights

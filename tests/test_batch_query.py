@@ -65,6 +65,41 @@ class TestBatchKernel:
             assert d == ds
             assert hub == hs
 
+    @staticmethod
+    def assert_hubs_are_ancestors(index) -> None:
+        """The scalar hub of every pair is the rank-th ancestor of its
+        source, the rank being the one its distance scan returns."""
+        engine, hq = index.engine, index.hq
+        n = index.graph.num_vertices
+        for s in range(n):
+            chain = hq.ancestors(s)
+            for t in range(n):
+                best, rank = engine._one_pair(s, t)
+                want = chain[rank] if rank >= 0 else -1
+                assert engine.distance_with_hub(s, t) == (best, want), (s, t)
+
+    @pytest.mark.parametrize("family", [DHLIndex, DirectedDHLIndex])
+    def test_the_scalar_hub_is_the_rank_th_ancestor(self, family):
+        """Also after a batch that rebuilds H_Q: the index adopts a new
+        engine, whose hub store is the new hierarchy's."""
+        graph = grid_network(7, 7, seed=2)
+        index = family.build(
+            DiGraph.from_undirected(graph) if family is DirectedDHLIndex else graph
+        )
+        self.assert_hubs_are_ancestors(index)
+        hq, engine = index.hq, index.engine
+        n = graph.num_vertices
+        u, v = next(
+            (a, b)
+            for a in range(n)
+            for b in range(a + 1, n)
+            if not hq.comparable(a, b) and not index.graph.has_edge(a, b)
+        )
+        stats = index.apply_batch(insertions=[(u, v, 1.0)])
+        assert stats.repartitions == 1
+        assert index.hq is not hq and index.engine is not engine
+        self.assert_hubs_are_ancestors(index)
+
     def test_disconnected_pairs_are_inf(self):
         g = Graph(6)
         g.add_edge(0, 1, 2.0)

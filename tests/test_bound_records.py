@@ -1,36 +1,44 @@
-"""Bound records on the query path: bound once, read cheaply, rebound
-whenever a buffer moves.
+"""Bound records: bound once, read cheaply, rebound whenever a buffer
+moves.
 
-Each owner of a buffer the queries read (a label store, the LCA
+Each owner of a buffer the kernels read (a label store, the LCA
 tables, a shard's boundary and block, the sharded index's routing
-state) keeps one C record of its arrays' addresses. Two kinds of test
-hold that contract without a clock:
+state, the shortcut store) keeps one C record of its arrays'
+addresses. Two kinds of test hold that contract without a clock:
 
 * *Address counts.* :func:`repro.labelling.native.engine.address` is
   the one place an address is read. Spied on after a warm-up call, a
-  one-pair ``DHLIndex.distances``, a replica's sub-query and a sharded
-  split and combine read only the addresses of their own per-call
-  operands, never one of a buffer an owner holds.
+  one-pair ``DHLIndex.distances``, a replica's sub-query, a sharded
+  split and combine, a weight update and a label build read only the
+  addresses of their own per-call operands, never one of a buffer an
+  owner holds.
 * *Rebinding.* Every path that swaps a buffer — label growth, a
   structural insert, compaction, copy-on-write of a mapped store, a
   pickle, a save and load, a replica's attach and republish, an
-  overlay-epoch change, a boundary rebuild — is followed by queries
-  held bit for bit to the ``tests/oracles/`` bodies of the gather, set,
-  shard-batch, split and combine kernels, and by a check that the
-  record now points at the owner's new arrays.
+  overlay-epoch change, a boundary rebuild, slot growth and slot
+  compaction of the shortcut store — is followed by queries held bit
+  for bit to the ``tests/oracles/`` bodies of the gather, set,
+  shard-batch, split and combine kernels (or, for the shortcut store,
+  an update and a label build held to the sweep and build oracles),
+  and by a check that the record now points at the owner's new arrays.
 """
 
 from __future__ import annotations
 
+import math
 import pickle
 
 import numpy as np
 import pytest
 
 from repro.core.config import DHLConfig
+from repro.core.directed import DirectedDHLIndex
 from repro.core.index import DHLIndex
 from repro.core.sharded import ShardedDHLIndex
-from repro.graph.generators import grid_network
+from repro.graph.digraph import DiGraph
+from repro.graph.generators import delaunay_network, grid_network
+from repro.hierarchy.csr import ShortcutCSR
+from repro.labelling.build import build_labelling
 from repro.labelling.native import engine as native_engine
 from repro.service import ShardExecutor
 from repro.service.protocol import (
@@ -413,3 +421,151 @@ def test_a_replica_rebinds_on_attach_and_republish():
     executor.bind(*(buffer.copy() for buffer in index.shard_buffers(0)))
     assert executor.index.labels is not labels
     check()
+
+
+# ---------------------------------------------------------------------------
+# the shortcut store: the sweeps and the build
+# ---------------------------------------------------------------------------
+
+def store_buffers(store) -> list[np.ndarray]:
+    """What a shortcut store holds: its structure, weights and tau."""
+    csr = store.csr
+    return [getattr(csr, name) for name in ShortcutCSR.ARRAYS] + [
+        store.up_weights,
+        store.tau,
+    ]
+
+
+def reweigh(index, seed: int, count: int = 6) -> list:
+    """A mixed batch of integer weight changes on live roads."""
+    rng = np.random.default_rng(seed)
+    roads = [(u, v, w) for u, v, w in index.graph.edges() if math.isfinite(w)]
+    picks = rng.choice(len(roads), count, replace=False).tolist()
+    return [
+        (u, v, w + 3.0 if i % 2 else max(1.0, w - 1.0))
+        for i, (u, v, w) in enumerate(roads[j] for j in picks)
+    ]
+
+
+def test_a_warm_update_reads_only_its_operands(reads):
+    index = DHLIndex.build(grid_network(16, 16, seed=7))
+    index.update(reweigh(index, 1))  # binds the store and the labels
+    reads.clear()
+    stats = index.update(reweigh(index, 2))
+    assert stats.shortcuts_changed and stats.labels_changed
+    # The shortcut sweep's seeds, direct and four marks; the label
+    # sweep's slots, two slot marks and five entry marks.
+    assert len(reads) == 15
+    assert_reads_no_owned(reads, store_buffers(index.hu) + label_buffers(index.labels))
+
+
+def test_a_label_build_reads_only_its_order(reads):
+    index = DHLIndex.build(grid_network(16, 16, seed=7))
+    labels = build_labelling(index.hu)  # binds the new labels' record
+    order = np.argsort(index.hu.tau, kind="stable")
+    reads.clear()
+    native_engine.label_build(index.hu, labels, order)
+    assert len(reads) == 1 and reads[0] is order
+    assert labels.equals(index.labels)
+
+
+def assert_store_bound_to_current(store) -> None:
+    record = store._record
+    assert record.refs[0]() is store.csr
+    assert record.refs[1]() is store.up_weights
+    assert record.refs[2]() is store.tau
+
+
+def assert_maintenance_on_oracles(index, seed: int) -> None:
+    """An update on C leaves the bits the sweep oracles leave on a
+    pickled twin, and a label build on C, on the oracles and the
+    maintained labels agree bit for bit."""
+    twin = pickle.loads(pickle.dumps(index))
+    batch = reweigh(index, seed)
+    index.update(batch)
+    with python_kernels():
+        twin.update(batch)
+    assert index.hu.up_weights.tobytes() == twin.hu.up_weights.tobytes()
+    for plane, labels in enumerate(index.labellings):
+        assert labels.equals(twin.labellings[plane])
+        built = build_labelling(index.hu, plane)
+        with python_kernels():
+            want = build_labelling(index.hu, plane)
+        assert built.values.tobytes() == want.values.tobytes()
+        assert built.equals(labels)
+    assert_store_bound_to_current(index.hu)
+
+
+def kill_roads(index, count: int = 40) -> None:
+    """Delete roads until some shortcut slot is dead in every plane."""
+    rng = np.random.default_rng(4)
+    roads = [(u, v) for u, v, w in index.graph.edges() if math.isfinite(w)]
+    for j in rng.permutation(len(roads))[:count].tolist():
+        index.apply_batch(deletions=[roads[j]])
+        if index.dead_fraction > 0:
+            return
+    raise AssertionError("no slot died")
+
+
+def slots_grown(index, _) -> object:
+    slots = index.hu.csr.num_slots
+    insert(index)
+    assert index.hu.csr.num_slots > slots
+    return index
+
+
+def slots_compacted(index, _) -> object:
+    kill_roads(index)
+    slots = index.hu.csr.num_slots
+    assert index.compact().dead_slots_reclaimed
+    assert index.hu.csr.num_slots < slots
+    return index
+
+
+def store_loaded(index, tmp_path) -> object:
+    index.save(tmp_path / "idx")
+    return type(index).load(tmp_path / "idx")
+
+
+def store_mapped_then_written(index, tmp_path) -> object:
+    index.save(tmp_path / "idx")
+    loaded = type(index).load(tmp_path / "idx", mmap_labels=True)
+    loaded.distances([(0, 5)])  # binds the labels read-only
+    assert not any(labels.values.flags.writeable for labels in loaded.labellings)
+    return loaded
+
+
+STORE = {
+    "extend_slots": slots_grown,
+    "compact_slots": slots_compacted,
+    "ensure_writable": store_mapped_then_written,
+    "save-load": store_loaded,
+    "pickle": lambda index, _: pickled(index),
+}
+
+
+def road_index(family):
+    graph = delaunay_network(300, seed=77)
+    if family is DirectedDHLIndex:
+        graph = DiGraph.from_undirected(graph)
+    return family.build(graph, DHLConfig(leaf_size=6, seed=0))
+
+
+@pytest.mark.parametrize(
+    "family", [DHLIndex, DirectedDHLIndex], ids=["one-plane", "two-plane"]
+)
+@pytest.mark.parametrize("path", list(STORE))
+def test_a_swapped_store_buffer_is_rebound(path, family, tmp_path):
+    index = road_index(family)
+    assert_maintenance_on_oracles(index, 1)  # the first store record
+    before = index.hu._record
+    # Keep the buffers the first record was made from alive: a record
+    # that is not rebound then reads and writes them, and the bits part
+    # from the oracles' instead of faulting.
+    held = [index.hu.csr, index.hu.up_weights]
+    held += [labels.values for labels in index.labellings]
+    index = STORE[path](index, tmp_path)
+    assert_maintenance_on_oracles(index, 2)
+    if path in ("extend_slots", "compact_slots"):
+        assert index.hu._record is not before
+    del held

@@ -127,10 +127,10 @@ class TestTopDownPass:
         skeleton = store.skeleton(graph)
         tree = recursive_bisection(skeleton, leaf_size=2, seed=0)
         hu = store.build(graph, QueryHierarchy.from_partition_tree(tree, n))
-        for plane in hu.plane_views():
-            compiled = build_labelling(plane)
+        for plane in range(hu.planes):
+            compiled = build_labelling(hu, plane)
             with python_kernels():
-                reference = build_labelling(plane)
+                reference = build_labelling(hu, plane)
             assert np.array_equal(compiled.offsets, reference.offsets)
             assert compiled.values.tobytes() == reference.values.tobytes()
 

@@ -250,8 +250,8 @@ class TestTouchedLists:
             return run
 
         def label(sweep):
-            def run(store, labels, *args):
-                result = sweep(store, labels, *args)
+            def run(store, labels, *args, **kwargs):
+                result = sweep(store, labels, *args, **kwargs)
                 self.check_entry_lists(labels, args[-1])
                 label_calls.append((store, labels, args[-1], result))
                 return result

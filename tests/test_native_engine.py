@@ -41,6 +41,7 @@ from repro.exceptions import NativeUnavailableError
 from repro.graph.digraph import DiGraph
 from repro.graph.generators import delaunay_network, grid_network
 from repro.graph.graph import Graph
+from repro.hierarchy.update_hierarchy import UpdateHierarchy
 from repro.labelling import native
 from repro.labelling.labels import HierarchicalLabelling
 from repro.labelling.maintenance import cell_marks, entry_marks
@@ -523,7 +524,7 @@ class TestBuildKernels:
         short = HierarchicalLabelling(np.zeros(offsets[-1]), offsets, lengths, tau)
         with pytest.raises(ValueError, match="tau"):
             native_engine.label_build(hu, short, order)
-        skewed = SimpleNamespace(csr=hu.csr, up_weights=hu.up_weights, tau=tau.copy())
+        skewed = UpdateHierarchy(hu, SimpleNamespace(tau=tau.copy()))
         skewed.tau[hu.csr.owners[0]] = 0  # its up-neighbour is now no ancestor
         with pytest.raises(ValueError, match="ancestor"):
             native_engine.label_build(skewed, idx_c.labels.copy(), order)
