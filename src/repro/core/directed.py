@@ -52,8 +52,8 @@ __all__ = ["DirectedDHLIndex", "DirectedUpdateHierarchy"]
 
 
 class _Plane(NamedTuple):
-    """One weight plane, shaped like a one-plane store for Algorithm 1
-    and the label sweeps."""
+    """One weight plane, shaped like a one-plane store (the label
+    kernels themselves take the store and a plane index)."""
 
     tau: np.ndarray
     csr: ShortcutCSR
