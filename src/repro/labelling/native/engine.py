@@ -91,8 +91,9 @@ _U8 = np.dtype(np.uint8)
 
 def operand(arr, dtype) -> np.ndarray:
     """*arr* as an aligned C-contiguous *dtype* array, copied only when
-    it is not one: a buffer decoded from a frame may start at any byte,
-    and vectorised C loops assume natural alignment."""
+    it is not one (vectorised C loops assume natural alignment). A
+    decoded frame's arrays pass through uncopied: the wire format starts
+    every buffer at a frame offset that is a multiple of 8."""
     arr = np.ascontiguousarray(arr, dtype=dtype)
     return arr if arr.flags.aligned else arr.copy()
 
@@ -814,7 +815,7 @@ def batch_answer(routing, pairs, arena, results: dict) -> np.ndarray:
     (``dhl_batch_answer``): *arena* is :func:`batch_split`'s, *results*
     maps a shard to its :func:`shard_batch` triple. The triples are
     copied into one operand arena (a decoded frame's buffers are
-    read-only and may start at any byte); one of the wrong shape
+    read-only views of separate frames); one of the wrong shape
     raises :class:`ValueError`, and so does a fan row map that points
     past its rows."""
     m, k = len(pairs), routing.k

@@ -187,9 +187,11 @@ class QueryEngine:
 
         ``hub_values[hub_offsets[v] + i]`` is the rank-``i`` ancestor of
         ``v`` — the same CSR shape as the labelling, but with its own
-        packed offsets (label slots may carry slack). Ancestor chains
-        depend only on H_Q, which weight maintenance never alters, so the
-        store is built once and never invalidated.
+        packed offsets (label slots may carry slack). The ids are
+        ``int32`` (one per label entry, so the store would otherwise be
+        as large as the labels). Ancestor chains depend only on H_Q,
+        which weight maintenance never alters, so the store is built
+        once and never invalidated.
         """
         if self._hub_values is None:
             hq = self.hq
@@ -199,7 +201,7 @@ class QueryEngine:
             # exists before its children extend it.
             chains: list[np.ndarray] = []
             for parent, members in zip(hq.node_parent, hq.node_members):
-                own = np.asarray(members, dtype=np.int64)
+                own = np.asarray(members, dtype=np.int32)
                 chains.append(
                     np.concatenate((chains[parent], own)) if parent >= 0 else own
                 )
@@ -285,6 +287,7 @@ class QueryEngine:
         )
         hub_values, hub_offsets = self.hub_store()
         hubs = hub_values[hub_offsets[arr[:, 0]] + np.maximum(ranks, 0)]
+        hubs = hubs.astype(np.int64)
         hubs[ranks < 0] = -1
         return out, hubs
 

@@ -165,9 +165,7 @@ class ShardExecutor:
         self.shard = native_engine.ShardRoute(self.boundary_local, self._block)
         self.epoch = spec.epoch
         self.bind(values, offsets)
-        return ReadyReply(
-            num_vertices=self.index.graph.num_vertices, epoch=self.epoch
-        )
+        return ReadyReply(num_vertices=self.index.graph.num_vertices, epoch=self.epoch)
 
     def bind(self, values: np.ndarray, offsets: np.ndarray) -> None:
         """Rebind the labelling + query engine onto fresh buffers."""
@@ -288,9 +286,7 @@ class ShardExecutor:
     # -- health ---------------------------------------------------------
     def health(self, probe: HealthCheck) -> HealthReply:
         """Answer a liveness probe without touching the label buffers."""
-        return HealthReply(
-            nonce=probe.nonce, epoch=self.epoch, served=self.served
-        )
+        return HealthReply(nonce=probe.nonce, epoch=self.epoch, served=self.served)
 
 
 # ---------------------------------------------------------------------------
@@ -332,9 +328,7 @@ class _Segment:
 
     def __init__(self, array: np.ndarray, dtype):
         array = np.ascontiguousarray(array, dtype=dtype)
-        self.shm = shared_memory.SharedMemory(
-            create=True, size=max(1, array.nbytes)
-        )
+        self.shm = shared_memory.SharedMemory(create=True, size=max(1, array.nbytes))
         self.array = np.ndarray(array.shape, dtype=dtype, buffer=self.shm.buf)
         self.array[...] = array
 
@@ -507,9 +501,7 @@ class _TcpChannel:
             port = bootstrap.recv()
         finally:
             bootstrap.close()
-        return cls(
-            socket.create_connection(("127.0.0.1", port), _STARTUP_TIMEOUT)
-        )
+        return cls(socket.create_connection(("127.0.0.1", port), _STARTUP_TIMEOUT))
 
     @classmethod
     def accept(cls, bootstrap) -> "_TcpChannel":
@@ -607,9 +599,7 @@ def _replica_main(channel_type, endpoint) -> None:
                     channel.send(ByeReply())
                     break
                 else:  # pragma: no cover - future message types
-                    reply = ErrorReply(
-                        message=f"unhandled {type(message).__name__}"
-                    )
+                    reply = ErrorReply(message=f"unhandled {type(message).__name__}")
             except Exception as exc:  # surface instead of hanging the parent
                 reply = ErrorReply(message=f"{type(exc).__name__}: {exc}")
             try:
@@ -875,9 +865,7 @@ class ReplicaSupervisor:
                 return False
         return True
 
-    def _respawn(
-        self, key: tuple[int, int], dead: _ReplicaHandle, now: float
-    ) -> bool:
+    def _respawn(self, key: tuple[int, int], dead: _ReplicaHandle, now: float) -> bool:
         """Replace one dead handle with a fresh process; True on success."""
         runtime = self.runtime
         sid, slot = key
@@ -1001,9 +989,7 @@ class ShardRuntime(ExecutionRuntime):
         self._groups: list[list[_ReplicaHandle]] = [[] for _ in range(index.k)]
         self._buffers: list = []
         self._rr = [itertools.count() for _ in range(index.k)]
-        self._breakers = [
-            CircuitBreaker(sid, self.stats) for sid in range(index.k)
-        ]
+        self._breakers = [CircuitBreaker(sid, self.stats) for sid in range(index.k)]
         self._ctx = get_context("spawn")
         self.supervisor = ReplicaSupervisor(
             self,

@@ -75,6 +75,21 @@ class TestHubStore:
             chain = hubs[offsets[v] : offsets[v + 1]].tolist()
             assert chain == index.hq.ancestors(v)
 
+    def test_holds_int32_ids_and_hands_out_int64_hubs(self):
+        """One id per label entry: ``int32`` halves the store. The
+        gathered hubs are cast, so callers still see ``int64`` arrays
+        and Python ints."""
+        index = DHLIndex.build(grid_network(9, 11, seed=3), DHLConfig(leaf_size=4))
+        engine = index.engine
+        hubs, _ = engine.hub_store()
+        assert hubs.dtype == np.int32
+        pairs = np.array([(0, 98), (5, 5), (17, 60)], dtype=np.int64)
+        _, gathered = engine.distances_with_hubs(pairs)
+        assert gathered.dtype == np.int64 and gathered[1] == -1
+        for (s, t), hub in zip(pairs.tolist(), gathered.tolist()):
+            assert type(engine.distance_with_hub(s, t)[1]) is int
+            assert engine.distance_with_hub(s, t)[1] == hub
+
 
 class TestKernelAgainstPairKernel:
     def test_random_and_duplicated_sources(self, road_index):
@@ -130,9 +145,7 @@ class TestKernelAgainstPairKernel:
             with kernels():
                 got = assert_kernel_matches(index.engine, everyone, everyone[:4])
                 assert np.isinf(got[4:]).all() and np.isfinite(got[:4]).all()
-                answers.append(
-                    assert_kernel_matches(index.engine, everyone, everyone)
-                )
+                answers.append(assert_kernel_matches(index.engine, everyone, everyone))
         assert np.array_equal(*answers)
 
     @pytest.mark.parametrize("depth", WORD_EDGES)
@@ -222,14 +235,10 @@ class TestKernelReadsTheLiveStore:
         target = int(targets[np.argmax(index.labels.lengths[targets])])
         index.labels.extend_label(target, int(index.labels.lengths[target]) + 1)
         assert not index.labels.is_packed
-        assert np.array_equal(
-            assert_kernel_matches(engine, sources, targets), inserted
-        )
+        assert np.array_equal(assert_kernel_matches(engine, sources, targets), inserted)
         index.compact()
         assert index.labels.is_packed and index.engine is engine
-        assert np.array_equal(
-            assert_kernel_matches(engine, sources, targets), inserted
-        )
+        assert np.array_equal(assert_kernel_matches(engine, sources, targets), inserted)
 
 
 class TestShardedCallSites:
@@ -247,9 +256,7 @@ class TestShardedCallSites:
         fan = make_rng(1).integers(0, shard.graph.num_vertices, 40)
         final, matrix, inverse = shard_batch(shard.engine, boundary, fan=fan)
         assert len(final) == 0 and len(matrix) == len(np.unique(fan))
-        assert np.array_equal(
-            matrix[inverse], pair_matrix(shard.engine, fan, boundary)
-        )
+        assert np.array_equal(matrix[inverse], pair_matrix(shard.engine, fan, boundary))
 
     def test_overlay_blocks_are_slices_of_one_matrix(self, sharded):
         engine = sharded.engine

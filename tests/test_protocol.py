@@ -10,7 +10,7 @@ that is truncated, version-skewed, or otherwise malformed raises
 
 from __future__ import annotations
 
-import json
+import multiprocessing
 import socket
 import struct
 import threading
@@ -27,6 +27,7 @@ from repro.exceptions import (
     ProtocolError,
     ProtocolTruncationError,
 )
+from repro.labelling.native import engine as native_engine
 from repro.service.protocol import (
     _HEAD,
     _MESSAGE_TYPES,
@@ -356,15 +357,89 @@ def test_decoded_arrays_preserve_dtype_and_2d_shape():
 
 def test_frame_has_no_pickle_on_compute_path():
     """Compute frames must be parseable without the pickle module: the
-    byte stream contains the magic + JSON meta + raw buffers only."""
+    byte stream contains the magic + binary meta + raw buffers only."""
     batch = ComputeBatch(
         epoch=1,
-        subs=[SubQuery(s=np.array([1], dtype=np.int64), t=np.array([2], dtype=np.int64))],
+        subs=[
+            SubQuery(s=np.array([1], dtype=np.int64), t=np.array([2], dtype=np.int64))
+        ],
     )
     frame = encode_frame(batch)
     assert frame.startswith(b"DHLP")
     # Pickle streams start with b"\x80"; no pickle opcode framing here.
     assert b"\x80\x04" not in frame and b"\x80\x05" not in frame
+
+
+def arrays_of(record):
+    """Every array a decoded record holds, nested records included."""
+    for f in fields(record):
+        value = getattr(record, f.name)
+        for item in value if isinstance(value, list) else [value]:
+            if isinstance(item, np.ndarray):
+                yield item
+            elif is_dataclass(item):
+                yield from arrays_of(item)
+
+
+def test_decoded_arrays_are_aligned_operands():
+    """Each buffer starts at a frame offset that is a multiple of 8, so
+    the kernels take every decoded array as it is: ``operand`` returns
+    it, no copy."""
+    count = 0
+    for message in EXAMPLES:
+        frame = encode_frame(message)
+        base = np.frombuffer(frame, np.uint8).ctypes.data
+        for array in arrays_of(decode_frame(frame)):
+            assert (array.ctypes.data - base) % 8 == 0
+            assert array.flags.aligned and array.flags.c_contiguous
+            assert native_engine.operand(array, array.dtype) is array
+            count += 1
+    assert count == 13
+
+
+#: Shaped like the benchmark's codec probe: intra pairs only, finals only.
+PROBE_SHAPED = [
+    ComputeBatch(
+        epoch=1,
+        subs=[
+            SubQuery(
+                s=np.arange(pairs, dtype=np.int64) * 7 % 1000,
+                t=np.arange(pairs, dtype=np.int64)[::-1].copy(),
+            )
+        ],
+    )
+    for pairs in (0, 1, 512)
+] + [
+    ComputeReply(results=[SubResult(final=np.linspace(0.0, 1.0, pairs))])
+    for pairs in (0, 1, 512)
+]
+
+
+def assert_aligned_roundtrip(received, message):
+    assert_same(received, message)
+    for array in arrays_of(received):
+        assert native_engine.operand(array, array.dtype) is array
+
+
+def test_probe_shaped_frames_roundtrip_over_a_pipe():
+    reader, writer = multiprocessing.Pipe(duplex=False)
+    try:
+        for message in PROBE_SHAPED:
+            writer.send_bytes(encode_frame(message))
+            assert_aligned_roundtrip(decode_frame(reader.recv_bytes()), message)
+    finally:
+        reader.close()
+        writer.close()
+
+
+def test_probe_shaped_frames_roundtrip_over_tcp():
+    with socket.create_server(("127.0.0.1", 0)) as server:
+        with socket.create_connection(server.getsockname()) as client:
+            peer, _ = server.accept()
+            with peer:
+                for message in PROBE_SHAPED:
+                    send_message(client, message)
+                    assert_aligned_roundtrip(recv_message(peer), message)
 
 
 # ---------------------------------------------------------------------------
@@ -404,9 +479,8 @@ def test_every_truncation_point_rejected_or_never_silent():
 
 
 def test_version_mismatch_rejected():
-    """A v3 peer (two-letter meta keys) and a newer one are both
-    refused outright."""
-    assert PROTOCOL_VERSION == 4
+    """A v4 peer (JSON meta) and a newer one are both refused outright."""
+    assert PROTOCOL_VERSION == 5
     frame = bytearray(reference_frame())
     offset = 4  # after magic
     (version,) = struct.unpack_from("<H", frame, offset)
@@ -435,106 +509,169 @@ def test_trailing_garbage_rejected():
         decode_frame(reference_frame() + b"xx")
 
 
-def split(frame: bytes) -> tuple[int, object, bytes]:
-    """A frame's message type, parsed meta and raw buffer bytes."""
+def split(frame: bytes) -> tuple[int, bytes, bytes]:
+    """A frame's message type, its binary meta and its buffer bytes
+    (the padding after the meta dropped)."""
     _, _, msg_type, meta_len, _ = _HEAD.unpack_from(frame)
-    body = frame[_HEAD.size :]
-    return msg_type, json.loads(body[:meta_len]), body[meta_len:]
+    start = _HEAD.size + meta_len
+    return msg_type, frame[_HEAD.size : start], frame[start + -start % 8 :]
 
 
-def craft(msg_type: int, meta, raw: bytes) -> bytes:
-    """A frame around *meta* and *raw* with its CRC recomputed: it passes
-    the framing checks, so only the decoder's own checks can refuse it."""
-    meta_bytes = json.dumps(meta).encode("utf-8")
-    crc = zlib.crc32(raw, zlib.crc32(meta_bytes))
-    head = _HEAD.pack(b"DHLP", PROTOCOL_VERSION, msg_type, len(meta_bytes), crc)
-    return head + meta_bytes + raw
+def craft(msg_type: int, meta: bytes, buffers: bytes) -> bytes:
+    """A frame around *meta* and *buffers*, padded so the buffers start
+    at a multiple of 8 and with its CRC recomputed: it passes the
+    framing checks, so only the decoder's own checks can refuse it."""
+    pad = bytes(-(_HEAD.size + len(meta)) % 8)
+    crc = zlib.crc32(buffers, zlib.crc32(pad, zlib.crc32(meta)))
+    head = _HEAD.pack(b"DHLP", PROTOCOL_VERSION, msg_type, len(meta), crc)
+    return head + meta + pad + buffers
 
 
-def replaced(meta, path: tuple, value):
-    """*meta* with the value at *path* (dict keys / list indices; the
-    root for an empty path) replaced by *value*."""
-    if not path:
-        return value
-    node = meta
-    for key in path[:-1]:
-        node = node[key]
-    node[path[-1]] = value
-    return meta
+def replaced(meta: bytes, edits) -> bytes:
+    """*meta* with each ``(offset, fmt, value)`` of *edits* packed over
+    its bytes at *offset* (``fmt`` a little-endian :mod:`struct`
+    format); ``fmt`` ``"+"`` appends *value*'s bytes instead."""
+    meta = bytearray(meta)
+    for offset, fmt, value in edits:
+        if fmt == "+":
+            meta += value
+        else:
+            struct.pack_into("<" + fmt, meta, offset, *value)
+    return bytes(meta)
 
 
-# reference_frame() holds buffers s = 0, t = 1, block = 2.
+# reference_frame()'s meta: the buffer table (u32 count 3; rows s and t
+# of 10 bytes from 4 and 14, the 2-D block of 18 from 24), then the
+# ComputeBatch head (i64 epoch at 42, u32 list count at 50, u32 mask at
+# 54) and the SubQuery head (i64 block_epoch at 58, u32 mask at 66: s,
+# t, fan, block, block_cached from bit 0).
 @pytest.mark.parametrize(
-    "path, value, error, match",
+    "edits, error, match",
     [
-        (("subs", 0, "s"), -1, ProtocolCorruptionError, "buffer reference"),
-        (("subs", 0, "t"), True, ProtocolCorruptionError, "buffer reference"),
-        (("subs", 0, "s"), 3, ProtocolCorruptionError, "buffer reference"),
-        (("__buffers__", 0, 0), "zz", ProtocolCorruptionError, "dtype"),
-        (("__buffers__", 0, 0), "|O", ProtocolCorruptionError, "dtype"),
-        (("__buffers__", 0, 1), [-2], ProtocolCorruptionError, "shape"),
-        ((), [], ProtocolCorruptionError, "object"),
-        ((), "meta", ProtocolCorruptionError, "object"),
-        (("__buffers__", 0, 0), "<f8", ProtocolError, r"SubQuery\.s"),
+        ([(0, "I", (2,))], ProtocolCorruptionError, "trailing"),
+        ([(0, "I", (4,))], ProtocolCorruptionError, "buffer"),
+        ([(66, "I", (0b0011,))], ProtocolCorruptionError, "more buffers"),
+        ([(66, "I", (0b1111,)), (24, "B", (1,))], ProtocolCorruptionError, "ran out"),
+        ([(4, "B", (0,))], ProtocolCorruptionError, "dtype"),
+        ([(4, "B", (3,))], ProtocolCorruptionError, "dtype"),
+        ([(5, "B", (65,))], ProtocolCorruptionError, "table row"),
+        ([(26, "QQ", (0, 2**63 - 1))], ProtocolCorruptionError, "shape"),
+        ([(6, "Q", (2**40,))], ProtocolTruncationError, "truncated"),
+        ([(66, "I", (0b1001011,))], ProtocolCorruptionError, "flag mask"),
+        ([(54, "I", (0b10,))], ProtocolCorruptionError, "flag mask"),
+        ([(50, "I", (1000,))], ProtocolCorruptionError, "past the meta"),
+        ([(0, "+", b"\0")], ProtocolCorruptionError, "past its fields"),
+        ([(4, "B", (2,))], ProtocolError, r"SubQuery\.s"),
     ],
     ids=[
-        "reference-negative",
-        "reference-bool",
-        "reference-past-table",
-        "dtype-unknown",
-        "dtype-object",
-        "dimension-negative",
-        "meta-list",
-        "meta-string",
+        "table-count-short",
+        "table-count-long",
+        "array-field-dropped",
+        "array-field-added",
+        "dtype-code-zero",
+        "dtype-code-unknown",
+        "ndim-past-numpy",
+        "dimension-overflow",
+        "dimension-past-frame",
+        "mask-bit-past-record",
+        "bool-bit-past-record",
+        "list-count-past-meta",
+        "meta-runs-on",
         "dtype-not-declared",
     ],
 )
-def test_crc_valid_malformed_frames_rejected(path, value, error, match):
-    msg_type, meta, raw = split(reference_frame())
-    frame = craft(msg_type, replaced(meta, path, value), raw)
+def test_crc_valid_malformed_frames_rejected(edits, error, match):
+    msg_type, meta, buffers = split(reference_frame())
+    assert len(meta) == 70  # the offsets above
+    frame = craft(msg_type, replaced(meta, edits), buffers)
     with pytest.raises(error, match=match):
         decode_frame(frame)
 
 
-json_values = st.recursive(
-    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
-    lambda inner: st.lists(inner, max_size=3)
-    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
-    max_leaves=6,
+def edited_error_reply(edit) -> bytes:
+    """``ErrorReply(message="ab")`` with *edit* applied to its meta (a
+    u32 length at 4, the text at 8)."""
+    msg_type, meta, buffers = split(encode_frame(ErrorReply(message="ab")))
+    return craft(msg_type, edit(meta), buffers)
+
+
+@pytest.mark.parametrize(
+    "frame, error, match",
+    [
+        (
+            encode_frame(ComputeReply(trace=TraceEnvelope(spans=[1, 2]))),
+            ProtocolError,
+            "is no dict",
+        ),
+        (
+            encode_frame(ComputeReply(trace=TraceEnvelope(spans="x"))),
+            ProtocolError,
+            "is no dict",
+        ),
+        (
+            edited_error_reply(lambda meta: meta[:-2] + b"\xff\xfe"),
+            ProtocolCorruptionError,
+            "unreadable",
+        ),
+        (
+            edited_error_reply(lambda meta: replaced(meta, [(4, "I", (3,))])),
+            ProtocolCorruptionError,
+            "past the meta",
+        ),
+    ],
+    ids=["dict-holds-list", "dict-holds-string", "str-not-utf8", "str-past-meta"],
 )
+def test_bodies_of_the_wrong_kind_rejected(frame, error, match):
+    """A ``dict`` field whose JSON is no object, text that is no UTF-8
+    and a body longer than the meta are refused (the encoder writes any
+    dict field's value as JSON and only valid UTF-8)."""
+    with pytest.raises(error, match=match):
+        decode_frame(frame)
 
 
-def meta_paths(node, path: tuple = ()):
-    """Every position in a meta tree, the root included."""
-    yield path
-    if isinstance(node, dict):
-        children = node.items()
-    elif isinstance(node, list):
-        children = enumerate(node)
-    else:
-        children = ()
-    for key, child in children:
-        yield from meta_paths(child, (*path, key))
+def test_nested_json_past_the_recursion_limit_is_corruption():
+    """JSON is parsed only inside ``dict`` fields; nesting past the
+    interpreter's recursion limit there is a corrupt frame, not a
+    :class:`RecursionError`. The same bytes as a whole meta, as a v4
+    frame could carry them, are no valid binary layout."""
+    deep = b"[" * 100_000 + b"]" * 100_000
+    reply = ComputeReply(trace=TraceEnvelope(spans={}))
+    msg_type, meta, buffers = split(encode_frame(reply))
+    assert meta.endswith(struct.pack("<I", 2) + b"{}") and not buffers
+    frame = craft(msg_type, meta[:-6] + struct.pack("<I", len(deep)) + deep, buffers)
+    with pytest.raises(ProtocolCorruptionError, match="unreadable"):
+        decode_frame(frame)
+    with pytest.raises(ProtocolCorruptionError):
+        decode_frame(craft(HealthCheck.TYPE, deep, b""))
 
 
-@settings(max_examples=300, deadline=None)
+def header_and_meta_positions(frame: bytes) -> list[int]:
+    """Every byte a one-byte edit may change: the header before its CRC
+    (which :func:`craft` recomputes) and the meta."""
+    _, _, _, meta_len, _ = _HEAD.unpack_from(frame)
+    return [*range(_HEAD.size - 4), *range(_HEAD.size, _HEAD.size + meta_len)]
+
+
+@settings(max_examples=400, deadline=None)
 @given(message=st.sampled_from(EXAMPLES), data=st.data())
-def test_any_meta_value_decodes_or_raises_protocol_error(message, data):
-    """Swap any one meta value of a valid frame for arbitrary JSON and
+def test_any_header_or_meta_byte_decodes_or_raises_protocol_error(message, data):
+    """Change any one byte of a valid frame's header or meta and
     recompute the CRC: the frame decodes or raises ProtocolError, never
     another exception type."""
-    msg_type, meta, raw = split(encode_frame(message))
-    path = data.draw(st.sampled_from(list(meta_paths(meta))))
-    frame = craft(msg_type, replaced(meta, path, data.draw(json_values)), raw)
+    frame = bytearray(encode_frame(message))
+    at = data.draw(st.sampled_from(header_and_meta_positions(frame)))
+    frame[at] = data.draw(st.integers(0, 255).filter(lambda b: b != frame[at]))
+    body = bytes(frame[_HEAD.size :])
+    struct.pack_into("<I", frame, _HEAD.size - 4, zlib.crc32(body))
     try:
-        decode_frame(frame)
+        decode_frame(bytes(frame))
     except ProtocolError:
         pass
 
 
 def test_corrupt_meta_rejected():
     frame = bytearray(encode_frame(AckReply()))
-    frame[-2] = 0xFF  # stomp inside the JSON meta
+    frame[-2] = 0xFF  # stomp inside the meta
     with pytest.raises(ProtocolError):
         decode_frame(bytes(frame))
 
@@ -546,7 +683,10 @@ def test_corrupt_meta_rejected():
 def test_send_recv_roundtrip_over_real_socket():
     server, client = socket.socketpair()
     batch = ComputeBatch(
-        epoch=2, subs=[SubQuery(s=np.array([5], dtype=np.int64), t=np.array([6], dtype=np.int64))]
+        epoch=2,
+        subs=[
+            SubQuery(s=np.array([5], dtype=np.int64), t=np.array([6], dtype=np.int64))
+        ],
     )
     received = []
 
@@ -598,8 +738,8 @@ def test_flipped_body_byte_is_classified_as_corruption():
 
 
 def test_flipped_meta_byte_fails_loud():
-    """Damage inside the JSON meta raises a ProtocolError subclass —
-    either the parse or the CRC catches it, never silence."""
+    """Damage inside the meta raises a ProtocolError subclass — either
+    the structural walk or the CRC catches it, never silence."""
     frame = bytearray(encode_frame(StaleReply(held=1, stamped=2)))
     for i in range(16, len(frame)):
         damaged = bytearray(frame)
