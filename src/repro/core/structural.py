@@ -363,7 +363,8 @@ def apply_batch(
 def _fell_back(index, stats: StructuralStats) -> None:
     """Record one fallback rebuild: every label may have moved."""
     everyone = MaintenanceStats(
-        affected_labels=set(range(index.graph.num_vertices))
+        affected_labels=set(range(index.graph.num_vertices)),
+        label_positions=None,
     )
     stats.maintenance = stats.maintenance.merge(everyone)
     stats.fallback_rebuilds += 1

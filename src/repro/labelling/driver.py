@@ -8,10 +8,11 @@ see :class:`~repro.hierarchy.contraction.ContractionResult`), turns the
 cells it listed as touched into ``affected_shortcuts``, then once per
 plane makes one C label-sweep call (its seed phase inside), and fills
 :class:`~repro.labelling.maintenance.MaintenanceStats` from the
-positions and vertices that sweep listed. A mixed batch is one pass,
-not an increase pass and a decrease pass. No step scans a store-sized
-array, so a burst costs O(touched); the ``phase()`` marks cover every
-step, validation and stats assembly included. The two sweeps and their
+positions and vertices that sweep listed (the positions themselves
+become ``label_positions``, what a shard runtime ships). A mixed batch
+is one pass, not an increase pass and a decrease pass. No step scans a
+store-sized array, so a burst costs O(touched); the ``phase()`` marks
+cover every step, validation and stats assembly included. The two sweeps and their
 contract are :func:`repro.labelling.native.engine.shortcut_sweep` and
 :func:`~repro.labelling.native.engine.label_sweep`.
 
@@ -247,9 +248,11 @@ def maintain(
                     store.csr, cells, first_old[cells]
                 ),
             )
+        written = []
         for plane, labelling in enumerate(labels):
             lo, hi = np.searchsorted(cells, (plane * m, (plane + 1) * m))
             if lo == hi:
+                written.append(_NO_CELLS)
                 continue
             window = slice(plane * m, (plane + 1) * m)
             labelling.ensure_writable()
@@ -264,9 +267,12 @@ def maintain(
                     plane=plane,
                 )
             with phase("maintain.stats"):
-                *_, touched_vertices, count = marks
+                _, touched, _, touched_vertices, count = marks
+                # A copy: the stats must not pin the universe-sized marks.
+                written.append(touched[: count[0]].copy())
                 stats.labels_changed += int(count[0])
                 stats.affected_labels.update(touched_vertices[: count[1]].tolist())
+        stats.label_positions = tuple(written)
         return stats
 
     if not phases_active():

@@ -49,6 +49,12 @@ class MaintenanceStats:
     is a pure function of ``L_s`` and ``L_t``, so it moved only when one
     of its endpoints is in this set.
 
+    ``label_positions`` lists the flat label positions the label sweep
+    wrote, one ``int64`` array per weight plane of the store it ran on,
+    each position once per sweep: the entries a shard runtime ships to
+    its replicas. ``()`` means no label entry was written and ``None``
+    that any may have been (a rebuild rewrote them all).
+
     ``phases`` maps maintenance phase names (``maintain.seed``,
     ``maintain.shortcut_sweep``, ``maintain.label_sweep``, ...) to
     wall seconds. It is populated only when a phase collector was
@@ -64,6 +70,9 @@ class MaintenanceStats:
     affected_shortcuts: dict[ShortcutKey, float] = field(default_factory=dict)
     affected_labels: set[int] = field(default_factory=set)
     phases: dict[str, float] = field(default_factory=dict)
+    label_positions: tuple[np.ndarray, ...] | None = field(
+        default=(), compare=False, repr=False
+    )
 
     def merge(self, other: "MaintenanceStats") -> "MaintenanceStats":
         # ``affected_shortcuts`` records the weight each shortcut held
@@ -81,7 +90,17 @@ class MaintenanceStats:
             merged_shortcuts,
             self.affected_labels | other.affected_labels,
             merged_phases,
+            _merge_positions(self.label_positions, other.label_positions),
         )
+
+
+def _merge_positions(a, b):
+    """Both batches' written positions, concatenated plane by plane."""
+    if a is None or b is None:
+        return None
+    if not (a and b):
+        return a or b
+    return tuple(np.concatenate(pair) for pair in zip(a, b, strict=True))
 
 
 # ---------------------------------------------------------------------------

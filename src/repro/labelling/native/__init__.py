@@ -15,13 +15,14 @@ with :mod:`ctypes`:
   ``cc -O3 -fPIC -shared -ffp-contract=off``
   into a per-user cache (``$XDG_CACHE_HOME`` or ``~/.cache``, then
   ``repro-dhl/``; ``<tmp>/repro-dhl-<uid>`` where neither is usable),
-  under a name keyed by SHA-1 of the source and the compiler binary's
-  identity (resolved path, size, mtime), so a changed kernel or
-  compiler never loads a stale file and every process after the first
-  just ``dlopen``\\ s, spawning nothing. The build is written to a
-  temporary name and ``os.replace``\\ d, so processes racing on a cold
-  cache each end with a whole file; a file whose size is not the one
-  its name records (a torn write) is never opened. A directory that is
+  under a name keyed by SHA-1 of the source, the compiler binary's
+  identity (resolved path, size, mtime) and the compiler flags, so a
+  changed kernel, compiler or flag never loads a stale file and every
+  process after the first just ``dlopen``\\ s, spawning nothing. The
+  build is written to a temporary name and ``os.replace``\\ d, so
+  processes racing on a cold cache each end with a whole file; a file
+  whose size is not the one its name records (a torn write) is never
+  opened. A directory that is
   not the current user's, or that group/other may write, is never
   loaded from — the build goes to a fresh private directory — and
   neither is such a library. A cached file that does not open, or
@@ -237,9 +238,17 @@ def _open(path: Path) -> ctypes.CDLL:
     return lib
 
 
+def _digest(identity: str, flags: tuple[str, ...]) -> str:
+    """The cache key of a build: the source, the compiler's *identity*
+    and the *flags* it compiles with, so no change to any of them loads
+    a stale library."""
+    key = SOURCE.read_bytes() + "\0".join((identity, *flags)).encode()
+    return hashlib.sha1(key).hexdigest()[:16]
+
+
 def _load() -> tuple[ctypes.CDLL, Path, float | None]:
     cc, identity = _compiler()
-    digest = hashlib.sha1(SOURCE.read_bytes() + identity.encode()).hexdigest()[:16]
+    digest = _digest(identity, _CFLAGS)
     cache = _cache_dir()
     cached = _cached(cache, digest)
     if cached is not None:

@@ -17,7 +17,8 @@ batch's worth of one shard's work, stamped with its epoch: a
 endpoints and, when the intra pairs have a boundary route, its own
 overlay block or a note that the replica holds it),
 :class:`EpochDelta` (label maintenance: either "values already in your
-shared segment, adopt this epoch" or the changed label slots inline),
+shared segment, adopt this epoch" or the written label entries inline:
+flat positions and their values),
 :class:`Republish` (label layout changed: fresh buffers, by shared
 memory name or inline), :class:`Shutdown`. Replies: :class:`ReadyReply`,
 :class:`ComputeReply` (a :class:`SubResult` per sub-query — the intra
@@ -127,7 +128,11 @@ __all__ = [
 #: field plan (a binary buffer table, length-prefixed ``str`` / ``bytes``,
 #: JSON only inside ``dict`` fields) and starts every buffer at a frame
 #: offset that is a multiple of 8.
-PROTOCOL_VERSION = 5
+#: v6 renames :class:`EpochDelta`'s ``vertices`` to ``positions``: an
+#: inline delta carries the label entries the maintenance sweep wrote
+#: (flat positions into the packed layout, one value each), not whole
+#: labels.
+PROTOCOL_VERSION = 6
 
 _MAGIC = b"DHLP"
 _HEAD = struct.Struct("<4sHHII")  # magic, version, msg_type, meta_len, crc32
@@ -601,7 +606,7 @@ class SpecRequest(Message):
     segment name (``shm_values``/``shm_offsets`` + lengths, the local
     transport) or inline (``values``/``offsets``, the socket transport,
     where the worker keeps a private writable copy that later
-    :class:`EpochDelta` messages splice into).
+    :class:`EpochDelta` messages scatter into).
     """
 
     payload: bytes
@@ -633,18 +638,20 @@ class ComputeBatch(Message):
 @_wire(3)
 @dataclass
 class EpochDelta(Message):
-    """Adopt *epoch*; optionally splice the changed label slots first.
+    """Adopt *epoch*; optionally scatter the written label entries first.
 
-    With ``vertices is None`` the values already reached the worker out
+    With ``positions is None`` the values already reached the worker out
     of band (the parent wrote them into the shared-memory segment in
-    place) and only the epoch cut-over is explicit. With ``vertices``
-    set, ``payload`` concatenates the new label arrays of those vertices
-    in order; the worker slices it apart with its own offsets — the
-    socket transport's delta sync, same consistency contract.
+    place) and only the epoch cut-over is explicit. With ``positions``
+    set — flat positions into the packed label layout the worker holds,
+    the entries the parent's maintenance sweep wrote — ``payload[i]`` is
+    the new value at ``positions[i]``; the worker writes them with one
+    scatter — the socket transport's delta sync, same consistency
+    contract.
     """
 
     epoch: int
-    vertices: I64 = None
+    positions: I64 = None
     payload: F64 = None
 
 

@@ -12,8 +12,9 @@ side, :func:`_replica_main` feeds the transport-blind
 
 **One thread talks to the replicas.** Every frame goes through
 :meth:`ShardRuntime._exchange` on the calling thread: a round sends one
-message per replica, waits on all their channels at once
-(``multiprocessing.connection.wait``) and has one deadline. Dispatch and
+message per replica, waits on all their channels at once (one
+``select.poll`` object per round, pipes and sockets alike) and has one
+deadline. Dispatch and
 each failover retry, label broadcasts, the start-up handshake, health
 checks and shutdown are rounds; the runtime starts no thread.
 
@@ -24,14 +25,22 @@ checks and shutdown are rounds; the runtime starts no thread.
   ``multiprocessing`` pipe; a shard's packed label buffers
   (``label_values`` float64 + ``label_offsets`` int64, the v3 snapshot
   layout) are published once into a shared-memory segment pair that
-  every replica of the shard attaches read-only. Deltas are written in
-  place and announced with a bare ``EpochDelta``.
+  every replica of the shard attaches read-only. A delta writes the
+  label entries the maintenance sweep wrote into the segment in place
+  (one scatter) and is announced with a bare ``EpochDelta``.
 * :class:`_TcpChannel` + :class:`_InlineBuffers` — each replica binds a
   loopback port (reported over a one-shot bootstrap pipe) and speaks
   the same frames length-prefixed over TCP; label buffers travel
   inline and every replica keeps a private writable copy that
-  ``EpochDelta(vertices, payload)`` frames splice into. A faithful
-  local stand-in for a multi-host deployment.
+  ``EpochDelta(positions, payload)`` frames scatter into: the written
+  entries' positions in the published layout and their new values. A
+  faithful local stand-in for a multi-host deployment.
+
+Both transports share one delta contract: the positions the label sweep
+wrote (``MaintenanceStats.label_positions``) are mapped into the packed
+layout the replicas hold (:meth:`_LabelBuffers.place`) in O(written
+entries), and anything that mapping cannot place exactly is a whole
+republish.
 
 Replica-side the choice is read off the message itself (``shm_values``
 set ⇒ attach read-only views, else private copies), so
@@ -64,11 +73,11 @@ from __future__ import annotations
 
 import itertools
 import pickle
+import select
 import socket
 import threading
 import time
 from multiprocessing import get_context, shared_memory
-from multiprocessing.connection import wait
 from typing import Callable, Iterable
 
 import numpy as np
@@ -186,33 +195,32 @@ class ShardExecutor:
 
     # -- maintenance ----------------------------------------------------
     def apply_delta(self, delta: EpochDelta) -> AckReply | ErrorReply:
-        """Adopt the epoch; splice inline label deltas first if present.
+        """Adopt the epoch; scatter inline label entries first if present.
 
-        ``vertices=None`` means the parent already wrote the values into
-        the attached segment in place; otherwise the changed label
-        arrays arrive inline and land in the private writable buffers
-        with one scatter through the executor's own offsets (one run
-        of ``lengths[i]`` positions from ``starts[i]`` per vertex, the
-        pair kernel's ragged idiom). A vertex outside ``[0, n)`` (numpy
-        would wrap a negative one onto another label) or a payload that
-        is not exactly those labels' entries is an :class:`ErrorReply`,
-        with the values and the epoch untouched.
+        ``positions=None`` means the parent already wrote the values into
+        the attached segment in place; otherwise the written entries
+        arrive inline, ``payload[i]`` for flat position ``positions[i]``
+        of the packed layout, and land in the private writable buffer
+        with one scatter. A position outside ``[0, len(values))`` (numpy
+        would wrap a negative one onto another entry) or a payload that
+        is not one value per position is an :class:`ErrorReply`, with
+        the values and the epoch untouched.
         """
-        if delta.vertices is not None:
-            try:
-                check_ids(len(self.offsets) - 1, delta.vertices)
-                starts = self.offsets[delta.vertices]
-                lengths = self.offsets[delta.vertices + 1] - starts
-                if np.shape(delta.payload) != (lengths.sum(),):
-                    raise ValueError(
-                        f"delta payload of shape {np.shape(delta.payload)} "
-                        f"for {lengths.sum()} label entries"
-                    )
-            except (KeyError, ValueError) as exc:
-                return ErrorReply(message=f"{type(exc).__name__}: {exc}")
-            pos = np.repeat(starts - (np.cumsum(lengths) - lengths), lengths)
-            pos += np.arange(len(pos))
-            self.values[pos] = delta.payload
+        positions = delta.positions
+        if positions is not None:
+            payload = delta.payload
+            if positions.ndim != 1 or np.shape(payload) != positions.shape:
+                return ErrorReply(
+                    message=f"ValueError: delta payload of shape "
+                    f"{np.shape(payload)} for positions of shape "
+                    f"{positions.shape}"
+                )
+            size = len(self.values)
+            if len(positions) and not (0 <= positions.min() <= positions.max() < size):
+                return ErrorReply(
+                    message=f"ValueError: delta position outside [0, {size})"
+                )
+            self.values[positions] = payload
         self.epoch = delta.epoch
         return AckReply()
 
@@ -341,7 +349,48 @@ class _Segment:
             pass
 
 
-class _ShmBuffers:
+class _LabelBuffers:
+    """The packed label layout a shard's replicas hold, as last published.
+
+    ``offsets`` are the published offsets; ``_source`` is the live
+    store's own offsets array when that store was packed at the publish
+    (then the two layouts are one and a written position needs no
+    mapping). The transports' classes add how values reach replicas.
+    """
+
+    offsets: np.ndarray
+    _source: np.ndarray | None = None
+
+    def _published(self, labels, offsets: np.ndarray) -> None:
+        """Remember the live layout *offsets* were exported from."""
+        self._source = offsets if offsets is labels.offsets else None
+
+    def place(self, labels, positions: np.ndarray) -> np.ndarray | None:
+        """*positions* of the live store (the entries a sweep wrote) in
+        the published layout, in O(len(positions)); ``None`` when only a
+        republish is safe.
+
+        The identity while the live store is the published layout. A
+        store with slack maps each position through its owner vertex
+        (``searchsorted`` over the live offsets) by the difference of
+        the vertex's published and live offsets. Another vertex count,
+        or a written vertex whose live label length differs from its
+        published one, cannot be placed.
+        """
+        live = labels.offsets
+        if live is self._source:
+            return positions
+        published = self.offsets
+        if len(live) != len(published):
+            return None
+        owners = np.searchsorted(live, positions, side="right") - 1
+        starts = published[owners]
+        if not np.array_equal(labels.lengths[owners], published[owners + 1] - starts):
+            return None
+        return positions + (starts - live[owners])
+
+
+class _ShmBuffers(_LabelBuffers):
     """One shard's label buffers in a parent-owned segment pair.
 
     Published once per shard, attached read-only by every replica of
@@ -375,6 +424,7 @@ class _ShmBuffers:
     def publish(self, labels) -> dict:
         """Copy the live buffers into a fresh segment pair; announce it."""
         values, offsets = labels.export_buffers()
+        self._published(labels, offsets)
         old, self.segments = self.segments, []
         try:
             self.segments.append(_Segment(values, np.float64))
@@ -388,23 +438,13 @@ class _ShmBuffers:
                 segment.destroy()
         return self.announce()
 
-    def delta(self, labels, vertices: np.ndarray) -> dict:
-        """Copy the changed labels into the segment, in place.
-
-        One gather from the live store (read through its own
-        ``offsets``, which may carry slack) and one scatter into the
-        segment's packed slots; the caller has checked that the two
-        layouts hold equal label lengths, so shifting each vertex's run
-        of positions by the difference of its two offsets turns the
-        gather positions into the scatter ones.
-        """
-        lengths = labels.lengths[vertices]
-        starts = labels.offsets[vertices]
-        pos = np.repeat(starts - (np.cumsum(lengths) - lengths), lengths)
-        pos += np.arange(len(pos))
-        gathered = labels.values.take(pos)
-        pos += np.repeat(self.offsets[vertices] - starts, lengths)
-        self.segments[0].array[pos] = gathered
+    def delta(self, labels, positions: np.ndarray) -> dict | None:
+        """Write the entries at live *positions* into the segment in
+        place (one scatter); no message fields. ``None``: republish."""
+        published = self.place(labels, positions)
+        if published is None:
+            return None
+        self.segments[0].array[published] = labels.values[positions]
         return {}
 
     def destroy(self) -> None:
@@ -416,12 +456,15 @@ class _ShmBuffers:
 class _PipeChannel:
     """Framed messages over a duplex pipe (it preserves frame
     boundaries, so no length prefix); labels ride :class:`_ShmBuffers`.
-    ``waitable`` is what a round waits on for the reply."""
+    ``fd`` is what a round polls for the reply; :meth:`recv` reads a
+    frame the round saw arrive (or blocks, in the replica loop), so it
+    polls nothing itself and a pipe frame, once begun, is read whole."""
 
     buffers = _ShmBuffers
 
     def __init__(self, conn):
-        self.conn = self.waitable = conn
+        self.conn = conn
+        self.fd = conn.fileno()
 
     @classmethod
     def dial(cls, endpoint) -> "_PipeChannel":
@@ -435,8 +478,6 @@ class _PipeChannel:
         self.conn.send_bytes(encode_frame(message))
 
     def recv(self, timeout: float | None) -> Message:
-        if timeout is not None and not self.conn.poll(timeout):
-            raise TimeoutError(f"no reply within {timeout}s")
         return decode_frame(self.conn.recv_bytes())
 
     def close(self) -> None:
@@ -447,11 +488,11 @@ class _PipeChannel:
 # the transport seam, remote side: loopback TCP + inline label buffers
 # ---------------------------------------------------------------------------
 
-class _InlineBuffers:
+class _InlineBuffers(_LabelBuffers):
     """One shard's label layout as last shipped to its replicas.
 
     Replicas hold private writable copies; the parent keeps only the
-    published offsets, which gate the delta path.
+    published offsets, which place the delta's positions.
     """
 
     def __init__(self, labels):
@@ -464,18 +505,18 @@ class _InlineBuffers:
 
     def publish(self, labels) -> dict:
         fields = self.announce(labels)
+        self._published(labels, fields["offsets"])
         self.offsets = np.array(fields["offsets"], dtype=np.int64)
         return fields
 
-    def delta(self, labels, vertices: np.ndarray) -> dict:
-        """The changed label arrays, concatenated in vertex order by one
-        gather from the live store (each replica scatters them back
-        through its own offsets)."""
-        lengths = labels.lengths[vertices]
-        starts = labels.offsets[vertices]
-        pos = np.repeat(starts - (np.cumsum(lengths) - lengths), lengths)
-        pos += np.arange(len(pos))
-        return {"vertices": vertices, "payload": labels.values.take(pos)}
+    def delta(self, labels, positions: np.ndarray) -> dict | None:
+        """The entries at live *positions*: their published positions
+        and values, which each replica scatters into its copy.
+        ``None``: republish."""
+        published = self.place(labels, positions)
+        if published is None:
+            return None
+        return {"positions": published, "payload": labels.values[positions]}
 
     def destroy(self) -> None:
         pass
@@ -485,13 +526,15 @@ class _TcpChannel:
     """Length-prefixed frames over one loopback TCP connection; labels
     ride :class:`_InlineBuffers`. The replica binds port 0 and reports
     the port over the one-shot bootstrap pipe it was spawned with.
-    ``waitable`` is what a round waits on for the reply."""
+    ``fd`` is what a round polls for the reply; *timeout* bounds each
+    socket read of the rest of the frame."""
 
     buffers = _InlineBuffers
 
     def __init__(self, sock: socket.socket):
         sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        self.sock = self.waitable = sock
+        self.sock = sock
+        self.fd = sock.fileno()
 
     @classmethod
     def dial(cls, bootstrap) -> "_TcpChannel":
@@ -900,6 +943,17 @@ class ReplicaSupervisor:
 # the runtime
 # ---------------------------------------------------------------------------
 
+_NOTHING_WRITTEN = np.empty(0, dtype=np.int64)
+
+
+def _written(label_positions) -> np.ndarray | None:
+    """A one-plane shard's written label positions from its
+    ``MaintenanceStats.label_positions``; ``None`` when unknown."""
+    if label_positions is None:
+        return None
+    return label_positions[0] if label_positions else _NOTHING_WRITTEN
+
+
 class ShardRuntime(ExecutionRuntime):
     """Serve a sharded index from N replica processes per shard.
 
@@ -1032,33 +1086,38 @@ class ShardRuntime(ExecutionRuntime):
         message)``, then read the replies in arrival order under one
         deadline, *timeout* (``request_timeout``) from the sends.
 
-        Maps each handle to its reply or to the ``ServiceRuntimeError``
-        it ended with. No request outlives the round: a handle still
-        unanswered at the deadline, or when something raises, is marked
-        dead — its live channel would hand the late reply to the next
-        request.
+        The round polls its channels through one ``select.poll`` object
+        and reads a channel only once the poll saw it ready (a reply, or
+        the hang-up of a dead replica). Maps each handle to its reply or
+        to the ``ServiceRuntimeError`` it ended with. No request
+        outlives the round: a handle still unanswered at the deadline,
+        or when something raises, is marked dead — its live channel
+        would hand the late reply to the next request.
         """
         timeout = self.request_timeout if timeout is None else timeout
-        outcomes, pending = {}, {}  # pending: channel waitable -> handle
+        outcomes, pending = {}, {}  # pending: channel fd -> handle
+        poller = select.poll()
         try:
             for handle, message in messages:
                 try:
                     handle.send(message)
-                    pending[handle.channel.waitable] = handle
+                    pending[handle.channel.fd] = handle
+                    poller.register(handle.channel.fd, select.POLLIN)
                 except ServiceRuntimeError as exc:
                     outcomes[handle] = exc
             deadline = time.monotonic() + timeout
             while pending and (
-                ready := wait(list(pending), max(0.0, deadline - time.monotonic()))
+                ready := poller.poll(1000.0 * max(0.0, deadline - time.monotonic()))
             ):
-                for waitable in ready:
-                    handle = pending[waitable]
+                for fd, _ in ready:
+                    handle = pending[fd]
                     try:
                         left = max(0.0, deadline - time.monotonic())
                         outcomes[handle] = handle.receive(left)
                     except ServiceRuntimeError as exc:
                         outcomes[handle] = exc
-                    del pending[waitable]  # only once read
+                    del pending[fd]  # only once read
+                    poller.unregister(fd)
         finally:
             for handle in pending.values():
                 outcomes[handle] = handle.fail(
@@ -1321,9 +1380,10 @@ class ShardRuntime(ExecutionRuntime):
         """Apply the batch in the parent, then broadcast shard deltas.
 
         Overlay maintenance needs no broadcast (the overlay index lives
-        only in the parent); a touched shard gets its changed label
-        slots shipped plus an epoch bump — or a full republish if
-        maintenance changed the label layout.
+        only in the parent); a touched shard gets the label entries its
+        sweep wrote (``label_positions``) shipped plus an epoch bump —
+        or a full republish where the published layout cannot place
+        them.
         """
         if self._closed:
             raise ServiceRuntimeError("runtime is closed")
@@ -1333,7 +1393,7 @@ class ShardRuntime(ExecutionRuntime):
         with phase("flush.delta_sync"):
             self._sync(
                 {
-                    sid: stats.per_shard[sid].affected_labels
+                    sid: _written(stats.per_shard[sid].label_positions)
                     for sid in stats.touched_shards
                 }
             )
@@ -1424,11 +1484,13 @@ class ShardRuntime(ExecutionRuntime):
             raise reply
         self.stats.resyncs += 1
 
-    def _sync(self, shards: dict[int, Iterable[int] | None]) -> None:
+    def _sync(self, shards: dict[int, np.ndarray | None]) -> None:
         """Bump each shard's epoch and ship it to all its live replicas,
-        all shards in one round: the label slots it maps to, or — for
-        ``None`` or a moved label layout, where a delta would corrupt
-        the replicas — its whole buffers, republished.
+        all shards in one round: the label entries at the positions its
+        sweep wrote (mapped into the published layout), or — for
+        ``None`` or positions the published layout cannot place, where a
+        delta would tear the replicas' labels — its whole buffers,
+        republished. A delta counts 8 bytes per entry.
 
         Counts the shards at least one replica acked. A replica whose
         request fails is marked dead by its handle — the next read
@@ -1439,17 +1501,14 @@ class ShardRuntime(ExecutionRuntime):
         current epoch and needs no delta.
         """
         messages = {}
-        for sid, affected in shards.items():
+        for sid, written in shards.items():
             self._epochs[sid] += 1
             self.stats.epoch_broadcasts += 1
             labels, buffers = self.index.shards[sid].labels, self._buffers[sid]
-            if affected is not None and np.array_equal(
-                np.diff(buffers.offsets), labels.lengths
-            ):
-                vertices = np.unique(np.fromiter(affected, dtype=np.int64))
-                fields = buffers.delta(labels, vertices)
+            fields = None if written is None else buffers.delta(labels, written)
+            if fields is not None:
                 message = EpochDelta(epoch=self._epochs[sid], **fields)
-                messages[sid] = message, 8 * int(labels.lengths[vertices].sum())
+                messages[sid] = message, 8 * len(written)
             else:
                 fields = buffers.publish(labels)
                 message = Republish(epoch=self._epochs[sid], **fields)

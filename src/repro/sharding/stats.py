@@ -26,10 +26,16 @@ class ShardedMaintenanceStats(MaintenanceStats):
     overlay; ``affected_labels`` / ``affected_shortcuts`` are expressed
     in *global* vertex ids. ``per_shard`` maps shard id to that shard's
     own (local-id) stats; ``overlay_stats`` is the overlay pass.
+    Written label positions belong to one store's layout, so only the
+    per-shard and overlay stats list them; the aggregate's
+    ``label_positions`` is ``None``.
     """
 
     per_shard: dict[int, MaintenanceStats] = field(default_factory=dict)
     overlay_stats: MaintenanceStats = field(default_factory=MaintenanceStats)
+    label_positions: tuple[np.ndarray, ...] | None = field(
+        default=None, compare=False, repr=False
+    )
 
     @property
     def touched_shards(self) -> list[int]:

@@ -1,14 +1,20 @@
-"""A sharded flush costs its touched labels: label deltas and clique refresh.
+"""A sharded flush costs its written label entries: deltas and clique refresh.
 
-After the shard sweeps return, a flush ships each touched shard's
-changed labels to its replicas and refreshes the overlay clique edges
-whose endpoints' labels moved. Both run as whole-array numpy work:
+After the shard sweeps return, a flush ships the label entries each
+touched shard's sweep wrote to its replicas and refreshes the overlay
+clique edges whose endpoints' labels moved. Both run as whole-array
+numpy work:
 
-* the shared-memory delta is one gather from the parent's store (read
-  through its own offsets, which may carry slack) and one scatter into
-  the segment's packed slots; the inline (TCP) delta is the same gather
-  into a payload that each replica scatters through its own offsets —
-  no :meth:`HierarchicalLabelling.view` call per vertex;
+* a delta starts from the sweep's own list of written positions
+  (``MaintenanceStats.label_positions``), mapped into the packed layout
+  the replicas hold — the identity while the parent's store is that
+  layout, a shift through each position's owner vertex on a store with
+  slack. The shared-memory delta is one gather from the parent's store
+  and one scatter into the segment; the inline (TCP) delta ships the
+  mapped positions and their values, which each replica scatters into
+  its copy — no :meth:`HierarchicalLabelling.view` call per vertex. A
+  written vertex whose label length differs from the published one is
+  a republish, never a torn delta;
 * the clique refresh compares the recomputed rows of the touched
   boundary vertices against the held clique matrix
   (``ShardedDHLIndex.cliques``) — no overlay-graph lookup per pair.
@@ -39,7 +45,7 @@ from repro.graph.generators import grid_network
 from repro.graph.graph import Graph
 from repro.labelling.labels import HierarchicalLabelling
 from repro.service import DistanceService, ShardWorkerRuntime
-from repro.service.protocol import EpochDelta
+from repro.service.protocol import AckReply, EpochDelta
 from repro.service.workers import ShardExecutor, _InlineBuffers, _ShmBuffers
 from repro.sharding.overlay import clique_refresh_changes, clique_weights
 from tests.conftest import build_sharded
@@ -161,7 +167,7 @@ def test_segments_equal_parent_buffers_after_rolling_bursts():
 
 def test_delta_copies_from_a_store_with_slack(transport):
     """The parent store's offsets carry slack, the published ones do not;
-    equal lengths keep the burst on the delta path and every replica
+    equal lengths keep every burst on the delta path and every replica
     receives the right entries."""
     index = build_sharded(grid_network(12, 12))
     with transport(index) as runtime:
@@ -170,9 +176,12 @@ def test_delta_copies_from_a_store_with_slack(transport):
             published = runtime._buffers[sid].offsets
             assert not np.array_equal(slack.offsets, published)
             np.testing.assert_array_equal(np.diff(published), slack.lengths)
+        bursts = 0
         for changes, _ in rolling_stream(index.graph, index.region_of, group=8):
             runtime.apply_update(changes)
+            bursts += 1
         assert runtime.stats.republishes == 0
+        assert runtime.stats.delta_syncs >= bursts
         for sid, buffers in enumerate(runtime._buffers):
             assert not index.shards[sid].labels.is_packed
             if isinstance(buffers, _ShmBuffers):
@@ -181,27 +190,86 @@ def test_delta_copies_from_a_store_with_slack(transport):
         _all_pairs_match_dijkstra(runtime.distances, index.graph)
 
 
-def test_inline_delta_round_trip_through_replica_offsets():
-    """The inline payload is the touched labels in vertex order, and a
-    replica's one scatter lands them in its packed copy."""
+def test_inline_delta_round_trip_through_published_positions():
+    """The inline delta maps the written positions of a store with slack
+    into the packed layout the replica holds, and the replica's one
+    scatter lands the values there."""
     index = build_sharded(grid_network(12, 12))
     packed_values, packed_offsets = index.shards[0].labels.export_buffers()
     buffers = _InlineBuffers(index.shards[0].labels)
     executor = ShardExecutor()
     executor.values = packed_values.copy()
-    executor.offsets = packed_offsets.copy()
     labels = _with_slack(index, 0)
-    touched = np.array([0, 3, labels.num_vertices - 1], dtype=np.int64)
-    for v in touched.tolist():
-        start = labels.offsets[v]
-        labels.values[start : start + labels.lengths[v]] += 1.0
-    fields = buffers.delta(labels, touched)
+    vertices = np.array([3, 0, labels.num_vertices - 1])
+    runs = [labels.offsets[v] + np.arange(labels.lengths[v]) for v in vertices]
+    written = np.concatenate(runs)[::2]
+    labels.values[written] += 1.0
+    shift = packed_offsets[vertices] - labels.offsets[vertices]
+    fields = buffers.delta(labels, written)
     np.testing.assert_array_equal(
-        fields["payload"], np.concatenate([labels.views()[v] for v in touched])
+        fields["positions"],
+        written + np.repeat(shift, labels.lengths[vertices])[::2],
     )
-    executor.apply_delta(EpochDelta(epoch=1, **fields))
+    np.testing.assert_array_equal(fields["payload"], labels.values[written])
+    assert isinstance(executor.apply_delta(EpochDelta(epoch=1, **fields)), AckReply)
     np.testing.assert_array_equal(executor.values, labels.export_buffers()[0])
     assert executor.epoch == 1
+
+
+def test_placement_maps_written_positions_or_refuses(transport):
+    """While the parent's store is the layout it published, written
+    positions ship as they are; a store with slack shifts each through
+    its owner vertex; another vertex count or a written vertex of
+    another length cannot be placed."""
+    index = build_sharded(grid_network(12, 12))
+    labels = index.shards[0].labels
+    buffers = transport.channel_type.buffers(labels)
+    try:
+        written = np.array([5, 0, len(labels.values) - 1], dtype=np.int64)
+        assert buffers.place(labels, written) is written
+        slack = HierarchicalLabelling.from_arrays(labels.views(), labels.tau, 0.5)
+        owners = np.array([1, 0, labels.num_vertices - 1])
+        moved = buffers.place(slack, slack.offsets[owners])
+        np.testing.assert_array_equal(moved, labels.offsets[owners])
+        slack.extend_label(0, int(slack.lengths[0]) + 1)
+        assert buffers.place(slack, slack.offsets[owners]) is None
+        assert buffers.place(slack, slack.offsets[[2]]) is not None
+        fewer = HierarchicalLabelling.from_arrays(labels.views()[:-1], labels.tau)
+        assert buffers.place(fewer, written[:1]) is None
+    finally:
+        buffers.destroy()
+
+
+def test_a_changed_label_length_republishes(transport):
+    """A label grown in place since the last publish: a burst that
+    writes it republishes the shard instead of shipping entries into a
+    layout whose run for it is shorter; later bursts are deltas again."""
+    index = build_sharded(grid_network(12, 12))
+    with transport(index) as runtime:
+        for sid in range(index.k):
+            slack = _with_slack(index, sid)
+            for v in range(slack.num_vertices):
+                slack.extend_label(v, int(slack.lengths[v]) + 1)
+        stream = rolling_stream(index.graph, index.region_of, rounds=6, group=8)
+        changes, _ = next(stream)
+        stats = runtime.apply_update(changes)
+        assert runtime.stats.republishes == len(stats.touched_shards) > 0
+        assert runtime.stats.delta_syncs == 0
+        for sid, buffers in enumerate(runtime._buffers):
+            if sid in stats.touched_shards:
+                np.testing.assert_array_equal(
+                    np.diff(buffers.offsets), index.shards[sid].labels.lengths
+                )
+        for changes, _ in stream:
+            runtime.apply_update(changes)
+        assert runtime.stats.delta_syncs > 0
+        for sid, buffers in enumerate(runtime._buffers):
+            if isinstance(buffers, _ShmBuffers):
+                values, _ = index.shards[sid].labels.export_buffers()
+                np.testing.assert_array_equal(buffers.segments[0].array, values)
+        # At most once per shard: each republish packs the grown lengths.
+        assert runtime.stats.republishes <= index.k
+        _all_pairs_match_dijkstra(runtime.distances, index.graph)
 
 
 _OPS = st.lists(

@@ -794,6 +794,23 @@ class TestLoader:
         assert again.compile_seconds is None and len(runs) == 1
         assert path_index().distance(0, 4) == 10.0
 
+    def test_compiler_flags_name_the_build(self, monkeypatch):
+        """Two flag tuples name two files, so a changed ``_CFLAGS``
+        never opens the build of the old ones; nothing is compiled."""
+        monkeypatch.setattr(
+            native.subprocess, "run", lambda *a, **k: pytest.fail("compiled")
+        )
+        _, identity = native._compiler()
+        flags = native._CFLAGS
+        other = (*flags[:-1], "-ffp-contract=fast")
+        assert native._digest(identity, flags) == native._digest(identity, flags)
+        assert native._digest(identity, flags) != native._digest(identity, other)
+        # A flag moved into its neighbour is another tuple too.
+        joined = (*flags[:-2], flags[-2] + flags[-1])
+        assert native._digest(identity, flags) != native._digest(identity, joined)
+        loaded = Path(native.status().library_path).name
+        assert loaded.split("-")[1] == native._digest(identity, flags)
+
     def test_truncated_cached_library_is_rebuilt_once(self, cold):
         target = built_by_another_process()
         assert target.parent == cold

@@ -114,7 +114,7 @@ def epoch_deltas(draw):
     inline = draw(st.booleans())
     return EpochDelta(
         epoch=draw(st.integers(min_value=0, max_value=1000)),
-        vertices=draw(i64_arrays) if inline else None,
+        positions=draw(i64_arrays) if inline else None,
         payload=draw(f64_arrays) if inline else None,
     )
 
@@ -240,7 +240,7 @@ EXAMPLES = [
     ),
     EpochDelta(
         epoch=5,
-        vertices=np.array([2], dtype=np.int64),
+        positions=np.array([2, 5], dtype=np.int64),
         payload=np.array([0.5, 1.0]),
     ),
     Republish(
@@ -479,8 +479,9 @@ def test_every_truncation_point_rejected_or_never_silent():
 
 
 def test_version_mismatch_rejected():
-    """A v4 peer (JSON meta) and a newer one are both refused outright."""
-    assert PROTOCOL_VERSION == 5
+    """A v5 peer (whole-label inline deltas) and a v7 one are both
+    refused outright."""
+    assert PROTOCOL_VERSION == 6
     frame = bytearray(reference_frame())
     offset = 4  # after magic
     (version,) = struct.unpack_from("<H", frame, offset)

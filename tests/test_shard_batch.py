@@ -385,27 +385,28 @@ def test_a_block_never_shipped_is_an_error_reply(attached):
     assert isinstance(reply, ErrorReply) and "no cached overlay block" in reply.message
 
 
-@pytest.mark.parametrize("bad", ["negative", "past_n", "short", "broadcast"])
+@pytest.mark.parametrize("bad", ["negative", "past_end", "short", "broadcast"])
 def test_a_bad_inline_delta_is_an_error_reply_and_splices_nothing(attached, bad):
-    """An inline delta is checked before the splice: -2 would wrap
-    through ``offsets[-2]`` onto vertex n - 1's label, and a one-value
-    payload would broadcast over every touched slot."""
+    """An inline delta is checked before the scatter: position -2 would
+    wrap onto the second-to-last entry, a payload short of one value
+    per position would raise mid-write, and a one-value payload would
+    broadcast over every written position."""
     _, replica = attached
-    n = len(replica.offsets) - 1
-    lengths = np.diff(replica.offsets)
-    vertices = {"negative": [0, -2], "past_n": [0, n]}.get(bad, [0, n - 1])
-    size = {"short": lengths[0] + lengths[n - 1] - 1, "broadcast": 1}.get(
-        bad, lengths[0] + lengths[n - 1]
-    )
+    size = len(replica.values)
+    positions = {
+        "negative": [0, -2],
+        "past_end": [0, size],
+        "short": [0, size // 2, size - 1],
+    }.get(bad, [0, size - 1])
     before = replica.values.copy()
     reply = replica.apply_delta(
         EpochDelta(
             epoch=1,
-            vertices=np.array(vertices, dtype=np.int64),
-            payload=np.full(size, 7.0),
+            positions=np.array(positions, dtype=np.int64),
+            payload=np.full(1 if bad == "broadcast" else 2, 7.0),
         )
     )
-    expected = "VertexNotFound" if bad in ("negative", "past_n") else "payload"
+    expected = "position outside" if bad in ("negative", "past_end") else "payload"
     assert isinstance(reply, ErrorReply) and expected in reply.message
     np.testing.assert_array_equal(replica.values, before)
     assert replica.epoch == 0

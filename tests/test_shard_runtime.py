@@ -17,7 +17,9 @@ replica was respawned in between.
 
 from __future__ import annotations
 
+import multiprocessing.connection
 import os
+import selectors
 import signal
 import threading
 import time
@@ -425,6 +427,44 @@ def test_wedged_shards_share_one_deadline(transport):
                 os.kill(pid, signal.SIGCONT)
         assert info.value.open_shards == (0, 1)
         assert elapsed < 1.5 * timeout, elapsed
+
+
+def test_a_round_polls_once_and_reads_without_another_poll(stack, monkeypatch):
+    """Every round builds one ``select.poll`` object and reads a reply
+    as soon as it saw it arrive: no ``Connection.poll`` per receive and
+    no selector per wait, on a batch and on a flush alike."""
+    graph, mono, sharded, runtime = stack
+    rounds, polls = [], []
+    exchange, poll = runtime._exchange, workers_mod.select.poll
+
+    def counted_exchange(*args, **kwargs):
+        rounds.append(1)
+        return exchange(*args, **kwargs)
+
+    def counted_poll():
+        polls.append(1)
+        return poll()
+
+    def forbidden(*_args, **_kwargs):
+        raise AssertionError("a second poll in a round")
+
+    pairs = sample_pairs_grid(graph.num_vertices, 9, 7)
+    u, v, w = intra_edges(graph, sharded)[3]
+    with monkeypatch.context() as patch:
+        patch.setattr(runtime, "_exchange", counted_exchange)
+        patch.setattr(workers_mod.select, "poll", counted_poll)
+        patch.setattr(workers_mod.select, "select", forbidden)
+        patch.setattr(multiprocessing.connection.Connection, "poll", forbidden)
+        patch.setattr(selectors.PollSelector, "register", forbidden)
+        answered = runtime.distances(pairs)
+        runtime.apply_update([(u, v, 2 * w)])
+        after = runtime.distances(pairs)
+        runtime.apply_update([(u, v, w)])
+    assert len(polls) == len(rounds) >= 4
+    mono_after = DHLIndex.build(mono.graph.copy(), DHLConfig(seed=0))
+    mono_after.update([(u, v, 2 * w)])
+    np.testing.assert_array_equal(answered, mono.distances(pairs))
+    np.testing.assert_array_equal(after, mono_after.distances(pairs))
 
 
 def test_runtime_starts_no_thread(transport):
