@@ -580,7 +580,7 @@ def _label_buffers(message) -> tuple[list, np.ndarray, np.ndarray]:
     Named segments are attached as read-only views (the parent is the
     only writer; a replica-side write would silently diverge from the
     authoritative store, so it raises instead); inline buffers become
-    private writable copies that later deltas splice into. Returns the
+    private writable copies that later deltas scatter into. Returns the
     attached segments (to close on rebind/exit) and the two arrays.
     """
     if message.shm_values is None:
