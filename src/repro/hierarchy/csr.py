@@ -20,8 +20,10 @@ Two derived tables make the maintenance kernels array-native:
   with one :func:`numpy.searchsorted` (no per-pair dict probing);
 * the reverse/down CSR (``down_indptr``/``down_indices``/``down_slots``)
   — vertex ``v``'s down-neighbours sorted by vertex id, each carrying
-  the up-slot of its shortcut, so Property-3.1 recomputation runs as a
-  sorted intersection over two down rows and weight gathers.
+  the up-slot of its shortcut, so Property-3.1 recomputation is a walk
+  over down rows and weight gathers: the C shortcut sweep scatters one
+  endpoint's rows into slot maps and walks the other's down row once,
+  and :meth:`ShortcutCSR.common_down` intersects two down rows.
 
 :func:`build_shortcut_csr` builds the structure alone, from the up-rows
 of the symbolic elimination (:func:`~repro.hierarchy.contraction.eliminate`);
@@ -107,7 +109,8 @@ class ShortcutCSR:
     indptr / indices:
         Up-adjacency rows, each sorted by contraction rank.
     ranks:
-        ``rank[indices]`` — precomputed for in-row binary searches.
+        ``rank[indices]`` — the low half of ``slot_keys`` and the key
+        the shortcut sweep scatters an up row by.
     owners:
         Row owner per slot (``repeat(arange(n), row degrees)``).
     slot_keys:

@@ -48,8 +48,11 @@
  * (tests/oracles/maintenance.py), so weights and labels converge to the
  * same bits. Scratch is O(touched): the heap grows by
  * doubling from the seed count; the in_queue maps are sized to the
- * cells or the vertices, and the label sweep's suspect map to the label
- * store.
+ * cells or the vertices, the shortcut sweep's two slot maps (one int32
+ * per vertex each, filled from one pair's rows and cleared at every
+ * pop) to the vertices, and the label sweep's suspect map to the label
+ * store. Every map is a calloc, so a large one commits only the pages
+ * a sweep touches.
  *
  * A sweep hands back what it touched, so its caller never scans a
  * store-sized array: the first time it sets a changed mark it also
@@ -194,22 +197,6 @@ static inline void mark_entry(int64_t pos, int64_t v, uint8_t *changed,
         vertex_marks[v] = 1;
         touched_vertices[count[1]++] = v;
     }
-}
-
-/* Slot of pair (deeper, the vertex of contraction rank r): rows are
-   sorted by rank, so one binary search of deeper's up row; -1 where
-   compaction removed the pair. */
-static int64_t find_slot(const int32_t *indptr, const int32_t *ranks,
-                         int64_t deeper, int64_t r) {
-    int64_t lo = indptr[deeper], hi = indptr[deeper + 1], end = hi;
-    while (lo < hi) {
-        int64_t mid = (lo + hi) >> 1;
-        if (ranks[mid] < r)
-            lo = mid + 1;
-        else
-            hi = mid;
-    }
-    return (lo < end && ranks[lo] == r) ? lo : -1;
 }
 
 /* ------------------------------------------------------------------ */
@@ -880,18 +867,21 @@ static store_t store_open(const store_record_t *r)
 /*
  * Algorithms 2 and 3 from the raised (suspect) and lowered seed cells,
  * deepest owner first; pushes go strictly shallower than the popping
- * owner, so every cell pops once. A popped suspect is recomputed as the
- * min of direct[cell] and, over the common down-neighbours x (both down
- * rows are sorted by vertex id), W[(x, v), opposite plane] +
- * W[(x, w), own plane]; a lowered seed takes min(W, direct). A cell
- * that is not a suspect, or that moved, then visits every triangle, an
- * unmoved suspect only those whose leg moved: a rise flags each
- * unwritten target its pre-batch weight realised, and a pair whose leg
- * is not a queued suspect relaxes a target that is not one. Returns 1,
- * stopping early, when a finite candidate targets a pair compaction
- * removed (the contract's fallback signal), 0 otherwise, DHL_NOMEM on
- * failure. The store is read through its bound record; the seeds,
- * direct (one double a cell) and the marks are the call's own.
+ * owner, so every cell pops once. Each pop of cell (v, w) first scatters
+ * w's rows into two n-entry maps of slot + 1 (0: absent): its up row by
+ * rank, its down row by vertex, cleared again before the next pop. A
+ * popped suspect is recomputed as the min of direct[cell] and, over the
+ * down-neighbours x of v that the vertex map holds (the common ones),
+ * W[(x, v), opposite plane] + W[(x, w), own plane]; a lowered seed takes
+ * min(W, direct). A cell that is not a suspect, or that moved, then
+ * visits every triangle, an unmoved suspect only those whose leg moved,
+ * each target slot one map load: a rise flags each unwritten target its
+ * pre-batch weight realised, and a pair whose leg is not a queued
+ * suspect relaxes a target that is not one. Returns 1, stopping early,
+ * when a finite candidate targets a pair compaction removed (the
+ * contract's fallback signal), 0 otherwise, DHL_NOMEM on failure. The
+ * store is read through its bound record; the seeds, direct (one double
+ * a cell) and the marks are the call's own.
  */
 int dhl_shortcut_sweep(
     int64_t num_raised, const int64_t *raised,
@@ -908,6 +898,12 @@ int dhl_shortcut_sweep(
     const int32_t *down_indices = st.down_indices, *down_slots = st.down_slots;
     heap_t h;
     int status = heap_init(&h, num_cells, num_raised + num_lowered);
+    /* slot + 1 fits: the store keeps m < 2**31 (check_capacity). */
+    size_t universe = st.n > 0 ? (size_t)st.n : 1;
+    int32_t *slot_by_rank = calloc(universe, sizeof(int32_t));
+    int32_t *slot_by_vertex = calloc(universe, sizeof(int32_t));
+    if (!slot_by_rank || !slot_by_vertex)
+        status = DHL_NOMEM;
     int64_t last = num_cells - m; /* offset of the last plane */
     for (int64_t i = 0; !status && i < num_raised; i++)
         status = heap_flag(&h, rank[owners[raised[i] % m]], raised[i], SUSPECT);
@@ -919,26 +915,24 @@ int dhl_shortcut_sweep(
         int64_t cell = heap_pop(&h);
         int64_t slot = cell % m, own = cell - slot, opposite = last - own;
         int64_t v = owners[slot], w = indices[slot], ra = ranks[slot];
+        const int64_t up = indptr[w], up_end = indptr[w + 1];
+        const int64_t down = down_indptr[w], down_end = down_indptr[w + 1];
+        for (int64_t j = up; j < up_end; j++)
+            slot_by_rank[ranks[j]] = (int32_t)(j + 1);
+        for (int64_t d = down; d < down_end; d++)
+            slot_by_vertex[down_indices[d]] = down_slots[d] + 1;
         double now = weights[cell], was = now;
         if (suspect) {
             if (changed[cell])
                 was = first_old[cell];
             now = direct[cell];
-            int64_t pa = down_indptr[v], ea = down_indptr[v + 1];
-            int64_t pb = down_indptr[w], eb = down_indptr[w + 1];
-            while (pa < ea && pb < eb) {
-                int64_t xa = down_indices[pa], xb = down_indices[pb];
-                if (xa == xb) {
-                    double cand = weights[down_slots[pa] + opposite]
-                                + weights[down_slots[pb] + own];
+            for (int64_t d = down_indptr[v], e = down_indptr[v + 1]; d < e; d++) {
+                int64_t xw = slot_by_vertex[down_indices[d]];
+                if (xw) {
+                    double cand = weights[down_slots[d] + opposite]
+                                + weights[xw - 1 + own];
                     if (cand < now)
                         now = cand;
-                    pa++;
-                    pb++;
-                } else if (xa < xb) {
-                    pa++;
-                } else {
-                    pb++;
                 }
             }
         } else if ((state & LOWERED) && direct[cell] < now) {
@@ -956,10 +950,10 @@ int dhl_shortcut_sweep(
             double cand = now + weights[partner];
             int64_t rb = ranks[leg], tslot, plane;
             if (ra < rb) {
-                tslot = find_slot(indptr, ranks, w, rb);
+                tslot = slot_by_rank[rb] - 1;
                 plane = opposite;
             } else {
-                tslot = find_slot(indptr, ranks, indices[leg], ra);
+                tslot = slot_by_vertex[indices[leg]] - 1;
                 plane = own;
             }
             if (tslot < 0) {
@@ -989,7 +983,13 @@ int dhl_shortcut_sweep(
             if (status)
                 break;
         }
+        for (int64_t j = up; j < up_end; j++)
+            slot_by_rank[ranks[j]] = 0;
+        for (int64_t d = down; d < down_end; d++)
+            slot_by_vertex[down_indices[d]] = 0;
     }
+    free(slot_by_rank);
+    free(slot_by_vertex);
     heap_free(&h);
     return status;
 }

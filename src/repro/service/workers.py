@@ -156,7 +156,6 @@ class ShardExecutor:
         self.epoch = 0
         self.served = 0
         self.values: np.ndarray | None = None
-        self.offsets: np.ndarray | None = None
         #: The shard's boundary and held overlay block, as the shard
         #: kernel reads them through one bound record.
         self.shard: native_engine.ShardRoute | None = None
@@ -181,7 +180,6 @@ class ShardExecutor:
         from repro.labelling.labels import HierarchicalLabelling
 
         self.values = values
-        self.offsets = offsets
         index = self.index
         labels = HierarchicalLabelling.from_shared_buffers(
             values, offsets, index.hq.tau

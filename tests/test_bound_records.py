@@ -158,7 +158,7 @@ def test_a_replica_sub_query_reads_only_its_operands(reads):
     again = compute(block_cached=True)
     assert len(reads) == 2  # the ids operand and the output arena
     owned = engine_buffers(executor.index.engine)
-    owned += [executor.values, executor.offsets, executor.boundary_local]
+    owned += [executor.values, executor.boundary_local]
     owned.append(executor._block)
     assert_reads_no_owned(reads, owned)
     for field in ("final", "fan", "fan_inverse"):

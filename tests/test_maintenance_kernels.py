@@ -13,6 +13,7 @@ arbitrary interleavings of increase and decrease batches. Only
 from __future__ import annotations
 
 import functools
+import hashlib
 import pickle
 from contextlib import nullcontext
 from unittest import mock
@@ -39,6 +40,11 @@ from tests.strategies import assert_stats_match, connected_graphs, update_sequen
 
 #: The C sweeps, and the oracle sweeps in their place.
 KERNELS = (nullcontext, python_kernels)
+
+#: SHA-1 prefix of the C shortcut sweep's touched lists over
+#: :meth:`TestTouchedLists.test_touched_order_is_pinned`'s bursts, keyed
+#: by ``directed``.
+PINNED_TOUCHED_ORDER = {False: "089980e6ec12", True: "4dd119777ec2"}
 
 
 def test_baseline_shortcut_maintenance_equals_the_oracle_sweep():
@@ -330,6 +336,53 @@ class TestTouchedLists:
                     want = self.scanned(index.hu, cell_marks, label_calls)
                     assert stats == want
         index.verify()
+
+    @pytest.mark.parametrize("directed", [False, True], ids=["undirected", "directed"])
+    def test_touched_order_is_pinned(self, directed):
+        """The C shortcut sweep lists cells in the order it first writes
+        them, and that order reaches the label sweep's seeds and
+        ``label_positions``. Rolling mixed bursts on a 12x12 grid: the
+        touched lists, in list order, hash to the pinned digest, so a
+        reordered pop, leg or mark changes it though every weight may
+        stay the same. (The oracle's heap breaks ties in another order;
+        only its sets are held to C's.)"""
+        graph = grid_network(12, 12, seed=4)
+        config = DHLConfig(leaf_size=4, seed=0)
+        if directed:
+            digraph = DiGraph.from_undirected(graph)
+            for i, (u, v, w) in enumerate(list(digraph.arcs())):
+                if i % 2 == 0:
+                    digraph.set_weight(u, v, float(w + 3))
+            roads = list(digraph.arcs())
+        else:
+            roads = list(graph.edges())
+        picks = np.random.default_rng(8).permutation(len(roads))[:80]
+        digest = hashlib.sha1()
+
+        def shortcut(sweep):
+            def run(*args):
+                result = sweep(*args)
+                _, _, touched, count = args[-1]
+                digest.update(touched[: count[0]].tobytes())
+                return result
+
+            return run
+
+        index = (
+            DirectedDHLIndex.build(digraph, config)
+            if directed
+            else DHLIndex.build(graph, config)
+        )
+        previous: list = []
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(
+                native_engine, "shortcut_sweep", shortcut(native_engine.shortcut_sweep)
+            )
+            for pick in picks.reshape(10, 8):
+                current = [roads[i] for i in pick]
+                index.update([(u, v, 2 * w) for u, v, w in current] + previous)
+                previous = current
+        assert digest.hexdigest()[:12] == PINNED_TOUCHED_ORDER[directed]
 
 
 class TestShardedDifferential:

@@ -386,8 +386,9 @@ def _drop_pair(hu, a, b) -> None:
 
 def _triangle_over(index, need_edge: bool):
     """``(x, p, q, o)``: x's up-row holds p and q with ``w(q, x) < w(q, p)``,
-    and p's holds a third vertex o — so lowering ``x -> p`` far enough
-    lowers ``q -> p``, whose relaxation then targets the pair ``(q, o)``.
+    and p's holds a vertex o outside x's row, contracted after q — so
+    lowering ``x -> p`` far enough lowers ``q -> p`` (not ``o -> p``),
+    whose relaxation then looks the pair ``(q, o)`` up in q's up-row.
     *need_edge* picks whether ``x -> p`` must or must not be in the graph.
     """
     hu = index.hu
@@ -398,7 +399,11 @@ def _triangle_over(index, need_edge: bool):
             if has_edge(x, p) != need_edge:
                 continue
             for q in row[i + 1 :]:
-                others = [o for o in hu.csr.row(p).tolist() if o != q]
+                others = [
+                    o
+                    for o in hu.csr.row(p).tolist()
+                    if o not in row and hu.rank[q] < hu.rank[o]
+                ]
                 if others and hu.weight(q, x) < hu.weight(q, p):
                     return x, p, q, others[0]
     raise AssertionError("fixture has no such triangle")
@@ -420,7 +425,10 @@ ROAD_DIJKSTRA = {"undirected": dijkstra, "directed": directed_dijkstra}
 @pytest.mark.parametrize("kernels", [nullcontext, python_kernels], ids=["c", "oracle"])
 def test_decrease_onto_compacted_slot_raises_on_every_sweep(kernels, small_road):
     """The compacted-slot guard is part of the sweep contract: a finite
-    candidate for a removed pair must surface, not be skipped."""
+    candidate for a removed pair must surface, not be skipped. The pop
+    of ``(x, p)`` before it has seen p's up-row, which holds ``o``: a
+    slot map the C sweep did not clear after that pop would hand
+    ``(q, o)`` the slot of ``(p, o)``."""
     for build in FAMILIES.values():
         index = build(small_road, DHLConfig(leaf_size=6, seed=0))
         x, p, q, o = _triangle_over(index, need_edge=True)
