@@ -28,7 +28,6 @@ __all__ = [
     "ProtocolCorruptionError",
     "ServiceOverloadError",
     "WorkerEpochError",
-    "ShardUnavailableError",
     "PartialResultError",
 ]
 
@@ -162,23 +161,6 @@ class ServiceOverloadError(ServiceRuntimeError):
 
 class WorkerEpochError(ServiceRuntimeError):
     """A shard worker refused a batch stamped with an epoch it does not hold."""
-
-
-class ShardUnavailableError(ServiceRuntimeError):
-    """Every replica of a shard is down and its circuit breaker is open.
-
-    Raised on the dispatch path when ``degraded_mode="error"`` (or when
-    a sync cannot reach any replica); under the default ``"shed"`` mode
-    the scheduler converts it into a :class:`PartialResultError` so the
-    rest of the batch still answers.
-    """
-
-    def __init__(self, sid: int, message: str | None = None):
-        super().__init__(
-            message
-            or f"no live replica left for shard {sid}; breaker is open"
-        )
-        self.sid = sid
 
 
 class PartialResultError(ServiceRuntimeError):

@@ -74,26 +74,11 @@ SIGNATURES = {
     "dhl_common_ancestors": (_i64, [_ptr, _i64, _ptr, _ptr, _i64, _ptr]),
     "dhl_gather_pairs": (_i64, [_ptr] * 3 + [_i64, _ptr, _ptr, _i64, _ptr, _ptr]),
     "dhl_distance_matrix": (_i64, [_ptr] * 3 + [_i64, _ptr, _i64, _ptr, _ptr]),
-    "dhl_min_plus": (
-        ctypes.c_int,
-        [_i64, _i64, _ptr, _i64, _ptr, _ptr, _i64, _i64, _ptr, _ptr, _ptr],
-    ),
     "dhl_shard_batch": (_i64, [_ptr] * 4 + [ctypes.c_int, _i64, _i64, _ptr, _ptr]),
     "dhl_batch_split": (_i64, [_ptr, _i64, _ptr, _ptr, _i64, _ptr]),
     "dhl_batch_answer": (_i64, [_ptr, _i64, _ptr, _ptr, _i64] + [_ptr] * 4),
     "dhl_shortcut_sweep": (ctypes.c_int, [_i64, _ptr, _i64, _ptr] + [_ptr] * 6),
     "dhl_label_sweep": (_i64, [_i64, _ptr, _ptr, _i64] + [_ptr] * 8),
-    "dhl_fm_refine": (
-        ctypes.c_int,
-        [_i64, _i64] + [_ptr] * 4 + [_i64, _i64] + [_ptr] * 2,
-    ),
-    "dhl_step_rebalance": (ctypes.c_int, [_i64] + [_ptr] * 4 + [_i64, _ptr]),
-    "dhl_step_grow": (ctypes.c_int, [_i64, _i64] + [_ptr] * 4 + [_i64, _ptr]),
-    "dhl_step_bfs_halves": (ctypes.c_int, [_i64] + [_ptr] * 3 + [_i64, _ptr]),
-    "dhl_step_components": (_i64, [_i64] + [_ptr] * 6),
-    "dhl_step_coarsen": (_i64, [_i64] + [_ptr] * 5 + [_i64] + [_ptr] * 5),
-    "dhl_step_cut_weight": (ctypes.c_double, [_i64] + [_ptr] * 4),
-    "dhl_step_separator": (_i64, [_i64, _i64] + [_ptr] * 3),
     "dhl_part_new": (
         _ptr, [_i64, _i64] + [_ptr] * 4 + [ctypes.c_double] + [_ptr] * 4
     ),

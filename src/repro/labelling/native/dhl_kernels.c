@@ -4,9 +4,9 @@
  * parent's min-plus combine of the boundary route, the two maintenance
  * sweeps of the Engine contract (Algorithms 2 + 3 over the shortcuts,
  * 4 + 5 over the labels, each for a whole mixed batch) and the build:
- * every combinatorial step of the multilevel partitioner (dhl_step_*
- * one at a time, dhl_part_* as a context that bisects one subset after
- * another; tie rules in their section) and Algorithm 1's top-down pass,
+ * every combinatorial step of the multilevel partitioner (dhl_part_*,
+ * a context that bisects one subset after another; tie rules in their
+ * section) and Algorithm 1's top-down pass,
  * and the service's result cache: the probe and the fill of its
  * set-associative pair table.
  * Plain C99 over int64_t / int32_t / double / uint8_t pointers; built
@@ -512,26 +512,6 @@ static int min_plus_run(int64_t width_a, int64_t width_b, const double *ds,
 }
 
 /*
- * min_plus_compact's contract over row-major ds (ds_rows x width_a),
- * block (width_a x width_b) and dt (dt_rows x width_b). arena is the
- * call's one output buffer: out[count], then the hop rows
- * (ds_rows x width_b), then ds_rows hopped bytes. Returns 0, or
- * DHL_BAD_ROWS for a row map entry past its matrix.
- */
-int dhl_min_plus(int64_t width_a, int64_t width_b, const double *ds,
-                 int64_t ds_rows, const double *block, const double *dt,
-                 int64_t dt_rows, int64_t count, const int64_t *ds_inverse,
-                 const int64_t *dt_inverse, double *arena)
-{
-    double *hop = arena + count;
-    uint8_t *hopped = (uint8_t *)(hop + ds_rows * width_b);
-    memset(hopped, 0, (size_t)ds_rows);
-    return min_plus_run(width_a, width_b, ds, ds_rows, block, width_b, dt,
-                        dt_rows, count, ds_inverse, dt_inverse, hopped, hop,
-                        arena);
-}
-
-/*
  * One shard's boundary (width local ids) and its own width x width
  * overlay block, rows ld apart (block 0 while none is held): what
  * dhl_shard_batch's boundary route reads.
@@ -564,8 +544,8 @@ static inline int64_t take_row(const pair_store_t *q, int64_t v,
  * use_block and a held block it is lowered to the boundary route when
  * that is shorter: min over (a, b) of (ds[a] + block[a, b]) + dt[b], ds
  * and dt the rows of s[p] and t[p] against the boundary. Those are
- * min_plus_compact's sums followed by np.minimum, so the bits are those
- * of the numpy composition in tests/oracles/query.py; a self-pair keeps
+ * min_plus_run's sums followed by np.minimum, so the bits are those of
+ * the numpy composition in tests/oracles/query.py; a self-pair keeps
  * its 0.0.
  *
  * Each vertex's row against the boundary is computed once, at its first
@@ -573,7 +553,7 @@ static inline int64_t take_row(const pair_store_t *q, int64_t v,
  * np.unique. The fan is read first, so its distinct vertices hold rows
  * 0 .. F - 1 in first-mention order, and fan_inverse[e] is fan[e]'s
  * row. The route's endpoints take rows after them. The first hop runs
- * once per distinct source row, as in dhl_min_plus, and never for a
+ * once per distinct source row, as in min_plus_run, and never for a
  * target's row. Each distinct vertex takes one row, so the arena holds
  * capacity = min(n, fan_count + 2 * count) rows with a route,
  * min(n, fan_count) without.
@@ -739,7 +719,7 @@ static inline const int64_t *row_map(const double *answers, const int64_t *res)
  * finals land on its intra positions; every cross region pair (i, j)
  * whose two shards both answered takes the min-plus combine of shard
  * i's source rows, the overlay block (i, j) read in place from the
- * matrix, and shard j's target rows (min_plus_compact's bits); what a
+ * matrix, and shard j's target rows (min_plus_run's bits); what a
  * missing shard was needed for stays inf, and a self-pair is 0.0.
  * Returns 0, DHL_NOMEM, or DHL_BAD_ROWS - sid for a fan row map of
  * shard sid that points past its rows.
@@ -1220,13 +1200,6 @@ typedef struct {
     const int64_t *vweight;
 } csr_t;
 
-static int64_t csr_total(const csr_t *g) {
-    int64_t total = 0;
-    for (int64_t v = 0; v < g->n; v++)
-        total += g->vweight[v];
-    return total;
-}
-
 /*
  * One gain-queue entry, ordered by (key, push counter). Counters are
  * distinct, so the order is total and any correct min-heap pops the
@@ -1354,7 +1327,8 @@ static int scratch_init(scratch_t *s, int64_t n, int64_t nnz) {
 
 /*
  * Fiduccia-Mattheyses refinement of side (0/1 bytes, refined in place):
- * repro.partition.fm.fm_refine's passes, decision for decision. Gains
+ * the FM_PASSES passes of tests/oracles/partition.py's fm_refine,
+ * decision for decision. Gains
  * are summed in row order over integer multiplicities, so every sum is
  * exact and every 1e-12 test sees the same values. A pass stops when
  * its queue drains or when room, the cut the pass can still remove,
@@ -1365,9 +1339,10 @@ static int scratch_init(scratch_t *s, int64_t n, int64_t nnz) {
  * queues at most its row, and a stale re-push replaces the entry just
  * popped.
  */
-static void fm_run(const csr_t *g, int64_t max_side_weight,
-                   int64_t max_passes, uint8_t *side, int64_t *work,
-                   scratch_t *s)
+#define FM_PASSES 8
+
+static void fm_run(const csr_t *g, int64_t max_side_weight, uint8_t *side,
+                   int64_t *work, scratch_t *s)
 {
     int64_t n = g->n;
     const int64_t *indptr = g->indptr, *indices = g->indices;
@@ -1384,7 +1359,7 @@ static void fm_run(const csr_t *g, int64_t max_side_weight,
     for (int64_t v = 0; v < n; v++)
         side_weight[side[v]] += vweight[v];
 
-    for (int64_t pass = 0; pass < max_passes; pass++) {
+    for (int64_t pass = 0; pass < FM_PASSES; pass++) {
         memset(flags, 0, 3 * cells);
         int64_t size = 0;
         double room = 0.0;
@@ -1492,7 +1467,7 @@ static void fm_run(const csr_t *g, int64_t max_side_weight,
 }
 
 /*
- * Rebalance (repro.partition.fm.rebalance): while a side outweighs the
+ * Rebalance (the oracle's rebalance): while a side outweighs the
  * bound, move its vertices across by gain, best first, ties in id
  * order. Gains are taken before the first move. buf holds n entries.
  */
@@ -1520,7 +1495,7 @@ static void rebalance_run(const csr_t *g, int64_t max_side_weight,
 }
 
 /*
- * Greedy graph growing (repro.partition.initial.greedy_growing): side 0
+ * Greedy graph growing (the oracle's greedy_growing): side 0
  * grows from seed to half the total weight, the frontier popped by
  * (external minus internal cost, push counter). The queue holds at most
  * nnz + 1 entries: each absorbed vertex pushes at most its row.
@@ -1592,7 +1567,7 @@ static void prefix_half(const csr_t *g, int64_t total, const int64_t *order,
 }
 
 /*
- * BFS halves (repro.partition.initial.bfs_halves): two sweeps from seed
+ * BFS halves (the oracle's bfs_halves): two sweeps from seed
  * towards the periphery (the farthest vertex, ties to the largest id),
  * then the BFS order from there, unreached vertices after it in id
  * order, split at half the weight.
@@ -1618,7 +1593,7 @@ static void bfs_halves_run(const csr_t *g, int64_t total, int64_t seed,
 }
 
 /*
- * Connected components (repro.partition.initial.components) in order of
+ * Connected components (the oracle's components) in order of
  * their smallest vertex, members in BFS order: component c is
  * members[starts[c]:starts[c + 1]] and weighs weights[c]. starts holds
  * n + 1 entries, seen n bytes. Returns the number of components.
@@ -1627,7 +1602,8 @@ static int64_t components_run(const csr_t *g, int64_t *members,
                               int64_t *starts, int64_t *weights,
                               uint8_t *seen)
 {
-    memset(seen, 0, (size_t)g->n);
+    for (int64_t v = 0; v < g->n; v++)
+        seen[v] = 0;
     int64_t num = 0, count = 0;
     for (int64_t start = 0; start < g->n; start++) {
         if (seen[start])
@@ -1692,7 +1668,7 @@ static double cut_weight_run(const csr_t *g, const uint8_t *side) {
 }
 
 /*
- * One heavy-edge matching level (repro.partition.coarsen.coarsen_once):
+ * One heavy-edge matching level (the oracle's coarsen_once):
  * vertices visited in perm order pair with their unmatched neighbour of
  * heaviest multiplicity (ties: the lighter one, then the first in the
  * row) unless the pair would outweigh max_vertex_weight. Coarse ids
@@ -1774,7 +1750,7 @@ static int64_t coarsen_run(const csr_t *g, const int64_t *perm,
 
 /*
  * Minimum vertex cover of the cut edges (a[i] on side 0, b[i] on side
- * 1, ids in [0, n)), as repro.partition.separator builds it: left and
+ * 1, ids in [0, n)), as tests/oracles/separator.py builds it: left and
  * right classes in id order, each left vertex's edges in cut order
  * without repeats, a Hopcroft-Karp maximum matching, then Koenig's
  * construction from the unmatched left vertices. Marks the cover in
@@ -1954,125 +1930,6 @@ static int64_t separator_run(int64_t n, int64_t m, const int64_t *a,
 }
 
 /* ------------------------------------------------------------------ */
-/* the partitioner's steps, one call each (the wrappers' parity checks) */
-/* ------------------------------------------------------------------ */
-
-/*
- * Each step over caller arrays, with its own scratch; 0 (or a count),
- * or DHL_NOMEM with the outputs untouched. side is n bytes of 0/1,
- * every id lies in [0, n) and perm is a permutation: the wrappers
- * check all of it.
- */
-int dhl_fm_refine(
-    int64_t n, int64_t nnz, const int64_t *indptr, const int64_t *indices,
-    const double *mult, const int64_t *vweight, int64_t max_side_weight,
-    int64_t max_passes, uint8_t *side, int64_t *work)
-{
-    scratch_t s;
-    if (scratch_init(&s, n, nnz))
-        return DHL_NOMEM;
-    csr_t g = {n, indptr, indices, mult, vweight};
-    fm_run(&g, max_side_weight, max_passes, side, work, &s);
-    scratch_free(&s);
-    return 0;
-}
-
-int dhl_step_rebalance(
-    int64_t n, const int64_t *indptr, const int64_t *indices,
-    const double *mult, const int64_t *vweight, int64_t max_side_weight,
-    uint8_t *side)
-{
-    if (oversized(n, 0))
-        return DHL_NOMEM;
-    fm_entry_t *buf = malloc(((size_t)n + 1) * sizeof(fm_entry_t));
-    if (!buf)
-        return DHL_NOMEM;
-    csr_t g = {n, indptr, indices, mult, vweight};
-    rebalance_run(&g, max_side_weight, side, buf);
-    free(buf);
-    return 0;
-}
-
-int dhl_step_grow(
-    int64_t n, int64_t nnz, const int64_t *indptr, const int64_t *indices,
-    const double *mult, const int64_t *vweight, int64_t seed, uint8_t *side)
-{
-    if (oversized(n, nnz))
-        return DHL_NOMEM;
-    fm_entry_t *heap = malloc(((size_t)n + (size_t)nnz + 1) * sizeof(fm_entry_t));
-    if (!heap)
-        return DHL_NOMEM;
-    csr_t g = {n, indptr, indices, mult, vweight};
-    grow_run(&g, csr_total(&g), seed, side, heap);
-    free(heap);
-    return 0;
-}
-
-int dhl_step_bfs_halves(
-    int64_t n, const int64_t *indptr, const int64_t *indices,
-    const int64_t *vweight, int64_t seed, uint8_t *side)
-{
-    if (oversized(n, 0))
-        return DHL_NOMEM;
-    int64_t *dist = malloc(2 * ((size_t)n + 1) * sizeof(int64_t));
-    if (!dist)
-        return DHL_NOMEM;
-    csr_t g = {n, indptr, indices, NULL, vweight};
-    bfs_halves_run(&g, csr_total(&g), seed, side, dist, dist + n + 1);
-    free(dist);
-    return 0;
-}
-
-int64_t dhl_step_components(
-    int64_t n, const int64_t *indptr, const int64_t *indices,
-    const int64_t *vweight, int64_t *members, int64_t *starts,
-    int64_t *weights)
-{
-    if (oversized(n, 0))
-        return DHL_NOMEM;
-    uint8_t *seen = malloc((size_t)n + 1);
-    if (!seen)
-        return DHL_NOMEM;
-    csr_t g = {n, indptr, indices, NULL, vweight};
-    int64_t num = components_run(&g, members, starts, weights, seen);
-    free(seen);
-    return num;
-}
-
-int64_t dhl_step_coarsen(
-    int64_t n, const int64_t *indptr, const int64_t *indices,
-    const double *mult, const int64_t *vweight, const int64_t *perm,
-    int64_t max_vertex_weight, int64_t *fine_to_coarse, int64_t *c_indptr,
-    int64_t *c_indices, double *c_mult, int64_t *c_vweight)
-{
-    if (oversized(n, 0))
-        return DHL_NOMEM;
-    int64_t *match = malloc(3 * ((size_t)n + 1) * sizeof(int64_t));
-    if (!match)
-        return DHL_NOMEM;
-    csr_t g = {n, indptr, indices, mult, vweight};
-    int64_t nc = coarsen_run(&g, perm, max_vertex_weight, fine_to_coarse,
-                             c_indptr, c_indices, c_mult, c_vweight, match,
-                             match + n + 1, match + 2 * (n + 1));
-    free(match);
-    return nc;
-}
-
-double dhl_step_cut_weight(
-    int64_t n, const int64_t *indptr, const int64_t *indices,
-    const double *mult, const uint8_t *side)
-{
-    csr_t g = {n, indptr, indices, mult, NULL};
-    return cut_weight_run(&g, side);
-}
-
-int64_t dhl_step_separator(
-    int64_t n, int64_t m, const int64_t *a, const int64_t *b, uint8_t *in_sep)
-{
-    return separator_run(n, m, a, b, in_sep);
-}
-
-/* ------------------------------------------------------------------ */
 /* the partitioner's context: one bisection after another              */
 /* ------------------------------------------------------------------ */
 
@@ -2105,8 +1962,8 @@ int64_t dhl_step_separator(
  *                         the two sides without it, as source ids
  *
  * info[] describes the working level after each call (vertices, pairs,
- * total weight) and the result's counts; work[] counts FM's pops and
- * pass-vertices as dhl_fm_refine does. Everything is allocated by
+ * total weight) and the result's counts; work[] adds up FM's queue
+ * pops and pass-vertices (fm_run's work). Everything is allocated by
  * dhl_part_new, sized to the source graph, except the coarse levels and
  * the giant's graph (allocated per bisection, freed by the next load).
  */
@@ -2344,7 +2201,7 @@ int64_t dhl_part_disconnected(part_t *p) {
         pack_run(p->num_comps, p->members, p->starts, p->weights, -1,
                  p->side, side_weight, p->s.heap);
         rebalance_run(&g, bound, p->side, p->s.heap);
-        fm_run(&g, bound, 8, p->side, p->work, &p->s);
+        fm_run(&g, bound, p->side, p->work, &p->s);
         finish(p);
         return 1;
     }
@@ -2424,7 +2281,7 @@ static void consider(part_t *p) {
             return;
     if (p->num_memo < MAX_CANDIDATES)
         memcpy(p->memo + (size_t)p->num_memo++ * n, p->cand, n);
-    fm_run(&g, bound, 8, p->cand, p->work, &p->s);
+    fm_run(&g, bound, p->cand, p->work, &p->s);
     double cut = cut_weight_run(&g, p->cand);
     if (cut < p->best_cut) {
         p->best_cut = cut;
@@ -2479,7 +2336,7 @@ void dhl_part_project(part_t *p) {
             next[v] = side[f2c[v]];
         csr_t g = level_csr(fine);
         rebalance_run(&g, bound, next, p->s.heap);
-        fm_run(&g, bound, 8, next, p->work, &p->s);
+        fm_run(&g, bound, next, p->work, &p->s);
         side = next;
     }
     csr_t g = level_csr(work);

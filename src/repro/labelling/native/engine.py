@@ -76,7 +76,6 @@ __all__ = [
     "gather_pairs",
     "label_build",
     "label_sweep",
-    "min_plus",
     "operand",
     "shard_batch",
     "shortcut_sweep",
@@ -717,48 +716,8 @@ def distance_matrix(labels_s, sources, labels_t, targets, tables) -> np.ndarray:
 # the sharded batch: one shard's share, the split and the combine
 # ---------------------------------------------------------------------------
 
-def min_plus(ds, ds_inverse, block, dt, dt_inverse) -> np.ndarray:
-    """:func:`repro.sharding.engine.min_plus_compact` as one C loop.
-
-    The first hop ``min over a of ds[u, a] + block[a, b]`` runs once per
-    row of *ds* that *ds_inverse* names (a row no pair uses is never
-    hopped), the second once per pair through the two row maps; the
-    sums are numpy's, in its order, so the answers are its bits. A row
-    map entry outside its matrix raises :class:`ValueError`.
-    """
-    rows, width_a = ds.shape
-    width_b = dt.shape[1]
-    count = len(ds_inverse)
-    if block.shape != (width_a, width_b) or len(dt_inverse) != count:
-        raise ValueError(
-            f"min-plus shapes disagree: ds {ds.shape}, block {block.shape}, "
-            f"dt {dt.shape}, {count} vs {len(dt_inverse)} pairs"
-        )
-    # The answers, the hop rows, then one hopped byte a row.
-    arena = np.empty(count + rows * width_b + -(-rows // 8), dtype=np.float64)
-    status = library().dhl_min_plus(
-        width_a,
-        width_b,
-        _addr(ds, _F64, ds.size),
-        rows,
-        _addr(block, _F64, block.size),
-        _addr(dt, _F64, dt.size),
-        len(dt),
-        count,
-        _addr(ds_inverse, _I64, count),
-        _addr(dt_inverse, _I64, count),
-        address(arena),
-    )
-    if status == _BAD_ROWS:
-        bad = count and ds_inverse.view(np.uint64).max() >= rows
-        raise ValueError(
-            f"row map points past the {rows if bad else len(dt)} rows it indexes"
-        )
-    return arena[:count]
-
-
 def shard_batch(labels_s, labels_t, tables, shard, ids, count, fans, use_block):
-    """:func:`repro.sharding.engine.shard_batch` as one C call.
+    """:func:`repro.sharding.engine.sub_query` as one C call.
 
     *ids* is the sub-query's one int64 operand: its *fans* fan entries,
     then its *count* intra sources and *count* intra targets (one

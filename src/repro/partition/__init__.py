@@ -13,12 +13,11 @@ implements that machinery from scratch:
 * a recursive bisection driver that emits the partition tree consumed by
   :class:`repro.hierarchy.QueryHierarchy`.
 
-Every combinatorial step of the first two runs in C
-(:mod:`repro.partition.kernels`).
+Every combinatorial step of the first two runs in one C context
+(:class:`repro.partition.kernels.Bisector`).
 """
 
 from repro.partition.types import Bipartition, PartitionGraph
-from repro.partition.kernels import minimum_vertex_separator
 from repro.partition.multilevel import multilevel_bisection
 from repro.partition.recursive import PartitionTreeNode, recursive_bisection
 from repro.partition.regions import (
@@ -30,7 +29,6 @@ from repro.partition.regions import (
 __all__ = [
     "Bipartition",
     "PartitionGraph",
-    "minimum_vertex_separator",
     "multilevel_bisection",
     "PartitionTreeNode",
     "recursive_bisection",

@@ -73,17 +73,6 @@ class PartitionGraph:
             [1] * len(local),
         )
 
-    @classmethod
-    def from_flat(cls, indptr, indices, mult, vweight) -> "PartitionGraph":
-        """The graph whose :meth:`flat` is these four CSR arrays."""
-        pairs = list(zip(indices.tolist(), mult.tolist()))
-        bounds = indptr.tolist()
-        pgraph = cls(
-            [pairs[a:b] for a, b in zip(bounds, bounds[1:])], vweight.tolist()
-        )
-        pgraph._flat = (indptr, indices, mult, vweight)
-        return pgraph
-
     @property
     def num_vertices(self) -> int:
         return len(self.rows)
@@ -124,8 +113,8 @@ class PartitionGraph:
 
 
 def side_bytes(side) -> bytearray:
-    """A private ``bytearray`` copy of a 0/1 side sequence: what the
-    C steps of :mod:`repro.partition.kernels` write their sides into."""
+    """A private ``bytearray`` copy of a 0/1 side sequence, of any
+    integer dtype."""
     if isinstance(side, np.ndarray) and side.dtype.itemsize != 1:
         side = side.astype(np.int8)
     return bytearray(side)

@@ -47,14 +47,13 @@ Use as an async context manager::
 from __future__ import annotations
 
 import asyncio
-import operator
 from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
 
-from repro.exceptions import PartialResultError, ServiceOverloadError, VertexNotFound
-from repro.utils.pairs import as_pair_array, check_ids
+from repro.exceptions import PartialResultError, ServiceOverloadError
+from repro.utils.pairs import as_pair_array, check_ids, vertex_pair, weight_changes
 
 __all__ = ["AsyncDistanceService", "AsyncFrontendStats"]
 
@@ -227,15 +226,16 @@ class AsyncDistanceService:
         *s* and *t* are integers (``operator.index``): a float or a
         string raises ``TypeError`` before anything is queued.
         """
-        s, t = operator.index(s), operator.index(t)
-        n = self.service.index.graph.num_vertices
-        if not (0 <= s < n and 0 <= t < n):
-            raise VertexNotFound(t if 0 <= s < n else s)
-        return await self._enqueue((s, t), 0)
+        return await self._enqueue(
+            vertex_pair(self.service.index.graph.num_vertices, s, t), 0
+        )
 
     async def update(self, changes) -> None:
-        """Apply a weight-change batch, ordered with surrounding queries."""
-        changes = [(int(u), int(v), float(w)) for u, v, w in changes]
+        """Apply a weight-change batch, ordered with surrounding queries.
+
+        Every id is checked before anything is queued, as in
+        :meth:`distance`; one bad change refuses the whole batch."""
+        changes = weight_changes(self.service.index.graph.num_vertices, changes)
         future = self._admit(1)
         self._runs.append((changes, future))
         self._wake.set()

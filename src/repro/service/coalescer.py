@@ -33,7 +33,6 @@ weight-maintenance kernels.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable
 
 from repro.graph.graph import Graph
 
@@ -137,10 +136,6 @@ class UpdateCoalescer:
                 self._pending[key] = (_INSERT, float(weight))
                 return
         self._pending[key] = (_WEIGHT, float(weight))
-
-    def add_many(self, changes: Iterable[WeightChange]) -> None:
-        for u, v, w in changes:
-            self.add(u, v, w)
 
     def add_insert(self, u: int, v: int, weight: float) -> None:
         """Buffer a road insertion (new-link construction).

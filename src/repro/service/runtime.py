@@ -228,8 +228,6 @@ class WorkerPoolStats:
     breakers_open: int = 0
     #: Pairs shed with a typed partial-result error (breaker open).
     shed_pairs: int = 0
-    #: Pairs answered with overlay-only upper bounds (degraded opt-in).
-    degraded_pairs: int = 0
 
     def as_dict(self) -> dict[str, int]:
         return dict(self.__dict__)

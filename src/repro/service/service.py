@@ -34,7 +34,6 @@ consistency — it only batches work between queries.
 from __future__ import annotations
 
 import math
-import operator
 from contextlib import nullcontext
 from dataclasses import dataclass
 from pathlib import Path
@@ -43,7 +42,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from repro.core.backend import DistanceBackend
-from repro.exceptions import PartialResultError, VertexNotFound
+from repro.exceptions import PartialResultError
 from repro.labelling import native
 from repro.labelling.maintenance import MaintenanceStats
 from repro.observability import (
@@ -57,7 +56,7 @@ from repro.service.cache import CacheStats, EpochLRUCache, pair_key
 from repro.service.coalescer import CoalescerStats, UpdateCoalescer
 from repro.service.metrics import LatencySummary, Timer
 from repro.service.runtime import ExecutionRuntime, InProcessRuntime
-from repro.utils.pairs import as_pair_array, check_ids
+from repro.utils.pairs import as_pair_array, check_ids, vertex_pair, weight_changes
 
 __all__ = ["ServiceStats", "DistanceService"]
 
@@ -283,10 +282,7 @@ class DistanceService:
         :class:`VertexNotFound`. Either is raised before the cache or
         the runtime is touched.
         """
-        s, t = operator.index(s), operator.index(t)
-        n = self.index.graph.num_vertices
-        if not (0 <= s < n and 0 <= t < n):
-            raise VertexNotFound(t if 0 <= s < n else s)
+        s, t = vertex_pair(self.index.graph.num_vertices, s, t)
         self._pre_query()
         with self.observability.tracer.trace("distance", s=s, t=t):
             with Timer() as timer:
@@ -392,15 +388,29 @@ class DistanceService:
     # ------------------------------------------------------------------
     # updates
     # ------------------------------------------------------------------
-    def submit(self, u: int, v: int, weight: float) -> None:
-        """Buffer one weight change; auto-flushes at ``flush_threshold``."""
-        self.coalescer.add(u, v, weight)
+    def _road(self, u, v) -> tuple[int, int]:
+        return vertex_pair(self.index.graph.num_vertices, u, v)
+
+    def _flush_if_full(self) -> None:
         if self.coalescer.pending_edges >= self.flush_threshold:
             self.flush()
 
+    def submit(self, u: int, v: int, weight: float) -> None:
+        """Buffer one weight change; auto-flushes at ``flush_threshold``.
+
+        The ids are checked before anything is buffered, as in
+        :meth:`distance`: a bad one raises and leaves the buffer as it
+        was."""
+        u, v = self._road(u, v)
+        self.coalescer.add(u, v, float(weight))
+        self._flush_if_full()
+
     def submit_many(self, changes: Iterable[WeightChange]) -> None:
-        for u, v, w in changes:
-            self.submit(u, v, w)
+        """:meth:`submit` each change, once every one passed its checks:
+        one bad change refuses the whole list."""
+        for u, v, w in weight_changes(self.index.graph.num_vertices, changes):
+            self.coalescer.add(u, v, w)
+            self._flush_if_full()
 
     def submit_insert(self, u: int, v: int, weight: float) -> None:
         """Buffer a road insertion (new-link construction).
@@ -408,17 +418,18 @@ class DistanceService:
         Coalesces against pending traffic on the same edge — inserting
         over a queued deletion folds to a weight change; a later
         :meth:`submit_delete` cancels the pair outright. Flushes route
-        through the backend's structural ``apply_batch`` path.
+        through the backend's structural ``apply_batch`` path. The ids
+        are checked as in :meth:`submit`.
         """
-        self.coalescer.add_insert(u, v, weight)
-        if self.coalescer.pending_edges >= self.flush_threshold:
-            self.flush()
+        u, v = self._road(u, v)
+        self.coalescer.add_insert(u, v, float(weight))
+        self._flush_if_full()
 
     def submit_delete(self, u: int, v: int) -> None:
         """Buffer a road deletion (closure); see :meth:`submit_insert`."""
+        u, v = self._road(u, v)
         self.coalescer.add_delete(u, v)
-        if self.coalescer.pending_edges >= self.flush_threshold:
-            self.flush()
+        self._flush_if_full()
 
     @property
     def pending_updates(self) -> int:

@@ -86,7 +86,6 @@ from repro.core.backend import WeightChange
 from repro.exceptions import (
     PartialResultError,
     ServiceRuntimeError,
-    ShardUnavailableError,
     WorkerEpochError,
 )
 from repro.labelling.native import engine as native_engine
@@ -133,7 +132,6 @@ __all__ = [
 
 _STARTUP_TIMEOUT = 120.0
 _SHUTDOWN_TIMEOUT = 5.0
-_DEGRADED_MODES = ("shed", "overlay", "error")
 
 
 # ---------------------------------------------------------------------------
@@ -963,6 +961,13 @@ class ShardRuntime(ExecutionRuntime):
     replica once it holds that epoch — so a failover retry to a sibling
     that holds nothing re-ships it from the same :class:`SubQuery`.
 
+    A shard whose every replica is down (or that a label sync reached on
+    no replica) has its breaker open until the supervisor respawns one.
+    Meanwhile a batch sheds what needed it: its intra pairs and the
+    cross pairs routed through it get ``nan``, the rest are answered,
+    and the call raises :class:`~repro.exceptions.PartialResultError`
+    carrying them all.
+
     Parameters
     ----------
     index:
@@ -976,13 +981,6 @@ class ShardRuntime(ExecutionRuntime):
         Deadline in seconds of one round of requests; a replica still
         silent when it expires is marked dead and the shard fails over
         to a sibling.
-    degraded_mode:
-        What a batch does when a shard's every replica is down:
-        ``"shed"`` (default) answers the rest and raises a typed
-        :class:`~repro.exceptions.PartialResultError`, ``"overlay"``
-        fills the holes with parent-side boundary-route answers, and
-        ``"error"`` hard-fails with
-        :class:`~repro.exceptions.ShardUnavailableError`.
     retry_policy:
         Backoff schedule for supervised respawns
         (:class:`~repro.service.runtime.RetryPolicy`; a sensible
@@ -1009,7 +1007,6 @@ class ShardRuntime(ExecutionRuntime):
         *,
         replicas: int,
         request_timeout: float = 30.0,
-        degraded_mode: str = "shed",
         retry_policy: RetryPolicy | None = None,
         supervise_interval: float = 5.0,
         clock: Callable[[], float] = time.monotonic,
@@ -1024,13 +1021,7 @@ class ShardRuntime(ExecutionRuntime):
                 f"{type(self).__name__} requires a ShardedDHLIndex; got "
                 f"{type(index).__name__} (use InProcessRuntime instead)"
             )
-        if degraded_mode not in _DEGRADED_MODES:
-            raise ValueError(
-                f"degraded_mode must be one of {_DEGRADED_MODES}, "
-                f"got {degraded_mode!r}"
-            )
         self.index = index
-        self.degraded_mode = degraded_mode
         self.replicas = replicas
         self.request_timeout = request_timeout
         self.fault_plan = fault_plan
@@ -1205,11 +1196,8 @@ class ShardRuntime(ExecutionRuntime):
 
         replies, shed = self._dispatch(requests, request_span)
 
-        # A shed shard (breaker open) is either answered from the
-        # parent's own shard engines by the boundary route alone
-        # (degraded opt-in: exact for cross pairs, an upper bound for
-        # intra pairs) or what needed it is shed with a typed error.
-        degrade = self.degraded_mode == "overlay"
+        # What a shed shard (breaker open) was needed for is shed with
+        # a typed error: its intra pairs and every route through it.
         shed_mask = np.zeros(len(s), dtype=bool)
         with maybe_child(request_span, "min_plus_combine") as combine_span:
             results = {
@@ -1217,17 +1205,10 @@ class ShardRuntime(ExecutionRuntime):
                 for sid, reply in replies.items()
             }
             for sid in shed:
-                if degrade and split.routed[sid]:
-                    results[sid] = split.route_only(sid)
-                    self.stats.degraded_pairs += len(split.intra[sid])
-                else:
-                    shed_mask[split.intra[sid]] = True
+                shed_mask[split.intra[sid]] = True
             for i, j, positions, _, _ in split.routes:
                 if i in shed or j in shed:
-                    if degrade:
-                        self.stats.degraded_pairs += len(positions)
-                    else:
-                        shed_mask[positions] = True
+                    shed_mask[positions] = True
             out = split.answer(results)
             if combine_span is not None:
                 combine_span.annotate(routes=len(split.routes))
@@ -1257,8 +1238,7 @@ class ShardRuntime(ExecutionRuntime):
         mid-batch loses nothing; a *behind* replica is healed and asked
         once more. A shard with no replica left trips its breaker and
         is shed — returned with the replies by shard, for
-        :meth:`distances` to shed or overlay-answer what needed it — or
-        the batch hard-fails under ``"error"``.
+        :meth:`distances` to shed what needed it.
 
         With *request_span*, each shard gets a ``worker[sid]`` child
         span the replica's own subtree is grafted under — finished even
@@ -1345,12 +1325,6 @@ class ShardRuntime(ExecutionRuntime):
                     "this batch"
                 )
             self._breakers[sid].trip()
-            if self.degraded_mode == "error":
-                raise ShardUnavailableError(
-                    sid,
-                    f"no live replica left for shard {sid}; breaker open "
-                    "until the supervisor respawns one",
-                )
             return None
         handle = live[next(self._rr[sid]) % len(live)]
         tried.append(handle)
@@ -1494,9 +1468,9 @@ class ShardRuntime(ExecutionRuntime):
         request fails is marked dead by its handle — the next read
         fails over past it. A shard with no replica left *during
         maintenance* already advanced its epoch in the parent, so its
-        breaker trips and serving moves on (``"error"`` mode raises): a
-        respawned replica handshakes with the current buffers at the
-        current epoch and needs no delta.
+        breaker trips and serving moves on: a respawned replica
+        handshakes with the current buffers at the current epoch and
+        needs no delta.
         """
         messages = {}
         for sid, written in shards.items():
@@ -1531,12 +1505,6 @@ class ShardRuntime(ExecutionRuntime):
                 self.stats.republish_bytes += nbytes
             else:
                 self._breakers[sid].trip()
-                if self.degraded_mode == "error":
-                    raise ShardUnavailableError(
-                        sid,
-                        f"no live replica left for shard {sid} to sync; "
-                        "breaker open until the supervisor respawns one",
-                    )
 
     # ------------------------------------------------------------------
     # lifecycle

@@ -6,14 +6,14 @@ it owns, sources and targets together — in one C pass
 (``dhl_batch_split``), and :meth:`BatchSplit.answer` combines the
 shards' answers in one C call (``dhl_batch_answer``).
 
-:func:`shard_batch` answers one sub-query — a replica's whole compute
-step (:class:`~repro.service.workers.ShardExecutor`), this engine's
-per-shard step and the shard runtime's degraded overlay answer alike.
-Intra pairs get the pair kernel's answer, lowered by the boundary route
-``min over (b1, b2) of d_shard(s, b1) + d_overlay(b1, b2) + d_shard(b2,
-t)`` through the shard's own overlay block (a shortest path may leave
-and re-enter its region); the fan comes back as its distinct rows
-against the shard's boundary plus each entry's row, all in one C call.
+:func:`sub_query` answers one sub-query — a replica's whole compute
+step (:class:`~repro.service.workers.ShardExecutor`) and this engine's
+per-shard step alike. Intra pairs get the pair kernel's answer, lowered
+by the boundary route ``min over (b1, b2) of d_shard(s, b1) +
+d_overlay(b1, b2) + d_shard(b2, t)`` through the shard's own overlay
+block (a shortest path may leave and re-enter its region); the fan
+comes back as its distinct rows against the shard's boundary plus each
+entry's row, all in one C call (``dhl_shard_batch``).
 
 The parent answers each cross region pair ``(i, j)`` with the min-plus
 combine over the two shards' fans and the overlay block ``(i, j)``, a
@@ -41,8 +41,6 @@ __all__ = [
     "BatchSplit",
     "Routing",
     "ShardedQueryEngine",
-    "min_plus_compact",
-    "shard_batch",
     "sub_query",
 ]
 
@@ -62,10 +60,16 @@ def _local_ids(ids) -> np.ndarray:
 
 def sub_query(engine, shard: ShardRoute, s=None, t=None, fan=None, use_block=False):
     """One sub-query on *shard*'s bound boundary (and its block, with
-    *use_block*): :func:`shard_batch`'s triple. The intra pairs *s* /
-    *t* and the fan travel to the kernel as one int64 operand; an id
-    outside ``[0, n)`` raises :class:`~repro.exceptions.VertexNotFound`
-    and mismatched pair arrays :class:`ValueError`."""
+    *use_block*): ``(final, fan_matrix, fan_inverse)``. *engine* is the
+    shard's :class:`~repro.labelling.query.QueryEngine`; the intra pairs
+    *s* / *t* and the cross-pair endpoints *fan* (``None``: none) are
+    shard-local ids, and travel to the kernel as one int64 operand.
+    ``final`` answers the intra pairs, lowered by the boundary route
+    through the block when it is used; ``fan_matrix`` holds the fan's
+    distinct rows against the boundary and ``fan_inverse[e]`` is the row
+    of ``fan[e]``. An id outside ``[0, n)`` raises
+    :class:`~repro.exceptions.VertexNotFound` and mismatched pair arrays
+    :class:`ValueError`."""
     s, t, fan = _local_ids(s), _local_ids(t), _local_ids(fan)
     if len(s) != len(t):
         raise ValueError(f"length mismatch: {len(s)} sources, {len(t)} targets")
@@ -78,72 +82,6 @@ def sub_query(engine, shard: ShardRoute, s=None, t=None, fan=None, use_block=Fal
         len(s),
         len(fan),
         use_block,
-    )
-
-
-def _block_operand(block, width: int) -> np.ndarray:
-    """*block* as a ``(width, width)`` float64 operand."""
-    block = native_engine.operand(block, np.float64)
-    if block.shape != (width, width):
-        raise ValueError(
-            f"overlay block is {block.shape}, the boundary has {width} vertices"
-        )
-    return block
-
-
-def shard_batch(engine, boundary, s=None, t=None, fan=None, block=None):
-    """One shard's share of a batch: ``(final, fan_matrix, fan_inverse)``.
-
-    *engine* is the shard's :class:`~repro.labelling.query.QueryEngine`
-    and *boundary* its boundary vertices, both in shard-local ids, like
-    the intra pairs *s* / *t* and the cross-pair endpoints *fan*
-    (``None``: none). ``final`` answers the intra pairs, lowered by the
-    boundary route through *block* (the shard's own ``|B| x |B|``
-    overlay block) when one is given. ``fan_matrix`` holds the fan's
-    distinct rows against *boundary* and ``fan_inverse[e]`` is the row
-    of ``fan[e]``. The first hop of the route runs once per distinct
-    source row, never for a target's. The boundary and block are bound
-    for this one call; a serving path keeps its
-    :class:`~repro.labelling.native.engine.ShardRoute` and calls
-    :func:`sub_query`.
-
-    An id outside ``[0, n)`` raises
-    :class:`~repro.exceptions.VertexNotFound`; mismatched pair arrays
-    or a block of the wrong shape raise :class:`ValueError`.
-    """
-    boundary = _local_ids(boundary)
-    if block is not None:
-        block = _block_operand(block, len(boundary))
-    return sub_query(engine, ShardRoute(boundary, block), s, t, fan, block is not None)
-
-
-def min_plus_compact(
-    ds: np.ndarray,
-    ds_inverse: np.ndarray,
-    block: np.ndarray,
-    dt: np.ndarray,
-    dt_inverse: np.ndarray,
-) -> np.ndarray:
-    """Pair-wise ``min_{a,b} (ds[p,a] + block[a,b]) + dt[p,b]`` over
-    deduplicated fans.
-
-    The boundary-route combine: ``ds``/``dt`` are fan matrices with
-    their row maps, ``block`` the overlay boundary-to-boundary matrix.
-    The expensive first hop — ``min_a ds[u, a] + block[a, b]`` — runs
-    once per row of *ds* that *ds_inverse* names (never for a row only
-    a target uses), then the cheap second hop gathers through the row
-    maps, both in one C loop
-    (:func:`repro.labelling.native.engine.min_plus`). Operands of any
-    layout are copied to what the kernel reads; a row map entry outside
-    its matrix raises :class:`ValueError`.
-    """
-    operand = native_engine.operand
-    return native_engine.min_plus(
-        operand(ds, np.float64),
-        operand(ds_inverse, np.int64),
-        operand(block, np.float64),
-        operand(dt, np.float64),
-        operand(dt_inverse, np.int64),
     )
 
 
@@ -261,7 +199,6 @@ class BatchSplit:
         self.arena, self.intra_pairs = native_engine.batch_split(routing, pairs)
         m, k = len(pairs), owner.k
         self.cross_pairs = m - self.intra_pairs
-        self.routed = routing.routed
         self.order = order = self.arena[: 2 * m]
         self.local = local = self.arena[2 * m : 4 * m]
         self.bounds = bounds = self.arena[4 * m :].tolist()
@@ -304,27 +241,11 @@ class BatchSplit:
 
     def answer(self, results: dict) -> np.ndarray:
         """The batch's distances from *results*, which maps a shard id to
-        its :func:`shard_batch` triple: each shard's finals on its intra
+        its :func:`sub_query` triple: each shard's finals on its intra
         positions, the min-plus combine per route whose two shards both
         answered, ``inf`` for what a missing shard was needed for,
         ``0.0`` on self-pairs — one C call over the bound routing state."""
         return native_engine.batch_answer(self.routing, self.pairs, self.arena, results)
-
-    def route_only(self, sid: int):
-        """Shard *sid*'s triple from the owner's own shard engine with the
-        boundary route alone (the direct intra path is skipped): exact
-        for its cross pairs, an upper bound for its intra pairs. The
-        shard runtime's answer for a shard with no replica left."""
-        owner, (s, t, fan, _) = self.owner, self.subs[sid]
-        _, matrix, inverse = shard_batch(
-            owner.shards[sid].engine,
-            owner.boundary_local[sid],
-            fan=np.concatenate((fan, s, t)),
-        )
-        fan_rows, src, dst = np.split(inverse, [len(fan), len(fan) + len(s)])
-        block = self.routing.block(sid, sid)
-        route = min_plus_compact(matrix, src, block, matrix, dst)
-        return route, matrix, fan_rows
 
 
 class ShardedQueryEngine:

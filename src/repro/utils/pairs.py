@@ -5,18 +5,22 @@ A batch of vertex pairs travels through the stack as an ``(m, 2)``
 integer dtype; ``int64`` passes through without a copy) or any iterable
 of ``(s, t)`` pairs — a list of tuples, a generator — which is flattened
 once, at the first facade it meets, and never rebuilt on the way down.
-Every door range-checks the ids once with :func:`check_ids`.
+Every door range-checks the ids once with :func:`check_ids`; a door
+that takes single ids (one pair, one road) takes them through
+:func:`vertex_pair`, and an update door its ``(u, v, weight)`` triples
+through :func:`weight_changes`.
 """
 
 from __future__ import annotations
 
+import operator
 from itertools import chain
 
 import numpy as np
 
 from repro.exceptions import VertexNotFound
 
-__all__ = ["as_pair_array", "check_ids"]
+__all__ = ["as_pair_array", "check_ids", "vertex_pair", "weight_changes"]
 
 
 def check_ids(n: int, *ids: np.ndarray) -> None:
@@ -27,6 +31,27 @@ def check_ids(n: int, *ids: np.ndarray) -> None:
     for arr in ids:
         if arr.size and arr.view(np.uint64).max() >= n:
             raise VertexNotFound(int(arr[(arr < 0) | (arr >= n)][0]))
+
+
+def vertex_pair(n: int, s, t) -> tuple[int, int]:
+    """*s* and *t* as Python ints (``operator.index``: a float or a
+    string raises ``TypeError``), both in ``[0, n)`` (else
+    :class:`VertexNotFound` for the first that is not)."""
+    s, t = operator.index(s), operator.index(t)
+    if not (0 <= s < n and 0 <= t < n):
+        raise VertexNotFound(t if 0 <= s < n else s)
+    return s, t
+
+
+def weight_changes(n: int, changes) -> list[tuple[int, int, float]]:
+    """*changes* as ``(u, v, weight)`` triples, the ids through
+    :func:`vertex_pair` and the weights floats; one bad triple refuses
+    them all."""
+    out = []
+    for u, v, w in changes:
+        u, v = vertex_pair(n, u, v)
+        out.append((u, v, float(w)))
+    return out
 
 
 def as_pair_array(pairs) -> np.ndarray:

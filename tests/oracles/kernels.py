@@ -4,8 +4,8 @@
 :mod:`repro.labelling.native.engine` that the driver, the build and the
 queries call — the two maintenance sweeps, Algorithm 1's top-down pass,
 the K count, the pair (batch, pair-array and one-pair), set and
-shard-batch kernels, the min-plus combine, a sharded batch's split and
-combine and the result cache's probe and fill — with the bodies in
+shard-batch kernels, a sharded batch's split and combine (its min-plus
+inside) and the result cache's probe and fill — with the bodies in
 this package. An index built, updated and
 queried inside it never enters C outside the partitioner (whose trees
 ``tests/test_partition_identity.py`` holds to their own oracle), so a
@@ -38,7 +38,6 @@ def python_kernels():
         mp.setattr(native_engine, "gather_one", query.one_pair)
         mp.setattr(native_engine, "distance_matrix", query.distance_matrix)
         mp.setattr(native_engine, "shard_batch", query.shard_batch)
-        mp.setattr(native_engine, "min_plus", query.min_plus)
         mp.setattr(native_engine, "batch_split", sharding.batch_split)
         mp.setattr(native_engine, "batch_answer", sharding.batch_answer)
         mp.setattr(native_engine, "cache_probe", cache.cache_probe)

@@ -21,12 +21,13 @@ import numpy as np
 
 from repro.observability.phases import phase
 from repro.partition import recursive, regions
-from repro.partition.coarsen import MIN_SHRINK, CoarseningLevel, max_cluster_weight
+from repro.partition.coarsen import MIN_SHRINK, max_cluster_weight
 from repro.partition.multilevel import COARSEST_SIZE, _GROWING_TRIALS, check_bisectable
 from repro.partition.spectral import _fiedler_split
 from repro.partition.types import Bipartition, PartitionGraph, side_bytes
 from repro.utils.rng import make_rng
 from tests.oracles.partition import (
+    CoarseningLevel,
     _cut_weight,
     bfs_halves,
     coarsen_once,
@@ -38,9 +39,13 @@ from tests.oracles.partition import (
 from tests.oracles.separator import minimum_vertex_separator
 
 __all__ = [
+    "Portfolio",
+    "around_giant",
     "compute_cut",
+    "giant_graph",
     "multilevel_bisection",
     "partition_regions",
+    "project",
     "recursive_bisection",
     "spectral_bisection",
 ]
@@ -157,6 +162,80 @@ def spectral_bisection(pgraph: PartitionGraph) -> np.ndarray | None:
     return _fiedler_split(n, *_laplacian(pgraph), pgraph.vweight)
 
 
+class Portfolio:
+    """The best refined candidate on one coarsest graph.
+
+    :meth:`consider` rebalances a candidate and, unless an equal one was
+    refined already, refines it and keeps it on a strictly smaller cut.
+    FM is deterministic, so a repeat ends at an equal cut and cannot
+    pass the strict ``<``. Growing seeds collide often on small coarsest
+    graphs; a repeated seed is still drawn (the random stream is
+    untouched) but would only grow the same candidate again.
+    """
+
+    def __init__(self, coarsest: PartitionGraph, max_side: int):
+        self.graph, self.max_side = coarsest, max_side
+        self.best_side = None
+        self.best_cut = math.inf
+        self._refined: set[bytes] = set()
+
+    def consider(self, cand) -> float:
+        """Weigh one more candidate; returns the best cut."""
+        cand = rebalance(self.graph, cand, self.max_side)
+        key = bytes(cand)
+        if key not in self._refined:
+            self._refined.add(key)
+            cand = fm_refine(self.graph, cand, self.max_side)
+            cut = _cut_weight(self.graph, cand)
+            if cut < self.best_cut:
+                self.best_cut = cut
+                self.best_side = cand
+        return self.best_cut
+
+    def initial(self, rng: np.random.Generator) -> float:
+        """The growing trials, then BFS halves; returns the best cut."""
+        seeds: set[int] = set()
+        for _ in range(_GROWING_TRIALS):
+            seed_vertex = int(rng.integers(0, self.graph.num_vertices))
+            if seed_vertex not in seeds:
+                seeds.add(seed_vertex)
+                self.consider(greedy_growing(self.graph, seed_vertex=seed_vertex))
+        return self.consider(bfs_halves(self.graph, rng))
+
+
+def project(levels: list[CoarseningLevel], pgraph: PartitionGraph, side, max_side):
+    """*side* of the coarsest level back down to *pgraph*, rebalanced
+    and refined at each level, then rebalanced once more."""
+    for k in range(len(levels) - 1, -1, -1):
+        fine_graph = levels[k - 1].graph if k > 0 else pgraph
+        side = np.frombuffer(side, dtype=np.int8)[levels[k].fine_to_coarse]
+        side = rebalance(fine_graph, side, max_side)
+        side = fm_refine(fine_graph, side, max_side)
+    return rebalance(pgraph, side, max_side)
+
+
+def giant_graph(pgraph: PartitionGraph, giant: list[int]) -> PartitionGraph:
+    """The subgraph the component *giant* (members in BFS order) induces."""
+    index = {v: i for i, v in enumerate(giant)}
+    return PartitionGraph(
+        [tuple([(index[u], w) for u, w in pgraph.rows[v]]) for v in giant],
+        [pgraph.vweight[v] for v in giant],
+    )
+
+
+def around_giant(pgraph, comps, giant, local_sides, max_side) -> bytearray:
+    """The giant's *local_sides* with the other components packed around
+    them, rebalanced."""
+    side = bytearray(pgraph.num_vertices)
+    side_weight = [0, 0]
+    for v, s in zip(giant, local_sides):
+        side[v] = s
+        side_weight[s] += pgraph.vweight[v]
+    rest = [c for c in comps if c[1] is not giant]
+    pack_components(rest, side, side_weight)
+    return rebalance(pgraph, side, max_side)
+
+
 def multilevel_bisection(
     pgraph: PartitionGraph,
     beta: float = 0.2,
@@ -184,78 +263,30 @@ def multilevel_bisection(
                 packed = rebalance(pgraph, packed, max_side)
                 packed = fm_refine(pgraph, packed, max_side)
                 return compute_cut(pgraph, packed)
-        index = {v: i for i, v in enumerate(giant)}
-        sub = PartitionGraph(
-            [tuple([(index[u], w) for u, w in pgraph.rows[v]]) for v in giant],
-            [pgraph.vweight[v] for v in giant],
-        )
+        sub = giant_graph(pgraph, giant)
         local_sides = multilevel_bisection(sub, beta, rng).side.tolist()
         with phase("partition.refine"):
-            side = bytearray(n)
-            side_weight = [0, 0]
-            for v, s in zip(giant, local_sides):
-                side[v] = s
-                side_weight[s] += pgraph.vweight[v]
-            rest = [c for c in comps if c[1] is not giant]
-            pack_components(rest, side, side_weight)
-            side = rebalance(pgraph, side, max_side)
+            side = around_giant(pgraph, comps, giant, local_sides, max_side)
             return compute_cut(pgraph, side)
 
     with phase("partition.coarsen"):
         levels = coarsen_to_size(pgraph, COARSEST_SIZE, rng)
     coarsest = levels[-1].graph if levels else pgraph
-    coarse_max_side = _max_side_weight(coarsest.total_vweight(), beta)
-
-    best_side = None
-    best_cut = math.inf
-    # Rebalanced candidates already refined in this call: FM is
-    # deterministic, so a repeat ends at an equal cut and cannot pass the
-    # strict ``<`` below. Growing seeds collide often on small coarsest
-    # graphs; a repeated seed is still drawn (the random stream is
-    # untouched) but would only grow the same candidate again.
-    refined: set[bytes] = set()
-    seeds: set[int] = set()
-
-    def consider(cand) -> None:
-        nonlocal best_side, best_cut
-        cand = rebalance(coarsest, cand, coarse_max_side)
-        key = bytes(cand)
-        if key in refined:
-            return
-        refined.add(key)
-        cand = fm_refine(coarsest, cand, coarse_max_side)
-        cut = _cut_weight(coarsest, cand)
-        if cut < best_cut:
-            best_cut = cut
-            best_side = cand
-
+    portfolio = Portfolio(coarsest, _max_side_weight(coarsest.total_vweight(), beta))
     with phase("partition.initial"):
-        for _ in range(_GROWING_TRIALS):
-            seed_vertex = int(rng.integers(0, coarsest.num_vertices))
-            if seed_vertex not in seeds:
-                seeds.add(seed_vertex)
-                consider(greedy_growing(coarsest, seed_vertex=seed_vertex))
-        consider(bfs_halves(coarsest, rng))
+        best_cut = portfolio.initial(rng)
     # Spectral is the most expensive candidate; only bother when the
     # combinatorial ones left room for improvement.
     if best_cut > 4.0:
         with phase("partition.spectral"):
             spectral = spectral_bisection(coarsest)
             if spectral is not None:
-                consider(spectral)
-    assert best_side is not None
+                portfolio.consider(spectral)
+    assert portfolio.best_side is not None
 
     # Project back to the finest level, refining at each step.
     with phase("partition.refine"):
-        side = best_side
-        for k in range(len(levels) - 1, -1, -1):
-            fine_graph = levels[k - 1].graph if k > 0 else pgraph
-            side = np.frombuffer(side, dtype=np.int8)[levels[k].fine_to_coarse]
-            fine_max_side = _max_side_weight(fine_graph.total_vweight(), beta)
-            side = rebalance(fine_graph, side, fine_max_side)
-            side = fm_refine(fine_graph, side, fine_max_side)
-
-        side = rebalance(pgraph, side, max_side)
+        side = project(levels, pgraph, portfolio.best_side, max_side)
         return compute_cut(pgraph, side)
 
 

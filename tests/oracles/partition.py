@@ -7,8 +7,8 @@ one numpy/bytearray scalar per index,
 :class:`~tests.oracles.priority_queue.LazyHeap` gain queues, and an FM pass
 that runs until its queue is empty. The only edit is :func:`_adj`, which
 turns the new ``(u, w)`` rows back into the dicts these bodies iterate.
-``tests/test_partition_identity.py`` requires the fast implementations to
-make the same decisions, function by function and through whole builds
+``tests/test_partition_identity.py`` requires the C partitioner context to
+make the same decisions, step by step and through whole builds
 (golden digests would be machine-dependent: the spectral candidate runs
 LAPACK's ``eigh``).
 """
@@ -16,15 +16,16 @@ LAPACK's ``eigh``).
 from __future__ import annotations
 
 from collections import deque
+from typing import NamedTuple
 
 import numpy as np
 
-from repro.partition.coarsen import CoarseningLevel
 from repro.partition.types import PartitionGraph
 from tests.oracles.priority_queue import LazyHeap
 from repro.utils.rng import make_rng
 
 __all__ = [
+    "CoarseningLevel",
     "fm_refine",
     "rebalance",
     "greedy_growing",
@@ -33,6 +34,13 @@ __all__ = [
     "coarsen_once",
     "_cut_weight",
 ]
+
+
+class CoarseningLevel(NamedTuple):
+    """One coarsening step: the coarse graph plus the fine->coarse map."""
+
+    graph: PartitionGraph
+    fine_to_coarse: np.ndarray
 
 
 def _adj(pgraph: PartitionGraph) -> list[dict[int, float]]:

@@ -8,8 +8,8 @@ the chunked numpy boundary-route combine: what
 :class:`repro.labelling.query.QueryEngine` and
 :mod:`repro.sharding.engine` ran before the C kernels were their only
 bodies. :func:`common_ancestors`, :func:`pair_kernel`,
-:func:`pair_array_kernel`, :func:`one_pair`, :func:`distance_matrix`,
-:func:`shard_batch` and :func:`min_plus` take
+:func:`pair_array_kernel`, :func:`one_pair`, :func:`distance_matrix`
+and :func:`shard_batch` take
 :mod:`repro.labelling.native.engine`'s arguments, so
 :func:`tests.oracles.kernels.python_kernels` can swap them in; the C
 side must give their bits. Like the kernels, they refuse an id outside

@@ -396,6 +396,32 @@ def test_update_is_ordered_with_queries(small_graph):
         assert svc.index.epoch > 0  # the update really flushed
 
 
+@pytest.mark.parametrize(
+    "bad, error",
+    [((1.7, 2), TypeError), ((0, 99), VertexNotFound), ((-1, 2), VertexNotFound)],
+    ids=["float", "past-n", "negative"],
+)
+def test_update_refuses_a_bad_id_before_queueing(service, bad, error):
+    """A float id used to be truncated (``int(1.7) == 1``) and rewrite
+    another road; now the whole batch is refused at the door, nothing
+    reaches the service, and the next call answers."""
+    graph = service.index.graph
+    u, v, w = next(iter(graph.edges()))
+    before, epoch = sorted(graph.edges()), service.index.epoch
+
+    async def scenario():
+        async with AsyncDistanceService(service) as frontend:
+            with pytest.raises(error):
+                await frontend.update([(u, v, 2.0 * w), (*bad, 99.0)])
+            return await frontend.distance(u, v), frontend.stats
+
+    got, stats = run(scenario)
+    assert sorted(graph.edges()) == before
+    assert (service.pending_updates, service.index.epoch) == (0, epoch)
+    assert stats.updates == 0 and stats.offered_requests == 1
+    assert got == service.distance(u, v)
+
+
 # ---------------------------------------------------------------------------
 # lifecycle
 # ---------------------------------------------------------------------------

@@ -49,7 +49,7 @@ from repro.service.protocol import (
     decode_frame,
     encode_frame,
 )
-from repro.sharding.engine import BatchSplit, shard_batch
+from repro.sharding.engine import BatchSplit, sub_query
 from tests.oracles.kernels import python_kernels
 
 
@@ -170,10 +170,13 @@ def test_a_split_and_combine_read_only_their_operands(reads):
     pairs = batch(index.graph.num_vertices, 2)
     split = BatchSplit(index, pairs)
     results = {
-        sid: shard_batch(
-            index.shards[sid].engine, index.boundary_local[sid], *split.subs[sid]
+        sid: sub_query(
+            index.shards[sid].engine,
+            split.routing.shards[sid],
+            *sub[:3],
+            sub[3] is not None,
         )
-        for sid in split.subs
+        for sid, sub in split.subs.items()
     }
     want = split.answer(results)
     assert split.routes and split.intra_pairs
@@ -404,8 +407,9 @@ def test_a_replica_rebinds_on_attach_and_republish():
         with python_kernels():
             want = executor_answers(executor, index, 0, pairs)
         split = BatchSplit(index, pairs)
-        final, rows, inverse = shard_batch(
-            index.shards[0].engine, index.boundary_local[0], *split.subs[0]
+        s, t, fan, block = split.subs[0]
+        final, rows, inverse = sub_query(
+            index.shards[0].engine, split.routing.shards[0], s, t, fan, block is not None
         )
         for a, b, c in zip(got, want, (final, rows[inverse])):
             assert np.array_equal(a, b) and np.array_equal(a, c)

@@ -1,6 +1,7 @@
 """Update-coalescer edge cases: no-ops, reversed duplicates, empty
 flushes — and the same last-mention fold inside every index's
-``update``."""
+``update``, and the service's update doors refusing a bad id before it
+reaches the buffer."""
 
 from __future__ import annotations
 
@@ -12,9 +13,9 @@ from repro.core.config import DHLConfig
 from repro.core.directed import DirectedDHLIndex
 from repro.core.index import DHLIndex
 from repro.core.sharded import ShardedDHLIndex
-from repro.exceptions import MaintenanceError
+from repro.exceptions import MaintenanceError, VertexNotFound
 from repro.graph.digraph import DiGraph
-from repro.graph.generators import delaunay_network
+from repro.graph.generators import delaunay_network, grid_network
 from repro.service.coalescer import UpdateCoalescer
 from repro.service.service import DistanceService
 from tests.conftest import directed_dijkstra
@@ -140,3 +141,45 @@ def test_a_superseded_invalid_mention_still_rejects_the_batch(family):
     with pytest.raises(MaintenanceError, match="invalid weight"):
         index.update([(u, v, -w), (u, v, 2.0 * w)])
     assert index.graph.weight(u, v) == w and index.epoch == epoch
+
+
+# ---------------------------------------------------------------------------
+# the service's update doors check ids before anything is buffered
+# ---------------------------------------------------------------------------
+
+#: ``(u, v)`` a door must refuse, and what it raises.
+BAD_ROADS = {
+    "past-n": ((0, 99), VertexNotFound),
+    "negative": ((-1, 2), VertexNotFound),
+    "float": ((1.7, 2), TypeError),
+    "string": (("1", 2), TypeError),
+}
+UPDATE_DOORS = {
+    "submit": lambda svc, u, v: svc.submit(u, v, 5.0),
+    "submit_insert": lambda svc, u, v: svc.submit_insert(u, v, 5.0),
+    "submit_delete": lambda svc, u, v: svc.submit_delete(u, v),
+    "submit_many": lambda svc, u, v: svc.submit_many([(0, 1, 7.0), (u, v, 5.0)]),
+}
+
+
+@pytest.mark.parametrize("door", list(UPDATE_DOORS))
+@pytest.mark.parametrize("bad", list(BAD_ROADS))
+def test_a_bad_id_is_refused_before_anything_is_buffered(door, bad):
+    """One bad id used to stay in the buffer and fail every later
+    flush (a float one as a ``TypeError`` on every query), so the valid
+    change buffered with it never applied. Now the door refuses it and
+    the next query flushes what was buffered before."""
+    (u, v), error = BAD_ROADS[bad]
+    graph = grid_network(4, 4)
+    with DistanceService(DHLIndex.build(graph.copy(), DHLConfig(seed=0))) as svc:
+        a, b, w = first_edge(svc.index.graph)
+        svc.submit(a, b, 3.0 * w)
+        before = sorted(svc.index.graph.edges())
+        with pytest.raises(error):
+            UPDATE_DOORS[door](svc, u, v)
+        assert svc.pending_updates == 1
+        assert sorted(svc.index.graph.edges()) == before
+        got = svc.distance(a, b)
+        assert svc.pending_updates == 0
+        assert svc.index.graph.weight(a, b) == 3.0 * w
+        assert got == dijkstra(svc.index.graph, a)[b]

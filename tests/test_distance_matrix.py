@@ -26,7 +26,8 @@ from repro.core.sharded import ShardedDHLIndex
 from repro.graph.digraph import DiGraph
 from repro.graph.generators import delaunay_network, grid_network
 from repro.graph.graph import Graph
-from repro.sharding.engine import min_plus_compact, shard_batch
+from repro.labelling.native.engine import ShardRoute
+from repro.sharding.engine import sub_query
 from repro.utils.rng import make_rng
 from tests.oracles import query as oracle_query
 from tests.oracles.kernels import python_kernels
@@ -254,7 +255,7 @@ class TestShardedCallSites:
         shard = sharded.shards[0]
         boundary = sharded.boundary_local[0]
         fan = make_rng(1).integers(0, shard.graph.num_vertices, 40)
-        final, matrix, inverse = shard_batch(shard.engine, boundary, fan=fan)
+        final, matrix, inverse = sub_query(shard.engine, ShardRoute(boundary), fan=fan)
         assert len(final) == 0 and len(matrix) == len(np.unique(fan))
         assert np.array_equal(matrix[inverse], pair_matrix(shard.engine, fan, boundary))
 
@@ -281,25 +282,6 @@ class TestShardedCallSites:
                 overlay, sharded.boundary_overlay[0], sharded.boundary_overlay[1]
             ),
         )
-
-    def test_min_plus_compact_is_the_brute_force_combine(self, sharded):
-        rng = make_rng(3)
-        ds = rng.integers(1, 50, (5, 4)).astype(np.float64)
-        dt = rng.integers(1, 50, (6, 3)).astype(np.float64)
-        block = rng.integers(1, 50, (4, 3)).astype(np.float64)
-        block[1, 2] = np.inf
-        ds_inv = rng.integers(0, 5, 30)
-        dt_inv = rng.integers(0, 6, 30)
-        want = [
-            min(
-                ds[a, x] + block[x, y] + dt[b, y]
-                for x in range(4)
-                for y in range(3)
-            )
-            for a, b in zip(ds_inv, dt_inv)
-        ]
-        got = min_plus_compact(ds, ds_inv, block, dt, dt_inv)
-        assert np.array_equal(got, np.array(want))
 
     def test_c_and_oracle_agree_after_an_overlay_burst(self):
         """Fans, overlay matrix, clique refresh and combine all follow

@@ -11,8 +11,9 @@ test is the only one that can answer:
 * a failover retry that lands on a *stale* sibling resolves through the
   ``StaleReply`` → republish → retry path, stacking both counters in
   one request;
-* losing the last replica mid-batch under ``degraded_mode="error"``
-  hard-fails with the typed :class:`ShardUnavailableError`;
+* losing the last replica mid-batch, or a label sync that reaches no
+  replica, opens the shard's breaker and sheds what needed it as a
+  typed :class:`PartialResultError`;
 * an epoch skew no resync can heal — a replica *ahead* of the parent,
   or one still refusing after the resync — is a typed
   :class:`WorkerEpochError`, never a silently stale answer.
@@ -25,9 +26,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.exceptions import ShardUnavailableError, WorkerEpochError
+from repro.exceptions import PartialResultError, WorkerEpochError
 from repro.graph.generators import delaunay_network
-from repro.service import SocketShardRuntime
+from repro.service import CircuitBreaker, SocketShardRuntime
 from tests.conftest import FakeClock, build_sharded, kill, shard_pairs
 
 
@@ -97,20 +98,47 @@ def test_failover_retry_lands_on_stale_replica_and_resyncs(transport, edge_stack
         assert runtime.stats.resyncs > before_r
 
 
-def test_mid_batch_last_replica_loss_hard_errors_in_error_mode(edge_stack):
+def test_mid_batch_last_replica_loss_is_shed(edge_stack):
     _, sharded = edge_stack
     pairs = shard_pairs(sharded, 0, 5)
-    with make_runtime(sharded, replicas=1, degraded_mode="error") as runtime:
+    with make_runtime(sharded, replicas=1) as runtime:
         runtime.distances(pairs)  # burns the construction-time poll
         for sid in range(sharded.k):
             silent_kill(runtime._groups[sid][0])
         before = runtime.stats.failovers
-        with pytest.raises(ShardUnavailableError, match="breaker open"):
+        with pytest.raises(PartialResultError, match="breaker open") as info:
             runtime.distances(pairs)
         # The loss was discovered mid-batch: a real request failed first,
-        # then the exhausted pick tripped the breaker.
+        # then the exhausted pick tripped the breaker and shed the pairs.
         assert runtime.stats.failovers > before
-        assert runtime.stats.breaker_opens >= 1
+        assert info.value.open_shards == (0,)
+        assert info.value.shed.tolist() == list(range(len(pairs)))
+        assert np.isnan(info.value.distances).all()
+        assert runtime._breakers[0].state == CircuitBreaker.OPEN
+
+
+def test_a_sync_that_reaches_no_replica_trips_the_breaker(transport, edge_stack):
+    """Shard 0's only replica died unnoticed: the label sync finds no
+    replica to take it, opens the breaker instead of raising, and the
+    next batch sheds the shard while shard 1 answers."""
+    _, sharded = edge_stack
+    lost, live = shard_pairs(sharded, 0, 3), shard_pairs(sharded, 1, 3)
+    with make_runtime(sharded, transport, replicas=1) as runtime:
+        runtime.distances(lost + live)  # burns the construction-time poll
+        silent_kill(runtime._groups[0][0])
+        u, v, w = next(
+            (u, v, w)
+            for u, v, w in sharded.graph.edges()
+            if sharded.region_of[u] == 0 and sharded.region_of[v] == 0
+        )
+        runtime.apply_update([(u, v, float(max(1, round(2 * w))))])
+        assert runtime._breakers[0].state == CircuitBreaker.OPEN
+        with pytest.raises(PartialResultError) as info:
+            runtime.distances(lost + live)
+        assert info.value.shed.tolist() == list(range(len(lost)))
+        np.testing.assert_array_equal(
+            info.value.distances[len(lost) :], sharded.distances(live)
+        )
 
 
 def test_unhealable_epoch_skew_is_worker_epoch_error(

@@ -8,8 +8,8 @@ Integration level, all through the production recovery paths with a
 fake clock and a scripted :class:`FaultPlan` — no sleeps, no flaky
 timing: a scripted kill fails over and the supervisor respawns the
 replica; losing a shard's whole replica pool sheds that shard's pairs
-as a typed :class:`PartialResultError` (or serves overlay bounds, or
-hard-fails, per ``degraded_mode``) and the breaker reopens/closes
+as a typed :class:`PartialResultError`, cross pairs routed through it
+included, and the breaker reopens/closes
 around the respawn; the service frontend re-aligns partial results
 without poisoning its cache; the async frontend unfolds a degraded
 merged batch so only the affected clients see the error. The drills
@@ -33,7 +33,6 @@ from repro.exceptions import (
     PartialResultError,
     ProtocolTruncationError,
     ServiceRuntimeError,
-    ShardUnavailableError,
 )
 from repro.graph.generators import delaunay_network
 from repro.observability import NULL_OBSERVABILITY
@@ -341,7 +340,7 @@ def test_respawn_gives_up_after_policy_attempts(small_sharded):
 
 
 # ---------------------------------------------------------------------------
-# degraded serving: shed / overlay / error
+# degraded serving: a lost shard is shed
 # ---------------------------------------------------------------------------
 
 def _kill_shard(runtime, sid):
@@ -441,42 +440,26 @@ def test_whole_shard_outage_respawns_every_slot(transport, small_sharded):
             )
 
 
-def test_overlay_mode_serves_bounds_for_lost_shard(small_sharded):
-    graph, sharded = small_sharded
-    intra = shard_pairs(sharded, 0, 4)
-    cross = cross_pairs(sharded, 0, 1, 4)
-    exact_intra = sharded.distances(intra)
-    exact_cross = sharded.distances(cross)
-    with SocketShardRuntime(
-        sharded, replicas=1, degraded_mode="overlay",
-        clock=FakeClock(), supervise_interval=1000.0,
+def test_cross_pairs_through_a_lost_shard_are_shed(transport, small_sharded):
+    """A cross pair needs both its regions' fans: one routed through the
+    dead shard is shed in either direction, while the live shard's own
+    pairs still answer exactly."""
+    _, sharded = small_sharded
+    cross = cross_pairs(sharded, 0, 1, 3) + cross_pairs(sharded, 1, 0, 3)
+    live = shard_pairs(sharded, 1, 4)
+    expected_live = sharded.distances(live)
+    with transport(
+        sharded, replicas=1, clock=FakeClock(), supervise_interval=1000.0
     ) as runtime:
         _kill_shard(runtime, 0)
-        got_cross = runtime.distances(cross)
-        # Cross-region routes all cross the boundary: overlay is exact.
-        np.testing.assert_allclose(got_cross, exact_cross, rtol=1e-9)
-        got_intra = runtime.distances(intra)
-        # Intra answers are valid upper bounds (direct path missed).
-        assert np.all(got_intra >= exact_intra - 1e-9)
-        assert np.all(np.isfinite(got_intra))
-        assert runtime.stats.degraded_pairs >= len(cross) + len(intra)
-        assert runtime.stats.shed_pairs == 0
-
-
-def test_error_mode_restores_hard_failure(small_sharded):
-    _, sharded = small_sharded
-    with SocketShardRuntime(
-        sharded, replicas=1, degraded_mode="error"
-    ) as runtime:
-        _kill_shard(runtime, 0)
-        with pytest.raises(ShardUnavailableError, match="shard 0"):
-            runtime.distances(shard_pairs(sharded, 0, 2))
-
-
-def test_unknown_degraded_mode_rejected(small_sharded):
-    _, sharded = small_sharded
-    with pytest.raises(ValueError, match="degraded_mode"):
-        SocketShardRuntime(sharded, degraded_mode="panic")
+        with pytest.raises(PartialResultError) as info:
+            runtime.distances(cross + live)
+        err = info.value
+        assert err.open_shards == (0,)
+        assert sorted(int(i) for i in err.shed) == list(range(len(cross)))
+        assert np.isnan(err.distances[: len(cross)]).all()
+        np.testing.assert_array_equal(err.distances[len(cross) :], expected_live)
+        assert runtime.stats.shed_pairs == len(cross)
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,11 @@
 """Tests for Hopcroft-Karp matching and Koenig vertex separators.
 
-The separator the partitioner runs is C (``dhl_step_separator``); its
-oracle is the Python matching and cover in ``tests/oracles/``. The
-separator tests run on both, the matching is held to a brute force,
-and a differential test requires equal separators on random cuts,
-duplicates and vertices on both sides included.
+The separator the partitioner runs is C (``Bisector.split``, over the
+cut of the bisection it holds); its oracle is the Python matching and
+cover in ``tests/oracles/``. The separator tests run on the oracle, the
+matching is held to a brute force, and the C split must be the oracle
+cover of the context's own cut, with the two sides around it, on named
+graph families and on random graphs.
 """
 
 from __future__ import annotations
@@ -14,7 +15,12 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.graph.generators import delaunay_network, grid_network, random_connected_graph
+from repro.graph.graph import Graph
+from repro.observability.phases import phase_laps
 from repro.partition import kernels
+from repro.partition.multilevel import bisect_subset
+from repro.utils.rng import make_rng
 from tests.oracles import separator
 from tests.oracles.matching import hopcroft_karp
 from tests.oracles.separator import koenig_cover
@@ -97,47 +103,95 @@ class TestKoenigCover:
                 assert l in covered_left or r in covered_right
 
 
-@pytest.fixture(params=["c", "oracle"])
-def minimum_vertex_separator(request):
-    if request.param == "c":
-        return kernels.minimum_vertex_separator
-    return separator.minimum_vertex_separator
-
-
 class TestMinimumVertexSeparator:
-    def test_empty_cut(self, minimum_vertex_separator):
-        assert minimum_vertex_separator([]) == set()
+    def test_empty_cut(self):
+        assert separator.minimum_vertex_separator([]) == set()
 
-    def test_single_edge(self, minimum_vertex_separator):
-        sep = minimum_vertex_separator([(3, 9)])
+    def test_single_edge(self):
+        sep = separator.minimum_vertex_separator([(3, 9)])
         assert len(sep) == 1 and sep <= {3, 9}
 
-    def test_star_cut_picks_center(self, minimum_vertex_separator):
+    def test_star_cut_picks_center(self):
         # vertex 5 on side A touches three cut edges: cover = {5}
-        sep = minimum_vertex_separator([(5, 10), (5, 11), (5, 12)])
+        sep = separator.minimum_vertex_separator([(5, 10), (5, 11), (5, 12)])
         assert sep == {5}
 
-    def test_duplicate_edges_ignored(self, minimum_vertex_separator):
-        sep = minimum_vertex_separator([(1, 2), (1, 2)])
+    def test_duplicate_edges_ignored(self):
+        sep = separator.minimum_vertex_separator([(1, 2), (1, 2)])
         assert len(sep) == 1
 
-    def test_covers_all_edges(self, minimum_vertex_separator):
+    def test_covers_all_edges(self):
         cut = [(0, 10), (1, 10), (1, 11), (2, 12)]
-        sep = minimum_vertex_separator(cut)
+        sep = separator.minimum_vertex_separator(cut)
         for a, b in cut:
             assert a in sep or b in sep
         assert len(sep) <= 3
 
 
-@settings(max_examples=300, deadline=None)
-@given(
-    st.lists(
-        st.tuples(st.integers(0, 14), st.integers(0, 14)), min_size=1, max_size=40
+def star(leaves: int) -> Graph:
+    graph = Graph(leaves + 1)
+    for leaf in range(1, leaves + 1):
+        graph.add_edge(0, leaf, 1.0)
+    return graph
+
+
+def path(n: int) -> Graph:
+    graph = Graph(n)
+    for v in range(n - 1):
+        graph.add_edge(v, v + 1, 1.0)
+    return graph
+
+
+def c_split(graph: Graph, seed: int = 0):
+    """One bisection of *graph* on the C context: ``(result, split)``,
+    both after the split held to the oracle cover of the result's cut."""
+    n = graph.num_vertices
+    laps = phase_laps()
+    with kernels.Bisector.over_graph(graph, 0.2) as ctx:
+        try:
+            bisect_subset(ctx, range(n), make_rng(seed), laps)
+        finally:
+            laps.close()
+        bip, (sep, left, right) = ctx.result(), ctx.split()
+    want = separator.minimum_vertex_separator(bip.cut_edges)
+    sides = bip.side.tolist()
+    assert sep == sorted(want)
+    assert left == [v for v in range(n) if v not in want and sides[v] == 0]
+    assert right == [v for v in range(n) if v not in want and sides[v] == 1]
+    return bip, sep
+
+
+class TestContextSplit:
+    def test_a_star_is_split_at_its_centre(self):
+        bip, sep = c_split(star(30))
+        assert bip.cut_weight > 1 and sep == [0]
+
+    def test_a_path_is_split_at_one_vertex(self):
+        bip, sep = c_split(path(40))
+        assert bip.cut_weight == 1 and len(sep) == 1
+
+    def test_pieces_need_no_separator(self):
+        pieces = Graph(12)
+        for v in range(0, 12, 2):
+            pieces.add_edge(v, v + 1, 1.0)
+        bip, sep = c_split(pieces)
+        assert bip.cut_weight == 0 and sep == []
+
+    @pytest.mark.parametrize(
+        "make",
+        [lambda: grid_network(6, 9, seed=0), lambda: delaunay_network(200, seed=3)],
+        ids=["grid", "delaunay"],
     )
-)
-def test_c_separator_matches_the_oracle(cut):
-    """Same cover, vertex for vertex (a vertex may sit on both sides of
-    an arbitrary list; edges may repeat)."""
-    assert kernels.minimum_vertex_separator(cut) == separator.minimum_vertex_separator(
-        cut
-    )
+    def test_the_separator_covers_every_cut_edge(self, make):
+        bip, sep = c_split(make())
+        assert bip.cut_edges
+        assert all(a in sep or b in sep for a, b in bip.cut_edges)
+        assert len(sep) <= len(bip.cut_edges)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(4, 60), st.integers(0, 40), st.integers(0, 2**16))
+def test_c_split_is_the_oracle_cover_of_its_cut(n, extra, seed):
+    """On random connected graphs: the C separator is the oracle's
+    cover of the C cut, vertex for vertex."""
+    c_split(random_connected_graph(n, extra_edges=extra, seed=seed), seed)

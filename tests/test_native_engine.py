@@ -17,7 +17,6 @@ process, naming the fix.
 
 from __future__ import annotations
 
-import ctypes
 import json
 import gc
 import os
@@ -37,6 +36,7 @@ import pytest
 from repro.core.config import DHLConfig
 from repro.core.directed import DirectedDHLIndex
 from repro.core.index import DHLIndex
+from repro.core.sharded import ShardedDHLIndex
 from repro.exceptions import NativeUnavailableError
 from repro.graph.digraph import DiGraph
 from repro.graph.generators import delaunay_network, grid_network
@@ -49,7 +49,7 @@ from repro.labelling.native import engine as native_engine
 from repro.observability import collect_phases
 from repro.partition import kernels
 from repro.partition.types import PartitionGraph
-from repro.sharding.engine import min_plus_compact
+from repro.sharding.engine import BatchSplit
 from repro.utils.rng import make_rng, sample_pairs
 from tests.oracles import query as oracle_query
 from tests.oracles.kernels import python_kernels
@@ -384,42 +384,11 @@ def grid_halves() -> tuple[PartitionGraph, np.ndarray]:
 
 
 class TestBuildKernels:
-    def test_fm_reports_a_failed_allocation(self, monkeypatch):
-        """A heap the kernel cannot allocate comes back as a status, which
-        the wrapper turns into ``MemoryError``: the side buffer the kernel
-        was handed and its work counts are as they came in."""
-        pg, side = grid_halves()
-        before = side.copy()
-        real, statuses, seen = native.library(), [], []
-
-        class HugeRowCount:
-            """Tells the kernel of 2**58 adjacency entries: a heap it
-            would need 2**62 bytes and more for."""
-
-            def __getattr__(self, name):
-                def call(n, nnz, *args):
-                    statuses.append(getattr(real, name)(n, 2**58, *args))
-                    seen.append(ctypes.string_at(args[-2], n))
-                    return statuses[-1]
-
-                return call
-
-        monkeypatch.setattr(native, "library", HugeRowCount)
-        work = np.zeros(2, dtype=np.int64)
-        with pytest.raises(MemoryError):
-            kernels.fm_refine(pg, side, 20, work=work)
-        assert statuses == [-1]
-        assert seen == [before.tobytes()]
-        np.testing.assert_array_equal(side, before)
-        assert not work.any()
-        monkeypatch.undo()
-        assert kernels.fm_refine(pg, side, 20) != bytearray(before.tobytes())
-
     def test_partitioner_steps_report_a_failed_allocation(self, monkeypatch):
-        """Every partitioner entry point that allocates turns a size it
-        cannot have into ``MemoryError``: the context and the one-step
-        kernels alike (told of 2**58 vertices here)."""
-        pg, side = grid_halves()
+        """The partitioner context allocates its scratch when it is made
+        and turns a size it cannot have into ``MemoryError`` (told of
+        2**58 vertices here)."""
+        pg, _ = grid_halves()
         real = native.library()
 
         class HugeVertexCount:
@@ -432,27 +401,13 @@ class TestBuildKernels:
         monkeypatch.setattr(native, "library", HugeVertexCount)
         with pytest.raises(MemoryError):
             kernels.Bisector(*pg.flat(), 0.2)
-        with pytest.raises(MemoryError):
-            kernels.rebalance(pg, side, 10)
-        with pytest.raises(MemoryError):
-            kernels.greedy_growing(pg, seed_vertex=0)
-        with pytest.raises(MemoryError):
-            kernels.bfs_halves(pg, seed=0)
-        with pytest.raises(MemoryError):
-            kernels.components(pg)
-        with pytest.raises(MemoryError):
-            kernels.coarsen_once(pg, 0, 4)
-        with pytest.raises(MemoryError):
-            kernels.minimum_vertex_separator([(0, 1)])
 
     def test_partitioner_wrappers_reject_what_c_would_misread(self, monkeypatch):
-        """One case per array a partitioner entry point reads: each bad
+        """One case per array a partitioner context call reads: each bad
         one raises ``ValueError`` in the wrapper, and C is never called
         (every library symbol is a tripwire once the context exists)."""
         pg, side = grid_halves()
         n = pg.num_vertices
-        stray = PartitionGraph([((1, 1.0),), ((0, 1.0), (2, 1.0))], [1, 1])
-        negative = PartitionGraph([((-1, 1.0),), ((0, 1.0),)], [1, 1])
         bad_side = side.copy()
         bad_side[3] = 2
         with kernels.Bisector(*pg.flat(), 0.2) as ctx:
@@ -467,13 +422,14 @@ class TestBuildKernels:
             monkeypatch.setattr(native, "library", Tripwire)
             ctx._lib = Tripwire()
             indptr, indices, mult, vweight = pg.flat()
-            wide = indices.copy()
-            wide[5] = n
+            wide, negative = indices.copy(), indices.copy()
+            wide[5], negative[5] = n, -1
             cases = {
-                "neighbour >= n": lambda: kernels.greedy_growing(stray, seed_vertex=0),
-                "negative neighbour": lambda: kernels.components(negative),
                 "context neighbour >= n": lambda: kernels.Bisector(
                     indptr, wide, mult, vweight, 0.2
+                ),
+                "negative context neighbour": lambda: kernels.Bisector(
+                    indptr, negative, mult, vweight, 0.2
                 ),
                 "subset id >= n": lambda: ctx.load([0, 1, n]),
                 "negative subset id": lambda: ctx.load([-1, 0, 1]),
@@ -485,12 +441,8 @@ class TestBuildKernels:
                     np.r_[np.arange(n - 1), n], 4, 0.95
                 ),
                 "perm too short": lambda: ctx.coarsen(np.arange(n - 1), 4, 0.95),
-                "side byte 2 (rebalance)": lambda: kernels.rebalance(pg, bad_side, 20),
-                "side byte 2 (cut)": lambda: kernels.cut_weight(pg, bad_side),
-                "side byte 2 (FM)": lambda: kernels.fm_refine(pg, bad_side, 20),
                 "side byte 2 (candidate)": lambda: ctx.consider(bad_side),
-                "growing seed >= n": lambda: kernels.greedy_growing(pg, seed_vertex=n),
-                "BFS seed >= n": lambda: kernels.bfs_halves(pg, seed=n),
+                "candidate too short": lambda: ctx.consider(side[:-1]),
                 "portfolio seed >= n": lambda: ctx.initial([0, 1, 2, 3, n]),
                 "negative portfolio seed": lambda: ctx.initial([0, 1, -2, 3, 4]),
             }
@@ -498,20 +450,6 @@ class TestBuildKernels:
                 with pytest.raises(ValueError):
                     call()
                 assert not calls, case
-
-    def test_fm_wrapper_rejects_what_c_would_misread(self):
-        pg, side = grid_halves()
-        with pytest.raises(ValueError, match="sides"):
-            kernels.fm_refine(pg, side[:-1], 20)
-        bad = side.copy()
-        bad[3] = 2
-        with pytest.raises(ValueError, match="sides"):
-            kernels.fm_refine(pg, bad, 20)
-        with pytest.raises(TypeError):
-            kernels.fm_refine(pg, side, 20, work=np.zeros(2, dtype=np.int32))
-        stray = PartitionGraph([((1, 1.0),), ((0, 1.0), (2, 1.0))], [1, 1])
-        with pytest.raises(ValueError, match="neighbour"):
-            kernels.fm_refine(stray, [0, 1], 1)
 
     def test_label_build_wrapper_rejects_what_c_would_misread(self, road_index):
         """Rows shorter than ``tau + 1`` and a shortcut that does not
@@ -531,98 +469,111 @@ class TestBuildKernels:
 
 
 # ---------------------------------------------------------------------------
-# the set kernel and the min-plus combine
+# the min-plus combine and the set kernel
 # ---------------------------------------------------------------------------
 
-def fan_case(rng, rows, width_a, width_b, dt_rows, count):
-    """A min-plus input with inf rows, columns and cells mixed in; a
-    *count* above *rows* / *dt_rows* repeats entries of the row maps."""
-    def matrix(r, c):
-        out = rng.integers(0, 60, (r, c)).astype(np.float64)
-        out[rng.random((r, c)) < 0.15] = np.inf
-        return out
-
-    ds = matrix(rows, width_a)
-    block = matrix(width_a, width_b)
-    dt = matrix(dt_rows, width_b)
-    ds[rows // 2] = np.inf
-    block[:, width_b // 2] = np.inf
-    dt[-1] = np.inf
-    ds_inv = rng.integers(0, rows, count)
-    dt_inv = rng.integers(0, dt_rows, count)
-    return ds, ds_inv, block, dt, dt_inv
+def bridged_grids() -> Graph:
+    """Two 5 x 5 grids joined by one road: each region's boundary is one
+    vertex, so every overlay block is 1 x 1."""
+    graph = Graph(50)
+    for offset in (0, 25):
+        for u, v, w in grid_network(5, 5, seed=offset).edges():
+            graph.add_edge(u + offset, v + offset, w)
+    graph.add_edge(24, 25, 1.0)
+    return graph
 
 
-class TestMinPlus:
-    @pytest.mark.parametrize(
-        "shape",
-        [(7, 5, 6, 4, 40), (1, 5, 6, 3, 9), (6, 1, 4, 5, 20), (5, 6, 1, 5, 20),
-         (1, 1, 1, 1, 3), (4, 3, 3, 2, 0), (9, 51, 51, 8, 64)],
-        ids=["wide", "one-ds-row", "one-row-block", "one-column-block",
-             "scalar", "no-pairs", "grid-fan"],
-    )
-    def test_equals_numpy(self, shape):
-        rng = make_rng(sum(shape))
-        case = fan_case(rng, *shape)
-        want = oracle_query.min_plus(*case)
-        got = min_plus_compact(*case)
+COMBINE_GRAPHS = {"grid": lambda: grid_network(10, 10, seed=2), "bridge": bridged_grids}
+
+
+@pytest.fixture(scope="module")
+def cross_split():
+    """``name -> BatchSplit`` of 300 random pairs' cross pairs on a k = 2
+    index of that graph, built on first use."""
+    built = {}
+
+    def get(name: str) -> BatchSplit:
+        if name not in built:
+            index = ShardedDHLIndex.build(
+                COMBINE_GRAPHS[name](), k=2, config=DHLConfig(seed=0)
+            )
+            s, t = make_rng(1).integers(0, index.graph.num_vertices, (2, 300))
+            cross = index.region_of[s] != index.region_of[t]
+            built[name] = BatchSplit(index, s[cross], t[cross])
+        return built[name]
+
+    return get
+
+
+#: Fan rows per fan entry: one each, a few shared by many entries, one
+#: shared by all, and more rows than entries (some named by none).
+ROW_COUNTS = {
+    "one-per-entry": lambda entries: entries,
+    "duplicate-rows": lambda entries: max(1, entries // 8),
+    "one-row": lambda entries: 1,
+    "unused-rows": lambda entries: entries + 5,
+}
+
+
+def fan_results(split, rng, rows_of, layout: str) -> dict:
+    """Made-up replies for *split*'s shards: fan rows with inf cells and
+    an inf row mixed in, row maps that repeat rows, laid out as a frame
+    could hand them over (contiguous, unaligned or row-strided)."""
+    results = {}
+    for sid, (fan, lo, mid, _) in split.spans.items():
+        entries, width = lo - fan, split.routing.widths[sid]
+        rows = rows_of(entries)
+        matrix = rng.integers(0, 60, (rows, width)).astype(np.float64)
+        matrix[rng.random(matrix.shape) < 0.15] = np.inf
+        if rows > 2:
+            matrix[rows // 2] = np.inf
+        if layout == "unaligned":
+            raw = bytes(1) + matrix.tobytes()
+            matrix = np.frombuffer(raw, np.float64, matrix.size, offset=1)
+            matrix = matrix.reshape(rows, width)
+            assert not matrix.flags.aligned
+        elif layout == "strided":
+            wide = np.full((rows, 2 * width), 7.0)
+            wide[:, ::2] = matrix
+            matrix = wide[:, ::2]
+            assert matrix.size < 2 or not matrix.flags.c_contiguous
+        inverse = rng.integers(0, rows, entries)
+        results[sid] = (np.empty(mid - lo), matrix, inverse)
+    return results
+
+
+class TestMinPlusCombine:
+    """The C min-plus (``min_plus_run``, inside ``dhl_batch_answer``)
+    against ``tests/oracles/query.py::min_plus``, through
+    :meth:`BatchSplit.answer` on made-up fan rows: every cross pair is
+    ``min over (a, b) of (ds[a] + block[a, b]) + dt[b]``, numpy's bits."""
+
+    @pytest.mark.parametrize("layout", ["contiguous", "unaligned", "strided"])
+    @pytest.mark.parametrize("rows", list(ROW_COUNTS))
+    @pytest.mark.parametrize("graph", list(COMBINE_GRAPHS))
+    def test_equals_numpy(self, cross_split, graph, rows, layout):
+        split = cross_split(graph)
+        assert split.routes and not split.intra_pairs
+        if graph == "bridge":
+            assert split.routing.widths == [1, 1]
+        results = fan_results(split, make_rng(len(rows)), ROW_COUNTS[rows], layout)
+        got = split.answer(results)
+        with python_kernels():
+            want = split.answer(results)
         assert got.dtype == np.float64 and got.shape == want.shape
         np.testing.assert_array_equal(got, want)
 
-    def test_strided_and_unaligned_inputs_are_copied_not_misread(self):
-        """A block is a slice of the overlay matrix and a fan decoded
-        from a frame may start at any byte: the call site makes them
-        aligned contiguous copies; the wrapper itself takes neither."""
-        ds, ds_inv, block, dt, dt_inv = fan_case(make_rng(2), 5, 4, 6, 3, 25)
-        big = np.full((9, 10), 7.0)
-        big[2:6, 1:7] = block
-        view = big[2:6, 1:7]
-        raw = bytes(1) + ds.tobytes()
-        unaligned = np.frombuffer(raw, np.float64, ds.size, offset=1)
-        unaligned = unaligned.reshape(ds.shape)
-        assert not view.flags.c_contiguous and not unaligned.flags.aligned
-        want = oracle_query.min_plus(ds, ds_inv, block, dt, dt_inv)
-        got = min_plus_compact(unaligned, ds_inv, view, dt, dt_inv)
-        np.testing.assert_array_equal(got, want)
-        with pytest.raises(TypeError):
-            native_engine.min_plus(ds, ds_inv, view, dt, dt_inv)
-        with pytest.raises(TypeError):
-            native_engine.min_plus(unaligned, ds_inv, block, dt, dt_inv)
-
-    def test_wrapper_rejects_what_c_would_misread(self):
-        ds, ds_inv, block, dt, dt_inv = fan_case(make_rng(3), 5, 4, 6, 3, 25)
-
-        def call(**replace):
-            args = dict(
-                ds=ds, ds_inverse=ds_inv, block=block, dt=dt, dt_inverse=dt_inv
-            )
-            args.update(replace)
-            return native_engine.min_plus(**args)
-
-        np.testing.assert_array_equal(
-            call(), min_plus_compact(ds, ds_inv, block, dt, dt_inv)
-        )
-        with pytest.raises(TypeError):
-            call(ds_inverse=ds_inv.astype(np.int32))
-        with pytest.raises(TypeError):
-            call(ds=ds.astype(np.float32))
-        with pytest.raises(TypeError):
-            call(dt=np.asfortranarray(dt))
-        with pytest.raises(TypeError):
-            call(dt_inverse=np.repeat(dt_inv, 2)[::2])
-        with pytest.raises(ValueError, match="shapes"):
-            call(block=block[:, :-1].copy())
-        with pytest.raises(ValueError, match="shapes"):
-            call(dt_inverse=dt_inv[:-1].copy())
-        for bad in (-1, len(ds)):
-            inv = ds_inv.copy()
-            inv[3] = bad
-            with pytest.raises(ValueError, match="row map"):
-                call(ds_inverse=inv)
-        inv = dt_inv.copy()
-        inv[0] = len(dt)
-        with pytest.raises(ValueError, match="row map"):
-            call(dt_inverse=inv)
+    def test_a_reply_of_the_wrong_shape_is_refused(self, cross_split):
+        split = cross_split("grid")
+        good = fan_results(split, make_rng(3), ROW_COUNTS["one-per-entry"], "contiguous")
+        for sid, (final, rows, inverse) in good.items():
+            for bad in (
+                (np.zeros(1), rows, inverse),
+                (final, rows[:, :-1], inverse),
+                (final, rows, inverse[:-1]),
+            ):
+                with pytest.raises(ValueError, match="answered"):
+                    split.answer({**good, sid: bad})
 
 
 class TestSetKernelWrapper:

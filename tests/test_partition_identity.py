@@ -3,15 +3,14 @@
 ``tests/oracles/partition.py`` holds the dict-row / ``LazyHeap`` step
 bodies ``repro.partition`` was rewritten from, and
 ``tests/oracles/multilevel.py`` the Python pipeline around them.
-Identity is checked (a) step by step on random inputs
-(:mod:`repro.partition.kernels` against the oracle bodies), (b) through
-whole builds against the oracle pipeline, both in one process (the C
-partitioner's builds, and the oracle pipeline's own loop over the C
-steps), plus (c) seed determinism, (d) a guard that the FM pass really
-stops on its bound, (e) that repeated candidates are refined once (the
-oracle pipeline's memo against no memo, and the C result equal to
-both) and (f) whole trees and bisections equal on random graph
-families.
+Identity is checked (a) step by step on random inputs (each call of
+the C context, :class:`repro.partition.kernels.Bisector`, against the
+oracle pipeline's steps), (b) through whole builds against the oracle
+pipeline, both in one process, plus (c) seed determinism, (d) a guard
+that the FM pass really stops on its bound, (e) that repeated
+candidates are refined once (the oracle pipeline's memo against no
+memo, and the C result equal to both) and (f) whole trees and
+bisections equal on random graph families.
 """
 
 from __future__ import annotations
@@ -41,6 +40,7 @@ from repro.partition import (
 from repro.partition.types import PartitionGraph
 from tests.oracles import multilevel as pipeline
 from tests.oracles import partition as oracle
+from tests.oracles import separator
 from tests.test_recursive_partition import (
     check_balance,
     check_separators,
@@ -48,7 +48,7 @@ from tests.test_recursive_partition import (
 )
 
 # ---------------------------------------------------------------------------
-# (a) function-by-function differential
+# (a) step-by-step differential
 # ---------------------------------------------------------------------------
 
 
@@ -90,83 +90,116 @@ def partition_cases(draw, max_n: int = 26):
     return pg, np.array(side, dtype=np.int8), bound
 
 
-def same_sides(new, old) -> bool:
-    return np.array_equal(np.frombuffer(bytes(new), dtype=np.int8), old)
+def _rows(indptr, indices, mult) -> tuple:
+    """CSR arrays as :attr:`PartitionGraph.rows`, pair order kept."""
+    pairs = list(zip(indices.tolist(), mult.tolist()))
+    bounds = indptr.tolist()
+    return tuple(tuple(pairs[a:b]) for a, b in zip(bounds, bounds[1:]))
+
+
+def _same_bipartition(got, expected) -> None:
+    assert got.side.tolist() == list(expected.side)
+    assert got.cut_weight == expected.cut_weight
+    assert got.cut_edges == expected.cut_edges
+
+
+def step_by_step(pg, drawn, seed: int, beta: float, max_vertex_weight: int, depth: int):
+    """One bisection of *pg* on the C context, call by call, against the
+    oracle pipeline's steps on the same random stream.
+
+    ``load`` counts the components; ``disconnected`` packs them or makes
+    the giant the working graph; each of *depth* ``coarsen`` levels is
+    ``coarsen_once``'s graph, pair order included (a ``min_shrink`` of 2
+    keeps every level); ``initial`` finds the growing / BFS portfolio's
+    best cut, and ``consider`` the cut once the *drawn* side joins it;
+    ``project`` refines back down and ``result`` / ``split`` give the
+    oracle's cut and the separator of it. FM, rebalance, growing, BFS
+    halves and the cut weight all run inside these calls.
+    """
+    n = pg.num_vertices
+    rng_c, rng_o = np.random.default_rng(seed), np.random.default_rng(seed)
+    comps = oracle.components(pg)
+    max_side = pipeline._max_side_weight(pg.total_vweight(), beta)
+    with kernels.Bisector(*pg.flat(), beta) as ctx:
+        assert ctx.load(range(n)) == len(comps)
+        work, giant = pg, None
+        if len(comps) > 1:
+            giant_weight, members = max(comps, key=lambda c: c[0])
+            packed = ctx.disconnected()
+            assert packed == (giant_weight <= max_side)
+            if packed:
+                expected = pipeline.multilevel_bisection(pg, beta, rng_o)
+                _same_bipartition(ctx.result(), expected)
+                return
+            work, giant = pipeline.giant_graph(pg, members), members
+            if work.num_vertices < 2:  # a giant of one heavy vertex
+                return
+        work_side = pipeline._max_side_weight(work.total_vweight(), beta)
+        assert (ctx.size, ctx.total) == (work.num_vertices, work.total_vweight())
+
+        levels, coarsest = [], work
+        for _ in range(depth):
+            size = ctx.coarsen(rng_c.permutation(ctx.size), max_vertex_weight, 2.0)
+            level = oracle.coarsen_once(coarsest, rng_o, max_vertex_weight)
+            levels.append(level)
+            coarsest = level.graph
+            assert size == coarsest.num_vertices
+            indptr, indices, mult, vweight = ctx.coarsest()
+            assert _rows(indptr, indices, mult) == coarsest.rows
+            assert vweight.tolist() == coarsest.vweight
+
+        portfolio = pipeline.Portfolio(coarsest, work_side)
+        seeds = rng_c.integers(0, ctx.size, size=multilevel._GROWING_TRIALS + 1)
+        assert ctx.initial(seeds) == portfolio.initial(rng_o)
+        assert rng_c.bit_generator.state == rng_o.bit_generator.state
+        drawn = drawn[: ctx.size]
+        assert ctx.consider(drawn) == portfolio.consider(drawn)
+
+        ctx.project()
+        side = pipeline.project(levels, work, portfolio.best_side, work_side)
+        if giant is not None:
+            side = pipeline.around_giant(pg, comps, giant, side, max_side)
+        expected = pipeline.compute_cut(pg, side)
+        _same_bipartition(ctx.result(), expected)
+
+        separator_ids = separator.minimum_vertex_separator(expected.cut_edges)
+        sides = expected.side.tolist()
+        assert ctx.split() == (
+            sorted(separator_ids),
+            [v for v in range(n) if v not in separator_ids and sides[v] == 0],
+            [v for v in range(n) if v not in separator_ids and sides[v] == 1],
+        )
 
 
 @settings(max_examples=300, deadline=None)
-@given(partition_cases(), st.sampled_from([1, 8]))
-def test_fm_refine_matches_oracle(case, max_passes):
-    refine = kernels.fm_refine
-    pg, side, bound = case
-    before = side.copy()
-    new = refine(pg, side, bound, max_passes)
-    assert same_sides(new, oracle.fm_refine(pg, side, bound, max_passes))
-    assert np.array_equal(side, before)  # input untouched
-    # any 0/1 sequence is accepted, whatever its dtype
-    assert refine(pg, side.astype(np.int64), bound, max_passes) == new
-    assert refine(pg, side.tolist(), bound, max_passes) == new
+@given(
+    partition_cases(),
+    st.integers(0, 2**32 - 1),
+    st.sampled_from([0.2, 0.4]),
+    st.integers(1, 12),
+    st.integers(0, 3),
+)
+def test_context_steps_match_the_oracle_steps(
+    case, seed, beta, max_vertex_weight, depth
+):
+    """Small coarse-style graphs, often disconnected (a giant or packed
+    pieces), every balance bound and coarsening depth."""
+    pg, drawn, _ = case
+    step_by_step(pg, drawn, seed, beta, max_vertex_weight, depth)
 
 
-@settings(max_examples=200, deadline=None)
-@given(partition_cases())
-def test_rebalance_matches_oracle(case):
-    pg, side, bound = case
-    assert same_sides(
-        kernels.rebalance(pg, side, bound), oracle.rebalance(pg, side, bound)
-    )
-
-
-@settings(max_examples=200, deadline=None)
-@given(partition_cases())
-def test_cut_weight_matches_oracle(case):
-    pg, side, _ = case
-    cut_weight = kernels.cut_weight
-    expected = oracle._cut_weight(pg, side)
-    assert cut_weight(pg, side) == expected
-    assert cut_weight(pg, bytearray(side)) == expected
-
-
-@settings(max_examples=200, deadline=None)
-@given(partition_cases(), st.integers(0, 2**32 - 1), st.data())
-def test_greedy_growing_matches_oracle(case, seed, data):
-    greedy_growing = kernels.greedy_growing
-    pg = case[0]
-    rng_new, rng_old = np.random.default_rng(seed), np.random.default_rng(seed)
-    assert np.array_equal(
-        greedy_growing(pg, rng_new), oracle.greedy_growing(pg, rng_old)
-    )
-    assert rng_new.bit_generator.state == rng_old.bit_generator.state
-    seed_vertex = data.draw(st.integers(0, pg.num_vertices - 1))
-    assert np.array_equal(
-        greedy_growing(pg, rng_new, seed_vertex=seed_vertex),
-        oracle.greedy_growing(pg, rng_old, seed_vertex=seed_vertex),
-    )
-    assert rng_new.bit_generator.state == rng_old.bit_generator.state
-
-
-@settings(max_examples=200, deadline=None)
-@given(partition_cases(), st.integers(0, 2**32 - 1))
-def test_bfs_halves_and_components_match_oracle(case, seed):
-    impl = kernels
-    pg = case[0]  # often disconnected: the id-order remainder is covered
-    rng_new, rng_old = np.random.default_rng(seed), np.random.default_rng(seed)
-    assert np.array_equal(impl.bfs_halves(pg, rng_new), oracle.bfs_halves(pg, rng_old))
-    assert rng_new.bit_generator.state == rng_old.bit_generator.state
-    assert impl.components(pg) == oracle.components(pg)
-
-
-@settings(max_examples=200, deadline=None)
-@given(partition_cases(), st.integers(0, 2**32 - 1), st.integers(1, 12))
-def test_coarsen_once_matches_oracle(case, seed, max_vertex_weight):
-    pg = case[0]
-    rng_new, rng_old = np.random.default_rng(seed), np.random.default_rng(seed)
-    new = kernels.coarsen_once(pg, rng_new, max_vertex_weight)
-    old = oracle.coarsen_once(pg, rng_old, max_vertex_weight)
-    assert np.array_equal(new.fine_to_coarse, old.fine_to_coarse)
-    assert new.graph.rows == old.graph.rows  # pair order included
-    assert new.graph.vweight == old.graph.vweight
-    assert rng_new.bit_generator.state == rng_old.bit_generator.state
+@pytest.mark.parametrize("depth", [0, 2])
+@pytest.mark.parametrize(
+    "make",
+    [lambda: grid_network(12, 12), lambda: delaunay_network(300, seed=9)],
+    ids=["grid-12x12", "delaunay-300"],
+)
+def test_context_steps_match_the_oracle_steps_on_road_shapes(make, depth):
+    """Graphs big enough that FM needs more than one pass and the
+    candidates' cuts differ, from an interleaved-stripes side."""
+    pg = PartitionGraph.from_graph(make())
+    drawn = (np.arange(pg.num_vertices) // 7 % 2).astype(np.int8)
+    step_by_step(pg, drawn, seed=depth, beta=0.2, max_vertex_weight=4, depth=depth)
 
 
 # ---------------------------------------------------------------------------
@@ -194,35 +227,6 @@ def unmemoised(build):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(pipeline, "rebalance", _oracle_rebalance)
         return build()
-
-
-def c_steps(build):
-    """``build()`` with the oracle pipeline's steps swapped for the C
-    one-step wrappers of :mod:`repro.partition.kernels`: the Python
-    orchestration over C steps, so a whole-build mismatch points at the
-    steps or at the C context's orchestration."""
-    with pytest.MonkeyPatch.context() as mp:
-        for name, step in (
-            ("fm_refine", kernels.fm_refine),
-            ("rebalance", kernels.rebalance),
-            ("greedy_growing", kernels.greedy_growing),
-            ("bfs_halves", kernels.bfs_halves),
-            ("components", kernels.components),
-            ("coarsen_once", kernels.coarsen_once),
-            ("_cut_weight", kernels.cut_weight),
-            ("minimum_vertex_separator", kernels.minimum_vertex_separator),
-        ):
-            mp.setattr(pipeline, name, step)
-        return build()
-
-
-#: The two C sides held to the oracle pipeline: the C partitioner (one
-#: :class:`kernels.Bisector` context per build), and the oracle's own
-#: orchestration running on the C steps.
-C_SIDES = {
-    "c": lambda c_build, oracle_build: c_build(),
-    "c-steps": lambda c_build, oracle_build: c_steps(oracle_build),
-}
 
 
 def preorder(tree) -> list[tuple[list[int], int]]:
@@ -275,19 +279,14 @@ PIPELINE_CASES = {
 }
 
 
-@pytest.mark.parametrize("side", list(C_SIDES))
 @pytest.mark.parametrize("name", PIPELINE_CASES)
-def test_recursive_bisection_tree_matches_oracle(name, side):
+def test_recursive_bisection_tree_matches_oracle(name):
     make, kwargs = PIPELINE_CASES[name]
     graph = make()
-
-    def oracle_tree():
-        return preorder(pipeline.recursive_bisection(graph, seed=0, **kwargs))
-
-    new = C_SIDES[side](
-        lambda: preorder(recursive_bisection(graph, seed=0, **kwargs)), oracle_tree
+    new = preorder(recursive_bisection(graph, seed=0, **kwargs))
+    expected = unmemoised(
+        lambda: preorder(pipeline.recursive_bisection(graph, seed=0, **kwargs))
     )
-    expected = unmemoised(oracle_tree)
     assert new == expected
     assert sorted(v for vertices, _ in new for v in vertices) == list(graph.vertices())
 
@@ -320,8 +319,7 @@ def test_giant_component_case_recurses_on_the_giant(monkeypatch, side):
     assert sizes[:2] == [540, 500] if side == "oracle" else sizes[0] == 500
 
 
-@pytest.mark.parametrize("side", list(C_SIDES))
-def test_star_through_the_lanczos_branch_matches_oracle(monkeypatch, side):
+def test_star_through_the_lanczos_branch_matches_oracle(monkeypatch):
     """900 leaves: matching stalls, the coarsest graph stays above
     ``_DENSE_CUTOFF`` and the spectral candidate comes from ``eigsh``.
 
@@ -341,14 +339,8 @@ def test_star_through_the_lanczos_branch_matches_oracle(monkeypatch, side):
         lambda lap, **kwargs: sizes.append(lap.shape[0]) or real(lap, **kwargs),
     )
     graph = star(900)
-
-    def oracle_tree():
-        return preorder(pipeline.recursive_bisection(graph, seed=0))
-
-    new = C_SIDES[side](
-        lambda: preorder(recursive_bisection(graph, seed=0)), oracle_tree
-    )
-    expected = unmemoised(oracle_tree)
+    new = preorder(recursive_bisection(graph, seed=0))
+    expected = unmemoised(lambda: preorder(pipeline.recursive_bisection(graph, seed=0)))
     assert new == expected
     assert len(sizes) == 2 and min(sizes) > spectral._DENSE_CUTOFF
 
@@ -371,17 +363,12 @@ def test_lanczos_branch_repeats_bit_for_bit():
     [lambda: grid_network(20, 31), lambda: delaunay_network(1_500, seed=5)],
     ids=["grid-20x31", "delaunay-1500"],
 )
-@pytest.mark.parametrize("side", list(C_SIDES))
-def test_partition_regions_matches_oracle(make, k, side):
+def test_partition_regions_matches_oracle(make, k):
     graph = make()
-
-    def oracle_regions():
-        return pipeline.partition_regions(graph, k, seed=0).region_of
-
-    new = C_SIDES[side](
-        lambda: partition_regions(graph, k, seed=0).region_of, oracle_regions
+    new = partition_regions(graph, k, seed=0).region_of
+    expected = unmemoised(
+        lambda: pipeline.partition_regions(graph, k, seed=0).region_of
     )
-    expected = unmemoised(oracle_regions)
     assert np.array_equal(new, expected)
 
 
@@ -408,11 +395,10 @@ def test_same_seed_same_tree_other_seed_valid_tree():
 class _FMCounter:
     """Counts gain-queue pops (an upper bound on moves) and pass-vertices
     (n per pass that had a boundary to queue) inside the C FM runs: the
-    counts the kernel adds to the ``work`` pair of a one-off call or of
-    every partitioner context made meanwhile."""
+    counts the kernel adds to the ``work`` pair of every partitioner
+    context made meanwhile."""
 
     def __init__(self, mp: pytest.MonkeyPatch):
-        self.work = np.zeros(2, dtype=np.int64)  # pops, pass-vertices
         self._contexts: list[kernels.Bisector] = []
         real_init = kernels.Bisector.__init__
 
@@ -422,11 +408,8 @@ class _FMCounter:
 
         mp.setattr(kernels.Bisector, "__init__", init)
 
-    def fm_refine(self, *args):
-        return kernels.fm_refine(*args, work=self.work)
-
     def _total(self, i: int) -> int:
-        return int(self.work[i]) + sum(int(ctx.work[i]) for ctx in self._contexts)
+        return sum(int(ctx.work[i]) for ctx in self._contexts)
 
     @property
     def pops(self) -> int:
@@ -437,10 +420,13 @@ class _FMCounter:
         return self._total(1)
 
 
-def test_fm_pass_stops_when_the_bound_closes(monkeypatch):
+def test_fm_pass_stops_when_the_bound_closes():
     """Two disjoint 40-cliques with one vertex on the wrong side: moving
     it back reaches a zero cut, ``room`` closes, and the pass ends after
-    that one move instead of dragging all 80 vertices across and back."""
+    that one move instead of dragging all 80 vertices across and back.
+    The side is one ``Bisector.consider`` candidate (balance 60, so its
+    rebalance moves nothing); its FM work is what that call adds to
+    ``Bisector.work``."""
     n = 80
     adj = [
         {u: 1.0 for u in range(n) if u != v and (u < 40) == (v < 40)}
@@ -449,12 +435,14 @@ def test_fm_pass_stops_when_the_bound_closes(monkeypatch):
     pg = PartitionGraph(adj, [1] * n)
     side = np.array([0] * 40 + [1] * 40, dtype=np.int8)
     side[7] = 1
-    counter = _FMCounter(monkeypatch)
-    refined = counter.fm_refine(pg, side, 60)
-    assert same_sides(refined, oracle.fm_refine(pg, side, 60))
-    assert kernels.cut_weight(pg, refined) == 0
-    assert counter.pass_vertices == n  # one pass: the second has no cut
-    assert counter.pops <= 3  # the drained pass pops every vertex at least once
+    with kernels.Bisector(*pg.flat(), beta=0.25) as ctx:
+        assert ctx.load(range(n)) == 2
+        ctx.initial([0, 1, 2, 3, 40])  # opens the candidate portfolio
+        before = ctx.work.copy()
+        assert ctx.consider(side) == 0.0
+        pops, pass_vertices = (ctx.work - before).tolist()
+    assert pass_vertices == n  # one pass: the second has no cut
+    assert pops <= 3  # the drained pass pops every vertex at least once
 
 
 def test_fm_pops_stay_well_under_the_pass_vertices_on_road(monkeypatch):

@@ -1,8 +1,10 @@
 """Tests for coarsening, FM refinement, initial partitions, multilevel.
 
-The steps are the C ones of :mod:`repro.partition.kernels`; coarsening
-to a size and component packing are the oracle pipeline's glue
-(``tests/oracles/multilevel.py``), which the C context does inside.
+The steps run inside the C context :class:`repro.partition.kernels.Bisector`
+and are checked through its calls; coarsening to a size and component
+packing are the oracle pipeline's glue (``tests/oracles/multilevel.py``),
+which the C context does inside. ``test_partition_identity`` holds every
+step to the oracle's decisions.
 """
 
 from __future__ import annotations
@@ -12,18 +14,12 @@ import pytest
 
 from repro.exceptions import PartitionError
 from repro.graph.generators import delaunay_network, grid_network
-from repro.partition.kernels import (
-    bfs_halves,
-    coarsen_once,
-    components,
-    fm_refine,
-    greedy_growing,
-    rebalance,
-)
+from repro.partition.kernels import Bisector
 from repro.partition.multilevel import multilevel_bisection
 from repro.partition.spectral import spectral_bisection_flat
 from repro.partition.types import PartitionGraph
 from repro.utils.rng import make_rng
+from tests.oracles import partition as oracle
 from tests.oracles.multilevel import coarsen_to_size, component_packing, compute_cut
 
 
@@ -58,20 +54,20 @@ class TestPartitionGraph:
 
 
 class TestCoarsening:
-    def test_coarsen_once_preserves_total_weight(self, road_pg):
-        level = coarsen_once(road_pg, make_rng(0), max_vertex_weight=8)
-        assert level.graph.total_vweight() == road_pg.total_vweight()
-        assert level.graph.num_vertices < road_pg.num_vertices
-
-    def test_coarsen_once_maps_all_vertices(self, road_pg):
-        level = coarsen_once(road_pg, make_rng(0), max_vertex_weight=8)
-        assert len(level.fine_to_coarse) == road_pg.num_vertices
-        assert level.fine_to_coarse.min() >= 0
-        assert level.fine_to_coarse.max() == level.graph.num_vertices - 1
+    def test_coarsen_preserves_total_weight(self, road_pg):
+        with Bisector(*road_pg.flat(), 0.2) as ctx:
+            ctx.load(range(road_pg.num_vertices))
+            size = ctx.coarsen(make_rng(0).permutation(ctx.size), 8, 2.0)
+            assert ctx.total == road_pg.total_vweight()
+            assert 0 < size == ctx.size < road_pg.num_vertices
+            assert ctx.coarsest()[3].sum() == road_pg.total_vweight()
 
     def test_coarsen_respects_max_weight(self, road_pg):
-        level = coarsen_once(road_pg, make_rng(0), max_vertex_weight=2)
-        assert max(level.graph.vweight) <= 2
+        with Bisector(*road_pg.flat(), 0.2) as ctx:
+            ctx.load(range(road_pg.num_vertices))
+            for _ in range(3):
+                ctx.coarsen(make_rng(0).permutation(ctx.size), 2, 2.0)
+                assert ctx.coarsest()[3].max() <= 2
 
     def test_coarsen_to_size(self, road_pg):
         levels = coarsen_to_size(road_pg, 50, make_rng(0))
@@ -87,46 +83,76 @@ class TestCoarsening:
         pg = PartitionGraph.from_graph(diamond_graph)
         assert coarsen_to_size(pg, 10, make_rng(0)) == []
 
-    def test_coarse_cut_projects_to_fine_cut(self, road_pg):
-        """A coarse partition's cut equals the projected fine cut."""
-        level = coarsen_once(road_pg, make_rng(1), max_vertex_weight=8)
-        rng = make_rng(2)
-        coarse_side = (rng.random(level.graph.num_vertices) < 0.5).astype(np.int8)
-        fine_side = coarse_side[level.fine_to_coarse]
-        assert cut_of(level.graph, coarse_side) == cut_of(road_pg, fine_side)
+
+def winner(pg: PartitionGraph, cand: np.ndarray) -> tuple[float, float, object]:
+    """Open a context's portfolio on BFS halves from vertex 0 alone, then
+    :meth:`~Bisector.consider` *cand* and project; returns the opening
+    cut, the best cut after *cand* and the projected result. When *cand*
+    beats the opening, the result is *cand* rebalanced and refined."""
+    with Bisector(*pg.flat(), 0.2) as ctx:
+        ctx.load(range(pg.num_vertices))
+        opened = ctx.initial([0])
+        best = ctx.consider(cand)
+        ctx.project()
+        return opened, best, ctx.result()
+
+
+def oracle_refined(pg: PartitionGraph, cand: np.ndarray) -> np.ndarray:
+    bound = int(0.8 * pg.total_vweight())
+    return oracle.fm_refine(pg, oracle.rebalance(pg, cand, bound), bound)
+
+
+def noisy_column_cut(pg: PartitionGraph, flips: int) -> np.ndarray:
+    """The 12×14 grid's 12-edge cut left of column 8, *flips* vertices
+    moved across it."""
+    side = (np.arange(pg.num_vertices) % 14 < 8).astype(np.int8)
+    side[make_rng(flips).choice(pg.num_vertices, flips, replace=False)] ^= 1
+    return side
 
 
 class TestFM:
-    def test_refine_never_worsens_cut(self, road_pg):
-        rng = make_rng(3)
-        side = (rng.random(road_pg.num_vertices) < 0.5).astype(np.int8)
-        bound = int(0.8 * road_pg.total_vweight())
-        refined = fm_refine(road_pg, side, bound)
-        assert cut_of(road_pg, refined) <= cut_of(road_pg, side)
+    """A 12×14 grid opened on BFS halves from its corner cuts 13 edges,
+    and a cut left of column 8 cuts 12. A candidate near that cut beats
+    the opening after FM, so the context projects it, and its refined
+    side is observable: it must be the oracle's rebalance and FM of the
+    candidate."""
 
-    def test_refine_respects_balance(self, road_pg):
-        rng = make_rng(4)
-        side = (rng.random(road_pg.num_vertices) < 0.5).astype(np.int8)
-        bound = int(0.8 * road_pg.total_vweight())
-        refined = fm_refine(road_pg, side, bound)
-        w0 = sum(road_pg.vweight[v] for v in range(road_pg.num_vertices) if refined[v] == 0)
-        w1 = road_pg.total_vweight() - w0
-        assert max(w0, w1) <= bound
+    @pytest.mark.parametrize("flips", [0, 10, 20])
+    def test_refine_never_worsens_cut(self, small_grid, flips):
+        pg = PartitionGraph.from_graph(small_grid)
+        cand = noisy_column_cut(pg, flips)
+        opened, best, bip = winner(pg, cand)
+        expected = oracle_refined(pg, cand)
+        assert best == cut_of(pg, expected) < opened
+        assert bip.side.tolist() == expected.tolist()
+        assert best <= cut_of(pg, cand)
 
     def test_refine_improves_bad_partition(self, small_grid):
-        """An interleaved-stripes partition should improve dramatically."""
         pg = PartitionGraph.from_graph(small_grid)
-        side = np.fromiter(((v // 14) % 2 for v in range(pg.num_vertices)), dtype=np.int8)
-        bound = int(0.8 * pg.total_vweight())
-        refined = fm_refine(pg, side, bound)
-        assert cut_of(pg, refined) < 0.7 * cut_of(pg, side)
+        cand = noisy_column_cut(pg, 20)
+        assert cut_of(pg, cand) > 60
+        _, best, _ = winner(pg, cand)
+        assert best < 0.7 * cut_of(pg, cand)
 
-    def test_rebalance_enforces_bound(self, road_pg):
-        side = np.zeros(road_pg.num_vertices, dtype=np.int8)  # all on side 0
-        bound = int(0.8 * road_pg.total_vweight())
-        fixed = rebalance(road_pg, side, bound)
-        w0 = sum(road_pg.vweight[v] for v in range(road_pg.num_vertices) if fixed[v] == 0)
-        assert max(w0, road_pg.total_vweight() - w0) <= bound
+    def test_refine_respects_balance(self, small_grid):
+        """The noisy candidate weighs within the bound; FM keeps it there."""
+        pg = PartitionGraph.from_graph(small_grid)
+        cand = noisy_column_cut(pg, 20)
+        bound = int(0.8 * pg.total_vweight())
+        assert max(len(cand) - cand.sum(), cand.sum()) <= bound
+        _, _, bip = winner(pg, cand)
+        assert max(bip.side_weights(pg)) <= bound
+
+    def test_rebalance_enforces_bound(self):
+        """All on side 0 of a 10×10 grid: rebalanced to the bound, then
+        refined to 10 edges, it beats the opening's 13."""
+        pg = PartitionGraph.from_graph(grid_network(10, 10, seed=5))
+        cand = np.zeros(pg.num_vertices, dtype=np.int8)
+        opened, best, bip = winner(pg, cand)
+        expected = oracle_refined(pg, cand)
+        assert best == cut_of(pg, expected) < opened
+        assert bip.side.tolist() == expected.tolist()
+        assert max(bip.side_weights(pg)) <= int(0.8 * pg.total_vweight())
 
 
 class TestInitialPartitions:
@@ -139,17 +165,6 @@ class TestInitialPartitions:
         assert side is not None
         assert cut_of(pg, side) == 0.0
         assert side.min() == 0 and side.max() == 1
-
-    def test_greedy_growing_covers_half(self, road_pg):
-        side = greedy_growing(road_pg, make_rng(0))
-        w0 = int((side == 0).sum())
-        assert 0 < w0 < road_pg.num_vertices
-        assert w0 >= road_pg.num_vertices // 2  # grows to at least half
-
-    def test_bfs_halves_roughly_balanced(self, road_pg):
-        side = bfs_halves(road_pg, make_rng(0))
-        w0 = int((side == 0).sum())
-        assert abs(w0 - road_pg.num_vertices / 2) <= road_pg.num_vertices * 0.2
 
 
 class TestSpectral:
@@ -220,9 +235,13 @@ class TestMultilevel:
         pg = PartitionGraph(
             [{1: 1.0}, {0: 1.0}, {}, {4: 1.0}, {3: 1.0}], [2, 1, 5, 1, 1]
         )
-        comps = components(pg)
-        assert sorted(w for w, _ in comps) == [2, 3, 5]
-        assert sorted(len(m) for _, m in comps) == [1, 2, 2]
+        with Bisector(*pg.flat(), 0.2) as ctx:
+            assert ctx.load(range(5)) == 3
+            assert ctx.total == 10
+            assert ctx.disconnected()  # packed whole: 5 | 3 + 2
+            bip = ctx.result()
+        assert bip.cut_weight == 0.0
+        assert bip.side_weights(pg) == (5, 5)
 
     def test_rejects_bad_beta(self, road_pg):
         with pytest.raises(PartitionError):

@@ -1,7 +1,7 @@
 """One kernel call per shard: the sharded batch path against its oracle.
 
 A batch is cut into one sub-query per shard (:class:`BatchSplit`), each
-answered by one :func:`shard_batch` call, and the cross region pairs
+answered by one :func:`sub_query` call, and the cross region pairs
 are combined in the parent. These tests hold that path
 ``np.array_equal`` to the region-pair composition it replaced — per
 ``(source region, target region)`` group: the pair kernel, fans over
@@ -41,7 +41,8 @@ from repro.service.protocol import (
     decode_frame,
     encode_frame,
 )
-from repro.sharding.engine import BatchSplit, shard_batch
+from repro.labelling.native.engine import ShardRoute
+from repro.sharding.engine import BatchSplit, sub_query
 from tests.oracles.kernels import python_kernels
 from tests.strategies import WORD_EDGES, caterpillar_index, pair_matrix
 
@@ -304,9 +305,10 @@ def test_word_edge_depths(depth):
     direct = np.array([engine.distance(a, b) for a, b in zip(s.tolist(), t.tolist())])
     want = np.where(s == t, 0.0, np.minimum(direct, route))
     assert (route < direct).any() and (direct < route).any()
+    shard = ShardRoute(boundary, block)
     for kernels in PATHS.values():
         with kernels():
-            final, rows, inverse = shard_batch(engine, boundary, s, t, fan, block)
+            final, rows, inverse = sub_query(engine, shard, s, t, fan, use_block=True)
         assert np.array_equal(final, want)
         assert np.array_equal(rows[inverse], scalar[fan])
 
@@ -426,10 +428,13 @@ def test_a_fan_inverse_past_its_rows_is_refused_by_the_combine(attached, side, w
     assert (region_of[s] != region_of[t]).all()
     split = BatchSplit(index, s, t)
     results = {
-        sid: shard_batch(
-            index.shards[sid].engine, index.boundary_local[sid], *split.subs[sid]
+        sid: sub_query(
+            index.shards[sid].engine,
+            split.routing.shards[sid],
+            *sub[:3],
+            sub[3] is not None,
         )
-        for sid in split.subs
+        for sid, sub in split.subs.items()
     }
     sid = 0 if side == "source" else 1
     final, fan, inverse = results[sid]

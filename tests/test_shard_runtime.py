@@ -37,7 +37,6 @@ from repro.core.sharded import ShardedDHLIndex
 from repro.exceptions import (
     PartialResultError,
     ServiceRuntimeError,
-    ShardUnavailableError,
     VertexNotFound,
     WorkerEpochError,
 )
@@ -45,6 +44,7 @@ from repro.graph.generators import delaunay_network, grid_network
 from repro.labelling.query import QueryEngine
 from repro.observability import NULL_OBSERVABILITY, Observability
 from repro.service import (
+    CircuitBreaker,
     DistanceService,
     InProcessRuntime,
     ShardExecutor,
@@ -351,7 +351,7 @@ def test_replica_kill_mid_replay_loses_nothing(transport):
         assert all(len(runtime.alive_replicas(sid)) == 1 for sid in range(sharded.k))
 
 
-def test_last_replica_loss_sheds_or_hard_fails(transport):
+def test_last_replica_loss_sheds(transport):
     graph = delaunay_network(120, seed=29)
     sharded = build_sharded(graph, k=2)
     with transport(sharded, replicas=1) as runtime:
@@ -359,12 +359,16 @@ def test_last_replica_loss_sheds_or_hard_fails(transport):
         runtime.distances(pairs)
         for sid in range(sharded.k):
             kill(runtime._groups[sid][0])
-        with pytest.raises(PartialResultError, match="replica") as info:
-            runtime.distances(pairs)
-        assert info.value.open_shards == (0, 1)
-        runtime.degraded_mode = "error"
-        with pytest.raises(ShardUnavailableError, match="breaker open"):
-            runtime.distances(pairs)
+        for _ in range(2):  # the second batch meets open breakers
+            with pytest.raises(PartialResultError, match="replica") as info:
+                runtime.distances(pairs)
+            err = info.value
+            assert err.open_shards == (0, 1)
+            lost = np.array([s != t for s, t in pairs])
+            assert err.shed.tolist() == np.flatnonzero(lost).tolist()
+            assert np.isnan(err.distances[lost]).all()
+            assert (err.distances[~lost] == 0.0).all()
+        assert all(b.state == CircuitBreaker.OPEN for b in runtime._breakers)
 
 
 # ---------------------------------------------------------------------------
@@ -408,7 +412,7 @@ def test_wedged_shards_share_one_deadline(transport):
     sharded = build_sharded(delaunay_network(120, seed=29), k=2)
     pairs = shard_pairs(sharded, 0, 3) + shard_pairs(sharded, 1, 3)
     with transport(
-        sharded, replicas=1, request_timeout=timeout, degraded_mode="shed",
+        sharded, replicas=1, request_timeout=timeout,
         clock=FakeClock(), supervise_interval=0.0,  # a poll every batch
     ) as runtime:
         np.testing.assert_array_equal(
