@@ -29,7 +29,6 @@ maintenance driver (:mod:`repro.labelling.driver`).
 
 from __future__ import annotations
 
-import math
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -50,6 +49,7 @@ from repro.labelling.query import QueryEngine
 from repro.observability.phases import phase
 from repro.observability.timing import Timer
 from repro.partition.recursive import PartitionTreeNode, recursive_bisection
+from repro.utils.pairs import nearest
 
 __all__ = ["IndexCore", "DHLIndex"]
 
@@ -189,14 +189,7 @@ class IndexCore:
         Unreachable candidates (infinite distance) are excluded; fewer
         than *k* entries may be returned.
         """
-        distances = self.distances_from(s, candidates)
-        order = np.argsort(distances, kind="stable")
-        out: list[tuple[int, float]] = []
-        for i in order[: max(0, k)]:
-            if not math.isfinite(distances[i]):
-                break
-            out.append((candidates[int(i)], float(distances[i])))
-        return out
+        return nearest(candidates, self.distances_from(s, candidates), k)
 
     @property
     def engine(self) -> QueryEngine:
@@ -271,7 +264,7 @@ class IndexCore:
 
     def compact(self) -> structural.CompactionStats:
         """Reclaim logically dead shortcut slots (``inf`` in every weight
-        plane) and label-store slack.
+        plane).
 
         Queried distances are unchanged; deletions become permanent
         (restoring a compacted road re-inserts it).

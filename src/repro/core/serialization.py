@@ -210,14 +210,12 @@ def _unflatten(flat: np.ndarray, offsets: np.ndarray) -> list[np.ndarray]:
 def _save_labels(path: Path, labels: HierarchicalLabelling, prefix: str) -> None:
     """Dump the flat store as two bare .npy files (mmap-able on load).
 
-    Uses the same packed ``(values, offsets)`` pair that shard workers
-    attach over shared memory (:meth:`HierarchicalLabelling
-    .export_buffers`), so the on-disk layout and the cross-process
-    layout are one format.
+    The same ``(values, offsets)`` pair that shard workers attach over
+    shared memory, so the on-disk layout and the cross-process layout
+    are one format.
     """
-    values, offsets = labels.export_buffers()
-    np.save(path / f"{prefix}_values.npy", np.ascontiguousarray(values))
-    np.save(path / f"{prefix}_offsets.npy", offsets)
+    np.save(path / f"{prefix}_values.npy", np.ascontiguousarray(labels.values))
+    np.save(path / f"{prefix}_offsets.npy", labels.offsets)
 
 
 def _load_labels(
@@ -230,7 +228,7 @@ def _load_labels(
     mode = "r" if mmap else None
     values = np.load(values_path, mmap_mode=mode)
     offsets = np.load(offsets_path)
-    return HierarchicalLabelling(values, offsets, np.diff(offsets), tau)
+    return HierarchicalLabelling(values, offsets, tau)
 
 
 def _hq_payload(hq: QueryHierarchy) -> dict[str, np.ndarray]:

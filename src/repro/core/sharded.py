@@ -25,7 +25,7 @@ import ctypes
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -285,22 +285,10 @@ class ShardedDHLIndex:
         array or any iterable of pairs."""
         return self._engine.distances(pairs)
 
-    def distances_from(self, s: int, targets: Sequence[int]) -> np.ndarray:
-        """One-to-many distances from *s*."""
-        return self._engine.distances_arrays(np.full(len(targets), s), targets)
-
-    def k_nearest(
-        self, s: int, candidates: Sequence[int], k: int
-    ) -> list[tuple[int, float]]:
-        """The *k* candidates closest to *s* by road distance."""
-        distances = self.distances_from(s, candidates)
-        order = np.argsort(distances, kind="stable")
-        out: list[tuple[int, float]] = []
-        for i in order[: max(0, k)]:
-            if not math.isfinite(distances[i]):
-                break
-            out.append((candidates[int(i)], float(distances[i])))
-        return out
+    # One-to-many and k-nearest run as on a single index, over this
+    # index's engine.
+    distances_from = DHLIndex.distances_from
+    k_nearest = DHLIndex.k_nearest
 
     @property
     def engine(self) -> ShardedQueryEngine:
@@ -584,15 +572,15 @@ class ShardedDHLIndex:
     # cross-process serving hooks (shared-memory shard workers)
     # ------------------------------------------------------------------
     def shard_buffers(self, sid: int) -> tuple[np.ndarray, np.ndarray]:
-        """Shard *sid*'s packed ``(label_values, label_offsets)`` pair.
+        """Shard *sid*'s ``(label_values, label_offsets)`` pair.
 
         The exact buffers a serving runtime publishes once into
         ``multiprocessing.shared_memory`` so worker processes can gather
         zero-copy — the same two-array layout the v3 snapshot writes to
-        disk (:meth:`~repro.labelling.labels.HierarchicalLabelling
-        .export_buffers`).
+        disk.
         """
-        return self.shards[sid].labels.export_buffers()
+        labels = self.shards[sid].labels
+        return labels.values, labels.offsets
 
     def shard_worker_payload(self, sid: int) -> bytes:
         """Shard *sid*'s structure, pickled with the label payload elided.
@@ -600,9 +588,8 @@ class ShardedDHLIndex:
         Everything a worker process needs to answer shard-local queries
         — graph, hierarchies, config, and the shard's boundary vertex
         ids — *except* the label buffers, which the worker attaches via
-        shared memory (:meth:`shard_buffers`) and re-binds with
-        :meth:`~repro.labelling.labels.HierarchicalLabelling
-        .from_shared_buffers`. Shipped once per worker at startup; label
+        shared memory (:meth:`shard_buffers`) and re-binds as its
+        labelling. Shipped once per worker at startup; label
         maintenance afterwards travels as in-place shared-memory deltas,
         never as a re-pickle.
         """
@@ -616,7 +603,6 @@ class ShardedDHLIndex:
         stub = HierarchicalLabelling(
             np.empty(0, dtype=np.float64),
             np.zeros(n + 1, dtype=np.int64),
-            np.zeros(n, dtype=np.int64),
             labels.tau,
         )
         # A shallow copy with the store (and the engine bound to it)

@@ -55,12 +55,13 @@ and the driver raises
 
 **Compaction.** Dead slots (weight ``inf`` in every plane of the store
 — both directions for the directed index) are squeezed out of the CSR
-store, their graph edges removed physically, and label-store slack
-repacked. Removing only inf slots preserves the minimum-weight property
-of every surviving slot (triangles through a removed slot contributed
-``inf``) and pure weight maintenance can never miss them (see the
-kernel guards); deletions become *permanent* — restoring a compacted
-edge routes through the insertion path.
+store and their graph edges removed physically; label rows are
+exactly ``tau + 1`` entries and hold nothing to reclaim. Removing only
+inf slots preserves the minimum-weight property of every surviving
+slot (triangles through a removed slot contributed ``inf``) and pure
+weight maintenance can never miss them (see the kernel guards);
+deletions become *permanent* — restoring a compacted edge routes
+through the insertion path.
 
 Everything here is written against the store contract (``planes``,
 ``edge_key``, ``plane_views``) and one road vocabulary on the graph
@@ -446,13 +447,12 @@ def dead_fraction(store) -> float:
 
 
 def compact_index(index) -> CompactionStats:
-    """Squeeze dead slots out of an index's stores, in place.
+    """Squeeze dead slots out of an index's shortcut store, in place.
 
     Dead shortcut slots leave the CSR store, their (dead) graph edges
-    are removed physically — deletion becomes permanent — and the slack
-    of every labelling is repacked; the bytes reclaimed are the measured
-    drop of the store's ``memory_bytes()`` plus the label slack. Queried
-    distances are unchanged: every removed triangle contributed
+    are removed physically — deletion becomes permanent; the bytes
+    reclaimed are the measured drop of the store's ``memory_bytes()``.
+    Queried distances are unchanged: every removed triangle contributed
     ``inf``. Bumps the epoch when anything was reclaimed, which routes
     worker/replica runtimes through their existing whole-buffer
     republish path.
@@ -460,13 +460,12 @@ def compact_index(index) -> CompactionStats:
     hu, graph = index.hu, index.graph
     stats = CompactionStats()
     with phase("structural.compaction"):
-        label_bytes = sum(labels.compact() for labels in index.labellings)
         store_bytes = hu.memory_bytes()
         dead = _dead_slots(hu)
         stats.dead_slots_reclaimed = int(dead.sum())
         if stats.dead_slots_reclaimed:
             compact_slots(hu, ~dead)
-        stats.bytes_reclaimed = store_bytes - hu.memory_bytes() + label_bytes
+        stats.bytes_reclaimed = store_bytes - hu.memory_bytes()
         # A deleted edge whose slot kept a finite witness shortcut is
         # still physically dead in the graph — remove it even when no
         # slot was reclaimed, so restores always route through the

@@ -38,6 +38,7 @@ from typing import Sequence
 
 import numpy as np
 
+from repro.exceptions import HierarchyError
 from repro.graph.graph import Graph
 from repro.hierarchy.csr import ShortcutCSR, build_shortcut_csr
 
@@ -219,13 +220,13 @@ class ContractionResult:
 
     # -- invariant checks (used heavily in tests) ------------------------
     def verify_minimum_weight_property(self, tolerance: float = 0.0) -> None:
-        """Assert Property 3.1 for every cell of every weight plane.
+        """Check Property 3.1 for every cell of every weight plane.
 
         Cell ``(v, u)`` of plane 0 is the road ``v -> u``, of the second
         of two planes ``u -> v``; each is the direct road min-combined
         with every path through a common down-neighbour, whose first
         leg descends (the opposite plane) and second leg ascends.
-        Raises AssertionError.
+        Raises :class:`~repro.exceptions.HierarchyError`.
         """
         csr, graph, weights = self.csr, self.graph, self.up_weights
         m = csr.num_slots
@@ -247,7 +248,10 @@ class ContractionResult:
                 or (math.isinf(actual) and math.isinf(expected))
                 or abs(actual - expected) <= tolerance
             )
-            assert ok, f"road {a} -> {b}: stored {actual}, recomputed {expected}"
+            if not ok:
+                raise HierarchyError(
+                    f"road {a} -> {b}: stored {actual}, recomputed {expected}"
+                )
 
 
 def eliminate(skeleton: Graph, order: np.ndarray, rank: np.ndarray) -> ShortcutCSR:

@@ -279,8 +279,7 @@ def extend_slots(store, new_lo: np.ndarray, new_hi: np.ndarray) -> None:
     the (deduplicated, previously absent) new pairs — one O(m + k)
     rebuild per *batch* of k slots, which is how the growth cost
     amortises: the insertion fast path collects a whole batch's closure
-    before calling this once, mirroring how the label store batches its
-    capacity doubling in :meth:`HierarchicalLabelling.extend_label`.
+    before calling this once.
 
     Every weight plane is permuted alongside, with ``inf`` ("allocated
     but not yet relaxed") at the new slots.

@@ -32,17 +32,11 @@ def build_labelling(hu, plane: int = 0) -> HierarchicalLabelling:
     distance of Definition 4.11 (by Lemma 6.3 / Corollary 6.5).
     """
     tau = np.asarray(hu.tau, dtype=np.int64)
-    n = len(tau)
     csr = hu.csr
-    # Labels are built straight into the flat CSR store: lengths are
-    # known upfront (tau + 1), so the whole buffer is allocated once and
-    # the diagonal is written with a single scatter.
-    lengths = tau + 1
-    offsets = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(lengths, out=offsets[1:])
-    values = np.full(int(offsets[-1]), np.inf, dtype=np.float64)
-    values[offsets[:-1] + tau] = 0.0
-    labels = HierarchicalLabelling(values, offsets, lengths, tau)
+    # Labels are built straight into the flat CSR store: row lengths are
+    # known upfront (tau + 1), so the whole buffer is allocated once.
+    labels = HierarchicalLabelling.initial(tau)
+    values, offsets = labels.values, labels.offsets
 
     # Lines 3-4: copy shortcut weights — one scatter over all slots.
     # Slot (v, w) lands at position offsets[v] + tau[w] (tau(w) < tau(v)

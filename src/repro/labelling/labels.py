@@ -8,27 +8,32 @@ scheme Gamma (Definitions 4.9/4.10) is purely conceptual — the ancestor
 identities are implied by ranks, so only distances are stored, exactly as
 in the paper.
 
-Storage is a flat CSR-style store rather than a list of per-vertex
-arrays: one contiguous ``values`` buffer plus ``offsets``/``lengths``
-index arrays. Vertex ``v``'s label lives at
-``values[offsets[v] : offsets[v] + lengths[v]]``. This layout is what
-lets the batch-query kernel gather label entries with pure fancy
-indexing (no padded copy), serialization dump/mmap the store as two
-arrays, and bulk invariants run as single vector reductions. Per-vertex
-*views* into the buffer are exposed for the maintenance algorithms,
-which relax individual entries.
-
-The store optionally carries per-vertex slack capacity
-(``offsets[v + 1] - offsets[v] > lengths[v]``) so a label can be
-extended in place; :meth:`HierarchicalLabelling.extend_label` grows with
-amortised doubling when the slack runs out.
+Storage is one packed CSR-style layout: a contiguous ``values`` buffer
+and an ``offsets`` array, vertex ``v``'s label being
+``values[offsets[v] : offsets[v + 1]]`` — exactly ``tau(v) + 1``
+entries, no spare capacity. Maintenance changes entry values, never
+row lengths; a change that alters H_Q builds a new store. This layout
+is what lets the batch-query kernel gather label entries with pure
+fancy indexing, serialization dump/mmap the store as two arrays, shard
+replicas attach the same two arrays over shared memory, and bulk
+invariants run as single vector reductions.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["HierarchicalLabelling"]
+from repro.exceptions import HierarchyError
+
+__all__ = ["HierarchicalLabelling", "row_offsets"]
+
+
+def row_offsets(tau: np.ndarray) -> np.ndarray:
+    """The one layout's ``int64`` offsets: row ``v`` holds ``tau[v] + 1``
+    entries."""
+    offsets = np.zeros(len(tau) + 1, dtype=np.int64)
+    np.cumsum(np.asarray(tau, dtype=np.int64) + 1, out=offsets[1:])
+    return offsets
 
 
 class HierarchicalLabelling:
@@ -37,109 +42,57 @@ class HierarchicalLabelling:
     Attributes
     ----------
     values:
-        Contiguous float64 buffer holding every label entry (plus any
-        slack capacity). May be a read-only memory map after
-        ``load(..., mmap_labels=True)``; mutation goes through
+        Contiguous float64 buffer holding every label entry. May be a
+        read-only memory map after ``load(..., mmap_labels=True)`` or a
+        view of another process's shared memory; mutation goes through
         :meth:`ensure_writable`.
     offsets:
-        ``int64`` array of length ``n + 1``; vertex ``v``'s slot is
-        ``values[offsets[v] : offsets[v + 1]]``.
-    lengths:
-        ``int64`` array of length ``n``; entries in use per vertex
-        (``tau[v] + 1`` unless a label was extended).
+        ``int64`` array of length ``n + 1``; vertex ``v``'s label is
+        ``values[offsets[v] : offsets[v + 1]]``, ``tau[v] + 1`` entries.
+        The same pair is the snapshot's ``label_values.npy`` /
+        ``label_offsets.npy`` and a shard replica's segment pair.
     tau:
         Rank array shared with the hierarchies.
     """
 
-    __slots__ = ("values", "offsets", "lengths", "tau", "_views", "_record")
+    __slots__ = ("values", "offsets", "tau", "_record")
 
-    def __init__(
-        self,
-        values: np.ndarray,
-        offsets: np.ndarray,
-        lengths: np.ndarray,
-        tau: np.ndarray,
-    ):
+    def __init__(self, values: np.ndarray, offsets: np.ndarray, tau: np.ndarray):
         self.values = values
         self.offsets = np.asarray(offsets, dtype=np.int64)
-        self.lengths = np.asarray(lengths, dtype=np.int64)
         self.tau = tau
-        self._views: list[np.ndarray] | None = None
         # The C kernels' record of values / offsets, bound at the first
         # query and again whenever either array is swapped for another
         # (repro.labelling.native.engine).
         self._record = None
 
     @classmethod
-    def from_arrays(
-        cls,
-        arrays: list[np.ndarray],
-        tau: np.ndarray,
-        slack: float = 0.0,
-    ) -> "HierarchicalLabelling":
-        """Build a flat store from ragged per-vertex arrays.
-
-        ``slack`` reserves ``ceil(slack * len)`` spare slots per vertex
-        so in-place :meth:`extend_label` calls need no store rebuild.
-        """
-        n = len(arrays)
-        lengths = np.asarray([len(a) for a in arrays], dtype=np.int64)
-        caps = lengths + np.ceil(slack * lengths).astype(np.int64)
-        offsets = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(caps, out=offsets[1:])
+    def initial(cls, tau: np.ndarray) -> "HierarchicalLabelling":
+        """Every entry ``inf`` but the zero diagonal — the store
+        Algorithm 1 starts from."""
+        offsets = row_offsets(tau)
         values = np.full(int(offsets[-1]), np.inf, dtype=np.float64)
-        for v, row in enumerate(arrays):
-            values[offsets[v] : offsets[v] + lengths[v]] = row
-        return cls(values, offsets, lengths, tau)
+        values[offsets[1:] - 1] = 0.0
+        return cls(values, offsets, tau)
 
     # -- pickling ---------------------------------------------------------
     def __getstate__(self):
-        """Pickle without the view cache or the kernels' record.
-
-        ``_views`` holds numpy *views* into ``values``; pickling would
-        materialise them as detached copies, and an unpickled store
-        would then route maintenance writes into dead buffers. The
-        views are rebuilt lazily on first use instead, and the record
-        (this process's addresses) is bound again at the first query.
-        """
-        return (self.values, self.offsets, self.lengths, self.tau)
+        """Pickle without the kernels' record (this process's addresses),
+        which is bound again at the first query."""
+        return (self.values, self.offsets, self.tau)
 
     def __setstate__(self, state) -> None:
-        self.values, self.offsets, self.lengths, self.tau = state
-        self._views = None
+        self.values, self.offsets, self.tau = state
         self._record = None
 
-    # -- per-vertex views -------------------------------------------------
+    # -- element access ---------------------------------------------------
     def view(self, v: int) -> np.ndarray:
         """Zero-copy view of vertex *v*'s label (shares the flat buffer)."""
-        start = self.offsets[v]
-        return self.values[start : start + self.lengths[v]]
+        return self.values[self.offsets[v] : self.offsets[v + 1]]
 
-    def views(self) -> list[np.ndarray]:
-        """Per-vertex views into the flat buffer, cached until the buffer
-        is replaced (:meth:`ensure_writable`, :meth:`extend_label`)."""
-        if self._views is None:
-            offsets = self.offsets
-            lengths = self.lengths
-            values = self.values
-            self._views = [
-                values[offsets[v] : offsets[v] + lengths[v]]
-                for v in range(len(lengths))
-            ]
-        return self._views
-
-    # -- element access ---------------------------------------------------
     def entry(self, v: int, i: int) -> float:
         """``L_v[i]`` — distance from *v* to its rank-``i`` ancestor."""
         return float(self.values[self.offsets[v] + i])
-
-    def entry_for(self, v: int, w: int) -> float:
-        """``L_v[w]`` for an ancestor vertex *w* (paper's index-by-vertex)."""
-        return float(self.values[self.offsets[v] + int(self.tau[w])])
-
-    def set_entry(self, v: int, i: int, value: float) -> None:
-        self.ensure_writable()
-        self.values[self.offsets[v] + i] = value
 
     # -- mutation support -------------------------------------------------
     def ensure_writable(self) -> None:
@@ -151,132 +104,28 @@ class HierarchicalLabelling:
         """
         if not self.values.flags.writeable:
             self.values = np.array(self.values, dtype=np.float64)
-            self._views = None
-
-    def extend_label(self, v: int, new_length: int) -> np.ndarray:
-        """Grow vertex *v*'s label to *new_length* entries (inf-filled).
-
-        Uses the slot's slack when available (in-place, O(new entries));
-        otherwise rebuilds the store with *v*'s capacity at least
-        doubled, so repeated extensions of the same vertex trigger only
-        O(log growth) rebuilds. Returns the (possibly new) view.
-        """
-        self.ensure_writable()
-        length = int(self.lengths[v])
-        if new_length <= length:
-            return self.view(v)
-        start = int(self.offsets[v])
-        capacity = int(self.offsets[v + 1]) - start
-        if new_length > capacity:
-            caps = np.diff(self.offsets)
-            caps[v] = max(new_length, 2 * capacity)
-            offsets = np.zeros(len(caps) + 1, dtype=np.int64)
-            np.cumsum(caps, out=offsets[1:])
-            values = np.full(int(offsets[-1]), np.inf, dtype=np.float64)
-            for u in range(len(caps)):
-                run = int(self.lengths[u])
-                src = int(self.offsets[u])
-                values[offsets[u] : offsets[u] + run] = self.values[
-                    src : src + run
-                ]
-            self.values = values
-            self.offsets = offsets
-            self._views = None
-            start = int(offsets[v])
-        self.values[start + length : start + new_length] = np.inf
-        self.lengths[v] = new_length
-        self._views = None
-        return self.view(v)
-
-    # -- cross-process buffer publication ---------------------------------
-    def export_buffers(self) -> tuple[np.ndarray, np.ndarray]:
-        """``(values, offsets)`` packed for publication outside this process.
-
-        The two arrays are exactly the format-v3 snapshot layout
-        (``label_values.npy`` + ``label_offsets.npy``) and exactly what
-        :meth:`from_shared_buffers` re-binds on the far side, so the same
-        buffers serve disk snapshots, memory maps, and shared-memory
-        shard workers. Zero-copy when the store is already packed.
-        """
-        return self.packed()
-
-    @classmethod
-    def from_shared_buffers(
-        cls, values: np.ndarray, offsets: np.ndarray, tau: np.ndarray
-    ) -> "HierarchicalLabelling":
-        """Bind a labelling onto externally owned buffers without copying.
-
-        ``values``/``offsets`` are the :meth:`export_buffers` pair —
-        typically numpy views over ``multiprocessing.shared_memory``
-        segments published by another process. The store keeps reading
-        whatever the owner writes into those buffers, which is how shard
-        workers observe the parent's delta re-publishes; callers that
-        mutate must coordinate an epoch protocol around it.
-        """
-        offsets = np.asarray(offsets, dtype=np.int64)
-        return cls(values, offsets, np.diff(offsets), tau)
-
-    # -- packed export ----------------------------------------------------
-    @property
-    def is_packed(self) -> bool:
-        """True when the buffer carries no slack (offsets == cumsum lengths)."""
-        return bool(np.array_equal(np.diff(self.offsets), self.lengths))
-
-    def packed(self) -> tuple[np.ndarray, np.ndarray]:
-        """``(values, offsets)`` with all slack squeezed out.
-
-        Returns the live arrays (no copy) when the store is already
-        packed — this is the serialization fast path.
-        """
-        if self.is_packed:
-            return self.values, self.offsets
-        offsets = np.zeros(len(self.lengths) + 1, dtype=np.int64)
-        np.cumsum(self.lengths, out=offsets[1:])
-        return np.concatenate(self.views()), offsets
-
-    def _used_values(self) -> np.ndarray:
-        """All in-use entries as one flat array (zero-copy when packed)."""
-        return self.packed()[0]
-
-    def compact(self) -> int:
-        """Squeeze slack capacity out of the flat buffer, in place.
-
-        The structural compaction pass calls this alongside the shortcut
-        store squeeze so a long-lived index does not keep paying for
-        label slots that :meth:`extend_label` over-allocated. Returns the
-        number of buffer bytes reclaimed (0 when already packed).
-        """
-        before = self.values.nbytes
-        if self.is_packed:
-            return 0
-        values, offsets = self.packed()
-        self.values = values
-        self.offsets = offsets
-        self._views = None
-        return before - self.values.nbytes
 
     # -- bulk properties --------------------------------------------------
     @property
     def num_vertices(self) -> int:
-        return len(self.lengths)
+        return len(self.offsets) - 1
 
     @property
     def num_entries(self) -> int:
         """Total label entries (paper's |L| in Table 3)."""
-        return int(self.lengths.sum())
+        return int(self.offsets[-1])
 
     def memory_bytes(self) -> int:
-        """Bytes of label payload in use (excludes slack and index arrays)."""
+        """Bytes of label payload (excludes the offsets array)."""
         return 8 * self.num_entries
-
-    def capacity_bytes(self) -> int:
-        """Bytes of the whole store: value buffer plus index arrays."""
-        return self.values.nbytes + self.offsets.nbytes + self.lengths.nbytes
 
     def copy(self) -> "HierarchicalLabelling":
         return HierarchicalLabelling(
-            self.values.copy(), self.offsets.copy(), self.lengths.copy(), self.tau
+            self.values.copy(), self.offsets.copy(), self.tau
         )
+
+    def _entries(self) -> np.ndarray:
+        return self.values[: self.num_entries]
 
     def equals(self, other: "HierarchicalLabelling", tolerance: float = 0.0) -> bool:
         """Exact (or tolerance-bounded) equality of every label entry.
@@ -284,14 +133,12 @@ class HierarchicalLabelling:
         Because label entries are deterministic interval-subgraph
         distances, a correctly maintained labelling must *equal* the
         labelling rebuilt from scratch — the strongest maintenance check.
-        Runs as flat vector reductions over the packed stores.
+        Runs as flat vector reductions over the two stores.
         """
-        if len(self.lengths) != len(other.lengths):
+        if not np.array_equal(self.offsets, other.offsets):
             return False
-        if not np.array_equal(self.lengths, other.lengths):
-            return False
-        a = self._used_values()
-        b = other._used_values()
+        a = self._entries()
+        b = other._entries()
         finite_a = np.isfinite(a)
         finite_b = np.isfinite(b)
         if not np.array_equal(finite_a, finite_b):
@@ -304,24 +151,27 @@ class HierarchicalLabelling:
 
     def diff_count(self, other: "HierarchicalLabelling") -> int:
         """Number of entries that differ from *other* (for L-delta stats)."""
-        a = self._used_values()
-        b = other._used_values()
+        a = self._entries()
+        b = other._entries()
         both_inf = np.isinf(a) & np.isinf(b)
         return int((~both_inf & (a != b)).sum())
 
     def validate_basic(self) -> None:
-        """Cheap invariants: diagonal zero, non-negative entries.
+        """Cheap invariants of the one layout: every row holds exactly
+        ``tau + 1`` entries inside the buffer, none negative, and the
+        diagonal — the last entry of each row — is zero.
 
-        Labels must hold at least ``tau + 1`` entries (extended labels
-        may hold more, inf-filled past the diagonal), and the diagonal —
-        at index ``tau[v]``, not necessarily last — must be zero.
+        Raises :class:`~repro.exceptions.HierarchyError`.
         """
-        tau = np.asarray(self.tau, dtype=np.int64)
-        assert (self.lengths >= tau + 1).all(), "label length mismatch"
-        used = self._used_values()
-        assert (used >= 0).all(), "negative label entry"
-        diagonal = self.values[self.offsets[:-1] + tau]
-        assert (diagonal == 0.0).all(), "non-zero diagonal entry"
+        offsets = self.offsets
+        if not np.array_equal(offsets, row_offsets(self.tau)):
+            raise HierarchyError("label rows are not tau + 1 contiguous entries")
+        if offsets[-1] > len(self.values):
+            raise HierarchyError("label offsets run past the value buffer")
+        if (self._entries() < 0).any():
+            raise HierarchyError("negative label entry")
+        if (self.values[offsets[1:] - 1] != 0.0).any():
+            raise HierarchyError("non-zero diagonal entry")
 
     def __repr__(self) -> str:  # pragma: no cover - repr sugar
         mb = self.memory_bytes() / 1e6

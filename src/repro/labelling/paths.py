@@ -68,18 +68,18 @@ class PathReconstructor:
     # ------------------------------------------------------------------
     def _chain_path(self, v: int, rank: int) -> list[int]:
         """Original-graph path from *v* up to its rank-``rank`` ancestor."""
-        arrays = self.labels.views()
+        labels = self.labels
         tau = self.hu.tau
         path = [v]
         while int(tau[v]) > rank:
-            target = arrays[v][rank]
+            target = labels.entry(v, rank)
             if math.isinf(target):
                 raise ReproError(f"no chain from {v} to ancestor rank {rank}")
             chosen = -1
             for w, weight in zip(*self.hu.up_row(v)):
                 if tau[w] < rank:
                     continue
-                candidate = weight + arrays[w][rank]
+                candidate = weight + labels.entry(w, rank)
                 if abs(candidate - target) <= self.tolerance:
                     chosen = w
                     break

@@ -31,7 +31,7 @@ import numpy as np
 
 from repro.exceptions import VertexNotFound
 from repro.hierarchy.query_hierarchy import QueryHierarchy
-from repro.labelling.labels import HierarchicalLabelling
+from repro.labelling.labels import HierarchicalLabelling, row_offsets
 from repro.labelling.native import engine as native_engine
 from repro.utils.pairs import as_pair_array, check_ids
 
@@ -186,12 +186,11 @@ class QueryEngine:
         """Flat ancestor-chain store: ``(hub_values, hub_offsets)``.
 
         ``hub_values[hub_offsets[v] + i]`` is the rank-``i`` ancestor of
-        ``v`` — the same CSR shape as the labelling, but with its own
-        packed offsets (label slots may carry slack). The ids are
-        ``int32`` (one per label entry, so the store would otherwise be
-        as large as the labels). Ancestor chains depend only on H_Q,
-        which weight maintenance never alters, so the store is built
-        once and never invalidated.
+        ``v`` — the labelling's CSR shape, row ``v`` holding
+        ``tau(v) + 1`` entries. The ids are ``int32`` (one per label
+        entry, so the store would otherwise be as large as the labels).
+        Ancestor chains depend only on H_Q, which weight maintenance
+        never alters, so the store is built once and never invalidated.
         """
         if self._hub_values is None:
             hq = self.hq
@@ -207,8 +206,7 @@ class QueryEngine:
                 )
             node_starts = np.zeros(len(chains) + 1, dtype=np.int64)
             np.cumsum([len(chain) for chain in chains], out=node_starts[1:])
-            offsets = np.zeros(len(tau) + 1, dtype=np.int64)
-            np.cumsum(tau + 1, out=offsets[1:])
+            offsets = row_offsets(tau)
             # Output position ``offsets[v] + i`` reads its node's chain
             # at ``i``: one repeat of the per-vertex shift, one gather.
             node_of = np.asarray(hq.node_of, dtype=np.int64)

@@ -26,14 +26,13 @@ shared-memory shard worker processes for multi-core serving. Runtimes
 may own processes and shared memory, so a service should be
 :meth:`close`\\ d (or used as a context manager) when it goes away.
 
-Queries always reflect every submitted update: by default the service
-flushes pending changes before answering, so coalescing trades no
+Queries always reflect every submitted update: the service flushes
+pending changes before answering, so coalescing trades no
 consistency — it only batches work between queries.
 """
 
 from __future__ import annotations
 
-import math
 from contextlib import nullcontext
 from dataclasses import dataclass
 from pathlib import Path
@@ -56,7 +55,13 @@ from repro.service.cache import CacheStats, EpochLRUCache, pair_key
 from repro.service.coalescer import CoalescerStats, UpdateCoalescer
 from repro.service.metrics import LatencySummary, Timer
 from repro.service.runtime import ExecutionRuntime, InProcessRuntime
-from repro.utils.pairs import as_pair_array, check_ids, vertex_pair, weight_changes
+from repro.utils.pairs import (
+    as_pair_array,
+    check_ids,
+    nearest,
+    vertex_pair,
+    weight_changes,
+)
 
 __all__ = ["ServiceStats", "DistanceService"]
 
@@ -96,7 +101,7 @@ class ServiceStats:
     compactions: int = 0
     #: Dead shortcut slots reclaimed by those compactions.
     dead_slots_reclaimed: int = 0
-    #: Bytes reclaimed (shortcut slots + label-store slack).
+    #: Bytes reclaimed (dead shortcut slots).
     bytes_reclaimed: int = 0
     #: Pairs shed by open circuit breakers (answered ``nan`` inside a
     #: :class:`~repro.exceptions.PartialResultError`).
@@ -175,10 +180,6 @@ class DistanceService:
         forget a pair before ``cache_capacity`` are held.
     flush_threshold:
         Auto-flush once this many distinct edges are buffered.
-    auto_flush_on_query:
-        Flush pending updates before answering queries so results always
-        reflect submitted traffic. Disable only for workloads that
-        tolerate bounded staleness between flushes.
     observability:
         An :class:`~repro.observability.Observability` bundle (metrics
         registry + request tracer + slow log). The service counts every
@@ -195,7 +196,6 @@ class DistanceService:
         *,
         cache_capacity: int = 65_536,
         flush_threshold: int = 256,
-        auto_flush_on_query: bool = True,
         observability: Observability | None = None,
     ):
         if isinstance(backend, ExecutionRuntime):
@@ -253,14 +253,13 @@ class DistanceService:
             "dhl_dead_slots_reclaimed", "Dead shortcut slots compacted away"
         )
         self._m_bytes_reclaimed = counter(
-            "dhl_bytes_reclaimed", "Bytes compacted away (slots + label slack)"
+            "dhl_bytes_reclaimed", "Bytes compacted away (dead shortcut slots)"
         )
         self.cache = EpochLRUCache(cache_capacity)
         # Cache keys are unordered pairs unless d(s, t) != d(t, s).
         self._directed = getattr(self.index, "kind", None) == "directed"
         self.coalescer = UpdateCoalescer()
         self.flush_threshold = max(1, flush_threshold)
-        self.auto_flush_on_query = auto_flush_on_query
         # Last index epoch this service reconciled its cache against.
         # Updates applied directly on the index (structural ops, another
         # caller) advance the epoch without telling us which pairs moved,
@@ -376,14 +375,7 @@ class DistanceService:
         self, s: int, candidates: Sequence[int], k: int
     ) -> list[tuple[int, float]]:
         """The *k* candidates closest to *s*, through the cached batch path."""
-        distances = self.distances([(s, c) for c in candidates])
-        order = np.argsort(distances, kind="stable")
-        out: list[tuple[int, float]] = []
-        for i in order[: max(0, k)]:
-            if not math.isfinite(distances[i]):
-                break
-            out.append((candidates[int(i)], float(distances[i])))
-        return out
+        return nearest(candidates, self.distances([(s, c) for c in candidates]), k)
 
     # ------------------------------------------------------------------
     # updates
@@ -534,7 +526,7 @@ class DistanceService:
         self._synced_epoch = self.index.epoch
 
     def _pre_query(self) -> None:
-        if self.auto_flush_on_query and self.coalescer:
+        if self.coalescer:
             self.flush()
         self._reconcile_epoch_drift()
 

@@ -179,9 +179,7 @@ class ShardExecutor:
 
         self.values = values
         index = self.index
-        labels = HierarchicalLabelling.from_shared_buffers(
-            values, offsets, index.hq.tau
-        )
+        labels = HierarchicalLabelling(values, offsets, index.hq.tau)
         # A replica opens the cached native library itself, on its
         # first kernel call.
         index._adopt(index.hq, index.hu, (labels,))
@@ -346,44 +344,23 @@ class _Segment:
 
 
 class _LabelBuffers:
-    """The packed label layout a shard's replicas hold, as last published.
+    """The label layout a shard's replicas hold, as last published.
 
-    ``offsets`` are the published offsets; ``_source`` is the live
-    store's own offsets array when that store was packed at the publish
-    (then the two layouts are one and a written position needs no
-    mapping). The transports' classes add how values reach replicas.
+    ``_source`` is the live store's offsets array at the publish; the
+    store never changes its row lengths, so while it still holds that
+    array the published layout is the live one. The transports' classes
+    add how values reach replicas.
     """
 
-    offsets: np.ndarray
     _source: np.ndarray | None = None
-
-    def _published(self, labels, offsets: np.ndarray) -> None:
-        """Remember the live layout *offsets* were exported from."""
-        self._source = offsets if offsets is labels.offsets else None
 
     def place(self, labels, positions: np.ndarray) -> np.ndarray | None:
         """*positions* of the live store (the entries a sweep wrote) in
-        the published layout, in O(len(positions)); ``None`` when only a
-        republish is safe.
-
-        The identity while the live store is the published layout. A
-        store with slack maps each position through its owner vertex
-        (``searchsorted`` over the live offsets) by the difference of
-        the vertex's published and live offsets. Another vertex count,
-        or a written vertex whose live label length differs from its
-        published one, cannot be placed.
+        the published layout: themselves while the live store holds the
+        offsets array that was published, else ``None`` — the shard's
+        labels were swapped since, and only a republish is safe.
         """
-        live = labels.offsets
-        if live is self._source:
-            return positions
-        published = self.offsets
-        if len(live) != len(published):
-            return None
-        owners = np.searchsorted(live, positions, side="right") - 1
-        starts = published[owners]
-        if not np.array_equal(labels.lengths[owners], published[owners + 1] - starts):
-            return None
-        return positions + (starts - live[owners])
+        return positions if labels.offsets is self._source else None
 
 
 class _ShmBuffers(_LabelBuffers):
@@ -403,10 +380,6 @@ class _ShmBuffers(_LabelBuffers):
             self.destroy()
             raise
 
-    @property
-    def offsets(self) -> np.ndarray:
-        return self.segments[1].array
-
     def announce(self, labels=None) -> dict:
         """Message fields naming the current segment pair."""
         values, offsets = self.segments
@@ -419,12 +392,11 @@ class _ShmBuffers(_LabelBuffers):
 
     def publish(self, labels) -> dict:
         """Copy the live buffers into a fresh segment pair; announce it."""
-        values, offsets = labels.export_buffers()
-        self._published(labels, offsets)
+        self._source = labels.offsets
         old, self.segments = self.segments, []
         try:
-            self.segments.append(_Segment(values, np.float64))
-            self.segments.append(_Segment(offsets, np.int64))
+            self.segments.append(_Segment(labels.values, np.float64))
+            self.segments.append(_Segment(labels.offsets, np.int64))
         finally:
             # The superseded pair goes whether or not the fresh one came
             # up: unlinking only removes the name, a replica's mapping
@@ -437,10 +409,9 @@ class _ShmBuffers(_LabelBuffers):
     def delta(self, labels, positions: np.ndarray) -> dict | None:
         """Write the entries at live *positions* into the segment in
         place (one scatter); no message fields. ``None``: republish."""
-        published = self.place(labels, positions)
-        if published is None:
+        if self.place(labels, positions) is None:
             return None
-        self.segments[0].array[published] = labels.values[positions]
+        self.segments[0].array[positions] = labels.values[positions]
         return {}
 
     def destroy(self) -> None:
@@ -488,7 +459,8 @@ class _InlineBuffers(_LabelBuffers):
     """One shard's label layout as last shipped to its replicas.
 
     Replicas hold private writable copies; the parent keeps only the
-    published offsets, which place the delta's positions.
+    published offsets array, whose identity places the delta's
+    positions.
     """
 
     def __init__(self, labels):
@@ -496,23 +468,18 @@ class _InlineBuffers(_LabelBuffers):
 
     def announce(self, labels) -> dict:
         """Message fields carrying the live buffers inline."""
-        values, offsets = labels.export_buffers()
-        return {"values": values, "offsets": offsets}
+        return {"values": labels.values, "offsets": labels.offsets}
 
     def publish(self, labels) -> dict:
-        fields = self.announce(labels)
-        self._published(labels, fields["offsets"])
-        self.offsets = np.array(fields["offsets"], dtype=np.int64)
-        return fields
+        self._source = labels.offsets
+        return self.announce(labels)
 
     def delta(self, labels, positions: np.ndarray) -> dict | None:
-        """The entries at live *positions*: their published positions
-        and values, which each replica scatters into its copy.
-        ``None``: republish."""
-        published = self.place(labels, positions)
-        if published is None:
+        """The entries at live *positions* and their values, which each
+        replica scatters into its copy. ``None``: republish."""
+        if self.place(labels, positions) is None:
             return None
-        return {"positions": published, "payload": labels.values[positions]}
+        return {"positions": positions, "payload": labels.values[positions]}
 
     def destroy(self) -> None:
         pass
@@ -1459,10 +1426,10 @@ class ShardRuntime(ExecutionRuntime):
     def _sync(self, shards: dict[int, np.ndarray | None]) -> None:
         """Bump each shard's epoch and ship it to all its live replicas,
         all shards in one round: the label entries at the positions its
-        sweep wrote (mapped into the published layout), or — for
-        ``None`` or positions the published layout cannot place, where a
-        delta would tear the replicas' labels — its whole buffers,
-        republished. A delta counts 8 bytes per entry.
+        sweep wrote, or — for ``None`` (a rebuild) or a shard whose
+        labels were swapped since the last publish, where a delta would
+        tear the replicas' labels — its whole buffers, republished. A
+        delta counts 8 bytes per entry.
 
         Counts the shards at least one replica acked. A replica whose
         request fails is marked dead by its handle — the next read
@@ -1484,7 +1451,7 @@ class ShardRuntime(ExecutionRuntime):
             else:
                 fields = buffers.publish(labels)
                 message = Republish(epoch=self._epochs[sid], **fields)
-                offsets = buffers.offsets
+                offsets = labels.offsets
                 messages[sid] = message, 8 * (int(offsets[-1]) + len(offsets))
         targets = [
             (handle, message)

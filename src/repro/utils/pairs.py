@@ -8,11 +8,13 @@ once, at the first facade it meets, and never rebuilt on the way down.
 Every door range-checks the ids once with :func:`check_ids`; a door
 that takes single ids (one pair, one road) takes them through
 :func:`vertex_pair`, and an update door its ``(u, v, weight)`` triples
-through :func:`weight_changes`.
+through :func:`weight_changes`. Every ``k_nearest`` ranks its
+candidates' distances with :func:`nearest`.
 """
 
 from __future__ import annotations
 
+import math
 import operator
 from itertools import chain
 
@@ -20,7 +22,7 @@ import numpy as np
 
 from repro.exceptions import VertexNotFound
 
-__all__ = ["as_pair_array", "check_ids", "vertex_pair", "weight_changes"]
+__all__ = ["as_pair_array", "check_ids", "nearest", "vertex_pair", "weight_changes"]
 
 
 def check_ids(n: int, *ids: np.ndarray) -> None:
@@ -41,6 +43,18 @@ def vertex_pair(n: int, s, t) -> tuple[int, int]:
     if not (0 <= s < n and 0 <= t < n):
         raise VertexNotFound(t if 0 <= s < n else s)
     return s, t
+
+
+def nearest(candidates, distances: np.ndarray, k: int) -> list[tuple[int, float]]:
+    """The *k* closest of *candidates* as ``(candidate, distance)``,
+    nearest first and ties in candidate order; an unreachable candidate
+    (infinite distance) is left out, so fewer than *k* may come back."""
+    order = np.argsort(distances, kind="stable")[: max(0, k)]
+    return [
+        (candidates[int(i)], float(distances[i]))
+        for i in order
+        if math.isfinite(distances[i])
+    ]
 
 
 def weight_changes(n: int, changes) -> list[tuple[int, int, float]]:

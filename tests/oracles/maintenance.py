@@ -163,7 +163,7 @@ def label_sweep(store, labels, slots, slot_marks, marks, plane: int = 0) -> int:
     csr = hu.csr
     weights = hu.up_weights
     slot_changed, slot_old = slot_marks
-    arrays = labels.views()
+    arrays = [labels.view(v) for v in range(labels.num_vertices)]
     offsets = labels.offsets
     changed = marks[0]
     heap: LazyHeap[tuple[int, int]] = LazyHeap()

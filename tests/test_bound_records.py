@@ -12,8 +12,8 @@ addresses. Two kinds of test hold that contract without a clock:
   split and combine, a weight update and a label build read only the
   addresses of their own per-call operands, never one of a buffer an
   owner holds.
-* *Rebinding.* Every path that swaps a buffer — label growth, a
-  structural insert, compaction, copy-on-write of a mapped store, a
+* *Rebinding.* Every path that swaps a buffer — a structural insert,
+  compaction, copy-on-write of a mapped store, a
   pickle, a save and load, a replica's attach and republish, an
   overlay-epoch change, a boundary rebuild, slot growth and slot
   compaction of the shortcut store — is followed by queries held bit
@@ -235,14 +235,6 @@ def monolithic() -> DHLIndex:
     return DHLIndex.build(grid_network(10, 10, seed=2))
 
 
-def grow(index) -> DHLIndex:
-    labels = index.labels
-    widest = int(np.argmax(labels.lengths))
-    capacity = int(labels.offsets[widest + 1] - labels.offsets[widest])
-    labels.extend_label(widest, capacity + 1)
-    return index
-
-
 def insert(index) -> DHLIndex:
     n = index.graph.num_vertices
     u, v = next(
@@ -256,10 +248,9 @@ def insert(index) -> DHLIndex:
 
 
 def compact(index) -> DHLIndex:
-    grow(index)
-    assert not index.labels.is_packed
+    u, v, _ = next(iter(index.graph.edges()))
+    index.apply_batch(deletions=[(u, v)])
     index.compact()
-    assert index.labels.is_packed
     return index
 
 
@@ -283,7 +274,6 @@ def loaded(index, tmp_path) -> DHLIndex:
 
 
 MONOLITHIC = {
-    "extend_label": lambda index, _: grow(index),
     "structural-insert": lambda index, _: insert(index),
     "compact": lambda index, _: compact(index),
     "ensure_writable": mapped_then_written,
@@ -300,7 +290,7 @@ def test_a_swapped_label_buffer_is_rebound(path, tmp_path):
     index = MONOLITHIC[path](index, tmp_path)
     assert_on_oracles(index, 2)
     assert_bound_to_current(index.labels)
-    if path in ("extend_label", "compact", "ensure_writable"):
+    if path == "ensure_writable":
         assert index.labels._record is not before
 
 
@@ -347,9 +337,12 @@ def sharded_loaded(index: ShardedDHLIndex, tmp_path) -> ShardedDHLIndex:
 
 
 def shard_compact(index: ShardedDHLIndex, _) -> ShardedDHLIndex:
-    grow(index.shards[0])
+    region_of = index.region_of
+    u, v, _ = next(
+        (u, v, w) for u, v, w in index.graph.edges() if region_of[u] == region_of[v]
+    )
+    index.apply_batch(deletions=[(u, v)])
     index.compact()
-    assert index.shards[0].labels.is_packed
     return index
 
 

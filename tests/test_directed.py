@@ -8,7 +8,7 @@ import pytest
 from repro.core.config import DHLConfig
 from repro.core.directed import DirectedDHLIndex
 from repro.core.index import DHLIndex
-from repro.exceptions import MaintenanceError
+from repro.exceptions import HierarchyError, MaintenanceError
 from repro.graph.digraph import DiGraph
 from repro.graph.generators import grid_network, random_connected_graph
 from tests.conftest import directed_dijkstra
@@ -195,7 +195,7 @@ class TestSharedCore:
         idx.verify()
         finite = np.flatnonzero(np.isfinite(idx.in_weights))
         idx.in_weights[finite[0]] += 1.0
-        with pytest.raises(AssertionError):
+        with pytest.raises(HierarchyError):
             idx.verify()
 
     def test_hubs_certify_the_distance(self, asym_digraph):

@@ -1,4 +1,8 @@
-"""Flat CSR label store: structure, slack growth, and snapshot round-trips.
+"""Flat CSR label store: the one layout, and snapshot round-trips.
+
+Every label row is exactly ``tau(v) + 1`` contiguous entries, which is
+the layout the C label kernels read: every path that makes or replaces
+a labelling leaves it, and ``verify()`` refuses any other.
 
 The snapshot tests cover the serialization contract of the flat store:
 save → load (plain and ``mmap_mode="r"``) reproduces identical distances
@@ -9,18 +13,29 @@ a memory-mapped index still accepts maintenance (copy-on-first-write).
 from __future__ import annotations
 
 import math
+import os
+import pickle
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import repro
 from repro.core.config import DHLConfig
 from repro.core.directed import DirectedDHLIndex
 from repro.core.index import DHLIndex
-from repro.exceptions import SerializationError
+from repro.core.sharded import ShardedDHLIndex
+from repro.exceptions import HierarchyError, SerializationError
 from repro.graph.digraph import DiGraph
-from repro.graph.generators import random_connected_graph
+from repro.graph.generators import grid_network, random_connected_graph
 from repro.labelling.labels import HierarchicalLabelling
+from repro.service.protocol import SpecRequest
+from repro.service.workers import ShardExecutor
 from repro.utils.rng import make_rng, sample_pairs
+
+SRC = str(Path(repro.__file__).resolve().parent.parent)
 
 
 @pytest.fixture
@@ -39,72 +54,167 @@ def directed_index(asym_digraph) -> DirectedDHLIndex:
 
 
 class TestFlatStoreStructure:
-    def test_store_is_contiguous_and_packed(self, small_index):
+    def test_store_is_contiguous_rows_of_tau_plus_one(self, small_index):
         labels = small_index.labels
         assert labels.values.dtype == np.float64
         assert labels.offsets.dtype == np.int64
-        assert labels.is_packed
         assert labels.num_entries == len(labels.values)
-        assert np.array_equal(
-            labels.offsets, np.concatenate([[0], np.cumsum(labels.lengths)])
+        np.testing.assert_array_equal(
+            labels.offsets, np.concatenate([[0], np.cumsum(labels.tau + 1)])
         )
 
     def test_views_share_the_flat_buffer(self, small_index):
         labels = small_index.labels
         view = labels.view(7)
+        assert len(view) == labels.tau[7] + 1
         view[0] += 3.0
         assert labels.values[labels.offsets[7]] == view[0]
-        assert labels.views()[7][0] == view[0]
+        assert labels.entry(7, 0) == view[0]
 
-    def test_from_arrays_round_trip(self, small_index):
+    def test_verify_refuses_another_layout(self, small_index):
+        """A row of another length is no labelling, even with every
+        entry in place: one spare trailing entry on row 0 fails
+        ``verify()``, which the C kernels' own check would let by."""
         labels = small_index.labels
-        rebuilt = HierarchicalLabelling.from_arrays(
-            [labels.view(v).copy() for v in range(labels.num_vertices)],
-            labels.tau,
+        offsets = labels.offsets.copy()
+        offsets[1:] += 1
+        values = np.insert(labels.values, labels.offsets[1], np.inf)
+        small_index._adopt(
+            small_index.hq,
+            small_index.hu,
+            (HierarchicalLabelling(values, offsets, labels.tau),),
         )
-        assert rebuilt.equals(labels)
-        assert rebuilt.num_entries == labels.num_entries
+        with pytest.raises(HierarchyError, match="tau \\+ 1"):
+            small_index.verify()
 
-    def test_slack_store_serves_identical_labels(self, small_index):
-        labels = small_index.labels
-        slacked = HierarchicalLabelling.from_arrays(
-            [labels.view(v).copy() for v in range(labels.num_vertices)],
-            labels.tau,
-            slack=0.5,
+    @pytest.mark.parametrize("corrupt", ["diagonal", "shortcut"])
+    def test_verify_checks_everything_under_python_o(self, corrupt):
+        """``verify()`` raises :class:`HierarchyError`, not ``assert``, so
+        an optimised interpreter (``python -O``) checks as much: a label
+        diagonal that is not 0, a shortcut weight raised above its
+        minimum."""
+        code = (
+            "import numpy as np\n"
+            "from repro.core.config import DHLConfig\n"
+            "from repro.core.index import DHLIndex\n"
+            "from repro.exceptions import HierarchyError\n"
+            "from repro.graph.generators import grid_network\n"
+            "assert False, 'asserts run'\n"
+            "graph = grid_network(6, 6, seed=1)\n"
+            "index = DHLIndex.build(graph, DHLConfig(leaf_size=4))\n"
+            "labels, weights = index.labels, index.hu.up_weights\n"
+            f"if {corrupt!r} == 'diagonal':\n"
+            "    labels.values[labels.offsets[6] - 1] = 1.0\n"
+            "else:\n"
+            "    weights[np.flatnonzero(np.isfinite(weights))[0]] += 1.0\n"
+            "try:\n"
+            "    index.verify()\n"
+            "except HierarchyError as exc:\n"
+            "    print('refused:', exc)\n"
         )
-        assert not slacked.is_packed
-        assert slacked.num_entries == labels.num_entries
-        assert slacked.equals(labels)
-        values, offsets = slacked.packed()
-        assert len(values) == labels.num_entries
-        assert np.array_equal(offsets, labels.offsets)
+        result = subprocess.run(
+            [sys.executable, "-O", "-c", code],
+            env={**os.environ, "PYTHONPATH": SRC},
+            capture_output=True,
+            text=True,
+            timeout=120,
+            check=True,
+        )
+        assert result.stdout.startswith("refused:"), result.stdout
 
-    def test_extend_label_uses_slack_then_doubles(self):
-        tau = np.array([2, 1, 0])
-        store = HierarchicalLabelling.from_arrays(
-            [
-                np.array([5.0, 6.0, 0.0]),
-                np.array([7.0, 0.0]),
-                np.array([0.0]),
-            ],
-            tau,
-            slack=1.0,  # capacity 6 / 4 / 2
+
+def assert_one_layout(index) -> None:
+    """Every labelling of *index* is rows of exactly ``tau + 1``
+    contiguous entries, and ``verify()`` holds."""
+    index.verify()
+    tau = np.asarray(index.hq.tau, dtype=np.int64)
+    for labels in index.labellings:
+        np.testing.assert_array_equal(labels.tau, tau)
+        np.testing.assert_array_equal(
+            labels.offsets, np.concatenate([[0], np.cumsum(tau + 1)])
         )
-        buffer_before = store.values
-        view = store.extend_label(0, 5)  # fits in the slack: no rebuild
-        assert store.values is buffer_before
-        assert len(view) == 5
-        assert np.array_equal(view[:3], [5.0, 6.0, 0.0])
-        assert np.isinf(view[3:]).all()
-        view = store.extend_label(0, 9)  # exceeds capacity: rebuild + double
-        assert store.values is not buffer_before
-        assert len(view) == 9
-        assert int(store.offsets[1] - store.offsets[0]) >= 12
-        assert np.array_equal(view[:3], [5.0, 6.0, 0.0])
-        assert np.isinf(view[3:]).all()
-        # Other vertices are untouched by the rebuild.
-        assert np.array_equal(store.view(1), [7.0, 0.0])
-        assert np.array_equal(store.view(2), [0.0])
+        assert len(labels.values) == labels.offsets[-1]
+        assert labels.values.flags.c_contiguous
+
+
+def _burst(index, _):
+    edges = [(u, v, w) for u, v, w in index.graph.edges() if math.isfinite(w)]
+    index.update([(u, v, 2 * w) for u, v, w in edges[:8]])
+    index.update(
+        [(u, v, w) for u, v, w in edges[:4]]
+        + [(u, v, max(1.0, w // 2)) for u, v, w in edges[8:12]]
+    )
+    return index
+
+
+def _insert(index, comparable: bool):
+    hq, graph, n = index.hq, index.graph, index.graph.num_vertices
+    a, b = next(
+        (a, b)
+        for a in range(n)
+        for b in range(n)
+        if a != b and hq.comparable(a, b) == comparable and not graph.has_edge(a, b)
+    )
+    stats = index.apply_batch(insertions=[(a, b, 1.0)])
+    assert (stats.fastpath_inserts, stats.repartitions) == (
+        (1, 0) if comparable else (0, 1)
+    )
+    return index
+
+
+def _compact(index, _):
+    edges = [(u, v) for u, v, w in index.graph.edges() if math.isfinite(w)]
+    index.apply_batch(deletions=edges[::5])
+    index.compact()
+    return index
+
+
+def _mapped_then_written(index, tmp_path):
+    index.save(tmp_path / "idx")
+    loaded = type(index).load(tmp_path / "idx", mmap_labels=True)
+    assert not any(labels.values.flags.writeable for labels in loaded.labellings)
+    u, v, w = next(iter(loaded.graph.edges()))
+    loaded.update([(u, v, w + 3.0)])  # copy-on-first-write
+    assert all(labels.values.flags.writeable for labels in loaded.labellings)
+    return loaded
+
+
+LAYOUT_PATHS = {
+    "build": lambda index, _: index,
+    "mixed-bursts": _burst,
+    "comparable-insert": lambda index, _: _insert(index, True),
+    "incomparable-insert": lambda index, _: _insert(index, False),
+    "compaction": _compact,
+    "mmap-load-then-write": _mapped_then_written,
+    "pickle": lambda index, _: pickle.loads(pickle.dumps(index)),
+}
+
+
+@pytest.mark.parametrize("path", list(LAYOUT_PATHS))
+@pytest.mark.parametrize("family", ["undirected", "directed"])
+def test_every_path_leaves_one_layout(family, path, tmp_path):
+    """Build, bursts, both insertion rungs, compaction, a mapped load's
+    first write and a pickle all leave rows of exactly ``tau + 1``
+    entries, in both index families."""
+    graph = grid_network(8, 8, seed=3)
+    config = DHLConfig(leaf_size=4, seed=0)
+    if family == "undirected":
+        index = DHLIndex.build(graph, config)
+    else:
+        index = DirectedDHLIndex.build(DiGraph.from_undirected(graph), config)
+    assert_one_layout(LAYOUT_PATHS[path](index, tmp_path))
+
+
+def test_replica_attach_leaves_one_layout():
+    """A replica binds the published pair as its shard's labelling: the
+    same rows of ``tau + 1`` entries (shards are undirected indexes)."""
+    sharded = ShardedDHLIndex.build(grid_network(10, 10, seed=2), k=2)
+    for sid in range(sharded.k):
+        executor = ShardExecutor()
+        spec = SpecRequest(payload=sharded.shard_worker_payload(sid), epoch=0)
+        executor.setup(spec, *sharded.shard_buffers(sid))
+        assert_one_layout(executor.index)
+        assert executor.index.labels.equals(sharded.shards[sid].labels)
 
 
 class TestUndirectedSnapshots:

@@ -6,22 +6,22 @@ clique edges whose endpoints' labels moved. Both run as whole-array
 numpy work:
 
 * a delta starts from the sweep's own list of written positions
-  (``MaintenanceStats.label_positions``), mapped into the packed layout
-  the replicas hold — the identity while the parent's store is that
-  layout, a shift through each position's owner vertex on a store with
-  slack. The shared-memory delta is one gather from the parent's store
-  and one scatter into the segment; the inline (TCP) delta ships the
-  mapped positions and their values, which each replica scatters into
-  its copy — no :meth:`HierarchicalLabelling.view` call per vertex. A
-  written vertex whose label length differs from the published one is
-  a republish, never a torn delta;
+  (``MaintenanceStats.label_positions``), which are positions of the
+  layout the replicas hold while the shard's store holds the offsets
+  array that was published (label rows never change length). The
+  shared-memory delta is one gather from the parent's store and one
+  scatter into the segment; the inline (TCP) delta ships the positions
+  and their values, which each replica scatters into its copy — no
+  :meth:`HierarchicalLabelling.view` call per vertex. A shard whose
+  labels were swapped since the publish is a republish, never a torn
+  delta;
 * the clique refresh compares the recomputed rows of the touched
   boundary vertices against the held clique matrix
   (``ShardedDHLIndex.cliques``) — no overlay-graph lookup per pair.
 
-The identity checks: segment bytes equal the parent's packed buffers
-after every burst, a slack-carrying parent store copies the right
-entries, the held matrices equal the overlay graph's clique weights
+The identity checks: segment bytes equal the parent's buffers after
+every burst, a swapped shard store republishes that shard alone, the
+held matrices equal the overlay graph's clique weights
 under any interleaving of maintenance, compaction and reloads, and a
 compaction keeps the infinite clique edges a later reconnecting
 insertion decreases.
@@ -43,6 +43,7 @@ from repro.baselines.dijkstra import dijkstra
 from repro.core.sharded import ShardedDHLIndex
 from repro.graph.generators import grid_network
 from repro.graph.graph import Graph
+from repro.labelling.build import build_labelling
 from repro.labelling.labels import HierarchicalLabelling
 from repro.service import DistanceService, ShardWorkerRuntime
 from repro.service.protocol import AckReply, EpochDelta
@@ -62,18 +63,6 @@ def _all_pairs_match_dijkstra(answer, graph: Graph) -> None:
     pairs = [(s, t) for s in range(n) for t in range(n)]
     want = np.concatenate([dijkstra(graph, s) for s in range(n)])
     np.testing.assert_array_equal(answer(pairs), want)
-
-
-def _with_slack(index: ShardedDHLIndex, sid: int) -> HierarchicalLabelling:
-    """Re-seat shard *sid* on a copy of its labels with spare capacity in
-    every slot: same lengths and values, different offsets."""
-    shard = index.shards[sid]
-    labels = shard.labels
-    slack = HierarchicalLabelling.from_arrays(
-        labels.views(), labels.tau, slack=0.5
-    )
-    shard._adopt(shard.hq, shard.hu, (slack,))
-    return slack
 
 
 def _assert_cliques_held(index: ShardedDHLIndex) -> None:
@@ -145,7 +134,7 @@ def test_clique_refresh_reads_no_graph_weights(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# identity: segment bytes, slack offsets, held clique weights
+# identity: segment bytes, placement, held clique weights
 # ---------------------------------------------------------------------------
 
 def test_segments_equal_parent_buffers_after_rolling_bursts():
@@ -156,7 +145,8 @@ def test_segments_equal_parent_buffers_after_rolling_bursts():
         ):
             runtime.apply_update(changes)
             for sid in range(index.k):
-                values, offsets = index.shards[sid].labels.export_buffers()
+                labels = index.shards[sid].labels
+                values, offsets = labels.values, labels.offsets
                 segments = runtime._buffers[sid].segments
                 assert segments[0].array.tobytes() == values.tobytes()
                 assert segments[1].array.tobytes() == offsets.tobytes()
@@ -165,110 +155,78 @@ def test_segments_equal_parent_buffers_after_rolling_bursts():
         _all_pairs_match_dijkstra(runtime.distances, index.graph)
 
 
-def test_delta_copies_from_a_store_with_slack(transport):
-    """The parent store's offsets carry slack, the published ones do not;
-    equal lengths keep every burst on the delta path and every replica
-    receives the right entries."""
-    index = build_sharded(grid_network(12, 12))
-    with transport(index) as runtime:
-        for sid in range(index.k):
-            slack = _with_slack(index, sid)
-            published = runtime._buffers[sid].offsets
-            assert not np.array_equal(slack.offsets, published)
-            np.testing.assert_array_equal(np.diff(published), slack.lengths)
-        bursts = 0
-        for changes, _ in rolling_stream(index.graph, index.region_of, group=8):
-            runtime.apply_update(changes)
-            bursts += 1
-        assert runtime.stats.republishes == 0
-        assert runtime.stats.delta_syncs >= bursts
-        for sid, buffers in enumerate(runtime._buffers):
-            assert not index.shards[sid].labels.is_packed
-            if isinstance(buffers, _ShmBuffers):
-                values, _ = index.shards[sid].labels.export_buffers()
-                np.testing.assert_array_equal(buffers.segments[0].array, values)
-        _all_pairs_match_dijkstra(runtime.distances, index.graph)
-
-
 def test_inline_delta_round_trip_through_published_positions():
-    """The inline delta maps the written positions of a store with slack
-    into the packed layout the replica holds, and the replica's one
-    scatter lands the values there."""
+    """The inline delta ships the written positions of the published
+    store as they are, with their values, and the replica's one scatter
+    lands them in its copy."""
     index = build_sharded(grid_network(12, 12))
-    packed_values, packed_offsets = index.shards[0].labels.export_buffers()
-    buffers = _InlineBuffers(index.shards[0].labels)
+    labels = index.shards[0].labels
+    buffers = _InlineBuffers(labels)
     executor = ShardExecutor()
-    executor.values = packed_values.copy()
-    labels = _with_slack(index, 0)
+    executor.values = labels.values.copy()
     vertices = np.array([3, 0, labels.num_vertices - 1])
-    runs = [labels.offsets[v] + np.arange(labels.lengths[v]) for v in vertices]
+    runs = [np.arange(labels.offsets[v], labels.offsets[v + 1]) for v in vertices]
     written = np.concatenate(runs)[::2]
     labels.values[written] += 1.0
-    shift = packed_offsets[vertices] - labels.offsets[vertices]
     fields = buffers.delta(labels, written)
-    np.testing.assert_array_equal(
-        fields["positions"],
-        written + np.repeat(shift, labels.lengths[vertices])[::2],
-    )
+    assert fields["positions"] is written
     np.testing.assert_array_equal(fields["payload"], labels.values[written])
     assert isinstance(executor.apply_delta(EpochDelta(epoch=1, **fields)), AckReply)
-    np.testing.assert_array_equal(executor.values, labels.export_buffers()[0])
+    np.testing.assert_array_equal(executor.values, labels.values)
     assert executor.epoch == 1
 
 
 def test_placement_maps_written_positions_or_refuses(transport):
-    """While the parent's store is the layout it published, written
-    positions ship as they are; a store with slack shifts each through
-    its owner vertex; another vertex count or a written vertex of
-    another length cannot be placed."""
+    """While the parent's store holds the offsets array it published,
+    written positions ship as they are; once the shard's labels are
+    swapped (a copy, a rebuild on the same H_Q) they cannot be placed."""
     index = build_sharded(grid_network(12, 12))
-    labels = index.shards[0].labels
+    shard = index.shards[0]
+    labels = shard.labels
     buffers = transport.channel_type.buffers(labels)
     try:
         written = np.array([5, 0, len(labels.values) - 1], dtype=np.int64)
         assert buffers.place(labels, written) is written
-        slack = HierarchicalLabelling.from_arrays(labels.views(), labels.tau, 0.5)
-        owners = np.array([1, 0, labels.num_vertices - 1])
-        moved = buffers.place(slack, slack.offsets[owners])
-        np.testing.assert_array_equal(moved, labels.offsets[owners])
-        slack.extend_label(0, int(slack.lengths[0]) + 1)
-        assert buffers.place(slack, slack.offsets[owners]) is None
-        assert buffers.place(slack, slack.offsets[[2]]) is not None
-        fewer = HierarchicalLabelling.from_arrays(labels.views()[:-1], labels.tau)
-        assert buffers.place(fewer, written[:1]) is None
+        # A swapped value buffer (a mapped store's first write) keeps
+        # the offsets array, so the layout.
+        labels.values = labels.values.copy()
+        assert buffers.place(labels, written) is written
+        assert buffers.place(labels.copy(), written) is None
+        assert buffers.place(build_labelling(shard.hu), written) is None
     finally:
         buffers.destroy()
 
 
-def test_a_changed_label_length_republishes(transport):
-    """A label grown in place since the last publish: a burst that
-    writes it republishes the shard instead of shipping entries into a
-    layout whose run for it is shorter; later bursts are deltas again."""
+def test_a_swapped_shard_store_republishes_only_that_shard(transport):
+    """Shard 0 adopts a rebuild of its labels on the same H_Q: the next
+    burst republishes it alone — every other touched shard ships a
+    delta — and later bursts are deltas again."""
     index = build_sharded(grid_network(12, 12))
+    region_of = index.region_of
+    burst = [
+        next(
+            (u, v, 3 * w)
+            for u, v, w in index.graph.edges()
+            if region_of[u] == r == region_of[v]
+        )
+        for r in range(index.k)
+    ]
     with transport(index) as runtime:
-        for sid in range(index.k):
-            slack = _with_slack(index, sid)
-            for v in range(slack.num_vertices):
-                slack.extend_label(v, int(slack.lengths[v]) + 1)
-        stream = rolling_stream(index.graph, index.region_of, rounds=6, group=8)
-        changes, _ = next(stream)
-        stats = runtime.apply_update(changes)
-        assert runtime.stats.republishes == len(stats.touched_shards) > 0
-        assert runtime.stats.delta_syncs == 0
+        shard = index.shards[0]
+        shard._adopt(shard.hq, shard.hu, (build_labelling(shard.hu),))
+        stats = runtime.apply_update(burst)
+        assert set(stats.touched_shards) == set(range(index.k))
+        assert runtime.stats.republishes == 1
+        assert runtime.stats.delta_syncs == index.k - 1
+        runtime.apply_update([(u, v, w / 3) for u, v, w in burst])
+        assert runtime.stats.republishes == 1
+        assert runtime.stats.delta_syncs == 2 * index.k - 1
         for sid, buffers in enumerate(runtime._buffers):
-            if sid in stats.touched_shards:
-                np.testing.assert_array_equal(
-                    np.diff(buffers.offsets), index.shards[sid].labels.lengths
-                )
-        for changes, _ in stream:
-            runtime.apply_update(changes)
-        assert runtime.stats.delta_syncs > 0
-        for sid, buffers in enumerate(runtime._buffers):
+            assert buffers._source is index.shards[sid].labels.offsets
             if isinstance(buffers, _ShmBuffers):
-                values, _ = index.shards[sid].labels.export_buffers()
-                np.testing.assert_array_equal(buffers.segments[0].array, values)
-        # At most once per shard: each republish packs the grown lengths.
-        assert runtime.stats.republishes <= index.k
+                np.testing.assert_array_equal(
+                    buffers.segments[0].array, index.shards[sid].labels.values
+                )
         _all_pairs_match_dijkstra(runtime.distances, index.graph)
 
 

@@ -221,8 +221,9 @@ class TestLabellingStructure:
         v = 10
         chain = hq.ancestors(v)
         w = chain[0]
-        assert labels.entry(v, 0) == labels.entry_for(v, w)
-        labels.set_entry(v, 0, 123.0)
+        assert labels.entry(v, int(hq.tau[w])) == labels.view(v)[hq.tau[w]]
+        assert labels.entry(v, int(hq.tau[v])) == 0.0
+        labels.view(v)[0] = 123.0
         assert labels.entry(v, 0) == 123.0
 
     def test_num_entries_and_memory(self, small_road):
@@ -232,11 +233,8 @@ class TestLabellingStructure:
 
     def test_equals_tolerates_inf(self):
         tau = np.array([0, 0])
-        a = HierarchicalLabelling.from_arrays(
-            [np.array([0.0]), np.array([math.inf])], tau
-        )
-        b = HierarchicalLabelling.from_arrays(
-            [np.array([0.0]), np.array([math.inf])], tau
-        )
+        offsets = np.array([0, 1, 2])
+        a = HierarchicalLabelling(np.array([0.0, math.inf]), offsets, tau)
+        b = HierarchicalLabelling(np.array([0.0, math.inf]), offsets, tau)
         assert a.equals(b)
         assert a.diff_count(b) == 0

@@ -258,15 +258,13 @@ class TestPairKernel:
         segments = []
 
         def publish(index):
-            values, offsets = index.labels.export_buffers()
+            values, offsets = index.labels.values, index.labels.offsets
             segment = shared_memory.SharedMemory(create=True, size=values.nbytes)
             segments.append(segment)
             shared = np.ndarray(values.shape, np.float64, buffer=segment.buf)
             shared[:] = values
             shared.flags.writeable = False
-            return HierarchicalLabelling.from_shared_buffers(
-                shared, offsets.copy(), index.hq.tau
-            )
+            return HierarchicalLabelling(shared, offsets.copy(), index.hq.tau)
 
         try:
             replica = DHLIndex.build(idx_c.graph.copy(), idx_c.config)
@@ -317,9 +315,7 @@ class TestPairKernel:
         )
         with pytest.raises(TypeError):
             native_engine.common_ancestors(signed, s, s)
-        short = HierarchicalLabelling(
-            labels.values[:50], labels.offsets, labels.lengths, labels.tau
-        )
+        short = HierarchicalLabelling(labels.values[:50], labels.offsets, labels.tau)
         with pytest.raises(ValueError, match="offsets"):
             native_engine.gather_pairs(short, s, labels, s, tables)
 
@@ -457,9 +453,8 @@ class TestBuildKernels:
         idx_c = road_index
         hu, tau = idx_c.hu, idx_c.hu.tau
         order = np.argsort(tau, kind="stable")
-        lengths = tau.copy()  # one entry short on every row
-        offsets = np.concatenate([[0], np.cumsum(lengths)])
-        short = HierarchicalLabelling(np.zeros(offsets[-1]), offsets, lengths, tau)
+        offsets = np.concatenate([[0], np.cumsum(tau)])  # every row one short
+        short = HierarchicalLabelling(np.zeros(offsets[-1]), offsets, tau)
         with pytest.raises(ValueError, match="tau"):
             native_engine.label_build(hu, short, order)
         skewed = UpdateHierarchy(hu, SimpleNamespace(tau=tau.copy()))
@@ -599,9 +594,7 @@ class TestSetKernelWrapper:
         raw = bytes(3) + ids.tobytes()
         with pytest.raises(TypeError):
             matrix(np.frombuffer(raw, np.int64, len(ids), offset=3), ids)
-        short = HierarchicalLabelling(
-            labels.values[:50], labels.offsets, labels.lengths, labels.tau
-        )
+        short = HierarchicalLabelling(labels.values[:50], labels.offsets, labels.tau)
         with pytest.raises(ValueError, match="offsets"):
             native_engine.distance_matrix(short, ids, labels, ids, tables)
 

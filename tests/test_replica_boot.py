@@ -69,7 +69,7 @@ def loaded_after(code: str) -> list[str]:
 def test_a_replica_boot_loads_neither_scipy_nor_asyncio(sharded, tmp_path):
     """Import the replica module, then unpickle a real shard payload and
     bind it to its labels the way a replica's handshake does."""
-    values, offsets = sharded.shards[0].labels.export_buffers()
+    values, offsets = sharded.shard_buffers(0)
     spec = tmp_path / "spec.pkl"
     spec.write_bytes(
         pickle.dumps((sharded.shard_worker_payload(0), values, offsets))

@@ -248,15 +248,6 @@ class TestDistanceService:
         service.distances(pairs)
         assert service.stats().cache.hits >= len(pairs)
 
-    def test_staleness_mode_defers_updates(self, service_graph):
-        service = fresh_service(service_graph, auto_flush_on_query=False)
-        (u, v, w) = next(iter(service.index.graph.edges()))
-        before = service.distance(u, v)
-        service.submit(u, v, 10 * w)
-        assert service.distance(u, v) == before  # bounded staleness
-        service.flush()
-        assert service.distance(u, v) == service.index.distance(u, v)
-
     def test_direct_index_updates_invalidate_via_epoch_drift(
         self, service_graph
     ):

@@ -41,6 +41,7 @@ from repro.exceptions import (
     WorkerEpochError,
 )
 from repro.graph.generators import delaunay_network, grid_network
+from repro.labelling.build import build_labelling
 from repro.labelling.query import QueryEngine
 from repro.observability import NULL_OBSERVABILITY, Observability
 from repro.service import (
@@ -575,7 +576,7 @@ def test_service_context_manager_closes_on_exception():
 def test_respawned_shm_replica_attaches_current_segments():
     """The respawn handshake names the shard's *current* segment pair at
     the *current* epoch: the fresh replica answers an update it never
-    saw as a delta, and a later layout-changing republish (fresh
+    saw as a delta, and a later republish after a label swap (fresh
     segments for old and new incarnation alike) strands nothing."""
     graph = delaunay_network(140, seed=9, style="city", edge_factor=1.35)
     sharded = build_sharded(graph, k=2)
@@ -603,10 +604,10 @@ def test_respawned_shm_replica_attaches_current_segments():
             )
         assert runtime.stats.resyncs == 0 and runtime.stats.failovers == 0
 
-        # Move shard 0's label layout (a trailing inf entry no query
-        # reads): the next flush cannot splice and must republish.
-        labels = sharded.shards[0].labels
-        labels.extend_label(0, int(labels.lengths[0]) + 1)
+        # Swap shard 0's labels for a rebuild on the same H_Q (new
+        # arrays, same layout): the next flush must republish.
+        shard = sharded.shards[0]
+        shard._adopt(shard.hq, shard.hu, (build_labelling(shard.hu),))
         runtime.apply_update([(u, v, w)])
         assert runtime.stats.republishes == 1
         second = segment_names(runtime)

@@ -320,11 +320,12 @@ def test_delete_vertex_snapshot_semantics(small_index):
 # compaction
 # ---------------------------------------------------------------------------
 
-def _held_bytes(index, *labellings) -> int:
-    """What a compaction pass can shrink: the shortcut store and the
-    label buffers, slack included."""
+def _held_bytes(index) -> int:
+    """The shortcut store plus every label buffer: compaction shrinks
+    the store alone (label rows are exactly ``tau + 1`` entries)."""
     return index.hu.memory_bytes() + sum(
-        labels.capacity_bytes() for labels in labellings
+        labels.values.nbytes + labels.offsets.nbytes
+        for labels in index.labellings
     )
 
 
@@ -346,10 +347,10 @@ def test_compaction_reclaims_dead_slots(small_road):
         (s, t): index.distance(s, t)
         for s, t in sample_pairs(index.graph.num_vertices, rng, 60)
     }
-    held = _held_bytes(index, index.labels)
+    held = _held_bytes(index)
     stats = index.compact()
     assert stats.dead_slots_reclaimed > 0
-    assert stats.bytes_reclaimed == held - _held_bytes(index, index.labels) > 0
+    assert stats.bytes_reclaimed == held - _held_bytes(index) > 0
     assert index.dead_fraction < frac_before
     for (s, t), ref in reference.items():
         got = index.distance(s, t)
@@ -578,11 +579,10 @@ def test_directed_compaction_roundtrips_v2_snapshot(tmp_path):
     both = rng.sample(arcs, 6)
     dels = [(u, v) for u, v in both] + [(v, u) for u, v in both]
     index.apply_batch(deletions=dels)
-    labellings = (index.labels_out, index.labels_in)
-    held = _held_bytes(index, *labellings)
+    held = _held_bytes(index)
     stats = index.compact()
     assert stats.dead_slots_reclaimed > 0
-    assert stats.bytes_reclaimed == held - _held_bytes(index, *labellings) > 0
+    assert stats.bytes_reclaimed == held - _held_bytes(index) > 0
     path = tmp_path / "dcompacted"
     index.save(path)
     loaded = DirectedDHLIndex.load(path)

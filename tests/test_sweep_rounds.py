@@ -62,12 +62,12 @@ def maintained_state(index) -> list[np.ndarray]:
         return [buf for part in parts for buf in maintained_state(part)]
     if isinstance(index, DirectedDHLIndex):
         return [
-            index.labels_out.packed()[0],
-            index.labels_in.packed()[0],
+            index.labels_out.values,
+            index.labels_in.values,
             index.out_weights,
             index.in_weights,
         ]
-    return [index.labels.packed()[0], index.hu.up_weights]
+    return [index.labels.values, index.hu.up_weights]
 
 
 def assert_in_lockstep(indexes, results) -> None:
