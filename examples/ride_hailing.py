@@ -19,8 +19,6 @@ from __future__ import annotations
 
 import time
 
-import numpy as np
-
 from repro import DHLConfig, DHLIndex, delaunay_network
 from repro.utils.rng import make_rng
 
@@ -29,13 +27,6 @@ FLEET = 120
 REQUEST_WAVES = 4
 REQUESTS_PER_WAVE = 50
 K = 3
-
-
-def k_nearest_drivers(index: DHLIndex, pickup: int, drivers: list[int], k: int):
-    """The k drivers with smallest road distance to *pickup*."""
-    distances = index.distances([(driver, pickup) for driver in drivers])
-    order = np.argsort(distances, kind="stable")[:k]
-    return [(drivers[i], float(distances[i])) for i in order]
 
 
 def main() -> None:
@@ -62,7 +53,7 @@ def main() -> None:
         total_eta = 0.0
         sample = None
         for pickup in pickups:
-            matches = k_nearest_drivers(index, int(pickup), drivers, K)
+            matches = index.k_nearest(int(pickup), drivers, K)
             total_eta += matches[0][1]
             if sample is None:
                 sample = (int(pickup), matches)

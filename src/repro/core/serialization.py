@@ -196,17 +196,6 @@ def verify_snapshot(path: Path) -> int:
     return checked
 
 
-def _flatten_ragged(rows: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
-    offsets = np.zeros(len(rows) + 1, dtype=np.int64)
-    np.cumsum([len(r) for r in rows], out=offsets[1:])
-    flat = np.concatenate(rows) if rows else np.zeros(0)
-    return flat, offsets
-
-
-def _unflatten(flat: np.ndarray, offsets: np.ndarray) -> list[np.ndarray]:
-    return [flat[offsets[i] : offsets[i + 1]] for i in range(len(offsets) - 1)]
-
-
 def _save_labels(path: Path, labels: HierarchicalLabelling, prefix: str) -> None:
     """Dump the flat store as two bare .npy files (mmap-able on load).
 
@@ -232,44 +221,39 @@ def _load_labels(
 
 
 def _hq_payload(hq: QueryHierarchy) -> dict[str, np.ndarray]:
-    member_rows = [np.asarray(m, dtype=np.int64) for m in hq.node_members]
-    members_flat, members_offsets = _flatten_ragged(member_rows)
+    members_flat, members_offsets = hq.members()
+    vend = hq.vend()
     return {
         "tau": hq.tau,
         "node_of": hq.node_of,
-        "node_depth": np.asarray(hq.node_depth, dtype=np.int64),
-        "node_vstart": np.asarray(hq.node_vstart, dtype=np.int64),
-        "node_vend": np.asarray(hq.node_vend, dtype=np.int64),
-        "node_parent": np.asarray(hq.node_parent, dtype=np.int64),
+        "node_depth": hq.depth,
+        "node_vstart": vend - np.diff(members_offsets),
+        "node_vend": vend,
+        "node_parent": hq.parent(),
         "members_flat": members_flat,
         "members_offsets": members_offsets,
     }
 
 
-def _hq_from_payload(data, node_bits: list[int], n: int) -> QueryHierarchy:
-    member_rows = _unflatten(data["members_flat"], data["members_offsets"])
-    node_parent = data["node_parent"].tolist()
-    node_vend = data["node_vend"].tolist()
-    # vend chains are derivable: chain(node) = chain(parent) + [vend].
-    node_vend_chain: list[np.ndarray] = []
-    for nid, parent in enumerate(node_parent):
-        if parent < 0:
-            node_vend_chain.append(np.array([node_vend[nid]], dtype=np.int64))
-        else:
-            node_vend_chain.append(
-                np.append(node_vend_chain[parent], node_vend[nid])
-            )
-    return QueryHierarchy(
-        n,
+def _node_bits(hq: QueryHierarchy) -> list[str]:
+    """Each node's bitstring (a 1, then its path bits) as a decimal
+    string: arbitrary-precision ints do not fit JSON numbers."""
+    width = 64 * hq.path.shape[1]
+    return [
+        str(1 << d | int.from_bytes(words.tobytes(), "big") >> (width - d))
+        for d, words in zip(hq.depth.tolist(), hq.path.astype(">u8"))
+    ]
+
+
+def _hq_from_payload(data, node_bits: list[str]) -> QueryHierarchy:
+    branch = [int(bits) & 1 for bits in node_bits]
+    return QueryHierarchy.from_nodes(
         data["tau"],
         data["node_of"],
-        data["node_depth"].tolist(),
-        node_bits,
-        data["node_vstart"].tolist(),
-        node_vend,
-        node_parent,
-        [m.tolist() for m in member_rows],
-        node_vend_chain,
+        data["node_depth"],
+        data["node_parent"],
+        data["node_vend"],
+        branch,
     )
 
 
@@ -366,8 +350,7 @@ def _write_index_contents(index, path: Path) -> None:
         "kind": layout.kind,
         "n": graph.num_vertices,
         "config": _config_payload(index.config),
-        # Bitstrings can exceed 64 bits for deep trees: store as strings.
-        "node_bits": [str(b) for b in hq.node_bits],
+        "node_bits": _node_bits(hq),
     }
     # The graph codec is the one thing the kinds do not share: a
     # digraph's arcs travel as arrays, a graph as manifest JSON.
@@ -480,7 +463,7 @@ def load_index(
         graph = _digraph_from_payload(data, n)
     else:
         graph = graph_from_payload(manifest["graph"])
-    hq = _hq_from_payload(data, [int(b) for b in manifest["node_bits"]], n)
+    hq = _hq_from_payload(data, manifest["node_bits"])
     hu = cls._hierarchy(
         _store_from_payload(graph, hq, data, layout.weight_keys), hq
     )

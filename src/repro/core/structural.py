@@ -34,11 +34,10 @@ so on upward. Two gates guard the fast path:
   back to rebuilding H_U + L on the *same* H_Q, which is still far
   cheaper than repartitioning.
 
-The fallback is one ladder for every index family: closure fast path →
-rebuild on the same H_Q → repartition. The last rung splices a fresh
-subtree into the partition tree when the index still has it
-(``hq.tree_nodes``) and builds from scratch when it does not (a
-snapshot-loaded index — the tree is not persisted).
+The fallback is one ladder for every index family, built or loaded:
+closure fast path → rebuild on the same H_Q → repartition. The last
+rung splices a fresh partition of the LCA subtree into the partition
+tree that H_Q's arrays encode (:meth:`QueryHierarchy.partition_tree`).
 
 Qualifying batches allocate their closure slots in one
 :func:`~repro.hierarchy.csr.extend_slots` merge (weights ``inf`` —
@@ -208,19 +207,19 @@ def _rebuild(index, hq: QueryHierarchy) -> None:
     index._adopt(hq, hu, [build_labelling(hu, plane) for plane in range(hu.planes)])
 
 
-def _subtree_vertices(hq: QueryHierarchy, node_id: int) -> list[int]:
-    """All vertices owned by the subtree rooted at H_Q node *node_id*."""
-    children: dict[int, list[int]] = {}
-    for nid, parent in enumerate(hq.node_parent):
-        if parent >= 0:
-            children.setdefault(parent, []).append(nid)
-    vertices: list[int] = []
-    stack = [node_id]
-    while stack:
-        nid = stack.pop()
-        vertices.extend(hq.node_members[nid])
-        stack.extend(children.get(nid, ()))
-    return vertices
+def _lca_node(hq: QueryHierarchy, u: int, v: int) -> int:
+    """The H_Q node whose subtree is the LCA subtree of ``u`` and ``v``:
+    the ancestor of ``u``'s node at the depth where the two nodes' path
+    bits first differ (in preorder, the last node at that depth up to
+    ``u``'s)."""
+    nu, nv = int(hq.node_of[u]), int(hq.node_of[v])
+    depth = min(int(hq.depth[nu]), int(hq.depth[nv]))
+    diff = hq.path[nu] ^ hq.path[nv]
+    for word, bits in enumerate(diff.tolist()):
+        if bits:
+            depth = min(depth, 64 * word + 64 - bits.bit_length())
+            break
+    return int(np.flatnonzero(hq.depth[: nu + 1] == depth)[-1])
 
 
 def _splice_repartition(
@@ -232,12 +231,10 @@ def _splice_repartition(
     reused verbatim; H_U/L are *not* rebuilt here — the caller does that
     once per batch.
     """
-    depth = hq.lca_depth(u, v)
-    nid = int(hq.node_of[u])
-    while hq.node_depth[nid] > depth:
-        nid = hq.node_parent[nid]
-
-    affected = sorted(_subtree_vertices(hq, nid))
+    nid = _lca_node(hq, u, v)
+    nodes = list(hq.partition_tree().iter_nodes())  # preorder: node ids
+    old_node = nodes[nid]
+    affected = sorted(x for node in old_node.iter_nodes() for x in node.vertices)
     subgraph, local_to_global = skeleton.induced_subgraph(affected)
     sub_tree = index._bisect(subgraph, index.config)
 
@@ -248,33 +245,30 @@ def _splice_repartition(
         )
 
     new_subtree = relabel(sub_tree)
-    old_node = hq.tree_nodes[nid]
-    parent_id = hq.node_parent[nid]
-    if parent_id < 0:
+    if nid == 0:
         root = new_subtree
     else:
-        parent_node = hq.tree_nodes[parent_id]
+        parent_node = nodes[int(hq.parent()[nid])]
         parent_node.children[parent_node.children.index(old_node)] = new_subtree
-        root = hq.tree_nodes[0]
+        root = nodes[0]
     return QueryHierarchy.from_partition_tree(root, skeleton.num_vertices)
 
 
-def _repartition(index, incomparable: list[tuple[int, int]]) -> None:
-    """Restore the separator property the *incomparable* new edges broke,
-    then rebuild H_U + L. The edges must already be in the graph."""
+def _repartition(index, incomparable: np.ndarray) -> None:
+    """Restore the separator property the *incomparable* new edges
+    (``(m, 2)`` ids) broke, then rebuild H_U + L. The edges must
+    already be in the graph."""
     hq = index.hq
-    if hq.tree_nodes is None:
-        # Loaded from a snapshot: the partition tree was not persisted,
-        # so there is nothing to splice into — partition afresh.
-        fresh = type(index).build(index.graph, index.config)
-        index._adopt(fresh.hq, fresh.hu, fresh.labellings)
-        return
     skeleton = index._hierarchy.skeleton(index.graph)
-    for u, v in incomparable:
-        # An earlier splice may already have separated this pair (always
-        # so for the second arc of a two-way road).
-        if not hq.comparable(u, v):
-            hq = _splice_repartition(index, hq, skeleton, u, v)
+    while len(incomparable):
+        # An earlier splice may already have separated a later pair
+        # (always so for the second arc of a two-way road).
+        broken = np.flatnonzero(~hq.comparable(incomparable[:, 0], incomparable[:, 1]))
+        if not len(broken):
+            break
+        u, v = incomparable[broken[0]].tolist()
+        hq = _splice_repartition(index, hq, skeleton, u, v)
+        incomparable = incomparable[broken[0] + 1 :]
     _rebuild(index, hq)
 
 
@@ -381,11 +375,10 @@ def _apply_insertions(index, inserts, stats: StructuralStats) -> None:
 
     # An incomparable pair genuinely invalidates the separator property
     # of H_Q; only a repartition restores it.
-    incomparable = [
-        (u, v) for u, v, _ in inserts if not hq.comparable(u, v)
-    ]
+    ends = np.array([(u, v) for u, v, _ in inserts], dtype=np.int64)
+    incomparable = ends[~hq.comparable(ends[:, 0], ends[:, 1])]
     closure = None
-    if not incomparable:
+    if not len(incomparable):
         pairs = [_ordered_pair(hu.rank, u, v) for u, v, _ in inserts]
         closure = _insertion_closure(
             hu.csr, hu.rank, pairs, index.config.insert_closure_limit
@@ -394,7 +387,7 @@ def _apply_insertions(index, inserts, stats: StructuralStats) -> None:
         with phase("structural.fallback_rebuild"):
             for u, v, w in inserts:
                 graph.add_edge(u, v, w)
-            if incomparable:
+            if len(incomparable):
                 _repartition(index, incomparable)
             else:
                 _rebuild(index, hq)

@@ -10,6 +10,8 @@ qualitative explanation into a measured quantity.
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro.baselines.h2h import H2HIndex
 from repro.core.index import DHLIndex
 from repro.experiments.measure import mean
@@ -22,9 +24,9 @@ def query_search_space(
     dhl: DHLIndex, h2h: H2HIndex | None, pairs: list[tuple[int, int]]
 ) -> dict[str, float]:
     """Average label entries scanned per query for each method."""
-    dhl_entries = mean(
-        2 * dhl.hq.common_ancestor_count(s, t) for s, t in pairs
-    )
+    ends = np.array(pairs, dtype=np.int64).reshape(-1, 2)
+    counts = dhl.engine.common_ancestor_counts(ends[:, 0], ends[:, 1])
+    dhl_entries = mean((2 * counts).tolist())
     out = {"DHL_entries": dhl_entries}
     if h2h is not None:
         out["IncH2H_entries"] = mean(

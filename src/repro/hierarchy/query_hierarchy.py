@@ -1,20 +1,29 @@
 """Query hierarchy H_Q (Definition 4.1) and the vertex partial order.
 
-Built from a partition tree, H_Q assigns each vertex:
+Built from a partition tree, H_Q is five arrays — exactly what the C
+LCA kernel reads:
 
-* ``tau(v)`` — the number of strict ancestors w.r.t. the partial order
-  ``⪯_H`` (Definition 4.3); the ancestors of ``v`` form a chain whose
-  rank-``i`` element has ``tau == i``, so labels can be dense arrays
-  indexed by ``tau``;
-* a tree node with a partition *bitstring* and *depth*, giving O(1)
-  lowest-common-ancestor computations;
-* per-depth cumulative vertex counts (``vend``), giving O(1) computation
-  of ``|anc(s) ∩ anc(t)|`` — the number of label entries a query scans.
+* per vertex, ``tau(v)`` — the number of strict ancestors w.r.t. the
+  partial order ``⪯_H`` (Definition 4.3); the ancestors of ``v`` form a
+  chain whose rank-``i`` element has ``tau == i``, so labels can be
+  dense arrays indexed by ``tau`` — and ``node_of(v)``, its tree node;
+* per tree node, in preorder, its ``depth``, its ``path`` bits (a
+  node's bitstring is a 1 followed by its root-to-node path bits,
+  child 0 or 1 a level; ``path`` holds those bits left-aligned in
+  ``max(1, ceil(max_depth / 64))`` uint64 words, zero past the node's
+  depth) and its vend ``chain``: row ``nid`` holds, at column ``d``,
+  one past the last rank owned by the node's depth-``d`` ancestor, zero
+  past its own depth (one row a node, as wide as the deepest).
+
+The LCA depth of two nodes is their common path prefix, so ``K =
+|anc(s) ∩ anc(t)|`` — the number of label entries a query scans — is
+O(1): ``chain`` at that depth, clamped by both ``tau``. Everything else
+is derived where it is used: a node's rank range, its parent (the last
+earlier preorder node one level up), its members and the partition
+tree itself.
 """
 
 from __future__ import annotations
-
-from typing import Iterator
 
 import numpy as np
 
@@ -26,181 +35,171 @@ __all__ = ["QueryHierarchy"]
 
 
 class QueryHierarchy:
-    """Static query hierarchy over ``n`` vertices.
+    """Static query hierarchy over ``n = len(tau)`` vertices.
 
-    Construct via :meth:`from_partition_tree`. All per-vertex data lives
-    in numpy arrays; per-node data in Python lists indexed by node id
-    (preorder).
+    Construct via :meth:`from_partition_tree` or :meth:`from_nodes`.
+    ``_record`` is the C kernels' bound record of the five arrays
+    (:func:`repro.labelling.native.engine.lca_record`), bound at the
+    first kernel call; a pickle carries the arrays only.
     """
 
-    def __init__(
-        self,
-        n: int,
-        tau: np.ndarray,
-        node_of: np.ndarray,
-        node_depth: list[int],
-        node_bits: list[int],
-        node_vstart: list[int],
-        node_vend: list[int],
-        node_parent: list[int],
-        node_members: list[list[int]],
-        node_vend_chain: list[np.ndarray],
-        tree_nodes: list[PartitionTreeNode] | None = None,
-    ):
-        self.n = n
+    __slots__ = ("tau", "node_of", "depth", "path", "chain", "_record", "__weakref__")
+
+    def __init__(self, tau, node_of, depth, path, chain):
         self.tau = tau
         self.node_of = node_of
-        self.node_depth = node_depth
-        self.node_bits = node_bits
-        self.node_vstart = node_vstart
-        self.node_vend = node_vend
-        self.node_parent = node_parent
-        self.node_members = node_members
-        self.node_vend_chain = node_vend_chain
-        # Partition tree nodes aligned with node ids (preorder); kept so
-        # structural updates can splice repartitioned subtrees back in.
-        self.tree_nodes = tree_nodes
+        self.depth = depth
+        self.path = path
+        self.chain = chain
+        self._record = None
+
+    def __getstate__(self):
+        return self.tau, self.node_of, self.depth, self.path, self.chain
+
+    def __setstate__(self, state) -> None:
+        self.__init__(*state)
 
     # ------------------------------------------------------------------
     # construction
     # ------------------------------------------------------------------
     @classmethod
     def from_partition_tree(cls, root: PartitionTreeNode, n: int) -> "QueryHierarchy":
-        """Assign ranks, bitstrings and depth tables from a partition tree."""
+        """Assign ranks, path bits and vend chains from a partition tree."""
         tau = np.full(n, -1, dtype=np.int64)
         node_of = np.full(n, -1, dtype=np.int64)
-        node_depth: list[int] = []
-        node_bits: list[int] = []
-        node_vstart: list[int] = []
-        node_vend: list[int] = []
-        node_parent: list[int] = []
-        node_members: list[list[int]] = []
-        node_vend_chain: list[np.ndarray] = []
-        tree_nodes: list[PartitionTreeNode] = []
+        depth: list[int] = []
+        parent: list[int] = []
+        branch: list[int] = []
+        vend: list[int] = []
 
-        # Preorder walk carrying (tree node, parent id, bit value, depth).
-        stack: list[tuple[PartitionTreeNode, int, int, int]] = [(root, -1, 1, 0)]
+        # Preorder walk carrying (tree node, parent id, child index).
+        stack: list[tuple[PartitionTreeNode, int, int]] = [(root, -1, 0)]
         while stack:
-            tnode, parent_id, bits, depth = stack.pop()
-            nid = len(node_depth)
-            tree_nodes.append(tnode)
-            vstart = node_vend[parent_id] if parent_id >= 0 else 0
-            vend = vstart + len(tnode.vertices)
-            node_depth.append(depth)
-            node_bits.append(bits)
-            node_vstart.append(vstart)
-            node_vend.append(vend)
-            node_parent.append(parent_id)
-            node_members.append(list(tnode.vertices))
-            if parent_id >= 0:
-                chain = np.append(node_vend_chain[parent_id], vend)
-            else:
-                chain = np.array([vend], dtype=np.int64)
-            node_vend_chain.append(chain)
+            tnode, parent_id, child_index = stack.pop()
+            nid = len(depth)
+            vstart = vend[parent_id] if parent_id >= 0 else 0
+            depth.append(depth[parent_id] + 1 if parent_id >= 0 else 0)
+            parent.append(parent_id)
+            branch.append(child_index)
+            vend.append(vstart + len(tnode.vertices))
             for position, v in enumerate(tnode.vertices):
                 if tau[v] != -1:
                     raise HierarchyError(f"vertex {v} owned by two tree nodes")
                 tau[v] = vstart + position
                 node_of[v] = nid
-            # Children are pushed in reverse so child 0 is processed first;
-            # the bit value extends the parent's bitstring.
+            # Children are pushed in reverse so child 0 is processed first.
             for child_index in range(len(tnode.children) - 1, -1, -1):
-                child = tnode.children[child_index]
-                stack.append((child, nid, (bits << 1) | child_index, depth + 1))
+                stack.append((tnode.children[child_index], nid, child_index))
 
         if (tau < 0).any():
             missing = int((tau < 0).sum())
-            raise HierarchyError(f"{missing} vertices not covered by the partition tree")
-        return cls(
-            n,
-            tau,
-            node_of,
-            node_depth,
-            node_bits,
-            node_vstart,
-            node_vend,
-            node_parent,
-            node_members,
-            node_vend_chain,
-            tree_nodes,
-        )
+            raise HierarchyError(
+                f"{missing} vertices not covered by the partition tree"
+            )
+        return cls.from_nodes(tau, node_of, depth, parent, vend, branch)
+
+    @classmethod
+    def from_nodes(cls, tau, node_of, depth, parent, vend, branch) -> "QueryHierarchy":
+        """H_Q from per-vertex ``tau`` / ``node_of`` and per-node
+        preorder ``depth``, ``parent`` (-1 at the root), ``vend`` and
+        ``branch`` (the node's index among its parent's children): each
+        level copies its parents' path words and chain rows, then sets
+        its own bit and vend."""
+        depth = np.asarray(depth, dtype=np.int64)
+        parent = np.asarray(parent, dtype=np.int64)
+        vend = np.asarray(vend, dtype=np.int64)
+        branch = np.asarray(branch, dtype=np.uint64)
+        max_depth = int(depth.max(initial=0))
+        path = np.zeros((len(depth), max(1, -(-max_depth // 64))), dtype=np.uint64)
+        chain = np.zeros((len(depth), max_depth + 1), dtype=np.int64)
+        for d, level in enumerate(_levels(depth)):
+            if d:
+                up = parent[level]
+                path[level] = path[up]
+                chain[level] = chain[up]
+                word, bit = divmod(d - 1, 64)
+                path[level, word] |= branch[level] << np.uint64(63 - bit)
+            chain[level, d] = vend[level]
+        return cls(tau, node_of, depth, path, chain)
 
     # ------------------------------------------------------------------
-    # partial order and LCA
+    # derived node tables
     # ------------------------------------------------------------------
     @property
+    def n(self) -> int:
+        return len(self.tau)
+
+    @property
     def num_nodes(self) -> int:
-        return len(self.node_depth)
+        return len(self.depth)
 
     @property
     def height(self) -> int:
         """Maximum number of ancestors of any vertex (paper's ``h``)."""
         return int(self.tau.max()) + 1 if self.n else 0
 
-    def lca_depth(self, s: int, t: int) -> int:
-        """Tree depth of the LCA of ``l(s)`` and ``l(t)`` (O(1) bit math)."""
-        ns, nt = int(self.node_of[s]), int(self.node_of[t])
-        ds, dt = self.node_depth[ns], self.node_depth[nt]
-        d = ds if ds < dt else dt
-        vs = self.node_bits[ns] >> (ds - d)
-        vt = self.node_bits[nt] >> (dt - d)
-        diff = vs ^ vt
-        return d if diff == 0 else d - diff.bit_length()
+    def vend(self) -> np.ndarray:
+        """One past each node's last rank."""
+        return self.chain[np.arange(self.num_nodes), self.depth]
 
-    def common_ancestor_count(self, s: int, t: int) -> int:
-        """``|anc(s) ∩ anc(t)|`` — how many leading label entries to scan.
+    def parent(self) -> np.ndarray:
+        """Each node's parent id (-1 at the root): in preorder, the last
+        earlier node one level up."""
+        parent = np.full(self.num_nodes, -1, dtype=np.int64)
+        levels = _levels(self.depth)
+        for above, level in zip(levels, levels[1:]):
+            parent[level] = above[np.searchsorted(above, level) - 1]
+        return parent
 
-        The common ancestors of ``s`` and ``t`` are exactly the vertices of
-        rank ``0 .. K-1`` on either ancestor chain, where ``K`` is the
-        value returned here.
-        """
-        depth = self.lca_depth(s, t)
-        vend = int(self.node_vend_chain[int(self.node_of[s])][depth])
-        ts, tt = int(self.tau[s]), int(self.tau[t])
-        k = min(ts, tt, vend - 1) + 1
-        return k
+    def members(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(order, starts)``: node ``nid`` owns ``order[starts[nid] :
+        starts[nid + 1]]``, in rank order."""
+        order = np.lexsort((self.tau, self.node_of))
+        starts = np.zeros(self.num_nodes + 1, dtype=np.int64)
+        np.cumsum(np.bincount(self.node_of, minlength=self.num_nodes), out=starts[1:])
+        return order, starts
 
-    def precedes(self, u: int, v: int) -> bool:
-        """True iff ``u ⪯_H v`` (Definition 4.3, reflexive)."""
-        nu, nv = int(self.node_of[u]), int(self.node_of[v])
-        if nu == nv:
-            return self.tau[u] <= self.tau[v]
-        du, dv = self.node_depth[nu], self.node_depth[nv]
-        if du >= dv:
-            return False
-        return (self.node_bits[nv] >> (dv - du)) == self.node_bits[nu]
+    def partition_tree(self) -> PartitionTreeNode:
+        """The partition tree these arrays encode (fresh nodes;
+        ``from_partition_tree`` of it gives back these arrays)."""
+        order, starts = self.members()
+        nodes = [
+            PartitionTreeNode(order[lo:hi].tolist())
+            for lo, hi in zip(starts[:-1].tolist(), starts[1:].tolist())
+        ]
+        # Preorder lists child 0 before child 1.
+        for nid, up in enumerate(self.parent().tolist()):
+            if up >= 0:
+                nodes[up].children.append(nodes[nid])
+        return nodes[0]
 
-    def comparable(self, u: int, v: int) -> bool:
-        return self.precedes(u, v) or self.precedes(v, u)
+    # ------------------------------------------------------------------
+    # partial order
+    # ------------------------------------------------------------------
+    def _common(self, u, v) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(K, tau_u, tau_v)`` over broadcast id arrays, K from one
+        :func:`repro.labelling.native.engine.common_ancestors` call."""
+        # Imported here: repro.labelling imports this module.
+        from repro.labelling.native import engine as native_engine
 
-    def ancestors(self, v: int) -> list[int]:
-        """Ancestor chain of *v* (inclusive) ordered by rank ``tau``.
+        u, v = np.broadcast_arrays(np.asarray(u, np.int64), np.asarray(v, np.int64))
+        k = native_engine.common_ancestors(self, np.ravel(u), np.ravel(v))
+        return k.reshape(u.shape), self.tau[u], self.tau[v]
 
-        The element at index ``i`` has ``tau == i``; the last element is
-        ``v`` itself. O(tau(v)) — intended for tests and maintenance
-        bookkeeping, not the query hot path.
-        """
-        chain: list[int] = []
-        nid = int(self.node_of[v])
-        path = []
-        while nid >= 0:
-            path.append(nid)
-            nid = self.node_parent[nid]
-        for node in reversed(path):
-            members = self.node_members[node]
-            if node == self.node_of[v]:
-                members = members[: int(self.tau[v]) - self.node_vstart[node] + 1]
-            chain.extend(members)
-        return chain
+    def precedes(self, u, v):
+        """``u ⪯_H v`` (Definition 4.3, reflexive) per id pair: every
+        ancestor of ``u`` is a common one."""
+        k, tau_u, _ = self._common(u, v)
+        return k == tau_u + 1
+
+    def comparable(self, u, v):
+        """``u ⪯_H v`` or ``v ⪯_H u`` per id pair."""
+        k, tau_u, tau_v = self._common(u, v)
+        return k == np.minimum(tau_u, tau_v) + 1
 
     def contraction_order(self) -> np.ndarray:
         """Vertices in decreasing ``tau`` (deepest first) for building H_U."""
         return np.argsort(-self.tau, kind="stable")
-
-    def iter_vertices_by_tau(self) -> Iterator[int]:
-        """Vertices in increasing ``tau`` (top-down), ties in id order."""
-        for v in np.argsort(self.tau, kind="stable"):
-            yield int(v)
 
     # ------------------------------------------------------------------
     # validation
@@ -212,23 +211,24 @@ class QueryHierarchy:
         paths of length one; it must hold for any partition tree whose
         node sets are true separators (Lemma 4.8 relies on it).
         """
-        for u, v, _ in graph.edges():
-            if not self.comparable(u, v):
-                raise HierarchyError(
-                    f"edge ({u}, {v}) joins incomparable vertices; "
-                    "the partition tree is not a valid separator tree"
-                )
+        ends = np.array([(u, v) for u, v, _ in graph.edges()], dtype=np.int64)
+        ends = ends.reshape(-1, 2)
+        bad = np.flatnonzero(~self.comparable(ends[:, 0], ends[:, 1]))
+        if len(bad):
+            u, v = ends[bad[0]].tolist()
+            raise HierarchyError(
+                f"edge ({u}, {v}) joins incomparable vertices; "
+                "the partition tree is not a valid separator tree"
+            )
 
     def memory_bytes(self) -> int:
-        """Approximate memory footprint of the per-vertex/per-node tables."""
-        total = self.tau.nbytes + self.node_of.nbytes
-        total += sum(chain.nbytes for chain in self.node_vend_chain)
-        total += 8 * (
-            len(self.node_depth)
-            + len(self.node_bits)
-            + len(self.node_vstart)
-            + len(self.node_vend)
-            + len(self.node_parent)
-        )
-        total += 8 * sum(len(m) for m in self.node_members)
-        return total
+        """Bytes of the five arrays."""
+        arrays = (self.tau, self.node_of, self.depth, self.path, self.chain)
+        return sum(a.nbytes for a in arrays)
+
+
+def _levels(depth: np.ndarray) -> list[np.ndarray]:
+    """Node ids of each depth ``0 .. max``, each in preorder."""
+    order = np.argsort(depth, kind="stable")
+    bounds = np.searchsorted(depth[order], np.arange(1, int(depth.max(initial=0)) + 1))
+    return np.split(order, bounds)

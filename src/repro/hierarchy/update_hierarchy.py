@@ -79,12 +79,13 @@ class UpdateHierarchy(ContractionResult):
         exists for tests and for diagnosing bad partition trees.
         """
         csr = self.csr
-        for v, u in zip(csr.owners.tolist(), csr.indices.tolist()):
-            if not self.hq.precedes(u, v):
-                raise HierarchyError(
-                    f"shortcut ({v}, {u}) joins incomparable vertices "
-                    f"(tau {self.tau[v]}, {self.tau[u]})"
-                )
+        bad = np.flatnonzero(~self.hq.precedes(csr.indices, csr.owners))
+        if len(bad):
+            v, u = int(csr.owners[bad[0]]), int(csr.indices[bad[0]])
+            raise HierarchyError(
+                f"shortcut ({v}, {u}) joins incomparable vertices "
+                f"(tau {self.tau[v]}, {self.tau[u]})"
+            )
 
     def max_up_degree(self) -> int:
         """Paper's ``d_max`` (maximum shortcut degree towards ancestors)."""

@@ -223,7 +223,7 @@ typedef struct {
 } labels_record_t;
 
 /*
- * H_Q's LCA tables (AncestorTables' arrays): a vertex's partition-tree
+ * H_Q's LCA tables (QueryHierarchy's five arrays): a vertex's partition-tree
  * node, each node's depth, its vend chain (chain_width entries a node)
  * and each vertex's tau. A node's bitstring is a 1 followed by its path
  * bits, root first; path holds those path bits left-aligned in `words`

@@ -21,7 +21,7 @@ C-contiguity, alignment, length and, for a buffer a kernel writes,
 writability) and their addresses written to the record when it is
 bound, and every kernel call passes the record's address. The owners
 are :class:`~repro.labelling.labels.HierarchicalLabelling`
-(:data:`LABELS_RECORD`), :class:`~repro.labelling.query.AncestorTables`
+(:data:`LABELS_RECORD`), :class:`~repro.hierarchy.query_hierarchy.QueryHierarchy`
 (:data:`LCA_RECORD`), a shard's boundary and overlay block
 (:class:`ShardRoute`, :data:`SHARD_RECORD`), the sharded index's
 routing state (:func:`bind_route`, :data:`ROUTE_RECORD`) and the
@@ -76,6 +76,7 @@ __all__ = [
     "gather_pairs",
     "label_build",
     "label_sweep",
+    "lca_record",
     "operand",
     "shard_batch",
     "shortcut_sweep",
@@ -288,7 +289,7 @@ def label_sweep(store, labels, slots, slot_marks, marks, plane: int = 0) -> int:
 #: ``HierarchicalLabelling``'s record: ``n`` vertices, the addresses of
 #: ``values`` and ``offsets``, and the value buffer's capacity.
 LABELS_RECORD = _record_dtype("n", "values", "offsets", "capacity")
-#: ``AncestorTables``' record (the C ``lca_record_t``).
+#: ``QueryHierarchy``'s record (the C ``lca_record_t``).
 LCA_RECORD = _record_dtype(
     "n", "words", "chain_width", "node_of", "depth", "path", "chain", "tau"
 )
@@ -436,31 +437,31 @@ def _store(store, plane: int = 0, labels=None) -> int:
     return bound.address
 
 
-def _tables(tables) -> int:
-    """Address of *tables*' record (an
-    :class:`~repro.labelling.query.AncestorTables`), bound on first use
-    and again when any of its arrays was swapped."""
-    bound = getattr(tables, "_record", None)
+def lca_record(hq) -> int:
+    """Address of *hq*'s record (a
+    :class:`~repro.hierarchy.query_hierarchy.QueryHierarchy`), bound on
+    first use and again when any of its arrays was swapped."""
+    bound = getattr(hq, "_record", None)
     if bound is not None:
         node_of, depth, path, chain, tau = bound.refs
         if (
-            node_of() is tables.node_of
-            and depth() is tables.depth
-            and path() is tables.path
-            and chain() is tables.chain
-            and tau() is tables.tau
+            node_of() is hq.node_of
+            and depth() is hq.depth
+            and path() is hq.path
+            and chain() is hq.chain
+            and tau() is hq.tau
         ):
             return bound.address
     node_of, depth, path, chain, tau = arrays = (
-        tables.node_of,
-        tables.depth,
-        tables.path,
-        tables.chain,
-        tables.tau,
+        hq.node_of,
+        hq.depth,
+        hq.path,
+        hq.chain,
+        hq.tau,
     )
     n, nodes = len(tau), len(depth)
     words, width = path.shape[1], chain.shape[1]
-    bound = tables._record = Bound(
+    bound = hq._record = Bound(
         LCA_RECORD,
         arrays,
         n=n,
@@ -562,29 +563,29 @@ def _ids_in_range(status: int, n: int, *ids: np.ndarray) -> None:
     :class:`~repro.exceptions.VertexNotFound` naming it."""
     if status == _BAD_ID:
         check_ids(n, *ids)
-        raise ValueError("the label stores and the tables cover other vertices")
+        raise ValueError("the label stores and H_Q cover other vertices")
 
 
-def common_ancestors(tables, s, t) -> np.ndarray:
-    """``|anc(s[p]) ∩ anc(t[p])|`` per pair, counted from *tables* (an
-    :class:`~repro.labelling.query.AncestorTables`) by the pair
+def common_ancestors(hq, s, t) -> np.ndarray:
+    """``|anc(s[p]) ∩ anc(t[p])|`` per pair, counted from *hq* (a
+    :class:`~repro.hierarchy.query_hierarchy.QueryHierarchy`) by the pair
     kernel's own LCA. *s* / *t* are C-contiguous int64 ids; one outside
     ``[0, n)`` raises :class:`~repro.exceptions.VertexNotFound`."""
     count = len(s)
     k = np.empty(count, dtype=np.int64)
     status = library().dhl_common_ancestors(
-        _tables(tables),
+        lca_record(hq),
         count,
         _addr(s, _I64, count),
         _addr(t, _I64, count),
         1,
         address(k),
     )
-    _ids_in_range(status, len(tables.tau), s, t)
+    _ids_in_range(status, len(hq.tau), s, t)
     return k
 
 
-def _gather(labels_s, labels_t, tables, count, ids, s, t, stride, want_ranks):
+def _gather(labels_s, labels_t, hq, count, ids, s, t, stride, want_ranks):
     """``dhl_gather_pairs`` of the pairs at addresses *s* / *t* (every
     *stride* items) into one output arena: the distances, then (as
     int64) the ranks. *ids* are the arrays those addresses are in."""
@@ -593,7 +594,7 @@ def _gather(labels_s, labels_t, tables, count, ids, s, t, stride, want_ranks):
     status = library().dhl_gather_pairs(
         _labels(labels_s),
         _labels(labels_t),
-        _tables(tables),
+        lca_record(hq),
         count,
         s,
         t,
@@ -608,19 +609,19 @@ def _gather(labels_s, labels_t, tables, count, ids, s, t, stride, want_ranks):
 
 
 def gather_pairs(
-    labels_s, s, labels_t, t, tables, want_ranks: bool = False
+    labels_s, s, labels_t, t, hq, want_ranks: bool = False
 ) -> tuple[np.ndarray, np.ndarray | None]:
     """:meth:`repro.labelling.query.QueryEngine.distances_arrays` as one
-    fused C loop: each pair's K counted from *tables* (an
-    :class:`~repro.labelling.query.AncestorTables`), then its scan and
-    argmin. *s* / *t* are C-contiguous int64 ids; one outside ``[0,
+    fused C loop: each pair's K counted from *hq* (a
+    :class:`~repro.hierarchy.query_hierarchy.QueryHierarchy`), then its
+    scan and argmin. *s* / *t* are C-contiguous int64 ids; one outside ``[0,
     n)`` raises :class:`~repro.exceptions.VertexNotFound`.
     """
     count = len(s)
     return _gather(
         labels_s,
         labels_t,
-        tables,
+        hq,
         count,
         (s, t),
         _addr(s, _I64, count),
@@ -631,7 +632,7 @@ def gather_pairs(
 
 
 def gather_pair_array(
-    labels_s, pairs, labels_t, tables, want_ranks: bool = False
+    labels_s, pairs, labels_t, hq, want_ranks: bool = False
 ) -> tuple[np.ndarray, np.ndarray | None]:
     """:func:`gather_pairs` over a C-contiguous ``(m, 2)`` int64 *pairs*
     array, read in place by the kernel (no column copies)."""
@@ -640,7 +641,7 @@ def gather_pair_array(
     return _gather(
         labels_s,
         labels_t,
-        tables,
+        hq,
         count,
         (pairs,),
         base,
@@ -665,7 +666,7 @@ class OnePair:
         self._args = (ids, ids + 8, out, out + 8)
 
 
-def gather_one(labels_s, labels_t, tables, one: OnePair, s: int, t: int):
+def gather_one(labels_s, labels_t, hq, one: OnePair, s: int, t: int):
     """``(distance, rank)`` of the pair ``(s, t)`` through
     :func:`gather_pairs`' kernel on the bound buffers of *one*: no
     address is read. The ids are ints already known to lie in ``[0,
@@ -677,7 +678,7 @@ def gather_one(labels_s, labels_t, tables, one: OnePair, s: int, t: int):
     library().dhl_gather_pairs(
         _labels(labels_s),
         _labels(labels_t),
-        _tables(tables),
+        lca_record(hq),
         1,
         s_addr,
         t_addr,
@@ -688,7 +689,7 @@ def gather_one(labels_s, labels_t, tables, one: OnePair, s: int, t: int):
     return float(one.out[0]), int(one.rank[0])
 
 
-def distance_matrix(labels_s, sources, labels_t, targets, tables) -> np.ndarray:
+def distance_matrix(labels_s, sources, labels_t, targets, hq) -> np.ndarray:
     """:meth:`repro.labelling.query.QueryEngine.distance_matrix` as one
     C loop: each ``(source, target)`` cell is :func:`gather_pairs`' pair
     answer, written straight into the ``(len(sources), len(targets))``
@@ -701,7 +702,7 @@ def distance_matrix(labels_s, sources, labels_t, targets, tables) -> np.ndarray:
     status = library().dhl_distance_matrix(
         _labels(labels_s),
         _labels(labels_t),
-        _tables(tables),
+        lca_record(hq),
         rows,
         sources_addr,
         cols,
@@ -716,7 +717,7 @@ def distance_matrix(labels_s, sources, labels_t, targets, tables) -> np.ndarray:
 # the sharded batch: one shard's share, the split and the combine
 # ---------------------------------------------------------------------------
 
-def shard_batch(labels_s, labels_t, tables, shard, ids, count, fans, use_block):
+def shard_batch(labels_s, labels_t, hq, shard, ids, count, fans, use_block):
     """:func:`repro.sharding.engine.sub_query` as one C call.
 
     *ids* is the sub-query's one int64 operand: its *fans* fan entries,
@@ -737,7 +738,7 @@ def shard_batch(labels_s, labels_t, tables, shard, ids, count, fans, use_block):
     used = library().dhl_shard_batch(
         _labels(labels_s),
         _labels(labels_t),
-        _tables(tables),
+        lca_record(hq),
         _shard(shard, n),
         bool(use_block),
         count,

@@ -31,44 +31,11 @@ import numpy as np
 
 from repro.exceptions import VertexNotFound
 from repro.hierarchy.query_hierarchy import QueryHierarchy
-from repro.labelling.labels import HierarchicalLabelling, row_offsets
+from repro.labelling.labels import HierarchicalLabelling
 from repro.labelling.native import engine as native_engine
-from repro.utils.pairs import as_pair_array, check_ids
+from repro.utils.pairs import as_pair_array
 
-__all__ = ["AncestorTables", "QueryEngine"]
-
-class AncestorTables:
-    """H_Q's LCA tables, as the C kernels read them.
-
-    ``node_of`` / ``tau`` per vertex; ``depth``, the vend ``chain`` (one
-    row a node, as wide as the deepest) and ``path`` per node. A node's
-    bitstring is a 1 followed by its root-to-node path bits; ``path``
-    holds those bits left-aligned in ``max(1, ceil(max_depth / 64))``
-    uint64 words, zero past the node's depth, so the kernels'
-    common-prefix LCA is exact at any depth.
-    """
-
-    __slots__ = ("hq", "node_of", "depth", "path", "chain", "tau", "_record")
-
-    def __init__(self, hq: QueryHierarchy):
-        self.hq = hq
-        self._record = None  # the kernels' record, bound at the first query
-        self.node_of = np.asarray(hq.node_of, dtype=np.int64)
-        self.depth = np.asarray(hq.node_depth, dtype=np.int64)
-        self.tau = np.asarray(hq.tau, dtype=np.int64)
-        max_depth = int(self.depth.max(initial=0))
-        words = max(1, -(-max_depth // 64))
-        width = 64 * words
-        packed = b"".join(
-            ((bits ^ (1 << depth)) << (width - depth)).to_bytes(8 * words, "big")
-            for bits, depth in zip(hq.node_bits, hq.node_depth)
-        )
-        path = np.frombuffer(packed, dtype=">u8").astype(np.uint64)
-        self.path = path.reshape(-1, words)
-        chain = np.zeros((hq.num_nodes, max_depth + 1), dtype=np.int64)
-        for nid, prefix in enumerate(hq.node_vend_chain):
-            chain[nid, : len(prefix)] = prefix
-        self.chain = chain
+__all__ = ["QueryEngine"]
 
 
 class QueryEngine:
@@ -92,12 +59,12 @@ class QueryEngine:
     (the batch kernels check their ids themselves, the scalar door in
     Python): numpy would wrap a negative id onto another vertex, and C
     would read out of bounds.
-    The engine keeps H_Q-only static state next to the labelling — the
-    LCA :meth:`kernel_tables` and the ancestor-chain :meth:`hub_store` —
-    and never a label value. The kernels read the label stores and the
-    tables through records their owners bind once and bind again when
-    an array is swapped, so weight maintenance, slot growth, compaction
-    and a pickle round trip need no invalidation hook. A scalar query
+    The engine keeps one piece of H_Q-only static state next to the
+    labelling — the ancestor-chain :meth:`hub_store` — and never a label
+    value. The kernels read the label stores and H_Q's five arrays
+    through records their owners bind once and bind again when an array
+    is swapped, so weight maintenance, slot growth, compaction and a
+    pickle round trip need no invalidation hook. A scalar query
     writes its pair into this thread's one-pair buffers
     (``native_engine.OnePair``), bound once.
     """
@@ -106,9 +73,7 @@ class QueryEngine:
         "hq",
         "labels",
         "target_labels",
-        "_tables",
         "_hub_values",
-        "_hub_offsets",
         "_scratch",
     )
 
@@ -121,13 +86,11 @@ class QueryEngine:
         self.hq = hq
         self.labels = labels
         self.target_labels = labels if target_labels is None else target_labels
-        self._tables: AncestorTables | None = None
         self._hub_values: np.ndarray | None = None
-        self._hub_offsets: np.ndarray | None = None
         self._scratch = threading.local()
 
     def __getstate__(self):
-        """The bound objects; the H_Q tables and the scratch are derived."""
+        """The bound objects; the hub store and the scratch are derived."""
         return self.hq, self.labels, self.target_labels
 
     def __setstate__(self, state) -> None:
@@ -148,7 +111,7 @@ class QueryEngine:
         except AttributeError:
             one = self._scratch.one = native_engine.OnePair()
         return native_engine.gather_one(
-            self.labels, self.target_labels, self.kernel_tables(), one, s, t
+            self.labels, self.target_labels, self.hq, one, s, t
         )
 
     def distance(self, s: int, t: int) -> float:
@@ -176,45 +139,37 @@ class QueryEngine:
     # ------------------------------------------------------------------
     # batch path
     # ------------------------------------------------------------------
-    def kernel_tables(self) -> AncestorTables:
-        """The LCA tables every batch kernel reads, built on first use."""
-        if self._tables is None:
-            self._tables = AncestorTables(self.hq)
-        return self._tables
-
     def hub_store(self) -> tuple[np.ndarray, np.ndarray]:
         """Flat ancestor-chain store: ``(hub_values, hub_offsets)``.
 
         ``hub_values[hub_offsets[v] + i]`` is the rank-``i`` ancestor of
         ``v`` — the labelling's CSR shape, row ``v`` holding
-        ``tau(v) + 1`` entries. The ids are ``int32`` (one per label
-        entry, so the store would otherwise be as large as the labels).
+        ``tau(v) + 1`` entries, so ``hub_offsets`` is the labelling's own
+        ``offsets``. The ids are ``int32`` (one per label entry, so the
+        store would otherwise be as large as the labels).
         Ancestor chains depend only on H_Q, which weight maintenance
         never alters, so the store is built once and never invalidated.
         """
         if self._hub_values is None:
             hq = self.hq
-            tau = np.asarray(hq.tau, dtype=np.int64)
+            order, starts = hq.members()
+            order = order.astype(np.int32)
             # A vertex's chain is a prefix of its node's root-to-node
             # member chain; nodes are in preorder, so a parent's chain
             # exists before its children extend it.
             chains: list[np.ndarray] = []
-            for parent, members in zip(hq.node_parent, hq.node_members):
-                own = np.asarray(members, dtype=np.int32)
-                chains.append(
-                    np.concatenate((chains[parent], own)) if parent >= 0 else own
-                )
+            for nid, up in enumerate(hq.parent().tolist()):
+                own = order[starts[nid] : starts[nid + 1]]
+                chains.append(np.concatenate((chains[up], own)) if up >= 0 else own)
             node_starts = np.zeros(len(chains) + 1, dtype=np.int64)
             np.cumsum([len(chain) for chain in chains], out=node_starts[1:])
-            offsets = row_offsets(tau)
+            offsets = self.labels.offsets
             # Output position ``offsets[v] + i`` reads its node's chain
             # at ``i``: one repeat of the per-vertex shift, one gather.
-            node_of = np.asarray(hq.node_of, dtype=np.int64)
-            pick = np.repeat(node_starts[node_of] - offsets[:-1], tau + 1)
+            pick = np.repeat(node_starts[hq.node_of] - offsets[:-1], hq.tau + 1)
             pick += np.arange(len(pick), dtype=np.int64)
-            self._hub_offsets = offsets
             self._hub_values = np.concatenate(chains)[pick]
-        return self._hub_values, self._hub_offsets
+        return self._hub_values, self.labels.offsets
 
     def distance_matrix(self, sources, targets) -> np.ndarray:
         """All ``len(sources) x len(targets)`` distances in one kernel.
@@ -229,7 +184,7 @@ class QueryEngine:
         sources = native_engine.operand(sources, np.int64)
         targets = native_engine.operand(targets, np.int64)
         return native_engine.distance_matrix(
-            self.labels, sources, self.target_labels, targets, self.kernel_tables()
+            self.labels, sources, self.target_labels, targets, self.hq
         )
 
     def _pair_operands(self, s, t) -> tuple[np.ndarray, np.ndarray]:
@@ -244,7 +199,7 @@ class QueryEngine:
     def common_ancestor_counts(self, s, t) -> np.ndarray:
         """``|anc(s) ∩ anc(t)|`` over pair arrays, by the pair kernel's LCA."""
         s, t = self._pair_operands(s, t)
-        return native_engine.common_ancestors(self.kernel_tables(), s, t)
+        return native_engine.common_ancestors(self.hq, s, t)
 
     @staticmethod
     def _pair_array(pairs) -> np.ndarray:
@@ -261,7 +216,7 @@ class QueryEngine:
             self.labels,
             self._pair_array(pairs),
             self.target_labels,
-            self.kernel_tables(),
+            self.hq,
         )[0]
 
     def distances_arrays(self, s: np.ndarray, t: np.ndarray) -> np.ndarray:
@@ -274,14 +229,14 @@ class QueryEngine:
         """
         s, t = self._pair_operands(s, t)
         return native_engine.gather_pairs(
-            self.labels, s, self.target_labels, t, self.kernel_tables()
+            self.labels, s, self.target_labels, t, self.hq
         )[0]
 
     def distances_with_hubs(self, pairs) -> tuple[np.ndarray, np.ndarray]:
         """Batch ``(distances, hubs)``; hub is -1 for self/disconnected pairs."""
         arr = self._pair_array(pairs)
         out, ranks = native_engine.gather_pair_array(
-            self.labels, arr, self.target_labels, self.kernel_tables(), True
+            self.labels, arr, self.target_labels, self.hq, True
         )
         hub_values, hub_offsets = self.hub_store()
         hubs = hub_values[hub_offsets[arr[:, 0]] + np.maximum(ranks, 0)]
@@ -291,5 +246,4 @@ class QueryEngine:
 
     def search_space_size(self, s: int, t: int) -> int:
         """Number of label entries inspected for the pair (paper's 'hops')."""
-        check_ids(self.hq.n, np.array([s, t], dtype=np.int64))
-        return 2 * self.hq.common_ancestor_count(s, t)
+        return 2 * int(self.common_ancestor_counts([s], [t])[0])

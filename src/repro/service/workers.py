@@ -183,9 +183,9 @@ class ShardExecutor:
         # A replica opens the cached native library itself, on its
         # first kernel call.
         index._adopt(index.hq, index.hu, (labels,))
-        # Build the LCA tables the C shard kernel reads while attaching,
+        # Bind H_Q's record the C shard kernel reads while attaching,
         # not inside the first epoch-stamped batch.
-        index.engine.kernel_tables()
+        native_engine.lca_record(index.hq)
 
     # -- maintenance ----------------------------------------------------
     def apply_delta(self, delta: EpochDelta) -> AckReply | ErrorReply:

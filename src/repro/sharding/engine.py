@@ -76,7 +76,7 @@ def sub_query(engine, shard: ShardRoute, s=None, t=None, fan=None, use_block=Fal
     return native_engine.shard_batch(
         engine.labels,
         engine.target_labels,
-        engine.kernel_tables(),
+        engine.hq,
         shard,
         np.concatenate((fan, s, t)),
         len(s),
@@ -322,7 +322,7 @@ class ShardedQueryEngine:
             results[sid] = native_engine.shard_batch(
                 engine.labels,
                 engine.target_labels,
-                engine.kernel_tables(),
+                engine.hq,
                 routes[sid],
                 local[fan:hi],
                 mid - lo,

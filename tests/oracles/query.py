@@ -1,22 +1,33 @@
-"""The numpy query kernels, kept as the C query kernels' oracles.
+"""The query kernels' oracles: the scalar H_Q reference and the numpy
+query kernels.
+
+The **scalar H_Q reference** — :func:`node_bits`, :func:`lca_depth`,
+:func:`common_ancestor_count`, :func:`precedes`, :func:`comparable` and
+:func:`ancestors` — is the partition-bitstring LCA in Python
+arbitrary-precision ints, one pair at a time. It reads a
+:class:`~repro.hierarchy.query_hierarchy.QueryHierarchy`'s ``tau``,
+``node_of`` and ``depth`` only and derives the tree from them itself
+(parents by the preorder rule, bitstrings from child order, rank ranges
+from member counts), so it checks the ``path`` and ``chain`` arrays the
+C LCA reads as well as the kernel's arithmetic: the C
+``common_ancestors`` (and ``QueryHierarchy.comparable`` /
+``precedes``, which are one call of it) must give its counts.
 
 :func:`gather_pairs` is the exact-K ragged gather over two flat label
-stores, :class:`FrexpTables` the numpy K count, :func:`distance_matrix`
-the numpy set kernel over one dense block per target set,
-:func:`shard_batch` the composition of the two with :func:`min_plus`,
-the chunked numpy boundary-route combine: what
-:class:`repro.labelling.query.QueryEngine` and
-:mod:`repro.sharding.engine` ran before the C kernels were their only
-bodies. :func:`common_ancestors`, :func:`pair_kernel`,
+stores, :class:`FrexpTables` the numpy K count (its deep-hierarchy
+fallback is the scalar reference), :func:`distance_matrix` the numpy
+set kernel over one dense block per target set, :func:`shard_batch`
+the composition of the two with :func:`min_plus`, the chunked numpy
+boundary-route combine: what :class:`repro.labelling.query.QueryEngine`
+and :mod:`repro.sharding.engine` ran before the C kernels were their
+only bodies. :func:`common_ancestors`, :func:`pair_kernel`,
 :func:`pair_array_kernel`, :func:`one_pair`, :func:`distance_matrix`
-and :func:`shard_batch` take
-:mod:`repro.labelling.native.engine`'s arguments, so
-:func:`tests.oracles.kernels.python_kernels` can swap them in; the C
-side must give their bits. Like the kernels, they refuse an id outside
-``[0, n)`` with :class:`~repro.exceptions.VertexNotFound` before
-reading a row. They read only the hierarchy of the
-:class:`~repro.labelling.query.AncestorTables` they are handed, never
-its arrays, and keep their own H_Q-only tables per hierarchy.
+and :func:`shard_batch` take :mod:`repro.labelling.native.engine`'s
+arguments, so :func:`tests.oracles.kernels.python_kernels` can swap
+them in; the C side must give their bits. Like the kernels, they refuse
+an id outside ``[0, n)`` with :class:`~repro.exceptions.VertexNotFound`
+before reading a row. They keep their own H_Q-only tables per
+hierarchy.
 """
 
 from __future__ import annotations
@@ -30,13 +41,19 @@ from repro.utils.pairs import check_ids
 
 __all__ = [
     "FrexpTables",
+    "ancestors",
+    "common_ancestor_count",
     "common_ancestors",
+    "comparable",
     "distance_matrix",
     "gather_pairs",
+    "lca_depth",
     "min_plus",
+    "node_bits",
     "one_pair",
     "pair_array_kernel",
     "pair_kernel",
+    "precedes",
     "shard_batch",
 ]
 
@@ -69,6 +86,103 @@ def expand(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return rep, ramp
 
 
+class _Tree:
+    """The partition tree of one H_Q, rebuilt from ``tau``, ``node_of``
+    and ``depth`` alone: per node its parent, bitstring, members (in
+    rank order) and first rank."""
+
+    def __init__(self, hq):
+        depth = hq.depth.tolist()
+        self.parent: list[int] = []
+        self.bits: list[int] = []
+        children = [0] * len(depth)
+        path: list[int] = []  # the current root-to-node chain of ids
+        for nid, d in enumerate(depth):
+            del path[d:]
+            up = path[-1] if path else -1
+            self.parent.append(up)
+            if up < 0:
+                self.bits.append(1)
+            else:
+                self.bits.append(self.bits[up] << 1 | children[up])
+                children[up] += 1
+            path.append(nid)
+        self.members: list[list[int]] = [[] for _ in depth]
+        for v in sorted(range(hq.n), key=lambda v: int(hq.tau[v])):
+            self.members[int(hq.node_of[v])].append(v)
+        self.vstart = [0] * len(depth)
+        for nid, up in enumerate(self.parent):
+            if up >= 0:
+                self.vstart[nid] = self.vstart[up] + len(self.members[up])
+
+    def up_to(self, nid: int, depth: int, hq) -> int:
+        """*nid*'s ancestor at *depth*."""
+        while hq.depth[nid] > depth:
+            nid = self.parent[nid]
+        return nid
+
+
+_TREES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def _tree(hq) -> _Tree:
+    tree = _TREES.get(hq)
+    if tree is None:
+        tree = _TREES[hq] = _Tree(hq)
+    return tree
+
+
+def node_bits(hq) -> list[int]:
+    """Each node's bitstring: a 1, then one bit a level (its index among
+    its parent's children), root first."""
+    return _tree(hq).bits
+
+
+def lca_depth(hq, s: int, t: int) -> int:
+    """Tree depth of the LCA of ``l(s)`` and ``l(t)`` (bit math)."""
+    bits = node_bits(hq)
+    ns, nt = int(hq.node_of[s]), int(hq.node_of[t])
+    ds, dt = int(hq.depth[ns]), int(hq.depth[nt])
+    d = min(ds, dt)
+    diff = (bits[ns] >> (ds - d)) ^ (bits[nt] >> (dt - d))
+    return d - diff.bit_length()
+
+
+def common_ancestor_count(hq, s: int, t: int) -> int:
+    """``|anc(s) ∩ anc(t)|``: the ranks ``0 .. K-1`` on either chain."""
+    tree = _tree(hq)
+    lca = tree.up_to(int(hq.node_of[s]), lca_depth(hq, s, t), hq)
+    vend = tree.vstart[lca] + len(tree.members[lca])
+    return min(int(hq.tau[s]), int(hq.tau[t]), vend - 1) + 1
+
+
+def precedes(hq, u: int, v: int) -> bool:
+    """``u ⪯_H v`` (Definition 4.3, reflexive)."""
+    bits = node_bits(hq)
+    nu, nv = int(hq.node_of[u]), int(hq.node_of[v])
+    if nu == nv:
+        return bool(hq.tau[u] <= hq.tau[v])
+    du, dv = int(hq.depth[nu]), int(hq.depth[nv])
+    return du < dv and bits[nv] >> (dv - du) == bits[nu]
+
+
+def comparable(hq, u: int, v: int) -> bool:
+    return precedes(hq, u, v) or precedes(hq, v, u)
+
+
+def ancestors(hq, v: int) -> list[int]:
+    """Ancestor chain of *v* (inclusive) ordered by rank: the element at
+    index ``i`` has ``tau == i``; the last one is ``v`` itself."""
+    tree = _tree(hq)
+    nodes = []
+    nid = int(hq.node_of[v])
+    while nid >= 0:
+        nodes.append(nid)
+        nid = tree.parent[nid]
+    chain = [w for node in reversed(nodes) for w in tree.members[node]]
+    return chain[: int(hq.tau[v]) + 1]
+
+
 class FrexpTables:
     """Batch ``|anc(s) ∩ anc(t)|`` over numpy renditions of H_Q's tables."""
 
@@ -76,29 +190,27 @@ class FrexpTables:
 
     def __init__(self, hq):
         self.hq = hq
-        max_depth = max(hq.node_depth, default=0)
+        max_depth = int(hq.depth.max(initial=0))
         self.vectorised = max_depth <= _MAX_VECTOR_DEPTH
         if not self.vectorised:
             return
         self.node_of = np.asarray(hq.node_of, dtype=np.int64)
-        self.depth = np.asarray(hq.node_depth, dtype=np.int64)
-        self.bits = np.asarray(hq.node_bits, dtype=np.int64)
+        self.depth = np.asarray(hq.depth, dtype=np.int64)
+        self.bits = np.asarray(node_bits(hq), dtype=np.int64)
         self.tau = np.asarray(hq.tau, dtype=np.int64)
-        chain = np.zeros((hq.num_nodes, max_depth + 1), dtype=np.int64)
-        for nid, prefix in enumerate(hq.node_vend_chain):
-            chain[nid, : len(prefix)] = prefix
-        self.chain = chain
+        self.chain = np.asarray(hq.chain, dtype=np.int64)
 
     def counts(self, s: np.ndarray, t: np.ndarray) -> np.ndarray:
         """Vectorised ``|anc(s) ∩ anc(t)|`` over pair arrays.
 
-        Mirrors :meth:`QueryHierarchy.common_ancestor_count`: the LCA
-        depth comes from xor-ing depth-aligned bitstrings, with
-        ``bit_length`` recovered from the float64 exponent (exact below
-        2**53, guaranteed by the ``vectorised`` gate).
+        Mirrors :func:`common_ancestor_count`: the LCA depth comes from
+        xor-ing depth-aligned bitstrings, with ``bit_length`` recovered
+        from the float64 exponent (exact below 2**53, guaranteed by the
+        ``vectorised`` gate); deeper hierarchies count pair by pair.
         """
         if not self.vectorised:
-            count = map(self.hq.common_ancestor_count, s.tolist(), t.tolist())
+            pairs = zip(s.tolist(), t.tolist())
+            count = (common_ancestor_count(self.hq, a, b) for a, b in pairs)
             return np.fromiter(count, np.int64, len(s))
         ns = self.node_of[s]
         nt = self.node_of[t]
@@ -164,7 +276,7 @@ class _Static:
 
     def __init__(self, hq):
         self.lca = FrexpTables(hq)
-        chains = [hq.ancestors(v) for v in range(hq.n)]
+        chains = [ancestors(hq, v) for v in range(hq.n)]
         self.hub_offsets = np.zeros(hq.n + 1, dtype=np.int64)
         np.cumsum([len(chain) for chain in chains], out=self.hub_offsets[1:])
         self.hubs = np.fromiter(
@@ -184,11 +296,11 @@ class _Static:
 _STATIC: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
-def _static(tables) -> _Static:
-    """The oracle state of *tables*' hierarchy, built on first use."""
-    state = _STATIC.get(tables.hq)
+def _static(hq) -> _Static:
+    """The oracle state of *hq*, built on first use."""
+    state = _STATIC.get(hq)
     if state is None:
-        state = _STATIC[tables.hq] = _Static(tables.hq)
+        state = _STATIC[hq] = _Static(hq)
     return state
 
 
@@ -250,36 +362,36 @@ def gather_pairs(
     return out, ranks
 
 
-def common_ancestors(tables, s, t) -> np.ndarray:
+def common_ancestors(hq, s, t) -> np.ndarray:
     """:class:`FrexpTables`' K count under
     :func:`repro.labelling.native.engine.common_ancestors`' signature."""
-    check_ids(len(tables.tau), s, t)
-    return _static(tables).lca.counts(s, t)
+    check_ids(len(hq.tau), s, t)
+    return _static(hq).lca.counts(s, t)
 
 
-def pair_kernel(labels_s, s, labels_t, t, tables, want_ranks=False):
+def pair_kernel(labels_s, s, labels_t, t, hq, want_ranks=False):
     """:func:`gather_pairs` under
     :func:`repro.labelling.native.engine.gather_pairs`' signature (K
     counted by :func:`common_ancestors`)."""
-    k = common_ancestors(tables, s, t)
+    k = common_ancestors(hq, s, t)
     return gather_pairs(labels_s, s, labels_t, t, k, want_ranks)
 
 
-def pair_array_kernel(labels_s, pairs, labels_t, tables, want_ranks=False):
+def pair_array_kernel(labels_s, pairs, labels_t, hq, want_ranks=False):
     """:func:`pair_kernel` under
     :func:`repro.labelling.native.engine.gather_pair_array`' signature."""
-    return pair_kernel(labels_s, pairs[:, 0], labels_t, pairs[:, 1], tables, want_ranks)
+    return pair_kernel(labels_s, pairs[:, 0], labels_t, pairs[:, 1], hq, want_ranks)
 
 
-def one_pair(labels_s, labels_t, tables, one, s, t):
+def one_pair(labels_s, labels_t, hq, one, s, t):
     """:func:`pair_kernel` of one pair under
     :func:`repro.labelling.native.engine.gather_one`' signature."""
     one.ids[:] = s, t
-    out, ranks = pair_kernel(labels_s, one.ids[:1], labels_t, one.ids[1:], tables, True)
+    out, ranks = pair_kernel(labels_s, one.ids[:1], labels_t, one.ids[1:], hq, True)
     return float(out[0]), int(ranks[0])
 
 
-def distance_matrix(labels_s, sources, labels_t, targets, tables) -> np.ndarray:
+def distance_matrix(labels_s, sources, labels_t, targets, hq) -> np.ndarray:
     """The numpy set kernel under
     :func:`repro.labelling.native.engine.distance_matrix`' signature.
 
@@ -298,7 +410,7 @@ def distance_matrix(labels_s, sources, labels_t, targets, tables) -> np.ndarray:
     out = np.full((len(sources), len(targets)), np.inf, dtype=np.float64)
     if not out.size:
         return out
-    state = _static(tables)
+    state = _static(hq)
     tables = state.target_tables(targets)
     values = labels_s.values
     starts = labels_s.offsets
@@ -346,7 +458,7 @@ def distance_matrix(labels_s, sources, labels_t, targets, tables) -> np.ndarray:
     return out
 
 
-def shard_batch(labels_s, labels_t, tables, shard, ids, count, fans, use_block):
+def shard_batch(labels_s, labels_t, hq, shard, ids, count, fans, use_block):
     """The numpy composition under
     :func:`repro.labelling.native.engine.shard_batch`' signature: the
     pair kernel, the set kernel over the unique endpoints and the
@@ -358,10 +470,10 @@ def shard_batch(labels_s, labels_t, tables, shard, ids, count, fans, use_block):
     fan, s, t = np.split(ids, [fans, fans + count])
     boundary = shard.boundary
     block = shard.block if use_block else None
-    final = pair_kernel(labels_s, s, labels_t, t, tables)[0]
+    final = pair_kernel(labels_s, s, labels_t, t, hq)[0]
     ends = fan if block is None else np.concatenate((fan, s, t))
     uniq, inverse = np.unique(ends, return_inverse=True)
-    matrix = distance_matrix(labels_s, uniq, labels_t, boundary, tables)
+    matrix = distance_matrix(labels_s, uniq, labels_t, boundary, hq)
     if block is not None and len(s):
         src = inverse[len(fan) : len(fan) + len(s)]
         dst = inverse[len(fan) + len(s) :]

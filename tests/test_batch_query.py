@@ -52,7 +52,7 @@ class TestBatchKernel:
         pairs = np.asarray(sample_pairs(n, 500, rng, distinct=False))
         counts = engine.common_ancestor_counts(pairs[:, 0], pairs[:, 1])
         for (s, t), k in zip(pairs.tolist(), counts.tolist()):
-            assert k == hq.common_ancestor_count(s, t)
+            assert k == oracle_query.common_ancestor_count(hq, s, t)
 
     def test_hubs_match_scalar(self, small_index):
         engine = small_index.engine
@@ -72,7 +72,7 @@ class TestBatchKernel:
         engine, hq = index.engine, index.hq
         n = index.graph.num_vertices
         for s in range(n):
-            chain = hq.ancestors(s)
+            chain = oracle_query.ancestors(hq, s)
             for t in range(n):
                 best, rank = engine._one_pair(s, t)
                 want = chain[rank] if rank >= 0 else -1
@@ -125,12 +125,15 @@ class TestBatchKernel:
         oracles' on every pair."""
         index = caterpillar_index(depth)
         engine = index.engine
-        assert engine.kernel_tables().path.shape[1] == -(-depth // 64)
+        assert index.hq.path.shape[1] == -(-depth // 64)
         n = index.graph.num_vertices
         s, t = (a.ravel() for a in np.divmod(np.arange(n * n), n))
         pairs = np.stack((s, t), axis=1)
         scalar = [engine.distance_with_hub(a, b) for a, b in pairs.tolist()]
-        want_k = [index.hq.common_ancestor_count(a, b) for a, b in pairs.tolist()]
+        want_k = [
+            oracle_query.common_ancestor_count(index.hq, a, b)
+            for a, b in pairs.tolist()
+        ]
         got = engine.distances_with_hubs(pairs)
         k = engine.common_ancestor_counts(s, t)
         with python_kernels():
@@ -273,7 +276,7 @@ class TestRaggedGather:
         u, v = next(
             (a, b)
             for a in range(n)
-            for b in index.hq.ancestors(a)[:-1]
+            for b in oracle_query.ancestors(index.hq, a)[:-1]
             if not index.graph.has_edge(a, b)
         )
         index.apply_batch(insertions=[(u, v, 1.0)])

@@ -50,6 +50,7 @@ from repro.service.protocol import (
     encode_frame,
 )
 from repro.sharding.engine import BatchSplit, sub_query
+from tests.oracles import query as oracle_query
 from tests.oracles.kernels import python_kernels
 
 
@@ -72,8 +73,8 @@ def label_buffers(labels) -> list[np.ndarray]:
 
 
 def table_buffers(engine) -> list[np.ndarray]:
-    tables = engine.kernel_tables()
-    return [tables.node_of, tables.depth, tables.path, tables.chain, tables.tau]
+    hq = engine.hq
+    return [hq.node_of, hq.depth, hq.path, hq.chain, hq.tau]
 
 
 def engine_buffers(engine) -> list[np.ndarray]:
@@ -240,7 +241,7 @@ def insert(index) -> DHLIndex:
     u, v = next(
         (a, b)
         for a in range(n)
-        for b in index.hq.ancestors(a)[:-1]
+        for b in oracle_query.ancestors(index.hq, a)[:-1]
         if not index.graph.has_edge(a, b)
     )
     index.apply_batch(insertions=[(u, v, 1.0)])

@@ -74,7 +74,7 @@ class TestHubStore:
         assert offsets[0] == 0 and offsets[-1] == len(hubs)
         for v in range(graph.num_vertices):
             chain = hubs[offsets[v] : offsets[v + 1]].tolist()
-            assert chain == index.hq.ancestors(v)
+            assert chain == oracle_query.ancestors(index.hq, v)
 
     def test_holds_int32_ids_and_hands_out_int64_hubs(self):
         """One id per label entry: ``int32`` halves the store. The
@@ -222,7 +222,7 @@ class TestKernelReadsTheLiveStore:
         u, v = next(
             (a, b)
             for a in range(n)
-            for b in index.hq.ancestors(a)[:-1]
+            for b in oracle_query.ancestors(index.hq, a)[:-1]
             if not index.graph.has_edge(a, b)
         )
         index.apply_batch(insertions=[(u, v, 1.0)])

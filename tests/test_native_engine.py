@@ -137,11 +137,11 @@ class TestPairKernel:
         fused kernel == the numpy gather fed that K, on all n^2 pairs."""
         n = road_index.graph.num_vertices
         s, t = (a.ravel() for a in np.divmod(np.arange(n * n), n))
-        tables = road_index.engine.kernel_tables()
+        hq = road_index.hq
         labels = road_index.labels
         k = oracle_query.FrexpTables(road_index.hq).counts(s, t)
-        np.testing.assert_array_equal(native_engine.common_ancestors(tables, s, t), k)
-        fused = native_engine.gather_pairs(labels, s, labels, t, tables, True)
+        np.testing.assert_array_equal(native_engine.common_ancestors(hq, s, t), k)
+        fused = native_engine.gather_pairs(labels, s, labels, t, hq, True)
         numpy_side = oracle_query.gather_pairs(labels, s, labels, t, k, True)
         np.testing.assert_array_equal(fused[0], numpy_side[0])
         np.testing.assert_array_equal(fused[1], numpy_side[1])
@@ -216,11 +216,11 @@ class TestPairKernel:
         pairs = sample_pairs(150, 400, make_rng(4), distinct=False)
         want = idx.engine.distances_with_hubs(pairs)
         payload = pickle.dumps(idx)
-        tables = idx.engine.kernel_tables()
+        hq = idx.hq
         for name in ("node_of", "depth", "path", "chain", "tau"):
             # What a stale pointer would read.
-            getattr(tables, name).view(np.int64).fill(-1)
-        del idx, tables
+            getattr(hq, name).view(np.int64).fill(-1)
+        del idx, hq
         gc.collect()
         clone = pickle.loads(payload)
         assert clone.engine.labels is clone.labellings[0]
@@ -292,11 +292,11 @@ class TestPairKernel:
         """dtype, contiguity and length are checked before any pointer."""
         idx_c = road_index
         labels = idx_c.labels
-        tables = idx_c.engine.kernel_tables()
+        hq = idx_c.hq
         s = np.arange(10, dtype=np.int64)
 
         def gather(s, t):
-            return native_engine.gather_pairs(labels, s, labels, t, tables)
+            return native_engine.gather_pairs(labels, s, labels, t, hq)
 
         with pytest.raises(TypeError):
             gather(s.astype(np.int32), s)
@@ -305,19 +305,19 @@ class TestPairKernel:
         with pytest.raises(TypeError):
             gather(s, s[:9])
         with pytest.raises(TypeError):
-            native_engine.common_ancestors(tables, s, s.astype(np.int32))
+            native_engine.common_ancestors(hq, s, s.astype(np.int32))
         signed = SimpleNamespace(
-            node_of=tables.node_of,
-            depth=tables.depth,
-            path=tables.path.view(np.int64),  # the path words are unsigned
-            chain=tables.chain,
-            tau=tables.tau,
+            node_of=hq.node_of,
+            depth=hq.depth,
+            path=hq.path.view(np.int64),  # the path words are unsigned
+            chain=hq.chain,
+            tau=hq.tau,
         )
         with pytest.raises(TypeError):
             native_engine.common_ancestors(signed, s, s)
         short = HierarchicalLabelling(labels.values[:50], labels.offsets, labels.tau)
         with pytest.raises(ValueError, match="offsets"):
-            native_engine.gather_pairs(short, s, labels, s, tables)
+            native_engine.gather_pairs(short, s, labels, s, hq)
 
     @pytest.mark.parametrize("sweep", ["shortcut_sweep", "label_sweep"])
     def test_sweep_reports_a_failed_allocation(self, road_index, monkeypatch, sweep):
@@ -575,12 +575,12 @@ class TestSetKernelWrapper:
     def test_rejects_what_c_would_misread(self, road_index):
         idx_c = road_index
         labels = idx_c.labels
-        tables = idx_c.engine.kernel_tables()
+        hq = idx_c.hq
         ids = np.arange(10, dtype=np.int64)
 
         def matrix(sources, targets):
             return native_engine.distance_matrix(
-                labels, sources, labels, targets, tables
+                labels, sources, labels, targets, hq
             )
 
         want = idx_c.engine.distance_matrix(ids, ids[:4])
@@ -596,7 +596,7 @@ class TestSetKernelWrapper:
             matrix(np.frombuffer(raw, np.int64, len(ids), offset=3), ids)
         short = HierarchicalLabelling(labels.values[:50], labels.offsets, labels.tau)
         with pytest.raises(ValueError, match="offsets"):
-            native_engine.distance_matrix(short, ids, labels, ids, tables)
+            native_engine.distance_matrix(short, ids, labels, ids, hq)
 
     def test_engine_takes_any_integer_ids(self, road_index):
         """The query door coerces lists, other dtypes and strided or

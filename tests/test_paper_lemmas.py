@@ -29,6 +29,7 @@ from repro.hierarchy.update_hierarchy import UpdateHierarchy
 from repro.labelling.build import build_labelling
 from repro.labelling.driver import maintain
 from repro.partition.recursive import recursive_bisection
+from tests.oracles import query as oracle_query
 from tests.strategies import connected_graphs
 
 
@@ -128,10 +129,11 @@ class TestLemma63AndCorollary65:
         hu = UpdateHierarchy.build(graph, hq)
         labels = build_labelling(hu)
         for v in range(graph.num_vertices):
-            chain = hq.ancestors(v)
+            chain = oracle_query.ancestors(hq, v)
             for i, a in enumerate(chain):
+                below = hq.precedes(a, np.arange(hq.n))
                 in_g = dijkstra_subgraph(
-                    graph, v, a, lambda x, a=a: hq.precedes(a, x)
+                    graph, v, a, lambda x, below=below: below[x]
                 )
                 assert labels.view(v)[i] == in_g
 

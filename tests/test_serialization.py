@@ -4,14 +4,18 @@ from __future__ import annotations
 
 import hashlib
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from repro.core.config import DHLConfig
+from repro.core.directed import DirectedDHLIndex
 from repro.core.index import DHLIndex
 from repro.core.sharded import ShardedDHLIndex
 from repro.exceptions import SerializationError
+from repro.graph.digraph import DiGraph
+from repro.graph.generators import delaunay_network
 from repro.graph.graph import Graph
 from repro.graph.io import graph_from_payload, graph_to_json
 
@@ -360,3 +364,31 @@ def test_manifest_bytes_match_the_string_codec_and_load(family, tmp_path):
     np.testing.assert_array_equal(loaded.graph.coords, graph.coords)
     pairs = [(s, t) for s in range(25) for t in range(0, 25, 3)]
     np.testing.assert_array_equal(loaded.distances(pairs), index.distances(pairs))
+
+
+def snapshot_files(root: Path) -> dict[str, bytes]:
+    return {
+        str(p.relative_to(root)): p.read_bytes()
+        for p in sorted(root.rglob("*"))
+        if p.is_file()
+    }
+
+
+@pytest.mark.parametrize("family", ["undirected", "directed", "sharded"])
+def test_save_load_save_is_byte_identical(family, tmp_path):
+    """A loaded index writes back the snapshot it was loaded from, byte
+    for byte: H_Q's node tables, member lists and bitstrings are all
+    derived from its five arrays, and derive to what was read."""
+    graph = delaunay_network(120, seed=3)
+    config = DHLConfig(leaf_size=4, seed=0)
+    if family == "sharded":
+        index = ShardedDHLIndex.build(graph, k=2, config=config)
+    elif family == "directed":
+        index = DirectedDHLIndex.build(DiGraph.from_undirected(graph), config)
+    else:
+        index = DHLIndex.build(graph, config)
+    index.save(tmp_path / "first")
+    type(index).load(tmp_path / "first").save(tmp_path / "second")
+    first = snapshot_files(tmp_path / "first")
+    assert "arrays.npz" in first or "shard_00/arrays.npz" in first
+    assert snapshot_files(tmp_path / "second") == first

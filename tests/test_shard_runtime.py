@@ -209,13 +209,13 @@ def fan_batch_matches(sharded, executor) -> ComputeBatch:
 
 
 def test_executor_warms_only_the_lca_tables(monkeypatch):
-    """The C shard kernel reads the LCA tables: those are built at
+    """The C shard kernel reads H_Q's arrays: their record is bound at
     attach, not inside the first stamped batch, and the ancestor-chain
     store is never built at all — and a batch stamped with another
     epoch is refused untouched."""
     sharded, executor, builds = attached_executor(monkeypatch)
     engine = executor.index.engine
-    assert engine._tables is not None
+    assert engine.hq._record is not None
     batch = fan_batch_matches(sharded, executor)
     assert builds == [] and engine._hub_values is None
     stale = executor.compute(ComputeBatch(epoch=4, subs=batch.subs))

@@ -95,15 +95,16 @@ class TestEdgeInsertion:
         """Inserting inside one region must keep queries exact everywhere."""
         # pick two vertices owned by the same (deep) tree node's subtree
         hq = index.hq
+        order, starts = hq.members()
         leaf_nodes = [
             nid
             for nid in range(hq.num_nodes)
-            if hq.node_depth[nid] >= 2 and len(hq.node_members[nid]) >= 2
+            if hq.depth[nid] >= 2 and starts[nid + 1] - starts[nid] >= 2
         ]
         if not leaf_nodes:
             pytest.skip("partition tree too shallow on this fixture")
         nid = leaf_nodes[0]
-        a, b = hq.node_members[nid][:2]
+        a, b = order[starts[nid] : starts[nid] + 2].tolist()
         if index.graph.has_edge(a, b):
             pytest.skip("edge already present")
         index.apply_batch(insertions=[(a, b, 2.0)])

@@ -451,14 +451,21 @@ def test_insertion_onto_compacted_slot_falls_back_to_rebuild(small_road):
             assert index.distance(s, t) == ROAD_DIJKSTRA[family](index.graph, s)[t]
 
 
-def _incomparable_pairs(index, count):
-    hq, n = index.hq, index.graph.num_vertices
-    pairs = [
-        (a, b)
-        for a in range(n)
-        for b in range(a + 1, n)
-        if not hq.comparable(a, b)
-    ]
+def _vertex_pairs(n):
+    """Every ``(a, b)`` with ``a < b``, in row order, as two id arrays."""
+    return np.triu_indices(n, 1)
+
+
+def _incomparable_pairs(index, count, below_root=False):
+    """A fixed sample of *count* incomparable pairs; with *below_root*,
+    only pairs whose LCA node is not the root: their common ancestors
+    outnumber the root's members, and a repartition of their LCA
+    subtree keeps the rest of the partition tree."""
+    a, b = _vertex_pairs(index.graph.num_vertices)
+    apart = ~index.hq.comparable(a, b)
+    if below_root:
+        apart &= index.engine.common_ancestor_counts(a, b) > index.hq.chain[0, 0]
+    pairs = list(zip(a[apart].tolist(), b[apart].tolist()))
     return random.Random(3).sample(pairs, count)
 
 
@@ -468,29 +475,44 @@ def _canonical(graph):
     return Graph.from_edges(graph.num_vertices, graph.edges())
 
 
+def _assert_bit_equal(index, other):
+    """Labels, store weights and slots, and H_Q's five arrays."""
+    for labels, twin in zip(index.labellings, other.labellings, strict=True):
+        assert labels.values.tobytes() == twin.values.tobytes()
+        assert labels.offsets.tobytes() == twin.offsets.tobytes()
+    assert index.hu.up_weights.tobytes() == other.hu.up_weights.tobytes()
+    assert index.hu.csr.indices.tobytes() == other.hu.csr.indices.tobytes()
+    for name in ("tau", "node_of", "depth", "path", "chain"):
+        assert getattr(index.hq, name).tobytes() == getattr(other.hq, name).tobytes()
+
+
 @pytest.mark.parametrize("loaded", [False, True], ids=["built", "loaded"])
 def test_one_insertion_ladder_for_both_families(loaded, tmp_path, small_road):
-    """An incomparable insertion repartitions: a splice while the index
-    has its partition tree, a build from scratch once a snapshot dropped
-    it — in both families, with the same counters."""
+    """An incomparable insertion repartitions: a fresh partition of the
+    LCA subtree is spliced into the partition tree that H_Q's arrays
+    encode — in both families, with the same counters. A saved and
+    loaded index takes that rung too: its stats, labels, store and H_Q
+    end bit-equal to the index it was saved from (a partition from
+    scratch would not, for LCAs below the root)."""
     graph = _canonical(small_road)
     outcomes = {}
     for family, build in FAMILIES.items():
         index = build(graph, DHLConfig(leaf_size=6, seed=0))
+        (a, b), (c, d) = _incomparable_pairs(index, 2, below_root=True)
+        batch = [(a, b, 2.0), (d, c, 3.0)]
         if loaded:
             index.save(tmp_path / family)
-            index = type(index).load(tmp_path / family)
-        assert (index.hq.tree_nodes is None) == loaded
-        (a, b), (c, d) = _incomparable_pairs(index, 2)
+            saved_from, index = index, type(index).load(tmp_path / family)
         old_hq = index.hq
-        stats = index.apply_batch(insertions=[(a, b, 2.0), (d, c, 3.0)])
+        stats = index.apply_batch(insertions=batch)
         assert stats.repartitions == 2 and stats.fallback_rebuilds == 1
         assert stats.fastpath_inserts == 0 and index.hq is not old_hq
-        # either rung leaves a tree to splice into next time
-        assert index.hq.tree_nodes is not None
         index.verify()
         for s, t in sample_pairs(index.graph.num_vertices, random.Random(5)):
             assert index.distance(s, t) == ROAD_DIJKSTRA[family](index.graph, s)[t]
+        if loaded:
+            assert saved_from.apply_batch(insertions=batch) == stats
+            _assert_bit_equal(index, saved_from)
         outcomes[family] = (stats.repartitions, stats.fallback_rebuilds, index.epoch)
     assert outcomes["undirected"] == outcomes["directed"]
 
@@ -505,11 +527,12 @@ def test_families_agree_on_a_symmetric_digraph(small_road):
     edges = [(u, v, w) for u, v, w in graph.edges()]
     victims = rng.sample(edges, 12)
     reweighed = [(u, v, w + 5.0) for u, v, w in rng.sample(edges, 8)]
+    a, b = _vertex_pairs(graph.num_vertices)
+    near = mono.hq.comparable(a, b)
     comparable = [
         (a, b, 4.0)
-        for a in range(graph.num_vertices)
-        for b in range(a + 1, graph.num_vertices)
-        if not graph.has_edge(a, b) and mono.hq.comparable(a, b)
+        for a, b in zip(a[near].tolist(), b[near].tolist())
+        if not graph.has_edge(a, b)
     ]
     new = rng.sample(comparable, 6)
 
@@ -563,7 +586,7 @@ def test_compaction_roundtrips_v2_snapshot(tmp_path, small_road):
     for s, t in sample_pairs(index.graph.num_vertices, rng, 40):
         a, b = index.distance(s, t), loaded.distance(s, t)
         assert (math.isinf(a) and math.isinf(b)) or a == b
-    # a loaded index (tree_nodes is None) still supports structural work
+    # a loaded index supports structural work
     loaded.apply_batch(deletions=[next(
         (u, v) for u, v, w in loaded.graph.edges() if math.isfinite(w)
     )])
