@@ -77,8 +77,9 @@ class DistanceBackend(Protocol):
 
         *pairs* is an ``(m, 2)`` integer array — what the serving stack
         hands down, taken without a copy when it is ``int64`` — or any
-        iterable of ``(s, t)`` pairs, flattened once by
-        :func:`repro.utils.pairs.as_pair_array`. Ids are trusted here:
+        iterable of ``(s, t)`` pairs, which
+        :func:`repro.utils.pairs.as_pair_array` writes into such an
+        array once. Ids are trusted here:
         :class:`~repro.service.service.DistanceService` checks them at
         the door.
         """

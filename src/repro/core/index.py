@@ -29,6 +29,7 @@ maintenance driver (:mod:`repro.labelling.driver`).
 
 from __future__ import annotations
 
+from operator import index
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -49,7 +50,7 @@ from repro.labelling.query import QueryEngine
 from repro.observability.phases import phase
 from repro.observability.timing import Timer
 from repro.partition.recursive import PartitionTreeNode, recursive_bisection
-from repro.utils.pairs import nearest
+from repro.utils.pairs import as_ids, nearest
 
 __all__ = ["IndexCore", "DHLIndex"]
 
@@ -178,8 +179,12 @@ class IndexCore:
         return self._engine.distance_with_hub(s, t)
 
     def distances_from(self, s: int, targets: Sequence[int]) -> np.ndarray:
-        """One-to-many distances from *s* (e.g. k-nearest-POI workloads)."""
-        return self._engine.distances_arrays(np.full(len(targets), s), targets)
+        """One-to-many distances from *s* (e.g. k-nearest-POI workloads);
+        *s* through ``operator.index``, the *targets* through
+        :func:`~repro.utils.pairs.as_ids`."""
+        targets = as_ids(targets)
+        sources = np.full(len(targets), index(s), dtype=np.int64)
+        return self._engine.distances_arrays(sources, targets)
 
     def k_nearest(
         self, s: int, candidates: Sequence[int], k: int

@@ -1,4 +1,4 @@
-"""The C kernel library every algorithm runs in: one C file.
+"""The C kernel library every algorithm runs in: two C files, one library.
 
 :mod:`dhl_kernels.c <repro.labelling.native>` (package data, plain C99,
 no ``Python.h``) holds the pair and set-to-set queries, one shard's
@@ -6,18 +6,25 @@ share of a sharded batch, the parent's split of a batch by shard and
 its min-plus combine, the two maintenance sweeps, the build's hot
 loops (every combinatorial step of the multilevel partitioner and
 Algorithm 1's top-down pass) and the service's result-cache table (its
-batch probe and fill).
-There is no other implementation in the package, so a C compiler is a
-requirement. This module builds the file at first use and opens it
-with :mod:`ctypes`:
+batch probe and fill). ``dhl_ingest.c`` (C11 over ``Python.h``)
+holds the id ingest of every query door (:mod:`repro.utils.pairs`):
+one pass over a Python list of ids or pairs into an int64 array; it is
+bound with :data:`ctypes.PYFUNCTYPE`, so it runs holding the GIL and an
+exception it sets is raised by the call.
+There is no other implementation in the package, so a C compiler and
+Python's C headers (``Python.h``, the interpreter's ``include``
+directory) are requirements. This module builds both files at first
+use, in one compiler call, and opens the library with :mod:`ctypes`:
 
 * :func:`library` — the loaded library. The first call compiles
-  ``cc -O3 -fPIC -shared -ffp-contract=off``
-  into a per-user cache (``$XDG_CACHE_HOME`` or ``~/.cache``, then
-  ``repro-dhl/``; ``<tmp>/repro-dhl-<uid>`` where neither is usable),
-  under a name keyed by SHA-1 of the source, the compiler binary's
-  identity (resolved path, size, mtime) and the compiler flags, so a
-  changed kernel, compiler or flag never loads a stale file and every
+  ``cc -O3 -fPIC -shared -ffp-contract=off -isystem <include>`` of
+  both sources into a per-user cache (``$XDG_CACHE_HOME`` or
+  ``~/.cache``, then ``repro-dhl/``; ``<tmp>/repro-dhl-<uid>`` where
+  neither is usable), under a name keyed by SHA-1 of both sources, the compiler binary's
+  identity (resolved path, size, mtime) and the compiler flags — the
+  include directory among them, which names the interpreter whose
+  headers and ABI the ingest is built against — so a changed kernel,
+  compiler, flag or interpreter never loads a stale file and every
   process after the first just ``dlopen``\\ s, spawning nothing. The
   build is written to a temporary name and ``os.replace``\\ d, so
   processes racing on a cold cache each end with a whole file; a file
@@ -29,7 +36,8 @@ with :mod:`ctypes`:
   lacks a symbol, is rebuilt once. Where the library cannot be had (no
   compiler, a failed compile, an unloadable file) every call raises
   :class:`~repro.exceptions.NativeUnavailableError` naming the reason
-  and the fix; the failure is remembered, so nothing is compiled twice.
+  and the fix (a missing ``Python.h`` is named before any compile);
+  the failure is remembered, so nothing is compiled twice.
 * :func:`status` — ``(reason, library_path, compile_seconds)`` of that
   one resolution; ``compile_seconds`` is None when the cache was warm,
   ``library_path`` None when the library is unavailable.
@@ -47,6 +55,7 @@ import os
 import shutil
 import stat
 import subprocess
+import sysconfig
 import tempfile
 import threading
 import time
@@ -59,7 +68,17 @@ from repro.observability.phases import phase
 __all__ = ["LibraryStatus", "library", "status"]
 
 SOURCE = Path(__file__).with_name("dhl_kernels.c")
-_CFLAGS = ("-O3", "-fPIC", "-shared", "-ffp-contract=off")
+INGEST = Path(__file__).with_name("dhl_ingest.c")
+#: The last flag is the directory of ``Python.h``, which ``dhl_ingest.c``
+#: includes.
+_CFLAGS = (
+    "-O3",
+    "-fPIC",
+    "-shared",
+    "-ffp-contract=off",
+    "-isystem",
+    sysconfig.get_paths()["include"],
+)
 _COMPILERS = ("cc", "gcc", "clang")
 
 _i64, _ptr = ctypes.c_int64, ctypes.c_void_p
@@ -98,6 +117,11 @@ SIGNATURES = {
     ),
     "dhl_cache_fill": (ctypes.c_int, [_ptr, _i64] + [_ptr] * 2 + [_i64]),
 }
+#: ``dhl_ingest_ids(items, width, out)``: a Python API function, so it
+#: holds the GIL and ctypes raises the exception it sets.
+_INGEST_TYPE = ctypes.PYFUNCTYPE(
+    ctypes.c_int, ctypes.py_object, _i64, ctypes.py_object
+)
 
 
 class LibraryStatus(NamedTuple):
@@ -167,6 +191,13 @@ def _compiler() -> tuple[str, str]:
 def _compile(cc: str, cache: Path, digest: str) -> tuple[Path, float]:
     """Build the library under a temporary name in *cache*, then move it
     into place under its final one; returns that and the seconds taken."""
+    include = Path(_CFLAGS[-1])
+    if not (include / "Python.h").is_file():
+        raise _Unavailable(
+            f"Python's C headers are missing (no Python.h in {include}); "
+            f"{INGEST.name} needs them: install the interpreter's development "
+            "headers"
+        )
     start = time.perf_counter()
     tmp = None
     try:
@@ -174,7 +205,7 @@ def _compile(cc: str, cache: Path, digest: str) -> tuple[Path, float]:
         os.close(fd)
         with phase("build.native_compile"):
             done = subprocess.run(
-                [cc, *_CFLAGS, "-o", tmp, str(SOURCE)],
+                [cc, *_CFLAGS, "-o", tmp, str(SOURCE), str(INGEST)],
                 capture_output=True, text=True, timeout=300,
             )
         if done.returncode != 0:
@@ -184,7 +215,9 @@ def _compile(cc: str, cache: Path, digest: str) -> tuple[Path, float]:
         target = cache / f"dhl_kernels-{digest}-{os.path.getsize(tmp)}.so"
         os.replace(tmp, target)
     except (OSError, subprocess.SubprocessError) as exc:
-        raise _Unavailable(f"compiling {SOURCE.name} failed: {exc}") from exc
+        raise _Unavailable(
+            f"compiling {SOURCE.name} and {INGEST.name} failed: {exc}"
+        ) from exc
     finally:
         if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
@@ -213,6 +246,7 @@ def _open(path: Path) -> ctypes.CDLL:
             fn = getattr(lib, name)
             fn.restype = restype
             fn.argtypes = argtypes
+        lib.dhl_ingest_ids = _INGEST_TYPE(("dhl_ingest_ids", lib))
     except AttributeError:
         # Unload it, or a rebuilt file of the same name would resolve to
         # this stale mapping.
@@ -224,10 +258,11 @@ def _open(path: Path) -> ctypes.CDLL:
 
 
 def _digest(identity: str, flags: tuple[str, ...]) -> str:
-    """The cache key of a build: the source, the compiler's *identity*
+    """The cache key of a build: both sources, the compiler's *identity*
     and the *flags* it compiles with, so no change to any of them loads
     a stale library."""
-    key = SOURCE.read_bytes() + "\0".join((identity, *flags)).encode()
+    text = "\0".join((identity, *flags)).encode()
+    key = b"\0".join((SOURCE.read_bytes(), INGEST.read_bytes(), text))
     return hashlib.sha1(key).hexdigest()[:16]
 
 
@@ -273,8 +308,9 @@ def library() -> ctypes.CDLL:
     if state.library is None:
         raise NativeUnavailableError(
             f"the native DHL kernels are unavailable ({state.status.reason}); "
-            f"install a C compiler ({', '.join(_COMPILERS)}) on PATH: every "
-            f"algorithm runs in {SOURCE.name}, compiled at first use"
+            f"install a C compiler ({', '.join(_COMPILERS)}) on PATH and Python's C "
+            f"headers: every algorithm runs in {SOURCE.name} and every id door "
+            f"in {INGEST.name}, compiled at first use"
         )
     return state.library
 

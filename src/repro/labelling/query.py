@@ -33,7 +33,7 @@ from repro.exceptions import VertexNotFound
 from repro.hierarchy.query_hierarchy import QueryHierarchy
 from repro.labelling.labels import HierarchicalLabelling
 from repro.labelling.native import engine as native_engine
-from repro.utils.pairs import as_pair_array
+from repro.utils.pairs import as_ids, as_pair_array
 
 __all__ = ["QueryEngine"]
 
@@ -181,18 +181,19 @@ class QueryEngine:
         Label values are read from the live store on every call.
         Duplicate sources are answered once each; callers dedupe.
         """
-        sources = native_engine.operand(sources, np.int64)
-        targets = native_engine.operand(targets, np.int64)
+        sources = native_engine.operand(as_ids(sources), np.int64)
+        targets = native_engine.operand(as_ids(targets), np.int64)
         return native_engine.distance_matrix(
             self.labels, sources, self.target_labels, targets, self.hq
         )
 
     def _pair_operands(self, s, t) -> tuple[np.ndarray, np.ndarray]:
-        """*s* / *t* as equal-length int64 id arrays (the kernels refuse
-        an id outside ``[0, n)`` before they read a row)."""
-        s = native_engine.operand(s, np.int64)
-        t = native_engine.operand(t, np.int64)
-        if s.ndim != 1 or s.shape != t.shape:
+        """*s* / *t* (:func:`~repro.utils.pairs.as_ids`) as equal-length
+        int64 id arrays (the kernels refuse an id outside ``[0, n)``
+        before they read a row)."""
+        s = native_engine.operand(as_ids(s), np.int64)
+        t = native_engine.operand(as_ids(t), np.int64)
+        if s.shape != t.shape:
             raise ValueError(f"length mismatch: {s.shape} sources, {t.shape} targets")
         return s, t
 

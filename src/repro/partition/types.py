@@ -3,14 +3,14 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import chain, compress
-from typing import Iterable, Iterator, Sequence
+from itertools import chain
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from repro.graph.graph import Graph
 
-__all__ = ["PartitionGraph", "Bipartition", "side_bytes", "side_weights"]
+__all__ = ["PartitionGraph", "Bipartition", "side_bytes"]
 
 
 class PartitionGraph:
@@ -102,15 +102,6 @@ class PartitionGraph:
             )
         return self._flat
 
-    def total_vweight(self) -> int:
-        return sum(self.vweight)
-
-    def edges(self) -> Iterator[tuple[int, int, float]]:
-        for v, row in enumerate(self.rows):
-            for u, w in row:
-                if v < u:
-                    yield v, u, w
-
 
 def side_bytes(side) -> bytearray:
     """A private ``bytearray`` copy of a 0/1 side sequence, of any
@@ -118,12 +109,6 @@ def side_bytes(side) -> bytearray:
     if isinstance(side, np.ndarray) and side.dtype.itemsize != 1:
         side = side.astype(np.int8)
     return bytearray(side)
-
-
-def side_weights(vweight: list[int], side) -> list[int]:
-    """``[weight of side 0, weight of side 1]`` for a 0/1 side sequence."""
-    heavy = sum(compress(vweight, side))
-    return [sum(vweight) - heavy, heavy]
 
 
 @dataclass
@@ -137,7 +122,3 @@ class Bipartition:
     side: np.ndarray
     cut_weight: float
     cut_edges: list[tuple[int, int]] = field(default_factory=list)
-
-    def side_weights(self, pgraph: PartitionGraph) -> tuple[int, int]:
-        w0, w1 = side_weights(pgraph.vweight, self.side.tolist())
-        return w0, w1

@@ -53,7 +53,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.exceptions import PartialResultError, ServiceOverloadError
-from repro.utils.pairs import as_pair_array, check_ids, vertex_pair, weight_changes
+from repro.utils.pairs import (
+    as_ids,
+    as_pair_array,
+    check_ids,
+    vertex_pair,
+    weight_changes,
+)
 
 __all__ = ["AsyncDistanceService", "AsyncFrontendStats"]
 
@@ -319,7 +325,7 @@ class AsyncDistanceService:
 
     def _execute_queries(self, run: _Run) -> None:
         calls = run.calls
-        pairs = np.array(run.pairs, dtype=np.int64).reshape(-1, 2)
+        pairs = as_ids(run.pairs).reshape(-1, 2)
         self._m_batches.inc()
         self._m_batched_pairs.inc(len(pairs))
         if len(calls) > self._m_max_merged.value:

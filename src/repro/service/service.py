@@ -33,6 +33,7 @@ consistency — it only batches work between queries.
 
 from __future__ import annotations
 
+import operator
 from contextlib import nullcontext
 from dataclasses import dataclass
 from pathlib import Path
@@ -56,6 +57,7 @@ from repro.service.coalescer import CoalescerStats, UpdateCoalescer
 from repro.service.metrics import LatencySummary, Timer
 from repro.service.runtime import ExecutionRuntime, InProcessRuntime
 from repro.utils.pairs import (
+    as_ids,
     as_pair_array,
     check_ids,
     nearest,
@@ -374,8 +376,13 @@ class DistanceService:
     def k_nearest(
         self, s: int, candidates: Sequence[int], k: int
     ) -> list[tuple[int, float]]:
-        """The *k* candidates closest to *s*, through the cached batch path."""
-        return nearest(candidates, self.distances([(s, c) for c in candidates]), k)
+        """The *k* candidates closest to *s*, through the cached batch
+        path; *s* through ``operator.index``, the *candidates* through
+        :func:`~repro.utils.pairs.as_ids`."""
+        targets = as_ids(candidates)
+        sources = np.full(len(targets), operator.index(s), dtype=np.int64)
+        pairs = np.stack((sources, targets), axis=1)
+        return nearest(candidates, self.distances(pairs), k)
 
     # ------------------------------------------------------------------
     # updates

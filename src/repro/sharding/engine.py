@@ -31,11 +31,13 @@ holds another of those arrays or the overlay epoch moves.
 
 from __future__ import annotations
 
+from operator import index
+
 import numpy as np
 
 from repro.labelling.native import engine as native_engine
 from repro.labelling.native.engine import ShardRoute
-from repro.utils.pairs import as_pair_array, check_ids
+from repro.utils.pairs import as_ids, as_pair_array, check_ids
 
 __all__ = [
     "BatchSplit",
@@ -332,9 +334,10 @@ class ShardedQueryEngine:
         return split.answer(results)
 
     def distances_arrays(self, s: np.ndarray, t: np.ndarray) -> np.ndarray:
-        """Batch distances over parallel global-id arrays; an id outside
-        ``[0, n)`` raises :class:`~repro.exceptions.VertexNotFound`."""
-        return self._answer(BatchSplit(self.owner, s, t))
+        """Batch distances over parallel global-id arrays
+        (:func:`~repro.utils.pairs.as_ids`); an id outside ``[0, n)``
+        raises :class:`~repro.exceptions.VertexNotFound`."""
+        return self._answer(BatchSplit(self.owner, as_ids(s), as_ids(t)))
 
     def distances(self, pairs) -> np.ndarray:
         """Batch distances for global-id pairs: an ``(m, 2)`` integer
@@ -343,7 +346,8 @@ class ShardedQueryEngine:
 
     def distance(self, s: int, t: int) -> float:
         """Exact shortest-path distance (``inf`` when disconnected)."""
-        return float(self.distances_arrays(np.array([s]), np.array([t]))[0])
+        pair = np.array([[index(s), index(t)]], dtype=np.int64)
+        return float(self._answer(BatchSplit(self.owner, pair))[0])
 
     def search_space_size(self, s: int, t: int) -> int:
         """Label entries a pair inspects (shard fans + overlay block)."""

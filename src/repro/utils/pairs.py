@@ -1,10 +1,19 @@
-"""The one input contract of every ``distances(pairs)`` facade.
+"""The one input contract of every id door.
 
 A batch of vertex pairs travels through the stack as an ``(m, 2)``
-``int64`` array. Callers may hand any facade either that array (any
-integer dtype; ``int64`` passes through without a copy) or any iterable
-of ``(s, t)`` pairs — a list of tuples, a generator — which is flattened
-once, at the first facade it meets, and never rebuilt on the way down.
+``int64`` array, a list of ids as a flat ``int64`` array. Callers may
+hand a door either that array (any integer dtype; ``int64`` passes
+through without a copy, another integer dtype is cast once, and any
+other dtype raises ``ValueError``) or any iterable — a list of tuples, a
+generator — which is written into a fresh array at the first door it
+meets by one C pass (``dhl_ingest.c``) and never rebuilt on the way
+down. The contract is ``operator.index`` per id — a float or a string
+raises ``TypeError``, an id outside int64 ``OverflowError`` — and
+exactly two ids per pair, else ``ValueError``. :func:`as_pair_array`
+takes the pairs of every ``distances(pairs)`` facade and :func:`as_ids`
+the id lists of the one-to-many doors (``distances_arrays``,
+``distances_from``, ``k_nearest``, ``distance_matrix``,
+``common_ancestor_counts``).
 Every door range-checks the ids once with :func:`check_ids`; a door
 that takes single ids (one pair, one road) takes them through
 :func:`vertex_pair`, and an update door its ``(u, v, weight)`` triples
@@ -16,13 +25,19 @@ from __future__ import annotations
 
 import math
 import operator
-from itertools import chain
 
 import numpy as np
 
 from repro.exceptions import VertexNotFound
 
-__all__ = ["as_pair_array", "check_ids", "nearest", "vertex_pair", "weight_changes"]
+__all__ = [
+    "as_ids",
+    "as_pair_array",
+    "check_ids",
+    "nearest",
+    "vertex_pair",
+    "weight_changes",
+]
 
 
 def check_ids(n: int, *ids: np.ndarray) -> None:
@@ -68,6 +83,38 @@ def weight_changes(n: int, changes) -> list[tuple[int, int, float]]:
     return out
 
 
+#: :mod:`repro.labelling.native`, imported at the first ingest: its
+#: engine imports this module.
+_native = None
+
+
+def _ingest(items, width: int) -> np.ndarray:
+    """*items* through ``dhl_ingest_ids``: a fresh ``(m, width)`` int64
+    array (flat for *width* 1), in one C pass over a list or a tuple;
+    any other iterable is made a list first."""
+    global _native
+    if _native is None:
+        import repro.labelling.native as _native
+    if type(items) is not list and type(items) is not tuple:
+        items = list(items)
+    out = np.empty((len(items), 2) if width == 2 else len(items), np.int64)
+    _native.library().dhl_ingest_ids(items, width, out)
+    return out
+
+
+def as_ids(ids) -> np.ndarray:
+    """*ids* as a one-dimensional int64 array (no copy for int64
+    arrays)."""
+    if isinstance(ids, np.ndarray):
+        if ids.size and (ids.ndim != 1 or ids.dtype.kind not in "iu"):
+            raise ValueError(
+                "an id array must be one-dimensional integers; got "
+                f"shape {ids.shape}, dtype {ids.dtype}"
+            )
+        return ids.astype(np.int64, copy=False).reshape(-1)
+    return _ingest(ids, 1)
+
+
 def as_pair_array(pairs) -> np.ndarray:
     """*pairs* as an ``(m, 2)`` int64 array (no copy for int64 arrays)."""
     if isinstance(pairs, np.ndarray):
@@ -79,4 +126,4 @@ def as_pair_array(pairs) -> np.ndarray:
                 f"shape {pairs.shape}, dtype {pairs.dtype}"
             )
         return pairs.astype(np.int64, copy=False).reshape(-1, 2)
-    return np.fromiter(chain.from_iterable(pairs), np.int64).reshape(-1, 2)
+    return _ingest(pairs, 2)

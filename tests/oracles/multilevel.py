@@ -115,7 +115,7 @@ def coarsen_to_size(
     rng = make_rng(rng)
     levels: list[CoarseningLevel] = []
     current = pgraph
-    max_vertex_weight = max_cluster_weight(current.total_vweight(), target)
+    max_vertex_weight = max_cluster_weight(sum(current.vweight), target)
     while current.num_vertices > target:
         level = coarsen_once(current, rng, max_vertex_weight)
         if level.graph.num_vertices >= current.num_vertices * min_shrink:
@@ -245,7 +245,7 @@ def multilevel_bisection(
     n = pgraph.num_vertices
     check_bisectable(n, beta)
     rng = make_rng(seed)
-    total = pgraph.total_vweight()
+    total = sum(pgraph.vweight)
     max_side = _max_side_weight(total, beta)
 
     # Disconnected graphs: whole components usually pack into a free
@@ -272,7 +272,7 @@ def multilevel_bisection(
     with phase("partition.coarsen"):
         levels = coarsen_to_size(pgraph, COARSEST_SIZE, rng)
     coarsest = levels[-1].graph if levels else pgraph
-    portfolio = Portfolio(coarsest, _max_side_weight(coarsest.total_vweight(), beta))
+    portfolio = Portfolio(coarsest, _max_side_weight(sum(coarsest.vweight), beta))
     with phase("partition.initial"):
         best_cut = portfolio.initial(rng)
     # Spectral is the most expensive candidate; only bother when the

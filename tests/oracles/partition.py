@@ -33,6 +33,8 @@ __all__ = [
     "components",
     "coarsen_once",
     "_cut_weight",
+    "edges",
+    "side_weights",
 ]
 
 
@@ -179,7 +181,7 @@ def greedy_growing(pgraph, rng=None, seed_vertex=None):
     n = pgraph.num_vertices
     if n == 0:
         return np.zeros(0, dtype=np.int8)
-    total = pgraph.total_vweight()
+    total = sum(pgraph.vweight)
     half = total / 2.0
     if seed_vertex is None:
         seed_vertex = int(rng.integers(0, n))
@@ -248,7 +250,7 @@ def bfs_halves(pgraph, rng=None):
         seed = max(range(n), key=lambda v: (dist[v] if dist[v] >= 0 else -1, v))
     order = _bfs_order(adj, seed)
     side = np.ones(n, dtype=np.int8)
-    total = pgraph.total_vweight()
+    total = sum(pgraph.vweight)
     grown = 0
     for v in order:
         if grown >= total / 2.0:
@@ -345,3 +347,15 @@ def coarsen_once(pgraph, rng, max_vertex_weight):
 
 def _cut_weight(pgraph, side) -> float:
     return sum(w for v, u, w in _edges(_adj(pgraph)) if side[v] != side[u])
+
+
+def edges(pgraph):
+    """Each edge of *pgraph* once, as ``(v, u, multiplicity)`` with
+    ``v < u``."""
+    return _edges(_adj(pgraph))
+
+
+def side_weights(pgraph, side) -> tuple[int, int]:
+    """``(weight of side 0, weight of side 1)`` for a 0/1 side sequence."""
+    heavy = sum(w for w, s in zip(pgraph.vweight, side.tolist()) if s)
+    return sum(pgraph.vweight) - heavy, heavy

@@ -17,6 +17,7 @@ process, naming the fix.
 
 from __future__ import annotations
 
+import ctypes
 import json
 import gc
 import os
@@ -25,6 +26,7 @@ import shutil
 import stat
 import subprocess
 import sys
+import sysconfig
 import textwrap
 from multiprocessing import shared_memory
 from pathlib import Path
@@ -723,7 +725,8 @@ class TestLoader:
         assert first.library_path and first.compile_seconds > 0
         assert 0 < phases.as_dict()["build.native_compile"] <= first.compile_seconds
         (build,) = runs
-        assert build[1:-3] == list(native._CFLAGS) and build[-1].endswith(".c")
+        assert build[1:-4] == list(native._CFLAGS) and build[-4] == "-o"
+        assert build[-2:] == [str(native.SOURCE), str(native.INGEST)]
         assert "-ffast-math" not in build and "-march=native" not in build
         assert native.status() is first and len(runs) == 1  # one resolution
         (built,) = cold.iterdir()
@@ -746,7 +749,10 @@ class TestLoader:
         )
         _, identity = native._compiler()
         flags = native._CFLAGS
-        other = (*flags[:-1], "-ffp-contract=fast")
+        other = tuple(
+            "-ffp-contract=fast" if flag == "-ffp-contract=off" else flag
+            for flag in flags
+        )
         assert native._digest(identity, flags) == native._digest(identity, flags)
         assert native._digest(identity, flags) != native._digest(identity, other)
         # A flag moved into its neighbour is another tuple too.
@@ -754,6 +760,52 @@ class TestLoader:
         assert native._digest(identity, flags) != native._digest(identity, joined)
         loaded = Path(native.status().library_path).name
         assert loaded.split("-")[1] == native._digest(identity, flags)
+
+    def test_python_include_dirs_name_the_build(self):
+        """The include directory is the last flag: two interpreters'
+        headers name two files, so the ingest built against one
+        interpreter's ABI is never opened by another."""
+        _, identity = native._compiler()
+        flags = native._CFLAGS
+        assert flags[-2:] == ("-isystem", sysconfig.get_paths()["include"])
+        assert Path(flags[-1], "Python.h").is_file()
+        other = (*flags[:-1], flags[-1].replace("python3", "python9"))
+        assert native._digest(identity, flags) != native._digest(identity, other)
+
+    def test_digest_covers_both_sources(self, monkeypatch, tmp_path):
+        _, identity = native._compiler()
+        flags = native._CFLAGS
+        digest = native._digest(identity, flags)
+        for name in ("SOURCE", "INGEST"):
+            edited = tmp_path / f"{name}.c"
+            edited.write_bytes(getattr(native, name).read_bytes() + b"\n")
+            with monkeypatch.context() as patch:
+                patch.setattr(native, name, edited)
+                assert native._digest(identity, flags) != digest
+
+    def test_missing_python_headers_name_the_fix(self, cold, monkeypatch, tmp_path):
+        """An include directory without ``Python.h`` is refused before any
+        compile, naming the missing headers; nothing is built or left."""
+        monkeypatch.setattr(
+            native, "_CFLAGS", (*native._CFLAGS[:-1], str(tmp_path / "include"))
+        )
+        monkeypatch.setattr(
+            native.subprocess, "run", lambda *a, **k: pytest.fail("compiled")
+        )
+        with pytest.raises(NativeUnavailableError) as raised:
+            native.library()
+        message = str(raised.value)
+        assert f"no Python.h in {tmp_path / 'include'}" in message
+        assert "Python's C headers" in message
+        assert native.status().library_path is None
+        assert not cold.exists() or not list(cold.iterdir())
+
+    def test_the_ingest_is_bound_as_a_python_api_call(self):
+        """It holds the GIL and ctypes raises the exception it sets."""
+        ingest = native.library().dhl_ingest_ids
+        assert ingest._flags_ & ctypes._FUNCFLAG_PYTHONAPI
+        with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+            ingest([1.5], 1, np.empty(1, dtype=np.int64))
 
     def test_truncated_cached_library_is_rebuilt_once(self, cold):
         target = built_by_another_process()

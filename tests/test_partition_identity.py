@@ -119,7 +119,7 @@ def step_by_step(pg, drawn, seed: int, beta: float, max_vertex_weight: int, dept
     n = pg.num_vertices
     rng_c, rng_o = np.random.default_rng(seed), np.random.default_rng(seed)
     comps = oracle.components(pg)
-    max_side = pipeline._max_side_weight(pg.total_vweight(), beta)
+    max_side = pipeline._max_side_weight(sum(pg.vweight), beta)
     with kernels.Bisector(*pg.flat(), beta) as ctx:
         assert ctx.load(range(n)) == len(comps)
         work, giant = pg, None
@@ -134,8 +134,8 @@ def step_by_step(pg, drawn, seed: int, beta: float, max_vertex_weight: int, dept
             work, giant = pipeline.giant_graph(pg, members), members
             if work.num_vertices < 2:  # a giant of one heavy vertex
                 return
-        work_side = pipeline._max_side_weight(work.total_vweight(), beta)
-        assert (ctx.size, ctx.total) == (work.num_vertices, work.total_vweight())
+        work_side = pipeline._max_side_weight(sum(work.vweight), beta)
+        assert (ctx.size, ctx.total) == (work.num_vertices, sum(work.vweight))
 
         levels, coarsest = [], work
         for _ in range(depth):
