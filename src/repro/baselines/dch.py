@@ -21,10 +21,9 @@ from repro.hierarchy.contraction import (
     min_degree_order,
 )
 from repro.labelling.driver import fold_batch, maintain_shortcuts
+from repro.labelling.maintenance import WeightChange
 
 __all__ = ["DCHIndex"]
-
-WeightChange = tuple[int, int, float]
 
 
 class DCHIndex:

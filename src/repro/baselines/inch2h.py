@@ -36,11 +36,9 @@ import numpy as np
 
 from repro.baselines.h2h import H2HIndex
 from repro.labelling.driver import fold_batch, maintain_shortcuts
-from repro.labelling.maintenance import MaintenanceStats
+from repro.labelling.maintenance import MaintenanceStats, WeightChange
 
 __all__ = ["IncH2HIndex"]
-
-WeightChange = tuple[int, int, float]
 
 
 class IncH2HIndex(H2HIndex):

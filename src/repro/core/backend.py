@@ -31,6 +31,12 @@ The surface, by concern:
 * **graph** — the authoritative weighted graph the update coalescer
   drains against (``weight(u, v)`` is the only requirement).
 
+**Threads.** Queries may overlap each other on one backend. No query
+may overlap :meth:`~DistanceBackend.update` (nor ``apply_batch``,
+``compact`` or a load) on the same backend: nothing excludes them, and
+an overlapping batch can mix answers from two epochs.
+:class:`~repro.service.service.DistanceService` is single-threaded.
+
 ``runtime_checkable`` makes ``isinstance(x, DistanceBackend)`` a cheap
 structural probe (attribute presence only — signatures are enforced by
 the type checker, behaviour by the differential test suites).
@@ -42,11 +48,9 @@ from typing import Iterable, Protocol, runtime_checkable
 
 import numpy as np
 
-from repro.labelling.maintenance import MaintenanceStats
+from repro.labelling.maintenance import MaintenanceStats, WeightChange
 
 __all__ = ["DistanceBackend", "WeightChange"]
-
-WeightChange = tuple[int, int, float]
 
 
 @runtime_checkable

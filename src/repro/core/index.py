@@ -45,7 +45,7 @@ from repro.hierarchy.update_hierarchy import UpdateHierarchy
 from repro.labelling.build import build_labelling
 from repro.labelling.driver import maintain
 from repro.labelling.labels import HierarchicalLabelling
-from repro.labelling.maintenance import MaintenanceStats
+from repro.labelling.maintenance import MaintenanceStats, WeightChange
 from repro.labelling.query import QueryEngine
 from repro.observability.phases import phase
 from repro.observability.timing import Timer
@@ -53,8 +53,6 @@ from repro.partition.recursive import PartitionTreeNode, recursive_bisection
 from repro.utils.pairs import as_ids, nearest
 
 __all__ = ["IndexCore", "DHLIndex"]
-
-WeightChange = tuple[int, int, float]
 
 
 class IndexCore:
@@ -194,7 +192,8 @@ class IndexCore:
         Unreachable candidates (infinite distance) are excluded; fewer
         than *k* entries may be returned.
         """
-        return nearest(candidates, self.distances_from(s, candidates), k)
+        targets = as_ids(candidates)
+        return nearest(targets, self.distances_from(s, targets), k)
 
     @property
     def engine(self) -> QueryEngine:

@@ -35,7 +35,7 @@ from repro.core.stats import IndexStats
 from repro.exceptions import IndexBuildError
 from repro.graph.graph import Graph
 from repro.labelling.driver import fold_batch
-from repro.labelling.maintenance import MaintenanceStats
+from repro.labelling.maintenance import MaintenanceStats, WeightChange
 from repro.observability.phases import phase
 from repro.observability.timing import Timer
 from repro.partition.regions import RegionPartition, partition_regions
@@ -48,8 +48,6 @@ from repro.sharding.overlay import (
 from repro.sharding.stats import ShardedMaintenanceStats
 
 __all__ = ["ShardBuildReport", "ShardedDHLIndex", "ShardedIndexStats"]
-
-WeightChange = tuple[int, int, float]
 
 
 def _road_key(u: int, v: int) -> tuple[int, int]:

@@ -11,9 +11,9 @@ its *net effect* first:
   beyond the number of distinct touched edges;
 * changes whose final weight equals the current graph weight are
   dropped as no-ops at flush time (raise-then-restore costs nothing);
-* the surviving batch is listed as increase and decrease sets and runs
-  through Algorithms 2-5 once: one shortcut sweep and one label sweep
-  per plane take both sets together.
+* the surviving changes, raises and drops alike, form one mixed batch
+  in first-mention order that runs through Algorithms 2-5 once: one
+  shortcut sweep and one label sweep per plane.
 
 The buffer also coalesces *structural* traffic (road closures,
 construction) through a per-edge operation state machine:
@@ -35,10 +35,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.graph.graph import Graph
+from repro.labelling.maintenance import WeightChange
 
 __all__ = ["CoalescerStats", "CoalescedBatch", "UpdateCoalescer"]
 
-WeightChange = tuple[int, int, float]
 EdgeKey = tuple[int, int]
 
 # Per-edge pending operations: the op tag orders the state machine.
@@ -72,29 +72,21 @@ class CoalescerStats:
 class CoalescedBatch:
     """Net effect of a drained buffer against a concrete graph state."""
 
-    increases: list[WeightChange] = field(default_factory=list)
-    decreases: list[WeightChange] = field(default_factory=list)
+    #: Weight changes on existing roads, raises and drops alike, in
+    #: first-mention order: one mixed maintenance batch.
+    changes: list[WeightChange] = field(default_factory=list)
     insertions: list[WeightChange] = field(default_factory=list)
     deletions: list[EdgeKey] = field(default_factory=list)
     noops: int = 0
 
     @property
     def size(self) -> int:
-        return (
-            len(self.increases)
-            + len(self.decreases)
-            + len(self.insertions)
-            + len(self.deletions)
-        )
+        return len(self.changes) + len(self.insertions) + len(self.deletions)
 
     @property
     def is_structural(self) -> bool:
         """True when the batch needs the structural ``apply_batch`` path."""
         return bool(self.insertions or self.deletions)
-
-    def changes(self) -> list[WeightChange]:
-        """Increases first, then decreases: one mixed batch."""
-        return [*self.increases, *self.decreases]
 
 
 class UpdateCoalescer:
@@ -187,13 +179,10 @@ class UpdateCoalescer:
                 # it re-enters through the insertion path.
                 batch.insertions.append((u, v, w))
                 continue
-            current = graph.weight(u, v)
-            if w > current:
-                batch.increases.append((u, v, w))
-            elif w < current:
-                batch.decreases.append((u, v, w))
-            else:
+            if w == graph.weight(u, v):
                 batch.noops += 1
+            else:
+                batch.changes.append((u, v, w))
         self._pending.clear()
         self._noops += batch.noops
         self._flushes += 1

@@ -44,7 +44,7 @@ import numpy as np
 from repro.core.backend import DistanceBackend
 from repro.exceptions import PartialResultError
 from repro.labelling import native
-from repro.labelling.maintenance import MaintenanceStats
+from repro.labelling.maintenance import MaintenanceStats, WeightChange
 from repro.observability import (
     NULL_OBSERVABILITY,
     Observability,
@@ -66,8 +66,6 @@ from repro.utils.pairs import (
 )
 
 __all__ = ["ServiceStats", "DistanceService"]
-
-WeightChange = tuple[int, int, float]
 
 
 @dataclass(frozen=True)
@@ -382,7 +380,7 @@ class DistanceService:
         targets = as_ids(candidates)
         sources = np.full(len(targets), operator.index(s), dtype=np.int64)
         pairs = np.stack((sources, targets), axis=1)
-        return nearest(candidates, self.distances(pairs), k)
+        return nearest(targets, self.distances(pairs), k)
 
     # ------------------------------------------------------------------
     # updates
@@ -487,7 +485,7 @@ class DistanceService:
                 result = self.runtime.apply_structural(
                     insertions=batch.insertions,
                     deletions=batch.deletions,
-                    weight_changes=batch.changes(),
+                    weight_changes=batch.changes,
                 )
             # StructuralStats carries its MaintenanceStats in
             # .maintenance; ShardedMaintenanceStats *is* one.
@@ -495,7 +493,7 @@ class DistanceService:
             self._m_structural_batches.inc()
         else:
             with phase("flush.apply"):
-                stats = self.runtime.apply_update(batch.changes())
+                stats = self.runtime.apply_update(batch.changes)
         self._m_shortcuts_changed.inc(stats.shortcuts_changed)
         self._m_labels_changed.inc(stats.labels_changed)
         with phase("flush.cache_evict"):

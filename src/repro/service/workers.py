@@ -721,13 +721,22 @@ class _ReplicaHandle:
     def start_failure(self, cause) -> ServiceRuntimeError:
         """The one error a failed dial or handshake raises (*cause*: the
         exception or the unexpected reply). Reaps the handle first, so
-        the exit code it names is final."""
+        the exit code it names is final. A replica that exited with an
+        error before its handshake most often re-ran an unguarded main
+        script (spawn imports it again), so the message says so."""
         process = self.process
         self.destroy()
-        error = ServiceRuntimeError(
+        message = (
             f"shard {self.sid} replica {self.replica} failed to start "
             f"(process exit code {process.exitcode}): {cause!r}"
         )
+        if process.exitcode:
+            message += (
+                "; replicas are spawned, which re-runs the main module, so a "
+                "script must guard runtime start-up with "
+                '`if __name__ == "__main__":`'
+            )
+        error = ServiceRuntimeError(message)
         if isinstance(cause, BaseException):
             error.__cause__ = cause
         return error

@@ -28,6 +28,7 @@ from typing import Iterable, Union
 import numpy as np
 
 from repro.graph.graph import Graph
+from repro.labelling.maintenance import WeightChange
 from repro.service.metrics import Timer
 from repro.service.service import DistanceService, ServiceStats
 from repro.utils.rng import make_rng, sample_pairs
@@ -44,8 +45,6 @@ __all__ = [
     "replay",
     "ReplayReport",
 ]
-
-WeightChange = tuple[int, int, float]
 
 
 @dataclass(frozen=True)

@@ -23,7 +23,6 @@ candidates' distances with :func:`nearest`.
 
 from __future__ import annotations
 
-import math
 import operator
 
 import numpy as np
@@ -60,16 +59,14 @@ def vertex_pair(n: int, s, t) -> tuple[int, int]:
     return s, t
 
 
-def nearest(candidates, distances: np.ndarray, k: int) -> list[tuple[int, float]]:
-    """The *k* closest of *candidates* as ``(candidate, distance)``,
-    nearest first and ties in candidate order; an unreachable candidate
+def nearest(ids: np.ndarray, distances: np.ndarray, k: int) -> list[tuple[int, float]]:
+    """The *k* closest of the candidate *ids* (the array
+    :func:`as_ids` made) as ``(id, distance)`` Python scalars, nearest
+    first and ties in candidate order; an unreachable candidate
     (infinite distance) is left out, so fewer than *k* may come back."""
     order = np.argsort(distances, kind="stable")[: max(0, k)]
-    return [
-        (candidates[int(i)], float(distances[i]))
-        for i in order
-        if math.isfinite(distances[i])
-    ]
+    order = order[np.isfinite(distances[order])]
+    return list(zip(ids[order].tolist(), distances[order].tolist()))
 
 
 def weight_changes(n: int, changes) -> list[tuple[int, int, float]]:

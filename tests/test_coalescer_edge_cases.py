@@ -53,7 +53,7 @@ def test_reversed_duplicate_edge_merges_to_one_change():
     assert coalescer.stats().merged_duplicates == 1
     batch = coalescer.drain(index.graph)
     assert batch.size == 1
-    ((bu, bv, bw),) = batch.changes()
+    ((bu, bv, bw),) = batch.changes
     assert {bu, bv} == {u, v}
     assert bw == 3.0 * w  # last write wins across orientations
 

@@ -4,7 +4,9 @@ The strongest check exploits determinism: label entries are interval-
 subgraph distances, so after any update sequence the maintained labelling
 must be *identical* to one rebuilt from scratch on the updated graph.
 The unit cases run on the C sweeps and again on their oracle
-(``tests/oracles/maintenance.py``), build and rebuild included.
+(``tests/oracles/maintenance.py``), build and rebuild included. Random
+interleavings of updates with every other mutation are the model-based
+oracle's job (``tests/test_index_model.py``).
 """
 
 from __future__ import annotations
@@ -14,7 +16,6 @@ from contextlib import nullcontext
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
 
 from repro.baselines.dijkstra import dijkstra
 from repro.core.config import DHLConfig
@@ -23,7 +24,7 @@ from repro.exceptions import MaintenanceError
 from repro.graph.generators import grid_network
 from repro.labelling.driver import maintain_shortcuts
 from tests.oracles.kernels import python_kernels
-from tests.strategies import connected_graphs, rolling_stream, update_sequences
+from tests.strategies import rolling_stream
 
 
 def fresh_index(graph, leaf_size=4):
@@ -293,26 +294,3 @@ class TestRejectedBatchIsNotHalfApplied:
         idx.decrease([(u, v, w / 2), (u, v, w / 4)])
         assert idx.graph.weight(u, v) == w / 4
         assert_matches_rebuild(idx)
-
-
-class TestPropertyBased:
-    @settings(max_examples=20, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-    @given(data=connected_graphs(min_n=4, max_n=18).flatmap(
-        lambda g: update_sequences(g, max_steps=5).map(lambda seq: (g, seq))
-    ))
-    def test_random_update_sequences_match_rebuild_and_dijkstra(self, data):
-        graph, sequence = data
-        idx = DHLIndex.build(graph, DHLConfig(leaf_size=3, seed=0))
-        for batch in sequence:
-            # deduplicate edges inside a batch (API applies sequentially,
-            # but the strategy may repeat an edge across entries)
-            seen = {}
-            for u, v, w in batch:
-                seen[(min(u, v), max(u, v))] = (u, v, w)
-            idx.update(list(seen.values()))
-        rebuilt = DHLIndex.build(idx.graph.copy(), idx.config)
-        assert idx.labels.equals(rebuilt.labels)
-        n = graph.num_vertices
-        ref = dijkstra(idx.graph, 0)
-        for t in range(n):
-            assert idx.distance(0, t) == ref[t]

@@ -350,3 +350,15 @@ def test_every_shape_of_one_batch_answers_the_same_bits(index, sharded, service)
         assert index.distances_from(0, targets).tobytes() == from_zero
     got = index.engine.distances_arrays(s.tolist(), t.tolist())
     assert got.tobytes() == want
+
+
+def test_k_nearest_ranks_a_generator_like_the_equal_list(index, sharded, service):
+    """``k_nearest`` ranks the id array its door ingested, so a
+    generator of candidates answers as the equal list does, in Python
+    ints."""
+    candidates = [3, 12, 5, 9, 15, 2, 7]
+    for door in (index.k_nearest, sharded.k_nearest, service.k_nearest):
+        want = door(0, candidates, 4)
+        assert len(want) == 4 and all(type(v) is int for v, _ in want)
+        assert door(0, (v for v in candidates), 4) == want
+        assert door(0, np.array(candidates), 4) == want

@@ -162,3 +162,33 @@ def test_a_respawn_dead_before_its_handshake_is_a_counted_failure(
         assert runtime._groups[1][1].incarnation == 1
         for _ in range(2):
             np.testing.assert_array_equal(runtime.distances(pairs), expected)
+
+
+def test_an_unguarded_script_is_told_to_guard_its_start_up(tmp_path):
+    """Spawn re-runs the main module in every replica: a script that
+    starts a runtime at module level makes each replica try the same
+    during its own bootstrap and die before its handshake. The error
+    names the ``__main__`` guard that prevents it."""
+    script = tmp_path / "unguarded.py"
+    script.write_text(
+        "from repro.core.config import DHLConfig\n"
+        "from repro.core.sharded import ShardedDHLIndex\n"
+        "from repro.graph.generators import grid_network\n"
+        "from repro.service import ShardWorkerRuntime\n"
+        "graph = grid_network(6, 6, seed=1)\n"
+        "index = ShardedDHLIndex.build(graph, k=2, config=DHLConfig(seed=0))\n"
+        "with ShardWorkerRuntime(index, replicas=1):\n"
+        "    pass\n"
+    )
+    result = subprocess.run(
+        [sys.executable, str(script)],
+        env={**os.environ, "PYTHONPATH": SRC},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert result.returncode != 0
+    last = result.stderr.strip().splitlines()[-1]
+    assert last.startswith("repro.exceptions.ServiceRuntimeError: shard "), last
+    assert "failed to start (process exit code 1)" in last, last
+    assert 'guard runtime start-up with `if __name__ == "__main__":`' in last, last

@@ -95,8 +95,7 @@ class TestUpdateCoalescer:
         co.add(0, 1, 9.0)
         assert co.pending_edges == 1
         batch = co.drain(path_graph)
-        assert batch.increases == [(0, 1, 9.0)]
-        assert not batch.decreases and batch.noops == 0
+        assert batch.changes == [(0, 1, 9.0)] and batch.noops == 0
         stats = co.stats()
         assert stats.submitted == 3 and stats.merged_duplicates == 2
 
@@ -109,16 +108,17 @@ class TestUpdateCoalescer:
         assert batch.size == 0 and batch.noops == 1
         assert co.stats().noops_dropped == 1
 
-    def test_mixed_batch_splits(self, path_graph):
+    def test_mixed_batch_is_one_list_in_first_mention_order(self, path_graph):
         co = UpdateCoalescer()
-        co.add(0, 1, path_graph.weight(0, 1) + 3)
         co.add(2, 3, path_graph.weight(2, 3) - 1)
         co.add(3, 4, path_graph.weight(3, 4))  # explicit no-op
+        co.add(0, 1, path_graph.weight(0, 1) + 3)
         batch = co.drain(path_graph)
-        assert batch.increases == [(0, 1, path_graph.weight(0, 1) + 3)]
-        assert batch.decreases == [(2, 3, path_graph.weight(2, 3) - 1)]
-        assert batch.noops == 1
-        assert batch.changes() == batch.increases + batch.decreases
+        assert batch.changes == [
+            (2, 3, path_graph.weight(2, 3) - 1),
+            (0, 1, path_graph.weight(0, 1) + 3),
+        ]
+        assert batch.noops == 1 and batch.size == 2
         assert not co  # drained
 
     def test_drain_empty(self, path_graph):

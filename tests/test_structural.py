@@ -101,12 +101,14 @@ class TestEdgeInsertion:
             for nid in range(hq.num_nodes)
             if hq.depth[nid] >= 2 and starts[nid + 1] - starts[nid] >= 2
         ]
-        if not leaf_nodes:
-            pytest.skip("partition tree too shallow on this fixture")
-        nid = leaf_nodes[0]
-        a, b = order[starts[nid] : starts[nid] + 2].tolist()
-        if index.graph.has_edge(a, b):
-            pytest.skip("edge already present")
+        # the first pair of members of such a node that no road joins yet
+        a, b = next(
+            (a, b)
+            for nid in leaf_nodes
+            for i, a in enumerate(order[starts[nid] : starts[nid + 1]].tolist())
+            for b in order[starts[nid] + i + 1 : starts[nid + 1]].tolist()
+            if not index.graph.has_edge(a, b)
+        )
         index.apply_batch(insertions=[(a, b, 2.0)])
         assert index.distance(a, b) <= 2.0
         for s, t in [(a, b), (0, 200), (3, 299)]:

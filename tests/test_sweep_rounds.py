@@ -19,7 +19,6 @@ from contextlib import nullcontext
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
 
 from repro.core.config import DHLConfig
 from repro.core.directed import DirectedDHLIndex
@@ -36,9 +35,7 @@ from tests.strategies import (
     assert_stats_match,
     assert_stream_parity,
     caterpillar_index,
-    connected_graphs,
     rolling_stream,
-    update_sequences,
 )
 
 def per_engine(build) -> list:
@@ -288,25 +285,3 @@ def test_pickled_directed_index_stays_live(small_grid):
     ]
     replay(indexes, arc_bursts(small_grid, both_ways=True))
     assert_equals_rebuild(indexes[0])
-
-
-@settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(
-    data=connected_graphs(min_n=4, max_n=20, max_weight=4).flatmap(
-        lambda g: update_sequences(g, max_steps=5, max_batch=8).map(
-            lambda seq: (g, seq)
-        )
-    )
-)
-def test_random_bursts_equal_fresh_rebuild(data):
-    """Small weights on small graphs: ties everywhere, arbitrary order."""
-    graph, sequence = data
-    index = DHLIndex.build(graph.copy(), DHLConfig(leaf_size=3, seed=0))
-    for burst in sequence:
-        # One change per road, so the two passes see the batch update() does.
-        burst = list({index.hu.edge_key(u, v): (u, v, w) for u, v, w in burst}.values())
-        twin = two_passes(index, burst)
-        index.update(burst)
-        assert_equals_rebuild(index)
-        for got, want in zip(maintained_state(index), maintained_state(twin)):
-            np.testing.assert_array_equal(got, want)
