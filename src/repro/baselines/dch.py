@@ -107,7 +107,7 @@ class DCHIndex:
         return len(maintain_shortcuts("increase", self.sc, changes))
 
     def update(self, changes: list[WeightChange]) -> int:
-        batch = fold_batch(changes, self.sc.edge_key)
+        batch = fold_batch(self.graph, changes)
         increases = [(u, v, w) for u, v, w in batch if w > self.graph.weight(u, v)]
         decreases = [(u, v, w) for u, v, w in batch if w < self.graph.weight(u, v)]
         affected = 0

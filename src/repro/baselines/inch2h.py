@@ -176,7 +176,7 @@ class IncH2HIndex(H2HIndex):
 
     def update(self, changes: list[WeightChange]) -> MaintenanceStats:
         """Mixed batch: increases first, then decreases."""
-        batch = fold_batch(changes, self.sc.edge_key)
+        batch = fold_batch(self.graph, changes)
         increases = [(u, v, w) for u, v, w in batch if w > self.graph.weight(u, v)]
         decreases = [(u, v, w) for u, v, w in batch if w < self.graph.weight(u, v)]
         stats = MaintenanceStats()

@@ -29,7 +29,9 @@ The surface, by concern:
   ``affected_labels`` drive the shard clique refresh and the
   delta-sync path (only changed label slots ship to workers);
 * **graph** — the authoritative weighted graph the update coalescer
-  drains against (``weight(u, v)`` is the only requirement).
+  drains against (``weight(u, v)`` / ``has_edge(u, v)``) and keys its
+  buffer with (``road_key(u, v)``, the name every fold of a batch
+  uses).
 
 **Threads.** Queries may overlap each other on one backend. No query
 may overlap :meth:`~DistanceBackend.update` (nor ``apply_batch``,
@@ -68,7 +70,8 @@ class DistanceBackend(Protocol):
 
     @property
     def graph(self):
-        """The authoritative weighted graph (must expose ``weight(u, v)``)."""
+        """The authoritative weighted graph (``weight``, ``has_edge``,
+        ``road_key``)."""
         ...
 
     # -- query ----------------------------------------------------------

@@ -76,10 +76,6 @@ class DirectedUpdateHierarchy(UpdateHierarchy):
 
     skeleton = staticmethod(DiGraph.to_undirected)
 
-    def edge_key(self, a: int, b: int) -> tuple[int, int]:
-        """The ordered arc: a digraph's two directions are distinct roads."""
-        return a, b
-
     def plane_views(self) -> tuple[_Plane, _Plane]:
         m = self.csr.num_slots
         return (

@@ -18,7 +18,8 @@ as are the maintenance sweeps and the batch queries.
 Everything that does not depend on whether roads are edges or arcs lives
 once, in :class:`IndexCore`, written against the store contract
 (:class:`~repro.hierarchy.contraction.ContractionResult`: ``planes``,
-``edge_key``, ``plane_views``). :class:`DHLIndex` is the core over a
+``plane_views``) and the graph's road vocabulary (``road_key``,
+``weight``, ...). :class:`DHLIndex` is the core over a
 one-plane store; the directed index
 (:class:`~repro.core.directed.DirectedDHLIndex`) is the same core over a
 two-plane one.
@@ -235,9 +236,9 @@ class IndexCore:
     ) -> MaintenanceStats:
         """Apply a mixed batch in one pass (one epoch).
 
-        Repeated mentions of one road (the store's ``edge_key``: an
-        unordered pair, or the ordered arc of a digraph, whose two
-        directions must not merge) fold to the last one, so a batch
+        Repeated mentions of one road (``graph.road_key``: the
+        unordered pair of a :class:`Graph`, the arc of a digraph, whose
+        two directions must not merge) fold to the last one, so a batch
         that raises then restores a road costs nothing. Raised and
         lowered roads then seed one shortcut sweep and one label sweep
         per plane together; each moved shortcut and label entry is
@@ -257,12 +258,16 @@ class IndexCore:
     ) -> structural.StructuralStats:
         """Apply one mixed structural batch (insert / delete / reweigh).
 
-        Deletions of live roads take the infinite-weight-increase fast
-        path, genuinely new ones take the closure fast path when their
-        endpoints are ⪯_H-comparable and the closure fits
-        ``config.insert_closure_limit``, and everything else falls back
-        to a rebuild — see :mod:`repro.core.structural`. Mutates the
-        index in place.
+        Each list is folded by ``graph.road_key`` (last mention wins)
+        and a road named in two lists raises
+        :class:`~repro.exceptions.MaintenanceError`, all before any
+        write. Then one step: when every new road takes the closure
+        fast path (its endpoints ⪯_H-comparable, the closure within
+        ``config.insert_closure_limit``), one :meth:`update` runs the
+        deletions (changes to ``inf``), the weight changes and the new
+        roads together; otherwise the graph takes the whole batch and
+        the index is rebuilt once — see :mod:`repro.core.structural`.
+        One epoch either way. Mutates the index in place.
         """
         return structural.apply_batch(self, insertions, deletions, weight_changes)
 

@@ -32,6 +32,13 @@ import numpy as np
 from repro.core.config import DHLConfig
 from repro.core.index import DHLIndex
 from repro.core.stats import IndexStats
+from repro.core.structural import (
+    CompactionStats,
+    StructuralStats,
+    _bump,
+    classify_batch,
+    structural_counters,
+)
 from repro.exceptions import IndexBuildError
 from repro.graph.graph import Graph
 from repro.labelling.driver import fold_batch
@@ -48,11 +55,6 @@ from repro.sharding.overlay import (
 from repro.sharding.stats import ShardedMaintenanceStats
 
 __all__ = ["ShardBuildReport", "ShardedDHLIndex", "ShardedIndexStats"]
-
-
-def _road_key(u: int, v: int) -> tuple[int, int]:
-    """What a weight batch dedupes on: the unordered pair."""
-    return (u, v) if u <= v else (v, u)
 
 
 #: glibc ``mallopt`` parameters (``<malloc.h>``).
@@ -165,17 +167,7 @@ class ShardedDHLIndex:
             arr = np.asarray(vertices, dtype=np.int64)
             self.shard_vertices.append(arr)
             self.local_of[arr] = np.arange(len(arr))
-        # Overlay numbering: boundary vertices sorted by global id.
-        boundary_global = np.asarray(partition.boundary_vertices(), dtype=np.int64)
-        self.boundary_global = boundary_global
-        self.overlay_of = np.full(n, -1, dtype=np.int64)
-        self.overlay_of[boundary_global] = np.arange(len(boundary_global))
-        self.boundary_local: list[np.ndarray] = []
-        self.boundary_overlay: list[np.ndarray] = []
-        for bverts in partition.boundary:
-            barr = np.asarray(bverts, dtype=np.int64)
-            self.boundary_local.append(self.local_of[barr])
-            self.boundary_overlay.append(self.overlay_of[barr])
+        self._number_boundary()
         # Region i's |B_i| x |B_i| clique weight matrix, held equal to
         # the overlay graph's clique edge weights (a loaded overlay's
         # are recomputed here; a build fills them in _build_overlay).
@@ -305,18 +297,33 @@ class ShardedDHLIndex:
     ) -> ShardedMaintenanceStats:
         """Apply a mixed weight-change batch, routed per shard.
 
-        A road named twice ends at its last mention's weight, as on
-        :meth:`DHLIndex.update`. Intra-region changes go to the owning
-        shard's DHL+/DHL- pass; cut edge changes go straight to the
-        overlay. After shard passes, only the overlay clique edges
-        incident to an *affected* boundary label are recomputed and
-        folded into one overlay pass. ``workers`` is ignored (see
-        :meth:`DistanceBackend.update`).
+        A road named twice ends at its last mention's weight
+        (``graph.road_key``, as on :meth:`DHLIndex.update`).
+        Intra-region changes go to the owning shard's DHL+/DHL- pass;
+        cut edge changes go straight to the overlay. After shard passes,
+        only the overlay clique edges incident to an *affected* boundary
+        label are recomputed and folded into one overlay pass.
+        ``workers`` is ignored (see :meth:`DistanceBackend.update`).
         """
+        stats = ShardedMaintenanceStats()
+        overlay_changes = self._reweigh(fold_batch(self.graph, changes), stats)
+        if overlay_changes is None:
+            return stats
+        self._update_overlay(overlay_changes, stats)
+        self._epoch += 1
+        return stats
+
+    def _reweigh(
+        self, changes: list[WeightChange], stats: ShardedMaintenanceStats
+    ) -> list[WeightChange] | None:
+        """Run folded weight *changes* through the owning shards and
+        write them into the global graph; *stats* absorbs the shard
+        passes. Returns the overlay's changes (cut edges and refreshed
+        clique edges, overlay ids), or ``None`` when no weight moves."""
         per_shard: dict[int, list[WeightChange]] = {}
         overlay_changes: list[WeightChange] = []
         applied: list[WeightChange] = []
-        for u, v, w in fold_batch(changes, _road_key):
+        for u, v, w in changes:
             if w == self.graph.weight(u, v):
                 continue
             ru = int(self.region_of[u])
@@ -330,10 +337,8 @@ class ShardedDHLIndex:
                     (int(self.overlay_of[u]), int(self.overlay_of[v]), w)
                 )
             applied.append((u, v, w))
-
-        stats = ShardedMaintenanceStats()
         if not applied:
-            return stats
+            return None
 
         with phase("sharded.shard_update"):
             shard_results = {
@@ -343,31 +348,39 @@ class ShardedDHLIndex:
         with phase("sharded.clique_refresh"):
             for rid, shard_stats in shard_results.items():
                 stats.per_shard[rid] = shard_stats
-                stats.absorb(shard_stats, self.shard_vertices[rid])
-                if self.overlay is not None:
-                    overlay_changes.extend(
-                        clique_refresh_changes(
-                            self.shards[rid],
-                            self.boundary_local[rid],
-                            self.boundary_overlay[rid],
-                            self.cliques[rid],
-                            shard_stats.affected_labels,
-                        )
-                    )
-
-        if overlay_changes and self.overlay is not None:
-            with phase("sharded.overlay_update"):
-                overlay_stats = self.overlay.update(overlay_changes)
-            stats.overlay_stats = overlay_stats
-            stats.absorb(overlay_stats, self.boundary_global)
-            self._engine.invalidate_blocks()
-
+                overlay_changes.extend(self._absorb_shard(rid, shard_stats, stats))
         # Keep the global graph in lockstep with shard/overlay state so
         # coalescers draining against it classify changes correctly.
         for u, v, w in applied:
             self.graph.set_weight(u, v, w)
-        self._epoch += 1
-        return stats
+        return overlay_changes
+
+    def _absorb_shard(
+        self, rid: int, shard_stats: MaintenanceStats, stats: ShardedMaintenanceStats
+    ) -> list[WeightChange]:
+        """Fold shard *rid*'s pass into *stats*; return the overlay
+        clique edges its affected boundary labels moved."""
+        stats.absorb(shard_stats, self.shard_vertices[rid])
+        if self.overlay is None:
+            return []
+        return clique_refresh_changes(
+            self.shards[rid],
+            self.boundary_local[rid],
+            self.boundary_overlay[rid],
+            self.cliques[rid],
+            shard_stats.affected_labels,
+        )
+
+    def _update_overlay(
+        self, overlay_changes: list[WeightChange], stats: ShardedMaintenanceStats
+    ) -> None:
+        """One overlay pass over *overlay_changes*, absorbed into *stats*."""
+        if not overlay_changes or self.overlay is None:
+            return
+        with phase("sharded.overlay_update"):
+            stats.overlay_stats = self.overlay.update(overlay_changes)
+        stats.absorb(stats.overlay_stats, self.boundary_global)
+        self._engine.invalidate_blocks()
 
     # ------------------------------------------------------------------
     # structural updates
@@ -377,113 +390,73 @@ class ShardedDHLIndex:
         insertions: Iterable[WeightChange] = (),
         deletions: Iterable[tuple[int, int]] = (),
         weight_changes: Iterable[WeightChange] = (),
-    ) -> ShardedMaintenanceStats:
+    ) -> StructuralStats:
         """Apply one mixed structural batch, routed per shard.
 
-        Intra-region insertions and deletions go to the owning shard's
-        own :meth:`DHLIndex.apply_batch` (fast paths and all), followed
-        by the usual overlay clique refresh from its affected labels.
-        Cut-edge deletions become infinite-weight overlay increases; a
-        *new* cut edge changes the boundary vertex set itself, so the
-        boundary navigation arrays and the overlay are rebuilt from the
-        updated graph (the region assignment never changes).
+        :func:`~repro.core.structural.classify_batch` folds and checks
+        the batch before any write, as on :meth:`DHLIndex.apply_batch`.
+        Changes on existing roads (deletions and cut edges included)
+        take the :meth:`update` route; a new intra-region road goes to
+        the owning shard's own :meth:`DHLIndex.apply_batch`, then the
+        clique refresh, and the overlay takes one pass. A *new* cut
+        edge changes the boundary vertex set, so the boundary arrays
+        and the overlay are rebuilt from the graph instead (the region
+        assignment never changes). One epoch. Returns a
+        :class:`~repro.core.structural.StructuralStats` whose
+        ``maintenance`` is a :class:`ShardedMaintenanceStats`.
         """
-        from repro.core.structural import _bump
-
         graph = self.graph
-        stats = ShardedMaintenanceStats()
+        changes, new_roads, stats = classify_batch(
+            graph, insertions, deletions, weight_changes
+        )
+        _bump(self, "already_deleted_edges", stats.already_deleted)
+        maintenance = ShardedMaintenanceStats()
+        overlay_changes = self._reweigh(changes, maintenance) or []
 
-        folded_changes = list(weight_changes)
-        per_shard_del: dict[int, list[tuple[int, int]]] = {}
-        cut_deletes: list[tuple[int, int]] = []
-        per_shard_ins: dict[int, list[WeightChange]] = {}
+        per_shard: dict[int, list[WeightChange]] = {}
         cross_inserts: list[WeightChange] = []
-        for u, v in deletions:
-            if not graph.has_edge(u, v) or math.isinf(graph.weight(u, v)):
-                _bump(self, "already_deleted_edges")
-                continue
+        for u, v, w in new_roads:
             ru, rv = int(self.region_of[u]), int(self.region_of[v])
             if ru == rv:
-                per_shard_del.setdefault(ru, []).append(
-                    (int(self.local_of[u]), int(self.local_of[v]))
-                )
-            else:
-                cut_deletes.append((u, v))
-        for u, v, w in insertions:
-            if graph.has_edge(u, v):
-                folded_changes.append((u, v, w))
-                continue
-            ru, rv = int(self.region_of[u]), int(self.region_of[v])
-            if ru == rv:
-                per_shard_ins.setdefault(ru, []).append(
+                per_shard.setdefault(ru, []).append(
                     (int(self.local_of[u]), int(self.local_of[v]), w)
                 )
             else:
                 cross_inserts.append((u, v, w))
-
-        if folded_changes:
-            # update() folds duplicate reports on one edge last-wins
-            # (sequential semantics).
-            weight_stats = self.update(folded_changes)
-            stats.per_shard.update(weight_stats.per_shard)
-            stats.overlay_stats = weight_stats.overlay_stats
-            stats.absorb(weight_stats, np.arange(graph.num_vertices))
-
-        overlay_changes: list[WeightChange] = []
-        for u, v in cut_deletes:
-            graph.set_weight(u, v, math.inf)
-            overlay_changes.append(
-                (int(self.overlay_of[u]), int(self.overlay_of[v]), math.inf)
-            )
-
-        touched = sorted(set(per_shard_del) | set(per_shard_ins))
-        for rid in touched:
-            shard_structural = self.shards[rid].apply_batch(
-                insertions=per_shard_ins.get(rid, []),
-                deletions=per_shard_del.get(rid, []),
-            )
-            shard_stats = shard_structural.maintenance
-            merged = stats.per_shard.get(rid)
-            stats.per_shard[rid] = (
-                shard_stats if merged is None else merged.merge(shard_stats)
-            )
-            stats.absorb(shard_stats, self.shard_vertices[rid])
-            if self.overlay is not None:
-                overlay_changes.extend(
-                    clique_refresh_changes(
-                        self.shards[rid],
-                        self.boundary_local[rid],
-                        self.boundary_overlay[rid],
-                        self.cliques[rid],
-                        shard_stats.affected_labels,
-                    )
-                )
-            # Mirror the shard's structural outcome on the global graph.
+        for rid, inserts in sorted(per_shard.items()):
+            outcome = self.shards[rid].apply_batch(insertions=inserts)
+            stats.fastpath_inserts += outcome.fastpath_inserts
+            stats.fallback_rebuilds += outcome.fallback_rebuilds
+            stats.repartitions += outcome.repartitions
+            stats.new_slots += outcome.new_slots
+            done = outcome.maintenance
+            earlier = maintenance.per_shard.get(rid)
+            maintenance.per_shard[rid] = done if earlier is None else earlier.merge(done)
+            overlay_changes.extend(self._absorb_shard(rid, done, maintenance))
+            # Mirror the shard's new roads on the global graph.
             globals_of = self.shard_vertices[rid]
-            for lu, lv in per_shard_del.get(rid, []):
-                graph.set_weight(int(globals_of[lu]), int(globals_of[lv]), math.inf)
-            for lu, lv, w in per_shard_ins.get(rid, []):
+            for lu, lv, w in inserts:
                 graph.add_edge(int(globals_of[lu]), int(globals_of[lv]), w)
 
-        if overlay_changes and self.overlay is not None:
-            with phase("sharded.overlay_update"):
-                overlay_stats = self.overlay.update(overlay_changes)
-            stats.overlay_stats = stats.overlay_stats.merge(overlay_stats)
-            stats.absorb(overlay_stats, self.boundary_global)
-            self._engine.invalidate_blocks()
-
         if cross_inserts:
+            # The overlay is rebuilt from the shards and the graph, so
+            # its pending changes need no pass of their own.
             with phase("structural.fallback_rebuild"):
                 for u, v, w in cross_inserts:
                     graph.add_edge(u, v, w)
                 self._rebuild_boundary_structures()
             _bump(self, "fallback_rebuilds")
-            stats.absorb(
+            stats.fallback_rebuilds += 1
+            maintenance.absorb(
                 MaintenanceStats(affected_labels=set(self.boundary_global.tolist())),
                 np.arange(graph.num_vertices),
             )
+        else:
+            self._update_overlay(overlay_changes, maintenance)
 
-        self._epoch += 1
+        stats.maintenance = maintenance
+        if changes or new_roads:
+            self._epoch += 1
         return stats
 
     def _rebuild_boundary_structures(self) -> None:
@@ -496,20 +469,20 @@ class ShardedDHLIndex:
         from repro.partition.regions import regions_from_assignment
 
         self.partition = regions_from_assignment(self.graph, self.region_of)
-        n = self.graph.num_vertices
-        boundary_global = np.asarray(
-            self.partition.boundary_vertices(), dtype=np.int64
-        )
-        self.boundary_global = boundary_global
-        self.overlay_of = np.full(n, -1, dtype=np.int64)
-        self.overlay_of[boundary_global] = np.arange(len(boundary_global))
-        self.boundary_local = []
-        self.boundary_overlay = []
-        for bverts in self.partition.boundary:
-            barr = np.asarray(bverts, dtype=np.int64)
-            self.boundary_local.append(self.local_of[barr])
-            self.boundary_overlay.append(self.overlay_of[barr])
+        self._number_boundary()
         self._build_overlay()
+
+    def _number_boundary(self) -> None:
+        """Overlay numbering from ``self.partition``: boundary vertices
+        sorted by global id, and each region's boundary in shard-local
+        and overlay ids."""
+        boundary = np.asarray(self.partition.boundary_vertices(), dtype=np.int64)
+        self.boundary_global = boundary
+        self.overlay_of = np.full(self.graph.num_vertices, -1, dtype=np.int64)
+        self.overlay_of[boundary] = np.arange(len(boundary))
+        regions = [np.asarray(b, dtype=np.int64) for b in self.partition.boundary]
+        self.boundary_local = [self.local_of[b] for b in regions]
+        self.boundary_overlay = [self.overlay_of[b] for b in regions]
 
     def compact(self):
         """Compact every shard (and the boundary structures).
@@ -524,8 +497,6 @@ class ShardedDHLIndex:
         (:mod:`repro.sharding.overlay`). Returns an aggregate
         :class:`~repro.core.structural.CompactionStats`.
         """
-        from repro.core.structural import CompactionStats, _bump
-
         total = CompactionStats()
         for shard in self.shards:
             cs = shard.compact()
@@ -562,8 +533,6 @@ class ShardedDHLIndex:
     @property
     def structural_counters(self) -> dict[str, int]:
         """Lifetime structural counters (see :class:`DHLIndex`)."""
-        from repro.core.structural import structural_counters
-
         return structural_counters(self)
 
     # ------------------------------------------------------------------

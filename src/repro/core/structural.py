@@ -9,9 +9,16 @@ are reflected through the ordinary maintenance driver and its sweeps,
 with rebuilds reserved for the cases that genuinely invalidate the
 hierarchy.
 
-**Deletion fast path.** A deletion is an infinite-weight increase
-through the ordinary maintenance driver; the slot stays allocated but
-is *logically dead*. The compaction pass
+**One fold.** :func:`classify_batch` folds each of a batch's three
+lists by ``graph.road_key`` (the last mention of a road in a list
+wins), refuses a road named in two lists, and sorts each road once —
+a change on an existing road, a new road or an already-deleted one —
+before anything is written. The batch then takes one sweep or one
+rebuild: never a sweep that a rebuild then throws away.
+
+**Deletion fast path.** A deletion is a change to ``inf`` through the
+ordinary maintenance driver; the slot stays allocated but is
+*logically dead*. The compaction pass
 (below) reclaims dead slots once their fraction crosses the configured
 threshold.
 
@@ -42,9 +49,10 @@ tree that H_Q's arrays encode (:meth:`QueryHierarchy.partition_tree`).
 Qualifying batches allocate their closure slots in one
 :func:`~repro.hierarchy.csr.extend_slots` merge (weights ``inf`` —
 allocated, not yet relaxed), add the new edges as logically-deleted, and
-seed one decrease sweep from the new arcs: the monotone min-relaxation
-from ``inf`` reaches exactly the Property-3.1 fixpoint of the extended
-store. A build runs the same relaxation over a whole empty store
+run one ``update`` over the batch's changes and new edges together: for
+the new arcs that is the monotone min-relaxation from ``inf``, which
+reaches exactly the Property-3.1 fixpoint of the extended store. A
+build runs the same relaxation over a whole empty store
 (:func:`~repro.labelling.driver.fill_weights`), so an inserted slot
 ends with the bits a fresh build would give it. On a previously
 compacted store the sweep can produce a finite
@@ -63,11 +71,11 @@ deletions become *permanent* — restoring a compacted edge routes
 through the insertion path.
 
 Everything here is written against the store contract (``planes``,
-``edge_key``, ``plane_views``) and one road vocabulary on the graph
-(``has_edge`` / ``weight`` / ``set_weight`` / ``add_edge`` /
+``plane_views``) and one road vocabulary on the graph (``road_key`` /
+``has_edge`` / ``weight`` / ``set_weight`` / ``add_edge`` /
 ``remove_edge`` / ``edges()`` — on a :class:`~repro.graph.DiGraph` the
-arc methods under a second name), so an edge below is an arc when the
-index is directed.
+arc methods under a second name, and ``road_key`` the arc itself), so
+an edge below is an arc when the index is directed.
 """
 
 from __future__ import annotations
@@ -82,8 +90,8 @@ from repro.graph.graph import Graph
 from repro.hierarchy.csr import ShortcutCSR, compact_slots, extend_slots
 from repro.hierarchy.query_hierarchy import QueryHierarchy
 from repro.labelling.build import build_labelling
-from repro.labelling.driver import fold_batch
-from repro.labelling.maintenance import MaintenanceStats
+from repro.labelling.driver import check_weight
+from repro.labelling.maintenance import MaintenanceStats, WeightChange
 from repro.observability.phases import phase
 from repro.partition.recursive import PartitionTreeNode
 
@@ -91,6 +99,7 @@ __all__ = [
     "StructuralStats",
     "CompactionStats",
     "apply_batch",
+    "classify_batch",
     "compact_index",
     "dead_fraction",
     "restore_edge",
@@ -102,11 +111,12 @@ __all__ = [
 class StructuralStats:
     """Outcome of one :func:`apply_batch` call.
 
-    ``maintenance`` merges the kernel stats of every sub-pass;
-    the counters say *how* the batch was absorbed — how many arcs took
-    the insertion fast path versus a fallback rebuild, how many slots
-    the closure allocated, and how many deletions were dropped because
-    the edge was already dead.
+    ``maintenance`` holds the stats of the batch's one sweep (or of its
+    rebuild: every label affected); the counters say *how* the batch
+    was absorbed — how many roads each list moved, how many new roads
+    took the insertion fast path versus a fallback rebuild, how many
+    slots the closure allocated, and how many deletions were dropped
+    because the road was already dead.
     """
 
     maintenance: MaintenanceStats = field(default_factory=MaintenanceStats)
@@ -276,13 +286,65 @@ def _repartition(index, incomparable: np.ndarray) -> None:
 # the batch driver
 # ---------------------------------------------------------------------------
 
-def _validate_insertion(u: int, v: int, w: float) -> None:
-    if u == v:
-        raise MaintenanceError(f"cannot insert a self-loop at vertex {u}")
-    if not math.isfinite(w) or w < 0:
+def classify_batch(
+    graph, insertions=(), deletions=(), weight_changes=()
+) -> tuple[list[WeightChange], list[WeightChange], StructuralStats]:
+    """Fold and sort one structural batch against *graph*, writing nothing.
+
+    Every weight and insertion is checked; each list is folded by
+    ``graph.road_key`` (a road's last mention in a list wins); a road
+    named in two lists raises :class:`MaintenanceError`. Each folded
+    road is then sorted once: a change on an existing road (a live
+    road's deletion is a change to ``inf``; a weight it already has is
+    dropped), a new road, or an already-deleted or missing one. Returns
+    ``(changes, new_roads, stats)``, *stats* holding the counts.
+    """
+    road_key = graph.road_key
+    added: dict[tuple[int, int], WeightChange] = {}
+    for u, v, w in insertions:
+        if u == v:
+            raise MaintenanceError(f"cannot insert a self-loop at vertex {u}")
+        if not math.isfinite(w) or w < 0:
+            raise MaintenanceError(
+                f"weight must be finite and non-negative, got {w!r}"
+            )
+        added[road_key(u, v)] = (u, v, w)
+    dropped = {road_key(u, v): (u, v) for u, v in deletions}
+    reweighed: dict[tuple[int, int], WeightChange] = {}
+    for u, v, w in weight_changes:
+        check_weight(u, v, w)
+        reweighed[road_key(u, v)] = (u, v, w)
+    twice = (added.keys() & dropped.keys()) | (
+        reweighed.keys() & (added.keys() | dropped.keys())
+    )
+    if twice:
+        u, v = min(twice)
         raise MaintenanceError(
-            f"weight must be finite and non-negative, got {w!r}"
+            f"road ({u}, {v}) is named in more than one of insertions, "
+            "deletions and weight_changes"
         )
+
+    stats = StructuralStats()
+    changes: list[WeightChange] = []
+    new_roads: list[WeightChange] = []
+    for u, v in dropped.values():
+        if graph.has_edge(u, v) and math.isfinite(graph.weight(u, v)):
+            changes.append((u, v, math.inf))
+            stats.deleted += 1
+        else:
+            stats.already_deleted += 1
+    for u, v, w in reweighed.values():
+        if w != graph.weight(u, v):
+            changes.append((u, v, w))
+            stats.weight_changed += 1
+    for u, v, w in added.values():
+        if not graph.has_edge(u, v):
+            new_roads.append((u, v, w))
+        elif w != graph.weight(u, v):
+            changes.append((u, v, w))
+            stats.weight_changed += 1
+    stats.inserted = len(new_roads)
+    return changes, new_roads, stats
 
 
 def apply_batch(
@@ -293,134 +355,87 @@ def apply_batch(
 ) -> StructuralStats:
     """Apply one mixed structural batch to an index in place.
 
-    * *deletions* — ``(u, v)`` pairs; live edges become infinite-weight
-      increases (the deletion fast path), already-dead or missing edges
-      only bump the ``already_deleted`` counter.
-    * *weight_changes* — ``(u, v, w)`` triples on existing edges,
-      folded as in :meth:`IndexCore.update` and classified into one
-      :meth:`~IndexCore.increase` and one :meth:`~IndexCore.decrease`
-      call with the deletions (a finite ``w`` on a dead edge is a
-      restore: a plain decrease).
-    * *insertions* — ``(u, v, w)`` triples; an existing edge folds into
-      a weight change, new edges take the closure fast path or a
-      fallback rebuild (see the module docstring). In a two-plane store
-      the directions share one structural CSR, so a new arc whose
-      reverse already exists (or whose pair survived as a shortcut) has
-      an empty closure: a pure weight decrease from ``inf``.
-
-    Mutates the index (hierarchies, labels, engine are swapped on
-    fallback) and returns a :class:`StructuralStats`.
+    *deletions* are ``(u, v)`` pairs (a dead or missing road only
+    counts as ``already_deleted``), *weight_changes* ``(u, v, w)`` on
+    existing roads (a finite ``w`` on a dead one restores it), and
+    *insertions* ``(u, v, w)`` (a weight change on an existing road).
+    :func:`classify_batch` folds and checks them before any write. Then
+    one step, one epoch: when a new road needs the rebuild on the same
+    H_Q or the repartition (see the module docstring), the graph takes
+    every change and new road and the index is rebuilt once; otherwise
+    the closure slots are allocated, the new roads enter at ``inf``,
+    and one :meth:`IndexCore.update` runs them with the changes. In a
+    two-plane store the directions share one structural CSR, so a new
+    arc whose reverse already exists has an empty closure. Returns a
+    :class:`StructuralStats`.
     """
     graph = index.graph
-    stats = StructuralStats()
-
-    increases: list[tuple[int, int, float]] = []
-    decreases: list[tuple[int, int, float]] = []
-    for u, v in deletions:
-        if not graph.has_edge(u, v) or math.isinf(graph.weight(u, v)):
-            stats.already_deleted += 1
-            _bump(index, "already_deleted_edges")
-        else:
-            increases.append((u, v, math.inf))
-            stats.deleted += 1
-
-    # Duplicate reports on one edge coalesce last-wins (sequential
-    # semantics) — increase() and decrease() reject the other direction.
-    for u, v, w in fold_batch(weight_changes, index.hu.edge_key):
-        current = graph.weight(u, v)
-        if w != current:
-            (increases if w > current else decreases).append((u, v, w))
-            stats.weight_changed += 1
-
-    real_inserts: list[tuple[int, int, float]] = []
-    for u, v, w in insertions:
-        _validate_insertion(u, v, w)
-        if graph.has_edge(u, v):
-            current = graph.weight(u, v)
-            if w < current:
-                decreases.append((u, v, w))
-            elif w > current:
-                increases.append((u, v, w))
-            stats.weight_changed += 1
-        else:
-            real_inserts.append((u, v, w))
-
-    if increases:
-        stats.maintenance = stats.maintenance.merge(index.increase(increases))
-    if decreases:
-        stats.maintenance = stats.maintenance.merge(index.decrease(decreases))
-    if real_inserts:
-        stats.inserted = len(real_inserts)
-        _apply_insertions(index, real_inserts, stats)
-    return stats
-
-
-def _fell_back(index, stats: StructuralStats) -> None:
-    """Record one fallback rebuild: every label may have moved."""
-    everyone = MaintenanceStats(
-        affected_labels=set(range(index.graph.num_vertices)),
-        label_positions=None,
+    changes, new_roads, stats = classify_batch(
+        graph, insertions, deletions, weight_changes
     )
-    stats.maintenance = stats.maintenance.merge(everyone)
-    stats.fallback_rebuilds += 1
-    _bump(index, "fallback_rebuilds")
+    _bump(index, "already_deleted_edges", stats.already_deleted)
 
-
-def _apply_insertions(index, inserts, stats: StructuralStats) -> None:
-    """Route genuinely new edges down the ladder: closure fast path,
-    rebuild on the same H_Q, repartition."""
-    graph = index.graph
-    hq: QueryHierarchy = index.hq
-    hu = index.hu
-
-    # An incomparable pair genuinely invalidates the separator property
-    # of H_Q; only a repartition restores it.
-    ends = np.array([(u, v) for u, v, _ in inserts], dtype=np.int64)
-    incomparable = ends[~hq.comparable(ends[:, 0], ends[:, 1])]
+    # An incomparable new road breaks H_Q's separator property, which
+    # only a repartition restores; a closure past the limit rebuilds.
+    ends = np.array([(u, v) for u, v, _ in new_roads], dtype=np.int64).reshape(-1, 2)
+    incomparable = ends[~index.hq.comparable(ends[:, 0], ends[:, 1])]
     closure = None
     if not len(incomparable):
-        pairs = [_ordered_pair(hu.rank, u, v) for u, v, _ in inserts]
+        pairs = [_ordered_pair(index.hu.rank, u, v) for u, v in ends.tolist()]
         closure = _insertion_closure(
-            hu.csr, hu.rank, pairs, index.config.insert_closure_limit
+            index.hu.csr, index.hu.rank, pairs, index.config.insert_closure_limit
         )
     if closure is None:
         with phase("structural.fallback_rebuild"):
-            for u, v, w in inserts:
+            for u, v, w in changes:
+                graph.set_weight(u, v, w)
+            for u, v, w in new_roads:
                 graph.add_edge(u, v, w)
             if len(incomparable):
                 _repartition(index, incomparable)
             else:
-                _rebuild(index, hq)
+                _rebuild(index, index.hq)
         stats.repartitions = len(incomparable)
         _fell_back(index, stats)
-        return
+        return stats
 
-    with phase("structural.slot_alloc"):
-        if closure:
-            new_lo = np.fromiter((p[0] for p in closure), np.int64, len(closure))
-            new_hi = np.fromiter((p[1] for p in closure), np.int64, len(closure))
-            extend_slots(hu, new_lo, new_hi)
-        # New edges enter logically deleted; the seeded decrease sweep
-        # relaxes them (and their closure) to the Property-3.1 fixpoint.
-        for u, v, _ in inserts:
-            graph.add_edge(u, v, 0.0)
-            graph.set_weight(u, v, math.inf)
-    stats.new_slots = len(closure)
+    if new_roads:
+        with phase("structural.slot_alloc"):
+            if closure:
+                new_lo = np.fromiter((p[0] for p in closure), np.int64, len(closure))
+                new_hi = np.fromiter((p[1] for p in closure), np.int64, len(closure))
+                extend_slots(index.hu, new_lo, new_hi)
+            # New roads enter logically deleted; the sweep relaxes them
+            # (and their closure) to the Property-3.1 fixpoint.
+            for u, v, _ in new_roads:
+                graph.add_edge(u, v, 0.0)
+                graph.set_weight(u, v, math.inf)
+        stats.new_slots = len(closure)
 
-    with phase("structural.fastpath_sweep"):
+    with phase("structural.sweep"):
         try:
-            sweep = index.decrease(inserts)
+            stats.maintenance = index.update(changes + new_roads)
         except StructuralFallbackRequired:
             # The sweep needed a pair that compaction removed. The graph
             # already carries the final weights (the driver applies them
             # before sweeping); rebuild H_U + L from it.
             with phase("structural.fallback_rebuild"):
-                _rebuild(index, hq)
+                _rebuild(index, index.hq)
             _fell_back(index, stats)
-            return
-    stats.maintenance = stats.maintenance.merge(sweep)
-    stats.fastpath_inserts = len(inserts)
-    _bump(index, "fastpath_inserts", len(inserts))
+            return stats
+    stats.fastpath_inserts = len(new_roads)
+    _bump(index, "fastpath_inserts", len(new_roads))
+    return stats
+
+
+def _fell_back(index, stats: StructuralStats) -> None:
+    """Record one fallback rebuild: every label may have moved."""
+    stats.maintenance = MaintenanceStats(
+        affected_labels=set(range(index.graph.num_vertices)),
+        label_positions=None,
+    )
+    stats.fallback_rebuilds += 1
+    _bump(index, "fallback_rebuilds")
 
 
 # ---------------------------------------------------------------------------
@@ -480,24 +495,18 @@ def compact_index(index) -> CompactionStats:
 # ---------------------------------------------------------------------------
 
 def restore_edge(index, u: int, v: int, weight: float) -> MaintenanceStats:
-    """Restore a logically deleted edge with *weight* (a decrease).
-
-    After a compaction pass the edge is physically gone; restoring then
-    routes through the insertion path of :func:`apply_batch`.
-    """
+    """Restore a logically deleted edge with *weight* (a decrease), as
+    an insertion through :func:`apply_batch`: after a compaction pass
+    the edge is physically gone and is inserted again."""
     if not math.isfinite(weight) or weight < 0:
         raise MaintenanceError(f"restore weight must be finite, got {weight!r}")
-    if not index.graph.has_edge(u, v):
-        return apply_batch(
-            index, insertions=[(u, v, weight)]
-        ).maintenance
-    current = index.graph.weight(u, v)
-    if weight > current:
+    graph = index.graph
+    if graph.has_edge(u, v) and weight > graph.weight(u, v):
         raise MaintenanceError(
-            f"edge ({u}, {v}) currently weighs {current}; restoring to a "
-            "larger weight is an increase — use increase()"
+            f"edge ({u}, {v}) currently weighs {graph.weight(u, v)}; restoring "
+            "to a larger weight is an increase — use increase()"
         )
-    return index.decrease([(u, v, weight)])
+    return apply_batch(index, insertions=[(u, v, weight)]).maintenance
 
 
 def delete_vertex(index, v: int) -> MaintenanceStats:

@@ -105,6 +105,11 @@ class DiGraph:
             for v, w in nbrs.items():
                 yield u, v, w
 
+    @staticmethod
+    def road_key(u: int, v: int) -> tuple[int, int]:
+        """Road ``(u, v)``'s name in a batch: the arc itself."""
+        return u, v
+
     def has_arc(self, u: int, v: int) -> bool:
         self._check_vertex(u)
         self._check_vertex(v)

@@ -113,6 +113,11 @@ class Graph:
                 if u < v:
                     yield u, v, w
 
+    @staticmethod
+    def road_key(u: int, v: int) -> tuple[int, int]:
+        """Road ``(u, v)``'s name in a batch: the unordered pair."""
+        return (u, v) if u <= v else (v, u)
+
     def has_edge(self, u: int, v: int) -> bool:
         self._check_vertex(u)
         self._check_vertex(v)

@@ -124,10 +124,6 @@ class ContractionResult:
         """Normalise an endpoint pair to (earlier, later) contraction order."""
         return (a, b) if self.rank[a] < self.rank[b] else (b, a)
 
-    #: What a weight batch dedupes on: the unordered pair here, the
-    #: ordered arc in a two-plane store.
-    edge_key = shortcut_key
-
     def find_edge_slot(self, a: int, b: int) -> int:
         """Weight cell of edge ``(a, b)`` — of arc ``a -> b`` in a
         two-plane store; -1 when the pair has no slot."""

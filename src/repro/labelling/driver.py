@@ -25,7 +25,7 @@ how every build weighs its shortcuts.
 from __future__ import annotations
 
 import math
-from typing import Callable, Hashable, Iterable
+from typing import Hashable, Iterable
 
 import numpy as np
 
@@ -45,22 +45,21 @@ __all__ = [
     "maintain_shortcuts",
     "validate_batch",
     "fold_batch",
+    "check_weight",
 ]
 
 # ---------------------------------------------------------------------------
 # batch validation
 # ---------------------------------------------------------------------------
 
-def _check_weight(u: int, v: int, w: float) -> None:
+def check_weight(u: int, v: int, w: float) -> None:
+    """Refuse a negative or NaN road weight (``inf`` closes a road)."""
     if w < 0 or math.isnan(w):
         raise MaintenanceError(f"invalid weight {w!r} for edge ({u}, {v})")
 
 
 def validate_batch(
-    kind: str,
-    graph,
-    changes: Iterable[WeightChange],
-    edge_key: Callable[[int, int], Hashable],
+    kind: str, graph, changes: Iterable[WeightChange]
 ) -> list[WeightChange]:
     """Check a whole ``decrease``/``increase``/``update`` batch before
     any write.
@@ -68,21 +67,22 @@ def validate_batch(
     Raises :class:`MaintenanceError` for a negative or NaN weight and,
     for ``decrease``/``increase``, for a change against *kind*'s
     direction; an unknown edge raises from ``graph.weight``. Changes
-    that leave a weight as it is are dropped. *edge_key* names the edge
-    a change addresses: an ``update`` is folded first
+    that leave a weight as it is are dropped. ``graph.road_key`` names
+    the road a change addresses: an ``update`` is folded first
     (:func:`fold_batch`), so a road named twice ends at its last
     mention's weight; the one-kind batches check repeated mentions in
     order, each against the weight the previous one leaves.
     """
     if kind == "update":
-        changes = fold_batch(changes, edge_key)
+        changes = fold_batch(graph, changes)
+    road_key = graph.road_key
     pending: dict[Hashable, float] = {}
     batch: list[WeightChange] = []
     for u, v, w in changes:
         current = graph.weight(u, v)
-        _check_weight(u, v, w)
-        edge = edge_key(u, v)
-        current = pending.get(edge, current)
+        check_weight(u, v, w)
+        road = road_key(u, v)
+        current = pending.get(road, current)
         if w == current:
             continue
         if kind != "update" and (w > current) == (kind == "decrease"):
@@ -92,21 +92,20 @@ def validate_batch(
                 f"edge ({u}, {v}): {current} -> {w} is not {article} {kind}; "
                 f"use {other}()/update()"
             )
-        pending[edge] = w
+        pending[road] = w
         batch.append((u, v, w))
     return batch
 
 
-def fold_batch(
-    changes: Iterable[WeightChange], edge_key: Callable[[int, int], Hashable]
-) -> list[WeightChange]:
+def fold_batch(graph, changes: Iterable[WeightChange]) -> list[WeightChange]:
     """One change per road, the last mention's weight, in first-mention
-    order. *edge_key* names the road a change addresses. Every weight
-    is checked, a superseded one too."""
+    order. ``graph.road_key`` names the road a change addresses. Every
+    weight is checked, a superseded one too."""
+    road_key = graph.road_key
     final: dict[Hashable, WeightChange] = {}
     for u, v, w in changes:
-        _check_weight(u, v, w)
-        final[edge_key(u, v)] = (u, v, w)
+        check_weight(u, v, w)
+        final[road_key(u, v)] = (u, v, w)
     return list(final.values())
 
 
@@ -182,7 +181,7 @@ def maintain_shortcuts(
     ``{(deeper, shallower): old_weight}``; the new weights are already
     stored in *sc*.
     """
-    batch = validate_batch(kind, sc.graph, changes, sc.edge_key)
+    batch = validate_batch(kind, sc.graph, changes)
     if not batch:
         return {}
     _, first_old, touched, count = _shortcut_phase(sc, batch)
@@ -233,7 +232,7 @@ def maintain(
 
     def run() -> MaintenanceStats | None:
         with phase("maintain.validate"):
-            batch = validate_batch(kind, store.graph, changes, store.edge_key)
+            batch = validate_batch(kind, store.graph, changes)
         if not batch:
             return None
         changed, first_old, touched, count = _shortcut_phase(store, batch)

@@ -158,16 +158,17 @@ class HierarchicalLabelling:
 
     def validate_basic(self) -> None:
         """Cheap invariants of the one layout: every row holds exactly
-        ``tau + 1`` entries inside the buffer, none negative, and the
-        diagonal — the last entry of each row — is zero.
+        ``tau + 1`` entries, the rows fill the value buffer exactly,
+        none is negative, and the diagonal — the last entry of each
+        row — is zero.
 
         Raises :class:`~repro.exceptions.HierarchyError`.
         """
         offsets = self.offsets
         if not np.array_equal(offsets, row_offsets(self.tau)):
             raise HierarchyError("label rows are not tau + 1 contiguous entries")
-        if offsets[-1] > len(self.values):
-            raise HierarchyError("label offsets run past the value buffer")
+        if offsets[-1] != len(self.values):
+            raise HierarchyError("label rows do not fill the value buffer")
         if (self._entries() < 0).any():
             raise HierarchyError("negative label entry")
         if (self.values[offsets[1:] - 1] != 0.0).any():

@@ -6,9 +6,10 @@ anyone queried it. Applying each change individually pays the full
 DHL+/DHL- propagation cost every time; coalescing folds the stream into
 its *net effect* first:
 
-* duplicate mentions of an edge collapse to the final weight (last
-  write wins), merging at submission time so the buffer never grows
-  beyond the number of distinct touched edges;
+* duplicate mentions of a road (by the index graph's ``road_key``,
+  the key every fold of a batch uses) collapse to the final weight
+  (last write wins), merging at submission time so the buffer never
+  grows beyond the number of distinct touched roads;
 * changes whose final weight equals the current graph weight are
   dropped as no-ops at flush time (raise-then-restore costs nothing);
 * the surviving changes, raises and drops alike, form one mixed batch
@@ -33,6 +34,7 @@ weight-maintenance kernels.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable
 
 from repro.graph.graph import Graph
 from repro.labelling.maintenance import WeightChange
@@ -90,9 +92,11 @@ class CoalescedBatch:
 
 
 class UpdateCoalescer:
-    """Streaming buffer of weight and structural changes, merged per edge."""
+    """Streaming buffer of weight and structural changes, merged per
+    road as *road_key* (the index's ``graph.road_key``) names it."""
 
     __slots__ = (
+        "_key",
         "_pending",
         "_submitted",
         "_merged",
@@ -102,7 +106,8 @@ class UpdateCoalescer:
         "_structural",
     )
 
-    def __init__(self) -> None:
+    def __init__(self, road_key: Callable[[int, int], EdgeKey]) -> None:
+        self._key = road_key
         self._pending: dict[EdgeKey, tuple[str, float | None]] = {}
         self._submitted = 0
         self._merged = 0
@@ -119,7 +124,7 @@ class UpdateCoalescer:
         insertion's weight; on one queued for deletion it acts as a
         restore, folding the delete back into a plain weight change.
         """
-        key = (u, v) if u <= v else (v, u)
+        key = self._key(u, v)
         self._submitted += 1
         prior = self._pending.get(key)
         if prior is not None:
@@ -137,7 +142,7 @@ class UpdateCoalescer:
         is its new weight. Whether a drained entry really is an
         insertion is decided against the graph at flush time.
         """
-        key = (u, v) if u <= v else (v, u)
+        key = self._key(u, v)
         self._submitted += 1
         self._structural += 1
         prior = self._pending.get(key)
@@ -154,7 +159,7 @@ class UpdateCoalescer:
         Deleting a road queued for insertion cancels both — neither ever
         reaches the index.
         """
-        key = (u, v) if u <= v else (v, u)
+        key = self._key(u, v)
         self._submitted += 1
         self._structural += 1
         prior = self._pending.get(key)

@@ -258,7 +258,7 @@ class DistanceService:
         self.cache = EpochLRUCache(cache_capacity)
         # Cache keys are unordered pairs unless d(s, t) != d(t, s).
         self._directed = getattr(self.index, "kind", None) == "directed"
-        self.coalescer = UpdateCoalescer()
+        self.coalescer = UpdateCoalescer(self.index.graph.road_key)
         self.flush_threshold = max(1, flush_threshold)
         # Last index epoch this service reconciled its cache against.
         # Updates applied directly on the index (structural ops, another
@@ -487,9 +487,7 @@ class DistanceService:
                     deletions=batch.deletions,
                     weight_changes=batch.changes,
                 )
-            # StructuralStats carries its MaintenanceStats in
-            # .maintenance; ShardedMaintenanceStats *is* one.
-            stats = getattr(result, "maintenance", result)
+            stats = result.maintenance
             self._m_structural_batches.inc()
         else:
             with phase("flush.apply"):

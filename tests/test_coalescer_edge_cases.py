@@ -33,7 +33,7 @@ def first_edge(graph):
 def test_resetting_current_weight_is_dropped_as_noop():
     index = build_index()
     u, v, w = first_edge(index.graph)
-    coalescer = UpdateCoalescer()
+    coalescer = UpdateCoalescer(index.graph.road_key)
     coalescer.add(u, v, w)  # re-report of the live weight
     assert coalescer.pending_edges == 1  # buffered: graph not consulted yet
     batch = coalescer.drain(index.graph)
@@ -46,7 +46,7 @@ def test_resetting_current_weight_is_dropped_as_noop():
 def test_reversed_duplicate_edge_merges_to_one_change():
     index = build_index()
     u, v, w = first_edge(index.graph)
-    coalescer = UpdateCoalescer()
+    coalescer = UpdateCoalescer(index.graph.road_key)
     coalescer.add(u, v, 2.0 * w)
     coalescer.add(v, u, 3.0 * w)  # same road, reversed endpoints
     assert coalescer.pending_edges == 1

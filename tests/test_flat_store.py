@@ -87,6 +87,20 @@ class TestFlatStoreStructure:
         with pytest.raises(HierarchyError, match="tau \\+ 1"):
             small_index.verify()
 
+    def test_verify_refuses_a_trailing_entry(self, small_index):
+        """Rows that fill only a prefix of the value buffer are no
+        labelling either: one spare entry after the last row fails
+        ``verify()``."""
+        labels = small_index.labels
+        values = np.append(labels.values, 0.0)
+        small_index._adopt(
+            small_index.hq,
+            small_index.hu,
+            (HierarchicalLabelling(values, labels.offsets, labels.tau),),
+        )
+        with pytest.raises(HierarchyError, match="value buffer"):
+            small_index.verify()
+
     @pytest.mark.parametrize("corrupt", ["diagonal", "shortcut"])
     def test_verify_checks_everything_under_python_o(self, corrupt):
         """``verify()`` raises :class:`HierarchyError`, not ``assert``, so

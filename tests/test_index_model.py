@@ -7,7 +7,8 @@ standard of arXiv 2102.08529). :class:`IndexModel` is a hypothesis
 state machine whose rules are every way the index changes — mixed
 ``update`` bursts, the paper's two passes, ``apply_batch`` insertions
 (closure fast path, same-H_Q rebuild, repartition), deletions and
-reweighs, ``restore_edge``, ``delete_vertex``, ``compact``, a pickle
+reweighs (a road may recur within a list; a road named in two lists is
+refused), ``restore_edge``, ``delete_vertex``, ``compact``, a pickle
 and ``save`` -> ``load`` (plain or memory-mapped) — interleaved at
 random on small integer-weighted graphs with weights 0-4, so ties are
 everywhere and roads go to ``inf`` and back. The machine keeps its own
@@ -26,6 +27,7 @@ import tempfile
 from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, Phase, settings
 from hypothesis import strategies as st
 from hypothesis.stateful import (
@@ -40,6 +42,7 @@ from hypothesis.stateful import (
 from repro.baselines.dijkstra import dijkstra
 from repro.core.config import DHLConfig
 from repro.core.index import DHLIndex
+from repro.exceptions import MaintenanceError
 from repro.hierarchy.update_hierarchy import UpdateHierarchy
 from repro.labelling.build import build_labelling
 from tests.strategies import connected_graphs
@@ -48,10 +51,8 @@ from tests.strategies import connected_graphs
 WEIGHTS = st.integers(0, 4).map(float)
 #: What a weight report may set: a small weight, or a closure.
 REPORTS = st.one_of(WEIGHTS, st.just(math.inf))
-
-
-def road(u: int, v: int) -> tuple[int, int]:
-    return (u, v) if u < v else (v, u)
+#: The batch lists a road may be named in.
+LISTS = ("insertions", "deletions", "weight_changes")
 
 
 class IndexModel(RuleBasedStateMachine):
@@ -90,6 +91,7 @@ class IndexModel(RuleBasedStateMachine):
         before, epoch = dict(self.roads), index.epoch
         keys = index.hu.csr.slot_keys.copy()
         stats = getattr(index, method)(changes)
+        road = index.graph.road_key
         self.roads.update((road(u, v), w) for u, v, w in changes)
         csr = index.hu.csr
         assert np.array_equal(csr.slot_keys, keys), "U1: a weight batch moved H_U"
@@ -128,6 +130,7 @@ class IndexModel(RuleBasedStateMachine):
     def two_passes(self, data):
         """The same kind of burst as the paper runs it: DHL+ on the
         raised roads, then DHL- on the lowered ones."""
+        road = self.index.graph.road_key
         final = {road(u, v): (u, v, w) for u, v, w in self.draw_burst(data)}
         now = dict(self.roads)
         self.maintain("increase", [c for k, c in final.items() if c[2] > now[k]])
@@ -136,11 +139,12 @@ class IndexModel(RuleBasedStateMachine):
     # -- structural changes ---------------------------------------------
     def draw_batch(self, data, insertions: int, deletions: int) -> dict:
         """``apply_batch`` keywords: at least *insertions* insertions and
-        *deletions* deletions, up to three of each and of reweighs, each
-        road in one list at most. A deletion may name a closed road; an
-        insertion a new pair, comparable or not, a live road (a reweigh)
-        or a closed one (a restore); a reweigh may close a road or
-        reopen one."""
+        *deletions* deletions, up to three mentions in each list and in
+        the reweighs. A list may name a road more than once, in either
+        orientation; no road is named in two lists. A deletion may name
+        a closed road; an insertion a new pair, comparable or not, a
+        live road (a reweigh) or a closed one (a restore); a reweigh may
+        close a road or reopen one."""
         n = self.index.graph.num_vertices
         roads = sorted(self.roads)
         dropped = data.draw(
@@ -162,34 +166,55 @@ class IndexModel(RuleBasedStateMachine):
                 st.tuples(st.sampled_from(free), WEIGHTS),
                 min_size=insertions,
                 max_size=3,
-                unique_by=lambda item: item[0],
             )
             if free
             else st.just([])
         )
+
+        def oriented(mentions):
+            flips = data.draw(
+                st.lists(st.booleans(), min_size=len(mentions), max_size=len(mentions))
+            )
+            return [
+                ((v, u) if flip else (u, v)) + tuple(rest)
+                for ((u, v), *rest), flip in zip(mentions, flips)
+            ]
+
         return {
-            "insertions": [(u, v, w) for (u, v), w in inserts],
-            "deletions": dropped,
-            "weight_changes": [(u, v, w) for (u, v), w in reweighs],
+            "insertions": oriented(inserts),
+            "deletions": oriented([(key,) for key in dropped]),
+            "weight_changes": oriented(reweighs),
         }
 
     def apply_batch(self, batch: dict) -> None:
-        """Apply *batch*; its stats must count what the model says it
-        holds, and the ladder must take one rung for all new roads."""
+        """Apply *batch*; its stats must count what the model's fold
+        says it holds (each list folded by ``graph.road_key``, the last
+        mention winning), the ladder must take one rung for all new
+        roads, and the epoch moves once iff a road did."""
         index = self.index
-        new = [(u, v) for u, v, _ in batch["insertions"] if (u, v) not in self.roads]
-        apart = sum(not index.hq.comparable(u, v) for u, v in new)
-        closed = sum(math.isinf(self.roads[key]) for key in batch["deletions"])
+        road = index.graph.road_key
+        inserted = {road(u, v): w for u, v, w in batch["insertions"]}
+        dropped = {road(u, v) for u, v in batch["deletions"]}
+        reweighed = {road(u, v): w for u, v, w in batch["weight_changes"]}
+        new = [key for key in inserted if key not in self.roads]
+        apart = sum(not index.hq.comparable(*key) for key in new)
+        closed = sum(math.isinf(self.roads[key]) for key in dropped)
+        before, epoch = dict(self.roads), index.epoch
         stats = index.apply_batch(**batch)
-        self.roads.update((key, math.inf) for key in batch["deletions"])
-        for u, v, w in batch["weight_changes"] + batch["insertions"]:
-            self.roads[(u, v)] = w
-            self.gone.discard((u, v))
+        self.roads.update((key, math.inf) for key in dropped)
+        for key, w in {**reweighed, **inserted}.items():
+            self.roads[key] = w
+            self.gone.discard(key)
         assert stats.already_deleted == closed
-        assert stats.deleted == len(batch["deletions"]) - closed
+        assert stats.deleted == len(dropped) - closed
+        moved = {**reweighed, **inserted}.items()
+        assert stats.weight_changed == sum(
+            key in before and w != before[key] for key, w in moved
+        )
         assert (stats.inserted, stats.repartitions) == (len(new), apart)
         rung = (stats.fastpath_inserts, stats.fallback_rebuilds)
         assert rung in ((len(new), 0), (0, int(bool(new))))
+        assert index.epoch == epoch + (self.roads != before)
 
     @rule(data=st.data())
     def insert(self, data):
@@ -202,6 +227,32 @@ class IndexModel(RuleBasedStateMachine):
     @rule(data=st.data())
     def delete(self, data):
         self.apply_batch(self.draw_batch(data, insertions=0, deletions=1))
+
+    @rule(data=st.data())
+    def name_a_road_in_two_lists(self, data):
+        """A batch that names one road in two of its lists — any pair,
+        a road or not, in either orientation — is refused before any
+        write: graph, epoch and labels stay as they were."""
+        index = self.index
+        batch = self.draw_batch(data, insertions=0, deletions=0)
+        n = index.graph.num_vertices
+        u, v = data.draw(
+            st.sampled_from([(u, v) for u in range(n) for v in range(n) if u != v])
+        )
+        mentions = {
+            "insertions": (u, v, data.draw(WEIGHTS)),
+            "deletions": (u, v),
+            "weight_changes": (u, v, data.draw(REPORTS)),
+        }
+        for name in data.draw(st.sampled_from([LISTS[:2], LISTS[1:], LISTS[::2]])):
+            batch[name].append(mentions[name])
+            if data.draw(st.booleans()):
+                batch[name].insert(0, batch[name].pop())
+        values, epoch = index.labels.values.tobytes(), index.epoch
+        with pytest.raises(MaintenanceError, match="more than one of"):
+            index.apply_batch(**batch)
+        assert index.epoch == epoch
+        assert index.labels.values.tobytes() == values
 
     @precondition(lambda self: self.dead_roads())
     @rule(data=st.data(), weight=WEIGHTS)

@@ -89,7 +89,7 @@ class TestEpochLRUCache:
 # ---------------------------------------------------------------------------
 class TestUpdateCoalescer:
     def test_duplicates_merge_last_write_wins(self, path_graph):
-        co = UpdateCoalescer()
+        co = UpdateCoalescer(path_graph.road_key)
         co.add(0, 1, 5.0)
         co.add(1, 0, 7.0)  # same road, either orientation
         co.add(0, 1, 9.0)
@@ -100,7 +100,7 @@ class TestUpdateCoalescer:
         assert stats.submitted == 3 and stats.merged_duplicates == 2
 
     def test_raise_then_restore_is_noop(self, path_graph):
-        co = UpdateCoalescer()
+        co = UpdateCoalescer(path_graph.road_key)
         original = path_graph.weight(1, 2)
         co.add(1, 2, original * 4)
         co.add(1, 2, original)
@@ -109,7 +109,7 @@ class TestUpdateCoalescer:
         assert co.stats().noops_dropped == 1
 
     def test_mixed_batch_is_one_list_in_first_mention_order(self, path_graph):
-        co = UpdateCoalescer()
+        co = UpdateCoalescer(path_graph.road_key)
         co.add(2, 3, path_graph.weight(2, 3) - 1)
         co.add(3, 4, path_graph.weight(3, 4))  # explicit no-op
         co.add(0, 1, path_graph.weight(0, 1) + 3)
@@ -122,7 +122,7 @@ class TestUpdateCoalescer:
         assert not co  # drained
 
     def test_drain_empty(self, path_graph):
-        co = UpdateCoalescer()
+        co = UpdateCoalescer(path_graph.road_key)
         assert co.drain(path_graph).size == 0
         assert len(co) == 0
 

@@ -645,14 +645,14 @@ class TestCoalescerStateMachine:
         return g
 
     def test_insert_then_delete_cancels(self):
-        c = UpdateCoalescer()
+        c = UpdateCoalescer(Graph.road_key)
         c.add_insert(0, 3, 5.0)
         c.add_delete(0, 3)
         assert len(c) == 0
         assert c.stats().cancelled_pairs == 1
 
     def test_delete_then_insert_folds_to_weight(self):
-        c = UpdateCoalescer()
+        c = UpdateCoalescer(Graph.road_key)
         c.add_delete(0, 1)
         c.add_insert(0, 1, 9.0)
         batch = c.drain(self._graph())
@@ -661,21 +661,21 @@ class TestCoalescerStateMachine:
         assert batch.changes == [(0, 1, 9.0)]
 
     def test_weight_on_queued_insert_folds_into_insert(self):
-        c = UpdateCoalescer()
+        c = UpdateCoalescer(Graph.road_key)
         c.add_insert(2, 3, 5.0)
         c.add(2, 3, 7.0)
         batch = c.drain(self._graph())
         assert batch.insertions == [(2, 3, 7.0)]
 
     def test_weight_on_missing_edge_becomes_insertion(self):
-        c = UpdateCoalescer()
+        c = UpdateCoalescer(Graph.road_key)
         c.add(0, 3, 4.0)
         batch = c.drain(self._graph())
         assert batch.insertions == [(0, 3, 4.0)]
         assert batch.is_structural
 
     def test_plain_weight_batch_not_structural(self):
-        c = UpdateCoalescer()
+        c = UpdateCoalescer(Graph.road_key)
         c.add(0, 1, 3.0)
         batch = c.drain(self._graph())
         assert not batch.is_structural
