@@ -18,7 +18,7 @@ class DHLConfig:
     first use (a host without one raises
     :class:`~repro.exceptions.NativeUnavailableError` on the first
     build). Snapshots written when the config still had an ``engine``
-    field load; the field is dropped.
+    or a ``validate`` field load; the field is dropped.
 
     Attributes
     ----------
@@ -31,10 +31,6 @@ class DHLConfig:
     seed:
         Seed for the randomised partitioning heuristics; fixed seed means
         reproducible indexes.
-    validate:
-        When True, run the (expensive) structural invariant checks after
-        construction: comparability of shortcut endpoints and the
-        minimum-weight property. Intended for tests and debugging.
     insert_closure_limit:
         Structural-insertion fast-path budget: the maximum number of new
         shortcut slots one ``apply_batch`` may allocate through the
@@ -55,7 +51,6 @@ class DHLConfig:
     beta: float = 0.2
     leaf_size: int = 8
     seed: int = 0
-    validate: bool = False
     insert_closure_limit: int = 4096
     compaction_threshold: float = 0.25
 

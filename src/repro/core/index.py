@@ -136,10 +136,7 @@ class IndexCore:
             labellings = [build_labelling(hu, plane) for plane in range(hu.planes)]
         stats.labelling_seconds = t.seconds
 
-        index = cls(graph, hq, hu, *labellings, config, stats)
-        if config.validate:
-            index.verify()
-        return index
+        return cls(graph, hq, hu, *labellings, config, stats)
 
     @staticmethod
     def _bisect(graph: Graph, config: DHLConfig) -> PartitionTreeNode:
@@ -299,8 +296,8 @@ class IndexCore:
         return self._stats
 
     def save(self, path: str | Path) -> None:
-        """Persist the index to a directory (JSON manifest + npz arrays
-        + flat label ``.npy`` files)."""
+        """Persist the index to a directory (scalar JSON manifest + npz
+        arrays + flat label ``.npy`` files)."""
         serialization.save_index(self, Path(path))
 
     @classmethod

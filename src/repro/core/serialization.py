@@ -1,26 +1,27 @@
-"""Index persistence: JSON manifest + npz arrays + flat label snapshots.
+"""Index persistence: a snapshot is arrays and a manifest of scalars.
 
-The format is explicit (no pickle): a ``manifest.json`` with scalar
-metadata and the partition-node bitstrings (arbitrary-precision ints are
-stored as decimal strings), an ``arrays.npz`` holding the hierarchy and
-shortcut tables (ragged structures flattened with offset arrays), and
-the labelling dumped as bare ``.npy`` files — ``label_values.npy`` plus
-``label_offsets.npy`` — exactly the flat CSR store's two arrays.
+One explicit layout (no pickle) serves every family. ``manifest.json``
+holds ``format_version``, ``kind``, ``n`` and the ``config`` (plus
+``k`` and ``has_overlay`` at a sharded root). ``arrays.npz`` holds the
+roads in ``edges()`` order — ``arc_src``, ``arc_dst``, ``arc_weight``,
+and ``coords`` when the graph has them — and, for a monolithic index,
+the shortcut store (``up_flat``, ``up_offsets``, one array per weight
+plane) and H_Q as the arrays :meth:`QueryHierarchy.from_nodes` reads.
+The labelling is bare ``label_values.npy`` / ``label_offsets.npy``
+files, the flat CSR store's two arrays. A :class:`_Layout` per kind
+names the ``kind``, the graph constructor, the weight planes and the
+label files. Nothing is written that load does not read, and load
+refuses arrays that do not fit with :class:`SerializationError` before
+any kernel reads them. Monolithic v2 and sharded v3 snapshots still
+load: they kept an undirected graph as manifest JSON and H_Q's branch
+bits in node bitstrings, which the loader reads in place of the arrays.
 
-Dumping the label store as uncompressed ``.npy`` is what enables the
-memory-map fast path: ``load_index(path, mmap_labels=True)`` opens the
-value buffer with ``np.load(mmap_mode="r")``, so a saved index starts
-serving queries near-instantly (label pages fault in on demand) while
-maintenance transparently materialises a writable copy on first update
+Uncompressed label ``.npy`` files are the memory-map fast path:
+``load_index(path, mmap_labels=True)`` opens the value buffer with
+``np.load(mmap_mode="r")``, so a saved index serves queries at once
+(label pages fault in on demand) while maintenance materialises a
+writable copy on first update
 (:meth:`HierarchicalLabelling.ensure_writable`).
-
-Both the undirected :class:`~repro.core.index.DHLIndex` and the
-directed :class:`~repro.core.directed.DirectedDHLIndex` persist through
-one writer and one loader: a :class:`_Layout` per store shape names the
-manifest ``kind``, one ``npz`` key per weight plane and one label-file
-prefix per labelling, and only the graph codec differs (JSON in the
-manifest for a :class:`Graph`, arc arrays in the ``npz`` for a
-:class:`DiGraph`).
 
 **Crash safety.** Every save is atomic: the snapshot is written into a
 hidden sibling temp directory, a per-directory ``checksums.json``
@@ -42,17 +43,18 @@ import os
 import shutil
 import zlib
 from pathlib import Path
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from repro.exceptions import SerializationError, SnapshotCorruptionError
 from repro.graph.digraph import DiGraph
-from repro.graph.io import graph_from_payload, graph_to_payload
+from repro.graph.graph import Graph, road_arrays
+from repro.graph.io import graph_from_payload
 from repro.hierarchy.contraction import ContractionResult
 from repro.hierarchy.csr import ShortcutCSR, check_capacity
 from repro.hierarchy.query_hierarchy import QueryHierarchy
-from repro.labelling.labels import HierarchicalLabelling
+from repro.labelling.labels import HierarchicalLabelling, row_offsets
 
 __all__ = [
     "save_index",
@@ -62,12 +64,11 @@ __all__ = [
     "verify_snapshot",
 ]
 
-_FORMAT_VERSION = 2
-# Sharded snapshots (format v3) are a directory of per-shard v2
-# snapshot directories plus partition metadata, so every shard's label
-# store keeps the mmap fast path.
-_SHARDED_FORMAT_VERSION = 3
-
+_FORMAT_VERSION = 4
+_ROAD_KEYS = ("arc_src", "arc_dst", "arc_weight")
+#: Per node, in preorder: what :meth:`QueryHierarchy.from_nodes` reads
+#: beside the per-vertex ``tau`` and ``node_of``.
+_NODE_KEYS = ("node_depth", "node_parent", "node_vend", "node_branch")
 
 _CHECKSUM_MANIFEST = "checksums.json"
 
@@ -196,6 +197,137 @@ def verify_snapshot(path: Path) -> int:
     return checked
 
 
+class _Layout(NamedTuple):
+    """On-disk names of one snapshot kind."""
+
+    kind: str  # the manifest's ``kind``
+    graph_from: Callable  # ``(n, roads, coords)`` -> the graph
+    weight_keys: tuple[str, ...] = ()  # one ``arrays.npz`` key per weight plane
+    label_prefixes: tuple[str, ...] = ()  # one ``.npy`` pair per labelling
+    legacy_version: int = 2  # the earlier format's version, still read
+
+
+#: Monolithic kinds, keyed by the shortcut store's ``planes``.
+_LAYOUTS = {
+    1: _Layout("undirected", Graph.from_edges, ("wup_flat",), ("label",)),
+    2: _Layout(
+        "directed",
+        DiGraph.from_arcs,
+        ("wout_flat", "win_flat"),
+        ("label_out", "label_in"),
+    ),
+}
+_SHARDED = _Layout("sharded", Graph.from_edges, legacy_version=3)
+
+
+def _config_from_payload(payload: dict):
+    """Rebuild a ``DHLConfig`` from the fields a snapshot may set.
+
+    Older snapshots carry retired keys (``workers``, ``coarsest_size``,
+    ``engine``, ``validate``); all are dropped, which keeps every
+    snapshot on disk loadable. Keys a snapshot predates keep their
+    defaults.
+    """
+    from repro.core.config import DHLConfig
+
+    known = {f.name for f in dataclasses.fields(DHLConfig)}
+    return DHLConfig(**{k: v for k, v in payload.items() if k in known})
+
+
+def _road_payload(graph) -> dict[str, np.ndarray]:
+    payload = dict(zip(_ROAD_KEYS, road_arrays(graph)))
+    if graph.coords is not None:
+        payload["coords"] = graph.coords
+    return payload
+
+
+def _write_snapshot(path: Path, kind: str, graph, config, arrays, **scalars) -> None:
+    """Write ``arrays.npz`` (*arrays* beside *graph*'s roads) and the
+    scalar manifest — the same for every kind."""
+    np.savez_compressed(path / "arrays.npz", **arrays, **_road_payload(graph))
+    manifest = {
+        "format_version": _FORMAT_VERSION,
+        "kind": kind,
+        "n": graph.num_vertices,
+        "config": dataclasses.asdict(config),
+        **scalars,
+    }
+    (path / "manifest.json").write_text(json.dumps(manifest))
+
+
+def _read_snapshot(path: Path, layout: _Layout) -> tuple:
+    """``(manifest, arrays, graph, roads)`` of the snapshot at *path*,
+    ``roads`` the graph's ``(u, v, w)`` arrays."""
+    manifest_path = path / "manifest.json"
+    if not manifest_path.exists():
+        raise SerializationError(f"{path} does not contain a saved DHL index")
+    try:
+        manifest = json.loads(manifest_path.read_text())
+    except json.JSONDecodeError as exc:
+        raise SerializationError(f"corrupt manifest: {exc}") from exc
+    version = manifest.get("format_version")
+    if version not in (_FORMAT_VERSION, layout.legacy_version):
+        raise SerializationError(f"unsupported format version {version!r}")
+    kind = manifest.get("kind", "undirected")
+    if kind != layout.kind:
+        raise SerializationError(f"{path} holds a {kind} index; expected {layout.kind}")
+    arrays = {}
+    if (path / "arrays.npz").exists():
+        with np.load(path / "arrays.npz") as data:
+            arrays = dict(data)
+    if version != _FORMAT_VERSION:
+        # The earlier format held an undirected graph as manifest JSON
+        # and each H_Q node's branch as the last bit of its bitstring.
+        if "graph" in manifest:
+            arrays.update(_road_payload(graph_from_payload(manifest["graph"])))
+        if "node_bits" in manifest:
+            arrays["node_branch"] = np.array(
+                [int(bits) & 1 for bits in manifest["node_bits"]], dtype=np.uint8
+            )
+    try:
+        roads = tuple(arrays[key] for key in _ROAD_KEYS)
+    except KeyError as exc:
+        raise SerializationError(f"{path} holds no road arrays") from exc
+    graph = layout.graph_from(
+        manifest["n"], zip(*(road.tolist() for road in roads)), arrays.get("coords")
+    )
+    return manifest, arrays, graph, roads
+
+
+def _hq_from_payload(arrays, n: int) -> QueryHierarchy:
+    """H_Q from its snapshot arrays, refused unless they fit: the LCA
+    kernel and the label gather index by every one of them. O(n +
+    nodes), and no label value is read."""
+    tau, node_of = arrays["tau"], arrays["node_of"]
+    depth, parent, vend, branch = (arrays[key] for key in _NODE_KEYS)
+    nodes = len(depth)
+    every = (tau, node_of, depth, parent, vend, branch)
+    if not (
+        all(a.ndim == 1 and a.dtype.kind in "iu" for a in every)
+        and len(tau) == len(node_of) == n
+        and 0 < nodes == len(parent) == len(vend) == len(branch)
+    ):
+        bad = "shape"
+    elif not np.all((0 <= node_of) & (node_of < nodes)):
+        bad = "node_of"
+    elif parent[0] != -1 or not np.all(
+        (0 <= parent[1:]) & (parent[1:] < np.arange(1, nodes))
+    ):
+        bad = "node_parent"  # preorder: every parent comes earlier
+    elif depth[0] != 0 or not np.array_equal(depth[1:], depth[parent[1:]] + 1):
+        bad = "node_depth"
+    elif not np.all((branch == 0) | (branch == 1)):
+        bad = "node_branch"
+    else:
+        # A node owns the ranks [its parent's vend, its own vend).
+        start = np.concatenate(([0], vend[parent[1:]]))[node_of]
+        fits = (0 <= start) & (start <= tau) & (tau < vend[node_of])
+        bad = None if np.all(fits) else "tau"
+    if bad:
+        raise SerializationError(f"H_Q's {bad} does not fit the snapshot")
+    return QueryHierarchy.from_nodes(tau, node_of, depth, parent, vend, branch)
+
+
 def _save_labels(path: Path, labels: HierarchicalLabelling, prefix: str) -> None:
     """Dump the flat store as two bare .npy files (mmap-able on load).
 
@@ -210,183 +342,24 @@ def _save_labels(path: Path, labels: HierarchicalLabelling, prefix: str) -> None
 def _load_labels(
     path: Path, prefix: str, tau: np.ndarray, mmap: bool
 ) -> HierarchicalLabelling:
+    """The labelling, refused unless its offsets are the one layout's
+    over *tau* and end at the value count (read off the ``.npy``
+    header: a memory-mapped buffer is not paged in)."""
     values_path = path / f"{prefix}_values.npy"
     offsets_path = path / f"{prefix}_offsets.npy"
     if not values_path.exists() or not offsets_path.exists():
         raise SerializationError(f"{path} is missing the {prefix} label snapshot")
-    mode = "r" if mmap else None
-    values = np.load(values_path, mmap_mode=mode)
+    values = np.load(values_path, mmap_mode="r" if mmap else None)
     offsets = np.load(offsets_path)
+    expected = row_offsets(tau)
+    if (
+        values.ndim != 1
+        or values.dtype != np.float64
+        or not np.array_equal(offsets, expected)
+        or expected[-1] != len(values)
+    ):
+        raise SerializationError(f"{prefix} offsets do not fit H_Q's tau and values")
     return HierarchicalLabelling(values, offsets, tau)
-
-
-def _hq_payload(hq: QueryHierarchy) -> dict[str, np.ndarray]:
-    members_flat, members_offsets = hq.members()
-    vend = hq.vend()
-    return {
-        "tau": hq.tau,
-        "node_of": hq.node_of,
-        "node_depth": hq.depth,
-        "node_vstart": vend - np.diff(members_offsets),
-        "node_vend": vend,
-        "node_parent": hq.parent(),
-        "members_flat": members_flat,
-        "members_offsets": members_offsets,
-    }
-
-
-def _node_bits(hq: QueryHierarchy) -> list[str]:
-    """Each node's bitstring (a 1, then its path bits) as a decimal
-    string: arbitrary-precision ints do not fit JSON numbers."""
-    width = 64 * hq.path.shape[1]
-    return [
-        str(1 << d | int.from_bytes(words.tobytes(), "big") >> (width - d))
-        for d, words in zip(hq.depth.tolist(), hq.path.astype(">u8"))
-    ]
-
-
-def _hq_from_payload(data, node_bits: list[str]) -> QueryHierarchy:
-    branch = [int(bits) & 1 for bits in node_bits]
-    return QueryHierarchy.from_nodes(
-        data["tau"],
-        data["node_of"],
-        data["node_depth"],
-        data["node_parent"],
-        data["node_vend"],
-        branch,
-    )
-
-
-def _config_payload(config) -> dict:
-    return {
-        "beta": config.beta,
-        "leaf_size": config.leaf_size,
-        "seed": config.seed,
-        "validate": config.validate,
-        "insert_closure_limit": config.insert_closure_limit,
-        "compaction_threshold": config.compaction_threshold,
-    }
-
-
-def _config_from_payload(payload: dict):
-    """Rebuild a ``DHLConfig`` from the fields a snapshot may set.
-
-    Older snapshots carry retired keys (``workers``, ``coarsest_size``,
-    ``engine``); all are dropped, which keeps every snapshot on disk
-    loadable. Keys a snapshot predates keep their defaults.
-    """
-    from repro.core.config import DHLConfig
-
-    known = {f.name for f in dataclasses.fields(DHLConfig)}
-    return DHLConfig(**{k: v for k, v in payload.items() if k in known})
-
-
-def _read_manifest(path: Path, expected_kind: str) -> dict:
-    manifest_path = path / "manifest.json"
-    arrays_path = path / "arrays.npz"
-    if not manifest_path.exists() or not arrays_path.exists():
-        raise SerializationError(f"{path} does not contain a saved DHL index")
-    try:
-        manifest = json.loads(manifest_path.read_text())
-    except json.JSONDecodeError as exc:
-        raise SerializationError(f"corrupt manifest: {exc}") from exc
-    if manifest.get("format_version") != _FORMAT_VERSION:
-        raise SerializationError(
-            f"unsupported format version {manifest.get('format_version')!r}"
-        )
-    kind = manifest.get("kind", "undirected")
-    if kind != expected_kind:
-        raise SerializationError(
-            f"{path} holds a {kind} index; expected {expected_kind}"
-        )
-    return manifest
-
-
-# ---------------------------------------------------------------------------
-# monolithic indexes (format v2): DHLIndex and DirectedDHLIndex
-# ---------------------------------------------------------------------------
-
-class _Layout(NamedTuple):
-    """On-disk names of one store shape."""
-
-    kind: str  # the manifest's ``kind``
-    weight_keys: tuple[str, ...]  # one ``arrays.npz`` key per weight plane
-    label_prefixes: tuple[str, ...]  # one ``.npy`` pair per labelling
-
-
-#: Keyed by the shortcut store's ``planes``.
-_LAYOUTS = {
-    1: _Layout("undirected", ("wup_flat",), ("label",)),
-    2: _Layout("directed", ("wout_flat", "win_flat"), ("label_out", "label_in")),
-}
-
-
-def save_index(index, path: Path) -> None:
-    """Write *index* (either monolithic family) to *path*.
-
-    Atomic: the snapshot lands complete (checksummed + fsynced +
-    renamed into place) or not at all.
-    """
-    _atomic_snapshot(Path(path), lambda tmp: _write_index_contents(index, tmp))
-
-
-def _write_index_contents(index, path: Path) -> None:
-    path.mkdir(parents=True, exist_ok=True)
-    hq, hu, graph = index.hq, index.hu, index.graph
-    layout = _LAYOUTS[hu.planes]
-
-    # The CSR shortcut store is already the on-disk ragged layout:
-    # rank-sorted rows, every weight plane aligned slot-for-slot. Its
-    # int32 ids are written as the format's int64.
-    planes = hu.up_weights.reshape(hu.planes, hu.csr.num_slots)
-    arrays = {
-        "up_flat": hu.csr.indices.astype(np.int64),
-        "up_offsets": hu.csr.indptr.astype(np.int64),
-        **dict(zip(layout.weight_keys, planes)),
-        **_hq_payload(hq),
-    }
-    manifest = {
-        "format_version": _FORMAT_VERSION,
-        "kind": layout.kind,
-        "n": graph.num_vertices,
-        "config": _config_payload(index.config),
-        "node_bits": _node_bits(hq),
-    }
-    # The graph codec is the one thing the kinds do not share: a
-    # digraph's arcs travel as arrays, a graph as manifest JSON.
-    if layout.kind == "directed":
-        arrays.update(_arc_payload(graph))
-    else:
-        arrays["order"] = hu.order.astype(np.int64)
-        manifest["graph"] = graph_to_payload(graph)
-    np.savez_compressed(path / "arrays.npz", **arrays)
-    for prefix, labels in zip(layout.label_prefixes, index.labellings):
-        _save_labels(path, labels, prefix)
-    (path / "manifest.json").write_text(json.dumps(manifest))
-
-
-def _arc_payload(digraph: DiGraph) -> dict[str, np.ndarray]:
-    arcs = list(digraph.arcs())
-    payload = {
-        "arc_src": np.asarray([a for a, _, _ in arcs], dtype=np.int64),
-        "arc_dst": np.asarray([b for _, b, _ in arcs], dtype=np.int64),
-        "arc_weight": np.asarray([w for _, _, w in arcs], dtype=np.float64),
-    }
-    if digraph.coords is not None:
-        payload["coords"] = digraph.coords
-    return payload
-
-
-def _digraph_from_payload(data, n: int) -> DiGraph:
-    return DiGraph.from_arcs(
-        n,
-        zip(
-            data["arc_src"].tolist(),
-            data["arc_dst"].tolist(),
-            data["arc_weight"].tolist(),
-        ),
-        data["coords"] if "coords" in data else None,
-    )
 
 
 def _store_from_payload(
@@ -426,6 +399,40 @@ def _store_from_payload(
     return ContractionResult(graph, csr, up_weights)
 
 
+# ---------------------------------------------------------------------------
+# monolithic indexes: DHLIndex and DirectedDHLIndex
+# ---------------------------------------------------------------------------
+
+def save_index(index, path: Path) -> None:
+    """Write *index* (either monolithic family) to *path*.
+
+    Atomic: the snapshot lands complete (checksummed + fsynced +
+    renamed into place) or not at all.
+    """
+    _atomic_snapshot(Path(path), lambda tmp: _write_index_contents(index, tmp))
+
+
+def _write_index_contents(index, path: Path) -> None:
+    path.mkdir(parents=True, exist_ok=True)
+    hq, hu = index.hq, index.hu
+    layout = _LAYOUTS[hu.planes]
+    # The CSR shortcut store is already the on-disk ragged layout:
+    # rank-sorted rows, every weight plane aligned slot-for-slot. Its
+    # int32 ids are written as the format's int64.
+    planes = hu.up_weights.reshape(hu.planes, hu.csr.num_slots)
+    arrays = {
+        "up_flat": hu.csr.indices.astype(np.int64),
+        "up_offsets": hu.csr.indptr.astype(np.int64),
+        **dict(zip(layout.weight_keys, planes)),
+        "tau": hq.tau,
+        "node_of": hq.node_of,
+        **dict(zip(_NODE_KEYS, (hq.depth, hq.parent(), hq.vend(), hq.branch()))),
+    }
+    _write_snapshot(path, layout.kind, index.graph, index.config, arrays)
+    for prefix, labels in zip(layout.label_prefixes, index.labellings):
+        _save_labels(path, labels, prefix)
+
+
 def load_index(
     path: Path, mmap_labels: bool = False, verify: bool = True, cls=None
 ):
@@ -445,7 +452,11 @@ def load_index(
     manifest first and raises :class:`SnapshotCorruptionError` on a torn
     or damaged snapshot — one streaming pass over the bytes, which also
     warms the page cache the mmap path will fault in anyway. Pass
-    ``verify=False`` only when the snapshot was just verified elsewhere.
+    ``verify=False`` only when the snapshot was just verified elsewhere;
+    arrays that do not fit together are refused either way.
+
+    The store's ``direct`` cache is filled from the road arrays just
+    read, so the first update walks no graph.
     """
     from repro.core.stats import IndexStats
 
@@ -454,39 +465,37 @@ def load_index(
     layout = _LAYOUTS[cls._hierarchy.planes]
     if verify:
         verify_snapshot(path)
-    manifest = _read_manifest(path, layout.kind)
-    data = np.load(path / "arrays.npz")
-    config = _config_from_payload(manifest["config"])
-
-    n = manifest["n"]
-    if layout.kind == "directed":
-        graph = _digraph_from_payload(data, n)
-    else:
-        graph = graph_from_payload(manifest["graph"])
-    hq = _hq_from_payload(data, manifest["node_bits"])
+    manifest, arrays, graph, roads = _read_snapshot(path, layout)
+    hq = _hq_from_payload(arrays, graph.num_vertices)
     hu = cls._hierarchy(
-        _store_from_payload(graph, hq, data, layout.weight_keys), hq
+        _store_from_payload(graph, hq, arrays, layout.weight_keys), hq
     )
+    try:
+        hu.fill_direct(*roads)
+    except KeyError as exc:
+        raise SerializationError(f"{exc.args[0]}: the store does not fit") from exc
     labellings = [
         _load_labels(path, prefix, hq.tau, mmap_labels)
         for prefix in layout.label_prefixes
     ]
-    stats = IndexStats(num_vertices=n, num_edges=graph.num_edges)
+    config = _config_from_payload(manifest["config"])
+    stats = IndexStats(num_vertices=graph.num_vertices, num_edges=graph.num_edges)
     return cls(graph, hq, hu, *labellings, config, stats)
 
 
 # ---------------------------------------------------------------------------
-# sharded ShardedDHLIndex (format v3)
+# sharded ShardedDHLIndex
 # ---------------------------------------------------------------------------
 
 def save_sharded_index(index, path: Path) -> None:
     """Write a :class:`~repro.core.sharded.ShardedDHLIndex` to *path*.
 
-    Layout: ``manifest.json`` (scalars + global graph + region
-    assignment), one ``shard_NN/`` v2 snapshot directory per region,
-    and ``overlay/`` for the boundary index when one exists. Each
-    component directory is a complete, individually loadable index with
-    bare ``.npy`` label arrays — the mmap fast path applies per shard.
+    Layout: the root's ``manifest.json`` and ``arrays.npz`` (the whole
+    graph) with ``region_of.npy`` (the region assignment), one
+    ``shard_NN/`` monolithic snapshot directory per region, and
+    ``overlay/`` for the boundary index when one exists. Each component
+    directory is a complete, individually loadable index with bare
+    ``.npy`` label arrays — the mmap fast path applies per shard.
 
     Atomic at both levels: each shard snapshot is sealed by its own
     :func:`save_index`, and the whole directory swaps in as one rename.
@@ -503,16 +512,8 @@ def _write_sharded_contents(index, path: Path) -> None:
     if index.overlay is not None:
         save_index(index.overlay, path / "overlay")
     np.save(path / "region_of.npy", np.asarray(index.region_of, dtype=np.int64))
-    manifest = {
-        "format_version": _SHARDED_FORMAT_VERSION,
-        "kind": "sharded",
-        "k": index.k,
-        "n": index.graph.num_vertices,
-        "has_overlay": index.overlay is not None,
-        "config": _config_payload(index.config),
-        "graph": graph_to_payload(index.graph),
-    }
-    (path / "manifest.json").write_text(json.dumps(manifest))
+    scalars = {"k": index.k, "has_overlay": index.overlay is not None}
+    _write_snapshot(path, _SHARDED.kind, index.graph, index.config, {}, **scalars)
 
 
 def load_sharded_index(path: Path, mmap_labels: bool = False, verify: bool = True):
@@ -529,23 +530,7 @@ def load_sharded_index(path: Path, mmap_labels: bool = False, verify: bool = Tru
 
     if verify:
         verify_snapshot(path)
-    manifest_path = path / "manifest.json"
-    if not manifest_path.exists():
-        raise SerializationError(f"{path} does not contain a saved sharded index")
-    try:
-        manifest = json.loads(manifest_path.read_text())
-    except json.JSONDecodeError as exc:
-        raise SerializationError(f"corrupt manifest: {exc}") from exc
-    if manifest.get("format_version") != _SHARDED_FORMAT_VERSION:
-        raise SerializationError(
-            f"unsupported sharded format version "
-            f"{manifest.get('format_version')!r}"
-        )
-    if manifest.get("kind") != "sharded":
-        raise SerializationError(
-            f"{path} holds a {manifest.get('kind')!r} index; expected sharded"
-        )
-    graph = graph_from_payload(manifest["graph"])
+    manifest, _, graph, _ = _read_snapshot(path, _SHARDED)
     config = _config_from_payload(manifest["config"])
     region_of = np.load(path / "region_of.npy")
     partition = regions_from_assignment(graph, region_of)

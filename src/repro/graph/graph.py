@@ -15,9 +15,17 @@ import numpy as np
 
 from repro.exceptions import EdgeNotFound, GraphError, VertexNotFound
 
-__all__ = ["Graph"]
+__all__ = ["Graph", "road_arrays"]
 
 EdgeTriple = tuple[int, int, float]
+
+
+def road_arrays(graph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """*graph*'s roads in ``edges()`` order as ``(u, v, w)`` arrays
+    (``int64``, ``int64``, ``float64``): each edge once on a
+    :class:`Graph`, each arc on a :class:`~repro.graph.digraph.DiGraph`."""
+    u, v, w = zip(*graph.edges()) if graph.num_edges else ((), (), ())
+    return np.array(u, np.int64), np.array(v, np.int64), np.array(w, np.float64)
 
 
 class Graph:

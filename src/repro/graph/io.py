@@ -28,7 +28,6 @@ __all__ = [
     "write_edge_list",
     "graph_to_json",
     "graph_from_json",
-    "graph_to_payload",
     "graph_from_payload",
 ]
 
@@ -161,19 +160,15 @@ def write_edge_list(graph: Graph, path: str | Path) -> None:
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def graph_to_payload(graph: Graph) -> dict:
-    """A graph (including coordinates) as the JSON-ready dict
-    :func:`graph_to_json` encodes."""
-    return {
-        "n": graph.num_vertices,
-        "edges": [[u, v, w] for u, v, w in graph.edges()],
-        "coords": graph.coords.tolist() if graph.coords is not None else None,
-    }
-
-
 def graph_to_json(graph: Graph) -> str:
     """Serialise a graph (including coordinates) to a JSON string."""
-    return json.dumps(graph_to_payload(graph))
+    return json.dumps(
+        {
+            "n": graph.num_vertices,
+            "edges": [[u, v, w] for u, v, w in graph.edges()],
+            "coords": graph.coords.tolist() if graph.coords is not None else None,
+        }
+    )
 
 
 def graph_from_json(text: str) -> Graph:
@@ -186,7 +181,7 @@ def graph_from_json(text: str) -> Graph:
 
 
 def graph_from_payload(payload) -> Graph:
-    """Inverse of :func:`graph_to_payload`."""
+    """The graph of :func:`graph_to_json`'s decoded dict."""
     try:
         coords = payload["coords"]
         return Graph.from_edges(

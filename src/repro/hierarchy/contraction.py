@@ -39,7 +39,7 @@ from typing import Sequence
 import numpy as np
 
 from repro.exceptions import HierarchyError
-from repro.graph.graph import Graph
+from repro.graph.graph import Graph, road_arrays
 from repro.hierarchy.csr import ShortcutCSR, build_shortcut_csr
 
 __all__ = [
@@ -146,27 +146,29 @@ class ContractionResult:
         3.1 and the seed of a build.
 
         A derived cache in ``direct``, outside :meth:`memory_bytes` and
-        snapshots: a build leaves it filled and the maintenance driver
-        keeps it current; :meth:`rebind` drops it, so after a load or a
-        slot growth or compaction it is rebuilt from the graph here, on
-        first use.
+        snapshots: a build and a load leave it filled and the
+        maintenance driver keeps it current; :meth:`rebind` drops it,
+        so after a slot growth or compaction it is rebuilt from the
+        graph here, on first use.
         """
         if self.direct is None:
-            direct = np.full(self.planes * self.csr.num_slots, math.inf)
-            # A two-plane store weighs arcs (a digraph's ``edges()``):
-            # a -> b falls in plane 1 when it descends (``a`` the
-            # shallower endpoint).
-            triples = list(self.graph.edges())
-            if triples:
-                arr = np.asarray([(u, v) for u, v, _ in triples], dtype=np.int64)
-                u, v = arr[:, 0], arr[:, 1]
-                flip = self.rank[u] > self.rank[v]
-                cells = self.csr.slots_of(np.where(flip, v, u), np.where(flip, u, v))
-                if self.planes == 2:
-                    cells += flip * self.csr.num_slots
-                direct[cells] = [w for _, _, w in triples]
-            self.direct = direct
+            self.fill_direct(*road_arrays(self.graph))
         return self.direct
+
+    def fill_direct(self, u: np.ndarray, v: np.ndarray, w: np.ndarray) -> None:
+        """Set ``direct`` from the graph's roads as ``(u, v, w)`` arrays
+        (:func:`~repro.graph.graph.road_arrays`); raises ``KeyError``
+        when a road has no slot."""
+        direct = np.full(self.planes * self.csr.num_slots, math.inf)
+        # A two-plane store weighs arcs (a digraph's ``edges()``):
+        # a -> b falls in plane 1 when it descends (``a`` the
+        # shallower endpoint).
+        flip = self.rank[u] > self.rank[v]
+        cells = self.csr.slots_of(np.where(flip, v, u), np.where(flip, u, v))
+        if self.planes == 2:
+            cells += flip * self.csr.num_slots
+        direct[cells] = w
+        self.direct = direct
 
     def plane_views(self) -> tuple:
         """Every weight plane shaped like a one-plane store (``tau``,

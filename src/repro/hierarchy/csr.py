@@ -217,9 +217,16 @@ class ShortcutCSR:
         return slot
 
     def slots_of(self, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-        """Vectorised :meth:`slot_of` over pair arrays (pairs must exist)."""
+        """Vectorised :meth:`slot_of` over pair arrays; raises when a pair
+        is absent."""
         keys = lo.astype(np.int64) * np.int64(self.n) + self.rank[hi]
-        return np.searchsorted(self.slot_keys, keys)
+        slots = np.searchsorted(self.slot_keys, keys)
+        if not (
+            np.all(slots < len(self.slot_keys))
+            and np.array_equal(self.slot_keys[slots], keys)
+        ):
+            raise KeyError("a pair has no shortcut slot")
+        return slots
 
     # -- Property 3.1 support ---------------------------------------------
     def common_down(self, a: int, b: int) -> tuple[np.ndarray, np.ndarray]:

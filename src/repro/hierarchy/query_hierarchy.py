@@ -28,7 +28,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.exceptions import HierarchyError
-from repro.graph.graph import Graph
+from repro.graph.graph import Graph, road_arrays
 from repro.partition.recursive import PartitionTreeNode
 
 __all__ = ["QueryHierarchy"]
@@ -151,6 +151,13 @@ class QueryHierarchy:
             parent[level] = above[np.searchsorted(above, level) - 1]
         return parent
 
+    def branch(self) -> np.ndarray:
+        """Each node's index among its parent's children (``uint8``; 0 at
+        the root): its last path bit."""
+        bit = np.maximum(self.depth - 1, 0)
+        words = self.path[np.arange(self.num_nodes), bit // 64]
+        return (words >> (63 - bit % 64).astype(np.uint64) & 1).astype(np.uint8)
+
     def members(self) -> tuple[np.ndarray, np.ndarray]:
         """``(order, starts)``: node ``nid`` owns ``order[starts[nid] :
         starts[nid + 1]]``, in rank order."""
@@ -211,13 +218,11 @@ class QueryHierarchy:
         paths of length one; it must hold for any partition tree whose
         node sets are true separators (Lemma 4.8 relies on it).
         """
-        ends = np.array([(u, v) for u, v, _ in graph.edges()], dtype=np.int64)
-        ends = ends.reshape(-1, 2)
-        bad = np.flatnonzero(~self.comparable(ends[:, 0], ends[:, 1]))
+        u, v, _ = road_arrays(graph)
+        bad = np.flatnonzero(~self.comparable(u, v))
         if len(bad):
-            u, v = ends[bad[0]].tolist()
             raise HierarchyError(
-                f"edge ({u}, {v}) joins incomparable vertices; "
+                f"edge ({u[bad[0]]}, {v[bad[0]]}) joins incomparable vertices; "
                 "the partition tree is not a valid separator tree"
             )
 

@@ -23,8 +23,8 @@ checks and shutdown are rounds; the runtime starts no thread.
 
 * :class:`_PipeChannel` + :class:`_ShmBuffers` — frames over a duplex
   ``multiprocessing`` pipe; a shard's packed label buffers
-  (``label_values`` float64 + ``label_offsets`` int64, the v3 snapshot
-  layout) are published once into a shared-memory segment pair that
+  (``label_values`` float64 + ``label_offsets`` int64, the snapshot's
+  label layout) are published once into a shared-memory segment pair that
   every replica of the shard attaches read-only. A delta writes the
   label entries the maintenance sweep wrote into the segment in place
   (one scatter) and is announced with a bare ``EpochDelta``.

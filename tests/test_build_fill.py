@@ -6,8 +6,9 @@ The fixpoint is unique and float addition is monotone, so the C sweep
 and its oracle must fill the same bits, every cell must
 satisfy Property 3.1 exactly, and the bench stores must keep the bits
 the weighted contraction loops used to compute. The fill leaves the
-per-cell direct weights on the store, so the first increase after a
-build never walks the graph.
+per-cell direct weights on the store, and a load fills them from the
+roads it read, so the first increase after either never walks the
+graph.
 """
 
 from __future__ import annotations
@@ -136,11 +137,23 @@ def test_first_increase_after_a_build_never_walks_the_graph(built, monkeypatch):
     assert np.array_equal(built.hu.direct, fresh.direct)
 
 
-def test_dropped_direct_weights_are_rebuilt_from_the_graph(built, tmp_path):
+def test_a_load_fills_direct_from_the_road_arrays(built, tmp_path, monkeypatch):
+    """A load fills the store's direct weights from the road arrays it
+    read, so its first increase walks no graph either; dropped, they
+    are rebuilt from the graph to the same bits."""
     built.save(tmp_path / "index")
     loaded = type(built).load(tmp_path / "index")
-    assert loaded.hu.direct is None
-    loaded.increase([(u, v, w + 5) for u, v, w in list(loaded.graph.edges())[:8]])
+    assert np.array_equal(loaded.hu.direct, built.hu.direct)
+    roads = [(u, v, w + 5) for u, v, w in list(loaded.graph.edges())[:8]]
+
+    def walk(self):
+        raise AssertionError("the increase walked the graph")
+
+    monkeypatch.setattr(type(loaded.graph), "edges", walk)
+    loaded.increase(roads)
+    monkeypatch.undo()
     fresh = type(built.hu).build(loaded.graph.copy(), loaded.hq)
     assert np.array_equal(loaded.hu.up_weights, fresh.up_weights)
     assert np.array_equal(loaded.hu.direct, fresh.direct)
+    loaded.hu.direct = None
+    assert np.array_equal(loaded.hu.direct_weights(), fresh.direct)

@@ -161,15 +161,17 @@ class TestSharedCore:
     """What the directed index gets by being the one index core over a
     two-plane store: the invariant suite, real hubs, the set queries."""
 
-    def test_validate_true_runs_the_invariant_suite(self, asym_digraph, monkeypatch):
+    def test_verify_runs_the_invariant_suite(self, asym_digraph, monkeypatch):
+        idx = DirectedDHLIndex.build(asym_digraph, DHLConfig(leaf_size=4))
+        idx.verify()
         ran = []
         monkeypatch.setattr(
-            DirectedDHLIndex, "verify", lambda self: ran.append(self.kind)
+            type(idx.hu),
+            "verify_minimum_weight_property",
+            lambda self: ran.append(self.planes),
         )
-        DirectedDHLIndex.build(asym_digraph.copy(), DHLConfig(leaf_size=4))
-        assert ran == []
-        DirectedDHLIndex.build(asym_digraph, DHLConfig(leaf_size=4, validate=True))
-        assert ran == ["directed"]
+        idx.verify()
+        assert ran == [2]
 
     def test_verify_holds_after_burst_batch_and_compaction(self, asym_digraph):
         idx = DirectedDHLIndex.build(asym_digraph, DHLConfig(leaf_size=4, seed=0))

@@ -52,8 +52,9 @@ class TestBuild:
         idx = DHLIndex.build(Graph(2))
         assert math.isinf(idx.distance(0, 1))
 
-    def test_validate_flag_runs_checks(self, small_road):
-        idx = DHLIndex.build(small_road.copy(), DHLConfig(validate=True))
+    def test_default_build_passes_verify(self, small_road):
+        idx = DHLIndex.build(small_road.copy(), DHLConfig())
+        idx.verify()
         assert idx.distance(0, 1) >= 0
 
     def test_deterministic_given_seed(self, small_road):

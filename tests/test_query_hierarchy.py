@@ -71,6 +71,13 @@ def assert_same_arrays(a: QueryHierarchy, b: QueryHierarchy) -> None:
         np.testing.assert_array_equal(x, y, err_msg=name)
 
 
+def from_node_tables(hq: QueryHierarchy) -> QueryHierarchy:
+    """*hq* again from its derived node tables, as a snapshot stores it."""
+    return QueryHierarchy.from_nodes(
+        hq.tau, hq.node_of, hq.depth, hq.parent(), hq.vend(), hq.branch()
+    )
+
+
 def assert_order_matches_oracle(hq: QueryHierarchy) -> None:
     """``comparable`` / ``precedes`` (one C call over all pairs) and the
     kernel's K equal the scalar bit-math reference on every pair."""
@@ -118,6 +125,7 @@ class TestConstruction:
         assert hq.chain.tolist() == [[2, 0, 0], [2, 4, 0], [2, 3, 0], [2, 3, 4]]
         assert hq.vend().tolist() == [2, 4, 3, 4]
         assert hq.parent().tolist() == [-1, 0, 0, 2]
+        assert hq.branch().tolist() == [0, 0, 1, 0]
         order, starts = hq.members()
         assert order.tolist() == [0, 1, 2, 3, 4, 5]
         assert starts.tolist() == [0, 2, 4, 5, 6]
@@ -213,6 +221,7 @@ class TestRoundTrip:
         assert hq.partition_tree() == tree
         again = QueryHierarchy.from_partition_tree(hq.partition_tree(), n)
         assert_same_arrays(again, hq)
+        assert_same_arrays(from_node_tables(hq), hq)
         if n:
             assert_order_matches_oracle(hq)
 
@@ -243,6 +252,7 @@ class TestRoundTrip:
         assert_same_arrays(
             QueryHierarchy.from_partition_tree(hq.partition_tree(), hq.n), hq
         )
+        assert_same_arrays(from_node_tables(hq), hq)
         assert_order_matches_oracle(hq)
 
     @pytest.mark.parametrize(

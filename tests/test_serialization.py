@@ -2,22 +2,25 @@
 
 from __future__ import annotations
 
-import hashlib
 import json
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from repro.baselines.dijkstra import dijkstra
 from repro.core.config import DHLConfig
 from repro.core.directed import DirectedDHLIndex
 from repro.core.index import DHLIndex
+from repro.core.serialization import _write_checksums
 from repro.core.sharded import ShardedDHLIndex
 from repro.exceptions import SerializationError
 from repro.graph.digraph import DiGraph
-from repro.graph.generators import delaunay_network
+from repro.graph.generators import delaunay_network, grid_network
 from repro.graph.graph import Graph
-from repro.graph.io import graph_from_payload, graph_to_json
+from tests.conftest import directed_dijkstra
+
+ROAD_KEYS = ("arc_src", "arc_dst", "arc_weight")
 
 
 class TestSaveLoad:
@@ -253,8 +256,8 @@ class TestCrashSafeSnapshots:
 
 
 class TestPreWorkersRemovalSnapshots:
-    """Snapshots written while ``DHLConfig`` still had ``workers`` and
-    ``coarsest_size``, and while the writer recorded ``engine`` (always
+    """Snapshots written while ``DHLConfig`` still had ``workers``,
+    ``coarsest_size`` and ``validate``, and while the writer recorded ``engine`` (always
     the retired numpy engine's name, which ``DHLConfig`` now rejects)
     but not the two structural limits, must load — onto this machine's
     engine and the default limits."""
@@ -263,13 +266,13 @@ class TestPreWorkersRemovalSnapshots:
     def _age(path):
         """Rewrite every manifest under *path* the way the old writers did,
         checksums resealed to match."""
-        from repro.core.serialization import _write_checksums
-
         for manifest_path in path.rglob("manifest.json"):
             manifest = json.loads(manifest_path.read_text())
-            # Neither is written any more.
+            # None of these is written any more.
             assert "workers" not in manifest["config"]
             assert "coarsest_size" not in manifest["config"]
+            assert "validate" not in manifest["config"]
+            manifest["config"]["validate"] = True
             manifest["config"]["workers"] = 2
             manifest["config"]["coarsest_size"] = 120
             manifest["config"]["engine"] = "array"  # on-disk legacy value
@@ -332,17 +335,11 @@ def awkward_graph() -> Graph:
     return Graph.from_edges(25, edges, np.array(coords))
 
 
-#: SHA-1 of the graph section of ``awkward_graph``'s manifest, as the
-#: JSON string codec (``graph_to_json``) wrote it.
-GRAPH_SECTION_SHA1 = "52cf0a28de83eb4117817a7ddff6b74b46a3ab32"
-
-
 @pytest.mark.parametrize("family", ["monolithic", "sharded"])
-def test_manifest_bytes_match_the_string_codec_and_load(family, tmp_path):
-    """The manifest carries the graph through the dict codec: its bytes
-    equal the manifest with the graph encoded to a JSON string and
-    decoded back, and the snapshot loads to the same graph and
-    distances."""
+def test_awkward_floats_round_trip_through_the_road_arrays(family, tmp_path):
+    """Weights and coordinates travel as float64 arrays: thirds, tenths
+    and huge magnitudes come back bit for bit, roads in ``edges()``
+    order."""
     graph = awkward_graph()
     config = DHLConfig(seed=0)
     if family == "sharded":
@@ -350,18 +347,14 @@ def test_manifest_bytes_match_the_string_codec_and_load(family, tmp_path):
     else:
         index = DHLIndex.build(graph.copy(), config)
     index.save(tmp_path / "snap")
-    text = (tmp_path / "snap" / "manifest.json").read_text()
-    manifest = json.loads(text)
-    section = json.dumps(manifest["graph"])
-    assert hashlib.sha1(section.encode()).hexdigest() == GRAPH_SECTION_SHA1
-    manifest["graph"] = json.loads(graph_to_json(graph))
-    assert json.dumps(manifest) == text
-    decoded = graph_from_payload(json.loads(section))
-    assert list(decoded.edges()) == list(graph.edges())
+    with np.load(tmp_path / "snap" / "arrays.npz") as data:
+        roads = list(zip(*(data[key].tolist() for key in ROAD_KEYS)))
+        assert data["coords"].tobytes() == graph.coords.tobytes()
+    assert roads == list(graph.edges())
 
     loaded = type(index).load(tmp_path / "snap")
-    assert sorted(loaded.graph.edges()) == sorted(graph.edges())
-    np.testing.assert_array_equal(loaded.graph.coords, graph.coords)
+    assert list(loaded.graph.edges()) == list(graph.edges())
+    assert loaded.graph.coords.tobytes() == graph.coords.tobytes()
     pairs = [(s, t) for s in range(25) for t in range(0, 25, 3)]
     np.testing.assert_array_equal(loaded.distances(pairs), index.distances(pairs))
 
@@ -377,8 +370,8 @@ def snapshot_files(root: Path) -> dict[str, bytes]:
 @pytest.mark.parametrize("family", ["undirected", "directed", "sharded"])
 def test_save_load_save_is_byte_identical(family, tmp_path):
     """A loaded index writes back the snapshot it was loaded from, byte
-    for byte: H_Q's node tables, member lists and bitstrings are all
-    derived from its five arrays, and derive to what was read."""
+    for byte: H_Q's node tables and branch bits are derived from its
+    five arrays, and derive to what was read."""
     graph = delaunay_network(120, seed=3)
     config = DHLConfig(leaf_size=4, seed=0)
     if family == "sharded":
@@ -392,3 +385,201 @@ def test_save_load_save_is_byte_identical(family, tmp_path):
     first = snapshot_files(tmp_path / "first")
     assert "arrays.npz" in first or "shard_00/arrays.npz" in first
     assert snapshot_files(tmp_path / "second") == first
+
+
+# ---------------------------------------------------------------------------
+# the layout: arrays and scalars
+# ---------------------------------------------------------------------------
+
+MONOLITHIC = {"format_version", "kind", "n", "config"}
+CONFIG_KEYS = {
+    "beta",
+    "leaf_size",
+    "seed",
+    "insert_closure_limit",
+    "compaction_threshold",
+}
+STORE = {"up_flat", "up_offsets"}
+HQ = {"tau", "node_of", "node_depth", "node_parent", "node_vend", "node_branch"}
+ONE_PLANE = {*STORE, "wup_flat", *HQ}
+
+#: Per directory of each family's snapshot: its ``arrays.npz`` keys
+#: beside the roads, and its manifest keys. The 60-vertex Delaunay
+#: graph has coordinates; the overlay's graph has none.
+LAYOUTS = {
+    "undirected": {".": ({"coords", *ONE_PLANE}, MONOLITHIC)},
+    "directed": {
+        ".": ({"coords", *STORE, "wout_flat", "win_flat", *HQ}, MONOLITHIC),
+    },
+    "sharded": {
+        ".": ({"coords"}, MONOLITHIC | {"k", "has_overlay"}),
+        "shard_00": ({"coords", *ONE_PLANE}, MONOLITHIC),
+        "shard_01": ({"coords", *ONE_PLANE}, MONOLITHIC),
+        "overlay": (ONE_PLANE, MONOLITHIC),
+    },
+}
+
+
+def assert_scalar_manifests(root: Path) -> None:
+    """Every manifest under *root* is format 4 and holds scalars only
+    (the config a flat dict of them)."""
+    for path in root.rglob("manifest.json"):
+        manifest = json.loads(path.read_text())
+        assert manifest["format_version"] == 4
+        config = manifest.pop("config")
+        assert set(config) == CONFIG_KEYS
+        values = [*manifest.values(), *config.values()]
+        assert all(isinstance(value, (int, float, str)) for value in values), path
+
+
+@pytest.mark.parametrize("family", list(LAYOUTS))
+def test_each_family_writes_its_pinned_keys(family, tmp_path):
+    graph = delaunay_network(60, seed=11)
+    config = DHLConfig(seed=0)
+    if family == "sharded":
+        index = ShardedDHLIndex.build(graph, k=2, config=config)
+    elif family == "directed":
+        index = DirectedDHLIndex.build(DiGraph.from_undirected(graph), config)
+    else:
+        index = DHLIndex.build(graph, config)
+    index.save(tmp_path / "snap")
+    written = {
+        str(npz.parent.relative_to(tmp_path / "snap")): npz
+        for npz in (tmp_path / "snap").rglob("arrays.npz")
+    }
+    assert set(written) == set(LAYOUTS[family])
+    for directory, (array_keys, manifest_keys) in LAYOUTS[family].items():
+        with np.load(written[directory]) as data:
+            assert set(data.files) == {*ROAD_KEYS, *array_keys}, directory
+        manifest_path = written[directory].parent / "manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        assert set(manifest) == manifest_keys, directory
+    assert_scalar_manifests(tmp_path / "snap")
+
+
+# ---------------------------------------------------------------------------
+# snapshots of the earlier format
+# ---------------------------------------------------------------------------
+
+#: Written by the format-2/3 writer: ``grid_network(6, 6)`` and a
+#: 16-vertex digraph with one-way arcs (both ``DHLConfig(leaf_size=2,
+#: seed=0)``), and ``delaunay_network(60, seed=11)`` at k = 2
+#: (``DHLConfig(seed=0)``).
+LEGACY = Path(__file__).parent / "data" / "legacy_snapshots"
+LEGACY_SNAPSHOTS = {
+    "v2_undirected": (DHLIndex, 2),
+    "v2_directed": (DirectedDHLIndex, 2),
+    "v3_sharded": (ShardedDHLIndex, 3),
+}
+
+
+def all_pairs(index) -> np.ndarray:
+    n = index.graph.num_vertices
+    return np.array([(s, t) for s in range(n) for t in range(n)])
+
+
+def dijkstra_rows(index) -> np.ndarray:
+    graph = index.graph
+    n = graph.num_vertices
+    if isinstance(graph, DiGraph):
+        return np.array([directed_dijkstra(graph, s) for s in range(n)]).ravel()
+    return np.concatenate([dijkstra(graph, s) for s in range(n)])
+
+
+@pytest.mark.parametrize("mmap_labels", [False, True])
+@pytest.mark.parametrize("name", list(LEGACY_SNAPSHOTS))
+def test_an_earlier_snapshot_loads_and_saves_as_format_4(name, mmap_labels, tmp_path):
+    cls, version = LEGACY_SNAPSHOTS[name]
+    manifest = json.loads((LEGACY / name / "manifest.json").read_text())
+    assert manifest["format_version"] == version
+    assert "graph" in manifest or "node_bits" in manifest
+    index = cls.load(LEGACY / name, mmap_labels=mmap_labels)
+    pairs = all_pairs(index)
+    expected = dijkstra_rows(index)
+    np.testing.assert_array_equal(index.distances(pairs), expected)
+
+    index.save(tmp_path / "v4")
+    assert_scalar_manifests(tmp_path / "v4")
+    again = cls.load(tmp_path / "v4")
+    np.testing.assert_array_equal(again.distances(pairs), expected)
+    again.save(tmp_path / "again")
+    assert snapshot_files(tmp_path / "again") == snapshot_files(tmp_path / "v4")
+
+
+# ---------------------------------------------------------------------------
+# arrays that do not fit are refused
+# ---------------------------------------------------------------------------
+
+def rewrite(path: Path, name: str, edit) -> None:
+    """Apply *edit* to the array file *name* under *path* (a dict of an
+    ``.npz``'s arrays, or one ``.npy`` array), checksums resealed."""
+    target = path / name
+    if target.suffix == ".npz":
+        with np.load(target) as data:
+            arrays = {key: data[key].copy() for key in data.files}
+        edit(arrays)
+        np.savez_compressed(target, **arrays)
+    else:
+        np.save(target, edit(np.load(target)))
+    (path / "checksums.json").unlink()
+    _write_checksums(path)
+
+
+def set_entry(key, position, value):
+    def edit(arrays):
+        arrays[key][position] = value(arrays)
+
+    return edit
+
+
+#: One corruption per H_Q array: each loads at format 2 (and then
+#: crashes or answers wrongly), and must be refused.
+HQ_CORRUPTIONS = {
+    "node_of": set_entry("node_of", 0, lambda a: 10**9),
+    "node_parent": set_entry("node_parent", -1, lambda a: len(a["node_parent"])),
+    "node_depth": set_entry("node_depth", -1, lambda a: a["node_depth"][-1] + 1),
+    "node_branch": set_entry("node_branch", 1, lambda a: 2),
+    "tau": set_entry("tau", 0, lambda a: a["node_vend"][a["node_of"][0]]),
+}
+
+LABEL_CORRUPTIONS = {
+    "label_offsets.npy": lambda offsets: offsets + (np.arange(len(offsets)) > 3),
+    "label_values.npy": lambda values: values[:-1],
+}
+
+
+class TestLoadRefusesMisfittingArrays:
+    @pytest.fixture
+    def snapshot(self, tmp_path) -> Path:
+        index = DHLIndex.build(grid_network(6, 6), DHLConfig(leaf_size=2, seed=0))
+        index.save(tmp_path / "idx")
+        return tmp_path / "idx"
+
+    @pytest.mark.parametrize("verify", [True, False])
+    @pytest.mark.parametrize("key", list(HQ_CORRUPTIONS))
+    def test_hq_array(self, snapshot, key, verify):
+        rewrite(snapshot, "arrays.npz", HQ_CORRUPTIONS[key])
+        with pytest.raises(SerializationError, match=f"H_Q's {key} "):
+            DHLIndex.load(snapshot, verify=verify)
+
+    @pytest.mark.parametrize("verify", [True, False])
+    @pytest.mark.parametrize("name", ["label_offsets.npy", "label_values.npy"])
+    def test_label_offsets(self, snapshot, name, verify):
+        """Offsets one past the layout's from row 4 on, or one value
+        short of where they end."""
+        rewrite(snapshot, name, LABEL_CORRUPTIONS[name])
+        with pytest.raises(SerializationError, match="label offsets"):
+            DHLIndex.load(snapshot, verify=verify, mmap_labels=True)
+
+    @pytest.mark.parametrize("verify", [True, False])
+    def test_a_road_without_a_shortcut_slot(self, snapshot, verify):
+        store = DHLIndex.load(snapshot).hu
+        far = next(v for v in range(1, 36) if store.find_edge_slot(0, v) < 0)
+
+        def edit(arrays):
+            for key, value in zip(ROAD_KEYS, (0, far, 1.0)):
+                arrays[key] = np.append(arrays[key], value)
+
+        rewrite(snapshot, "arrays.npz", edit)
+        with pytest.raises(SerializationError, match="no shortcut slot"):
+            DHLIndex.load(snapshot, verify=verify)

@@ -110,6 +110,8 @@ def assert_agrees(store: ContractionResult, pairs: dict) -> None:
     assert csr.find_slot(np.int32(ABSENT), hi[0]) == -1
     with pytest.raises(KeyError):
         csr.slot_of(np.int32(ABSENT), hi[0])
+    with pytest.raises(KeyError):
+        csr.slots_of(np.array([ABSENT], dtype=np.int32), hi[:1])
 
 
 def test_slot_lookups_past_two_to_the_31():
@@ -179,22 +181,36 @@ def test_a_load_past_the_ids_raises_before_narrowing():
 # snapshots and pickles
 # ---------------------------------------------------------------------------
 
+#: What a snapshot digest covers: the store, its weight planes and H_Q's
+#: five arrays in ``arrays.npz``, and every label file.
+DIGEST_ARRAYS = (
+    "up_flat",
+    "up_offsets",
+    "wup_flat",
+    "wout_flat",
+    "win_flat",
+    "tau",
+    "node_of",
+    "node_depth",
+    "node_parent",
+    "node_vend",
+)
+
+
 def snapshot_digest(root: Path) -> str:
-    """SHA-1 over a snapshot's files, the compressed arrays by dtype,
-    shape and bytes (the checksums, which hash the compressed bytes,
-    left out)."""
+    """SHA-1 over a snapshot's store, weight planes, H_Q arrays (by key,
+    dtype, shape and bytes) and label files, in every directory."""
     digest = hashlib.sha1()
     for path in sorted(root.rglob("*")):
-        if not path.is_file() or path.name == "checksums.json":
-            continue
-        digest.update(str(path.relative_to(root)).encode())
-        if path.suffix == ".npz":
+        if path.name == "arrays.npz":
             with np.load(path) as data:
-                for key in sorted(data.files):
+                for key in sorted(set(DIGEST_ARRAYS) & set(data.files)):
                     arr = data[key]
-                    digest.update(f"{key}:{arr.dtype.str}:{arr.shape}".encode())
+                    name = f"{path.parent.relative_to(root)}/{key}"
+                    digest.update(f"{name}:{arr.dtype.str}:{arr.shape}".encode())
                     digest.update(arr.tobytes())
-        else:
+        elif path.name.startswith("label") and path.suffix == ".npy":
+            digest.update(str(path.relative_to(root)).encode())
             digest.update(path.read_bytes())
     return digest.hexdigest()
 
@@ -210,14 +226,16 @@ KINDS = {
         DiGraph.from_undirected(g), DHLConfig()
     ),
 }
-#: The snapshots the int64 store wrote, before its ids were narrowed.
+#: Digests of the snapshots the int64 store wrote, before its ids were
+#: narrowed — over the arrays and files :func:`snapshot_digest` covers,
+#: which the format-2 writer wrote byte for byte the same.
 PINNED_SNAPSHOTS = {
-    ("grid", "monolithic"): "a5b5b9cbfdb558fe195d199648cb7023d0577a55",
-    ("grid", "sharded"): "f140d8fc0f68535eb8fde8bf3b0b1a347b920f4a",
-    ("grid", "directed"): "da47fa8ae85b53765cea86d730ec193255bcb469",
-    ("road", "monolithic"): "c94877fc2ceb78d4670c4e2bbc14c1b65bb2e049",
-    ("road", "sharded"): "f337b71610b81cc0b053a9f46b3e90190bc38ee0",
-    ("road", "directed"): "0407689db9f4fbe071463360b0910dbc60be2855",
+    ("grid", "monolithic"): "6bb97bc37ff7db6388cc7ec769be12ef11140830",
+    ("grid", "sharded"): "7d34d658123b8216d4b4ff932cb4b9c927563f44",
+    ("grid", "directed"): "c1dfc36a2666e17d1f3d866a3a0c1f394b00d465",
+    ("road", "monolithic"): "cba2571cc906f17187e1e8fc35b0dfe002b53a8e",
+    ("road", "sharded"): "7ea7ac945804a80e97cc7529348936eb0509057f",
+    ("road", "directed"): "4c38f217c6f4aeaba3f414c7747808ea363609c0",
 }
 
 
@@ -238,7 +256,7 @@ def test_a_snapshot_holds_the_int64_arrays_it_always_held(graph, kind, tmp_path)
     assert snapshot_digest(tmp_path / "idx") == PINNED_SNAPSHOTS[(graph, kind)]
     for npz in (tmp_path / "idx").rglob("arrays.npz"):
         with np.load(npz) as data:
-            for key in ("up_flat", "up_offsets", "order"):
+            for key in ("up_flat", "up_offsets"):
                 if key in data.files:
                     assert data[key].dtype == np.int64, key
     loaded = type(index).load(tmp_path / "idx")
