@@ -20,7 +20,7 @@ from repro.hierarchy.contraction import (
     contract_in_order,
     min_degree_order,
 )
-from repro.labelling.driver import fold_batch, maintain_shortcuts
+from repro.labelling.driver import maintain_shortcuts, validate_batch
 from repro.labelling.maintenance import WeightChange
 
 __all__ = ["DCHIndex"]
@@ -107,7 +107,7 @@ class DCHIndex:
         return len(maintain_shortcuts("increase", self.sc, changes))
 
     def update(self, changes: list[WeightChange]) -> int:
-        batch = fold_batch(self.graph, changes)
+        batch = validate_batch("update", self.graph, changes)
         increases = [(u, v, w) for u, v, w in batch if w > self.graph.weight(u, v)]
         decreases = [(u, v, w) for u, v, w in batch if w < self.graph.weight(u, v)]
         affected = 0

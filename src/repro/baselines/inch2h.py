@@ -35,7 +35,7 @@ from heapq import heappop, heappush
 import numpy as np
 
 from repro.baselines.h2h import H2HIndex
-from repro.labelling.driver import fold_batch, maintain_shortcuts
+from repro.labelling.driver import maintain_shortcuts, validate_batch
 from repro.labelling.maintenance import MaintenanceStats, WeightChange
 
 __all__ = ["IncH2HIndex"]
@@ -176,7 +176,7 @@ class IncH2HIndex(H2HIndex):
 
     def update(self, changes: list[WeightChange]) -> MaintenanceStats:
         """Mixed batch: increases first, then decreases."""
-        batch = fold_batch(self.graph, changes)
+        batch = validate_batch("update", self.graph, changes)
         increases = [(u, v, w) for u, v, w in batch if w > self.graph.weight(u, v)]
         decreases = [(u, v, w) for u, v, w in batch if w < self.graph.weight(u, v)]
         stats = MaintenanceStats()

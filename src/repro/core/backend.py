@@ -19,9 +19,11 @@ The surface, by concern:
 * **query** — :meth:`~DistanceBackend.distance` (single pair) and
   :meth:`~DistanceBackend.distances` (batch);
 * **update** — :meth:`~DistanceBackend.update` applies one
-  weight-change batch (folded to the last mention of each road, then
-  validated whole before the first write — a rejected batch leaves
-  graph, labels and epoch untouched);
+  weight-change batch: every triple is checked by
+  :func:`repro.utils.pairs.weight_changes` and the batch folded to the
+  last mention of each road
+  (:func:`repro.labelling.driver.validate_batch`), all before the first
+  write — a rejected batch leaves graph, labels and epoch untouched;
 * **epoch** — a monotone counter bumped once per applied batch; the
   result cache and the worker epoch-broadcast protocol key on it;
 * **affected surface** — every update returns a

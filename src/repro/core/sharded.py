@@ -41,7 +41,7 @@ from repro.core.structural import (
 )
 from repro.exceptions import IndexBuildError
 from repro.graph.graph import Graph
-from repro.labelling.driver import fold_batch
+from repro.labelling.driver import validate_batch
 from repro.labelling.maintenance import MaintenanceStats, WeightChange
 from repro.observability.phases import phase
 from repro.observability.timing import Timer
@@ -297,8 +297,9 @@ class ShardedDHLIndex:
     ) -> ShardedMaintenanceStats:
         """Apply a mixed weight-change batch, routed per shard.
 
-        A road named twice ends at its last mention's weight
-        (``graph.road_key``, as on :meth:`DHLIndex.update`).
+        The batch is checked and folded before any write, as on
+        :meth:`DHLIndex.update` (:func:`~repro.labelling.driver.validate_batch`):
+        a road named twice ends at its last mention's weight.
         Intra-region changes go to the owning shard's DHL+/DHL- pass;
         cut edge changes go straight to the overlay. After shard passes,
         only the overlay clique edges incident to an *affected* boundary
@@ -306,7 +307,9 @@ class ShardedDHLIndex:
         ``workers`` is ignored (see :meth:`DistanceBackend.update`).
         """
         stats = ShardedMaintenanceStats()
-        overlay_changes = self._reweigh(fold_batch(self.graph, changes), stats)
+        overlay_changes = self._reweigh(
+            validate_batch("update", self.graph, changes), stats
+        )
         if overlay_changes is None:
             return stats
         self._update_overlay(overlay_changes, stats)
@@ -316,16 +319,16 @@ class ShardedDHLIndex:
     def _reweigh(
         self, changes: list[WeightChange], stats: ShardedMaintenanceStats
     ) -> list[WeightChange] | None:
-        """Run folded weight *changes* through the owning shards and
-        write them into the global graph; *stats* absorbs the shard
-        passes. Returns the overlay's changes (cut edges and refreshed
-        clique edges, overlay ids), or ``None`` when no weight moves."""
+        """Run checked weight *changes* (one per road, each moving its
+        weight) through the owning shards and write them into the global
+        graph; *stats* absorbs the shard passes. Returns the overlay's
+        changes (cut edges and refreshed clique edges, overlay ids), or
+        ``None`` when there are none to run."""
+        if not changes:
+            return None
         per_shard: dict[int, list[WeightChange]] = {}
         overlay_changes: list[WeightChange] = []
-        applied: list[WeightChange] = []
         for u, v, w in changes:
-            if w == self.graph.weight(u, v):
-                continue
             ru = int(self.region_of[u])
             rv = int(self.region_of[v])
             if ru == rv:
@@ -336,9 +339,6 @@ class ShardedDHLIndex:
                 overlay_changes.append(
                     (int(self.overlay_of[u]), int(self.overlay_of[v]), w)
                 )
-            applied.append((u, v, w))
-        if not applied:
-            return None
 
         with phase("sharded.shard_update"):
             shard_results = {
@@ -351,7 +351,7 @@ class ShardedDHLIndex:
                 overlay_changes.extend(self._absorb_shard(rid, shard_stats, stats))
         # Keep the global graph in lockstep with shard/overlay state so
         # coalescers draining against it classify changes correctly.
-        for u, v, w in applied:
+        for u, v, w in changes:
             self.graph.set_weight(u, v, w)
         return overlay_changes
 

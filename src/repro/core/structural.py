@@ -90,10 +90,10 @@ from repro.graph.graph import Graph
 from repro.hierarchy.csr import ShortcutCSR, compact_slots, extend_slots
 from repro.hierarchy.query_hierarchy import QueryHierarchy
 from repro.labelling.build import build_labelling
-from repro.labelling.driver import check_weight
 from repro.labelling.maintenance import MaintenanceStats, WeightChange
 from repro.observability.phases import phase
 from repro.partition.recursive import PartitionTreeNode
+from repro.utils import pairs
 
 __all__ = [
     "StructuralStats",
@@ -291,29 +291,26 @@ def classify_batch(
 ) -> tuple[list[WeightChange], list[WeightChange], StructuralStats]:
     """Fold and sort one structural batch against *graph*, writing nothing.
 
-    Every weight and insertion is checked; each list is folded by
-    ``graph.road_key`` (a road's last mention in a list wins); a road
-    named in two lists raises :class:`MaintenanceError`. Each folded
-    road is then sorted once: a change on an existing road (a live
-    road's deletion is a change to ``inf``; a weight it already has is
-    dropped), a new road, or an already-deleted or missing one. Returns
-    ``(changes, new_roads, stats)``, *stats* holding the counts.
+    Each list is checked (:mod:`repro.utils.pairs`; an insertion's
+    weight finite) and folded by ``graph.road_key`` (a road's last
+    mention in a list wins); a road named in two lists raises
+    :class:`MaintenanceError`. Each folded road is then sorted once: a
+    change on an existing road (a live road's deletion is a change to
+    ``inf``; a weight it already has is dropped), a new road, or an
+    already-deleted or missing one. Returns ``(changes, new_roads,
+    stats)``, *stats* holding the counts.
     """
-    road_key = graph.road_key
-    added: dict[tuple[int, int], WeightChange] = {}
-    for u, v, w in insertions:
-        if u == v:
-            raise MaintenanceError(f"cannot insert a self-loop at vertex {u}")
-        if not math.isfinite(w) or w < 0:
-            raise MaintenanceError(
-                f"weight must be finite and non-negative, got {w!r}"
-            )
-        added[road_key(u, v)] = (u, v, w)
+    n, road_key = graph.num_vertices, graph.road_key
+    added = {
+        road_key(u, v): (u, v, w)
+        for u, v, w in pairs.weight_changes(n, insertions, insertions=True)
+    }
+    deletions = [pairs.vertex_pair(n, u, v) for u, v in deletions]
     dropped = {road_key(u, v): (u, v) for u, v in deletions}
-    reweighed: dict[tuple[int, int], WeightChange] = {}
-    for u, v, w in weight_changes:
-        check_weight(u, v, w)
-        reweighed[road_key(u, v)] = (u, v, w)
+    reweighed = {
+        road_key(u, v): (u, v, w)
+        for u, v, w in pairs.weight_changes(n, weight_changes)
+    }
     twice = (added.keys() & dropped.keys()) | (
         reweighed.keys() & (added.keys() | dropped.keys())
     )
@@ -498,9 +495,10 @@ def restore_edge(index, u: int, v: int, weight: float) -> MaintenanceStats:
     """Restore a logically deleted edge with *weight* (a decrease), as
     an insertion through :func:`apply_batch`: after a compaction pass
     the edge is physically gone and is inserted again."""
-    if not math.isfinite(weight) or weight < 0:
-        raise MaintenanceError(f"restore weight must be finite, got {weight!r}")
     graph = index.graph
+    ((u, v, weight),) = pairs.weight_changes(
+        graph.num_vertices, [(u, v, weight)], insertions=True
+    )
     if graph.has_edge(u, v) and weight > graph.weight(u, v):
         raise MaintenanceError(
             f"edge ({u}, {v}) currently weighs {graph.weight(u, v)}; restoring "

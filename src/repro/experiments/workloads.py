@@ -13,7 +13,7 @@ from typing import Callable
 
 import numpy as np
 
-from repro.graph.graph import Graph
+from repro.graph.graph import EdgeTriple, Graph
 from repro.utils.rng import make_rng, sample_pairs
 
 __all__ = [
@@ -24,8 +24,6 @@ __all__ = [
     "random_query_pairs",
     "distance_stratified_queries",
 ]
-
-EdgeTriple = tuple[int, int, float]
 
 
 def sample_update_batches(

@@ -120,25 +120,19 @@ class ContractionResult:
         return self.csr.rank
 
     # -- addressing -----------------------------------------------------
-    def shortcut_key(self, a: int, b: int) -> tuple[int, int]:
-        """Normalise an endpoint pair to (earlier, later) contraction order."""
-        return (a, b) if self.rank[a] < self.rank[b] else (b, a)
-
-    def find_edge_slot(self, a: int, b: int) -> int:
-        """Weight cell of edge ``(a, b)`` — of arc ``a -> b`` in a
-        two-plane store; -1 when the pair has no slot."""
-        descending = self.rank[a] > self.rank[b]
-        slot = self.csr.find_slot(b, a) if descending else self.csr.find_slot(a, b)
-        if slot >= 0 and descending and self.planes == 2:
-            slot += self.csr.num_slots
-        return slot
-
-    def edge_slot(self, a: int, b: int) -> int:
-        """Like :meth:`find_edge_slot` but raises when the pair is absent."""
-        cell = self.find_edge_slot(a, b)
-        if cell < 0:
-            raise KeyError(f"no shortcut ({a}, {b})")
-        return cell
+    def cells_of(self, u, v) -> np.ndarray:
+        """Weight cells of roads ``u[i] -- v[i]`` (id arrays, or two ids
+        for one cell) — of arcs ``u[i] -> v[i]`` in a two-plane store:
+        the store's one road -> cell map. Raises ``KeyError`` when a
+        pair has no slot."""
+        u, v = np.asarray(u), np.asarray(v)
+        # A slot is (deeper, shallower); an arc that descends (``u``
+        # the shallower end) falls in plane 1 of a two-plane store.
+        flip = self.rank[u] > self.rank[v]
+        cells = self.csr.slots_of(np.where(flip, v, u), np.where(flip, u, v))
+        if self.planes == 2:
+            cells = cells + flip * self.csr.num_slots
+        return cells
 
     def direct_weights(self) -> np.ndarray:
         """Each cell's direct road weight, inf where no road survives —
@@ -157,17 +151,11 @@ class ContractionResult:
 
     def fill_direct(self, u: np.ndarray, v: np.ndarray, w: np.ndarray) -> None:
         """Set ``direct`` from the graph's roads as ``(u, v, w)`` arrays
-        (:func:`~repro.graph.graph.road_arrays`); raises ``KeyError``
-        when a road has no slot."""
+        (:func:`~repro.graph.graph.road_arrays`; a two-plane store
+        weighs arcs, a digraph's ``edges()``); raises ``KeyError`` when
+        a road has no slot."""
         direct = np.full(self.planes * self.csr.num_slots, math.inf)
-        # A two-plane store weighs arcs (a digraph's ``edges()``):
-        # a -> b falls in plane 1 when it descends (``a`` the
-        # shallower endpoint).
-        flip = self.rank[u] > self.rank[v]
-        cells = self.csr.slots_of(np.where(flip, v, u), np.where(flip, u, v))
-        if self.planes == 2:
-            cells += flip * self.csr.num_slots
-        direct[cells] = w
+        direct[self.cells_of(u, v)] = w
         self.direct = direct
 
     def plane_views(self) -> tuple:
@@ -177,16 +165,13 @@ class ContractionResult:
         return (self,)
 
     # -- weight access --------------------------------------------------
-    def has_shortcut(self, a: int, b: int) -> bool:
-        return self.find_edge_slot(a, b) >= 0
-
     def weight(self, a: int, b: int) -> float:
         """Current weight of shortcut ``(a, b)``."""
-        return float(self.up_weights[self.edge_slot(a, b)])
+        return float(self.up_weights[self.cells_of(a, b)])
 
     def set_weight(self, a: int, b: int, w: float) -> float:
         """Set shortcut weight; returns the previous value."""
-        cell = self.edge_slot(a, b)
+        cell = self.cells_of(a, b)
         old = float(self.up_weights[cell])
         self.up_weights[cell] = w
         return old

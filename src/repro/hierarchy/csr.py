@@ -219,12 +219,10 @@ class ShortcutCSR:
     def slots_of(self, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
         """Vectorised :meth:`slot_of` over pair arrays; raises when a pair
         is absent."""
-        keys = lo.astype(np.int64) * np.int64(self.n) + self.rank[hi]
+        keys = lo.astype(np.int64, copy=False) * self.n + self.rank[hi]
         slots = np.searchsorted(self.slot_keys, keys)
-        if not (
-            np.all(slots < len(self.slot_keys))
-            and np.array_equal(self.slot_keys[slots], keys)
-        ):
+        # A key past the last clips onto the last, which differs from it.
+        if np.count_nonzero(self.slot_keys.take(slots, mode="clip") != keys):
             raise KeyError("a pair has no shortcut slot")
         return slots
 

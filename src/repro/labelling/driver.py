@@ -1,12 +1,15 @@
 """The maintenance driver — the one path from a weight batch to new labels.
 
-Every index family reaches Algorithms 2-5 through :func:`maintain`: it
-validates the whole batch before the first write, applies the graph
-weights, resolves seed cells (raised and lowered alike), runs the C
-shortcut sweep once over the whole store (one weight plane or two —
-see :class:`~repro.hierarchy.contraction.ContractionResult`), turns the
-cells it listed as touched into ``affected_shortcuts``, then once per
-plane makes one C label-sweep call (its seed phase inside), and fills
+Every index family reaches Algorithms 2-5 through :func:`maintain`.
+Its Python prologue does each job once: :func:`validate_batch` checks
+the batch (:func:`repro.utils.pairs.weight_changes`) before the first
+write and leaves one change per road, and :func:`seed_cells` maps the
+roads to their cells in one ``cells_of`` call, writes the graph and the
+direct weights and sorts the cells into raised and lowered seeds.
+Then it runs the C shortcut sweep once over the whole store (one
+weight plane or two), turns the cells it listed as touched into
+``affected_shortcuts``, once per plane makes one C label-sweep call
+(its seed phase inside), and fills
 :class:`~repro.labelling.maintenance.MaintenanceStats` from the
 positions and vertices that sweep listed (the positions themselves
 become ``label_positions``, what a shard runtime ships). A mixed batch
@@ -24,7 +27,6 @@ how every build weighs its shortcuts.
 
 from __future__ import annotations
 
-import math
 from typing import Hashable, Iterable
 
 import numpy as np
@@ -38,6 +40,7 @@ from repro.labelling import maintenance
 from repro.labelling.maintenance import MaintenanceStats, WeightChange
 from repro.labelling.native import engine as native_engine
 from repro.observability.phases import collect_phases, phase, phases_active
+from repro.utils.pairs import weight_changes
 
 __all__ = [
     "fill_weights",
@@ -45,68 +48,54 @@ __all__ = [
     "maintain_shortcuts",
     "validate_batch",
     "fold_batch",
-    "check_weight",
 ]
 
 # ---------------------------------------------------------------------------
 # batch validation
 # ---------------------------------------------------------------------------
 
-def check_weight(u: int, v: int, w: float) -> None:
-    """Refuse a negative or NaN road weight (``inf`` closes a road)."""
-    if w < 0 or math.isnan(w):
-        raise MaintenanceError(f"invalid weight {w!r} for edge ({u}, {v})")
-
-
 def validate_batch(
     kind: str, graph, changes: Iterable[WeightChange]
 ) -> list[WeightChange]:
     """Check a whole ``decrease``/``increase``/``update`` batch before
-    any write.
+    any write; return one change per road (``graph.road_key``), the
+    last mention's, dropping those that leave a weight as it is.
 
-    Raises :class:`MaintenanceError` for a negative or NaN weight and,
-    for ``decrease``/``increase``, for a change against *kind*'s
-    direction; an unknown edge raises from ``graph.weight``. Changes
-    that leave a weight as it is are dropped. ``graph.road_key`` names
-    the road a change addresses: an ``update`` is folded first
-    (:func:`fold_batch`), so a road named twice ends at its last
-    mention's weight; the one-kind batches check repeated mentions in
-    order, each against the weight the previous one leaves.
+    Every triple passes :func:`~repro.utils.pairs.weight_changes`; an
+    unknown road raises from ``graph.weight``. An ``update`` is folded
+    first (:func:`fold_batch`). A one-kind batch checks each mention in
+    order against the weight the previous one leaves, and raises
+    :class:`MaintenanceError` for one against *kind*'s direction.
     """
+    changes = weight_changes(graph.num_vertices, changes)
     if kind == "update":
-        changes = fold_batch(graph, changes)
+        return [
+            (u, v, w) for u, v, w in fold_batch(graph, changes)
+            if w != graph.weight(u, v)
+        ]
     road_key = graph.road_key
-    pending: dict[Hashable, float] = {}
-    batch: list[WeightChange] = []
+    final: dict[Hashable, WeightChange] = {}
     for u, v, w in changes:
-        current = graph.weight(u, v)
-        check_weight(u, v, w)
         road = road_key(u, v)
-        current = pending.get(road, current)
+        current = final[road][2] if road in final else graph.weight(u, v)
         if w == current:
             continue
-        if kind != "update" and (w > current) == (kind == "decrease"):
+        if (w > current) == (kind == "decrease"):
             other = "increase" if kind == "decrease" else "decrease"
             article = "an" if kind == "increase" else "a"
             raise MaintenanceError(
                 f"edge ({u}, {v}): {current} -> {w} is not {article} {kind}; "
                 f"use {other}()/update()"
             )
-        pending[road] = w
-        batch.append((u, v, w))
-    return batch
+        final[road] = (u, v, w)
+    return list(final.values())
 
 
 def fold_batch(graph, changes: Iterable[WeightChange]) -> list[WeightChange]:
     """One change per road, the last mention's weight, in first-mention
-    order. ``graph.road_key`` names the road a change addresses. Every
-    weight is checked, a superseded one too."""
+    order. ``graph.road_key`` names the road a change addresses."""
     road_key = graph.road_key
-    final: dict[Hashable, WeightChange] = {}
-    for u, v, w in changes:
-        check_weight(u, v, w)
-        final[road_key(u, v)] = (u, v, w)
-    return list(final.values())
+    return list({road_key(u, v): (u, v, w) for u, v, w in changes}.values())
 
 
 # ---------------------------------------------------------------------------
@@ -116,37 +105,38 @@ def fold_batch(graph, changes: Iterable[WeightChange]) -> list[WeightChange]:
 _NO_CELLS = np.empty(0, dtype=np.int64)
 
 
-def _cells(cells) -> np.ndarray:
-    return np.asarray(sorted(cells), dtype=np.int64)
+def seed_cells(sc, batch: list[WeightChange]) -> tuple[np.ndarray, np.ndarray]:
+    """Write a validated batch (one change per road) into the graph and
+    the direct weights, its cells looked up first in one ``cells_of``
+    call; return its ``(raised, lowered)`` seed cells, sorted. A raised
+    road makes its cell suspect when the old road weight realised it, a
+    lowered one queues its cell when the new weight undercuts it.
+    """
+    u, v, w = zip(*batch)
+    cells = sc.cells_of(np.array(u, np.int64), np.array(v, np.int64))
+    w = np.array(w, np.float64)
+    direct = sc.direct_weights()
+    graph = sc.graph
+    old = np.array([graph.set_weight(a, b, x) for a, b, x in batch])
+    direct[cells] = w
+    now = sc.up_weights[cells]
+    # A raised cell has w > old == now, so it is never also lowered.
+    raised, lowered = cells[(w > old) & (now == old)], cells[w < now]
+    raised.sort()
+    lowered.sort()
+    return raised, lowered
 
 
 def _shortcut_phase(sc, batch: list[WeightChange]) -> tuple:
-    """Write a validated batch into the graph and sweep H_U once.
-
-    Seeds only read: a raised road makes its cell suspect when the old
-    road weight realised it, a lowered one queues its cell when the new
-    weight undercuts it. Returns the sweep's marks.
-    """
-    graph = sc.graph
-    weights = sc.up_weights
+    """Seed a validated batch (:func:`seed_cells`) and sweep H_U once.
+    Returns the sweep's marks."""
     with phase("maintain.seed"):
         direct = sc.direct_weights()
-        marks = maintenance.cell_marks(len(weights))
-        raised: set[int] = set()
-        lowered: set[int] = set()
-        for a, b, w_new in batch:
-            old_edge = graph.set_weight(a, b, w_new)
-            cell = sc.edge_slot(a, b)
-            direct[cell] = w_new
-            if w_new < weights[cell]:
-                lowered.add(cell)
-            elif w_new > old_edge and weights[cell] == old_edge:
-                raised.add(cell)
-    if raised or lowered:
+        marks = maintenance.cell_marks(len(sc.up_weights))
+        raised, lowered = seed_cells(sc, batch)
+    if len(raised) or len(lowered):
         with phase("maintain.shortcut_sweep"):
-            if native_engine.shortcut_sweep(
-                sc, _cells(raised), _cells(lowered), direct, marks
-            ):
+            if native_engine.shortcut_sweep(sc, raised, lowered, direct, marks):
                 raise StructuralFallbackRequired(
                     "shortcut sweep reached a compacted shortcut slot"
                 )

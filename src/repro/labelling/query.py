@@ -1,8 +1,10 @@
 """Distance queries over (H_Q, L) — Section 4.3 of the paper.
 
 A query computes the number ``K`` of common ancestors of ``s`` and ``t``
-in O(1) via partition bitstrings, then takes the minimum of
-``L_s[i] + L_t[i]`` over ``i < K`` as one vectorised numpy reduction.
+from H_Q's path words (the common prefix of the two tree nodes' path
+bits, then the ``chain`` row at that depth), then takes the minimum of
+``L_s[i] + L_t[i]`` over ``i < K``; both steps run in C, in one pair
+kernel call.
 Correctness is the restricted 2-hop cover property (Lemma 6.6): some
 common ancestor ``r`` lies on a shortest path, and for it both label
 entries are distances within the subgraph induced by ``desc(r)``, which

@@ -53,13 +53,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.exceptions import PartialResultError, ServiceOverloadError
-from repro.utils.pairs import (
-    as_ids,
-    as_pair_array,
-    check_ids,
-    vertex_pair,
-    weight_changes,
-)
+from repro.utils.pairs import as_ids, as_pair_array, check_ids, vertex_pair
 
 __all__ = ["AsyncDistanceService", "AsyncFrontendStats"]
 
@@ -239,9 +233,10 @@ class AsyncDistanceService:
     async def update(self, changes) -> None:
         """Apply a weight-change batch, ordered with surrounding queries.
 
-        Every id is checked before anything is queued, as in
-        :meth:`distance`; one bad change refuses the whole batch."""
-        changes = weight_changes(self.service.index.graph.num_vertices, changes)
+        The service checks the batch when the dispatcher reaches it
+        (``submit_many``), before anything is buffered: one bad change
+        refuses the whole batch, and the error reaches this caller."""
+        changes = list(changes)
         future = self._admit(1)
         self._runs.append((changes, future))
         self._wake.set()

@@ -33,6 +33,7 @@ weight-maintenance kernels.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -178,13 +179,14 @@ class UpdateCoalescer:
         for (u, v), (op, w) in self._pending.items():
             if op == _DELETE:
                 batch.deletions.append((u, v))
-                continue
-            if not graph.has_edge(u, v):
-                # A weight report on a compacted-away edge is a restore:
-                # it re-enters through the insertion path.
-                batch.insertions.append((u, v, w))
-                continue
-            if w == graph.weight(u, v):
+            elif not graph.has_edge(u, v):
+                # A report on a compacted-away road restores it through
+                # the insertion path; closing it changes nothing.
+                if w < math.inf:
+                    batch.insertions.append((u, v, w))
+                else:
+                    batch.noops += 1
+            elif w == graph.weight(u, v):
                 batch.noops += 1
             else:
                 batch.changes.append((u, v, w))

@@ -385,8 +385,10 @@ class DistanceService:
     # ------------------------------------------------------------------
     # updates
     # ------------------------------------------------------------------
-    def _road(self, u, v) -> tuple[int, int]:
-        return vertex_pair(self.index.graph.num_vertices, u, v)
+    def _checked(self, changes, insertions: bool = False) -> list[WeightChange]:
+        return weight_changes(
+            self.index.graph.num_vertices, changes, insertions=insertions
+        )
 
     def _flush_if_full(self) -> None:
         if self.coalescer.pending_edges >= self.flush_threshold:
@@ -395,17 +397,17 @@ class DistanceService:
     def submit(self, u: int, v: int, weight: float) -> None:
         """Buffer one weight change; auto-flushes at ``flush_threshold``.
 
-        The ids are checked before anything is buffered, as in
-        :meth:`distance`: a bad one raises and leaves the buffer as it
-        was."""
-        u, v = self._road(u, v)
-        self.coalescer.add(u, v, float(weight))
+        The change is checked first
+        (:func:`~repro.utils.pairs.weight_changes`): a bad one raises
+        and leaves the buffer as it was."""
+        ((u, v, weight),) = self._checked(((u, v, weight),))
+        self.coalescer.add(u, v, weight)
         self._flush_if_full()
 
     def submit_many(self, changes: Iterable[WeightChange]) -> None:
         """:meth:`submit` each change, once every one passed its checks:
         one bad change refuses the whole list."""
-        for u, v, w in weight_changes(self.index.graph.num_vertices, changes):
+        for u, v, w in self._checked(changes):
             self.coalescer.add(u, v, w)
             self._flush_if_full()
 
@@ -415,16 +417,16 @@ class DistanceService:
         Coalesces against pending traffic on the same edge — inserting
         over a queued deletion folds to a weight change; a later
         :meth:`submit_delete` cancels the pair outright. Flushes route
-        through the backend's structural ``apply_batch`` path. The ids
-        are checked as in :meth:`submit`.
+        through the backend's structural ``apply_batch`` path. Checked
+        as in :meth:`submit`, with a finite weight.
         """
-        u, v = self._road(u, v)
-        self.coalescer.add_insert(u, v, float(weight))
+        ((u, v, weight),) = self._checked(((u, v, weight),), insertions=True)
+        self.coalescer.add_insert(u, v, weight)
         self._flush_if_full()
 
     def submit_delete(self, u: int, v: int) -> None:
         """Buffer a road deletion (closure); see :meth:`submit_insert`."""
-        u, v = self._road(u, v)
+        u, v = vertex_pair(self.index.graph.num_vertices, u, v)
         self.coalescer.add_delete(u, v)
         self._flush_if_full()
 

@@ -36,10 +36,9 @@ import math
 import numpy as np
 
 from repro.graph.graph import Graph
+from repro.labelling.maintenance import WeightChange
 
 __all__ = ["build_overlay_graph", "clique_refresh_changes", "clique_weights"]
-
-OverlayChange = tuple[int, int, float]
 
 
 def _add_overlay_edge(overlay: Graph, a: int, b: int, w: float) -> None:
@@ -92,7 +91,7 @@ def clique_refresh_changes(
     boundary_overlay: np.ndarray,
     held: np.ndarray,
     affected_local: set[int],
-) -> list[OverlayChange]:
+) -> list[WeightChange]:
     """Clique edges whose weight moved after a shard maintenance pass.
 
     A boundary-to-boundary distance ``d(a, b)`` is a pure function of

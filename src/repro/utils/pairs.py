@@ -1,4 +1,4 @@
-"""The one input contract of every id door.
+"""The one input contract of every id door and every update door.
 
 A batch of vertex pairs travels through the stack as an ``(m, 2)``
 ``int64`` array, a list of ids as a flat ``int64`` array. Callers may
@@ -16,18 +16,23 @@ the id lists of the one-to-many doors (``distances_arrays``,
 ``common_ancestor_counts``).
 Every door range-checks the ids once with :func:`check_ids`; a door
 that takes single ids (one pair, one road) takes them through
-:func:`vertex_pair`, and an update door its ``(u, v, weight)`` triples
-through :func:`weight_changes`. Every ``k_nearest`` ranks its
-candidates' distances with :func:`nearest`.
+:func:`vertex_pair`. Every ``k_nearest`` ranks its candidates'
+distances with :func:`nearest`.
+
+:func:`weight_changes` is the one check of a ``(u, v, weight)`` triple;
+every update door calls it before it writes or buffers anything
+(``update`` / ``increase`` / ``decrease`` through ``validate_batch``,
+``apply_batch`` through ``classify_batch``, the service's ``submit*``).
 """
 
 from __future__ import annotations
 
+import math
 import operator
 
 import numpy as np
 
-from repro.exceptions import VertexNotFound
+from repro.exceptions import MaintenanceError, VertexNotFound
 
 __all__ = [
     "as_ids",
@@ -69,14 +74,23 @@ def nearest(ids: np.ndarray, distances: np.ndarray, k: int) -> list[tuple[int, f
     return list(zip(ids[order].tolist(), distances[order].tolist()))
 
 
-def weight_changes(n: int, changes) -> list[tuple[int, int, float]]:
+def weight_changes(
+    n: int, changes, *, insertions: bool = False
+) -> list[tuple[int, int, float]]:
     """*changes* as ``(u, v, weight)`` triples, the ids through
-    :func:`vertex_pair` and the weights floats; one bad triple refuses
-    them all."""
+    :func:`vertex_pair` and distinct, the weights floats, non-negative
+    and not NaN (``inf`` closes a road; a new road's, for *insertions*,
+    is finite), else :class:`~repro.exceptions.MaintenanceError`. One
+    bad triple refuses them all."""
     out = []
     for u, v, w in changes:
         u, v = vertex_pair(n, u, v)
-        out.append((u, v, float(w)))
+        w = float(w)
+        if u == v:
+            raise MaintenanceError(f"no road joins vertex {u} to itself")
+        if not w >= 0 or (insertions and w == math.inf):  # NaN fails w >= 0
+            raise MaintenanceError(f"invalid weight {w!r} for edge ({u}, {v})")
+        out.append((u, v, w))
     return out
 
 

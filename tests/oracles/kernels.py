@@ -6,7 +6,8 @@ queries call — the two maintenance sweeps, Algorithm 1's top-down pass,
 the K count, the pair (batch, pair-array and one-pair), set and
 shard-batch kernels, a sharded batch's split and combine (its min-plus
 inside) and the result cache's probe and fill — with the bodies in
-this package. An index built, updated and
+this package, and the driver's vectorised seed step with the per-road
+loop it replaced. An index built, updated and
 queried inside it never enters C outside the partitioner (whose trees
 ``tests/test_partition_identity.py`` holds to their own oracle), so a
 differential test compares its bits with an index run on the C kernels.
@@ -18,6 +19,7 @@ from contextlib import contextmanager
 
 import pytest
 
+from repro.labelling import driver
 from repro.labelling.native import engine as native_engine
 from tests.oracles import build, cache, maintenance, query, sharding
 
@@ -29,6 +31,7 @@ def python_kernels():
     """Run maintenance, the label build, every query and the result
     cache's table on the oracles."""
     with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(driver, "seed_cells", maintenance.seed_cells)
         mp.setattr(native_engine, "shortcut_sweep", maintenance.shortcut_sweep)
         mp.setattr(native_engine, "label_sweep", maintenance.label_sweep)
         mp.setattr(native_engine, "label_build", build.label_build)

@@ -7,7 +7,10 @@ the only one. :func:`shortcut_sweep` and :func:`label_sweep` take the
 C sweeps' arguments and marks (the contract is stated in that module),
 so :func:`tests.oracles.python_kernels` can swap them in under the
 driver; the differential tests require equal bits, change counts and
-affected sets.
+affected sets. :func:`seed_cells` is the per-road seed loop the
+driver's vectorised :func:`repro.labelling.driver.seed_cells` replaced,
+over the scalar road -> cell map :func:`find_edge_slot`; it is swapped
+in too.
 """
 
 from __future__ import annotations
@@ -18,7 +21,48 @@ import numpy as np
 
 from tests.oracles.priority_queue import LazyHeap
 
-__all__ = ["label_sweep", "mark_cell", "mark_entry", "shortcut_sweep"]
+__all__ = [
+    "find_edge_slot",
+    "label_sweep",
+    "mark_cell",
+    "mark_entry",
+    "seed_cells",
+    "shortcut_sweep",
+]
+
+
+def find_edge_slot(sc, a: int, b: int) -> int:
+    """Weight cell of edge ``(a, b)`` — of arc ``a -> b`` in a
+    two-plane store; -1 when the pair has no slot."""
+    descending = sc.rank[a] > sc.rank[b]
+    slot = sc.csr.find_slot(b, a) if descending else sc.csr.find_slot(a, b)
+    if slot >= 0 and descending and sc.planes == 2:
+        slot += sc.csr.num_slots
+    return slot
+
+
+def seed_cells(sc, batch) -> tuple[np.ndarray, np.ndarray]:
+    """The driver's seed step road by road: write each change into the
+    graph and the direct weights, and collect ``(raised, lowered)``."""
+    graph = sc.graph
+    weights = sc.up_weights
+    direct = sc.direct_weights()
+    raised: set[int] = set()
+    lowered: set[int] = set()
+    for a, b, w_new in batch:
+        old_edge = graph.set_weight(a, b, w_new)
+        cell = find_edge_slot(sc, a, b)
+        if cell < 0:
+            raise KeyError(f"no shortcut ({a}, {b})")
+        direct[cell] = w_new
+        if w_new < weights[cell]:
+            lowered.add(cell)
+        elif w_new > old_edge and weights[cell] == old_edge:
+            raised.add(cell)
+    return (
+        np.asarray(sorted(raised), dtype=np.int64),
+        np.asarray(sorted(lowered), dtype=np.int64),
+    )
 
 
 def mark_cell(marks, cell: int, weights) -> None:
@@ -57,7 +101,7 @@ def _push_cell(heap: LazyHeap[int], sc, cell: int) -> None:
 
 def triangles(sc, cell: int):
     """Every triangle through the owner of *cell*: ``(leg cell, pair)``,
-    whose target cell is ``sc.find_edge_slot(*pair)``.
+    whose target cell is ``find_edge_slot(sc, *pair)``.
 
     Cell ``(v, w)`` of plane 0 is the arc ``v -> w``, of the second of
     two planes the arc ``w -> v``. A partner ``o`` in ``v``'s up row
@@ -119,7 +163,7 @@ def shortcut_sweep(sc, raised, lowered, direct, marks) -> bool:
         for leg, pair in triangles(sc, cell):
             if not moved and not changed[leg]:
                 continue
-            target = sc.find_edge_slot(*pair)
+            target = find_edge_slot(sc, *pair)
             # A suspect partner still queued is not final: its own pop
             # relaxes this pair.
             settled = not (leg in suspects and leg in heap)

@@ -27,7 +27,7 @@ import pytest
 
 from repro.core.config import DHLConfig
 from repro.core.index import DHLIndex
-from repro.exceptions import ServiceOverloadError, VertexNotFound
+from repro.exceptions import MaintenanceError, ServiceOverloadError, VertexNotFound
 from repro.graph.generators import grid_network
 from repro.observability import Observability
 from repro.service.async_frontend import AsyncDistanceService
@@ -403,8 +403,10 @@ def test_update_is_ordered_with_queries(small_graph):
 )
 def test_update_refuses_a_bad_id_before_queueing(service, bad, error):
     """A float id used to be truncated (``int(1.7) == 1``) and rewrite
-    another road; now the whole batch is refused at the door, nothing
-    reaches the service, and the next call answers."""
+    another road; now the whole batch is refused at the service's door
+    (``submit_many``) when the dispatcher reaches it: the caller gets
+    the error, nothing is buffered or applied, and the next call
+    answers."""
     graph = service.index.graph
     u, v, w = next(iter(graph.edges()))
     before, epoch = sorted(graph.edges()), service.index.epoch
@@ -418,8 +420,33 @@ def test_update_refuses_a_bad_id_before_queueing(service, bad, error):
     got, stats = run(scenario)
     assert sorted(graph.edges()) == before
     assert (service.pending_updates, service.index.epoch) == (0, epoch)
-    assert stats.updates == 0 and stats.offered_requests == 1
+    assert stats.updates == 1 and stats.offered_requests == 2
     assert got == service.distance(u, v)
+
+
+@pytest.mark.parametrize("weight", [float("nan"), -1.0], ids=["nan", "negative"])
+def test_update_with_a_bad_weight_fails_its_caller_and_leaves_the_buffer(
+    service, weight
+):
+    """The service used to buffer a bad weight and raise on it at the
+    flush, after draining the change a caller had submitted before; now
+    the awaiting caller gets ``MaintenanceError`` and the buffer is
+    untouched, so that change applies at the next query."""
+    graph = service.index.graph
+    (a, b, w), (u, v, x) = list(graph.edges())[:2]
+    service.submit(a, b, 3.0 * w)
+
+    async def scenario():
+        async with AsyncDistanceService(service) as frontend:
+            with pytest.raises(MaintenanceError):
+                await frontend.update([(u, v, 2.0 * x), (u, v, weight)])
+            assert service.pending_updates == 1
+            return await frontend.distance(a, b)
+
+    got = run(scenario)
+    assert service.pending_updates == 0
+    assert (graph.weight(a, b), graph.weight(u, v)) == (3.0 * w, x)
+    assert got == service.distance(a, b)
 
 
 # ---------------------------------------------------------------------------

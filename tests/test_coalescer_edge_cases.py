@@ -1,9 +1,11 @@
 """Update-coalescer edge cases: no-ops, reversed duplicates, empty
 flushes — and the same last-mention fold inside every index's
-``update``, and the service's update doors refusing a bad id before it
-reaches the buffer."""
+``update``, and the service's update doors refusing a bad id or weight
+before it reaches the buffer."""
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 import pytest
@@ -183,3 +185,70 @@ def test_a_bad_id_is_refused_before_anything_is_buffered(door, bad):
         assert svc.pending_updates == 0
         assert svc.index.graph.weight(a, b) == 3.0 * w
         assert got == dijkstra(svc.index.graph, a)[b]
+
+
+# ---------------------------------------------------------------------------
+# ... and weights: a bad one raised at the next flush, and the good
+# changes buffered with it were lost
+# ---------------------------------------------------------------------------
+
+#: A call each door must refuse with ``MaintenanceError`` on
+#: ``grid_network(4, 4)``, where ``(0, 5)`` and ``(4, 5)`` are roads.
+BAD_WEIGHTS = {
+    "submit-nan": lambda svc: svc.submit(4, 5, math.nan),
+    "submit-negative": lambda svc: svc.submit(4, 5, -1.0),
+    "submit-self-loop": lambda svc: svc.submit(3, 3, 1.0),
+    "submit_many-nan": lambda svc: svc.submit_many([(2, 3, 1.0), (4, 5, math.nan)]),
+    "submit_many-negative": lambda svc: svc.submit_many([(2, 3, 1.0), (4, 5, -1.0)]),
+    "submit_insert-nan": lambda svc: svc.submit_insert(0, 5, math.nan),
+    "submit_insert-negative": lambda svc: svc.submit_insert(0, 5, -1.0),
+    "submit_insert-inf": lambda svc: svc.submit_insert(0, 5, math.inf),
+    "submit_insert-self-loop": lambda svc: svc.submit_insert(3, 3, 1.0),
+}
+
+
+def small_service() -> DistanceService:
+    return DistanceService(
+        DHLIndex.build(grid_network(4, 4), DHLConfig(leaf_size=2, seed=0))
+    )
+
+
+@pytest.mark.parametrize("bad", list(BAD_WEIGHTS))
+def test_a_bad_weight_is_refused_before_anything_is_buffered(bad):
+    """A NaN or negative weight, an ``inf`` insertion (which quietly
+    closed an existing road) or a self-loop used to be buffered; the
+    next flush, whoever's query ran it, raised on it and dropped the
+    good change queued before. Now the door raises and the buffer keeps
+    only what it held."""
+    with small_service() as svc:
+        graph = svc.index.graph
+        before = sorted(graph.edges())
+        svc.submit(0, 1, 999.0)
+        with pytest.raises(MaintenanceError):
+            BAD_WEIGHTS[bad](svc)
+        assert svc.pending_updates == 1
+        got = svc.distance(0, 15)
+        assert svc.pending_updates == 0
+        assert graph.num_edges == len(before)
+        for u, v, w in before:
+            assert graph.weight(u, v) == (999.0 if {u, v} == {0, 1} else w)
+        assert got == dijkstra(graph, 0)[15]
+
+
+def test_closing_a_road_that_is_not_there_changes_nothing():
+    """``inf`` on a missing road (a report, or one folded into a queued
+    insertion) used to drain as an insertion at ``inf`` and fail the
+    flush; it is a no-op."""
+    with small_service() as svc:
+        graph = svc.index.graph
+        assert not graph.has_edge(0, 15) and not graph.has_edge(1, 14)
+        before = sorted(graph.edges())
+        svc.submit(0, 1, 999.0)
+        svc.submit(0, 15, math.inf)
+        svc.submit_insert(1, 14, 5.0)
+        svc.submit(1, 14, math.inf)
+        got = svc.distance(0, 15)
+        assert svc.coalescer.stats().noops_dropped == 2
+        assert graph.num_edges == len(before)
+        assert graph.weight(0, 1) == 999.0
+        assert got == dijkstra(graph, 0)[15]

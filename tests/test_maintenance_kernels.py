@@ -450,10 +450,9 @@ class TestCSRStore:
         idx = DHLIndex.build(small_road.copy(), DHLConfig(leaf_size=4, seed=0))
         clone = pickle.loads(pickle.dumps(idx.hu))
         u, v, w = next(iter(clone.graph.edges()))
-        lo, hi = clone.shortcut_key(u, v)
         clone.set_weight(u, v, 123.0)
-        assert clone.up_weights[clone.csr.slot_of(lo, hi)] == 123.0
-        assert clone.weight(lo, hi) == 123.0
+        assert clone.up_weights[clone.cells_of(u, v)] == 123.0
+        assert clone.weight(v, u) == 123.0
 
 
 class TestMaintenanceStatsMerge:
@@ -479,7 +478,7 @@ class TestMaintenanceStatsMerge:
         each shortcut held before the *first* change."""
         idx = DHLIndex.build(small_road.copy(), DHLConfig(leaf_size=4, seed=0))
         u, v, w = next(iter(idx.graph.edges()))
-        lo, hi = idx.hu.shortcut_key(u, v)
+        lo, hi = sorted((u, v), key=idx.hu.rank.__getitem__)
         original = idx.hu.weight(lo, hi)
         stats = idx.increase([(u, v, 2 * w)]).merge(idx.decrease([(u, v, w)]))
         assert stats.affected_shortcuts[(lo, hi)] == original

@@ -25,6 +25,7 @@ from repro.graph.digraph import DiGraph
 from repro.graph.generators import grid_network
 from repro.service.service import DistanceService
 from tests.conftest import directed_dijkstra
+from tests.oracles.maintenance import find_edge_slot
 
 CONFIG = DHLConfig(leaf_size=2, seed=0)
 FAMILIES = {
@@ -154,7 +155,7 @@ def test_a_mixed_batch_is_one_epoch(family, limit):
         for b in range(a + 1, 16)
         if not index.graph.has_edge(a, b)
         and bool(index.hq.comparable([a], [b])[0])
-        and hu.csr.find_slot(*hu.shortcut_key(a, b)) < 0
+        and find_edge_slot(hu, a, b) < 0
     )
     (a, b, w), (c, d, x) = sorted(index.graph.edges())[:2]
     epoch = index.epoch

@@ -19,6 +19,7 @@ from repro.graph.digraph import DiGraph
 from repro.graph.generators import delaunay_network, grid_network
 from repro.graph.graph import Graph
 from tests.conftest import directed_dijkstra
+from tests.oracles.maintenance import find_edge_slot
 
 ROAD_KEYS = ("arc_src", "arc_dst", "arc_weight")
 
@@ -574,7 +575,7 @@ class TestLoadRefusesMisfittingArrays:
     @pytest.mark.parametrize("verify", [True, False])
     def test_a_road_without_a_shortcut_slot(self, snapshot, verify):
         store = DHLIndex.load(snapshot).hu
-        far = next(v for v in range(1, 36) if store.find_edge_slot(0, v) < 0)
+        far = next(v for v in range(1, 36) if find_edge_slot(store, 0, v) < 0)
 
         def edit(arrays):
             for key, value in zip(ROAD_KEYS, (0, far, 1.0)):

@@ -265,7 +265,7 @@ def _drop_pair(hu, a, b) -> None:
     """Remove one shortcut pair from the store, the way a compaction pass
     that found it infinite would have."""
     keep = np.ones(hu.csr.num_slots, dtype=bool)
-    keep[hu.csr.slot_of(*hu.shortcut_key(a, b))] = False
+    keep[hu.cells_of(a, b) % hu.csr.num_slots] = False
     compact_slots(hu, keep)
 
 
